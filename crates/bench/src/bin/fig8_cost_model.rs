@@ -125,8 +125,8 @@ fn empirical() {
 
         // Decomposed: binary-search select + 3 datavector semijoins.
         let pager = Arc::new(Pager::new(4096));
+        // A fresh context per selectivity: its LOOKUP memo starts cold.
         let ctx = ExecCtx::new().with_pager(Arc::clone(&pager));
-        extent.clear_lookup_memo();
         let sel = ops::select_range(
             &ctx,
             &sel_bat,

@@ -550,8 +550,8 @@ fn main() {
     gov_ctx.gov.set_deadline(None);
 
     // Pipeline fusion trajectory: Q1 and Q13 executing the optimizer's
-    // fused emission vs the `FLATALG_FUSE=0` oracle (scoped override, not
-    // the env var). Alongside each timing line, one fresh-tracker run
+    // fused emission vs the scoped `with_fuse(false)` oracle. Alongside
+    // each timing line, one fresh-tracker run
     // prints the query's live-set peak — the fused pipelines' point is
     // the intermediate BATs they never materialize, and `max_live_bytes`
     // is where that shows up at SF-independent truth even when the

@@ -655,8 +655,7 @@ mod tests {
         monet::par::with_threads(3, || {
             let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
         });
-        // Different fusion setting: distinct entry. Flip relative to the
-        // ambient value so the test holds under the FLATALG_FUSE=0 leg too.
+        // Different fusion setting: distinct entry.
         monet::fuse::with_fuse(!monet::fuse::fuse_enabled(), || {
             let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
         });

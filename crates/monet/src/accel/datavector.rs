@@ -11,13 +11,22 @@
 //!
 //! The datavector semijoin (Section 5.2.1) looks every right-operand oid up
 //! in the extent with probe-based binary search, memoizes the found
-//! positions in a `LOOKUP` array keyed by the right operand's identity, and
-//! then fetches head/tail values positionally. The extent — and with it the
-//! memo — is **shared by all datavectors of a class** ("the MOA mapping of
-//! objects already gave us the unary vector of oids, as the extent BAT"),
-//! so subsequent semijoins of *any* attribute with the same selection skip
-//! the lookup: "the previous datavector-semijoin has already blazed the
-//! trail into the extent".
+//! positions in a `LOOKUP` array keyed by the (extent, right operand)
+//! identities, and then fetches head/tail values positionally. The extent
+//! is **shared by all datavectors of a class** ("the MOA mapping of objects
+//! already gave us the unary vector of oids, as the extent BAT"), so
+//! subsequent semijoins of *any* attribute with the same selection skip the
+//! lookup: "the previous datavector-semijoin has already blazed the trail
+//! into the extent".
+//!
+//! The memo is **per-execution state** and lives on the [`ExecCtx`]
+//! ([`LookupMemo`]), not on the extent: a selection is an intermediate (or
+//! a parameter-dependent slice of a sorted attribute) whose identity means
+//! nothing to the next program, so `mil::execute` drops the memo on every
+//! exit path and the catalog's extents stay immutable — no lock shared
+//! between sessions, nothing that grows with the number of queries run.
+//! The one right operand every program shares, the class extent itself,
+//! needs no LOOKUP at all (see `ops::semijoin`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,12 +53,14 @@ pub struct Lookup {
     pub head: Column,
 }
 
-/// The sorted oid extent of a class, shared by all of its datavectors,
-/// carrying the memoized LOOKUP arrays.
+/// The LOOKUP arrays memoized by one execution context, keyed by the
+/// identities of the extent and of the right operand's head.
+pub(crate) type LookupMemo = Mutex<HashMap<(ColumnIdentity, ColumnIdentity), Lookup>>;
+
+/// The sorted oid extent of a class, shared by all of its datavectors.
 #[derive(Debug)]
 pub struct Extent {
     oids: Column,
-    lookup_memo: Mutex<HashMap<ColumnIdentity, Lookup>>,
 }
 
 impl Extent {
@@ -58,7 +69,7 @@ impl Extent {
         assert!(oids.is_oidlike(), "extent must hold oids");
         debug_assert!(oids.check_sorted(), "extent must be sorted");
         debug_assert!(oids.check_key(), "extent must be duplicate-free");
-        Arc::new(Extent { oids, lookup_memo: Mutex::new(HashMap::new()) })
+        Arc::new(Extent { oids })
     }
 
     /// The extent column.
@@ -74,19 +85,19 @@ impl Extent {
         self.oids.is_empty()
     }
 
-    /// True when a memoized LOOKUP for this operand already exists — the
+    /// True when `ctx` holds a memoized LOOKUP for this operand — the
     /// "trail has been blazed" fast path is available.
-    pub fn lookup_cached(&self, right_head: &Column) -> bool {
-        self.lookup_memo.lock().contains_key(&right_head.identity())
+    pub fn lookup_cached(&self, ctx: &ExecCtx, right_head: &Column) -> bool {
+        ctx.lookups.lock().contains_key(&(self.oids.identity(), right_head.identity()))
     }
 
     /// Positions in the extent of every right-operand head oid that exists
     /// there, in right-operand order (lines 07-15 of the pseudo code).
-    /// Memoized per right-operand identity, so "subsequent semijoins with B
-    /// do not re-do the lookup effort".
+    /// Memoized on `ctx` per right-operand identity, so "subsequent
+    /// semijoins with B do not re-do the lookup effort".
     pub fn lookup(&self, ctx: &ExecCtx, right_head: &Column) -> Lookup {
-        let key = right_head.identity();
-        if let Some(hit) = self.lookup_memo.lock().get(&key) {
+        let key = (self.oids.identity(), right_head.identity());
+        if let Some(hit) = ctx.lookups.lock().get(&key) {
             return hit.clone();
         }
         let pgr = ctx.pager.as_deref();
@@ -128,14 +139,8 @@ impl Extent {
         };
         let head = self.oids.gather(&out);
         let result = Lookup { positions: Arc::new(out), head };
-        self.lookup_memo.lock().insert(key, result.clone());
+        ctx.lookups.lock().insert(key, result.clone());
         result
-    }
-
-    /// Drop all memoized lookups (after updates in a real system; exposed
-    /// here for benchmarks measuring cold vs. warm semijoins).
-    pub fn clear_lookup_memo(&self) {
-        self.lookup_memo.lock().clear();
     }
 }
 
@@ -160,7 +165,7 @@ impl Datavector {
     /// Section 6: freshly loaded BATs are oid-ordered, so the datavector is
     /// just a projection (Figure 7 step 1). Loaders that decompose a whole
     /// class should build one [`Extent`] and use [`Datavector::new`] so the
-    /// LOOKUP memo is shared.
+    /// attributes share their LOOKUPs.
     pub fn from_oid_ordered(bat: &Bat) -> Datavector {
         Datavector::new(Extent::new(bat.head().clone()), bat.tail().clone())
     }
@@ -197,7 +202,7 @@ impl Datavector {
         self.vector.bytes()
     }
 
-    /// Memoized LOOKUP through the shared extent.
+    /// Memoized LOOKUP through the shared extent (see [`Extent::lookup`]).
     pub fn lookup(&self, ctx: &ExecCtx, right_head: &Column) -> Lookup {
         self.extent.lookup(ctx, right_head)
     }
@@ -233,11 +238,11 @@ mod tests {
         let (_, dv) = customer_name_dv();
         let ctx = ExecCtx::new();
         let probe = Column::from_oids(vec![103, 101, 999, 106]);
-        assert!(!dv.extent().lookup_cached(&probe));
+        assert!(!dv.extent().lookup_cached(&ctx, &probe));
         let l1 = dv.lookup(&ctx, &probe);
         assert_eq!(&*l1.positions, &vec![2, 0, 5]); // 999 misses
         assert_eq!(l1.head.as_oid_slice().unwrap(), &[103, 101, 106]);
-        assert!(dv.extent().lookup_cached(&probe));
+        assert!(dv.extent().lookup_cached(&ctx, &probe));
         let l2 = dv.lookup(&ctx, &probe);
         assert!(Arc::ptr_eq(&l1.positions, &l2.positions), "must reuse the memo");
         // Shared head identity is what makes successive semijoin results synced.
@@ -254,8 +259,10 @@ mod tests {
             Datavector::new(Arc::clone(&extent), Column::from_dbls(vec![0.1, 0.2, 0.3, 0.4]));
         let probe = Column::from_oids(vec![11, 13]);
         let l1 = price.lookup(&ctx, &probe);
-        // The second attribute's lookup hits the shared memo.
-        assert!(disc.extent().lookup_cached(&probe));
+        // The second attribute's lookup hits the shared memo — on this
+        // context only.
+        assert!(disc.extent().lookup_cached(&ctx, &probe));
+        assert!(!disc.extent().lookup_cached(&ExecCtx::new(), &probe));
         let l2 = disc.lookup(&ctx, &probe);
         assert!(Arc::ptr_eq(&l1.positions, &l2.positions));
         assert_eq!(l1.head.identity(), l2.head.identity());

@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::sync::Mutex;
 
+use crate::accel::datavector::LookupMemo;
 use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::error::{MonetError, Result};
@@ -193,6 +194,9 @@ pub struct ExecCtx {
     pub gov: Arc<Governor>,
     /// Generator for fresh oids (`unique_oid(..)` of the `group` operator).
     oid_gen: Arc<AtomicU64>,
+    /// Datavector LOOKUP memo ([`crate::accel::datavector`]): per-execution
+    /// state, dropped by `mil::execute` when its program ends.
+    pub(crate) lookups: Arc<LookupMemo>,
 }
 
 impl Default for ExecCtx {
@@ -218,6 +222,7 @@ impl ExecCtx {
             mem: Arc::new(mem),
             gov: Arc::new(Governor::new()),
             oid_gen: Arc::new(AtomicU64::new(FRESH_OID_BASE)),
+            lookups: Arc::default(),
         }
     }
 

@@ -1,35 +1,27 @@
-//! The `FLATALG_FUSE` knob: whether the optimizer fuses operator pipelines.
+//! Whether the optimizer fuses operator pipelines.
 //!
 //! Fusion is a *plan-time* decision — the `fuse` pass (see
 //! [`crate::mil::opt`]) collapses provably-fusable producer/consumer
 //! statement chains into one fused-pipeline statement the interpreter
-//! executes morsel-at-a-time — so one process-wide switch plus a scoped
-//! per-thread override is enough. With `FLATALG_FUSE=0` the optimizer
-//! reproduces the unfused emission statement for statement, which is the
-//! fusion-off oracle leg of the acceptance suite.
-
-use std::sync::OnceLock;
+//! executes morsel-at-a-time. It is always on; [`with_fuse`] scopes it off
+//! on one thread so the optimizer reproduces the unfused emission statement
+//! for statement — the oracle the acceptance suite diffs fused plans
+//! against (the plan cache keys on the setting).
 
 thread_local! {
     static OVERRIDE: std::cell::Cell<Option<bool>> = const { std::cell::Cell::new(None) };
 }
 
-static ENV_ENABLED: OnceLock<bool> = OnceLock::new();
-
 /// The effective setting: the scoped override of [`with_fuse`] if set, else
-/// `FLATALG_FUSE` (`0` disables; anything else — including unset — enables).
-/// Parsed once per process, like every other `FLATALG_*` knob.
+/// on.
 pub fn fuse_enabled() -> bool {
-    if let Some(e) = OVERRIDE.with(|c| c.get()) {
-        return e;
-    }
-    *ENV_ENABLED.get_or_init(|| !matches!(std::env::var("FLATALG_FUSE"), Ok(v) if v.trim() == "0"))
+    OVERRIDE.with(|c| c.get()).unwrap_or(true)
 }
 
 /// Run `f` with pipeline fusion scoped on or off on this thread. Restores
-/// the previous setting on exit — panic-safe — and never touches the
-/// process environment, so concurrent tests can sweep both legs without
-/// racing (the same contract as [`crate::enc::with_enc`]).
+/// the previous setting on exit — panic-safe — so concurrent tests can
+/// sweep both legs without racing (the same contract as
+/// [`crate::enc::with_enc`]).
 pub fn with_fuse<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<bool>);
     impl Drop for Restore {

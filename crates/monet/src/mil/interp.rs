@@ -113,6 +113,15 @@ pub fn execute(ctx: &ExecCtx, db: &Db, prog: &MilProgram, keep: &[Var]) -> Resul
     // Open a fresh governor charge window: the byte budget covers the
     // intermediates of *this* program, not whatever ran before on the ctx.
     ctx.mem.begin();
+    // Per-execution state dies with the execution, abort included: the
+    // datavector LOOKUP memo is keyed by intermediates of *this* program.
+    struct ClearLookups<'a>(&'a ExecCtx);
+    impl Drop for ClearLookups<'_> {
+        fn drop(&mut self) {
+            self.0.lookups.lock().clear();
+        }
+    }
+    let _lookups = ClearLookups(ctx);
     let frees = prog.last_uses();
     let mut values: Vec<Option<MilValue>> = vec![None; prog.stmts.len()];
     let mut trace: Vec<StmtTrace> = Vec::with_capacity(prog.stmts.len());
@@ -416,6 +425,63 @@ mod tests {
         let s = p.emit("total", MilOp::AggrScalar { f: ops::AggFunc::Sum, src: v });
         let env = execute(&ctx, &db, &p, &[s]).unwrap();
         assert_eq!(env.scalar(s).unwrap(), &AtomValue::Lng(10));
+    }
+
+    #[test]
+    fn datavector_lookups_are_shared_within_an_execution_and_dropped_after_it() {
+        use crate::accel::datavector::{Datavector, Extent};
+        use std::sync::Arc;
+
+        // Two attributes of one class, tail-sorted with datavectors over
+        // the shared class extent, and a selection of two of its objects.
+        let extent = Extent::new(Column::from_oids(vec![10, 11, 12, 13]));
+        let attr = |oids: Vec<u64>, vals: Vec<f64>, by_oid: Vec<f64>| {
+            let mut b = Bat::new(Column::from_oids(oids), Column::from_dbls(vals));
+            b.set_datavector(Arc::new(Datavector::new(
+                Arc::clone(&extent),
+                Column::from_dbls(by_oid),
+            )));
+            b
+        };
+        let mut db = Db::new();
+        db.register(
+            "price",
+            attr(vec![10, 11, 12, 13], vec![1.0, 2.0, 3.0, 4.0], vec![1.0, 2.0, 3.0, 4.0]),
+        );
+        db.register(
+            "disc",
+            attr(vec![13, 12, 11, 10], vec![0.1, 0.2, 0.3, 0.4], vec![0.4, 0.3, 0.2, 0.1]),
+        );
+        let sel = Bat::with_inferred_props(Column::from_oids(vec![13, 11]), Column::void(0, 2));
+        db.register("sel", sel.clone());
+
+        let mut p = MilProgram::new();
+        let s = p.emit("sel", MilOp::Load("sel".into()));
+        let price = p.emit("price", MilOp::Load("price".into()));
+        let disc = p.emit("disc", MilOp::Load("disc".into()));
+        let prices = p.emit("prices", MilOp::Semijoin(price, s));
+        let discs = p.emit("discs", MilOp::Semijoin(disc, s));
+
+        let ctx = ExecCtx::new().with_trace();
+        for run in 0..2 {
+            let env = execute(&ctx, &db, &p, &[prices, discs]).unwrap();
+            let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+            assert_eq!(algos, ["datavector", "datavector"], "run {run}");
+            // Within one execution the second semijoin reuses the first's
+            // LOOKUP, gathered head included: the results are synced.
+            let (a, b) = (env.bat(prices).unwrap(), env.bat(discs).unwrap());
+            assert!(a.synced(b), "run {run}: sibling semijoins must share their head");
+            assert_eq!(a.tail().as_dbl_slice().unwrap(), &[4.0, 2.0]);
+            assert_eq!(b.tail().as_dbl_slice().unwrap(), &[0.1, 0.3]);
+            // ... and the memo dies with the execution, so the next one
+            // starts cold even though `sel` is the same catalog BAT.
+            assert!(!extent.lookup_cached(&ctx, sel.head()), "run {run}: memo outlived it");
+        }
+
+        // An aborted execution drops its memo too.
+        ctx.gov.arm_fault("op/semijoin", 2);
+        assert!(matches!(execute(&ctx, &db, &p, &[]), Err(MonetError::Injected { .. })));
+        assert!(!extent.lookup_cached(&ctx, sel.head()), "abort leaked the memo");
     }
 
     #[test]

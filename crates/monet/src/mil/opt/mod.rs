@@ -303,9 +303,10 @@ pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db) -> OptOutcome {
         }
     }
     report.pins = pin::run(&mut prog, db);
-    // Pipeline fusion runs last (gated by FLATALG_FUSE): it consumes the
-    // final statement shapes *and* the pins — a binary-search-pinned select
-    // stays staged, and pins on fused-away statements dissolve with them.
+    // Pipeline fusion runs last (unless `fuse::with_fuse` scopes it off for
+    // an oracle run): it consumes the final statement shapes *and* the pins
+    // — a binary-search-pinned select stays staged, and pins on fused-away
+    // statements dissolve with them.
     if crate::fuse::fuse_enabled() {
         let cx = PassCtx { db, roots: roots.clone() };
         let pass = fuse::Fuse;

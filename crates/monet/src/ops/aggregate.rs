@@ -47,136 +47,128 @@ impl AggFunc {
 /// yields `dbl`; `count` yields `lng`; `avg` yields `dbl`; `min`/`max`
 /// keep the tail type. `min`/`max`/`avg` over an empty BAT are errors.
 ///
-/// Sums and averages are **morsel-decomposed**: one partial per fixed
-/// [`crate::par::morsel_rows`] window, partials combined in morsel order.
-/// The morsel grid is a property of the operand, never of the thread
-/// count, so the floating-point association — and with it the result bits
-/// — is identical whether the partials are computed serially or on the
-/// worker pool ([`crate::costmodel::par_threads`] decides).
+/// A one-stage pipeline on the morsel driver
+/// ([`super::fused::run_stages`]): one [`aggr_window`] partial per fixed
+/// [`crate::par::morsel_rows`] window, combined in morsel order by
+/// [`merge_partials`]. The morsel grid is a property of the operand, never
+/// of the thread count, so the floating-point association — and with it
+/// the result bits — is identical whether the partials are computed
+/// serially or on the worker pool ([`crate::costmodel::par_threads`]
+/// decides).
 pub fn aggr_scalar(ctx: &ExecCtx, ab: &Bat, f: AggFunc) -> Result<AtomValue> {
     ctx.probe("op/aggr")?;
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let t = ab.tail();
-    let n = ab.len();
-    let threads = super::par_threads(ctx, n);
+    let out = super::fused::run_stages(ctx, ab.tail(), &[super::fused::Stage::Aggr(f)], false)?;
+    Ok(out.scalar.expect("an aggregate stage yields a scalar"))
+}
+
+/// Aggregate partial of one window. Exact integer accumulators regroup
+/// freely; float sums are only bit-stable on a fixed morsel grid (the fuse
+/// pass never admits them behind a selection); min/max carry the window's
+/// first-winner value.
+pub(crate) enum Partial {
+    /// The count itself is the number of rows reaching the aggregate.
+    Count,
+    SumI(i64),
+    SumF(f64),
+    Best(Option<AtomValue>),
+}
+
+/// The aggregate window kernel — the only scalar sum/avg/min/max loops.
+pub(crate) fn aggr_window(w: &Column, f: AggFunc) -> Result<Partial> {
+    match f {
+        AggFunc::Count => Ok(Partial::Count),
+        AggFunc::Sum | AggFunc::Avg => {
+            let ty = w.atom_type();
+            if !matches!(ty, AtomType::Int | AtomType::Lng | AtomType::Dbl) {
+                return Err(MonetError::Unsupported { op: f.name(), ty });
+            }
+            let d = w.decoded();
+            Ok(match (f, ty) {
+                (AggFunc::Sum, AtomType::Int) => Partial::SumI(
+                    d.as_int_slice().expect("int tail").iter().map(|&x| x as i64).sum(),
+                ),
+                (AggFunc::Sum, AtomType::Lng) => {
+                    Partial::SumI(d.as_lng_slice().expect("lng tail").iter().sum())
+                }
+                (_, AtomType::Int) => Partial::SumF(
+                    d.as_int_slice().expect("int tail").iter().map(|&x| x as f64).sum(),
+                ),
+                (_, AtomType::Lng) => Partial::SumF(
+                    d.as_lng_slice().expect("lng tail").iter().map(|&x| x as f64).sum(),
+                ),
+                _ => Partial::SumF(d.as_dbl_slice().expect("dbl tail").iter().sum()),
+            })
+        }
+        AggFunc::Min | AggFunc::Max => {
+            if w.is_empty() {
+                return Ok(Partial::Best(None));
+            }
+            let minimize = f == AggFunc::Min;
+            let best = crate::for_each_typed!(w, |t| {
+                let mut best = 0usize;
+                for i in 1..t.len() {
+                    let c = t.cmp_one(t.value(i), t.value(best));
+                    if if minimize { c.is_lt() } else { c.is_gt() } {
+                        best = i;
+                    }
+                }
+                best
+            });
+            Ok(Partial::Best(Some(w.get(best))))
+        }
+    }
+}
+
+/// Combine the window partials of the `n` rows that reached the aggregate,
+/// in morsel order.
+pub(crate) fn merge_partials(f: AggFunc, n: usize, parts: Vec<Partial>) -> Result<AtomValue> {
     match f {
         AggFunc::Count => Ok(AtomValue::Lng(n as i64)),
-        AggFunc::Sum => match t.atom_type() {
-            AtomType::Int => {
-                let col = t.decoded();
-                let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-                    col.as_int_slice().expect("int tail")[r].iter().map(|&x| x as i64).sum::<i64>()
-                })?;
-                Ok(AtomValue::Lng(parts.into_iter().sum()))
-            }
-            AtomType::Lng => {
-                let col = t.decoded();
-                let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-                    col.as_lng_slice().expect("lng tail")[r].iter().sum::<i64>()
-                })?;
-                Ok(AtomValue::Lng(parts.into_iter().sum()))
-            }
-            AtomType::Dbl => {
-                if t.encoding() == crate::props::Enc::Rle {
-                    // Run-aware per-morsel decode into pooled scratch: the
-                    // element order matches the decoded window exactly, so
-                    // the sum bits are unchanged — but no full-column
-                    // decode is ever materialized (or cached).
-                    let col = t.clone();
-                    let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-                        let mut buf = crate::typed::take_f64(r.len());
-                        let ok = col.rle_dbl_window_into(r.start, r.len(), &mut buf);
-                        debug_assert!(ok, "RLE dbl tail expected");
-                        let s = buf.iter().sum::<f64>();
-                        crate::typed::put_f64(buf);
-                        s
-                    })?;
-                    return Ok(AtomValue::Dbl(parts.into_iter().sum()));
-                }
-                // decoded(): dbl is never dict/FOR-encoded (a no-op clone).
-                let col = t.decoded();
-                let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-                    col.as_dbl_slice().expect("dbl tail")[r].iter().sum::<f64>()
-                })?;
-                Ok(AtomValue::Dbl(parts.into_iter().sum()))
-            }
-            ty => Err(MonetError::Unsupported { op: "sum", ty }),
-        },
-        AggFunc::Avg => {
-            if !matches!(t.atom_type(), AtomType::Int | AtomType::Lng | AtomType::Dbl) {
-                return Err(MonetError::Unsupported { op: "avg", ty: t.atom_type() });
-            }
-            if n == 0 {
+        AggFunc::Sum | AggFunc::Avg => {
+            if f == AggFunc::Avg && n == 0 {
                 return Err(MonetError::Malformed {
                     op: "avg",
                     detail: "average of empty BAT".into(),
                 });
             }
-            if t.atom_type() == AtomType::Dbl && t.encoding() == crate::props::Enc::Rle {
-                // Same run-aware scratch decode as the RLE dbl sum above.
-                let col = t.clone();
-                let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-                    let mut buf = crate::typed::take_f64(r.len());
-                    let ok = col.rle_dbl_window_into(r.start, r.len(), &mut buf);
-                    debug_assert!(ok, "RLE dbl tail expected");
-                    let s = buf.iter().sum::<f64>();
-                    crate::typed::put_f64(buf);
-                    s
-                })?;
-                return Ok(AtomValue::Dbl(parts.into_iter().sum::<f64>() / n as f64));
-            }
-            let col = t.decoded();
-            let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| match col
-                .atom_type()
-            {
-                AtomType::Int => {
-                    col.as_int_slice().unwrap()[r].iter().map(|&x| x as f64).sum::<f64>()
-                }
-                AtomType::Lng => {
-                    col.as_lng_slice().unwrap()[r].iter().map(|&x| x as f64).sum::<f64>()
-                }
-                _ => col.as_dbl_slice().unwrap()[r].iter().sum::<f64>(),
-            })?;
-            Ok(AtomValue::Dbl(parts.into_iter().sum::<f64>() / n as f64))
+            let float = parts.iter().any(|p| matches!(p, Partial::SumF(_)));
+            let si: i64 = parts.iter().map(|p| if let Partial::SumI(x) = p { *x } else { 0 }).sum();
+            let sf: f64 = parts
+                .iter()
+                .filter_map(|p| if let Partial::SumF(x) = p { Some(*x) } else { None })
+                .sum();
+            Ok(match f {
+                AggFunc::Avg => AtomValue::Dbl(sf / n as f64),
+                _ if float => AtomValue::Dbl(sf),
+                _ => AtomValue::Lng(si),
+            })
         }
         AggFunc::Min | AggFunc::Max => {
-            if n == 0 {
-                return Err(MonetError::Malformed {
-                    op: f.name(),
-                    detail: "min/max of empty BAT".into(),
-                });
-            }
-            // Per-morsel first-winner extremes, combined in morsel order
-            // with the same strict-improvement rule: the global winner is
-            // the earliest row holding the extreme value — identical to
-            // the serial scan.
-            let col = t.clone();
             let minimize = f == AggFunc::Min;
-            let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-                crate::for_each_typed!(&col, |tv| {
-                    let mut best = r.start;
-                    for i in r {
-                        let c = tv.cmp_one(tv.value(i), tv.value(best));
+            let mut best: Option<AtomValue> = None;
+            for p in parts {
+                let Partial::Best(Some(cand)) = p else { continue };
+                best = Some(match best.take() {
+                    None => cand,
+                    Some(b) => {
+                        let c = cand.cmp_same_type(&b);
+                        // Strict improvement keeps the earliest row holding
+                        // the extreme — the first-winner rule.
                         if if minimize { c.is_lt() } else { c.is_gt() } {
-                            best = i;
+                            cand
+                        } else {
+                            b
                         }
                     }
-                    best
-                })
-            })?;
-            let best = crate::for_each_typed!(t, |tv| {
-                let mut best = parts[0];
-                for &cand in &parts[1..] {
-                    let c = tv.cmp_one(tv.value(cand), tv.value(best));
-                    if if minimize { c.is_lt() } else { c.is_gt() } {
-                        best = cand;
-                    }
-                }
-                best
-            });
-            Ok(t.get(best))
+                });
+            }
+            best.ok_or_else(|| MonetError::Malformed {
+                op: f.name(),
+                detail: "min/max of empty BAT".into(),
+            })
         }
     }
 }

@@ -1,20 +1,23 @@
-//! Fused-pipeline executor: run a `select/map/…/(aggr)` chain in one pass
-//! over the source BAT, morsel-at-a-time, with no intermediate BATs.
+//! Stage pipelines: run a `select/map/…/(aggr)` chain in one pass over the
+//! source tail, morsel-at-a-time, with no intermediate BATs.
 //!
-//! The planner's fuse pass ([`crate::mil::opt`]) only admits chains whose
-//! fused evaluation is bit-identical to the staged one; this module holds
-//! up the other half of that contract at run time. Conditions the planner
-//! cannot see statically (a runtime-sorted tail, an unsynced side BAT)
-//! route through [`run_staged`], which replays the chain through the
-//! ordinary kernels — the fused statement then *is* the staged execution.
+//! [`run_stages`] is the one morsel driver for every scan-shaped operator.
+//! Each stage kind has exactly one window kernel, owned by its operator
+//! module — [`super::select::select_window`],
+//! [`super::multiplex::eval_tail_window`],
+//! [`super::aggregate::aggr_window`] — and the unfused operators
+//! (`select_*`'s scan branch, the synced `multiplex`, `aggr_scalar`) are
+//! one-stage pipelines over it, so fused and unfused execution agree by
+//! construction.
 //!
-//! Per-morsel stage kernels reuse the staged kernels' inner loops
-//! verbatim: the select predicates and dict code-range resolution mirror
-//! [`super::select`], maps go through [`super::multiplex::eval_tail_window`]
-//! (the same code `mux_synced` runs per morsel), and aggregate partials
-//! replicate [`super::aggregate::aggr_scalar`]'s morsel decomposition.
-//! Each stage probes its own `fuse/<op>` governor site per morsel, so
-//! cancellation and fault injection reach every fused stage.
+//! [`run_fused`] executes a planner-fused chain. The fuse pass
+//! ([`crate::mil::opt`]) only admits chains whose morsel-wise evaluation is
+//! bit-identical to the statement-wise one; conditions it cannot see
+//! statically (a runtime-sorted tail, an unsynced side BAT) switch to a
+//! *different algorithm* through [`run_staged`], which calls the public
+//! operators stage by stage. Each fused stage probes its own `fuse/<op>`
+//! governor site per morsel, so cancellation and fault injection reach
+//! every fused stage.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,15 +26,14 @@ use crate::atom::{AtomType, AtomValue};
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
-use crate::error::{MonetError, Result};
+use crate::error::Result;
 use crate::gov::{site, Governor};
 use crate::pager;
 use crate::props::{ColProps, Enc, Props};
-use crate::typed::TypedVals;
 
-use super::aggregate::AggFunc;
+use super::aggregate::{aggr_window, merge_partials, AggFunc, Partial};
 use super::multiplex::{eval_tail_window, TailArg};
-use super::select::propagated_props;
+use super::select::{propagated_props, select_window};
 use super::{MultArg, ScalarFunc};
 
 /// One argument of a fused map stage. `Chain` is the value flowing through
@@ -71,40 +73,100 @@ pub enum FusedOut {
     Scalar(AtomValue),
 }
 
-/// Per-morsel result: the surviving chain window (absent after a terminal
-/// aggregate), the global source positions of its rows (present once any
-/// selection ran), the chain length after every stage, and the aggregate
-/// partial.
+/// Per-morsel result: the chain length after every stage, the global
+/// source positions of the surviving rows (present once any selection
+/// ran), the mapped chain window (present once any map ran, absent after a
+/// terminal aggregate), and the aggregate partial.
 struct MorselOut {
-    window: Option<Column>,
-    positions: Option<Vec<u32>>,
     counts: Vec<usize>,
+    positions: Option<Vec<u32>>,
+    window: Option<Column>,
     partial: Option<Partial>,
 }
 
-/// Aggregate partial per morsel, mirroring `aggr_scalar`'s morsel
-/// decomposition: exact integer accumulators regroup freely; float sums
-/// only appear when the fused grid equals the staged grid (the planner
-/// guarantees no selection precedes them); min/max carry the window's
-/// first-winner value.
-enum Partial {
-    /// The count itself lives in the per-stage row counts.
-    Count,
-    SumI(i64),
-    SumF(f64),
-    Best(Option<AtomValue>),
+/// What a pipeline produced, morsel parts combined in morsel order. Which
+/// fields are present follows from the stage kinds alone.
+pub(crate) struct Piped {
+    /// Chain length after every stage.
+    pub counts: Vec<usize>,
+    /// Source positions of the surviving rows, once any selection ran.
+    pub positions: Option<Vec<u32>>,
+    /// The chain's values once any map ran (until then the chain is still
+    /// the source tail at `positions`); absent after a terminal aggregate.
+    pub tail: Option<Column>,
+    /// The terminal aggregate's value.
+    pub scalar: Option<AtomValue>,
+}
+
+/// The morsel driver: evaluate `stages` over every fixed morsel of
+/// `src_tail` — on the worker pool when [`super::par_threads`] says so,
+/// else on the caller over the same operand-defined grid — and combine the
+/// parts in morsel order. `fuse_sites` makes every stage probe its
+/// `fuse/<op>` governor site per morsel (planner-fused chains); the
+/// driver's own `par/morsel` probe fires either way.
+pub(crate) fn run_stages(
+    ctx: &ExecCtx,
+    src_tail: &Column,
+    stages: &[Stage],
+    fuse_sites: bool,
+) -> Result<Piped> {
+    let n = src_tail.len();
+    let threads = super::par_threads(ctx, n);
+    let gov = Arc::clone(&ctx.gov);
+    let tail = src_tail.clone();
+    let stages_arc: Arc<Vec<Stage>> = Arc::new(stages.to_vec());
+    let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
+        eval_morsel(fuse_sites.then_some(&*gov), &tail, &stages_arc, r)
+    })?;
+    // Surface the first error in morsel order (the earliest failing row's
+    // morsel, whatever the schedule).
+    let parts: Vec<MorselOut> = parts.into_iter().collect::<Result<_>>()?;
+
+    let mut counts = vec![0usize; stages.len()];
+    for p in &parts {
+        for (total, &c) in counts.iter_mut().zip(&p.counts) {
+            *total += c;
+        }
+    }
+    let n_out = counts.last().copied().unwrap_or(n);
+    let mut positions = parts[0].positions.is_some().then(|| Vec::with_capacity(n_out));
+    let mut windows: Vec<Column> = Vec::new();
+    let mut partials: Vec<Partial> = Vec::new();
+    for p in parts {
+        if let (Some(all), Some(part)) = (positions.as_mut(), p.positions) {
+            all.extend_from_slice(&part);
+        }
+        windows.extend(p.window);
+        partials.extend(p.partial);
+    }
+    let scalar = match stages.last() {
+        // An aggregate leaves the chain as it found it, so the last count
+        // is the number of rows that reached it.
+        Some(Stage::Aggr(f)) => Some(merge_partials(*f, n_out, partials)?),
+        _ => None,
+    };
+    // Empty windows are dropped before concatenation: a zero-row map
+    // window types its output by static hint, which can disagree with the
+    // value-derived type of non-empty windows. When *all* windows are
+    // empty the first one's hint-typed column stands.
+    if windows.iter().any(|w| !w.is_empty()) {
+        windows.retain(|w| !w.is_empty());
+    } else {
+        windows.truncate(1);
+    }
+    let tail = (!windows.is_empty()).then(|| Column::concat_all(&windows));
+    Ok(Piped { counts, positions, tail, scalar })
 }
 
 /// Execute a fused chain over `src`. Bit-identical to running the stages
-/// through the staged kernels, by construction (admission rules) plus the
-/// runtime fallbacks below.
+/// as separate statements: same window kernels, plus the admission rules
+/// and the runtime switches below.
 pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut> {
-    // Runtime conditions the fuse pass cannot prove route to the staged
-    // replay: the staged kernels answer a sorted-tail selection with a
-    // zero-copy binary-search slice (cheaper, and with runtime props the
-    // static propagation rules cannot claim), and a side BAT is only
-    // windowable when it is positionally synced with the source and no
-    // selection has disturbed the row alignment.
+    // Runtime conditions the fuse pass cannot prove switch algorithm: a
+    // sorted-tail selection is a zero-copy binary-search slice (cheaper,
+    // and with runtime props the static propagation rules cannot claim),
+    // and a side BAT is only windowable when it is positionally synced
+    // with the source and no selection has disturbed the row alignment.
     if src.len() == 0 {
         return run_staged(ctx, src, stages);
     }
@@ -135,13 +197,12 @@ pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut>
 
     let started = Instant::now();
     let faults0 = ctx.faults();
-    let n = src.len();
     if let Some(p) = ctx.pager.as_deref() {
-        // One scan of every column the pipeline reads. This is the staged
-        // cost minus the intermediate materializations — an approximation
-        // (the staged select paths may touch-fetch instead), acceptable
-        // because the pager is a cost-model instrument, not a correctness
-        // surface.
+        // One scan of every column the pipeline reads. This is the
+        // statement-wise cost minus the intermediate materializations — an
+        // approximation (the select paths may touch-fetch instead),
+        // acceptable because the pager is a cost-model instrument, not a
+        // correctness surface.
         pager::touch_scan(p, src.tail());
         for stage in stages {
             if let Stage::Map { args, .. } = stage {
@@ -153,69 +214,29 @@ pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut>
             }
         }
     }
-    let threads = super::par_threads(ctx, n);
-    let gov = Arc::clone(&ctx.gov);
-    let tail = src.tail().clone();
-    let stages_arc: Arc<Vec<Stage>> = Arc::new(stages.to_vec());
-    let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-        eval_morsel(&gov, &tail, &stages_arc, r)
-    })?;
-    // Surface the first error in morsel order (matching the staged
-    // kernels, which stop at the earliest failing row's morsel).
-    let parts: Vec<MorselOut> = parts.into_iter().collect::<Result<_>>()?;
-
-    let mut counts_total = vec![0usize; stages.len()];
-    for p in &parts {
-        for (si, &c) in p.counts.iter().enumerate() {
-            counts_total[si] += c;
-        }
+    let out = run_stages(ctx, src.tail(), stages, true)?;
+    if let Some(v) = out.scalar {
+        return Ok(FusedOut::Scalar(v));
     }
-
-    if let Some(Stage::Aggr(f)) = stages.last() {
-        // Rows reaching the aggregate = chain length after the stage
-        // before it.
-        let n_agg = counts_total[stages.len() - 2];
-        return Ok(FusedOut::Scalar(merge_partials(*f, n_agg, parts)?));
-    }
-
-    // BAT terminal: concatenate the windows in morsel order (the staged
-    // row order), gather the head donor by the surviving positions, and
-    // replay the property propagation the staged kernels would have done.
-    let mut windows: Vec<Column> = Vec::with_capacity(parts.len());
-    let mut positions: Option<Vec<u32>> =
-        if filtered { Some(Vec::with_capacity(*counts_total.last().unwrap_or(&0))) } else { None };
-    for p in parts {
-        windows.push(p.window.expect("non-aggregate chain yields a window"));
-        if let (Some(all), Some(part)) = (positions.as_mut(), p.positions) {
-            all.extend_from_slice(&part);
-        }
-    }
-    // Empty windows are dropped before concatenation: a zero-row map
-    // window types its output by static hint, which can disagree with the
-    // value-derived type of non-empty windows. When *all* windows are
-    // empty the first one's hint-typed column stands — the same type an
-    // empty staged multiplex would produce.
-    if windows.iter().any(|w| w.len() > 0) {
-        windows.retain(|w| w.len() > 0);
-    } else {
-        windows.truncate(1);
-    }
-    let tail = Column::concat_all(&windows);
-    let head = match &positions {
-        Some(p) => head_donor(src, stages).gather(p),
-        None => head_donor(src, stages),
+    // BAT terminal: gather the head donor (and, in a map-free chain, the
+    // source tail) by the surviving positions, and replay the property
+    // propagation the separate statements would have done.
+    let head = head_donor(src, stages);
+    let (head, tail) = match (&out.positions, out.tail) {
+        (Some(p), Some(tail)) => (head.gather(p), tail),
+        (Some(p), None) => (head.gather(p), src.tail().gather(p)),
+        (None, tail) => (head, tail.unwrap_or_else(|| src.tail().clone())),
     };
-    let props = replay_props(src, stages, &counts_total);
-    let bat = Bat::with_props(head, tail, props);
+    let bat = Bat::with_props(head, tail, replay_props(src, stages, &out.counts));
     ctx.record("fused", "pipeline", started, faults0, &bat)?;
     Ok(FusedOut::Bat(bat))
 }
 
-/// Staged replay: the chain through the ordinary kernels, stage by stage.
-/// This *is* the unfused execution — same kernels, same dispatch, same
-/// records — except that each intermediate's memory charge is released
-/// when the next stage supersedes it (the interpreter only releases the
-/// fused statement's single result).
+/// Statement-wise replay: the chain through the public operators, stage by
+/// stage, for operands whose best algorithm is not a scan. This *is* the
+/// unfused execution — same dispatch, same records — except that each
+/// intermediate's memory charge is released when the next stage supersedes
+/// it (the interpreter only releases the fused statement's single result).
 fn run_staged(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut> {
     let mut cur = src.clone();
     let mut charged = 0u64;
@@ -251,61 +272,78 @@ fn run_staged(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut> {
     Ok(FusedOut::Bat(cur))
 }
 
-/// Evaluate the whole chain over one source morsel.
+/// Evaluate the whole chain over one source morsel; `fuse_gov` carries
+/// the governor when the stages probe their `fuse/<op>` sites.
 fn eval_morsel(
-    gov: &Arc<Governor>,
+    fuse_gov: Option<&Governor>,
     src_tail: &Column,
     stages: &[Stage],
     r: std::ops::Range<usize>,
 ) -> Result<MorselOut> {
     let mut chain = window_of(src_tail, r.start, r.len());
+    let mut rows = r.len();
     let mut positions: Option<Vec<u32>> = None;
     let mut counts = Vec::with_capacity(stages.len());
+    let mut mapped = false;
     let mut partial = None;
-    for stage in stages {
-        gov.probe(stage.site())?;
-        match stage {
-            Stage::SelectEq(v) => {
-                super::check_comparable("select", chain.atom_type(), v.atom_type())?;
-                let idx = select_window(&chain, Some(v), Some(v), true, true);
-                apply_select(&mut chain, &mut positions, &idx, r.start);
-            }
+    for (si, stage) in stages.iter().enumerate() {
+        if let Some(gov) = fuse_gov {
+            gov.probe(stage.site())?;
+        }
+        let (lo, hi, inc_lo, inc_hi) = match stage {
+            Stage::SelectEq(v) => (Some(v), Some(v), true, true),
             Stage::SelectRange { lo, hi, inc_lo, inc_hi } => {
-                for v in [lo.as_ref(), hi.as_ref()].into_iter().flatten() {
-                    super::check_comparable("select", chain.atom_type(), v.atom_type())?;
-                }
-                let idx = select_window(&chain, lo.as_ref(), hi.as_ref(), *inc_lo, *inc_hi);
-                apply_select(&mut chain, &mut positions, &idx, r.start);
+                (lo.as_ref(), hi.as_ref(), *inc_lo, *inc_hi)
             }
             Stage::Map { f, args } => {
                 let wargs: Vec<TailArg> = args
                     .iter()
                     .map(|a| match a {
                         FArg::Chain => TailArg::Col(chain.clone()),
-                        // Sides only occur before any selection (enforced
-                        // by run_fused), so the chain still spans the full
-                        // morsel and the side window aligns positionally.
+                        // Sides only occur before any selection (checked
+                        // by run_fused; trivially true of a lone map), so
+                        // the chain still spans the full morsel and the
+                        // side window aligns positionally.
                         FArg::Side(b) => TailArg::Col(b.tail().slice(r.start, r.len())),
                         FArg::Const(v) => TailArg::Const(v.clone()),
                     })
                     .collect();
-                chain = eval_tail_window(*f, &wargs, chain.len())?;
+                chain = eval_tail_window(*f, &wargs, rows)?;
+                mapped = true;
+                counts.push(rows);
+                continue;
             }
             Stage::Aggr(f) => {
                 partial = Some(aggr_window(&chain, *f)?);
+                counts.push(rows);
+                continue;
             }
+        };
+        for v in [lo, hi].into_iter().flatten() {
+            super::check_comparable("select", chain.atom_type(), v.atom_type())?;
         }
-        counts.push(chain.len());
+        let idx = select_window(&chain, lo, hi, inc_lo, inc_hi);
+        positions = Some(match positions.take() {
+            None => idx.iter().map(|&i| (r.start + i as usize) as u32).collect(),
+            Some(p) => idx.iter().map(|&i| p[i as usize]).collect(),
+        });
+        // A map-free chain ending in this selection is the source tail at
+        // `positions`: the caller gathers it once, globally.
+        if mapped || si + 1 < stages.len() {
+            chain = chain.gather(&idx);
+        }
+        rows = idx.len();
+        counts.push(rows);
     }
-    let window = if partial.is_some() { None } else { Some(chain) };
-    Ok(MorselOut { window, positions, counts, partial })
+    let window = (mapped && partial.is_none()).then_some(chain);
+    Ok(MorselOut { counts, positions, window, partial })
 }
 
 /// The chain's view of one source morsel. RLE-encoded dbl tails decode
 /// run-aware into a fresh buffer — `decoded()` on a window would
-/// materialize (and cache) the *full* column, defeating the fused
-/// pipeline's memory goal. Other encodings window zero-copy; their
-/// kernels decode exactly as the staged ones do.
+/// materialize (and cache) the *full* column, defeating the pipeline's
+/// memory goal. Other encodings window zero-copy; the window kernels
+/// handle them.
 fn window_of(tail: &Column, start: usize, len: usize) -> Column {
     if tail.encoding() == Enc::Rle && tail.atom_type() == AtomType::Dbl {
         let mut buf = Vec::with_capacity(len);
@@ -316,203 +354,9 @@ fn window_of(tail: &Column, start: usize, len: usize) -> Column {
     tail.slice(start, len)
 }
 
-/// Local selection over one window: the scan predicates of
-/// [`super::select`], verbatim, plus the dict code-range fast path (string
-/// order equals code order because the dictionary is sorted). Returns the
-/// matching window-local indices in row order.
-fn select_window(
-    w: &Column,
-    lo: Option<&AtomValue>,
-    hi: Option<&AtomValue>,
-    inc_lo: bool,
-    inc_hi: bool,
-) -> Vec<u32> {
-    if w.encoding() == Enc::Dict {
-        let d = match w.typed() {
-            crate::typed::TypedSlice::DictStr(d) => d,
-            _ => unreachable!("dict-encoded window with a non-dict typed view"),
-        };
-        fn bound_str(v: &AtomValue) -> &str {
-            match v {
-                AtomValue::Str(s) => s,
-                // check_comparable only lets a str constant through for a
-                // str tail.
-                other => unreachable!("dict-code select with {} bound", other.atom_type()),
-            }
-        }
-        let code_lo = match lo {
-            Some(v) if inc_lo => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
-            Some(v) => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
-            None => 0,
-        } as u64;
-        let code_hi = match hi {
-            Some(v) if inc_hi => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
-            Some(v) => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
-            None => d.dict_len(),
-        } as u64;
-        let codes = d.codes();
-        let mut idx: Vec<u32> = Vec::new();
-        for i in 0..codes.len() {
-            let c = codes.get(i);
-            if c >= code_lo && c < code_hi {
-                idx.push(i as u32);
-            }
-        }
-        return idx;
-    }
-    crate::for_each_typed!(w, |t| {
-        let mut idx: Vec<u32> = Vec::new();
-        'row: for i in 0..t.len() {
-            let x = t.value(i);
-            if let Some(v) = lo {
-                let c = t.cmp_atom(x, v);
-                if c.is_lt() || (!inc_lo && c.is_eq()) {
-                    continue 'row;
-                }
-            }
-            if let Some(v) = hi {
-                let c = t.cmp_atom(x, v);
-                if c.is_gt() || (!inc_hi && c.is_eq()) {
-                    continue 'row;
-                }
-            }
-            idx.push(i as u32);
-        }
-        idx
-    })
-}
-
-/// Narrow the chain to the selected rows and fold the selection into the
-/// running global-position map.
-fn apply_select(
-    chain: &mut Column,
-    positions: &mut Option<Vec<u32>>,
-    idx: &[u32],
-    morsel_start: usize,
-) {
-    *positions = Some(match positions.take() {
-        None => idx.iter().map(|&i| (morsel_start + i as usize) as u32).collect(),
-        Some(p) => idx.iter().map(|&i| p[i as usize]).collect(),
-    });
-    *chain = chain.gather(idx);
-}
-
-/// Aggregate partial over one window — `aggr_scalar`'s per-morsel bodies,
-/// applied to the (possibly filtered or mapped) chain window.
-fn aggr_window(w: &Column, f: AggFunc) -> Result<Partial> {
-    let m = w.len();
-    match f {
-        AggFunc::Count => Ok(Partial::Count),
-        AggFunc::Sum => match w.atom_type() {
-            AtomType::Int => {
-                let d = w.decoded();
-                let s = d.as_int_slice().expect("int tail").iter().map(|&x| x as i64).sum();
-                Ok(Partial::SumI(s))
-            }
-            AtomType::Lng => {
-                let d = w.decoded();
-                Ok(Partial::SumI(d.as_lng_slice().expect("lng tail").iter().sum()))
-            }
-            AtomType::Dbl => {
-                let d = w.decoded();
-                Ok(Partial::SumF(d.as_dbl_slice().expect("dbl tail").iter().sum()))
-            }
-            ty => Err(MonetError::Unsupported { op: "sum", ty }),
-        },
-        AggFunc::Avg => {
-            if !matches!(w.atom_type(), AtomType::Int | AtomType::Lng | AtomType::Dbl) {
-                return Err(MonetError::Unsupported { op: "avg", ty: w.atom_type() });
-            }
-            let d = w.decoded();
-            let s = match d.atom_type() {
-                AtomType::Int => d.as_int_slice().unwrap().iter().map(|&x| x as f64).sum(),
-                AtomType::Lng => d.as_lng_slice().unwrap().iter().map(|&x| x as f64).sum(),
-                _ => d.as_dbl_slice().unwrap().iter().sum::<f64>(),
-            };
-            Ok(Partial::SumF(s))
-        }
-        AggFunc::Min | AggFunc::Max => {
-            if m == 0 {
-                return Ok(Partial::Best(None));
-            }
-            let minimize = f == AggFunc::Min;
-            let best = crate::for_each_typed!(w, |t| {
-                let mut best = 0usize;
-                for i in 1..m {
-                    let c = t.cmp_one(t.value(i), t.value(best));
-                    if if minimize { c.is_lt() } else { c.is_gt() } {
-                        best = i;
-                    }
-                }
-                best
-            });
-            Ok(Partial::Best(Some(w.get(best))))
-        }
-    }
-}
-
-/// Combine aggregate partials in morsel order — the same combine
-/// `aggr_scalar` performs over its morsel partials.
-fn merge_partials(f: AggFunc, n_agg: usize, parts: Vec<MorselOut>) -> Result<AtomValue> {
-    match f {
-        AggFunc::Count => Ok(AtomValue::Lng(n_agg as i64)),
-        AggFunc::Sum | AggFunc::Avg => {
-            let (mut si, mut sf, mut float) = (0i64, 0f64, false);
-            for p in parts {
-                match p.partial.expect("aggregate chain yields partials") {
-                    Partial::SumI(x) => si += x,
-                    Partial::SumF(x) => {
-                        sf += x;
-                        float = true;
-                    }
-                    _ => unreachable!("sum/avg partial shape"),
-                }
-            }
-            if f == AggFunc::Avg {
-                if n_agg == 0 {
-                    return Err(MonetError::Malformed {
-                        op: "avg",
-                        detail: "average of empty BAT".into(),
-                    });
-                }
-                return Ok(AtomValue::Dbl(sf / n_agg as f64));
-            }
-            Ok(if float { AtomValue::Dbl(sf) } else { AtomValue::Lng(si) })
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let minimize = f == AggFunc::Min;
-            let mut best: Option<AtomValue> = None;
-            for p in parts {
-                let cand = match p.partial.expect("aggregate chain yields partials") {
-                    Partial::Best(b) => b,
-                    _ => unreachable!("min/max partial shape"),
-                };
-                let Some(cand) = cand else { continue };
-                best = Some(match best.take() {
-                    None => cand,
-                    Some(b) => {
-                        let c = cand.cmp_same_type(&b);
-                        // Strict improvement keeps the earliest row holding
-                        // the extreme — the staged first-winner rule.
-                        if if minimize { c.is_lt() } else { c.is_gt() } {
-                            cand
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            best.ok_or_else(|| MonetError::Malformed {
-                op: f.name(),
-                detail: "min/max of empty BAT".into(),
-            })
-        }
-    }
-}
-
 /// The column whose rows (gathered by the surviving positions) form the
 /// result head: the source head until a map whose first BAT argument is a
-/// side — then that side's head, exactly the `mux_synced` donor rule.
+/// side — then that side's head, the multiplex first-BAT donor rule.
 fn head_donor(src: &Bat, stages: &[Stage]) -> Column {
     let mut donor = src.head().clone();
     for stage in stages {
@@ -542,9 +386,9 @@ fn map_head_props(cur: &Props, args: &[FArg]) -> ColProps {
         .unwrap_or(cur.head)
 }
 
-/// Replay the staged property propagation over the whole chain, with the
-/// runtime strengthening the staged kernels apply (`build_selected` marks
-/// a point selection's tail `key` when at most one row survives).
+/// Replay the statement-wise property propagation over the whole chain,
+/// with the runtime strengthening the operators apply (`build_selected`
+/// marks a point selection's tail `key` when at most one row survives).
 fn replay_props(src: &Bat, stages: &[Stage], counts_total: &[usize]) -> Props {
     let mut cur = src.props();
     for (si, stage) in stages.iter().enumerate() {

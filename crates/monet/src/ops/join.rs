@@ -263,7 +263,6 @@ pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
     }
-    const EMPTY: u32 = u32::MAX;
     // Cluster count is sized to the *build* side: its per-cluster table is
     // what must stay cache-resident. The probe side only streams through
     // its clusters, whatever their size.
@@ -331,50 +330,16 @@ pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         }
         return Ok(finish_partitioned(ctx, ab, cd, matches));
     }
+    // Pathological skew: one cluster exceeds the 2^21 rows the slot field
+    // of an epoch-tagged entry can address (duplicate-heavy build sides
+    // hash-collapse into one cluster). Same algorithm with the full-width
+    // per-cluster table — correct for any cluster size, just without the
+    // no-reset trick (and kept serial: this regime is a degenerate join,
+    // not a hot path).
     crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-        // Pathological skew: one cluster exceeds the 2^21 rows the slot
-        // field of an epoch-tagged entry can address (duplicate-heavy
-        // build sides hash-collapse into one cluster). Same algorithm with
-        // full-width slot entries and a per-cluster bucket reset — correct
-        // for any cluster size, just without the no-reset trick (and kept
-        // serial: this regime is a degenerate join, not a hot path).
-        {
-            let nbuckets = (max_build.max(1) * 4).next_power_of_two();
-            let mask = (nbuckets - 1) as u32;
-            let mut buckets: Vec<u32> = crate::typed::take_u32(nbuckets);
-            let mut next: Vec<u32> = crate::typed::take_u32(max_build);
-            next.resize(max_build, EMPTY);
-            buckets.resize(nbuckets, EMPTY);
-            for c in 0..lc.num_clusters() {
-                let (lr, rr) = (lc.cluster(c), rc.cluster(c));
-                if lr.is_empty() || rr.is_empty() {
-                    continue;
-                }
-                let rpairs = &rc.pairs[rr.clone()];
-                for (slot, &rp) in rpairs.iter().enumerate().rev() {
-                    let b = (crate::typed::pair_hash(rp) & mask) as usize;
-                    next[slot] = buckets[b];
-                    buckets[b] = slot as u32;
-                }
-                for &lp in &lc.pairs[lr] {
-                    let h = crate::typed::pair_hash(lp);
-                    let mut cur = buckets[(h & mask) as usize];
-                    while cur != EMPTY {
-                        let rp = rpairs[cur as usize];
-                        if crate::typed::pair_hash(rp) == h {
-                            let li = crate::typed::pair_pos(lp);
-                            let ri = crate::typed::pair_pos(rp);
-                            if ch.eq_one(ch.value(ri as usize), bt.value(li as usize)) {
-                                matches.push(((li as u64) << 32) | ri as u64);
-                            }
-                        }
-                        cur = next[cur as usize];
-                    }
-                }
-                buckets.fill(EMPTY);
-            }
-            crate::typed::put_u32(buckets);
-            crate::typed::put_u32(next);
+        for c in 0..lc.num_clusters() {
+            let (lp, rp) = (&lc.pairs[lc.cluster(c)], &rc.pairs[rc.cluster(c)]);
+            probe_cluster_full(bt, ch, lp, rp, &mut matches);
         }
     });
     lc.recycle();
@@ -393,17 +358,14 @@ pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 /// Bit-identical to the in-memory paths: the spilled clustering preserves
 /// the stable within-cluster row order, the per-cluster build inserts
 /// newest-first in reverse so chains ascend in right position, the probe
-/// walks left pairs in order, and [`finish_partitioned`] restores global
-/// left-BUN order with the same stable sort. (The bucket count differs
-/// from [`probe_cluster_range`]'s, which cannot affect emission order:
-/// a match's chain position depends only on its slot, and non-matching
-/// chain members emit nothing.)
+/// walks left pairs in order ([`probe_cluster_full`]), and
+/// [`finish_partitioned`] restores global left-BUN order with the same
+/// stable sort.
 pub(crate) fn join_spill(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
     }
-    const EMPTY: u32 = u32::MAX;
     let bits = crate::typed::radix_bits(cd.len());
     let mut matches: Vec<u64> = crate::typed::take_u64(ab.len());
     // Immediately-invoked so an abort (spill IO error, injected fault,
@@ -424,34 +386,7 @@ pub(crate) fn join_spill(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
                 }
                 rs.read_cluster(ctx, c, &mut rbuf)?;
                 ls.read_cluster(ctx, c, &mut lbuf)?;
-                let nbuckets = (rbuf.len() * 4).next_power_of_two();
-                let mask = (nbuckets - 1) as u32;
-                let mut buckets: Vec<u32> = crate::typed::take_u32(nbuckets);
-                buckets.resize(nbuckets, EMPTY);
-                let mut next: Vec<u32> = crate::typed::take_u32(rbuf.len());
-                next.resize(rbuf.len(), EMPTY);
-                for (slot, &rp) in rbuf.iter().enumerate().rev() {
-                    let b = (crate::typed::pair_hash(rp) & mask) as usize;
-                    next[slot] = buckets[b];
-                    buckets[b] = slot as u32;
-                }
-                for &lp in &lbuf {
-                    let h = crate::typed::pair_hash(lp);
-                    let mut cur = buckets[(h & mask) as usize];
-                    while cur != EMPTY {
-                        let rp = rbuf[cur as usize];
-                        if crate::typed::pair_hash(rp) == h {
-                            let li = crate::typed::pair_pos(lp);
-                            let ri = crate::typed::pair_pos(rp);
-                            if ch.eq_one(ch.value(ri as usize), bt.value(li as usize)) {
-                                matches.push(((li as u64) << 32) | ri as u64);
-                            }
-                        }
-                        cur = next[cur as usize];
-                    }
-                }
-                crate::typed::put_u32(buckets);
-                crate::typed::put_u32(next);
+                probe_cluster_full(bt, ch, &lbuf, &rbuf, &mut matches);
             }
             Ok(())
         })
@@ -488,6 +423,61 @@ impl Drop for RecycleOnDrop {
             c.recycle();
         }
     }
+}
+
+/// Build+probe one cluster given as `(hash, pos)` pair slices, appending
+/// packed `left << 32 | right` matches in left-pair order (right positions
+/// ascending per left BUN). The full-width twin of [`probe_cluster_range`]:
+/// a chain table sized to this cluster alone with plain slot entries, so it
+/// is correct for any cluster size and wherever the pairs live — the skew
+/// fallback of [`join_partitioned`] and every cluster [`join_spill`] reads
+/// back share it. (The bucket count differs from the epoch-tagged table's,
+/// which cannot affect emission order: a match's chain position depends
+/// only on its slot, and non-matching chain members emit nothing.)
+fn probe_cluster_full<VL, VR>(
+    bt: VL,
+    ch: VR,
+    lpairs: &[u64],
+    rpairs: &[u64],
+    matches: &mut Vec<u64>,
+) where
+    VL: TypedVals,
+    VR: TypedVals<Elem = VL::Elem>,
+{
+    const EMPTY: u32 = u32::MAX;
+    if lpairs.is_empty() || rpairs.is_empty() {
+        return;
+    }
+    let nbuckets = (rpairs.len() * 4).next_power_of_two();
+    let mask = (nbuckets - 1) as u32;
+    let mut buckets: Vec<u32> = crate::typed::take_u32(nbuckets);
+    buckets.resize(nbuckets, EMPTY);
+    let mut next: Vec<u32> = crate::typed::take_u32(rpairs.len());
+    next.resize(rpairs.len(), EMPTY);
+    // Newest-first chains built in reverse iterate in ascending right
+    // position.
+    for (slot, &rp) in rpairs.iter().enumerate().rev() {
+        let b = (crate::typed::pair_hash(rp) & mask) as usize;
+        next[slot] = buckets[b];
+        buckets[b] = slot as u32;
+    }
+    for &lp in lpairs {
+        let h = crate::typed::pair_hash(lp);
+        let mut cur = buckets[(h & mask) as usize];
+        while cur != EMPTY {
+            let rp = rpairs[cur as usize];
+            if crate::typed::pair_hash(rp) == h {
+                let li = crate::typed::pair_pos(lp);
+                let ri = crate::typed::pair_pos(rp);
+                if ch.eq_one(ch.value(ri as usize), bt.value(li as usize)) {
+                    matches.push(((li as u64) << 32) | ri as u64);
+                }
+            }
+            cur = next[cur as usize];
+        }
+    }
+    crate::typed::put_u32(buckets);
+    crate::typed::put_u32(next);
 }
 
 /// Build+probe the clusters in `crange`, appending packed

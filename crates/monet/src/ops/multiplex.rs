@@ -27,6 +27,8 @@ use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 
+use super::fused::FArg;
+
 /// A scalar function liftable over BATs with `[f]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarFunc {
@@ -247,86 +249,33 @@ pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> 
     Ok(result)
 }
 
-/// One synced multiplex argument reduced to what the typed fast path
-/// needs: the tail column (owned, cheaply `Arc`-cloned) or a broadcast
-/// constant. Owning the columns lets the morsel executor hand each worker
-/// a zero-copy slice of every argument. `pub(crate)` so the fused-pipeline
-/// executor ([`crate::mil`]) can feed per-morsel windows through the same
-/// kernels.
+/// One map-window argument: a tail column window (owned, cheaply
+/// `Arc`-cloned) or a broadcast constant.
 #[derive(Clone)]
 pub(crate) enum TailArg {
     Col(Column),
     Const(AtomValue),
 }
 
-impl TailArg {
-    fn of(args: &[MultArg]) -> Vec<TailArg> {
-        args.iter()
-            .map(|a| match a {
-                MultArg::Bat(b) => TailArg::Col(b.tail().clone()),
-                MultArg::Const(v) => TailArg::Const(v.clone()),
-            })
-            .collect()
-    }
-
-    /// The `[start, start+len)` window of the argument (constants
-    /// broadcast into any window).
-    fn window(&self, start: usize, len: usize) -> TailArg {
-        match self {
-            TailArg::Col(c) => TailArg::Col(c.slice(start, len)),
-            TailArg::Const(v) => TailArg::Const(v.clone()),
-        }
-    }
-}
-
-/// Positional fast path: all BAT args share the first BAT's head.
+/// Positional fast path: all BAT args share the first BAT's head, so the
+/// multiplex is a one-stage map pipeline on the morsel driver
+/// ([`super::fused::run_stages`]) — the first BAT is the chain, the others
+/// ride along as synced sides, and every morsel runs [`eval_tail_window`].
 fn mux_synced(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
-    let n = first.len();
-    let tails = TailArg::of(args);
-    let threads = super::par_threads(ctx, n);
-    // The fast-path shapes are decided by argument *types*, so probing a
-    // zero-row window tells us whether every morsel will take the same
-    // monomorphized loop — the precondition for cutting the operand.
-    if threads > 1 && typed_fast_path(f, &windowed(&tails, 0..0), 0)?.is_some() {
-        let tails2 = tails.clone();
-        let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
-            typed_fast_path(f, &windowed(&tails2, r.clone()), r.len())
-                .map(|col| col.expect("uniform fast-path shape across morsels"))
-        })?;
-        // Surface the first error in morsel order (matching the serial
-        // scan, which stops at the earliest failing row's morsel).
-        let cols = parts.into_iter().collect::<Result<Vec<Column>>>()?;
-        return Ok(Bat::with_props(
-            first.head().clone(),
-            Column::concat_all(&cols),
-            Props::new(first.props().head, ColProps::NONE),
-        ));
-    }
-    if let Some(col) = typed_fast_path(f, &tails, n)? {
-        return Ok(Bat::with_props(
-            first.head().clone(),
-            col,
-            Props::new(first.props().head, ColProps::NONE),
-        ));
-    }
-    let mut out: Vec<AtomValue> = Vec::with_capacity(n);
-    let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
-    for i in 0..n {
-        scratch.clear();
-        for a in args {
-            scratch.push(match a {
-                MultArg::Bat(b) => b.tail().get(i),
-                MultArg::Const(v) => v.clone(),
-            });
-        }
-        out.push(apply_scalar(f, &scratch)?);
-    }
-    let ty = out.first().map(AtomValue::atom_type).unwrap_or(result_type_hint(f, args));
-    Ok(Bat::with_props(
-        first.head().clone(),
-        Column::from_atoms(ty, out),
-        Props::new(first.props().head, ColProps::NONE),
-    ))
+    let mut chain_taken = false;
+    let fargs = args
+        .iter()
+        .map(|a| match a {
+            MultArg::Bat(_) if !std::mem::replace(&mut chain_taken, true) => FArg::Chain,
+            MultArg::Bat(b) => FArg::Side(b.clone()),
+            MultArg::Const(v) => FArg::Const(v.clone()),
+        })
+        .collect();
+    let stage = super::fused::Stage::Map { f, args: fargs };
+    let tail = super::fused::run_stages(ctx, first.tail(), &[stage], false)?
+        .tail
+        .expect("a map stage yields a tail");
+    Ok(Bat::with_props(first.head().clone(), tail, Props::new(first.props().head, ColProps::NONE)))
 }
 
 /// General path: natural join on heads. Every non-driver BAT must have a
@@ -367,7 +316,10 @@ fn mux_aligned(_ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> 
         keep.push(i as u32);
         out.push(apply_scalar(f, &scratch)?);
     }
-    let ty = out.first().map(AtomValue::atom_type).unwrap_or(result_type_hint(f, args));
+    let ty = out
+        .first()
+        .map(AtomValue::atom_type)
+        .unwrap_or_else(|| result_type_hint(f, args.first().map(MultArg::atom_type)));
     let head = fh.gather(&keep);
     let p = first.props();
     Ok(Bat::with_props(
@@ -381,8 +333,8 @@ fn mux_aligned(_ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> 
 }
 
 /// Result type when the output is empty (so empty BATs still carry a
-/// sensible column type).
-pub(crate) fn result_type_hint(f: ScalarFunc, args: &[MultArg]) -> AtomType {
+/// sensible column type), given the type of the first argument.
+pub(crate) fn result_type_hint(f: ScalarFunc, first_arg: Option<AtomType>) -> AtomType {
     match f {
         ScalarFunc::Eq
         | ScalarFunc::Ne
@@ -396,21 +348,23 @@ pub(crate) fn result_type_hint(f: ScalarFunc, args: &[MultArg]) -> AtomType {
         | ScalarFunc::StrPrefix
         | ScalarFunc::StrContains => AtomType::Bool,
         ScalarFunc::Year | ScalarFunc::Month => AtomType::Int,
-        _ => args
-            .iter()
-            .find_map(|a| match a {
-                MultArg::Bat(b) => Some(b.tail().atom_type()),
-                MultArg::Const(v) => Some(v.atom_type()),
-            })
-            .unwrap_or(AtomType::Dbl),
+        _ => first_arg.unwrap_or(AtomType::Dbl),
     }
 }
 
-/// Evaluate one multiplex window directly to its tail column: the typed
+impl MultArg {
+    pub(crate) fn atom_type(&self) -> AtomType {
+        match self {
+            MultArg::Bat(b) => b.tail().atom_type(),
+            MultArg::Const(v) => v.atom_type(),
+        }
+    }
+}
+
+/// The map window kernel — the only synced multiplex evaluation: one
+/// window of every argument to the window's output tail, through the typed
 /// fast path when the shape qualifies, otherwise the generic row-at-a-time
-/// loop. This is the per-morsel map kernel of the fused-pipeline executor
-/// — the same code paths `mux_synced` takes, so fused and staged execution
-/// produce the same bits.
+/// loop.
 pub(crate) fn eval_tail_window(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Column> {
     if let Some(col) = typed_fast_path(f, args, n)? {
         return Ok(col);
@@ -427,33 +381,14 @@ pub(crate) fn eval_tail_window(f: ScalarFunc, args: &[TailArg], n: usize) -> Res
         }
         out.push(apply_scalar(f, &scratch)?);
     }
-    let ty = out.first().map(AtomValue::atom_type).unwrap_or_else(|| tail_type_hint(f, args));
+    let ty = out.first().map(AtomValue::atom_type).unwrap_or_else(|| {
+        let first = args.first().map(|a| match a {
+            TailArg::Col(c) => c.atom_type(),
+            TailArg::Const(v) => v.atom_type(),
+        });
+        result_type_hint(f, first)
+    });
     Ok(Column::from_atoms(ty, out))
-}
-
-/// [`result_type_hint`], over window arguments.
-fn tail_type_hint(f: ScalarFunc, args: &[TailArg]) -> AtomType {
-    match f {
-        ScalarFunc::Eq
-        | ScalarFunc::Ne
-        | ScalarFunc::Lt
-        | ScalarFunc::Le
-        | ScalarFunc::Gt
-        | ScalarFunc::Ge
-        | ScalarFunc::And
-        | ScalarFunc::Or
-        | ScalarFunc::Not
-        | ScalarFunc::StrPrefix
-        | ScalarFunc::StrContains => AtomType::Bool,
-        ScalarFunc::Year | ScalarFunc::Month => AtomType::Int,
-        _ => args
-            .iter()
-            .find_map(|a| match a {
-                TailArg::Col(c) => Some(c.atom_type()),
-                TailArg::Const(v) => Some(v.atom_type()),
-            })
-            .unwrap_or(AtomType::Dbl),
-    }
 }
 
 /// One side of a specialized binary loop: a typed slice or a broadcast
@@ -525,12 +460,6 @@ macro_rules! with_src2 {
             }
         }
     };
-}
-
-/// The `[start, start+len)` windows of every argument, constants riding
-/// along — the per-morsel argument vector of the parallel fast path.
-fn windowed(tails: &[TailArg], r: std::ops::Range<usize>) -> Vec<TailArg> {
-    tails.iter().map(|a| a.window(r.start, r.len())).collect()
 }
 
 fn int_sc(a: &TailArg) -> Option<SC<'_, i32>> {
@@ -607,9 +536,7 @@ fn cmp_col<T: Copy, A: Src<T>, B: Src<T>>(
 /// `year`/`month`, and constant-pattern string predicates. Returns
 /// `Ok(None)` for every other shape — the generic row-wise path handles
 /// those. Whether a shape qualifies depends only on the argument *types*,
-/// so the decision is identical for the full operand and for every morsel
-/// window of it — which is what lets the parallel path probe once on a
-/// zero-row window.
+/// so the decision is identical for every morsel window of an operand.
 fn typed_fast_path(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Option<Column>> {
     use crate::typed::TypedSlice;
     use ScalarFunc as F;
@@ -619,7 +546,7 @@ fn typed_fast_path(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Option<C
     // strings keep their codes: the string predicates evaluate on the
     // dictionary directly. A window's encoding equals the full column's,
     // so this normalization — like every other shape decision here — is
-    // identical for the operand and for every morsel window of it.
+    // identical for every morsel window of an operand.
     let needs_decode = |a: &TailArg| {
         matches!(a, TailArg::Col(c)
             if c.encoding() != crate::props::Enc::None && c.atom_type() != AtomType::Str)

@@ -352,10 +352,9 @@ pub fn multiplex_synced(f: ScalarFunc, args: &[MultArg]) -> Result<Bat> {
         }
         out.push(apply_scalar(f, &scratch)?);
     }
-    let ty = out
-        .first()
-        .map(AtomValue::atom_type)
-        .unwrap_or_else(|| crate::ops::multiplex::result_type_hint(f, args));
+    let ty = out.first().map(AtomValue::atom_type).unwrap_or_else(|| {
+        crate::ops::multiplex::result_type_hint(f, args.first().map(MultArg::atom_type))
+    });
     Ok(Bat::new(first.head().clone(), Column::from_atoms(ty, out)))
 }
 

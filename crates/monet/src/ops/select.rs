@@ -10,6 +10,7 @@ use std::time::Instant;
 
 use crate::atom::AtomValue;
 use crate::bat::Bat;
+use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
@@ -17,6 +18,7 @@ use crate::props::{ColProps, Enc, Props};
 use crate::typed::TypedVals;
 
 use super::check_comparable;
+use super::fused::Stage;
 
 /// Point selection: `{ab | ab ∈ AB ∧ b = v}`.
 pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
@@ -36,8 +38,7 @@ pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
         let hash = hash.clone();
         (select_hash(ctx, ab, &hash, v), "hash")
     } else {
-        let threads = super::par_threads(ctx, ab.len());
-        (select_scan_eq(ctx, ab, v, threads)?, if threads > 1 { "par-scan" } else { "scan" })
+        (select_scan(ctx, ab, Some(v), Some(v), true, true, true)?, scan_algo(ctx, ab))
     };
     ctx.record("select", algo, started, faults0, &result)?;
     Ok(result)
@@ -64,11 +65,7 @@ pub fn select_range(
     } else if ab.props().tail.sorted {
         (select_sorted(ctx, ab, lo, hi, inc_lo, inc_hi), "binary-search")
     } else {
-        let threads = super::par_threads(ctx, ab.len());
-        (
-            select_scan_range(ctx, ab, lo, hi, inc_lo, inc_hi, threads)?,
-            if threads > 1 { "par-scan" } else { "scan" },
-        )
+        (select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, false)?, scan_algo(ctx, ab))
     };
     ctx.record("select", algo, started, faults0, &result)?;
     Ok(result)
@@ -131,133 +128,133 @@ fn select_hash(
     build_selected(ab, &idx, true)
 }
 
-fn select_scan_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue, threads: usize) -> Result<Bat> {
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.tail());
-    }
-    let idx: Vec<u32> = if threads > 1 {
-        // Morsel-parallel scan: each morsel collects its matching global
-        // positions; concatenating the parts in morsel order reproduces
-        // the serial position sequence exactly.
-        let tail = ab.tail().clone();
-        let v = v.clone();
-        let parts = crate::par::try_for_each_morsel(&ctx.gov, ab.len(), threads, move |r| {
-            crate::for_each_typed!(&tail, |t| {
-                let mut idx: Vec<u32> = Vec::new();
-                for i in r {
-                    if t.cmp_atom(t.value(i), &v).is_eq() {
-                        idx.push(i as u32);
-                    }
-                }
-                idx
-            })
-        })?;
-        concat_positions(&parts)
-    } else {
-        // Monomorphic scan: one typed dispatch, then a tight loop over
-        // `&[T]`.
-        crate::for_each_typed!(ab.tail(), |t| {
-            let mut idx = Vec::with_capacity(ab.len());
-            for i in 0..t.len() {
-                if t.cmp_atom(t.value(i), v).is_eq() {
-                    idx.push(i as u32);
-                }
-            }
-            idx
-        })
-    };
-    if let Some(p) = ctx.pager.as_deref() {
-        for &i in &idx {
-            pager::touch_fetch(p, ab.head(), i as usize);
-        }
-    }
-    Ok(build_selected(ab, &idx, true))
-}
-
-/// Concatenate per-morsel position vectors in morsel order.
-fn concat_positions(parts: &[Vec<u32>]) -> Vec<u32> {
-    let mut idx = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        idx.extend_from_slice(p);
-    }
-    idx
-}
-
-fn select_scan_range(
+/// Scan selection: a one-stage pipeline on the morsel driver
+/// ([`super::fused::run_stages`]) — each morsel runs [`select_window`] and
+/// the matching global positions come back in morsel (= row) order, so the
+/// serial path is the same grid at one thread.
+fn select_scan(
     ctx: &ExecCtx,
     ab: &Bat,
     lo: Option<&AtomValue>,
     hi: Option<&AtomValue>,
     inc_lo: bool,
     inc_hi: bool,
-    threads: usize,
+    point: bool,
 ) -> Result<Bat> {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let idx: Vec<u32> = if threads > 1 {
-        let tail = ab.tail().clone();
-        let (lo, hi) = (lo.cloned(), hi.cloned());
-        let parts = crate::par::try_for_each_morsel(&ctx.gov, ab.len(), threads, move |r| {
-            crate::for_each_typed!(&tail, |t| {
-                let mut idx: Vec<u32> = Vec::new();
-                'row: for i in r {
-                    let x = t.value(i);
-                    if let Some(v) = &lo {
-                        let c = t.cmp_atom(x, v);
-                        if c.is_lt() || (!inc_lo && c.is_eq()) {
-                            continue 'row;
-                        }
-                    }
-                    if let Some(v) = &hi {
-                        let c = t.cmp_atom(x, v);
-                        if c.is_gt() || (!inc_hi && c.is_eq()) {
-                            continue 'row;
-                        }
-                    }
-                    idx.push(i as u32);
-                }
-                idx
-            })
-        })?;
-        concat_positions(&parts)
-    } else {
-        crate::for_each_typed!(ab.tail(), |t| {
-            let mut idx = Vec::with_capacity(ab.len());
-            'row: for i in 0..t.len() {
-                let x = t.value(i);
-                if let Some(v) = lo {
-                    let c = t.cmp_atom(x, v);
-                    if c.is_lt() || (!inc_lo && c.is_eq()) {
-                        continue 'row;
-                    }
-                }
-                if let Some(v) = hi {
-                    let c = t.cmp_atom(x, v);
-                    if c.is_gt() || (!inc_hi && c.is_eq()) {
-                        continue 'row;
-                    }
-                }
-                idx.push(i as u32);
-            }
-            idx
-        })
-    };
+    let stage = Stage::SelectRange { lo: lo.cloned(), hi: hi.cloned(), inc_lo, inc_hi };
+    let idx = super::fused::run_stages(ctx, ab.tail(), &[stage], false)?
+        .positions
+        .expect("a select stage yields positions");
     if let Some(p) = ctx.pager.as_deref() {
         for &i in &idx {
             pager::touch_fetch(p, ab.head(), i as usize);
         }
     }
-    Ok(build_selected(ab, &idx, false))
+    Ok(build_selected(ab, &idx, point))
 }
 
-/// Dict-code selection: the tail is dictionary-encoded and the dictionary
-/// is sorted, so string order equals code order. Two binary searches over
-/// the (small) dictionary resolve the predicate to a half-open code range,
-/// then the selection runs on plain `u32` codes — no per-row string
-/// comparison. A tail-sorted operand binary-searches the codes and returns
-/// a zero-copy slice (exactly the result of the raw binary-search path);
-/// an unsorted one scans the codes serially or morsel-parallel.
+/// Trace label of the scan branch: the morsel driver fans out exactly when
+/// [`super::par_threads`] says so.
+fn scan_algo(ctx: &ExecCtx, ab: &Bat) -> &'static str {
+    if super::par_threads(ctx, ab.len()) > 1 {
+        "par-scan"
+    } else {
+        "scan"
+    }
+}
+
+/// The select window kernel — the only range-predicate row loop: the
+/// window-local indices of the rows matching the bounds, in row order. A
+/// dict-encoded window compares plain codes against the half-open code
+/// range the bounds resolve to; every other layout runs one monomorphized
+/// typed loop.
+pub(crate) fn select_window(
+    w: &Column,
+    lo: Option<&AtomValue>,
+    hi: Option<&AtomValue>,
+    inc_lo: bool,
+    inc_hi: bool,
+) -> Vec<u32> {
+    let mut idx: Vec<u32> = Vec::new();
+    if w.encoding() == Enc::Dict {
+        let d = dict_vals(w);
+        let (code_lo, code_hi) = dict_code_range(&d, lo, hi, inc_lo, inc_hi);
+        let codes = d.codes();
+        for i in 0..codes.len() {
+            let c = codes.get(i);
+            if c >= code_lo && c < code_hi {
+                idx.push(i as u32);
+            }
+        }
+        return idx;
+    }
+    crate::for_each_typed!(w, |t| {
+        'row: for i in 0..t.len() {
+            let x = t.value(i);
+            if let Some(v) = lo {
+                let c = t.cmp_atom(x, v);
+                if c.is_lt() || (!inc_lo && c.is_eq()) {
+                    continue 'row;
+                }
+            }
+            if let Some(v) = hi {
+                let c = t.cmp_atom(x, v);
+                if c.is_gt() || (!inc_hi && c.is_eq()) {
+                    continue 'row;
+                }
+            }
+            idx.push(i as u32);
+        }
+    });
+    idx
+}
+
+fn dict_vals(c: &Column) -> crate::typed::DictStrVals<'_> {
+    match c.typed() {
+        crate::typed::TypedSlice::DictStr(d) => d,
+        _ => unreachable!("dict-code select dispatched on a non-dict tail"),
+    }
+}
+
+/// Resolve string bounds to a half-open code range: the dictionary is
+/// sorted, so string order equals code order and two binary searches over
+/// the (small) dictionary replace every per-row string comparison.
+fn dict_code_range(
+    d: &crate::typed::DictStrVals<'_>,
+    lo: Option<&AtomValue>,
+    hi: Option<&AtomValue>,
+    inc_lo: bool,
+    inc_hi: bool,
+) -> (u64, u64) {
+    fn bound_str(v: &AtomValue) -> &str {
+        match v {
+            AtomValue::Str(s) => s,
+            // `check_comparable` only lets a str constant through for a str
+            // tail, so this cannot be reached from the public entry points.
+            other => unreachable!("dict-code select with {} bound", other.atom_type()),
+        }
+    }
+    let start = match lo {
+        Some(v) if inc_lo => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
+        Some(v) => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
+        None => 0,
+    };
+    let end = match hi {
+        Some(v) if inc_hi => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
+        Some(v) => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
+        None => d.dict_len(),
+    };
+    (start as u64, end as u64)
+}
+
+/// Dict-code selection: the predicate becomes a code range
+/// ([`dict_code_range`]). A tail-sorted operand binary-searches the codes
+/// and returns a zero-copy slice (exactly the result of the raw
+/// binary-search path); an unsorted one takes the scan pipeline, whose
+/// window kernel compares codes.
 fn select_dict(
     ctx: &ExecCtx,
     ab: &Bat,
@@ -267,90 +264,26 @@ fn select_dict(
     inc_hi: bool,
     point: bool,
 ) -> Result<Bat> {
-    fn dict_vals(c: &crate::column::Column) -> crate::typed::DictStrVals<'_> {
-        match c.typed() {
-            crate::typed::TypedSlice::DictStr(d) => d,
-            _ => unreachable!("dict-code select dispatched on a non-dict tail"),
-        }
+    if !ab.props().tail.sorted {
+        return select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, point);
     }
-    fn bound_str<'v>(v: &'v AtomValue) -> &'v str {
-        match v {
-            AtomValue::Str(s) => s,
-            // `check_comparable` only lets a str constant through for a str
-            // tail, so this cannot be reached from the public entry points.
-            other => unreachable!("dict-code select with {} bound", other.atom_type()),
-        }
+    // Codes ascend with the strings, so binary-search the code window and
+    // slice; positionally identical to the raw binary-search path.
+    if let Some(p) = ctx.pager.as_deref() {
+        pager::touch_binary_search(p, ab.tail());
     }
-    let (code_lo, code_hi) = {
+    let (start, end) = {
         let d = dict_vals(ab.tail());
-        let start = match lo {
-            Some(v) if inc_lo => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
-            Some(v) => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
-            None => 0,
-        };
-        let end = match hi {
-            Some(v) if inc_hi => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
-            Some(v) => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
-            None => d.dict_len(),
-        };
-        (start as u32, end as u32)
+        let (code_lo, code_hi) = dict_code_range(&d, lo, hi, inc_lo, inc_hi);
+        let codes = d.codes();
+        (codes.partition_point(|c| c < code_lo), codes.partition_point(|c| c < code_hi))
     };
-    if ab.props().tail.sorted {
-        // Codes ascend with the strings, so binary-search the code window
-        // and slice; positionally identical to the raw binary-search path.
-        if let Some(p) = ctx.pager.as_deref() {
-            pager::touch_binary_search(p, ab.tail());
-        }
-        let (start, end) = {
-            let codes = dict_vals(ab.tail()).codes();
-            (
-                codes.partition_point(|c| c < code_lo as u64),
-                codes.partition_point(|c| c < code_hi as u64),
-            )
-        };
-        let result = if start >= end { ab.slice(0, 0) } else { ab.slice(start, end - start) };
-        if let Some(p) = ctx.pager.as_deref() {
-            pager::touch_scan(p, result.head());
-            pager::touch_scan(p, result.tail());
-        }
-        return Ok(result);
-    }
+    let result = if start >= end { ab.slice(0, 0) } else { ab.slice(start, end - start) };
     if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.tail());
+        pager::touch_scan(p, result.head());
+        pager::touch_scan(p, result.tail());
     }
-    let (code_lo, code_hi) = (code_lo as u64, code_hi as u64);
-    let threads = super::par_threads(ctx, ab.len());
-    let idx: Vec<u32> = if threads > 1 {
-        let tail = ab.tail().clone();
-        let parts = crate::par::try_for_each_morsel(&ctx.gov, ab.len(), threads, move |r| {
-            let codes = dict_vals(&tail).codes();
-            let mut idx: Vec<u32> = Vec::new();
-            for i in r {
-                let c = codes.get(i);
-                if c >= code_lo && c < code_hi {
-                    idx.push(i as u32);
-                }
-            }
-            idx
-        })?;
-        concat_positions(&parts)
-    } else {
-        let codes = dict_vals(ab.tail()).codes();
-        let mut idx = Vec::with_capacity(ab.len());
-        for i in 0..codes.len() {
-            let c = codes.get(i);
-            if c >= code_lo && c < code_hi {
-                idx.push(i as u32);
-            }
-        }
-        idx
-    };
-    if let Some(p) = ctx.pager.as_deref() {
-        for &i in &idx {
-            pager::touch_fetch(p, ab.head(), i as usize);
-        }
-    }
-    Ok(build_selected(ab, &idx, point))
+    Ok(result)
 }
 
 /// The `select` propagation rule (Section 5.1), shared by every

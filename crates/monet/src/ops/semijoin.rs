@@ -92,13 +92,6 @@ fn semijoin_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
 /// right-operand order and its head column is *shared* across semijoins
 /// with the same selection, making those results synced.
 fn semijoin_datavector(ctx: &ExecCtx, dv: &crate::accel::datavector::Datavector, cd: &Bat) -> Bat {
-    let lookup = dv.lookup(ctx, cd.head());
-    if let Some(p) = ctx.pager.as_deref() {
-        for &pos in lookup.positions.iter() {
-            pager::touch_fetch(p, dv.vector(), pos as usize);
-        }
-    }
-    let tail = dv.vector().gather(&lookup.positions);
     let cp = cd.props();
     // Positions follow right-operand order; the extent is ascending, so the
     // result head is sorted/key exactly when the right head is.
@@ -106,6 +99,23 @@ fn semijoin_datavector(ctx: &ExecCtx, dv: &crate::accel::datavector::Datavector,
         ColProps { sorted: cp.head.sorted, key: cp.head.key, dense: false, ..ColProps::NONE },
         ColProps::NONE,
     );
+    if cd.head().identity() == dv.extent().oids().identity() {
+        // The right operand is the class extent itself: every object
+        // matches at its own position, so the result is the extent next to
+        // the value vector — no LOOKUP, nothing to gather, and (sharing the
+        // extent column) synced with every sibling attribute's result.
+        if let Some(p) = ctx.pager.as_deref() {
+            pager::touch_scan(p, dv.vector());
+        }
+        return Bat::with_props(cd.head().clone(), dv.vector().clone(), props);
+    }
+    let lookup = dv.lookup(ctx, cd.head());
+    if let Some(p) = ctx.pager.as_deref() {
+        for &pos in lookup.positions.iter() {
+            pager::touch_fetch(p, dv.vector(), pos as usize);
+        }
+    }
+    let tail = dv.vector().gather(&lookup.positions);
     Bat::with_props(lookup.head.clone(), tail, props)
 }
 
@@ -282,6 +292,20 @@ mod tests {
         // The key effect of Section 6.2.1: results of successive datavector
         // semijoins with the same selection are synced.
         assert!(prices.synced(&discounts));
+
+        // The class extent itself as the selection: nothing to look up —
+        // the results are the extent next to the value vectors, zero-copy,
+        // and synced through the shared extent column.
+        let all = Bat::with_inferred_props(extent.oids().clone(), Column::void(0, 4));
+        let prices = semijoin(&ctx, &price, &all).unwrap();
+        let discounts = semijoin(&ctx, &disc, &all).unwrap();
+        assert!(ctx.take_trace().iter().all(|e| e.algo == "datavector"));
+        assert!(!extent.lookup_cached(&ctx, all.head()));
+        assert_eq!(prices.head().identity(), extent.oids().identity());
+        assert_eq!(prices.tail().as_dbl_slice().unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(discounts.tail().as_dbl_slice().unwrap(), &[0.1, 0.2, 0.3, 0.4]);
+        assert!(prices.synced(&discounts));
+        assert!(prices.validate().is_ok());
     }
 
     #[test]

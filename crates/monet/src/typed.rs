@@ -673,8 +673,6 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
     static SCRATCH_U32: std::cell::RefCell<Vec<Vec<u32>>> =
         const { std::cell::RefCell::new(Vec::new()) };
-    static SCRATCH_F64: std::cell::RefCell<Vec<Vec<f64>>> =
-        const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Buffers kept per pool; excess returns are dropped so scratch memory
@@ -746,7 +744,6 @@ macro_rules! scratch_pool {
 
 scratch_pool!(take_u64, take_u64_zeroed, put_u64, SCRATCH_U64, u64);
 scratch_pool!(take_u32, take_u32_zeroed, put_u32, SCRATCH_U32, u32);
-scratch_pool!(take_f64, take_f64_zeroed, put_f64, SCRATCH_F64, f64);
 
 // ---------------------------------------------------------------------------
 // Radix clustering: the partition kernel of the partitioned hash join.

@@ -603,7 +603,7 @@ fn fuse_off_reproduces_unfused_emission() {
     );
     assert!(
         !unfused.prog.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
-        "FLATALG_FUSE=0 must reproduce the unfused emission:\n{}",
+        "with_fuse(false) must reproduce the unfused emission:\n{}",
         unfused.prog
     );
     let a = execute(&ExecCtx::new(), &db, &fused.prog, &[fused.var(cnt)]).unwrap();

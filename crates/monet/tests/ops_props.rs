@@ -19,6 +19,7 @@ use monet::atom::AtomValue;
 use monet::bat::Bat;
 use monet::column::Column;
 use monet::ctx::ExecCtx;
+use monet::error::MonetError;
 use monet::ops;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -330,40 +331,84 @@ fn canon_gids(tail: &Column) -> Vec<u64> {
     out
 }
 
-#[test]
-fn typed_select_matches_generic_across_types() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x10);
-    let ctx = ExecCtx::new();
-    for &ty in ALL_TYPES {
-        for case in 0..10 {
-            let n = rng.gen_range(0..50usize);
-            let head = random_column(&mut rng, AtomType::Oid, n);
-            let tail = random_column(&mut rng, ty, n);
-            let b = Bat::new(head, tail);
-            let v = random_value(&mut rng, ty);
-            let got = ops::select_eq(&ctx, &b, &v).unwrap();
-            assert_eq!(
-                rows_of(&got),
-                rows_of(&reference::select_eq(&b, &v)),
-                "{ty} case {case}: select_eq"
-            );
-            let (a, c) = (random_value(&mut rng, ty), random_value(&mut rng, ty));
-            let (lo, hi) = if a.cmp_same_type(&c).is_le() { (a, c) } else { (c, a) };
-            let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
-            let got = ops::select_range(&ctx, &b, Some(&lo), Some(&hi), il, ih).unwrap();
-            let expect = reference::select_range(&b, Some(&lo), Some(&hi), il, ih);
-            assert_eq!(rows_of(&got), rows_of(&expect), "{ty} case {case}: select_range");
-            // Sorted operand takes the binary-search path; same window.
-            let perm = b.tail().sort_perm();
-            let sorted = Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
-            let got = ops::select_eq(&ctx, &sorted, &v).unwrap();
-            assert_eq!(
-                rows_of(&got),
-                rows_of(&reference::select_eq(&sorted, &v)),
-                "{ty} case {case}: select_eq sorted"
-            );
+/// The scan-shaped operators (select scan, synced multiplex, scalar
+/// aggregates) are one-stage pipelines on the morsel driver, so their
+/// suites run under every (morsel size, thread count) grid the driver can
+/// cut: tiny ragged morsels and the production 64Ki size, serial and
+/// fanned out (row threshold 1, so even these small operands take the
+/// pool at 4 threads).
+fn sweep_grids(mut f: impl FnMut(&str)) {
+    for morsel in [7usize, 64 * 1024] {
+        for threads in [1usize, 4] {
+            monet::par::with_par_config(Some(threads), Some(1), Some(morsel), || {
+                f(&format!("morsel={morsel} threads={threads}"))
+            });
         }
     }
+}
+
+/// Every bound shape of a range selection: each side unbounded, inclusive
+/// or exclusive.
+fn bound_shapes<'a>(
+    lo: &'a AtomValue,
+    hi: &'a AtomValue,
+) -> Vec<(Option<&'a AtomValue>, Option<&'a AtomValue>, bool, bool)> {
+    let mut out = Vec::new();
+    for (l, il) in [(None, true), (Some(lo), true), (Some(lo), false)] {
+        for (h, ih) in [(None, true), (Some(hi), true), (Some(hi), false)] {
+            out.push((l, h, il, ih));
+        }
+    }
+    out
+}
+
+#[test]
+fn typed_select_matches_generic_across_types() {
+    sweep_grids(|grid| {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x10);
+        let ctx = ExecCtx::new();
+        for &ty in ALL_TYPES {
+            for case in 0..10 {
+                let n = rng.gen_range(0..50usize);
+                let head = random_column(&mut rng, AtomType::Oid, n);
+                let tail = random_column(&mut rng, ty, n);
+                let b = Bat::new(head, tail);
+                let v = random_value(&mut rng, ty);
+                let got = ops::select_eq(&ctx, &b, &v).unwrap();
+                assert_eq!(
+                    rows_of(&got),
+                    rows_of(&reference::select_eq(&b, &v)),
+                    "{ty} case {case} {grid}: select_eq"
+                );
+                let (a, c) = (random_value(&mut rng, ty), random_value(&mut rng, ty));
+                let (lo, hi) = if a.cmp_same_type(&c).is_le() { (a, c) } else { (c, a) };
+                let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+                let got = ops::select_range(&ctx, &b, Some(&lo), Some(&hi), il, ih).unwrap();
+                let expect = reference::select_range(&b, Some(&lo), Some(&hi), il, ih);
+                assert_eq!(rows_of(&got), rows_of(&expect), "{ty} case {case}: select_range");
+                for (l, h, il, ih) in bound_shapes(&lo, &hi) {
+                    let got = ops::select_range(&ctx, &b, l, h, il, ih).unwrap();
+                    let expect = reference::select_range(&b, l, h, il, ih);
+                    assert_eq!(
+                        rows_of(&got),
+                        rows_of(&expect),
+                        "{ty} case {case} {grid}: select_range({l:?}, {h:?}, {il}, {ih})"
+                    );
+                    assert!(got.validate().is_ok(), "{ty} case {case} {grid}: props unsound");
+                }
+                // Sorted operand takes the binary-search path; same window.
+                let perm = b.tail().sort_perm();
+                let sorted =
+                    Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
+                let got = ops::select_eq(&ctx, &sorted, &v).unwrap();
+                assert_eq!(
+                    rows_of(&got),
+                    rows_of(&reference::select_eq(&sorted, &v)),
+                    "{ty} case {case}: select_eq sorted"
+                );
+            }
+        }
+    });
 }
 
 #[test]
@@ -616,154 +661,288 @@ fn partitioned_join_matches_generic_across_types() {
 
 #[test]
 fn typed_aggregate_matches_generic_across_types() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x16);
-    let ctx = ExecCtx::new();
-    let aggs = [
-        ops::AggFunc::Count,
-        ops::AggFunc::Sum,
-        ops::AggFunc::Min,
-        ops::AggFunc::Max,
-        ops::AggFunc::Avg,
-    ];
-    for &ty in ALL_TYPES {
-        for case in 0..6 {
-            let n = rng.gen_range(0..40usize);
-            let b =
-                Bat::new(random_column(&mut rng, AtomType::Oid, n), random_column(&mut rng, ty, n));
-            for f in aggs {
-                let got = ops::set_aggregate(&ctx, f, &b);
-                let expect = reference::set_aggregate(f, &b);
-                match (got, expect) {
-                    (Ok(g), Ok(e)) => {
-                        assert_eq!(rows_of(&g), rows_of(&e), "{ty} case {case}: {{{}}}", f.name())
+    sweep_grids(|grid| {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x16);
+        let ctx = ExecCtx::new();
+        let aggs = [
+            ops::AggFunc::Count,
+            ops::AggFunc::Sum,
+            ops::AggFunc::Min,
+            ops::AggFunc::Max,
+            ops::AggFunc::Avg,
+        ];
+        for &ty in ALL_TYPES {
+            for case in 0..6 {
+                let n = rng.gen_range(0..40usize);
+                let b = Bat::new(
+                    random_column(&mut rng, AtomType::Oid, n),
+                    random_column(&mut rng, ty, n),
+                );
+                for f in aggs {
+                    let got = ops::set_aggregate(&ctx, f, &b);
+                    let expect = reference::set_aggregate(f, &b);
+                    match (got, expect) {
+                        (Ok(g), Ok(e)) => {
+                            assert_eq!(
+                                rows_of(&g),
+                                rows_of(&e),
+                                "{ty} case {case}: {{{}}}",
+                                f.name()
+                            )
+                        }
+                        (Err(_), Err(_)) => {}
+                        (g, e) => panic!(
+                            "{ty} case {case}: {{{}}} disagree on error: {g:?} vs {e:?}",
+                            f.name()
+                        ),
                     }
-                    (Err(_), Err(_)) => {}
-                    (g, e) => panic!(
-                        "{ty} case {case}: {{{}}} disagree on error: {g:?} vs {e:?}",
-                        f.name()
-                    ),
+                    let got = ops::aggr_scalar(&ctx, &b, f);
+                    let expect = reference::aggr_scalar(&b, f);
+                    match (got, expect) {
+                        (Ok(g), Ok(e)) => {
+                            assert_eq!(g, e, "{ty} case {case} {grid}: scalar {}", f.name())
+                        }
+                        (Err(_), Err(_)) => {}
+                        (g, e) => panic!(
+                            "{ty} case {case}: scalar {} disagree on error: {g:?} vs {e:?}",
+                            f.name()
+                        ),
+                    }
                 }
-                let got = ops::aggr_scalar(&ctx, &b, f);
-                let expect = reference::aggr_scalar(&b, f);
-                match (got, expect) {
-                    (Ok(g), Ok(e)) => assert_eq!(g, e, "{ty} case {case}: scalar {}", f.name()),
-                    (Err(_), Err(_)) => {}
-                    (g, e) => panic!(
-                        "{ty} case {case}: scalar {} disagree on error: {g:?} vs {e:?}",
-                        f.name()
-                    ),
+                // Merge path over sorted heads.
+                let perm = b.head().sort_perm();
+                let bs = Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
+                for f in aggs {
+                    match (ops::set_aggregate(&ctx, f, &bs), reference::set_aggregate(f, &bs)) {
+                        (Ok(g), Ok(e)) => assert_eq!(
+                            rows_of(&g),
+                            rows_of(&e),
+                            "{ty} case {case}: sorted {{{}}}",
+                            f.name()
+                        ),
+                        (Err(_), Err(_)) => {}
+                        (g, e) => {
+                            panic!("{ty} case {case}: sorted {{{}}}: {g:?} vs {e:?}", f.name())
+                        }
+                    }
                 }
             }
-            // Merge path over sorted heads.
-            let perm = b.head().sort_perm();
-            let bs = Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
-            for f in aggs {
-                match (ops::set_aggregate(&ctx, f, &bs), reference::set_aggregate(f, &bs)) {
-                    (Ok(g), Ok(e)) => assert_eq!(
-                        rows_of(&g),
-                        rows_of(&e),
-                        "{ty} case {case}: sorted {{{}}}",
-                        f.name()
-                    ),
-                    (Err(_), Err(_)) => {}
-                    (g, e) => panic!("{ty} case {case}: sorted {{{}}}: {g:?} vs {e:?}", f.name()),
+            // Min/max ties across a morsel boundary: the extreme value sits
+            // on both sides of the first 7-row cut (rows 6 and 7) and again in
+            // the last morsel; whichever window wins the merge, the value is
+            // the reference's first-winner.
+            let mut vals: Vec<AtomValue> = (0..24).map(|_| random_value(&mut rng, ty)).collect();
+            for f in [ops::AggFunc::Min, ops::AggFunc::Max] {
+                let ext = vals
+                    .iter()
+                    .cloned()
+                    .reduce(|a, b| {
+                        let c = b.cmp_same_type(&a);
+                        if if f == ops::AggFunc::Min { c.is_lt() } else { c.is_gt() } {
+                            b
+                        } else {
+                            a
+                        }
+                    })
+                    .unwrap();
+                for i in [6, 7, 23] {
+                    vals[i] = ext.clone();
                 }
+                let tail = if ty == AtomType::Void {
+                    Column::void(3, 24)
+                } else {
+                    Column::from_atoms(ty, vals.iter().cloned())
+                };
+                let b = Bat::new(Column::void(0, 24), tail);
+                assert_eq!(
+                    ops::aggr_scalar(&ctx, &b, f).unwrap(),
+                    reference::aggr_scalar(&b, f).unwrap(),
+                    "{ty} {grid}: {} with ties across morsels",
+                    f.name()
+                );
             }
+            // Empty operands: the exact errors, type errors before emptiness.
+            let empty = Bat::new(Column::void(0, 0), random_column(&mut rng, ty, 0));
+            let summable = matches!(ty, AtomType::Int | AtomType::Lng | AtomType::Dbl);
+            assert_eq!(
+                ops::aggr_scalar(&ctx, &empty, ops::AggFunc::Avg).unwrap_err(),
+                if summable {
+                    MonetError::Malformed { op: "avg", detail: "average of empty BAT".into() }
+                } else {
+                    MonetError::Unsupported { op: "avg", ty: empty.tail().atom_type() }
+                },
+                "{ty} {grid}: avg of empty"
+            );
+            for f in [ops::AggFunc::Min, ops::AggFunc::Max] {
+                assert_eq!(
+                    ops::aggr_scalar(&ctx, &empty, f).unwrap_err(),
+                    MonetError::Malformed { op: f.name(), detail: "min/max of empty BAT".into() },
+                    "{ty} {grid}: {} of empty",
+                    f.name()
+                );
+            }
+            match ops::aggr_scalar(&ctx, &empty, ops::AggFunc::Sum) {
+                Ok(v) => assert_eq!(
+                    v,
+                    reference::aggr_scalar(&empty, ops::AggFunc::Sum).unwrap(),
+                    "{ty} {grid}: sum of empty"
+                ),
+                Err(e) => assert_eq!(
+                    e,
+                    MonetError::Unsupported { op: "sum", ty: empty.tail().atom_type() },
+                    "{ty} {grid}: sum of empty"
+                ),
+            }
+            assert_eq!(
+                ops::aggr_scalar(&ctx, &empty, ops::AggFunc::Count).unwrap(),
+                AtomValue::Lng(0),
+                "{ty} {grid}: count of empty"
+            );
         }
-    }
+    });
 }
 
 #[test]
 fn typed_multiplex_matches_generic() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x17);
-    let ctx = ExecCtx::new();
-    use ops::{MultArg, ScalarFunc as F};
-    let value_types = [
-        AtomType::Int,
-        AtomType::Lng,
-        AtomType::Dbl,
-        AtomType::Date,
-        AtomType::Chr,
-        AtomType::Bool,
-        AtomType::Str,
-    ];
-    for case in 0..30 {
-        let n = rng.gen_range(0..40usize);
-        let head = random_column(&mut rng, AtomType::Oid, n);
-        for &ty in &value_types {
-            let x = Bat::new(head.clone(), random_column(&mut rng, ty, n));
-            let arg2 = if rng.gen_bool(0.4) {
-                MultArg::Const(random_value(&mut rng, ty))
-            } else {
-                MultArg::Bat(Bat::new(head.clone(), random_column(&mut rng, ty, n)))
-            };
-            let funcs: Vec<F> = match ty {
-                AtomType::Int | AtomType::Lng | AtomType::Dbl => {
-                    vec![F::Add, F::Sub, F::Mul, F::Div, F::Eq, F::Lt, F::Ge, F::Ne]
-                }
-                AtomType::Date | AtomType::Chr => vec![F::Eq, F::Ne, F::Lt, F::Le, F::Gt, F::Ge],
-                AtomType::Bool => vec![F::And, F::Or, F::Eq, F::Ne],
-                _ => vec![F::Eq, F::Ne, F::Lt, F::Gt],
-            };
-            for f in funcs {
-                let args = [MultArg::Bat(x.clone()), arg2.clone()];
-                let got = ops::multiplex(&ctx, f, &args);
-                let expect = reference::multiplex_synced(f, &args);
-                match (got, expect) {
-                    (Ok(g), Ok(e)) => {
-                        assert_eq!(rows_of(&g), rows_of(&e), "case {case}: [{:?}] over {ty}", f)
+    sweep_grids(|grid| {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x17);
+        let ctx = ExecCtx::new();
+        use ops::{MultArg, ScalarFunc as F};
+        let value_types = [
+            AtomType::Int,
+            AtomType::Lng,
+            AtomType::Dbl,
+            AtomType::Date,
+            AtomType::Chr,
+            AtomType::Bool,
+            AtomType::Str,
+        ];
+        for case in 0..30 {
+            let n = rng.gen_range(0..40usize);
+            let head = random_column(&mut rng, AtomType::Oid, n);
+            for &ty in &value_types {
+                let x = Bat::new(head.clone(), random_column(&mut rng, ty, n));
+                let arg2 = if rng.gen_bool(0.4) {
+                    MultArg::Const(random_value(&mut rng, ty))
+                } else {
+                    MultArg::Bat(Bat::new(head.clone(), random_column(&mut rng, ty, n)))
+                };
+                let funcs: Vec<F> = match ty {
+                    AtomType::Int | AtomType::Lng | AtomType::Dbl => {
+                        vec![F::Add, F::Sub, F::Mul, F::Div, F::Eq, F::Lt, F::Ge, F::Ne]
                     }
-                    (Err(_), Err(_)) => {}
-                    (g, e) => {
-                        panic!("case {case}: [{f:?}] over {ty} disagree on error: {g:?} vs {e:?}")
+                    AtomType::Date | AtomType::Chr => {
+                        vec![F::Eq, F::Ne, F::Lt, F::Le, F::Gt, F::Ge]
+                    }
+                    AtomType::Bool => vec![F::And, F::Or, F::Eq, F::Ne],
+                    _ => vec![F::Eq, F::Ne, F::Lt, F::Gt],
+                };
+                for f in funcs {
+                    let args = [MultArg::Bat(x.clone()), arg2.clone()];
+                    let got = ops::multiplex(&ctx, f, &args);
+                    let expect = reference::multiplex_synced(f, &args);
+                    match (got, expect) {
+                        (Ok(g), Ok(e)) => {
+                            assert_eq!(
+                                rows_of(&g),
+                                rows_of(&e),
+                                "case {case} {grid}: [{f:?}] over {ty}"
+                            );
+                            assert_eq!(
+                                g.tail().atom_type(),
+                                e.tail().atom_type(),
+                                "case {case} {grid}: [{f:?}] over {ty}: result type"
+                            );
+                        }
+                        (Err(_), Err(_)) => {}
+                        (g, e) => {
+                            panic!(
+                                "case {case}: [{f:?}] over {ty} disagree on error: {g:?} vs {e:?}"
+                            )
+                        }
                     }
                 }
             }
+            // Unary shapes.
+            let dates = Bat::new(head.clone(), random_column(&mut rng, AtomType::Date, n));
+            for f in [F::Year, F::Month] {
+                let args = [MultArg::Bat(dates.clone())];
+                let g = ops::multiplex(&ctx, f, &args).unwrap();
+                let e = reference::multiplex_synced(f, &args).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "case {case}: [{f:?}]");
+            }
+            let bools = Bat::new(head.clone(), random_column(&mut rng, AtomType::Bool, n));
+            let args = [MultArg::Bat(bools)];
+            assert_eq!(
+                rows_of(&ops::multiplex(&ctx, F::Not, &args).unwrap()),
+                rows_of(&reference::multiplex_synced(F::Not, &args).unwrap()),
+                "case {case}: [not]"
+            );
+            for ty in [AtomType::Int, AtomType::Lng, AtomType::Dbl] {
+                let xs = Bat::new(head.clone(), random_column(&mut rng, ty, n));
+                let args = [MultArg::Bat(xs)];
+                assert_eq!(
+                    rows_of(&ops::multiplex(&ctx, F::Neg, &args).unwrap()),
+                    rows_of(&reference::multiplex_synced(F::Neg, &args).unwrap()),
+                    "case {case}: [neg] {ty}"
+                );
+            }
+            // Constant-pattern string predicates.
+            let strs = Bat::new(head.clone(), random_column(&mut rng, AtomType::Str, n));
+            for f in [F::StrPrefix, F::StrContains] {
+                let args = [
+                    MultArg::Bat(strs.clone()),
+                    MultArg::Const(random_value(&mut rng, AtomType::Str)),
+                ];
+                assert_eq!(
+                    rows_of(&ops::multiplex(&ctx, f, &args).unwrap()),
+                    rows_of(&reference::multiplex_synced(f, &args).unwrap()),
+                    "case {case}: [{f:?}]"
+                );
+            }
+            // Mixed shapes fall back to the generic path; results must agree.
+            let ints = Bat::new(head.clone(), random_column(&mut rng, AtomType::Int, n));
+            let args = [MultArg::Bat(ints), MultArg::Const(AtomValue::Dbl(2.5))];
+            assert_eq!(
+                rows_of(&ops::multiplex(&ctx, F::Mul, &args).unwrap()),
+                rows_of(&reference::multiplex_synced(F::Mul, &args).unwrap()),
+                "case {case}: mixed [*]"
+            );
         }
-        // Unary shapes.
-        let dates = Bat::new(head.clone(), random_column(&mut rng, AtomType::Date, n));
-        for f in [F::Year, F::Month] {
-            let args = [MultArg::Bat(dates.clone())];
+        // All-empty-window maps: with zero rows no value can type the
+        // output, so the static hint does — through the typed fast path, the
+        // generic path (mixed int x dbl), and the fixed-result functions.
+        let none = Column::void(0, 0);
+        for (f, tail, k, want) in [
+            (F::Mul, AtomType::Dbl, AtomValue::Dbl(2.0), AtomType::Dbl),
+            (F::Mul, AtomType::Int, AtomValue::Dbl(2.5), AtomType::Int),
+            (F::Add, AtomType::Lng, AtomValue::Lng(1), AtomType::Lng),
+            (F::Lt, AtomType::Str, AtomValue::str("b"), AtomType::Bool),
+            (F::Ge, AtomType::Date, AtomValue::Int(3), AtomType::Bool),
+            (F::StrPrefix, AtomType::Str, AtomValue::str("a"), AtomType::Bool),
+        ] {
+            let args = [
+                MultArg::Bat(Bat::new(none.clone(), random_column(&mut rng, tail, 0))),
+                MultArg::Const(k),
+            ];
             let g = ops::multiplex(&ctx, f, &args).unwrap();
             let e = reference::multiplex_synced(f, &args).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "case {case}: [{f:?}]");
-        }
-        let bools = Bat::new(head.clone(), random_column(&mut rng, AtomType::Bool, n));
-        let args = [MultArg::Bat(bools)];
-        assert_eq!(
-            rows_of(&ops::multiplex(&ctx, F::Not, &args).unwrap()),
-            rows_of(&reference::multiplex_synced(F::Not, &args).unwrap()),
-            "case {case}: [not]"
-        );
-        for ty in [AtomType::Int, AtomType::Lng, AtomType::Dbl] {
-            let xs = Bat::new(head.clone(), random_column(&mut rng, ty, n));
-            let args = [MultArg::Bat(xs)];
             assert_eq!(
-                rows_of(&ops::multiplex(&ctx, F::Neg, &args).unwrap()),
-                rows_of(&reference::multiplex_synced(F::Neg, &args).unwrap()),
-                "case {case}: [neg] {ty}"
+                (g.len(), g.tail().atom_type()),
+                (0, want),
+                "{grid}: empty [{f:?}] over {tail}"
+            );
+            assert_eq!(
+                g.tail().atom_type(),
+                e.tail().atom_type(),
+                "{grid}: empty [{f:?}] vs reference"
             );
         }
-        // Constant-pattern string predicates.
-        let strs = Bat::new(head.clone(), random_column(&mut rng, AtomType::Str, n));
-        for f in [F::StrPrefix, F::StrContains] {
-            let args =
-                [MultArg::Bat(strs.clone()), MultArg::Const(random_value(&mut rng, AtomType::Str))];
-            assert_eq!(
-                rows_of(&ops::multiplex(&ctx, f, &args).unwrap()),
-                rows_of(&reference::multiplex_synced(f, &args).unwrap()),
-                "case {case}: [{f:?}]"
-            );
-        }
-        // Mixed shapes fall back to the generic path; results must agree.
-        let ints = Bat::new(head.clone(), random_column(&mut rng, AtomType::Int, n));
-        let args = [MultArg::Bat(ints), MultArg::Const(AtomValue::Dbl(2.5))];
-        assert_eq!(
-            rows_of(&ops::multiplex(&ctx, F::Mul, &args).unwrap()),
-            rows_of(&reference::multiplex_synced(F::Mul, &args).unwrap()),
-            "case {case}: mixed [*]"
-        );
-    }
+        let dates =
+            [MultArg::Bat(Bat::new(none.clone(), random_column(&mut rng, AtomType::Date, 0)))];
+        let g = ops::multiplex(&ctx, F::Year, &dates).unwrap();
+        assert_eq!((g.len(), g.tail().atom_type()), (0, AtomType::Int), "{grid}: empty [year]");
+    });
 }
 
 #[test]
@@ -877,102 +1056,116 @@ fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Colu
 
 #[test]
 fn encoded_tail_matches_raw_across_kernels() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x20);
-    let ctx = ExecCtx::new();
-    // (type, sorted): dict strings, FOR ints/lngs/dates, RLE runs.
-    let legs: &[(AtomType, bool)] = &[
-        (AtomType::Str, false),
-        (AtomType::Int, false),
-        (AtomType::Lng, false),
-        (AtomType::Date, false),
-        (AtomType::Str, true),
-        (AtomType::Int, true),
-        (AtomType::Dbl, true),
-    ];
-    for &(ty, sorted) in legs {
-        for case in 0..8 {
-            let n = rng.gen_range(24..64usize);
-            let head = random_column(&mut rng, AtomType::Oid, n);
-            let (et, rt) = encoded_pair(&mut rng, ty, n, sorted);
-            let eb = Bat::new(head.clone(), et.clone());
-            let rb = Bat::new(head.clone(), rt.clone());
-            let tag = format!("{ty} sorted={sorted} case {case}");
+    sweep_grids(|grid| {
+        let mut rng = StdRng::seed_from_u64(SEED ^ 0x20);
+        let ctx = ExecCtx::new();
+        // (type, sorted): dict strings, FOR ints/lngs/dates, RLE runs.
+        let legs: &[(AtomType, bool)] = &[
+            (AtomType::Str, false),
+            (AtomType::Int, false),
+            (AtomType::Lng, false),
+            (AtomType::Date, false),
+            (AtomType::Str, true),
+            (AtomType::Int, true),
+            (AtomType::Dbl, true),
+        ];
+        for &(ty, sorted) in legs {
+            for case in 0..8 {
+                let n = rng.gen_range(24..64usize);
+                let head = random_column(&mut rng, AtomType::Oid, n);
+                let (et, rt) = encoded_pair(&mut rng, ty, n, sorted);
+                let eb = Bat::new(head.clone(), et.clone());
+                let rb = Bat::new(head.clone(), rt.clone());
+                let tag = format!("{ty} sorted={sorted} case {case} {grid}");
 
-            // Selections: point and range, member and non-member probes.
-            let v = encodable_value(&mut rng, ty);
-            let g = ops::select_eq(&ctx, &eb, &v).unwrap();
-            let e = ops::select_eq(&ctx, &rb, &v).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_eq");
-            assert!(g.validate().is_ok(), "{tag}: select_eq props unsound");
-            let (a, c) = (encodable_value(&mut rng, ty), encodable_value(&mut rng, ty));
-            let (lo, hi) = if a.cmp_same_type(&c).is_le() { (a, c) } else { (c, a) };
-            let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
-            let g = ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), il, ih).unwrap();
-            let e = ops::select_range(&ctx, &rb, Some(&lo), Some(&hi), il, ih).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range");
-            let g = ops::select_range(&ctx, &eb, Some(&lo), None, il, true).unwrap();
-            let e = ops::select_range(&ctx, &rb, Some(&lo), None, il, true).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range one-sided");
-
-            // Grouping, uniqueness, ordering.
-            let g = ops::group1(&ctx, &eb).unwrap();
-            let e = ops::group1(&ctx, &rb).unwrap();
-            assert_eq!(canon_gids(g.tail()), canon_gids(e.tail()), "{tag}: group1");
-            let g = ops::unique(&ctx, &eb).unwrap();
-            let e = ops::unique(&ctx, &rb).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: unique");
-            let g = ops::sort_tail(&ctx, &eb).unwrap();
-            let e = ops::sort_tail(&ctx, &rb).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: sort_tail");
-            let k = rng.gen_range(0..n + 2);
-            for desc in [false, true] {
-                let g = ops::topn(&ctx, &eb, k, desc).unwrap();
-                let e = ops::topn(&ctx, &rb, k, desc).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: topn({k}, desc={desc})");
-            }
-
-            // Joins: encoded left tail against an encoded right head, raw
-            // twin against the raw twin; pair order must match exactly.
-            let m = (n / 2).max(1);
-            let rtail = random_column(&mut rng, AtomType::Int, m);
-            let g = ops::join(&ctx, &eb, &Bat::new(et.slice(0, m), rtail.clone())).unwrap();
-            let e = ops::join(&ctx, &rb, &Bat::new(rt.slice(0, m), rtail.clone())).unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: join");
-            let g = ops::semijoin(
-                &ctx,
-                &Bat::new(et.clone(), head.clone()),
-                &Bat::new(et.slice(0, m), rtail.clone()),
-            )
-            .unwrap();
-            let e = ops::semijoin(
-                &ctx,
-                &Bat::new(rt.clone(), head.clone()),
-                &Bat::new(rt.slice(0, m), rtail.clone()),
-            )
-            .unwrap();
-            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: semijoin encoded heads");
-
-            // Aggregates: both shapes must agree value-for-value, including
-            // on which inputs are type errors.
-            for f in [ops::AggFunc::Count, ops::AggFunc::Sum, ops::AggFunc::Min, ops::AggFunc::Avg]
-            {
-                match (ops::set_aggregate(&ctx, f, &eb), ops::set_aggregate(&ctx, f, &rb)) {
-                    (Ok(g), Ok(e)) => {
-                        assert_eq!(rows_of(&g), rows_of(&e), "{tag}: {{{}}}", f.name())
-                    }
-                    (Err(_), Err(_)) => {}
-                    (g, e) => panic!("{tag}: {{{}}} disagree on error: {g:?} vs {e:?}", f.name()),
+                // Selections: point and range, member and non-member probes.
+                let v = encodable_value(&mut rng, ty);
+                let g = ops::select_eq(&ctx, &eb, &v).unwrap();
+                let e = ops::select_eq(&ctx, &rb, &v).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_eq");
+                assert!(g.validate().is_ok(), "{tag}: select_eq props unsound");
+                let (a, c) = (encodable_value(&mut rng, ty), encodable_value(&mut rng, ty));
+                let (lo, hi) = if a.cmp_same_type(&c).is_le() { (a, c) } else { (c, a) };
+                let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+                let g = ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), il, ih).unwrap();
+                let e = ops::select_range(&ctx, &rb, Some(&lo), Some(&hi), il, ih).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range");
+                let g = ops::select_range(&ctx, &eb, Some(&lo), None, il, true).unwrap();
+                let e = ops::select_range(&ctx, &rb, Some(&lo), None, il, true).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range one-sided");
+                for (l, h, il, ih) in bound_shapes(&lo, &hi) {
+                    let g = ops::select_range(&ctx, &eb, l, h, il, ih).unwrap();
+                    let e = reference::select_range(&rb, l, h, il, ih);
+                    assert_eq!(
+                        rows_of(&g),
+                        rows_of(&e),
+                        "{tag}: select_range({l:?}, {h:?}, {il}, {ih})"
+                    );
                 }
-                match (ops::aggr_scalar(&ctx, &eb, f), ops::aggr_scalar(&ctx, &rb, f)) {
-                    (Ok(g), Ok(e)) => assert_eq!(g, e, "{tag}: scalar {}", f.name()),
-                    (Err(_), Err(_)) => {}
-                    (g, e) => {
-                        panic!("{tag}: scalar {} disagree on error: {g:?} vs {e:?}", f.name())
+
+                // Grouping, uniqueness, ordering.
+                let g = ops::group1(&ctx, &eb).unwrap();
+                let e = ops::group1(&ctx, &rb).unwrap();
+                assert_eq!(canon_gids(g.tail()), canon_gids(e.tail()), "{tag}: group1");
+                let g = ops::unique(&ctx, &eb).unwrap();
+                let e = ops::unique(&ctx, &rb).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: unique");
+                let g = ops::sort_tail(&ctx, &eb).unwrap();
+                let e = ops::sort_tail(&ctx, &rb).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: sort_tail");
+                let k = rng.gen_range(0..n + 2);
+                for desc in [false, true] {
+                    let g = ops::topn(&ctx, &eb, k, desc).unwrap();
+                    let e = ops::topn(&ctx, &rb, k, desc).unwrap();
+                    assert_eq!(rows_of(&g), rows_of(&e), "{tag}: topn({k}, desc={desc})");
+                }
+
+                // Joins: encoded left tail against an encoded right head, raw
+                // twin against the raw twin; pair order must match exactly.
+                let m = (n / 2).max(1);
+                let rtail = random_column(&mut rng, AtomType::Int, m);
+                let g = ops::join(&ctx, &eb, &Bat::new(et.slice(0, m), rtail.clone())).unwrap();
+                let e = ops::join(&ctx, &rb, &Bat::new(rt.slice(0, m), rtail.clone())).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: join");
+                let g = ops::semijoin(
+                    &ctx,
+                    &Bat::new(et.clone(), head.clone()),
+                    &Bat::new(et.slice(0, m), rtail.clone()),
+                )
+                .unwrap();
+                let e = ops::semijoin(
+                    &ctx,
+                    &Bat::new(rt.clone(), head.clone()),
+                    &Bat::new(rt.slice(0, m), rtail.clone()),
+                )
+                .unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: semijoin encoded heads");
+
+                // Aggregates: both shapes must agree value-for-value, including
+                // on which inputs are type errors.
+                for f in
+                    [ops::AggFunc::Count, ops::AggFunc::Sum, ops::AggFunc::Min, ops::AggFunc::Avg]
+                {
+                    match (ops::set_aggregate(&ctx, f, &eb), ops::set_aggregate(&ctx, f, &rb)) {
+                        (Ok(g), Ok(e)) => {
+                            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: {{{}}}", f.name())
+                        }
+                        (Err(_), Err(_)) => {}
+                        (g, e) => {
+                            panic!("{tag}: {{{}}} disagree on error: {g:?} vs {e:?}", f.name())
+                        }
+                    }
+                    match (ops::aggr_scalar(&ctx, &eb, f), ops::aggr_scalar(&ctx, &rb, f)) {
+                        (Ok(g), Ok(e)) => assert_eq!(g, e, "{tag}: scalar {}", f.name()),
+                        (Err(_), Err(_)) => {}
+                        (g, e) => {
+                            panic!("{tag}: scalar {} disagree on error: {g:?} vs {e:?}", f.name())
+                        }
                     }
                 }
             }
         }
-    }
+    });
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn all_fifteen_queries_bit_identical_fused_and_unfused() {
     // Pipeline fusion must be invisible in results: every query, executed
     // with fused pipelines, produces rows *bit-equal* (eps 0.0 — fusion
     // admits no float re-association) to the unfused emission
-    // (`FLATALG_FUSE=0` oracle), serial and threaded.
+    // (`with_fuse(false)` oracle), serial and threaded.
     let w = bench_world();
     for q in all_queries() {
         for threads in [1usize, 4] {
