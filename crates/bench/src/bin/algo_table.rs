@@ -1,0 +1,99 @@
+//! Where a staged TPC-D pass spends its time, by `(operator, algorithm)`.
+//!
+//! Runs the eleven queries whose MOA builders `tpcd_queries` exports (Q6,
+//! Q8, Q11 and Q14 are private multi-statement drivers) with a tracing
+//! context, takes the per-statement median of `RUNS` executions, and
+//! prints (1) every statement at or above 1 ms per query and (2) the
+//! share of the summed statement time each `(op, algo)` pair carries —
+//! the attribution table ROADMAP item 1 orders its work by.
+//!
+//! Usage: `FLATALG_SF=0.1 FLATALG_THREADS=1 cargo run --release -p bench --bin algo_table`
+
+use std::collections::BTreeMap;
+
+use bench::{sf_from_env, World};
+use moa::algebra::SetExpr;
+use monet::ctx::ExecCtx;
+use monet::mil::MilOp;
+use tpcd_queries::{q01_05, q06_10, q11_15, Params};
+
+const RUNS: usize = 5;
+
+type Builder = fn(&Params) -> SetExpr;
+
+const QUERIES: [(usize, Builder); 11] = [
+    (1, q01_05::q1_moa),
+    (2, q01_05::q2_moa),
+    (3, q01_05::q3_moa),
+    (4, q01_05::q4_moa),
+    (5, q01_05::q5_moa),
+    (7, q06_10::q7_moa),
+    (9, q06_10::q9_moa),
+    (10, q06_10::q10_moa),
+    (12, q11_15::q12_moa),
+    (13, q11_15::q13_moa),
+    (15, q11_15::q15_moa),
+];
+
+fn op_name(op: &MilOp) -> &'static str {
+    match op {
+        MilOp::SelectEq(..) | MilOp::SelectRange { .. } => "select",
+        MilOp::Join(..) => "join",
+        MilOp::Semijoin(..) | MilOp::Antijoin(..) => "semijoin",
+        MilOp::Group1(..) | MilOp::Group2(..) | MilOp::Unique(..) => "group",
+        MilOp::SetAgg { .. } | MilOp::AggrScalar { .. } => "aggregate",
+        MilOp::Multiplex { .. } => "multiplex",
+        MilOp::SortTail(..) | MilOp::SortHead(..) | MilOp::TopN { .. } => "sort",
+        MilOp::Fused { .. } => "fused",
+        _ => "other",
+    }
+}
+
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+fn main() {
+    let sf = sf_from_env("FLATALG_SF", 0.1);
+    let w = World::build(sf);
+    println!("# (op, algo) attribution of the eleven staged queries (SF={sf}, median of {RUNS})\n");
+
+    let mut shares: BTreeMap<(&'static str, &'static str), f64> = BTreeMap::new();
+    let mut total = 0.0;
+    for (id, build) in QUERIES {
+        let t = moa::translate::translate(&w.cat, &build(&w.params)).expect("translate");
+        // ms[statement][run]
+        let mut ms: Vec<Vec<f64>> = vec![Vec::with_capacity(RUNS); t.prog.len()];
+        let mut last = Vec::new();
+        for _ in 0..RUNS {
+            let ctx = ExecCtx::new().with_trace();
+            let env = monet::mil::execute(&ctx, w.cat.db(), &t.prog, &t.keep).expect("execute");
+            for (slot, s) in ms.iter_mut().zip(env.trace()) {
+                slot.push(s.ms);
+            }
+            last = env.trace().to_vec();
+        }
+        let mids: Vec<f64> = ms.iter_mut().map(|runs| median(runs)).collect();
+        let query_ms: f64 = mids.iter().sum();
+        total += query_ms;
+        println!("Q{id}: {query_ms:.1} ms over {} statements", mids.len());
+        for ((stmt, s), &m) in t.prog.stmts.iter().zip(&last).zip(&mids) {
+            let op = op_name(&stmt.op);
+            *shares.entry((op, s.algo)).or_default() += m;
+            if m >= 1.0 {
+                println!("  {m:>8.1} ms  {op:>9}/{:<12} {}", s.algo, s.rendered);
+            }
+        }
+    }
+
+    println!("\n{:>9} {:<14} {:>9} {:>7}", "op", "algo", "ms", "share");
+    let mut rows: Vec<_> = shares.into_iter().collect();
+    rows.sort_by(|a, b| b.1.total_cmp(&a.1));
+    for ((op, algo), m) in rows {
+        if m > 0.0 {
+            println!("{op:>9} {algo:<14} {m:>9.1} {:>6.1}%", 100.0 * m / total);
+        }
+    }
+    println!("{:>9} {:<14} {total:>9.1} {:>6.1}%", "total", "", 100.0);
+}

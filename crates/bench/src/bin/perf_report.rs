@@ -248,6 +248,33 @@ fn main() {
         Column::from_oids((0..n as u64).collect()),
         Column::from_oids((0..n as u64).map(|i| i % 10_000).collect()),
     );
+    // The oid-keyed twin of `join/hash-probe`: the same 10k-row build side,
+    // but a key oid head (shuffled, so not dense) — the `direct` arm.
+    let direct_right = Bat::with_inferred_props(
+        Column::from_oids((0..10_000u64).map(|i| i * 7919 % 10_000).collect()),
+        Column::from_dbls(vec![1.0; 10_000]),
+    );
+    // The sparsest key set `direct` still takes: that build side spread
+    // over `DOMAIN_SLOTS_PER_ROW` slots per operand row, every probe a hit
+    // somewhere else in the span. `join/hash-at-cut` is the hash join over
+    // the same operands — the pair the cut is calibrated on.
+    let cut_stride = (monet::costmodel::DOMAIN_SLOTS_PER_ROW * (n + 10_000) / 10_000) as u64;
+    let cut_right = Bat::with_inferred_props(
+        Column::from_oids((0..10_000u64).map(|i| i * 7919 % 10_000 * cut_stride).collect()),
+        Column::from_dbls(vec![1.0; 10_000]),
+    );
+    let cut_left = Bat::new(
+        Column::from_oids((0..n as u64).collect()),
+        Column::from_oids((0..n as u64).map(|i| i * 6007 % 10_000 * cut_stride).collect()),
+    );
+    // `semijoin/hash` keeps measuring the hash fallback: one far-away oid
+    // makes the selection's span sparse, so no bitmap is built over it.
+    let sel_sparse = {
+        let mut oids = sel.head().as_oid_slice().expect("materialized selection").to_vec();
+        oids.push(1 << 40);
+        let k = oids.len();
+        Bat::with_inferred_props(Column::from_oids(oids), Column::void(0, k))
+    };
     let dup = Bat::new(
         Column::from_oids((0..n as u64).map(|i| i % 1000).collect()),
         Column::from_ints((0..n).map(|i| (i % 17) as i32).collect()),
@@ -280,6 +307,11 @@ fn main() {
         Bat::new(extent.oids().gather(&perm), dv_vals.gather(&perm))
     };
     with_dv.set_datavector(Arc::new(dv));
+    // An attribute dereference: n references into the class, in no order.
+    let dv_refs = Bat::new(
+        head.clone(),
+        Column::from_oids((0..n as u64).map(|i| 1000 + i * 7919 % n as u64).collect()),
+    );
 
     // --- group_aggregate group inputs ------------------------------------
     let unsorted_keys = Bat::new(
@@ -316,8 +348,20 @@ fn main() {
     recs.push(measure(base.as_ref(), "join/hash-probe", n, || {
         ops::join(&ctx, &unsorted, &join_right).unwrap();
     }));
+    recs.push(measure(base.as_ref(), "join/direct-probe", n, || {
+        ops::join(&ctx, &fetch_left, &direct_right).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "join/direct-at-cut", n, || {
+        ops::join(&ctx, &cut_left, &cut_right).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "join/hash-at-cut", n, || {
+        ops::join::join_hash(&ctx, &cut_left, &cut_right);
+    }));
     recs.push(measure(base.as_ref(), "join/fetch-dense", n, || {
         ops::join(&ctx, &fetch_left, &fetch_right).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "join/datavector-fetch", n, || {
+        ops::join(&ctx, &dv_refs, &with_dv).unwrap();
     }));
     recs.push(measure(base.as_ref(), "join/partitioned-probe", part_probe_n, || {
         // Pinned serial: this is the single-thread trajectory line; the
@@ -329,6 +373,9 @@ fn main() {
         ops::join::join_hash(&ctx, &part_left, &part_right);
     }));
     recs.push(measure(base.as_ref(), "semijoin/hash", n, || {
+        ops::semijoin(&ctx, &unsorted, &sel_sparse).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "semijoin/bitmap", n, || {
         ops::semijoin(&ctx, &unsorted, &sel).unwrap();
     }));
     recs.push(measure(base.as_ref(), "unique/hash", n, || {

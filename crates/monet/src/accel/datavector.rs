@@ -10,9 +10,13 @@
 //! positionally synced with the extent.
 //!
 //! The datavector semijoin (Section 5.2.1) looks every right-operand oid up
-//! in the extent with probe-based binary search, memoizes the found
-//! positions in a `LOOKUP` array keyed by the (extent, right operand)
-//! identities, and then fetches head/tail values positionally. The extent
+//! in the extent — by `oid - base` arithmetic when the extent is a
+//! consecutive range (proven once, in [`Extent::try_new`], for `void` and
+//! materialized columns alike), by probe-based binary search otherwise —
+//! memoizes the found positions in a `LOOKUP` array keyed by the (extent,
+//! right operand) identities, and then fetches head/tail values
+//! positionally. The same dense domain lets `ops::join` dereference an
+//! attribute through its datavector without any LOOKUP. The extent
 //! is **shared by all datavectors of a class** ("the MOA mapping of objects
 //! already gave us the unary vector of oids, as the extent BAT"), so
 //! subsequent semijoins of *any* attribute with the same selection skip the
@@ -33,11 +37,12 @@ use std::sync::Arc;
 
 use crate::sync::Mutex;
 
-use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::column::{Column, ColumnIdentity};
 use crate::ctx::ExecCtx;
+use crate::error::{MonetError, Result};
 use crate::pager;
+use crate::typed::OidDomain;
 
 /// Memoized result of a LOOKUP pass: the extent positions of the right
 /// operand's oids, plus the *gathered head column*. Sharing the head column
@@ -61,20 +66,48 @@ pub(crate) type LookupMemo = Mutex<HashMap<(ColumnIdentity, ColumnIdentity), Loo
 #[derive(Debug)]
 pub struct Extent {
     oids: Column,
+    /// `Some` when the extent is a consecutive oid range — proven once at
+    /// construction, whether the column is `void` or materialized — so an
+    /// oid's position is `oid - base`. `None` keeps the binary search.
+    dense: Option<OidDomain>,
 }
 
 impl Extent {
     /// Wrap a sorted, duplicate-free oid column (`extent[oid,void]` heads).
+    /// Panics when the column is not one; use [`Extent::try_new`] for
+    /// columns that come from outside the program.
     pub fn new(oids: Column) -> Arc<Extent> {
-        assert!(oids.is_oidlike(), "extent must hold oids");
-        debug_assert!(oids.check_sorted(), "extent must be sorted");
-        debug_assert!(oids.check_key(), "extent must be duplicate-free");
-        Arc::new(Extent { oids })
+        Extent::try_new(oids).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Extent::new`] with the precondition as a typed error: one O(n)
+    /// pass (O(1) for `void`) proves the column strictly ascending, and
+    /// records the dense base when first/last/len say it is consecutive.
+    pub fn try_new(oids: Column) -> Result<Arc<Extent>> {
+        if !oids.is_oidlike() {
+            return Err(MonetError::InvalidProperties("extent must hold oids".into()));
+        }
+        if let Some(s) = oids.as_oid_slice() {
+            if let Some(w) = s.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(MonetError::InvalidProperties(format!(
+                    "extent must be sorted and duplicate-free: oid {} follows {}",
+                    w[1], w[0]
+                )));
+            }
+        }
+        let dense = OidDomain::covering(&oids, true).filter(|d| d.span == oids.len());
+        Ok(Arc::new(Extent { oids, dense }))
     }
 
     /// The extent column.
     pub fn oids(&self) -> &Column {
         &self.oids
+    }
+
+    /// The extent as a compact oid domain, when it is a consecutive range:
+    /// `oids()[oid - base] == oid` for every oid inside.
+    pub fn dense(&self) -> Option<OidDomain> {
+        self.dense
     }
 
     pub fn len(&self) -> usize {
@@ -101,42 +134,33 @@ impl Extent {
             return hit.clone();
         }
         let pgr = ctx.pager.as_deref();
-        let out: Vec<u32> = if let Some(seq) = self.oids.void_seq() {
-            // Dense extent: direct positional computation, one typed
-            // dispatch over the probe column.
-            let n = self.oids.len() as Oid;
-            crate::for_each_oidlike!(right_head, |rh| {
-                use crate::typed::TypedVals;
-                let mut out = Vec::with_capacity(rh.len());
-                for i in 0..rh.len() {
-                    if let Some(p) = pgr {
-                        pager::touch_fetch(p, right_head, i);
-                    }
-                    let o = rh.value(i);
-                    if o >= seq && o < seq + n {
-                        out.push((o - seq) as u32);
-                    }
+        // `None` for a void extent, which is always dense.
+        let sparse = self.oids.as_oid_slice();
+        // One typed dispatch over the probe column; a dense extent finds
+        // each position by arithmetic, a sparse one by binary search.
+        let out: Vec<u32> = crate::for_each_oidlike!(right_head, |rh| {
+            use crate::typed::TypedVals;
+            let mut out = Vec::with_capacity(rh.len());
+            for i in 0..rh.len() {
+                if let Some(p) = pgr {
+                    pager::touch_fetch(p, right_head, i);
                 }
-                out
-            })
-        } else {
-            let ext_oids = self.oids.as_oid_slice().expect("materialized oid extent");
-            crate::for_each_oidlike!(right_head, |rh| {
-                use crate::typed::TypedVals;
-                let mut out = Vec::with_capacity(rh.len());
-                for i in 0..rh.len() {
-                    if let Some(p) = pgr {
-                        pager::touch_fetch(p, right_head, i);
-                        pager::touch_binary_search(p, &self.oids);
+                let o = rh.value(i);
+                let pos = match self.dense {
+                    Some(d) => d.slot(o),
+                    None => {
+                        if let Some(p) = pgr {
+                            pager::touch_binary_search(p, &self.oids);
+                        }
+                        sparse.expect("sparse extents are materialized").binary_search(&o).ok()
                     }
-                    let o = rh.value(i);
-                    if let Ok(pos) = ext_oids.binary_search(&o) {
-                        out.push(pos as u32);
-                    }
+                };
+                if let Some(pos) = pos {
+                    out.push(pos as u32);
                 }
-                out
-            })
-        };
+            }
+            out
+        });
         let head = self.oids.gather(&out);
         let result = Lookup { positions: Arc::new(out), head };
         ctx.lookups.lock().insert(key, result.clone());

@@ -86,6 +86,57 @@ pub fn join_prefers_partitioned(probe_rows: usize, build_rows: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
+// Compact oid domains: when to address a table by `oid - base`.
+// ---------------------------------------------------------------------------
+
+/// Slots of a direct-addressed table one operand row may pay for. A table
+/// over the key column's min/max span costs one fill pass over the span
+/// plus one load per probe, so its cost per operand row grows with the
+/// slots per row while the hash join's does not. Measured on one thread
+/// (ns per probe + build row, `direct` / `join_hash`, all-hit shuffled
+/// keys): 60k x 10k rows 2.8 / 6.1 at 1 slot per row, 3.9 / 6.4 at 8,
+/// 5.3 / 6.2 at 16, 8.6 / 6.5 at 32; 600k x 600k rows 5.6 / 16.4, 10.3 /
+/// 16.5, 14.8 / 16.3, 25.1 / 17.1 — `direct` leads through 16 and trails
+/// from 32 on every shape tried, so the cut sits a factor of two inside
+/// the crossover. `perf_report` tracks the pair at the cut
+/// (`join/direct-at-cut`, `join/hash-at-cut`).
+pub const DOMAIN_SLOTS_PER_ROW: usize = 8;
+
+/// True when an oid key column's span is compact enough to index an array
+/// by `oid - base` instead of hashing the keys.
+pub fn domain_is_compact(span: usize, probe_rows: usize, build_rows: usize) -> bool {
+    span <= DOMAIN_SLOTS_PER_ROW.saturating_mul(probe_rows.saturating_add(build_rows))
+}
+
+/// Take the `direct` join arm (a `u32` position per slot of the right
+/// head's span): the span is compact and the table fits the budget
+/// headroom. Under a `FLATALG_SPILL=force` override every table-building
+/// join goes to the spill path instead, so the out-of-core leg keeps its
+/// coverage.
+pub fn join_prefers_direct(
+    mem: &crate::ctx::MemTracker,
+    span: usize,
+    probe_rows: usize,
+    build_rows: usize,
+) -> bool {
+    crate::spill::mode() != crate::spill::SpillMode::Always
+        && domain_is_compact(span, probe_rows, build_rows)
+        && !overflows_headroom(mem, 4 * span as u64)
+}
+
+/// Take the `bitmap` semijoin/antijoin arm (one bit per slot of the right
+/// head's span) — same rule as [`join_prefers_direct`]; there is no
+/// spilling semijoin to defer to.
+pub fn semijoin_prefers_bitmap(
+    mem: &crate::ctx::MemTracker,
+    span: usize,
+    probe_rows: usize,
+    build_rows: usize,
+) -> bool {
+    domain_is_compact(span, probe_rows, build_rows) && !overflows_headroom(mem, span as u64 / 8)
+}
+
+// ---------------------------------------------------------------------------
 // Out-of-core strategy: when to spill the radix partitions to disk.
 // ---------------------------------------------------------------------------
 
@@ -330,6 +381,29 @@ mod tests {
             // And one probe row below the build side always stays monolithic.
             assert!(!join_prefers_partitioned(build - 1, build), "build={build}");
         }
+    }
+
+    #[test]
+    fn compact_domain_gate_exact_cut_points() {
+        // Eight slots per operand row, probe and build counted alike.
+        let rows = 1000usize;
+        for (probe, build) in [(rows, 0), (0, rows), (rows / 2, rows / 2)] {
+            assert!(domain_is_compact(DOMAIN_SLOTS_PER_ROW * rows, probe, build));
+            assert!(!domain_is_compact(DOMAIN_SLOTS_PER_ROW * rows + 1, probe, build));
+        }
+        assert!(domain_is_compact(0, 0, 0), "empty operands have the empty domain");
+        assert!(!domain_is_compact(1, 0, 0));
+        assert!(domain_is_compact(usize::MAX, usize::MAX, usize::MAX), "no overflow");
+        // The table must also fit what is left of the budget: 4 bytes per
+        // slot for the join's position array, one bit for the bitmap.
+        let m = crate::ctx::MemTracker::default();
+        assert!(semijoin_prefers_bitmap(&m, 8000, rows, 0));
+        m.set_budget(Some(4000));
+        assert!(semijoin_prefers_bitmap(&m, 8000, rows, 0), "1000 bytes of bitmap fit");
+        assert!(!overflows_headroom(&m, 4 * 1000) && overflows_headroom(&m, 4 * 1001));
+        m.charge("x", 3001).unwrap();
+        assert!(!semijoin_prefers_bitmap(&m, 8000, rows, 0), "999 bytes of headroom do not");
+        m.release(3001);
     }
 
     #[test]

@@ -50,11 +50,6 @@ pub(crate) fn known_oidlike(t: Option<AtomType>) -> bool {
     matches!(t, Some(AtomType::Oid | AtomType::Void))
 }
 
-/// Known and definitely *not* oid-like (unknown types return false).
-pub(crate) fn known_non_oidlike(t: Option<AtomType>) -> bool {
-    t.is_some() && !known_oidlike(t)
-}
-
 /// `void` and `oid` columns combine into a materialized `oid` column
 /// (`Column::concat`); other type pairs must match exactly.
 fn concat_ty(a: Option<AtomType>, b: Option<AtomType>) -> Option<AtomType> {

@@ -20,16 +20,16 @@
 //!   preservation makes the code range and the string range coincide).
 //! * `join` with a statically dense oid-like right head and oid-like left
 //!   tail → positional fetch — dispatch's first branch.
-//! * `join` with statically sorted operands → merge, but only when the
-//!   fetch branch is *type-impossible* (a join column is known non-oid-
-//!   like). Without that fence a right head that turns out dense at run
-//!   time would make dispatch prefer fetch, whose full-match head sharing
-//!   differs observably from merge's gather.
+//! * `join` with statically sorted operands → merge. A right head that
+//!   turns out dense at run time would make dispatch prefer fetch, but the
+//!   two find the same matches in the same order and share one result
+//!   assembly (`build_join`: gather, full-match head sharing, properties),
+//!   so the pinned merge is bit-identical to it.
 
 use crate::db::Db;
 
 use super::super::ast::{MilOp, MilProgram, Pin};
-use super::infer::{self, known_non_oidlike, known_oidlike};
+use super::infer::{self, known_oidlike};
 
 /// Annotate `prog`; returns the number of pinned statements.
 pub(crate) fn run(prog: &mut MilProgram, db: &Db) -> usize {
@@ -50,10 +50,7 @@ pub(crate) fn run(prog: &mut MilProgram, db: &Db) -> usize {
                 (Some(sa), Some(sb)) => {
                     if sb.props.head.dense && known_oidlike(sb.head) && known_oidlike(sa.tail) {
                         Some(Pin::JoinFetch)
-                    } else if sa.props.tail.sorted
-                        && sb.props.head.sorted
-                        && (known_non_oidlike(sa.tail) || known_non_oidlike(sb.head))
-                    {
+                    } else if sa.props.tail.sorted && sb.props.head.sorted {
                         Some(Pin::JoinMerge)
                     } else {
                         None

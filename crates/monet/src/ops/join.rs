@@ -1,24 +1,38 @@
 //! Equi-join: `AB.join(CD) = {ad | ab ∈ AB ∧ cd ∈ CD ∧ b = c}`.
 //!
 //! The equi-join projects out the join columns to keep the operation closed
-//! in the binary model (Section 4.2). Implementations, picked dynamically:
+//! in the binary model (Section 4.2). Implementations, picked dynamically
+//! in this order:
 //!
 //! * `fetch` — the right head is a dense (void) sequence: pure positional
-//!   array lookup;
+//!   array lookup, `cd.tail[b - seq]`;
 //! * `merge` — left tail and right head sorted: linear merge with
 //!   duplicate-group cross products;
-//! * `hash` — general fallback, building (or reusing) a hash table on the
-//!   right head.
+//! * `datavector` — oid join columns and a right operand carrying a
+//!   datavector over a dense extent: the same positional loop as `fetch`,
+//!   reading `dv.vector[b - base]` (an attribute dereference never hashes
+//!   the class extent);
+//! * `direct` — oid join columns, a `key` right head whose min/max span
+//!   is compact ([`crate::costmodel::join_prefers_direct`]): fill a pooled
+//!   position array over the span, probe it with one load;
+//! * `spill` / `partition` / `hash` — the general fallbacks, building (or
+//!   reusing, which wins over every table-building arm) a hash table on
+//!   the right head.
+//!
+//! Every implementation emits in left-BUN order, so all are bit-identical
+//! to [`super::reference::join`], and a full match against a `key` right
+//! head shares the left operand's head column ([`build_join`]).
 
 use std::time::Instant;
 
-use crate::atom::Oid;
+use crate::accel::datavector::Datavector;
 use crate::bat::Bat;
+use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
 use crate::props::{ColProps, Props};
-use crate::typed::TypedVals;
+use crate::typed::{put_u32, take_u32, OidDomain, TypedVals};
 
 use super::check_comparable;
 
@@ -28,23 +42,25 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
     let started = Instant::now();
     let faults0 = ctx.faults();
-    let dense_right = cd.props().head.dense && cd.head().is_oidlike();
-    let (result, algo) = if dense_right && ab.tail().is_oidlike() {
+    let oid_keyed = ab.tail().is_oidlike() && cd.head().is_oidlike();
+    let (result, algo) = if oid_keyed && cd.props().head.dense {
         (join_fetch(ctx, ab, cd), "fetch")
     } else if ab.props().tail.sorted && cd.props().head.sorted {
         (join_merge(ctx, ab, cd), "merge")
-    } else if cd.accel().head_hash.is_none()
-        && crate::costmodel::join_prefers_spill(&ctx.mem, ab.len(), cd.len())
-    {
+    } else if let Some((dv, dom)) = datavector_domain(cd).filter(|_| oid_keyed) {
+        (join_positional(ctx, ab, cd.props(), dom, dv.vector()), "datavector")
+    } else if cd.accel().head_hash.is_some() {
+        (join_hash(ctx, ab, cd), "hash")
+    } else if let Some(dom) = direct_domain(ctx, ab, cd) {
+        (join_direct(ctx, ab, cd, dom), "direct")
+    } else if crate::costmodel::join_prefers_spill(&ctx.mem, ab.len(), cd.len()) {
         // The in-memory working set won't fit the budget headroom (or a
         // FLATALG_SPILL override is active): radix-partition both sides
         // into spill files and build+probe one cluster at a time.
         (join_spill(ctx, ab, cd)?, "spill")
-    } else if cd.accel().head_hash.is_none()
-        && crate::costmodel::join_prefers_partitioned(ab.len(), cd.len())
-    {
-        // No persistent accelerator to reuse and the build side overflows
-        // the cache: radix-partition so each build+probe is cache-resident.
+    } else if crate::costmodel::join_prefers_partitioned(ab.len(), cd.len()) {
+        // The build side overflows the cache: radix-partition so each
+        // build+probe is cache-resident.
         (join_partitioned(ctx, ab, cd)?, "partition")
     } else {
         (join_hash(ctx, ab, cd), "hash")
@@ -135,46 +151,83 @@ pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFu
     Ok(result)
 }
 
-/// Positional fetch join against a dense right head.
-fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.tail());
-    }
-    let seq: Oid = if cd.is_empty() { 0 } else { cd.head().oid_at(0) };
-    let n = cd.len() as Oid;
-    let (left_idx, right_idx) = crate::for_each_oidlike!(ab.tail(), |bt| {
-        let mut left_idx: Vec<u32> = Vec::with_capacity(ab.len());
-        let mut right_idx: Vec<u32> = Vec::with_capacity(ab.len());
+/// A right position no probe can return: marks an oid absent from a
+/// position table.
+const ABSENT: u32 = u32::MAX;
+
+/// Probe every left tail oid into `dom`: `at(oid - base)` is the matching
+/// right position or [`ABSENT`]. Returns pooled `(left, right)` positions
+/// in left-BUN order — the one probe loop of the compact-domain arms.
+fn probe_domain(tail: &Column, dom: OidDomain, at: impl Fn(usize) -> u32) -> (Vec<u32>, Vec<u32>) {
+    crate::for_each_oidlike!(tail, |bt| {
+        let mut left_idx = take_u32(bt.len());
+        let mut right_idx = take_u32(bt.len());
         for i in 0..bt.len() {
-            let b = bt.value(i);
-            if b >= seq && b < seq + n {
-                left_idx.push(i as u32);
-                right_idx.push((b - seq) as u32);
+            if let Some(k) = dom.slot(bt.value(i)) {
+                let r = at(k);
+                if r != ABSENT {
+                    left_idx.push(i as u32);
+                    right_idx.push(r);
+                }
             }
         }
         (left_idx, right_idx)
-    });
+    })
+}
+
+/// Positional join: every oid of `dom` sits at `oid - base` in `values`
+/// (the tail under a dense right head, or a datavector's value vector).
+fn join_positional(ctx: &ExecCtx, ab: &Bat, cd: Props, dom: OidDomain, values: &Column) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
-        for &r in &right_idx {
-            pager::touch_fetch(p, cd.tail(), r as usize);
-        }
+        pager::touch_scan(p, ab.tail());
     }
-    // 100% match: the head column can be *shared* with the left operand,
-    // keeping the result synced with AB (and any other full-match joins).
-    let full = left_idx.len() == ab.len();
-    let head = if full { ab.head().clone() } else { ab.head().gather(&left_idx) };
-    let tail = cd.tail().gather(&right_idx);
-    let p = ab.props();
-    let props = Props::new(
-        ColProps {
-            sorted: p.head.sorted,
-            key: p.head.key,
-            dense: p.head.dense && full,
-            ..ColProps::NONE
-        },
-        tail_props(ab, cd),
-    );
-    Bat::with_props(head, tail, props)
+    let (left_idx, right_idx) = probe_domain(ab.tail(), dom, |k| k as u32);
+    build_join(ctx, ab, cd, values, left_idx, right_idx)
+}
+
+/// Positional fetch join against a dense right head.
+fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+    let base = if cd.is_empty() { 0 } else { cd.head().oid_at(0) };
+    join_positional(ctx, ab, cd.props(), OidDomain { base, span: cd.len() }, cd.tail())
+}
+
+/// The right operand's datavector and the dense domain of its extent, when
+/// it has both: `vector[oid - base]` is then the tail of head `oid`.
+fn datavector_domain(cd: &Bat) -> Option<(&Datavector, OidDomain)> {
+    let dv = cd.accel().datavector.as_deref()?;
+    Some((dv, dv.extent().dense()?))
+}
+
+/// The compact domain of the right head, when the `direct` arm applies:
+/// oid join columns, a `key` head (one right position per oid), and a span
+/// the cost model accepts.
+fn direct_domain(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Option<OidDomain> {
+    let head = cd.props().head;
+    if !(head.key && ab.tail().is_oidlike() && cd.head().is_oidlike()) {
+        return None;
+    }
+    let dom = OidDomain::covering(cd.head(), head.sorted)?;
+    crate::costmodel::join_prefers_direct(&ctx.mem, dom.span, ab.len(), cd.len()).then_some(dom)
+}
+
+/// Direct-addressed join: scatter the right positions into a pooled array
+/// over the head's compact domain, then probe it with one load per left
+/// BUN — no hashing, no chains, no value compare.
+fn join_direct(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain) -> Bat {
+    if let Some(p) = ctx.pager.as_deref() {
+        pager::touch_scan(p, cd.head());
+        pager::touch_scan(p, ab.tail());
+    }
+    let mut pos = take_u32(dom.span);
+    pos.resize(dom.span, ABSENT);
+    crate::for_each_oidlike!(cd.head(), |ch| {
+        for j in 0..ch.len() {
+            pos[(ch.value(j) - dom.base) as usize] = j as u32;
+        }
+    });
+    let (left_idx, right_idx) = probe_domain(ab.tail(), dom, |k| pos[k]);
+    put_u32(pos);
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
 /// Merge join: left sorted on tail, right sorted on head.
@@ -184,8 +237,8 @@ fn join_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         pager::touch_scan(p, cd.head());
     }
     let (left_idx, right_idx) = crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-        let mut left_idx: Vec<u32> = Vec::with_capacity(ab.len());
-        let mut right_idx: Vec<u32> = Vec::with_capacity(ab.len());
+        let mut left_idx = take_u32(ab.len());
+        let mut right_idx = take_u32(ab.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < bt.len() && j < ch.len() {
             let v = bt.value(i);
@@ -207,7 +260,7 @@ fn join_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         }
         (left_idx, right_idx)
     });
-    build_join(ctx, ab, cd, &left_idx, &right_idx)
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
 /// Hash join: build on right head (reusing a persistent accelerator when
@@ -222,8 +275,8 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
             std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
         });
     let (left_idx, right_idx) = crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-        let mut left_idx: Vec<u32> = Vec::with_capacity(ab.len());
-        let mut right_idx: Vec<u32> = Vec::with_capacity(ab.len());
+        let mut left_idx = take_u32(ab.len());
+        let mut right_idx = take_u32(ab.len());
         for i in 0..bt.len() {
             let v = bt.value(i);
             let h = bt.hash_one(v);
@@ -240,7 +293,7 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         }
         (left_idx, right_idx)
     });
-    build_join(ctx, ab, cd, &left_idx, &right_idx)
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
 /// Radix-partitioned hash join: cluster both inputs on the same high hash
@@ -596,19 +649,12 @@ fn cluster_task_ranges(
 /// their right-ascending probe order) and materialize the result.
 fn finish_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat, matches: Vec<u64>) -> Bat {
     let matches = crate::typed::sort_pairs_by_hi(matches);
-    let mut left_idx: Vec<u32> = crate::typed::take_u32(matches.len());
-    let mut right_idx: Vec<u32> = crate::typed::take_u32(matches.len());
+    let mut left_idx = take_u32(matches.len());
+    let mut right_idx = take_u32(matches.len());
     left_idx.extend(matches.iter().map(|&m| (m >> 32) as u32));
     right_idx.extend(matches.iter().map(|&m| m as u32));
     crate::typed::put_u64(matches);
-    let out = build_join(ctx, ab, cd, &left_idx, &right_idx);
-    crate::typed::put_u32(left_idx);
-    crate::typed::put_u32(right_idx);
-    out
-}
-
-fn tail_props(ab: &Bat, cd: &Bat) -> ColProps {
-    propagated_props(ab.props(), cd.props()).tail
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
 /// The equi-join propagation rule (Section 5.1), shared by every
@@ -650,8 +696,9 @@ pub fn join_fetch_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 }
 
 /// Pinned merge join: the plan optimizer proved the left tail and right
-/// head sorted *and* the fetch variant type-impossible (a non-oid-like
-/// join column), so dynamic dispatch would necessarily pick `merge`.
+/// head sorted. Dynamic dispatch would pick `merge` too — or `fetch`,
+/// should the right head turn out dense, which finds the same matches in
+/// the same order and assembles them in the same [`build_join`].
 pub fn join_merge_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/join")?;
     check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
@@ -666,15 +713,33 @@ pub fn join_merge_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     Ok(result)
 }
 
-fn build_join(ctx: &ExecCtx, ab: &Bat, cd: &Bat, li: &[u32], ri: &[u32]) -> Bat {
+/// Materialize `[ab.head[li], values[ri]]` from pooled position vectors
+/// (returned to the pool here) — the shared tail of every implementation.
+/// A 100% match against a `key` right head uses each left BUN exactly
+/// once, in order: the head column is then *shared* with the left operand,
+/// keeping the result synced with AB and with every other full-match join
+/// off it, whichever algorithm produced them.
+fn build_join(
+    ctx: &ExecCtx,
+    ab: &Bat,
+    cd: Props,
+    values: &Column,
+    li: Vec<u32>,
+    ri: Vec<u32>,
+) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
-        for &r in ri {
-            pager::touch_fetch(p, cd.tail(), r as usize);
+        for &r in &ri {
+            pager::touch_fetch(p, values, r as usize);
         }
     }
-    let head = ab.head().gather(li);
-    let tail = cd.tail().gather(ri);
-    Bat::with_props(head, tail, propagated_props(ab.props(), cd.props()))
+    let full = cd.head.key && li.len() == ab.len();
+    let head = if full { ab.head().clone() } else { ab.head().gather(&li) };
+    let tail = values.gather(&ri);
+    put_u32(li);
+    put_u32(ri);
+    let mut props = propagated_props(ab.props(), cd);
+    props.head.dense = ab.props().head.dense && full;
+    Bat::with_props(head, tail, props)
 }
 
 #[cfg(test)]
@@ -722,6 +787,29 @@ mod tests {
         assert_eq!(r.head().as_oid_slice().unwrap(), &[100, 102, 103]);
         assert_eq!(r.tail().as_int_slice().unwrap(), &[70, 70, 60]);
         assert!(!r.synced(&io));
+    }
+
+    #[test]
+    fn pinned_merge_equals_fetch_on_a_dense_right_head() {
+        // The plan optimizer pins merge on statically sorted operands even
+        // when a dense right head would send dynamic dispatch to fetch:
+        // both must produce the same BAT — rows, properties, and the
+        // full-match head sharing.
+        let ctx = ExecCtx::new().with_trace();
+        let dense = Bat::new(Column::void(5, 3), Column::from_ints(vec![50, 60, 70]));
+        for tails in [vec![5, 5, 6, 7], vec![4, 5, 7, 9]] {
+            let left = Bat::with_inferred_props(
+                Column::from_oids(vec![100, 101, 102, 103]),
+                Column::from_oids(tails),
+            );
+            let fetch = join(&ctx, &left, &dense).unwrap();
+            let merge = join_merge_pinned(&ctx, &left, &dense).unwrap();
+            let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+            assert_eq!(algos, ["fetch", "merge"]);
+            assert_eq!(fetch.iter().collect::<Vec<_>>(), merge.iter().collect::<Vec<_>>());
+            assert_eq!(fetch.props(), merge.props());
+            assert_eq!(fetch.synced(&left), merge.synced(&left));
+        }
     }
 
     #[test]

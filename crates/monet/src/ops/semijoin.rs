@@ -3,15 +3,23 @@
 //! "The semijoin operation is important, since it is heavily used for
 //! re-assembling vertically partitioned fragments" (Section 4.2). The
 //! kernel contains multiple implementations and chooses at run time
-//! (Section 5.1/5.2.1):
+//! (Section 5.1/5.2.1), in this order:
 //!
 //! * `sync` — the join columns are exactly equal: return a copy of the
 //!   left operand;
 //! * `merge` — both heads sorted: linear two-pointer pass;
 //! * `datavector` — the left operand carries a datavector and the right
 //!   head is a (duplicate-free) oid selection: positional fetch through the
-//!   memoized LOOKUP array;
-//! * `hash` — the general fallback.
+//!   memoized LOOKUP array (the one variant emitting in *right* order);
+//! * `bitmap` — oid heads and a right head whose min/max span is compact
+//!   ([`crate::costmodel::semijoin_prefers_bitmap`]): one bit per oid of
+//!   the span from the scratch pool, tested once per left BUN;
+//! * `hash` — the general fallback (a persistent head hash on the right
+//!   operand is reused, and wins over building a bitmap).
+//!
+//! The antijoin has the `sync`, `bitmap` and `hash` variants; `bitmap` and
+//! `hash` are one function each for both operators (`keep` flips the
+//! membership test).
 
 use std::time::Instant;
 
@@ -20,7 +28,7 @@ use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
 use crate::props::{ColProps, Props};
-use crate::typed::TypedVals;
+use crate::typed::{OidDomain, TypedVals};
 
 use super::check_comparable;
 
@@ -38,7 +46,7 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         let dv = ab.accel().datavector.clone().unwrap();
         (semijoin_datavector(ctx, &dv, cd), "datavector")
     } else {
-        (semijoin_hash(ctx, ab, cd), "hash")
+        subset(ctx, ab, cd, true)
     };
     ctx.record("semijoin", algo, started, faults0, &result)?;
     Ok(result)
@@ -52,9 +60,30 @@ pub fn antijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let started = Instant::now();
     let faults0 = ctx.faults();
     let (result, algo) =
-        if ab.synced(cd) { (ab.slice(0, 0), "sync") } else { (antijoin_hash(ctx, ab, cd), "hash") };
+        if ab.synced(cd) { (ab.slice(0, 0), "sync") } else { subset(ctx, ab, cd, false) };
     ctx.record("antijoin", algo, started, faults0, &result)?;
     Ok(result)
+}
+
+/// The left-order membership filter behind both operators: AB's BUNs whose
+/// head is (`keep`) or is not (`!keep`) among CD's heads, by bitmap when
+/// the right head is a compact oid domain, by hash otherwise.
+fn subset(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> (Bat, &'static str) {
+    match bitmap_domain(ctx, ab, cd) {
+        Some(dom) => (subset_bitmap(ctx, ab, cd, dom, keep), "bitmap"),
+        None => (subset_hash(ctx, ab, cd, keep), "hash"),
+    }
+}
+
+/// The compact domain of the right head, when the `bitmap` arm applies:
+/// oid heads, no persistent hash to reuse, and a span the cost model
+/// accepts.
+fn bitmap_domain(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Option<OidDomain> {
+    if !(ab.head().is_oidlike() && cd.head().is_oidlike()) || cd.accel().head_hash.is_some() {
+        return None;
+    }
+    let dom = OidDomain::covering(cd.head(), cd.props().head.sorted)?;
+    crate::costmodel::semijoin_prefers_bitmap(&ctx.mem, dom.span, ab.len(), cd.len()).then_some(dom)
 }
 
 /// `syncsemijoin`: join columns exactly equal — a copy of the left operand.
@@ -69,7 +98,7 @@ fn semijoin_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         pager::touch_scan(p, cd.head());
     }
     let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-        let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
+        let mut idx = crate::typed::take_u32(ab.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < ah.len() && j < ch.len() {
             match ah.cmp_one(ah.value(i), ch.value(j)) {
@@ -84,7 +113,7 @@ fn semijoin_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         }
         idx
     });
-    build_subset(ctx, ab, &idx)
+    build_subset(ctx, ab, idx)
 }
 
 /// Datavector semijoin (pseudo code of Section 5.2.1): fetch head/tail
@@ -119,31 +148,37 @@ fn semijoin_datavector(ctx: &ExecCtx, dv: &crate::accel::datavector::Datavector,
     Bat::with_props(lookup.head.clone(), tail, props)
 }
 
-/// Hash semijoin: hash the right heads, scan the left operand in order.
-fn semijoin_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+/// Bitmap semijoin/antijoin: set one bit per right head oid over its
+/// compact domain, then test each left head in order.
+fn subset_bitmap(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, keep: bool) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.head());
     }
-    let rindex =
-        cd.accel().head_hash.clone().unwrap_or_else(|| {
-            std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
-        });
-    let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-        let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
+    let mut bits = crate::typed::take_u64_zeroed(dom.span.div_ceil(64));
+    crate::for_each_oidlike!(cd.head(), |ch| {
+        for j in 0..ch.len() {
+            let k = (ch.value(j) - dom.base) as usize;
+            bits[k / 64] |= 1 << (k % 64);
+        }
+    });
+    let idx = crate::for_each_oidlike!(ab.head(), |ah| {
+        let mut idx = crate::typed::take_u32(ah.len());
         for i in 0..ah.len() {
-            let v = ah.value(i);
-            let h = ah.hash_one(v);
-            if rindex.candidates(h).any(|p| ch.eq_one(ch.value(p), v)) {
+            let hit = dom.slot(ah.value(i)).is_some_and(|k| bits[k / 64] >> (k % 64) & 1 == 1);
+            if hit == keep {
                 idx.push(i as u32);
             }
         }
         idx
     });
-    build_subset(ctx, ab, &idx)
+    crate::typed::put_u64(bits);
+    build_subset(ctx, ab, idx)
 }
 
-fn antijoin_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+/// Hash semijoin/antijoin: hash the right heads, scan the left operand in
+/// order.
+fn subset_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.head());
@@ -153,17 +188,17 @@ fn antijoin_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
             std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
         });
     let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-        let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
+        let mut idx = crate::typed::take_u32(ab.len());
         for i in 0..ah.len() {
             let v = ah.value(i);
             let h = ah.hash_one(v);
-            if !rindex.candidates(h).any(|p| ch.eq_one(ch.value(p), v)) {
+            if rindex.candidates(h).any(|p| ch.eq_one(ch.value(p), v)) == keep {
                 idx.push(i as u32);
             }
         }
         idx
     });
-    build_subset(ctx, ab, &idx)
+    build_subset(ctx, ab, idx)
 }
 
 /// The subset propagation rule (Section 5.1): "a semijoin will propagate
@@ -181,15 +216,21 @@ pub fn propagated_props(ab: Props) -> Props {
     )
 }
 
-/// A subset of AB's BUNs in AB order.
-fn build_subset(ctx: &ExecCtx, ab: &Bat, idx: &[u32]) -> Bat {
+/// A subset of AB's BUNs in AB order, from a pooled position vector
+/// (returned to the pool here). A subset that kept every BUN shares AB's
+/// columns, so it stays synced with AB and its siblings.
+fn build_subset(ctx: &ExecCtx, ab: &Bat, idx: Vec<u32>) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
-        for &i in idx {
+        for &i in &idx {
             pager::touch_fetch(p, ab.tail(), i as usize);
         }
     }
-    let head = ab.head().gather(idx);
-    let tail = ab.tail().gather(idx);
+    let (head, tail) = if idx.len() == ab.len() {
+        (ab.head().clone(), ab.tail().clone())
+    } else {
+        (ab.head().gather(&idx), ab.tail().gather(&idx))
+    };
+    crate::typed::put_u32(idx);
     Bat::with_props(head, tail, propagated_props(ab.props()))
 }
 
@@ -313,7 +354,7 @@ mod tests {
         let ctx = ExecCtx::new();
         let ab = attr_bat();
         let cd = sel(vec![14, 10, 12]);
-        let hash = semijoin_hash(&ctx, &ab, &cd);
+        let hash = subset_hash(&ctx, &ab, &cd, true);
 
         // merge variant needs both sorted
         let perm = ab.head().sort_perm();

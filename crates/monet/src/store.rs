@@ -932,15 +932,12 @@ pub fn open_dir(dir: &Path, gov: Option<&Governor>, opts: &OpenOptions) -> Resul
             let extent = match extents.get(&ext_idx) {
                 Some(e) => Arc::clone(e),
                 None => {
-                    let ext_col = col(ext_idx)?.clone();
-                    if !ext_col.is_oidlike() {
-                        return Err(serr(
-                            "store/open",
-                            &sb_path,
-                            format!("BAT {}: datavector extent is not oid-typed", b.name),
-                        ));
-                    }
-                    let ext = Extent::new(ext_col);
+                    // A stored extent is proven oid-typed, sorted and
+                    // duplicate-free here: LOOKUP and the positional join
+                    // arms index by `oid - base` on the strength of it.
+                    let ext = Extent::try_new(col(ext_idx)?.clone()).map_err(|e| {
+                        serr("store/open", &sb_path, format!("BAT {}: {e}", b.name))
+                    })?;
                     extents.insert(ext_idx, Arc::clone(&ext));
                     ext
                 }

@@ -665,6 +665,50 @@ pub fn hash_column(col: &Column) -> Vec<u64> {
 const EMPTY: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
+// Compact oid domains: an oid is a position.
+// ---------------------------------------------------------------------------
+
+/// The oid range `[base, base + span)`, addressed by `oid - base`
+/// (Section 5.2: an oid is a *position* in its class extent). Wherever an
+/// oid-keyed operator would hash or binary-search its keys, a domain whose
+/// span is compact ([`crate::costmodel::domain_is_compact`]) lets it index
+/// an array instead: the extent's value vectors directly (LOOKUP, fetch and
+/// datavector join), or a pooled position array / bitmap filled from the
+/// key column (`direct` join, `bitmap` semijoin).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OidDomain {
+    pub base: Oid,
+    pub span: usize,
+}
+
+impl OidDomain {
+    /// The tightest domain covering an oid-like column: O(1) for `void`
+    /// and `sorted` columns (first/last), one min/max pass otherwise.
+    /// An empty column has the empty domain; `None` only when the span
+    /// overflows `usize`.
+    pub fn covering(col: &Column, sorted: bool) -> Option<OidDomain> {
+        if col.is_empty() {
+            return Some(OidDomain { base: 0, span: 0 });
+        }
+        let (lo, hi) = if sorted || col.void_seq().is_some() {
+            (col.oid_at(0), col.oid_at(col.len() - 1))
+        } else {
+            let oids = col.as_oid_slice()?;
+            oids.iter().fold((u64::MAX, 0), |(lo, hi), &o| (lo.min(o), hi.max(o)))
+        };
+        let span = usize::try_from(hi - lo).ok()?.checked_add(1)?;
+        Some(OidDomain { base: lo, span })
+    }
+
+    /// Slot of `oid` in the domain, if it lies inside.
+    #[inline(always)]
+    pub fn slot(&self, oid: Oid) -> Option<usize> {
+        let k = oid.wrapping_sub(self.base);
+        (k < self.span as u64).then_some(k as usize)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Thread-local scratch pool: the presized-buffer discipline for kernels.
 // ---------------------------------------------------------------------------
 

@@ -9,7 +9,7 @@ use monet::column::Column;
 use monet::ctx::ExecCtx;
 use monet::db::Db;
 use monet::mil::opt::{optimize, with_opt_config, with_opt_level, OptLevel};
-use monet::mil::{execute, MilArg, MilOp, MilProgram, Pin, Var};
+use monet::mil::{execute, MilArg, MilOp, MilProgram, MilValue, Pin, Var};
 use monet::ops::ScalarFunc;
 
 fn db() -> Db {
@@ -292,8 +292,7 @@ fn pins_match_dynamic_dispatch_choices() {
     assert_eq!(algo_of(&env, "j"), Some(("fetch", true)));
     assert_eq!(algo_of(&raw_env, "sel"), Some(("binary-search", false)));
     assert_eq!(algo_of(&raw_env, "j"), Some(("fetch", false)));
-    // Merge pin needs sorted operands and a fetch-impossible (non-oid)
-    // join column.
+    // Merge pin needs sorted operands.
     let mut p2 = MilProgram::new();
     let attr2 = p2.emit("attr", MilOp::Load("attr".into()));
     let am = p2.emit("am", MilOp::Mirror(attr2)); // [int-sorted-head ...]
@@ -301,6 +300,26 @@ fn pins_match_dynamic_dispatch_choices() {
     let jm = p2.emit("jm", MilOp::Join(hopm, am));
     let out2 = optimize(p2, &[jm], &db);
     assert_eq!(out2.prog.stmts[out2.var(jm)].pin, Some(Pin::JoinMerge), "got:\n{}", out2.prog);
+    // Oid join columns pin too. Should such a right head turn out dense at
+    // run time, dynamic dispatch takes fetch where the pin runs merge — same
+    // matches, one shared result assembly (the `ops::join` unit test
+    // `pinned_merge_equals_fetch_on_a_dense_right_head` holds that half).
+    let mut p3 = MilProgram::new();
+    let hop3 = p3.emit("hop", MilOp::Load("hop".into())); // sorted oid tail
+    let attr3 = p3.emit("attr", MilOp::Load("attr".into()));
+    let sorted = p3.emit("sorted", MilOp::SortHead(attr3)); // oid heads 10..=14
+    let j3 = p3.emit("j3", MilOp::Join(hop3, sorted));
+    let out3 = optimize(p3.clone(), &[j3], &db);
+    assert_eq!(out3.prog.stmts[out3.var(j3)].pin, Some(Pin::JoinMerge), "got:\n{}", out3.prog);
+    let env3 = execute(&ctx, &db, &out3.prog, &[out3.var(j3)]).unwrap();
+    let raw3 = execute(&ctx, &db, &p3, &[j3]).unwrap();
+    assert_eq!(algo_of(&env3, "j3"), Some(("merge", true)));
+    let (pinned, dynamic) = (env3.get(out3.var(j3)).unwrap(), raw3.get(j3).unwrap());
+    let (MilValue::Bat(pinned), MilValue::Bat(dynamic)) = (pinned, dynamic) else {
+        panic!("join results are BATs")
+    };
+    assert_eq!(rows(pinned), rows(dynamic));
+    assert_eq!(pinned.props(), dynamic.props());
 }
 
 #[test]

@@ -1308,3 +1308,261 @@ fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Compact oid domains: direct join, datavector join, bitmap semi/antijoin and
+// the dense-extent LOOKUP vs `ops::reference`, with the dispatched algorithm
+// asserted through the trace — a silent dispatch regression fails here.
+// ---------------------------------------------------------------------------
+
+use monet::accel::datavector::{Datavector, Extent};
+
+/// The algorithm the last traced operator call recorded.
+fn last_algo(ctx: &ExecCtx) -> &'static str {
+    ctx.take_trace().last().expect("a traced operator call").algo
+}
+
+/// `k` distinct oids out of `[lo, lo + span)`, shuffled and never ascending
+/// (so neither a merge nor a sorted-domain shortcut can apply by accident).
+fn shuffled_oids(rng: &mut StdRng, lo: u64, span: u64, k: usize) -> Vec<u64> {
+    let mut all: Vec<u64> = (lo..lo + span).collect();
+    for i in (1..all.len()).rev() {
+        all.swap(i, rng.gen_range(0..=i));
+    }
+    all.truncate(k);
+    if all.len() >= 2 && all.windows(2).all(|w| w[0] < w[1]) {
+        all.reverse();
+    }
+    all
+}
+
+/// An oid-like probe column over `[lo - 3, lo + span + 3)`: a `void` run or
+/// random materialized oids, so some probes fall below and above the domain.
+fn probe_oids(rng: &mut StdRng, lo: u64, span: u64, n: usize, void: bool) -> Column {
+    if void {
+        Column::void(lo - 3, n)
+    } else {
+        Column::from_oids((0..n).map(|_| rng.gen_range(lo - 3..lo + span + 3)).collect())
+    }
+}
+
+#[test]
+fn direct_join_matches_reference_and_falls_back_when_it_must() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x31);
+    let ctx = ExecCtx::new().with_trace();
+    for case in 0..40 {
+        let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
+        // Enough right rows that the span passes the cost model's gate
+        // (`span <= 8 * (probe + build)`) even against an empty left.
+        let m = rng.gen_range((span as usize / 4 + 2).min(span as usize)..=span as usize);
+        let right = Bat::with_inferred_props(
+            Column::from_oids(shuffled_oids(&mut rng, lo, span, m)),
+            random_column(&mut rng, ALL_TYPES[case % ALL_TYPES.len()], m),
+        );
+        assert!(right.props().head.key && !right.props().head.sorted);
+        // Partial match, probes outside [lo, hi] included, void and
+        // materialized left tails.
+        let n = rng.gen_range(0..60usize);
+        let left = Bat::new(
+            random_column(&mut rng, AtomType::Int, n),
+            probe_oids(&mut rng, lo, span, n, case % 2 == 0),
+        );
+        let got = ops::join(&ctx, &left, &right).unwrap();
+        assert_eq!(last_algo(&ctx), "direct", "case {case}");
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &right)), "case {case}: partial");
+        // Full match: every left tail is one of the right heads, so the
+        // result shares the left head column.
+        let picks: Vec<u64> =
+            (0..n.max(1)).map(|_| right.head().oid_at(rng.gen_range(0..m))).collect();
+        let full =
+            Bat::new(random_column(&mut rng, AtomType::Int, picks.len()), Column::from_oids(picks));
+        let got = ops::join(&ctx, &full, &right).unwrap();
+        assert_eq!(last_algo(&ctx), "direct", "case {case}");
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&full, &right)), "case {case}: full");
+        assert!(got.synced(&full), "case {case}: a full match shares the left head");
+
+        // Duplicate right heads: one oid has several positions, which a
+        // position table cannot hold — hash, same rows.
+        let mut dup_heads = right.head().as_oid_slice().unwrap().to_vec();
+        dup_heads.push(dup_heads[0]);
+        let dups = Bat::with_inferred_props(
+            Column::from_oids(dup_heads),
+            random_column(&mut rng, AtomType::Int, m + 1),
+        );
+        let got = ops::join(&ctx, &left, &dups).unwrap();
+        assert_eq!(last_algo(&ctx), "hash", "case {case}: duplicate right heads");
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &dups)), "case {case}: dups");
+    }
+    // A sparse span (two oids five million apart) is no compact domain.
+    let sparse = Bat::with_inferred_props(
+        Column::from_oids(vec![5_000_000, 5]),
+        Column::from_ints(vec![1, 2]),
+    );
+    let left = Bat::new(Column::from_ints(vec![7, 8, 9]), Column::from_oids(vec![5, 6, 5_000_000]));
+    let got = ops::join(&ctx, &left, &sparse).unwrap();
+    assert_eq!(last_algo(&ctx), "hash");
+    assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &sparse)));
+    // Empty operands on either side.
+    let none = Bat::with_inferred_props(Column::from_oids(vec![]), Column::from_ints(vec![]));
+    assert_eq!(ops::join(&ctx, &left, &none).unwrap().len(), 0);
+    let right =
+        Bat::with_inferred_props(Column::from_oids(vec![9, 4]), Column::from_ints(vec![1, 2]));
+    let empty_left = Bat::new(Column::from_ints(vec![]), Column::from_oids(vec![]));
+    assert_eq!(ops::join(&ctx, &empty_left, &right).unwrap().len(), 0);
+}
+
+/// An attribute BAT `[oid, T]` in shuffled order carrying a datavector over
+/// `extent` (which must hold exactly the oids `lo..lo + n`, or a sparse
+/// superset order of them — `extent[i]` owns `values[i]`).
+fn attribute_with_datavector(rng: &mut StdRng, extent: Column, values: Column) -> Bat {
+    let n = extent.len();
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.gen_range(0..=i));
+    }
+    if n >= 2 && perm.windows(2).all(|w| w[0] < w[1]) {
+        perm.reverse();
+    }
+    let mut bat = Bat::with_inferred_props(extent.gather(&perm), values.gather(&perm));
+    bat.set_datavector(std::sync::Arc::new(Datavector::new(Extent::new(extent), values)));
+    bat
+}
+
+#[test]
+fn datavector_join_matches_reference_over_void_and_materialized_extents() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x32);
+    let ctx = ExecCtx::new().with_trace();
+    for case in 0..40 {
+        let (lo, n) = (rng.gen_range(3..50u64), rng.gen_range(2..40usize));
+        let ty = ALL_TYPES[case % ALL_TYPES.len()];
+        let values = if ty == AtomType::Void {
+            random_column(&mut rng, AtomType::Dbl, n)
+        } else {
+            random_column(&mut rng, ty, n)
+        };
+        // The same class extent, virtual and materialized: both are dense.
+        let extent = if case % 2 == 0 {
+            Column::void(lo, n)
+        } else {
+            Column::from_oids((lo..lo + n as u64).collect())
+        };
+        let right = attribute_with_datavector(&mut rng, extent, values);
+        let k = rng.gen_range(0..60usize);
+        let left = Bat::new(
+            random_column(&mut rng, AtomType::Int, k),
+            probe_oids(&mut rng, lo, n as u64, k, case % 4 < 2),
+        );
+        let got = ops::join(&ctx, &left, &right).unwrap();
+        assert_eq!(last_algo(&ctx), "datavector", "case {case}");
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &right)), "case {case}");
+        // Two attribute dereferences off one left operand, both 100%
+        // matches, come back synced — with each other and with the operand —
+        // whichever arm served them.
+        let inside = Bat::new(
+            random_column(&mut rng, AtomType::Int, k.max(1)),
+            Column::from_oids((0..k.max(1)).map(|_| rng.gen_range(lo..lo + n as u64)).collect()),
+        );
+        let a = ops::join(&ctx, &inside, &right).unwrap();
+        assert_eq!(last_algo(&ctx), "datavector", "case {case}");
+        let plain = Bat::with_inferred_props(right.head().clone(), right.tail().clone());
+        let b = ops::join(&ctx, &inside, &plain).unwrap();
+        assert_eq!(last_algo(&ctx), "direct", "case {case}: no datavector, compact key head");
+        assert_eq!(rows_of(&a), rows_of(&b), "case {case}: datavector vs direct");
+        assert!(a.synced(&b) && a.synced(&inside), "case {case}: full matches are synced");
+    }
+    // A sparse extent has no `oid - base` addressing: the datavector arm
+    // steps aside and the rows stay right.
+    let extent = Column::from_oids(vec![10, 12, 13, 20]);
+    let right = attribute_with_datavector(&mut rng, extent, Column::from_ints(vec![1, 2, 3, 4]));
+    let left = Bat::new(Column::from_ints(vec![0, 1, 2]), Column::from_oids(vec![13, 11, 20]));
+    let got = ops::join(&ctx, &left, &right).unwrap();
+    assert_ne!(last_algo(&ctx), "datavector");
+    assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &right)));
+}
+
+#[test]
+fn bitmap_semijoin_antijoin_match_reference_and_fall_back_when_sparse() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x33);
+    let ctx = ExecCtx::new().with_trace();
+    for case in 0..40 {
+        let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
+        // Right heads: unsorted, duplicates welcome (membership only); at
+        // least six, so the span passes the cost model's gate by itself.
+        let m = rng.gen_range(6..40usize);
+        let mut heads: Vec<u64> = (0..m).map(|_| rng.gen_range(lo..lo + span)).collect();
+        if heads.windows(2).all(|w| w[0] <= w[1]) {
+            heads.reverse();
+            heads[0] = heads[0].max(heads[m - 1] + 1);
+        }
+        let cd = Bat::with_inferred_props(Column::from_oids(heads), Column::void(0, m));
+        let n = rng.gen_range(0..60usize);
+        let ab = Bat::new(
+            probe_oids(&mut rng, lo, span + 1, n, case % 2 == 0),
+            random_column(&mut rng, ALL_TYPES[case % ALL_TYPES.len()], n),
+        );
+        let semi = ops::semijoin(&ctx, &ab, &cd).unwrap();
+        assert_eq!(last_algo(&ctx), "bitmap", "case {case}");
+        assert_eq!(rows_of(&semi), rows_of(&reference::semijoin(&ab, &cd)), "case {case}: semi");
+        let anti = ops::antijoin(&ctx, &ab, &cd).unwrap();
+        assert_eq!(last_algo(&ctx), "bitmap", "case {case}");
+        assert_eq!(rows_of(&anti), rows_of(&reference::antijoin(&ab, &cd)), "case {case}: anti");
+        assert_eq!(semi.len() + anti.len(), ab.len(), "case {case}: the two partition AB");
+        // A subset that kept everything shares AB's columns.
+        let all = Bat::new(Column::from_oids(vec![lo + 1000]), Column::void(0, 1));
+        let kept = ops::antijoin(&ctx, &ab, &all).unwrap();
+        if !ab.is_empty() {
+            assert!(kept.synced(&ab), "case {case}: a full subset stays synced with AB");
+        }
+    }
+    let ab = Bat::new(Column::from_oids(vec![5, 7, 5_000_000]), Column::from_ints(vec![1, 2, 3]));
+    let sparse = Bat::new(Column::from_oids(vec![5_000_000, 5]), Column::void(0, 2));
+    let semi = ops::semijoin(&ctx, &ab, &sparse).unwrap();
+    assert_eq!(last_algo(&ctx), "hash");
+    assert_eq!(rows_of(&semi), rows_of(&reference::semijoin(&ab, &sparse)));
+    let anti = ops::antijoin(&ctx, &ab, &sparse).unwrap();
+    assert_eq!(last_algo(&ctx), "hash");
+    assert_eq!(rows_of(&anti), rows_of(&reference::antijoin(&ab, &sparse)));
+    // Empty operands: nothing selected, everything kept.
+    let none = Bat::new(Column::from_oids(vec![]), Column::void(0, 0));
+    assert_eq!(ops::semijoin(&ctx, &ab, &none).unwrap().len(), 0);
+    assert_eq!(rows_of(&ops::antijoin(&ctx, &ab, &none).unwrap()), rows_of(&ab));
+    assert_eq!(ops::semijoin(&ctx, &none, &ab).unwrap().len(), 0);
+}
+
+#[test]
+fn lookup_against_a_materialized_dense_extent_equals_the_void_extent() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x34);
+    for case in 0..40 {
+        let (lo, n) = (rng.gen_range(3..50u64), rng.gen_range(1..40usize));
+        let void = Extent::new(Column::void(lo, n));
+        let dense = Extent::new(Column::from_oids((lo..lo + n as u64).collect()));
+        assert_eq!(void.dense(), dense.dense(), "case {case}: both prove the same base");
+        let k = rng.gen_range(0..60usize);
+        let probe = probe_oids(&mut rng, lo, n as u64, k, case % 3 == 0);
+        // Fresh contexts: the LOOKUP memo is per execution.
+        let (a, b) = (void.lookup(&ExecCtx::new(), &probe), dense.lookup(&ExecCtx::new(), &probe));
+        assert_eq!(a.positions, b.positions, "case {case}");
+        let heads = |c: &Column| (0..c.len()).map(|i| c.oid_at(i)).collect::<Vec<_>>();
+        assert_eq!(heads(&a.head), heads(&b.head), "case {case}");
+        // ... and a sparse extent (one oid knocked out) still finds the
+        // rest by binary search.
+        if n >= 3 {
+            let mut oids: Vec<u64> = (lo..lo + n as u64).collect();
+            let gone = oids.remove(1);
+            let sparse = Extent::new(Column::from_oids(oids.clone()));
+            assert_eq!(sparse.dense(), None);
+            let c = sparse.lookup(&ExecCtx::new(), &probe);
+            let expect: Vec<u64> =
+                heads(&probe).into_iter().filter(|o| *o != gone && oids.contains(o)).collect();
+            assert_eq!(heads(&c.head), expect, "case {case}: sparse extent");
+        }
+    }
+    // The precondition is a typed error in every build, not a debug assert.
+    for bad in [vec![3u64, 2, 4], vec![2, 2, 3]] {
+        match Extent::try_new(Column::from_oids(bad)) {
+            Err(MonetError::InvalidProperties(d)) => assert!(d.contains("sorted"), "{d}"),
+            other => panic!("unsorted/duplicate extent must be rejected, got {other:?}"),
+        }
+    }
+    assert!(Extent::try_new(Column::from_ints(vec![1, 2])).is_err());
+}

@@ -313,6 +313,34 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         Column::from_oids((0..20_000u64).collect()),
         Column::from_oids((0..20_000u64).map(|i| i * 31 % 997).collect()),
     );
+    // The compact-domain arms take a position array / bitmap and their
+    // index vectors from the same pool: an attribute BAT with a datavector
+    // (datavector join), its plain twin (direct join), and their heads as
+    // selections (bitmap semijoin and antijoin).
+    let heads: Vec<u64> = (0..9_000u64).map(|i| 100 + i * 7 % 9_000).collect();
+    let mut attr = Bat::with_inferred_props(
+        Column::from_oids(heads.clone()),
+        Column::from_ints(heads.iter().map(|&o| o as i32).collect()),
+    );
+    let plain = attr.clone();
+    attr.set_datavector(Arc::new(monet::accel::datavector::Datavector::from_unordered(&attr)));
+    let refs = Bat::new(
+        Column::from_oids((0..20_000u64).collect()),
+        Column::from_oids((0..20_000u64).map(|i| 50 + i * 13 % 9_200).collect()),
+    );
+    let few = plain.slice(0, 100);
+    let oid_keyed = |ctx: &ExecCtx| {
+        ops::join(ctx, &refs, &plain)
+            .and_then(|_| ops::join(ctx, &refs, &attr))
+            .and_then(|_| ops::semijoin(ctx, &refs.mirror(), &plain))
+            .and_then(|_| ops::antijoin(ctx, &refs.mirror(), &few))
+    };
+    {
+        let ctx = ExecCtx::new().with_trace();
+        oid_keyed(&ctx).unwrap();
+        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap"]);
+    }
     let baseline = typed::scratch_checked_out();
     let oracle = {
         let ctx = ExecCtx::new();
@@ -325,7 +353,8 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         par::with_par_config(Some(4), Some(1), Some(61), || {
             let r = ops::join_partitioned(&ctx, &left, &right)
                 .and_then(|_| ops::group1(&ctx, &groups))
-                .and_then(|_| ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum).map(|_| ()));
+                .and_then(|_| ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum))
+                .and_then(|_| oid_keyed(&ctx).map(|_| ()));
             match r {
                 Err(MonetError::Injected { .. }) => aborts += 1,
                 Err(e) => panic!("k={k}: unexpected error {e}"),
@@ -346,6 +375,27 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         });
     }
     assert!(aborts >= 8, "fault schedule barely exercised the kernels ({aborts} aborts)");
+    // The compact-domain arms have no probe between taking their scratch
+    // and returning it; their one abort past the entry probe is the budget
+    // check on the finished result, by which time the pool must be whole.
+    // 64 KiB admits the 36 KiB position array and the bitmaps, but none of
+    // the 240+ KiB results (a fresh context each: a failed charge sticks).
+    type Run<'a> = &'a dyn Fn(&ExecCtx) -> monet::error::Result<Bat>;
+    let runs: [(Run, &str); 4] = [
+        (&|ctx| ops::join(ctx, &refs, &plain), "direct"),
+        (&|ctx| ops::join(ctx, &refs, &attr), "datavector"),
+        (&|ctx| ops::semijoin(ctx, &refs.mirror(), &plain), "bitmap"),
+        (&|ctx| ops::antijoin(ctx, &refs.mirror(), &few), "bitmap"),
+    ];
+    for (run, algo) in runs {
+        let ctx = ExecCtx::new().with_trace();
+        ctx.mem.set_budget(Some(64 * 1024));
+        match run(&ctx) {
+            Err(MonetError::BudgetExceeded { .. }) => {}
+            other => panic!("{algo}: a 64 KiB budget must abort, got {other:?}"),
+        }
+        assert_eq!(ctx.take_trace()[0].algo, algo, "the abort must come out of the new arm");
+    }
     // Other tests in this binary run concurrently and hold checkouts
     // transiently; poll for quiescence instead of demanding an instant
     // match. A real abort-path leak never settles back.

@@ -3,7 +3,8 @@
 //! generated in-memory world — under whatever thread-count / encoding leg
 //! the process runs — and every corruption mode (flipped data byte,
 //! truncated tail file, version-mismatched header, mangled layout
-//! descriptor) surfaces a typed error with nothing partially registered.
+//! descriptor, unsorted datavector extent) surfaces a typed error with
+//! nothing partially registered.
 
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
@@ -172,5 +173,73 @@ fn missing_column_file_means_no_catalog_at_all() {
     // registered catalog to observe, only the typed error.
     let e = open_err(&dir, false);
     assert!(matches!(e, MonetError::Store { .. }), "got {e}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn permuted_extent_is_rejected_even_with_every_checksum_restamped() {
+    // The datavector arms address an extent by `oid - base` on the strength
+    // of its being sorted and duplicate-free, so a stored extent that is
+    // not must never open — and here *every* checksum vouches for it
+    // (segment, header, superblock all restamped), so only the extent proof
+    // at open can catch it. A typed error, not a panic, and no catalog.
+    use monet::accel::datavector::{Datavector, Extent};
+    use monet::prelude::{Bat, Column, Db};
+    use std::sync::Arc;
+
+    let dir = tmpdir("extent");
+    let mut db = Db::new();
+    let dv = Datavector::new(
+        Extent::new(Column::from_oids(vec![10, 11, 12, 13])),
+        Column::from_ints(vec![1, 2, 3, 4]),
+    );
+    let mut attr =
+        Bat::new(Column::from_oids(vec![12, 10, 13, 11]), Column::from_ints(vec![3, 1, 4, 2]));
+    attr.set_datavector(Arc::new(dv));
+    db.register("attr", attr);
+    monet::store::write_dir(&dir, &db, 0.0).expect("write");
+    monet::store::open_dir(&dir, None, &OpenOptions { verify_data: true })
+        .expect("intact store opens");
+
+    // The extent's column file: the one whose data segment is 10..=13.
+    let le = |oids: [u64; 4]| oids.iter().flat_map(|o| o.to_le_bytes()).collect::<Vec<u8>>();
+    let col = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let b = std::fs::read(p).unwrap();
+            b.len() >= 4096 + 32 && b[4096..4096 + 32] == le([10, 11, 12, 13])[..]
+        })
+        .expect("extent column file");
+    let mut bytes = std::fs::read(&col).unwrap();
+    let old_header_sum = bytes[48..56].to_vec();
+    bytes[4096..4096 + 32].copy_from_slice(&le([10, 12, 11, 13]));
+    // Restamp the segment checksum (first entry of the table at 56, sum at
+    // +24), then the header checksum over the page with its own field zeroed.
+    let seg_sum = xxh64(&bytes[4096..4096 + 32], 0);
+    bytes[56 + 24..56 + 32].copy_from_slice(&seg_sum.to_le_bytes());
+    bytes[48..56].fill(0);
+    let header_sum = xxh64(&bytes[..4096], 0).to_le_bytes();
+    bytes[48..56].copy_from_slice(&header_sum);
+    std::fs::write(&col, &bytes).unwrap();
+    // The superblock records each column's header checksum and ends in its
+    // own: swap in the new one and restamp.
+    let sb_path = dir.join("store.sb");
+    let mut sb = std::fs::read(&sb_path).unwrap();
+    let at = sb.windows(8).position(|w| w == old_header_sum).expect("recorded header checksum");
+    sb[at..at + 8].copy_from_slice(&header_sum);
+    let body = sb.len() - 8;
+    let sb_sum = xxh64(&sb[..body], 0);
+    sb[body..].copy_from_slice(&sb_sum.to_le_bytes());
+    std::fs::write(&sb_path, &sb).unwrap();
+
+    match monet::store::open_dir(&dir, None, &OpenOptions { verify_data: true }) {
+        Err(MonetError::Store { op, detail, .. }) => {
+            assert_eq!(op, "store/open");
+            assert!(detail.contains("extent must be sorted"), "detail: {detail}");
+        }
+        Err(other) => panic!("expected Store, got {other}"),
+        Ok(_) => panic!("a store with an unsorted extent must not open"),
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
