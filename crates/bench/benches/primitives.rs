@@ -98,7 +98,7 @@ fn bench_primitives(c: &mut Criterion) {
         );
         b.iter(|| ops::unique(&ctx, &dup).unwrap())
     });
-    g.bench_function("group/hash", |b| b.iter(|| ops::group1(&ctx, &unsorted).unwrap()));
+    g.bench_function("group/direct", |b| b.iter(|| ops::group1(&ctx, &unsorted).unwrap()));
     g.bench_function("multiplex/[*]-synced", |b| {
         let head = Column::from_oids((0..N as u64).collect());
         let x = Bat::new(head.clone(), Column::from_dbls(vec![2.0; N]));
@@ -117,7 +117,8 @@ fn bench_primitives(c: &mut Criterion) {
             Column::from_oids((0..N as u64).map(|i| i % 500).collect()),
             Column::from_dbls((0..N).map(|i| i as f64).collect()),
         );
-        b.iter(|| ops::set_aggregate(&ctx, ops::AggFunc::Sum, &grouped).unwrap())
+        // A fresh context derives the head grouping every iteration.
+        b.iter(|| ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &grouped).unwrap())
     });
     g.bench_function("sort-tail", |b| b.iter(|| ops::sort_tail(&ctx, &unsorted).unwrap()));
     g.finish();

@@ -7,7 +7,11 @@
 //! share of the summed statement time each `(op, algo)` pair carries —
 //! the attribution table ROADMAP item 1 orders its work by.
 //!
-//! Usage: `FLATALG_SF=0.1 FLATALG_THREADS=1 cargo run --release -p bench --bin algo_table`
+//! Usage: `FLATALG_SF=0.1 FLATALG_THREADS=1 cargo run --release -p bench --bin algo_table
+//! [-- --query N | --all]` — `--query N` runs query N alone and prints
+//! every one of its statements, `--all` lifts the 1 ms cut for all eleven
+//! (the free `semijoin/sync` and `join/sync` lines are what explain why a
+//! plan's later statements are cheap).
 
 use std::collections::BTreeMap;
 
@@ -54,14 +58,31 @@ fn median(v: &mut [f64]) -> f64 {
     v[v.len() / 2]
 }
 
+fn usage() -> ! {
+    eprintln!("usage: algo_table [--query <N> | --all]");
+    std::process::exit(2);
+}
+
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    // (only this query, print every statement)
+    let (only, every): (Option<usize>, bool) =
+        match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+            [] => (None, false),
+            ["--all"] => (None, true),
+            ["--query", n] => match n.parse() {
+                Ok(id) if QUERIES.iter().any(|(q, _)| *q == id) => (Some(id), true),
+                _ => usage(),
+            },
+            _ => usage(),
+        };
     let sf = sf_from_env("FLATALG_SF", 0.1);
     let w = World::build(sf);
     println!("# (op, algo) attribution of the eleven staged queries (SF={sf}, median of {RUNS})\n");
 
     let mut shares: BTreeMap<(&'static str, &'static str), f64> = BTreeMap::new();
     let mut total = 0.0;
-    for (id, build) in QUERIES {
+    for (id, build) in QUERIES.into_iter().filter(|(id, _)| only.is_none_or(|q| q == *id)) {
         let t = moa::translate::translate(&w.cat, &build(&w.params)).expect("translate");
         // ms[statement][run]
         let mut ms: Vec<Vec<f64>> = vec![Vec::with_capacity(RUNS); t.prog.len()];
@@ -81,7 +102,7 @@ fn main() {
         for ((stmt, s), &m) in t.prog.stmts.iter().zip(&last).zip(&mids) {
             let op = op_name(&stmt.op);
             *shares.entry((op, s.algo)).or_default() += m;
-            if m >= 1.0 {
+            if every || m >= 1.0 {
                 println!("  {m:>8.1} ms  {op:>9}/{:<12} {}", s.algo, s.rendered);
             }
         }

@@ -279,6 +279,22 @@ fn main() {
         Column::from_oids((0..n as u64).map(|i| i % 1000).collect()),
         Column::from_ints((0..n).map(|i| (i % 17) as i32).collect()),
     );
+    // The `*/hash` grouping lines keep measuring the hash tables: the same
+    // rows with their keys `SPARSE` apart, so no key span passes the
+    // compact-domain gate (8 slots per row). The lines next to them
+    // (`group/direct`, `group2/packed`, `unique/packed`) run the compact
+    // originals through the slot-table arms.
+    const SPARSE: u64 = 1 << 16;
+    let sparse_oids = |c: &Column| {
+        Column::from_oids(c.as_oid_slice().expect("oids").iter().map(|o| o * SPARSE).collect())
+    };
+    let sparse_ints = |c: &Column| {
+        Column::from_ints(
+            c.as_int_slice().expect("ints").iter().map(|v| v * SPARSE as i32).collect(),
+        )
+    };
+    let dup_sparse = Bat::new(sparse_oids(dup.head()), dup.tail().clone());
+    let unsorted_sparse = Bat::new(unsorted.head().clone(), sparse_ints(unsorted.tail()));
     let head = Column::from_oids((0..n as u64).collect());
     let dbl_x = Bat::new(head.clone(), Column::from_dbls((0..n).map(|i| i as f64 * 0.5).collect()));
     let dbl_y = Bat::new(head.clone(), Column::from_dbls(vec![3.0; n]));
@@ -293,6 +309,7 @@ fn main() {
         Column::from_oids((0..n as u64).map(|i| i % 500).collect()),
         Column::from_dbls((0..n).map(|i| i as f64).collect()),
     );
+    let grouped_sparse = Bat::new(sparse_oids(grouped_vals.head()), grouped_vals.tail().clone());
     let strs = Bat::new(
         head.clone(),
         Column::from_strs((0..n).map(|i| format!("Clerk#{:09}", i % 1000)).collect::<Vec<_>>()),
@@ -324,6 +341,24 @@ fn main() {
     );
     let g1 = ops::group1(&ctx, &unsorted_keys).unwrap();
     let second_synced = Bat::new(g1.head().clone(), second.tail().clone());
+    // Five values again, but 2^16 apart: times the 1000 group oids no
+    // compact product span.
+    let second_sparse = Bat::new(
+        g1.head().clone(),
+        Column::from_ints(
+            second
+                .tail()
+                .as_chr_slice()
+                .expect("chrs")
+                .iter()
+                .map(|&c| c as i32 * SPARSE as i32)
+                .collect(),
+        ),
+    );
+    // The nest + aggregate tail's join: the grouping mirrored against an
+    // attribute over the same (key) head column.
+    let sync_left = g1.mirror();
+    let sync_right = Bat::with_inferred_props(g1.head().clone(), second.tail().clone());
 
     let mut recs: Vec<Rec> = Vec::new();
 
@@ -357,6 +392,9 @@ fn main() {
     recs.push(measure(base.as_ref(), "join/hash-at-cut", n, || {
         ops::join::join_hash(&ctx, &cut_left, &cut_right);
     }));
+    recs.push(measure(base.as_ref(), "join/sync", n, || {
+        ops::join(&ctx, &sync_left, &sync_right).unwrap();
+    }));
     recs.push(measure(base.as_ref(), "join/fetch-dense", n, || {
         ops::join(&ctx, &fetch_left, &fetch_right).unwrap();
     }));
@@ -379,9 +417,15 @@ fn main() {
         ops::semijoin(&ctx, &unsorted, &sel).unwrap();
     }));
     recs.push(measure(base.as_ref(), "unique/hash", n, || {
+        ops::unique(&ctx, &dup_sparse).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "unique/packed", n, || {
         ops::unique(&ctx, &dup).unwrap();
     }));
     recs.push(measure(base.as_ref(), "group1/hash", n, || {
+        ops::group1(&ctx, &unsorted_sparse).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "group/direct", n, || {
         ops::group1(&ctx, &unsorted).unwrap();
     }));
     recs.push(measure(base.as_ref(), "multiplex/mul-dbl", n, || {
@@ -419,7 +463,13 @@ fn main() {
         )
         .unwrap();
     }));
+    // A context memoizes the grouping of a `{g}` head: the first line
+    // derives it (by hash) on a fresh context every time, the second
+    // finds it on `ctx`.
     recs.push(measure(base.as_ref(), "set-aggregate/sum-dbl", n, || {
+        ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &grouped_sparse).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "aggregate/memo-hit", n, || {
         ops::set_aggregate(&ctx, ops::AggFunc::Sum, &grouped_vals).unwrap();
     }));
     recs.push(measure(base.as_ref(), "sort/tail-int", n, || {
@@ -439,6 +489,9 @@ fn main() {
 
     // group_aggregate group
     recs.push(measure(base.as_ref(), "group2/refine-synced", n, || {
+        ops::group2(&ctx, &g1, &second_sparse).unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "group2/packed", n, || {
         ops::group2(&ctx, &g1, &second_synced).unwrap();
     }));
 
@@ -504,7 +557,8 @@ fn main() {
     );
     let big_keys = Bat::new(
         Column::from_oids((0..part_probe_n as u64).collect()),
-        Column::from_oids((0..part_probe_n).map(|_| r.gen_range(0..1000u64)).collect()),
+        // 1000 keys 2^20 apart: serial and parallel both hash.
+        Column::from_oids((0..part_probe_n).map(|_| r.gen_range(0..1000u64) << 20).collect()),
     );
     recs.push(measure(base.as_ref(), "par/select-scan-serial", part_probe_n, || {
         monet::par::with_threads(1, || ops::select_eq(&ctx, &big_ints, &AtomValue::Int(5000)))

@@ -23,23 +23,21 @@
 //! lookup: "the previous datavector-semijoin has already blazed the trail
 //! into the extent".
 //!
-//! The memo is **per-execution state** and lives on the [`ExecCtx`]
-//! ([`LookupMemo`]), not on the extent: a selection is an intermediate (or
-//! a parameter-dependent slice of a sorted attribute) whose identity means
-//! nothing to the next program, so `mil::execute` drops the memo on every
-//! exit path and the catalog's extents stay immutable — no lock shared
-//! between sessions, nothing that grows with the number of queries run.
+//! The memo is **per-execution state** and lives on the [`ExecCtx`] (its
+//! identity-keyed memo, next to the `{g}` groupings), not on the extent: a
+//! selection is an intermediate (or a parameter-dependent slice of a
+//! sorted attribute) whose identity means nothing to the next program, so
+//! `mil::execute` drops the memo on every exit path and the catalog's
+//! extents stay immutable — no lock shared between sessions, nothing that
+//! grows with the number of queries run.
 //! The one right operand every program shares, the class extent itself,
 //! needs no LOOKUP at all (see `ops::semijoin`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::sync::Mutex;
-
 use crate::bat::Bat;
-use crate::column::{Column, ColumnIdentity};
-use crate::ctx::ExecCtx;
+use crate::column::Column;
+use crate::ctx::{ExecCtx, MemoKey, Memoized};
 use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::typed::OidDomain;
@@ -57,10 +55,6 @@ pub struct Lookup {
     /// `extent.gather(positions)`: the matched oids, shared by identity.
     pub head: Column,
 }
-
-/// The LOOKUP arrays memoized by one execution context, keyed by the
-/// identities of the extent and of the right operand's head.
-pub(crate) type LookupMemo = Mutex<HashMap<(ColumnIdentity, ColumnIdentity), Lookup>>;
 
 /// The sorted oid extent of a class, shared by all of its datavectors.
 #[derive(Debug)]
@@ -121,7 +115,11 @@ impl Extent {
     /// True when `ctx` holds a memoized LOOKUP for this operand — the
     /// "trail has been blazed" fast path is available.
     pub fn lookup_cached(&self, ctx: &ExecCtx, right_head: &Column) -> bool {
-        ctx.lookups.lock().contains_key(&(self.oids.identity(), right_head.identity()))
+        ctx.memo_get(self.memo_key(right_head)).is_some()
+    }
+
+    fn memo_key(&self, right_head: &Column) -> MemoKey {
+        MemoKey::Lookup(self.oids.identity(), right_head.identity())
     }
 
     /// Positions in the extent of every right-operand head oid that exists
@@ -129,9 +127,9 @@ impl Extent {
     /// Memoized on `ctx` per right-operand identity, so "subsequent
     /// semijoins with B do not re-do the lookup effort".
     pub fn lookup(&self, ctx: &ExecCtx, right_head: &Column) -> Lookup {
-        let key = (self.oids.identity(), right_head.identity());
-        if let Some(hit) = ctx.lookups.lock().get(&key) {
-            return hit.clone();
+        let key = self.memo_key(right_head);
+        if let Some(Memoized::Lookup(hit)) = ctx.memo_get(key) {
+            return hit;
         }
         let pgr = ctx.pager.as_deref();
         // `None` for a void extent, which is always dense.
@@ -163,7 +161,7 @@ impl Extent {
         });
         let head = self.oids.gather(&out);
         let result = Lookup { positions: Arc::new(out), head };
-        ctx.lookups.lock().insert(key, result.clone());
+        ctx.memo_insert(key, Memoized::Lookup(result.clone()));
         result
     }
 }

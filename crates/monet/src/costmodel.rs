@@ -86,7 +86,7 @@ pub fn join_prefers_partitioned(probe_rows: usize, build_rows: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Compact oid domains: when to address a table by `oid - base`.
+// Compact key domains: when to address a table by `key - base`.
 // ---------------------------------------------------------------------------
 
 /// Slots of a direct-addressed table one operand row may pay for. A table
@@ -102,8 +102,8 @@ pub fn join_prefers_partitioned(probe_rows: usize, build_rows: usize) -> bool {
 /// (`join/direct-at-cut`, `join/hash-at-cut`).
 pub const DOMAIN_SLOTS_PER_ROW: usize = 8;
 
-/// True when an oid key column's span is compact enough to index an array
-/// by `oid - base` instead of hashing the keys.
+/// True when a key column's span ([`crate::typed::OidDomain`]) is compact
+/// enough to index an array by `key - base` instead of hashing the keys.
 pub fn domain_is_compact(span: usize, probe_rows: usize, build_rows: usize) -> bool {
     span <= DOMAIN_SLOTS_PER_ROW.saturating_mul(probe_rows.saturating_add(build_rows))
 }
@@ -134,6 +134,26 @@ pub fn semijoin_prefers_bitmap(
     build_rows: usize,
 ) -> bool {
     domain_is_compact(span, probe_rows, build_rows) && !overflows_headroom(mem, span as u64 / 8)
+}
+
+/// Take the `direct` grouping arm (a `u32` group id per slot of the key
+/// column's span, [`crate::typed::SlotTable`]) — the rule of
+/// [`join_prefers_direct`], with the rows grouped as the only operand:
+/// the span is compact, the table fits the budget headroom, and a
+/// `FLATALG_SPILL=force` override keeps sending single-column grouping to
+/// its spill path. Under budget *pressure* the order is the other way
+/// round — a slot table over a compact span is the smallest working set
+/// grouping has, so it is tried before [`group_prefers_spill`].
+pub fn group_prefers_direct(mem: &crate::ctx::MemTracker, span: usize, rows: usize) -> bool {
+    crate::spill::mode() != crate::spill::SpillMode::Always && group_prefers_packed(mem, span, rows)
+}
+
+/// Take the `packed` arm of pair grouping and pair dedup (`group2`,
+/// `unique`): one slot per key of the *product* span, addressed by
+/// `slot_a * span_b + slot_b`. Same rule as [`group_prefers_direct`];
+/// there is no spilling pair grouping to defer to.
+pub fn group_prefers_packed(mem: &crate::ctx::MemTracker, span: usize, rows: usize) -> bool {
+    domain_is_compact(span, rows, 0) && !overflows_headroom(mem, 4 * span as u64)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@
 //! the query service arms per-statement deadlines and memory budgets on the
 //! same context.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::sync::Mutex;
 
-use crate::accel::datavector::LookupMemo;
+use crate::accel::datavector::Lookup;
 use crate::atom::Oid;
 use crate::bat::Bat;
+use crate::column::ColumnIdentity;
 use crate::error::{MonetError, Result};
 use crate::gov::{CancelToken, Governor};
+use crate::ops::group::Grouping;
 use crate::pager::Pager;
 
 /// `FLATALG_MEM_BUDGET` parsed once per process: default per-query byte
@@ -181,6 +184,34 @@ impl MemTracker {
     }
 }
 
+/// What a memo entry was derived from — always column *identities*, which
+/// never recur with different contents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum MemoKey {
+    /// LOOKUP of a right operand's head (second) in a class extent (first).
+    Lookup(ColumnIdentity, ColumnIdentity),
+    /// First-occurrence grouping of a column.
+    Grouping(ColumnIdentity),
+}
+
+/// A derived structure worth keeping for the rest of the execution.
+#[derive(Debug, Clone)]
+pub(crate) enum Memoized {
+    Lookup(Lookup),
+    Grouping(Grouping),
+}
+
+impl Memoized {
+    /// Bytes the entry keeps alive beyond what results already hold (a
+    /// LOOKUP's gathered head is the head column of its semijoin results).
+    fn bytes(&self) -> u64 {
+        4 * match self {
+            Memoized::Lookup(l) => l.positions.len(),
+            Memoized::Grouping(g) => g.gid_of.len() + g.reps.len(),
+        } as u64
+    }
+}
+
 /// Shared execution context.
 #[derive(Clone)]
 pub struct ExecCtx {
@@ -194,9 +225,13 @@ pub struct ExecCtx {
     pub gov: Arc<Governor>,
     /// Generator for fresh oids (`unique_oid(..)` of the `group` operator).
     oid_gen: Arc<AtomicU64>,
-    /// Datavector LOOKUP memo ([`crate::accel::datavector`]): per-execution
-    /// state, dropped by `mil::execute` when its program ends.
-    pub(crate) lookups: Arc<LookupMemo>,
+    /// The per-execution memo: structures several statements of one
+    /// program derive from the *same* column — the LOOKUP array of a
+    /// selection ([`crate::accel::datavector`]), the grouping of a `{g}`
+    /// head ([`crate::ops::set_aggregate`]). The statements differ
+    /// syntactically, so CSE cannot merge them; the column identity can.
+    /// `mil::execute` empties it on every exit path.
+    memo: Arc<Mutex<HashMap<MemoKey, Memoized>>>,
 }
 
 impl Default for ExecCtx {
@@ -222,8 +257,31 @@ impl ExecCtx {
             mem: Arc::new(mem),
             gov: Arc::new(Governor::new()),
             oid_gen: Arc::new(AtomicU64::new(FRESH_OID_BASE)),
-            lookups: Arc::default(),
+            memo: Arc::default(),
         }
+    }
+
+    /// The memoized structure under `key`, if this execution derived it.
+    pub(crate) fn memo_get(&self, key: MemoKey) -> Option<Memoized> {
+        self.memo.lock().get(&key).cloned()
+    }
+
+    /// Keep `value` for the rest of the execution. Its bytes are charged to
+    /// the budget like any live intermediate; the charge sticks when it
+    /// passes the budget, so the inserting operator's own `record` is what
+    /// reports `BudgetExceeded`.
+    pub(crate) fn memo_insert(&self, key: MemoKey, value: Memoized) {
+        let bytes = value.bytes();
+        if self.memo.lock().insert(key, value).is_none() {
+            let _ = self.mem.charge("memo", bytes);
+        }
+    }
+
+    /// Drop every memo entry and release its charge (`mil::execute` calls
+    /// this on entry and on every exit path).
+    pub(crate) fn memo_clear(&self) {
+        let bytes = self.memo.lock().drain().map(|(_, v)| v.bytes()).sum();
+        self.mem.release(bytes);
     }
 
     /// One governor probe (cancellation / deadline / fault-injection

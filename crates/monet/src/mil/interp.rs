@@ -110,18 +110,20 @@ impl Env {
 /// BATs of the query's structure expression) survive liveness-based
 /// freeing.
 pub fn execute(ctx: &ExecCtx, db: &Db, prog: &MilProgram, keep: &[Var]) -> Result<Env> {
+    // Per-execution state starts empty and dies with the execution, abort
+    // included: the memo (datavector LOOKUPs, `{g}` groupings) is keyed by
+    // intermediates of *this* program.
+    struct ClearMemo<'a>(&'a ExecCtx);
+    impl Drop for ClearMemo<'_> {
+        fn drop(&mut self) {
+            self.0.memo_clear();
+        }
+    }
+    ctx.memo_clear();
+    let _memo = ClearMemo(ctx);
     // Open a fresh governor charge window: the byte budget covers the
     // intermediates of *this* program, not whatever ran before on the ctx.
     ctx.mem.begin();
-    // Per-execution state dies with the execution, abort included: the
-    // datavector LOOKUP memo is keyed by intermediates of *this* program.
-    struct ClearLookups<'a>(&'a ExecCtx);
-    impl Drop for ClearLookups<'_> {
-        fn drop(&mut self) {
-            self.0.lookups.lock().clear();
-        }
-    }
-    let _lookups = ClearLookups(ctx);
     let frees = prog.last_uses();
     let mut values: Vec<Option<MilValue>> = vec![None; prog.stmts.len()];
     let mut trace: Vec<StmtTrace> = Vec::with_capacity(prog.stmts.len());
@@ -428,8 +430,9 @@ mod tests {
     }
 
     #[test]
-    fn datavector_lookups_are_shared_within_an_execution_and_dropped_after_it() {
+    fn the_memo_is_shared_within_an_execution_and_dropped_after_it() {
         use crate::accel::datavector::{Datavector, Extent};
+        use crate::ctx::MemoKey;
         use std::sync::Arc;
 
         // Two attributes of one class, tail-sorted with datavectors over
@@ -454,6 +457,10 @@ mod tests {
         );
         let sel = Bat::with_inferred_props(Column::from_oids(vec![13, 11]), Column::void(0, 2));
         db.register("sel", sel.clone());
+        // Two value BATs over one grouping column: the `{g}` tail of a nest.
+        let classes = Column::from_oids(vec![7, 8, 7, 9]);
+        db.register("qty", Bat::new(classes.clone(), Column::from_ints(vec![1, 2, 3, 4])));
+        db.register("amt", Bat::new(classes.clone(), Column::from_dbls(vec![0.5, 1.5, 2.5, 3.5])));
 
         let mut p = MilProgram::new();
         let s = p.emit("sel", MilOp::Load("sel".into()));
@@ -461,27 +468,48 @@ mod tests {
         let disc = p.emit("disc", MilOp::Load("disc".into()));
         let prices = p.emit("prices", MilOp::Semijoin(price, s));
         let discs = p.emit("discs", MilOp::Semijoin(disc, s));
+        let qty = p.emit("qty", MilOp::Load("qty".into()));
+        let amt = p.emit("amt", MilOp::Load("amt".into()));
+        let n = p.emit("n", MilOp::SetAgg { f: ops::AggFunc::Count, src: qty });
+        let total = p.emit("total", MilOp::SetAgg { f: ops::AggFunc::Sum, src: amt });
 
         let ctx = ExecCtx::new().with_trace();
+        let keys = [
+            MemoKey::Lookup(extent.oids().identity(), sel.head().identity()),
+            MemoKey::Grouping(classes.identity()),
+        ];
+        let memo_is_empty = |ctx: &ExecCtx| keys.iter().all(|k| ctx.memo_get(*k).is_none());
         for run in 0..2 {
-            let env = execute(&ctx, &db, &p, &[prices, discs]).unwrap();
+            let keep = [prices, discs, n, total];
+            let env = execute(&ctx, &db, &p, &keep).unwrap();
             let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
-            assert_eq!(algos, ["datavector", "datavector"], "run {run}");
             // Within one execution the second semijoin reuses the first's
-            // LOOKUP, gathered head included: the results are synced.
+            // LOOKUP and the second `{g}` the first's grouping.
+            assert_eq!(algos, ["datavector", "datavector", "direct", "memo"], "run {run}");
+            // The shared LOOKUP's gathered head makes the results synced.
             let (a, b) = (env.bat(prices).unwrap(), env.bat(discs).unwrap());
             assert!(a.synced(b), "run {run}: sibling semijoins must share their head");
             assert_eq!(a.tail().as_dbl_slice().unwrap(), &[4.0, 2.0]);
             assert_eq!(b.tail().as_dbl_slice().unwrap(), &[0.1, 0.3]);
+            assert_eq!(env.bat(n).unwrap().tail().as_lng_slice().unwrap(), &[2, 1, 1]);
+            assert_eq!(env.bat(total).unwrap().tail().as_dbl_slice().unwrap(), &[3.0, 1.5, 3.5]);
             // ... and the memo dies with the execution, so the next one
-            // starts cold even though `sel` is the same catalog BAT.
-            assert!(!extent.lookup_cached(&ctx, sel.head()), "run {run}: memo outlived it");
+            // starts cold even though `sel` is the same catalog BAT — its
+            // bytes returned to the budget: only the kept results stay
+            // charged.
+            assert!(memo_is_empty(&ctx), "run {run}: memo outlived its execution");
+            let kept: usize = keep.iter().map(|v| env.bat(*v).unwrap().bytes()).sum();
+            assert_eq!(ctx.mem.charged_bytes(), kept as u64, "run {run}: memo charge leaked");
+            assert!(ctx.mem.charged_peak() > kept as u64, "run {run}: memo was never charged");
         }
 
-        // An aborted execution drops its memo too.
-        ctx.gov.arm_fault("op/semijoin", 2);
-        assert!(matches!(execute(&ctx, &db, &p, &[]), Err(MonetError::Injected { .. })));
-        assert!(!extent.lookup_cached(&ctx, sel.head()), "abort leaked the memo");
+        // An aborted execution drops its memo too: after the LOOKUP, and
+        // after the grouping.
+        for (site, nth) in [("op/semijoin", 2), ("op/set-aggregate", 2)] {
+            ctx.gov.arm_fault(site, nth);
+            assert!(matches!(execute(&ctx, &db, &p, &[]), Err(MonetError::Injected { .. })));
+            assert!(memo_is_empty(&ctx), "abort at {site} leaked the memo");
+        }
     }
 
     #[test]

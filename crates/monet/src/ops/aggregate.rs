@@ -6,6 +6,11 @@
 //! "With this construct we can execute nested aggregates in one go, rather
 //! than having to do iterative calls on nested collections" — this is what
 //! makes the flattened execution of MOA's nested `sum`s fast.
+//!
+//! A flattened `nest` + aggregates applies one `{g}` per aggregate to BATs
+//! that all carry the *same* head column (the grouping's oids), so the
+//! head grouping is derived once per execution and memoized on the context
+//! by column identity — every later `{g}` over that head reports `memo`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,11 +18,13 @@ use std::time::Instant;
 use crate::atom::{AtomType, AtomValue};
 use crate::bat::Bat;
 use crate::column::Column;
-use crate::ctx::ExecCtx;
+use crate::ctx::{ExecCtx, MemoKey, Memoized};
 use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 use crate::typed::TypedVals;
+
+use super::group::Grouping;
 
 /// Aggregate functions, usable both as whole-BAT scalars and per-group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -249,14 +256,15 @@ where
 }
 
 /// The set-aggregate constructor `{g}(AB)`: one result BUN per distinct
-/// head value. Uses streaming runs when the head is sorted, a hash table
-/// otherwise (first-occurrence output order).
+/// head value, in first-occurrence order. The head grouping comes from the
+/// execution's memo when an earlier `{g}` already derived it (`memo`), from
+/// streaming runs when the head is sorted (`merge`), and from
+/// [`super::group::hash_group_column`] otherwise.
 pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/set-aggregate")?;
     let started = Instant::now();
     let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.head());
         pager::touch_scan(p, ab.tail());
     }
     let tail_ty = ab.tail().atom_type();
@@ -267,29 +275,41 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     }
 
     // Assign each BUN to a group; remember one representative position per
-    // group for building the result head (and for min/max gathering).
+    // group for building the result head (and for min/max gathering). One
+    // derivation per head column per execution: the memo is keyed by the
+    // head's identity.
     let h = ab.head();
     let n = ab.len();
-    let sorted = ab.props().head.sorted;
-    let threads = if sorted { 1 } else { super::par_threads(ctx, n) };
-    let (gid_of, rep, algo): (Vec<u32>, Vec<u32>, &'static str) = if sorted {
-        crate::for_each_typed!(h, |hv| {
-            let mut gid_of: Vec<u32> = Vec::with_capacity(n);
-            let mut rep: Vec<u32> = Vec::new();
-            let mut g: u32 = 0;
-            for i in 0..n {
-                if i > 0 && !hv.eq_one(hv.value(i), hv.value(i - 1)) {
-                    g += 1;
-                }
-                if rep.len() == g as usize {
-                    rep.push(i as u32);
-                }
-                gid_of.push(g);
+    let key = MemoKey::Grouping(h.identity());
+    let (Grouping { gid_of: gid, reps: rep }, algo) = match ctx.memo_get(key) {
+        Some(Memoized::Grouping(g)) => (g, "memo"),
+        _ => {
+            if let Some(p) = ctx.pager.as_deref() {
+                pager::touch_scan(p, h);
             }
-            (gid_of, rep, "merge")
-        })
-    } else {
-        super::group::hash_group_column(ctx, h, threads)?
+            let (gid_of, rep, algo) = if ab.props().head.sorted {
+                crate::for_each_typed!(h, |hv| {
+                    let mut gid_of: Vec<u32> = Vec::with_capacity(n);
+                    let mut rep: Vec<u32> = Vec::new();
+                    let mut g: u32 = 0;
+                    for i in 0..n {
+                        if i > 0 && !hv.eq_one(hv.value(i), hv.value(i - 1)) {
+                            g += 1;
+                        }
+                        if rep.len() == g as usize {
+                            rep.push(i as u32);
+                        }
+                        gid_of.push(g);
+                    }
+                    (gid_of, rep, "merge")
+                })
+            } else {
+                super::group::hash_group_column(ctx, h, super::par_threads(ctx, n))?
+            };
+            let g = Grouping { gid_of: Arc::new(gid_of), reps: Arc::new(rep) };
+            ctx.memo_insert(key, Memoized::Grouping(g.clone()));
+            (g, algo)
+        }
     };
 
     // Aggregate each group's tail values through per-morsel partial
@@ -299,7 +319,6 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     let ngroups = rep.len();
     let t = ab.tail();
     let threads = super::par_threads(ctx, n);
-    let gid: Arc<Vec<u32>> = Arc::new(gid_of);
     let tail: Column = match f {
         AggFunc::Count => {
             let g = Arc::clone(&gid);

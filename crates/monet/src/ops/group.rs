@@ -6,10 +6,31 @@
 //! with binary `group` invocations until all attributes are processed —
 //! this is how SQL `GROUP BY` and MOA `nest` are implemented.
 //!
-//! Hash grouping uses the presized bucket-chained [`GroupTable`] (the same
-//! layout as `accel::hash::HashIndex`) inside a monomorphized typed loop —
-//! no per-row type dispatch, no per-bucket allocations.
+//! Group ids are dense and assigned in order of first appearance by every
+//! variant, so all are bit-identical to [`super::reference`]. Unary
+//! grouping ([`group1`], and the `{g}` head grouping of
+//! [`super::set_aggregate`], which shares [`hash_group_column`]) picks, in
+//! this order:
+//!
+//! * `merge` — the column is sorted: adjacent comparison;
+//! * `direct` — serial, an integer-coded column (oid, `chr`, int, date,
+//!   dictionary or frame-of-reference codes) whose key span is compact
+//!   ([`crate::costmodel::group_prefers_direct`]): a pooled
+//!   [`SlotTable`] addressed by `code - base`, one load per row — no hash,
+//!   no chain, no value compare;
+//! * `spill` — the hash table would not fit the budget headroom, or
+//!   `FLATALG_SPILL=force`;
+//! * `hash` / `par-hash` — the presized bucket-chained [`GroupTable`]
+//!   inside a monomorphized typed loop, one table per morsel when parallel.
+//!
+//! Binary grouping ([`group2`]) first aligns the operands (`sync` when
+//! they share their head column, `hash-align` otherwise) and then numbers
+//! the `(b, d)` pairs: `packed` / `packed-align` when both tails are
+//! integer-coded and the *product* of their spans is compact
+//! ([`packed_domains`]: one slot per `slot_b * span_d + slot_d`), the
+//! pair-hashed [`GroupTable`] otherwise.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::atom::Oid;
@@ -19,12 +40,21 @@ use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
-use crate::typed::{GroupTable, TypedVals};
+use crate::typed::{CodedVals, GroupTable, OidDomain, SlotTable, TypedVals};
 
-/// First-occurrence hash grouping of one column: `(gid per row, one
+/// A first-occurrence grouping of one column: the group of every row and
+/// one representative row per group. Shared, because the per-execution
+/// memo hands one grouping to every `{g}` over the same head column.
+#[derive(Debug, Clone)]
+pub(crate) struct Grouping {
+    pub gid_of: Arc<Vec<u32>>,
+    pub reps: Arc<Vec<u32>>,
+}
+
+/// First-occurrence grouping of one (unsorted) column: `(gid per row, one
 /// representative row per group)`, gids dense in order of first
-/// appearance. This is the shared core of `group1` and the hash path of
-/// `set_aggregate`.
+/// appearance. This is the shared core of `group1` and of
+/// `set_aggregate`'s head grouping; see the module docs for the variants.
 ///
 /// With `threads > 1` the rows are grouped morsel-parallel with one
 /// per-worker [`GroupTable`] per morsel (buffers from the bounded
@@ -42,28 +72,23 @@ pub(crate) fn hash_group_column(
     threads: usize,
 ) -> Result<(Vec<u32>, Vec<u32>, &'static str)> {
     let n = col.len();
+    if threads <= 1 {
+        // The parallel path keeps the generic per-morsel tables — its
+        // merge pass needs value-keyed tables anyway and morsel results
+        // must stay label-compatible.
+        let dom = OidDomain::covering(col, false)
+            .filter(|d| crate::costmodel::group_prefers_direct(&ctx.mem, d.span, n));
+        if let Some(dom) = dom {
+            let (gid_of, reps) = direct_group_column(col, dom);
+            return Ok((gid_of, reps, "direct"));
+        }
+    }
     if crate::costmodel::group_prefers_spill(&ctx.mem, n) {
         // Out-of-core partition-then-process shape (see the function
         // docs): resource decision only, the numbering is identical.
         return spill_group_column(ctx, col);
     }
     if threads <= 1 {
-        // Dictionary-encoded tails group by *code*: the dictionary is
-        // duplicate-free, so code equality is value equality and a flat
-        // code→gid table replaces hashing entirely. Gids are still
-        // assigned at first appearance, so the output is bit-identical to
-        // the hash path. Gated on the code domain staying proportionate to
-        // the input (a huge dictionary over few rows would pay more for
-        // the table fill than the hashes it saves). The parallel path
-        // keeps the generic per-morsel tables — its merge pass needs
-        // value-keyed tables anyway and morsel results must stay
-        // label-compatible.
-        if let crate::typed::TypedSlice::DictStr(d) = col.typed() {
-            if d.dict_len() <= (4 * n).max(1 << 16) {
-                let (gid_of, reps) = dict_group_codes(d);
-                return Ok((gid_of, reps, "code-group"));
-            }
-        }
         return Ok(crate::for_each_typed!(col, |t| {
             let mut table = GroupTable::with_capacity(n);
             let mut gid_of: Vec<u32> = Vec::with_capacity(n);
@@ -176,27 +201,44 @@ fn spill_group_column(ctx: &ExecCtx, col: &Column) -> Result<(Vec<u32>, Vec<u32>
     Ok((gid_of, reps, "spill"))
 }
 
-/// First-occurrence grouping over dictionary codes with a flat code→gid
-/// table (see the dispatch comment in [`hash_group_column`]). The slot
-/// table comes from the bounded thread-local scratch pool; there is no
-/// abort point between checkout and return.
-fn dict_group_codes(d: crate::typed::DictStrVals<'_>) -> (Vec<u32>, Vec<u32>) {
-    const EMPTY: u32 = u32::MAX;
-    let codes = d.codes();
-    let mut slot = crate::typed::take_u32(d.dict_len());
-    slot.resize(d.dict_len(), EMPTY);
-    let mut gid_of: Vec<u32> = Vec::with_capacity(codes.len());
+/// First-occurrence grouping by direct addressing: every code of `col`
+/// lies in `dom`, so `code - base` indexes a [`SlotTable`] of group ids.
+/// The table comes from the scratch pool; there is no abort point between
+/// checkout and return.
+fn direct_group_column(col: &Column, dom: OidDomain) -> (Vec<u32>, Vec<u32>) {
+    let mut table = SlotTable::pooled(dom.span);
     let mut reps: Vec<u32> = Vec::new();
-    for i in 0..codes.len() {
-        let s = &mut slot[codes.get(i) as usize];
-        if *s == EMPTY {
-            *s = reps.len() as u32;
-            reps.push(i as u32);
-        }
-        gid_of.push(*s);
-    }
-    crate::typed::put_u32(slot);
+    let gid_of: Vec<u32> = crate::for_each_coded!(col, |c| {
+        (0..col.len())
+            .map(|i| {
+                let (g, inserted) = table.find_or_insert((c.code(i) - dom.base) as usize);
+                if inserted {
+                    reps.push(i as u32);
+                }
+                g
+            })
+            .collect()
+    })
+    .expect("a covering domain implies integer codes");
+    table.recycle();
     (gid_of, reps)
+}
+
+/// The compact domains of a key *pair*, when the `packed` arm of pair
+/// grouping and pair dedup applies: both columns integer-coded and the
+/// product of their spans accepted by
+/// [`crate::costmodel::group_prefers_packed`] for `a.len()` rows. The pair
+/// `(x, y)` then lives in slot `slot_a(x) * span_b + slot_b(y)`.
+pub(crate) fn packed_domains(
+    ctx: &ExecCtx,
+    (a, a_sorted): (&Column, bool),
+    (b, b_sorted): (&Column, bool),
+) -> Option<(OidDomain, OidDomain)> {
+    let fits = |span: usize| crate::costmodel::group_prefers_packed(&ctx.mem, span, a.len());
+    // A first span that is too wide on its own saves the second pass.
+    let da = OidDomain::covering(a, a_sorted).filter(|d| fits(d.span))?;
+    let db = OidDomain::covering(b, b_sorted)?;
+    fits(da.span.checked_mul(db.span)?).then_some((da, db))
 }
 
 /// Unary group: one new oid per distinct tail value. Group oids are dense,
@@ -211,8 +253,7 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
         pager::touch_scan(p, ab.tail());
     }
     let sorted = ab.props().tail.sorted;
-    let threads = if sorted { 1 } else { super::par_threads(ctx, ab.len()) };
-    let (mut gids, ngroups, algo): (Vec<Oid>, usize, &'static str) = if sorted {
+    let (gids, algo): (Vec<Oid>, &'static str) = if sorted {
         crate::for_each_typed!(ab.tail(), |t| {
             let n = t.len();
             let mut gids: Vec<Oid> = Vec::with_capacity(n);
@@ -224,17 +265,18 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
                 }
                 gids.push(g);
             }
-            let ngroups = if n == 0 { 0 } else { g as usize + 1 };
-            (gids, ngroups, "merge")
+            let base = ctx.fresh_oids(if n == 0 { 0 } else { g as usize + 1 });
+            for g in &mut gids {
+                *g += base;
+            }
+            (gids, "merge")
         })
     } else {
-        let (gid_of, rep, algo) = hash_group_column(ctx, ab.tail(), threads)?;
-        (gid_of.into_iter().map(|g| g as Oid).collect(), rep.len(), algo)
+        let threads = super::par_threads(ctx, ab.len());
+        let (gid_of, reps, algo) = hash_group_column(ctx, ab.tail(), threads)?;
+        let base = ctx.fresh_oids(reps.len());
+        (gid_of.iter().map(|&g| base + g as Oid).collect(), algo)
     };
-    let base = ctx.fresh_oids(ngroups);
-    for g in &mut gids {
-        *g += base;
-    }
     let result = Bat::with_props(
         ab.head().clone(),
         Column::from_oids(gids),
@@ -260,65 +302,66 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         pager::touch_scan(p, ab.tail());
         pager::touch_scan(p, cd.tail());
     }
-    // Align: position i of AB corresponds to position align[i] of CD.
-    let (align, algo): (Vec<u32>, &'static str) = if ab.synced(cd) {
-        ((0..ab.len() as u32).collect(), "sync")
-    } else {
-        let idx = crate::accel::hash::HashIndex::build(cd.head());
-        let align: std::result::Result<Vec<u32>, usize> =
-            crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-                'align: {
-                    let mut align = Vec::with_capacity(ab.len());
-                    for i in 0..ah.len() {
-                        let v = ah.value(i);
-                        let h = ah.hash_one(v);
-                        match idx.candidates(h).find(|&p| ch.eq_one(ch.value(p), v)) {
-                            Some(p) => align.push(p as u32),
-                            None => break 'align Err(i),
-                        }
-                    }
-                    Ok(align)
-                }
-            });
-        match align {
-            Ok(a) => (a, "hash-align"),
-            Err(i) => {
-                return Err(MonetError::Malformed {
-                    op: "group",
-                    detail: format!(
-                        "binary group: head value at position {i} of the group \
-                         BAT has no counterpart in the attribute BAT"
-                    ),
-                })
-            }
-        }
-    };
-    // Pair grouping over (b, d): nested typed dispatch monomorphizes the
-    // loop for every tail-type combination.
-    let (mut gids, ngroups): (Vec<Oid>, usize) = crate::for_each_typed!(ab.tail(), |bt| {
-        crate::for_each_typed!(cd.tail(), |dt| {
-            let n = bt.len();
-            let mut table = GroupTable::with_capacity(n);
-            let mut gids: Vec<Oid> = Vec::with_capacity(n);
-            for i in 0..n {
-                let j = align[i] as usize;
-                let bv = bt.value(i);
-                let dv = dt.value(j);
-                let h = bt.hash_one(bv).rotate_left(23) ^ dt.hash_one(dv);
-                let (g, _) = table.find_or_insert(h, i as u32, |rep| {
-                    let k = rep as usize;
-                    bt.eq_one(bt.value(k), bv) && dt.eq_one(dt.value(align[k] as usize), dv)
-                });
-                gids.push(g as Oid);
-            }
-            let ngroups = table.len();
-            (gids, ngroups)
+    // Align: position i of AB corresponds to position `at(i)` of CD — i
+    // itself when the operands are synced.
+    let align: Option<Vec<u32>> = if ab.synced(cd) { None } else { Some(hash_align(ab, cd)?) };
+    let at = |i: usize| align.as_ref().map_or(i, |a| a[i] as usize);
+    let n = ab.len();
+    let packed = packed_domains(
+        ctx,
+        (ab.tail(), ab.props().tail.sorted),
+        (cd.tail(), cd.props().tail.sorted),
+    );
+    let (mut gids, ngroups): (Vec<Oid>, usize) = if let Some((bdom, ddom)) = packed {
+        crate::for_each_coded!(ab.tail(), |bc| {
+            crate::for_each_coded!(cd.tail(), |dc| {
+                let mut table = SlotTable::pooled(bdom.span * ddom.span);
+                let gids: Vec<Oid> = (0..n)
+                    .map(|i| {
+                        let b = (bc.code(i) - bdom.base) as usize;
+                        let d = (dc.code(at(i)) - ddom.base) as usize;
+                        table.find_or_insert(b * ddom.span + d).0 as Oid
+                    })
+                    .collect();
+                let ngroups = table.len();
+                table.recycle();
+                (gids, ngroups)
+            })
         })
-    });
+        .flatten()
+        .expect("covering domains imply integer codes")
+    } else {
+        // Pair grouping over (b, d): nested typed dispatch monomorphizes
+        // the loop for every tail-type combination.
+        crate::for_each_typed!(ab.tail(), |bt| {
+            crate::for_each_typed!(cd.tail(), |dt| {
+                let mut table = GroupTable::with_capacity(n);
+                let mut gids: Vec<Oid> = Vec::with_capacity(n);
+                for i in 0..n {
+                    let bv = bt.value(i);
+                    let dv = dt.value(at(i));
+                    let h = bt.hash_one(bv).rotate_left(23) ^ dt.hash_one(dv);
+                    let (g, _) = table.find_or_insert(h, i as u32, |rep| {
+                        let k = rep as usize;
+                        bt.eq_one(bt.value(k), bv) && dt.eq_one(dt.value(at(k)), dv)
+                    });
+                    gids.push(g as Oid);
+                }
+                let ngroups = table.len();
+                (gids, ngroups)
+            })
+        })
+    };
     let base = ctx.fresh_oids(ngroups);
     for g in &mut gids {
         *g += base;
     }
+    let algo = match (packed.is_some(), align.is_some()) {
+        (true, false) => "packed",
+        (true, true) => "packed-align",
+        (false, false) => "sync",
+        (false, true) => "hash-align",
+    };
     let result = Bat::with_props(
         ab.head().clone(),
         Column::from_oids(gids),
@@ -326,6 +369,34 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     );
     ctx.record("group", algo, started, faults0, &result)?;
     Ok(result)
+}
+
+/// For every head of `ab`, its position in `cd` (whose head must hold each
+/// of them), by hash.
+fn hash_align(ab: &Bat, cd: &Bat) -> Result<Vec<u32>> {
+    let idx = crate::accel::hash::HashIndex::build(cd.head());
+    let align: std::result::Result<Vec<u32>, usize> =
+        crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
+            'align: {
+                let mut align = Vec::with_capacity(ab.len());
+                for i in 0..ah.len() {
+                    let v = ah.value(i);
+                    let h = ah.hash_one(v);
+                    match idx.candidates(h).find(|&p| ch.eq_one(ch.value(p), v)) {
+                        Some(p) => align.push(p as u32),
+                        None => break 'align Err(i),
+                    }
+                }
+                Ok(align)
+            }
+        });
+    align.map_err(|i| MonetError::Malformed {
+        op: "group",
+        detail: format!(
+            "binary group: head value at position {i} of the group \
+             BAT has no counterpart in the attribute BAT"
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -424,7 +495,7 @@ mod tests {
         let ctx = ExecCtx::new();
         // Values spread across many clusters with skewed repetition; also
         // an encoded (dict) string column, which in-memory grouping sends
-        // through the code-group fast path.
+        // through the direct arm (its codes are a compact domain).
         let ints = Column::from_ints((0..5000).map(|i| ((i * 31) % 613) as i32).collect());
         let strs = Column::from_strs((0..3000).map(|i| format!("g{}", i % 97)).collect::<Vec<_>>());
         let dict = strs.encode(false);
@@ -444,12 +515,14 @@ mod tests {
     #[test]
     fn group_dispatches_to_spill_under_budget_pressure() {
         let ctx = ExecCtx::new().with_trace();
+        // 800 values a thousand apart: no compact domain, so the choice is
+        // between the hash table and the disk.
         let b = Bat::new(
             Column::from_oids((0..4000).collect()),
-            Column::from_ints((0..4000).map(|i| (i % 800) as i32).collect()),
+            Column::from_ints((0..4000).map(|i| (i % 800) * 1000).collect()),
         );
         let a = group1(&ctx, &b).unwrap();
-        assert_ne!(ctx.take_trace()[0].algo, "spill");
+        assert_eq!(ctx.take_trace()[0].algo, "hash");
         // Budget below the GroupTable estimate but above the result
         // charge (the gid column is the output either way).
         ctx.mem.begin();

@@ -4,6 +4,12 @@
 //! in the binary model (Section 4.2). Implementations, picked dynamically
 //! in this order:
 //!
+//! * `sync` — the left tail and the right head are the *same column* (one
+//!   [`Column::identity`]) and the right head is `key`: BUN `i` matches BUN
+//!   `i` and nothing else, so the result is the left head next to the right
+//!   tail — zero copy, no page touched. This is the join of the flattened
+//!   `nest` + aggregate tail, `join(class.mirror, semijoin(vals, class))`,
+//!   and it comes first in the pinned entry points too;
 //! * `fetch` — the right head is a dense (void) sequence: pure positional
 //!   array lookup, `cd.tail[b - seq]`;
 //! * `merge` — left tail and right head sorted: linear merge with
@@ -43,7 +49,9 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let started = Instant::now();
     let faults0 = ctx.faults();
     let oid_keyed = ab.tail().is_oidlike() && cd.head().is_oidlike();
-    let (result, algo) = if oid_keyed && cd.props().head.dense {
+    let (result, algo) = if let Some(synced) = join_sync(ab, cd) {
+        (synced, "sync")
+    } else if oid_keyed && cd.props().head.dense {
         (join_fetch(ctx, ab, cd), "fetch")
     } else if ab.props().tail.sorted && cd.props().head.sorted {
         (join_merge(ctx, ab, cd), "merge")
@@ -149,6 +157,27 @@ pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFu
     );
     ctx.record("theta-join", algo, started, faults0, &result)?;
     Ok(result)
+}
+
+/// Sync join: when the join columns are one and the same duplicate-free
+/// column, every left BUN matches exactly the right BUN at its own
+/// position — the full match [`build_join`] would assemble from the
+/// identity permutation, without the probe and without the gathers.
+fn join_sync(ab: &Bat, cd: &Bat) -> Option<Bat> {
+    let cp = cd.props();
+    if !(cp.head.key && ab.tail().identity() == cd.head().identity()) {
+        return None;
+    }
+    Some(Bat::with_props(ab.head().clone(), cd.tail().clone(), full_match_props(ab.props(), cp)))
+}
+
+/// [`propagated_props`] of a join in which every left BUN found its one
+/// partner: the result head *is* the left head, so a dense head stays
+/// dense.
+fn full_match_props(ab: Props, cd: Props) -> Props {
+    let mut props = propagated_props(ab, cd);
+    props.head.dense = ab.head.dense;
+    props
 }
 
 /// A right position no probe can return: marks an oid absent from a
@@ -680,7 +709,8 @@ pub fn propagated_props(ab: Props, cd: Props) -> Props {
 /// Pinned positional fetch join: the plan optimizer proved the right head
 /// dense and both join columns oid-like from propagated descriptors, so
 /// dynamic dispatch would necessarily pick `fetch` — the interpreter skips
-/// the re-derivation.
+/// the re-derivation. Column identity is a run-time fact the optimizer
+/// cannot see, so the `sync` arm is still tried first, as in [`join`].
 pub fn join_fetch_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/join")?;
     check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
@@ -690,8 +720,11 @@ pub fn join_fetch_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     );
     let started = Instant::now();
     let faults0 = ctx.faults();
-    let result = join_fetch(ctx, ab, cd);
-    ctx.record("join", "fetch", started, faults0, &result)?;
+    let (result, algo) = match join_sync(ab, cd) {
+        Some(synced) => (synced, "sync"),
+        None => (join_fetch(ctx, ab, cd), "fetch"),
+    };
+    ctx.record("join", algo, started, faults0, &result)?;
     Ok(result)
 }
 
@@ -708,8 +741,11 @@ pub fn join_merge_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     );
     let started = Instant::now();
     let faults0 = ctx.faults();
-    let result = join_merge(ctx, ab, cd);
-    ctx.record("join", "merge", started, faults0, &result)?;
+    let (result, algo) = match join_sync(ab, cd) {
+        Some(synced) => (synced, "sync"),
+        None => (join_merge(ctx, ab, cd), "merge"),
+    };
+    ctx.record("join", algo, started, faults0, &result)?;
     Ok(result)
 }
 
@@ -737,8 +773,8 @@ fn build_join(
     let tail = values.gather(&ri);
     put_u32(li);
     put_u32(ri);
-    let mut props = propagated_props(ab.props(), cd);
-    props.head.dense = ab.props().head.dense && full;
+    let props =
+        if full { full_match_props(ab.props(), cd) } else { propagated_props(ab.props(), cd) };
     Bat::with_props(head, tail, props)
 }
 

@@ -170,7 +170,7 @@ fn scan_algo(ctx: &ExecCtx, ab: &Bat) -> &'static str {
 /// window-local indices of the rows matching the bounds, in row order. A
 /// dict-encoded window compares plain codes against the half-open code
 /// range the bounds resolve to; every other layout runs one monomorphized
-/// typed loop.
+/// typed loop (an equality loop when the bounds are one point).
 pub(crate) fn select_window(
     w: &Column,
     lo: Option<&AtomValue>,
@@ -191,22 +191,39 @@ pub(crate) fn select_window(
         }
         return idx;
     }
+    // A point predicate (both bounds one constant, inclusive) is a single
+    // equality test per row. Run through the two-sided loop it costs a
+    // coin-flip branch per row on unordered data — every value at or above
+    // the constant passes the first test to fail the second — 6.3 ns/row
+    // where this loop scans at 1 ns/row.
+    let point = match (lo, hi) {
+        (Some(l), Some(h)) if inc_lo && inc_hi && l == h => Some(l),
+        _ => None,
+    };
     crate::for_each_typed!(w, |t| {
-        'row: for i in 0..t.len() {
-            let x = t.value(i);
-            if let Some(v) = lo {
-                let c = t.cmp_atom(x, v);
-                if c.is_lt() || (!inc_lo && c.is_eq()) {
-                    continue 'row;
+        if let Some(v) = point {
+            for i in 0..t.len() {
+                if t.cmp_atom(t.value(i), v).is_eq() {
+                    idx.push(i as u32);
                 }
             }
-            if let Some(v) = hi {
-                let c = t.cmp_atom(x, v);
-                if c.is_gt() || (!inc_hi && c.is_eq()) {
-                    continue 'row;
+        } else {
+            'row: for i in 0..t.len() {
+                let x = t.value(i);
+                if let Some(v) = lo {
+                    let c = t.cmp_atom(x, v);
+                    if c.is_lt() || (!inc_lo && c.is_eq()) {
+                        continue 'row;
+                    }
                 }
+                if let Some(v) = hi {
+                    let c = t.cmp_atom(x, v);
+                    if c.is_gt() || (!inc_hi && c.is_eq()) {
+                        continue 'row;
+                    }
+                }
+                idx.push(i as u32);
             }
-            idx.push(i as u32);
         }
     });
     idx

@@ -1,9 +1,12 @@
 //! Duplicate elimination: `AB.unique = {ab | ab ∈ AB}` as a *set* — the
 //! first occurrence of every distinct BUN pair is kept, in operand order.
 //!
-//! Both variants run under nested typed dispatch: the (head, tail) type
-//! pair is resolved once and the per-row work — pair hash, chain walk,
-//! pair equality — is fully monomorphic.
+//! Variants, in dispatch order: `noop` (a key column: all pairs distinct),
+//! `merge` (head sorted: duplicates only inside runs), `packed` (serial,
+//! both columns integer-coded with a compact product span —
+//! [`super::group::packed_domains`]: one slot-table load per row), `hash` /
+//! `par-hash`. All run under nested typed dispatch: the (head, tail) type
+//! pair is resolved once and the per-row work is fully monomorphic.
 
 use std::time::Instant;
 
@@ -12,7 +15,7 @@ use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
 use crate::props::{ColProps, Props};
-use crate::typed::{GroupTable, TypedVals};
+use crate::typed::{CodedVals, GroupTable, SlotTable, TypedVals};
 
 /// Remove duplicate BUNs.
 pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
@@ -29,8 +32,8 @@ pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     } else if ab.props().head.sorted {
         (unique_grouped(ab), "merge")
     } else {
-        let threads = super::par_threads(ctx, ab.len());
-        (unique_hash(ctx, ab, threads)?, if threads > 1 { "par-hash" } else { "hash" })
+        let (idx, algo) = unique_hash(ctx, ab, super::par_threads(ctx, ab.len()))?;
+        (build_unique(ab, &idx), algo)
     };
     ctx.record("unique", algo, started, faults0, &result)?;
     Ok(result)
@@ -60,7 +63,33 @@ fn unique_grouped(ab: &Bat) -> Bat {
     build_unique(ab, &idx)
 }
 
-fn unique_hash(ctx: &ExecCtx, ab: &Bat, threads: usize) -> Result<Bat> {
+/// Positions of the first occurrence of every distinct pair, ascending.
+fn unique_hash(ctx: &ExecCtx, ab: &Bat, threads: usize) -> Result<(Vec<u32>, &'static str)> {
+    if threads <= 1 {
+        let tail_sorted = ab.props().tail.sorted;
+        let packed =
+            super::group::packed_domains(ctx, (ab.head(), false), (ab.tail(), tail_sorted));
+        if let Some((hdom, tdom)) = packed {
+            let idx = crate::for_each_coded!(ab.head(), |hc| {
+                crate::for_each_coded!(ab.tail(), |tc| {
+                    let mut table = SlotTable::pooled(hdom.span * tdom.span);
+                    let mut idx: Vec<u32> = Vec::new();
+                    for i in 0..ab.len() {
+                        let h = (hc.code(i) - hdom.base) as usize;
+                        let t = (tc.code(i) - tdom.base) as usize;
+                        if table.find_or_insert(h * tdom.span + t).1 {
+                            idx.push(i as u32);
+                        }
+                    }
+                    table.recycle();
+                    idx
+                })
+            })
+            .flatten()
+            .expect("covering domains imply integer codes");
+            return Ok((idx, "packed"));
+        }
+    }
     let idx: Vec<u32> = if threads > 1 {
         // Morsel-parallel dedup: every global first occurrence is also a
         // first occurrence within its own morsel, so per-worker tables
@@ -137,7 +166,7 @@ fn unique_hash(ctx: &ExecCtx, ab: &Bat, threads: usize) -> Result<Bat> {
             })
         })
     };
-    Ok(build_unique(ab, &idx))
+    Ok((idx, if threads > 1 { "par-hash" } else { "hash" }))
 }
 
 fn build_unique(ab: &Bat, idx: &[u32]) -> Bat {

@@ -406,6 +406,12 @@ impl<'a> ForIntVals<'a> {
     pub fn is_date(&self) -> bool {
         self.date
     }
+
+    /// The stored narrow deltas (value = base + delta).
+    #[inline]
+    pub fn deltas(&self) -> ForDeltaSlice<'a> {
+        self.deltas
+    }
 }
 
 impl<'a> TypedVals for ForIntVals<'a> {
@@ -451,6 +457,12 @@ pub struct ForLngVals<'a> {
 impl<'a> ForLngVals<'a> {
     pub(crate) fn new(base: i64, deltas: ForDeltaSlice<'a>) -> ForLngVals<'a> {
         ForLngVals { base, deltas }
+    }
+
+    /// The stored narrow deltas (value = base + delta).
+    #[inline]
+    pub fn deltas(&self) -> ForDeltaSlice<'a> {
+        self.deltas
     }
 }
 
@@ -665,16 +677,152 @@ pub fn hash_column(col: &Column) -> Vec<u64> {
 const EMPTY: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
-// Compact oid domains: an oid is a position.
+// Compact key domains: an oid — any small integer key — is a position.
 // ---------------------------------------------------------------------------
 
-/// The oid range `[base, base + span)`, addressed by `oid - base`
-/// (Section 5.2: an oid is a *position* in its class extent). Wherever an
-/// oid-keyed operator would hash or binary-search its keys, a domain whose
-/// span is compact ([`crate::costmodel::domain_is_compact`]) lets it index
-/// an array instead: the extent's value vectors directly (LOOKUP, fetch and
-/// datavector join), or a pooled position array / bitmap filled from the
-/// key column (`direct` join, `bitmap` semijoin).
+/// A column window whose values are fixed-width integers: every value has
+/// a `u64` *code*, injective and order-preserving within the column, so
+/// code equality is value equality and a compact code range can index an
+/// array. Oids are their own code; `chr`/`bool` widen; signed integers and
+/// dates flip the sign bit; dictionary and frame-of-reference columns use
+/// their stored narrow codes (the dictionary is duplicate-free and sorted,
+/// the frame adds a constant). `dbl` and raw `str` columns have no code —
+/// [`for_each_coded!`] yields `None` for them.
+pub trait CodedVals: Copy {
+    /// Code of row `i`.
+    fn code(&self, i: usize) -> u64;
+
+    /// Inclusive bounds every code of the window lies within, when the
+    /// representation gives them for free (a void sequence, a one-byte
+    /// type, a dictionary's size).
+    #[inline]
+    fn code_bounds(&self) -> Option<(u64, u64)> {
+        None
+    }
+}
+
+/// Order-preserving `i64 -> u64`: flip the sign bit.
+const SIGN_FLIP: u64 = 1 << 63;
+
+impl CodedVals for VoidVals {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        self.seq + i as Oid
+    }
+
+    #[inline]
+    fn code_bounds(&self) -> Option<(u64, u64)> {
+        Some((self.seq, self.seq + self.len.saturating_sub(1) as Oid))
+    }
+}
+
+impl CodedVals for &[Oid] {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        self[i]
+    }
+}
+
+impl CodedVals for &[bool] {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        self[i] as u64
+    }
+
+    #[inline]
+    fn code_bounds(&self) -> Option<(u64, u64)> {
+        Some((0, 1))
+    }
+}
+
+impl CodedVals for &[u8] {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        self[i] as u64
+    }
+
+    #[inline]
+    fn code_bounds(&self) -> Option<(u64, u64)> {
+        Some((0, u8::MAX as u64))
+    }
+}
+
+impl CodedVals for &[i32] {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        (self[i] as i64 as u64) ^ SIGN_FLIP
+    }
+}
+
+impl CodedVals for &[i64] {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        (self[i] as u64) ^ SIGN_FLIP
+    }
+}
+
+impl CodedVals for ForDeltaSlice<'_> {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        self.get(i)
+    }
+
+    #[inline]
+    fn code_bounds(&self) -> Option<(u64, u64)> {
+        matches!(self, ForDeltaSlice::W8(_)).then_some((0, u8::MAX as u64))
+    }
+}
+
+impl CodedVals for DictStrVals<'_> {
+    #[inline]
+    fn code(&self, i: usize) -> u64 {
+        self.codes.get(i)
+    }
+
+    #[inline]
+    fn code_bounds(&self) -> Option<(u64, u64)> {
+        Some((0, self.dict_len().saturating_sub(1) as u64))
+    }
+}
+
+/// Monomorphize `$body` over the integer codes of one column: `$v` is
+/// bound to a [`CodedVals`] implementor and the result is `Some(body)`;
+/// `None` for `dbl` and raw `str` columns, which have no integer code.
+#[macro_export]
+macro_rules! for_each_coded {
+    ($col:expr, |$v:ident| $body:expr) => {{
+        use $crate::typed::TypedSlice as TS;
+        match TS::of($col) {
+            TS::Void($v) => Some($body),
+            TS::Oid($v) => Some($body),
+            TS::Bool($v) => Some($body),
+            TS::Chr($v) => Some($body),
+            TS::Int($v) | TS::Date($v) => Some($body),
+            TS::Lng($v) => Some($body),
+            TS::DictStr($v) => Some($body),
+            TS::ForInt(f) => {
+                let $v = f.deltas();
+                Some($body)
+            }
+            TS::ForLng(f) => {
+                let $v = f.deltas();
+                Some($body)
+            }
+            TS::Dbl(_) | TS::Str(_) => None,
+        }
+    }};
+}
+
+/// The key range `[base, base + span)`, addressed by `code - base`
+/// (Section 5.2: an oid is a *position* in its class extent — and so is
+/// any other small integer key: a `chr` flag, a date, a dictionary code,
+/// a group id). Wherever an operator would hash or binary-search such
+/// keys, a domain whose span is compact
+/// ([`crate::costmodel::domain_is_compact`]) lets it index an array
+/// instead: the extent's value vectors directly (LOOKUP, fetch and
+/// datavector join), a pooled position array / bitmap filled from the key
+/// column (`direct` join, `bitmap` semijoin), or a pooled [`SlotTable`] of
+/// group ids (`direct` grouping, `packed` pair grouping and dedup).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OidDomain {
     pub base: Oid,
@@ -682,29 +830,83 @@ pub struct OidDomain {
 }
 
 impl OidDomain {
-    /// The tightest domain covering an oid-like column: O(1) for `void`
-    /// and `sorted` columns (first/last), one min/max pass otherwise.
-    /// An empty column has the empty domain; `None` only when the span
-    /// overflows `usize`.
+    /// The domain covering the [`CodedVals`] codes of a column: O(1) for
+    /// `sorted` columns (first/last) and where the representation bounds
+    /// its codes (void, one-byte types, dictionaries), one min/max pass
+    /// otherwise — tightest in every case but the representation bounds.
+    /// An empty column has the empty domain; `None` when the column has no
+    /// integer code or the span overflows `usize`.
     pub fn covering(col: &Column, sorted: bool) -> Option<OidDomain> {
         if col.is_empty() {
-            return Some(OidDomain { base: 0, span: 0 });
+            return for_each_coded!(col, |_c| OidDomain { base: 0, span: 0 });
         }
-        let (lo, hi) = if sorted || col.void_seq().is_some() {
-            (col.oid_at(0), col.oid_at(col.len() - 1))
-        } else {
-            let oids = col.as_oid_slice()?;
-            oids.iter().fold((u64::MAX, 0), |(lo, hi), &o| (lo.min(o), hi.max(o)))
-        };
+        let n = col.len();
+        let (lo, hi) = for_each_coded!(col, |c| {
+            if sorted {
+                (c.code(0), c.code(n - 1))
+            } else if let Some(bounds) = c.code_bounds() {
+                bounds
+            } else {
+                (0..n).map(|i| c.code(i)).fold((u64::MAX, 0), |(lo, hi), k| (lo.min(k), hi.max(k)))
+            }
+        })?;
         let span = usize::try_from(hi - lo).ok()?.checked_add(1)?;
         Some(OidDomain { base: lo, span })
     }
 
-    /// Slot of `oid` in the domain, if it lies inside.
+    /// Slot of `oid` (any key code) in the domain, if it lies inside.
     #[inline(always)]
     pub fn slot(&self, oid: Oid) -> Option<usize> {
         let k = oid.wrapping_sub(self.base);
         (k < self.span as u64).then_some(k as usize)
+    }
+}
+
+/// Direct-addressed grouping table over a compact key domain: one pooled
+/// `u32` slot per key of the span, holding the id of the group that key
+/// opened — the flat twin of [`GroupTable`] (entry id == group id,
+/// first-occurrence numbering) with the hash, the chain walk and the
+/// equality check replaced by one indexed load.
+pub struct SlotTable {
+    slots: Vec<u32>,
+    groups: u32,
+}
+
+impl SlotTable {
+    /// A table over `span` keys, drawn from the scratch pool; return it
+    /// with [`SlotTable::recycle`].
+    pub fn pooled(span: usize) -> SlotTable {
+        let mut slots = take_u32(span);
+        slots.resize(span, EMPTY);
+        SlotTable { slots, groups: 0 }
+    }
+
+    /// The group of key slot `k`, opening a new one when `k` is first seen.
+    /// Returns `(group id, inserted)`.
+    #[inline(always)]
+    pub fn find_or_insert(&mut self, k: usize) -> (u32, bool) {
+        let s = &mut self.slots[k];
+        if *s != EMPTY {
+            return (*s, false);
+        }
+        *s = self.groups;
+        self.groups += 1;
+        (*s, true)
+    }
+
+    /// Number of groups opened so far.
+    pub fn len(&self) -> usize {
+        self.groups as usize
+    }
+
+    /// True when no group has been opened.
+    pub fn is_empty(&self) -> bool {
+        self.groups == 0
+    }
+
+    /// Return the slot buffer to the scratch pool.
+    pub fn recycle(self) {
+        put_u32(self.slots);
     }
 }
 

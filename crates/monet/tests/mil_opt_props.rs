@@ -288,3 +288,61 @@ fn predictions_hold_on_optimized_programs_too() {
         check(&db, &out.prog, &format!("optimized chain over {ty}"));
     }
 }
+
+#[test]
+fn sync_join_claims_exactly_what_the_arm_it_replaces_claims() {
+    // Whether a join's two join columns are one and the same column is a
+    // run-time fact: the static inference (and with it the pin pass) sees
+    // the same shapes either way. So the `sync` arm must satisfy every
+    // prediction the oracle checks, and claim exactly the descriptor of
+    // the arm that joins an equal-valued *copy* of the column — dynamic or
+    // pinned, raw program or optimized.
+    let n = 32u64;
+    let heads: [(&str, Vec<u64>); 3] = [
+        ("shuffled (direct)", (0..n).map(|i| 200 + (i * 13) % n).collect()),
+        ("sorted (merge)", (0..n).map(|i| 200 + 2 * i).collect()),
+        ("dense (fetch)", (0..n).map(|i| 200 + i).collect()),
+    ];
+    for ty in TYPES {
+        for (what, oids) in &heads {
+            let shared = Column::from_oids(oids.clone());
+            let mut db = Db::new();
+            db.register(
+                "refs",
+                Bat::with_inferred_props(col(AtomType::Int, n as usize), shared.clone()),
+            );
+            db.register("same", Bat::with_inferred_props(shared, col(ty, n as usize)));
+            db.register(
+                "twin",
+                Bat::with_inferred_props(Column::from_oids(oids.clone()), col(ty, n as usize)),
+            );
+            let mut p = MilProgram::new();
+            let refs = load(&mut p, "refs");
+            let same = load(&mut p, "same");
+            let twin = load(&mut p, "twin");
+            let js = p.emit("js", MilOp::Join(refs, same));
+            let jt = p.emit("jt", MilOp::Join(refs, twin));
+            let optimized = monet::mil::opt::optimize(p.clone(), &[js, jt], &db);
+            for (prog, tag) in [(&p, "raw"), (&optimized.prog, "optimized")] {
+                let what = format!("{tag} {what} join over {ty}");
+                check(&db, prog, &what);
+                let ctx = ExecCtx::new().with_trace();
+                let keep: Vec<Var> = (0..prog.len()).collect();
+                let env = execute(&ctx, &db, prog, &keep).unwrap();
+                let algo = |name: &str| {
+                    let t = env.trace().iter().find(|t| t.name == name).expect("join statement");
+                    (t.algo, env.bat(t.var).unwrap())
+                };
+                let ((sync, s), (other, t)) = (algo("js"), algo("jt"));
+                assert_eq!(sync, "sync", "{what}");
+                assert_ne!(other, "sync", "{what}");
+                assert_eq!(s.iter().collect::<Vec<_>>(), t.iter().collect::<Vec<_>>(), "{what}");
+                let semantic = |b: &Bat| {
+                    let p = b.props();
+                    [p.head, p.tail].map(|c| (c.sorted, c.key, c.dense))
+                };
+                assert_eq!(semantic(s), semantic(t), "{what}: sync vs {other} descriptor");
+            }
+        }
+    }
+}

@@ -319,16 +319,20 @@ fn rows_of(b: &Bat) -> Vec<(AtomValue, AtomValue)> {
     b.iter().collect()
 }
 
-/// Canonical first-appearance relabeling of a group-id column.
-fn canon_gids(tail: &Column) -> Vec<u64> {
+/// Canonical first-appearance relabeling of group ids.
+fn canon_ids(gids: &[u64]) -> Vec<u64> {
     let mut map: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::with_capacity(tail.len());
-    for i in 0..tail.len() {
-        let g = tail.oid_at(i);
-        let next = map.len() as u64;
-        out.push(*map.entry(g).or_insert(next));
-    }
-    out
+    gids.iter()
+        .map(|&g| {
+            let next = map.len() as u64;
+            *map.entry(g).or_insert(next)
+        })
+        .collect()
+}
+
+/// [`canon_ids`] of a group-id column.
+fn canon_gids(tail: &Column) -> Vec<u64> {
+    canon_ids(&(0..tail.len()).map(|i| tail.oid_at(i)).collect::<Vec<_>>())
 }
 
 /// The scan-shaped operators (select scan, synced multiplex, scalar
@@ -549,17 +553,7 @@ fn typed_group_matches_generic_across_types() {
             let cd = Bat::new(head, random_column(&mut rng, t2, n));
             let g = ops::group2(&ctx, &ab, &cd).unwrap();
             let expect = reference::group2_gids(&ab, &cd).unwrap();
-            let expect_canon = {
-                let mut map: HashMap<u64, u64> = HashMap::new();
-                expect
-                    .iter()
-                    .map(|&g| {
-                        let next = map.len() as u64;
-                        *map.entry(g).or_insert(next)
-                    })
-                    .collect::<Vec<u64>>()
-            };
-            assert_eq!(canon_gids(g.tail()), expect_canon, "group2 ({t1}, {t2})");
+            assert_eq!(canon_gids(g.tail()), canon_ids(&expect), "group2 ({t1}, {t2})");
         }
     }
 }
@@ -1565,4 +1559,292 @@ fn lookup_against_a_materialized_dense_extent_equals_the_void_extent() {
         }
     }
     assert!(Extent::try_new(Column::from_ints(vec![1, 2])).is_err());
+}
+
+// ---------------------------------------------------------------------------
+// The nest + aggregate tail: sync join, direct/packed grouping, the
+// per-execution grouping memo.
+// ---------------------------------------------------------------------------
+
+/// The semantic descriptor of both columns (the encoding fact follows the
+/// storage, not the algorithm).
+fn semantic_props(b: &Bat) -> [(bool, bool, bool); 2] {
+    let p = b.props();
+    [(p.head.sorted, p.head.key, p.head.dense), (p.tail.sorted, p.tail.key, p.tail.dense)]
+}
+
+/// A duplicate-free column of `ty` with `n` rows (n <= 2 for bool).
+fn key_column(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> Column {
+    if ty == AtomType::Void {
+        return Column::void(rng.gen_range(0..30u64), n);
+    }
+    let mut vals: Vec<AtomValue> = (0..n as i32)
+        .map(|i| match ty {
+            AtomType::Oid => AtomValue::Oid(40 + i as u64),
+            AtomType::Bool => AtomValue::Bool(i == 1),
+            AtomType::Chr => AtomValue::Chr(b'a' + i as u8),
+            AtomType::Int => AtomValue::Int(i * 3 - 20),
+            AtomType::Lng => AtomValue::Lng(i as i64 * 1_000_003 - 9),
+            AtomType::Dbl => AtomValue::Dbl(i as f64 * 0.5 - 3.0),
+            AtomType::Str => AtomValue::str(format!("k{i:03}")),
+            AtomType::Date => AtomValue::Date(Date(8000 + i * 2)),
+            AtomType::Void => unreachable!(),
+        })
+        .collect();
+    if !sorted {
+        for i in (1..vals.len()).rev() {
+            vals.swap(i, rng.gen_range(0..=i));
+        }
+    }
+    Column::from_atoms(ty, vals)
+}
+
+#[test]
+fn sync_join_matches_reference_and_fires_only_on_one_key_column() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x41);
+    let ctx = ExecCtx::new().with_trace();
+    for &ty in ALL_TYPES {
+        for case in 0..6 {
+            let n = if ty == AtomType::Bool { 2 } else { rng.gen_range(2..40usize) };
+            let sorted = case % 2 == 0;
+            let k = key_column(&mut rng, ty, n, sorted);
+            let ab = Bat::with_inferred_props(random_column(&mut rng, AtomType::Int, n), k.clone());
+            let cd = Bat::with_inferred_props(
+                k.clone(),
+                random_column(&mut rng, ALL_TYPES[case % ALL_TYPES.len()], n),
+            );
+            assert!(cd.props().head.key);
+            let got = ops::join(&ctx, &ab, &cd).unwrap();
+            assert_eq!(last_algo(&ctx), "sync", "{ty} case {case}");
+            assert_eq!(rows_of(&got), rows_of(&reference::join(&ab, &cd)), "{ty} case {case}");
+            // Zero copy: both result columns *are* operand columns.
+            assert_eq!(got.head().identity(), ab.head().identity(), "{ty} case {case}");
+            assert_eq!(got.tail().identity(), cd.tail().identity(), "{ty} case {case}");
+            // The same values under another identity take another arm and
+            // must claim exactly the same properties.
+            let all: Vec<u32> = (0..n as u32).collect();
+            let twin = Bat::with_inferred_props(k.gather(&all), cd.tail().clone());
+            let other = ops::join(&ctx, &ab, &twin).unwrap();
+            assert_ne!(last_algo(&ctx), "sync", "{ty} case {case}: equal values, other column");
+            assert_eq!(rows_of(&got), rows_of(&other), "{ty} case {case}: vs other arm");
+            assert_eq!(semantic_props(&got), semantic_props(&other), "{ty} case {case}: props");
+            assert!(other.synced(&ab) && got.synced(&ab), "{ty} case {case}: full match");
+            // The pins hide the dynamic dispatch, not the sync arm.
+            if sorted {
+                let pinned = ops::join::join_merge_pinned(&ctx, &ab, &cd).unwrap();
+                assert_eq!(last_algo(&ctx), "sync", "{ty} case {case}: merge pin");
+                assert_eq!(rows_of(&pinned), rows_of(&got));
+                let merged = ops::join::join_merge_pinned(&ctx, &ab, &twin).unwrap();
+                assert_eq!(last_algo(&ctx), "merge", "{ty} case {case}: merge pin, twin");
+                assert_eq!(rows_of(&merged), rows_of(&got));
+                assert_eq!(semantic_props(&merged), semantic_props(&got), "{ty} case {case}");
+            }
+            if ty == AtomType::Void {
+                let pinned = ops::join::join_fetch_pinned(&ctx, &ab, &cd).unwrap();
+                assert_eq!(last_algo(&ctx), "sync", "{ty} case {case}: fetch pin");
+                assert_eq!(rows_of(&pinned), rows_of(&got));
+            }
+            // Windows of one storage: equal length, different offset — not
+            // the same column, whatever the storage id says.
+            if n >= 3 {
+                let l = Bat::with_inferred_props(ab.head().slice(0, n - 1), k.slice(0, n - 1));
+                let r = Bat::with_inferred_props(k.slice(1, n - 1), cd.tail().slice(1, n - 1));
+                assert_eq!(l.tail().storage_id(), r.head().storage_id());
+                let shifted = ops::join(&ctx, &l, &r).unwrap();
+                assert_ne!(last_algo(&ctx), "sync", "{ty} case {case}: shifted windows");
+                assert_eq!(rows_of(&shifted), rows_of(&reference::join(&l, &r)));
+            }
+        }
+        // A shared join column with duplicates matches more than position
+        // to position; its descriptor says so (`key` is false).
+        if ty != AtomType::Void {
+            let n = rng.gen_range(4..30usize);
+            let d = random_column(&mut rng, ty, n);
+            let ab = Bat::with_inferred_props(random_column(&mut rng, AtomType::Int, n), d.clone());
+            let cd = Bat::with_inferred_props(d, random_column(&mut rng, AtomType::Int, n));
+            if !cd.props().head.key {
+                let got = ops::join(&ctx, &ab, &cd).unwrap();
+                assert_ne!(last_algo(&ctx), "sync", "{ty}: non-key shared column");
+                assert_eq!(rows_of(&got), rows_of(&reference::join(&ab, &cd)), "{ty}: non-key");
+            }
+        }
+        // Empty operands over one (empty) column.
+        let e = key_column(&mut rng, ty, 0, true);
+        let ab = Bat::with_inferred_props(Column::from_ints(vec![]), e.clone());
+        let cd = Bat::with_inferred_props(e, Column::from_ints(vec![]));
+        assert_eq!(ops::join(&ctx, &ab, &cd).unwrap().len(), 0, "{ty}: empty");
+        assert_eq!(last_algo(&ctx), "sync", "{ty}: empty");
+    }
+}
+
+/// Integer-coded fixtures for the direct/packed grouping arms: every
+/// fixed-width integer type with negative values where it has them, plus
+/// dictionary- and frame-of-reference-encoded tails. `wide` spreads two of
+/// the values far apart, so the span misses the compact-domain gate.
+fn coded_column(rng: &mut StdRng, kind: usize, n: usize, wide: bool) -> Column {
+    let far = |i: usize| if wide && i % 7 == 3 { 1_000_000 } else { 0 };
+    let pick = |rng: &mut StdRng| rng.gen_range(0..6usize);
+    match kind {
+        0 => Column::from_oids((0..n).map(|i| 30 + (pick(rng) + far(i)) as u64).collect()),
+        1 => Column::from_bools((0..n).map(|_| rng.gen_bool(0.5)).collect()),
+        2 => Column::from_chrs((0..n).map(|_| b'A' + pick(rng) as u8 * 3).collect()),
+        3 => Column::from_ints((0..n).map(|i| pick(rng) as i32 * 5 - 12 - far(i) as i32).collect()),
+        4 => Column::from_lngs((0..n).map(|i| pick(rng) as i64 - 3 - far(i) as i64 * 9).collect()),
+        5 => Column::from_dates(
+            (0..n).map(|i| Date(pick(rng) as i32 * 30 - 60 - far(i) as i32)).collect(),
+        ),
+        6 => {
+            // Long duplicated strings: the dictionary's size gate engages.
+            let c = Column::from_strs(
+                (0..n).map(|_| format!("Clerk#00000000000000000{}", pick(rng))).collect::<Vec<_>>(),
+            )
+            .encode(false);
+            assert_eq!(c.encoding(), Enc::Dict);
+            c
+        }
+        7 | 8 => {
+            // Frame of reference, negative base; `wide` needs u16 deltas.
+            let step = if wide { 9_000 } else { 1 };
+            let vals = (0..n).map(|_| pick(rng) as i32 * step - 40_000);
+            let raw = if kind == 7 {
+                Column::from_ints(vals.collect())
+            } else {
+                Column::from_lngs(vals.map(i64::from).collect())
+            };
+            let c = raw.encode(false);
+            assert_eq!(c.encoding(), Enc::For);
+            c
+        }
+        _ => unreachable!(),
+    }
+}
+
+const CODED_KINDS: usize = 9;
+
+/// Key span of an (unsorted) integer-coded column, as the kernels see it.
+fn span_of(col: &Column) -> usize {
+    monet::typed::OidDomain::covering(col, false).expect("integer-coded fixture").span
+}
+
+#[test]
+fn direct_group1_matches_reference_on_both_sides_of_the_gate() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x42);
+    let ctx = ExecCtx::new().with_trace();
+    let mut seen: HashSet<&str> = HashSet::new();
+    for kind in 0..CODED_KINDS {
+        for case in 0..8 {
+            // >= 64 rows: even the one-byte types' 256-slot bound passes
+            // the gate (8 slots per row).
+            let n = rng.gen_range(64..200usize);
+            let b = Bat::new(Column::void(0, n), coded_column(&mut rng, kind, n, case % 2 == 1));
+            let compact = monet::costmodel::domain_is_compact(span_of(b.tail()), n, 0);
+            let expect = if compact { "direct" } else { "hash" };
+            let g = ops::group1(&ctx, &b).unwrap();
+            assert_eq!(last_algo(&ctx), expect, "kind {kind} case {case}");
+            seen.insert(expect);
+            assert_eq!(
+                canon_gids(g.tail()),
+                reference::group1_gids(&b),
+                "kind {kind} case {case}: group1 {expect}"
+            );
+            // The `{g}` head grouping shares the kernel; the second
+            // aggregate over the same head is a memo hit with the same
+            // rows.
+            let m = b.mirror();
+            for (f, algo) in [(ops::AggFunc::Count, expect), (ops::AggFunc::Max, "memo")] {
+                let got = ops::set_aggregate(&ctx, f, &m).unwrap();
+                assert_eq!(last_algo(&ctx), algo, "kind {kind} case {case}: {{{}}}", f.name());
+                assert_eq!(
+                    rows_of(&got),
+                    rows_of(&reference::set_aggregate(f, &m).unwrap()),
+                    "kind {kind} case {case}: {{{}}}",
+                    f.name()
+                );
+            }
+        }
+    }
+    assert_eq!(seen.len(), 2, "the sweep must land on both sides of the gate");
+    // One group, and as many groups as rows.
+    let one = Bat::new(Column::void(0, 100), Column::from_ints(vec![-7; 100]));
+    let g = ops::group1(&ctx, &one).unwrap();
+    assert_eq!(last_algo(&ctx), "direct");
+    assert_eq!(canon_gids(g.tail()), vec![0; 100]);
+    let mut distinct: Vec<i32> = (0..100).map(|i| i * 3 - 150).collect();
+    distinct.swap(0, 99);
+    let all = Bat::new(Column::void(0, 100), Column::from_ints(distinct));
+    let g = ops::group1(&ctx, &all).unwrap();
+    assert_eq!(last_algo(&ctx), "direct");
+    assert_eq!(canon_gids(g.tail()), (0..100).collect::<Vec<u64>>());
+    // A table that would not fit what is left of the budget is not taken
+    // (and neither is the 1.5 KB hash table): same numbering from disk.
+    let tight = ExecCtx::new().with_trace();
+    tight.mem.set_budget(Some(1000));
+    let b =
+        Bat::new(Column::void(0, 64), Column::from_chrs((0..64).map(|i| b'a' + i % 3).collect()));
+    let g = ops::group1(&tight, &b).unwrap();
+    assert_eq!(last_algo(&tight), "spill", "256 slots x 4 bytes miss a 1000-byte headroom");
+    assert_eq!(canon_gids(g.tail()), reference::group1_gids(&b));
+}
+
+#[test]
+fn packed_group2_and_unique_match_reference_over_every_coded_pair() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x43);
+    let ctx = ExecCtx::new().with_trace();
+    let mut seen: HashSet<&str> = HashSet::new();
+    for k1 in 0..CODED_KINDS {
+        for k2 in 0..CODED_KINDS {
+            for wide in [false, true] {
+                let n = rng.gen_range(300..400usize);
+                let head = Column::void(7, n);
+                let ab = Bat::new(head.clone(), coded_column(&mut rng, k1, n, false));
+                let cd = Bat::new(head, coded_column(&mut rng, k2, n, wide));
+                let slots = span_of(ab.tail()) * span_of(cd.tail());
+                let packed = monet::costmodel::domain_is_compact(slots, n, 0);
+                let tag = format!("({k1}, {k2}) wide={wide}");
+                let g = ops::group2(&ctx, &ab, &cd).unwrap();
+                let algo = last_algo(&ctx);
+                assert_eq!(algo, if packed { "packed" } else { "sync" }, "{tag}");
+                let expect = reference::group2_gids(&ab, &cd).unwrap();
+                assert_eq!(canon_gids(g.tail()), canon_ids(&expect), "{tag}: group2 {algo}");
+                // Hash-aligned: the attribute BAT in another row order.
+                let mut perm: Vec<u32> = (0..n as u32).collect();
+                for i in (1..n).rev() {
+                    perm.swap(i, rng.gen_range(0..=i));
+                }
+                let shuffled =
+                    Bat::with_inferred_props(cd.head().gather(&perm), cd.tail().gather(&perm));
+                let g2 = ops::group2(&ctx, &ab, &shuffled).unwrap();
+                let algo2 = last_algo(&ctx);
+                assert_eq!(algo2, if packed { "packed-align" } else { "hash-align" }, "{tag}");
+                assert_eq!(canon_gids(g2.tail()), canon_ids(&expect), "{tag}: group2 {algo2}");
+                // Pair dedup over the same two columns.
+                let pairs = Bat::new(ab.tail().clone(), cd.tail().clone());
+                let u = ops::unique(&ctx, &pairs).unwrap();
+                let ualgo = last_algo(&ctx);
+                assert_eq!(ualgo, if packed { "packed" } else { "hash" }, "{tag}: unique");
+                assert_eq!(rows_of(&u), rows_of(&reference::unique(&pairs)), "{tag}: {ualgo}");
+                seen.extend([algo, algo2, ualgo]);
+            }
+        }
+    }
+    assert_eq!(seen.len(), 5, "both sides of the gate, synced and aligned: {seen:?}");
+    // One group / every pair distinct / no rows.
+    let n = 300usize;
+    let head = Column::void(0, n);
+    let a = Bat::new(head.clone(), Column::from_oids(vec![1 << 40; n]));
+    let b = Bat::new(head.clone(), Column::from_chrs(vec![b'N'; n]));
+    let g = ops::group2(&ctx, &a, &b).unwrap();
+    assert_eq!(last_algo(&ctx), "packed");
+    assert_eq!(canon_gids(g.tail()), vec![0; n]);
+    let a = Bat::new(head.clone(), Column::from_ints((0..n as i32).map(|i| i / 20 - 7).collect()));
+    let b = Bat::new(head, Column::from_ints((0..n as i32).map(|i| -(i % 20)).collect()));
+    let g = ops::group2(&ctx, &a, &b).unwrap();
+    assert_eq!(last_algo(&ctx), "packed");
+    assert_eq!(canon_gids(g.tail()), (0..n as u64).collect::<Vec<_>>());
+    let pairs = Bat::new(a.tail().clone(), b.tail().clone());
+    assert_eq!(ops::unique(&ctx, &pairs).unwrap().len(), n);
+    assert_eq!(last_algo(&ctx), "packed");
+    let none = Bat::new(Column::from_oids(vec![]), Column::from_chrs(vec![]));
+    assert_eq!(ops::group2(&ctx, &none, &none).unwrap().len(), 0);
+    assert_eq!(ops::unique(&ctx, &none).unwrap().len(), 0);
 }

@@ -79,7 +79,7 @@ fn fault_sweep_over_query_mix() {
     let w = world();
     // The world loads with encoded layouts on (the default), so this sweep
     // governs the encoded-path probe sites too: dict-code selects,
-    // code-groups, and FOR scans all sit behind the same `op/*` probes the
+    // code groupings, and FOR scans all sit behind the same `op/*` probes the
     // injector counts. Under the `FLATALG_ENC=0` oracle leg the same sweep
     // covers the raw paths instead.
     if monet::enc::enc_enabled() {
@@ -196,7 +196,7 @@ fn injected_faults_leave_bystanders_gate_and_pool_unaffected() {
 }
 
 /// Encoded-path governance: kernels that run directly on dictionary codes
-/// (dict-code select, code-group, unique over encoded tails) probe at
+/// (dict-code select, code grouping, unique over encoded tails) probe at
 /// entry and must return every scratch buffer on every abort path. Faults
 /// injected at successive probes of a kernel chain over a *dict-encoded*
 /// column abort cleanly, retry bit-identically on the same context, and

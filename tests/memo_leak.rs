@@ -6,8 +6,9 @@
 //! left one positions vector plus one gathered oid column per selection
 //! behind, forever (≈70 KB per Q1 run and ≈44 KB per Q13 run at SF 0.001).
 //! The memo is per-execution state now (`ExecCtx`, dropped by
-//! `mil::execute`); this binary counts live heap bytes around a few
-//! hundred executions to keep it that way.
+//! `mil::execute`), and it also holds the `{g}` head groupings Q1's nine
+//! aggregates share; this binary counts live heap bytes around a few
+//! hundred executions — completed and aborted — to keep it that way.
 //!
 //! Its own test binary because the counter is a `#[global_allocator]`,
 //! and holding one test so nothing else allocates while it counts.
@@ -80,5 +81,30 @@ fn repeated_executions_do_not_grow_the_heap() {
     assert!(
         grown < 64 * 1024,
         "live heap grew by {grown} bytes over 300 executions of Q1 and Q13 (warm: {warm})"
+    );
+    // Aborted executions drop their memo too: injected faults walking
+    // through every stretch of both plans (Q1's first grouping is memoized
+    // two thirds in, its LOOKUP at the start) must leave nothing behind.
+    let mut aborted = 0;
+    monet::par::with_threads(1, || {
+        for round in 0..300u64 {
+            for q in &leaky {
+                session.ctx().gov.arm_fault("*", 1 + round % 75);
+                match session.run_query(q, &w.params) {
+                    Err(e) => {
+                        assert!(e.to_string().contains("injected"), "round {round}: {e}");
+                        aborted += 1;
+                    }
+                    Ok(_) => session.ctx().gov.disarm_fault(),
+                }
+            }
+        }
+    });
+    assert!(aborted >= 300, "the fault schedule barely aborted anything ({aborted})");
+    run(1);
+    let grown = LIVE.load(Ordering::Relaxed) - warm;
+    assert!(
+        grown < 64 * 1024,
+        "live heap grew by {grown} bytes over {aborted} aborted executions (warm: {warm})"
     );
 }

@@ -346,6 +346,8 @@ fn par_unique_bit_identical() {
 #[test]
 fn par_aggregates_bit_identical() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 6);
+    // `{g}` runs on fresh contexts: a context memoizes the grouping of a
+    // head column, and every run here must derive its own.
     let ctx = ExecCtx::new();
     let aggs = [
         ops::AggFunc::Count,
@@ -365,7 +367,7 @@ fn par_aggregates_bit_identical() {
                 let ref_scalar = reference::aggr_scalar(&b, f);
                 let ref_set = reference::set_aggregate(f, &b);
                 let ser_scalar = serial(|| ops::aggr_scalar(&ctx, &b, f));
-                let ser_set = serial(|| ops::set_aggregate(&ctx, f, &b));
+                let ser_set = serial(|| ops::set_aggregate(&ExecCtx::new(), f, &b));
                 for t in THREADS {
                     let got = parallel(t, || ops::aggr_scalar(&ctx, &b, f));
                     match (&got, &ref_scalar, &ser_scalar) {
@@ -384,7 +386,7 @@ fn par_aggregates_bit_identical() {
                             f.name()
                         ),
                     }
-                    let got = parallel(t, || ops::set_aggregate(&ctx, f, &b));
+                    let got = parallel(t, || ops::set_aggregate(&ExecCtx::new(), f, &b));
                     match (&got, &ref_set, &ser_set) {
                         (Ok(g), Ok(e), Ok(s)) => {
                             assert_eq!(
@@ -428,14 +430,93 @@ fn dbl_sum_bit_identical_across_thread_counts() {
     let ctx = ExecCtx::new();
     let ser_scalar = serial(|| ops::aggr_scalar(&ctx, &b, ops::AggFunc::Sum).unwrap());
     let ser_avg = serial(|| ops::aggr_scalar(&ctx, &b, ops::AggFunc::Avg).unwrap());
-    let ser_set = serial(|| ops::set_aggregate(&ctx, ops::AggFunc::Sum, &b).unwrap());
+    let ser_set = serial(|| ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &b).unwrap());
     for t in THREADS {
         let got = parallel(t, || ops::aggr_scalar(&ctx, &b, ops::AggFunc::Sum).unwrap());
         assert_eq!(got, ser_scalar, "t={t}: {{sum}} bits");
         let got = parallel(t, || ops::aggr_scalar(&ctx, &b, ops::AggFunc::Avg).unwrap());
         assert_eq!(got, ser_avg, "t={t}: avg bits");
-        let got = parallel(t, || ops::set_aggregate(&ctx, ops::AggFunc::Sum, &b).unwrap());
+        let got =
+            parallel(t, || ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &b).unwrap());
         assert_eq!(rows_of(&got), rows_of(&ser_set), "t={t}: per-group sum bits");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The nest + aggregate tail: slot-table grouping and pair grouping/dedup
+// are serial arms (threads > 1 keep the per-morsel hash tables), the sync
+// join and the grouping memo do not depend on the thread count at all —
+// so the whole tail must come out bit-identical at every count, whichever
+// arms each count dispatches.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn nest_aggregate_tail_bit_identical_across_arms_and_thread_counts() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 17);
+    let n = 2_003usize;
+    let objects = Column::from_oids((0..n as u64).map(|i| 500 + i).collect());
+    let flag = Bat::with_inferred_props(
+        objects.clone(),
+        Column::from_chrs((0..n).map(|_| b"ANR"[rng.gen_range(0..3usize)]).collect()),
+    );
+    let status = Bat::with_inferred_props(
+        objects.clone(),
+        Column::from_dates((0..n).map(|_| Date(rng.gen_range(-3..3i32))).collect()),
+    );
+    let price = Bat::with_inferred_props(
+        objects,
+        Column::from_dbls((0..n).map(|_| rng.gen_range(-1.0..1.0) * 1e-3 + 0.1).collect()),
+    );
+    // (rows of every result, dispatched algorithms), on one fresh context.
+    let tail = || {
+        let ctx = ExecCtx::new().with_trace();
+        let class = ops::group1(&ctx, &flag).unwrap();
+        let class = ops::group2(&ctx, &class, &status).unwrap();
+        let by_class = class.mirror();
+        let flags = ops::join(&ctx, &by_class, &flag).unwrap();
+        let prices = ops::join(&ctx, &by_class, &price).unwrap();
+        let out = [
+            ops::unique(&ctx, &flags).unwrap(),
+            ops::set_aggregate(&ctx, ops::AggFunc::Count, &by_class).unwrap(),
+            ops::set_aggregate(&ctx, ops::AggFunc::Sum, &prices).unwrap(),
+            ops::set_aggregate(&ctx, ops::AggFunc::Avg, &prices).unwrap(),
+        ];
+        // Reference on the same operands (the group oids are this run's).
+        assert_eq!(rows_of(&out[0]), rows_of(&reference::unique(&flags)));
+        for (got, f) in out[2..].iter().zip([ops::AggFunc::Sum, ops::AggFunc::Avg]) {
+            let expect = reference::set_aggregate(f, &prices).unwrap();
+            let (got, expect) = (rows_of(got), rows_of(&expect));
+            assert_eq!(got.len(), expect.len());
+            for (g, e) in got.iter().zip(&expect) {
+                // Heads exactly; the float tails only up to association
+                // (the kernel sums on the morsel grid, the reference in
+                // row order) — their *bits* are compared across runs below.
+                assert_eq!(g.0, e.0);
+                let (AtomValue::Dbl(x), AtomValue::Dbl(y)) = (&g.1, &e.1) else { panic!() };
+                assert!((x - y).abs() < 1e-9, "{{{}}}: {x} vs {y}", f.name());
+            }
+        }
+        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        (out.map(|b| rows_of(&b)), class.tail().clone(), algos)
+    };
+    let (ser_rows, ser_class, ser_algos) = serial(tail);
+    assert_eq!(
+        ser_algos,
+        ["direct", "packed", "sync", "sync", "packed", "direct", "memo", "memo"],
+        "serial dispatch"
+    );
+    for t in THREADS {
+        let (rows, class, algos) = parallel(t, tail);
+        if t > 1 {
+            assert_eq!(
+                algos,
+                ["par-hash", "packed", "sync", "sync", "par-hash", "par-hash", "memo", "memo"],
+                "t={t} dispatch"
+            );
+        }
+        assert_eq!(rows, ser_rows, "t={t}: rows, float bits included");
+        let ids = |c: &Column| (0..c.len()).map(|i| c.oid_at(i)).collect::<Vec<_>>();
+        assert_eq!(ids(&class), ids(&ser_class), "t={t}: group oids");
     }
 }
 

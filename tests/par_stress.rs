@@ -341,6 +341,28 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
         assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap"]);
     }
+    // The nest + aggregate tail, serial: slot-table grouping (`direct`),
+    // pair grouping and pair dedup (`packed`), the zero-copy `sync` join,
+    // and two `{g}` over one head (the second a `memo` hit).
+    let objects = Column::from_oids((0..20_000u64).collect());
+    let chrs =
+        |m: u64| Column::from_chrs((0..20_000u64).map(|i| b'A' + (i * 7 % m) as u8).collect());
+    let flag = Bat::with_inferred_props(objects.clone(), chrs(3));
+    let status = Bat::with_inferred_props(objects, chrs(2));
+    let nest_tail = |ctx: &ExecCtx| {
+        let class = ops::group1(ctx, &flag)?;
+        let by_class = ops::group2(ctx, &class, &status)?.mirror();
+        let flags = ops::join(ctx, &by_class, &flag)?;
+        ops::unique(ctx, &flags)?;
+        ops::set_aggregate(ctx, ops::AggFunc::Count, &flags)?;
+        ops::set_aggregate(ctx, ops::AggFunc::Max, &flags)
+    };
+    par::with_threads(1, || {
+        let ctx = ExecCtx::new().with_trace();
+        nest_tail(&ctx).unwrap();
+        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        assert_eq!(algos, ["direct", "packed", "sync", "packed", "direct", "memo"]);
+    });
     let baseline = typed::scratch_checked_out();
     let oracle = {
         let ctx = ExecCtx::new();
@@ -364,6 +386,14 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
             let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
             assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: retry diverged");
         });
+        // The same fault through the serial nest + aggregate tail.
+        let ctx = ExecCtx::new();
+        ctx.gov.arm_fault("*", k);
+        match par::with_threads(1, || nest_tail(&ctx)) {
+            Err(MonetError::Injected { .. }) => aborts += 1,
+            Err(e) => panic!("k={k}: unexpected error {e}"),
+            Ok(_) => {}
+        }
         // A cancellation abort in the same round: fires at the first probe.
         let ctx = ExecCtx::new();
         ctx.cancel_token().cancel();
@@ -380,17 +410,33 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
     // check on the finished result, by which time the pool must be whole.
     // 64 KiB admits the 36 KiB position array and the bitmaps, but none of
     // the 240+ KiB results (a fresh context each: a failed charge sticks).
+    // The grouping arms likewise (a slot table of 3 KiB, or 40 KiB for the
+    // 10 000 distinct pairs, then a 90+ KiB result); the `sync` join takes
+    // no scratch at all; and the first `{g}`
+    // over a head aborts on the 80 KiB grouping it memoizes — its own
+    // result is a handful of rows.
+    let class = ops::group1(&ExecCtx::new(), &flag).unwrap();
+    let by_class = ops::group2(&ExecCtx::new(), &class, &status).unwrap().mirror();
+    let pairs = Bat::new(
+        Column::from_oids((0..20_000u64).map(|i| i / 4).collect()),
+        Column::from_bools((0..20_000u64).map(|i| i % 2 == 1).collect()),
+    );
     type Run<'a> = &'a dyn Fn(&ExecCtx) -> monet::error::Result<Bat>;
-    let runs: [(Run, &str); 4] = [
+    let runs: [(Run, &str); 9] = [
         (&|ctx| ops::join(ctx, &refs, &plain), "direct"),
         (&|ctx| ops::join(ctx, &refs, &attr), "datavector"),
         (&|ctx| ops::semijoin(ctx, &refs.mirror(), &plain), "bitmap"),
         (&|ctx| ops::antijoin(ctx, &refs.mirror(), &few), "bitmap"),
+        (&|ctx| ops::group1(ctx, &flag), "direct"),
+        (&|ctx| ops::group2(ctx, &class, &status), "packed"),
+        (&|ctx| ops::join(ctx, &by_class, &flag), "sync"),
+        (&|ctx| ops::unique(ctx, &pairs), "packed"),
+        (&|ctx| ops::set_aggregate(ctx, ops::AggFunc::Count, &by_class), "direct"),
     ];
     for (run, algo) in runs {
         let ctx = ExecCtx::new().with_trace();
         ctx.mem.set_budget(Some(64 * 1024));
-        match run(&ctx) {
+        match par::with_threads(1, || run(&ctx)) {
             Err(MonetError::BudgetExceeded { .. }) => {}
             other => panic!("{algo}: a 64 KiB budget must abort, got {other:?}"),
         }

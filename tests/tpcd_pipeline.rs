@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use moa::prelude::*;
+use monet::column::Column;
 use monet::ctx::ExecCtx;
 use monet::mil::MilOp;
 use monet::pager::Pager;
@@ -61,46 +62,52 @@ fn query_page_faults_reasonable() {
     // Q13 (tiny selectivity) must touch far fewer pages than Q1 (98%).
     //
     // A full-match join returns its left operand's head column itself, not
-    // a gathered copy, so the pager sees one column however many results
-    // hold it. `run` reports the faults the pager counted and, next to
-    // them, the query's footprint with each such result's head counted as
-    // a column of its own — what consumers of private copies would fault
-    // in. The x4 ratio is calibrated on that footprint (`fetch` results
-    // excepted: it counts their heads shared).
-    let run = |q: &SetExpr| -> (u64, u64) {
+    // a gathered copy, and a `sync` join its right operand's tail column as
+    // well, so the pager sees one column however many results hold it.
+    // `run` reports the faults the pager counted and, next to them, the
+    // query's footprint with each such result tail, and then each such
+    // result head too, counted as a column of its own — what consumers of
+    // private copies would fault in. Each ratio stays on the footprint it
+    // was calibrated on (`fetch` results excepted: every footprint counts
+    // their heads shared).
+    let run = |q: &SetExpr| -> [u64; 3] {
         let pager = Arc::new(Pager::new(4096));
         let ctx = ExecCtx::new().with_pager(Arc::clone(&pager)).with_trace();
         let t = translate(&cat, q).unwrap();
         let all: Vec<usize> = (0..t.prog.len()).collect();
         let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &all).unwrap();
-        let shared: u64 = t
-            .prog
-            .stmts
-            .iter()
-            .zip(env.trace())
-            .filter_map(|(s, tr)| match s.op {
-                MilOp::Join(left, _) if tr.algo != "fetch" => {
-                    let head = env.bat(s.var).unwrap().head();
-                    let bytes = head.len() * head.atom_type().width();
-                    (head.identity() == env.bat(left).unwrap().head().identity())
-                        .then_some(bytes.div_ceil(4096) as u64)
+        // Pages of a result column that *is* an operand's column.
+        let pages = |own: &Column, operand: &Column| {
+            let shared = own.identity() == operand.identity();
+            let bytes = if shared { own.len() * own.atom_type().width() } else { 0 };
+            bytes.div_ceil(4096) as u64
+        };
+        let (mut heads, mut tails) = (0, 0);
+        for (s, tr) in t.prog.stmts.iter().zip(env.trace()) {
+            if let MilOp::Join(left, right) = s.op {
+                if tr.algo != "fetch" {
+                    let b = env.bat(s.var).unwrap();
+                    heads += pages(b.head(), env.bat(left).unwrap().head());
+                    tails += pages(b.tail(), env.bat(right).unwrap().tail());
                 }
-                _ => None,
-            })
-            .sum();
-        (pager.faults(), pager.faults() + shared)
+            }
+        }
+        [pager.faults(), pager.faults() + tails, pager.faults() + tails + heads]
     };
-    let (f1, own1) = run(&tpcd_queries::q01_05::q1_moa(&params));
-    let (f13, own13) = run(&tpcd_queries::q11_15::q13_moa(&params));
+    let [f1, tails1, own1] = run(&tpcd_queries::q01_05::q1_moa(&params));
+    let [_, tails13, own13] = run(&tpcd_queries::q11_15::q13_moa(&params));
     assert!(
         own13 * 4 < own1,
         "Q13 ({own13} pages) should touch far fewer pages than Q1 ({own1}); items={}",
         data.items.len()
     );
     // Sharing is where Q1's faults go: each per-aggregate join over the
-    // grouping hands its consumer the one head column already resident.
-    assert!(f1 + 100 < own1, "Q1's full-match joins must share their heads ({f1} of {own1})");
-    assert!(f13 * 3 < f1, "Q13 ({f13} faults) against the head-sharing Q1 ({f1})");
+    // grouping hands its consumer the two columns already resident.
+    assert!(f1 + 100 < own1, "Q1's full-match joins must share their columns ({f1} of {own1})");
+    assert!(
+        tails13 * 3 < tails1,
+        "Q13 ({tails13} pages) against the head-sharing Q1 ({tails1}), tails private"
+    );
 }
 
 #[test]
