@@ -8,15 +8,19 @@
 //! ```
 //!
 //! `check` opens the store, rebuilds the n-ary oracle at the recorded
-//! scale factor, and runs every query on both paths. A fresh `ExecCtx`
-//! per query picks up `FLATALG_MEM_BUDGET` / `FLATALG_SPILL` from the
-//! environment, so a low budget turns the run into the out-of-core
-//! acceptance leg: the report shows how many bytes each query spilled.
+//! scale factor, and runs every query on both paths. The engine
+//! configuration is parsed from the environment up front (a value that
+//! does not parse ends the run with exit status 2) and every query gets a
+//! fresh `ExecCtx` under it, so `FLATALG_MEM_BUDGET` / `FLATALG_SPILL`
+//! turn the run into the out-of-core acceptance leg: the report shows how
+//! many bytes each query spilled.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use bench::{mb, StoreWorld, World, SEED};
+use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use tpcd_queries::all_queries;
 
@@ -30,11 +34,18 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
+    let engine = match EngineConfig::from_vars(std::env::vars()) {
+        Ok(engine) => Arc::new(engine),
+        Err(e) => {
+            eprintln!("flatalg-store: {e}");
+            std::process::exit(2);
+        }
+    };
     let code = match cmd.as_str() {
-        "build" => build(&args[1..]),
+        "build" => build(&args[1..], &engine),
         "verify" => verify(&args[1..]),
-        "open-bench" => open_bench(&args[1..]),
-        "check" => check(&args[1..]),
+        "open-bench" => open_bench(&args[1..], &engine),
+        "check" => check(&args[1..], &engine),
         _ => usage(),
     };
     std::process::exit(code);
@@ -62,12 +73,12 @@ fn dir_arg(args: &[String]) -> PathBuf {
     }
 }
 
-fn build(args: &[String]) -> i32 {
+fn build(args: &[String], engine: &EngineConfig) -> i32 {
     let sf: f64 = flag(args, "--sf").and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
     let dir = dir_arg(args);
     println!("# flatalg-store build — SF {sf} -> {}", dir.display());
     let t0 = Instant::now();
-    let w = World::build(sf);
+    let w = World::build_with(sf, engine.enc);
     let gen_s = t0.elapsed().as_secs_f64();
     println!(
         "generated + loaded in {gen_s:.1} s ({} BATs, {:.1} MB base data)",
@@ -123,7 +134,7 @@ fn open_store(dir: &Path) -> Result<(StoreWorld, f64), i32> {
     }
 }
 
-fn open_bench(args: &[String]) -> i32 {
+fn open_bench(args: &[String], engine: &EngineConfig) -> i32 {
     let dir = dir_arg(args);
     let (sw, open_s) = match open_store(&dir) {
         Ok(v) => v,
@@ -139,7 +150,7 @@ fn open_bench(args: &[String]) -> i32 {
     );
     let t1 = Instant::now();
     let data = tpcd::generate(sw.sf, SEED);
-    let (cat, _) = tpcd::load_bats(&data);
+    let (cat, _) = tpcd::load_bats_with(&data, engine.enc).unwrap_or_else(|e| panic!("{e}"));
     let gen_s = t1.elapsed().as_secs_f64();
     println!(
         "generate+load: {:.3} s ({} BATs) — open is {:.0}x faster",
@@ -150,14 +161,17 @@ fn open_bench(args: &[String]) -> i32 {
     0
 }
 
-fn check(args: &[String]) -> i32 {
+fn check(args: &[String], engine: &Arc<EngineConfig>) -> i32 {
     let eps: f64 = flag(args, "--eps").and_then(|s| s.parse().ok()).unwrap_or(1e-6);
     let dir = dir_arg(args);
     let (sw, open_s) = match open_store(&dir) {
         Ok(v) => v,
         Err(c) => return c,
     };
-    let budget = std::env::var("FLATALG_MEM_BUDGET").unwrap_or_else(|_| "unlimited".into());
+    let budget = match engine.mem_budget {
+        0 => "unlimited".to_string(),
+        bytes => format!("{bytes} bytes"),
+    };
     println!("# flatalg-store check — SF {}, opened in {:.3} s, budget {}", sw.sf, open_s, budget);
     let t1 = Instant::now();
     let data = tpcd::generate(sw.sf, SEED);
@@ -172,7 +186,7 @@ fn check(args: &[String]) -> i32 {
     );
     for q in all_queries() {
         let ref_out = (q.run_ref)(&rel, &sw.params, None);
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::with_config(Arc::clone(engine));
         let t = Instant::now();
         let res = (q.run_moa)(&sw.cat, &ctx, &sw.params);
         let ms = t.elapsed().as_secs_f64() * 1e3;

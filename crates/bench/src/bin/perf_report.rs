@@ -19,7 +19,9 @@ use monet::accel::hash::HashIndex;
 use monet::atom::{AtomValue, Date};
 use monet::bat::Bat;
 use monet::column::Column;
+use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
+use monet::mil::opt::OptLevel;
 use monet::ops;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -129,11 +131,11 @@ fn main() {
     let sf = sf_from_env("FLATALG_SF", 0.01);
     // Thread count of the threaded (`par/*-par`) kernel lines, recorded in
     // the JSON header so runs at different counts are never compared.
-    // `configured_threads` resolves exactly what the kernels themselves
-    // would use (`FLATALG_THREADS`, else available parallelism), so any
-    // line that parallelizes through the dispatcher runs at the same
-    // count the header records.
-    let par_threads: usize = monet::par::configured_threads();
+    // This is the environment configuration's count (`FLATALG_THREADS`,
+    // else available parallelism) — the one `ctx` below dispatches at, so
+    // any line that parallelizes runs at the count the header records.
+    let env = EngineConfig::from_env();
+    let par_threads: usize = env.threads;
     // Physical CPU budget of this host, recorded alongside `threads`: the
     // thread count says what the kernels asked for, the cpu count says what
     // the machine could actually deliver. An early baseline recorded
@@ -203,6 +205,13 @@ fn main() {
     let n: usize = ((sf * 6_000_000.0) as usize).max(10_000);
     let mut r = StdRng::seed_from_u64(42);
     let ctx = ExecCtx::new();
+    // The environment's configuration with one field changed.
+    let ctx_with = |edit: &dyn Fn(&mut EngineConfig)| {
+        let mut cfg = EngineConfig::clone(&env);
+        edit(&mut cfg);
+        ExecCtx::with_config(Arc::new(cfg))
+    };
+    let serial = ctx_with(&|c| c.threads = 1);
 
     // --- primitives group inputs -----------------------------------------
     let unsorted = Bat::new(
@@ -404,8 +413,7 @@ fn main() {
     recs.push(measure(base.as_ref(), "join/partitioned-probe", part_probe_n, || {
         // Pinned serial: this is the single-thread trajectory line; the
         // threaded comparison lives in par/join-partitioned-{serial,par}.
-        monet::par::with_threads(1, || ops::join_partitioned(&ctx, &part_left, &part_right))
-            .unwrap();
+        ops::join_partitioned(&serial, &part_left, &part_right).unwrap();
     }));
     recs.push(measure(base.as_ref(), "join/monolithic-probe-big", part_probe_n, || {
         ops::join::join_hash(&ctx, &part_left, &part_right);
@@ -543,8 +551,8 @@ fn main() {
 
     // Parallel kernels: serial-vs-threaded pairs on the same big operands
     // (the partitioned-join input size: 16n-row scans, 4n-row build). The
-    // `-par` lines run at `par_threads` workers via the scoped override;
-    // `-serial` forces the single-thread path. Both are in the committed
+    // `-par` lines run at `par_threads` workers (`ctx`, the environment's
+    // configuration); `-serial` at one (`serial`). Both are in the committed
     // baseline so the speedup at the recording's thread count is part of
     // the perf trajectory.
     let big_ints = Bat::new(
@@ -561,40 +569,28 @@ fn main() {
         Column::from_oids((0..part_probe_n).map(|_| r.gen_range(0..1000u64) << 20).collect()),
     );
     recs.push(measure(base.as_ref(), "par/select-scan-serial", part_probe_n, || {
-        monet::par::with_threads(1, || ops::select_eq(&ctx, &big_ints, &AtomValue::Int(5000)))
-            .unwrap();
+        ops::select_eq(&serial, &big_ints, &AtomValue::Int(5000)).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/select-scan-par", part_probe_n, || {
-        monet::par::with_threads(par_threads, || {
-            ops::select_eq(&ctx, &big_ints, &AtomValue::Int(5000))
-        })
-        .unwrap();
+        ops::select_eq(&ctx, &big_ints, &AtomValue::Int(5000)).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/sum-dbl-serial", part_probe_n, || {
-        monet::par::with_threads(1, || ops::aggr_scalar(&ctx, &big_dbls, ops::AggFunc::Sum))
-            .unwrap();
+        ops::aggr_scalar(&serial, &big_dbls, ops::AggFunc::Sum).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/sum-dbl-par", part_probe_n, || {
-        monet::par::with_threads(par_threads, || {
-            ops::aggr_scalar(&ctx, &big_dbls, ops::AggFunc::Sum)
-        })
-        .unwrap();
+        ops::aggr_scalar(&ctx, &big_dbls, ops::AggFunc::Sum).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/group1-serial", part_probe_n, || {
-        monet::par::with_threads(1, || ops::group1(&ctx, &big_keys)).unwrap();
+        ops::group1(&serial, &big_keys).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/group1-par", part_probe_n, || {
-        monet::par::with_threads(par_threads, || ops::group1(&ctx, &big_keys)).unwrap();
+        ops::group1(&ctx, &big_keys).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/join-partitioned-serial", part_probe_n, || {
-        monet::par::with_threads(1, || ops::join_partitioned(&ctx, &part_left, &part_right))
-            .unwrap();
+        ops::join_partitioned(&serial, &part_left, &part_right).unwrap();
     }));
     recs.push(measure(base.as_ref(), "par/join-partitioned-par", part_probe_n, || {
-        monet::par::with_threads(par_threads, || {
-            ops::join_partitioned(&ctx, &part_left, &part_right)
-        })
-        .unwrap();
+        ops::join_partitioned(&ctx, &part_left, &part_right).unwrap();
     }));
 
     // q13 end to end over the memoized world
@@ -605,25 +601,21 @@ fn main() {
     }));
 
     // Plan-level optimizer trajectory: end-to-end query time executing the
-    // translator's raw emission (`-raw`, the FLATALG_OPT=0 oracle) vs the
-    // optimized MIL program (`-opt`). Scoped overrides, not env vars, so
-    // the rest of the report is unaffected.
-    use tpcd_queries::runner::{with_opt_level, OptLevel};
+    // translator's raw emission (`-raw`, the `opt: Off` oracle) vs the
+    // optimized MIL program (`-opt`).
+    let raw = ctx_with(&|c| c.opt = OptLevel::Off);
+    let opt = ctx_with(&|c| c.opt = OptLevel::Full);
     recs.push(measure(base.as_ref(), "plan/q1-raw", q13_rows, || {
-        with_opt_level(OptLevel::Off, || tpcd_queries::q01_05::q1_run(&w.cat, &ctx, &w.params))
-            .unwrap();
+        tpcd_queries::q01_05::q1_run(&w.cat, &raw, &w.params).unwrap();
     }));
     recs.push(measure(base.as_ref(), "plan/q1-opt", q13_rows, || {
-        with_opt_level(OptLevel::Full, || tpcd_queries::q01_05::q1_run(&w.cat, &ctx, &w.params))
-            .unwrap();
+        tpcd_queries::q01_05::q1_run(&w.cat, &opt, &w.params).unwrap();
     }));
     recs.push(measure(base.as_ref(), "plan/q13-raw", q13_rows, || {
-        with_opt_level(OptLevel::Off, || tpcd_queries::q11_15::q13_run(&w.cat, &ctx, &w.params))
-            .unwrap();
+        tpcd_queries::q11_15::q13_run(&w.cat, &raw, &w.params).unwrap();
     }));
     recs.push(measure(base.as_ref(), "plan/q13-opt", q13_rows, || {
-        with_opt_level(OptLevel::Full, || tpcd_queries::q11_15::q13_run(&w.cat, &ctx, &w.params))
-            .unwrap();
+        tpcd_queries::q11_15::q13_run(&w.cat, &opt, &w.params).unwrap();
     }));
 
     // Governor overhead: the same optimized Q1/Q13 with enforcement armed —
@@ -632,26 +624,20 @@ fn main() {
     // against the `plan/*-opt` lines above, where the governor idles (two
     // relaxed loads per probe). The pair tracks the enforcement cost in
     // the trajectory; target ≤ 2%.
-    let gov_ctx = monet::ctx::ExecCtx::new();
+    let gov_ctx = ctx_with(&|c| c.opt = OptLevel::Full);
     gov_ctx.mem.set_budget(Some(1 << 40));
     recs.push(measure(base.as_ref(), "gov/q1-governed", q13_rows, || {
         gov_ctx.gov.set_deadline(Some(std::time::Duration::from_secs(3600)));
-        with_opt_level(OptLevel::Full, || {
-            tpcd_queries::q01_05::q1_run(&w.cat, &gov_ctx, &w.params)
-        })
-        .unwrap();
+        tpcd_queries::q01_05::q1_run(&w.cat, &gov_ctx, &w.params).unwrap();
     }));
     recs.push(measure(base.as_ref(), "gov/q13-governed", q13_rows, || {
         gov_ctx.gov.set_deadline(Some(std::time::Duration::from_secs(3600)));
-        with_opt_level(OptLevel::Full, || {
-            tpcd_queries::q11_15::q13_run(&w.cat, &gov_ctx, &w.params)
-        })
-        .unwrap();
+        tpcd_queries::q11_15::q13_run(&w.cat, &gov_ctx, &w.params).unwrap();
     }));
     gov_ctx.gov.set_deadline(None);
 
     // Pipeline fusion trajectory: Q1 and Q13 executing the optimizer's
-    // fused emission vs the scoped `with_fuse(false)` oracle. Alongside
+    // fused emission vs the `fuse: false` oracle. Alongside
     // each timing line, one fresh-tracker run
     // prints the query's live-set peak — the fused pipelines' point is
     // the intermediate BATs they never materialize, and `max_live_bytes`
@@ -664,17 +650,13 @@ fn main() {
         ("fuse/q13-fused", true),
     ] {
         let q13 = name.contains("q13");
-        let fuse_ctx = monet::ctx::ExecCtx::new();
-        let run = |ctx: &monet::ctx::ExecCtx| {
-            monet::fuse::with_fuse(fuse_on, || {
-                with_opt_level(OptLevel::Full, || {
-                    if q13 {
-                        tpcd_queries::q11_15::q13_run(&w.cat, ctx, &w.params).map(|_| ())
-                    } else {
-                        tpcd_queries::q01_05::q1_run(&w.cat, ctx, &w.params).map(|_| ())
-                    }
-                })
-            })
+        let fuse_ctx = ctx_with(&|c| (c.opt, c.fuse) = (OptLevel::Full, fuse_on));
+        let run = |ctx: &ExecCtx| {
+            if q13 {
+                tpcd_queries::q11_15::q13_run(&w.cat, ctx, &w.params).map(|_| ())
+            } else {
+                tpcd_queries::q01_05::q1_run(&w.cat, ctx, &w.params).map(|_| ())
+            }
             .unwrap();
         };
         recs.push(measure(base.as_ref(), name, q13_rows, || run(&fuse_ctx)));
@@ -888,10 +870,16 @@ fn main() {
         // per-context below), so the kernel section above is free to run
         // unbudgeted; `FLATALG_MEM_BUDGET` is reported too if that is the
         // only knob set.
-        let budget = std::env::var("FLATALG_SF1_BUDGET")
-            .or_else(|_| std::env::var("FLATALG_MEM_BUDGET"))
-            .unwrap_or_else(|_| "unlimited".into());
-        let budget_bytes = monet::ctx::parse_mem_budget(&budget);
+        let budget_bytes = match std::env::var("FLATALG_SF1_BUDGET") {
+            Ok(v) => {
+                EngineConfig::from_vars([("FLATALG_MEM_BUDGET", &v)])
+                    .unwrap_or_else(|e| panic!("FLATALG_SF1_BUDGET: {e}"))
+                    .mem_budget
+            }
+            Err(_) => env.mem_budget,
+        };
+        let budget =
+            if budget_bytes > 0 { budget_bytes.to_string() } else { "unlimited".to_string() };
         eprintln!(
             "\nSF {} store: opened {:.1} MB in {open_ms:.1} ms (mmap: {}), budget {budget}",
             sw.sf,
@@ -907,7 +895,7 @@ fn main() {
             qjson.push_str("  \"oversubscribed\": true,\n");
         }
         qjson.push_str(&format!("  \"budget\": \"{budget}\",\n"));
-        let spill_mode = std::env::var("FLATALG_SPILL").unwrap_or_else(|_| "auto".into());
+        let spill_mode = if env.spill_force { "force" } else { "auto" };
         qjson.push_str(&format!("  \"spill\": \"{spill_mode}\",\n"));
         qjson.push_str(&format!("  \"open_ms\": {open_ms:.1},\n"));
         qjson.push_str(&format!("  \"mapped_bytes\": {},\n", sw.mapped_bytes));

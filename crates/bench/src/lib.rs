@@ -6,7 +6,7 @@ use std::sync::OnceLock;
 
 use moa::catalog::Catalog;
 use relstore::RelDb;
-use tpcd::{generate, load_bats, load_rowstore, LoadReport, TpcdData, TpcdError};
+use tpcd::{generate, load_bats_with, load_rowstore, LoadReport, TpcdData, TpcdError};
 use tpcd_queries::Params;
 
 /// The seed used by every harness, so numbers are reproducible.
@@ -31,9 +31,16 @@ pub struct World {
 }
 
 impl World {
+    /// The world at `sf`, column layouts as the environment's
+    /// configuration says.
     pub fn build(sf: f64) -> World {
+        World::build_with(sf, monet::config::EngineConfig::from_env().enc)
+    }
+
+    /// The world at `sf` with encoded (`enc`) or raw column layouts.
+    pub fn build_with(sf: f64, enc: bool) -> World {
         let data = generate(sf, SEED);
-        let (cat, report) = load_bats(&data);
+        let (cat, report) = load_bats_with(&data, enc).unwrap_or_else(|e| panic!("{e}"));
         let rel = load_rowstore(&data);
         let params = Params::for_data(&data);
         World { data, cat, rel, params, report }

@@ -1,12 +1,15 @@
 //! A bounded LRU cache of translated + optimized MIL plans, keyed by
-//! query *shape* and the full effective execution configuration.
+//! query *shape* and the planner's configuration.
 //!
 //! Every `run_moa` entry point re-translates and re-optimizes its MOA
 //! expression (~tens of µs per program). A query service executing the
 //! same fifteen prepared statements thousands of times wants that cost
 //! paid once. The cache closes the gap without touching any driver code:
 //! [`with_plan_cache`] installs a cache on the current thread and
-//! [`crate::translate::translate`] consults it transparently.
+//! [`crate::translate::translate_in`] consults it transparently. (The
+//! ambient handle is a *resource* — the server's shared cache — not an
+//! option: whether and how large a cache exists is the configuration's
+//! `plan_cache`, read by whoever creates one.)
 //!
 //! **Shape, not text.** Two expressions share a cache entry exactly when
 //! they differ only in the *values* of their [`Scalar::Param`] parameters
@@ -16,11 +19,10 @@
 //! recorded [`monet::mil::ParamLoc`] slots; no translation or optimizer
 //! pass runs (the per-thread `opt::cumulative` counters stay flat).
 //!
-//! **Configuration in the key.** The key includes the effective
-//! [`OptLevel`] and the full effective parallel configuration
-//! ([`monet::par::config_key`]), so scoped overrides
-//! (`with_opt_level`/`with_opt_config`/`with_par_config`) can never be
-//! served a plan cached under a different configuration. It also includes
+//! **Configuration in the key.** The key holds the [`PlanConfig`] the
+//! translation ran under, whole — the planner is handed nothing else, so
+//! whatever can shape a plan is keyed by construction and a plan is never
+//! served under a different planner configuration. It also includes
 //! the catalog's process-unique id and mutation epoch
 //! ([`monet::db::Db::id`]/[`epoch`](monet::db::Db::epoch)): any catalog
 //! change silently invalidates every plan compiled against the old state.
@@ -34,15 +36,15 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use monet::atom::AtomValue;
-use monet::mil::opt::OptLevel;
+use monet::config::PlanConfig;
 
 use crate::algebra::{Expr, Pred, ProjItem, Scalar, SetExpr, SetValued};
 use crate::catalog::Catalog;
 use crate::error::Result;
-use crate::translate::{translate_with, Translated};
+use crate::translate::{translate_uncached, Translated};
 
 // ---------------------------------------------------------------------------
 // Ambient (thread-scoped) cache installation.
@@ -53,9 +55,8 @@ thread_local! {
 }
 
 /// Run `f` with `cache` installed as this thread's plan cache: every
-/// [`crate::translate::translate`] call inside `f` goes through it.
-/// Restores the previous installation on exit — panic-safe — mirroring
-/// the `with_opt_config`/`with_par_config` scoped-override contract.
+/// [`crate::translate::translate_in`] call inside `f` goes through it.
+/// Restores the previous installation on exit — panic-safe.
 pub fn with_plan_cache<R>(cache: Arc<PlanCache>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Arc<PlanCache>>);
     impl Drop for Restore {
@@ -75,35 +76,10 @@ pub fn ambient_plan_cache() -> Option<Arc<PlanCache>> {
 }
 
 // ---------------------------------------------------------------------------
-// The environment knob.
-// ---------------------------------------------------------------------------
-
-/// Default capacity when `FLATALG_PLAN_CACHE` is unset: generous for the
-/// TPC-D workload (15 queries × a few programs each) while still bounded.
-pub const DEFAULT_CAPACITY: usize = 64;
-
-static ENV_CAPACITY: OnceLock<Option<usize>> = OnceLock::new();
-
-/// The `FLATALG_PLAN_CACHE` capacity: `None` when caching is disabled
-/// (`FLATALG_PLAN_CACHE=0` — the cache-off oracle leg), else the bound
-/// (`FLATALG_PLAN_CACHE=N`, default [`DEFAULT_CAPACITY`]). Parsed once
-/// per process like every other `FLATALG_*` knob.
-pub fn env_capacity() -> Option<usize> {
-    *ENV_CAPACITY.get_or_init(|| match std::env::var("FLATALG_PLAN_CACHE") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => None,
-            Ok(n) => Some(n),
-            Err(_) => Some(DEFAULT_CAPACITY),
-        },
-        Err(_) => Some(DEFAULT_CAPACITY),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // The cache.
 // ---------------------------------------------------------------------------
 
-/// Cache key: shape text + the full effective configuration.
+/// Cache key: shape text + catalog state + the planner's configuration.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Key {
     /// Canonical shape rendering of the expression (parameters appear as
@@ -112,13 +88,8 @@ struct Key {
     /// Catalog identity and mutation epoch.
     db_id: u64,
     db_epoch: u64,
-    /// Effective optimizer level.
-    opt_enabled: bool,
-    /// Whether pipeline fusion is enabled — fused and unfused emissions
-    /// are different programs and must never share a cache entry.
-    fuse: bool,
-    /// Effective parallel configuration (threads, min-rows, morsel rows).
-    par: (usize, Option<usize>, usize),
+    /// Everything the translation could consult besides the two above.
+    plan: PlanConfig,
 }
 
 struct Entry {
@@ -173,12 +144,6 @@ impl PlanCache {
         })
     }
 
-    /// The cache configured by `FLATALG_PLAN_CACHE`: `None` when the
-    /// environment disables caching.
-    pub fn from_env() -> Option<Arc<PlanCache>> {
-        env_capacity().map(PlanCache::with_capacity)
-    }
-
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -205,38 +170,41 @@ impl PlanCache {
     }
 
     /// Translate `expr` through the cache (the
-    /// [`crate::translate::translate`] fast path). Hits clone the cached
+    /// [`crate::translate::translate_in`] fast path). Hits clone the cached
     /// optimized program and splice the expression's parameter values into
-    /// its recorded slots; misses translate at `level` and insert.
-    pub fn translate(&self, cat: &Catalog, expr: &SetExpr, level: OptLevel) -> Result<Translated> {
+    /// its recorded slots; misses translate under `plan` and insert.
+    pub fn translate(
+        &self,
+        cat: &Catalog,
+        expr: &SetExpr,
+        plan: &PlanConfig,
+    ) -> Result<Translated> {
         let Some(bindings) = collect_bindings(expr) else {
             // One id bound to two different values: re-binding a cached
             // plan could splice either value into either slot. Bypass.
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return translate_with(cat, expr, level);
+            return translate_uncached(cat, expr, plan);
         };
         let key = Key {
             shape: shape_of(expr),
             db_id: cat.db().id(),
             db_epoch: cat.db().epoch(),
-            opt_enabled: level.enabled(),
-            fuse: monet::fuse::fuse_enabled(),
-            par: monet::par::config_key(),
+            plan: *plan,
         };
-        if let Some((plan, cached)) = self.lookup(&key) {
-            let mut t: Translated = (*plan).clone();
+        if let Some((hit, cached)) = self.lookup(&key) {
+            let mut t: Translated = (*hit).clone();
             if !bindings_identical(&cached, &bindings) && !t.prog.splice_params(&bindings) {
                 // Slot metadata went stale (would be a translator bug);
                 // degrade to a fresh translation rather than run a
                 // wrongly-bound plan.
                 debug_assert!(false, "cached plan rejected a parameter splice");
                 self.bypasses.fetch_add(1, Ordering::Relaxed);
-                return translate_with(cat, expr, level);
+                return translate_uncached(cat, expr, plan);
             }
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(t);
         }
-        let t = translate_with(cat, expr, level)?;
+        let t = translate_uncached(cat, expr, plan)?;
         if t.cacheable {
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.insert(key, Arc::new(t.clone()), bindings);
@@ -592,6 +560,7 @@ mod tests {
     use crate::algebra::{and, attr, cmp, eq, lit_d, prm};
     use crate::testkit::mini_catalog;
     use monet::atom::AtomValue;
+    use monet::mil::opt::OptLevel;
     use monet::ops::ScalarFunc;
 
     fn q(cut: f64) -> SetExpr {
@@ -632,8 +601,8 @@ mod tests {
     fn hit_rebinds_parameters() {
         let cat = mini_catalog();
         let cache = PlanCache::with_capacity(8);
-        let t1 = cache.translate(&cat, &q(100.0), OptLevel::Full).unwrap();
-        let t2 = cache.translate(&cat, &q(200.0), OptLevel::Full).unwrap();
+        let t1 = cache.translate(&cat, &q(100.0), &PlanConfig::default()).unwrap();
+        let t2 = cache.translate(&cat, &q(200.0), &PlanConfig::default()).unwrap();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         // The re-bound program differs only in the spliced constant.
@@ -645,22 +614,32 @@ mod tests {
     }
 
     #[test]
-    fn config_and_catalog_are_part_of_the_key() {
+    fn every_plan_config_field_and_the_catalog_are_part_of_the_key() {
         let cat = mini_catalog();
-        let cache = PlanCache::with_capacity(8);
-        let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
-        // Different OptLevel: distinct entry (miss, not a wrong hit).
-        let _ = cache.translate(&cat, &q(1.0), OptLevel::Off).unwrap();
-        // Different thread config: distinct entry.
-        monet::par::with_threads(3, || {
-            let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
-        });
-        // Different fusion setting: distinct entry.
-        monet::fuse::with_fuse(!monet::fuse::fuse_enabled(), || {
-            let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
-        });
+        let cache = PlanCache::with_capacity(16);
+        let _ = cache.translate(&cat, &q(1.0), &PlanConfig::default()).unwrap();
+        // Destructured without `..`: a new `PlanConfig` field fails to
+        // compile here until a flip of it is added below.
+        let full = PlanConfig::default();
+        let PlanConfig { opt, explain, fuse } = full;
+        assert_eq!(opt, OptLevel::Full);
+        let flips = [
+            PlanConfig { opt: OptLevel::Off, ..full },
+            PlanConfig { explain: !explain, ..full },
+            PlanConfig { fuse: !fuse, ..full },
+        ];
+        for (i, flipped) in flips.iter().enumerate() {
+            // Each field alone: a distinct entry (miss), never a wrong hit.
+            let _ = cache.translate(&cat, &q(1.0), flipped).unwrap();
+            let s = cache.stats();
+            assert_eq!((s.hits, s.misses), (0, 2 + i as u64), "{flipped:?}");
+        }
+        // A different catalog (fresh `Db` id) is a miss too; the original
+        // key still hits.
+        let _ = cache.translate(&mini_catalog(), &q(1.0), &PlanConfig::default()).unwrap();
+        let _ = cache.translate(&cat, &q(1.0), &PlanConfig::default()).unwrap();
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 4));
+        assert_eq!((s.hits, s.misses), (1, 5));
     }
 
     #[test]
@@ -668,13 +647,13 @@ mod tests {
         let cat = mini_catalog();
         let cache = PlanCache::with_capacity(8);
         let bad = SetExpr::extent("Item").select(eq(attr("no_such_attr"), lit_d(1.0)));
-        assert!(cache.translate(&cat, &bad, OptLevel::Full).is_err());
+        assert!(cache.translate(&cat, &bad, &PlanConfig::default()).is_err());
         let s = cache.stats();
         assert_eq!((s.len, s.misses, s.hits), (0, 0, 0), "a failed translate must insert nothing");
         // The cache still works, and the failing shape keeps failing
         // deterministically — it never turns into a bogus hit.
-        let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
-        assert!(cache.translate(&cat, &bad, OptLevel::Full).is_err());
+        let _ = cache.translate(&cat, &q(1.0), &PlanConfig::default()).unwrap();
+        assert!(cache.translate(&cat, &bad, &PlanConfig::default()).is_err());
         let s = cache.stats();
         assert_eq!((s.len, s.misses, s.hits), (1, 1, 0));
     }
@@ -683,14 +662,14 @@ mod tests {
     fn lru_evicts_at_capacity() {
         let cat = mini_catalog();
         let cache = PlanCache::with_capacity(1);
-        let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
+        let _ = cache.translate(&cat, &q(1.0), &PlanConfig::default()).unwrap();
         let other = SetExpr::extent("Item").select(eq(attr("extendedprice"), lit_d(5.0)));
-        let _ = cache.translate(&cat, &other, OptLevel::Full).unwrap();
+        let _ = cache.translate(&cat, &other, &PlanConfig::default()).unwrap();
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.len, 1);
         // The first shape was evicted: translating it again is a miss.
-        let _ = cache.translate(&cat, &q(1.0), OptLevel::Full).unwrap();
+        let _ = cache.translate(&cat, &q(1.0), &PlanConfig::default()).unwrap();
         assert_eq!(cache.stats().misses, 3);
     }
 }

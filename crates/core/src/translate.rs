@@ -28,6 +28,7 @@ use std::collections::HashMap;
 
 use monet::atom::AtomValue;
 use monet::bat::Bat;
+use monet::config::{EngineConfig, PlanConfig};
 use monet::ctx::ExecCtx;
 use monet::db::Db;
 use monet::mil::opt::OptLevel;
@@ -171,28 +172,41 @@ enum SVal {
 }
 
 /// Translate a MOA set expression into a MIL program plus result structure
-/// (the entry point of the rewriter). The emitted program is handed to the
-/// MIL plan optimizer at the ambient [`OptLevel`] — `FLATALG_OPT=0` (or a
-/// scoped [`monet::mil::opt::with_opt_config`]) reproduces the raw
-/// emission exactly.
-///
-/// When a plan cache is installed on this thread
-/// ([`crate::plancache::with_plan_cache`]), translation goes through it:
-/// a cached plan of the same shape under the same effective configuration
-/// is re-bound to this expression's parameter values instead of being
-/// re-translated and re-optimized.
+/// (the entry point of the rewriter) under the process environment's
+/// configuration — [`translate_in`] with [`EngineConfig::from_env`].
 pub fn translate(cat: &Catalog, expr: &SetExpr) -> Result<Translated> {
-    let level = OptLevel::current();
-    if let Some(cache) = crate::plancache::ambient_plan_cache() {
-        return cache.translate(cat, expr, level);
-    }
-    translate_with(cat, expr, level)
+    translate_in(cat, expr, &EngineConfig::from_env())
 }
 
-/// [`translate`] at an explicit optimization level (the `OptLevel` hook:
-/// benchmarks and oracle tests pin `Off` to run the translator's raw
-/// emission against the optimized plan).
+/// Translate under `cfg`: the emitted program is handed to the MIL plan
+/// optimizer unless `cfg.opt` is `Off`, which reproduces the raw emission
+/// exactly. When a plan cache is installed on this thread
+/// ([`crate::plancache::with_plan_cache`]), translation goes through it: a
+/// cached plan of the same shape under the same [`PlanConfig`] is re-bound
+/// to this expression's parameter values instead of being re-translated
+/// and re-optimized.
+pub fn translate_in(cat: &Catalog, expr: &SetExpr, cfg: &EngineConfig) -> Result<Translated> {
+    let plan = cfg.plan();
+    match crate::plancache::ambient_plan_cache() {
+        Some(cache) => cache.translate(cat, expr, &plan),
+        None => translate_uncached(cat, expr, &plan),
+    }
+}
+
+/// Translate at an explicit optimization level, past any plan cache
+/// (benchmarks and oracle tests pin `Off` to run the translator's raw
+/// emission against the optimized plan). Everything else follows the
+/// process environment's configuration.
 pub fn translate_with(cat: &Catalog, expr: &SetExpr, level: OptLevel) -> Result<Translated> {
+    translate_uncached(cat, expr, &PlanConfig { opt: level, ..EngineConfig::from_env().plan() })
+}
+
+/// The translator proper: rewrite, then optimize as `plan` says.
+pub(crate) fn translate_uncached(
+    cat: &Catalog,
+    expr: &SetExpr,
+    plan: &PlanConfig,
+) -> Result<Translated> {
     let mut t =
         Translator { cat, prog: MilProgram::new(), loaded: HashMap::new(), param_folded: false };
     let ts = t.tset(expr)?;
@@ -203,9 +217,9 @@ pub fn translate_with(cat: &Catalog, expr: &SetExpr, level: OptLevel) -> Result<
     keep.dedup();
     let cacheable = !t.param_folded;
     let mut out = Translated { prog: t.prog, index: ts.index, spec, keep, cacheable };
-    if level.enabled() {
+    if plan.opt.enabled() {
         let prog = std::mem::take(&mut out.prog);
-        let mut opt = monet::mil::opt::optimize(prog, &out.keep, cat.db());
+        let mut opt = monet::mil::opt::optimize(prog, &out.keep, cat.db(), plan);
         out.prog = std::mem::take(&mut opt.prog);
         out.index = opt.var(out.index);
         out.spec.remap_vars(&|v| opt.var(v));

@@ -1,9 +1,9 @@
 //! Chained hash index over one column of a BAT.
 //!
-//! Plays the role of the persistent `hash-table` heap of Figure 2: the
-//! presence of a hash table on an operand "might lead the join to choose a
-//! hashjoin implementation" (Section 5.2.1). The same structure is built
-//! ad hoc inside hash-join/semijoin when no persistent index exists.
+//! The `hash-table` heap of Figure 2, built per call: hash join and hash
+//! semijoin build one over the right head, multiplex and group alignment
+//! over the head they align to. Oid-keyed operators never get here — they
+//! address a compact domain by `oid - base` first.
 
 use crate::column::Column;
 use crate::typed::TypedVals;

@@ -15,28 +15,12 @@ use crate::error::{MonetError, Result};
 use crate::props::{ColProps, Props};
 
 /// Search accelerators attached to a BAT (Figure 2 shows them as extra
-/// heaps). Intermediate results usually carry none; persistent BATs may
-/// carry hash tables and — for tail-sorted attribute BATs — a datavector.
+/// heaps). Intermediate results carry none; tail-sorted persistent
+/// attribute BATs carry a datavector.
 #[derive(Debug, Clone, Default)]
 pub struct Accel {
-    /// Hash table over head values.
-    pub head_hash: Option<Arc<crate::accel::hash::HashIndex>>,
-    /// Hash table over tail values.
-    pub tail_hash: Option<Arc<crate::accel::hash::HashIndex>>,
     /// Datavector accelerator (Section 5.2); meaningful for `[oid,T]` BATs.
     pub datavector: Option<Arc<crate::accel::datavector::Datavector>>,
-}
-
-impl Accel {
-    fn mirrored(&self) -> Accel {
-        Accel {
-            head_hash: self.tail_hash.clone(),
-            tail_hash: self.head_hash.clone(),
-            // A datavector accelerates oid->value fetches of the normal
-            // orientation; it does not transfer to the mirror.
-            datavector: None,
-        }
-    }
 }
 
 /// A Binary Association Table.
@@ -85,8 +69,8 @@ impl Bat {
         // to (and must not) reason about which layout their output columns
         // ended up with.
         b.props = Props::new(
-            props.head.with_enc(b.head.encoding()),
-            props.tail.with_enc(b.tail.encoding()),
+            props.head.with_encoding(b.head.encoding()),
+            props.tail.with_encoding(b.tail.encoding()),
         );
         debug_assert!(
             b.validate().is_ok(),
@@ -144,16 +128,6 @@ impl Bat {
         &self.accel
     }
 
-    /// Attach a hash index over the tail column.
-    pub fn set_tail_hash(&mut self, h: Arc<crate::accel::hash::HashIndex>) {
-        self.accel.tail_hash = Some(h);
-    }
-
-    /// Attach a hash index over the head column.
-    pub fn set_head_hash(&mut self, h: Arc<crate::accel::hash::HashIndex>) {
-        self.accel.head_hash = Some(h);
-    }
-
     /// Attach a datavector accelerator.
     pub fn set_datavector(&mut self, dv: Arc<crate::accel::datavector::Datavector>) {
         self.accel.datavector = Some(dv);
@@ -174,7 +148,9 @@ impl Bat {
             head: self.tail.clone(),
             tail: self.head.clone(),
             props: self.props.mirrored(),
-            accel: self.accel.mirrored(),
+            // A datavector accelerates oid->value fetches of the normal
+            // orientation; it does not transfer to the mirror.
+            accel: Accel::default(),
         }
     }
 

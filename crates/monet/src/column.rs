@@ -1876,20 +1876,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Hash an [`AtomValue`] consistently with [`Column::hash_at`].
-pub fn hash_atom(v: &AtomValue) -> u64 {
-    match v {
-        AtomValue::Void(o) | AtomValue::Oid(o) => fxhash64(*o),
-        AtomValue::Bool(b) => fxhash64(*b as u64),
-        AtomValue::Chr(c) => fxhash64(*c as u64),
-        AtomValue::Int(i) => fxhash64(*i as u64),
-        AtomValue::Lng(i) => fxhash64(*i as u64),
-        AtomValue::Dbl(d) => fxhash64(d.to_bits()),
-        AtomValue::Date(d) => fxhash64(d.0 as u64),
-        AtomValue::Str(s) => fnv1a(s.as_bytes()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,6 +19,9 @@
 //! one extent lookup. Figure 8 plots both for the 1 GB TPC-D Item table
 //! (`X = 6,000,000, n = 16, w = 4, B = 4096`).
 
+use crate::config::EngineConfig;
+use crate::ctx::ExecCtx;
+
 /// Parameters of the cost model.
 #[derive(Debug, Clone, Copy)]
 pub struct CostParams {
@@ -110,50 +113,50 @@ pub fn domain_is_compact(span: usize, probe_rows: usize, build_rows: usize) -> b
 
 /// Take the `direct` join arm (a `u32` position per slot of the right
 /// head's span): the span is compact and the table fits the budget
-/// headroom. Under a `FLATALG_SPILL=force` override every table-building
-/// join goes to the spill path instead, so the out-of-core leg keeps its
-/// coverage.
+/// headroom. Under `spill_force` every table-building join goes to the
+/// spill path instead, so the out-of-core leg keeps its coverage.
 pub fn join_prefers_direct(
-    mem: &crate::ctx::MemTracker,
+    ctx: &ExecCtx,
     span: usize,
     probe_rows: usize,
     build_rows: usize,
 ) -> bool {
-    crate::spill::mode() != crate::spill::SpillMode::Always
+    !ctx.config().spill_force
         && domain_is_compact(span, probe_rows, build_rows)
-        && !overflows_headroom(mem, 4 * span as u64)
+        && !overflows_headroom(&ctx.mem, 4 * span as u64)
 }
 
 /// Take the `bitmap` semijoin/antijoin arm (one bit per slot of the right
 /// head's span) — same rule as [`join_prefers_direct`]; there is no
 /// spilling semijoin to defer to.
 pub fn semijoin_prefers_bitmap(
-    mem: &crate::ctx::MemTracker,
+    ctx: &ExecCtx,
     span: usize,
     probe_rows: usize,
     build_rows: usize,
 ) -> bool {
-    domain_is_compact(span, probe_rows, build_rows) && !overflows_headroom(mem, span as u64 / 8)
+    domain_is_compact(span, probe_rows, build_rows)
+        && !overflows_headroom(&ctx.mem, span as u64 / 8)
 }
 
 /// Take the `direct` grouping arm (a `u32` group id per slot of the key
 /// column's span, [`crate::typed::SlotTable`]) — the rule of
 /// [`join_prefers_direct`], with the rows grouped as the only operand:
-/// the span is compact, the table fits the budget headroom, and a
-/// `FLATALG_SPILL=force` override keeps sending single-column grouping to
-/// its spill path. Under budget *pressure* the order is the other way
-/// round — a slot table over a compact span is the smallest working set
-/// grouping has, so it is tried before [`group_prefers_spill`].
-pub fn group_prefers_direct(mem: &crate::ctx::MemTracker, span: usize, rows: usize) -> bool {
-    crate::spill::mode() != crate::spill::SpillMode::Always && group_prefers_packed(mem, span, rows)
+/// the span is compact, the table fits the budget headroom, and
+/// `spill_force` keeps sending single-column grouping to its spill path.
+/// Under budget *pressure* the order is the other way round — a slot
+/// table over a compact span is the smallest working set grouping has, so
+/// it is tried before [`group_prefers_spill`].
+pub fn group_prefers_direct(ctx: &ExecCtx, span: usize, rows: usize) -> bool {
+    !ctx.config().spill_force && group_prefers_packed(ctx, span, rows)
 }
 
 /// Take the `packed` arm of pair grouping and pair dedup (`group2`,
 /// `unique`): one slot per key of the *product* span, addressed by
 /// `slot_a * span_b + slot_b`. Same rule as [`group_prefers_direct`];
 /// there is no spilling pair grouping to defer to.
-pub fn group_prefers_packed(mem: &crate::ctx::MemTracker, span: usize, rows: usize) -> bool {
-    domain_is_compact(span, rows, 0) && !overflows_headroom(mem, 4 * span as u64)
+pub fn group_prefers_packed(ctx: &ExecCtx, span: usize, rows: usize) -> bool {
+    domain_is_compact(span, rows, 0) && !overflows_headroom(&ctx.mem, 4 * span as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -186,63 +189,44 @@ fn overflows_headroom(mem: &crate::ctx::MemTracker, estimate: u64) -> bool {
 
 /// Spill the radix join's partitions to disk when the in-memory
 /// partitioned working set won't fit what is left of the query's byte
-/// budget (`FLATALG_MEM_BUDGET` / session override), or always/never
-/// under a `FLATALG_SPILL` override. The spilling join is bit-identical
-/// to the in-memory paths, so this is purely a resource decision.
-pub fn join_prefers_spill(
-    mem: &crate::ctx::MemTracker,
-    probe_rows: usize,
-    build_rows: usize,
-) -> bool {
-    match crate::spill::mode() {
-        crate::spill::SpillMode::Never => false,
-        crate::spill::SpillMode::Always => true,
-        crate::spill::SpillMode::Auto => {
-            overflows_headroom(mem, join_inmem_bytes(probe_rows, build_rows))
-        }
-    }
+/// budget, or always under `spill_force`. The spilling join is
+/// bit-identical to the in-memory paths, so this is purely a resource
+/// decision.
+pub fn join_prefers_spill(ctx: &ExecCtx, probe_rows: usize, build_rows: usize) -> bool {
+    ctx.config().spill_force
+        || overflows_headroom(&ctx.mem, join_inmem_bytes(probe_rows, build_rows))
 }
 
 /// Spill hash grouping's partitions to disk (same contract as
 /// [`join_prefers_spill`]: resource decision only, identical results).
-pub fn group_prefers_spill(mem: &crate::ctx::MemTracker, rows: usize) -> bool {
-    match crate::spill::mode() {
-        crate::spill::SpillMode::Never => false,
-        crate::spill::SpillMode::Always => true,
-        crate::spill::SpillMode::Auto => overflows_headroom(mem, group_inmem_bytes(rows)),
-    }
+pub fn group_prefers_spill(ctx: &ExecCtx, rows: usize) -> bool {
+    ctx.config().spill_force || overflows_headroom(&ctx.mem, group_inmem_bytes(rows))
 }
 
 // ---------------------------------------------------------------------------
 // Intra-query parallelism: when to cut morsels.
 // ---------------------------------------------------------------------------
 
-/// Row threshold below which scan-shaped kernels stay serial. Dispatching a
-/// parallel batch costs a few microseconds (channel sends, one atomic
-/// cursor, result collection); the typed scans run at ~0.5-10 ns/row, so
-/// well under ~10^5 rows the dispatch overhead eats the speedup and the
-/// morsel executor only adds variance. Measured on the reference box:
-/// below ~10^5 rows threading was a wash or a regression for every ported
-/// kernel; above it the scan kernels scale with memory bandwidth.
-/// `FLATALG_PAR_MIN_ROWS` (or a scoped [`crate::par::with_par_config`])
-/// overrides, which is how the determinism tests force the parallel path
-/// onto small inputs.
+/// Default row threshold below which scan-shaped kernels stay serial.
+/// Dispatching a parallel batch costs a few microseconds (channel sends,
+/// one atomic cursor, result collection); the typed scans run at ~0.5-10
+/// ns/row, so well under ~10^5 rows the dispatch overhead eats the speedup
+/// and the morsel executor only adds variance. Measured on the reference
+/// box: below ~10^5 rows threading was a wash or a regression for every
+/// ported kernel; above it the scan kernels scale with memory bandwidth.
+/// The determinism tests configure `par_min_rows: 1` to force the parallel
+/// path onto small inputs.
 pub const PAR_MIN_ROWS: usize = 128 * 1024;
 
-/// The effective parallelism threshold (override, else [`PAR_MIN_ROWS`]).
-pub fn par_min_rows() -> usize {
-    crate::par::min_rows_override().unwrap_or(PAR_MIN_ROWS)
-}
-
 /// Threads a kernel over a `rows`-row operand should use: 1 (serial)
-/// below the row threshold or when `FLATALG_THREADS=1`, the configured
-/// thread count otherwise. Every parallelized operator routes its
-/// dispatch decision through here so the threshold lives in one place.
-pub fn par_threads(rows: usize) -> usize {
-    if rows < par_min_rows() {
+/// below the row threshold or when one thread is configured, the
+/// configured thread count otherwise. Every parallelized operator routes
+/// its dispatch decision through here so the threshold lives in one place.
+pub fn par_threads(cfg: &EngineConfig, rows: usize) -> usize {
+    if rows < cfg.par_min_rows {
         1
     } else {
-        crate::par::configured_threads()
+        cfg.threads
     }
 }
 
@@ -416,13 +400,14 @@ mod tests {
         assert!(domain_is_compact(usize::MAX, usize::MAX, usize::MAX), "no overflow");
         // The table must also fit what is left of the budget: 4 bytes per
         // slot for the join's position array, one bit for the bitmap.
-        let m = crate::ctx::MemTracker::default();
-        assert!(semijoin_prefers_bitmap(&m, 8000, rows, 0));
+        let ctx = ExecCtx::with_config(Default::default());
+        let m = &ctx.mem;
+        assert!(semijoin_prefers_bitmap(&ctx, 8000, rows, 0));
         m.set_budget(Some(4000));
-        assert!(semijoin_prefers_bitmap(&m, 8000, rows, 0), "1000 bytes of bitmap fit");
-        assert!(!overflows_headroom(&m, 4 * 1000) && overflows_headroom(&m, 4 * 1001));
+        assert!(semijoin_prefers_bitmap(&ctx, 8000, rows, 0), "1000 bytes of bitmap fit");
+        assert!(!overflows_headroom(m, 4 * 1000) && overflows_headroom(m, 4 * 1001));
         m.charge("x", 3001).unwrap();
-        assert!(!semijoin_prefers_bitmap(&m, 8000, rows, 0), "999 bytes of headroom do not");
+        assert!(!semijoin_prefers_bitmap(&ctx, 8000, rows, 0), "999 bytes of headroom do not");
         m.release(3001);
     }
 
@@ -455,27 +440,39 @@ mod tests {
     }
 
     #[test]
+    fn spill_force_overrides_the_headroom_rule() {
+        let auto = ExecCtx::with_config(Default::default());
+        let forced = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
+            spill_force: true,
+            ..EngineConfig::default()
+        }));
+        // Unlimited memory: only the override spills.
+        assert!(!join_prefers_spill(&auto, 1000, 1000) && !group_prefers_spill(&auto, 1000));
+        assert!(join_prefers_spill(&forced, 1000, 1000) && group_prefers_spill(&forced, 1000));
+        // ...and it keeps table-building joins and unary grouping off their
+        // compact-domain arms; pair grouping has no spill path to defer to.
+        assert!(join_prefers_direct(&auto, 100, 50, 50) && group_prefers_direct(&auto, 100, 50));
+        assert!(!join_prefers_direct(&forced, 100, 50, 50));
+        assert!(!group_prefers_direct(&forced, 100, 50) && group_prefers_packed(&forced, 100, 50));
+    }
+
+    #[test]
     fn par_threshold_exact_cut_points() {
         // Pin the threshold itself and the behavior one row either side,
-        // under a scoped thread count so the test is machine-independent.
-        crate::par::with_par_config(Some(4), None, None, || {
-            assert_eq!(par_min_rows(), PAR_MIN_ROWS);
-            assert_eq!(par_threads(PAR_MIN_ROWS - 1), 1);
-            assert_eq!(par_threads(PAR_MIN_ROWS), 4);
-            assert_eq!(par_threads(PAR_MIN_ROWS + 1), 4);
-            assert_eq!(par_threads(0), 1);
-        });
-        // FLATALG_THREADS=1 (here: the scoped equivalent) forces serial
-        // even far above the row threshold.
-        crate::par::with_par_config(Some(1), None, None, || {
-            assert_eq!(par_threads(PAR_MIN_ROWS * 64), 1);
-        });
-        // A scoped row-threshold override moves the cut exactly.
-        crate::par::with_par_config(Some(4), Some(100), None, || {
-            assert_eq!(par_min_rows(), 100);
-            assert_eq!(par_threads(99), 1);
-            assert_eq!(par_threads(100), 4);
-        });
+        // at a fixed thread count so the test is machine-independent.
+        let four = EngineConfig { threads: 4, ..EngineConfig::default() };
+        assert_eq!(four.par_min_rows, PAR_MIN_ROWS);
+        assert_eq!(par_threads(&four, PAR_MIN_ROWS - 1), 1);
+        assert_eq!(par_threads(&four, PAR_MIN_ROWS), 4);
+        assert_eq!(par_threads(&four, PAR_MIN_ROWS + 1), 4);
+        assert_eq!(par_threads(&four, 0), 1);
+        // One thread forces serial even far above the row threshold.
+        let one = EngineConfig { threads: 1, ..EngineConfig::default() };
+        assert_eq!(par_threads(&one, PAR_MIN_ROWS * 64), 1);
+        // A configured row threshold moves the cut exactly.
+        let low = EngineConfig { threads: 4, par_min_rows: 100, ..EngineConfig::default() };
+        assert_eq!(par_threads(&low, 99), 1);
+        assert_eq!(par_threads(&low, 100), 4);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::sync::Mutex;
 
@@ -18,38 +18,11 @@ use crate::accel::datavector::Lookup;
 use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::column::ColumnIdentity;
+use crate::config::EngineConfig;
 use crate::error::{MonetError, Result};
 use crate::gov::{CancelToken, Governor};
 use crate::ops::group::Grouping;
 use crate::pager::Pager;
-
-/// `FLATALG_MEM_BUDGET` parsed once per process: default per-query byte
-/// budget applied to every new context (0 or unset = unlimited). Accepts a
-/// plain byte count or a `k`/`m`/`g` suffix (powers of 1024).
-fn env_mem_budget() -> u64 {
-    static BUDGET: OnceLock<u64> = OnceLock::new();
-    *BUDGET.get_or_init(|| match std::env::var("FLATALG_MEM_BUDGET") {
-        Ok(v) => parse_mem_budget(&v),
-        Err(_) => 0,
-    })
-}
-
-/// Parse a byte-budget string: a plain count or a `k`/`m`/`g` suffix
-/// (powers of 1024); unparseable input is 0 (= unlimited).
-pub fn parse_mem_budget(raw: &str) -> u64 {
-    let s = raw.trim().to_ascii_lowercase();
-    let (digits, unit) = match s.strip_suffix(['k', 'm', 'g']) {
-        Some(d) => (d, s.as_bytes()[s.len() - 1]),
-        None => (s.as_str(), b' '),
-    };
-    let n: u64 = digits.trim().parse().unwrap_or(0);
-    match unit {
-        b'k' => n << 10,
-        b'm' => n << 20,
-        b'g' => n << 30,
-        _ => n,
-    }
-}
 
 /// One trace record per executed kernel operation, mirroring the rows of
 /// the paper's Figure 10 (elapsed ms, page faults, and — our addition — the
@@ -135,7 +108,7 @@ impl MemTracker {
     }
 
     /// Set (or lift, with `None`/0) the per-query byte budget. Sessions use
-    /// this to override the `FLATALG_MEM_BUDGET` process default.
+    /// this to override their configuration's `mem_budget`.
     pub fn set_budget(&self, bytes: Option<u64>) {
         self.budget_bytes.store(bytes.unwrap_or(0), Ordering::Relaxed);
     }
@@ -215,6 +188,9 @@ impl Memoized {
 /// Shared execution context.
 #[derive(Clone)]
 pub struct ExecCtx {
+    /// The configuration every kernel, cost-model rule and planner call
+    /// made on behalf of this context reads its knobs from.
+    cfg: Arc<EngineConfig>,
     /// Simulated pager; `None` disables fault accounting.
     pub pager: Option<Arc<Pager>>,
     /// Trace sink; `None` disables tracing.
@@ -245,20 +221,31 @@ impl Default for ExecCtx {
 const FRESH_OID_BASE: Oid = 1 << 40;
 
 impl ExecCtx {
-    /// Passive context: no pager, no trace; the memory budget defaults to
-    /// `FLATALG_MEM_BUDGET` (unlimited when unset) and the fault injector
-    /// to `FLATALG_FAULT` (disarmed when unset).
+    /// A passive context (no pager, no trace) under the process
+    /// environment's configuration ([`EngineConfig::from_env`]).
     pub fn new() -> ExecCtx {
+        ExecCtx::with_config(EngineConfig::from_env())
+    }
+
+    /// A passive context under `cfg`: its `mem_budget` seeds the memory
+    /// budget and its `fault` arms the governor's injector.
+    pub fn with_config(cfg: Arc<EngineConfig>) -> ExecCtx {
         let mem = MemTracker::default();
-        mem.set_budget(Some(env_mem_budget()));
+        mem.set_budget(Some(cfg.mem_budget));
         ExecCtx {
             pager: None,
             trace: None,
             mem: Arc::new(mem),
-            gov: Arc::new(Governor::new()),
+            gov: Arc::new(Governor::new(cfg.fault.as_ref())),
             oid_gen: Arc::new(AtomicU64::new(FRESH_OID_BASE)),
             memo: Arc::default(),
+            cfg,
         }
+    }
+
+    /// The configuration this context runs under.
+    pub fn config(&self) -> &Arc<EngineConfig> {
+        &self.cfg
     }
 
     /// The memoized structure under `key`, if this execution derived it.

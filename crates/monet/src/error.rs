@@ -29,7 +29,7 @@ pub enum MonetError {
     /// Malformed operand (e.g. aggregate over empty BAT with no identity).
     Malformed { op: &'static str, detail: String },
     /// The query's tracked allocations exceeded its memory budget
-    /// (`FLATALG_MEM_BUDGET` / [`crate::ctx::MemTracker::set_budget`]).
+    /// (the configuration's `mem_budget` / [`crate::ctx::MemTracker::set_budget`]).
     /// Aborts that query only; the context stays usable.
     BudgetExceeded { op: &'static str, live_bytes: u64, budget_bytes: u64 },
     /// The query's cancellation token was triggered
@@ -39,8 +39,8 @@ pub enum MonetError {
     /// The query ran past its deadline ([`crate::gov::Governor`]); observed
     /// cooperatively at the next governor probe.
     DeadlineExceeded { site: &'static str },
-    /// A deterministic injected fault (`FLATALG_FAULT=site:count` or the
-    /// scoped [`crate::gov::Governor::arm_fault`] test API) fired at a
+    /// A deterministic injected fault (the configuration's `fault` or
+    /// [`crate::gov::Governor::arm_fault`]) fired at a
     /// governor probe point.
     Injected { site: &'static str, hit: u64 },
     /// A statement waited at the service admission gate past the configured

@@ -13,9 +13,8 @@
 //! * a **deadline check**: a per-statement deadline set by the query
 //!   service turns into [`MonetError::DeadlineExceeded`] at the first
 //!   probe past it;
-//! * a **fault-injection site**: a seeded injector
-//!   (`FLATALG_FAULT=site:count`, or the scoped [`Governor::arm_fault`]
-//!   test API) fires [`MonetError::Injected`] at exactly the n-th matching
+//! * a **fault-injection site**: a seeded injector (the configuration's
+//!   `fault`, or [`Governor::arm_fault`]) fires [`MonetError::Injected`] at exactly the n-th matching
 //!   probe — deterministically, so a test sweep can enumerate every
 //!   governed point of a query and prove each one fails cleanly.
 //!
@@ -65,21 +64,6 @@ fn now_us() -> u64 {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
     // +1 so a deadline computed at the anchor instant is never 0 (= none).
     ANCHOR.get_or_init(Instant::now).elapsed().as_micros() as u64 + 1
-}
-
-/// `FLATALG_FAULT=site:count` parsed once per process: fire at the
-/// `count`-th probe of `site` (`*` matches every site). Each new
-/// [`Governor`] arms its own countdown from this spec, so every query in
-/// the process hits the same deterministic point.
-fn env_fault() -> Option<&'static (String, u64)> {
-    static SPEC: OnceLock<Option<(String, u64)>> = OnceLock::new();
-    SPEC.get_or_init(|| {
-        let raw = std::env::var("FLATALG_FAULT").ok()?;
-        let (site, count) = raw.rsplit_once(':')?;
-        let count: u64 = count.trim().parse().ok()?;
-        (!site.is_empty() && count > 0).then(|| (site.to_string(), count))
-    })
-    .as_ref()
 }
 
 /// An armed fault: fire [`MonetError::Injected`] at the `nth` matching
@@ -132,14 +116,16 @@ pub struct Governor {
 
 impl Default for Governor {
     fn default() -> Governor {
-        Governor::new()
+        Governor::new(None)
     }
 }
 
 impl Governor {
-    /// A fresh governor: no cancellation, no deadline; the fault injector
-    /// is armed from `FLATALG_FAULT` when that is set.
-    pub fn new() -> Governor {
+    /// A fresh governor: no cancellation, no deadline; `fault = (site, n)`
+    /// (a configuration's `fault`) arms the injector for the `n`-th probe
+    /// of `site`, so every context built from that configuration hits the
+    /// same deterministic point.
+    pub fn new(fault: Option<&(String, u64)>) -> Governor {
         let g = Governor {
             cancelled: AtomicBool::new(false),
             deadline_us: AtomicU64::new(0),
@@ -147,7 +133,7 @@ impl Governor {
             fault: Mutex::new(None),
             probes: AtomicU64::new(0),
         };
-        if let Some((site, count)) = env_fault() {
+        if let Some((site, count)) = fault {
             g.arm_fault(site, *count);
         }
         g
@@ -227,7 +213,7 @@ mod tests {
 
     #[test]
     fn idle_probe_is_ok_and_counts() {
-        let g = Governor::new();
+        let g = Governor::new(None);
         assert_eq!(g.probes(), 0);
         assert!(g.probe("op/test").is_ok());
         assert!(g.probe(site::MIL_STMT).is_ok());
@@ -236,7 +222,7 @@ mod tests {
 
     #[test]
     fn cancel_is_observed_and_clearable() {
-        let g = Arc::new(Governor::new());
+        let g = Arc::new(Governor::new(None));
         let token = g.cancel_token();
         assert!(g.probe("x").is_ok());
         token.cancel();
@@ -249,7 +235,7 @@ mod tests {
 
     #[test]
     fn deadline_trips_after_elapsing() {
-        let g = Governor::new();
+        let g = Governor::new(None);
         g.set_deadline(Some(Duration::from_secs(3600)));
         assert!(g.probe("x").is_ok());
         g.set_deadline(Some(Duration::ZERO));
@@ -261,7 +247,7 @@ mod tests {
 
     #[test]
     fn fault_fires_exactly_once_at_the_nth_matching_probe() {
-        let g = Governor::new();
+        let g = Governor::new(None);
         g.arm_fault("op/join", 2);
         assert!(g.probe("op/select").is_ok(), "non-matching site");
         assert!(g.probe("op/join").is_ok(), "first match, nth=2");
@@ -271,7 +257,7 @@ mod tests {
 
     #[test]
     fn wildcard_fault_matches_any_site() {
-        let g = Governor::new();
+        let g = Governor::new(None);
         g.arm_fault("*", 3);
         assert!(g.probe("a").is_ok());
         assert!(g.probe("b").is_ok());
@@ -280,7 +266,7 @@ mod tests {
 
     #[test]
     fn disarm_prevents_firing() {
-        let g = Governor::new();
+        let g = Governor::new(None);
         g.arm_fault("*", 1);
         g.disarm_fault();
         assert!(g.probe("x").is_ok());

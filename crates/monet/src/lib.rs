@@ -32,12 +32,13 @@
 //!   plus the main-memory dispatch thresholds (partitioned join, morsel
 //!   parallelism);
 //! * [`par`] — intra-query parallelism: the persistent worker pool and the
-//!   morsel executor the hot kernels fan out over (`FLATALG_THREADS`),
-//!   with results bit-identical to the serial paths;
-//! * [`gov`] — the resource governor: per-query memory budgets
-//!   (`FLATALG_MEM_BUDGET`), cooperative cancellation and deadlines, and
-//!   the deterministic fault injector (`FLATALG_FAULT`) whose probe points
-//!   double as the cancellation points.
+//!   morsel executor the hot kernels fan out over, with results
+//!   bit-identical to the serial paths;
+//! * [`gov`] — the resource governor: per-query memory budgets,
+//!   cooperative cancellation and deadlines, and the deterministic fault
+//!   injector whose probe points double as the cancellation points;
+//! * [`config`] — the one [`config::EngineConfig`] every `FLATALG_*` knob
+//!   is parsed into and every layer above reads.
 //!
 //! ```
 //! use monet::prelude::*;
@@ -58,12 +59,11 @@ pub mod atom;
 pub mod bat;
 pub mod buf;
 pub mod column;
+pub mod config;
 pub mod costmodel;
 pub mod ctx;
 pub mod db;
-pub mod enc;
 pub mod error;
-pub mod fuse;
 pub mod gov;
 pub mod mil;
 pub mod ops;
@@ -81,9 +81,9 @@ pub mod prelude {
     pub use crate::atom::{AtomType, AtomValue, Date, Oid};
     pub use crate::bat::Bat;
     pub use crate::column::Column;
+    pub use crate::config::EngineConfig;
     pub use crate::ctx::ExecCtx;
     pub use crate::db::Db;
-    pub use crate::enc::{enc_enabled, with_enc};
     pub use crate::error::{MonetError, Result};
     pub use crate::mil::{MilArg, MilOp, MilProgram, Var};
     pub use crate::ops;

@@ -24,8 +24,8 @@
 //!   runtime props than the propagation rules can claim.
 //!
 //! The pass runs *after* the fixpoint pipeline and the pin pass (unless
-//! [`crate::fuse::with_fuse`] scopes it off to reproduce the unfused
-//! emission as the oracle leg), so it sees final use counts and pins. Parameterized statements
+//! `PlanConfig::fuse` is off, which reproduces the unfused emission as the
+//! oracle leg), so it sees final use counts and pins. Parameterized statements
 //! (`params` non-empty) never fuse — their constant slots must stay
 //! addressable for plan-cache re-binding.
 

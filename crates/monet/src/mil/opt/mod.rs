@@ -28,10 +28,11 @@
 //!
 //! Every pass is **order-preserving and bit-identity-preserving**: an
 //! optimized program produces exactly the value stream of the raw program
-//! (floating-point aggregation orders included). `FLATALG_OPT=0` disables
-//! the optimizer entirely and reproduces the translator's raw emission.
-//! `FLATALG_EXPLAIN=1` prints before/after plans with per-pass statement
-//! deltas to stderr.
+//! (floating-point aggregation orders included). What the optimizer may
+//! consult is the [`PlanConfig`] it is handed: `opt: Off` makes callers
+//! skip it entirely and run the translator's raw emission, `explain`
+//! prints before/after plans with per-pass statement deltas to stderr,
+//! and `fuse: false` stops short of the fusion pass.
 
 mod cse;
 mod dce;
@@ -43,8 +44,7 @@ mod pushdown;
 
 pub use infer::{infer_shapes, Shape};
 
-use std::sync::OnceLock;
-
+use crate::config::PlanConfig;
 use crate::db::Db;
 
 use super::ast::{MilProgram, Var};
@@ -52,7 +52,7 @@ use super::print::render_program;
 
 /// How hard the optimizer works. `Off` reproduces the raw translator
 /// emission byte for byte; `Full` runs the whole pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     Off,
     Full,
@@ -62,77 +62,13 @@ impl OptLevel {
     pub fn enabled(self) -> bool {
         matches!(self, OptLevel::Full)
     }
-
-    /// The effective level: the scoped override of [`with_opt_config`] if
-    /// set, else `FLATALG_OPT` (`0` disables; anything else — including
-    /// unset — enables). The environment is parsed once per process, like
-    /// every other `FLATALG_*` knob.
-    pub fn current() -> OptLevel {
-        if let Some(l) = OVERRIDE.with(|c| c.get().level) {
-            return l;
-        }
-        *ENV_LEVEL.get_or_init(|| match std::env::var("FLATALG_OPT") {
-            Ok(v) if v.trim() == "0" => OptLevel::Off,
-            _ => OptLevel::Full,
-        })
-    }
-}
-
-/// Whether optimize() should print an EXPLAIN rendering to stderr: the
-/// scoped override, else `FLATALG_EXPLAIN=1`.
-pub fn explain_enabled() -> bool {
-    if let Some(e) = OVERRIDE.with(|c| c.get().explain) {
-        return e;
-    }
-    *ENV_EXPLAIN
-        .get_or_init(|| matches!(std::env::var("FLATALG_EXPLAIN"), Ok(v) if v.trim() == "1"))
-}
-
-#[derive(Clone, Copy, Default)]
-struct OptOverride {
-    level: Option<OptLevel>,
-    explain: Option<bool>,
 }
 
 thread_local! {
-    static OVERRIDE: std::cell::Cell<OptOverride> =
-        const { std::cell::Cell::new(OptOverride { level: None, explain: None }) };
     /// Cumulative (raw, optimized) statement counts of every `optimize`
     /// call on this thread — the EXPLAIN counters the plan-level
     /// acceptance tests aggregate over a query batch.
     static CUMULATIVE: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-static ENV_LEVEL: OnceLock<OptLevel> = OnceLock::new();
-static ENV_EXPLAIN: OnceLock<bool> = OnceLock::new();
-
-/// Run `f` with a scoped optimizer configuration on this thread (level
-/// and/or EXPLAIN; `None` keeps the ambient setting). Restores the
-/// previous configuration on exit — panic-safe — and never touches the
-/// process environment, so concurrent tests can sweep configurations
-/// without racing (the same contract as [`crate::par::with_par_config`]).
-pub fn with_opt_config<R>(
-    level: Option<OptLevel>,
-    explain: Option<bool>,
-    f: impl FnOnce() -> R,
-) -> R {
-    struct Restore(OptOverride);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = OVERRIDE.with(|c| c.get());
-    let _restore = Restore(prev);
-    OVERRIDE.with(|c| {
-        c.set(OptOverride { level: level.or(prev.level), explain: explain.or(prev.explain) })
-    });
-    f()
-}
-
-/// [`with_opt_config`] fixing only the level.
-pub fn with_opt_level<R>(level: OptLevel, f: impl FnOnce() -> R) -> R {
-    with_opt_config(Some(level), None, f)
 }
 
 /// Reset this thread's cumulative EXPLAIN counters.
@@ -263,12 +199,13 @@ impl OptOutcome {
 /// programs settle in 2-3 rounds.
 const MAX_ROUNDS: usize = 8;
 
-/// Optimize `prog`. `roots` are the variables the caller will read after
-/// execution (they survive every pass); `db` is the catalog `load`s
-/// resolve against. Also accumulates the per-thread EXPLAIN counters and,
-/// when EXPLAIN is on, prints the report to stderr.
-pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db) -> OptOutcome {
-    let explain = explain_enabled();
+/// Optimize `prog` (callers skip this call at `cfg.opt == Off`). `roots`
+/// are the variables the caller will read after execution (they survive
+/// every pass); `db` is the catalog `load`s resolve against. Also
+/// accumulates the per-thread EXPLAIN counters and, when `cfg.explain` is
+/// on, prints the report to stderr.
+pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db, cfg: &PlanConfig) -> OptOutcome {
+    let explain = cfg.explain;
     let before_listing = if explain { render_program(&prog) } else { String::new() };
     let mut prog = prog;
     let mut report =
@@ -303,11 +240,11 @@ pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db) -> OptOutcome {
         }
     }
     report.pins = pin::run(&mut prog, db);
-    // Pipeline fusion runs last (unless `fuse::with_fuse` scopes it off for
-    // an oracle run): it consumes the final statement shapes *and* the pins
-    // — a binary-search-pinned select stays staged, and pins on fused-away
+    // Pipeline fusion runs last (unless configured off for an oracle run):
+    // it consumes the final statement shapes *and* the pins — a
+    // binary-search-pinned select stays staged, and pins on fused-away
     // statements dissolve with them.
-    if crate::fuse::fuse_enabled() {
+    if cfg.fuse {
         let cx = PassCtx { db, roots: roots.clone() };
         let pass = fuse::Fuse;
         let eff = pass.run(&mut prog, &cx);

@@ -55,8 +55,8 @@ impl AggFunc {
 /// keep the tail type. `min`/`max`/`avg` over an empty BAT are errors.
 ///
 /// A one-stage pipeline on the morsel driver
-/// ([`super::fused::run_stages`]): one [`aggr_window`] partial per fixed
-/// [`crate::par::morsel_rows`] window, combined in morsel order by
+/// ([`super::fused::run_stages`]): one [`aggr_window`] partial per
+/// configured `morsel_rows` window, combined in morsel order by
 /// [`merge_partials`]. The morsel grid is a property of the operand, never
 /// of the thread count, so the floating-point association — and with it
 /// the result bits — is identical whether the partials are computed
@@ -214,7 +214,7 @@ where
     F: Fn(std::ops::Range<usize>, &mut [A]) + Send + Sync + 'static,
     M: FnMut(&mut [A], &[A]),
 {
-    let ms = crate::par::morsels(n);
+    let ms = crate::par::morsels(n, ctx.config().morsel_rows);
     let mut total = vec![init.clone(); ngroups];
     let fits = ngroups.saturating_mul(ms.len()) <= (1 << 22);
     if threads > 1 && fits {

@@ -115,7 +115,7 @@ pub(crate) fn run_stages(
     let gov = Arc::clone(&ctx.gov);
     let tail = src_tail.clone();
     let stages_arc: Arc<Vec<Stage>> = Arc::new(stages.to_vec());
-    let parts = crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
+    let parts = crate::par::try_for_each_morsel(ctx, n, threads, move |r| {
         eval_morsel(fuse_sites.then_some(&*gov), &tail, &stages_arc, r)
     })?;
     // Surface the first error in morsel order (the earliest failing row's

@@ -19,7 +19,7 @@
 //!   [`SlotTable`] addressed by `code - base`, one load per row — no hash,
 //!   no chain, no value compare;
 //! * `spill` — the hash table would not fit the budget headroom, or
-//!   `FLATALG_SPILL=force`;
+//!   `spill_force` is configured;
 //! * `hash` / `par-hash` — the presized bucket-chained [`GroupTable`]
 //!   inside a monomorphized typed loop, one table per morsel when parallel.
 //!
@@ -77,13 +77,13 @@ pub(crate) fn hash_group_column(
         // merge pass needs value-keyed tables anyway and morsel results
         // must stay label-compatible.
         let dom = OidDomain::covering(col, false)
-            .filter(|d| crate::costmodel::group_prefers_direct(&ctx.mem, d.span, n));
+            .filter(|d| crate::costmodel::group_prefers_direct(ctx, d.span, n));
         if let Some(dom) = dom {
             let (gid_of, reps) = direct_group_column(col, dom);
             return Ok((gid_of, reps, "direct"));
         }
     }
-    if crate::costmodel::group_prefers_spill(&ctx.mem, n) {
+    if crate::costmodel::group_prefers_spill(ctx, n) {
         // Out-of-core partition-then-process shape (see the function
         // docs): resource decision only, the numbering is identical.
         return spill_group_column(ctx, col);
@@ -104,7 +104,7 @@ pub(crate) fn hash_group_column(
     }
     let c = col.clone();
     let parts: Vec<(Vec<u32>, Vec<u32>)> =
-        crate::par::try_for_each_morsel(&ctx.gov, n, threads, move |r| {
+        crate::par::try_for_each_morsel(ctx, n, threads, move |r| {
             crate::for_each_typed!(&c, |t| {
                 let mut table = GroupTable::pooled(r.len());
                 let mut lgids: Vec<u32> = Vec::with_capacity(r.len());
@@ -234,7 +234,7 @@ pub(crate) fn packed_domains(
     (a, a_sorted): (&Column, bool),
     (b, b_sorted): (&Column, bool),
 ) -> Option<(OidDomain, OidDomain)> {
-    let fits = |span: usize| crate::costmodel::group_prefers_packed(&ctx.mem, span, a.len());
+    let fits = |span: usize| crate::costmodel::group_prefers_packed(ctx, span, a.len());
     // A first span that is too wide on its own saves the second pass.
     let da = OidDomain::covering(a, a_sorted).filter(|d| fits(d.span))?;
     let db = OidDomain::covering(b, b_sorted)?;

@@ -21,9 +21,8 @@
 //! * `direct` — oid join columns, a `key` right head whose min/max span
 //!   is compact ([`crate::costmodel::join_prefers_direct`]): fill a pooled
 //!   position array over the span, probe it with one load;
-//! * `spill` / `partition` / `hash` — the general fallbacks, building (or
-//!   reusing, which wins over every table-building arm) a hash table on
-//!   the right head.
+//! * `spill` / `partition` / `hash` — the general fallbacks, building a
+//!   hash table on the right head.
 //!
 //! Every implementation emits in left-BUN order, so all are bit-identical
 //! to [`super::reference::join`], and a full match against a `key` right
@@ -57,13 +56,11 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         (join_merge(ctx, ab, cd), "merge")
     } else if let Some((dv, dom)) = datavector_domain(cd).filter(|_| oid_keyed) {
         (join_positional(ctx, ab, cd.props(), dom, dv.vector()), "datavector")
-    } else if cd.accel().head_hash.is_some() {
-        (join_hash(ctx, ab, cd), "hash")
     } else if let Some(dom) = direct_domain(ctx, ab, cd) {
         (join_direct(ctx, ab, cd, dom), "direct")
-    } else if crate::costmodel::join_prefers_spill(&ctx.mem, ab.len(), cd.len()) {
-        // The in-memory working set won't fit the budget headroom (or a
-        // FLATALG_SPILL override is active): radix-partition both sides
+    } else if crate::costmodel::join_prefers_spill(ctx, ab.len(), cd.len()) {
+        // The in-memory working set won't fit the budget headroom (or
+        // `spill_force` is configured): radix-partition both sides
         // into spill files and build+probe one cluster at a time.
         (join_spill(ctx, ab, cd)?, "spill")
     } else if crate::costmodel::join_prefers_partitioned(ab.len(), cd.len()) {
@@ -236,7 +233,7 @@ fn direct_domain(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Option<OidDomain> {
         return None;
     }
     let dom = OidDomain::covering(cd.head(), head.sorted)?;
-    crate::costmodel::join_prefers_direct(&ctx.mem, dom.span, ab.len(), cd.len()).then_some(dom)
+    crate::costmodel::join_prefers_direct(ctx, dom.span, ab.len(), cd.len()).then_some(dom)
 }
 
 /// Direct-addressed join: scatter the right positions into a pooled array
@@ -292,17 +289,13 @@ fn join_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
-/// Hash join: build on right head (reusing a persistent accelerator when
-/// present), probe left tails in order.
+/// Hash join: build on right head, probe left tails in order.
 pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
     }
-    let rindex =
-        cd.accel().head_hash.clone().unwrap_or_else(|| {
-            std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
-        });
+    let rindex = crate::accel::hash::HashIndex::build(cd.head());
     let (left_idx, right_idx) = crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
         let mut left_idx = take_u32(ab.len());
         let mut right_idx = take_u32(ab.len());
@@ -914,16 +907,10 @@ mod tests {
             assert_eq!(p.head().oid_at(i), h.head().oid_at(i), "head order differs at {i}");
             assert_eq!(p.tail().oid_at(i), h.tail().oid_at(i), "tail order differs at {i}");
         }
-        // The dynamic dispatch picks the partitioned path at this size...
+        // The dynamic dispatch picks the partitioned path at this size.
         let _ = ctx.take_trace();
         let _ = join(&ctx, &left, &right).unwrap();
         assert_eq!(ctx.take_trace()[0].algo, "partition");
-        // ...but reuses a persistent hash accelerator when one exists.
-        let mut right_accel = right.clone();
-        right_accel
-            .set_head_hash(std::sync::Arc::new(crate::accel::hash::HashIndex::build(right.head())));
-        let _ = join(&ctx, &left, &right_accel).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "hash");
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub(crate) fn par_threads(ctx: &ExecCtx, rows: usize) -> usize {
     if ctx.pager.is_some() {
         1
     } else {
-        crate::costmodel::par_threads(rows)
+        crate::costmodel::par_threads(ctx.config(), rows)
     }
 }
 

@@ -3,8 +3,8 @@
 //! `select` returns the BUNs whose *tail* matches the predicate. When the
 //! tail is stored in ascending order — the load pipeline of Section 6 keeps
 //! every attribute BAT sorted on tail exactly for this — the operator uses
-//! probe-based binary search and returns a zero-copy slice of the operand.
-//! A persistent hash table enables point lookups; otherwise it scans.
+//! probe-based binary search and returns a zero-copy slice of the operand;
+//! otherwise it scans.
 
 use std::time::Instant;
 
@@ -26,7 +26,7 @@ pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
     check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
     let started = Instant::now();
     let faults0 = ctx.faults();
-    // The dict check comes before sorted/hash: the encoding is a static
+    // The dict check comes before sorted: the encoding is a static
     // storage fact (unlike sortedness it can never be *gained* at run
     // time), so the plan optimizer can pin this choice — and the code-range
     // path subsumes the sorted one on dict tails anyway.
@@ -34,9 +34,6 @@ pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
         (select_dict(ctx, ab, Some(v), Some(v), true, true, true)?, "dict-code")
     } else if ab.props().tail.sorted {
         (select_sorted(ctx, ab, Some(v), Some(v), true, true), "binary-search")
-    } else if let Some(hash) = &ab.accel().tail_hash {
-        let hash = hash.clone();
-        (select_hash(ctx, ab, &hash, v), "hash")
     } else {
         (select_scan(ctx, ab, Some(v), Some(v), true, true, true)?, scan_algo(ctx, ab))
     };
@@ -103,29 +100,6 @@ fn select_sorted(
         pager::touch_scan(p, result.tail());
     }
     result
-}
-
-fn select_hash(
-    ctx: &ExecCtx,
-    ab: &Bat,
-    hash: &crate::accel::hash::HashIndex,
-    v: &AtomValue,
-) -> Bat {
-    let h = crate::column::hash_atom(v);
-    let mut idx: Vec<u32> = crate::for_each_typed!(ab.tail(), |t| {
-        hash.candidates(h)
-            .filter(|&p| t.cmp_atom(t.value(p), v).is_eq())
-            .map(|p| p as u32)
-            .collect()
-    });
-    idx.reverse(); // chains iterate newest-first; restore BUN order
-    if let Some(p) = ctx.pager.as_deref() {
-        for &i in &idx {
-            pager::touch_fetch(p, ab.head(), i as usize);
-            pager::touch_fetch(p, ab.tail(), i as usize);
-        }
-    }
-    build_selected(ab, &idx, true)
 }
 
 /// Scan selection: a one-stage pipeline on the morsel driver
@@ -450,18 +424,6 @@ mod tests {
         assert_eq!(r.head().as_oid_slice().unwrap(), &[1, 3]);
         assert!(r.props().tail.sorted); // constant tail
         assert!(r.validate().is_ok());
-    }
-
-    #[test]
-    fn hash_select_via_accelerator() {
-        let ctx = ExecCtx::new();
-        let mut b =
-            Bat::new(Column::from_oids(vec![1, 2, 3, 4]), Column::from_ints(vec![9, 5, 9, 1]));
-        b.set_tail_hash(std::sync::Arc::new(crate::accel::hash::HashIndex::build(b.tail())));
-        let ctx2 = ctx.with_trace();
-        let r = select_eq(&ctx2, &b, &AtomValue::Int(9)).unwrap();
-        assert_eq!(r.head().as_oid_slice().unwrap(), &[1, 3]);
-        assert_eq!(ctx2.take_trace()[0].algo, "hash");
     }
 
     #[test]

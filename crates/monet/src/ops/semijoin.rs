@@ -14,8 +14,7 @@
 //! * `bitmap` — oid heads and a right head whose min/max span is compact
 //!   ([`crate::costmodel::semijoin_prefers_bitmap`]): one bit per oid of
 //!   the span from the scratch pool, tested once per left BUN;
-//! * `hash` — the general fallback (a persistent head hash on the right
-//!   operand is reused, and wins over building a bitmap).
+//! * `hash` — the general fallback.
 //!
 //! The antijoin has the `sync`, `bitmap` and `hash` variants; `bitmap` and
 //! `hash` are one function each for both operators (`keep` flips the
@@ -76,14 +75,13 @@ fn subset(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> (Bat, &'static str) 
 }
 
 /// The compact domain of the right head, when the `bitmap` arm applies:
-/// oid heads, no persistent hash to reuse, and a span the cost model
-/// accepts.
+/// oid heads and a span the cost model accepts.
 fn bitmap_domain(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Option<OidDomain> {
-    if !(ab.head().is_oidlike() && cd.head().is_oidlike()) || cd.accel().head_hash.is_some() {
+    if !(ab.head().is_oidlike() && cd.head().is_oidlike()) {
         return None;
     }
     let dom = OidDomain::covering(cd.head(), cd.props().head.sorted)?;
-    crate::costmodel::semijoin_prefers_bitmap(&ctx.mem, dom.span, ab.len(), cd.len()).then_some(dom)
+    crate::costmodel::semijoin_prefers_bitmap(ctx, dom.span, ab.len(), cd.len()).then_some(dom)
 }
 
 /// `syncsemijoin`: join columns exactly equal — a copy of the left operand.
@@ -183,10 +181,7 @@ fn subset_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> Bat {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.head());
     }
-    let rindex =
-        cd.accel().head_hash.clone().unwrap_or_else(|| {
-            std::sync::Arc::new(crate::accel::hash::HashIndex::build(cd.head()))
-        });
+    let rindex = crate::accel::hash::HashIndex::build(cd.head());
     let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
         let mut idx = crate::typed::take_u32(ab.len());
         for i in 0..ah.len() {

@@ -100,7 +100,7 @@ fn unique_hash(ctx: &ExecCtx, ab: &Bat, threads: usize) -> Result<(Vec<u32>, &'s
         let hc = ab.head().clone();
         let tc = ab.tail().clone();
         let parts: Vec<Vec<u32>> =
-            crate::par::try_for_each_morsel(&ctx.gov, ab.len(), threads, move |r| {
+            crate::par::try_for_each_morsel(ctx, ab.len(), threads, move |r| {
                 crate::for_each_typed!(&hc, |h| {
                     crate::for_each_typed!(&tc, |t| {
                         let mut table = GroupTable::pooled(r.len());

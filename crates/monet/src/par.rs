@@ -16,11 +16,11 @@
 //! * tasks are indexed, and their results are concatenated (or reduced) in
 //!   task order — never in completion order — so operand order and tie
 //!   rules survive any scheduling;
-//! * morsel boundaries are a property of the *operand* (fixed
-//!   [`MORSEL_ROWS`]), never of the thread count, so order-sensitive
+//! * morsel boundaries are a property of the *operand* (the configured
+//!   `morsel_rows`), never of the thread count, so order-sensitive
 //!   reductions (floating-point sums) give the same bits at every
-//!   `FLATALG_THREADS` setting — including `1`, because the serial path
-//!   walks the same morsels in the same order.
+//!   thread count — including `1`, because the serial path walks the same
+//!   morsels in the same order.
 //!
 //! The cross-crate harness `tests/par_determinism.rs` asserts this for
 //! every parallelized kernel against both `ops::reference` and the
@@ -37,127 +37,29 @@
 //! lives per worker, so per-task hash tables and cluster buffers reuse
 //! committed pages across operator calls instead of faulting fresh mmaps.
 //!
-//! `FLATALG_THREADS` sets the thread count (`=1` forces the serial path);
-//! [`with_par_config`] scopes an override to the current thread, which is
-//! what the determinism tests use to sweep thread counts race-free.
+//! The thread count, the serial/parallel row threshold and the morsel
+//! size come from the [`crate::config::EngineConfig`] the calling
+//! [`ExecCtx`] carries; nothing here is ambient.
 
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
 use crate::gov::Governor;
 
-/// Rows per morsel for scan-shaped operators: big enough that one task
-/// amortizes dispatch (a channel send + an atomic increment), small enough
-/// that 4-8 workers stay balanced on the ~100k-1M row operands where
-/// parallelism first pays. Fixed — never derived from the thread count —
-/// so morsel-decomposed reductions are bit-identical at every thread
-/// count. Overridable per thread via [`with_par_config`] (tests use tiny
-/// odd sizes to exercise remainder morsels).
+/// Default rows per morsel for scan-shaped operators: big enough that one
+/// task amortizes dispatch (a channel send + an atomic increment), small
+/// enough that 4-8 workers stay balanced on the ~100k-1M row operands where
+/// parallelism first pays. Never derived from the thread count, so
+/// morsel-decomposed reductions are bit-identical at every thread count
+/// (tests configure tiny odd sizes to exercise remainder morsels).
 pub const MORSEL_ROWS: usize = 64 * 1024;
 
-/// Hard cap on pool size; `FLATALG_THREADS` beyond this is clamped.
+/// Hard cap on pool size; a configured thread count beyond this is clamped.
 pub const MAX_THREADS: usize = 32;
-
-/// Per-thread override of the parallel configuration (tests; scoped).
-#[derive(Clone, Copy, Default)]
-struct ParOverride {
-    threads: Option<usize>,
-    min_rows: Option<usize>,
-    morsel_rows: Option<usize>,
-}
-
-thread_local! {
-    static OVERRIDE: std::cell::Cell<ParOverride> = const { std::cell::Cell::new(ParOverride { threads: None, min_rows: None, morsel_rows: None }) };
-}
-
-/// Environment knobs are parsed **once per process**: `configured_threads`
-/// and the row threshold sit on every operator's dispatch path, and an
-/// `env::var` per call would take the process environment lock (contended
-/// exactly when many drivers dispatch at once) and allocate. Scoped
-/// overrides exist precisely so tests never need to mutate the
-/// environment mid-process.
-fn env_usize_cached(cell: &'static OnceLock<Option<usize>>, var: &'static str) -> Option<usize> {
-    *cell.get_or_init(|| std::env::var(var).ok()?.trim().parse::<usize>().ok())
-}
-
-static ENV_THREADS: OnceLock<Option<usize>> = OnceLock::new();
-static ENV_MIN_ROWS: OnceLock<Option<usize>> = OnceLock::new();
-static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
-
-/// The thread count parallel kernels run at: the scoped override, else
-/// `FLATALG_THREADS`, else the machine's available parallelism. Always at
-/// least 1; at most [`MAX_THREADS`]. A value of 1 forces the serial path
-/// everywhere (the dispatchers check this before cutting morsels).
-pub fn configured_threads() -> usize {
-    let o = OVERRIDE.with(|c| c.get());
-    let raw = o
-        .threads
-        .or_else(|| env_usize_cached(&ENV_THREADS, "FLATALG_THREADS"))
-        .unwrap_or_else(|| {
-            *DEFAULT_THREADS
-                .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-        });
-    raw.clamp(1, MAX_THREADS)
-}
-
-/// The scoped-or-env override of `costmodel::PAR_MIN_ROWS`
-/// (`FLATALG_PAR_MIN_ROWS`), if any.
-pub(crate) fn min_rows_override() -> Option<usize> {
-    OVERRIDE
-        .with(|c| c.get())
-        .min_rows
-        .or_else(|| env_usize_cached(&ENV_MIN_ROWS, "FLATALG_PAR_MIN_ROWS"))
-}
-
-/// The effective morsel size (override, else [`MORSEL_ROWS`]).
-pub fn morsel_rows() -> usize {
-    OVERRIDE.with(|c| c.get()).morsel_rows.unwrap_or(MORSEL_ROWS).max(1)
-}
-
-/// Run `f` with a scoped parallel configuration on this thread: thread
-/// count, parallelism row threshold, and morsel size (each `None` keeps
-/// the ambient setting). Restores the previous configuration on exit —
-/// panic-safe — and never touches the process environment, so concurrent
-/// tests can sweep configurations without racing.
-pub fn with_par_config<R>(
-    threads: Option<usize>,
-    min_rows: Option<usize>,
-    morsel_rows: Option<usize>,
-    f: impl FnOnce() -> R,
-) -> R {
-    struct Restore(ParOverride);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let prev = OVERRIDE.with(|c| c.get());
-    let _restore = Restore(prev);
-    OVERRIDE.with(|c| {
-        c.set(ParOverride {
-            threads: threads.or(prev.threads),
-            min_rows: min_rows.or(prev.min_rows),
-            morsel_rows: morsel_rows.or(prev.morsel_rows),
-        })
-    });
-    f()
-}
-
-/// [`with_par_config`] fixing only the thread count.
-pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    with_par_config(Some(threads), None, None, f)
-}
-
-/// The full effective parallel configuration as a hashable key:
-/// `(threads, min-rows override, morsel rows)`. Plan caches include this
-/// so a plan cached under one scoped/env configuration is never served
-/// under another.
-pub fn config_key() -> (usize, Option<usize>, usize) {
-    (configured_threads(), min_rows_override(), morsel_rows())
-}
 
 // ---------------------------------------------------------------------------
 // The worker pool.
@@ -379,27 +281,29 @@ where
     Ok(results.into_iter().map(|r| r.expect("no error recorded but a task was skipped")).collect())
 }
 
-/// Governed [`for_each_morsel`]: probe at every morsel boundary
-/// ([`crate::gov::site::PAR_MORSEL`]); see [`try_run_tasks`].
-pub fn try_for_each_morsel<R, F>(
-    gov: &Arc<Governor>,
-    len: usize,
-    threads: usize,
-    f: F,
-) -> Result<Vec<R>>
+/// Map `f` over the morsels of a `len`-row operand on `threads` threads,
+/// probing the context's governor at every morsel boundary
+/// ([`crate::gov::site::PAR_MORSEL`]; see [`try_run_tasks`]). This is the
+/// scan-shaped entry point: `f` receives the global row range and returns
+/// that range's partial result (matching positions, a partial accumulator,
+/// an output column slice, ...), and the caller concatenates or reduces
+/// the parts **in morsel order** — the determinism contract.
+pub fn try_for_each_morsel<R, F>(ctx: &ExecCtx, len: usize, threads: usize, f: F) -> Result<Vec<R>>
 where
     R: Send + 'static,
     F: Fn(std::ops::Range<usize>) -> R + Send + Sync + 'static,
 {
-    let ms = morsels(len);
-    try_run_tasks(gov, crate::gov::site::PAR_MORSEL, ms.len(), threads, move |i| f(ms[i].clone()))
+    let ms = morsels(len, ctx.config().morsel_rows);
+    try_run_tasks(&ctx.gov, crate::gov::site::PAR_MORSEL, ms.len(), threads, move |i| {
+        f(ms[i].clone())
+    })
 }
 
-/// The fixed morsel ranges of a `len`-row operand: `ceil(len / morsel)`
+/// The morsel ranges of a `len`-row operand: `ceil(len / morsel_rows)`
 /// contiguous windows in operand order, all but the last exactly
-/// [`morsel_rows`] long.
-pub fn morsels(len: usize) -> Vec<std::ops::Range<usize>> {
-    let m = morsel_rows();
+/// `morsel_rows` long.
+pub fn morsels(len: usize, morsel_rows: usize) -> Vec<std::ops::Range<usize>> {
+    let m = morsel_rows.max(1);
     let mut out = Vec::with_capacity(len.div_ceil(m).max(1));
     let mut at = 0;
     while at < len {
@@ -413,39 +317,22 @@ pub fn morsels(len: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Map `f` over the fixed morsels of a `len`-row operand on `threads`
-/// threads; results come back in morsel (= operand) order. This is the
-/// scan-shaped entry point: `f` receives the global row range and returns
-/// that range's partial result (matching positions, a partial accumulator,
-/// an output column slice, ...), and the caller concatenates or reduces
-/// the parts **in morsel order** — the determinism contract.
-pub fn for_each_morsel<R, F>(len: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send + 'static,
-    F: Fn(std::ops::Range<usize>) -> R + Send + Sync + 'static,
-{
-    let ms = morsels(len);
-    run_tasks(ms.len(), threads, move |i| f(ms[i].clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn morsels_cover_exactly_in_order() {
-        with_par_config(None, None, Some(7), || {
-            for len in [0usize, 1, 6, 7, 8, 20, 21] {
-                let ms = morsels(len);
-                let mut at = 0;
-                for m in &ms {
-                    assert_eq!(m.start, at, "len={len}");
-                    assert!(m.len() <= 7 && (!m.is_empty() || len == 0), "len={len}");
-                    at = m.end;
-                }
-                assert_eq!(at, len, "len={len}");
+        for len in [0usize, 1, 6, 7, 8, 20, 21] {
+            let ms = morsels(len, 7);
+            let mut at = 0;
+            for m in &ms {
+                assert_eq!(m.start, at, "len={len}");
+                assert!(m.len() <= 7 && (!m.is_empty() || len == 0), "len={len}");
+                at = m.end;
             }
-        });
+            assert_eq!(at, len, "len={len}");
+        }
     }
 
     #[test]
@@ -467,30 +354,6 @@ mod tests {
             i
         });
         assert_eq!(got, (0..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn config_override_is_scoped_and_restored() {
-        let ambient = configured_threads();
-        let inner = with_par_config(Some(5), Some(10), Some(3), || {
-            assert_eq!(morsel_rows(), 3);
-            assert_eq!(min_rows_override(), Some(10));
-            configured_threads()
-        });
-        assert_eq!(inner, 5);
-        assert_eq!(configured_threads(), ambient);
-        assert_eq!(morsel_rows(), MORSEL_ROWS);
-    }
-
-    #[test]
-    fn nested_overrides_compose() {
-        with_par_config(Some(4), None, None, || {
-            with_par_config(None, Some(77), None, || {
-                assert_eq!(configured_threads(), 4); // inherited from outer
-                assert_eq!(min_rows_override(), Some(77));
-            });
-            assert_eq!(min_rows_override(), None);
-        });
     }
 
     #[test]
@@ -522,7 +385,7 @@ mod tests {
 
     #[test]
     fn try_run_tasks_matches_run_tasks_when_ungoverned() {
-        let gov = Arc::new(Governor::new());
+        let gov = Arc::new(Governor::new(None));
         for threads in [1usize, 4] {
             let got = try_run_tasks(&gov, "par/task", 23, threads, |i| i * i).unwrap();
             let expect: Vec<usize> = (0..23).map(|i| i * i).collect();
@@ -532,7 +395,7 @@ mod tests {
 
     #[test]
     fn cancelled_batch_aborts_and_pool_stays_reusable() {
-        let gov = Arc::new(Governor::new());
+        let gov = Arc::new(Governor::new(None));
         gov.cancel_token().cancel();
         for threads in [1usize, 4] {
             let ran = Arc::new(AtomicUsize::new(0));
@@ -553,7 +416,7 @@ mod tests {
 
     #[test]
     fn injected_fault_mid_batch_drains_cleanly() {
-        let gov = Arc::new(Governor::new());
+        let gov = Arc::new(Governor::new(None));
         for threads in [1usize, 4] {
             gov.arm_fault("par/task", 5);
             let err = try_run_tasks(&gov, "par/task", 64, threads, |i| i).unwrap_err();
@@ -569,11 +432,10 @@ mod tests {
 
     #[test]
     fn try_for_each_morsel_covers_in_order() {
-        let gov = Arc::new(Governor::new());
-        with_par_config(None, None, Some(7), || {
-            let got = try_for_each_morsel(&gov, 20, 4, |r| (r.start, r.end)).unwrap();
-            assert_eq!(got, vec![(0, 7), (7, 14), (14, 20)]);
-        });
+        let cfg = crate::config::EngineConfig { morsel_rows: 7, ..Default::default() };
+        let ctx = ExecCtx::with_config(Arc::new(cfg));
+        let got = try_for_each_morsel(&ctx, 20, 4, |r| (r.start, r.end)).unwrap();
+        assert_eq!(got, vec![(0, 7), (7, 14), (14, 20)]);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl ColProps {
     }
 
     /// This column layout claim with a different encoding fact.
-    pub fn with_enc(mut self, enc: Enc) -> ColProps {
+    pub fn with_encoding(mut self, enc: Enc) -> ColProps {
         self.enc = enc;
         self
     }

@@ -11,68 +11,36 @@
 //! order are identical to the in-memory clustering, which is what lets
 //! the spilling operators reproduce the in-memory result bit for bit.
 //!
-//! Spill files live in `FLATALG_SPILL_DIR` (default: the system temp
-//! directory), are deleted on drop, and route through the governor
+//! Spill files live in the configuration's `spill_dir` (default: the
+//! system temp directory), are deleted on drop, and route through the
+//! governor
 //! ([`crate::gov::site::SPILL_WRITE`] / [`crate::gov::site::SPILL_READ`]
 //! probes before every partition flush and read-back — each one a
 //! cancellation/deadline/fault point) and the memory tracker
 //! ([`crate::ctx::MemTracker::add_spilled`]).
 //!
-//! `FLATALG_SPILL` overrides the dispatch: `0`/`never` disables spilling
-//! even under a budget, `1`/`force`/`always` spills every eligible
-//! operator (the bit-identity test legs), unset/`auto` follows the
+//! The configuration's `spill_force` sends every eligible operator here
+//! (the bit-identity test legs); otherwise dispatch follows the
 //! [`crate::costmodel`] headroom estimates.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
 use crate::gov::site;
 use crate::typed::TypedVals;
 
-/// Spill dispatch override from `FLATALG_SPILL` (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillMode {
-    /// Follow the cost model's budget-headroom estimates.
-    Auto,
-    /// Never spill, even when the estimate overflows the budget.
-    Never,
-    /// Spill every eligible operator (test legs: bit-identity vs in-mem).
-    Always,
-}
-
-pub(crate) fn parse_mode(raw: &str) -> SpillMode {
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "0" | "never" | "off" => SpillMode::Never,
-        "1" | "force" | "always" => SpillMode::Always,
-        _ => SpillMode::Auto,
-    }
-}
-
-/// The process-wide spill mode (`FLATALG_SPILL`, parsed once).
-pub fn mode() -> SpillMode {
-    static MODE: OnceLock<SpillMode> = OnceLock::new();
-    *MODE.get_or_init(|| match std::env::var("FLATALG_SPILL") {
-        Ok(v) => parse_mode(&v),
-        Err(_) => SpillMode::Auto,
-    })
-}
-
-fn io_err(op: &'static str, path: &std::path::Path, e: std::io::Error) -> MonetError {
+fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> MonetError {
     MonetError::Store { op, path: path.display().to_string(), detail: e.to_string() }
 }
 
-/// Create a fresh spill file in `FLATALG_SPILL_DIR` (default: temp dir).
-fn create_spill_file() -> Result<(File, PathBuf)> {
+/// Create a fresh spill file in `dir` (default: the system temp dir).
+fn create_spill_file(dir: Option<&Path>) -> Result<(File, PathBuf)> {
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = match std::env::var_os("FLATALG_SPILL_DIR") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir(),
-    };
+    let dir = dir.map_or_else(std::env::temp_dir, Path::to_path_buf);
     let pid = std::process::id();
     for _ in 0..64 {
         let path =
@@ -127,7 +95,7 @@ impl SpilledClusters {
             *s = acc;
             acc += l as u64;
         }
-        let (file, path) = create_spill_file()?;
+        let (file, path) = create_spill_file(ctx.config().spill_dir.as_deref())?;
         let sc = SpilledClusters { file, path, starts, lens };
         // Per-cluster staging plus a write cursor per cluster region.
         let mut stage = vec![0u64; nclusters * STAGE_PAIRS];
@@ -210,18 +178,6 @@ impl Drop for SpilledClusters {
 mod tests {
     use super::*;
     use crate::column::Column;
-
-    #[test]
-    fn mode_spelling() {
-        assert_eq!(parse_mode("0"), SpillMode::Never);
-        assert_eq!(parse_mode("never"), SpillMode::Never);
-        assert_eq!(parse_mode(" OFF "), SpillMode::Never);
-        assert_eq!(parse_mode("1"), SpillMode::Always);
-        assert_eq!(parse_mode("force"), SpillMode::Always);
-        assert_eq!(parse_mode("Always"), SpillMode::Always);
-        assert_eq!(parse_mode("auto"), SpillMode::Auto);
-        assert_eq!(parse_mode(""), SpillMode::Auto);
-    }
 
     #[test]
     fn spilled_clusters_match_in_memory_clustering() {

@@ -6,9 +6,10 @@
 use monet::atom::AtomValue;
 use monet::bat::Bat;
 use monet::column::Column;
+use monet::config::PlanConfig;
 use monet::ctx::ExecCtx;
 use monet::db::Db;
-use monet::mil::opt::{optimize, with_opt_config, with_opt_level, OptLevel};
+use monet::mil::opt::optimize;
 use monet::mil::{execute, MilArg, MilOp, MilProgram, MilValue, Pin, Var};
 use monet::ops::ScalarFunc;
 
@@ -57,7 +58,7 @@ fn assert_equivalent(db: &Db, prog: &MilProgram, roots: &[Var]) -> MilProgram {
     // Separate contexts: fresh-oid sequences restart per context, so
     // group/mark oids come out identical for structurally equal plans.
     let raw_env = execute(&ExecCtx::new(), db, prog, roots).expect("raw execution");
-    let out = optimize(prog.clone(), roots, db);
+    let out = optimize(prog.clone(), roots, db, &PlanConfig::default());
     let opt_env = execute(
         &ExecCtx::new(),
         db,
@@ -244,7 +245,7 @@ fn constants_fold_into_multiplexes() {
         "c",
         MilOp::Multiplex { f: ScalarFunc::Sub, args: vec![MilArg::Var(one), MilArg::Var(two)] },
     );
-    let out = optimize(p, &[c], &db);
+    let out = optimize(p, &[c], &db, &PlanConfig::default());
     assert_eq!(out.prog.len(), 1, "got:\n{}", out.prog);
     assert!(
         matches!(out.prog.stmts[out.var(c)].op, MilOp::ConstScalar(AtomValue::Int(-1))),
@@ -275,7 +276,7 @@ fn pins_match_dynamic_dispatch_choices() {
     let dense = p.emit("dense", MilOp::Load("dense".into())); // void head
     let j = p.emit("j", MilOp::Join(hop, dense));
     let _ = (sel, j);
-    let out = optimize(p.clone(), &[sel, j], &db);
+    let out = optimize(p.clone(), &[sel, j], &db, &PlanConfig::default());
     let pin_of = |v: Var| out.prog.stmts[out.var(v)].pin;
     assert_eq!(pin_of(sel), Some(Pin::SelectSorted), "got:\n{}", out.prog);
     assert_eq!(pin_of(j), Some(Pin::JoinFetch), "got:\n{}", out.prog);
@@ -298,7 +299,7 @@ fn pins_match_dynamic_dispatch_choices() {
     let am = p2.emit("am", MilOp::Mirror(attr2)); // [int-sorted-head ...]
     let hopm = p2.emit("hopm", MilOp::SortTail(p2.stmts[0].var));
     let jm = p2.emit("jm", MilOp::Join(hopm, am));
-    let out2 = optimize(p2, &[jm], &db);
+    let out2 = optimize(p2, &[jm], &db, &PlanConfig::default());
     assert_eq!(out2.prog.stmts[out2.var(jm)].pin, Some(Pin::JoinMerge), "got:\n{}", out2.prog);
     // Oid join columns pin too. Should such a right head turn out dense at
     // run time, dynamic dispatch takes fetch where the pin runs merge — same
@@ -309,7 +310,7 @@ fn pins_match_dynamic_dispatch_choices() {
     let attr3 = p3.emit("attr", MilOp::Load("attr".into()));
     let sorted = p3.emit("sorted", MilOp::SortHead(attr3)); // oid heads 10..=14
     let j3 = p3.emit("j3", MilOp::Join(hop3, sorted));
-    let out3 = optimize(p3.clone(), &[j3], &db);
+    let out3 = optimize(p3.clone(), &[j3], &db, &PlanConfig::default());
     assert_eq!(out3.prog.stmts[out3.var(j3)].pin, Some(Pin::JoinMerge), "got:\n{}", out3.prog);
     let env3 = execute(&ctx, &db, &out3.prog, &[out3.var(j3)]).unwrap();
     let raw3 = execute(&ctx, &db, &p3, &[j3]).unwrap();
@@ -348,7 +349,7 @@ fn dict_tail_pins_select_to_code_path() {
             inc_hi: true,
         },
     );
-    let out = optimize(p.clone(), &[sel, rng], &db);
+    let out = optimize(p.clone(), &[sel, rng], &db, &PlanConfig::default());
     for v in [sel, rng] {
         let stmt = &out.prog.stmts[out.var(v)];
         assert_eq!(stmt.pin, Some(Pin::SelectDictCode), "got:\n{}", out.prog);
@@ -388,7 +389,7 @@ fn trace_and_live_set_follow_the_rewritten_program() {
     let j1 = p.emit("j1", MilOp::Join(hop, attr));
     let _dup = p.emit("dup", MilOp::Join(hop, attr)); // CSE + DCE fodder
     let sel = p.emit("sel", MilOp::SelectEq(j1, AtomValue::Int(2))); // pushdown reorders
-    let out = optimize(p, &[sel], &db);
+    let out = optimize(p, &[sel], &db, &PlanConfig::default());
     let root = out.var(sel);
     let ctx = ExecCtx::new();
     let env = execute(&ctx, &db, &out.prog, &[root]).unwrap();
@@ -427,17 +428,6 @@ fn trace_and_live_set_follow_the_rewritten_program() {
 }
 
 #[test]
-fn scoped_opt_config_overrides_env() {
-    assert_eq!(with_opt_level(OptLevel::Off, OptLevel::current), OptLevel::Off);
-    assert_eq!(with_opt_level(OptLevel::Full, OptLevel::current), OptLevel::Full);
-    let nested =
-        with_opt_level(OptLevel::Off, || with_opt_level(OptLevel::Full, OptLevel::current));
-    assert_eq!(nested, OptLevel::Full);
-    assert!(with_opt_config(None, Some(true), monet::mil::opt::explain_enabled));
-    assert!(!with_opt_config(None, Some(false), monet::mil::opt::explain_enabled));
-}
-
-#[test]
 fn explain_report_renders_per_pass_deltas() {
     let db = db();
     let mut p = MilProgram::new();
@@ -447,7 +437,7 @@ fn explain_report_renders_per_pass_deltas() {
     let _j2 = p.emit("j2", MilOp::Join(hop, attr));
     let m = p.emit("m", MilOp::Mirror(j1));
     let before = p.to_string();
-    let out = optimize(p, &[m], &db);
+    let out = optimize(p, &[m], &db, &PlanConfig::default());
     assert!(out.report.reduction() > 0.0);
     let text = out.report.render(&before, &out.prog.to_string());
     assert!(text.contains("plan optimizer: 5 -> 4 statements"), "got:\n{text}");
@@ -467,8 +457,8 @@ fn cumulative_counters_accumulate_per_thread() {
     let j1 = p.emit("j1", MilOp::Join(hop, attr));
     let _j2 = p.emit("j2", MilOp::Join(hop, attr));
     let m = p.emit("m", MilOp::Mirror(j1));
-    let _ = optimize(p.clone(), &[m], &db);
-    let _ = optimize(p, &[m], &db);
+    let _ = optimize(p.clone(), &[m], &db, &PlanConfig::default());
+    let _ = optimize(p, &[m], &db, &PlanConfig::default());
     let (raw, opt) = monet::mil::opt::cumulative();
     assert_eq!(raw, 10);
     assert_eq!(opt, 8);
@@ -546,7 +536,7 @@ fn fuse_select_map_aggr_terminal_is_scalar_identical() {
     };
     let (p, agg) = build();
     let raw_env = execute(&ExecCtx::new(), &db, &p, &[agg]).expect("raw execution");
-    let out = optimize(p, &[agg], &db);
+    let out = optimize(p, &[agg], &db, &PlanConfig::default());
     assert!(
         out.prog
             .stmts
@@ -613,8 +603,9 @@ fn fuse_off_reproduces_unfused_emission() {
     let meas = p.emit("meas", MilOp::Load("meas".into()));
     let sel = p.emit("sel", MilOp::SelectEq(meas, AtomValue::Int(2)));
     let cnt = p.emit("cnt", MilOp::AggrScalar { f: monet::ops::AggFunc::Count, src: sel });
-    let fused = monet::fuse::with_fuse(true, || optimize(p.clone(), &[cnt], &db));
-    let unfused = monet::fuse::with_fuse(false, || optimize(p.clone(), &[cnt], &db));
+    let fused = optimize(p.clone(), &[cnt], &db, &PlanConfig::default());
+    let unfused =
+        optimize(p.clone(), &[cnt], &db, &PlanConfig { fuse: false, ..PlanConfig::default() });
     assert!(
         fused.prog.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
         "got:\n{}",
@@ -622,7 +613,7 @@ fn fuse_off_reproduces_unfused_emission() {
     );
     assert!(
         !unfused.prog.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
-        "with_fuse(false) must reproduce the unfused emission:\n{}",
+        "`fuse: false` must reproduce the unfused emission:\n{}",
         unfused.prog
     );
     let a = execute(&ExecCtx::new(), &db, &fused.prog, &[fused.var(cnt)]).unwrap();

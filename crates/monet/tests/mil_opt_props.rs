@@ -284,7 +284,8 @@ fn predictions_hold_on_optimized_programs_too() {
         let g = p.emit("g", MilOp::Group1(j));
         let gm = p.emit("gm", MilOp::Mirror(g));
         let cnt = p.emit("cnt", MilOp::SetAgg { f: AggFunc::Count, src: gm });
-        let out = monet::mil::opt::optimize(p, &[cnt, j], &db);
+        let out =
+            monet::mil::opt::optimize(p, &[cnt, j], &db, &monet::config::PlanConfig::default());
         check(&db, &out.prog, &format!("optimized chain over {ty}"));
     }
 }
@@ -322,7 +323,12 @@ fn sync_join_claims_exactly_what_the_arm_it_replaces_claims() {
             let twin = load(&mut p, "twin");
             let js = p.emit("js", MilOp::Join(refs, same));
             let jt = p.emit("jt", MilOp::Join(refs, twin));
-            let optimized = monet::mil::opt::optimize(p.clone(), &[js, jt], &db);
+            let optimized = monet::mil::opt::optimize(
+                p.clone(),
+                &[js, jt],
+                &db,
+                &monet::config::PlanConfig::default(),
+            );
             for (prog, tag) in [(&p, "raw"), (&optimized.prog, "optimized")] {
                 let what = format!("{tag} {what} join over {ty}");
                 check(&db, prog, &what);

@@ -18,6 +18,7 @@ use std::collections::{HashMap, HashSet};
 use monet::atom::AtomValue;
 use monet::bat::Bat;
 use monet::column::Column;
+use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
 use monet::ops;
@@ -341,12 +342,13 @@ fn canon_gids(tail: &Column) -> Vec<u64> {
 /// cut: tiny ragged morsels and the production 64Ki size, serial and
 /// fanned out (row threshold 1, so even these small operands take the
 /// pool at 4 threads).
-fn sweep_grids(mut f: impl FnMut(&str)) {
-    for morsel in [7usize, 64 * 1024] {
+fn sweep_grids(mut f: impl FnMut(ExecCtx, &str)) {
+    for morsel_rows in [7usize, 64 * 1024] {
         for threads in [1usize, 4] {
-            monet::par::with_par_config(Some(threads), Some(1), Some(morsel), || {
-                f(&format!("morsel={morsel} threads={threads}"))
-            });
+            let cfg =
+                EngineConfig { threads, par_min_rows: 1, morsel_rows, ..EngineConfig::default() };
+            let ctx = ExecCtx::with_config(std::sync::Arc::new(cfg));
+            f(ctx, &format!("morsel={morsel_rows} threads={threads}"))
         }
     }
 }
@@ -368,9 +370,8 @@ fn bound_shapes<'a>(
 
 #[test]
 fn typed_select_matches_generic_across_types() {
-    sweep_grids(|grid| {
+    sweep_grids(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x10);
-        let ctx = ExecCtx::new();
         for &ty in ALL_TYPES {
             for case in 0..10 {
                 let n = rng.gen_range(0..50usize);
@@ -655,9 +656,8 @@ fn partitioned_join_matches_generic_across_types() {
 
 #[test]
 fn typed_aggregate_matches_generic_across_types() {
-    sweep_grids(|grid| {
+    sweep_grids(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x16);
-        let ctx = ExecCtx::new();
         let aggs = [
             ops::AggFunc::Count,
             ops::AggFunc::Sum,
@@ -798,9 +798,8 @@ fn typed_aggregate_matches_generic_across_types() {
 
 #[test]
 fn typed_multiplex_matches_generic() {
-    sweep_grids(|grid| {
+    sweep_grids(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x17);
-        let ctx = ExecCtx::new();
         use ops::{MultArg, ScalarFunc as F};
         let value_types = [
             AtomType::Int,
@@ -1050,9 +1049,8 @@ fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Colu
 
 #[test]
 fn encoded_tail_matches_raw_across_kernels() {
-    sweep_grids(|grid| {
+    sweep_grids(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x20);
-        let ctx = ExecCtx::new();
         // (type, sorted): dict strings, FOR ints/lngs/dates, RLE runs.
         let legs: &[(AtomType, bool)] = &[
             (AtomType::Str, false),

@@ -4,18 +4,12 @@
 use moa::catalog::Catalog;
 use moa::error::{MoaError, Result};
 use moa::prelude::{ProjItem, Scalar, SetExpr};
-use moa::translate::{translate, StructSpec};
+use moa::translate::{translate_in, StructSpec};
 use moa::value::Value;
 use monet::atom::AtomValue;
 use monet::ctx::ExecCtx;
 use monet::mil::MilOp;
 use monet::ops::AggFunc;
-
-// Plan-optimizer controls, re-exported so query drivers and tests can pin
-// the optimizer on or off around any `run_moa` entry point:
-// `with_opt_level(OptLevel::Off, || (q.run_moa)(..))` executes the
-// translator's raw emission (the `FLATALG_OPT=0` oracle).
-pub use monet::mil::opt::{with_opt_config, with_opt_level, OptLevel};
 
 /// A query result: bag of rows of atoms.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -170,10 +164,10 @@ fn value_to_row(v: Value) -> Result<Vec<AtomValue>> {
     }
 }
 
-/// Translate + execute a MOA set expression and flatten the structured
-/// result into rows.
+/// Translate + execute a MOA set expression under the context's
+/// configuration and flatten the structured result into rows.
 pub fn run_moa_rows(cat: &Catalog, ctx: &ExecCtx, q: &SetExpr) -> Result<QueryResult> {
-    let t = translate(cat, q)?;
+    let t = translate_in(cat, q, ctx.config())?;
     let (set, _env) = t.run(ctx, cat.db())?;
     let vals = set.materialize()?;
     let rows: Result<Vec<Vec<AtomValue>>> = vals.into_iter().map(value_to_row).collect();
@@ -191,7 +185,7 @@ pub fn run_moa_scalar(
     f: AggFunc,
 ) -> Result<AtomValue> {
     let q = input.project(vec![ProjItem::new("v", item)]);
-    let mut t = translate(cat, &q)?;
+    let mut t = translate_in(cat, &q, ctx.config())?;
     let StructSpec::Tuple(fields) = &t.spec else {
         return Err(MoaError::Type("scalar aggregate needs a projected input".into()));
     };

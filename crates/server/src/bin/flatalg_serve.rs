@@ -6,17 +6,21 @@
 //! FLATALG_SF=0.01 FLATALG_CLIENTS=4 FLATALG_REPS=5 flatalg_serve
 //! ```
 //!
-//! Environment:
+//! Harness inputs (this binary's own arguments):
 //! * `FLATALG_SF`        — scale factor (default 0.01)
 //! * `FLATALG_CLIENTS`   — concurrent client threads (default 4)
 //! * `FLATALG_REPS`      — mixed-workload passes per client (default 5)
-//! * `FLATALG_ADMIT`     — admission limit (default: worker-thread count)
-//! * `FLATALG_PLAN_CACHE`— plan-cache capacity, 0 disables (default 64)
-//! * `FLATALG_THREADS`   — worker threads per statement (kernel knob)
+//!
+//! Everything else is the engine configuration
+//! ([`monet::config::EngineConfig`]: `FLATALG_ADMIT`, `FLATALG_PLAN_CACHE`,
+//! `FLATALG_THREADS`, ...); a value that does not parse ends the run with
+//! exit status 2.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use flatalg_server::{Server, ServerConfig};
+use monet::config::EngineConfig;
 use tpcd_queries::{all_queries, Params};
 
 fn env_usize(var: &str, default: usize) -> usize {
@@ -39,7 +43,14 @@ fn main() {
     let sf = env_f64("FLATALG_SF", 0.01);
     let clients = env_usize("FLATALG_CLIENTS", 4);
     let reps = env_usize("FLATALG_REPS", 5);
-    let config = ServerConfig::from_env();
+    let engine = match EngineConfig::from_vars(std::env::vars()) {
+        Ok(engine) => Arc::new(engine),
+        Err(e) => {
+            eprintln!("flatalg_serve: {e}");
+            std::process::exit(2);
+        }
+    };
+    let config = ServerConfig::of(&engine);
 
     let t0 = Instant::now();
     let data = match tpcd::try_generate(sf, 19980223) {
@@ -49,7 +60,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let (cat, report) = match tpcd::try_load_bats(&data) {
+    let (cat, report) = match tpcd::load_bats_with(&data, engine.enc) {
         Ok(loaded) => loaded,
         Err(e) => {
             eprintln!("flatalg_serve: cannot load world: {e}");
@@ -65,12 +76,11 @@ fn main() {
     );
     println!(
         "config: clients={clients} reps={reps} admit={} plan_cache={:?} threads={}",
-        config.max_concurrent,
-        config.plan_cache,
-        monet::par::config_key().0
+        config.max_concurrent, config.plan_cache, engine.threads
     );
 
-    let server = Server::with_config(&cat, config);
+    let admit = config.max_concurrent;
+    let server = Server::with_engine(&cat, config, engine);
     let queries = all_queries();
 
     // Warm pass: one session prepares every workload shape.
@@ -113,12 +123,7 @@ fn main() {
         "served {served} queries from {clients} clients in {wall:.3}s — {:.1} qps",
         served as f64 / wall
     );
-    println!(
-        "admission: executed={} waited={} (limit {})",
-        stats.executed,
-        stats.waited,
-        ServerConfig::from_env().max_concurrent
-    );
+    println!("admission: executed={} waited={} (limit {admit})", stats.executed, stats.waited);
     if let Some(c) = stats.cache {
         println!(
             "plan cache: hits={} misses={} evictions={} bypasses={} resident={}",

@@ -13,8 +13,7 @@
 //!   executions re-bind the `prm(id, value)` parameter slots of the cached
 //!   plan without re-running the translator or the optimizer. Catalog
 //!   changes invalidate silently (the `Db` epoch is part of the cache key),
-//!   and scoped optimizer/thread-config overrides can never be served a
-//!   plan cached under a different configuration.
+//!   and so is the planner's configuration.
 //! * **Admission control.** Statements are admitted through a FIFO ticket
 //!   gate bounding how many run at once, so a burst of sessions cannot
 //!   oversubscribe the shared worker pool; waiting statements are served
@@ -49,8 +48,9 @@ use std::time::{Duration, Instant};
 
 use moa::catalog::Catalog;
 use moa::error::{MoaError, Result};
-use moa::plancache::{self, with_plan_cache, PlanCache, PlanCacheStats};
+use moa::plancache::{with_plan_cache, PlanCache, PlanCacheStats};
 use moa::prelude::SetExpr;
+use monet::config::{EngineConfig, DEFAULT_PLAN_CACHE};
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
 use monet::gov::CancelToken;
@@ -170,7 +170,9 @@ impl Drop for Permit<'_> {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Service configuration.
+/// Service configuration. What a statement *executes* under (threads,
+/// budget, optimizer, ...) is the server's [`EngineConfig`]; this is only
+/// how statements are admitted.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum statements executing concurrently (minimum 1). Defaults to
@@ -189,19 +191,11 @@ pub struct ServerConfig {
     pub admit_timeout: Option<Duration>,
 }
 
-fn env_ms(name: &str) -> Option<Duration> {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .map(Duration::from_millis)
-}
-
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            max_concurrent: monet::par::config_key().0.max(1),
-            plan_cache: Some(plancache::DEFAULT_CAPACITY),
+            max_concurrent: EngineConfig::from_env().threads,
+            plan_cache: Some(DEFAULT_PLAN_CACHE),
             deadline: None,
             admit_timeout: None,
         }
@@ -209,21 +203,14 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Configuration from the environment: `FLATALG_ADMIT` overrides the
-    /// admission limit, `FLATALG_PLAN_CACHE` the cache capacity (0 turns
-    /// caching off), `FLATALG_DEADLINE_MS` the per-statement deadline and
-    /// `FLATALG_ADMIT_TIMEOUT_MS` the admission-queue timeout (0 or unset
-    /// disables either).
-    pub fn from_env() -> ServerConfig {
-        let admit = std::env::var("FLATALG_ADMIT")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0);
+    /// The service values of an engine configuration: `admit` (default:
+    /// its thread count), `plan_cache`, `deadline_ms`, `admit_timeout_ms`.
+    pub fn of(engine: &EngineConfig) -> ServerConfig {
         ServerConfig {
-            max_concurrent: admit.unwrap_or_else(|| monet::par::config_key().0.max(1)),
-            plan_cache: plancache::env_capacity(),
-            deadline: env_ms("FLATALG_DEADLINE_MS"),
-            admit_timeout: env_ms("FLATALG_ADMIT_TIMEOUT_MS"),
+            max_concurrent: engine.admit.unwrap_or(engine.threads),
+            plan_cache: engine.plan_cache,
+            deadline: engine.deadline_ms.map(Duration::from_millis),
+            admit_timeout: engine.admit_timeout_ms.map(Duration::from_millis),
         }
     }
 }
@@ -250,6 +237,8 @@ pub struct ServerStats {
 /// client threads (`Server` is `Sync`, sessions are cheap).
 pub struct Server<'db> {
     cat: &'db Catalog,
+    /// What every session's context is built from.
+    engine: Arc<EngineConfig>,
     cache: Option<Arc<PlanCache>>,
     gate: Gate,
     deadline: Option<Duration>,
@@ -260,15 +249,30 @@ pub struct Server<'db> {
 }
 
 impl<'db> Server<'db> {
-    /// A server configured from the environment (see
-    /// [`ServerConfig::from_env`]).
+    /// A server configured from the environment, service values
+    /// ([`ServerConfig::of`]) and engine alike.
     pub fn new(cat: &'db Catalog) -> Server<'db> {
-        Server::with_config(cat, ServerConfig::from_env())
+        let engine = EngineConfig::from_env();
+        Server::with_engine(cat, ServerConfig::of(&engine), engine)
     }
 
+    /// A server whose sessions execute under the process environment's
+    /// engine configuration.
     pub fn with_config(cat: &'db Catalog, config: ServerConfig) -> Server<'db> {
+        Server::with_engine(cat, config, EngineConfig::from_env())
+    }
+
+    /// A server whose sessions execute under `engine`. (`config` alone
+    /// decides admission and caching; `engine`'s service values only
+    /// matter to whoever derives a [`ServerConfig::of`] them.)
+    pub fn with_engine(
+        cat: &'db Catalog,
+        config: ServerConfig,
+        engine: Arc<EngineConfig>,
+    ) -> Server<'db> {
         Server {
             cat,
+            engine,
             cache: config.plan_cache.map(PlanCache::with_capacity),
             gate: Gate::new(config.max_concurrent),
             deadline: config.deadline,
@@ -282,7 +286,7 @@ impl<'db> Server<'db> {
     /// Open a client session. Each session owns its execution context;
     /// any number may run concurrently.
     pub fn session(&self) -> Session<'_, 'db> {
-        Session { server: self, ctx: ExecCtx::new() }
+        Session { server: self, ctx: ExecCtx::with_config(Arc::clone(&self.engine)) }
     }
 
     /// The shared catalog this server serves.
@@ -394,7 +398,9 @@ impl<'srv, 'db> Session<'srv, 'db> {
     /// Translate and optimize `expr` now, so later executions of this
     /// shape are pure cache hits (parameter re-binding only).
     pub fn prepare(&self, expr: SetExpr) -> Result<Prepared> {
-        self.scoped(|| moa::translate::translate(self.server.cat, &expr).map(|_| ()))?;
+        self.scoped(|| {
+            moa::translate::translate_in(self.server.cat, &expr, self.ctx.config()).map(|_| ())
+        })?;
         Ok(Prepared { expr })
     }
 

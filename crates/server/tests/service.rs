@@ -1,22 +1,29 @@
 //! End-to-end tests of the query service: concurrent prepared-statement
 //! sessions over one shared `Db` must be bit-identical to single-shot
 //! uncached execution, the plan cache must count hits/misses/evictions
-//! faithfully, scoped config overrides must never be served a plan cached
-//! under a different configuration, and a panicking statement must not
+//! faithfully, a statement must never be served a plan cached under a
+//! different planner configuration, and a panicking statement must not
 //! wedge the admission gate or the shared worker pool.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use flatalg_server::{Server, ServerConfig};
 use moa::error::MoaError;
+use monet::config::EngineConfig;
+use monet::ctx::ExecCtx;
 use monet::error::MonetError;
-use monet::mil::opt::{self, with_opt_level, OptLevel};
-use monet::par;
+use monet::mil::opt::{self, OptLevel};
 use tpcd_queries::q11_15::q13_moa;
 use tpcd_queries::{all_queries, QueryResult};
 
 fn cfg(admit: usize, cache: usize) -> ServerConfig {
     ServerConfig { max_concurrent: admit, plan_cache: Some(cache), ..ServerConfig::default() }
+}
+
+/// The environment's engine configuration at `threads` worker threads.
+fn at_threads(threads: usize) -> Arc<EngineConfig> {
+    Arc::new(EngineConfig { threads, ..EngineConfig::clone(&EngineConfig::from_env()) })
 }
 
 /// N sessions running the mixed Q1–Q15 workload concurrently (rotated
@@ -27,30 +34,26 @@ fn concurrent_sessions_match_single_shot_oracles() {
     let w = bench::world();
     let queries = all_queries();
     // Single-shot oracles: no server, no cache, serial execution.
-    let oracles: Vec<QueryResult> = par::with_threads(1, || {
-        let ctx = monet::ctx::ExecCtx::new();
-        queries.iter().map(|q| (q.run_moa)(&w.cat, &ctx, &w.params).unwrap()).collect()
-    });
+    let ctx = ExecCtx::with_config(at_threads(1));
+    let oracles: Vec<QueryResult> =
+        queries.iter().map(|q| (q.run_moa)(&w.cat, &ctx, &w.params).unwrap()).collect();
     for threads in [1usize, 4] {
-        let server = Server::with_config(&w.cat, cfg(3, 64));
+        let server = Server::with_engine(&w.cat, cfg(3, 64), at_threads(threads));
         let drivers = 3usize;
         std::thread::scope(|s| {
             for d in 0..drivers {
                 let (server, queries, oracles) = (&server, &queries, &oracles);
                 s.spawn(move || {
-                    // Thread configuration is per client thread.
-                    par::with_threads(threads, || {
-                        let session = server.session();
-                        for i in 0..queries.len() {
-                            let i = (i + d * 5) % queries.len();
-                            let got = session.run_query(&queries[i], &w.params).unwrap();
-                            assert_eq!(
-                                got, oracles[i],
-                                "query {} diverged at {threads} threads",
-                                queries[i].id
-                            );
-                        }
-                    });
+                    let session = server.session();
+                    for i in 0..queries.len() {
+                        let i = (i + d * 5) % queries.len();
+                        let got = session.run_query(&queries[i], &w.params).unwrap();
+                        assert_eq!(
+                            got, oracles[i],
+                            "query {} diverged at {threads} threads",
+                            queries[i].id
+                        );
+                    }
                 });
             }
         });
@@ -87,7 +90,7 @@ fn prepared_statements_hit_rebind_and_skip_the_optimizer() {
     let s = server.stats().cache.unwrap();
     assert_eq!((s.hits, s.misses), (3, 1));
     let oracle = {
-        let ctx = monet::ctx::ExecCtx::new();
+        let ctx = ExecCtx::new();
         tpcd_queries::run_moa_rows(&w.cat, &ctx, &q13_moa(&p2)).unwrap()
     };
     assert_eq!(rebound, oracle, "re-bound plan diverged from uncached oracle");
@@ -139,32 +142,40 @@ fn small_cache_evicts_least_recently_used_plans() {
     assert_eq!((s.hits, s.misses), (0, 4));
 }
 
-/// Satellite 3 regression: a scoped `OptLevel` or thread-config override
-/// must never be served a plan cached under a different effective config —
-/// and returning to the original config must still hit the original plans.
+/// One shared cache, statements under different configurations: a flip of
+/// anything the planner consults must never be served another
+/// configuration's plan, a flip of something no plan depends on (the
+/// thread count) reuses it, and returning to an earlier configuration
+/// still hits its plan.
 #[test]
-fn scoped_config_overrides_never_reuse_wrong_plans() {
+fn plan_config_flips_never_reuse_wrong_plans() {
     let w = bench::world();
     let server = Server::with_config(&w.cat, cfg(2, 16));
     let session = server.session();
     let q = q13_moa(&w.params);
-    // Pin both levels explicitly so the test holds under any ambient
-    // config (CI also runs the whole suite with FLATALG_OPT=0).
-    let full = with_opt_level(OptLevel::Full, || session.execute_expr(&q)).unwrap();
-    let off = with_opt_level(OptLevel::Off, || session.execute_expr(&q)).unwrap();
+    // Every field that matters pinned explicitly, so the test holds
+    // whatever the environment says.
+    let run = |opt: OptLevel, fuse: bool, threads: usize| {
+        let base = EngineConfig::clone(&EngineConfig::from_env());
+        let ctx = ExecCtx::with_config(Arc::new(EngineConfig { opt, fuse, threads, ..base }));
+        session.scoped(|| tpcd_queries::run_moa_rows(&w.cat, &ctx, &q)).unwrap()
+    };
+    let counts = || {
+        let s = server.stats().cache.unwrap();
+        (s.hits, s.misses)
+    };
+    let full = run(OptLevel::Full, true, 1);
+    let off = run(OptLevel::Off, true, 1);
     assert_eq!(full, off, "optimizer must preserve results");
-    let s = server.stats().cache.unwrap();
-    assert_eq!((s.hits, s.misses), (0, 2), "OptLevel flip must key a distinct plan");
-    let t3 = par::with_threads(3, || with_opt_level(OptLevel::Full, || session.execute_expr(&q)))
-        .unwrap();
-    assert_eq!(full, t3);
-    let s = server.stats().cache.unwrap();
-    assert_eq!((s.hits, s.misses), (0, 3), "thread-config flip must key a distinct plan");
-    // Back at the original configs, both cached plans hit.
-    with_opt_level(OptLevel::Full, || session.execute_expr(&q)).unwrap();
-    with_opt_level(OptLevel::Off, || session.execute_expr(&q)).unwrap();
-    let s = server.stats().cache.unwrap();
-    assert_eq!((s.hits, s.misses), (2, 3));
+    assert_eq!(counts(), (0, 2), "OptLevel flip must key a distinct plan");
+    assert_eq!(run(OptLevel::Full, false, 1), full, "fusion must preserve results");
+    assert_eq!(counts(), (0, 3), "fusion flip must key a distinct plan");
+    assert_eq!(run(OptLevel::Full, true, 3), full);
+    assert_eq!(counts(), (1, 3), "no plan depends on the thread count");
+    // Back at the original configs, the cached plans hit.
+    run(OptLevel::Full, true, 1);
+    run(OptLevel::Off, true, 1);
+    assert_eq!(counts(), (3, 3));
 }
 
 /// Satellite: re-encoding a catalog column through `Db::reencode_tail`
@@ -179,15 +190,16 @@ fn scoped_config_overrides_never_reuse_wrong_plans() {
 fn reencoding_a_column_bumps_the_epoch_and_invalidates_plans() {
     use monet::props::Enc;
     // Loader encoding off: `reencode_tail` below performs a real change.
-    let mut w = monet::enc::with_enc(false, || bench::World::build(0.002));
+    let mut w = bench::World::build_with(0.002, false);
     let q = q13_moa(&w.params);
     let oracle = {
-        let ctx = monet::ctx::ExecCtx::new();
+        let ctx = ExecCtx::new();
         tpcd_queries::run_moa_rows(&w.cat, &ctx, &q).unwrap()
     };
     let cache = moa::plancache::PlanCache::with_capacity(8);
-    cache.translate(&w.cat, &q, OptLevel::Full).unwrap();
-    cache.translate(&w.cat, &q, OptLevel::Full).unwrap();
+    let plan = EngineConfig::from_env().plan();
+    cache.translate(&w.cat, &q, &plan).unwrap();
+    cache.translate(&w.cat, &q, &plan).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses), (1, 1));
     let clerk = w.cat.db().get("Order_clerk").unwrap();
@@ -200,7 +212,7 @@ fn reencoding_a_column_bumps_the_epoch_and_invalidates_plans() {
     assert!(w.cat.db().epoch() > epoch, "re-encode must bump the epoch");
     assert_eq!(w.cat.db().get("Order_clerk").unwrap().tail().encoding(), Enc::Dict);
     // Same shape, new epoch: a fresh translate, never a stale hit.
-    cache.translate(&w.cat, &q, OptLevel::Full).unwrap();
+    cache.translate(&w.cat, &q, &plan).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses), (1, 2), "post-re-encode lookup must miss");
     // A no-op re-encode (dbl tails never encode) must not bump the epoch.
@@ -208,7 +220,7 @@ fn reencoding_a_column_bumps_the_epoch_and_invalidates_plans() {
     assert!(!w.cat.db_mut().reencode_tail("Order_totalprice", false).unwrap());
     assert_eq!(w.cat.db().epoch(), epoch, "no-op re-encode must keep the epoch");
     // And the encoded catalog computes the bit-identical result.
-    let ctx = monet::ctx::ExecCtx::new();
+    let ctx = ExecCtx::new();
     assert_eq!(tpcd_queries::run_moa_rows(&w.cat, &ctx, &q).unwrap(), oracle);
 }
 
@@ -218,7 +230,7 @@ fn reencoding_a_column_bumps_the_epoch_and_invalidates_plans() {
 #[test]
 fn panicking_statement_does_not_wedge_the_service() {
     let w = bench::world();
-    let server = Server::with_config(&w.cat, cfg(1, 8));
+    let server = Server::with_engine(&w.cat, cfg(1, 8), at_threads(4));
     let session = server.session();
     let oracle = session.execute_expr(&q13_moa(&w.params)).unwrap();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -227,7 +239,7 @@ fn panicking_statement_does_not_wedge_the_service() {
     assert!(r.is_err());
     // The single admission slot is free again and parallel execution on
     // the shared pool still produces the bit-identical result.
-    let got = par::with_threads(4, || server.session().execute_expr(&q13_moa(&w.params)).unwrap());
+    let got = server.session().execute_expr(&q13_moa(&w.params)).unwrap();
     assert_eq!(got, oracle);
 }
 

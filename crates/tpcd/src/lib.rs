@@ -23,6 +23,8 @@ pub mod text;
 
 pub use error::TpcdError;
 pub use gen::{generate, try_generate, TpcdData};
-pub use load::{load_bats, load_rowstore, try_load_bats, try_load_rowstore, LoadReport};
+pub use load::{
+    load_bats, load_bats_with, load_rowstore, try_load_bats, try_load_rowstore, LoadReport,
+};
 pub use schema::tpcd_schema;
 pub use store::{open_catalog, save_catalog, OpenedCatalog};

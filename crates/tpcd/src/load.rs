@@ -157,7 +157,8 @@ pub fn validate(data: &TpcdData) -> crate::error::Result<()> {
 }
 
 /// Load the generated data into the decomposed BAT representation,
-/// returning the MOA catalog and the load report.
+/// returning the MOA catalog and the load report. Column layouts follow
+/// the process environment's configuration (`enc`).
 ///
 /// Panics on a malformed world; use [`try_load_bats`] when the data does
 /// not come straight from [`crate::gen::generate`].
@@ -169,11 +170,18 @@ pub fn load_bats(data: &TpcdData) -> (Catalog, LoadReport) {
 /// truncated world is rejected with a typed error instead of producing a
 /// catalog with false property claims.
 pub fn try_load_bats(data: &TpcdData) -> crate::error::Result<(Catalog, LoadReport)> {
-    validate(data)?;
-    Ok(load_bats_unchecked(data))
+    load_bats_with(data, monet::config::EngineConfig::from_env().enc)
 }
 
-fn load_bats_unchecked(data: &TpcdData) -> (Catalog, LoadReport) {
+/// [`try_load_bats`] with the layout decision explicit: `enc` builds the
+/// encoded layouts (dict/FOR/RLE where they shrink a column), `!enc`
+/// keeps the raw bulk-loaded columns byte for byte.
+pub fn load_bats_with(data: &TpcdData, enc: bool) -> crate::error::Result<(Catalog, LoadReport)> {
+    validate(data)?;
+    Ok(load_bats_unchecked(data, enc))
+}
+
+fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
     let mut report = LoadReport::default();
 
     // ---- Phase 1: bulk load (decomposition, oid-ordered) -----------------
@@ -471,13 +479,12 @@ fn load_bats_unchecked(data: &TpcdData) -> (Catalog, LoadReport) {
             db.register(&cb.class, extent_bat);
         }
         for (attr, tail, accel) in &cb.attrs {
-            // Encoded layouts are a load-time decision (`FLATALG_ENC=0`
-            // keeps the raw Phase-1 columns byte for byte — the
-            // encodings-off oracle leg). `encode(false)` picks dict/FOR
-            // only where it shrinks the column; the Phase-3 reorder
-            // gathers codes/deltas, so the sorted attribute BATs stay
-            // encoded.
-            let tail = if monet::enc::enc_enabled() { tail.encode(false) } else { tail.clone() };
+            // Encoded layouts are a load-time decision (`!enc` keeps the
+            // raw Phase-1 columns byte for byte — the encodings-off
+            // oracle). `encode(false)` picks dict/FOR only where it
+            // shrinks the column; the Phase-3 reorder gathers
+            // codes/deltas, so the sorted attribute BATs stay encoded.
+            let tail = if enc { tail.encode(false) } else { tail.clone() };
             let dv = if *accel {
                 report.dv_bytes += tail.bytes();
                 Some(Arc::new(Datavector::new(Arc::clone(&extent_accel), tail.clone())))

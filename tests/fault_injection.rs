@@ -16,13 +16,13 @@
 //! points, then inject at successive points and assert clean failure plus
 //! bit-identical recovery at each.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use bench::World;
 use flatalg_server::{Server, ServerConfig};
 use moa::error::MoaError;
+use monet::config::EngineConfig;
 use monet::error::MonetError;
-use monet::par;
 use tpcd_queries::{all_queries, Query, QueryResult};
 
 /// Small fixed-SF world: big enough that every query exercises parallel
@@ -36,15 +36,22 @@ fn world() -> &'static World {
 /// Forced parallel config for every run in this harness: 3 workers, no
 /// row threshold (tiny operands still morselize), odd morsel size. This
 /// makes the `par/morsel` and `par/task` sites fire on the tiny world and
-/// pins the probe count independent of the host's core count.
-fn governed<R>(f: impl FnOnce() -> R) -> R {
-    par::with_par_config(Some(3), Some(1), Some(509), f)
+/// pins the probe count independent of the host's core count. Everything
+/// else follows the environment, like the world the harness loads.
+fn governed() -> Arc<EngineConfig> {
+    Arc::new(EngineConfig {
+        threads: 3,
+        par_min_rows: 1,
+        morsel_rows: 509,
+        ..EngineConfig::clone(&EngineConfig::from_env())
+    })
 }
 
 fn server(w: &World) -> Server<'_> {
-    Server::with_config(
+    Server::with_engine(
         &w.cat,
         ServerConfig { max_concurrent: 4, plan_cache: Some(64), ..ServerConfig::default() },
+        governed(),
     )
 }
 
@@ -80,9 +87,9 @@ fn fault_sweep_over_query_mix() {
     // The world loads with encoded layouts on (the default), so this sweep
     // governs the encoded-path probe sites too: dict-code selects,
     // code groupings, and FOR scans all sit behind the same `op/*` probes the
-    // injector counts. Under the `FLATALG_ENC=0` oracle leg the same sweep
-    // covers the raw paths instead.
-    if monet::enc::enc_enabled() {
+    // injector counts. With `FLATALG_ENC=0` in the environment the same
+    // sweep covers the raw paths instead.
+    if EngineConfig::from_env().enc {
         assert_eq!(
             w.cat.db().get("Order_clerk").unwrap().tail().encoding(),
             monet::props::Enc::Dict,
@@ -91,12 +98,12 @@ fn fault_sweep_over_query_mix() {
     }
     let queries = all_queries();
     let server = server(w);
-    governed(|| {
+    {
         let session = server.session();
         for q in &queries {
             session.run_query(q, &w.params).unwrap();
         }
-    });
+    };
     let warm = server.stats().cache.unwrap();
 
     for q in &queries {
@@ -111,7 +118,7 @@ fn fault_sweep_over_query_mix() {
         for k in sweep_points(n1, q.id == 1 || q.id == 5) {
             let session = server.session();
             session.ctx().gov.arm_fault("*", k);
-            match governed(|| session.run_query(q, &w.params)) {
+            match session.run_query(q, &w.params) {
                 Err(MoaError::Kernel(MonetError::Injected { hit, .. })) => {
                     assert_eq!(hit, k, "q{}: fault fired at the wrong probe", q.id)
                 }
@@ -120,7 +127,8 @@ fn fault_sweep_over_query_mix() {
             }
             // One-shot injector: the immediate retry on the same session
             // runs clean and must reproduce the oracle bit-for-bit.
-            let retry = governed(|| session.run_query(q, &w.params))
+            let retry = session
+                .run_query(q, &w.params)
                 .unwrap_or_else(|e| panic!("q{} k={k}/{n1}: retry failed: {e}", q.id));
             assert_eq!(retry, oracle, "q{} k={k}/{n1}: retry diverged from oracle", q.id);
         }
@@ -138,7 +146,7 @@ fn fault_sweep_over_query_mix() {
 fn oracle_run<'a>(server: &Server<'a>, q: &Query) -> (u64, QueryResult) {
     let w = world();
     let session = server.session();
-    let r = governed(|| session.run_query(q, &w.params)).unwrap();
+    let r = session.run_query(q, &w.params).unwrap();
     (session.ctx().gov.probes(), r)
 }
 
@@ -154,7 +162,7 @@ fn injected_faults_leave_bystanders_gate_and_pool_unaffected() {
     let (q1, q3, q5) = (&queries[0], &queries[2], &queries[4]);
     let [oracle1, oracle3, oracle5] = [q1, q3, q5].map(|q| {
         let s = server.session();
-        governed(|| s.run_query(q, &w.params)).unwrap()
+        s.run_query(q, &w.params).unwrap()
     });
 
     let rounds = 8usize;
@@ -165,11 +173,11 @@ fn injected_faults_leave_bystanders_gate_and_pool_unaffected() {
             for round in 0..rounds {
                 let session = server.session();
                 session.ctx().gov.arm_fault("*", 3 + 7 * round as u64);
-                match governed(|| session.run_query(q5, &w.params)) {
+                match session.run_query(q5, &w.params) {
                     Err(MoaError::Kernel(MonetError::Injected { .. })) => {}
                     other => panic!("victim round {round}: expected injected fault, got {other:?}"),
                 }
-                let retry = governed(|| session.run_query(q5, &w.params)).unwrap();
+                let retry = session.run_query(q5, &w.params).unwrap();
                 assert_eq!(&retry, oracle5, "victim retry diverged in round {round}");
             }
         });
@@ -177,7 +185,7 @@ fn injected_faults_leave_bystanders_gate_and_pool_unaffected() {
             s.spawn(move || {
                 let session = server.session();
                 for round in 0..rounds {
-                    let got = governed(|| session.run_query(q, &w.params)).unwrap();
+                    let got = session.run_query(q, &w.params).unwrap();
                     assert_eq!(&got, oracle, "bystander q{} diverged in round {round}", q.id);
                 }
             });
@@ -191,7 +199,7 @@ fn injected_faults_leave_bystanders_gate_and_pool_unaffected() {
     // the whole mix.
     let session = server.session();
     for q in &queries {
-        governed(|| session.run_query(q, &w.params)).unwrap();
+        session.run_query(q, &w.params).unwrap();
     }
 }
 
@@ -232,21 +240,21 @@ fn injected_faults_on_encoded_kernels_abort_cleanly_and_return_scratch() {
     // inject at every one of them (and only them — the injector is armed
     // per-context, so a k past the last probe would leak into the retry).
     let (oracle, n) = {
-        let ctx = ExecCtx::new();
-        let r = governed(|| {
+        let ctx = ExecCtx::with_config(governed());
+        let r = {
             let sel = ops::select_eq(&ctx, clerk, &probe).unwrap();
             let grp = ops::group1(&ctx, clerk).unwrap();
             let uni = ops::unique(&ctx, clerk).unwrap();
             (sel.iter().collect::<Vec<_>>(), grp.len(), uni.iter().collect::<Vec<_>>())
-        });
+        };
         (r, ctx.gov.probes())
     };
     assert!(n >= 3, "chain must pass at least its three operator-entry probes (got {n})");
     let mut aborts = 0usize;
     for k in 1u64..=n {
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::with_config(governed());
         ctx.gov.arm_fault("*", k);
-        governed(|| {
+        {
             let r = ops::select_eq(&ctx, clerk, &probe)
                 .and_then(|_| ops::group1(&ctx, clerk))
                 .and_then(|_| ops::unique(&ctx, clerk).map(|_| ()));
@@ -266,7 +274,7 @@ fn injected_faults_on_encoded_kernels_abort_cleanly_and_return_scratch() {
             assert_eq!(grp.len(), oracle.1, "k={k}: group retry diverged");
             let uni = ops::unique(&ctx, clerk).unwrap();
             assert_eq!(uni.iter().collect::<Vec<_>>(), oracle.2, "k={k}: unique retry diverged");
-        });
+        };
     }
     assert_eq!(aborts as u64, n, "every governed point of the encoded chain must abort once");
     // Other tests in this binary run concurrently and hold checkouts
@@ -298,7 +306,7 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
     let q1 = &queries[0];
     let oracle = {
         let s = server.session();
-        governed(|| s.run_query(q1, &w.params)).unwrap()
+        s.run_query(q1, &w.params).unwrap()
     };
 
     std::thread::scope(|s| {
@@ -307,7 +315,7 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
             let session = server.session();
             session.ctx().mem.set_budget(Some(64 * 1024));
             for _ in 0..4 {
-                match governed(|| session.run_query(q1, &w.params)) {
+                match session.run_query(q1, &w.params) {
                     Err(MoaError::Kernel(MonetError::BudgetExceeded { budget_bytes, .. })) => {
                         assert_eq!(budget_bytes, 64 * 1024)
                     }
@@ -316,13 +324,13 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
             }
             // Lifting the budget revives the session in place.
             session.ctx().mem.set_budget(None);
-            let got = governed(|| session.run_query(q1, &w.params)).unwrap();
+            let got = session.run_query(q1, &w.params).unwrap();
             assert_eq!(&got, oracle, "lifted-budget run diverged");
         });
         s.spawn(move || {
             let session = server.session();
             for round in 0..4 {
-                let got = governed(|| session.run_query(q1, &w.params)).unwrap();
+                let got = session.run_query(q1, &w.params).unwrap();
                 assert_eq!(&got, oracle, "unbudgeted bystander diverged in round {round}");
             }
         });
@@ -391,8 +399,8 @@ fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
 
     let baseline = typed::scratch_checked_out();
     let (oracle, n_probes) = {
-        let ctx = ExecCtx::new();
-        let r = governed(|| run(&ctx)).unwrap();
+        let ctx = ExecCtx::with_config(governed());
+        let r = run(&ctx).unwrap();
         (r, ctx.gov.probes())
     };
     assert!(n_probes > 0, "fused chains exposed no governed points");
@@ -401,29 +409,29 @@ fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
     // a silently-skipped probe fails loudly here instead of shrinking the
     // wildcard sweep below.
     for fused_site in [site::FUSE_SELECT, site::FUSE_MULTIPLEX, site::FUSE_AGGR] {
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::with_config(governed());
         ctx.gov.arm_fault(fused_site, 1);
-        match governed(|| run(&ctx)) {
+        match run(&ctx) {
             Err(MonetError::Injected { site: s, .. }) => {
                 assert_eq!(s, fused_site, "fault fired at the wrong site")
             }
             other => panic!("{fused_site}: expected injected fault, got {other:?}"),
         }
-        let retry = governed(|| run(&ctx)).unwrap();
+        let retry = run(&ctx).unwrap();
         assert_eq!(retry, oracle, "{fused_site}: retry diverged from oracle");
     }
 
     // Wildcard sweep over every governed point of both chains.
     for k in 1..=n_probes {
-        let ctx = ExecCtx::new();
+        let ctx = ExecCtx::with_config(governed());
         ctx.gov.arm_fault("*", k);
-        match governed(|| run(&ctx)) {
+        match run(&ctx) {
             Err(MonetError::Injected { hit, .. }) => {
                 assert_eq!(hit, k, "fault fired at the wrong probe")
             }
             other => panic!("k={k}/{n_probes}: expected injected fault, got {other:?}"),
         }
-        let retry = governed(|| run(&ctx)).unwrap();
+        let retry = run(&ctx).unwrap();
         assert_eq!(retry, oracle, "k={k}/{n_probes}: retry diverged from oracle");
     }
 

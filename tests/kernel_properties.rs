@@ -53,13 +53,6 @@ proptest! {
         let bs = ops::select_eq(&ctx, &sorted, &AtomValue::Int(v)).unwrap();
         prop_assert!(bs.validate().is_ok());
         prop_assert_eq!(sorted_pairs(&scan), sorted_pairs(&bs));
-        // hash accelerator
-        let mut hashed = b.clone();
-        hashed.set_tail_hash(std::sync::Arc::new(
-            monet::accel::hash::HashIndex::build(b.tail()),
-        ));
-        let hs = ops::select_eq(&ctx, &hashed, &AtomValue::Int(v)).unwrap();
-        prop_assert_eq!(sorted_pairs(&scan), sorted_pairs(&hs));
     }
 
     #[test]

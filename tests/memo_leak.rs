@@ -15,9 +15,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::Arc;
 
 use bench::World;
 use flatalg_server::{Server, ServerConfig};
+use monet::config::EngineConfig;
 use tpcd_queries::all_queries;
 
 /// Live heap bytes: allocated minus freed, over every thread.
@@ -53,24 +55,24 @@ static ALLOC: Counting = Counting;
 #[test]
 fn repeated_executions_do_not_grow_the_heap() {
     let w = World::build(0.001);
-    let server = Server::with_config(
+    // One thread: the worker pool and its thread-local scratch stay out of
+    // the count.
+    let engine = EngineConfig { threads: 1, ..EngineConfig::clone(&EngineConfig::from_env()) };
+    let server = Server::with_engine(
         &w.cat,
         ServerConfig { max_concurrent: 1, plan_cache: Some(64), ..ServerConfig::default() },
+        Arc::new(engine),
     );
     let session = server.session();
     let queries = all_queries();
     let leaky: Vec<_> = queries.iter().filter(|q| q.id == 1 || q.id == 13).collect();
     assert_eq!(leaky.len(), 2);
-    // One thread: the worker pool and its thread-local scratch stay out of
-    // the count.
     let run = |n: usize| {
-        monet::par::with_threads(1, || {
-            for _ in 0..n {
-                for q in &leaky {
-                    session.run_query(q, &w.params).unwrap();
-                }
+        for _ in 0..n {
+            for q in &leaky {
+                session.run_query(q, &w.params).unwrap();
             }
-        })
+        }
     };
     // Warm-up fills the plan cache, the scratch pools and every lazily
     // decoded column; after it the live heap must be flat.
@@ -86,20 +88,18 @@ fn repeated_executions_do_not_grow_the_heap() {
     // through every stretch of both plans (Q1's first grouping is memoized
     // two thirds in, its LOOKUP at the start) must leave nothing behind.
     let mut aborted = 0;
-    monet::par::with_threads(1, || {
-        for round in 0..300u64 {
-            for q in &leaky {
-                session.ctx().gov.arm_fault("*", 1 + round % 75);
-                match session.run_query(q, &w.params) {
-                    Err(e) => {
-                        assert!(e.to_string().contains("injected"), "round {round}: {e}");
-                        aborted += 1;
-                    }
-                    Ok(_) => session.ctx().gov.disarm_fault(),
+    for round in 0..300u64 {
+        for q in &leaky {
+            session.ctx().gov.arm_fault("*", 1 + round % 75);
+            match session.run_query(q, &w.params) {
+                Err(e) => {
+                    assert!(e.to_string().contains("injected"), "round {round}: {e}");
+                    aborted += 1;
                 }
+                Ok(_) => session.ctx().gov.disarm_fault(),
             }
         }
-    });
+    }
     assert!(aborted >= 300, "the fault schedule barely aborted anything ({aborted})");
     run(1);
     let grown = LIVE.load(Ordering::Relaxed) - warm;

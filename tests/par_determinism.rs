@@ -4,11 +4,10 @@
 //! and thread counts {1, 2, 4, 7} (the odd count catches remainder-morsel
 //! bugs; 1 is the forced-serial `FLATALG_THREADS=1` path).
 //!
-//! The thread count and morsel size are set through the scoped
-//! `par::with_par_config` override — the same switch `FLATALG_THREADS` /
-//! `FLATALG_PAR_MIN_ROWS` flip process-wide — so the suite can sweep
-//! configurations from concurrent test threads without racing on the
-//! environment. Morsel sizes are deliberately small and odd (the operands
+//! The thread count, row threshold and morsel size are the fields of the
+//! `EngineConfig` each run's context is built from, so the suite sweeps
+//! configurations from concurrent test threads without sharing anything.
+//! Morsel sizes are deliberately small and odd (the operands
 //! here are hundreds of rows, not hundreds of thousands), which exercises
 //! many-morsel schedules and ragged final morsels.
 //!
@@ -18,9 +17,9 @@
 use monet::atom::{AtomType, AtomValue, Date};
 use monet::bat::Bat;
 use monet::column::Column;
+use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use monet::ops::{self, reference};
-use monet::par;
 use monet::props::Enc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -36,16 +35,22 @@ const THREADS: [usize; 4] = [1, 2, 4, 7];
 /// with a ragged tail.
 const MORSEL: usize = 53;
 
-/// Run `f` under a forced-parallel configuration (`threads` workers,
-/// every operand above the row threshold, tiny odd morsels).
-fn parallel<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    par::with_par_config(Some(threads), Some(1), Some(MORSEL), f)
+/// A fresh context forced onto the parallel path: `threads` workers, every
+/// operand above the row threshold, `morsel_rows` rows per morsel.
+fn par_ctx(threads: usize, morsel_rows: usize) -> ExecCtx {
+    let cfg = EngineConfig { threads, par_min_rows: 1, morsel_rows, ..EngineConfig::default() };
+    ExecCtx::with_config(std::sync::Arc::new(cfg))
+}
+
+/// Run `f` on a fresh forced-parallel context with tiny odd morsels.
+fn parallel<R>(threads: usize, f: impl FnOnce(&ExecCtx) -> R) -> R {
+    f(&par_ctx(threads, MORSEL))
 }
 
 /// The kernel's own serial path under the *same* morsel grid (morsel
 /// decomposition is part of the kernel definition for float reductions,
 /// so the serial oracle must share it).
-fn serial<R>(f: impl FnOnce() -> R) -> R {
+fn serial<R>(f: impl FnOnce(&ExecCtx) -> R) -> R {
     parallel(1, f)
 }
 
@@ -112,7 +117,6 @@ fn rows_of(b: &Bat) -> Vec<(AtomValue, AtomValue)> {
 #[test]
 fn par_select_bit_identical() {
     let mut rng = StdRng::seed_from_u64(SEED);
-    let ctx = ExecCtx::new();
     for &ty in ALL_TYPES {
         for case in 0..4 {
             let n = rng.gen_range(0..400usize);
@@ -124,15 +128,15 @@ fn par_select_bit_identical() {
             let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
             let ref_eq = reference::select_eq(&b, &v);
             let ref_rng = reference::select_range(&b, Some(&lo), Some(&hi), il, ih);
-            let ser_eq = serial(|| ops::select_eq(&ctx, &b, &v).unwrap());
+            let ser_eq = serial(|ctx| ops::select_eq(ctx, &b, &v).unwrap());
             let ser_rng =
-                serial(|| ops::select_range(&ctx, &b, Some(&lo), Some(&hi), il, ih).unwrap());
+                serial(|ctx| ops::select_range(ctx, &b, Some(&lo), Some(&hi), il, ih).unwrap());
             for t in THREADS {
-                let got = parallel(t, || ops::select_eq(&ctx, &b, &v).unwrap());
+                let got = parallel(t, |ctx| ops::select_eq(ctx, &b, &v).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&ref_eq), "{ty} case {case} t={t}: eq vs ref");
                 assert_eq!(rows_of(&got), rows_of(&ser_eq), "{ty} case {case} t={t}: eq vs serial");
-                let got = parallel(t, || {
-                    ops::select_range(&ctx, &b, Some(&lo), Some(&hi), il, ih).unwrap()
+                let got = parallel(t, |ctx| {
+                    ops::select_range(ctx, &b, Some(&lo), Some(&hi), il, ih).unwrap()
                 });
                 assert_eq!(rows_of(&got), rows_of(&ref_rng), "{ty} case {case} t={t}: rng vs ref");
                 assert_eq!(
@@ -153,7 +157,6 @@ fn par_select_bit_identical() {
 fn par_multiplex_bit_identical() {
     use ops::{MultArg, ScalarFunc as F};
     let mut rng = StdRng::seed_from_u64(SEED ^ 1);
-    let ctx = ExecCtx::new();
     let value_types = [
         AtomType::Int,
         AtomType::Lng,
@@ -191,9 +194,9 @@ fn par_multiplex_bit_identical() {
                     _ => vec![MultArg::Bat(x.clone()), arg2.clone()],
                 };
                 let expect = reference::multiplex_synced(f, &args);
-                let ser = serial(|| ops::multiplex(&ctx, f, &args));
+                let ser = serial(|ctx| ops::multiplex(ctx, f, &args));
                 for t in THREADS {
-                    let got = parallel(t, || ops::multiplex(&ctx, f, &args));
+                    let got = parallel(t, |ctx| ops::multiplex(ctx, f, &args));
                     match (&got, &expect, &ser) {
                         (Ok(g), Ok(e), Ok(s)) => {
                             assert_eq!(
@@ -228,7 +231,6 @@ fn par_multiplex_bit_identical() {
 #[test]
 fn par_join_partitioned_bit_identical_small_vs_reference() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 2);
-    let ctx = ExecCtx::new();
     for &ty in ALL_TYPES {
         for case in 0..4 {
             let n = rng.gen_range(0..60usize);
@@ -238,9 +240,9 @@ fn par_join_partitioned_bit_identical_small_vs_reference() {
             let right =
                 Bat::new(random_column(&mut rng, ty, m), random_column(&mut rng, AtomType::Int, m));
             let expect = reference::join(&left, &right);
-            let ser = serial(|| ops::join_partitioned(&ctx, &left, &right).unwrap());
+            let ser = serial(|ctx| ops::join_partitioned(ctx, &left, &right).unwrap());
             for t in THREADS {
-                let got = parallel(t, || ops::join_partitioned(&ctx, &left, &right).unwrap());
+                let got = parallel(t, |ctx| ops::join_partitioned(ctx, &left, &right).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&expect), "{ty} case {case} t={t}: vs ref");
                 assert_eq!(rows_of(&got), rows_of(&ser), "{ty} case {case} t={t}: vs serial");
             }
@@ -267,16 +269,13 @@ fn par_join_partitioned_bit_identical_large_vs_hash() {
         Column::from_oids((0..m as u64).map(|i| 50_000 + i).collect()),
     );
     let oracle = ops::join::join_hash(&ctx, &left, &right);
-    let ser = par::with_par_config(Some(1), Some(1), None, || {
-        ops::join_partitioned(&ctx, &left, &right).unwrap()
-    });
+    let default_grid = |t| par_ctx(t, monet::par::MORSEL_ROWS);
+    let ser = ops::join_partitioned(&default_grid(1), &left, &right).unwrap();
     assert_eq!(rows_of(&ser), rows_of(&oracle), "serial partitioned vs hash oracle");
     for t in THREADS {
         // Default morsel grid; the join parallelizes over cluster ranges,
         // not morsels, so only the thread count matters here.
-        let got = par::with_par_config(Some(t), Some(1), None, || {
-            ops::join_partitioned(&ctx, &left, &right).unwrap()
-        });
+        let got = ops::join_partitioned(&default_grid(t), &left, &right).unwrap();
         assert_eq!(rows_of(&got), rows_of(&oracle), "t={t}: partitioned vs hash oracle");
     }
 }
@@ -296,9 +295,9 @@ fn par_group1_bit_identical() {
             // Fresh contexts per run: group oids restart at the same base,
             // so the comparison is exact (ids, not just partitions).
             let expect = reference::group1_gids(&b);
-            let ser = serial(|| ops::group1(&ExecCtx::new(), &b).unwrap());
+            let ser = serial(|ctx| ops::group1(ctx, &b).unwrap());
             for t in THREADS {
-                let got = parallel(t, || ops::group1(&ExecCtx::new(), &b).unwrap());
+                let got = parallel(t, |ctx| ops::group1(ctx, &b).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&ser), "{ty} case {case} t={t}: vs serial");
                 // Reference numbering is canonical 0-based first-occurrence;
                 // kernel ids are the same order-isomorphic sequence shifted
@@ -322,16 +321,15 @@ fn par_group1_bit_identical() {
 #[test]
 fn par_unique_bit_identical() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 5);
-    let ctx = ExecCtx::new();
     for &t1 in ALL_TYPES {
         for &t2 in ALL_TYPES {
             // Small alphabets: plenty of duplicate pairs across morsels.
             let n = rng.gen_range(0..250usize);
             let b = Bat::new(random_column(&mut rng, t1, n), random_column(&mut rng, t2, n));
             let expect = reference::unique(&b);
-            let ser = serial(|| ops::unique(&ctx, &b).unwrap());
+            let ser = serial(|ctx| ops::unique(ctx, &b).unwrap());
             for t in THREADS {
-                let got = parallel(t, || ops::unique(&ctx, &b).unwrap());
+                let got = parallel(t, |ctx| ops::unique(ctx, &b).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&expect), "({t1},{t2}) t={t}: vs ref");
                 assert_eq!(rows_of(&got), rows_of(&ser), "({t1},{t2}) t={t}: vs serial");
             }
@@ -348,7 +346,6 @@ fn par_aggregates_bit_identical() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 6);
     // `{g}` runs on fresh contexts: a context memoizes the grouping of a
     // head column, and every run here must derive its own.
-    let ctx = ExecCtx::new();
     let aggs = [
         ops::AggFunc::Count,
         ops::AggFunc::Sum,
@@ -366,10 +363,10 @@ fn par_aggregates_bit_identical() {
             for f in aggs {
                 let ref_scalar = reference::aggr_scalar(&b, f);
                 let ref_set = reference::set_aggregate(f, &b);
-                let ser_scalar = serial(|| ops::aggr_scalar(&ctx, &b, f));
-                let ser_set = serial(|| ops::set_aggregate(&ExecCtx::new(), f, &b));
+                let ser_scalar = serial(|ctx| ops::aggr_scalar(ctx, &b, f));
+                let ser_set = serial(|ctx| ops::set_aggregate(ctx, f, &b));
                 for t in THREADS {
-                    let got = parallel(t, || ops::aggr_scalar(&ctx, &b, f));
+                    let got = parallel(t, |ctx| ops::aggr_scalar(ctx, &b, f));
                     match (&got, &ref_scalar, &ser_scalar) {
                         (Ok(g), Ok(e), Ok(s)) => {
                             assert_eq!(g, e, "{ty} case {case} t={t}: scalar {} vs ref", f.name());
@@ -386,7 +383,7 @@ fn par_aggregates_bit_identical() {
                             f.name()
                         ),
                     }
-                    let got = parallel(t, || ops::set_aggregate(&ExecCtx::new(), f, &b));
+                    let got = parallel(t, |ctx| ops::set_aggregate(ctx, f, &b));
                     match (&got, &ref_set, &ser_set) {
                         (Ok(g), Ok(e), Ok(s)) => {
                             assert_eq!(
@@ -427,17 +424,15 @@ fn dbl_sum_bit_identical_across_thread_counts() {
         Column::from_oids((0..n as u64).map(|i| i % 7).collect()),
         Column::from_dbls(vals),
     );
-    let ctx = ExecCtx::new();
-    let ser_scalar = serial(|| ops::aggr_scalar(&ctx, &b, ops::AggFunc::Sum).unwrap());
-    let ser_avg = serial(|| ops::aggr_scalar(&ctx, &b, ops::AggFunc::Avg).unwrap());
-    let ser_set = serial(|| ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &b).unwrap());
+    let ser_scalar = serial(|ctx| ops::aggr_scalar(ctx, &b, ops::AggFunc::Sum).unwrap());
+    let ser_avg = serial(|ctx| ops::aggr_scalar(ctx, &b, ops::AggFunc::Avg).unwrap());
+    let ser_set = serial(|ctx| ops::set_aggregate(ctx, ops::AggFunc::Sum, &b).unwrap());
     for t in THREADS {
-        let got = parallel(t, || ops::aggr_scalar(&ctx, &b, ops::AggFunc::Sum).unwrap());
+        let got = parallel(t, |ctx| ops::aggr_scalar(ctx, &b, ops::AggFunc::Sum).unwrap());
         assert_eq!(got, ser_scalar, "t={t}: {{sum}} bits");
-        let got = parallel(t, || ops::aggr_scalar(&ctx, &b, ops::AggFunc::Avg).unwrap());
+        let got = parallel(t, |ctx| ops::aggr_scalar(ctx, &b, ops::AggFunc::Avg).unwrap());
         assert_eq!(got, ser_avg, "t={t}: avg bits");
-        let got =
-            parallel(t, || ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &b).unwrap());
+        let got = parallel(t, |ctx| ops::set_aggregate(ctx, ops::AggFunc::Sum, &b).unwrap());
         assert_eq!(rows_of(&got), rows_of(&ser_set), "t={t}: per-group sum bits");
     }
 }
@@ -468,8 +463,8 @@ fn nest_aggregate_tail_bit_identical_across_arms_and_thread_counts() {
         Column::from_dbls((0..n).map(|_| rng.gen_range(-1.0..1.0) * 1e-3 + 0.1).collect()),
     );
     // (rows of every result, dispatched algorithms), on one fresh context.
-    let tail = || {
-        let ctx = ExecCtx::new().with_trace();
+    let tail = |ctx: &ExecCtx| {
+        let ctx = ctx.clone().with_trace();
         let class = ops::group1(&ctx, &flag).unwrap();
         let class = ops::group2(&ctx, &class, &status).unwrap();
         let by_class = class.mirror();
@@ -588,7 +583,6 @@ fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Colu
 #[test]
 fn par_encoded_kernels_bit_identical() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 9);
-    let ctx = ExecCtx::new();
     // (type, sorted): dict strings, FOR ints/dates, RLE runs.
     let legs: &[(AtomType, bool)] = &[
         (AtomType::Str, false),
@@ -618,24 +612,25 @@ fn par_encoded_kernels_bit_identical() {
             let ref_rng = reference::select_range(&rb, Some(&lo), Some(&hi), true, false);
             let ref_uni = reference::unique(&rb);
             let ref_gid = reference::group1_gids(&rb);
-            let ser_eq = serial(|| ops::select_eq(&ctx, &eb, &v).unwrap());
-            let ser_rng =
-                serial(|| ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap());
-            let ser_uni = serial(|| ops::unique(&ctx, &eb).unwrap());
-            let ser_g = serial(|| ops::group1(&ExecCtx::new(), &eb).unwrap());
+            let ser_eq = serial(|ctx| ops::select_eq(ctx, &eb, &v).unwrap());
+            let ser_rng = serial(|ctx| {
+                ops::select_range(ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap()
+            });
+            let ser_uni = serial(|ctx| ops::unique(ctx, &eb).unwrap());
+            let ser_g = serial(|ctx| ops::group1(ctx, &eb).unwrap());
             assert_eq!(rows_of(&ser_eq), rows_of(&ref_eq), "{tag}: serial eq vs raw ref");
             assert_eq!(rows_of(&ser_rng), rows_of(&ref_rng), "{tag}: serial range vs raw ref");
             assert_eq!(rows_of(&ser_uni), rows_of(&ref_uni), "{tag}: serial unique vs raw ref");
             for t in THREADS {
-                let got = parallel(t, || ops::select_eq(&ctx, &eb, &v).unwrap());
+                let got = parallel(t, |ctx| ops::select_eq(ctx, &eb, &v).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&ser_eq), "{tag} t={t}: eq");
-                let got = parallel(t, || {
-                    ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap()
+                let got = parallel(t, |ctx| {
+                    ops::select_range(ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap()
                 });
                 assert_eq!(rows_of(&got), rows_of(&ser_rng), "{tag} t={t}: range");
-                let got = parallel(t, || ops::unique(&ctx, &eb).unwrap());
+                let got = parallel(t, |ctx| ops::unique(ctx, &eb).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&ser_uni), "{tag} t={t}: unique");
-                let got = parallel(t, || ops::group1(&ExecCtx::new(), &eb).unwrap());
+                let got = parallel(t, |ctx| ops::group1(ctx, &eb).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&ser_g), "{tag} t={t}: group1 vs serial");
                 let got_canon: Vec<u64> = {
                     let mut map = std::collections::HashMap::new();
@@ -659,10 +654,10 @@ fn par_encoded_kernels_bit_identical() {
                 let raw_args =
                     vec![MultArg::Bat(rb.clone()), MultArg::Const(AtomValue::str("Clerk#000"))];
                 let expect = reference::multiplex_synced(F::StrPrefix, &raw_args).unwrap();
-                let ser = serial(|| ops::multiplex(&ctx, F::StrPrefix, &args).unwrap());
+                let ser = serial(|ctx| ops::multiplex(ctx, F::StrPrefix, &args).unwrap());
                 assert_eq!(rows_of(&ser), rows_of(&expect), "{tag}: serial prefix vs raw ref");
                 for t in THREADS {
-                    let got = parallel(t, || ops::multiplex(&ctx, F::StrPrefix, &args).unwrap());
+                    let got = parallel(t, |ctx| ops::multiplex(ctx, F::StrPrefix, &args).unwrap());
                     assert_eq!(rows_of(&got), rows_of(&ser), "{tag} t={t}: prefix");
                 }
             }
@@ -673,30 +668,21 @@ fn par_encoded_kernels_bit_identical() {
 #[test]
 fn par_kernels_bit_identical_on_default_morsel_grid() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 8);
-    let ctx = ExecCtx::new();
     let n = 30_000usize;
     let b = Bat::new(
         Column::from_oids((0..n as u64).collect()),
         Column::from_ints((0..n).map(|_| rng.gen_range(0..500i32)).collect()),
     );
-    let cfg = |t: usize| (Some(t), Some(1), Some(4099)); // odd morsel, many morsels
-    let ser_sel = par::with_par_config(Some(1), Some(1), Some(4099), || {
-        ops::select_eq(&ctx, &b, &AtomValue::Int(250)).unwrap()
-    });
-    let ser_g = par::with_par_config(Some(1), Some(1), Some(4099), || {
-        ops::group1(&ExecCtx::new(), &b).unwrap()
-    });
-    let ser_u =
-        par::with_par_config(Some(1), Some(1), Some(4099), || ops::unique(&ctx, &b).unwrap());
+    let grid = |t| par_ctx(t, 4099); // odd morsel, many morsels
+    let ser_sel = ops::select_eq(&grid(1), &b, &AtomValue::Int(250)).unwrap();
+    let ser_g = ops::group1(&grid(1), &b).unwrap();
+    let ser_u = ops::unique(&grid(1), &b).unwrap();
     for t in [2usize, 4, 7] {
-        let (th, mr, mo) = cfg(t);
-        let got = par::with_par_config(th, mr, mo, || {
-            ops::select_eq(&ctx, &b, &AtomValue::Int(250)).unwrap()
-        });
+        let got = ops::select_eq(&grid(t), &b, &AtomValue::Int(250)).unwrap();
         assert_eq!(rows_of(&got), rows_of(&ser_sel), "t={t}: select");
-        let got = par::with_par_config(th, mr, mo, || ops::group1(&ExecCtx::new(), &b).unwrap());
+        let got = ops::group1(&grid(t), &b).unwrap();
         assert_eq!(rows_of(&got), rows_of(&ser_g), "t={t}: group1");
-        let got = par::with_par_config(th, mr, mo, || ops::unique(&ctx, &b).unwrap());
+        let got = ops::unique(&grid(t), &b).unwrap();
         assert_eq!(rows_of(&got), rows_of(&ser_u), "t={t}: unique");
     }
 }
@@ -764,7 +750,6 @@ fn par_fused_pipeline_bit_identical() {
     use ops::fused::{run_fused, FArg, Stage};
     use ops::{AggFunc, ScalarFunc as F};
     let mut rng = StdRng::seed_from_u64(SEED ^ 10);
-    let ctx = ExecCtx::new();
     for &ty in &[AtomType::Int, AtomType::Lng, AtomType::Dbl] {
         for case in 0..4 {
             let n = rng.gen_range(0..400usize);
@@ -794,11 +779,11 @@ fn par_fused_pipeline_bit_identical() {
                 chains.push(vec![range.clone(), Stage::Aggr(AggFunc::Sum)]);
             }
             for (ci, stages) in chains.iter().enumerate() {
-                let oracle = serial(|| staged_outcome(&ctx, &src, stages));
-                let ser = serial(|| fused_outcome(run_fused(&ctx, &src, stages)));
+                let oracle = serial(|ctx| staged_outcome(ctx, &src, stages));
+                let ser = serial(|ctx| fused_outcome(run_fused(ctx, &src, stages)));
                 assert_eq!(ser, oracle, "{ty} case {case} chain {ci}: fused vs staged");
                 for t in THREADS {
-                    let got = parallel(t, || fused_outcome(run_fused(&ctx, &src, stages)));
+                    let got = parallel(t, |ctx| fused_outcome(run_fused(ctx, &src, stages)));
                     assert_eq!(got, ser, "{ty} case {case} chain {ci} t={t}: fused vs serial");
                 }
             }
@@ -813,7 +798,6 @@ fn par_fused_dict_select_bit_identical() {
     use ops::fused::{run_fused, FArg, Stage};
     use ops::{AggFunc, ScalarFunc as F};
     let mut rng = StdRng::seed_from_u64(SEED ^ 11);
-    let ctx = ExecCtx::new();
     for case in 0..3 {
         let n = rng.gen_range(150..400usize);
         let (enc, _raw) = encoded_pair(&mut rng, AtomType::Str, n, false);
@@ -828,11 +812,11 @@ fn par_fused_dict_select_bit_identical() {
             vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Min)],
         ];
         for (ci, stages) in chains.iter().enumerate() {
-            let oracle = serial(|| staged_outcome(&ctx, &src, stages));
-            let ser = serial(|| fused_outcome(run_fused(&ctx, &src, stages)));
+            let oracle = serial(|ctx| staged_outcome(ctx, &src, stages));
+            let ser = serial(|ctx| fused_outcome(run_fused(ctx, &src, stages)));
             assert_eq!(ser, oracle, "dict case {case} chain {ci}: fused vs staged");
             for t in THREADS {
-                let got = parallel(t, || fused_outcome(run_fused(&ctx, &src, stages)));
+                let got = parallel(t, |ctx| fused_outcome(run_fused(ctx, &src, stages)));
                 assert_eq!(got, ser, "dict case {case} chain {ci} t={t}: fused vs serial");
             }
         }

@@ -11,13 +11,25 @@ use std::time::{Duration, Instant};
 use monet::atom::AtomValue;
 use monet::bat::Bat;
 use monet::column::Column;
+use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
 use monet::ops::{self, reference};
-use monet::par;
 use monet::typed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A fresh context forced onto the parallel path: `threads` workers, every
+/// operand above the row threshold, `morsel_rows` rows per morsel.
+fn par_ctx(threads: usize, morsel_rows: usize) -> ExecCtx {
+    let cfg = EngineConfig { threads, par_min_rows: 1, morsel_rows, ..EngineConfig::default() };
+    ExecCtx::with_config(Arc::new(cfg))
+}
+
+/// A fresh one-thread context, everything else at its default.
+fn serial_ctx() -> ExecCtx {
+    ExecCtx::with_config(Arc::new(EngineConfig { threads: 1, ..EngineConfig::default() }))
+}
 
 /// Concurrent checkout/return: every live buffer must be exclusively
 /// owned. The pools are thread-local, so the claim under test is that a
@@ -112,7 +124,7 @@ fn scratch_pool_concurrent_checkout_return() {
 /// pool with changing data and verify against the reference every round.
 #[test]
 fn pooled_group_tables_carry_no_stale_state_across_rounds() {
-    let ctx = ExecCtx::new();
+    let ctx = par_ctx(4, 61);
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     for round in 0..30 {
         let n = rng.gen_range(64..700usize);
@@ -123,27 +135,25 @@ fn pooled_group_tables_carry_no_stale_state_across_rounds() {
             Column::from_oids((0..n as u64).collect()),
             Column::from_oids((0..n as u64).map(|i| i * 37 % span).collect()),
         );
-        par::with_par_config(Some(4), Some(1), Some(61), || {
-            let g = ops::group1(&ExecCtx::new(), &b).unwrap();
-            let canon: Vec<u64> = {
-                let mut map = std::collections::HashMap::new();
-                (0..g.len())
-                    .map(|i| {
-                        let gid = g.tail().oid_at(i);
-                        let next = map.len() as u64;
-                        *map.entry(gid).or_insert(next)
-                    })
-                    .collect()
-            };
-            assert_eq!(canon, reference::group1_gids(&b), "round {round}: group1");
-            let u = ops::unique(&ctx, &b).unwrap();
-            let expect = reference::unique(&b);
-            assert_eq!(
-                u.iter().collect::<Vec<_>>(),
-                expect.iter().collect::<Vec<_>>(),
-                "round {round}: unique"
-            );
-        });
+        let g = ops::group1(&par_ctx(4, 61), &b).unwrap();
+        let canon: Vec<u64> = {
+            let mut map = std::collections::HashMap::new();
+            (0..g.len())
+                .map(|i| {
+                    let gid = g.tail().oid_at(i);
+                    let next = map.len() as u64;
+                    *map.entry(gid).or_insert(next)
+                })
+                .collect()
+        };
+        assert_eq!(canon, reference::group1_gids(&b), "round {round}: group1");
+        let u = ops::unique(&ctx, &b).unwrap();
+        let expect = reference::unique(&b);
+        assert_eq!(
+            u.iter().collect::<Vec<_>>(),
+            expect.iter().collect::<Vec<_>>(),
+            "round {round}: unique"
+        );
     }
 }
 
@@ -162,7 +172,10 @@ fn concurrent_kernels_share_the_worker_pool_safely() {
         .map(|d| {
             let failures = Arc::clone(&failures);
             std::thread::spawn(move || {
-                let ctx = ExecCtx::new();
+                // Default morsel grid on both: the float sum is only
+                // bit-identical across thread counts under one grid.
+                let ctx = par_ctx(3, monet::par::MORSEL_ROWS);
+                let serial = par_ctx(1, monet::par::MORSEL_ROWS);
                 let mut rng = StdRng::seed_from_u64(0xBEEF + d as u64);
                 for _ in 0..rounds {
                     let n = 12_000usize;
@@ -176,24 +189,20 @@ fn concurrent_kernels_share_the_worker_pool_safely() {
                         Column::from_oids((0..m as u64).collect()),
                     );
                     let oracle = ops::join::join_hash(&ctx, &left, &right);
-                    let sum_oracle = par::with_par_config(Some(1), Some(1), None, || {
-                        ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum).unwrap()
-                    });
-                    par::with_par_config(Some(3), Some(1), None, || {
-                        let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
-                        if j.iter().collect::<Vec<_>>() != oracle.iter().collect::<Vec<_>>() {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let s = ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum).unwrap();
-                        if s != sum_oracle {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let sel = ops::select_eq(&ctx, &left, &AtomValue::Int(1_500)).unwrap();
-                        let ser = reference::select_eq(&left, &AtomValue::Int(1_500));
-                        if sel.iter().collect::<Vec<_>>() != ser.iter().collect::<Vec<_>>() {
-                            failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
+                    let sum_oracle = ops::aggr_scalar(&serial, &left, ops::AggFunc::Sum).unwrap();
+                    let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
+                    if j.iter().collect::<Vec<_>>() != oracle.iter().collect::<Vec<_>>() {
+                        failures.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let s = ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum).unwrap();
+                    if s != sum_oracle {
+                        failures.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let sel = ops::select_eq(&ctx, &left, &AtomValue::Int(1_500)).unwrap();
+                    let ser = reference::select_eq(&left, &AtomValue::Int(1_500));
+                    if sel.iter().collect::<Vec<_>>() != ser.iter().collect::<Vec<_>>() {
+                        failures.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             })
         })
@@ -240,7 +249,7 @@ fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
         let (left2, right2, oracle2) = (&left, &right, &oracle);
         let cancelled2 = Arc::clone(&cancelled);
         s.spawn(move || {
-            let ctx = ExecCtx::new();
+            let ctx = par_ctx(3, 61);
             let token = ctx.cancel_token();
             for round in 0..rounds {
                 let racer = (round % 2 == 1).then(|| {
@@ -250,9 +259,7 @@ fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
                 if round % 2 == 0 {
                     token.cancel();
                 }
-                match par::with_par_config(Some(3), Some(1), Some(61), || {
-                    ops::join_partitioned(&ctx, left2, right2)
-                }) {
+                match ops::join_partitioned(&ctx, left2, right2) {
                     Err(MonetError::Cancelled) => {
                         cancelled2.fetch_add(1, Ordering::Relaxed);
                     }
@@ -268,9 +275,7 @@ fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
                 }
                 // Revive the context; the retry must match the oracle.
                 token.clear();
-                let j = par::with_par_config(Some(3), Some(1), Some(61), || {
-                    ops::join_partitioned(&ctx, left2, right2).unwrap()
-                });
+                let j = ops::join_partitioned(&ctx, left2, right2).unwrap();
                 assert_eq!(
                     j.iter().collect::<Vec<_>>(),
                     *oracle2,
@@ -282,11 +287,9 @@ fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
         for d in 0..2 {
             let (left2, right2, oracle2) = (&left, &right, &oracle);
             s.spawn(move || {
-                let ctx = ExecCtx::new();
+                let ctx = par_ctx(3, 61);
                 for round in 0..rounds {
-                    let j = par::with_par_config(Some(3), Some(1), Some(61), || {
-                        ops::join_partitioned(&ctx, left2, right2).unwrap()
-                    });
+                    let j = ops::join_partitioned(&ctx, left2, right2).unwrap();
                     assert_eq!(
                         j.iter().collect::<Vec<_>>(),
                         *oracle2,
@@ -357,12 +360,12 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         ops::set_aggregate(ctx, ops::AggFunc::Count, &flags)?;
         ops::set_aggregate(ctx, ops::AggFunc::Max, &flags)
     };
-    par::with_threads(1, || {
-        let ctx = ExecCtx::new().with_trace();
+    {
+        let ctx = serial_ctx().with_trace();
         nest_tail(&ctx).unwrap();
         let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
         assert_eq!(algos, ["direct", "packed", "sync", "packed", "direct", "memo"]);
-    });
+    }
     let baseline = typed::scratch_checked_out();
     let oracle = {
         let ctx = ExecCtx::new();
@@ -370,39 +373,35 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
     };
     let mut aborts = 0usize;
     for &k in &[1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {
-        let ctx = ExecCtx::new();
+        let ctx = par_ctx(4, 61);
         ctx.gov.arm_fault("*", k);
-        par::with_par_config(Some(4), Some(1), Some(61), || {
-            let r = ops::join_partitioned(&ctx, &left, &right)
-                .and_then(|_| ops::group1(&ctx, &groups))
-                .and_then(|_| ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum))
-                .and_then(|_| oid_keyed(&ctx).map(|_| ()));
-            match r {
-                Err(MonetError::Injected { .. }) => aborts += 1,
-                Err(e) => panic!("k={k}: unexpected error {e}"),
-                Ok(()) => {} // k past the chain's last probe: ran clean
-            }
-            // Whatever happened, the context is reusable and correct.
-            let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
-            assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: retry diverged");
-        });
+        let r = ops::join_partitioned(&ctx, &left, &right)
+            .and_then(|_| ops::group1(&ctx, &groups))
+            .and_then(|_| ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum))
+            .and_then(|_| oid_keyed(&ctx).map(|_| ()));
+        match r {
+            Err(MonetError::Injected { .. }) => aborts += 1,
+            Err(e) => panic!("k={k}: unexpected error {e}"),
+            Ok(()) => {} // k past the chain's last probe: ran clean
+        }
+        // Whatever happened, the context is reusable and correct.
+        let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
+        assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: retry diverged");
         // The same fault through the serial nest + aggregate tail.
-        let ctx = ExecCtx::new();
+        let ctx = serial_ctx();
         ctx.gov.arm_fault("*", k);
-        match par::with_threads(1, || nest_tail(&ctx)) {
+        match nest_tail(&ctx) {
             Err(MonetError::Injected { .. }) => aborts += 1,
             Err(e) => panic!("k={k}: unexpected error {e}"),
             Ok(_) => {}
         }
         // A cancellation abort in the same round: fires at the first probe.
-        let ctx = ExecCtx::new();
+        let ctx = par_ctx(4, 61);
         ctx.cancel_token().cancel();
-        par::with_par_config(Some(4), Some(1), Some(61), || {
-            match ops::join_partitioned(&ctx, &left, &right) {
-                Err(MonetError::Cancelled) => {}
-                other => panic!("k={k}: pre-cancelled join must abort, got {other:?}"),
-            }
-        });
+        match ops::join_partitioned(&ctx, &left, &right) {
+            Err(MonetError::Cancelled) => {}
+            other => panic!("k={k}: pre-cancelled join must abort, got {other:?}"),
+        }
     }
     assert!(aborts >= 8, "fault schedule barely exercised the kernels ({aborts} aborts)");
     // The compact-domain arms have no probe between taking their scratch
@@ -434,9 +433,9 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         (&|ctx| ops::set_aggregate(ctx, ops::AggFunc::Count, &by_class), "direct"),
     ];
     for (run, algo) in runs {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = serial_ctx().with_trace();
         ctx.mem.set_budget(Some(64 * 1024));
-        match par::with_threads(1, || run(&ctx)) {
+        match run(&ctx) {
             Err(MonetError::BudgetExceeded { .. }) => {}
             other => panic!("{algo}: a 64 KiB budget must abort, got {other:?}"),
         }
