@@ -774,6 +774,32 @@ fn main() {
             "spill/join-spill must actually take the out-of-core path"
         );
         spill_ctx.mem.set_budget(None);
+        // The partition pass alone: with an empty probe side the spilling
+        // join hashes, filters in, stages and writes its build side and
+        // reads nothing back — ns per build row of one partition write.
+        let forced = ctx_with(&|c| {
+            c.threads = 1;
+            c.spill_force = true;
+        });
+        let none = Bat::new(Column::from_oids(vec![]), Column::from_ints(vec![]));
+        recs.push(measure(base.as_ref(), "spill/partition-write", part_build_n, || {
+            ops::join(&forced, &none, &part_right).unwrap();
+        }));
+        // The shape the build-side filter and the sort-free finish are
+        // for: one probe row in ten has a partner, under a `key` right
+        // head (an FK probe into a filtered dimension).
+        let mut r = StdRng::seed_from_u64(43);
+        let selective_left = Bat::new(
+            part_left.head().clone(),
+            Column::from_ints(
+                (0..part_probe_n).map(|_| r.gen_range(0..10 * part_build_n as i32)).collect(),
+            ),
+        );
+        let key_right =
+            Bat::with_inferred_props(part_right.head().clone(), part_right.tail().clone());
+        recs.push(measure(base.as_ref(), "spill/join-spill-selective", part_probe_n, || {
+            ops::join(&forced, &selective_left, &key_right).unwrap();
+        }));
     }
 
     // Per-table compression of the loaded world: physical (encoded) tail

@@ -19,7 +19,9 @@
 //!   [`SlotTable`] addressed by `code - base`, one load per row — no hash,
 //!   no chain, no value compare;
 //! * `spill` — the hash table would not fit the budget headroom, or
-//!   `spill_force` is configured;
+//!   `spill_force` is configured: the rows are hash-partitioned into a
+//!   spill file through the radix join's partition sink
+//!   ([`crate::spill::Partitions`]) and grouped one cluster at a time;
 //! * `hash` / `par-hash` — the presized bucket-chained [`GroupTable`]
 //!   inside a monomorphized typed loop, one table per morsel when parallel.
 //!
@@ -142,12 +144,13 @@ pub(crate) fn hash_group_column(
     }))
 }
 
-/// Out-of-core first-occurrence grouping: hash-cluster the rows into
-/// per-cluster regions of a spill file ([`crate::spill::SpilledClusters`]),
-/// group each cluster alone with a cluster-sized [`GroupTable`], then
-/// renumber the per-cluster provisional gids globally. Only one cluster's
-/// table is ever resident, so the transient working set is bounded by the
-/// largest cluster.
+/// Out-of-core first-occurrence grouping: one partition pass
+/// hash-clusters the rows into a spill file
+/// ([`crate::spill::Partitions`], the radix join's sink), each cluster is
+/// read back and grouped alone with a cluster-sized [`GroupTable`], and
+/// the per-cluster provisional gids are renumbered globally. Only one
+/// cluster's table is ever resident, so the transient working set is
+/// bounded by the largest cluster.
 ///
 /// The renumbering reproduces the serial first-occurrence numbering
 /// exactly: all rows of a value hash to the same cluster, so groups are
@@ -164,16 +167,16 @@ fn spill_group_column(ctx: &ExecCtx, col: &Column) -> Result<(Vec<u32>, Vec<u32>
     // group id, appended cluster by cluster.
     let mut prov_reps: Vec<u32> = Vec::new();
     let r: Result<()> = crate::for_each_typed!(col, |t| {
-        let sc = crate::spill::SpilledClusters::build(ctx, t, bits)?;
+        let parts = crate::spill::Partitions::build(ctx, t, bits, true, |_| true)?;
         let mut buf: Vec<u64> = Vec::new();
-        for c in 0..sc.num_clusters() {
-            if sc.cluster_len(c) == 0 {
+        for c in 0..parts.num_clusters() {
+            if parts.cluster_len(c) == 0 {
                 continue;
             }
-            sc.read_cluster(ctx, c, &mut buf)?;
+            let pairs = parts.cluster(&ctx.gov, c, &mut buf)?;
             let base = prov_reps.len() as u32;
-            let mut table = GroupTable::pooled(buf.len());
-            for &p in &buf {
+            let mut table = GroupTable::pooled(pairs.len());
+            for &p in pairs {
                 let i = crate::typed::pair_pos(p) as usize;
                 let v = t.value(i);
                 let h = t.hash_one(v);

@@ -22,7 +22,14 @@
 //!   is compact ([`crate::costmodel::join_prefers_direct`]): fill a pooled
 //!   position array over the span, probe it with one load;
 //! * `spill` / `partition` / `hash` — the general fallbacks, building a
-//!   hash table on the right head.
+//!   hash table on the right head. `partition` and `spill` are one radix
+//!   join ([`join_radix`]) over [`crate::spill::Partitions`] — one
+//!   partition pass per side, one per-cluster build+probe
+//!   ([`ClusterTable`]), one finish — that differ in where a cluster's
+//!   pairs live. The spilling form partitions the build side first and
+//!   filters the probe side by its hashes ([`HashFilter`]) before anything
+//!   is staged; a `key` right head finishes without a sort in both
+//!   ([`Matches::RightOf`]).
 //!
 //! Every implementation emits in left-BUN order, so all are bit-identical
 //! to [`super::reference::join`], and a full match against a `key` right
@@ -37,6 +44,7 @@ use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
 use crate::props::{ColProps, Props};
+use crate::spill::Partitions;
 use crate::typed::{put_u32, take_u32, OidDomain, TypedVals};
 
 use super::check_comparable;
@@ -62,7 +70,7 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         // The in-memory working set won't fit the budget headroom (or
         // `spill_force` is configured): radix-partition both sides
         // into spill files and build+probe one cluster at a time.
-        (join_spill(ctx, ab, cd)?, "spill")
+        (join_radix(ctx, ab, cd, true)?, "spill")
     } else if crate::costmodel::join_prefers_partitioned(ab.len(), cd.len()) {
         // The build side overflows the cache: radix-partition so each
         // build+probe is cache-resident.
@@ -319,21 +327,38 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
 }
 
 /// Radix-partitioned hash join: cluster both inputs on the same high hash
-/// bits so that every per-cluster build table stays cache-resident
-/// ([`crate::typed::radix_cluster`]), then build+probe cluster by cluster.
-/// The probe walks packed `(hash, pos)` pairs sequentially and compares 32
-/// retained hash bits first, touching actual column values only on a hash
-/// match — so the monolithic path's per-candidate random value reads are
-/// replaced by streaming access over cache-sized windows.
+/// bits so that every per-cluster build table stays cache-resident, then
+/// build+probe cluster by cluster. The probe walks packed `(hash, pos)`
+/// pairs sequentially and compares 32 retained hash bits first, touching
+/// actual column values only on a hash match — so the monolithic path's
+/// per-candidate random value reads are replaced by streaming access over
+/// cache-sized windows.
 ///
 /// The output is re-emitted in left-BUN order (left positions ascending,
 /// right positions ascending per left BUN), bit-identical to [`join_hash`]
 /// and [`super::reference::join`]: each left BUN lands in exactly one
-/// cluster with its matches contiguous and right-ascending, so a stable
-/// radix sort of packed `(left, right)` pairs on the left half
-/// ([`crate::typed::sort_pairs_by_hi`]) restores the global order with
-/// streaming passes.
+/// cluster with its matches contiguous and right-ascending, and
+/// [`finish_partitioned`] restores the global order.
 pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
+    join_radix(ctx, ab, cd, false)
+}
+
+/// The radix join over [`Partitions`]: in memory (`partition`), or with
+/// both sides' pairs in spill files (`spill`) so that only one cluster's
+/// pairs and build table are ever resident and the transient working set
+/// is bounded by the largest cluster, not the operand. Same partition
+/// pass, same per-cluster consumer, same finish; the two differ in where
+/// a cluster lives, and in that only resident clusters are probed in
+/// parallel.
+///
+/// The build side is partitioned first and its hashes fill a
+/// [`HashFilter`] when [`crate::costmodel::join_prefers_filter`] (spilling,
+/// and the filter fits the budget headroom); the probe-side pass tests it, so a left BUN whose hash no right BUN
+/// shares is dropped before it costs a staged pair, a spill write, a
+/// read-back and a probe. Dropped BUNs match nothing, and the survivors
+/// keep their clusters and their order, so the result is the unfiltered
+/// one.
+fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, spill: bool) -> Result<Bat> {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
@@ -342,135 +367,154 @@ pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     // what must stay cache-resident. The probe side only streams through
     // its clusters, whatever their size.
     let bits = crate::typed::radix_bits(cd.len());
-    let threads = super::par_threads(ctx, ab.len().max(cd.len()));
-    // Matches as packed `left << 32 | right`, in cluster order.
-    let mut matches: Vec<u64> = crate::typed::take_u64(ab.len());
-    let lc = crate::for_each_typed!(ab.tail(), |bt| crate::typed::radix_cluster_typed(bt, bits));
-    let rc = crate::for_each_typed!(cd.head(), |ch| crate::typed::radix_cluster_typed(ch, bits));
-    let max_build = rc.max_cluster_rows();
-    if max_build <= SLOT_MASK as usize {
-        if threads > 1 && lc.num_clusters() > 1 {
-            // Clusters are independent: build+probe them in parallel, one
-            // task per contiguous cluster range (balanced by rows, so a
-            // heavy cluster does not serialize the batch). Each task emits
-            // its matches locally; concatenating the parts in range (=
-            // cluster) order reproduces the serial match sequence exactly,
-            // and the final left-radix sort below is the same stable pass
-            // either way.
-            let ranges = cluster_task_ranges(&lc, &rc, threads * 4);
-            let ntasks = ranges.len();
-            // RAII recycling: the dispatched job closures hold `Arc`
-            // clones that can outlive `run_tasks` (a queued job behind
-            // another driver's batch drops its clone only when the worker
-            // dequeues it), so the pair buffers go back to the scratch
-            // pool of whichever thread drops the *last* reference —
-            // promptly in every schedule, instead of leaking to the
-            // allocator whenever a `try_unwrap` lost that race.
-            let lc2 = std::sync::Arc::new(RecycleOnDrop(Some(lc)));
-            let rc2 = std::sync::Arc::new(RecycleOnDrop(Some(rc)));
-            let ltail = ab.tail().clone();
-            let rhead = cd.head().clone();
-            let parts = crate::par::try_run_tasks(
-                &ctx.gov,
-                crate::gov::site::PAR_TASK,
-                ntasks,
-                threads,
-                move |k| {
-                    crate::for_each_typed2!(&ltail, &rhead, |bt, ch| {
-                        let mut local: Vec<u64> = Vec::new();
-                        probe_cluster_range(bt, ch, &lc2, &rc2, ranges[k].clone(), &mut local);
-                        local
-                    })
-                },
-            );
-            // An aborted batch (cancel/deadline/injected fault) must still
-            // return the match buffer to the scratch pool; the cluster
-            // buffers come back via the RecycleOnDrop Arcs either way.
-            let parts: Vec<Vec<u64>> = match parts {
-                Ok(parts) => parts,
-                Err(e) => {
-                    crate::typed::put_u64(matches);
-                    return Err(e);
-                }
-            };
-            for p in &parts {
-                matches.extend_from_slice(p);
+    let mut filter = crate::costmodel::join_prefers_filter(ctx, spill, cd.len())
+        .then(|| HashFilter::pooled(cd.len()));
+    let rc = crate::for_each_typed!(cd.head(), |ch| {
+        Partitions::build(ctx, ch, bits, spill, |h| {
+            if let Some(f) = &mut filter {
+                f.insert(h);
             }
-        } else {
-            crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-                probe_cluster_range(bt, ch, &lc, &rc, 0..lc.num_clusters(), &mut matches)
-            });
-            lc.recycle();
-            rc.recycle();
+            true
+        })
+    })?;
+    let lc = crate::for_each_typed!(ab.tail(), |bt| {
+        Partitions::build(ctx, bt, bits, spill, |h| filter.as_ref().is_none_or(|f| f.contains(h)))
+    })?;
+    drop(filter);
+    let nclusters = lc.num_clusters();
+    let mut matches = Matches::pooled(cd.props().head.key, ab.len());
+    let threads = if spill { 1 } else { super::par_threads(ctx, ab.len().max(cd.len())) };
+    if threads > 1 && nclusters > 1 {
+        // Clusters are independent: build+probe them in parallel, one
+        // task per contiguous cluster range (balanced by rows, so a heavy
+        // cluster does not serialize the batch). Each task emits its
+        // matches locally; taking the parts in range (= cluster) order
+        // reproduces the serial match sequence exactly. The job closures
+        // hold `Arc` clones that can outlive `try_run_tasks` (a queued job
+        // behind another driver's batch drops its clone only when the
+        // worker dequeues it); partitions, tables and match buffers all
+        // return their scratch on drop, so whichever thread lets go last
+        // returns it — also when the batch is aborted.
+        let ranges = cluster_task_ranges(&lc, &rc, threads * 4);
+        let ntasks = ranges.len();
+        let (lc, rc) = (std::sync::Arc::new(lc), std::sync::Arc::new(rc));
+        let (ltail, rhead) = (ab.tail().clone(), cd.head().clone());
+        let gov = std::sync::Arc::clone(&ctx.gov);
+        let parts = crate::par::try_run_tasks(
+            &ctx.gov,
+            crate::gov::site::PAR_TASK,
+            ntasks,
+            threads,
+            move |k| {
+                let mut local = Matches::pooled(false, 0);
+                crate::for_each_typed2!(&ltail, &rhead, |bt, ch| {
+                    probe_clusters(bt, ch, &gov, &lc, &rc, ranges[k].clone(), &mut local)
+                })
+                .map(|()| local)
+            },
+        )?;
+        for part in parts {
+            matches.extend(&part?);
         }
-        return Ok(finish_partitioned(ctx, ab, cd, matches));
+    } else {
+        crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
+            probe_clusters(bt, ch, &ctx.gov, &lc, &rc, 0..nclusters, &mut matches)
+        })?;
     }
-    // Pathological skew: one cluster exceeds the 2^21 rows the slot field
-    // of an epoch-tagged entry can address (duplicate-heavy build sides
-    // hash-collapse into one cluster). Same algorithm with the full-width
-    // per-cluster table — correct for any cluster size, just without the
-    // no-reset trick (and kept serial: this regime is a degenerate join,
-    // not a hot path).
-    crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-        for c in 0..lc.num_clusters() {
-            let (lp, rp) = (&lc.pairs[lc.cluster(c)], &rc.pairs[rc.cluster(c)]);
-            probe_cluster_full(bt, ch, lp, rp, &mut matches);
-        }
-    });
-    lc.recycle();
-    rc.recycle();
     Ok(finish_partitioned(ctx, ab, cd, matches))
 }
 
-/// Out-of-core radix join: the same partition/build/probe algorithm as
-/// [`join_partitioned`], but both sides' `(hash, pos)` pairs are
-/// scattered into per-cluster regions of spill files
-/// ([`crate::spill::SpilledClusters`]) instead of memory, and each
-/// cluster is read back and joined alone — only one cluster's pairs and
-/// build table are ever resident, so the transient working set is
-/// bounded by the largest cluster, not the operand.
-///
-/// Bit-identical to the in-memory paths: the spilled clustering preserves
-/// the stable within-cluster row order, the per-cluster build inserts
-/// newest-first in reverse so chains ascend in right position, the probe
-/// walks left pairs in order ([`probe_cluster_full`]), and
-/// [`finish_partitioned`] restores global left-BUN order with the same
-/// stable sort.
-pub(crate) fn join_spill(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, cd.head());
-        pager::touch_scan(p, ab.tail());
+/// A blocked Bloom filter over the build side's hashes: two bits of one
+/// 64-bit word per key, at 8-16 bits per build row (one probe row in
+/// twenty to forty that cannot match passes). Works on hashes, so one filter
+/// serves every key type. The words come from the scratch pool and return
+/// on drop.
+struct HashFilter {
+    words: Vec<u64>,
+    /// `32 - log2(words.len())`: the word index is the top bits of the
+    /// remixed hash.
+    shift: u32,
+}
+
+impl HashFilter {
+    fn pooled(build_rows: usize) -> HashFilter {
+        let nwords = (build_rows / 8).next_power_of_two();
+        let words = crate::typed::take_u64_zeroed(nwords);
+        HashFilter { words, shift: 32 - nwords.trailing_zeros() }
     }
-    let bits = crate::typed::radix_bits(cd.len());
-    let mut matches: Vec<u64> = crate::typed::take_u64(ab.len());
-    // Immediately-invoked so an abort (spill IO error, injected fault,
-    // cancellation at a spill probe) still recycles the match buffer.
-    let r = (|| -> Result<()> {
-        let ls = crate::for_each_typed!(ab.tail(), |bt| {
-            crate::spill::SpilledClusters::build(ctx, bt, bits)
-        })?;
-        let rs = crate::for_each_typed!(cd.head(), |ch| {
-            crate::spill::SpilledClusters::build(ctx, ch, bits)
-        })?;
-        crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-            let mut lbuf: Vec<u64> = Vec::new();
-            let mut rbuf: Vec<u64> = Vec::new();
-            for c in 0..ls.num_clusters() {
-                if ls.cluster_len(c) == 0 || rs.cluster_len(c) == 0 {
-                    continue;
+
+    /// Word index and two-bit mask of hash `h`. The cluster id and the
+    /// in-cluster bucket already consume the hash's high half as it is, so
+    /// the filter remixes it (one multiply) and draws fresh bits.
+    #[inline]
+    fn slot(&self, h: u64) -> (usize, u64) {
+        let g = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let word = ((g >> 32) >> self.shift) as usize;
+        (word, 1 << ((g >> 32) & 63) | 1 << ((g >> 38) & 63))
+    }
+
+    #[inline]
+    fn insert(&mut self, h: u64) {
+        let (word, mask) = self.slot(h);
+        self.words[word] |= mask;
+    }
+
+    #[inline]
+    fn contains(&self, h: u64) -> bool {
+        let (word, mask) = self.slot(h);
+        self.words[word] & mask == mask
+    }
+}
+
+impl Drop for HashFilter {
+    fn drop(&mut self) {
+        crate::typed::put_u64(std::mem::take(&mut self.words));
+    }
+}
+
+/// Matches of a partitioned join, emitted in cluster order. Pooled; the
+/// buffer returns to the scratch pool on drop.
+enum Matches {
+    /// Packed `left << 32 | right`, one per match.
+    Pairs(Vec<u64>),
+    /// `key` right head: a left BUN has at most one partner, so the match
+    /// is a slot — `right_of[left]`, [`ABSENT`] when none — and left order
+    /// is the array order.
+    RightOf(Vec<u32>),
+}
+
+impl Matches {
+    fn pooled(key: bool, probe_rows: usize) -> Matches {
+        if key {
+            let mut right_of = take_u32(probe_rows);
+            right_of.resize(probe_rows, ABSENT);
+            Matches::RightOf(right_of)
+        } else {
+            Matches::Pairs(crate::typed::take_u64(probe_rows))
+        }
+    }
+
+    /// Append a parallel task's matches.
+    fn extend(&mut self, part: &Matches) {
+        let Matches::Pairs(part) = part else { unreachable!("tasks emit packed pairs") };
+        match self {
+            Matches::Pairs(pairs) => pairs.extend_from_slice(part),
+            Matches::RightOf(right_of) => {
+                for &m in part {
+                    right_of[(m >> 32) as usize] = m as u32;
                 }
-                rs.read_cluster(ctx, c, &mut rbuf)?;
-                ls.read_cluster(ctx, c, &mut lbuf)?;
-                probe_cluster_full(bt, ch, &lbuf, &rbuf, &mut matches);
             }
-            Ok(())
-        })
-    })();
-    if let Err(e) = r {
-        crate::typed::put_u64(matches);
-        return Err(e);
+        }
     }
-    Ok(finish_partitioned(ctx, ab, cd, matches))
+}
+
+impl Drop for Matches {
+    fn drop(&mut self) {
+        match self {
+            Matches::Pairs(pairs) => crate::typed::put_u64(std::mem::take(pairs)),
+            Matches::RightOf(right_of) => put_u32(std::mem::take(right_of)),
+        }
+    }
 }
 
 /// Bits of an epoch-tagged bucket entry addressing the build slot within
@@ -479,178 +523,183 @@ pub(crate) fn join_spill(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 const SLOT_BITS: u32 = 21;
 const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
 
-/// Shares [`RadixClusters`] across parallel probe tasks and returns the
-/// pair buffer to the scratch pool when the last `Arc` holder — caller or
-/// worker, whichever drops later — lets go.
-struct RecycleOnDrop(Option<crate::typed::RadixClusters>);
-
-impl std::ops::Deref for RecycleOnDrop {
-    type Target = crate::typed::RadixClusters;
-
-    fn deref(&self) -> &crate::typed::RadixClusters {
-        self.0.as_ref().expect("clusters live until drop")
-    }
+/// The chain table of the per-cluster build+probe, serving a run of
+/// clusters without per-cluster resets: bucket entries carry the cluster
+/// id in their top bits, so entries left by a previous cluster are
+/// self-invalidating, and `next` needs no reset because a chain only
+/// references slots the current cluster's build just wrote. Buffers come
+/// from the scratch pool of the thread that builds the table — a worker's
+/// pool keeps the table pages warm across tasks — and return on drop.
+struct ClusterTable {
+    buckets: Vec<u32>,
+    next: Vec<u32>,
 }
 
-impl Drop for RecycleOnDrop {
-    fn drop(&mut self) {
-        if let Some(c) = self.0.take() {
-            c.recycle();
+impl ClusterTable {
+    /// A table for clusters of up to `max_build` build rows. 4x buckets:
+    /// ~25% occupancy keeps the chain-entry branch predictably not-taken
+    /// (at 2x it is a coin flip, and the mispredicts cost more than the
+    /// extra — still L1-resident — rows).
+    fn pooled(max_build: usize) -> ClusterTable {
+        let nbuckets = (max_build * 4).next_power_of_two();
+        let mut buckets = take_u32(nbuckets);
+        buckets.resize(nbuckets, ABSENT); // a tag no cluster id matches
+        let mut next = take_u32(max_build);
+        next.resize(max_build, ABSENT);
+        ClusterTable { buckets, next }
+    }
+
+    /// Build on `rpairs`, probe with `lpairs` (both the pairs of cluster
+    /// `c`), emitting `(left, right)` matches in left-pair order, right
+    /// positions ascending per left BUN.
+    ///
+    /// A cluster too large for the slot field of a tagged entry — more
+    /// than 2^21 rows: a duplicate-heavy build side hash-collapsed into
+    /// one cluster — or whose id does not fit the tag is *wide*: it clears
+    /// the buckets, stores plain slots, and clears again so that no later
+    /// cluster reads them as tags. Correct for any cluster size; that
+    /// regime is a degenerate join, not a hot path.
+    fn probe<VL, VR>(
+        &mut self,
+        bt: VL,
+        ch: VR,
+        c: usize,
+        lpairs: &[u64],
+        rpairs: &[u64],
+        emit: impl FnMut(u32, u32),
+    ) where
+        VL: TypedVals,
+        VR: TypedVals<Elem = VL::Elem>,
+    {
+        if lpairs.is_empty() || rpairs.is_empty() {
+            return;
+        }
+        if rpairs.len() > SLOT_MASK as usize || c >= (ABSENT >> SLOT_BITS) as usize {
+            self.buckets.fill(ABSENT);
+            self.build_probe::<true, _, _>(bt, ch, 0, lpairs, rpairs, emit);
+            self.buckets.fill(ABSENT);
+        } else {
+            self.build_probe::<false, _, _>(bt, ch, (c as u32) << SLOT_BITS, lpairs, rpairs, emit);
         }
     }
-}
 
-/// Build+probe one cluster given as `(hash, pos)` pair slices, appending
-/// packed `left << 32 | right` matches in left-pair order (right positions
-/// ascending per left BUN). The full-width twin of [`probe_cluster_range`]:
-/// a chain table sized to this cluster alone with plain slot entries, so it
-/// is correct for any cluster size and wherever the pairs live — the skew
-/// fallback of [`join_partitioned`] and every cluster [`join_spill`] reads
-/// back share it. (The bucket count differs from the epoch-tagged table's,
-/// which cannot affect emission order: a match's chain position depends
-/// only on its slot, and non-matching chain members emit nothing.)
-fn probe_cluster_full<VL, VR>(
-    bt: VL,
-    ch: VR,
-    lpairs: &[u64],
-    rpairs: &[u64],
-    matches: &mut Vec<u64>,
-) where
-    VL: TypedVals,
-    VR: TypedVals<Elem = VL::Elem>,
-{
-    const EMPTY: u32 = u32::MAX;
-    if lpairs.is_empty() || rpairs.is_empty() {
-        return;
-    }
-    let nbuckets = (rpairs.len() * 4).next_power_of_two();
-    let mask = (nbuckets - 1) as u32;
-    let mut buckets: Vec<u32> = crate::typed::take_u32(nbuckets);
-    buckets.resize(nbuckets, EMPTY);
-    let mut next: Vec<u32> = crate::typed::take_u32(rpairs.len());
-    next.resize(rpairs.len(), EMPTY);
-    // Newest-first chains built in reverse iterate in ascending right
-    // position.
-    for (slot, &rp) in rpairs.iter().enumerate().rev() {
-        let b = (crate::typed::pair_hash(rp) & mask) as usize;
-        next[slot] = buckets[b];
-        buckets[b] = slot as u32;
-    }
-    for &lp in lpairs {
-        let h = crate::typed::pair_hash(lp);
-        let mut cur = buckets[(h & mask) as usize];
-        while cur != EMPTY {
-            let rp = rpairs[cur as usize];
-            if crate::typed::pair_hash(rp) == h {
-                let li = crate::typed::pair_pos(lp);
-                let ri = crate::typed::pair_pos(rp);
-                if ch.eq_one(ch.value(ri as usize), bt.value(li as usize)) {
-                    matches.push(((li as u64) << 32) | ri as u64);
-                }
+    /// [`ClusterTable::probe`] with the entry format fixed at compile time
+    /// (a run-time flag in the chain walk measured 13 % on the probe).
+    fn build_probe<const WIDE: bool, VL, VR>(
+        &mut self,
+        bt: VL,
+        ch: VR,
+        tag: u32,
+        lpairs: &[u64],
+        rpairs: &[u64],
+        mut emit: impl FnMut(u32, u32),
+    ) where
+        VL: TypedVals,
+        VR: TypedVals<Elem = VL::Elem>,
+    {
+        let mask = (self.buckets.len() - 1) as u32;
+        // The build slot a bucket entry names, if the entry is this
+        // cluster's.
+        let live = |entry: u32| {
+            if WIDE {
+                entry
+            } else if entry & !SLOT_MASK == tag {
+                entry & SLOT_MASK
+            } else {
+                ABSENT
             }
-            cur = next[cur as usize];
-        }
-    }
-    crate::typed::put_u32(buckets);
-    crate::typed::put_u32(next);
-}
-
-/// Build+probe the clusters in `crange`, appending packed
-/// `left << 32 | right` matches to `matches` in cluster order (left
-/// positions ascending within a cluster, right positions ascending per
-/// left BUN). One epoch-tagged chain table — presized for the range's
-/// largest build cluster, buffers from the caller thread's scratch pool —
-/// serves every cluster of the range without per-cluster resets: bucket
-/// entries carry the (global) cluster id in their top bits, so entries
-/// left by a previous cluster are self-invalidating, and `next` needs no
-/// reset because a chain only references slots the current cluster's
-/// build just wrote. The serial join passes the full cluster range; the
-/// parallel join hands disjoint ranges to the worker pool, where each
-/// worker's thread-local pool keeps the table pages warm across tasks.
-///
-/// Caller guarantees every build cluster in range fits [`SLOT_MASK`]
-/// slots (the dispatcher falls back to the full-width reset variant on
-/// pathological skew).
-fn probe_cluster_range<VL, VR>(
-    bt: VL,
-    ch: VR,
-    lc: &crate::typed::RadixClusters,
-    rc: &crate::typed::RadixClusters,
-    crange: std::ops::Range<usize>,
-    matches: &mut Vec<u64>,
-) where
-    VL: TypedVals,
-    VR: TypedVals<Elem = VL::Elem>,
-{
-    const EMPTY: u32 = u32::MAX;
-    let max_build = crange.clone().map(|c| rc.cluster(c).len()).max().unwrap_or(0);
-    if max_build == 0 {
-        return;
-    }
-    debug_assert!(max_build <= SLOT_MASK as usize);
-    // 4x buckets: ~25% occupancy keeps the chain-entry branch predictably
-    // not-taken (at 2x it is a coin flip, and the mispredicts cost more
-    // than the extra — still L1-resident — rows).
-    let nbuckets = (max_build * 4).next_power_of_two();
-    let mask = (nbuckets - 1) as u32;
-    let mut buckets: Vec<u32> = crate::typed::take_u32(nbuckets);
-    buckets.resize(nbuckets, u32::MAX); // a tag no cluster id can match
-    let mut next: Vec<u32> = crate::typed::take_u32(max_build);
-    next.resize(max_build, EMPTY);
-    for c in crange {
-        let (lr, rr) = (lc.cluster(c), rc.cluster(c));
-        if lr.is_empty() || rr.is_empty() {
-            continue;
-        }
-        let tag = (c as u32) << SLOT_BITS;
-        let rpairs = &rc.pairs[rr.clone()];
-        // Build on the right cluster, newest-first chains: inserting in
-        // reverse makes each chain iterate in ascending right position.
+        };
+        let (buckets, next) = (&mut self.buckets[..], &mut self.next[..rpairs.len()]);
+        // Newest-first chains built in reverse iterate in ascending right
+        // position.
         for (slot, &rp) in rpairs.iter().enumerate().rev() {
             let b = (crate::typed::pair_hash(rp) & mask) as usize;
-            let head = buckets[b];
-            next[slot] = if head >> SLOT_BITS == c as u32 { head & SLOT_MASK } else { EMPTY };
+            next[slot] = live(buckets[b]);
             buckets[b] = tag | slot as u32;
         }
-        // Probe the left cluster in (stable, ascending-position) order:
-        // sequential pair reads, cache-resident chain walks, and value
-        // fetches only on a 32-bit hash match.
-        for &lp in &lc.pairs[lr] {
+        // Probe in (stable, ascending-position) order: sequential pair
+        // reads, cache-resident chain walks, and value fetches only on a
+        // 32-bit hash match.
+        for &lp in lpairs {
             let h = crate::typed::pair_hash(lp);
-            let head = buckets[(h & mask) as usize];
-            let mut cur = if head >> SLOT_BITS == c as u32 { head & SLOT_MASK } else { EMPTY };
-            while cur != EMPTY {
+            let mut cur = live(buckets[(h & mask) as usize]);
+            while cur != ABSENT {
                 let rp = rpairs[cur as usize];
                 if crate::typed::pair_hash(rp) == h {
                     let li = crate::typed::pair_pos(lp);
                     let ri = crate::typed::pair_pos(rp);
                     if ch.eq_one(ch.value(ri as usize), bt.value(li as usize)) {
-                        matches.push(((li as u64) << 32) | ri as u64);
+                        emit(li, ri);
                     }
                 }
                 cur = next[cur as usize];
             }
         }
     }
-    crate::typed::put_u32(buckets);
-    crate::typed::put_u32(next);
+}
+
+impl Drop for ClusterTable {
+    fn drop(&mut self) {
+        put_u32(std::mem::take(&mut self.buckets));
+        put_u32(std::mem::take(&mut self.next));
+    }
+}
+
+/// Build+probe the clusters in `crange` with one [`ClusterTable`],
+/// pushing matches in cluster order — the one per-cluster consumer of the
+/// radix join, wherever the clusters live. The serial join passes the
+/// full cluster range; the parallel join hands disjoint ranges to the
+/// worker pool.
+fn probe_clusters<VL, VR>(
+    bt: VL,
+    ch: VR,
+    gov: &crate::gov::Governor,
+    lc: &Partitions,
+    rc: &Partitions,
+    crange: std::ops::Range<usize>,
+    matches: &mut Matches,
+) -> Result<()>
+where
+    VL: TypedVals,
+    VR: TypedVals<Elem = VL::Elem>,
+{
+    let max_build = crange.clone().map(|c| rc.cluster_len(c)).max().unwrap_or(0);
+    let mut table = ClusterTable::pooled(max_build);
+    let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
+    for c in crange {
+        if lc.cluster_len(c) == 0 || rc.cluster_len(c) == 0 {
+            continue;
+        }
+        let rpairs = rc.cluster(gov, c, &mut rbuf)?;
+        let lpairs = lc.cluster(gov, c, &mut lbuf)?;
+        // One dispatch per cluster, none per match.
+        match matches {
+            Matches::Pairs(pairs) => table.probe(bt, ch, c, lpairs, rpairs, |left, right| {
+                pairs.push((left as u64) << 32 | right as u64)
+            }),
+            Matches::RightOf(right_of) => table
+                .probe(bt, ch, c, lpairs, rpairs, |left, right| right_of[left as usize] = right),
+        }
+    }
+    Ok(())
 }
 
 /// Cut `[0, nclusters)` into at most `target_tasks` contiguous ranges of
 /// roughly equal combined (probe + build) row count, so one heavy cluster
 /// does not serialize the parallel batch.
 fn cluster_task_ranges(
-    lc: &crate::typed::RadixClusters,
-    rc: &crate::typed::RadixClusters,
+    lc: &Partitions,
+    rc: &Partitions,
     target_tasks: usize,
 ) -> Vec<std::ops::Range<usize>> {
     let n = lc.num_clusters();
-    let total: usize = (0..n).map(|c| lc.cluster(c).len() + rc.cluster(c).len()).sum();
+    let rows = |c: usize| lc.cluster_len(c) + rc.cluster_len(c);
+    let total: usize = (0..n).map(rows).sum();
     let per_task = (total / target_tasks.max(1)).max(1);
     let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(target_tasks);
     let (mut start, mut acc) = (0usize, 0usize);
     for c in 0..n {
-        acc += lc.cluster(c).len() + rc.cluster(c).len();
+        acc += rows(c);
         if acc >= per_task {
             ranges.push(start..c + 1);
             start = c + 1;
@@ -666,16 +715,38 @@ fn cluster_task_ranges(
     ranges
 }
 
-/// Shared tail of the partitioned join: restore global left-BUN order
-/// (stable streaming sort on the left half; equal left positions keep
-/// their right-ascending probe order) and materialize the result.
-fn finish_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat, matches: Vec<u64>) -> Bat {
-    let matches = crate::typed::sort_pairs_by_hi(matches);
-    let mut left_idx = take_u32(matches.len());
-    let mut right_idx = take_u32(matches.len());
-    left_idx.extend(matches.iter().map(|&m| (m >> 32) as u32));
-    right_idx.extend(matches.iter().map(|&m| m as u32));
-    crate::typed::put_u64(matches);
+/// Shared tail of the partitioned join: restore global left-BUN order and
+/// materialize the result. Packed pairs take a stable streaming sort on
+/// the left half ([`crate::typed::sort_pairs_by_hi`]; equal left positions
+/// keep their right-ascending probe order). A `right_of` array is in left
+/// order already: one linear, branch-free compaction of its occupied
+/// slots.
+fn finish_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat, mut matches: Matches) -> Bat {
+    let (left_idx, right_idx) = match &mut matches {
+        Matches::Pairs(pairs) => {
+            let sorted = crate::typed::sort_pairs_by_hi(std::mem::take(pairs));
+            let mut left_idx = take_u32(sorted.len());
+            let mut right_idx = take_u32(sorted.len());
+            left_idx.extend(sorted.iter().map(|&m| (m >> 32) as u32));
+            right_idx.extend(sorted.iter().map(|&m| m as u32));
+            *pairs = sorted;
+            (left_idx, right_idx)
+        }
+        Matches::RightOf(right_of) => {
+            let mut left_idx = crate::typed::take_u32_zeroed(right_of.len());
+            let mut right_idx = crate::typed::take_u32_zeroed(right_of.len());
+            let mut found = 0usize;
+            for (left, &right) in right_of.iter().enumerate() {
+                left_idx[found] = left as u32;
+                right_idx[found] = right;
+                found += (right != ABSENT) as usize;
+            }
+            left_idx.truncate(found);
+            right_idx.truncate(found);
+            (left_idx, right_idx)
+        }
+    };
+    drop(matches);
     build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
@@ -928,7 +999,7 @@ mod tests {
             Column::from_ints((0..m).map(|i| (i % (m - 300)) as i32).collect()),
             Column::from_oids((0..m as u64).map(|i| 50_000 + i).collect()),
         );
-        let s = join_spill(&ctx, &left, &right).unwrap();
+        let s = join_radix(&ctx, &left, &right, true).unwrap();
         let h = join_hash(&ctx, &left, &right);
         let p = join_partitioned(&ctx, &left, &right).unwrap();
         assert_eq!(s.len(), h.len());
@@ -938,7 +1009,13 @@ mod tests {
             assert_eq!(s.head().oid_at(i), p.head().oid_at(i), "head vs partition at {i}");
             assert_eq!(s.tail().oid_at(i), p.tail().oid_at(i), "tail vs partition at {i}");
         }
-        assert!(ctx.mem.spilled_bytes() >= ((n + m) * 8) as u64, "both sides hit the spill file");
+        // The build side goes through the file whole, and so does every
+        // probe row that has a partner; most of the rest (tails past the
+        // right head's values) is dropped by the filter before it.
+        let survivors = (0..n).filter(|i| (i * 13) % (m + 700) < m - 300).count();
+        let spilled = ctx.mem.spilled_bytes();
+        assert!(spilled >= ((m + survivors) * 8) as u64, "build side whole + probe survivors");
+        assert!(spilled < ((n + m) * 8) as u64, "the filter kept unmatched rows off the file");
     }
 
     #[test]
@@ -946,8 +1023,8 @@ mod tests {
         let ctx = ExecCtx::new();
         let l = Bat::new(Column::from_oids(vec![]), Column::from_ints(vec![]));
         let r = Bat::new(Column::from_ints(vec![1, 2]), Column::from_oids(vec![5, 6]));
-        assert_eq!(join_spill(&ctx, &l, &r).unwrap().len(), 0);
-        assert_eq!(join_spill(&ctx, &r.mirror(), &l.mirror()).unwrap().len(), 0);
+        assert_eq!(join_radix(&ctx, &l, &r, true).unwrap().len(), 0);
+        assert_eq!(join_radix(&ctx, &r.mirror(), &l.mirror(), true).unwrap().len(), 0);
         let names: Vec<String> = (0..900).map(|i| format!("n{}", i % 320)).collect();
         let left = Bat::new(
             Column::from_oids((0..900).collect()),
@@ -957,7 +1034,7 @@ mod tests {
             Column::from_strs((0..400).map(|i| format!("n{i}")).collect::<Vec<_>>()),
             Column::from_oids((1000..1400).collect()),
         );
-        let s = join_spill(&ctx, &left, &right).unwrap();
+        let s = join_radix(&ctx, &left, &right, true).unwrap();
         let h = join_hash(&ctx, &left, &right);
         assert_eq!(s.len(), h.len());
         for i in 0..s.len() {

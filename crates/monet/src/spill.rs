@@ -1,37 +1,58 @@
-//! Out-of-core spill partitions for the radix operators.
+//! Out-of-core partitions for the radix operators.
 //!
-//! When [`crate::ctx::MemTracker`] says an operator's in-memory working
-//! set will not fit the query's byte budget, the radix join and hash
-//! grouping switch to a partition-then-process shape: both passes of
-//! [`crate::typed::radix_cluster_typed`] are replayed against a spill
-//! file — count, then scatter packed `(hash, pos)` pairs into per-cluster
-//! file regions — and each cluster is read back and processed alone, so
-//! only one cluster's build table is ever resident. The pair format, the
-//! cluster assignment (top hash bits), and the stable within-cluster row
-//! order are identical to the in-memory clustering, which is what lets
-//! the spilling operators reproduce the in-memory result bit for bit.
+//! The radix join and hash grouping partition their input with one
+//! streaming pass ([`crate::typed::partition_pass`]) over a
+//! [`PartitionSink`], then process one cluster at a time. Where a cluster's
+//! packed `(hash, pos)` pairs live is the only thing that differs between
+//! the in-memory and the out-of-core operator, and [`Partitions`] is that
+//! difference: a window of one pooled buffer
+//! ([`crate::typed::RadixClusters`]) or chunks of a [`SpillFile`]. The pair
+//! format, the cluster assignment (top hash bits) and the ascending
+//! within-cluster row order are the same in both, which is what lets the
+//! spilling operators reproduce the in-memory result bit for bit while
+//! only one cluster's pairs and table are resident.
 //!
-//! Spill files live in the configuration's `spill_dir` (default: the
-//! system temp directory), are deleted on drop, and route through the
-//! governor
-//! ([`crate::gov::site::SPILL_WRITE`] / [`crate::gov::site::SPILL_READ`]
-//! probes before every partition flush and read-back — each one a
-//! cancellation/deadline/fault point) and the memory tracker
-//! ([`crate::ctx::MemTracker::add_spilled`]).
+//! **File layout.** A spill file is append-only. Every cluster stages its
+//! pairs in a window of one pooled buffer ([`STAGE_BYTES`] divided by the
+//! fan-out, and never more than 1.5x the expected cluster); a window that
+//! fills up is appended to the file as one *chunk*, and the end of the
+//! pass appends every non-empty window. Per cluster the file keeps the
+//! chunk offsets in write order — all chunks but a cluster's last are
+//! full, so offsets and the cluster length describe the layout — and
+//! [`Partitions::cluster`] reads them back in that order with positioned
+//! reads, which keeps the rows ascending. There is no count pass and no
+//! seek: the input is hashed once, reads and writes carry their offset
+//! (`pread`/`pwrite`), and hash-distributed clusters that fit their
+//! window are one write and one read each.
 //!
-//! The configuration's `spill_force` sends every eligible operator here
-//! (the bit-identity test legs); otherwise dispatch follows the
+//! **Governor and accounting.** [`crate::gov::site::SPILL_WRITE`] is
+//! probed before every chunk written and
+//! [`crate::gov::site::SPILL_READ`] before every cluster read back — each
+//! a cancellation/deadline/fault point. Every chunk that reaches the file
+//! is charged to [`crate::ctx::MemTracker::add_spilled`] when it is
+//! written, so an aborted pass reports what it wrote. Files live in the
+//! configuration's `spill_dir` (default: the system temp directory) and
+//! are deleted on drop, on every exit path.
+//!
+//! **Filter contract.** The `keep` predicate of [`Partitions::build`] sees
+//! the full hash of every row before the row reaches the sink; a refused
+//! row is never staged, written, read back or probed. The sink neither
+//! knows nor cares why — `ops::join` passes a bit-vector test over the
+//! build side's hashes, so a refused probe row could not have matched.
+//!
+//! The configuration's `spill_force` sends every eligible operator to the
+//! file (the bit-identity test legs); otherwise dispatch follows the
 //! [`crate::costmodel`] headroom estimates.
 
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
-use crate::gov::site;
-use crate::typed::TypedVals;
+use crate::gov::{site, Governor};
+use crate::typed::{PartitionSink, RadixClusters, TypedVals};
 
 fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> MonetError {
     MonetError::Store { op, path: path.display().to_string(), detail: e.to_string() }
@@ -58,119 +79,234 @@ fn create_spill_file(dir: Option<&Path>) -> Result<(File, PathBuf)> {
     })
 }
 
-/// Pairs staged per cluster before a positioned flush; bounds the staging
-/// buffer at `clusters * 256 * 8` bytes (2 MiB at the radix fan-out cap).
-const STAGE_PAIRS: usize = 256;
-
-/// One column's packed `(hash, pos)` pairs, hash-clustered on the top
-/// `bits` like [`crate::typed::radix_cluster_typed`] but scattered into
-/// per-cluster regions of a spill file instead of memory. Within a
-/// cluster, positions ascend (rows are appended in scan order), exactly
-/// as in the in-memory clustering. The file is deleted on drop.
-pub(crate) struct SpilledClusters {
-    file: File,
-    path: PathBuf,
-    /// Element (pair) offset of each cluster's region in the file.
-    starts: Vec<u64>,
-    /// Pairs in each cluster.
-    lens: Vec<u32>,
+/// The bytes of `pairs`, as the spill file stores them (native order: a
+/// spill file never outlives its process).
+fn pair_bytes(pairs: &mut [u64]) -> &mut [u8] {
+    // SAFETY: the byte slice covers exactly the `size_of_val(pairs)`
+    // initialized bytes of the exclusively borrowed `pairs` and inherits
+    // its lifetime; `u8` has alignment 1 and no invalid bit pattern, and
+    // every bit pattern written through it is a valid `u64`.
+    unsafe { std::slice::from_raw_parts_mut(pairs.as_mut_ptr().cast::<u8>(), size_of_val(pairs)) }
 }
 
-impl SpilledClusters {
-    /// Two streaming passes over `t`: count pairs per cluster, then
-    /// scatter them (staged, [`STAGE_PAIRS`] per cluster) into the
-    /// cluster regions. Probes [`site::SPILL_WRITE`] before every flush.
-    pub(crate) fn build<V: TypedVals>(ctx: &ExecCtx, t: V, bits: u32) -> Result<SpilledClusters> {
-        assert!(bits <= 16, "spill cluster: {bits} cluster bits (max 16)");
-        let n = t.len();
-        let nclusters = 1usize << bits;
-        let cluster_of = |h: u64| if bits == 0 { 0 } else { (h >> (64 - bits)) as usize };
-        let mut lens = vec![0u32; nclusters];
-        for i in 0..n {
-            lens[cluster_of(t.hash_one(t.value(i)))] += 1;
-        }
-        let mut starts = vec![0u64; nclusters];
-        let mut acc = 0u64;
-        for (s, &l) in starts.iter_mut().zip(&lens) {
-            *s = acc;
-            acc += l as u64;
-        }
-        let (file, path) = create_spill_file(ctx.config().spill_dir.as_deref())?;
-        let sc = SpilledClusters { file, path, starts, lens };
-        // Per-cluster staging plus a write cursor per cluster region.
-        let mut stage = vec![0u64; nclusters * STAGE_PAIRS];
-        let mut fill = vec![0u32; nclusters];
-        let mut cursor = sc.starts.clone();
-        for i in 0..n {
-            let h = t.hash_one(t.value(i));
-            let c = cluster_of(h);
-            let f = fill[c] as usize;
-            stage[c * STAGE_PAIRS + f] = crate::typed::pack_pair(h, i);
-            if f + 1 == STAGE_PAIRS {
-                sc.flush(ctx, &stage[c * STAGE_PAIRS..(c + 1) * STAGE_PAIRS], cursor[c])?;
-                cursor[c] += STAGE_PAIRS as u64;
-                fill[c] = 0;
-            } else {
-                fill[c] = f as u32 + 1;
-            }
-        }
-        for c in 0..nclusters {
-            let f = fill[c] as usize;
-            if f > 0 {
-                sc.flush(ctx, &stage[c * STAGE_PAIRS..c * STAGE_PAIRS + f], cursor[c])?;
-            }
-        }
-        ctx.mem.add_spilled(n as u64 * 8);
-        Ok(sc)
+/// Staging budget of one partition pass, shared by its clusters: a
+/// cluster's window — and so a full chunk — is this divided by the
+/// fan-out (2 KiB at the radix fan-out cap, 16 KiB at 128 clusters).
+const STAGE_BYTES: usize = 2 << 20;
+
+/// One column's packed `(hash, pos)` pairs in a spill file: appended in
+/// chunks as the partition pass fills the clusters' staging windows, read
+/// back one cluster at a time. The file is deleted on drop.
+pub(crate) struct SpillFile {
+    file: File,
+    path: PathBuf,
+    /// Pairs in a full chunk.
+    chunk_pairs: usize,
+    /// Pairs written per cluster.
+    lens: Vec<usize>,
+    /// Per cluster, the pair offset of each of its chunks, in write order.
+    /// All but the last are full.
+    chunks: Vec<Vec<u64>>,
+}
+
+/// The write half of a [`SpillFile`]: the staging windows of one
+/// partition pass. (Borrowed slices and a copied window size rather than
+/// owned buffers and a look through `out`: the pass then keeps their base
+/// pointers in registers across its stores.)
+struct Staging<'a> {
+    ctx: &'a ExecCtx,
+    out: &'a mut SpillFile,
+    /// Slots per cluster window: `out.chunk_pairs`.
+    window: usize,
+    /// `window` slots per cluster.
+    stage: &'a mut [u64],
+    /// Pairs staged per cluster.
+    fill: &'a mut [usize],
+    /// Pairs written so far: where the next chunk goes.
+    end: u64,
+}
+
+impl Staging<'_> {
+    /// Append `stage[start..start + n]` to the file: one governor probe,
+    /// one positioned write, charged once it is written.
+    fn append(&mut self, start: usize, n: usize) -> Result<()> {
+        self.ctx.probe(site::SPILL_WRITE)?;
+        let bytes = pair_bytes(&mut self.stage[start..start + n]);
+        self.out
+            .file
+            .write_all_at(bytes, self.end * 8)
+            .map_err(|e| io_err("spill/write", &self.out.path, e))?;
+        self.ctx.mem.add_spilled(n as u64 * 8);
+        self.end += n as u64;
+        Ok(())
     }
 
-    /// Positioned write of `pairs` at element offset `at` (serial writer:
-    /// the seek+write pair is not thread-safe, and does not need to be).
-    fn flush(&self, ctx: &ExecCtx, pairs: &[u64], at: u64) -> Result<()> {
-        ctx.probe(site::SPILL_WRITE)?;
-        // SAFETY: u64 -> bytes reinterpretation of an initialized slice.
-        let bytes =
-            unsafe { std::slice::from_raw_parts(pairs.as_ptr() as *const u8, pairs.len() * 8) };
-        (&self.file)
-            .seek(SeekFrom::Start(at * 8))
-            .and_then(|_| (&self.file).write_all(bytes))
-            .map_err(|e| io_err("spill/write", &self.path, e))
+    /// A full window is one chunk.
+    #[cold]
+    fn flush(&mut self, c: usize) -> Result<()> {
+        let at = self.end;
+        self.append(c * self.window, self.window)?;
+        self.out.chunks[c].push(at);
+        self.out.lens[c] += self.window;
+        self.fill[c] = 0;
+        Ok(())
+    }
+
+    /// The pass is over: every non-empty window becomes its cluster's last
+    /// chunk. The windows are packed to the front of the staging buffer
+    /// (window `c` starts at or after the packed end, so the copies never
+    /// overlap what is still to move) and go out in one write.
+    fn finish(mut self) -> Result<()> {
+        let mut packed = 0usize;
+        for c in 0..self.fill.len() {
+            let n = self.fill[c];
+            if n > 0 {
+                let start = c * self.window;
+                self.stage.copy_within(start..start + n, packed);
+                self.out.chunks[c].push(self.end + packed as u64);
+                self.out.lens[c] += n;
+                packed += n;
+            }
+        }
+        if packed > 0 {
+            self.append(0, packed)?;
+        }
+        Ok(())
+    }
+}
+
+impl PartitionSink for Staging<'_> {
+    type Stop = MonetError;
+
+    #[inline]
+    fn push(&mut self, c: usize, pair: u64, kept: bool) -> Result<()> {
+        let staged = self.fill[c];
+        self.stage[c * self.window + staged] = pair;
+        self.fill[c] = staged + kept as usize;
+        if staged + kept as usize == self.window {
+            self.flush(c)?;
+        }
+        Ok(())
+    }
+}
+
+impl SpillFile {
+    /// One [`crate::typed::partition_pass`] over `t` into a fresh file.
+    fn write<V: TypedVals>(
+        ctx: &ExecCtx,
+        t: V,
+        bits: u32,
+        keep: impl FnMut(u64) -> bool,
+    ) -> Result<SpillFile> {
+        let nclusters = 1usize << bits;
+        // A hash-distributed cluster fits its window whole when the budget
+        // allows the in-memory padding: one write, one read.
+        let chunk_pairs = ((STAGE_BYTES / 8) >> bits)
+            .min(crate::typed::padded_cluster_rows(t.len(), bits).max(1));
+        let (file, path) = create_spill_file(ctx.config().spill_dir.as_deref())?;
+        let mut out = SpillFile {
+            file,
+            path,
+            chunk_pairs,
+            lens: vec![0; nclusters],
+            chunks: vec![Vec::new(); nclusters],
+        };
+        let mut stage = crate::typed::take_u64_zeroed(nclusters * chunk_pairs);
+        let mut fill = vec![0; nclusters];
+        let mut staging = Staging {
+            ctx,
+            out: &mut out,
+            window: chunk_pairs,
+            stage: &mut stage,
+            fill: &mut fill,
+            end: 0,
+        };
+        let written = crate::typed::partition_pass(t, bits, keep, &mut staging)
+            .and_then(|()| staging.finish());
+        // Finished or aborted, the staging buffer goes back to the pool.
+        crate::typed::put_u64(stage);
+        written.map(|()| out)
+    }
+
+    /// Read cluster `c` back into `buf` (cleared first), chunk by chunk.
+    fn read_cluster(&self, c: usize, buf: &mut Vec<u64>) -> Result<()> {
+        let n = self.lens[c];
+        buf.clear();
+        buf.resize(n, 0);
+        let mut done = 0;
+        for &at in &self.chunks[c] {
+            let len = self.chunk_pairs.min(n - done);
+            self.file
+                .read_exact_at(pair_bytes(&mut buf[done..done + len]), at * 8)
+                .map_err(|e| io_err("spill/read", &self.path, e))?;
+            done += len;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// One column's `(hash, pos)` pairs, hash-clustered on the top `bits`:
+/// resident, or in a spill file. Consumers walk the clusters through
+/// [`Partitions::cluster`] and never learn which.
+pub(crate) enum Partitions {
+    Mem(RadixClusters),
+    File(SpillFile),
+}
+
+impl Partitions {
+    /// Partition the rows of `t` whose hash `keep` accepts (see the module
+    /// docs for its contract) — into a spill file when `spill`, into
+    /// memory otherwise.
+    pub(crate) fn build<V: TypedVals>(
+        ctx: &ExecCtx,
+        t: V,
+        bits: u32,
+        spill: bool,
+        keep: impl FnMut(u64) -> bool,
+    ) -> Result<Partitions> {
+        if spill {
+            SpillFile::write(ctx, t, bits, keep).map(Partitions::File)
+        } else {
+            Ok(Partitions::Mem(crate::typed::radix_cluster_filtered(t, bits, keep)))
+        }
     }
 
     pub(crate) fn num_clusters(&self) -> usize {
-        self.starts.len()
+        match self {
+            Partitions::Mem(rc) => rc.num_clusters(),
+            Partitions::File(f) => f.lens.len(),
+        }
     }
 
     pub(crate) fn cluster_len(&self, c: usize) -> usize {
-        self.lens[c] as usize
+        match self {
+            Partitions::Mem(rc) => rc.cluster(c).len(),
+            Partitions::File(f) => f.lens[c],
+        }
     }
 
-    /// Total pairs across all clusters.
-    #[cfg(test)]
-    pub(crate) fn rows(&self) -> usize {
-        self.lens.iter().map(|&l| l as usize).sum()
-    }
-
-    /// Read cluster `c` back into `buf` (cleared first). Probes
-    /// [`site::SPILL_READ`] before the read.
-    pub(crate) fn read_cluster(&self, ctx: &ExecCtx, c: usize, buf: &mut Vec<u64>) -> Result<()> {
-        ctx.probe(site::SPILL_READ)?;
-        let n = self.lens[c] as usize;
-        buf.clear();
-        buf.resize(n, 0);
-        // SAFETY: any byte pattern is a valid u64; the slice covers
-        // exactly the vector's n initialized elements.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, n * 8) };
-        (&self.file)
-            .seek(SeekFrom::Start(self.starts[c] * 8))
-            .and_then(|_| (&self.file).read_exact(bytes))
-            .map_err(|e| io_err("spill/read", &self.path, e))
-    }
-}
-
-impl Drop for SpilledClusters {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+    /// The pairs of cluster `c`, rows ascending: the resident window, or
+    /// the cluster read back into `buf` after a [`site::SPILL_READ`] probe.
+    pub(crate) fn cluster<'a>(
+        &'a self,
+        gov: &Governor,
+        c: usize,
+        buf: &'a mut Vec<u64>,
+    ) -> Result<&'a [u64]> {
+        match self {
+            Partitions::Mem(rc) => Ok(&rc.pairs[rc.cluster(c)]),
+            Partitions::File(f) => {
+                gov.probe(site::SPILL_READ)?;
+                f.read_cluster(c, buf)?;
+                Ok(buf)
+            }
+        }
     }
 }
 
@@ -179,46 +315,93 @@ mod tests {
     use super::*;
     use crate::column::Column;
 
+    fn spill(ctx: &ExecCtx, col: &Column, bits: u32) -> Result<Partitions> {
+        crate::for_each_typed!(col, |t| Partitions::build(ctx, t, bits, true, |_| true))
+    }
+
+    #[test]
+    fn pair_bytes_is_the_native_byte_image() {
+        let mut pairs = [0x0102_0304_0506_0708u64, u64::MAX, 0];
+        let want: Vec<u8> = pairs.iter().flat_map(|p| p.to_ne_bytes()).collect();
+        assert_eq!(pair_bytes(&mut pairs), &want[..]);
+        assert!(pair_bytes(&mut []).is_empty());
+        // Writes through the view land in the pairs.
+        pair_bytes(&mut pairs[2..])[..8].copy_from_slice(&7u64.to_ne_bytes());
+        assert_eq!(pairs[2], 7);
+    }
+
     #[test]
     fn spilled_clusters_match_in_memory_clustering() {
         let ctx = ExecCtx::new();
-        // Enough rows to fill several staging chunks per cluster, with
-        // string values so the hash path is non-trivial.
-        let vals: Vec<String> = (0..5000).map(|i| format!("v{}", i % 700)).collect();
-        let col = Column::from_strs(vals.iter().map(|s| s.as_str()));
-        for bits in [0u32, 3] {
-            let sc = crate::for_each_typed!(&col, |t| SpilledClusters::build(&ctx, t, bits))
-                .expect("spill build");
-            let rc = crate::for_each_typed!(&col, |t| crate::typed::radix_cluster_typed(t, bits));
-            assert_eq!(sc.num_clusters(), rc.num_clusters());
-            assert_eq!(sc.rows(), col.len());
-            let mut buf = Vec::new();
-            for c in 0..sc.num_clusters() {
-                sc.read_cluster(&ctx, c, &mut buf).expect("spill read");
-                assert_eq!(&buf[..], &rc.pairs[rc.cluster(c)], "cluster {c} (bits {bits})");
+        // String values so the hash path is non-trivial; the second shape
+        // is skewed enough to fill staging windows several times over, so
+        // clusters span many chunks.
+        for (rows, distinct) in [(5000usize, 700usize), (40_000, 3)] {
+            let vals: Vec<String> = (0..rows).map(|i| format!("v{}", i % distinct)).collect();
+            let col = Column::from_strs(vals.iter().map(|s| s.as_str()));
+            for bits in [0u32, 3] {
+                let before = ctx.mem.spilled_bytes();
+                let sp = spill(&ctx, &col, bits).expect("spill build");
+                let mem = crate::for_each_typed!(&col, |t| {
+                    Partitions::build(&ctx, t, bits, false, |_| true)
+                })
+                .expect("memory build");
+                assert_eq!(sp.num_clusters(), mem.num_clusters());
+                let (mut sbuf, mut mbuf) = (Vec::new(), Vec::new());
+                for c in 0..sp.num_clusters() {
+                    let got = sp.cluster(&ctx.gov, c, &mut sbuf).expect("spill read").to_vec();
+                    let want = mem.cluster(&ctx.gov, c, &mut mbuf).expect("resident");
+                    assert_eq!(got, want, "cluster {c} (bits {bits})");
+                    assert_eq!(sp.cluster_len(c), want.len());
+                }
+                // Every pair went through the file, 8 bytes each.
+                assert_eq!(ctx.mem.spilled_bytes() - before, rows as u64 * 8);
+                let Partitions::File(f) = &sp else { unreachable!() };
+                if distinct == 3 && bits == 3 {
+                    assert!(f.chunks.iter().any(|c| c.len() > 2), "skew must span chunks");
+                }
+                let path = f.path.clone();
+                assert!(path.exists());
+                drop(sp);
+                assert!(!path.exists(), "spill file must be deleted on drop");
             }
-            let path = sc.path.clone();
-            assert!(path.exists());
-            drop(sc);
-            assert!(!path.exists(), "spill file must be deleted on drop");
-            rc.recycle();
         }
-        // One spill file per bits setting, 8 bytes per pair.
-        assert_eq!(ctx.mem.spilled_bytes(), 2 * 5000 * 8);
+    }
+
+    #[test]
+    fn refused_rows_never_reach_the_file() {
+        let ctx = ExecCtx::new();
+        let col = Column::from_ints((0..3000).collect());
+        let keep = |h: u64| h & 3 != 0;
+        let sp = crate::for_each_typed!(&col, |t| Partitions::build(&ctx, t, 2, true, keep))
+            .expect("spill build");
+        let kept = (0..col.len()).filter(|&i| keep(col.hash_at(i))).count();
+        let total: usize = (0..sp.num_clusters()).map(|c| sp.cluster_len(c)).sum();
+        assert_eq!(total, kept);
+        assert_eq!(ctx.mem.spilled_bytes(), kept as u64 * 8);
     }
 
     #[test]
     fn spill_probes_are_governed_fault_points() {
         let ctx = ExecCtx::new();
-        let col = Column::from_ints((0..100).collect());
+        // Two values of 5000 rows each overflow their windows twice.
+        let col = Column::from_ints((0..10_000).map(|i| i % 2).collect());
         ctx.gov.arm_fault(site::SPILL_WRITE, 1);
-        let r = crate::for_each_typed!(&col, |t| SpilledClusters::build(&ctx, t, 2));
+        let r = spill(&ctx, &col, 3);
         assert!(matches!(r, Err(MonetError::Injected { site: s, .. }) if s == site::SPILL_WRITE));
-        let sc = crate::for_each_typed!(&col, |t| SpilledClusters::build(&ctx, t, 2)).unwrap();
+        assert_eq!(ctx.mem.spilled_bytes(), 0, "nothing written, nothing charged");
+        // Aborted on the third chunk: the two written ones are accounted.
+        ctx.gov.arm_fault(site::SPILL_WRITE, 3);
+        assert!(spill(&ctx, &col, 3).is_err());
+        let partial = ctx.mem.spilled_bytes();
+        assert!(partial > 0 && partial < 10_000 * 8, "aborted pass reports what it wrote");
+        let sc = spill(&ctx, &col, 3).unwrap();
         ctx.gov.arm_fault(site::SPILL_READ, 1);
         let mut buf = Vec::new();
-        let r = sc.read_cluster(&ctx, 0, &mut buf);
+        let r = sc.cluster(&ctx.gov, 0, &mut buf).map(|_| ());
         assert!(matches!(r, Err(MonetError::Injected { site: s, .. }) if s == site::SPILL_READ));
-        assert!(sc.read_cluster(&ctx, 0, &mut buf).is_ok(), "one-shot fault: retry clean");
+        assert!(sc.cluster(&ctx.gov, 0, &mut buf).is_ok(), "one-shot fault: retry clean");
+        let total: usize = (0..sc.num_clusters()).map(|c| sc.cluster_len(c)).sum();
+        assert_eq!(total, col.len());
     }
 }

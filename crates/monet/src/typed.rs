@@ -995,19 +995,10 @@ scratch_pool!(take_u32, take_u32_zeroed, put_u32, SCRATCH_U32, u32);
 // Radix clustering: the partition kernel of the partitioned hash join.
 // ---------------------------------------------------------------------------
 
-/// Maximum radix bits consumed per clustering pass. Each pass is a stable
-/// counting sort with `2^RADIX_PASS_BITS` output runs; bounding the fan-out
-/// keeps the scatter targets within the TLB/cache reach, which is the whole
-/// point of multi-pass radix clustering.
-pub const RADIX_PASS_BITS: u32 = 8;
-
 /// Rows per cluster the partitioner aims for: small enough that a
 /// bucket-chained table over one cluster (buckets + chain links + the pair
 /// window, ~20 bytes/row) stays L1-resident during the build+probe of that
-/// cluster. Inputs past `2^RADIX_PASS_BITS` times this target take a
-/// second clustering pass, but that pass splits on only the leftover bits
-/// (2-run/4-run streaming splits), far cheaper than the probe stalls the
-/// bigger clusters would cost.
+/// cluster.
 pub const RADIX_TARGET_CLUSTER_ROWS: usize = 1024;
 
 /// Number of cluster bits for a build side of `rows`, so that the expected
@@ -1070,12 +1061,6 @@ pub fn pack_pair(h: u64, pos: usize) -> u64 {
 }
 
 impl RadixClusters {
-    /// Return the pair buffer to the scratch pool. Call when the clusters
-    /// are no longer needed (the join does, once matches are emitted).
-    pub fn recycle(self) {
-        put_u64(self.pairs);
-    }
-
     /// The window of cluster `c` into `pairs`.
     #[inline]
     pub fn cluster(&self, c: usize) -> std::ops::Range<usize> {
@@ -1087,156 +1072,174 @@ impl RadixClusters {
         self.starts.len()
     }
 
-    /// Rows in the largest cluster (presizing per-cluster tables).
-    pub fn max_cluster_rows(&self) -> usize {
-        (0..self.num_clusters()).map(|c| self.cluster(c).len()).max().unwrap_or(0)
-    }
-
     /// The cluster a full 64-bit hash belongs to.
     #[inline]
     pub fn cluster_of(&self, h: u64) -> usize {
-        if self.bits == 0 {
-            0
-        } else {
-            (h >> (64 - self.bits)) as usize
-        }
+        cluster_of(h, self.bits)
     }
 }
 
-/// Cluster bits up to which the counting-free scatter applies (fan-out of
-/// `2^10` padded write streams stays within TLB/cache reach).
+/// The pair buffer goes back to the scratch pool with the clusters,
+/// whichever thread or exit path lets go of them last.
+impl Drop for RadixClusters {
+    fn drop(&mut self) {
+        put_u64(std::mem::take(&mut self.pairs));
+    }
+}
+
+/// Cluster id of a full hash: its top `bits ≤ 32` (0 when `bits == 0`;
+/// the constant shift first keeps it to one variable shift per row).
+#[inline]
+fn cluster_of(h: u64, bits: u32) -> usize {
+    ((h >> 32) >> (32 - bits)) as usize
+}
+
+/// Cluster bits up to which [`radix_bits`] fans out (`2^10` write streams
+/// stay within TLB/cache reach of one scatter pass).
 const COUNTING_FREE_MAX_BITS: u32 = 10;
 
-/// Cluster a column window on the top `bits` of each row's hash, hashing
-/// on the fly (a few ALU ops per pass beat materializing — and re-reading
-/// — a full-width hash array).
-///
-/// The fast path is **counting-free**: one scatter pass into padded
-/// per-cluster regions sized `2×` the expected cluster plus slack, no
-/// histogram pass at all. Hash-distributed inputs essentially never
-/// overflow the padding; skewed inputs (a handful of distinct values) spill
-/// and fall back to the counted two-pass scatter, costing one wasted pass
-/// but never correctness. Inputs needing more than [`RADIX_PASS_BITS`]
-/// cluster bits run extra LSD passes over pooled scratch so one scatter
-/// never exceeds the cache/TLB reach.
-pub fn radix_cluster_typed<V: TypedVals>(t: V, bits: u32) -> RadixClusters {
-    assert!(bits <= 16, "radix_cluster: {bits} cluster bits (max 16)");
-    let n = t.len();
-    if bits == 0 {
-        let mut pairs = take_u64_zeroed(n);
-        for (i, p) in pairs.iter_mut().enumerate() {
-            *p = pack_pair(t.hash_one(t.value(i)), i);
-        }
-        return RadixClusters { pairs, starts: vec![0], ends: vec![n], bits };
-    }
-    let field_shift = 64 - bits; // cluster id = h >> field_shift
-    let nclusters = 1usize << bits;
-    if bits <= COUNTING_FREE_MAX_BITS {
-        // 1.5x the expected cluster plus slack: hash-distributed cluster
-        // sizes concentrate tightly around the mean, so overflow odds are
-        // astronomically small; skew spills to the counted path below.
-        let cap = (n / nclusters) + (n / nclusters) / 2 + 16;
-        let mut pairs = take_u64_zeroed(nclusters * cap);
-        let mut ends: Vec<usize> = (0..nclusters).map(|c| c * cap).collect();
-        let mut spilled = false;
-        for i in 0..n {
-            let h = t.hash_one(t.value(i));
-            let c = (h >> field_shift) as usize;
-            let dst = ends[c];
-            if dst < (c + 1) * cap {
-                pairs[dst] = pack_pair(h, i);
-                ends[c] = dst + 1;
-            } else {
-                spilled = true;
-                break;
-            }
-        }
-        if !spilled {
-            let starts = (0..nclusters).map(|c| c * cap).collect();
-            return RadixClusters { pairs, starts, ends, bits };
-        }
-        put_u64(pairs); // skew overflowed the padding: redo counted
-    }
-    // Counted path: one fused histogram pass over the full cluster-id
-    // field, then stable LSD scatter passes of at most [`RADIX_PASS_BITS`]
-    // bits, lowest chunk first (chunk histograms are derived from the
-    // full-field histogram without touching the input again). The cluster
-    // id lives inside the packed pair (hash bits 48..64 are retained), so
-    // after the first scatter packs the pairs from the source, later
-    // passes stream pairs → pairs directly.
-    let mut field_hist = vec![0usize; nclusters];
-    for i in 0..n {
-        field_hist[(t.hash_one(t.value(i)) >> field_shift) as usize] += 1;
-    }
-    let mut starts = vec![0usize; nclusters];
-    let mut ends = vec![0usize; nclusters];
-    let mut at = 0usize;
-    for c in 0..nclusters {
-        starts[c] = at;
-        at += field_hist[c];
-        ends[c] = at;
-    }
-    let mut pairs = take_u64_zeroed(n);
-    if bits <= RADIX_PASS_BITS {
-        // Single pass: scatter the packed pairs straight from the input.
-        let mut offs = starts.clone();
-        for i in 0..n {
-            let h = t.hash_one(t.value(i));
-            let dst = &mut offs[(h >> field_shift) as usize];
-            pairs[*dst] = pack_pair(h, i);
-            *dst += 1;
-        }
-        return RadixClusters { pairs, starts, ends, bits };
-    }
-    let mut out = take_u64_zeroed(n);
-    let mut done = 0u32;
-    let mut first = true;
-    while done < bits {
-        let pass_bits = RADIX_PASS_BITS.min(bits - done);
-        let mask = (1usize << pass_bits) - 1;
-        let nruns = 1usize << pass_bits;
-        // Chunk histogram: aggregate the full-field histogram over the
-        // other bits of the field.
-        let mut offs = vec![0usize; nruns];
-        for (f, &c) in field_hist.iter().enumerate() {
-            offs[(f >> done) & mask] += c;
-        }
-        let mut sum = 0usize;
-        for o in offs.iter_mut() {
-            let here = *o;
-            *o = sum;
-            sum += here;
-        }
-        if first {
-            let shift = field_shift + done;
-            for i in 0..n {
-                let h = t.hash_one(t.value(i));
-                let dst = &mut offs[(h >> shift) as usize & mask];
-                out[*dst] = pack_pair(h, i);
-                *dst += 1;
-            }
-            first = false;
-        } else {
-            // Field chunk straight from the pair: hash bit k (k ≥ 32) sits
-            // at pair bit k, so the same shift applies.
-            let shift = field_shift + done;
-            for &p in pairs.iter() {
-                let dst = &mut offs[(p >> shift) as usize & mask];
-                out[*dst] = p;
-                *dst += 1;
-            }
-        }
-        std::mem::swap(&mut pairs, &mut out);
-        done += pass_bits;
-    }
-    put_u64(out);
-    RadixClusters { pairs, starts, ends, bits }
+/// Where the pairs of a [`partition_pass`] go. Where a cluster lives is
+/// layout — a padded window of one pooled buffer ([`RadixClusters`]) or
+/// append-only chunks of a spill file ([`crate::spill`]); the pass that
+/// hashes the rows and routes them exists once.
+pub trait PartitionSink {
+    /// Why a pass over this sink ends early (a failed or aborted spill
+    /// write; memory sinks never stop).
+    type Stop;
+
+    /// Append `pair` to `cluster` if `kept`. Calls arrive in ascending row
+    /// order, so appending keeps every cluster stable. A refused pair still
+    /// comes by so that a sink can store it where the next one goes and
+    /// advance by `kept as usize`: a filter's verdict is a coin flip per
+    /// row, and a branch on it mispredicts (measured on a 600k x 150k row
+    /// spilling join at a 70 % match rate: 16.0 ms branching, 12.6 ms not).
+    fn push(&mut self, cluster: usize, pair: u64, kept: bool) -> Result<(), Self::Stop>;
 }
 
-/// [`radix_cluster_typed`] over a precomputed hash slice (kept as the
-/// kernel-level entry point for callers that already hold bulk hashes).
+/// The one streaming radix-partition pass: hash every row of `t` on the
+/// fly (a few ALU ops beat materializing — and re-reading — a full-width
+/// hash array), ask `keep` about the hash, and hand the packed `(hash,
+/// pos)` pair with the verdict to the sink's cluster for the hash's top
+/// `bits`. `keep` sees every row's hash exactly once per pass, in row
+/// order; it must answer the same hash the same way every time, because
+/// [`radix_cluster_filtered`] runs a second pass on skewed input.
+#[inline]
+pub fn partition_pass<V: TypedVals, S: PartitionSink>(
+    t: V,
+    bits: u32,
+    mut keep: impl FnMut(u64) -> bool,
+    sink: &mut S,
+) -> Result<(), S::Stop> {
+    assert!(bits <= 16, "radix partition: {bits} cluster bits (max 16)");
+    for i in 0..t.len() {
+        let h = t.hash_one(t.value(i));
+        sink.push(cluster_of(h, bits), pack_pair(h, i), keep(h))?;
+    }
+    Ok(())
+}
+
+/// Memory sink of the first, counting-free pass: cluster `c` owns the
+/// window `c * cap ..` of one buffer. A window that fills up stops taking
+/// pairs but keeps counting, so a skewed pass ends with the exact lengths
+/// the second pass lays out. (Borrowed slices, not owned vectors: the
+/// pass then keeps the base pointers in registers across its stores —
+/// 3.2 vs 2.6 ns/row over 960k rows.)
+struct PaddedSink<'a> {
+    pairs: &'a mut [u64],
+    cap: usize,
+    lens: &'a mut [usize],
+}
+
+impl PartitionSink for PaddedSink<'_> {
+    type Stop = std::convert::Infallible;
+
+    #[inline]
+    fn push(&mut self, c: usize, pair: u64, kept: bool) -> Result<(), Self::Stop> {
+        let len = self.lens[c];
+        if len < self.cap {
+            self.pairs[c * self.cap + len] = pair;
+        }
+        self.lens[c] = len + kept as usize;
+        Ok(())
+    }
+}
+
+/// Memory sink of the second pass over skewed input: exact windows, one
+/// write cursor per cluster.
+struct ExactSink {
+    pairs: Vec<u64>,
+    cursor: Vec<usize>,
+}
+
+impl PartitionSink for ExactSink {
+    type Stop = std::convert::Infallible;
+
+    #[inline]
+    fn push(&mut self, c: usize, pair: u64, kept: bool) -> Result<(), Self::Stop> {
+        if kept {
+            self.pairs[self.cursor[c]] = pair;
+            self.cursor[c] += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Rows a cluster's window is padded to so that, `rows` rows hashed over
+/// `2^bits` clusters, essentially none overflows: 1.5x the mean plus slack
+/// (cluster sizes concentrate tightly around the mean).
+pub(crate) fn padded_cluster_rows(rows: usize, bits: u32) -> usize {
+    let mean = rows >> bits;
+    if bits == 0 {
+        mean
+    } else {
+        mean + mean / 2 + 16
+    }
+}
+
+/// Cluster the rows of `t` whose hash `keep` accepts on the top `bits` of
+/// their hash ([`partition_pass`] into memory).
+///
+/// The first pass is **counting-free**: one scatter into padded
+/// per-cluster windows ([`padded_cluster_rows`]), no histogram.
+/// Hash-distributed inputs essentially never overflow the padding; skewed
+/// ones (a handful of distinct values) do, and pay a second pass into
+/// exact windows sized by the first one's counts — one wasted scatter,
+/// never correctness.
+pub fn radix_cluster_filtered<V: TypedVals>(
+    t: V,
+    bits: u32,
+    mut keep: impl FnMut(u64) -> bool,
+) -> RadixClusters {
+    let nclusters = 1usize << bits;
+    let cap = padded_cluster_rows(t.len(), bits);
+    let mut pairs = take_u64_zeroed(nclusters * cap);
+    let mut lens = vec![0usize; nclusters];
+    let mut padded = PaddedSink { pairs: &mut pairs, cap, lens: &mut lens };
+    let Ok(()) = partition_pass(t, bits, &mut keep, &mut padded);
+    if lens.iter().all(|&l| l <= cap) {
+        let starts: Vec<usize> = (0..nclusters).map(|c| c * cap).collect();
+        let ends = starts.iter().zip(&lens).map(|(s, l)| s + l).collect();
+        return RadixClusters { pairs, starts, ends, bits };
+    }
+    put_u64(pairs);
+    let mut ends = lens;
+    let mut total = 0usize;
+    for e in ends.iter_mut() {
+        total += *e;
+        *e = total;
+    }
+    let starts: Vec<usize> =
+        std::iter::once(0).chain(ends.iter().copied()).take(nclusters).collect();
+    let mut exact = ExactSink { pairs: take_u64_zeroed(total), cursor: starts.clone() };
+    let Ok(()) = partition_pass(t, bits, keep, &mut exact);
+    RadixClusters { pairs: exact.pairs, starts, ends, bits }
+}
+
+/// [`radix_cluster_filtered`] over a precomputed hash slice, keeping every
+/// row (kept as the kernel-level entry point for callers that already hold
+/// bulk hashes).
 pub fn radix_cluster(hashes: &[u64], bits: u32) -> RadixClusters {
-    radix_cluster_typed(HashSliceVals(hashes), bits)
+    radix_cluster_filtered(HashSliceVals(hashes), bits, |_| true)
 }
 
 /// Adapter treating a `&[u64]` of precomputed hashes as a [`TypedVals`]
@@ -1509,10 +1512,11 @@ mod tests {
 
     #[test]
     fn radix_cluster_is_a_stable_partition() {
-        // Hashes chosen so several values share a cluster; multi-pass is
-        // exercised by asking for more bits than one pass covers.
-        for bits in [0u32, 3, RADIX_PASS_BITS + 2] {
-            let hashes: Vec<u64> = (0..500u64).map(|i| fxhash64(i % 97)).collect();
+        // Hashes chosen so several values share a cluster; five distinct
+        // values overflow the padded windows, so the last setting takes
+        // the exact second pass.
+        for (distinct, bits) in [(97u64, 0u32), (97, 3), (97, 10), (5, 6)] {
+            let hashes: Vec<u64> = (0..500u64).map(|i| fxhash64(i % distinct)).collect();
             let rc = radix_cluster(&hashes, bits);
             assert_eq!(rc.num_clusters(), 1 << bits);
             // Windows cover every row exactly once (the padded layout may
@@ -1541,6 +1545,24 @@ mod tests {
                 }
             }
             assert!(seen.iter().all(|&s| s), "bits {bits}: rows lost");
+        }
+    }
+
+    #[test]
+    fn filtered_clustering_drops_exactly_the_refused_hashes() {
+        // Padded and exact (skewed) layouts alike; `keep` is consulted in
+        // both passes of the latter and must not double-count.
+        for (distinct, bits) in [(97u64, 3u32), (5, 6)] {
+            let hashes: Vec<u64> = (0..500u64).map(|i| fxhash64(i % distinct)).collect();
+            let keep = |h: u64| h & 1 == 0;
+            let rc = radix_cluster_filtered(HashSliceVals(&hashes), bits, keep);
+            let kept: Vec<u32> = (0..rc.num_clusters())
+                .flat_map(|c| rc.pairs[rc.cluster(c)].iter().map(|&p| pair_pos(p)))
+                .collect();
+            let mut sorted = kept.clone();
+            sorted.sort_unstable();
+            let want: Vec<u32> = (0..500u32).filter(|&i| keep(hashes[i as usize])).collect();
+            assert_eq!(sorted, want, "bits {bits}");
         }
     }
 

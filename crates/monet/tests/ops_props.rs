@@ -1846,3 +1846,177 @@ fn packed_group2_and_unique_match_reference_over_every_coded_pair() {
     assert_eq!(ops::group2(&ctx, &none, &none).unwrap().len(), 0);
     assert_eq!(ops::unique(&ctx, &none).unwrap().len(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// The out-of-core radix join and grouping over the partition sink
+// (`monet::spill`): the filtered spill join and the spill grouping vs
+// `ops::reference` at eps 0.0, with the dispatched algorithm asserted
+// through the trace and the filter's work read off `spilled_bytes`.
+// ---------------------------------------------------------------------------
+
+/// One thread, every eligible join and group through the spill file.
+fn spill_ctx() -> ExecCtx {
+    let cfg = EngineConfig { threads: 1, spill_force: true, ..EngineConfig::default() };
+    ExecCtx::with_config(std::sync::Arc::new(cfg)).with_trace()
+}
+
+/// Key kinds of the spill sweeps: oid, int, dbl, str, and str again with
+/// the probe side dictionary-encoded.
+const KEY_KINDS: usize = 5;
+
+/// The column of kind `kind` holding key number `k` for every `k` of `keys`.
+fn key_column_of(kind: usize, keys: &[u64]) -> Column {
+    match kind {
+        0 => Column::from_oids(keys.iter().map(|&k| 1000 + 7 * k).collect()),
+        1 => Column::from_ints(keys.iter().map(|&k| 13 * k as i32 - 5000).collect()),
+        2 => Column::from_dbls(keys.iter().map(|&k| k as f64 * 0.5 - 3.0).collect()),
+        _ => Column::from_strs(keys.iter().map(|&k| format!("key-{k}")).collect::<Vec<_>>()),
+    }
+}
+
+/// `ops::join` of `[oid, key]` with `[key, int]` under forced spill: the
+/// `spill` arm must take it and reproduce `reference::join` exactly.
+/// Returns the bytes the join wrote to its spill files.
+fn check_spill_join(kind: usize, left: &[u64], right: &[u64], infer: bool, tag: &str) -> u64 {
+    let ctx = spill_ctx();
+    let mut tail = key_column_of(kind, left);
+    if kind == 4 {
+        tail = tail.encode(false);
+    }
+    let ab = Bat::new(Column::from_oids((0..left.len() as u64).map(|i| 9 * i + 1).collect()), tail);
+    let (head, vals) =
+        (key_column_of(kind, right), Column::from_ints((0..right.len() as i32).collect()));
+    let cd = if infer { Bat::with_inferred_props(head, vals) } else { Bat::new(head, vals) };
+    let got = ops::join(&ctx, &ab, &cd).unwrap();
+    assert_eq!(last_algo(&ctx), "spill", "{tag} kind {kind}");
+    assert_eq!(rows_of(&got), rows_of(&reference::join(&ab, &cd)), "{tag} kind {kind}");
+    ctx.mem.spilled_bytes()
+}
+
+/// `n` draws from `lo..hi`, in random order with repetition.
+fn draws(rng: &mut StdRng, n: usize, lo: u64, hi: u64) -> Vec<u64> {
+    (0..n).map(|_| rng.gen_range(lo..hi)).collect()
+}
+
+#[test]
+fn filtered_spill_join_matches_reference_over_every_key_kind_and_shape() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x51);
+    let pair_bytes = |rows: usize| rows as u64 * 8;
+    for kind in 0..KEY_KINDS {
+        // 1500 build rows: two clusters. Probe keys 0..3000 hit half the
+        // time. A `key` right head (inferred) takes the sort-free finish,
+        // an undeclared or duplicated one the sort.
+        let build = shuffled_oids(&mut rng, 0, 1500, 1500);
+        let probe = draws(&mut rng, 2500, 0, 3000);
+        let hits = probe.iter().filter(|&&k| k < 1500).count();
+        let encoded = key_column_of(4, &probe).encode(false).encoding();
+        assert_eq!(encoded, monet::props::Enc::Dict, "kind 4 must probe with dictionary codes");
+        for infer in [true, false] {
+            let spilled = check_spill_join(kind, &probe, &build, infer, "half match");
+            assert!(spilled >= pair_bytes(1500 + hits), "build side whole + probe survivors");
+            assert!(
+                spilled < pair_bytes(1500 + hits + (2500 - hits) / 4),
+                "filter dropped the rest"
+            );
+        }
+        let dup_build = draws(&mut rng, 1500, 0, 400);
+        check_spill_join(kind, &probe, &dup_build, true, "duplicate right heads");
+        // No probe key occurs on the build side: (next to) nothing of the
+        // probe side reaches its file, and nothing comes out.
+        let apart = draws(&mut rng, 2500, 5000, 9000);
+        let spilled = check_spill_join(kind, &apart, &build, true, "no match");
+        assert!(spilled < pair_bytes(1500 + 2500 / 4), "an all-miss probe side stays off the file");
+        // Every probe row finds its one partner.
+        let all_hit = draws(&mut rng, 2500, 0, 1500);
+        let spilled = check_spill_join(kind, &all_hit, &build, true, "full match");
+        assert_eq!(spilled, pair_bytes(1500 + 2500), "a full match drops nothing");
+        // One cluster (bits 0), and one value carrying most of a build
+        // side whose other clusters stay small.
+        check_spill_join(
+            kind,
+            &draws(&mut rng, 300, 0, 120),
+            &shuffled_oids(&mut rng, 0, 100, 100),
+            true,
+            "bits 0",
+        );
+        let mut skewed = vec![7u64; 3000];
+        skewed.extend(shuffled_oids(&mut rng, 0, 1200, 1200));
+        let mut few = draws(&mut rng, 400, 0, 1300);
+        few[9] = 7;
+        few[300] = 7;
+        check_spill_join(kind, &few, &skewed, false, "skewed cluster");
+        // Empty operands, either side and both: the build side still goes
+        // through the file, and no probe row survives an empty filter.
+        for (l, r) in [(&[][..], &build[..]), (&probe[..], &[][..]), (&[][..], &[][..])] {
+            let spilled = check_spill_join(kind, l, r, false, "empty operand");
+            assert_eq!(spilled, pair_bytes(r.len()));
+        }
+    }
+}
+
+#[test]
+fn spill_join_without_its_filter_is_the_same_join() {
+    // 2048 build rows want a 2 KiB filter; under a 1500-byte budget (enough
+    // for the handful of result rows) it is refused, every probe row goes
+    // through the file, and the result does not change.
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x52);
+    let build = shuffled_oids(&mut rng, 0, 2048, 2048);
+    let mut probe = draws(&mut rng, 3000, 4000, 9000);
+    for (i, k) in [(17usize, 5u64), (900, 2047), (2999, 5)] {
+        probe[i] = k;
+    }
+    let ab = Bat::new(Column::void(0, probe.len()), key_column_of(1, &probe));
+    let cd = Bat::with_inferred_props(key_column_of(1, &build), Column::void(0, build.len()));
+    let expect = rows_of(&reference::join(&ab, &cd));
+    assert_eq!(expect.len(), 3);
+    let tight = ExecCtx::new().with_trace();
+    tight.mem.set_budget(Some(1500));
+    let got = ops::join(&tight, &ab, &cd).unwrap();
+    assert_eq!(last_algo(&tight), "spill", "the budget forces the join out of core");
+    assert_eq!(rows_of(&got), expect);
+    assert_eq!(tight.mem.spilled_bytes(), (2048 + 3000) * 8, "no filter: both sides whole");
+    let roomy = spill_ctx();
+    let got = ops::join(&roomy, &ab, &cd).unwrap();
+    assert_eq!(rows_of(&got), expect);
+    assert!(
+        roomy.mem.spilled_bytes() < (2048 + 3000 / 4) * 8,
+        "with it, the misses stay off the file"
+    );
+}
+
+#[test]
+fn spill_grouping_numbers_like_hash_grouping_over_every_key_kind() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x53);
+    for kind in 0..KEY_KINDS {
+        // 300 rows: one cluster; 5000 rows: several, 40 of the keys heavy.
+        for (n, distinct) in [(300usize, 50u64), (5000, 1700), (0, 1)] {
+            let mut keys = draws(&mut rng, n, 0, distinct);
+            keys.iter_mut().step_by(3).for_each(|k| *k %= 40);
+            let mut tail = key_column_of(kind, &keys);
+            if kind == 4 {
+                tail = tail.encode(false);
+            }
+            let b = Bat::new(Column::void(0, n), tail);
+            let tag = format!("kind {kind}, {n} rows");
+            let mem = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
+                threads: 1,
+                ..EngineConfig::default()
+            }))
+            .with_trace();
+            let in_memory = ops::group1(&mem, &b).unwrap();
+            assert!(matches!(last_algo(&mem), "hash" | "direct"), "{tag}");
+            let ctx = spill_ctx();
+            let spilled = ops::group1(&ctx, &b).unwrap();
+            assert_eq!(last_algo(&ctx), "spill", "{tag}");
+            assert_eq!(ctx.mem.spilled_bytes(), n as u64 * 8, "{tag}: every row through the file");
+            assert_eq!(canon_gids(spilled.tail()), canon_gids(in_memory.tail()), "{tag}");
+            assert_eq!(canon_gids(spilled.tail()), reference::group1_gids(&b), "{tag}");
+            // The `{g}` head grouping shares the kernel and the sink.
+            let m = b.mirror();
+            let got = ops::set_aggregate(&ctx, ops::AggFunc::Count, &m).unwrap();
+            assert_eq!(last_algo(&ctx), "spill", "{tag}: {{count}}");
+            let expect = reference::set_aggregate(ops::AggFunc::Count, &m).unwrap();
+            assert_eq!(rows_of(&got), rows_of(&expect), "{tag}: {{count}}");
+        }
+    }
+}

@@ -450,3 +450,171 @@ fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
         std::thread::sleep(Duration::from_millis(50));
     }
 }
+
+/// A scratch directory of this test binary, recreated empty.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("flatalg-fault-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&d);
+    std::fs::create_dir_all(&d).unwrap();
+    d
+}
+
+/// One thread, every eligible join and group through spill files in `dir`.
+fn forced_spill(dir: &std::path::Path) -> monet::ctx::ExecCtx {
+    monet::ctx::ExecCtx::with_config(Arc::new(EngineConfig {
+        threads: 1,
+        spill_force: true,
+        spill_dir: Some(dir.to_path_buf()),
+        ..EngineConfig::default()
+    }))
+}
+
+/// A join and a grouping whose heavy value overflows its cluster's staging
+/// window several times, so both write more than one chunk per file, and
+/// whose probe side is part filtered, part matched.
+fn spill_operands() -> (monet::bat::Bat, monet::bat::Bat, monet::bat::Bat) {
+    use monet::bat::Bat;
+    use monet::column::Column;
+    let left = Bat::new(
+        Column::from_oids((0..8000u64).collect()),
+        Column::from_ints(
+            (0..8000).map(|i| if i % 2500 == 0 { 7 } else { i * 31 % 1500 }).collect(),
+        ),
+    );
+    let right = Bat::new(
+        Column::from_ints((0..5000).map(|i| if i < 2000 { i % 1200 } else { 7 }).collect()),
+        Column::from_oids((0..5000u64).collect()),
+    );
+    let groups = Bat::new(
+        Column::from_oids((0..20_000u64).collect()),
+        Column::from_ints((0..20_000).map(|i| if i % 3 == 0 { -1 } else { i * 7 % 997 }).collect()),
+    );
+    (left, right, groups)
+}
+
+/// Out-of-core governance: a fault at *every* `spill/write` and
+/// `spill/read` probe of a forced-spill join and of a forced-spill
+/// grouping aborts typed, leaves no file in `spill_dir`, retries
+/// bit-identically on the same context, and returns every pooled buffer
+/// the operator held at that point — the hash filter, the staging windows,
+/// the `right_of` / match buffer, the read-back clusters' chain table.
+#[test]
+fn injected_faults_at_every_spill_probe_leave_no_file_and_return_scratch() {
+    use std::time::{Duration, Instant};
+
+    use monet::gov::site;
+    use monet::{ops, typed};
+
+    let dir = scratch_dir("spill-sweep");
+    let (left, right, groups) = spill_operands();
+    let keyed = monet::bat::Bat::with_inferred_props(
+        monet::column::Column::from_ints((0..1500).map(|i| i * 7 % 1500).collect()),
+        monet::column::Column::from_oids((0..1500u64).collect()),
+    );
+    assert!(keyed.props().head.key, "the second join must take the sort-free finish");
+    type Rows = Vec<(monet::atom::AtomValue, monet::atom::AtomValue)>;
+    let run = |ctx: &monet::ctx::ExecCtx| -> monet::error::Result<(Rows, Rows, usize)> {
+        let sorted = ops::join(ctx, &left, &right)?;
+        let sort_free = ops::join(ctx, &left, &keyed)?;
+        let grouped = ops::group1(ctx, &groups)?;
+        Ok((sorted.iter().collect(), sort_free.iter().collect(), grouped.len()))
+    };
+    let baseline = typed::scratch_checked_out();
+    let oracle = {
+        let ctx = forced_spill(&dir).with_trace();
+        let r = run(&ctx).unwrap();
+        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        assert_eq!(algos, ["spill", "spill", "spill"]);
+        r
+    };
+    let in_memory = run(&monet::ctx::ExecCtx::new()).unwrap();
+    assert_eq!((&oracle.0, &oracle.1), (&in_memory.0, &in_memory.1), "spill vs in-memory join");
+    for (what, min_points) in [(site::SPILL_WRITE, 8u64), (site::SPILL_READ, 30)] {
+        let mut k = 0u64;
+        loop {
+            k += 1;
+            let ctx = forced_spill(&dir);
+            ctx.gov.arm_fault(what, k);
+            match run(&ctx) {
+                Err(MonetError::Injected { site: s, .. }) => assert_eq!(s, what),
+                Err(e) => panic!("{what} #{k}: unexpected error {e}"),
+                // Past the chain's last probe of this site: the sweep is
+                // complete (the armed fault dies with the context).
+                Ok(r) => {
+                    assert_eq!(r, oracle);
+                    break;
+                }
+            }
+            let left_behind = std::fs::read_dir(&dir).unwrap().count();
+            assert_eq!(left_behind, 0, "{what} #{k}: aborted operator left its spill file");
+            assert_eq!(run(&ctx).unwrap(), oracle, "{what} #{k}: retry diverged");
+        }
+        assert!(k > min_points, "{what}: only {k} points — the operands no longer span chunks");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+    // Concurrent tests hold checkouts transiently; poll for quiescence. A
+    // real abort-path leak never settles back to the baseline.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let now = typed::scratch_checked_out();
+        if now <= baseline {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "spill aborts leaked scratch: baseline {baseline}, now {now}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// A `spill_dir` that cannot hold files — a regular file, a directory
+/// without write permission — fails the first spilling operator with a
+/// typed store error naming the file it tried to create, and creates
+/// nothing.
+#[test]
+fn an_unusable_spill_dir_is_a_typed_store_error_and_creates_nothing() {
+    use std::os::unix::fs::PermissionsExt;
+
+    use monet::ops;
+
+    let (left, right, groups) = spill_operands();
+    let root = scratch_dir("spill-unusable");
+    let file = root.join("not-a-directory");
+    std::fs::write(&file, b"occupied").unwrap();
+    let locked = root.join("read-only");
+    std::fs::create_dir(&locked).unwrap();
+    std::fs::set_permissions(&locked, std::fs::Permissions::from_mode(0o555)).unwrap();
+    // A privileged user (the CI container's root) writes through the mode
+    // bits; that leg then has nothing to observe.
+    let enforced = std::fs::write(locked.join("probe"), b"").is_err();
+    let _ = std::fs::remove_file(locked.join("probe"));
+    for (dir, checked) in [(&file, true), (&locked, enforced)] {
+        if !checked {
+            continue;
+        }
+        for spilling in ["join", "group"] {
+            let ctx = forced_spill(dir);
+            let r = match spilling {
+                "join" => ops::join(&ctx, &left, &right),
+                _ => ops::group1(&ctx, &groups),
+            };
+            match r {
+                Err(MonetError::Store { op: "spill/write", path, .. }) => {
+                    assert!(path.starts_with(dir.to_str().unwrap()), "{spilling}: {path}")
+                }
+                other => panic!(
+                    "{spilling} into {}: expected a store error, got {other:?}",
+                    dir.display()
+                ),
+            }
+            assert_eq!(ctx.mem.spilled_bytes(), 0, "{spilling}: nothing was written");
+        }
+    }
+    assert_eq!(std::fs::read(&file).unwrap(), b"occupied");
+    assert_eq!(std::fs::read_dir(&locked).unwrap().count(), 0);
+    assert_eq!(std::fs::read_dir(&root).unwrap().count(), 2, "nothing created next to them");
+    std::fs::set_permissions(&locked, std::fs::Permissions::from_mode(0o755)).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+}

@@ -31,6 +31,13 @@ fn serial_ctx() -> ExecCtx {
     ExecCtx::with_config(Arc::new(EngineConfig { threads: 1, ..EngineConfig::default() }))
 }
 
+/// A fresh one-thread context that sends every eligible join and group
+/// through spill files (in the system temp directory).
+fn spill_ctx() -> ExecCtx {
+    let cfg = EngineConfig { threads: 1, spill_force: true, ..EngineConfig::default() };
+    ExecCtx::with_config(Arc::new(cfg))
+}
+
 /// Concurrent checkout/return: every live buffer must be exclusively
 /// owned. The pools are thread-local, so the claim under test is that a
 /// buffer is never handed out twice *while still checked out* — on the
@@ -395,6 +402,20 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
             Err(e) => panic!("k={k}: unexpected error {e}"),
             Ok(_) => {}
         }
+        // And through the out-of-core join and grouping, whose probes sit
+        // between taking the hash filter, the staging windows, the match
+        // buffer and the chain table and giving them back.
+        let ctx = spill_ctx().with_trace();
+        ctx.gov.arm_fault("*", k);
+        match ops::join(&ctx, &left, &right).and_then(|_| ops::group1(&ctx, &groups)) {
+            Err(MonetError::Injected { .. }) => aborts += 1,
+            Err(e) => panic!("k={k}: unexpected error {e}"),
+            Ok(_) => {}
+        }
+        ctx.gov.disarm_fault(); // k past the chain's last probe
+        let j = ops::join(&ctx, &left, &right).unwrap();
+        assert_eq!(ctx.take_trace().last().unwrap().algo, "spill");
+        assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: spill retry diverged");
         // A cancellation abort in the same round: fires at the first probe.
         let ctx = par_ctx(4, 61);
         ctx.cancel_token().cancel();
