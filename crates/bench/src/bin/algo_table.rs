@@ -3,8 +3,10 @@
 //! Runs the eleven queries whose MOA builders `tpcd_queries` exports (Q6,
 //! Q8, Q11 and Q14 are private multi-statement drivers) with a tracing
 //! context, takes the per-statement median of `RUNS` executions, and
-//! prints (1) every statement at or above 1 ms per query and (2) the
-//! share of the summed statement time each `(op, algo)` pair carries —
+//! prints (1) every statement at or above 1 ms per query, with its result's
+//! rows and bytes (ms over rows is what exposes a row-at-a-time statement),
+//! and (2) the share of the summed statement time each `(op, algo)` pair
+//! carries —
 //! the attribution table ROADMAP item 1 orders its work by.
 //!
 //! Usage: `FLATALG_SF=0.1 FLATALG_THREADS=1 cargo run --release -p bench --bin algo_table
@@ -103,18 +105,21 @@ fn main() {
             let op = op_name(&stmt.op);
             *shares.entry((op, s.algo)).or_default() += m;
             if every || m >= 1.0 {
-                println!("  {m:>8.1} ms  {op:>9}/{:<12} {}", s.algo, s.rendered);
+                println!(
+                    "  {m:>8.1} ms {:>9} rows {:>10} B  {op:>9}/{:<16} {}",
+                    s.result_len, s.result_bytes, s.algo, s.rendered
+                );
             }
         }
     }
 
-    println!("\n{:>9} {:<14} {:>9} {:>7}", "op", "algo", "ms", "share");
+    println!("\n{:>9} {:<16} {:>9} {:>7}", "op", "algo", "ms", "share");
     let mut rows: Vec<_> = shares.into_iter().collect();
     rows.sort_by(|a, b| b.1.total_cmp(&a.1));
     for ((op, algo), m) in rows {
         if m > 0.0 {
-            println!("{op:>9} {algo:<14} {m:>9.1} {:>6.1}%", 100.0 * m / total);
+            println!("{op:>9} {algo:<16} {m:>9.1} {:>6.1}%", 100.0 * m / total);
         }
     }
-    println!("{:>9} {:<14} {total:>9.1} {:>6.1}%", "total", "", 100.0);
+    println!("{:>9} {:<16} {total:>9.1} {:>6.1}%", "total", "", 100.0);
 }

@@ -339,6 +339,13 @@ fn main() {
         Column::from_oids((0..n as u64).map(|i| 1000 + i * 7919 % n as u64).collect()),
     );
 
+    // The other side of an oid comparison (Q9's supplier-of-item =
+    // supplier-of-supply): every third reference agrees.
+    let oid_y = Bat::new(
+        head.clone(),
+        Column::from_oids((0..n as u64).map(|i| 1000 + (i * 7919 + i % 3) % n as u64).collect()),
+    );
+
     // --- group_aggregate group inputs ------------------------------------
     let unsorted_keys = Bat::new(
         head.clone(),
@@ -424,6 +431,24 @@ fn main() {
     recs.push(measure(base.as_ref(), "semijoin/bitmap", n, || {
         ops::semijoin(&ctx, &unsorted, &sel).unwrap();
     }));
+    // A selection re-assembling one attribute of a 600 k-object class: the
+    // head is dense, so the cost is per *selected* row, whatever the class
+    // size (a merge pays per class row too).
+    let class_n = 600_000usize;
+    let class_attr = Bat::new(
+        Column::void(1000, class_n),
+        Column::from_dbls((0..class_n).map(|i| i as f64).collect()),
+    );
+    for (name, step) in
+        [("semijoin/dense-sorted-sel-1pct", 100), ("semijoin/dense-sorted-sel-50pct", 2)]
+    {
+        let oids: Vec<u64> = (0..class_n as u64).step_by(step).map(|i| 1000 + i).collect();
+        let picked_n = oids.len();
+        let picked = Bat::with_inferred_props(Column::from_oids(oids), Column::void(0, picked_n));
+        recs.push(measure(base.as_ref(), name, picked_n, || {
+            ops::semijoin(&ctx, &class_attr, &picked).unwrap();
+        }));
+    }
     recs.push(measure(base.as_ref(), "unique/hash", n, || {
         ops::unique(&ctx, &dup_sparse).unwrap();
     }));
@@ -460,6 +485,14 @@ fn main() {
             &ctx,
             ops::ScalarFunc::Ge,
             &[ops::MultArg::Bat(dbl_x.clone()), ops::MultArg::Const(AtomValue::Dbl(1000.0))],
+        )
+        .unwrap();
+    }));
+    recs.push(measure(base.as_ref(), "multiplex/oid-eq", n, || {
+        ops::multiplex(
+            &ctx,
+            ops::ScalarFunc::Eq,
+            &[ops::MultArg::Bat(dv_refs.clone()), ops::MultArg::Bat(oid_y.clone())],
         )
         .unwrap();
     }));

@@ -319,16 +319,31 @@ impl ExecCtx {
     /// [`MonetError::BudgetExceeded`] when the charge passes the budget —
     /// the trace event is still emitted so aborted queries remain
     /// diagnosable.
+    ///
+    /// The budget is charged the result's whole size (the interpreter
+    /// releases the same amount when the value dies); the observational
+    /// total counts what the kernel *allocated*: a result column that is
+    /// one of the `operands`' columns — a shared head, a zero-copy tail —
+    /// adds nothing to it.
     pub fn record(
         &self,
         op: &'static str,
         algo: &'static str,
         started: std::time::Instant,
         faults_before: u64,
+        operands: &[&Bat],
         result: &Bat,
     ) -> Result<()> {
         let bytes = result.bytes();
-        self.mem.add_total(bytes as u64);
+        let allocated: usize = [result.head(), result.tail()]
+            .into_iter()
+            .filter(|col| {
+                let id = col.identity();
+                !operands.iter().any(|o| o.head().identity() == id || o.tail().identity() == id)
+            })
+            .map(|col| col.bytes())
+            .sum();
+        self.mem.add_total(allocated as u64);
         if let Some(t) = &self.trace {
             t.lock().push(TraceEvent {
                 op,
@@ -362,13 +377,34 @@ mod tests {
         let ctx = ExecCtx::new().with_trace();
         let bat = Bat::new(Column::void(0, 8), Column::from_ints(vec![1; 8]));
         let before = ctx.faults();
-        ctx.record("test", "unit", std::time::Instant::now(), before, &bat).unwrap();
+        ctx.record("test", "unit", std::time::Instant::now(), before, &[], &bat).unwrap();
         assert_eq!(ctx.mem.total_bytes(), bat.bytes() as u64);
         assert_eq!(ctx.mem.charged_bytes(), bat.bytes() as u64);
         let trace = ctx.take_trace();
         assert_eq!(trace.len(), 1);
         assert_eq!(trace[0].op, "test");
         assert_eq!(trace[0].result_len, 8);
+    }
+
+    #[test]
+    fn record_totals_only_the_columns_the_kernel_allocated() {
+        // A semijoin-shaped result: the head is the operand's column, the
+        // tail is fresh. The total counts the tail alone; the budget charge
+        // (and the trace) still see the whole result.
+        let ctx = ExecCtx::new().with_trace();
+        let sel = Bat::new(Column::from_oids(vec![3, 5, 8]), Column::void(0, 3));
+        let result = Bat::new(sel.head().clone(), Column::from_lngs(vec![30, 50, 80]));
+        ctx.mem.begin();
+        ctx.record("semijoin", "positional", std::time::Instant::now(), 0, &[&sel], &result)
+            .unwrap();
+        assert_eq!(ctx.mem.total_bytes(), result.tail().bytes() as u64);
+        assert_eq!(ctx.mem.charged_bytes(), result.bytes() as u64);
+        assert_eq!(ctx.take_trace()[0].result_bytes, result.bytes());
+        // A mirrored share counts as shared too; equal *contents* do not.
+        let copy = Bat::new(Column::from_oids(vec![3, 5, 8]), sel.head().clone());
+        let before = ctx.mem.total_bytes();
+        ctx.record("test", "unit", std::time::Instant::now(), 0, &[&sel], &copy).unwrap();
+        assert_eq!(ctx.mem.total_bytes() - before, copy.head().bytes() as u64);
     }
 
     #[test]
@@ -388,7 +424,7 @@ mod tests {
         assert!(dict.bytes() < raw.bytes(), "encoding must shrink the column");
         let bat = Bat::new(Column::void(0, 64), dict);
         ctx.mem.begin();
-        ctx.record("select", "dict-code", std::time::Instant::now(), 0, &bat).unwrap();
+        ctx.record("select", "dict-code", std::time::Instant::now(), 0, &[], &bat).unwrap();
         assert_eq!(ctx.mem.charged_bytes(), bat.bytes() as u64);
         // The raw twin would have charged the full duplicated heap.
         assert!(ctx.mem.charged_bytes() < raw.bytes() as u64);

@@ -508,7 +508,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
         ColProps::NONE,
     );
     let result = Bat::with_props(head, tail, props);
-    ctx.record("set-aggregate", algo, started, faults0, &result)?;
+    ctx.record("set-aggregate", algo, started, faults0, &[ab], &result)?;
     Ok(result)
 }
 

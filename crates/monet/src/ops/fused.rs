@@ -76,12 +76,14 @@ pub enum FusedOut {
 /// Per-morsel result: the chain length after every stage, the global
 /// source positions of the surviving rows (present once any selection
 /// ran), the mapped chain window (present once any map ran, absent after a
-/// terminal aggregate), and the aggregate partial.
+/// terminal aggregate), the aggregate partial, and whether any map stage
+/// took the row-at-a-time loop.
 struct MorselOut {
     counts: Vec<usize>,
     positions: Option<Vec<u32>>,
     window: Option<Column>,
     partial: Option<Partial>,
+    rowwise: bool,
 }
 
 /// What a pipeline produced, morsel parts combined in morsel order. Which
@@ -96,6 +98,9 @@ pub(crate) struct Piped {
     pub tail: Option<Column>,
     /// The terminal aggregate's value.
     pub scalar: Option<AtomValue>,
+    /// A map stage fell back to the row-at-a-time loop
+    /// ([`eval_tail_window`]): the trace label gets its `-rowwise` suffix.
+    pub rowwise: bool,
 }
 
 /// The morsel driver: evaluate `stages` over every fixed morsel of
@@ -132,6 +137,7 @@ pub(crate) fn run_stages(
     let mut positions = parts[0].positions.is_some().then(|| Vec::with_capacity(n_out));
     let mut windows: Vec<Column> = Vec::new();
     let mut partials: Vec<Partial> = Vec::new();
+    let rowwise = parts.iter().any(|p| p.rowwise);
     for p in parts {
         if let (Some(all), Some(part)) = (positions.as_mut(), p.positions) {
             all.extend_from_slice(&part);
@@ -155,7 +161,7 @@ pub(crate) fn run_stages(
         windows.truncate(1);
     }
     let tail = (!windows.is_empty()).then(|| Column::concat_all(&windows));
-    Ok(Piped { counts, positions, tail, scalar })
+    Ok(Piped { counts, positions, tail, scalar, rowwise })
 }
 
 /// Execute a fused chain over `src`. Bit-identical to running the stages
@@ -197,21 +203,24 @@ pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut>
 
     let started = Instant::now();
     let faults0 = ctx.faults();
+    // Every BAT the pipeline reads: the source, then the map stages' sides.
+    let mut operands = vec![src];
+    for stage in stages {
+        if let Stage::Map { args, .. } = stage {
+            operands.extend(args.iter().filter_map(|a| match a {
+                FArg::Side(b) => Some(b),
+                _ => None,
+            }));
+        }
+    }
     if let Some(p) = ctx.pager.as_deref() {
         // One scan of every column the pipeline reads. This is the
         // statement-wise cost minus the intermediate materializations — an
         // approximation (the select paths may touch-fetch instead),
         // acceptable because the pager is a cost-model instrument, not a
         // correctness surface.
-        pager::touch_scan(p, src.tail());
-        for stage in stages {
-            if let Stage::Map { args, .. } = stage {
-                for a in args {
-                    if let FArg::Side(b) = a {
-                        pager::touch_scan(p, b.tail());
-                    }
-                }
-            }
+        for b in &operands {
+            pager::touch_scan(p, b.tail());
         }
     }
     let out = run_stages(ctx, src.tail(), stages, true)?;
@@ -228,7 +237,8 @@ pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut>
         (None, tail) => (head, tail.unwrap_or_else(|| src.tail().clone())),
     };
     let bat = Bat::with_props(head, tail, replay_props(src, stages, &out.counts));
-    ctx.record("fused", "pipeline", started, faults0, &bat)?;
+    let algo = if out.rowwise { "pipeline-rowwise" } else { "pipeline" };
+    ctx.record("fused", algo, started, faults0, &operands, &bat)?;
     Ok(FusedOut::Bat(bat))
 }
 
@@ -285,6 +295,7 @@ fn eval_morsel(
     let mut positions: Option<Vec<u32>> = None;
     let mut counts = Vec::with_capacity(stages.len());
     let mut mapped = false;
+    let mut rowwise = false;
     let mut partial = None;
     for (si, stage) in stages.iter().enumerate() {
         if let Some(gov) = fuse_gov {
@@ -308,7 +319,9 @@ fn eval_morsel(
                         FArg::Const(v) => TailArg::Const(v.clone()),
                     })
                     .collect();
-                chain = eval_tail_window(*f, &wargs, rows)?;
+                let by_row;
+                (chain, by_row) = eval_tail_window(*f, &wargs, rows)?;
+                rowwise |= by_row;
                 mapped = true;
                 counts.push(rows);
                 continue;
@@ -336,7 +349,7 @@ fn eval_morsel(
         counts.push(rows);
     }
     let window = (mapped && partial.is_none()).then_some(chain);
-    Ok(MorselOut { counts, positions, window, partial })
+    Ok(MorselOut { counts, positions, window, partial, rowwise })
 }
 
 /// The chain's view of one source morsel. RLE-encoded dbl tails decode

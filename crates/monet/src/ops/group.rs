@@ -288,7 +288,7 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
             ColProps { sorted, key: false, dense: false, ..ColProps::NONE },
         ),
     );
-    ctx.record("group", algo, started, faults0, &result)?;
+    ctx.record("group", algo, started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -370,7 +370,7 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         Column::from_oids(gids),
         Props::new(ab.props().head, ColProps::NONE),
     );
-    ctx.record("group", algo, started, faults0, &result)?;
+    ctx.record("group", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 

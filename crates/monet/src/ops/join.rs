@@ -78,7 +78,7 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     } else {
         (join_hash(ctx, ab, cd), "hash")
     };
-    ctx.record("join", algo, started, faults0, &result)?;
+    ctx.record("join", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -160,7 +160,7 @@ pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFu
             ColProps::NONE,
         ),
     );
-    ctx.record("theta-join", algo, started, faults0, &result)?;
+    ctx.record("theta-join", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -221,8 +221,7 @@ fn join_positional(ctx: &ExecCtx, ab: &Bat, cd: Props, dom: OidDomain, values: &
 
 /// Positional fetch join against a dense right head.
 fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
-    let base = if cd.is_empty() { 0 } else { cd.head().oid_at(0) };
-    join_positional(ctx, ab, cd.props(), OidDomain { base, span: cd.len() }, cd.tail())
+    join_positional(ctx, ab, cd.props(), OidDomain::of_dense(cd.head()), cd.tail())
 }
 
 /// The right operand's datavector and the dense domain of its extent, when
@@ -788,7 +787,7 @@ pub fn join_fetch_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         Some(synced) => (synced, "sync"),
         None => (join_fetch(ctx, ab, cd), "fetch"),
     };
-    ctx.record("join", algo, started, faults0, &result)?;
+    ctx.record("join", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -809,7 +808,7 @@ pub fn join_merge_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         Some(synced) => (synced, "sync"),
         None => (join_merge(ctx, ab, cd), "merge"),
     };
-    ctx.record("join", algo, started, faults0, &result)?;
+    ctx.record("join", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 

@@ -14,8 +14,10 @@
 //! synced numeric/date/bool/string shapes used by the TPC-D plans (Q1-Q15)
 //! run as monomorphized slice loops — e.g. both halves of the
 //! `(1-discount)*extendedprice` revenue expression compile to straight-line
-//! `f64` kernels; only mixed or unsynced argument shapes fall back to the
-//! generic row-at-a-time `AtomValue` path.
+//! `f64` kernels, and every same-type comparison goes through the typed
+//! dispatch; only mixed-type comparisons, ill-typed calls and unsynced
+//! argument shapes fall back to the generic row-at-a-time `AtomValue`
+//! path, and a synced multiplex that does records `sync-rowwise`.
 
 use std::time::Instant;
 
@@ -241,11 +243,11 @@ pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> 
     let first = bats[0];
     let all_synced = bats.iter().all(|b| first.synced(b));
     let (result, algo) = if all_synced {
-        (mux_synced(ctx, f, first, args)?, "sync")
+        mux_synced(ctx, f, first, args)?
     } else {
         (mux_aligned(ctx, f, first, args)?, "hash-align")
     };
-    ctx.record("multiplex", algo, started, faults0, &result)?;
+    ctx.record("multiplex", algo, started, faults0, &bats, &result)?;
     Ok(result)
 }
 
@@ -261,7 +263,12 @@ pub(crate) enum TailArg {
 /// multiplex is a one-stage map pipeline on the morsel driver
 /// ([`super::fused::run_stages`]) — the first BAT is the chain, the others
 /// ride along as synced sides, and every morsel runs [`eval_tail_window`].
-fn mux_synced(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
+fn mux_synced(
+    ctx: &ExecCtx,
+    f: ScalarFunc,
+    first: &Bat,
+    args: &[MultArg],
+) -> Result<(Bat, &'static str)> {
     let mut chain_taken = false;
     let fargs = args
         .iter()
@@ -272,10 +279,11 @@ fn mux_synced(ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Re
         })
         .collect();
     let stage = super::fused::Stage::Map { f, args: fargs };
-    let tail = super::fused::run_stages(ctx, first.tail(), &[stage], false)?
-        .tail
-        .expect("a map stage yields a tail");
-    Ok(Bat::with_props(first.head().clone(), tail, Props::new(first.props().head, ColProps::NONE)))
+    let out = super::fused::run_stages(ctx, first.tail(), &[stage], false)?;
+    let tail = out.tail.expect("a map stage yields a tail");
+    let bat =
+        Bat::with_props(first.head().clone(), tail, Props::new(first.props().head, ColProps::NONE));
+    Ok((bat, if out.rowwise { "sync-rowwise" } else { "sync" }))
 }
 
 /// General path: natural join on heads. Every non-driver BAT must have a
@@ -361,13 +369,36 @@ impl MultArg {
     }
 }
 
+impl TailArg {
+    fn atom_type(&self) -> AtomType {
+        match self {
+            TailArg::Col(c) => c.atom_type(),
+            TailArg::Const(v) => v.atom_type(),
+        }
+    }
+
+    /// The type [`apply_scalar`] sees this argument's values as: a `void`
+    /// column reads as its oids.
+    fn value_type(&self) -> AtomType {
+        match self {
+            TailArg::Col(c) if c.atom_type() == AtomType::Void => AtomType::Oid,
+            _ => self.atom_type(),
+        }
+    }
+}
+
 /// The map window kernel — the only synced multiplex evaluation: one
 /// window of every argument to the window's output tail, through the typed
 /// fast path when the shape qualifies, otherwise the generic row-at-a-time
-/// loop.
-pub(crate) fn eval_tail_window(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Column> {
+/// loop. The flag says the row loop ran (`rowwise`), which the callers put
+/// into their trace label: a typed shape never takes it.
+pub(crate) fn eval_tail_window(
+    f: ScalarFunc,
+    args: &[TailArg],
+    n: usize,
+) -> Result<(Column, bool)> {
     if let Some(col) = typed_fast_path(f, args, n)? {
-        return Ok(col);
+        return Ok((col, false));
     }
     let mut out: Vec<AtomValue> = Vec::with_capacity(n);
     let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
@@ -381,34 +412,23 @@ pub(crate) fn eval_tail_window(f: ScalarFunc, args: &[TailArg], n: usize) -> Res
         }
         out.push(apply_scalar(f, &scratch)?);
     }
-    let ty = out.first().map(AtomValue::atom_type).unwrap_or_else(|| {
-        let first = args.first().map(|a| match a {
-            TailArg::Col(c) => c.atom_type(),
-            TailArg::Const(v) => v.atom_type(),
-        });
-        result_type_hint(f, first)
-    });
-    Ok(Column::from_atoms(ty, out))
+    let ty = out
+        .first()
+        .map(AtomValue::atom_type)
+        .unwrap_or_else(|| result_type_hint(f, args.first().map(TailArg::atom_type)));
+    Ok((Column::from_atoms(ty, out), true))
 }
 
-/// One side of a specialized binary loop: a typed slice or a broadcast
-/// constant. The `Src` trait monomorphizes the loop for every shape — no
-/// per-row branch on slice-vs-const.
+/// One side of a specialized binary loop: a typed column window or a
+/// broadcast constant. The `Src` trait monomorphizes the loop for every
+/// shape — no per-row branch on window-vs-const.
 trait Src<T: Copy>: Copy {
     fn at(&self, i: usize) -> T;
 }
 
-impl<'a, T: Copy> Src<T> for &'a [T] {
+impl<V: crate::typed::TypedVals> Src<V::Elem> for V {
     #[inline(always)]
-    fn at(&self, i: usize) -> T {
-        self[i]
-    }
-}
-
-impl<'a> Src<&'a str> for crate::typed::StrVals<'a> {
-    #[inline(always)]
-    fn at(&self, i: usize) -> &'a str {
-        use crate::typed::TypedVals;
+    fn at(&self, i: usize) -> V::Elem {
         self.value(i)
     }
 }
@@ -462,6 +482,53 @@ macro_rules! with_src2 {
     };
 }
 
+/// An integer window read as `dbl` (mixed-type arithmetic).
+#[derive(Clone, Copy)]
+struct Widen<'a, T>(&'a [T]);
+
+impl Src<f64> for Widen<'_, i32> {
+    #[inline(always)]
+    fn at(&self, i: usize) -> f64 {
+        self.0[i] as f64
+    }
+}
+
+impl Src<f64> for Widen<'_, i64> {
+    #[inline(always)]
+    fn at(&self, i: usize) -> f64 {
+        self.0[i] as f64
+    }
+}
+
+/// Instantiate `$e` with `$x` bound to the `dbl` view of one numeric
+/// argument (an int/lng/dbl window or constant); `None` for anything else.
+macro_rules! with_f64_src {
+    ($a:expr, |$x:ident| $e:expr) => {
+        match $a {
+            TailArg::Col(c) => {
+                if let Some($x) = c.as_dbl_slice() {
+                    $e
+                } else if let Some(v) = c.as_int_slice() {
+                    let $x = Widen(v);
+                    $e
+                } else if let Some(v) = c.as_lng_slice() {
+                    let $x = Widen(v);
+                    $e
+                } else {
+                    None
+                }
+            }
+            TailArg::Const(v) => match v.as_f64() {
+                Some(k) => {
+                    let $x = Cst(k);
+                    $e
+                }
+                None => None,
+            },
+        }
+    };
+}
+
 fn int_sc(a: &TailArg) -> Option<SC<'_, i32>> {
     match a {
         TailArg::Col(c) => c.as_int_slice().map(SC::S),
@@ -474,30 +541,6 @@ fn lng_sc(a: &TailArg) -> Option<SC<'_, i64>> {
     match a {
         TailArg::Col(c) => c.as_lng_slice().map(SC::S),
         TailArg::Const(AtomValue::Lng(v)) => Some(SC::C(*v)),
-        _ => None,
-    }
-}
-
-fn dbl_sc(a: &TailArg) -> Option<SC<'_, f64>> {
-    match a {
-        TailArg::Col(c) => c.as_dbl_slice().map(SC::S),
-        TailArg::Const(AtomValue::Dbl(v)) => Some(SC::C(*v)),
-        _ => None,
-    }
-}
-
-fn date_sc(a: &TailArg) -> Option<SC<'_, i32>> {
-    match a {
-        TailArg::Col(c) => c.as_date_slice().map(SC::S),
-        TailArg::Const(AtomValue::Date(d)) => Some(SC::C(d.0)),
-        _ => None,
-    }
-}
-
-fn chr_sc(a: &TailArg) -> Option<SC<'_, u8>> {
-    match a {
-        TailArg::Col(c) => c.as_chr_slice().map(SC::S),
-        TailArg::Const(AtomValue::Chr(c)) => Some(SC::C(*c)),
         _ => None,
     }
 }
@@ -530,9 +573,46 @@ fn cmp_col<T: Copy, A: Src<T>, B: Src<T>>(
     })
 }
 
+/// A comparison of two arguments of one type, through the typed dispatch:
+/// every atom type and every encoded layout the dispatch macros know runs
+/// as one monomorphic loop, so no comparable pair reaches the row loop. A
+/// constant is a one-row column of its type; `const ⋄ col` runs as the
+/// mirrored `col ⋄ const`. `None` for mixed types (numeric promotion and
+/// the type error are the row loop's).
+fn typed_compare(f: ScalarFunc, a: &TailArg, b: &TailArg, n: usize) -> Option<Column> {
+    use crate::typed::TypedVals;
+    use ScalarFunc as F;
+    if a.value_type() != b.value_type() {
+        return None;
+    }
+    let one = |v: &AtomValue| Column::from_atoms(v.atom_type(), [v.clone()]);
+    match (a, b) {
+        (TailArg::Col(x), TailArg::Col(y)) => Some(crate::for_each_typed2!(x, y, |p, q| {
+            cmp_col(f, n, p, q, |u, v| p.cmp_one(u, v))
+        })),
+        (TailArg::Col(x), TailArg::Const(c)) => {
+            let c = one(c);
+            Some(crate::for_each_typed2!(x, &c, |p, q| {
+                cmp_col(f, n, p, Cst(q.value(0)), |u, v| p.cmp_one(u, v))
+            }))
+        }
+        (TailArg::Const(_), TailArg::Col(_)) => {
+            let mirrored = match f {
+                F::Lt => F::Gt,
+                F::Le => F::Ge,
+                F::Gt => F::Lt,
+                F::Ge => F::Le,
+                eq_ne => eq_ne,
+            };
+            typed_compare(mirrored, b, a, n)
+        }
+        (TailArg::Const(_), TailArg::Const(_)) => None,
+    }
+}
+
 /// Monomorphized loops for the synced argument shapes the TPC-D plans use:
-/// same-type numeric arithmetic, same-type comparisons (int/lng/dbl/date/
-/// chr/bool, plus string vs constant), boolean connectives, `not`/`neg`,
+/// same-type numeric arithmetic, every same-type comparison
+/// ([`typed_compare`]), boolean connectives, `not`/`neg`,
 /// `year`/`month`, and constant-pattern string predicates. Returns
 /// `Ok(None)` for every other shape — the generic row-wise path handles
 /// those. Whether a shape qualifies depends only on the argument *types*,
@@ -611,56 +691,27 @@ fn typed_fast_path(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Option<C
                     })))
                 });
             }
-            if let (Some(a), Some(b)) = (dbl_sc(&args[0]), dbl_sc(&args[1])) {
-                return with_src2!(a, b, |x, y| {
-                    Ok(Some(Column::from_dbls(match f {
-                        F::Add => map2(n, x, y, |p, q| p + q),
-                        F::Sub => map2(n, x, y, |p, q| p - q),
-                        F::Mul => map2(n, x, y, |p, q| p * q),
-                        F::Div => map2(n, x, y, |p, q| p / q),
-                        _ => unreachable!(),
-                    })))
-                });
-            }
-            Ok(None)
+            // Every other numeric pair computes in `dbl`, its integers
+            // widened per row — `apply_scalar`'s promotion. No value types
+            // an empty window, so the static hint does, as in the row loop.
+            let dbls = with_f64_src!(&args[0], |x| with_f64_src!(&args[1], |y| {
+                Some(match f {
+                    F::Add => map2(n, x, y, |p, q| p + q),
+                    F::Sub => map2(n, x, y, |p, q| p - q),
+                    F::Mul => map2(n, x, y, |p, q| p * q),
+                    F::Div => map2(n, x, y, |p, q| p / q),
+                    _ => unreachable!(),
+                })
+            }));
+            Ok(dbls.map(|v| match n {
+                0 => Column::from_atoms(result_type_hint(f, Some(args[0].atom_type())), []),
+                _ => Column::from_dbls(v),
+            }))
         }
-        F::Eq | F::Ne | F::Lt | F::Le | F::Gt | F::Ge => {
-            if args.len() != 2 {
-                return Ok(None);
-            }
-            if let (Some(a), Some(b)) = (int_sc(&args[0]), int_sc(&args[1])) {
-                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
-            }
-            if let (Some(a), Some(b)) = (lng_sc(&args[0]), lng_sc(&args[1])) {
-                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
-            }
-            if let (Some(a), Some(b)) = (dbl_sc(&args[0]), dbl_sc(&args[1])) {
-                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| {
-                    p.total_cmp(&q)
-                }))));
-            }
-            if let (Some(a), Some(b)) = (date_sc(&args[0]), date_sc(&args[1])) {
-                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
-            }
-            if let (Some(a), Some(b)) = (chr_sc(&args[0]), chr_sc(&args[1])) {
-                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
-            }
-            if let (Some(a), Some(b)) = (bool_sc(&args[0]), bool_sc(&args[1])) {
-                return Ok(Some(with_src2!(a, b, |x, y| cmp_col(f, n, x, y, |p, q| p.cmp(&q)))));
-            }
-            // String column versus constant (either side).
-            if let (TailArg::Col(b), TailArg::Const(AtomValue::Str(c))) = (&args[0], &args[1]) {
-                if let TypedSlice::Str(sv) = b.typed() {
-                    return Ok(Some(cmp_col(f, n, sv, Cst(&**c), |p, q| p.cmp(q))));
-                }
-            }
-            if let (TailArg::Const(AtomValue::Str(c)), TailArg::Col(b)) = (&args[0], &args[1]) {
-                if let TypedSlice::Str(sv) = b.typed() {
-                    return Ok(Some(cmp_col(f, n, Cst(&**c), sv, |p, q| p.cmp(q))));
-                }
-            }
-            Ok(None)
-        }
+        F::Eq | F::Ne | F::Lt | F::Le | F::Gt | F::Ge => Ok(match args {
+            [a, b] => typed_compare(f, a, b, n),
+            _ => None,
+        }),
         F::And | F::Or => {
             if args.len() != 2 {
                 return Ok(None);
@@ -881,6 +932,96 @@ mod tests {
             &[MultArg::Bat(dates), MultArg::Const(AtomValue::Int(1))]
         )
         .is_err());
+    }
+
+    #[test]
+    fn every_same_type_comparison_takes_the_typed_path() {
+        // The typed-kernel rule for comparisons: whatever the atom type or
+        // the encoded layout, a same-type comparison is one monomorphic
+        // loop — it must never reach `Column::get` per row — and it agrees
+        // with the row loop's `apply_scalar` value for value.
+        use ScalarFunc as F;
+        let strs = ["Clerk#000000000000000007", "Clerk#000000000000000003"];
+        let dict = Column::from_strs((0..64).map(|i| strs[i % 2])).encode(false);
+        let for_int = Column::from_ints((0..64).map(|i| 1000 + i % 7).collect()).encode(false);
+        let for_date =
+            Column::from_date_days((0..64).map(|i| 9000 + i % 5).collect()).encode(false);
+        let for_lng =
+            Column::from_lngs((0..64).map(|i| (1 << 40) | (i % 9)).collect()).encode(false);
+        let rle = Column::from_dbls((0..64).map(|i| (i / 16) as f64).collect()).encode(true);
+        use crate::props::Enc;
+        assert_eq!(
+            [&dict, &for_int, &for_date, &for_lng, &rle].map(Column::encoding),
+            [Enc::Dict, Enc::For, Enc::For, Enc::For, Enc::Rle],
+            "the fixtures must actually encode"
+        );
+        let cols = [
+            Column::void(5, 64),
+            Column::from_oids((0..64).map(|i| 70 - i).collect()),
+            Column::from_bools((0..64).map(|i| i % 3 == 0).collect()),
+            Column::from_chrs((0..64).map(|i| b'a' + i % 5).collect()),
+            Column::from_ints((0..64).map(|i| i % 11 - 5).collect()),
+            Column::from_lngs((0..64).map(|i| i % 13 - 6).collect()),
+            Column::from_dbls((0..64).map(|i| (i % 7) as f64 - 0.5).collect()),
+            Column::from_date_days((0..64).map(|i| 9000 + i % 5).collect()),
+            Column::from_strs((0..64).map(|i| strs[i % 2])),
+            dict,
+            for_int,
+            for_date,
+            for_lng,
+            rle,
+        ];
+        for col in &cols {
+            // The partner: the same values rotated, so both outcomes of
+            // every comparison occur; the constant: one of the values.
+            let n = col.len();
+            let other = Column::from_atoms(col.atom_type(), (0..n).map(|i| col.get((i + 1) % n)));
+            let (a, b, k) = (TailArg::Col(col.clone()), TailArg::Col(other), col.get(n / 2));
+            let shapes =
+                [[a.clone(), b], [a.clone(), TailArg::Const(k.clone())], [TailArg::Const(k), a]];
+            for f in [F::Eq, F::Ne, F::Lt, F::Le, F::Gt, F::Ge] {
+                for args in &shapes {
+                    let typed = typed_fast_path(f, args, n).unwrap().unwrap_or_else(|| {
+                        panic!("[{f:?}] over {} fell to the row loop", col.atom_type())
+                    });
+                    for i in 0..n {
+                        let row: Vec<AtomValue> = args
+                            .iter()
+                            .map(|a| match a {
+                                TailArg::Col(c) => c.get(i),
+                                TailArg::Const(v) => v.clone(),
+                            })
+                            .collect();
+                        assert_eq!(
+                            AtomValue::Bool(typed.bool_at(i)),
+                            apply_scalar(f, &row).unwrap(),
+                            "[{f:?}] over {} row {i}",
+                            col.atom_type()
+                        );
+                    }
+                }
+            }
+        }
+        // Mixed types and arity errors stay the row loop's.
+        let ints = TailArg::Col(Column::from_ints(vec![1, 2]));
+        let dbl = TailArg::Const(AtomValue::Dbl(1.5));
+        assert!(typed_fast_path(F::Lt, &[ints.clone(), dbl], 2).unwrap().is_none());
+        assert!(typed_fast_path(F::Eq, &[ints], 2).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_row_loop_fallback_shows_in_the_label() {
+        let ctx = ExecCtx::new().with_trace();
+        let head = Column::from_oids(vec![1, 2]);
+        let ints = Bat::new(head.clone(), Column::from_ints(vec![1, 2]));
+        let dbls = Bat::new(head, Column::from_dbls(vec![1.5, 1.5]));
+        // int < dbl promotes per row: no typed loop for it.
+        multiplex(&ctx, ScalarFunc::Lt, &[MultArg::Bat(ints.clone()), MultArg::Bat(dbls.clone())])
+            .unwrap();
+        // int * dbl is the widened arithmetic loop.
+        multiplex(&ctx, ScalarFunc::Mul, &[MultArg::Bat(ints), MultArg::Bat(dbls)]).unwrap();
+        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        assert_eq!(algos, ["sync-rowwise", "sync"]);
     }
 
     #[test]

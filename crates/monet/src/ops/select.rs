@@ -37,7 +37,7 @@ pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
     } else {
         (select_scan(ctx, ab, Some(v), Some(v), true, true, true)?, scan_algo(ctx, ab))
     };
-    ctx.record("select", algo, started, faults0, &result)?;
+    ctx.record("select", algo, started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -64,7 +64,7 @@ pub fn select_range(
     } else {
         (select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, false)?, scan_algo(ctx, ab))
     };
-    ctx.record("select", algo, started, faults0, &result)?;
+    ctx.record("select", algo, started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -317,7 +317,7 @@ pub fn select_eq_sorted(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
     let started = Instant::now();
     let faults0 = ctx.faults();
     let result = select_sorted(ctx, ab, Some(v), Some(v), true, true);
-    ctx.record("select", "binary-search", started, faults0, &result)?;
+    ctx.record("select", "binary-search", started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -339,7 +339,7 @@ pub fn select_range_sorted(
     let started = Instant::now();
     let faults0 = ctx.faults();
     let result = select_sorted(ctx, ab, lo, hi, inc_lo, inc_hi);
-    ctx.record("select", "binary-search", started, faults0, &result)?;
+    ctx.record("select", "binary-search", started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -354,7 +354,7 @@ pub fn select_eq_dict(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
     let started = Instant::now();
     let faults0 = ctx.faults();
     let result = select_dict(ctx, ab, Some(v), Some(v), true, true, true)?;
-    ctx.record("select", "dict-code", started, faults0, &result)?;
+    ctx.record("select", "dict-code", started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -376,7 +376,7 @@ pub fn select_range_dict(
     let started = Instant::now();
     let faults0 = ctx.faults();
     let result = select_dict(ctx, ab, lo, hi, inc_lo, inc_hi, false)?;
-    ctx.record("select", "dict-code", started, faults0, &result)?;
+    ctx.record("select", "dict-code", started, faults0, &[ab], &result)?;
     Ok(result)
 }
 

@@ -7,13 +7,21 @@
 //!
 //! * `sync` — the join columns are exactly equal: return a copy of the
 //!   left operand;
-//! * `merge` — both heads sorted: linear two-pointer pass;
+//! * `positional` — the left head is `dense` and the right head sorted: a
+//!   dense head is addressed, never merged — the matches sit at
+//!   `oid − base`, found in one pass over the *right* head alone, and a
+//!   right head that survives whole (duplicate-free, inside the left
+//!   domain) **is** the result head, so every sibling
+//!   `semijoin(attr, selected)` is synced by construction;
+//! * `merge` — both heads sorted, the left one not dense: linear
+//!   two-pointer pass;
 //! * `datavector` — the left operand carries a datavector and the right
 //!   head is a (duplicate-free) oid selection: positional fetch through the
 //!   memoized LOOKUP array (the one variant emitting in *right* order);
 //! * `bitmap` — oid heads and a right head whose min/max span is compact
 //!   ([`crate::costmodel::semijoin_prefers_bitmap`]): one bit per oid of
-//!   the span from the scratch pool, tested once per left BUN;
+//!   the span from the scratch pool, tested once per left BUN — or, over a
+//!   `dense` left head, enumerated: the set bits *are* the positions;
 //! * `hash` — the general fallback.
 //!
 //! The antijoin has the `sync`, `bitmap` and `hash` variants; `bitmap` and
@@ -23,6 +31,7 @@
 use std::time::Instant;
 
 use crate::bat::Bat;
+use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
@@ -39,6 +48,8 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let faults0 = ctx.faults();
     let (result, algo) = if ab.synced(cd) {
         (semijoin_sync(ab), "sync")
+    } else if ab.props().head.dense && cd.props().head.sorted {
+        (semijoin_positional(ctx, ab, cd), "positional")
     } else if ab.props().head.sorted && cd.props().head.sorted {
         (semijoin_merge(ctx, ab, cd), "merge")
     } else if ab.accel().datavector.is_some() && cd.head().is_oidlike() && cd.props().head.key {
@@ -47,7 +58,7 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     } else {
         subset(ctx, ab, cd, true)
     };
-    ctx.record("semijoin", algo, started, faults0, &result)?;
+    ctx.record("semijoin", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -60,7 +71,7 @@ pub fn antijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let faults0 = ctx.faults();
     let (result, algo) =
         if ab.synced(cd) { (ab.slice(0, 0), "sync") } else { subset(ctx, ab, cd, false) };
-    ctx.record("antijoin", algo, started, faults0, &result)?;
+    ctx.record("antijoin", algo, started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -89,6 +100,30 @@ fn semijoin_sync(ab: &Bat) -> Bat {
     ab.clone()
 }
 
+/// Positional semijoin under a dense left head: one pass over the sorted
+/// right head, each oid inside the left domain a match at `oid - base`
+/// (adjacent duplicates once) — the left head is never read.
+fn semijoin_positional(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+    if let Some(p) = ctx.pager.as_deref() {
+        pager::touch_scan(p, cd.head());
+    }
+    let dom = OidDomain::of_dense(ab.head());
+    let idx = crate::for_each_oidlike!(cd.head(), |ch| {
+        let mut idx = crate::typed::take_u32(ch.len().min(ab.len()));
+        let mut last = None;
+        for j in 0..ch.len() {
+            if let Some(k) = dom.slot(ch.value(j)) {
+                if last != Some(k) {
+                    idx.push(k as u32);
+                    last = Some(k);
+                }
+            }
+        }
+        idx
+    });
+    build_subset(ctx, ab, idx, Some(cd.head()))
+}
+
 /// Merge semijoin over two head-sorted operands; emits left BUNs in order.
 fn semijoin_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
@@ -111,7 +146,7 @@ fn semijoin_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         }
         idx
     });
-    build_subset(ctx, ab, idx)
+    build_subset(ctx, ab, idx, None)
 }
 
 /// Datavector semijoin (pseudo code of Section 5.2.1): fetch head/tail
@@ -147,11 +182,16 @@ fn semijoin_datavector(ctx: &ExecCtx, dv: &crate::accel::datavector::Datavector,
 }
 
 /// Bitmap semijoin/antijoin: set one bit per right head oid over its
-/// compact domain, then test each left head in order.
+/// compact domain, then test each left head in order — or, keeping the
+/// matches of a `dense` left head, enumerate the set bits: bit `k` is oid
+/// `dom.base + k`, which sits at that oid's slot of the left domain.
 fn subset_bitmap(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, keep: bool) -> Bat {
+    let enumerate = keep && ab.props().head.dense;
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
-        pager::touch_scan(p, ab.head());
+        if !enumerate {
+            pager::touch_scan(p, ab.head());
+        }
     }
     let mut bits = crate::typed::take_u64_zeroed(dom.span.div_ceil(64));
     crate::for_each_oidlike!(cd.head(), |ch| {
@@ -160,18 +200,34 @@ fn subset_bitmap(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, keep: bool) 
             bits[k / 64] |= 1 << (k % 64);
         }
     });
-    let idx = crate::for_each_oidlike!(ab.head(), |ah| {
-        let mut idx = crate::typed::take_u32(ah.len());
-        for i in 0..ah.len() {
-            let hit = dom.slot(ah.value(i)).is_some_and(|k| bits[k / 64] >> (k % 64) & 1 == 1);
-            if hit == keep {
-                idx.push(i as u32);
+    let idx = if enumerate {
+        let left = OidDomain::of_dense(ab.head());
+        let mut idx = crate::typed::take_u32(cd.len().min(ab.len()));
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let k = w * 64 + word.trailing_zeros() as usize;
+                if let Some(pos) = left.slot(dom.base + k as u64) {
+                    idx.push(pos as u32);
+                }
+                word &= word - 1;
             }
         }
         idx
-    });
+    } else {
+        crate::for_each_oidlike!(ab.head(), |ah| {
+            let mut idx = crate::typed::take_u32(ah.len());
+            for i in 0..ah.len() {
+                let hit = dom.slot(ah.value(i)).is_some_and(|k| bits[k / 64] >> (k % 64) & 1 == 1);
+                if hit == keep {
+                    idx.push(i as u32);
+                }
+            }
+            idx
+        })
+    };
     crate::typed::put_u64(bits);
-    build_subset(ctx, ab, idx)
+    build_subset(ctx, ab, idx, None)
 }
 
 /// Hash semijoin/antijoin: hash the right heads, scan the left operand in
@@ -193,7 +249,7 @@ fn subset_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> Bat {
         }
         idx
     });
-    build_subset(ctx, ab, idx)
+    build_subset(ctx, ab, idx, None)
 }
 
 /// The subset propagation rule (Section 5.1): "a semijoin will propagate
@@ -213,8 +269,11 @@ pub fn propagated_props(ab: Props) -> Props {
 
 /// A subset of AB's BUNs in AB order, from a pooled position vector
 /// (returned to the pool here). A subset that kept every BUN shares AB's
-/// columns, so it stays synced with AB and its siblings.
-fn build_subset(ctx: &ExecCtx, ab: &Bat, idx: Vec<u32>) -> Bat {
+/// columns, so it stays synced with AB and its siblings. `sel_head` is a
+/// selection whose oids, in order, the positions were derived from: when
+/// none of them was dropped it *is* the subset's head and is shared
+/// instead of gathered, so subsets by one selection are synced too.
+fn build_subset(ctx: &ExecCtx, ab: &Bat, idx: Vec<u32>, sel_head: Option<&Column>) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         for &i in &idx {
             pager::touch_fetch(p, ab.tail(), i as usize);
@@ -223,7 +282,11 @@ fn build_subset(ctx: &ExecCtx, ab: &Bat, idx: Vec<u32>) -> Bat {
     let (head, tail) = if idx.len() == ab.len() {
         (ab.head().clone(), ab.tail().clone())
     } else {
-        (ab.head().gather(&idx), ab.tail().gather(&idx))
+        let head = match sel_head {
+            Some(h) if h.len() == idx.len() => h.clone(),
+            _ => ab.head().gather(&idx),
+        };
+        (head, ab.tail().gather(&idx))
     };
     crate::typed::put_u32(idx);
     Bat::with_props(head, tail, propagated_props(ab.props()))
@@ -273,6 +336,27 @@ mod tests {
         let r = semijoin(&ctx, &ab, &cd).unwrap();
         assert_eq!(r.head().as_oid_slice().unwrap(), &[2, 2, 5]);
         assert_eq!(ctx.take_trace()[0].algo, "merge");
+        assert!(r.validate().is_ok());
+    }
+
+    #[test]
+    fn positional_semijoin_reads_only_the_selection_and_the_fetched_tail() {
+        // 64 Ki materialized dense oids on the left: merging would scan all
+        // 128 head pages; addressing reads the three selected oids and
+        // fetches three tail values.
+        let n = 1 << 16;
+        let ab = Bat::with_inferred_props(
+            Column::from_oids((100..100 + n).collect()),
+            Column::from_lngs((0..n as i64).collect()),
+        );
+        let cd = sel(vec![100, 40_000, 100 + n - 1]);
+        let pager = std::sync::Arc::new(crate::pager::Pager::new(4096));
+        let ctx = ExecCtx::new().with_trace().with_pager(pager);
+        let r = semijoin(&ctx, &ab, &cd).unwrap();
+        let e = &ctx.take_trace()[0];
+        assert_eq!((e.algo, e.faults), ("positional", 4), "one head page + three tail pages");
+        assert_eq!(r.tail().as_lng_slice().unwrap(), &[0, 39_900, n as i64 - 1]);
+        assert_eq!(r.head().identity(), cd.head().identity());
         assert!(r.validate().is_ok());
     }
 

@@ -109,7 +109,7 @@ pub fn union_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let head = Column::concat(&ab.head().gather(&keep_a), &cd.head().gather(&keep_c));
     let tail = Column::concat(&ab.tail().gather(&keep_a), &cd.tail().gather(&keep_c));
     let result = Bat::new(head, tail);
-    ctx.record("union", "hash", started, faults0, &result)?;
+    ctx.record("union", "hash", started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -125,7 +125,7 @@ pub fn diff_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let idx: Vec<u32> =
         (0..ab.len()).filter(|&i| !set.contains(ab, i, keys[i])).map(|i| i as u32).collect();
     let result = subset(ab, &idx);
-    ctx.record("difference", "hash", started, faults0, &result)?;
+    ctx.record("difference", "hash", started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -141,7 +141,7 @@ pub fn concat_bats(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let head = Column::concat(ab.head(), cd.head());
     let tail = Column::concat(ab.tail(), cd.tail());
     let result = Bat::new(head, tail);
-    ctx.record("concat", "copy", started, faults0, &result)?;
+    ctx.record("concat", "copy", started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -184,7 +184,7 @@ pub fn zip(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
             },
         ),
     );
-    ctx.record("zip", "sync", started, faults0, &result)?;
+    ctx.record("zip", "sync", started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -200,7 +200,7 @@ pub fn intersect_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let idx: Vec<u32> =
         (0..ab.len()).filter(|&i| set.contains(ab, i, keys[i])).map(|i| i as u32).collect();
     let result = subset(ab, &idx);
-    ctx.record("intersect", "hash", started, faults0, &result)?;
+    ctx.record("intersect", "hash", started, faults0, &[ab, cd], &result)?;
     Ok(result)
 }
 

@@ -23,7 +23,7 @@ pub fn sort_tail(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     let faults0 = ctx.faults();
     if ab.props().tail.sorted {
         let r = ab.clone();
-        ctx.record("sort", "noop", started, faults0, &r)?;
+        ctx.record("sort", "noop", started, faults0, &[ab], &r)?;
         return Ok(r);
     }
     if let Some(p) = ctx.pager.as_deref() {
@@ -43,7 +43,7 @@ pub fn sort_tail(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
             ColProps { sorted: true, key: p.tail.key, dense: false, ..ColProps::NONE },
         ),
     );
-    ctx.record("sort", "tail", started, faults0, &result)?;
+    ctx.record("sort", "tail", started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -142,7 +142,7 @@ pub fn topn(ctx: &ExecCtx, ab: &Bat, n: usize, descending: bool) -> Result<Bat> 
             ColProps { sorted: !descending, key: p.tail.key, dense: false, ..ColProps::NONE },
         ),
     );
-    ctx.record("topn", if descending { "desc" } else { "asc" }, started, faults0, &result)?;
+    ctx.record("topn", if descending { "desc" } else { "asc" }, started, faults0, &[ab], &result)?;
     Ok(result)
 }
 
@@ -158,7 +158,7 @@ pub fn mark(ctx: &ExecCtx, ab: &Bat, base: Option<Oid>) -> Result<Bat> {
         Column::void(seq, ab.len()),
         Props::new(ab.props().head, ColProps::DENSE),
     );
-    ctx.record("mark", "void", started, faults0, &result)?;
+    ctx.record("mark", "void", started, faults0, &[ab], &result)?;
     Ok(result)
 }
 

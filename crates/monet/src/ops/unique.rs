@@ -35,7 +35,7 @@ pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
         let (idx, algo) = unique_hash(ctx, ab, super::par_threads(ctx, ab.len()))?;
         (build_unique(ab, &idx), algo)
     };
-    ctx.record("unique", algo, started, faults0, &result)?;
+    ctx.record("unique", algo, started, faults0, &[ab], &result)?;
     Ok(result)
 }
 

@@ -854,6 +854,12 @@ impl OidDomain {
         Some(OidDomain { base: lo, span })
     }
 
+    /// The domain of a `dense` oid column: its oids sit at `oid - base`.
+    pub fn of_dense(col: &Column) -> OidDomain {
+        let base = if col.is_empty() { 0 } else { col.oid_at(0) };
+        OidDomain { base, span: col.len() }
+    }
+
     /// Slot of `oid` (any key code) in the domain, if it lies inside.
     #[inline(always)]
     pub fn slot(&self, oid: Oid) -> Option<usize> {

@@ -1521,6 +1521,128 @@ fn bitmap_semijoin_antijoin_match_reference_and_fall_back_when_sparse() {
     assert_eq!(ops::semijoin(&ctx, &none, &ab).unwrap().len(), 0);
 }
 
+/// A dense-headed left operand over `[lo, lo + n)`: a `void` head or
+/// materialized consecutive oids, whole or as the middle window of a
+/// larger BAT (so `off != 0` and the base is not the allocation's first oid).
+fn dense_left(rng: &mut StdRng, lo: u64, n: usize, tail_ty: AtomType, case: usize) -> Bat {
+    let (pre, post) =
+        if case % 4 < 2 { (0, 0) } else { (rng.gen_range(1..5), rng.gen_range(0..4)) };
+    let total = pre + n + post;
+    let first = lo - pre as u64;
+    let head = if case % 2 == 0 {
+        Column::void(first, total)
+    } else {
+        Column::from_oids((first..first + total as u64).collect())
+    };
+    let whole = Bat::with_inferred_props(head, random_column(rng, tail_ty, total));
+    assert!(whole.props().head.dense);
+    whole.slice(pre, n)
+}
+
+/// A selection (`[oid, void]`) with inferred properties.
+fn selection_of(oids: Vec<u64>) -> Bat {
+    let n = oids.len();
+    Bat::with_inferred_props(Column::from_oids(oids), Column::void(0, n))
+}
+
+#[test]
+fn positional_semijoin_addresses_a_dense_head_and_hands_the_selection_head_on() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x35);
+    let ctx = ExecCtx::new().with_trace();
+    for case in 0..72 {
+        let (lo, n) = (rng.gen_range(10..60u64), rng.gen_range(8..70usize));
+        let ty = ALL_TYPES[case % ALL_TYPES.len()];
+        let ab = dense_left(&mut rng, lo, n, ty, case);
+        let sibling = Bat::with_props(
+            ab.head().clone(),
+            random_column(&mut rng, AtomType::Lng, n),
+            monet::props::Props::new(ab.props().head, monet::props::ColProps::NONE),
+        );
+        let check = |cd: &Bat, algo: &str, what: &str| -> Bat {
+            let got = ops::semijoin(&ctx, &ab, cd).unwrap();
+            assert_eq!(last_algo(&ctx), algo, "case {case} {what}");
+            assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&ab, cd)), "case {case} {what}");
+            assert!(got.validate().is_ok(), "case {case} {what}: props unsound");
+            got
+        };
+
+        // A sorted key subset inside the domain survives whole: it *is* the
+        // result head, so sibling attributes come out synced.
+        let k = rng.gen_range(1..n);
+        let mut inside = shuffled_oids(&mut rng, lo, n as u64, k);
+        inside.sort_unstable();
+        let sel = selection_of(inside.clone());
+        let got = check(&sel, "positional", "key subset");
+        assert_eq!(got.head().identity(), sel.head().identity(), "case {case}: head handed on");
+        let other = ops::semijoin(&ctx, &sibling, &sel).unwrap();
+        assert_eq!(last_algo(&ctx), "positional", "case {case} sibling");
+        assert!(got.synced(&other), "case {case}: siblings by one selection are synced");
+        // ... as a void run inside the domain too.
+        let run = Bat::new(Column::void(lo + 1, k.min(n - 1)), Column::void(0, k.min(n - 1)));
+        let got = check(&run, "positional", "void run");
+        assert_eq!(
+            got.head().identity(),
+            run.head().identity(),
+            "case {case}: void head handed on"
+        );
+
+        // Adjacent duplicates match once; the head is gathered, not shared.
+        let mut dups = inside.clone();
+        dups.extend_from_slice(&inside[..k.div_ceil(2)]);
+        dups.sort_unstable();
+        let got = check(&selection_of(dups), "positional", "duplicates");
+        assert_eq!(got.len(), k, "case {case}: duplicates");
+
+        // Partly and wholly outside the domain.
+        let mut partly = inside.clone();
+        partly.insert(0, lo - 2);
+        partly.push(lo + n as u64);
+        partly.push(lo + n as u64 + 7);
+        let cd = selection_of(partly);
+        let got = check(&cd, "positional", "partly outside");
+        assert_ne!(got.head().identity(), cd.head().identity(), "case {case}: partly outside");
+        let below = selection_of((lo - 9..lo).collect());
+        assert_eq!(check(&below, "positional", "below").len(), 0);
+        let above = selection_of(vec![lo + n as u64, lo + n as u64 + 3]);
+        assert_eq!(check(&above, "positional", "above").len(), 0);
+        assert_eq!(check(&selection_of(vec![]), "positional", "empty").len(), 0);
+
+        // The whole domain (and more): a full match keeps sharing the
+        // *left* columns, whatever column the selection is.
+        let all = selection_of((lo - 1..lo + n as u64 + 1).collect());
+        let got = check(&all, "positional", "whole domain");
+        assert!(got.synced(&ab), "case {case}: a full subset stays synced with AB");
+        assert_eq!(got.tail().identity(), ab.tail().identity(), "case {case}: full match tail");
+
+        // Unsorted right head: the bitmap arm, its set bits enumerated.
+        let mut unsorted = shuffled_oids(&mut rng, lo - 2, n as u64 + 4, (k + 5).min(n));
+        unsorted.push(unsorted[0]);
+        check(&selection_of(unsorted), "bitmap", "unsorted");
+        // ... and a span the cost model refuses: hash.
+        check(&selection_of(vec![lo + 5_000_000, lo + 1]), "hash", "sparse");
+    }
+
+    // Encoded tails (dictionary, frame-of-reference, run-length) gather by
+    // the same positions as their raw twins.
+    for (ty, sorted) in [(AtomType::Str, false), (AtomType::Int, false), (AtomType::Dbl, true)] {
+        for case in 0..6 {
+            let n = rng.gen_range(24..64usize);
+            let (et, rt) = encoded_pair(&mut rng, ty, n, sorted);
+            let head = Column::void(100, n);
+            let (eb, rb) = (Bat::new(head.clone(), et), Bat::new(head, rt));
+            let mut oids = shuffled_oids(&mut rng, 98, n as u64 + 4, n / 2);
+            oids.sort_unstable();
+            let sel = selection_of(oids);
+            let got = ops::semijoin(&ctx, &eb, &sel).unwrap();
+            assert_eq!(last_algo(&ctx), "positional", "{ty} sorted={sorted} case {case}");
+            let want = ops::semijoin(&ctx, &rb, &sel).unwrap();
+            assert_eq!(rows_of(&got), rows_of(&want), "{ty} sorted={sorted} case {case}");
+            assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&rb, &sel)));
+            assert!(got.validate().is_ok(), "{ty} sorted={sorted} case {case}: props unsound");
+        }
+    }
+}
+
 #[test]
 fn lookup_against_a_materialized_dense_extent_equals_the_void_extent() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x34);

@@ -136,6 +136,35 @@ fn mil_programs_print_and_replay() {
 }
 
 #[test]
+fn q9_addresses_dense_heads_and_needs_no_alignment() {
+    // Q9 re-assembles eight attributes over one selection of a dense-headed
+    // pair list. A dense head is addressed, never merged, and the semijoin
+    // results all carry the selection's head, so nothing downstream has to
+    // re-align them by hashing.
+    let data = tpcd::generate(0.01, 4242);
+    let (cat, _) = tpcd::load_bats(&data);
+    let t = translate(&cat, &tpcd_queries::q06_10::q9_moa(&Params::for_data(&data))).unwrap();
+    let ctx = ExecCtx::new().with_trace();
+    let every: Vec<_> = (0..t.prog.len()).collect();
+    let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &every).unwrap();
+    let mut positional = 0;
+    for (stmt, s) in t.prog.stmts.iter().zip(env.trace()) {
+        assert!(
+            !matches!(s.algo, "hash-align" | "packed-align") && !s.algo.ends_with("-rowwise"),
+            "{}: {}",
+            s.rendered,
+            s.algo
+        );
+        if let MilOp::Semijoin(a, _) = &stmt.op {
+            let dense = env.bat(*a).unwrap().props().head.dense;
+            assert!(!(dense && s.algo == "merge"), "{}: merged a dense head", s.rendered);
+            positional += (s.algo == "positional") as usize;
+        }
+    }
+    assert!(positional >= 8, "the eight re-assembly semijoins are positional ({positional})");
+}
+
+#[test]
 fn memory_accounting_tracks_intermediates() {
     let (_, cat, _, params) = world();
     let ctx = ExecCtx::new();
