@@ -107,7 +107,10 @@ fn main() {
             if every || m >= 1.0 {
                 println!(
                     "  {m:>8.1} ms {:>9} rows {:>10} B  {op:>9}/{:<16} {}",
-                    s.result_len, s.result_bytes, s.algo, s.rendered
+                    s.result_len,
+                    s.result_bytes,
+                    s.algo,
+                    s.render(&t.prog)
                 );
             }
         }

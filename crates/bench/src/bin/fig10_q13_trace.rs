@@ -35,7 +35,11 @@ fn main() {
     for s in env.trace() {
         println!(
             "{:>9.3} {:>8} {:>9} {:>12}  {}",
-            s.ms, s.faults, s.result_len, s.algo, s.rendered
+            s.ms,
+            s.faults,
+            s.result_len,
+            s.algo,
+            s.render(&t.prog)
         );
     }
 

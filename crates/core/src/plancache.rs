@@ -14,10 +14,20 @@
 //! **Shape, not text.** Two expressions share a cache entry exactly when
 //! they differ only in the *values* of their [`Scalar::Param`] parameters
 //! (`prm(id, v)`). Plain literals are part of the shape — a query with a
-//! different hard-coded literal is a different plan. On a hit the cached
-//! program is cloned and the new parameter values are spliced into the
-//! recorded [`monet::mil::ParamLoc`] slots; no translation or optimizer
-//! pass runs (the per-thread `opt::cumulative` counters stay flat).
+//! different hard-coded literal is a different plan. One walk over the
+//! expression yields its structural hash (the key) and its parameter
+//! bindings; a hit is confirmed by walking it again against the entry's
+//! [`Shape`], so two shapes whose hashes collide are told apart, never
+//! served each other's plan.
+//!
+//! **A hit never copies a plan.** The cache holds one optimized program
+//! per shape, shared through an `Arc`; a hit hands it out with the
+//! expression's parameter values beside it, as the overlay of a
+//! [`monet::mil::BoundProgram`] that the interpreter applies to the
+//! parameter-slotted statements ([`monet::mil::ParamLoc`]) as it runs
+//! them. No translation or optimizer pass runs (the per-thread
+//! `opt::cumulative` counters stay flat) and the shared program's
+//! constants stay those of the expression that inserted it.
 //!
 //! **Configuration in the key.** The key holds the [`PlanConfig`] the
 //! translation ran under, whole — the planner is handed nothing else, so
@@ -34,12 +44,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use monet::atom::AtomValue;
 use monet::config::PlanConfig;
+use monet::mil::BoundProgram;
 
 use crate::algebra::{Expr, Pred, ProjItem, Scalar, SetExpr, SetValued};
 use crate::catalog::Catalog;
@@ -79,12 +89,12 @@ pub fn ambient_plan_cache() -> Option<Arc<PlanCache>> {
 // The cache.
 // ---------------------------------------------------------------------------
 
-/// Cache key: shape text + catalog state + the planner's configuration.
+/// Cache key: the shape's structural hash + catalog state + the planner's
+/// configuration. Shapes whose hashes collide share the key's bucket and
+/// are told apart there by [`Shape::matches`].
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct Key {
-    /// Canonical shape rendering of the expression (parameters appear as
-    /// `?id:type`, literals with their exact values).
-    shape: String,
+    shape_hash: u64,
     /// Catalog identity and mutation epoch.
     db_id: u64,
     db_epoch: u64,
@@ -93,14 +103,20 @@ struct Key {
 }
 
 struct Entry {
-    plan: Arc<Translated>,
-    /// Parameter bindings the cached program currently holds.
+    /// What a hit is confirmed against.
+    shape: Shape,
+    /// The translation, bound to the constants of the expression that
+    /// inserted it — the one program every hit on this shape shares.
+    plan: Translated,
+    /// Those constants, as [`collect_bindings`] gives them.
     bindings: Vec<(u32, AtomValue)>,
     last_used: u64,
 }
 
 struct Inner {
-    map: HashMap<Key, Entry>,
+    map: HashMap<Key, Vec<Entry>>,
+    /// Entries over all buckets.
+    len: usize,
     tick: u64,
 }
 
@@ -129,18 +145,26 @@ pub struct PlanCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     bypasses: AtomicU64,
+    /// Turns a shape's structural hash into the key's: the identity, but
+    /// for the test that forces every shape into one bucket.
+    key_hash: fn(u64) -> u64,
 }
 
 impl PlanCache {
     /// A cache bounded to `cap` plans (minimum 1).
     pub fn with_capacity(cap: usize) -> Arc<PlanCache> {
+        PlanCache::build(cap, |h| h)
+    }
+
+    fn build(cap: usize, key_hash: fn(u64) -> u64) -> Arc<PlanCache> {
         Arc::new(PlanCache {
             cap: cap.max(1),
-            inner: Mutex::new(Inner { map: HashMap::new(), tick: 0 }),
+            inner: Mutex::new(Inner { map: HashMap::new(), len: 0, tick: 0 }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
+            key_hash,
         })
     }
 
@@ -150,8 +174,17 @@ impl PlanCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
-            len: self.inner.lock().map(|g| g.map.len()).unwrap_or(0),
+            len: self.inner.lock().map(|g| g.len).unwrap_or(0),
         }
+    }
+
+    /// The shared program of every resident plan, bound to the constants
+    /// of the expression that inserted it.
+    pub fn resident_programs(&self) -> Vec<BoundProgram> {
+        self.inner.lock().map_or_else(
+            |_| Vec::new(),
+            |g| g.map.values().flatten().map(|e| e.plan.prog.clone()).collect(),
+        )
     }
 
     /// Drop every cached plan (catalog-change invalidation hook; epoch
@@ -159,6 +192,7 @@ impl PlanCache {
     pub fn clear(&self) {
         if let Ok(mut g) = self.inner.lock() {
             g.map.clear();
+            g.len = 0;
         }
     }
 
@@ -166,40 +200,38 @@ impl PlanCache {
     pub fn invalidate_db(&self, db_id: u64) {
         if let Ok(mut g) = self.inner.lock() {
             g.map.retain(|k, _| k.db_id != db_id);
+            g.len = g.map.values().map(Vec::len).sum();
         }
     }
 
     /// Translate `expr` through the cache (the
-    /// [`crate::translate::translate_in`] fast path). Hits clone the cached
-    /// optimized program and splice the expression's parameter values into
-    /// its recorded slots; misses translate under `plan` and insert.
+    /// [`crate::translate::translate_in`] fast path). A hit shares the
+    /// cached program, re-bound to the expression's parameter values; a
+    /// miss translates under `plan` and inserts.
     pub fn translate(
         &self,
         cat: &Catalog,
         expr: &SetExpr,
         plan: &PlanConfig,
     ) -> Result<Translated> {
-        let Some(bindings) = collect_bindings(expr) else {
+        let mut walk = Keyed::default();
+        walk_set(expr, &mut walk);
+        let Keyed { hash, bindings, conflict } = walk;
+        if conflict {
             // One id bound to two different values: re-binding a cached
-            // plan could splice either value into either slot. Bypass.
+            // plan could put either value into either slot. Bypass.
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             return translate_uncached(cat, expr, plan);
-        };
+        }
         let key = Key {
-            shape: shape_of(expr),
+            shape_hash: (self.key_hash)(hash),
             db_id: cat.db().id(),
             db_epoch: cat.db().epoch(),
             plan: *plan,
         };
-        if let Some((hit, cached)) = self.lookup(&key) {
-            let mut t: Translated = (*hit).clone();
-            if !bindings_identical(&cached, &bindings) && !t.prog.splice_params(&bindings) {
-                // Slot metadata went stale (would be a translator bug);
-                // degrade to a fresh translation rather than run a
-                // wrongly-bound plan.
-                debug_assert!(false, "cached plan rejected a parameter splice");
-                self.bypasses.fetch_add(1, Ordering::Relaxed);
-                return translate_uncached(cat, expr, plan);
+        if let Some((mut t, same_values)) = self.lookup(&key, expr, &bindings) {
+            if !same_values {
+                t.prog = t.prog.rebind(bindings);
             }
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(t);
@@ -207,48 +239,73 @@ impl PlanCache {
         let t = translate_uncached(cat, expr, plan)?;
         if t.cacheable {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.insert(key, Arc::new(t.clone()), bindings);
+            let entry = Entry { shape: shape_of(expr), plan: t.clone(), bindings, last_used: 0 };
+            self.insert(key, entry);
         } else {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
         }
         Ok(t)
     }
 
-    fn lookup(&self, key: &Key) -> Option<(Arc<Translated>, Vec<(u32, AtomValue)>)> {
+    /// The resident plan of `expr`'s shape, bound to its inserter's
+    /// constants, and whether those equal `bindings`.
+    fn lookup(
+        &self,
+        key: &Key,
+        expr: &SetExpr,
+        bindings: &[(u32, AtomValue)],
+    ) -> Option<(Translated, bool)> {
         let mut g = self.inner.lock().ok()?;
         g.tick += 1;
         let tick = g.tick;
-        let e = g.map.get_mut(key)?;
+        let e = g.map.get_mut(key)?.iter_mut().find(|e| e.shape.matches(expr))?;
         e.last_used = tick;
-        Some((e.plan.clone(), e.bindings.clone()))
+        Some((e.plan.clone(), bindings_identical(&e.bindings, bindings)))
     }
 
-    fn insert(&self, key: Key, plan: Arc<Translated>, bindings: Vec<(u32, AtomValue)>) {
+    fn insert(&self, key: Key, mut entry: Entry) {
         let Ok(mut g) = self.inner.lock() else { return };
         g.tick += 1;
-        let tick = g.tick;
-        if g.map.len() >= self.cap && !g.map.contains_key(&key) {
+        entry.last_used = g.tick;
+        let Inner { map, len, .. } = &mut *g;
+        if map.get(&key).is_some_and(|b| b.iter().any(|e| e.shape == entry.shape)) {
+            // A concurrent miss on the same shape inserted first: its
+            // program stays the one every hit shares.
+            return;
+        }
+        if *len >= self.cap {
             // Evict the least-recently-used entry (linear scan: caches are
             // small — tens of plans — and insertions are misses, which
             // already paid a full translate+optimize).
-            if let Some(victim) =
-                g.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            {
-                g.map.remove(&victim);
+            let victim = map
+                .iter()
+                .flat_map(|(k, b)| b.iter().enumerate().map(move |(i, e)| (e.last_used, k, i)))
+                .min_by_key(|(used, ..)| *used)
+                .map(|(_, k, i)| (k.clone(), i));
+            if let Some((k, i)) = victim {
+                let emptied = map.get_mut(&k).is_some_and(|b| {
+                    b.swap_remove(i);
+                    b.is_empty()
+                });
+                if emptied {
+                    map.remove(&k);
+                }
+                *len -= 1;
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        g.map.insert(key, Entry { plan, bindings, last_used: tick });
+        map.entry(key).or_default().push(entry);
+        *len += 1;
     }
 }
 
 // ---------------------------------------------------------------------------
-// Shape rendering and parameter binding collection.
+// The shape walk: structure as tokens, parameters beside it.
 // ---------------------------------------------------------------------------
 
 /// Bit-exact atom identity (same contract as the optimizer's CSE:
 /// distinguishes -0.0 from 0.0 and NaN payloads — a re-bound value that
-/// differs only in float sign still gets spliced).
+/// differs only in float sign still gets bound).
 fn atoms_identical(a: &AtomValue, b: &AtomValue) -> bool {
     use AtomValue as V;
     match (a, b) {
@@ -273,284 +330,271 @@ fn bindings_identical(a: &[(u32, AtomValue)], b: &[(u32, AtomValue)]) -> bool {
 /// occurrence per id. `None` when one id is bound to two non-identical
 /// values (the expression is then not safely re-bindable).
 pub fn collect_bindings(expr: &SetExpr) -> Option<Vec<(u32, AtomValue)>> {
-    let mut out: Vec<(u32, AtomValue)> = Vec::new();
-    let mut ok = true;
-    walk_set(expr, &mut |s| {
-        if let Scalar::Param { id, value } = s {
-            match out.iter().find(|(i, _)| i == id) {
-                Some((_, prev)) if !atoms_identical(prev, value) => ok = false,
-                Some(_) => {}
-                None => out.push((*id, value.clone())),
-            }
-        }
-    });
-    ok.then_some(out)
+    let mut walk = Keyed::default();
+    walk_set(expr, &mut walk);
+    (!walk.conflict).then_some(walk.bindings)
 }
 
-/// Apply `f` to every `Scalar` in the expression tree.
-fn walk_set(e: &SetExpr, f: &mut impl FnMut(&Scalar)) {
-    match e {
-        SetExpr::Extent(_) => {}
-        SetExpr::Select { input, pred } => {
-            walk_set(input, f);
-            walk_pred(pred, f);
-        }
-        SetExpr::Project { input, items } | SetExpr::Nest { input, keys: items } => {
-            walk_set(input, f);
-            for it in items {
-                walk_expr(&it.expr, f);
-            }
-        }
-        SetExpr::Union(a, b) | SetExpr::Diff(a, b) | SetExpr::Intersect(a, b) => {
-            walk_set(a, f);
-            walk_set(b, f);
-        }
-        SetExpr::Top { input, by, .. } => {
-            walk_set(input, f);
-            walk_scalar(by, f);
-        }
-        SetExpr::JoinEq { left, right, lkey, rkey, .. }
-        | SetExpr::SemijoinEq { left, right, lkey, rkey } => {
-            walk_set(left, f);
-            walk_set(right, f);
-            walk_scalar(lkey, f);
-            walk_scalar(rkey, f);
-        }
-        SetExpr::Unnest { input, attr, .. } => {
-            walk_set(input, f);
-            walk_setv(attr, f);
+/// An expression's shape, as the token stream of its structure: equal for
+/// two expressions exactly when one can be obtained from the other by
+/// changing parameter *values* (ids and value types stay part of the
+/// shape; plain literals count with their exact bits and so stay
+/// plan-distinguishing).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Shape(Vec<u64>);
+
+impl Shape {
+    /// Whether `expr` has this shape — a streaming comparison that
+    /// allocates nothing.
+    pub fn matches(&self, expr: &SetExpr) -> bool {
+        let mut walk = Matches { want: &self.0, at: 0, ok: true };
+        walk_set(expr, &mut walk);
+        walk.ok && walk.at == self.0.len()
+    }
+}
+
+/// The shape of `e`.
+pub fn shape_of(e: &SetExpr) -> Shape {
+    let mut tokens = Vec::with_capacity(64);
+    walk_set(e, &mut tokens);
+    Shape(tokens)
+}
+
+/// What a walk over an expression feeds: its structure as a token stream
+/// that parses back unambiguously (every node kind has its own tag and
+/// every variable-length part its length), and its parameters.
+trait Sink {
+    fn token(&mut self, t: u64);
+    fn param(&mut self, _id: u32, _value: &AtomValue) {}
+}
+
+impl Sink for Vec<u64> {
+    fn token(&mut self, t: u64) {
+        self.push(t);
+    }
+}
+
+/// Compares the stream against a recorded one.
+struct Matches<'a> {
+    want: &'a [u64],
+    at: usize,
+    ok: bool,
+}
+
+impl Sink for Matches<'_> {
+    fn token(&mut self, t: u64) {
+        self.ok &= self.want.get(self.at) == Some(&t);
+        self.at += 1;
+    }
+}
+
+/// The cache's walk: a hash of the stream and the bindings, first
+/// occurrence per id, with a note of any id bound to two values.
+#[derive(Default)]
+struct Keyed {
+    hash: u64,
+    bindings: Vec<(u32, AtomValue)>,
+    conflict: bool,
+}
+
+impl Sink for Keyed {
+    fn token(&mut self, t: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ t).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn param(&mut self, id: u32, value: &AtomValue) {
+        match self.bindings.iter().find(|(i, _)| *i == id) {
+            Some((_, prev)) => self.conflict |= !atoms_identical(prev, value),
+            None => self.bindings.push((id, value.clone())),
         }
     }
 }
 
-fn walk_pred(p: &Pred, f: &mut impl FnMut(&Scalar)) {
-    match p {
-        Pred::Cmp(_, l, r) => {
-            walk_scalar(l, f);
-            walk_scalar(r, f);
-        }
-        Pred::And(a, b) | Pred::Or(a, b) => {
-            walk_pred(a, f);
-            walk_pred(b, f);
-        }
-        Pred::Not(x) => walk_pred(x, f),
-    }
-}
-
-fn walk_scalar(s: &Scalar, f: &mut impl FnMut(&Scalar)) {
-    f(s);
-    match s {
-        Scalar::Bin(_, l, r) => {
-            walk_scalar(l, f);
-            walk_scalar(r, f);
-        }
-        Scalar::Un(_, x) => walk_scalar(x, f),
-        Scalar::Agg(_, sv) => walk_setv(sv, f),
-        Scalar::Attr(_) | Scalar::This | Scalar::Lit(_) | Scalar::Param { .. } => {}
-    }
-}
-
-fn walk_setv(sv: &SetValued, f: &mut impl FnMut(&Scalar)) {
-    match sv {
-        SetValued::Attr(_) => {}
-        SetValued::SelectIn(inner, pred) => {
-            walk_setv(inner, f);
-            walk_pred(pred, f);
-        }
-        SetValued::ProjectIn(inner, item) => {
-            walk_setv(inner, f);
-            walk_scalar(item, f);
-        }
-    }
-}
-
-fn walk_expr(e: &Expr, f: &mut impl FnMut(&Scalar)) {
-    match e {
-        Expr::Scalar(s) => walk_scalar(s, f),
-        Expr::SetV(sv) => walk_setv(sv, f),
-    }
-}
-
-/// Canonical shape rendering: a string that is equal for two expressions
-/// exactly when one can be obtained from the other by changing parameter
-/// *values* (ids and value types stay part of the shape; plain literals
-/// render with their exact values and so stay plan-distinguishing).
-pub fn shape_of(e: &SetExpr) -> String {
-    let mut s = String::with_capacity(256);
-    fmt_set(e, &mut s);
-    s
-}
-
-fn fmt_set(e: &SetExpr, s: &mut String) {
+fn walk_set(e: &SetExpr, s: &mut impl Sink) {
     match e {
         SetExpr::Extent(c) => {
-            let _ = write!(s, "ext({c:?})");
+            s.token(1);
+            text(c, s);
         }
         SetExpr::Select { input, pred } => {
-            s.push_str("sel(");
-            fmt_set(input, s);
-            s.push(';');
-            fmt_pred(pred, s);
-            s.push(')');
+            s.token(2);
+            walk_set(input, s);
+            walk_pred(pred, s);
         }
         SetExpr::Project { input, items } => {
-            s.push_str("proj(");
-            fmt_set(input, s);
-            fmt_items(items, s);
-            s.push(')');
+            s.token(3);
+            walk_set(input, s);
+            walk_items(items, s);
         }
         SetExpr::Nest { input, keys } => {
-            s.push_str("nest(");
-            fmt_set(input, s);
-            fmt_items(keys, s);
-            s.push(')');
+            s.token(4);
+            walk_set(input, s);
+            walk_items(keys, s);
         }
-        SetExpr::Union(a, b) => fmt_pair("uni", a, b, s),
-        SetExpr::Diff(a, b) => fmt_pair("dif", a, b, s),
-        SetExpr::Intersect(a, b) => fmt_pair("int", a, b, s),
+        SetExpr::Union(a, b) | SetExpr::Diff(a, b) | SetExpr::Intersect(a, b) => {
+            s.token(match e {
+                SetExpr::Union(..) => 5,
+                SetExpr::Diff(..) => 6,
+                _ => 7,
+            });
+            walk_set(a, s);
+            walk_set(b, s);
+        }
         SetExpr::Top { input, by, n, desc } => {
-            let _ = write!(s, "top[{n},{desc}](");
-            fmt_set(input, s);
-            s.push(';');
-            fmt_scalar(by, s);
-            s.push(')');
+            s.token(8);
+            s.token(*n as u64);
+            s.token(*desc as u64);
+            walk_set(input, s);
+            walk_scalar(by, s);
         }
         SetExpr::JoinEq { left, right, lkey, rkey, lname, rname } => {
-            let _ = write!(s, "jeq[{lname:?},{rname:?}](");
-            fmt_set(left, s);
-            s.push(',');
-            fmt_set(right, s);
-            s.push(';');
-            fmt_scalar(lkey, s);
-            s.push(';');
-            fmt_scalar(rkey, s);
-            s.push(')');
+            s.token(9);
+            text(lname, s);
+            text(rname, s);
+            walk_set(left, s);
+            walk_set(right, s);
+            walk_scalar(lkey, s);
+            walk_scalar(rkey, s);
         }
         SetExpr::SemijoinEq { left, right, lkey, rkey } => {
-            s.push_str("sjeq(");
-            fmt_set(left, s);
-            s.push(',');
-            fmt_set(right, s);
-            s.push(';');
-            fmt_scalar(lkey, s);
-            s.push(';');
-            fmt_scalar(rkey, s);
-            s.push(')');
+            s.token(10);
+            walk_set(left, s);
+            walk_set(right, s);
+            walk_scalar(lkey, s);
+            walk_scalar(rkey, s);
         }
         SetExpr::Unnest { input, attr, oname, mname } => {
-            let _ = write!(s, "unn[{oname:?},{mname:?}](");
-            fmt_set(input, s);
-            s.push(';');
-            fmt_setv(attr, s);
-            s.push(')');
+            s.token(11);
+            text(oname, s);
+            text(mname, s);
+            walk_set(input, s);
+            walk_setv(attr, s);
         }
     }
 }
 
-fn fmt_pair(tag: &str, a: &SetExpr, b: &SetExpr, s: &mut String) {
-    s.push_str(tag);
-    s.push('(');
-    fmt_set(a, s);
-    s.push(',');
-    fmt_set(b, s);
-    s.push(')');
-}
-
-fn fmt_items(items: &[ProjItem], s: &mut String) {
+fn walk_items(items: &[ProjItem], s: &mut impl Sink) {
+    s.token(items.len() as u64);
     for it in items {
-        let _ = write!(s, ";{:?}:", it.name);
+        text(&it.name, s);
         match &it.expr {
-            Expr::Scalar(sc) => fmt_scalar(sc, s),
-            Expr::SetV(sv) => fmt_setv(sv, s),
+            Expr::Scalar(sc) => {
+                s.token(20);
+                walk_scalar(sc, s);
+            }
+            Expr::SetV(sv) => {
+                s.token(21);
+                walk_setv(sv, s);
+            }
         }
     }
 }
 
-fn fmt_scalar(sc: &Scalar, s: &mut String) {
+fn walk_pred(p: &Pred, s: &mut impl Sink) {
+    match p {
+        Pred::Cmp(op, l, r) => {
+            s.token(30);
+            s.token(*op as u64);
+            walk_scalar(l, s);
+            walk_scalar(r, s);
+        }
+        Pred::And(a, b) | Pred::Or(a, b) => {
+            s.token(if matches!(p, Pred::And(..)) { 31 } else { 32 });
+            walk_pred(a, s);
+            walk_pred(b, s);
+        }
+        Pred::Not(x) => {
+            s.token(33);
+            walk_pred(x, s);
+        }
+    }
+}
+
+fn walk_scalar(sc: &Scalar, s: &mut impl Sink) {
     match sc {
         Scalar::Attr(path) => {
-            let _ = write!(s, "a{path:?}");
+            s.token(40);
+            walk_path(path, s);
         }
-        Scalar::This => s.push_str("this"),
-        // `{:?}` on AtomValue is value-exact (f64 Debug round-trips) and
-        // type-tagged, so literals distinguish plans.
+        Scalar::This => s.token(41),
         Scalar::Lit(v) => {
-            let _ = write!(s, "lit({v:?})");
+            s.token(42);
+            atom(v, s);
         }
         // Parameters: id and value *type* only — the value is rebindable.
         Scalar::Param { id, value } => {
-            let _ = write!(s, "prm({id}:{:?})", value.atom_type());
+            s.token(43);
+            s.token(*id as u64);
+            s.token(value.atom_type() as u64);
+            s.param(*id, value);
         }
         Scalar::Bin(op, l, r) => {
-            let _ = write!(s, "bin[{op:?}](");
-            fmt_scalar(l, s);
-            s.push(',');
-            fmt_scalar(r, s);
-            s.push(')');
+            s.token(44);
+            s.token(*op as u64);
+            walk_scalar(l, s);
+            walk_scalar(r, s);
         }
         Scalar::Un(op, x) => {
-            let _ = write!(s, "un[{op:?}](");
-            fmt_scalar(x, s);
-            s.push(')');
+            s.token(45);
+            s.token(*op as u64);
+            walk_scalar(x, s);
         }
         Scalar::Agg(f, sv) => {
-            let _ = write!(s, "agg[{f:?}](");
-            fmt_setv(sv, s);
-            s.push(')');
+            s.token(46);
+            s.token(*f as u64);
+            walk_setv(sv, s);
         }
     }
 }
 
-fn fmt_pred(p: &Pred, s: &mut String) {
-    match p {
-        Pred::Cmp(op, l, r) => {
-            let _ = write!(s, "cmp[{op:?}](");
-            fmt_scalar(l, s);
-            s.push(',');
-            fmt_scalar(r, s);
-            s.push(')');
-        }
-        Pred::And(a, b) => {
-            s.push_str("and(");
-            fmt_pred(a, s);
-            s.push(',');
-            fmt_pred(b, s);
-            s.push(')');
-        }
-        Pred::Or(a, b) => {
-            s.push_str("or(");
-            fmt_pred(a, s);
-            s.push(',');
-            fmt_pred(b, s);
-            s.push(')');
-        }
-        Pred::Not(x) => {
-            s.push_str("not(");
-            fmt_pred(x, s);
-            s.push(')');
-        }
-    }
-}
-
-fn fmt_setv(sv: &SetValued, s: &mut String) {
+fn walk_setv(sv: &SetValued, s: &mut impl Sink) {
     match sv {
         SetValued::Attr(path) => {
-            let _ = write!(s, "s{path:?}");
+            s.token(50);
+            walk_path(path, s);
         }
         SetValued::SelectIn(inner, pred) => {
-            s.push_str("selin(");
-            fmt_setv(inner, s);
-            s.push(';');
-            fmt_pred(pred, s);
-            s.push(')');
+            s.token(51);
+            walk_setv(inner, s);
+            walk_pred(pred, s);
         }
         SetValued::ProjectIn(inner, item) => {
-            s.push_str("projin(");
-            fmt_setv(inner, s);
-            s.push(';');
-            fmt_scalar(item, s);
-            s.push(')');
+            s.token(52);
+            walk_setv(inner, s);
+            walk_scalar(item, s);
         }
+    }
+}
+
+fn walk_path(path: &[String], s: &mut impl Sink) {
+    s.token(path.len() as u64);
+    for seg in path {
+        text(seg, s);
+    }
+}
+
+/// A string, exactly: its length, then its bytes eight to a token.
+fn text(t: &str, s: &mut impl Sink) {
+    s.token(t.len() as u64);
+    for chunk in t.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        s.token(u64::from_le_bytes(word));
+    }
+}
+
+/// A literal, exactly: its type, then its bits.
+fn atom(v: &AtomValue, s: &mut impl Sink) {
+    s.token(v.atom_type() as u64);
+    match v {
+        AtomValue::Void(o) | AtomValue::Oid(o) => s.token(*o),
+        AtomValue::Bool(b) => s.token(*b as u64),
+        AtomValue::Chr(c) => s.token(*c as u64),
+        AtomValue::Int(i) => s.token(*i as u64),
+        AtomValue::Lng(l) => s.token(*l as u64),
+        AtomValue::Dbl(d) => s.token(d.to_bits()),
+        AtomValue::Str(t) => text(t, s),
+        AtomValue::Date(d) => s.token(d.0 as u64),
     }
 }
 
@@ -561,6 +605,7 @@ mod tests {
     use crate::testkit::mini_catalog;
     use monet::atom::AtomValue;
     use monet::mil::opt::OptLevel;
+    use monet::mil::Executable;
     use monet::ops::ScalarFunc;
 
     fn q(cut: f64) -> SetExpr {
@@ -656,6 +701,47 @@ mod tests {
         assert!(cache.translate(&cat, &bad, &PlanConfig::default()).is_err());
         let s = cache.stats();
         assert_eq!((s.len, s.misses, s.hits), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_hit_shares_the_program_and_binds_beside_it() {
+        let cat = mini_catalog();
+        let cache = PlanCache::with_capacity(8);
+        let t1 = cache.translate(&cat, &q(100.0), &PlanConfig::default()).unwrap();
+        let t2 = cache.translate(&cat, &q(200.0), &PlanConfig::default()).unwrap();
+        let t3 = cache.translate(&cat, &q(100.0), &PlanConfig::default()).unwrap();
+        assert!(t2.prog.shares_program_with(&t1.prog) && t3.prog.shares_program_with(&t1.prog));
+        assert!(Arc::ptr_eq(&t1.spec, &t2.spec) && Arc::ptr_eq(&t1.keep, &t2.keep));
+        // The shared constants stay the inserter's; the hit's own print
+        // shows its values, exactly as a fresh translation of it would.
+        let fresh = translate_uncached(&cat, &q(200.0), &PlanConfig::default()).unwrap();
+        assert_eq!(t2.prog.to_string(), fresh.prog.to_string());
+        assert_eq!(t2.prog.program().to_string(), t1.prog.to_string());
+        assert_eq!(cache.resident_programs().len(), 1);
+    }
+
+    #[test]
+    fn a_hash_collision_is_told_apart_by_structure_never_served() {
+        let cat = mini_catalog();
+        let plan = PlanConfig::default();
+        // Every shape hashes to one key: only the structural comparison
+        // separates the two plans.
+        let cache = PlanCache::build(8, |_| 0);
+        let other = SetExpr::extent("Item").select(eq(attr("extendedprice"), lit_d(5.0)));
+        let fresh = |e: &SetExpr| translate_uncached(&cat, e, &plan).unwrap().prog.to_string();
+        for round in 0..3 {
+            for e in [&q(1.0), &other, &q(2.0)] {
+                let t = cache.translate(&cat, e, &plan).unwrap();
+                assert_eq!(t.prog.to_string(), fresh(e), "round {round}: served another plan");
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.misses, s.hits, s.len), (2, 7, 2));
+        assert_eq!(cache.inner.lock().unwrap().map.len(), 1, "both shapes share one bucket");
+        // The shape comparison itself: equal up to parameter values only.
+        assert!(shape_of(&q(1.0)).matches(&q(3.0)));
+        assert!(!shape_of(&q(1.0)).matches(&other));
+        assert!(!shape_of(&other).matches(&q(1.0)));
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //!   operations.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use monet::atom::AtomValue;
 use monet::bat::Bat;
@@ -32,7 +33,7 @@ use monet::config::{EngineConfig, PlanConfig};
 use monet::ctx::ExecCtx;
 use monet::db::Db;
 use monet::mil::opt::OptLevel;
-use monet::mil::{execute, Env, MilArg, MilOp, MilProgram, ParamLoc, Var};
+use monet::mil::{execute, BoundProgram, Env, MilArg, MilOp, MilProgram, ParamLoc, Var};
 use monet::ops::{AggFunc, ScalarFunc};
 
 use crate::algebra::{Expr, Pred, Scalar, SetExpr, SetValued, NEST_REST};
@@ -133,15 +134,19 @@ impl StructSpec {
 }
 
 /// A fully translated query: MIL program + result structure function.
+///
+/// Everything but the parameter values is shared: a plan-cache hit clones
+/// the `Arc`s and re-binds `prog`, never copying a statement.
 #[derive(Debug, Clone)]
 pub struct Translated {
-    pub prog: MilProgram,
+    /// The optimized program with this translation's parameter values.
+    pub prog: BoundProgram,
     /// Variable of the result index BAT.
     pub index: Var,
     /// Structure function of the result elements.
-    pub spec: StructSpec,
+    pub spec: Arc<StructSpec>,
     /// Variables the interpreter must keep alive for the structure.
-    pub keep: Vec<Var>,
+    pub keep: Arc<[Var]>,
     /// False when a parameter value was folded into a derived constant at
     /// translation time (e.g. `?1 - 1day` between two constants): the
     /// program then has no slot for that parameter and must not be re-bound
@@ -210,26 +215,30 @@ pub(crate) fn translate_uncached(
     let mut t =
         Translator { cat, prog: MilProgram::new(), loaded: HashMap::new(), param_folded: false };
     let ts = t.tset(expr)?;
-    let spec = t.elem_spec(&ts.elem, ts.index)?;
+    let mut spec = t.elem_spec(&ts.elem, ts.index)?;
     let mut keep = vec![ts.index];
     spec.vars(&mut keep);
     keep.sort_unstable();
     keep.dedup();
-    let cacheable = !t.param_folded;
-    let mut out = Translated { prog: t.prog, index: ts.index, spec, keep, cacheable };
+    let (mut prog, mut index) = (t.prog, ts.index);
     if plan.opt.enabled() {
-        let prog = std::mem::take(&mut out.prog);
-        let mut opt = monet::mil::opt::optimize(prog, &out.keep, cat.db(), plan);
-        out.prog = std::mem::take(&mut opt.prog);
-        out.index = opt.var(out.index);
-        out.spec.remap_vars(&|v| opt.var(v));
-        for k in out.keep.iter_mut() {
+        let mut opt = monet::mil::opt::optimize(prog, &keep, cat.db(), plan);
+        prog = std::mem::take(&mut opt.prog);
+        index = opt.var(index);
+        spec.remap_vars(&|v| opt.var(v));
+        for k in keep.iter_mut() {
             *k = opt.var(*k);
         }
-        out.keep.sort_unstable();
-        out.keep.dedup();
+        keep.sort_unstable();
+        keep.dedup();
     }
-    Ok(out)
+    Ok(Translated {
+        prog: BoundProgram::new(prog),
+        index,
+        spec: Arc::new(spec),
+        keep: keep.into(),
+        cacheable: !t.param_folded,
+    })
 }
 
 struct Translator<'a> {

@@ -9,8 +9,8 @@
 //! same context.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::sync::Mutex;
 
@@ -44,11 +44,35 @@ pub struct TraceEvent {
     pub result_bytes: usize,
 }
 
+/// Kernel labels (`record`'s `algo`) interned process-wide, so that one
+/// atomic word on the context carries the last one lock-free. A label's
+/// code is its slot plus one; 0 is "no label" (and what a full table,
+/// which 256 slots for a few dozen literals never is, degrades to).
+mod label {
+    use super::OnceLock;
+
+    const SLOTS: usize = 256;
+    static TABLE: [OnceLock<&'static str>; SLOTS] = [const { OnceLock::new() }; SLOTS];
+
+    pub(super) fn code(label: &'static str) -> usize {
+        let start = crate::column::fnv1a(label.as_bytes()) as usize % SLOTS;
+        (0..SLOTS)
+            .map(|k| (start + k) % SLOTS)
+            .find(|&i| *TABLE[i].get_or_init(|| label) == label)
+            .map_or(0, |i| i + 1)
+    }
+
+    pub(super) fn of(code: usize) -> &'static str {
+        code.checked_sub(1).and_then(|i| TABLE[i].get()).copied().unwrap_or("")
+    }
+}
+
 /// Memory accounting and enforcement.
 ///
 /// Two roles: (1) the observational "total / max (MB)" columns of Figure 9
-/// (`total_bytes` / `max_live_bytes`, maintained by the MIL interpreter's
-/// liveness analysis), and (2) the **governor's byte budget** — every
+/// (`total_bytes`; `max_live_bytes`, the MIL interpreter's high-water mark
+/// of the live *intermediates* — catalog BATs a program loads and mirrors
+/// of live values count nothing), and (2) the **governor's byte budget** — every
 /// tracked allocation goes through [`MemTracker::charge`], which fails with
 /// [`MonetError::BudgetExceeded`] once the charged live set passes the
 /// budget. The interpreter releases a value's charge when liveness frees
@@ -57,7 +81,8 @@ pub struct TraceEvent {
 pub struct MemTracker {
     /// Sum of all intermediate-result bytes materialized so far.
     total_bytes: AtomicU64,
-    /// High-water mark of the live set, maintained by the MIL interpreter.
+    /// High-water mark of the live intermediates, maintained by the MIL
+    /// interpreter (counted as the budget charges them).
     max_live_bytes: AtomicU64,
     /// Charged-but-not-released bytes (the governor's live set).
     charged: AtomicU64,
@@ -193,8 +218,12 @@ pub struct ExecCtx {
     cfg: Arc<EngineConfig>,
     /// Simulated pager; `None` disables fault accounting.
     pub pager: Option<Arc<Pager>>,
-    /// Trace sink; `None` disables tracing.
+    /// Trace sink for kernel-level events; `None` disables it. The
+    /// per-statement profile (`mil::StmtTrace`) does not need it.
     pub trace: Option<Arc<Mutex<Vec<TraceEvent>>>>,
+    /// The label of the last kernel `record`ed, as a `label` code; the
+    /// interpreter takes it after every statement.
+    algo: Arc<AtomicUsize>,
     /// Memory accounting and budget enforcement (always on).
     pub mem: Arc<MemTracker>,
     /// Resource governor: cancellation, deadline, fault injection.
@@ -235,6 +264,7 @@ impl ExecCtx {
         ExecCtx {
             pager: None,
             trace: None,
+            algo: Arc::default(),
             mem: Arc::new(mem),
             gov: Arc::new(Governor::new(cfg.fault.as_ref())),
             oid_gen: Arc::new(AtomicU64::new(FRESH_OID_BASE)),
@@ -303,6 +333,12 @@ impl ExecCtx {
         }
     }
 
+    /// The algorithm label of the last kernel `record`ed since the previous
+    /// call (`""` if none), clearing it.
+    pub(crate) fn take_algo(&self) -> &'static str {
+        label::of(self.algo.swap(0, Ordering::Relaxed))
+    }
+
     /// Reserve `n` fresh consecutive oids, returning the first.
     pub fn fresh_oids(&self, n: usize) -> Oid {
         self.oid_gen.fetch_add(n as u64, Ordering::Relaxed)
@@ -313,7 +349,8 @@ impl ExecCtx {
         self.pager.as_ref().map_or(0, |p| p.faults())
     }
 
-    /// Record a completed operation: trace event + memory accounting + the
+    /// Record a completed operation: its algorithm label (for the running
+    /// statement's profile), trace event + memory accounting + the
     /// governor's budget charge. `faults_before` should be sampled via
     /// [`ExecCtx::faults`] before the operation ran. Fails with
     /// [`MonetError::BudgetExceeded`] when the charge passes the budget —
@@ -344,6 +381,7 @@ impl ExecCtx {
             .map(|col| col.bytes())
             .sum();
         self.mem.add_total(allocated as u64);
+        self.algo.store(label::code(algo), Ordering::Relaxed);
         if let Some(t) = &self.trace {
             t.lock().push(TraceEvent {
                 op,
@@ -428,6 +466,22 @@ mod tests {
         assert_eq!(ctx.mem.charged_bytes(), bat.bytes() as u64);
         // The raw twin would have charged the full duplicated heap.
         assert!(ctx.mem.charged_bytes() < raw.bytes() as u64);
+    }
+
+    #[test]
+    fn record_publishes_its_label_without_a_trace_sink() {
+        let ctx = ExecCtx::new();
+        assert_eq!(ctx.take_algo(), "");
+        let bat = Bat::new(Column::void(0, 2), Column::from_ints(vec![1, 2]));
+        for algo in ["merge", "hash", "merge"] {
+            ctx.record("test", algo, std::time::Instant::now(), 0, &[], &bat).unwrap();
+            assert_eq!(ctx.take_algo(), algo);
+            assert_eq!(ctx.take_algo(), "", "taking clears it");
+        }
+        // A label is found by its text, whichever literal carries it.
+        let owned: &'static str = String::from("merge").leak();
+        assert_eq!(label::code(owned), label::code("merge"));
+        assert_ne!(label::code("hash"), label::code("merge"));
     }
 
     #[test]

@@ -336,12 +336,14 @@ impl MilStmt {
             _ => None,
         }
     }
+}
 
+impl MilOp {
     /// Overwrite the constant at a parameter slot with a new binding.
-    /// Returns false if the slot does not address a constant in `op`
-    /// (which would mean the slot metadata went stale — a bug).
+    /// Returns false if the slot does not address a constant in the
+    /// operation (which would mean the slot metadata went stale — a bug).
     pub fn splice_param(&mut self, loc: ParamLoc, value: &AtomValue) -> bool {
-        match (loc, &mut self.op) {
+        match (loc, self) {
             (ParamLoc::EqVal, MilOp::SelectEq(_, v)) => {
                 *v = value.clone();
                 true
@@ -405,26 +407,6 @@ impl MilProgram {
             }
         }
         out
-    }
-
-    /// Re-bind every parameter slot from `bindings` (`(id, value)` pairs).
-    /// Slots whose id is missing from `bindings` keep their cached value.
-    /// Returns false if any addressed slot no longer holds a constant.
-    pub fn splice_params(&mut self, bindings: &[(u32, AtomValue)]) -> bool {
-        for stmt in &mut self.stmts {
-            // Move the slot list aside so we can mutate the op it describes.
-            let slots = std::mem::take(&mut stmt.params);
-            for (pid, loc) in &slots {
-                if let Some((_, v)) = bindings.iter().find(|(id, _)| id == pid) {
-                    if !stmt.splice_param(*loc, v) {
-                        stmt.params = slots;
-                        return false;
-                    }
-                }
-            }
-            stmt.params = slots;
-        }
-        true
     }
 
     /// Name of a variable (for printing).

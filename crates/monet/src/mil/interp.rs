@@ -15,7 +15,8 @@ use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::ops;
 
-use super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, Var};
+use super::ast::{FuseArg, FuseStage, MilArg, MilOp, Pin, Var};
+use super::bound::{bind_op, Executable};
 
 /// A MIL variable's value: a BAT or a scalar.
 #[derive(Debug, Clone)]
@@ -53,24 +54,39 @@ impl MilValue {
     }
 }
 
-/// Per-statement execution record (one row of Figure 10). Rows always
-/// describe the program the interpreter actually ran — after plan
-/// optimization, `var`/`name`/`rendered` reference the *rewritten*
-/// statements, not the translator's raw emission.
-#[derive(Debug, Clone)]
+/// Per-statement execution record (one row of Figure 10): numbers only,
+/// filled for every statement of every execution. Rows describe the
+/// program the interpreter actually ran — after plan optimization, `var`
+/// indexes the *rewritten* statements — and the statement's name and MIL
+/// text are rendered from that program on demand ([`StmtTrace::name`],
+/// [`StmtTrace::render`]).
+#[derive(Debug, Clone, Copy)]
 pub struct StmtTrace {
     /// Variable the statement defines (its index in the executed program).
     pub var: Var,
-    pub name: String,
-    pub rendered: String,
     pub ms: f64,
     pub faults: u64,
+    /// The implementation the statement's kernel chose (`""` for `load`,
+    /// `mirror`, constants and scalar aggregates).
     pub algo: &'static str,
     /// Whether the implementation was pinned by the plan optimizer
     /// (skipping run-time property re-derivation).
     pub pinned: bool,
     pub result_len: usize,
     pub result_bytes: usize,
+}
+
+impl StmtTrace {
+    /// Name of the variable the statement defines, in `prog` — the program
+    /// this record's execution ran.
+    pub fn name<'p, P: Executable + ?Sized>(&self, prog: &'p P) -> &'p str {
+        prog.program().name_of(self.var)
+    }
+
+    /// The statement as MIL text, with the parameter values it ran with.
+    pub fn render<P: Executable + ?Sized>(&self, prog: &P) -> String {
+        prog.render_stmt(self.var)
+    }
 }
 
 /// The interpreter environment after execution.
@@ -106,10 +122,16 @@ impl Env {
     }
 }
 
-/// Execute `prog` against `db`. Variables in `keep` (typically the result
-/// BATs of the query's structure expression) survive liveness-based
-/// freeing.
-pub fn execute(ctx: &ExecCtx, db: &Db, prog: &MilProgram, keep: &[Var]) -> Result<Env> {
+/// Execute `prog` against `db`: a [`super::MilProgram`] with its own constants,
+/// or a [`super::BoundProgram`] — a shared program with this execution's
+/// parameter values. Variables in `keep` (typically the result BATs of
+/// the query's structure expression) survive liveness-based freeing.
+pub fn execute<P: Executable + ?Sized>(
+    ctx: &ExecCtx,
+    db: &Db,
+    prog: &P,
+    keep: &[Var],
+) -> Result<Env> {
     // Per-execution state starts empty and dies with the execution, abort
     // included: the memo (datavector LOOKUPs, `{g}` groupings) is keyed by
     // intermediates of *this* program.
@@ -124,49 +146,39 @@ pub fn execute(ctx: &ExecCtx, db: &Db, prog: &MilProgram, keep: &[Var]) -> Resul
     // Open a fresh governor charge window: the byte budget covers the
     // intermediates of *this* program, not whatever ran before on the ctx.
     ctx.mem.begin();
-    let frees = prog.last_uses();
-    let mut values: Vec<Option<MilValue>> = vec![None; prog.stmts.len()];
-    let mut trace: Vec<StmtTrace> = Vec::with_capacity(prog.stmts.len());
-    let mut live_bytes: u64 = db.bytes() as u64;
-    let mut peak = live_bytes;
-    // Governor charge attributed to each variable (released when liveness
-    // frees it). Load/ConstScalar/Mirror share persistent or operand
-    // storage and were never charged by a kernel `record`, so they stay 0.
-    let mut charged: Vec<u64> = vec![0; prog.stmts.len()];
-    let last = prog.stmts.len().saturating_sub(1);
+    let (stmts, overlay, frees) = (&prog.program().stmts, prog.overlay(), prog.frees());
+    let mut values: Vec<Option<MilValue>> = vec![None; stmts.len()];
+    let mut trace: Vec<StmtTrace> = Vec::with_capacity(stmts.len());
+    // Bytes of the live intermediates, each counted as the governor
+    // charges it: Load/ConstScalar/Mirror share catalog or operand storage
+    // and were never charged by a kernel `record`, so they count 0. The
+    // live set (and its peak) is thereby the intermediates' alone.
+    let mut charged: Vec<u64> = vec![0; stmts.len()];
+    let (mut live_bytes, mut peak) = (0u64, 0u64);
+    let last = stmts.len().saturating_sub(1);
+    // A label left by a kernel called outside any program is not ours.
+    ctx.take_algo();
 
-    for (i, stmt) in prog.stmts.iter().enumerate() {
+    for (i, stmt) in stmts.iter().enumerate() {
         ctx.probe(crate::gov::site::MIL_STMT)?;
+        let op = bind_op(stmt, overlay)?;
         let started = Instant::now();
         let faults0 = ctx.faults();
-        let events_before = ctx.trace.as_ref().map_or(0, |t| t.lock().len());
-        let value = eval_stmt(ctx, db, &values, stmt)?;
+        let value = eval_stmt(ctx, db, &values, stmt.pin, &op)?;
         let ms = started.elapsed().as_secs_f64() * 1e3;
         let faults = ctx.faults().saturating_sub(faults0);
-        // The kernel op recorded its own TraceEvent (with the chosen
-        // algorithm) if tracing is on; pull the algo label from it — but
-        // only when this statement actually emitted one (load/mirror/const
-        // do not).
-        let algo = match &ctx.trace {
-            Some(t) => {
-                let g = t.lock();
-                if g.len() > events_before {
-                    g.last().map(|e| e.algo).unwrap_or("")
-                } else {
-                    ""
-                }
-            }
-            None => "",
-        };
-        live_bytes += value.bytes() as u64;
-        charged[stmt.var] = match &stmt.op {
+        // The label the statement's kernel published through
+        // `ExecCtx::record` (none for load/mirror/const).
+        let algo = ctx.take_algo();
+        let bytes = value.bytes();
+        charged[stmt.var] = match *op {
             MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Mirror(_) => 0,
-            _ => value.bytes() as u64,
+            _ => bytes as u64,
         };
+        live_bytes += charged[stmt.var];
+        peak = peak.max(live_bytes);
         trace.push(StmtTrace {
             var: stmt.var,
-            name: stmt.name.clone(),
-            rendered: super::print::render_stmt(prog, stmt),
             ms,
             faults,
             algo,
@@ -175,17 +187,16 @@ pub fn execute(ctx: &ExecCtx, db: &Db, prog: &MilProgram, keep: &[Var]) -> Resul
                 MilValue::Bat(b) => b.len(),
                 MilValue::Scalar(_) => 1,
             },
-            result_bytes: value.bytes(),
+            result_bytes: bytes,
         });
         values[stmt.var] = Some(value);
-        peak = peak.max(live_bytes);
         // Free dead intermediates ("algebraic buffer management").
         for &v in &frees[i] {
             if keep.contains(&v) || v == last {
                 continue;
             }
-            if let Some(val) = values[v].take() {
-                live_bytes = live_bytes.saturating_sub(val.bytes() as u64);
+            if values[v].take().is_some() {
+                live_bytes -= charged[v];
                 ctx.mem.release(charged[v]);
                 charged[v] = 0;
             }
@@ -204,7 +215,8 @@ fn eval_stmt(
     ctx: &ExecCtx,
     db: &Db,
     env: &[Option<MilValue>],
-    stmt: &super::ast::MilStmt,
+    pin: Option<Pin>,
+    op: &MilOp,
 ) -> Result<MilValue> {
     let bat = |v: Var| -> Result<&Bat> {
         env.get(v)
@@ -212,39 +224,37 @@ fn eval_stmt(
             .ok_or_else(|| MonetError::UnknownName(format!("mil var {v}")))?
             .as_bat()
     };
-    match (stmt.pin, &stmt.op) {
-        (Some(super::ast::Pin::SelectSorted), MilOp::SelectEq(v, val)) => {
+    match (pin, op) {
+        (Some(Pin::SelectSorted), MilOp::SelectEq(v, val)) => {
             Ok(MilValue::Bat(ops::select::select_eq_sorted(ctx, bat(*v)?, val)?))
         }
-        (
-            Some(super::ast::Pin::SelectSorted),
-            MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi },
-        ) => Ok(MilValue::Bat(ops::select::select_range_sorted(
-            ctx,
-            bat(*src)?,
-            lo.as_ref(),
-            hi.as_ref(),
-            *inc_lo,
-            *inc_hi,
-        )?)),
-        (Some(super::ast::Pin::SelectDictCode), MilOp::SelectEq(v, val)) => {
+        (Some(Pin::SelectSorted), MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi }) => {
+            Ok(MilValue::Bat(ops::select::select_range_sorted(
+                ctx,
+                bat(*src)?,
+                lo.as_ref(),
+                hi.as_ref(),
+                *inc_lo,
+                *inc_hi,
+            )?))
+        }
+        (Some(Pin::SelectDictCode), MilOp::SelectEq(v, val)) => {
             Ok(MilValue::Bat(ops::select::select_eq_dict(ctx, bat(*v)?, val)?))
         }
-        (
-            Some(super::ast::Pin::SelectDictCode),
-            MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi },
-        ) => Ok(MilValue::Bat(ops::select::select_range_dict(
-            ctx,
-            bat(*src)?,
-            lo.as_ref(),
-            hi.as_ref(),
-            *inc_lo,
-            *inc_hi,
-        )?)),
-        (Some(super::ast::Pin::JoinFetch), MilOp::Join(a, b)) => {
+        (Some(Pin::SelectDictCode), MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi }) => {
+            Ok(MilValue::Bat(ops::select::select_range_dict(
+                ctx,
+                bat(*src)?,
+                lo.as_ref(),
+                hi.as_ref(),
+                *inc_lo,
+                *inc_hi,
+            )?))
+        }
+        (Some(Pin::JoinFetch), MilOp::Join(a, b)) => {
             Ok(MilValue::Bat(ops::join::join_fetch_pinned(ctx, bat(*a)?, bat(*b)?)?))
         }
-        (Some(super::ast::Pin::JoinMerge), MilOp::Join(a, b)) => {
+        (Some(Pin::JoinMerge), MilOp::Join(a, b)) => {
             Ok(MilValue::Bat(ops::join::join_merge_pinned(ctx, bat(*a)?, bat(*b)?)?))
         }
         // A pin that does not fit the operation shape is a planner bug in
@@ -357,6 +367,7 @@ fn eval_op(ctx: &ExecCtx, db: &Db, env: &[Option<MilValue>], op: &MilOp) -> Resu
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::mil::MilProgram;
 
     fn db() -> Db {
         let mut db = Db::new();
@@ -584,8 +595,13 @@ mod tests {
         let _sel = p.emit("orders", MilOp::SelectEq(clerk, AtomValue::str("b")));
         let env = execute(&ctx, &db, &p, &[]).unwrap();
         assert_eq!(env.trace().len(), 2);
-        assert_eq!(env.trace()[1].name, "orders");
+        assert_eq!(env.trace()[1].name(&p), "orders");
+        assert_eq!(env.trace()[1].render(&p), "orders := select(clerk, \"b\")");
         assert_eq!(env.trace()[1].algo, "binary-search");
         assert_eq!(env.trace()[1].result_len, 2);
+        // The label comes from the kernel, not from the trace sink.
+        let untraced = execute(&ExecCtx::new(), &db, &p, &[]).unwrap();
+        assert_eq!(untraced.trace()[1].algo, "binary-search");
+        assert_eq!(untraced.trace()[0].algo, "", "a load runs no kernel");
     }
 }

@@ -7,10 +7,12 @@
 //! a [`crate::db::Db`], and traced statement by statement.
 
 mod ast;
+mod bound;
 mod interp;
 pub mod opt;
 mod print;
 
 pub use ast::{MilArg, MilOp, MilProgram, MilStmt, ParamLoc, Pin, Var};
+pub use bound::{BoundProgram, Executable};
 pub use interp::{execute, Env, MilValue, StmtTrace};
 pub use print::{render_program, render_stmt};

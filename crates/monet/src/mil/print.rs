@@ -7,8 +7,14 @@ use super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, MilStmt};
 
 /// Render one statement as `name := op(args)`.
 pub fn render_stmt(prog: &MilProgram, stmt: &MilStmt) -> String {
+    render_op(prog, stmt, &stmt.op)
+}
+
+/// Render `stmt` with `op` — its operation as one execution bound it — in
+/// place of the operation the program holds.
+pub(super) fn render_op(prog: &MilProgram, stmt: &MilStmt, op: &MilOp) -> String {
     let n = |v: usize| prog.name_of(v).to_string();
-    let body = match &stmt.op {
+    let body = match op {
         MilOp::Load(name) => format!("load(\"{name}\")"),
         MilOp::ConstScalar(v) => format!("{v}"),
         MilOp::Mirror(v) => format!("{}.mirror", n(*v)),
@@ -101,7 +107,7 @@ pub fn render_stmt(prog: &MilProgram, stmt: &MilStmt) -> String {
         Some(p) => format!("{} := {}  #! {}", stmt.name, body, p.label()),
         None => format!("{} := {}", stmt.name, body),
     };
-    match &stmt.op {
+    match op {
         MilOp::Fused { stages, .. } => format!("{annotated}  #! fused[{}]", stages.len()),
         _ => annotated,
     }

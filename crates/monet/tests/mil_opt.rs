@@ -286,13 +286,13 @@ fn pins_match_dynamic_dispatch_choices() {
     let roots: Vec<Var> = vec![out.var(sel), out.var(j)];
     let env = execute(&ctx, &db, &out.prog, &roots).unwrap();
     let raw_env = execute(&ctx, &db, &p, &[sel, j]).unwrap();
-    let algo_of = |env: &monet::mil::Env, name: &str| {
-        env.trace().iter().find(|t| t.name == name).map(|t| (t.algo, t.pinned))
+    let algo_of = |env: &monet::mil::Env, prog: &MilProgram, name: &str| {
+        env.trace().iter().find(|t| t.name(prog) == name).map(|t| (t.algo, t.pinned))
     };
-    assert_eq!(algo_of(&env, "sel"), Some(("binary-search", true)));
-    assert_eq!(algo_of(&env, "j"), Some(("fetch", true)));
-    assert_eq!(algo_of(&raw_env, "sel"), Some(("binary-search", false)));
-    assert_eq!(algo_of(&raw_env, "j"), Some(("fetch", false)));
+    assert_eq!(algo_of(&env, &out.prog, "sel"), Some(("binary-search", true)));
+    assert_eq!(algo_of(&env, &out.prog, "j"), Some(("fetch", true)));
+    assert_eq!(algo_of(&raw_env, &p, "sel"), Some(("binary-search", false)));
+    assert_eq!(algo_of(&raw_env, &p, "j"), Some(("fetch", false)));
     // Merge pin needs sorted operands.
     let mut p2 = MilProgram::new();
     let attr2 = p2.emit("attr", MilOp::Load("attr".into()));
@@ -314,7 +314,7 @@ fn pins_match_dynamic_dispatch_choices() {
     assert_eq!(out3.prog.stmts[out3.var(j3)].pin, Some(Pin::JoinMerge), "got:\n{}", out3.prog);
     let env3 = execute(&ctx, &db, &out3.prog, &[out3.var(j3)]).unwrap();
     let raw3 = execute(&ctx, &db, &p3, &[j3]).unwrap();
-    assert_eq!(algo_of(&env3, "j3"), Some(("merge", true)));
+    assert_eq!(algo_of(&env3, &out3.prog, "j3"), Some(("merge", true)));
     let (pinned, dynamic) = (env3.get(out3.var(j3)).unwrap(), raw3.get(j3).unwrap());
     let (MilValue::Bat(pinned), MilValue::Bat(dynamic)) = (pinned, dynamic) else {
         panic!("join results are BATs")
@@ -368,11 +368,11 @@ fn dict_tail_pins_select_to_code_path() {
         let raw = raw_env.bat(v).unwrap();
         assert_eq!(rows(pinned), rows(raw), "{name} differs pinned vs dynamic");
         assert_eq!(pinned.len(), want_rows, "{name}");
-        let algo = |e: &monet::mil::Env| {
-            e.trace().iter().find(|t| t.name == name).map(|t| (t.algo, t.pinned))
+        let algo = |e: &monet::mil::Env, prog: &MilProgram| {
+            e.trace().iter().find(|t| t.name(prog) == name).map(|t| (t.algo, t.pinned))
         };
-        assert_eq!(algo(&env), Some(("dict-code", true)), "{name}");
-        assert_eq!(algo(&raw_env), Some(("dict-code", false)), "{name}");
+        assert_eq!(algo(&env, &out.prog), Some(("dict-code", true)), "{name}");
+        assert_eq!(algo(&raw_env, &p), Some(("dict-code", false)), "{name}");
     }
 }
 
@@ -399,16 +399,30 @@ fn trace_and_live_set_follow_the_rewritten_program() {
     assert_eq!(env.trace().len(), out.prog.len());
     for (i, row) in env.trace().iter().enumerate() {
         assert_eq!(row.var, i);
-        assert_eq!(row.name, out.prog.stmts[i].name);
-        assert_eq!(row.rendered, monet::mil::render_stmt(&out.prog, &out.prog.stmts[i]));
+        assert_eq!(row.name(&out.prog), out.prog.stmts[i].name);
+        assert_eq!(row.render(&out.prog), monet::mil::render_stmt(&out.prog, &out.prog.stmts[i]));
     }
 
     // Replay the interpreter's liveness accounting against the rewritten
-    // last-use table; the recorded peak must match exactly.
+    // last-use table; the recorded peak must match exactly. The live set
+    // is the intermediates': a load is the catalog's BAT and a mirror its
+    // operand's columns, so both count nothing (as the budget charges them).
     let frees = out.prog.last_uses();
-    let sizes: Vec<u64> = env.trace().iter().map(|t| t.result_bytes as u64).collect();
-    let mut live = db.bytes() as u64;
-    let mut peak = live;
+    let sizes: Vec<u64> = env
+        .trace()
+        .iter()
+        .zip(&out.prog.stmts)
+        .map(|(t, s)| match s.op {
+            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Mirror(_) => 0,
+            _ => t.result_bytes as u64,
+        })
+        .collect();
+    assert!(
+        env.trace().iter().any(|t| t.result_bytes > 0 && sizes[t.var] == 0),
+        "the plan loads catalog bytes the live set must not count"
+    );
+    let mut live = 0;
+    let mut peak = 0;
     let mut held: Vec<Option<u64>> = vec![None; out.prog.len()];
     let last = out.prog.len() - 1;
     for i in 0..out.prog.len() {

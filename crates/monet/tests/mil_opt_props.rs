@@ -336,7 +336,8 @@ fn sync_join_claims_exactly_what_the_arm_it_replaces_claims() {
                 let keep: Vec<Var> = (0..prog.len()).collect();
                 let env = execute(&ctx, &db, prog, &keep).unwrap();
                 let algo = |name: &str| {
-                    let t = env.trace().iter().find(|t| t.name == name).expect("join statement");
+                    let t =
+                        env.trace().iter().find(|t| t.name(prog) == name).expect("join statement");
                     (t.algo, env.bat(t.var).unwrap())
                 };
                 let ((sync, s), (other, t)) = (algo("js"), algo("jt"));

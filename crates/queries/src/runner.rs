@@ -8,7 +8,6 @@ use moa::translate::{translate_in, StructSpec};
 use moa::value::Value;
 use monet::atom::AtomValue;
 use monet::ctx::ExecCtx;
-use monet::mil::MilOp;
 use monet::ops::AggFunc;
 
 /// A query result: bag of rows of atoms.
@@ -174,9 +173,10 @@ pub fn run_moa_rows(cat: &Catalog, ctx: &ExecCtx, q: &SetExpr) -> Result<QueryRe
     Ok(QueryResult(rows?))
 }
 
-/// Translate `project[<item : v>](input)`, then extend the MIL program
-/// with a whole-BAT scalar aggregate over the projected value BAT — the
-/// aggregation runs in MIL, not in the driver.
+/// Translate and execute `project[<item : v>](input)`, then reduce the
+/// projected value BAT with the whole-BAT scalar aggregate kernel — one
+/// bulk operator call, not a per-row loop in the driver. The plan is the
+/// shared cached one, so nothing is appended to it.
 pub fn run_moa_scalar(
     cat: &Catalog,
     ctx: &ExecCtx,
@@ -185,17 +185,15 @@ pub fn run_moa_scalar(
     f: AggFunc,
 ) -> Result<AtomValue> {
     let q = input.project(vec![ProjItem::new("v", item)]);
-    let mut t = translate_in(cat, &q, ctx.config())?;
-    let StructSpec::Tuple(fields) = &t.spec else {
+    let t = translate_in(cat, &q, ctx.config())?;
+    let StructSpec::Tuple(fields) = &*t.spec else {
         return Err(MoaError::Type("scalar aggregate needs a projected input".into()));
     };
     let (StructSpec::Atom(var) | StructSpec::Ref { bat: var, .. }) = &fields[0].1 else {
         return Err(MoaError::Type("scalar aggregate needs an atomic item".into()));
     };
-    let agg_var = t.prog.emit("TOTAL", MilOp::AggrScalar { f, src: *var });
-    t.keep.push(agg_var);
     let env = monet::mil::execute(ctx, cat.db(), &t.prog, &t.keep)?;
-    Ok(env.scalar(agg_var)?.clone())
+    Ok(monet::ops::aggr_scalar(ctx, env.bat(*var)?, f)?)
 }
 
 #[cfg(test)]

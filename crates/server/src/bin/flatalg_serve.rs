@@ -124,6 +124,18 @@ fn main() {
         served as f64 / wall
     );
     println!("admission: executed={} waited={} (limit {admit})", stats.executed, stats.waited);
+    let q = |p: f64| stats.latency.quantile(p).as_micros();
+    println!(
+        "statement latency (log2 buckets, upper bounds): p50<={}us p95<={}us p99<={}us",
+        q(0.5),
+        q(0.95),
+        q(0.99)
+    );
+    let f = stats.failures;
+    println!(
+        "failures: budget={} deadline={} cancelled={} injected={} admission_timeout={} other={}",
+        f.budget, f.deadline, f.cancelled, f.injected, f.admission_timeout, f.other
+    );
     if let Some(c) = stats.cache {
         println!(
             "plan cache: hits={} misses={} evictions={} bypasses={} resident={}",

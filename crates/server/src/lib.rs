@@ -215,7 +215,7 @@ impl ServerConfig {
     }
 }
 
-/// Aggregate service counters.
+/// Aggregate service counters and gauges.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServerStats {
     /// Statements admitted and executed (including failed ones).
@@ -228,8 +228,86 @@ pub struct ServerStats {
     /// Statements shed at the admission gate (queue timeout) — never
     /// admitted, so not counted in `executed`.
     pub shed: u64,
+    /// Statements executing now (holding an admission permit).
+    pub in_flight: u64,
+    /// Statements waiting at the admission gate now.
+    pub queued: u64,
+    /// Failed and shed statements by cause.
+    pub failures: Failures,
+    /// Latency of every executed statement that has completed, admission
+    /// to completion.
+    pub latency: LatencyHistogram,
     /// Plan-cache counters, when caching is enabled.
     pub cache: Option<PlanCacheStats>,
+}
+
+/// Why statements failed: each failed statement counts under one cause,
+/// each shed statement under `admission_timeout`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Failures {
+    pub budget: u64,
+    pub deadline: u64,
+    pub cancelled: u64,
+    pub injected: u64,
+    pub admission_timeout: u64,
+    /// Everything else: malformed input, type errors, ...
+    pub other: u64,
+}
+
+impl Failures {
+    /// The cause's slot in [`Failures::from_counts`]' order.
+    fn slot(e: &MoaError) -> usize {
+        match e {
+            MoaError::Kernel(MonetError::BudgetExceeded { .. }) => 0,
+            MoaError::Kernel(MonetError::DeadlineExceeded { .. }) => 1,
+            MoaError::Kernel(MonetError::Cancelled) => 2,
+            MoaError::Kernel(MonetError::Injected { .. }) => 3,
+            MoaError::Kernel(MonetError::AdmissionTimeout { .. }) => 4,
+            _ => 5,
+        }
+    }
+
+    fn from_counts(
+        [budget, deadline, cancelled, injected, admission_timeout, other]: [u64; 6],
+    ) -> Failures {
+        Failures { budget, deadline, cancelled, injected, admission_timeout, other }
+    }
+}
+
+/// Buckets of a [`LatencyHistogram`]: bucket `i` counts latencies in
+/// `[2^i, 2^(i+1))` µs (bucket 0 also counts 0 and 1 µs; the last one
+/// everything from about 36 minutes up).
+pub const LATENCY_BUCKETS: usize = 32;
+
+/// A fixed-bucket latency histogram, log2 microseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyHistogram {
+    pub buckets: [u64; LATENCY_BUCKETS],
+}
+
+impl LatencyHistogram {
+    fn bucket(us: u64) -> usize {
+        (us.max(1).ilog2() as usize).min(LATENCY_BUCKETS - 1)
+    }
+
+    /// Statements counted.
+    pub fn total(&self) -> u64 {
+        self.buckets.iter().sum()
+    }
+
+    /// The `p`-quantile (`0.0..=1.0`) as the upper bound of its bucket —
+    /// within a factor of two of the true value; zero when empty.
+    pub fn quantile(&self, p: f64) -> Duration {
+        let rank = ((p.clamp(0.0, 1.0) * self.total() as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (i, n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return Duration::from_micros(1 << (i + 1));
+            }
+        }
+        Duration::ZERO
+    }
 }
 
 /// The in-process query service: one shared catalog, one plan cache, one
@@ -246,6 +324,11 @@ pub struct Server<'db> {
     executed: AtomicU64,
     failed: AtomicU64,
     shed: AtomicU64,
+    in_flight: AtomicU64,
+    queued: AtomicU64,
+    /// By [`Failures::slot`].
+    failures: [AtomicU64; 6],
+    latency: [AtomicU64; LATENCY_BUCKETS],
 }
 
 impl<'db> Server<'db> {
@@ -280,6 +363,10 @@ impl<'db> Server<'db> {
             executed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             shed: AtomicU64::new(0),
+            in_flight: AtomicU64::new(0),
+            queued: AtomicU64::new(0),
+            failures: Default::default(),
+            latency: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
         }
     }
 
@@ -295,13 +382,22 @@ impl<'db> Server<'db> {
     }
 
     pub fn stats(&self) -> ServerStats {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         ServerStats {
-            executed: self.executed.load(Ordering::Relaxed),
-            waited: self.gate.waited.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
+            executed: load(&self.executed),
+            waited: load(&self.gate.waited),
+            failed: load(&self.failed),
+            shed: load(&self.shed),
+            in_flight: load(&self.in_flight),
+            queued: load(&self.queued),
+            failures: Failures::from_counts(self.failures.each_ref().map(load)),
+            latency: LatencyHistogram { buckets: self.latency.each_ref().map(load) },
             cache: self.cache.as_ref().map(|c| c.stats()),
         }
+    }
+
+    fn count_failure(&self, e: &MoaError) {
+        self.failures[Failures::slot(e)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drop every cached plan (e.g. after mutating the catalog through an
@@ -350,14 +446,32 @@ impl<'srv, 'db> Session<'srv, 'db> {
     /// cannot be admitted within the configured queue timeout is shed with
     /// [`MonetError::AdmissionTimeout`] without ever holding a permit.
     pub fn scoped<R>(&self, f: impl FnOnce() -> Result<R>) -> Result<R> {
-        let _permit = match self.server.gate.acquire_timeout(self.server.admit_timeout) {
+        let server = self.server;
+        server.queued.fetch_add(1, Ordering::Relaxed);
+        let admitted = server.gate.acquire_timeout(server.admit_timeout);
+        server.queued.fetch_sub(1, Ordering::Relaxed);
+        let _permit = match admitted {
             Ok(p) => p,
             Err(waited_ms) => {
-                self.server.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(MoaError::Kernel(MonetError::AdmissionTimeout { waited_ms }));
+                server.shed.fetch_add(1, Ordering::Relaxed);
+                let e = MoaError::Kernel(MonetError::AdmissionTimeout { waited_ms });
+                server.count_failure(&e);
+                return Err(e);
             }
         };
-        self.server.executed.fetch_add(1, Ordering::Relaxed);
+        server.executed.fetch_add(1, Ordering::Relaxed);
+        // RAII: the statement leaves the in-flight gauge and enters the
+        // latency histogram on every exit path, unwind included.
+        struct Running<'a, 'db>(&'a Server<'db>, Instant);
+        impl Drop for Running<'_, '_> {
+            fn drop(&mut self) {
+                let us = self.1.elapsed().as_micros() as u64;
+                self.0.latency[LatencyHistogram::bucket(us)].fetch_add(1, Ordering::Relaxed);
+                self.0.in_flight.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        server.in_flight.fetch_add(1, Ordering::Relaxed);
+        let _running = Running(server, Instant::now());
         // RAII deadline: armed for exactly this statement, disarmed on any
         // exit path (a leaked deadline would fail the session's next
         // statement spuriously).
@@ -367,16 +481,17 @@ impl<'srv, 'db> Session<'srv, 'db> {
                 self.0.gov.set_deadline(None);
             }
         }
-        let _deadline = self.server.deadline.map(|d| {
+        let _deadline = server.deadline.map(|d| {
             self.ctx.gov.set_deadline(Some(d));
             Disarm(&self.ctx)
         });
-        let out = match &self.server.cache {
+        let out = match &server.cache {
             Some(c) => with_plan_cache(Arc::clone(c), f),
             None => f(),
         };
-        if out.is_err() {
-            self.server.failed.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = &out {
+            server.failed.fetch_add(1, Ordering::Relaxed);
+            server.count_failure(e);
         }
         out
     }
@@ -491,6 +606,23 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         drop(held);
         assert!(t2.join().unwrap(), "patient waiter starved behind an abandoned ticket");
+    }
+
+    #[test]
+    fn latency_quantiles_are_bucket_upper_bounds() {
+        let mut h = LatencyHistogram::default();
+        assert_eq!(h.quantile(0.5), Duration::ZERO, "empty");
+        for us in [0, 1, 3, 900, 1000, 5_000_000] {
+            h.buckets[LatencyHistogram::bucket(us)] += 1;
+        }
+        assert_eq!(h.buckets[0], 2, "0 and 1 µs share the first bucket");
+        assert_eq!(h.buckets[9], 2, "900 and 1000 µs lie in [512, 1024)");
+        assert_eq!(h.total(), 6);
+        assert_eq!(h.quantile(0.0), Duration::from_micros(2));
+        assert_eq!(h.quantile(0.5), Duration::from_micros(4));
+        assert_eq!(h.quantile(0.6), Duration::from_micros(1024));
+        assert_eq!(h.quantile(0.99), Duration::from_micros(1 << 23));
+        assert_eq!(LatencyHistogram::bucket(u64::MAX), LATENCY_BUCKETS - 1);
     }
 
     #[test]

@@ -8,14 +8,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use flatalg_server::{Server, ServerConfig};
+use flatalg_server::{Failures, Server, ServerConfig};
 use moa::error::MoaError;
+use monet::atom::{AtomValue, Date};
 use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
 use monet::mil::opt::{self, OptLevel};
+use monet::mil::BoundProgram;
 use tpcd_queries::q11_15::q13_moa;
-use tpcd_queries::{all_queries, QueryResult};
+use tpcd_queries::{all_queries, Params, QueryResult};
 
 fn cfg(admit: usize, cache: usize) -> ServerConfig {
     ServerConfig { max_concurrent: admit, plan_cache: Some(cache), ..ServerConfig::default() }
@@ -365,4 +367,177 @@ fn cancelled_session_aborts_without_disturbing_others() {
     assert_eq!(bystander.execute_expr(&q13_moa(&w.params)).unwrap(), oracle);
     handle.clear();
     assert_eq!(victim.execute_expr(&q13_moa(&w.params)).unwrap(), oracle);
+}
+
+/// Re-binding never touches the shared plan: two sessions alternate two
+/// parameter sets over the same shapes (Q1, Q6, Q12, Q14 — two of them
+/// multi-statement drivers), every result is bit-identical to an uncached
+/// execution of its set, and afterwards the cache holds the very programs
+/// the first executions inserted, with the constants those bound.
+#[test]
+fn alternating_parameter_sets_rebind_without_touching_the_shared_plans() {
+    let w = bench::World::build(0.002);
+    let a = w.params.clone();
+    let b = Params {
+        q1_cutoff: a.q1_cutoff.add_days(-120),
+        q6_date: Date::from_ymd(1995, 1, 1),
+        q6_disc_lo: 0.02,
+        q6_disc_hi: 0.04,
+        q6_qty: 30,
+        q12_mode1: "AIR".into(),
+        q12_mode2: "RAIL".into(),
+        q12_date: Date::from_ymd(1996, 1, 1),
+        q14_date: Date::from_ymd(1996, 3, 1),
+        ..a.clone()
+    };
+    let queries: Vec<_> =
+        all_queries().into_iter().filter(|q| [1, 6, 12, 14].contains(&q.id)).collect();
+    let uncached = |p: &Params| -> Vec<QueryResult> {
+        let ctx = ExecCtx::new();
+        queries.iter().map(|q| (q.run_moa)(&w.cat, &ctx, p).unwrap()).collect()
+    };
+    let sets = [(&a, uncached(&a)), (&b, uncached(&b))];
+    for (qi, q) in queries.iter().enumerate() {
+        assert_ne!(sets[0].1[qi], sets[1].1[qi], "Q{}: the sets must differ", q.id);
+    }
+
+    let server = Server::with_config(&w.cat, cfg(2, 16));
+    let first = server.session();
+    for q in &queries {
+        first.run_query(q, &a).unwrap();
+    }
+    let cache = first.scoped(|| Ok(moa::plancache::ambient_plan_cache())).unwrap().unwrap();
+    let inserted: Vec<(BoundProgram, Vec<(u32, AtomValue)>)> = cache
+        .resident_programs()
+        .into_iter()
+        .map(|p| {
+            let constants = p.param_bindings();
+            (p, constants)
+        })
+        .collect();
+    let misses = cache.stats().misses;
+
+    std::thread::scope(|s| {
+        for offset in 0..2 {
+            let (server, queries, sets) = (&server, &queries, &sets);
+            s.spawn(move || {
+                let session = server.session();
+                for turn in 0..100 {
+                    let (params, want) = &sets[(turn + offset) % 2];
+                    for (q, want) in queries.iter().zip(want) {
+                        let got = session.run_query(q, params).unwrap();
+                        assert_eq!(&got, want, "Q{} diverged on turn {turn}", q.id);
+                    }
+                }
+            });
+        }
+    });
+
+    assert_eq!(cache.stats().misses, misses, "every alternation must hit");
+    let resident = cache.resident_programs();
+    assert_eq!(resident.len(), inserted.len());
+    for (prog, constants) in &inserted {
+        let now = resident.iter().find(|r| r.shares_program_with(prog));
+        let now = now.expect("the inserted program is still the one served");
+        assert_eq!(&now.param_bindings(), constants, "a re-bind wrote into the shared plan");
+    }
+}
+
+/// Every failure counts under its cause (a shed statement under
+/// `admission_timeout`), every executed statement lands in the latency
+/// histogram, and the gauges show what runs and what waits.
+#[test]
+fn failures_are_counted_by_cause_and_every_statement_is_timed() {
+    let w = bench::world();
+    let q = q13_moa(&w.params);
+    let server = Server::with_config(
+        &w.cat,
+        ServerConfig { admit_timeout: Some(Duration::from_millis(20)), ..cfg(1, 8) },
+    );
+    let session = server.session();
+    session.execute_expr(&q).unwrap();
+    session.ctx().gov.arm_fault("*", 1);
+    assert!(session.execute_expr(&q).is_err());
+    session.ctx().mem.set_budget(Some(1));
+    assert!(session.execute_expr(&q).is_err());
+    session.ctx().mem.set_budget(None);
+    let handle = session.cancel_handle();
+    handle.cancel();
+    assert!(session.execute_expr(&q).is_err());
+    handle.clear();
+    assert!(session.scoped::<()>(|| Err(MoaError::Type("not a query".into()))).is_err());
+    // Shed: the single slot is held while another statement asks for it.
+    let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let server = &server;
+        s.spawn(move || {
+            server
+                .session()
+                .scoped(|| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(())
+                })
+                .unwrap();
+        });
+        held_rx.recv().unwrap();
+        assert_eq!(server.stats().in_flight, 1);
+        assert!(server.session().execute_expr(&q).is_err());
+        release_tx.send(()).unwrap();
+    });
+    let stats = server.stats();
+    let want = Failures {
+        budget: 1,
+        cancelled: 1,
+        injected: 1,
+        admission_timeout: 1,
+        other: 1,
+        deadline: 0,
+    };
+    assert_eq!(stats.failures, want);
+    assert_eq!((stats.executed, stats.failed, stats.shed), (6, 4, 1));
+    assert_eq!(stats.latency.total(), stats.executed);
+    assert!(stats.latency.quantile(0.5) <= stats.latency.quantile(1.0));
+    assert_eq!((stats.in_flight, stats.queued), (0, 0));
+
+    let strict = Server::with_config(
+        &w.cat,
+        ServerConfig { deadline: Some(Duration::from_micros(1)), ..cfg(2, 8) },
+    );
+    assert!(strict.session().execute_expr(&q).is_err());
+    let stats = strict.stats();
+    assert_eq!(stats.failures, Failures { deadline: 1, ..Failures::default() });
+    assert_eq!(stats.latency.total(), stats.executed);
+
+    // A waiter with no admission timeout shows in the queue gauge.
+    let patient = Server::with_config(&w.cat, cfg(1, 8));
+    let (held_tx, held_rx) = std::sync::mpsc::channel::<()>();
+    let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let patient = &patient;
+        s.spawn(move || {
+            patient
+                .session()
+                .scoped(|| {
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    Ok(())
+                })
+                .unwrap();
+        });
+        held_rx.recv().unwrap();
+        let waiter = s.spawn(|| patient.session().execute_expr(&q).unwrap());
+        let started = std::time::Instant::now();
+        while patient.stats().queued == 0 {
+            assert!(started.elapsed() < Duration::from_secs(10), "the waiter never queued");
+            std::thread::yield_now();
+        }
+        assert_eq!((patient.stats().in_flight, patient.stats().queued), (1, 1));
+        release_tx.send(()).unwrap();
+        waiter.join().unwrap();
+    });
+    let stats = patient.stats();
+    assert_eq!((stats.in_flight, stats.queued, stats.waited), (0, 0, 1));
+    assert_eq!(stats.latency.total(), 2);
 }

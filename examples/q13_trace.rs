@@ -33,7 +33,11 @@ fn main() {
     for s in env.trace() {
         println!(
             "{:>9.3} {:>8} {:>8} {:>12}  {}",
-            s.ms, s.faults, s.result_len, s.algo, s.rendered
+            s.ms,
+            s.faults,
+            s.result_len,
+            s.algo,
+            s.render(&t.prog)
         );
     }
 

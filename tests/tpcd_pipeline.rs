@@ -152,12 +152,12 @@ fn q9_addresses_dense_heads_and_needs_no_alignment() {
         assert!(
             !matches!(s.algo, "hash-align" | "packed-align") && !s.algo.ends_with("-rowwise"),
             "{}: {}",
-            s.rendered,
+            s.render(&t.prog),
             s.algo
         );
         if let MilOp::Semijoin(a, _) = &stmt.op {
             let dense = env.bat(*a).unwrap().props().head.dense;
-            assert!(!(dense && s.algo == "merge"), "{}: merged a dense head", s.rendered);
+            assert!(!(dense && s.algo == "merge"), "{}: merged a dense head", s.render(&t.prog));
             positional += (s.algo == "positional") as usize;
         }
     }
@@ -213,4 +213,23 @@ fn load_report_phases_accounted() {
     assert!(report.dv_bytes > 0);
     assert!(report.bat_count > 40);
     assert!(report.total_ms() >= report.reorder_ms);
+}
+
+#[test]
+fn an_untraced_execution_profiles_the_same_algorithms() {
+    // Every statement's `algo` comes from the kernel's own `record`, so a
+    // context without a trace sink reports what a traced one does.
+    let data = tpcd::generate(0.001, 11);
+    let (cat, _) = tpcd::load_bats(&data);
+    let params = Params::for_data(&data);
+    for q in [tpcd_queries::q01_05::q1_moa(&params), tpcd_queries::q06_10::q9_moa(&params)] {
+        let t = translate(&cat, &q).unwrap();
+        let algos = |ctx: ExecCtx| -> Vec<&'static str> {
+            let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &t.keep).unwrap();
+            env.trace().iter().map(|s| s.algo).collect()
+        };
+        let traced = algos(ExecCtx::new().with_trace());
+        assert_eq!(algos(ExecCtx::new()), traced);
+        assert!(traced.iter().filter(|a| !a.is_empty()).count() >= 20, "{traced:?}");
+    }
 }
