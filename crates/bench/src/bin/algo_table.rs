@@ -1,8 +1,8 @@
 //! Where a staged TPC-D pass spends its time, by `(operator, algorithm)`.
 //!
 //! Runs the eleven queries whose MOA builders `tpcd_queries` exports (Q6,
-//! Q8, Q11 and Q14 are private multi-statement drivers) with a tracing
-//! context, takes the per-statement median of `RUNS` executions, and
+//! Q8, Q11 and Q14 are private multi-statement drivers), takes the
+//! per-statement median of `RUNS` executions' statement profiles, and
 //! prints (1) every statement at or above 1 ms per query, with its result's
 //! rows and bytes (ms over rows is what exposes a row-at-a-time statement),
 //! and (2) the share of the summed statement time each `(op, algo)` pair
@@ -90,7 +90,7 @@ fn main() {
         let mut ms: Vec<Vec<f64>> = vec![Vec::with_capacity(RUNS); t.prog.len()];
         let mut last = Vec::new();
         for _ in 0..RUNS {
-            let ctx = ExecCtx::new().with_trace();
+            let ctx = ExecCtx::new();
             let env = monet::mil::execute(&ctx, w.cat.db(), &t.prog, &t.keep).expect("execute");
             for (slot, s) in ms.iter_mut().zip(env.trace()) {
                 slot.push(s.ms);

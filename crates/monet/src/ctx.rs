@@ -1,12 +1,12 @@
-//! Execution context: pager, trace, memory accounting, oid generation, and
-//! the resource governor.
+//! Execution context: pager, memory accounting, oid generation, and the
+//! resource governor.
 //!
 //! Every BAT-algebra operator takes an [`ExecCtx`]. The default context is
-//! entirely passive (no pager, no trace, no budget) and adds no measurable
-//! overhead; the benchmark harnesses install a pager and a trace sink to
-//! produce the page-fault and per-statement columns of Figures 8–10, and
-//! the query service arms per-statement deadlines and memory budgets on the
-//! same context.
+//! entirely passive (no pager, no budget) and adds no measurable overhead;
+//! the benchmark harnesses install a pager to produce the page-fault
+//! columns of Figures 8–10 (the per-statement rows are the interpreter's
+//! `mil::StmtTrace`, filled on every context), and the query service arms
+//! per-statement deadlines and memory budgets on the same context.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,26 +23,6 @@ use crate::error::{MonetError, Result};
 use crate::gov::{CancelToken, Governor};
 use crate::ops::group::Grouping;
 use crate::pager::Pager;
-
-/// One trace record per executed kernel operation, mirroring the rows of
-/// the paper's Figure 10 (elapsed ms, page faults, and — our addition — the
-/// dynamically chosen implementation).
-#[derive(Debug, Clone)]
-pub struct TraceEvent {
-    /// Operator name (`semijoin`, `join`, ...).
-    pub op: &'static str,
-    /// Implementation selected by dynamic optimization
-    /// (`merge`, `hash`, `sync`, `datavector`, `binary-search`, ...).
-    pub algo: &'static str,
-    /// Wall-clock milliseconds.
-    pub ms: f64,
-    /// Page faults caused by this operation (0 without a pager).
-    pub faults: u64,
-    /// Result size in BUNs.
-    pub result_len: usize,
-    /// Result heap bytes.
-    pub result_bytes: usize,
-}
 
 /// Kernel labels (`record`'s `algo`) interned process-wide, so that one
 /// atomic word on the context carries the last one lock-free. A label's
@@ -218,9 +198,6 @@ pub struct ExecCtx {
     cfg: Arc<EngineConfig>,
     /// Simulated pager; `None` disables fault accounting.
     pub pager: Option<Arc<Pager>>,
-    /// Trace sink for kernel-level events; `None` disables it. The
-    /// per-statement profile (`mil::StmtTrace`) does not need it.
-    pub trace: Option<Arc<Mutex<Vec<TraceEvent>>>>,
     /// The label of the last kernel `record`ed, as a `label` code; the
     /// interpreter takes it after every statement.
     algo: Arc<AtomicUsize>,
@@ -250,7 +227,7 @@ impl Default for ExecCtx {
 const FRESH_OID_BASE: Oid = 1 << 40;
 
 impl ExecCtx {
-    /// A passive context (no pager, no trace) under the process
+    /// A passive context (no pager) under the process
     /// environment's configuration ([`EngineConfig::from_env`]).
     pub fn new() -> ExecCtx {
         ExecCtx::with_config(EngineConfig::from_env())
@@ -263,7 +240,6 @@ impl ExecCtx {
         mem.set_budget(Some(cfg.mem_budget));
         ExecCtx {
             pager: None,
-            trace: None,
             algo: Arc::default(),
             mem: Arc::new(mem),
             gov: Arc::new(Governor::new(cfg.fault.as_ref())),
@@ -319,23 +295,23 @@ impl ExecCtx {
         self
     }
 
-    /// Attach a trace sink; retrieve events with [`ExecCtx::take_trace`].
-    pub fn with_trace(mut self) -> ExecCtx {
-        self.trace = Some(Arc::new(Mutex::new(Vec::new())));
+    /// No-op: every context reports each kernel's label
+    /// ([`ExecCtx::take_algo`]) and each statement's profile
+    /// (`mil::StmtTrace`). Kept because the acceptance benchmark
+    /// (`benchmark/src/run.rs`) calls it.
+    pub fn with_trace(self) -> ExecCtx {
         self
     }
 
-    /// Drain collected trace events.
-    pub fn take_trace(&self) -> Vec<TraceEvent> {
-        match &self.trace {
-            Some(t) => std::mem::take(&mut *t.lock()),
-            None => Vec::new(),
-        }
-    }
+    /// No-op counterpart of [`ExecCtx::with_trace`], kept for the same
+    /// caller; read [`ExecCtx::take_algo`] after each kernel call instead.
+    pub fn take_trace(&self) {}
 
-    /// The algorithm label of the last kernel `record`ed since the previous
-    /// call (`""` if none), clearing it.
-    pub(crate) fn take_algo(&self) -> &'static str {
+    /// The algorithm label of the last kernel [`record`](ExecCtx::record)ed
+    /// since the previous call (`""` if none), clearing it. The label is
+    /// published before the budget charge, so after a kernel fails with
+    /// [`MonetError::BudgetExceeded`] it names the arm that aborted.
+    pub fn take_algo(&self) -> &'static str {
         label::of(self.algo.swap(0, Ordering::Relaxed))
     }
 
@@ -349,13 +325,12 @@ impl ExecCtx {
         self.pager.as_ref().map_or(0, |p| p.faults())
     }
 
-    /// Record a completed operation: its algorithm label (for the running
-    /// statement's profile), trace event + memory accounting + the
-    /// governor's budget charge. `faults_before` should be sampled via
-    /// [`ExecCtx::faults`] before the operation ran. Fails with
-    /// [`MonetError::BudgetExceeded`] when the charge passes the budget —
-    /// the trace event is still emitted so aborted queries remain
-    /// diagnosable.
+    /// Record a completed operation: publish its algorithm label (the
+    /// running statement's `StmtTrace.algo`, [`ExecCtx::take_algo`] for a
+    /// kernel called directly), account its memory and charge the
+    /// governor's budget. Fails with [`MonetError::BudgetExceeded`] when
+    /// the charge passes the budget; the label is published first, so an
+    /// aborted kernel still says which arm it ran.
     ///
     /// The budget is charged the result's whole size (the interpreter
     /// releases the same amount when the value dies); the observational
@@ -366,12 +341,9 @@ impl ExecCtx {
         &self,
         op: &'static str,
         algo: &'static str,
-        started: std::time::Instant,
-        faults_before: u64,
         operands: &[&Bat],
         result: &Bat,
     ) -> Result<()> {
-        let bytes = result.bytes();
         let allocated: usize = [result.head(), result.tail()]
             .into_iter()
             .filter(|col| {
@@ -382,17 +354,7 @@ impl ExecCtx {
             .sum();
         self.mem.add_total(allocated as u64);
         self.algo.store(label::code(algo), Ordering::Relaxed);
-        if let Some(t) = &self.trace {
-            t.lock().push(TraceEvent {
-                op,
-                algo,
-                ms: started.elapsed().as_secs_f64() * 1e3,
-                faults: self.faults().saturating_sub(faults_before),
-                result_len: result.len(),
-                result_bytes: bytes,
-            });
-        }
-        self.mem.charge(op, bytes as u64)
+        self.mem.charge(op, result.bytes() as u64)
     }
 }
 
@@ -412,36 +374,30 @@ mod tests {
 
     #[test]
     fn record_accumulates_total_and_trace() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let bat = Bat::new(Column::void(0, 8), Column::from_ints(vec![1; 8]));
-        let before = ctx.faults();
-        ctx.record("test", "unit", std::time::Instant::now(), before, &[], &bat).unwrap();
+        ctx.record("test", "unit", &[], &bat).unwrap();
         assert_eq!(ctx.mem.total_bytes(), bat.bytes() as u64);
         assert_eq!(ctx.mem.charged_bytes(), bat.bytes() as u64);
-        let trace = ctx.take_trace();
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace[0].op, "test");
-        assert_eq!(trace[0].result_len, 8);
+        assert_eq!(ctx.take_algo(), "unit");
     }
 
     #[test]
     fn record_totals_only_the_columns_the_kernel_allocated() {
         // A semijoin-shaped result: the head is the operand's column, the
         // tail is fresh. The total counts the tail alone; the budget charge
-        // (and the trace) still see the whole result.
-        let ctx = ExecCtx::new().with_trace();
+        // still sees the whole result.
+        let ctx = ExecCtx::new();
         let sel = Bat::new(Column::from_oids(vec![3, 5, 8]), Column::void(0, 3));
         let result = Bat::new(sel.head().clone(), Column::from_lngs(vec![30, 50, 80]));
         ctx.mem.begin();
-        ctx.record("semijoin", "positional", std::time::Instant::now(), 0, &[&sel], &result)
-            .unwrap();
+        ctx.record("semijoin", "positional", &[&sel], &result).unwrap();
         assert_eq!(ctx.mem.total_bytes(), result.tail().bytes() as u64);
         assert_eq!(ctx.mem.charged_bytes(), result.bytes() as u64);
-        assert_eq!(ctx.take_trace()[0].result_bytes, result.bytes());
         // A mirrored share counts as shared too; equal *contents* do not.
         let copy = Bat::new(Column::from_oids(vec![3, 5, 8]), sel.head().clone());
         let before = ctx.mem.total_bytes();
-        ctx.record("test", "unit", std::time::Instant::now(), 0, &[&sel], &copy).unwrap();
+        ctx.record("test", "unit", &[&sel], &copy).unwrap();
         assert_eq!(ctx.mem.total_bytes() - before, copy.head().bytes() as u64);
     }
 
@@ -462,7 +418,7 @@ mod tests {
         assert!(dict.bytes() < raw.bytes(), "encoding must shrink the column");
         let bat = Bat::new(Column::void(0, 64), dict);
         ctx.mem.begin();
-        ctx.record("select", "dict-code", std::time::Instant::now(), 0, &[], &bat).unwrap();
+        ctx.record("select", "dict-code", &[], &bat).unwrap();
         assert_eq!(ctx.mem.charged_bytes(), bat.bytes() as u64);
         // The raw twin would have charged the full duplicated heap.
         assert!(ctx.mem.charged_bytes() < raw.bytes() as u64);
@@ -474,7 +430,7 @@ mod tests {
         assert_eq!(ctx.take_algo(), "");
         let bat = Bat::new(Column::void(0, 2), Column::from_ints(vec![1, 2]));
         for algo in ["merge", "hash", "merge"] {
-            ctx.record("test", algo, std::time::Instant::now(), 0, &[], &bat).unwrap();
+            ctx.record("test", algo, &[], &bat).unwrap();
             assert_eq!(ctx.take_algo(), algo);
             assert_eq!(ctx.take_algo(), "", "taking clears it");
         }

@@ -17,10 +17,11 @@ static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
 /// Every catalog carries a process-unique `id` and a monotonically
 /// increasing `epoch` that bumps on any mutation reachable through the
 /// catalog (`register`, and `get_mut` — which hands out the hook used to
-/// attach accelerators, so a plan's pinned algorithm choices may depend
-/// on state changed through it). Plan caches key on `(id, epoch)`, so a
-/// catalog change silently invalidates every plan compiled against the
-/// old state.
+/// attach accelerators). Plan caches key on `(id, epoch)`, so a catalog
+/// change silently invalidates every plan compiled against the old state:
+/// the optimizer's fold, pushdown and fuse passes read the catalog's
+/// properties, types and accelerators, and a plan's rewrites are only
+/// valid for the state they were read from.
 pub struct Db {
     bats: BTreeMap<String, Bat>,
     id: u64,
@@ -75,8 +76,7 @@ impl Db {
     /// the caller knows the tail ascends. No-op (and no epoch bump) when no
     /// encoding pays off. A successful re-encode replaces the stored BAT
     /// and goes through [`register`](Db::register), so the epoch bumps and
-    /// every plan compiled against the raw layout — including pinned
-    /// algorithm choices that depended on it — is silently invalidated.
+    /// every plan compiled against the raw layout is silently invalidated.
     pub fn reencode_tail(&mut self, name: &str, sorted: bool) -> Result<bool> {
         let bat = self.get(name)?;
         let enc = bat.tail().encode(sorted);

@@ -8,8 +8,9 @@ use crate::atom::AtomType;
 ///
 /// BAT-algebra operations have fixed expectations about the types found in
 /// the columns of their parameters (Section 4.2 of the paper); violating
-/// those expectations yields a [`MonetError`] rather than a panic so that
-/// the MIL interpreter can report which statement failed.
+/// those expectations yields a [`MonetError`] rather than a panic, so a
+/// failed query aborts cleanly. The error names the operator (`op`), not
+/// the MIL statement that ran it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MonetError {
     /// An operation received a column of the wrong atom type.

@@ -118,41 +118,6 @@ pub enum FuseArg {
     Const(AtomValue),
 }
 
-/// An algorithm pinned onto a statement by the plan optimizer (Section 5.1:
-/// the descriptor properties let commands "make a run-time choice between
-/// alternative implementations" — when the optimizer can make that choice at
-/// *plan* time from propagated [`crate::props::ColProps`], it pins it here
-/// and the interpreter skips the per-operator re-derivation).
-///
-/// A pin is only ever attached when the pinned algorithm is provably the one
-/// dynamic dispatch would pick, so pinned and unpinned execution are
-/// bit-identical; debug builds assert the preconditions when the pinned
-/// kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pin {
-    /// `join` against a dense oid-like right head: positional fetch.
-    JoinFetch,
-    /// `join` with sorted left tail and sorted right head: linear merge.
-    JoinMerge,
-    /// `select` on a tail-sorted operand: binary-search slice.
-    SelectSorted,
-    /// `select` on a dictionary-encoded tail: resolve the predicate to a
-    /// code range on the sorted dictionary and select on `u32` codes.
-    SelectDictCode,
-}
-
-impl Pin {
-    /// Label used when rendering annotated plans.
-    pub fn label(self) -> &'static str {
-        match self {
-            Pin::JoinFetch => "fetch",
-            Pin::JoinMerge => "merge",
-            Pin::SelectSorted => "binary-search",
-            Pin::SelectDictCode => "dict-code",
-        }
-    }
-}
-
 /// Which constant inside a [`MilOp`] a prepared-statement parameter feeds.
 ///
 /// A parameter slot records *where* in the statement a bound query
@@ -308,15 +273,16 @@ impl MilOp {
     }
 }
 
-/// One statement: `name := op(...)`, optionally carrying an algorithm
-/// [`Pin`] attached by the plan optimizer and the parameter slots of any
-/// prepared-statement constants baked into the operation.
+/// One statement: `name := op(...)`, with the parameter slots of any
+/// prepared-statement constants baked into the operation. Which
+/// implementation runs it is the operator's own run-time choice (Section
+/// 5.1: the descriptor properties let each command "make a run-time choice
+/// between alternative implementations"); a plan never fixes it.
 #[derive(Debug, Clone)]
 pub struct MilStmt {
     pub var: Var,
     pub name: String,
     pub op: MilOp,
-    pub pin: Option<Pin>,
     /// `(param id, location)` for each query parameter whose current value
     /// is embedded in `op`. Empty for non-parameterized statements.
     pub params: Vec<(u32, ParamLoc)>,
@@ -381,7 +347,7 @@ impl MilProgram {
     pub fn emit(&mut self, name: &str, op: MilOp) -> Var {
         let var = self.stmts.len();
         let name = if name.is_empty() { format!("tmp{var}") } else { name.to_string() };
-        self.stmts.push(MilStmt { var, name, op, pin: None, params: Vec::new() });
+        self.stmts.push(MilStmt { var, name, op, params: Vec::new() });
         var
     }
 

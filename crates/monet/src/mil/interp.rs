@@ -15,7 +15,7 @@ use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::ops;
 
-use super::ast::{FuseArg, FuseStage, MilArg, MilOp, Pin, Var};
+use super::ast::{FuseArg, FuseStage, MilArg, MilOp, Var};
 use super::bound::{bind_op, Executable};
 
 /// A MIL variable's value: a BAT or a scalar.
@@ -69,9 +69,6 @@ pub struct StmtTrace {
     /// The implementation the statement's kernel chose (`""` for `load`,
     /// `mirror`, constants and scalar aggregates).
     pub algo: &'static str,
-    /// Whether the implementation was pinned by the plan optimizer
-    /// (skipping run-time property re-derivation).
-    pub pinned: bool,
     pub result_len: usize,
     pub result_bytes: usize,
 }
@@ -164,7 +161,7 @@ pub fn execute<P: Executable + ?Sized>(
         let op = bind_op(stmt, overlay)?;
         let started = Instant::now();
         let faults0 = ctx.faults();
-        let value = eval_stmt(ctx, db, &values, stmt.pin, &op)?;
+        let value = eval_op(ctx, db, &values, &op)?;
         let ms = started.elapsed().as_secs_f64() * 1e3;
         let faults = ctx.faults().saturating_sub(faults0);
         // The label the statement's kernel published through
@@ -182,7 +179,6 @@ pub fn execute<P: Executable + ?Sized>(
             ms,
             faults,
             algo,
-            pinned: stmt.pin.is_some(),
             result_len: match &value {
                 MilValue::Bat(b) => b.len(),
                 MilValue::Scalar(_) => 1,
@@ -206,67 +202,8 @@ pub fn execute<P: Executable + ?Sized>(
     Ok(Env { values, trace })
 }
 
-/// Execute one statement: when the plan optimizer pinned an algorithm,
-/// dispatch straight to the pinned kernel entry point (skipping the
-/// operator's property re-derivation — pins are only attached when the
-/// dynamic choice is provably the same); otherwise fall through to the
-/// dynamically dispatching [`eval_op`].
-fn eval_stmt(
-    ctx: &ExecCtx,
-    db: &Db,
-    env: &[Option<MilValue>],
-    pin: Option<Pin>,
-    op: &MilOp,
-) -> Result<MilValue> {
-    let bat = |v: Var| -> Result<&Bat> {
-        env.get(v)
-            .and_then(|x| x.as_ref())
-            .ok_or_else(|| MonetError::UnknownName(format!("mil var {v}")))?
-            .as_bat()
-    };
-    match (pin, op) {
-        (Some(Pin::SelectSorted), MilOp::SelectEq(v, val)) => {
-            Ok(MilValue::Bat(ops::select::select_eq_sorted(ctx, bat(*v)?, val)?))
-        }
-        (Some(Pin::SelectSorted), MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi }) => {
-            Ok(MilValue::Bat(ops::select::select_range_sorted(
-                ctx,
-                bat(*src)?,
-                lo.as_ref(),
-                hi.as_ref(),
-                *inc_lo,
-                *inc_hi,
-            )?))
-        }
-        (Some(Pin::SelectDictCode), MilOp::SelectEq(v, val)) => {
-            Ok(MilValue::Bat(ops::select::select_eq_dict(ctx, bat(*v)?, val)?))
-        }
-        (Some(Pin::SelectDictCode), MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi }) => {
-            Ok(MilValue::Bat(ops::select::select_range_dict(
-                ctx,
-                bat(*src)?,
-                lo.as_ref(),
-                hi.as_ref(),
-                *inc_lo,
-                *inc_hi,
-            )?))
-        }
-        (Some(Pin::JoinFetch), MilOp::Join(a, b)) => {
-            Ok(MilValue::Bat(ops::join::join_fetch_pinned(ctx, bat(*a)?, bat(*b)?)?))
-        }
-        (Some(Pin::JoinMerge), MilOp::Join(a, b)) => {
-            Ok(MilValue::Bat(ops::join::join_merge_pinned(ctx, bat(*a)?, bat(*b)?)?))
-        }
-        // A pin that does not fit the operation shape is a planner bug in
-        // debug builds; release builds just take the dynamic path.
-        (Some(p), op) => {
-            debug_assert!(false, "pin {p:?} does not match op {}", op.name());
-            eval_op(ctx, db, env, op)
-        }
-        (None, op) => eval_op(ctx, db, env, op),
-    }
-}
-
+/// Execute one statement through its operator, whose own dispatch picks
+/// the implementation from the operands' descriptors.
 fn eval_op(ctx: &ExecCtx, db: &Db, env: &[Option<MilValue>], op: &MilOp) -> Result<MilValue> {
     let bat = |v: Var| -> Result<&Bat> {
         env.get(v)
@@ -484,7 +421,7 @@ mod tests {
         let n = p.emit("n", MilOp::SetAgg { f: ops::AggFunc::Count, src: qty });
         let total = p.emit("total", MilOp::SetAgg { f: ops::AggFunc::Sum, src: amt });
 
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let keys = [
             MemoKey::Lookup(extent.oids().identity(), sel.head().identity()),
             MemoKey::Grouping(classes.identity()),
@@ -493,7 +430,8 @@ mod tests {
         for run in 0..2 {
             let keep = [prices, discs, n, total];
             let env = execute(&ctx, &db, &p, &keep).unwrap();
-            let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+            let algos: Vec<_> =
+                env.trace().iter().map(|t| t.algo).filter(|a| !a.is_empty()).collect();
             // Within one execution the second semijoin reuses the first's
             // LOOKUP and the second `{g}` the first's grouping.
             assert_eq!(algos, ["datavector", "datavector", "direct", "memo"], "run {run}");
@@ -588,7 +526,7 @@ mod tests {
 
     #[test]
     fn trace_captures_statements() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let db = db();
         let mut p = MilProgram::new();
         let clerk = p.emit("clerk", MilOp::Load("Order_clerk".into()));
@@ -599,9 +537,21 @@ mod tests {
         assert_eq!(env.trace()[1].render(&p), "orders := select(clerk, \"b\")");
         assert_eq!(env.trace()[1].algo, "binary-search");
         assert_eq!(env.trace()[1].result_len, 2);
-        // The label comes from the kernel, not from the trace sink.
-        let untraced = execute(&ExecCtx::new(), &db, &p, &[]).unwrap();
-        assert_eq!(untraced.trace()[1].algo, "binary-search");
-        assert_eq!(untraced.trace()[0].algo, "", "a load runs no kernel");
+        assert_eq!(env.trace()[0].algo, "", "a load runs no kernel");
+    }
+
+    #[test]
+    fn an_aborted_statement_leaves_its_arm_readable() {
+        // The selection's result passes the budget: the abort comes out of
+        // its `record`, after the label was published.
+        let ctx = ExecCtx::new();
+        let db = db();
+        let mut p = MilProgram::new();
+        let clerk = p.emit("clerk", MilOp::Load("Order_clerk".into()));
+        let orders = p.emit("orders", MilOp::SelectEq(clerk, AtomValue::str("b")));
+        ctx.mem.set_budget(Some(1));
+        let err = execute(&ctx, &db, &p, &[orders]).err().expect("over-budget program completed");
+        assert!(matches!(err, MonetError::BudgetExceeded { op: "select", .. }), "got {err:?}");
+        assert_eq!(ctx.take_algo(), "binary-search");
     }
 }

@@ -12,7 +12,7 @@ mod interp;
 pub mod opt;
 mod print;
 
-pub use ast::{MilArg, MilOp, MilProgram, MilStmt, ParamLoc, Pin, Var};
+pub use ast::{MilArg, MilOp, MilProgram, MilStmt, ParamLoc, Var};
 pub use bound::{BoundProgram, Executable};
 pub use interp::{execute, Env, MilValue, StmtTrace};
 pub use print::{render_program, render_stmt};

@@ -254,7 +254,6 @@ impl Pass for Fold {
                     };
                     if let Some(v) = consts.and_then(|cs| crate::ops::apply_scalar(f, &cs).ok()) {
                         prog.stmts[i].op = MilOp::ConstScalar(v);
-                        prog.stmts[i].pin = None;
                         applied += inlined + 1;
                     } else if inlined > 0 {
                         prog.stmts[i].op = MilOp::Multiplex { f, args };

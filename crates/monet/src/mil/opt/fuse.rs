@@ -18,20 +18,20 @@
 //!   types) fuse only when no selection precedes them — then the fused
 //!   morsel grid *is* the staged grid and the float association is
 //!   unchanged (the PR 6 determinism contract);
-//! * a statement pinned `binary-search` stays unfused: the staged kernel
-//!   answers it with a zero-copy slice that keeps the operand's
-//!   descriptor verbatim — cheaper than any pipeline, and with stronger
-//!   runtime props than the propagation rules can claim.
+//! * a selection whose operand tail is statically sorted stays unfused:
+//!   the staged kernel answers it with a zero-copy slice that keeps the
+//!   operand's descriptor verbatim — cheaper than any pipeline, and with
+//!   stronger runtime props than the propagation rules can claim.
 //!
-//! The pass runs *after* the fixpoint pipeline and the pin pass (unless
-//! `PlanConfig::fuse` is off, which reproduces the unfused emission as the
-//! oracle leg), so it sees final use counts and pins. Parameterized statements
+//! The pass runs *after* the fixpoint pipeline (unless `PlanConfig::fuse`
+//! is off, which reproduces the unfused emission as the oracle leg), so it
+//! sees final use counts and shapes. Parameterized statements
 //! (`params` non-empty) never fuse — their constant slots must stay
 //! addressable for plan-cache re-binding.
 
 use crate::atom::AtomType;
 
-use super::super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, Pin, Var};
+use super::super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, Var};
 use super::infer::{self, Shape};
 use super::{Pass, PassCtx, PassEffect};
 
@@ -111,7 +111,7 @@ impl Pass for Fuse {
                     if member_of[next].is_some() {
                         break;
                     }
-                    let Some((stage, terminal)) = continue_stage(prog, next, &st) else {
+                    let Some((stage, terminal)) = continue_stage(prog, next, &st, &shapes) else {
                         break;
                     };
                     match &stage {
@@ -152,9 +152,7 @@ impl Pass for Fuse {
             for &m in interior {
                 removed[m] = true;
             }
-            let stmt = &mut prog.stmts[terminal];
-            stmt.op = MilOp::Fused { src, stages };
-            stmt.pin = None;
+            prog.stmts[terminal].op = MilOp::Fused { src, stages };
         }
         let mut remap: Vec<Option<Var>> = vec![None; prog.len()];
         let mut kept = Vec::with_capacity(prog.len());
@@ -187,12 +185,10 @@ fn start_stage(
         return None; // keep prepared-statement slots addressable
     }
     match &stmt.op {
-        MilOp::SelectEq(v, val) if selectable(stmt.pin, *v, shapes) => {
+        MilOp::SelectEq(v, val) if selectable(*v, shapes) => {
             Some((*v, FuseStage::SelectEq(val.clone()), false))
         }
-        MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi }
-            if selectable(stmt.pin, *src, shapes) =>
-        {
+        MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi } if selectable(*src, shapes) => {
             let stage = FuseStage::SelectRange {
                 lo: lo.clone(),
                 hi: hi.clone(),
@@ -225,17 +221,22 @@ fn start_stage(
 
 /// Can `prog.stmts[i]` extend a chain whose value is `st.var`? Returns the
 /// stage and whether it terminates the chain.
-fn continue_stage(prog: &MilProgram, i: usize, st: &ChainState) -> Option<(FuseStage, bool)> {
+fn continue_stage(
+    prog: &MilProgram,
+    i: usize,
+    st: &ChainState,
+    shapes: &[Option<Shape>],
+) -> Option<(FuseStage, bool)> {
     let stmt = &prog.stmts[i];
     if !stmt.params.is_empty() {
         return None;
     }
     match &stmt.op {
-        MilOp::SelectEq(v, val) if *v == st.var && stmt.pin != Some(Pin::SelectSorted) => {
+        MilOp::SelectEq(v, val) if *v == st.var && !statically_sorted(*v, shapes) => {
             Some((FuseStage::SelectEq(val.clone()), false))
         }
         MilOp::SelectRange { src, lo, hi, inc_lo, inc_hi }
-            if *src == st.var && stmt.pin != Some(Pin::SelectSorted) =>
+            if *src == st.var && !statically_sorted(*src, shapes) =>
         {
             let stage = FuseStage::SelectRange {
                 lo: lo.clone(),
@@ -291,10 +292,15 @@ fn continue_stage(prog: &MilProgram, i: usize, st: &ChainState) -> Option<(FuseS
     }
 }
 
-/// A selection opens (or joins) a chain unless the pin pass proved its
-/// operand tail-sorted — the staged binary-search slice is strictly better
-/// — and only when the operand's shape is known (the executor needs the
-/// source BAT's descriptor to replay property propagation).
-fn selectable(pin: Option<Pin>, src: Var, shapes: &[Option<Shape>]) -> bool {
-    pin != Some(Pin::SelectSorted) && shapes[src].is_some()
+/// A selection opens a chain only when its operand's shape is known (the
+/// executor needs the source BAT's descriptor to replay property
+/// propagation) and its tail is not statically sorted.
+fn selectable(src: Var, shapes: &[Option<Shape>]) -> bool {
+    shapes[src].is_some() && !statically_sorted(src, shapes)
+}
+
+/// The operand's tail is sorted whatever the data: the select kernel
+/// answers with a zero-copy slice, strictly better than any pipeline.
+fn statically_sorted(src: Var, shapes: &[Option<Shape>]) -> bool {
+    shapes[src].is_some_and(|s| s.props.tail.sorted)
 }

@@ -10,11 +10,10 @@
 //! binary-search select keeps a dense head at run time; the static rule
 //! drops it). The invariant the props-oracle suite guards: **every
 //! statically claimed property holds on the actually computed column**,
-//! so the pin pass can never commit to an algorithm whose precondition
-//! fails at run time.
+//! so no rewrite or fusion decision rests on a fact that fails at run time.
 //!
 //! Types are exact where known (`None` = unknown, e.g. a multiplex result)
-//! — they gate the fetch-join pin, which needs oid-like join columns.
+//! — they gate integer sums after a fused selection.
 //!
 //! `may_dv` tracks whether a variable can carry a **datavector**
 //! accelerator at run time: datavectors ride on persistent BATs and
@@ -43,11 +42,6 @@ pub struct Shape {
     pub props: Props,
     /// Whether the value may carry a datavector accelerator.
     pub may_dv: bool,
-}
-
-/// Known and definitely oid-like (unknown types return false).
-pub(crate) fn known_oidlike(t: Option<AtomType>) -> bool {
-    matches!(t, Some(AtomType::Oid | AtomType::Void))
 }
 
 /// `void` and `oid` columns combine into a materialized `oid` column

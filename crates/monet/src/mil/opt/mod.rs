@@ -19,12 +19,14 @@
 //! * [`dce`] — dead-code elimination with variable renumbering, so the
 //!   interpreter's free-at-last-use accounting is recomputed against the
 //!   rewritten program;
-//! * [`pin`] — property-driven algorithm pinning (after the fixpoint):
-//!   propagate `ColProps` and column types through the program with the
-//!   *same rules the kernels use at run time* ([`infer`]) and annotate
-//!   statements whose implementation choice is already decided — e.g.
-//!   dense-head fetch joins and merge joins on sorted operands — so the
-//!   interpreter skips the per-operator re-derivation.
+//! * [`fuse`] — pipeline fusion (after the fixpoint): collapse
+//!   sole-consumer select/multiplex/aggregate chains into one statement.
+//!
+//! The optimizer rewrites statements; it never chooses their algorithm.
+//! Which implementation runs a statement is its operator's run-time
+//! decision from the operands' descriptors (Section 5.1); the passes read
+//! the same properties, propagated statically by the kernels' own rules
+//! ([`infer`]), only to decide which rewrites are safe.
 //!
 //! Every pass is **order-preserving and bit-identity-preserving**: an
 //! optimized program produces exactly the value stream of the raw program
@@ -39,7 +41,6 @@ mod dce;
 mod fold;
 mod fuse;
 mod infer;
-mod pin;
 mod pushdown;
 
 pub use infer::{infer_shapes, Shape};
@@ -99,8 +100,6 @@ pub struct OptReport {
     pub stmts_before: usize,
     pub stmts_after: usize,
     pub rounds: usize,
-    /// Statements carrying an algorithm pin after the pin pass.
-    pub pins: usize,
     pub deltas: Vec<PassDelta>,
 }
 
@@ -120,12 +119,11 @@ impl OptReport {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "plan optimizer: {} -> {} statements ({:+.1}%), {} rounds, {} pins",
+            "plan optimizer: {} -> {} statements ({:+.1}%), {} rounds",
             self.stmts_before,
             self.stmts_after,
             -100.0 * self.reduction(),
             self.rounds,
-            self.pins,
         );
         for d in &self.deltas {
             let _ = writeln!(
@@ -239,11 +237,8 @@ pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db, cfg: &PlanConfig) -> O
             break;
         }
     }
-    report.pins = pin::run(&mut prog, db);
     // Pipeline fusion runs last (unless configured off for an oracle run):
-    // it consumes the final statement shapes *and* the pins — a
-    // binary-search-pinned select stays staged, and pins on fused-away
-    // statements dissolve with them.
+    // it consumes the final statement shapes.
     if cfg.fuse {
         let cx = PassCtx { db, roots: roots.clone() };
         let pass = fuse::Fuse;

@@ -72,14 +72,12 @@ impl Pass for Pushdown {
                     MilOp::Join(a, b) => {
                         let sel = retarget_select(&prog.stmts[i].op, b).expect("select stmt");
                         prog.stmts[src].op = sel;
-                        prog.stmts[src].pin = None;
                         // The select's parameter slots travel with its
                         // values into the repurposed slot (the join carries
                         // no constants, so the swap cannot clobber any).
                         debug_assert!(prog.stmts[src].params.is_empty());
                         prog.stmts[src].params = std::mem::take(&mut prog.stmts[i].params);
                         prog.stmts[i].op = MilOp::Join(a, src);
-                        prog.stmts[i].pin = None;
                         applied += 1;
                         changed = true;
                     }
@@ -90,11 +88,9 @@ impl Pass for Pushdown {
                         }
                         let sel = retarget_select(&prog.stmts[i].op, a).expect("select stmt");
                         prog.stmts[src].op = sel;
-                        prog.stmts[src].pin = None;
                         debug_assert!(prog.stmts[src].params.is_empty());
                         prog.stmts[src].params = std::mem::take(&mut prog.stmts[i].params);
                         prog.stmts[i].op = MilOp::Semijoin(src, c);
-                        prog.stmts[i].pin = None;
                         applied += 1;
                         changed = true;
                     }

@@ -102,14 +102,11 @@ pub(super) fn render_op(prog: &MilProgram, stmt: &MilStmt, op: &MilOp) -> String
             s
         }
     };
-    let annotated = match stmt.pin {
-        // Annotate plan-time pinned algorithms, EXPLAIN-style.
-        Some(p) => format!("{} := {}  #! {}", stmt.name, body, p.label()),
-        None => format!("{} := {}", stmt.name, body),
-    };
     match op {
-        MilOp::Fused { stages, .. } => format!("{annotated}  #! fused[{}]", stages.len()),
-        _ => annotated,
+        MilOp::Fused { stages, .. } => {
+            format!("{} := {body}  #! fused[{}]", stmt.name, stages.len())
+        }
+        _ => format!("{} := {body}", stmt.name),
     }
 }
 

@@ -12,9 +12,6 @@
 //! head grouping is derived once per execution and memoized on the context
 //! by column identity — every later `{g}` over that head reports `memo`.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use crate::atom::{AtomType, AtomValue};
 use crate::bat::Bat;
 use crate::column::Column;
@@ -23,6 +20,7 @@ use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 use crate::typed::TypedVals;
+use std::sync::Arc;
 
 use super::group::Grouping;
 
@@ -262,8 +260,6 @@ where
 /// [`super::group::hash_group_column`] otherwise.
 pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/set-aggregate")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
@@ -508,7 +504,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
         ColProps::NONE,
     );
     let result = Bat::with_props(head, tail, props);
-    ctx.record("set-aggregate", algo, started, faults0, &[ab], &result)?;
+    ctx.record("set-aggregate", algo, &[ab], &result)?;
     Ok(result)
 }
 
@@ -540,14 +536,14 @@ mod tests {
 
     #[test]
     fn merge_variant_on_sorted_head() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let b = Bat::with_props(
             Column::from_oids(vec![1, 1, 2, 3, 3]),
             Column::from_ints(vec![4, 6, 10, 1, 1]),
             Props::new(ColProps::SORTED, ColProps::NONE),
         );
         let r = set_aggregate(&ctx, AggFunc::Sum, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "merge");
+        assert_eq!(ctx.take_algo(), "merge");
         assert_eq!(r.head().as_oid_slice().unwrap(), &[1, 2, 3]);
         assert_eq!(r.tail().as_lng_slice().unwrap(), &[10, 10, 2]);
         assert!(r.props().head.sorted);

@@ -19,9 +19,6 @@
 //! governor site per morsel, so cancellation and fault injection reach
 //! every fused stage.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use crate::atom::{AtomType, AtomValue};
 use crate::bat::Bat;
 use crate::column::Column;
@@ -30,6 +27,7 @@ use crate::error::Result;
 use crate::gov::{site, Governor};
 use crate::pager;
 use crate::props::{ColProps, Enc, Props};
+use std::sync::Arc;
 
 use super::aggregate::{aggr_window, merge_partials, AggFunc, Partial};
 use super::multiplex::{eval_tail_window, TailArg};
@@ -201,8 +199,6 @@ pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut>
         }
     }
 
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     // Every BAT the pipeline reads: the source, then the map stages' sides.
     let mut operands = vec![src];
     for stage in stages {
@@ -238,7 +234,7 @@ pub fn run_fused(ctx: &ExecCtx, src: &Bat, stages: &[Stage]) -> Result<FusedOut>
     };
     let bat = Bat::with_props(head, tail, replay_props(src, stages, &out.counts));
     let algo = if out.rowwise { "pipeline-rowwise" } else { "pipeline" };
-    ctx.record("fused", algo, started, faults0, &operands, &bat)?;
+    ctx.record("fused", algo, &operands, &bat)?;
     Ok(FusedOut::Bat(bat))
 }
 

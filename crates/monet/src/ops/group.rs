@@ -32,9 +32,6 @@
 //! ([`packed_domains`]: one slot per `slot_b * span_d + slot_d`), the
 //! pair-hashed [`GroupTable`] otherwise.
 
-use std::sync::Arc;
-use std::time::Instant;
-
 use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::column::Column;
@@ -43,6 +40,7 @@ use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 use crate::typed::{CodedVals, GroupTable, OidDomain, SlotTable, TypedVals};
+use std::sync::Arc;
 
 /// A first-occurrence grouping of one column: the group of every row and
 /// one representative row per group. Shared, because the per-execution
@@ -250,8 +248,6 @@ pub(crate) fn packed_domains(
 /// synced with the operand.
 pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/group")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
@@ -288,7 +284,7 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
             ColProps { sorted, key: false, dense: false, ..ColProps::NONE },
         ),
     );
-    ctx.record("group", algo, started, faults0, &[ab], &result)?;
+    ctx.record("group", algo, &[ab], &result)?;
     Ok(result)
 }
 
@@ -299,8 +295,6 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
 /// aligned by hash.
 pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/group")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
         pager::touch_scan(p, cd.tail());
@@ -370,7 +364,7 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         Column::from_oids(gids),
         Props::new(ab.props().head, ColProps::NONE),
     );
-    ctx.record("group", algo, started, faults0, &[ab, cd], &result)?;
+    ctx.record("group", algo, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -431,14 +425,14 @@ mod tests {
 
     #[test]
     fn merge_group_on_sorted_tail() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let b = Bat::with_props(
             Column::from_oids(vec![9, 8, 7]),
             Column::from_ints(vec![1, 1, 2]),
             Props::new(ColProps::NONE, ColProps::SORTED),
         );
         let r = group1(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "merge");
+        assert_eq!(ctx.take_algo(), "merge");
         assert!(r.props().tail.sorted);
         assert_eq!(r.tail().oid_at(0), r.tail().oid_at(1));
         assert_eq!(r.tail().oid_at(2), r.tail().oid_at(0) + 1);
@@ -517,7 +511,7 @@ mod tests {
 
     #[test]
     fn group_dispatches_to_spill_under_budget_pressure() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         // 800 values a thousand apart: no compact domain, so the choice is
         // between the hash table and the disk.
         let b = Bat::new(
@@ -525,13 +519,13 @@ mod tests {
             Column::from_ints((0..4000).map(|i| (i % 800) * 1000).collect()),
         );
         let a = group1(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "hash");
+        assert_eq!(ctx.take_algo(), "hash");
         // Budget below the GroupTable estimate but above the result
         // charge (the gid column is the output either way).
         ctx.mem.begin();
         ctx.mem.set_budget(Some(crate::costmodel::group_inmem_bytes(b.len()) - 1));
         let s = group1(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "spill");
+        assert_eq!(ctx.take_algo(), "spill");
         // Same grouping structure: gids are fresh oids per call, so
         // compare the induced partition, not the raw oids.
         let rel = |g: &Bat, i: usize| g.tail().oid_at(i) - g.tail().oid_at(0);

@@ -9,7 +9,7 @@
 //!   `i` and nothing else, so the result is the left head next to the right
 //!   tail — zero copy, no page touched. This is the join of the flattened
 //!   `nest` + aggregate tail, `join(class.mirror, semijoin(vals, class))`,
-//!   and it comes first in the pinned entry points too;
+//!   and, costing nothing, it is tried first;
 //! * `fetch` — the right head is a dense (void) sequence: pure positional
 //!   array lookup, `cd.tail[b - seq]`;
 //! * `merge` — left tail and right head sorted: linear merge with
@@ -35,8 +35,6 @@
 //! to [`super::reference::join`], and a full match against a `key` right
 //! head shares the left operand's head column ([`build_join`]).
 
-use std::time::Instant;
-
 use crate::accel::datavector::Datavector;
 use crate::bat::Bat;
 use crate::column::Column;
@@ -53,8 +51,6 @@ use super::check_comparable;
 pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/join")?;
     check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     let oid_keyed = ab.tail().is_oidlike() && cd.head().is_oidlike();
     let (result, algo) = if let Some(synced) = join_sync(ab, cd) {
         (synced, "sync")
@@ -78,7 +74,7 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     } else {
         (join_hash(ctx, ab, cd), "hash")
     };
-    ctx.record("join", algo, started, faults0, &[ab, cd], &result)?;
+    ctx.record("join", algo, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -96,8 +92,6 @@ pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFu
             detail: format!("unsupported theta operator {:?}", theta),
         });
     }
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
         pager::touch_scan(p, cd.head());
@@ -160,7 +154,7 @@ pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFu
             ColProps::NONE,
         ),
     );
-    ctx.record("theta-join", algo, started, faults0, &[ab, cd], &result)?;
+    ctx.record("theta-join", algo, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -769,49 +763,6 @@ pub fn propagated_props(ab: Props, cd: Props) -> Props {
     )
 }
 
-/// Pinned positional fetch join: the plan optimizer proved the right head
-/// dense and both join columns oid-like from propagated descriptors, so
-/// dynamic dispatch would necessarily pick `fetch` — the interpreter skips
-/// the re-derivation. Column identity is a run-time fact the optimizer
-/// cannot see, so the `sync` arm is still tried first, as in [`join`].
-pub fn join_fetch_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
-    ctx.probe("op/join")?;
-    check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
-    debug_assert!(
-        cd.props().head.dense && cd.head().is_oidlike() && ab.tail().is_oidlike(),
-        "pinned fetch join preconditions violated"
-    );
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    let (result, algo) = match join_sync(ab, cd) {
-        Some(synced) => (synced, "sync"),
-        None => (join_fetch(ctx, ab, cd), "fetch"),
-    };
-    ctx.record("join", algo, started, faults0, &[ab, cd], &result)?;
-    Ok(result)
-}
-
-/// Pinned merge join: the plan optimizer proved the left tail and right
-/// head sorted. Dynamic dispatch would pick `merge` too — or `fetch`,
-/// should the right head turn out dense, which finds the same matches in
-/// the same order and assembles them in the same [`build_join`].
-pub fn join_merge_pinned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
-    ctx.probe("op/join")?;
-    check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
-    debug_assert!(
-        ab.props().tail.sorted && cd.props().head.sorted,
-        "pinned merge join preconditions violated"
-    );
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    let (result, algo) = match join_sync(ab, cd) {
-        Some(synced) => (synced, "sync"),
-        None => (join_merge(ctx, ab, cd), "merge"),
-    };
-    ctx.record("join", algo, started, faults0, &[ab, cd], &result)?;
-    Ok(result)
-}
-
 /// Materialize `[ab.head[li], values[ri]]` from pooled position vectors
 /// (returned to the pool here) — the shared tail of every implementation.
 /// A 100% match against a `key` right head uses each left BUN exactly
@@ -865,11 +816,11 @@ mod tests {
 
     #[test]
     fn fetch_join_on_dense_head() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let io = item_order();
         let dense = Bat::new(Column::void(5, 3), Column::from_ints(vec![50, 60, 70]));
         let r = join(&ctx, &io, &dense).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "fetch");
+        assert_eq!(ctx.take_algo(), "fetch");
         assert_eq!(r.len(), 4);
         assert_eq!(r.tail().as_int_slice().unwrap(), &[70, 50, 70, 60]);
         // 100% match keeps the head column shared: result synced with left.
@@ -889,31 +840,8 @@ mod tests {
     }
 
     #[test]
-    fn pinned_merge_equals_fetch_on_a_dense_right_head() {
-        // The plan optimizer pins merge on statically sorted operands even
-        // when a dense right head would send dynamic dispatch to fetch:
-        // both must produce the same BAT — rows, properties, and the
-        // full-match head sharing.
-        let ctx = ExecCtx::new().with_trace();
-        let dense = Bat::new(Column::void(5, 3), Column::from_ints(vec![50, 60, 70]));
-        for tails in [vec![5, 5, 6, 7], vec![4, 5, 7, 9]] {
-            let left = Bat::with_inferred_props(
-                Column::from_oids(vec![100, 101, 102, 103]),
-                Column::from_oids(tails),
-            );
-            let fetch = join(&ctx, &left, &dense).unwrap();
-            let merge = join_merge_pinned(&ctx, &left, &dense).unwrap();
-            let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
-            assert_eq!(algos, ["fetch", "merge"]);
-            assert_eq!(fetch.iter().collect::<Vec<_>>(), merge.iter().collect::<Vec<_>>());
-            assert_eq!(fetch.props(), merge.props());
-            assert_eq!(fetch.synced(&left), merge.synced(&left));
-        }
-    }
-
-    #[test]
     fn merge_join_with_duplicate_groups() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let left = Bat::with_inferred_props(
             Column::from_oids(vec![1, 2, 3]),
             Column::from_ints(vec![10, 10, 20]),
@@ -923,7 +851,7 @@ mod tests {
             Column::from_chrs(vec![b'a', b'b', b'c', b'd']),
         );
         let r = join(&ctx, &left, &right).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "merge");
+        assert_eq!(ctx.take_algo(), "merge");
         // 2 left tens x 2 right tens + 1 twenty = 5
         assert_eq!(r.len(), 5);
         let pairs: Vec<(u64, u8)> =
@@ -956,7 +884,7 @@ mod tests {
 
     #[test]
     fn partitioned_join_agrees_with_hash_and_dispatches_above_threshold() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         // Build side large enough that its chain table overflows the cache
         // budget (costmodel::join_prefers_partitioned) and duplicates exist
         // on both sides.
@@ -978,9 +906,8 @@ mod tests {
             assert_eq!(p.tail().oid_at(i), h.tail().oid_at(i), "tail order differs at {i}");
         }
         // The dynamic dispatch picks the partitioned path at this size.
-        let _ = ctx.take_trace();
         let _ = join(&ctx, &left, &right).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "partition");
+        assert_eq!(ctx.take_algo(), "partition");
     }
 
     #[test]
@@ -1044,7 +971,7 @@ mod tests {
 
     #[test]
     fn join_dispatches_to_spill_under_budget_pressure() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let n = 3000usize;
         let left = Bat::new(
             Column::from_oids((0..n as u64).collect()),
@@ -1056,14 +983,14 @@ mod tests {
         );
         // Unlimited budget: the in-memory dispatch is unchanged.
         let a = join(&ctx, &left, &right).unwrap();
-        assert_ne!(ctx.take_trace()[0].algo, "spill");
+        assert_ne!(ctx.take_algo(), "spill");
         // A budget below the partitioned working set (costmodel::
         // join_inmem_bytes = 96 KiB here) but above the result charge
         // routes through the spilling join — same bits.
         ctx.mem.begin();
         ctx.mem.set_budget(Some(crate::costmodel::join_inmem_bytes(n, n) - 1));
         let b = join(&ctx, &left, &right).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "spill");
+        assert_eq!(ctx.take_algo(), "spill");
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
             assert_eq!(a.head().oid_at(i), b.head().oid_at(i));

@@ -19,8 +19,6 @@
 //! argument shapes fall back to the generic row-at-a-time `AtomValue`
 //! path, and a synced multiplex that does records `sync-rowwise`.
 
-use std::time::Instant;
-
 use crate::atom::{AtomType, AtomValue};
 use crate::bat::Bat;
 use crate::column::Column;
@@ -220,8 +218,6 @@ pub fn apply_scalar(f: ScalarFunc, args: &[AtomValue]) -> Result<AtomValue> {
 /// The multiplex operator `[f](arg, ...)`.
 pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> {
     ctx.probe("op/multiplex")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     let bats: Vec<&Bat> = args
         .iter()
         .filter_map(|a| match a {
@@ -247,7 +243,7 @@ pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> 
     } else {
         (mux_aligned(ctx, f, first, args)?, "hash-align")
     };
-    ctx.record("multiplex", algo, started, faults0, &bats, &result)?;
+    ctx.record("multiplex", algo, &bats, &result)?;
     Ok(result)
 }
 
@@ -821,7 +817,7 @@ mod tests {
     #[test]
     fn q13_revenue_expression() {
         // [*](price, [-](1.0, discount))
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let (price, disc) = synced_pair();
         let factor = multiplex(
             &ctx,
@@ -829,20 +825,20 @@ mod tests {
             &[MultArg::Const(AtomValue::Dbl(1.0)), MultArg::Bat(disc)],
         )
         .unwrap();
+        assert_eq!(ctx.take_algo(), "sync");
         let revenue = multiplex(
             &ctx,
             ScalarFunc::Mul,
             &[MultArg::Bat(price.clone()), MultArg::Bat(factor.clone())],
         )
         .unwrap();
+        assert_eq!(ctx.take_algo(), "sync");
         assert!(factor.synced(&price));
         assert!(revenue.synced(&price));
         let r = revenue.tail().as_dbl_slice().unwrap();
         assert!((r[0] - 90.0).abs() < 1e-9);
         assert!((r[1] - 160.0).abs() < 1e-9);
         assert!((r[2] - 210.0).abs() < 1e-9);
-        let trace = ctx.take_trace();
-        assert!(trace.iter().all(|e| e.algo == "sync"));
     }
 
     #[test]
@@ -858,11 +854,11 @@ mod tests {
 
     #[test]
     fn unsynced_aligns_by_head() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let a = Bat::new(Column::from_oids(vec![1, 2, 3]), Column::from_ints(vec![10, 20, 30]));
         let b = Bat::new(Column::from_oids(vec![3, 1, 2]), Column::from_ints(vec![3, 1, 2]));
         let r = multiplex(&ctx, ScalarFunc::Add, &[MultArg::Bat(a), MultArg::Bat(b)]).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "hash-align");
+        assert_eq!(ctx.take_algo(), "hash-align");
         assert_eq!(r.tail().as_int_slice().unwrap(), &[11, 22, 33]);
     }
 
@@ -1011,17 +1007,17 @@ mod tests {
 
     #[test]
     fn a_row_loop_fallback_shows_in_the_label() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let head = Column::from_oids(vec![1, 2]);
         let ints = Bat::new(head.clone(), Column::from_ints(vec![1, 2]));
         let dbls = Bat::new(head, Column::from_dbls(vec![1.5, 1.5]));
         // int < dbl promotes per row: no typed loop for it.
         multiplex(&ctx, ScalarFunc::Lt, &[MultArg::Bat(ints.clone()), MultArg::Bat(dbls.clone())])
             .unwrap();
+        assert_eq!(ctx.take_algo(), "sync-rowwise");
         // int * dbl is the widened arithmetic loop.
         multiplex(&ctx, ScalarFunc::Mul, &[MultArg::Bat(ints), MultArg::Bat(dbls)]).unwrap();
-        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
-        assert_eq!(algos, ["sync-rowwise", "sync"]);
+        assert_eq!(ctx.take_algo(), "sync");
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! probe-based binary search and returns a zero-copy slice of the operand;
 //! otherwise it scans.
 
-use std::time::Instant;
-
 use crate::atom::AtomValue;
 use crate::bat::Bat;
 use crate::column::Column;
@@ -22,23 +20,7 @@ use super::fused::Stage;
 
 /// Point selection: `{ab | ab ∈ AB ∧ b = v}`.
 pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
-    ctx.probe("op/select")?;
-    check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    // The dict check comes before sorted: the encoding is a static
-    // storage fact (unlike sortedness it can never be *gained* at run
-    // time), so the plan optimizer can pin this choice — and the code-range
-    // path subsumes the sorted one on dict tails anyway.
-    let (result, algo) = if ab.tail().encoding() == Enc::Dict {
-        (select_dict(ctx, ab, Some(v), Some(v), true, true, true)?, "dict-code")
-    } else if ab.props().tail.sorted {
-        (select_sorted(ctx, ab, Some(v), Some(v), true, true), "binary-search")
-    } else {
-        (select_scan(ctx, ab, Some(v), Some(v), true, true, true)?, scan_algo(ctx, ab))
-    };
-    ctx.record("select", algo, started, faults0, &[ab], &result)?;
-    Ok(result)
+    select(ctx, ab, Some(v), Some(v), true, true, true)
 }
 
 /// Range selection: `{ab | ab ∈ AB ∧ lo ≤ b ≤ hi}` with configurable bound
@@ -51,20 +33,35 @@ pub fn select_range(
     inc_lo: bool,
     inc_hi: bool,
 ) -> Result<Bat> {
+    select(ctx, ab, lo, hi, inc_lo, inc_hi, false)
+}
+
+/// The one select dispatch; `point` marks an equality predicate (both
+/// bounds one inclusive constant), whose result tail is constant.
+fn select(
+    ctx: &ExecCtx,
+    ab: &Bat,
+    lo: Option<&AtomValue>,
+    hi: Option<&AtomValue>,
+    inc_lo: bool,
+    inc_hi: bool,
+    point: bool,
+) -> Result<Bat> {
     ctx.probe("op/select")?;
     for v in [lo, hi].into_iter().flatten() {
         check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
     }
-    let started = Instant::now();
-    let faults0 = ctx.faults();
+    // The dict check comes before sorted: the code-range path subsumes the
+    // sorted one on dict tails (a sorted dict tail binary-searches its
+    // codes and returns the same zero-copy slice).
     let (result, algo) = if ab.tail().encoding() == Enc::Dict {
-        (select_dict(ctx, ab, lo, hi, inc_lo, inc_hi, false)?, "dict-code")
+        (select_dict(ctx, ab, lo, hi, inc_lo, inc_hi, point)?, "dict-code")
     } else if ab.props().tail.sorted {
         (select_sorted(ctx, ab, lo, hi, inc_lo, inc_hi), "binary-search")
     } else {
-        (select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, false)?, scan_algo(ctx, ab))
+        (select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, point)?, scan_algo(ctx, ab))
     };
-    ctx.record("select", algo, started, faults0, &[ab], &result)?;
+    ctx.record("select", algo, &[ab], &result)?;
     Ok(result)
 }
 
@@ -306,80 +303,6 @@ fn build_selected(ab: &Bat, idx: &[u32], point: bool) -> Bat {
     Bat::with_props(head, tail, props)
 }
 
-/// Pinned point selection: the plan optimizer proved the tail sorted from
-/// propagated descriptor properties, so the binary-search implementation
-/// runs without re-deriving the choice (dynamic dispatch would pick the
-/// same one — sortedness only ever *gains* facts at run time).
-pub fn select_eq_sorted(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
-    ctx.probe("op/select")?;
-    check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
-    debug_assert!(ab.props().tail.sorted, "pinned binary-search select on unsorted tail");
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    let result = select_sorted(ctx, ab, Some(v), Some(v), true, true);
-    ctx.record("select", "binary-search", started, faults0, &[ab], &result)?;
-    Ok(result)
-}
-
-/// Pinned range selection on a proven-sorted tail (see
-/// [`select_eq_sorted`]).
-pub fn select_range_sorted(
-    ctx: &ExecCtx,
-    ab: &Bat,
-    lo: Option<&AtomValue>,
-    hi: Option<&AtomValue>,
-    inc_lo: bool,
-    inc_hi: bool,
-) -> Result<Bat> {
-    ctx.probe("op/select")?;
-    for v in [lo, hi].into_iter().flatten() {
-        check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
-    }
-    debug_assert!(ab.props().tail.sorted, "pinned binary-search select on unsorted tail");
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    let result = select_sorted(ctx, ab, lo, hi, inc_lo, inc_hi);
-    ctx.record("select", "binary-search", started, faults0, &[ab], &result)?;
-    Ok(result)
-}
-
-/// Pinned point selection on a proven dictionary-encoded tail: the
-/// encoding is a storage fact carried by the descriptor (guarded by the Db
-/// epoch like every other pinned precondition), so the code-range
-/// implementation runs without re-deriving the choice.
-pub fn select_eq_dict(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
-    ctx.probe("op/select")?;
-    check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
-    debug_assert_eq!(ab.tail().encoding(), Enc::Dict, "pinned dict-code select on non-dict tail");
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    let result = select_dict(ctx, ab, Some(v), Some(v), true, true, true)?;
-    ctx.record("select", "dict-code", started, faults0, &[ab], &result)?;
-    Ok(result)
-}
-
-/// Pinned range selection on a proven dictionary-encoded tail (see
-/// [`select_eq_dict`]).
-pub fn select_range_dict(
-    ctx: &ExecCtx,
-    ab: &Bat,
-    lo: Option<&AtomValue>,
-    hi: Option<&AtomValue>,
-    inc_lo: bool,
-    inc_hi: bool,
-) -> Result<Bat> {
-    ctx.probe("op/select")?;
-    for v in [lo, hi].into_iter().flatten() {
-        check_comparable("select", ab.tail().atom_type(), v.atom_type())?;
-    }
-    debug_assert_eq!(ab.tail().encoding(), Enc::Dict, "pinned dict-code select on non-dict tail");
-    let started = Instant::now();
-    let faults0 = ctx.faults();
-    let result = select_dict(ctx, ab, lo, hi, inc_lo, inc_hi, false)?;
-    ctx.record("select", "dict-code", started, faults0, &[ab], &result)?;
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,19 +416,18 @@ mod tests {
 
     #[test]
     fn dict_select_eq_matches_decoded() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         for sorted in [true, false] {
             let b = dict_bat(sorted);
             let raw = Bat::with_inferred_props(b.head().clone(), b.tail().decoded());
             for probe in [w("a"), w("b"), w("d"), w("zz"), String::new()] {
                 let e = select_eq(&ctx, &b, &AtomValue::str(&*probe)).unwrap();
+                assert_eq!(ctx.take_algo(), "dict-code", "sorted={sorted}");
                 let r = select_eq(&ctx, &raw, &AtomValue::str(&*probe)).unwrap();
                 let ev: Vec<_> = e.iter().collect();
                 let rv: Vec<_> = r.iter().collect();
                 assert_eq!(ev, rv, "probe {probe} sorted={sorted}");
             }
-            let trace = ctx.take_trace();
-            assert!(trace.iter().any(|t| t.algo == "dict-code"), "sorted={sorted}");
         }
     }
 
@@ -543,19 +465,6 @@ mod tests {
         assert_eq!(r.head().storage_id(), b.head().storage_id());
         // The slice of a dict column is still dict-encoded.
         assert_eq!(r.tail().encoding(), crate::props::Enc::Dict);
-    }
-
-    #[test]
-    fn pinned_dict_select_agrees_with_dynamic() {
-        let ctx = ExecCtx::new();
-        let b = dict_bat(false);
-        let dynamic = select_eq(&ctx, &b, &AtomValue::str(w("d"))).unwrap();
-        let pinned = select_eq_dict(&ctx, &b, &AtomValue::str(w("d"))).unwrap();
-        assert_eq!(dynamic.iter().collect::<Vec<_>>(), pinned.iter().collect::<Vec<_>>());
-        let lo = AtomValue::str(w("b"));
-        let pinned = select_range_dict(&ctx, &b, Some(&lo), None, true, true).unwrap();
-        let dynamic = select_range(&ctx, &b, Some(&lo), None, true, true).unwrap();
-        assert_eq!(dynamic.iter().collect::<Vec<_>>(), pinned.iter().collect::<Vec<_>>());
     }
 
     #[test]

@@ -28,8 +28,6 @@
 //! `hash` are one function each for both operators (`keep` flips the
 //! membership test).
 
-use std::time::Instant;
-
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
@@ -44,8 +42,6 @@ use super::check_comparable;
 pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/semijoin")?;
     check_comparable("semijoin", ab.head().atom_type(), cd.head().atom_type())?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     let (result, algo) = if ab.synced(cd) {
         (semijoin_sync(ab), "sync")
     } else if ab.props().head.dense && cd.props().head.sorted {
@@ -58,7 +54,7 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     } else {
         subset(ctx, ab, cd, true)
     };
-    ctx.record("semijoin", algo, started, faults0, &[ab, cd], &result)?;
+    ctx.record("semijoin", algo, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -67,11 +63,9 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 pub fn antijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/antijoin")?;
     check_comparable("antijoin", ab.head().atom_type(), cd.head().atom_type())?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     let (result, algo) =
         if ab.synced(cd) { (ab.slice(0, 0), "sync") } else { subset(ctx, ab, cd, false) };
-    ctx.record("antijoin", algo, started, faults0, &[ab, cd], &result)?;
+    ctx.record("antijoin", algo, &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -327,7 +321,7 @@ mod tests {
 
     #[test]
     fn merge_semijoin_when_both_sorted() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let ab = Bat::with_inferred_props(
             Column::from_oids(vec![1, 2, 2, 5, 8]),
             Column::from_ints(vec![10, 20, 21, 50, 80]),
@@ -335,7 +329,7 @@ mod tests {
         let cd = sel(vec![2, 5, 9]);
         let r = semijoin(&ctx, &ab, &cd).unwrap();
         assert_eq!(r.head().as_oid_slice().unwrap(), &[2, 2, 5]);
-        assert_eq!(ctx.take_trace()[0].algo, "merge");
+        assert_eq!(ctx.take_algo(), "merge");
         assert!(r.validate().is_ok());
     }
 
@@ -351,10 +345,15 @@ mod tests {
         );
         let cd = sel(vec![100, 40_000, 100 + n - 1]);
         let pager = std::sync::Arc::new(crate::pager::Pager::new(4096));
-        let ctx = ExecCtx::new().with_trace().with_pager(pager);
+        let ctx = ExecCtx::new().with_pager(pager);
+        let faults0 = ctx.faults();
         let r = semijoin(&ctx, &ab, &cd).unwrap();
-        let e = &ctx.take_trace()[0];
-        assert_eq!((e.algo, e.faults), ("positional", 4), "one head page + three tail pages");
+        let faults = ctx.faults() - faults0;
+        assert_eq!(
+            (ctx.take_algo(), faults),
+            ("positional", 4),
+            "one head page + three tail pages"
+        );
         assert_eq!(r.tail().as_lng_slice().unwrap(), &[0, 39_900, n as i64 - 1]);
         assert_eq!(r.head().identity(), cd.head().identity());
         assert!(r.validate().is_ok());
@@ -362,19 +361,19 @@ mod tests {
 
     #[test]
     fn sync_semijoin_returns_copy() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let head = Column::from_oids(vec![3, 1, 2]);
         let ab = Bat::new(head.clone(), Column::from_ints(vec![30, 10, 20]));
         let cd = Bat::new(head, Column::from_dbls(vec![0.3, 0.1, 0.2]));
         let r = semijoin(&ctx, &ab, &cd).unwrap();
         assert_eq!(r.len(), 3);
-        assert_eq!(ctx.take_trace()[0].algo, "sync");
+        assert_eq!(ctx.take_algo(), "sync");
         assert!(r.synced(&ab));
     }
 
     #[test]
     fn datavector_semijoin_and_synced_results() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         // Two attributes of the same class, both tail-unsorted w.r.t. oid,
         // each with a datavector over the *shared* class extent (as after
         // the Section 6 load).
@@ -402,10 +401,9 @@ mod tests {
 
         let critems = sel(vec![11, 13]);
         let prices = semijoin(&ctx, &price, &critems).unwrap();
+        assert_eq!(ctx.take_algo(), "datavector");
         let discounts = semijoin(&ctx, &disc, &critems).unwrap();
-        let trace = ctx.take_trace();
-        assert_eq!(trace[0].algo, "datavector");
-        assert_eq!(trace[1].algo, "datavector");
+        assert_eq!(ctx.take_algo(), "datavector");
         assert_eq!(prices.head().as_oid_slice().unwrap(), &[11, 13]);
         assert_eq!(prices.tail().as_dbl_slice().unwrap(), &[2.0, 4.0]);
         assert_eq!(discounts.tail().as_dbl_slice().unwrap(), &[0.2, 0.4]);
@@ -418,8 +416,9 @@ mod tests {
         // and synced through the shared extent column.
         let all = Bat::with_inferred_props(extent.oids().clone(), Column::void(0, 4));
         let prices = semijoin(&ctx, &price, &all).unwrap();
+        assert_eq!(ctx.take_algo(), "datavector");
         let discounts = semijoin(&ctx, &disc, &all).unwrap();
-        assert!(ctx.take_trace().iter().all(|e| e.algo == "datavector"));
+        assert_eq!(ctx.take_algo(), "datavector");
         assert!(!extent.lookup_cached(&ctx, all.head()));
         assert_eq!(prices.head().identity(), extent.oids().identity());
         assert_eq!(prices.tail().as_dbl_slice().unwrap(), &[1.0, 2.0, 3.0, 4.0]);

@@ -2,8 +2,6 @@
 //! intersection. MOA's set operations on identified value sets translate to
 //! these plus the head-based `semijoin`/`antijoin` of [`super::semijoin`].
 
-use std::time::Instant;
-
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
@@ -73,8 +71,6 @@ fn touch_both(ctx: &ExecCtx, ab: &Bat, cd: &Bat) {
 pub fn union_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/union")?;
     check_both("union", ab, cd)?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     touch_both(ctx, ab, cd);
     // Dedup across the concatenation: one [`GroupTable`] over the pair
     // hashes of both operands (ab rows at entry i, cd rows at entry
@@ -109,7 +105,7 @@ pub fn union_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     let head = Column::concat(&ab.head().gather(&keep_a), &cd.head().gather(&keep_c));
     let tail = Column::concat(&ab.tail().gather(&keep_a), &cd.tail().gather(&keep_c));
     let result = Bat::new(head, tail);
-    ctx.record("union", "hash", started, faults0, &[ab, cd], &result)?;
+    ctx.record("union", "hash", &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -117,15 +113,13 @@ pub fn union_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 pub fn diff_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/difference")?;
     check_both("difference", ab, cd)?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     touch_both(ctx, ab, cd);
     let set = PairSet::build(cd);
     let keys = pair_hashes(ab);
     let idx: Vec<u32> =
         (0..ab.len()).filter(|&i| !set.contains(ab, i, keys[i])).map(|i| i as u32).collect();
     let result = subset(ab, &idx);
-    ctx.record("difference", "hash", started, faults0, &[ab, cd], &result)?;
+    ctx.record("difference", "hash", &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -135,13 +129,11 @@ pub fn diff_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 pub fn concat_bats(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/concat")?;
     check_both("concat", ab, cd)?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     touch_both(ctx, ab, cd);
     let head = Column::concat(ab.head(), cd.head());
     let tail = Column::concat(ab.tail(), cd.tail());
     let result = Bat::new(head, tail);
-    ctx.record("concat", "copy", started, faults0, &[ab, cd], &result)?;
+    ctx.record("concat", "copy", &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -157,8 +149,6 @@ pub fn zip(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
             detail: "operands must be synced (identical head columns)".into(),
         });
     }
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
         pager::touch_scan(p, cd.tail());
@@ -184,7 +174,7 @@ pub fn zip(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
             },
         ),
     );
-    ctx.record("zip", "sync", started, faults0, &[ab, cd], &result)?;
+    ctx.record("zip", "sync", &[ab, cd], &result)?;
     Ok(result)
 }
 
@@ -192,15 +182,13 @@ pub fn zip(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 pub fn intersect_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/intersect")?;
     check_both("intersect", ab, cd)?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     touch_both(ctx, ab, cd);
     let set = PairSet::build(cd);
     let keys = pair_hashes(ab);
     let idx: Vec<u32> =
         (0..ab.len()).filter(|&i| set.contains(ab, i, keys[i])).map(|i| i as u32).collect();
     let result = subset(ab, &idx);
-    ctx.record("intersect", "hash", started, faults0, &[ab, cd], &result)?;
+    ctx.record("intersect", "hash", &[ab, cd], &result)?;
     Ok(result)
 }
 

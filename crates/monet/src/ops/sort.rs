@@ -6,8 +6,6 @@
 //! top-k reports (Q3's top-10 orders, Q10's top-20 customers); `mark`
 //! assigns fresh dense oids to a result set.
 
-use std::time::Instant;
-
 use crate::atom::Oid;
 use crate::bat::Bat;
 use crate::column::Column;
@@ -19,11 +17,9 @@ use crate::props::{ColProps, Props};
 /// Reorder the BAT ascending on tail values (stable).
 pub fn sort_tail(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/sort")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if ab.props().tail.sorted {
         let r = ab.clone();
-        ctx.record("sort", "noop", started, faults0, &[ab], &r)?;
+        ctx.record("sort", "noop", &[ab], &r)?;
         return Ok(r);
     }
     if let Some(p) = ctx.pager.as_deref() {
@@ -43,7 +39,7 @@ pub fn sort_tail(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
             ColProps { sorted: true, key: p.tail.key, dense: false, ..ColProps::NONE },
         ),
     );
-    ctx.record("sort", "tail", started, faults0, &[ab], &result)?;
+    ctx.record("sort", "tail", &[ab], &result)?;
     Ok(result)
 }
 
@@ -119,8 +115,6 @@ fn topn_perm<V: crate::typed::TypedVals>(t: V, n: usize, descending: bool) -> Ve
 /// order. Ties broken by operand position (stable).
 pub fn topn(ctx: &ExecCtx, ab: &Bat, n: usize, descending: bool) -> Result<Bat> {
     ctx.probe("op/topn")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
@@ -142,7 +136,7 @@ pub fn topn(ctx: &ExecCtx, ab: &Bat, n: usize, descending: bool) -> Result<Bat> 
             ColProps { sorted: !descending, key: p.tail.key, dense: false, ..ColProps::NONE },
         ),
     );
-    ctx.record("topn", if descending { "desc" } else { "asc" }, started, faults0, &[ab], &result)?;
+    ctx.record("topn", if descending { "desc" } else { "asc" }, &[ab], &result)?;
     Ok(result)
 }
 
@@ -150,15 +144,13 @@ pub fn topn(ctx: &ExecCtx, ab: &Bat, n: usize, descending: bool) -> Result<Bat> 
 /// The head column is shared, so the result is synced with the operand.
 pub fn mark(ctx: &ExecCtx, ab: &Bat, base: Option<Oid>) -> Result<Bat> {
     ctx.probe("op/mark")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     let seq = base.unwrap_or_else(|| ctx.fresh_oids(ab.len()));
     let result = Bat::with_props(
         ab.head().clone(),
         Column::void(seq, ab.len()),
         Props::new(ab.props().head, ColProps::DENSE),
     );
-    ctx.record("mark", "void", started, faults0, &[ab], &result)?;
+    ctx.record("mark", "void", &[ab], &result)?;
     Ok(result)
 }
 
@@ -182,11 +174,11 @@ mod tests {
 
     #[test]
     fn sort_noop_when_already_sorted() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let b =
             Bat::with_inferred_props(Column::from_oids(vec![1, 2]), Column::from_ints(vec![1, 2]));
         let _ = sort_tail(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "noop");
+        assert_eq!(ctx.take_algo(), "noop");
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! `par-hash`. All run under nested typed dispatch: the (head, tail) type
 //! pair is resolved once and the per-row work is fully monomorphic.
 
-use std::time::Instant;
-
 use crate::bat::Bat;
 use crate::ctx::ExecCtx;
 use crate::error::Result;
@@ -20,8 +18,6 @@ use crate::typed::{CodedVals, GroupTable, SlotTable, TypedVals};
 /// Remove duplicate BUNs.
 pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/unique")?;
-    let started = Instant::now();
-    let faults0 = ctx.faults();
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.head());
         pager::touch_scan(p, ab.tail());
@@ -35,7 +31,7 @@ pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
         let (idx, algo) = unique_hash(ctx, ab, super::par_threads(ctx, ab.len()))?;
         (build_unique(ab, &idx), algo)
     };
-    ctx.record("unique", algo, started, faults0, &[ab], &result)?;
+    ctx.record("unique", algo, &[ab], &result)?;
     Ok(result)
 }
 
@@ -198,14 +194,14 @@ mod tests {
 
     #[test]
     fn merge_variant_on_sorted_head() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let b = Bat::with_props(
             Column::from_oids(vec![1, 1, 2, 3, 3, 3]),
             Column::from_ints(vec![9, 9, 9, 7, 8, 7]),
             Props::new(ColProps::SORTED, ColProps::NONE),
         );
         let r = unique(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "merge");
+        assert_eq!(ctx.take_algo(), "merge");
         let pairs: Vec<(u64, i32)> =
             (0..r.len()).map(|i| (r.head().oid_at(i), r.tail().int_at(i))).collect();
         assert_eq!(pairs, vec![(1, 9), (2, 9), (3, 7), (3, 8)]);
@@ -214,13 +210,13 @@ mod tests {
 
     #[test]
     fn key_column_short_circuits() {
-        let ctx = ExecCtx::new().with_trace();
+        let ctx = ExecCtx::new();
         let b = Bat::with_inferred_props(
             Column::from_oids(vec![1, 2, 3]),
             Column::from_ints(vec![5, 5, 5]),
         );
         let r = unique(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_trace()[0].algo, "noop");
+        assert_eq!(ctx.take_algo(), "noop");
         assert_eq!(r.len(), 3);
     }
 

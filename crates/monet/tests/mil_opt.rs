@@ -10,7 +10,7 @@ use monet::config::PlanConfig;
 use monet::ctx::ExecCtx;
 use monet::db::Db;
 use monet::mil::opt::optimize;
-use monet::mil::{execute, MilArg, MilOp, MilProgram, MilValue, Pin, Var};
+use monet::mil::{execute, MilArg, MilOp, MilProgram, MilValue, Var};
 use monet::ops::ScalarFunc;
 
 fn db() -> Db {
@@ -266,8 +266,16 @@ fn double_mirror_dissolves() {
     assert!(!opt.stmts.iter().any(|s| matches!(s.op, MilOp::Mirror(_))), "got:\n{opt}");
 }
 
+/// The arm statement `name` of `prog` reported in `env`'s trace.
+fn algo_of(env: &monet::mil::Env, prog: &MilProgram, name: &str) -> Option<&'static str> {
+    env.trace().iter().find(|t| t.name(prog) == name).map(|t| t.algo)
+}
+
 #[test]
-fn pins_match_dynamic_dispatch_choices() {
+fn optimized_statements_run_the_arm_their_operator_picks() {
+    // The optimizer fixes no algorithm: every statement of the optimized
+    // program reports the arm its operator chose from the operands'
+    // descriptors, the one the raw program's statement took.
     let db = db();
     let mut p = MilProgram::new();
     let attr = p.emit("attr", MilOp::Load("attr".into())); // sorted int tail
@@ -275,60 +283,33 @@ fn pins_match_dynamic_dispatch_choices() {
     let hop = p.emit("hop", MilOp::Load("hop".into())); // oid tail
     let dense = p.emit("dense", MilOp::Load("dense".into())); // void head
     let j = p.emit("j", MilOp::Join(hop, dense));
-    let _ = (sel, j);
-    let out = optimize(p.clone(), &[sel, j], &db, &PlanConfig::default());
-    let pin_of = |v: Var| out.prog.stmts[out.var(v)].pin;
-    assert_eq!(pin_of(sel), Some(Pin::SelectSorted), "got:\n{}", out.prog);
-    assert_eq!(pin_of(j), Some(Pin::JoinFetch), "got:\n{}", out.prog);
-    // Pinned execution reports the same algorithm the dynamic dispatcher
-    // picks, flagged as pinned in the statement trace.
-    let ctx = ExecCtx::new().with_trace();
-    let roots: Vec<Var> = vec![out.var(sel), out.var(j)];
-    let env = execute(&ctx, &db, &out.prog, &roots).unwrap();
-    let raw_env = execute(&ctx, &db, &p, &[sel, j]).unwrap();
-    let algo_of = |env: &monet::mil::Env, prog: &MilProgram, name: &str| {
-        env.trace().iter().find(|t| t.name(prog) == name).map(|t| (t.algo, t.pinned))
-    };
-    assert_eq!(algo_of(&env, &out.prog, "sel"), Some(("binary-search", true)));
-    assert_eq!(algo_of(&env, &out.prog, "j"), Some(("fetch", true)));
-    assert_eq!(algo_of(&raw_env, &p, "sel"), Some(("binary-search", false)));
-    assert_eq!(algo_of(&raw_env, &p, "j"), Some(("fetch", false)));
-    // Merge pin needs sorted operands.
-    let mut p2 = MilProgram::new();
-    let attr2 = p2.emit("attr", MilOp::Load("attr".into()));
-    let am = p2.emit("am", MilOp::Mirror(attr2)); // [int-sorted-head ...]
-    let hopm = p2.emit("hopm", MilOp::SortTail(p2.stmts[0].var));
-    let jm = p2.emit("jm", MilOp::Join(hopm, am));
-    let out2 = optimize(p2, &[jm], &db, &PlanConfig::default());
-    assert_eq!(out2.prog.stmts[out2.var(jm)].pin, Some(Pin::JoinMerge), "got:\n{}", out2.prog);
-    // Oid join columns pin too. Should such a right head turn out dense at
-    // run time, dynamic dispatch takes fetch where the pin runs merge — same
-    // matches, one shared result assembly (the `ops::join` unit test
-    // `pinned_merge_equals_fetch_on_a_dense_right_head` holds that half).
-    let mut p3 = MilProgram::new();
-    let hop3 = p3.emit("hop", MilOp::Load("hop".into())); // sorted oid tail
-    let attr3 = p3.emit("attr", MilOp::Load("attr".into()));
-    let sorted = p3.emit("sorted", MilOp::SortHead(attr3)); // oid heads 10..=14
-    let j3 = p3.emit("j3", MilOp::Join(hop3, sorted));
-    let out3 = optimize(p3.clone(), &[j3], &db, &PlanConfig::default());
-    assert_eq!(out3.prog.stmts[out3.var(j3)].pin, Some(Pin::JoinMerge), "got:\n{}", out3.prog);
-    let env3 = execute(&ctx, &db, &out3.prog, &[out3.var(j3)]).unwrap();
-    let raw3 = execute(&ctx, &db, &p3, &[j3]).unwrap();
-    assert_eq!(algo_of(&env3, &out3.prog, "j3"), Some(("merge", true)));
-    let (pinned, dynamic) = (env3.get(out3.var(j3)).unwrap(), raw3.get(j3).unwrap());
-    let (MilValue::Bat(pinned), MilValue::Bat(dynamic)) = (pinned, dynamic) else {
-        panic!("join results are BATs")
-    };
-    assert_eq!(rows(pinned), rows(dynamic));
-    assert_eq!(pinned.props(), dynamic.props());
+    let am = p.emit("am", MilOp::Mirror(attr)); // sorted int head, not dense
+    let sorted = p.emit("sorted", MilOp::SortTail(attr));
+    let jm = p.emit("jm", MilOp::Join(sorted, am));
+    let roots = [sel, j, jm];
+    let out = optimize(p.clone(), &roots, &db, &PlanConfig::default());
+    let ctx = ExecCtx::new();
+    let env = execute(&ctx, &db, &out.prog, &roots.map(|v| out.var(v))).unwrap();
+    let raw_env = execute(&ctx, &db, &p, &roots).unwrap();
+    for (name, want) in [("sel", "binary-search"), ("j", "fetch"), ("jm", "merge")] {
+        assert_eq!(algo_of(&env, &out.prog, name), Some(want), "{name}; got:\n{}", out.prog);
+        assert_eq!(algo_of(&raw_env, &p, name), Some(want), "{name} raw");
+    }
+    for v in roots {
+        let (MilValue::Bat(opt), MilValue::Bat(raw)) =
+            (env.get(out.var(v)).unwrap(), raw_env.get(v).unwrap())
+        else {
+            panic!("results are BATs")
+        };
+        assert_eq!(rows(opt), rows(raw));
+        assert_eq!(opt.props(), raw.props());
+    }
 }
 
 #[test]
-fn dict_tail_pins_select_to_code_path() {
-    // A statically dict-encoded tail wins over the sorted pin: selects on
-    // it are pinned to the code-comparison path, EXPLAIN shows the pin,
-    // and both pinned and dynamic execution report the "dict-code"
-    // algorithm with matching results.
+fn dict_tail_selects_take_the_code_path() {
+    // On a dict-encoded tail both selections report the code-comparison
+    // arm, optimized or not, with the same rows; the plan names no arm.
     let mut db = Db::new();
     let strs: Vec<String> =
         ["b", "d", "a", "b", "d", "c"].map(|s| format!("Clerk#00000000{s}")).to_vec();
@@ -350,29 +331,18 @@ fn dict_tail_pins_select_to_code_path() {
         },
     );
     let out = optimize(p.clone(), &[sel, rng], &db, &PlanConfig::default());
-    for v in [sel, rng] {
-        let stmt = &out.prog.stmts[out.var(v)];
-        assert_eq!(stmt.pin, Some(Pin::SelectDictCode), "got:\n{}", out.prog);
-        assert!(
-            monet::mil::render_stmt(&out.prog, stmt).contains("#! dict-code"),
-            "EXPLAIN must annotate the pin: {}",
-            monet::mil::render_stmt(&out.prog, stmt)
-        );
-    }
-    let ctx = ExecCtx::new().with_trace();
+    assert!(!out.prog.to_string().contains("#!"), "got:\n{}", out.prog);
+    let ctx = ExecCtx::new();
     let roots: Vec<Var> = vec![out.var(sel), out.var(rng)];
     let env = execute(&ctx, &db, &out.prog, &roots).unwrap();
     let raw_env = execute(&ctx, &db, &p, &[sel, rng]).unwrap();
     for (v, name, want_rows) in [(sel, "sel", 2), (rng, "rng", 4)] {
-        let pinned = env.bat(out.var(v)).unwrap();
+        let opt = env.bat(out.var(v)).unwrap();
         let raw = raw_env.bat(v).unwrap();
-        assert_eq!(rows(pinned), rows(raw), "{name} differs pinned vs dynamic");
-        assert_eq!(pinned.len(), want_rows, "{name}");
-        let algo = |e: &monet::mil::Env, prog: &MilProgram| {
-            e.trace().iter().find(|t| t.name(prog) == name).map(|t| (t.algo, t.pinned))
-        };
-        assert_eq!(algo(&env, &out.prog), Some(("dict-code", true)), "{name}");
-        assert_eq!(algo(&raw_env, &p), Some(("dict-code", false)), "{name}");
+        assert_eq!(rows(opt), rows(raw), "{name} differs optimized vs raw");
+        assert_eq!(opt.len(), want_rows, "{name}");
+        assert_eq!(algo_of(&env, &out.prog, name), Some("dict-code"), "{name}");
+        assert_eq!(algo_of(&raw_env, &p, name), Some("dict-code"), "{name}");
     }
 }
 
@@ -478,8 +448,8 @@ fn cumulative_counters_accumulate_per_thread() {
     assert_eq!(opt, 8);
 }
 
-/// Unsorted-tail measure BAT for fusion tests (a sorted tail would pin
-/// its selects to the binary-search path, which never fuses).
+/// Unsorted-tail measure BAT for fusion tests (selects on a sorted tail
+/// are binary-search slices, which never fuse).
 fn fuse_db() -> Db {
     let mut db = db();
     db.register(
@@ -589,9 +559,9 @@ fn fuse_respects_roots_and_reuse() {
 }
 
 #[test]
-fn fuse_skips_sorted_pinned_selects() {
-    // `attr` has a sorted int tail: its select pins to binary-search and
-    // the chain must not start there.
+fn fuse_skips_statically_sorted_selects() {
+    // `attr` has a sorted int tail: its select is a zero-copy binary-search
+    // slice, and the chain must not start there.
     let db = fuse_db();
     let mut p = MilProgram::new();
     let attr = p.emit("attr", MilOp::Load("attr".into()));

@@ -1,8 +1,8 @@
 //! The plan optimizer's props oracle: every `ColProps` the static shape
 //! inference ([`monet::mil::opt::infer_shapes`]) predicts for a MIL
 //! operation's result must actually hold on the computed column, for
-//! every atom type — otherwise the pin pass could commit to an algorithm
-//! whose precondition fails at run time.
+//! every atom type — otherwise a rewrite or a fusion admission could rest
+//! on a fact that fails at run time.
 //!
 //! Each case builds a small program over seeded BATs, asks the optimizer
 //! for its predictions, executes the raw program, and checks the claimed
@@ -10,8 +10,7 @@
 //! `check_dense` scans of the materialized columns (reality, not the
 //! run-time descriptor — which may legitimately claim more). Predicted
 //! column types must match up to oid/void interchange (a gather of a
-//! virtual `void` column materializes as `oid`), which is exactly the
-//! precision the fetch-join pin needs.
+//! virtual `void` column materializes as `oid`).
 
 use monet::atom::{AtomType, AtomValue, Date};
 use monet::bat::Bat;
@@ -261,7 +260,7 @@ fn zip_and_multiplex_predictions_hold() {
 
 #[test]
 fn predictions_hold_on_optimized_programs_too() {
-    // The pin pass annotates the *optimized* program from the same
+    // The fuse pass reads the *optimized* program through the same
     // inference; rerun the oracle on post-optimizer output for a chain
     // mixing selects, joins and grouping.
     let db = db();
@@ -293,11 +292,10 @@ fn predictions_hold_on_optimized_programs_too() {
 #[test]
 fn sync_join_claims_exactly_what_the_arm_it_replaces_claims() {
     // Whether a join's two join columns are one and the same column is a
-    // run-time fact: the static inference (and with it the pin pass) sees
-    // the same shapes either way. So the `sync` arm must satisfy every
-    // prediction the oracle checks, and claim exactly the descriptor of
-    // the arm that joins an equal-valued *copy* of the column — dynamic or
-    // pinned, raw program or optimized.
+    // run-time fact: the static inference sees the same shapes either way.
+    // So the `sync` arm must satisfy every prediction the oracle checks,
+    // and claim exactly the descriptor of the arm that joins an
+    // equal-valued *copy* of the column — raw program or optimized.
     let n = 32u64;
     let heads: [(&str, Vec<u64>); 3] = [
         ("shuffled (direct)", (0..n).map(|i| 200 + (i * 13) % n).collect()),
@@ -332,7 +330,7 @@ fn sync_join_claims_exactly_what_the_arm_it_replaces_claims() {
             for (prog, tag) in [(&p, "raw"), (&optimized.prog, "optimized")] {
                 let what = format!("{tag} {what} join over {ty}");
                 check(&db, prog, &what);
-                let ctx = ExecCtx::new().with_trace();
+                let ctx = ExecCtx::new();
                 let keep: Vec<Var> = (0..prog.len()).collect();
                 let env = execute(&ctx, &db, prog, &keep).unwrap();
                 let algo = |name: &str| {

@@ -1304,14 +1304,16 @@ fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
 // ---------------------------------------------------------------------------
 // Compact oid domains: direct join, datavector join, bitmap semi/antijoin and
 // the dense-extent LOOKUP vs `ops::reference`, with the dispatched algorithm
-// asserted through the trace — a silent dispatch regression fails here.
+// asserted through `take_algo` — a silent dispatch regression fails here.
 // ---------------------------------------------------------------------------
 
 use monet::accel::datavector::{Datavector, Extent};
 
-/// The algorithm the last traced operator call recorded.
+/// The algorithm the last operator call recorded.
 fn last_algo(ctx: &ExecCtx) -> &'static str {
-    ctx.take_trace().last().expect("a traced operator call").algo
+    let algo = ctx.take_algo();
+    assert!(!algo.is_empty(), "no operator call recorded");
+    algo
 }
 
 /// `k` distinct oids out of `[lo, lo + span)`, shuffled and never ascending
@@ -1341,7 +1343,7 @@ fn probe_oids(rng: &mut StdRng, lo: u64, span: u64, n: usize, void: bool) -> Col
 #[test]
 fn direct_join_matches_reference_and_falls_back_when_it_must() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x31);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     for case in 0..40 {
         let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
         // Enough right rows that the span passes the cost model's gate
@@ -1423,7 +1425,7 @@ fn attribute_with_datavector(rng: &mut StdRng, extent: Column, values: Column) -
 #[test]
 fn datavector_join_matches_reference_over_void_and_materialized_extents() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x32);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     for case in 0..40 {
         let (lo, n) = (rng.gen_range(3..50u64), rng.gen_range(2..40usize));
         let ty = ALL_TYPES[case % ALL_TYPES.len()];
@@ -1475,7 +1477,7 @@ fn datavector_join_matches_reference_over_void_and_materialized_extents() {
 #[test]
 fn bitmap_semijoin_antijoin_match_reference_and_fall_back_when_sparse() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x33);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     for case in 0..40 {
         let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
         // Right heads: unsorted, duplicates welcome (membership only); at
@@ -1548,7 +1550,7 @@ fn selection_of(oids: Vec<u64>) -> Bat {
 #[test]
 fn positional_semijoin_addresses_a_dense_head_and_hands_the_selection_head_on() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x35);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     for case in 0..72 {
         let (lo, n) = (rng.gen_range(10..60u64), rng.gen_range(8..70usize));
         let ty = ALL_TYPES[case % ALL_TYPES.len()];
@@ -1722,7 +1724,7 @@ fn key_column(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> Column 
 #[test]
 fn sync_join_matches_reference_and_fires_only_on_one_key_column() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x41);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     for &ty in ALL_TYPES {
         for case in 0..6 {
             let n = if ty == AtomType::Bool { 2 } else { rng.gen_range(2..40usize) };
@@ -1749,21 +1751,6 @@ fn sync_join_matches_reference_and_fires_only_on_one_key_column() {
             assert_eq!(rows_of(&got), rows_of(&other), "{ty} case {case}: vs other arm");
             assert_eq!(semantic_props(&got), semantic_props(&other), "{ty} case {case}: props");
             assert!(other.synced(&ab) && got.synced(&ab), "{ty} case {case}: full match");
-            // The pins hide the dynamic dispatch, not the sync arm.
-            if sorted {
-                let pinned = ops::join::join_merge_pinned(&ctx, &ab, &cd).unwrap();
-                assert_eq!(last_algo(&ctx), "sync", "{ty} case {case}: merge pin");
-                assert_eq!(rows_of(&pinned), rows_of(&got));
-                let merged = ops::join::join_merge_pinned(&ctx, &ab, &twin).unwrap();
-                assert_eq!(last_algo(&ctx), "merge", "{ty} case {case}: merge pin, twin");
-                assert_eq!(rows_of(&merged), rows_of(&got));
-                assert_eq!(semantic_props(&merged), semantic_props(&got), "{ty} case {case}");
-            }
-            if ty == AtomType::Void {
-                let pinned = ops::join::join_fetch_pinned(&ctx, &ab, &cd).unwrap();
-                assert_eq!(last_algo(&ctx), "sync", "{ty} case {case}: fetch pin");
-                assert_eq!(rows_of(&pinned), rows_of(&got));
-            }
             // Windows of one storage: equal length, different offset — not
             // the same column, whatever the storage id says.
             if n >= 3 {
@@ -1849,7 +1836,7 @@ fn span_of(col: &Column) -> usize {
 #[test]
 fn direct_group1_matches_reference_on_both_sides_of_the_gate() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x42);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     let mut seen: HashSet<&str> = HashSet::new();
     for kind in 0..CODED_KINDS {
         for case in 0..8 {
@@ -1897,7 +1884,7 @@ fn direct_group1_matches_reference_on_both_sides_of_the_gate() {
     assert_eq!(canon_gids(g.tail()), (0..100).collect::<Vec<u64>>());
     // A table that would not fit what is left of the budget is not taken
     // (and neither is the 1.5 KB hash table): same numbering from disk.
-    let tight = ExecCtx::new().with_trace();
+    let tight = ExecCtx::new();
     tight.mem.set_budget(Some(1000));
     let b =
         Bat::new(Column::void(0, 64), Column::from_chrs((0..64).map(|i| b'a' + i % 3).collect()));
@@ -1909,7 +1896,7 @@ fn direct_group1_matches_reference_on_both_sides_of_the_gate() {
 #[test]
 fn packed_group2_and_unique_match_reference_over_every_coded_pair() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x43);
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     let mut seen: HashSet<&str> = HashSet::new();
     for k1 in 0..CODED_KINDS {
         for k2 in 0..CODED_KINDS {
@@ -1973,13 +1960,13 @@ fn packed_group2_and_unique_match_reference_over_every_coded_pair() {
 // The out-of-core radix join and grouping over the partition sink
 // (`monet::spill`): the filtered spill join and the spill grouping vs
 // `ops::reference` at eps 0.0, with the dispatched algorithm asserted
-// through the trace and the filter's work read off `spilled_bytes`.
+// through `take_algo` and the filter's work read off `spilled_bytes`.
 // ---------------------------------------------------------------------------
 
 /// One thread, every eligible join and group through the spill file.
 fn spill_ctx() -> ExecCtx {
     let cfg = EngineConfig { threads: 1, spill_force: true, ..EngineConfig::default() };
-    ExecCtx::with_config(std::sync::Arc::new(cfg)).with_trace()
+    ExecCtx::with_config(std::sync::Arc::new(cfg))
 }
 
 /// Key kinds of the spill sweeps: oid, int, dbl, str, and str again with
@@ -2091,7 +2078,7 @@ fn spill_join_without_its_filter_is_the_same_join() {
     let cd = Bat::with_inferred_props(key_column_of(1, &build), Column::void(0, build.len()));
     let expect = rows_of(&reference::join(&ab, &cd));
     assert_eq!(expect.len(), 3);
-    let tight = ExecCtx::new().with_trace();
+    let tight = ExecCtx::new();
     tight.mem.set_budget(Some(1500));
     let got = ops::join(&tight, &ab, &cd).unwrap();
     assert_eq!(last_algo(&tight), "spill", "the budget forces the join out of core");
@@ -2123,8 +2110,7 @@ fn spill_grouping_numbers_like_hash_grouping_over_every_key_kind() {
             let mem = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
                 threads: 1,
                 ..EngineConfig::default()
-            }))
-            .with_trace();
+            }));
             let in_memory = ops::group1(&mem, &b).unwrap();
             assert!(matches!(last_algo(&mem), "hash" | "direct"), "{tag}");
             let ctx = spill_ctx();

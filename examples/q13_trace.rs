@@ -26,7 +26,7 @@ fn main() {
     }
 
     let pager = Arc::new(Pager::new(4096));
-    let ctx = ExecCtx::new().with_pager(Arc::clone(&pager)).with_trace();
+    let ctx = ExecCtx::new().with_pager(Arc::clone(&pager));
     let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &t.keep).expect("execute");
 
     println!("\n{:>9} {:>8} {:>8} {:>12}  statement", "ms", "faults", "result", "algorithm");

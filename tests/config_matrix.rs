@@ -281,9 +281,9 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 fn budget_512k_makes_a_join_spill_from_pressure() {
     let w = World::build_with(0.02, true);
     let engine = Arc::new(EngineConfig { mem_budget: 512 << 10, ..EngineConfig::default() });
-    let (mut passed, mut spill_ops, mut spilled) = (0, 0, 0);
+    let (mut passed, mut spilled) = (0, 0);
     for q in all_queries() {
-        let ctx = ExecCtx::with_config(Arc::clone(&engine)).with_trace();
+        let ctx = ExecCtx::with_config(Arc::clone(&engine));
         match (q.run_moa)(&w.cat, &ctx, &w.params) {
             Ok(rows) => {
                 let want = (q.run_ref)(&w.rel, &w.params, None).rows;
@@ -294,9 +294,8 @@ fn budget_512k_makes_a_join_spill_from_pressure() {
             Err(e) => panic!("Q{}: expected success or BudgetExceeded, got: {e}", q.id),
         }
         spilled += ctx.mem.spilled_bytes();
-        spill_ops += ctx.take_trace().iter().filter(|t| t.algo == "spill").count();
     }
-    assert!(spill_ops > 0 && spilled > 0, "no operator spilled ({spill_ops} ops, {spilled} bytes)");
+    assert!(spilled > 0, "no operator spilled");
     assert!(passed > 0, "at least one query must complete under the budget by spilling");
 }
 
@@ -324,9 +323,9 @@ fn configured_fault_fires_on_every_fresh_session_then_retries_clean() {
     assert_eq!(server.stats().failed, 2);
 }
 
-/// `spill_force`: operators really take the disk path (spill statements
-/// in the trace, bytes on the tracker), their files land in `spill_dir`
-/// and none outlives its operator.
+/// `spill_force`: operators really take the disk path (bytes on the
+/// tracker), their files land in `spill_dir` and none outlives its
+/// operator.
 #[test]
 fn forced_spill_writes_to_spill_dir_and_leaves_nothing_behind() {
     let w = worlds();
@@ -345,16 +344,15 @@ fn forced_spill_writes_to_spill_dir_and_leaves_nothing_behind() {
         other => panic!("spilling into a missing directory must fail typed, got {other:?}"),
     }
     std::fs::create_dir_all(&dir).unwrap();
-    let (mut spill_ops, mut spilled) = (0, 0);
+    let mut spilled = 0;
     for (q, want) in all_queries().iter().zip(&w.reference) {
-        let ctx = ExecCtx::with_config(forced(&dir)).with_trace();
+        let ctx = ExecCtx::with_config(forced(&dir));
         let rows = (q.run_moa)(&w.encoded.cat, &ctx, &w.encoded.params)
             .unwrap_or_else(|e| panic!("Q{}: forced spill must complete: {e}", q.id));
         assert!(rows.approx_eq(want, 1e-6), "Q{}: forced spill diverged", q.id);
         spilled += ctx.mem.spilled_bytes();
-        spill_ops += ctx.take_trace().iter().filter(|t| t.algo == "spill").count();
     }
-    assert!(spill_ops > 0 && spilled > 0, "nothing spilled ({spill_ops} ops, {spilled} bytes)");
+    assert!(spilled > 0, "nothing spilled");
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "spill files must be deleted");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -513,20 +513,20 @@ fn injected_faults_at_every_spill_probe_leave_no_file_and_return_scratch() {
     );
     assert!(keyed.props().head.key, "the second join must take the sort-free finish");
     type Rows = Vec<(monet::atom::AtomValue, monet::atom::AtomValue)>;
-    let run = |ctx: &monet::ctx::ExecCtx| -> monet::error::Result<(Rows, Rows, usize)> {
+    // The three results, and the label each kernel call recorded.
+    type Out = (Rows, Rows, usize, [&'static str; 3]);
+    let run = |ctx: &monet::ctx::ExecCtx| -> monet::error::Result<Out> {
         let sorted = ops::join(ctx, &left, &right)?;
+        let a = ctx.take_algo();
         let sort_free = ops::join(ctx, &left, &keyed)?;
+        let b = ctx.take_algo();
         let grouped = ops::group1(ctx, &groups)?;
-        Ok((sorted.iter().collect(), sort_free.iter().collect(), grouped.len()))
+        let algos = [a, b, ctx.take_algo()];
+        Ok((sorted.iter().collect(), sort_free.iter().collect(), grouped.len(), algos))
     };
     let baseline = typed::scratch_checked_out();
-    let oracle = {
-        let ctx = forced_spill(&dir).with_trace();
-        let r = run(&ctx).unwrap();
-        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
-        assert_eq!(algos, ["spill", "spill", "spill"]);
-        r
-    };
+    let oracle = run(&forced_spill(&dir)).unwrap();
+    assert_eq!(oracle.3, ["spill", "spill", "spill"]);
     let in_memory = run(&monet::ctx::ExecCtx::new()).unwrap();
     assert_eq!((&oracle.0, &oracle.1), (&in_memory.0, &in_memory.1), "spill vs in-memory join");
     for (what, min_points) in [(site::SPILL_WRITE, 8u64), (site::SPILL_READ, 30)] {

@@ -464,17 +464,22 @@ fn nest_aggregate_tail_bit_identical_across_arms_and_thread_counts() {
     );
     // (rows of every result, dispatched algorithms), on one fresh context.
     let tail = |ctx: &ExecCtx| {
-        let ctx = ctx.clone().with_trace();
-        let class = ops::group1(&ctx, &flag).unwrap();
-        let class = ops::group2(&ctx, &class, &status).unwrap();
+        let mut algos = Vec::new();
+        // One kernel call's result, after noting the label it recorded.
+        let mut run = |r: monet::error::Result<Bat>| {
+            algos.push(ctx.take_algo());
+            r.unwrap()
+        };
+        let class = run(ops::group1(ctx, &flag));
+        let class = run(ops::group2(ctx, &class, &status));
         let by_class = class.mirror();
-        let flags = ops::join(&ctx, &by_class, &flag).unwrap();
-        let prices = ops::join(&ctx, &by_class, &price).unwrap();
+        let flags = run(ops::join(ctx, &by_class, &flag));
+        let prices = run(ops::join(ctx, &by_class, &price));
         let out = [
-            ops::unique(&ctx, &flags).unwrap(),
-            ops::set_aggregate(&ctx, ops::AggFunc::Count, &by_class).unwrap(),
-            ops::set_aggregate(&ctx, ops::AggFunc::Sum, &prices).unwrap(),
-            ops::set_aggregate(&ctx, ops::AggFunc::Avg, &prices).unwrap(),
+            run(ops::unique(ctx, &flags)),
+            run(ops::set_aggregate(ctx, ops::AggFunc::Count, &by_class)),
+            run(ops::set_aggregate(ctx, ops::AggFunc::Sum, &prices)),
+            run(ops::set_aggregate(ctx, ops::AggFunc::Avg, &prices)),
         ];
         // Reference on the same operands (the group oids are this run's).
         assert_eq!(rows_of(&out[0]), rows_of(&reference::unique(&flags)));
@@ -491,7 +496,6 @@ fn nest_aggregate_tail_bit_identical_across_arms_and_thread_counts() {
                 assert!((x - y).abs() < 1e-9, "{{{}}}: {x} vs {y}", f.name());
             }
         }
-        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
         (out.map(|b| rows_of(&b)), class.tail().clone(), algos)
     };
     let (ser_rows, ser_class, ser_algos) = serial(tail);

@@ -38,6 +38,17 @@ fn spill_ctx() -> ExecCtx {
     ExecCtx::with_config(Arc::new(cfg))
 }
 
+/// `r`, the result of one kernel call on `ctx`, after appending the label
+/// that call recorded to `algos`.
+fn noted<T>(
+    ctx: &ExecCtx,
+    algos: &mut Vec<&'static str>,
+    r: monet::error::Result<T>,
+) -> monet::error::Result<T> {
+    algos.push(ctx.take_algo());
+    r
+}
+
 /// Concurrent checkout/return: every live buffer must be exclusively
 /// owned. The pools are thread-local, so the claim under test is that a
 /// buffer is never handed out twice *while still checked out* — on the
@@ -339,16 +350,16 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         Column::from_oids((0..20_000u64).map(|i| 50 + i * 13 % 9_200).collect()),
     );
     let few = plain.slice(0, 100);
-    let oid_keyed = |ctx: &ExecCtx| {
-        ops::join(ctx, &refs, &plain)
-            .and_then(|_| ops::join(ctx, &refs, &attr))
-            .and_then(|_| ops::semijoin(ctx, &refs.mirror(), &plain))
-            .and_then(|_| ops::antijoin(ctx, &refs.mirror(), &few))
+    let oid_keyed = |ctx: &ExecCtx| -> monet::error::Result<Vec<&'static str>> {
+        let mut algos = Vec::new();
+        noted(ctx, &mut algos, ops::join(ctx, &refs, &plain))?;
+        noted(ctx, &mut algos, ops::join(ctx, &refs, &attr))?;
+        noted(ctx, &mut algos, ops::semijoin(ctx, &refs.mirror(), &plain))?;
+        noted(ctx, &mut algos, ops::antijoin(ctx, &refs.mirror(), &few))?;
+        Ok(algos)
     };
     {
-        let ctx = ExecCtx::new().with_trace();
-        oid_keyed(&ctx).unwrap();
-        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        let algos = oid_keyed(&ExecCtx::new()).unwrap();
         assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap"]);
     }
     // The nest + aggregate tail, serial: slot-table grouping (`direct`),
@@ -359,18 +370,18 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         |m: u64| Column::from_chrs((0..20_000u64).map(|i| b'A' + (i * 7 % m) as u8).collect());
     let flag = Bat::with_inferred_props(objects.clone(), chrs(3));
     let status = Bat::with_inferred_props(objects, chrs(2));
-    let nest_tail = |ctx: &ExecCtx| {
-        let class = ops::group1(ctx, &flag)?;
-        let by_class = ops::group2(ctx, &class, &status)?.mirror();
-        let flags = ops::join(ctx, &by_class, &flag)?;
-        ops::unique(ctx, &flags)?;
-        ops::set_aggregate(ctx, ops::AggFunc::Count, &flags)?;
-        ops::set_aggregate(ctx, ops::AggFunc::Max, &flags)
+    let nest_tail = |ctx: &ExecCtx| -> monet::error::Result<Vec<&'static str>> {
+        let mut algos = Vec::new();
+        let class = noted(ctx, &mut algos, ops::group1(ctx, &flag))?;
+        let by_class = noted(ctx, &mut algos, ops::group2(ctx, &class, &status))?.mirror();
+        let flags = noted(ctx, &mut algos, ops::join(ctx, &by_class, &flag))?;
+        noted(ctx, &mut algos, ops::unique(ctx, &flags))?;
+        noted(ctx, &mut algos, ops::set_aggregate(ctx, ops::AggFunc::Count, &flags))?;
+        noted(ctx, &mut algos, ops::set_aggregate(ctx, ops::AggFunc::Max, &flags))?;
+        Ok(algos)
     };
     {
-        let ctx = serial_ctx().with_trace();
-        nest_tail(&ctx).unwrap();
-        let algos: Vec<_> = ctx.take_trace().iter().map(|e| e.algo).collect();
+        let algos = nest_tail(&serial_ctx()).unwrap();
         assert_eq!(algos, ["direct", "packed", "sync", "packed", "direct", "memo"]);
     }
     let baseline = typed::scratch_checked_out();
@@ -405,7 +416,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         // And through the out-of-core join and grouping, whose probes sit
         // between taking the hash filter, the staging windows, the match
         // buffer and the chain table and giving them back.
-        let ctx = spill_ctx().with_trace();
+        let ctx = spill_ctx();
         ctx.gov.arm_fault("*", k);
         match ops::join(&ctx, &left, &right).and_then(|_| ops::group1(&ctx, &groups)) {
             Err(MonetError::Injected { .. }) => aborts += 1,
@@ -414,7 +425,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         }
         ctx.gov.disarm_fault(); // k past the chain's last probe
         let j = ops::join(&ctx, &left, &right).unwrap();
-        assert_eq!(ctx.take_trace().last().unwrap().algo, "spill");
+        assert_eq!(ctx.take_algo(), "spill");
         assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: spill retry diverged");
         // A cancellation abort in the same round: fires at the first probe.
         let ctx = par_ctx(4, 61);
@@ -454,13 +465,13 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         (&|ctx| ops::set_aggregate(ctx, ops::AggFunc::Count, &by_class), "direct"),
     ];
     for (run, algo) in runs {
-        let ctx = serial_ctx().with_trace();
+        let ctx = serial_ctx();
         ctx.mem.set_budget(Some(64 * 1024));
         match run(&ctx) {
             Err(MonetError::BudgetExceeded { .. }) => {}
             other => panic!("{algo}: a 64 KiB budget must abort, got {other:?}"),
         }
-        assert_eq!(ctx.take_trace()[0].algo, algo, "the abort must come out of the new arm");
+        assert_eq!(ctx.take_algo(), algo, "the abort must come out of the new arm");
     }
     // Other tests in this binary run concurrently and hold checkouts
     // transiently; poll for quiescence instead of demanding an instant

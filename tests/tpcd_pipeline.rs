@@ -72,7 +72,7 @@ fn query_page_faults_reasonable() {
     // their heads shared).
     let run = |q: &SetExpr| -> [u64; 3] {
         let pager = Arc::new(Pager::new(4096));
-        let ctx = ExecCtx::new().with_pager(Arc::clone(&pager)).with_trace();
+        let ctx = ExecCtx::new().with_pager(Arc::clone(&pager));
         let t = translate(&cat, q).unwrap();
         let all: Vec<usize> = (0..t.prog.len()).collect();
         let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &all).unwrap();
@@ -144,7 +144,7 @@ fn q9_addresses_dense_heads_and_needs_no_alignment() {
     let data = tpcd::generate(0.01, 4242);
     let (cat, _) = tpcd::load_bats(&data);
     let t = translate(&cat, &tpcd_queries::q06_10::q9_moa(&Params::for_data(&data))).unwrap();
-    let ctx = ExecCtx::new().with_trace();
+    let ctx = ExecCtx::new();
     let every: Vec<_> = (0..t.prog.len()).collect();
     let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &every).unwrap();
     let mut positional = 0;
@@ -213,23 +213,4 @@ fn load_report_phases_accounted() {
     assert!(report.dv_bytes > 0);
     assert!(report.bat_count > 40);
     assert!(report.total_ms() >= report.reorder_ms);
-}
-
-#[test]
-fn an_untraced_execution_profiles_the_same_algorithms() {
-    // Every statement's `algo` comes from the kernel's own `record`, so a
-    // context without a trace sink reports what a traced one does.
-    let data = tpcd::generate(0.001, 11);
-    let (cat, _) = tpcd::load_bats(&data);
-    let params = Params::for_data(&data);
-    for q in [tpcd_queries::q01_05::q1_moa(&params), tpcd_queries::q06_10::q9_moa(&params)] {
-        let t = translate(&cat, &q).unwrap();
-        let algos = |ctx: ExecCtx| -> Vec<&'static str> {
-            let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &t.keep).unwrap();
-            env.trace().iter().map(|s| s.algo).collect()
-        };
-        let traced = algos(ExecCtx::new().with_trace());
-        assert_eq!(algos(ExecCtx::new()), traced);
-        assert!(traced.iter().filter(|a| !a.is_empty()).count() >= 20, "{traced:?}");
-    }
 }
