@@ -1,17 +1,18 @@
 //! Where a staged TPC-D pass spends its time, by `(operator, algorithm)`.
 //!
-//! Runs the eleven queries whose MOA builders `tpcd_queries` exports (Q6,
-//! Q8, Q11 and Q14 are private multi-statement drivers), takes the
-//! per-statement median of `RUNS` executions' statement profiles, and
-//! prints (1) every statement at or above 1 ms per query, with its result's
-//! rows and bytes (ms over rows is what exposes a row-at-a-time statement),
-//! and (2) the share of the summed statement time each `(op, algo)` pair
-//! carries —
+//! Runs the twelve queries whose MOA builders `tpcd_queries` exports (Q8
+//! as its two programs, `Q8 total` and `Q8 nation`; Q6, Q11 and Q14 are
+//! private multi-statement drivers), takes the per-statement median of
+//! `RUNS` executions' statement profiles, and
+//! prints (1) every statement at or above 1 ms per program, with its
+//! result's rows and bytes (ms over rows is what exposes a row-at-a-time
+//! statement), and (2) the share of the summed statement time each
+//! `(op, algo)` pair carries —
 //! the attribution table ROADMAP item 1 orders its work by.
 //!
 //! Usage: `FLATALG_SF=0.1 FLATALG_THREADS=1 cargo run --release -p bench --bin algo_table
 //! [-- --query N | --all]` — `--query N` runs query N alone and prints
-//! every one of its statements, `--all` lifts the 1 ms cut for all eleven
+//! every one of its statements, `--all` lifts the 1 ms cut for all twelve
 //! (the free `semijoin/sync` and `join/sync` lines are what explain why a
 //! plan's later statements are cheap).
 
@@ -27,18 +28,21 @@ const RUNS: usize = 5;
 
 type Builder = fn(&Params) -> SetExpr;
 
-const QUERIES: [(usize, Builder); 11] = [
-    (1, q01_05::q1_moa),
-    (2, q01_05::q2_moa),
-    (3, q01_05::q3_moa),
-    (4, q01_05::q4_moa),
-    (5, q01_05::q5_moa),
-    (7, q06_10::q7_moa),
-    (9, q06_10::q9_moa),
-    (10, q06_10::q10_moa),
-    (12, q11_15::q12_moa),
-    (13, q11_15::q13_moa),
-    (15, q11_15::q15_moa),
+/// (query id, program label, builder)
+const QUERIES: [(usize, &str, Builder); 13] = [
+    (1, "Q1", q01_05::q1_moa),
+    (2, "Q2", q01_05::q2_moa),
+    (3, "Q3", q01_05::q3_moa),
+    (4, "Q4", q01_05::q4_moa),
+    (5, "Q5", q01_05::q5_moa),
+    (7, "Q7", q06_10::q7_moa),
+    (8, "Q8 total", q06_10::q8_total_moa),
+    (8, "Q8 nation", q06_10::q8_nation_moa),
+    (9, "Q9", q06_10::q9_moa),
+    (10, "Q10", q06_10::q10_moa),
+    (12, "Q12", q11_15::q12_moa),
+    (13, "Q13", q11_15::q13_moa),
+    (15, "Q15", q11_15::q15_moa),
 ];
 
 fn op_name(op: &MilOp) -> &'static str {
@@ -73,18 +77,18 @@ fn main() {
             [] => (None, false),
             ["--all"] => (None, true),
             ["--query", n] => match n.parse() {
-                Ok(id) if QUERIES.iter().any(|(q, _)| *q == id) => (Some(id), true),
+                Ok(id) if QUERIES.iter().any(|(q, ..)| *q == id) => (Some(id), true),
                 _ => usage(),
             },
             _ => usage(),
         };
     let sf = sf_from_env("FLATALG_SF", 0.1);
     let w = World::build(sf);
-    println!("# (op, algo) attribution of the eleven staged queries (SF={sf}, median of {RUNS})\n");
+    println!("# (op, algo) attribution of the twelve staged queries (SF={sf}, median of {RUNS})\n");
 
     let mut shares: BTreeMap<(&'static str, &'static str), f64> = BTreeMap::new();
     let mut total = 0.0;
-    for (id, build) in QUERIES.into_iter().filter(|(id, _)| only.is_none_or(|q| q == *id)) {
+    for (_, label, build) in QUERIES.into_iter().filter(|(id, ..)| only.is_none_or(|q| q == *id)) {
         let t = moa::translate::translate(&w.cat, &build(&w.params)).expect("translate");
         // ms[statement][run]
         let mut ms: Vec<Vec<f64>> = vec![Vec::with_capacity(RUNS); t.prog.len()];
@@ -100,7 +104,7 @@ fn main() {
         let mids: Vec<f64> = ms.iter_mut().map(|runs| median(runs)).collect();
         let query_ms: f64 = mids.iter().sum();
         total += query_ms;
-        println!("Q{id}: {query_ms:.1} ms over {} statements", mids.len());
+        println!("{label}: {query_ms:.1} ms over {} statements", mids.len());
         for ((stmt, s), &m) in t.prog.stmts.iter().zip(&last).zip(&mids) {
             let op = op_name(&stmt.op);
             *shares.entry((op, s.algo)).or_default() += m;

@@ -115,6 +115,103 @@ pub fn mini_catalog() -> Catalog {
     Catalog::new(schema, db)
 }
 
+/// Build a catalog whose references chain three deep, for selections whose
+/// conjuncts navigate through shared reference prefixes:
+///
+/// * 2 regions (oids 40, 41) and 3 nations (50–52) in them;
+/// * 4 customers (60–63) with a segment, a balance and a nation;
+/// * 6 orders (1–6) with a date, a priority, a customer and a ship-to
+///   nation — two references out of `Order`;
+/// * 12 items (10–21) referencing the orders, with prices and flags. The
+///   `Item` extent lists them out of oid order, so a selection's result
+///   order is the extent's, not the attribute BATs'.
+pub fn nav_catalog() -> Catalog {
+    let mut schema = Schema::new();
+    schema
+        .add_class(ClassDef::new("Region", vec![Field::new("name", MoaType::Base(AtomType::Str))]));
+    schema.add_class(ClassDef::new(
+        "Nation",
+        vec![
+            Field::new("name", MoaType::Base(AtomType::Str)),
+            Field::new("region", MoaType::Object("Region".into())),
+        ],
+    ));
+    schema.add_class(ClassDef::new(
+        "Customer",
+        vec![
+            Field::new("segment", MoaType::Base(AtomType::Str)),
+            Field::new("acctbal", MoaType::Base(AtomType::Dbl)),
+            Field::new("nation", MoaType::Object("Nation".into())),
+        ],
+    ));
+    schema.add_class(ClassDef::new(
+        "Order",
+        vec![
+            Field::new("orderdate", MoaType::Base(AtomType::Date)),
+            Field::new("priority", MoaType::Base(AtomType::Int)),
+            Field::new("cust", MoaType::Object("Customer".into())),
+            Field::new("ship", MoaType::Object("Nation".into())),
+        ],
+    ));
+    schema.add_class(ClassDef::new(
+        "Item",
+        vec![
+            Field::new("order", MoaType::Object("Order".into())),
+            Field::new("price", MoaType::Base(AtomType::Dbl)),
+            Field::new("flag", MoaType::Base(AtomType::Chr)),
+        ],
+    ));
+
+    let mut db = Db::new();
+    let reg = |db: &mut Db, name: &str, head: Vec<u64>, tail: Column| {
+        db.register(name, Bat::with_inferred_props(Column::from_oids(head), tail));
+    };
+    let extent = |db: &mut Db, name: &str, oids: Vec<u64>| {
+        let n = oids.len();
+        db.register(name, Bat::with_inferred_props(Column::from_oids(oids), Column::void(0, n)));
+    };
+
+    extent(&mut db, "Region", vec![40, 41]);
+    reg(&mut db, "Region_name", vec![40, 41], Column::from_strs(["EAST", "WEST"]));
+
+    let nations = vec![50, 51, 52];
+    extent(&mut db, "Nation", nations.clone());
+    reg(&mut db, "Nation_name", nations.clone(), Column::from_strs(["N0", "N1", "N2"]));
+    reg(&mut db, "Nation_region", nations, Column::from_oids(vec![40, 40, 41]));
+
+    let custs = vec![60, 61, 62, 63];
+    extent(&mut db, "Customer", custs.clone());
+    reg(&mut db, "Customer_segment", custs.clone(), Column::from_strs(["B", "M", "B", "A"]));
+    reg(
+        &mut db,
+        "Customer_acctbal",
+        custs.clone(),
+        Column::from_dbls(vec![50.0, 150.0, 250.0, 350.0]),
+    );
+    reg(&mut db, "Customer_nation", custs, Column::from_oids(vec![50, 51, 52, 50]));
+
+    let orders = vec![1, 2, 3, 4, 5, 6];
+    extent(&mut db, "Order", orders.clone());
+    let dates =
+        [(1994, 1, 10), (1994, 6, 1), (1995, 2, 2), (1995, 8, 8), (1996, 3, 3), (1996, 11, 11)];
+    let dates = dates.into_iter().map(|(y, m, d)| Date::from_ymd(y, m, d)).collect();
+    reg(&mut db, "Order_orderdate", orders.clone(), Column::from_dates(dates));
+    reg(&mut db, "Order_priority", orders.clone(), Column::from_ints(vec![1, 2, 3, 1, 2, 3]));
+    reg(&mut db, "Order_cust", orders.clone(), Column::from_oids(vec![60, 61, 62, 63, 60, 62]));
+    reg(&mut db, "Order_ship", orders, Column::from_oids(vec![50, 51, 52, 52, 51, 50]));
+
+    extent(&mut db, "Item", vec![13, 10, 21, 12, 11, 15, 14, 20, 16, 19, 17, 18]);
+    let items: Vec<u64> = (10..22).collect();
+    let order = vec![1, 1, 2, 3, 3, 3, 4, 5, 5, 6, 6, 2];
+    reg(&mut db, "Item_order", items.clone(), Column::from_oids(order));
+    let prices = (1..=12).map(|i| 100.0 * i as f64).collect();
+    reg(&mut db, "Item_price", items.clone(), Column::from_dbls(prices));
+    let flags = b"RNRARNRRNRAR".to_vec();
+    reg(&mut db, "Item_flag", items, Column::from_chrs(flags));
+
+    Catalog::new(schema, db)
+}
+
 /// Compare the reference-evaluated and translated+executed results of a
 /// MOA expression on the given catalog as order-insensitive value sets.
 /// Panics with a readable message on mismatch.

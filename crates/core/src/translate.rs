@@ -10,10 +10,19 @@
 //! The rewriter works rule-per-operation. The flagship rules:
 //!
 //! * **selection** — `select[f](SET(A,X)) → SET(semijoin(A, T(f(X))), X)`;
-//!   conjunctions chain through candidate restriction (`semijoin` the next
-//!   attribute BAT with the previous qualifier, as in Figure 10), and
 //!   comparisons against literals push down to (range-)selects on the
-//!   attribute BATs with joins back along the reference path;
+//!   attribute BATs with joins back along the reference path. A
+//!   conjunction is flattened and its conjuncts chain left to right: each
+//!   is restricted to the previous qualifier — a single-hop conjunct by
+//!   `semijoin`ing its attribute BAT first (Figure 10), a multi-hop one by
+//!   a `semijoin` after its walk back. Over object elements, pushed-down
+//!   conjuncts whose paths start with the same reference
+//!   (`order.orderdate >= d ∧ order.orderdate < e`) are one group,
+//!   evaluated at the group's first position as a conjunction over the
+//!   referenced class (prefix stripped, grouped again there) and joined
+//!   back once. The emission uses only `select`, `join` and `semijoin`,
+//!   pure functions of their operands, and each select keeps its
+//!   parameter slot;
 //! * **nested selection** (§4.3.2) — the same rule applied to the inner
 //!   index: all nested sets are reduced *in one flat selection*;
 //! * **nest** — `group` on the key BATs, with the group BAT itself
@@ -36,7 +45,7 @@ use monet::mil::opt::OptLevel;
 use monet::mil::{execute, BoundProgram, Env, MilArg, MilOp, MilProgram, ParamLoc, Var};
 use monet::ops::{AggFunc, ScalarFunc};
 
-use crate::algebra::{Expr, Pred, Scalar, SetExpr, SetValued, NEST_REST};
+use crate::algebra::{and_all, Expr, Pred, Scalar, SetExpr, SetValued, NEST_REST};
 use crate::catalog::Catalog;
 use crate::error::{MoaError, Result};
 use crate::structure::{Structure, StructuredSet};
@@ -451,9 +460,22 @@ impl<'a> Translator<'a> {
     /// restricts evaluation to a previous qualifier (conjunct chaining).
     fn quals(&mut self, ts: &TransSet, pred: &Pred, cand: Option<Var>) -> Result<Var> {
         match pred {
-            Pred::And(a, b) => {
-                let qa = self.quals(ts, a, cand)?;
-                self.quals(ts, b, Some(qa))
+            Pred::And(..) => {
+                let mut conj = Vec::new();
+                flatten_and(pred, &mut conj);
+                let groups = match &ts.elem {
+                    ElemInfo::Obj(class) => self.prefix_groups(class, &conj)?,
+                    _ => Vec::new(),
+                };
+                let mut cand = cand;
+                for (i, c) in conj.iter().enumerate() {
+                    cand = Some(match groups.iter().find(|g| g.members.contains(&i)) {
+                        Some(g) if g.members[0] != i => continue,
+                        Some(g) => self.group_quals(g, &conj, cand)?,
+                        None => self.quals(ts, c, cand)?,
+                    });
+                }
+                Ok(cand.expect("a conjunction has two conjuncts"))
             }
             Pred::Or(a, b) => {
                 let qa = self.quals(ts, a, cand)?;
@@ -469,6 +491,44 @@ impl<'a> Translator<'a> {
             }
             Pred::Cmp(op, l, r) => self.cmp_quals(ts, *op, l, r, cand),
         }
+    }
+
+    /// The conjuncts of `conj` that push down through the same reference
+    /// attribute of `class`, for every reference shared by two or more.
+    fn prefix_groups(&self, class: &str, conj: &[&Pred]) -> Result<Vec<PrefixGroup>> {
+        let def = self.cat.schema().class(class)?;
+        let mut groups: Vec<PrefixGroup> = Vec::new();
+        for (i, c) in conj.iter().enumerate() {
+            let Some(seg) = pushdown_prefix(c) else { continue };
+            let Some(MoaType::Object(target)) = def.field(seg).map(|f| &f.ty) else { continue };
+            let hop = Catalog::attr_name(class, seg);
+            match groups.iter_mut().find(|g| g.hop == hop) {
+                Some(g) => g.members.push(i),
+                None => groups.push(PrefixGroup { hop, target: target.clone(), members: vec![i] }),
+            }
+        }
+        groups.retain(|g| g.members.len() > 1);
+        Ok(groups)
+    }
+
+    /// Evaluate a group's conjuncts once, prefix stripped, over the extent
+    /// of the referenced class, and join the survivors back along the
+    /// reference: the intersection of pullbacks along a function is the
+    /// pullback of the intersection, so one `join(hop, q)` replaces one per
+    /// conjunct and the intersection runs over the smaller class.
+    fn group_quals(&mut self, g: &PrefixGroup, conj: &[&Pred], cand: Option<Var>) -> Result<Var> {
+        let hop = self.load(&g.hop)?;
+        let target = TransSet {
+            index: self.load(&Catalog::extent_name(&g.target))?,
+            elem: ElemInfo::Obj(g.target.clone()),
+        };
+        let stripped = and_all(g.members.iter().map(|&i| strip_prefix(conj[i])).collect());
+        let at_target = self.quals(&target, &stripped, None)?;
+        let back = self.emit("", MilOp::Join(hop, at_target));
+        Ok(match cand {
+            Some(c) => self.emit("", MilOp::Semijoin(back, c)),
+            None => back,
+        })
     }
 
     fn cmp_quals(
@@ -495,10 +555,7 @@ impl<'a> Translator<'a> {
             _ => None,
         };
         if let (Scalar::Attr(path), Some((v, pid))) = (l, r_const) {
-            if matches!(
-                op,
-                ScalarFunc::Eq | ScalarFunc::Lt | ScalarFunc::Le | ScalarFunc::Gt | ScalarFunc::Ge
-            ) {
+            if is_select_op(op) {
                 if let Some(q) = self.pushdown_select(ts, path, op, v, pid, cand)? {
                     return Ok(q);
                 }
@@ -1160,6 +1217,63 @@ impl<'a> Translator<'a> {
 
 enum ElemCursor {
     Elem(ElemInfo),
+}
+
+/// Conjuncts of one selection over objects that navigate through the same
+/// reference attribute first (`order` of `order.orderdate`).
+struct PrefixGroup {
+    /// The reference attribute's BAT `[elem, target_oid]`.
+    hop: String,
+    /// The class it references.
+    target: String,
+    /// Positions in the flattened conjunction, ascending.
+    members: Vec<usize>,
+}
+
+/// The conjuncts of a conjunction, left to right.
+fn flatten_and<'p>(p: &'p Pred, out: &mut Vec<&'p Pred>) {
+    match p {
+        Pred::And(a, b) => {
+            flatten_and(a, out);
+            flatten_and(b, out);
+        }
+        p => out.push(p),
+    }
+}
+
+/// The first segment of a multi-segment path compared with a constant by
+/// an order predicate, in either operand order — the conjuncts
+/// `Translator::cmp_quals` hands to `pushdown_select`.
+fn pushdown_prefix(p: &Pred) -> Option<&str> {
+    let Pred::Cmp(op, l, r) = p else { return None };
+    if !is_select_op(*op) {
+        return None;
+    }
+    match (l, r) {
+        (Scalar::Attr(path), c) | (c, Scalar::Attr(path))
+            if path.len() > 1 && is_const_scalar(c) =>
+        {
+            Some(&path[0])
+        }
+        _ => None,
+    }
+}
+
+/// A [`pushdown_prefix`] conjunct with its path's first segment removed.
+fn strip_prefix(p: &Pred) -> Pred {
+    let strip = |s: &Scalar| match s {
+        Scalar::Attr(path) => Scalar::Attr(path[1..].to_vec()),
+        s => s.clone(),
+    };
+    match p {
+        Pred::Cmp(op, l, r) => Pred::Cmp(*op, strip(l), strip(r)),
+        _ => unreachable!("only comparisons are grouped"),
+    }
+}
+
+/// Comparisons a (range-)select on the attribute BAT evaluates.
+fn is_select_op(op: ScalarFunc) -> bool {
+    matches!(op, ScalarFunc::Eq | ScalarFunc::Lt | ScalarFunc::Le | ScalarFunc::Gt | ScalarFunc::Ge)
 }
 
 /// Scalars whose translation is a constant: literals and parameters.

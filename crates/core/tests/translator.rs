@@ -4,7 +4,7 @@
 //! on the mini fixture.
 
 use moa::prelude::*;
-use moa::testkit::{assert_commutes, mini_catalog};
+use moa::testkit::{assert_commutes, mini_catalog, nav_catalog};
 use monet::atom::AtomValue;
 use monet::ctx::ExecCtx;
 use monet::ops::{AggFunc, ScalarFunc};
@@ -338,4 +338,151 @@ fn rendered_program_is_printable() {
     let text = t.prog.to_string();
     assert!(text.lines().count() >= 3);
     assert!(text.contains(":="));
+}
+
+// -- conjuncts that share a reference prefix -----------------------------------
+
+/// `select[pred](Item)`, projected to each item's price and order, must give
+/// the reference evaluator's rows in its order both as the raw emission and
+/// as the optimized plan; the raw emission joins `Item_order` back
+/// `joins_back` times.
+fn assert_grouped_selection(pred: Pred, joins_back: usize) -> Translated {
+    let cat = nav_catalog();
+    let q = SetExpr::extent("Item")
+        .select(pred)
+        .project(vec![ProjItem::new("price", attr("price")), ProjItem::new("ord", attr("order"))]);
+    let want = Evaluator::new(&cat).eval_values(&q).unwrap();
+    assert!(!want.is_empty(), "vacuous case {}", q.render());
+    let mut raw = None;
+    for level in [OptLevel::Off, OptLevel::Full] {
+        let t = translate_with(&cat, &q, level).unwrap();
+        let (set, _) = t.run(&ExecCtx::new(), cat.db()).unwrap();
+        assert_eq!(set.materialize().unwrap(), want, "{} at {level:?}:\n{}", q.render(), t.prog);
+        raw.get_or_insert(t);
+    }
+    let raw = raw.unwrap();
+    let text = raw.prog.to_string();
+    assert_eq!(text.matches(":= join(Item_order,").count(), joins_back, "{}:\n{text}", q.render());
+    raw
+}
+
+#[test]
+fn conjuncts_under_one_reference_join_back_once() {
+    let from = cmp(ScalarFunc::Ge, attr("order.orderdate"), lit_date(1994, 6, 1));
+    let to = cmp(ScalarFunc::Lt, attr("order.orderdate"), lit_date(1996, 1, 1));
+    assert_grouped_selection(and(from, to), 1);
+    assert_grouped_selection(
+        and_all(vec![
+            cmp(ScalarFunc::Ge, attr("order.priority"), lit_i(2)),
+            cmp(ScalarFunc::Gt, attr("order.orderdate"), lit_date(1995, 1, 1)),
+            eq(attr("order.cust.segment"), lit_s("B")),
+        ]),
+        1,
+    );
+    // One conjunct per reference keeps the per-conjunct walk back.
+    assert_grouped_selection(
+        and(eq(attr("order.priority"), lit_i(1)), eq(attr("flag"), lit_c('R'))),
+        1,
+    );
+}
+
+#[test]
+fn nested_prefixes_regroup_at_the_referenced_class() {
+    // a.b.x ∧ a.c.y ∧ a.b.z: `order` groups all three; at `Order`, `cust`
+    // groups the first and the third, `ship` stays a single conjunct.
+    let t = assert_grouped_selection(
+        and_all(vec![
+            eq(attr("order.cust.segment"), lit_s("B")),
+            eq(attr("order.ship.region.name"), lit_s("EAST")),
+            cmp(ScalarFunc::Lt, attr("order.cust.acctbal"), lit_d(200.0)),
+        ]),
+        1,
+    );
+    assert_eq!(t.prog.to_string().matches(":= join(Order_cust,").count(), 1, "{}", t.prog);
+    assert_grouped_selection(
+        and_all(vec![
+            eq(attr("order.cust.nation.region.name"), lit_s("EAST")),
+            cmp(ScalarFunc::Le, attr("order.orderdate"), lit_date(1996, 6, 30)),
+            eq(attr("order.cust.segment"), lit_s("B")),
+            cmp(ScalarFunc::Ge, attr("order.cust.nation.region.name"), lit_s("EAST")),
+        ]),
+        1,
+    );
+}
+
+#[test]
+fn literal_on_the_left_and_parameters_keep_their_slots() {
+    let t = assert_grouped_selection(
+        and_all(vec![
+            cmp(ScalarFunc::Lt, lit_date(1994, 3, 1), attr("order.orderdate")),
+            cmp(ScalarFunc::Ge, prm(7, AtomValue::Int(2)), attr("order.priority")),
+            eq(prm(8, AtomValue::str("B")), attr("order.cust.segment")),
+            cmp(ScalarFunc::Gt, attr("order.cust.acctbal"), prm(9, AtomValue::Dbl(10.0))),
+        ]),
+        1,
+    );
+    assert!(t.cacheable);
+    let bound: Vec<u32> = t.prog.param_bindings().into_iter().map(|(id, _)| id).collect();
+    for id in [7, 8, 9] {
+        assert!(bound.contains(&id), "parameter {id} lost its slot: {bound:?}\n{}", t.prog);
+    }
+}
+
+#[test]
+fn single_hop_conjunct_between_grouped_ones() {
+    assert_grouped_selection(
+        and_all(vec![
+            cmp(ScalarFunc::Ge, attr("order.orderdate"), lit_date(1994, 6, 1)),
+            eq(attr("flag"), lit_c('R')),
+            cmp(ScalarFunc::Lt, attr("order.priority"), lit_i(3)),
+            cmp(ScalarFunc::Gt, attr("price"), lit_d(250.0)),
+        ]),
+        1,
+    );
+    // Before the group: the group's walk back is restricted to it.
+    assert_grouped_selection(
+        and_all(vec![
+            eq(attr("flag"), lit_c('R')),
+            cmp(ScalarFunc::Ge, attr("order.priority"), lit_i(2)),
+            cmp(ScalarFunc::Lt, attr("order.orderdate"), lit_date(1996, 1, 1)),
+        ]),
+        1,
+    );
+}
+
+#[test]
+fn or_and_not_around_and_inside_a_group() {
+    let early = || cmp(ScalarFunc::Lt, attr("order.orderdate"), lit_date(1995, 1, 1));
+    let prio = |p| eq(attr("order.priority"), lit_i(p));
+    // Around: the group is the whole operand of `not` / one side of `or`.
+    assert_grouped_selection(not(and(prio(1), early())), 1);
+    assert_grouped_selection(
+        or(and(prio(2), eq(attr("order.cust.segment"), lit_s("B"))), eq(attr("flag"), lit_c('A'))),
+        1,
+    );
+    assert_grouped_selection(
+        and(
+            eq(attr("flag"), lit_c('R')),
+            or(and(prio(3), early()), cmp(ScalarFunc::Lt, attr("price"), lit_d(300.0))),
+        ),
+        1,
+    );
+    // Inside: an `or` / a `not` sits between two grouped conjuncts and
+    // stays a conjunct of its own.
+    assert_grouped_selection(
+        and_all(vec![
+            cmp(ScalarFunc::Ge, attr("order.orderdate"), lit_date(1994, 6, 1)),
+            or(prio(1), eq(attr("flag"), lit_c('N'))),
+            cmp(ScalarFunc::Lt, attr("order.cust.acctbal"), lit_d(300.0)),
+        ]),
+        2,
+    );
+    assert_grouped_selection(
+        and_all(vec![
+            cmp(ScalarFunc::Gt, attr("order.priority"), lit_i(1)),
+            not(eq(attr("order.ship.name"), lit_s("N1"))),
+            cmp(ScalarFunc::Lt, attr("order.orderdate"), lit_date(1996, 6, 1)),
+        ]),
+        2,
+    );
 }

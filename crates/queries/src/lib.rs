@@ -11,7 +11,8 @@
 //!
 //! Multi-statement queries (Q8's market share, Q11's threshold, Q14's
 //! ratio) run several MIL programs and combine the scalars in the driver,
-//! exactly as a client application would.
+//! exactly as a client application would; Q8's two statements are exported
+//! as `q8_total_moa` / `q8_nation_moa`.
 
 pub mod params;
 pub mod q01_05;

@@ -248,16 +248,22 @@ fn yearly_revenue(input: SetExpr) -> SetExpr {
         ])
 }
 
+/// Q8's first statement: revenue per year of the region's qualifying items.
+pub fn q8_total_moa(p: &Params) -> SetExpr {
+    yearly_revenue(q8_base(p))
+}
+
+/// Q8's second statement: the same, for the items one nation supplied.
+pub fn q8_nation_moa(p: &Params) -> SetExpr {
+    yearly_revenue(q8_base(p).select(eq(
+        attr("supplier.nation.name"),
+        prm(pid::Q8_NATION, AtomValue::str(p.q8_nation.as_str())),
+    )))
+}
+
 pub fn q8_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<QueryResult> {
-    let total = run_moa_rows(cat, ctx, &yearly_revenue(q8_base(p)))?;
-    let nat = run_moa_rows(
-        cat,
-        ctx,
-        &yearly_revenue(q8_base(p).select(eq(
-            attr("supplier.nation.name"),
-            prm(pid::Q8_NATION, AtomValue::str(p.q8_nation.as_str())),
-        ))),
-    )?;
+    let total = run_moa_rows(cat, ctx, &q8_total_moa(p))?;
+    let nat = run_moa_rows(cat, ctx, &q8_nation_moa(p))?;
     // share(year) = nation revenue / total revenue (0 when absent).
     let nat_by_year: HashMap<i32, f64> = nat
         .0

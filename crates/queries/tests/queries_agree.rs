@@ -94,6 +94,63 @@ fn optimizer_cuts_executed_statements_by_at_least_15_percent() {
     );
 }
 
+/// Pushed-down conjuncts that navigate through the same reference are
+/// selected at the referenced class and joined back once: Q3, Q5, both Q8
+/// programs and Q10 each join `Item_order` back exactly once, in the raw
+/// emission and after optimization — and the plans of the other eleven
+/// queries keep their optimized statement counts.
+#[test]
+fn shared_reference_conjuncts_join_back_once_and_other_plans_stay_put() {
+    use monet::config::EngineConfig;
+    use monet::mil::opt::{self, OptLevel};
+    use monet::mil::{MilOp, MilProgram};
+    use tpcd_queries::{q01_05, q06_10};
+    let w = bench_world();
+    let joins_back = |prog: &MilProgram| {
+        let is_item_order =
+            |v: usize| matches!(&prog.stmts[v].op, MilOp::Load(n) if n == "Item_order");
+        prog.stmts.iter().filter(|s| matches!(s.op, MilOp::Join(l, _) if is_item_order(l))).count()
+    };
+    let grouped = [
+        ("Q3", q01_05::q3_moa(&w.params)),
+        ("Q5", q01_05::q5_moa(&w.params)),
+        ("Q8 total", q06_10::q8_total_moa(&w.params)),
+        ("Q8 nation", q06_10::q8_nation_moa(&w.params)),
+        ("Q10", q06_10::q10_moa(&w.params)),
+    ];
+    for (name, expr) in &grouped {
+        for level in [OptLevel::Off, OptLevel::Full] {
+            let t = moa::translate::translate_with(&w.cat, expr, level).unwrap();
+            assert_eq!(joins_back(&t.prog), 1, "{name} at {level:?}:\n{}", t.prog);
+        }
+    }
+
+    let ctx = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
+        opt: OptLevel::Full,
+        fuse: true,
+        ..EngineConfig::clone(&EngineConfig::from_env())
+    }));
+    let unchanged: [(usize, u64); 11] = [
+        (1, 43),
+        (2, 49),
+        (4, 28),
+        (6, 17),
+        (7, 58),
+        (9, 63),
+        (11, 41),
+        (12, 34),
+        (13, 26),
+        (14, 25),
+        (15, 24),
+    ];
+    for (id, stmts) in unchanged {
+        let q = &all_queries()[id - 1];
+        opt::reset_cumulative();
+        (q.run_moa)(&w.cat, &ctx, &w.params).unwrap_or_else(|e| panic!("Q{id} failed: {e}"));
+        assert_eq!(opt::cumulative().1, stmts, "Q{id}'s optimized plan changed");
+    }
+}
+
 #[test]
 fn all_fifteen_queries_agree_on_a_second_database() {
     let data = tpcd::generate(0.002, 20260610);

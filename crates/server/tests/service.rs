@@ -370,20 +370,30 @@ fn cancelled_session_aborts_without_disturbing_others() {
 }
 
 /// Re-binding never touches the shared plan: two sessions alternate two
-/// parameter sets over the same shapes (Q1, Q6, Q12, Q14 — two of them
-/// multi-statement drivers), every result is bit-identical to an uncached
-/// execution of its set, and afterwards the cache holds the very programs
-/// the first executions inserted, with the constants those bound.
+/// parameter sets over the same shapes (Q1, Q3, Q5, Q6, Q8, Q10, Q12, Q14
+/// — three of them multi-statement drivers, four of them selecting
+/// conjuncts grouped under a shared reference), every result is
+/// bit-identical to an uncached execution of its set, and afterwards the
+/// cache holds the very programs the first executions inserted, with the
+/// constants those bound.
 #[test]
 fn alternating_parameter_sets_rebind_without_touching_the_shared_plans() {
     let w = bench::World::build(0.002);
     let a = w.params.clone();
     let b = Params {
         q1_cutoff: a.q1_cutoff.add_days(-120),
+        q3_segment: "MACHINERY".into(),
+        q3_date: Date::from_ymd(1995, 6, 1),
+        q5_region: "AMERICA".into(),
+        q5_date: Date::from_ymd(1996, 1, 1),
         q6_date: Date::from_ymd(1995, 1, 1),
         q6_disc_lo: 0.02,
         q6_disc_hi: 0.04,
         q6_qty: 30,
+        q8_region: "EUROPE".into(),
+        q8_nation: "FRANCE".into(),
+        q8_type_contains: "BRASS".into(),
+        q10_date: Date::from_ymd(1994, 4, 1),
         q12_mode1: "AIR".into(),
         q12_mode2: "RAIL".into(),
         q12_date: Date::from_ymd(1996, 1, 1),
@@ -391,7 +401,7 @@ fn alternating_parameter_sets_rebind_without_touching_the_shared_plans() {
         ..a.clone()
     };
     let queries: Vec<_> =
-        all_queries().into_iter().filter(|q| [1, 6, 12, 14].contains(&q.id)).collect();
+        all_queries().into_iter().filter(|q| [1, 3, 5, 6, 8, 10, 12, 14].contains(&q.id)).collect();
     let uncached = |p: &Params| -> Vec<QueryResult> {
         let ctx = ExecCtx::new();
         queries.iter().map(|q| (q.run_moa)(&w.cat, &ctx, p).unwrap()).collect()

@@ -272,16 +272,19 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 /// No override: under budget *pressure* the cost model must choose to
 /// spill on its own, and every query either still matches the reference or
 /// aborts with the typed budget error from an operator that cannot spill.
-/// 512k at SF 0.02: oid-keyed joins need no hash table, so pressure only
+/// 224k at SF 0.05: oid-keyed joins need no hash table, so pressure only
 /// arises once a `direct` join's position array (4 bytes per oid of the
-/// right head's span) misses the headroom — Q5, Q8 and Q10 each send one
-/// join to spill between 448k and 576k; re-sweep that window when memory
-/// accounting changes.
+/// right head's span) misses the headroom. Since conjuncts that share a
+/// reference join back once, Q5/Q8/Q10 no longer have such a join under
+/// any budget they complete at; Q13's `join(Item_order, ·)` back from the
+/// clerk's orders spills (148 KB) and Q13 completes, between 160k and
+/// 288k at any thread count; re-sweep that window when memory accounting
+/// or the translator's join-backs change.
 #[test]
-fn budget_512k_makes_a_join_spill_from_pressure() {
-    let w = World::build_with(0.02, true);
-    let engine = Arc::new(EngineConfig { mem_budget: 512 << 10, ..EngineConfig::default() });
-    let (mut passed, mut spilled) = (0, 0);
+fn budget_224k_lets_a_query_complete_by_spilling_a_join() {
+    let w = World::build_with(0.05, true);
+    let engine = Arc::new(EngineConfig { mem_budget: 224 << 10, ..EngineConfig::default() });
+    let (mut passed, mut spilled, mut passed_spilling) = (0, 0, 0);
     for q in all_queries() {
         let ctx = ExecCtx::with_config(Arc::clone(&engine));
         match (q.run_moa)(&w.cat, &ctx, &w.params) {
@@ -289,6 +292,7 @@ fn budget_512k_makes_a_join_spill_from_pressure() {
                 let want = (q.run_ref)(&w.rel, &w.params, None).rows;
                 assert!(rows.approx_eq(&want, 1e-6), "Q{}: diverged under the budget", q.id);
                 passed += 1;
+                passed_spilling += usize::from(ctx.mem.spilled_bytes() > 0);
             }
             Err(MoaError::Kernel(MonetError::BudgetExceeded { .. })) => {}
             Err(e) => panic!("Q{}: expected success or BudgetExceeded, got: {e}", q.id),
@@ -296,7 +300,8 @@ fn budget_512k_makes_a_join_spill_from_pressure() {
         spilled += ctx.mem.spilled_bytes();
     }
     assert!(spilled > 0, "no operator spilled");
-    assert!(passed > 0, "at least one query must complete under the budget by spilling");
+    assert!(passed > 0, "at least one query must complete under the budget");
+    assert!(passed_spilling > 0, "no query completed by spilling");
 }
 
 /// `fault = mil/stmt:2`: every context built from the configuration arms
