@@ -54,7 +54,6 @@ fn op_name(op: &MilOp) -> &'static str {
         MilOp::SetAgg { .. } | MilOp::AggrScalar { .. } => "aggregate",
         MilOp::Multiplex { .. } => "multiplex",
         MilOp::SortTail(..) | MilOp::SortHead(..) | MilOp::TopN { .. } => "sort",
-        MilOp::Fused { .. } => "fused",
         _ => "other",
     }
 }

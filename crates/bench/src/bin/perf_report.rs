@@ -669,35 +669,6 @@ fn main() {
     }));
     gov_ctx.gov.set_deadline(None);
 
-    // Pipeline fusion trajectory: Q1 and Q13 executing the optimizer's
-    // fused emission vs the `fuse: false` oracle. Alongside
-    // each timing line, one fresh-tracker run
-    // prints the query's live-set peak — the fused pipelines' point is
-    // the intermediate BATs they never materialize, and `max_live_bytes`
-    // is where that shows up at SF-independent truth even when the
-    // wall-clock gap sits inside the noise floor at small scale.
-    for (name, fuse_on) in [
-        ("fuse/q1-unfused", false),
-        ("fuse/q1-fused", true),
-        ("fuse/q13-unfused", false),
-        ("fuse/q13-fused", true),
-    ] {
-        let q13 = name.contains("q13");
-        let fuse_ctx = ctx_with(&|c| (c.opt, c.fuse) = (OptLevel::Full, fuse_on));
-        let run = |ctx: &ExecCtx| {
-            if q13 {
-                tpcd_queries::q11_15::q13_run(&w.cat, ctx, &w.params).map(|_| ())
-            } else {
-                tpcd_queries::q01_05::q1_run(&w.cat, ctx, &w.params).map(|_| ())
-            }
-            .unwrap();
-        };
-        recs.push(measure(base.as_ref(), name, q13_rows, || run(&fuse_ctx)));
-        fuse_ctx.mem.reset();
-        run(&fuse_ctx);
-        eprintln!("{name:<32} live-set peak {:>12} bytes", fuse_ctx.mem.max_live_bytes());
-    }
-
     // Query-service throughput: the mixed Q1–Q15 workload through
     // prepared-statement sessions sharing one plan cache and admission
     // gate. `rows` counts queries per pass, so the rows/s column reads

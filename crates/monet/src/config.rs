@@ -4,8 +4,8 @@
 //! (Section 5.1) picks every implementation from properties the kernel
 //! observes — so what is configurable here is the *environment* a query
 //! runs in (threads, memory, disk, faults to inject) and the oracle
-//! switches the test suite diffs against (optimizer, fusion, encodings,
-//! plan cache). All of it lives in one immutable [`EngineConfig`] value:
+//! switches the test suite diffs against (optimizer, encodings, plan
+//! cache). All of it lives in one immutable [`EngineConfig`] value:
 //!
 //! * [`EngineConfig::from_vars`] is the one parser. It is pure — a config
 //!   is a function of the `(name, value)` pairs handed to it — and strict:
@@ -44,8 +44,8 @@
 //! | `FLATALG_DEADLINE_MS` | `deadline_ms` | milliseconds, `0` = none (default) |
 //! | `FLATALG_ADMIT_TIMEOUT_MS` | `admit_timeout_ms` | milliseconds, `0` = none (default) |
 //!
-//! `par_min_rows`, `morsel_rows` and `fuse` have no environment spelling:
-//! only in-process sweeps move them.
+//! `par_min_rows` and `morsel_rows` have no environment spelling: only
+//! in-process sweeps move them.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -65,13 +65,11 @@ pub struct PlanConfig {
     pub opt: OptLevel,
     /// Print each optimized program's per-pass deltas to stderr.
     pub explain: bool,
-    /// Run the pipeline-fusion pass (off = the unfused oracle emission).
-    pub fuse: bool,
 }
 
 impl Default for PlanConfig {
     fn default() -> PlanConfig {
-        PlanConfig { opt: OptLevel::Full, explain: false, fuse: true }
+        PlanConfig { opt: OptLevel::Full, explain: false }
     }
 }
 
@@ -90,7 +88,6 @@ pub struct EngineConfig {
     pub enc: bool,
     pub opt: OptLevel,
     pub explain: bool,
-    pub fuse: bool,
     /// Send every spill-capable operator to its disk path, whatever the
     /// budget headroom says (the out-of-core oracle).
     pub spill_force: bool,
@@ -131,7 +128,7 @@ impl Default for EngineConfig {
     /// The documented defaults: what [`EngineConfig::from_vars`] returns
     /// for an empty environment.
     fn default() -> EngineConfig {
-        let PlanConfig { opt, explain, fuse } = PlanConfig::default();
+        let PlanConfig { opt, explain } = PlanConfig::default();
         EngineConfig {
             threads: std::thread::available_parallelism()
                 .map_or(1, |n| n.get())
@@ -141,7 +138,6 @@ impl Default for EngineConfig {
             enc: true,
             opt,
             explain,
-            fuse,
             spill_force: false,
             spill_dir: None,
             mem_budget: 0,
@@ -284,7 +280,7 @@ impl EngineConfig {
 
     /// The planner-visible part of this configuration.
     pub fn plan(&self) -> PlanConfig {
-        PlanConfig { opt: self.opt, explain: self.explain, fuse: self.fuse }
+        PlanConfig { opt: self.opt, explain: self.explain }
     }
 }
 
@@ -316,7 +312,7 @@ mod tests {
         assert!((1..=crate::par::MAX_THREADS).contains(&d.threads));
         assert_eq!((d.par_min_rows, d.morsel_rows), (128 * 1024, 64 * 1024));
         assert_eq!(d.plan(), PlanConfig::default());
-        assert_eq!((d.opt, d.explain, d.fuse), (OptLevel::Full, false, true));
+        assert_eq!((d.opt, d.explain), (OptLevel::Full, false));
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub mod site {
     /// Before each task of a task-decomposed kernel (per-cluster join
     /// ranges, per-morsel group partials).
     pub const PAR_TASK: &str = "par/task";
-    /// Before each morsel of a fused select stage.
-    pub const FUSE_SELECT: &str = "fuse/select";
-    /// Before each morsel of a fused multiplex stage.
-    pub const FUSE_MULTIPLEX: &str = "fuse/multiplex";
-    /// Before each morsel of a fused aggregate stage.
-    pub const FUSE_AGGR: &str = "fuse/aggr";
     /// While opening a persistent store (superblock / per-column files).
     pub const STORE_OPEN: &str = "store/open";
     /// Before each partition flush an out-of-core operator writes.

@@ -70,52 +70,11 @@ pub enum MilOp {
     TopN { src: Var, n: usize, desc: bool },
     /// Fresh dense oid tail, synced with the operand.
     Mark(Var),
-    /// A fused operator pipeline built by the optimizer's `fuse` pass: one
-    /// pass over `src`, applying `stages` morsel-at-a-time with no
-    /// intermediate BATs. Never emitted by the translator; only the `fuse`
-    /// pass creates these, and only for chains it proved equivalent to the
-    /// staged execution (bit-identical results, same morsel grid).
-    Fused { src: Var, stages: Vec<FuseStage> },
-}
-
-/// One stage of a fused pipeline ([`MilOp::Fused`]): the chain value flows
-/// source → stage 0 → stage 1 → …, each stage consuming its predecessor's
-/// per-morsel output in place of a materialized intermediate.
-#[derive(Debug, Clone)]
-pub enum FuseStage {
-    /// Point selection on the chain tail (from [`MilOp::SelectEq`]).
-    SelectEq(AtomValue),
-    /// Range selection on the chain tail (from [`MilOp::SelectRange`]).
-    SelectRange { lo: Option<AtomValue>, hi: Option<AtomValue>, inc_lo: bool, inc_hi: bool },
-    /// Multiplexed scalar function over the chain tail and side columns
-    /// (from [`MilOp::Multiplex`]).
-    Map { f: ScalarFunc, args: Vec<FuseArg> },
-    /// Terminal whole-column scalar aggregate (from [`MilOp::AggrScalar`]).
-    Aggr(AggFunc),
-}
-
-impl FuseStage {
-    /// Governor probe site executed once per morsel per stage.
-    pub fn probe_site(&self) -> &'static str {
-        match self {
-            FuseStage::SelectEq(_) | FuseStage::SelectRange { .. } => crate::gov::site::FUSE_SELECT,
-            FuseStage::Map { .. } => crate::gov::site::FUSE_MULTIPLEX,
-            FuseStage::Aggr(_) => crate::gov::site::FUSE_AGGR,
-        }
-    }
-}
-
-/// An argument of a fused [`FuseStage::Map`] stage.
-#[derive(Debug, Clone)]
-pub enum FuseArg {
-    /// The chain value flowing through the pipeline.
-    Chain,
-    /// A side variable; the fused executor requires it row-synced with the
-    /// pipeline source (checked at run time, falling back to staged
-    /// execution otherwise).
-    Var(Var),
-    /// A broadcast constant.
-    Const(AtomValue),
+    /// Nothing constructs this: statements run one operator at a time, and
+    /// the interpreter refuses it with
+    /// [`crate::error::MonetError::Malformed`]. Kept because the acceptance
+    /// benchmark (`benchmark/src/run.rs`) names it in `op_bucket`.
+    Fused,
 }
 
 /// Which constant inside a [`MilOp`] a prepared-statement parameter feeds.
@@ -142,7 +101,7 @@ impl MilOp {
     /// Variables this operation reads (for liveness analysis).
     pub fn operands(&self) -> Vec<Var> {
         match self {
-            MilOp::Load(_) | MilOp::ConstScalar(_) => vec![],
+            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Fused => vec![],
             MilOp::Mirror(v)
             | MilOp::SelectEq(v, _)
             | MilOp::Unique(v)
@@ -170,19 +129,6 @@ impl MilOp {
                     MilArg::Const(_) => None,
                 })
                 .collect(),
-            MilOp::Fused { src, stages } => {
-                let mut vs = vec![*src];
-                for stage in stages {
-                    if let FuseStage::Map { args, .. } = stage {
-                        for a in args {
-                            if let FuseArg::Var(v) = a {
-                                vs.push(*v);
-                            }
-                        }
-                    }
-                }
-                vs
-            }
         }
     }
 
@@ -190,7 +136,7 @@ impl MilOp {
     /// rewrite primitive: CSE aliasing, DCE renumbering).
     pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Var)) {
         match self {
-            MilOp::Load(_) | MilOp::ConstScalar(_) => {}
+            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Fused => {}
             MilOp::Mirror(v)
             | MilOp::SelectEq(v, _)
             | MilOp::Unique(v)
@@ -218,18 +164,6 @@ impl MilOp {
                 for a in args {
                     if let MilArg::Var(v) = a {
                         f(v);
-                    }
-                }
-            }
-            MilOp::Fused { src, stages } => {
-                f(src);
-                for stage in stages {
-                    if let FuseStage::Map { args, .. } = stage {
-                        for a in args {
-                            if let FuseArg::Var(v) = a {
-                                f(v);
-                            }
-                        }
                     }
                 }
             }
@@ -268,7 +202,7 @@ impl MilOp {
             MilOp::SortHead(_) => "sort_head".into(),
             MilOp::TopN { .. } => "topn".into(),
             MilOp::Mark(_) => "mark".into(),
-            MilOp::Fused { .. } => "fused".into(),
+            MilOp::Fused => "fused".into(),
         }
     }
 }

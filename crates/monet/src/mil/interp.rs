@@ -15,7 +15,7 @@ use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::ops;
 
-use super::ast::{FuseArg, FuseStage, MilArg, MilOp, Var};
+use super::ast::{MilArg, MilOp, Var};
 use super::bound::{bind_op, Executable};
 
 /// A MIL variable's value: a BAT or a scalar.
@@ -247,44 +247,11 @@ fn eval_op(ctx: &ExecCtx, db: &Db, env: &[Option<MilValue>], op: &MilOp) -> Resu
             }
             MilValue::Bat(ops::multiplex(ctx, *f, &margs)?)
         }
-        MilOp::Fused { src, stages } => {
-            let mut fstages = Vec::with_capacity(stages.len());
-            for s in stages {
-                fstages.push(match s {
-                    FuseStage::SelectEq(v) => ops::fused::Stage::SelectEq(v.clone()),
-                    FuseStage::SelectRange { lo, hi, inc_lo, inc_hi } => {
-                        ops::fused::Stage::SelectRange {
-                            lo: lo.clone(),
-                            hi: hi.clone(),
-                            inc_lo: *inc_lo,
-                            inc_hi: *inc_hi,
-                        }
-                    }
-                    FuseStage::Map { f, args } => {
-                        let mut fargs = Vec::with_capacity(args.len());
-                        for a in args {
-                            fargs.push(match a {
-                                FuseArg::Chain => ops::fused::FArg::Chain,
-                                FuseArg::Var(v) => {
-                                    match env.get(*v).and_then(|x| x.as_ref()).ok_or_else(|| {
-                                        MonetError::UnknownName(format!("mil var {v}"))
-                                    })? {
-                                        MilValue::Bat(b) => ops::fused::FArg::Side(b.clone()),
-                                        MilValue::Scalar(s) => ops::fused::FArg::Const(s.clone()),
-                                    }
-                                }
-                                FuseArg::Const(v) => ops::fused::FArg::Const(v.clone()),
-                            });
-                        }
-                        ops::fused::Stage::Map { f: *f, args: fargs }
-                    }
-                    FuseStage::Aggr(f) => ops::fused::Stage::Aggr(*f),
-                });
-            }
-            match ops::fused::run_fused(ctx, bat(*src)?, &fstages)? {
-                ops::fused::FusedOut::Bat(b) => MilValue::Bat(b),
-                ops::fused::FusedOut::Scalar(v) => MilValue::Scalar(v),
-            }
+        MilOp::Fused => {
+            return Err(MonetError::Malformed {
+                op: "fused",
+                detail: "statements run one operator at a time; nothing emits `fused`".into(),
+            })
         }
         MilOp::SetAgg { f, src } => MilValue::Bat(ops::set_aggregate(ctx, *f, bat(*src)?)?),
         MilOp::AggrScalar { f, src } => MilValue::Scalar(ops::aggr_scalar(ctx, bat(*src)?, *f)?),
@@ -468,6 +435,16 @@ mod tests {
         let mut p = MilProgram::new();
         let _ = p.emit("x", MilOp::Load("nope".into()));
         assert!(execute(&ctx, &db, &p, &[]).is_err());
+    }
+
+    #[test]
+    fn a_fused_statement_is_refused() {
+        let mut p = MilProgram::new();
+        let _ = p.emit("f", MilOp::Fused);
+        assert!(matches!(
+            execute(&ExecCtx::new(), &db(), &p, &[]),
+            Err(MonetError::Malformed { op: "fused", .. })
+        ));
     }
 
     #[test]

@@ -133,9 +133,7 @@ fn hash_op(op: &MilOp) -> u64 {
             src.hash(&mut h);
         }
         MilOp::TopN { src, n, desc } => (src, n, desc).hash(&mut h),
-        // Fusion runs after CSE, so fused statements never reach this
-        // pass; hash by source, `ops_identical` rejects the pair anyway.
-        MilOp::Fused { src, .. } => src.hash(&mut h),
+        MilOp::Fused => {}
     }
     h.finish()
 }

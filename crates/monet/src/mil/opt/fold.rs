@@ -120,13 +120,11 @@ fn head_supersets(prog: &MilProgram, bat_valued: &[bool]) -> VarSets {
                     }
                 }
                 // Mirror swaps the column roles; union/concat/zip build
-                // new head sets: no facts beyond self. Fused statements
-                // only appear after this pass (fusion runs last), so they
-                // claim nothing.
+                // new head sets: no facts beyond self.
                 MilOp::Load(_)
                 | MilOp::ConstScalar(_)
                 | MilOp::AggrScalar { .. }
-                | MilOp::Fused { .. }
+                | MilOp::Fused
                 | MilOp::Mirror(_)
                 | MilOp::Union(..)
                 | MilOp::Concat(..)

@@ -1,5 +1,5 @@
-//! Static shape inference: propagate column types and descriptor
-//! properties ([`ColProps`]) through a MIL program at *plan* time.
+//! Static shape inference: propagate descriptor properties
+//! ([`ColProps`]) through a MIL program at *plan* time.
 //!
 //! The property rules are the ones the kernels apply at run time —
 //! [`crate::ops::select::propagated_props`],
@@ -10,10 +10,7 @@
 //! binary-search select keeps a dense head at run time; the static rule
 //! drops it). The invariant the props-oracle suite guards: **every
 //! statically claimed property holds on the actually computed column**,
-//! so no rewrite or fusion decision rests on a fact that fails at run time.
-//!
-//! Types are exact where known (`None` = unknown, e.g. a multiplex result)
-//! — they gate integer sums after a fused selection.
+//! so no rewrite decision rests on a fact that fails at run time.
 //!
 //! `may_dv` tracks whether a variable can carry a **datavector**
 //! accelerator at run time: datavectors ride on persistent BATs and
@@ -23,35 +20,20 @@
 //! *right-operand* order while every other semijoin emits in left order —
 //! rewrites that could flip that choice are fenced on `may_dv`.
 
-use crate::atom::AtomType;
 use crate::db::Db;
 use crate::ops;
 use crate::props::{ColProps, Props};
 
-use super::super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, Var};
+use super::super::ast::{MilArg, MilOp, MilProgram, Var};
 
 /// Statically known facts about one BAT-valued variable.
 #[derive(Debug, Clone, Copy)]
 pub struct Shape {
-    /// Head column type, when derivable.
-    pub head: Option<AtomType>,
-    /// Tail column type, when derivable.
-    pub tail: Option<AtomType>,
     /// Properties guaranteed to hold on the computed result (a sound
     /// under-approximation of the run-time descriptor).
     pub props: Props,
     /// Whether the value may carry a datavector accelerator.
     pub may_dv: bool,
-}
-
-/// `void` and `oid` columns combine into a materialized `oid` column
-/// (`Column::concat`); other type pairs must match exactly.
-fn concat_ty(a: Option<AtomType>, b: Option<AtomType>) -> Option<AtomType> {
-    match (a?, b?) {
-        (x, y) if x == y => Some(x),
-        (AtomType::Void, AtomType::Oid) | (AtomType::Oid, AtomType::Void) => Some(AtomType::Oid),
-        _ => None,
-    }
 }
 
 /// Infer the shape of every variable of `prog`. Scalar-valued variables
@@ -70,37 +52,26 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
     Some(match op {
         MilOp::Load(name) => {
             let bat = db.get(name).ok()?;
-            let (h, t) = bat.signature();
-            Shape {
-                head: Some(h),
-                tail: Some(t),
-                props: bat.props(),
-                may_dv: bat.accel().datavector.is_some(),
-            }
+            Shape { props: bat.props(), may_dv: bat.accel().datavector.is_some() }
         }
         MilOp::ConstScalar(_) | MilOp::AggrScalar { .. } => return None,
         MilOp::Mirror(v) => {
             let s = sh(*v)?;
             // mirror swaps the column roles and drops the datavector (it
             // accelerates only the normal orientation).
-            Shape { head: s.tail, tail: s.head, props: s.props.mirrored(), may_dv: false }
+            Shape { props: s.props.mirrored(), may_dv: false }
         }
         MilOp::SelectEq(v, _) => {
             let s = sh(*v)?;
-            Shape { props: ops::select::propagated_props(s.props, true), may_dv: false, ..s }
+            Shape { props: ops::select::propagated_props(s.props, true), may_dv: false }
         }
         MilOp::SelectRange { src, .. } => {
             let s = sh(*src)?;
-            Shape { props: ops::select::propagated_props(s.props, false), may_dv: false, ..s }
+            Shape { props: ops::select::propagated_props(s.props, false), may_dv: false }
         }
         MilOp::Join(a, b) => {
             let (sa, sb) = (sh(*a)?, sh(*b)?);
-            Shape {
-                head: sa.head,
-                tail: sb.tail,
-                props: ops::join::propagated_props(sa.props, sb.props),
-                may_dv: false,
-            }
+            Shape { props: ops::join::propagated_props(sa.props, sb.props), may_dv: false }
         }
         MilOp::Semijoin(a, b) => {
             let (sa, sb) = (sh(*a)?, sh(*b)?);
@@ -122,13 +93,13 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                 ops::semijoin::propagated_props(sa.props)
             };
             // The sync variant returns a clone, accelerators included.
-            Shape { head: sa.head, tail: sa.tail, props, may_dv: sa.may_dv }
+            Shape { props, may_dv: sa.may_dv }
         }
         MilOp::Antijoin(a, _) => {
             let sa = sh(*a)?;
             // Both variants (empty sync slice, hash subset) emit a subset
             // of the left operand in left order, without accelerators.
-            Shape { props: ops::semijoin::propagated_props(sa.props), may_dv: false, ..sa }
+            Shape { props: ops::semijoin::propagated_props(sa.props), may_dv: false }
         }
         MilOp::Unique(v) => {
             let s = sh(*v)?;
@@ -136,14 +107,12 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                 // Provably duplicate-free: the kernel no-ops with a clone.
                 s
             } else {
-                Shape { props: ops::semijoin::propagated_props(s.props), may_dv: false, ..s }
+                Shape { props: ops::semijoin::propagated_props(s.props), may_dv: false }
             }
         }
         MilOp::Group1(v) => {
             let s = sh(*v)?;
             Shape {
-                head: s.head,
-                tail: Some(AtomType::Oid),
                 props: Props::new(
                     s.props.head,
                     ColProps {
@@ -158,12 +127,7 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
         }
         MilOp::Group2(a, _) => {
             let sa = sh(*a)?;
-            Shape {
-                head: sa.head,
-                tail: Some(AtomType::Oid),
-                props: Props::new(sa.props.head, ColProps::NONE),
-                may_dv: false,
-            }
+            Shape { props: Props::new(sa.props.head, ColProps::NONE), may_dv: false }
         }
         MilOp::Multiplex { args, .. } => {
             // The kernel's result rides on the first BAT argument's head;
@@ -173,8 +137,6 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                 MilArg::Const(_) => None,
             })?;
             Shape {
-                head: first.head,
-                tail: None,
                 props: Props::new(
                     ColProps {
                         sorted: first.props.head.sorted,
@@ -190,8 +152,6 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
         MilOp::SetAgg { src, .. } => {
             let s = sh(*src)?;
             Shape {
-                head: s.head,
-                tail: None,
                 props: Props::new(
                     ColProps {
                         sorted: s.props.head.sorted,
@@ -205,26 +165,17 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
             }
         }
         MilOp::Union(a, b) | MilOp::Concat(a, b) => {
-            let (sa, sb) = (sh(*a)?, sh(*b)?);
-            Shape {
-                head: concat_ty(sa.head, sb.head),
-                tail: concat_ty(sa.tail, sb.tail),
-                props: Props::NONE,
-                may_dv: false,
-            }
+            // Both operands must be known BATs; the result claims nothing.
+            sh(*a).and(sh(*b))?;
+            Shape { props: Props::NONE, may_dv: false }
         }
         MilOp::Diff(a, _) | MilOp::Intersect(a, _) => {
             let sa = sh(*a)?;
-            Shape { props: ops::semijoin::propagated_props(sa.props), may_dv: false, ..sa }
+            Shape { props: ops::semijoin::propagated_props(sa.props), may_dv: false }
         }
         MilOp::Zip(a, b) => {
             let (sa, sb) = (sh(*a)?, sh(*b)?);
-            Shape {
-                head: sa.tail,
-                tail: sb.tail,
-                props: Props::new(sa.props.tail, sb.props.tail),
-                may_dv: false,
-            }
+            Shape { props: Props::new(sa.props.tail, sb.props.tail), may_dv: false }
         }
         MilOp::SortTail(v) => {
             let s = sh(*v)?;
@@ -247,7 +198,6 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                         },
                     ),
                     may_dv: false,
-                    ..s
                 }
             }
         }
@@ -273,7 +223,7 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                     },
                 )
             };
-            Shape { props, may_dv: false, ..s }
+            Shape { props, may_dv: false }
         }
         MilOp::TopN { src, desc, .. } => {
             let s = sh(*src)?;
@@ -293,63 +243,12 @@ fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
                     },
                 ),
                 may_dv: false,
-                ..s
             }
         }
         MilOp::Mark(v) => {
             let s = sh(*v)?;
-            Shape {
-                head: s.head,
-                tail: Some(AtomType::Void),
-                props: Props::new(s.props.head, ColProps::DENSE),
-                may_dv: false,
-            }
+            Shape { props: Props::new(s.props.head, ColProps::DENSE), may_dv: false }
         }
-        MilOp::Fused { src, stages } => {
-            // Replay the per-stage rules the unfused statements would have
-            // received, so a fused chain claims exactly what its staged
-            // equivalent would (the fuse pass builds chains *from* already
-            // inferred statements, so this only re-derives).
-            let mut cur = sh(*src)?;
-            for stage in stages {
-                cur = match stage {
-                    FuseStage::SelectEq(_) => Shape {
-                        props: ops::select::propagated_props(cur.props, true),
-                        may_dv: false,
-                        ..cur
-                    },
-                    FuseStage::SelectRange { .. } => Shape {
-                        props: ops::select::propagated_props(cur.props, false),
-                        may_dv: false,
-                        ..cur
-                    },
-                    FuseStage::Map { args, .. } => {
-                        let first = args.iter().find_map(|a| match a {
-                            FuseArg::Chain => Some(cur),
-                            FuseArg::Var(v) => sh(*v),
-                            FuseArg::Const(_) => None,
-                        })?;
-                        Shape {
-                            head: first.head,
-                            tail: None,
-                            props: Props::new(
-                                ColProps {
-                                    sorted: first.props.head.sorted,
-                                    key: first.props.head.key,
-                                    dense: false,
-                                    ..ColProps::NONE
-                                },
-                                ColProps::NONE,
-                            ),
-                            may_dv: false,
-                        }
-                    }
-                    // Terminal scalar aggregate: the fused variable is
-                    // scalar-valued, like `AggrScalar`.
-                    FuseStage::Aggr(_) => return None,
-                };
-            }
-            cur
-        }
+        MilOp::Fused => return None,
     })
 }

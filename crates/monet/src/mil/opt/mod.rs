@@ -18,9 +18,7 @@
 //!   head/tail provenance keeps the result bit-identical;
 //! * [`dce`] — dead-code elimination with variable renumbering, so the
 //!   interpreter's free-at-last-use accounting is recomputed against the
-//!   rewritten program;
-//! * [`fuse`] — pipeline fusion (after the fixpoint): collapse
-//!   sole-consumer select/multiplex/aggregate chains into one statement.
+//!   rewritten program.
 //!
 //! The optimizer rewrites statements; it never chooses their algorithm.
 //! Which implementation runs a statement is its operator's run-time
@@ -32,14 +30,12 @@
 //! optimized program produces exactly the value stream of the raw program
 //! (floating-point aggregation orders included). What the optimizer may
 //! consult is the [`PlanConfig`] it is handed: `opt: Off` makes callers
-//! skip it entirely and run the translator's raw emission, `explain`
-//! prints before/after plans with per-pass statement deltas to stderr,
-//! and `fuse: false` stops short of the fusion pass.
+//! skip it entirely and run the translator's raw emission, and `explain`
+//! prints before/after plans with per-pass statement deltas to stderr.
 
 mod cse;
 mod dce;
 mod fold;
-mod fuse;
 mod infer;
 mod pushdown;
 
@@ -235,29 +231,6 @@ pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db, cfg: &PlanConfig) -> O
         }
         if round_applied == 0 {
             break;
-        }
-    }
-    // Pipeline fusion runs last (unless configured off for an oracle run):
-    // it consumes the final statement shapes.
-    if cfg.fuse {
-        let cx = PassCtx { db, roots: roots.clone() };
-        let pass = fuse::Fuse;
-        let eff = pass.run(&mut prog, &cx);
-        if let Some(m) = &eff.remap {
-            for slot in remap.iter_mut() {
-                *slot = slot.and_then(|v| m[v]);
-            }
-            for r in roots.iter_mut() {
-                *r = m[*r].expect("fuse pass eliminated a root variable");
-            }
-        }
-        if eff.applied > 0 {
-            report.deltas.push(PassDelta {
-                pass: pass.name(),
-                round: report.rounds,
-                applied: eff.applied,
-                stmts_after: prog.len(),
-            });
         }
     }
     report.stmts_after = prog.len();

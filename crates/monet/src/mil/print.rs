@@ -3,7 +3,7 @@
 
 use std::fmt::Write as _;
 
-use super::ast::{FuseArg, FuseStage, MilArg, MilOp, MilProgram, MilStmt};
+use super::ast::{MilArg, MilOp, MilProgram, MilStmt};
 
 /// Render one statement as `name := op(args)`.
 pub fn render_stmt(prog: &MilProgram, stmt: &MilStmt) -> String {
@@ -61,53 +61,9 @@ pub(super) fn render_op(prog: &MilProgram, stmt: &MilStmt, op: &MilOp) -> String
             format!("topn({}, {k}, {})", n(*src), if *desc { "desc" } else { "asc" })
         }
         MilOp::Mark(v) => format!("mark({})", n(*v)),
-        MilOp::Fused { src, stages } => {
-            // `fuse(src, select(..) | [f](..) | sum)  #! fused[n]`: the
-            // stages read left to right in chain order, `_` standing for
-            // the value flowing through the pipeline.
-            let mut s = format!("fuse({}", n(*src));
-            for stage in stages {
-                s.push_str(", ");
-                match stage {
-                    FuseStage::SelectEq(val) => {
-                        let _ = write!(s, "select(_, {val})");
-                    }
-                    FuseStage::SelectRange { lo, hi, inc_lo, inc_hi } => {
-                        let lo = lo.as_ref().map_or("-inf".to_string(), |v| v.to_string());
-                        let hi = hi.as_ref().map_or("+inf".to_string(), |v| v.to_string());
-                        let lb = if *inc_lo { '[' } else { '(' };
-                        let rb = if *inc_hi { ']' } else { ')' };
-                        let _ = write!(s, "select(_, {lb}{lo}, {hi}{rb})");
-                    }
-                    FuseStage::Map { f, args } => {
-                        let _ = write!(s, "[{}](", f.mil_name());
-                        for (i, a) in args.iter().enumerate() {
-                            if i > 0 {
-                                s.push_str(", ");
-                            }
-                            match a {
-                                FuseArg::Chain => s.push('_'),
-                                FuseArg::Var(v) => s.push_str(&n(*v)),
-                                FuseArg::Const(c) => {
-                                    let _ = write!(s, "{c}");
-                                }
-                            }
-                        }
-                        s.push(')');
-                    }
-                    FuseStage::Aggr(f) => s.push_str(f.name()),
-                }
-            }
-            s.push(')');
-            s
-        }
+        MilOp::Fused => "fused()".to_string(),
     };
-    match op {
-        MilOp::Fused { stages, .. } => {
-            format!("{} := {body}  #! fused[{}]", stmt.name, stages.len())
-        }
-        _ => format!("{} := {body}", stmt.name),
-    }
+    format!("{} := {body}", stmt.name)
 }
 
 /// Render the whole program, one statement per line.

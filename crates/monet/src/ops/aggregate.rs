@@ -52,9 +52,8 @@ impl AggFunc {
 /// yields `dbl`; `count` yields `lng`; `avg` yields `dbl`; `min`/`max`
 /// keep the tail type. `min`/`max`/`avg` over an empty BAT are errors.
 ///
-/// A one-stage pipeline on the morsel driver
-/// ([`super::fused::run_stages`]): one [`aggr_window`] partial per
-/// configured `morsel_rows` window, combined in morsel order by
+/// One [`aggr_window`] partial per configured `morsel_rows` window
+/// ([`crate::par::try_for_each_morsel`]), combined in morsel order by
 /// [`merge_partials`]. The morsel grid is a property of the operand, never
 /// of the thread count, so the floating-point association — and with it
 /// the result bits — is identical whether the partials are computed
@@ -65,15 +64,18 @@ pub fn aggr_scalar(ctx: &ExecCtx, ab: &Bat, f: AggFunc) -> Result<AtomValue> {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let out = super::fused::run_stages(ctx, ab.tail(), &[super::fused::Stage::Aggr(f)], false)?;
-    Ok(out.scalar.expect("an aggregate stage yields a scalar"))
+    let (n, tail) = (ab.len(), ab.tail().clone());
+    let parts = crate::par::try_for_each_morsel(ctx, n, super::par_threads(ctx, n), move |r| {
+        aggr_window(&super::window_of(&tail, r.start, r.len()), f)
+    })?;
+    merge_partials(f, n, parts.into_iter().collect::<Result<_>>()?)
 }
 
 /// Aggregate partial of one window. Exact integer accumulators regroup
-/// freely; float sums are only bit-stable on a fixed morsel grid (the fuse
-/// pass never admits them behind a selection); min/max carry the window's
-/// first-winner value.
-pub(crate) enum Partial {
+/// freely; float sums are only bit-stable on a fixed morsel grid, which is
+/// why the grid is the operand's, never the thread count's; min/max carry
+/// the window's first-winner value.
+enum Partial {
     /// The count itself is the number of rows reaching the aggregate.
     Count,
     SumI(i64),
@@ -82,7 +84,7 @@ pub(crate) enum Partial {
 }
 
 /// The aggregate window kernel — the only scalar sum/avg/min/max loops.
-pub(crate) fn aggr_window(w: &Column, f: AggFunc) -> Result<Partial> {
+fn aggr_window(w: &Column, f: AggFunc) -> Result<Partial> {
     match f {
         AggFunc::Count => Ok(Partial::Count),
         AggFunc::Sum | AggFunc::Avg => {
@@ -129,7 +131,7 @@ pub(crate) fn aggr_window(w: &Column, f: AggFunc) -> Result<Partial> {
 
 /// Combine the window partials of the `n` rows that reached the aggregate,
 /// in morsel order.
-pub(crate) fn merge_partials(f: AggFunc, n: usize, parts: Vec<Partial>) -> Result<AtomValue> {
+fn merge_partials(f: AggFunc, n: usize, parts: Vec<Partial>) -> Result<AtomValue> {
     match f {
         AggFunc::Count => Ok(AtomValue::Lng(n as i64)),
         AggFunc::Sum | AggFunc::Avg => {

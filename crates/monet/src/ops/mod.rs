@@ -16,7 +16,6 @@
 //! oracle of the specialized-vs-generic property suite.
 
 pub mod aggregate;
-pub mod fused;
 pub mod group;
 pub mod join;
 pub mod multiplex;
@@ -38,8 +37,10 @@ pub use sort::{mark, sort_head, sort_tail, topn};
 pub use unique::unique;
 
 use crate::atom::AtomType;
+use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
+use crate::props::Enc;
 
 /// Threads an operator over a `rows`-row operand should fan out to —
 /// [`crate::costmodel::par_threads`] gated on the context: with a pager
@@ -51,6 +52,21 @@ pub(crate) fn par_threads(ctx: &ExecCtx, rows: usize) -> usize {
     } else {
         crate::costmodel::par_threads(ctx.config(), rows)
     }
+}
+
+/// One morsel of a column, as the scan-shaped operators' window kernels
+/// read it. RLE-encoded dbl tails decode run-aware into a fresh buffer —
+/// `decoded()` on a window would materialize (and cache) the *full*
+/// column. Other encodings window zero-copy; the window kernels handle
+/// them.
+pub(crate) fn window_of(tail: &Column, start: usize, len: usize) -> Column {
+    if tail.encoding() == Enc::Rle && tail.atom_type() == AtomType::Dbl {
+        let mut buf = Vec::with_capacity(len);
+        if tail.rle_dbl_window_into(start, len, &mut buf) {
+            return Column::from_dbls(buf);
+        }
+    }
+    tail.slice(start, len)
 }
 
 /// Check that two columns can be compared for a join (same type; oid and

@@ -27,8 +27,6 @@ use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 
-use super::fused::FArg;
-
 /// A scalar function liftable over BATs with `[f]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScalarFunc {
@@ -250,36 +248,59 @@ pub fn multiplex(ctx: &ExecCtx, f: ScalarFunc, args: &[MultArg]) -> Result<Bat> 
 /// One map-window argument: a tail column window (owned, cheaply
 /// `Arc`-cloned) or a broadcast constant.
 #[derive(Clone)]
-pub(crate) enum TailArg {
+enum TailArg {
     Col(Column),
     Const(AtomValue),
 }
 
-/// Positional fast path: all BAT args share the first BAT's head, so the
-/// multiplex is a one-stage map pipeline on the morsel driver
-/// ([`super::fused::run_stages`]) — the first BAT is the chain, the others
-/// ride along as synced sides, and every morsel runs [`eval_tail_window`].
+/// Positional fast path: all BAT args share the first BAT's head, so every
+/// morsel ([`crate::par::try_for_each_morsel`]) runs [`eval_tail_window`]
+/// over the same window of each argument, and the output windows are
+/// concatenated in morsel order.
 fn mux_synced(
     ctx: &ExecCtx,
     f: ScalarFunc,
     first: &Bat,
     args: &[MultArg],
 ) -> Result<(Bat, &'static str)> {
-    let mut chain_taken = false;
-    let fargs = args
+    let n = first.len();
+    let targs: Vec<TailArg> = args
         .iter()
         .map(|a| match a {
-            MultArg::Bat(_) if !std::mem::replace(&mut chain_taken, true) => FArg::Chain,
-            MultArg::Bat(b) => FArg::Side(b.clone()),
-            MultArg::Const(v) => FArg::Const(v.clone()),
+            MultArg::Bat(b) => TailArg::Col(b.tail().clone()),
+            MultArg::Const(v) => TailArg::Const(v.clone()),
         })
         .collect();
-    let stage = super::fused::Stage::Map { f, args: fargs };
-    let out = super::fused::run_stages(ctx, first.tail(), &[stage], false)?;
-    let tail = out.tail.expect("a map stage yields a tail");
-    let bat =
-        Bat::with_props(first.head().clone(), tail, Props::new(first.props().head, ColProps::NONE));
-    Ok((bat, if out.rowwise { "sync-rowwise" } else { "sync" }))
+    let parts = crate::par::try_for_each_morsel(ctx, n, super::par_threads(ctx, n), move |r| {
+        let w: Vec<TailArg> = targs
+            .iter()
+            .map(|a| match a {
+                TailArg::Col(c) => TailArg::Col(super::window_of(c, r.start, r.len())),
+                TailArg::Const(v) => TailArg::Const(v.clone()),
+            })
+            .collect();
+        eval_tail_window(f, &w, r.len())
+    })?;
+    // Surface the first error in morsel order (the earliest failing row's
+    // morsel, whatever the schedule).
+    let parts: Vec<(Column, bool)> = parts.into_iter().collect::<Result<_>>()?;
+    let rowwise = parts.iter().any(|(_, by_row)| *by_row);
+    // Empty windows are dropped before concatenation: a zero-row window
+    // types its output by static hint, which can disagree with the
+    // value-derived type of non-empty windows. When *all* windows are empty
+    // the first one's hint-typed column stands.
+    let mut windows: Vec<Column> = parts.into_iter().map(|(w, _)| w).collect();
+    if windows.iter().any(|w| !w.is_empty()) {
+        windows.retain(|w| !w.is_empty());
+    } else {
+        windows.truncate(1);
+    }
+    let bat = Bat::with_props(
+        first.head().clone(),
+        Column::concat_all(&windows),
+        Props::new(first.props().head, ColProps::NONE),
+    );
+    Ok((bat, if rowwise { "sync-rowwise" } else { "sync" }))
 }
 
 /// General path: natural join on heads. Every non-driver BAT must have a
@@ -388,11 +409,7 @@ impl TailArg {
 /// fast path when the shape qualifies, otherwise the generic row-at-a-time
 /// loop. The flag says the row loop ran (`rowwise`), which the callers put
 /// into their trace label: a typed shape never takes it.
-pub(crate) fn eval_tail_window(
-    f: ScalarFunc,
-    args: &[TailArg],
-    n: usize,
-) -> Result<(Column, bool)> {
+fn eval_tail_window(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<(Column, bool)> {
     if let Some(col) = typed_fast_path(f, args, n)? {
         return Ok((col, false));
     }

@@ -16,7 +16,6 @@ use crate::props::{ColProps, Enc, Props};
 use crate::typed::TypedVals;
 
 use super::check_comparable;
-use super::fused::Stage;
 
 /// Point selection: `{ab | ab ∈ AB ∧ b = v}`.
 pub fn select_eq(ctx: &ExecCtx, ab: &Bat, v: &AtomValue) -> Result<Bat> {
@@ -99,10 +98,9 @@ fn select_sorted(
     result
 }
 
-/// Scan selection: a one-stage pipeline on the morsel driver
-/// ([`super::fused::run_stages`]) — each morsel runs [`select_window`] and
-/// the matching global positions come back in morsel (= row) order, so the
-/// serial path is the same grid at one thread.
+/// Scan selection: each morsel ([`crate::par::try_for_each_morsel`]) runs
+/// [`select_window`] and the matching global positions are concatenated in
+/// morsel (= row) order, so the serial path is the same grid at one thread.
 fn select_scan(
     ctx: &ExecCtx,
     ab: &Bat,
@@ -115,10 +113,21 @@ fn select_scan(
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let stage = Stage::SelectRange { lo: lo.cloned(), hi: hi.cloned(), inc_lo, inc_hi };
-    let idx = super::fused::run_stages(ctx, ab.tail(), &[stage], false)?
-        .positions
-        .expect("a select stage yields positions");
+    let (tail, lo, hi) = (ab.tail().clone(), lo.cloned(), hi.cloned());
+    let parts = crate::par::try_for_each_morsel(
+        ctx,
+        ab.len(),
+        super::par_threads(ctx, ab.len()),
+        move |r| {
+            let w = super::window_of(&tail, r.start, r.len());
+            let mut idx = select_window(&w, lo.as_ref(), hi.as_ref(), inc_lo, inc_hi);
+            for i in &mut idx {
+                *i += r.start as u32;
+            }
+            idx
+        },
+    )?;
+    let idx = parts.concat();
     if let Some(p) = ctx.pager.as_deref() {
         for &i in &idx {
             pager::touch_fetch(p, ab.head(), i as usize);
@@ -142,7 +151,7 @@ fn scan_algo(ctx: &ExecCtx, ab: &Bat) -> &'static str {
 /// dict-encoded window compares plain codes against the half-open code
 /// range the bounds resolve to; every other layout runs one monomorphized
 /// typed loop (an equality loop when the bounds are one point).
-pub(crate) fn select_window(
+fn select_window(
     w: &Column,
     lo: Option<&AtomValue>,
     hi: Option<&AtomValue>,
@@ -241,8 +250,8 @@ fn dict_code_range(
 /// Dict-code selection: the predicate becomes a code range
 /// ([`dict_code_range`]). A tail-sorted operand binary-searches the codes
 /// and returns a zero-copy slice (exactly the result of the raw
-/// binary-search path); an unsorted one takes the scan pipeline, whose
-/// window kernel compares codes.
+/// binary-search path); an unsorted one takes the scan, whose window
+/// kernel compares codes.
 fn select_dict(
     ctx: &ExecCtx,
     ab: &Bat,

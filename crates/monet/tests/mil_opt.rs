@@ -448,9 +448,10 @@ fn cumulative_counters_accumulate_per_thread() {
     assert_eq!(opt, 8);
 }
 
-/// Unsorted-tail measure BAT for fusion tests (selects on a sorted tail
-/// are binary-search slices, which never fuse).
-fn fuse_db() -> Db {
+/// A select -> map -> aggregate chain over an unsorted tail stays one
+/// statement per operator — each materializes its BAT, as MIL runs it.
+#[test]
+fn scan_chains_stay_one_statement_per_operator() {
     let mut db = db();
     db.register(
         "meas",
@@ -459,113 +460,18 @@ fn fuse_db() -> Db {
             Column::from_ints(vec![3, 1, 2, 5, 4, 2]),
         ),
     );
-    db
-}
-
-#[test]
-fn fuse_collapses_map_chain_with_synced_side() {
-    let db = fuse_db();
     let mut p = MilProgram::new();
     let meas = p.emit("meas", MilOp::Load("meas".into()));
-    // [-](10, meas) -> [*](_, meas): the second map reads the source as a
-    // positionally-synced side, the Q13 revenue shape.
-    let m1 = p.emit(
-        "m1",
-        MilOp::Multiplex {
-            f: ScalarFunc::Sub,
-            args: vec![MilArg::Const(AtomValue::Int(10)), MilArg::Var(meas)],
+    let sel = p.emit(
+        "sel",
+        MilOp::SelectRange {
+            src: meas,
+            lo: Some(AtomValue::Int(2)),
+            hi: None,
+            inc_lo: true,
+            inc_hi: true,
         },
     );
-    let m2 = p.emit(
-        "m2",
-        MilOp::Multiplex { f: ScalarFunc::Mul, args: vec![MilArg::Var(m1), MilArg::Var(meas)] },
-    );
-    let opt = assert_equivalent(&db, &p, &[m2]);
-    let fused: Vec<_> = opt.stmts.iter().filter(|s| matches!(s.op, MilOp::Fused { .. })).collect();
-    assert_eq!(fused.len(), 1, "expected one fused statement:\n{opt}");
-    let MilOp::Fused { ref stages, .. } = fused[0].op else { unreachable!() };
-    assert_eq!(stages.len(), 2, "got:\n{opt}");
-    assert!(
-        monet::mil::render_stmt(&opt, fused[0]).contains("#! fused[2]"),
-        "EXPLAIN must annotate fusion: {}",
-        monet::mil::render_stmt(&opt, fused[0])
-    );
-}
-
-#[test]
-fn fuse_select_map_aggr_terminal_is_scalar_identical() {
-    let db = fuse_db();
-    let build = || {
-        let mut p = MilProgram::new();
-        let meas = p.emit("meas", MilOp::Load("meas".into()));
-        let sel = p.emit(
-            "sel",
-            MilOp::SelectRange {
-                src: meas,
-                lo: Some(AtomValue::Int(2)),
-                hi: None,
-                inc_lo: true,
-                inc_hi: true,
-            },
-        );
-        let m = p.emit(
-            "m",
-            MilOp::Multiplex {
-                f: ScalarFunc::Mul,
-                args: vec![MilArg::Var(sel), MilArg::Const(AtomValue::Int(3))],
-            },
-        );
-        let agg = p.emit("agg", MilOp::AggrScalar { f: monet::ops::AggFunc::Max, src: m });
-        (p, agg)
-    };
-    let (p, agg) = build();
-    let raw_env = execute(&ExecCtx::new(), &db, &p, &[agg]).expect("raw execution");
-    let out = optimize(p, &[agg], &db, &PlanConfig::default());
-    assert!(
-        out.prog
-            .stmts
-            .iter()
-            .any(|s| matches!(&s.op, MilOp::Fused { stages, .. } if stages.len() == 3)),
-        "select+map+max should fuse into one statement:\n{}",
-        out.prog
-    );
-    let env = execute(&ExecCtx::new(), &db, &out.prog, &[out.var(agg)]).expect("fused execution");
-    assert_eq!(env.scalar(out.var(agg)).unwrap(), raw_env.scalar(agg).unwrap());
-}
-
-#[test]
-fn fuse_respects_roots_and_reuse() {
-    // A chain member that is itself a root (or read twice) must stay
-    // materialized; fusion may only swallow single-use interior values.
-    let db = fuse_db();
-    let mut p = MilProgram::new();
-    let meas = p.emit("meas", MilOp::Load("meas".into()));
-    let m1 = p.emit(
-        "m1",
-        MilOp::Multiplex {
-            f: ScalarFunc::Sub,
-            args: vec![MilArg::Const(AtomValue::Int(10)), MilArg::Var(meas)],
-        },
-    );
-    let m2 = p.emit(
-        "m2",
-        MilOp::Multiplex { f: ScalarFunc::Mul, args: vec![MilArg::Var(m1), MilArg::Var(meas)] },
-    );
-    let opt = assert_equivalent(&db, &p, &[m1, m2]);
-    assert!(
-        !opt.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
-        "a chain through a kept root must not fuse:\n{opt}"
-    );
-}
-
-#[test]
-fn fuse_skips_statically_sorted_selects() {
-    // `attr` has a sorted int tail: its select is a zero-copy binary-search
-    // slice, and the chain must not start there.
-    let db = fuse_db();
-    let mut p = MilProgram::new();
-    let attr = p.emit("attr", MilOp::Load("attr".into()));
-    let sel = p.emit("sel", MilOp::SelectEq(attr, AtomValue::Int(2)));
     let m = p.emit(
         "m",
         MilOp::Multiplex {
@@ -573,38 +479,11 @@ fn fuse_skips_statically_sorted_selects() {
             args: vec![MilArg::Var(sel), MilArg::Const(AtomValue::Int(3))],
         },
     );
-    let opt = assert_equivalent(&db, &p, &[m]);
-    assert!(
-        !opt.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
-        "binary-search selects must stay staged:\n{opt}"
-    );
-}
-
-#[test]
-fn fuse_off_reproduces_unfused_emission() {
-    let db = fuse_db();
-    let mut p = MilProgram::new();
-    let meas = p.emit("meas", MilOp::Load("meas".into()));
-    let sel = p.emit("sel", MilOp::SelectEq(meas, AtomValue::Int(2)));
-    let cnt = p.emit("cnt", MilOp::AggrScalar { f: monet::ops::AggFunc::Count, src: sel });
-    let fused = optimize(p.clone(), &[cnt], &db, &PlanConfig::default());
-    let unfused =
-        optimize(p.clone(), &[cnt], &db, &PlanConfig { fuse: false, ..PlanConfig::default() });
-    assert!(
-        fused.prog.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
-        "got:\n{}",
-        fused.prog
-    );
-    assert!(
-        !unfused.prog.stmts.iter().any(|s| matches!(s.op, MilOp::Fused { .. })),
-        "`fuse: false` must reproduce the unfused emission:\n{}",
-        unfused.prog
-    );
-    let a = execute(&ExecCtx::new(), &db, &fused.prog, &[fused.var(cnt)]).unwrap();
-    let b = execute(&ExecCtx::new(), &db, &unfused.prog, &[unfused.var(cnt)]).unwrap();
-    assert_eq!(
-        a.scalar(fused.var(cnt)).unwrap(),
-        b.scalar(unfused.var(cnt)).unwrap(),
-        "fused and unfused legs disagree"
-    );
+    let agg = p.emit("agg", MilOp::AggrScalar { f: monet::ops::AggFunc::Max, src: m });
+    let raw = execute(&ExecCtx::new(), &db, &p, &[agg]).expect("raw execution");
+    let out = optimize(p.clone(), &[agg], &db, &PlanConfig::default());
+    assert_eq!(out.prog.len(), p.len(), "nothing to rewrite:\n{}", out.prog);
+    let env = execute(&ExecCtx::new(), &db, &out.prog, &[out.var(agg)]).expect("optimized run");
+    assert_eq!(env.scalar(out.var(agg)).unwrap(), raw.scalar(agg).unwrap());
+    assert_eq!(raw.scalar(agg).unwrap(), &AtomValue::Int(15));
 }

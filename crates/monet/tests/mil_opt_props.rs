@@ -1,16 +1,14 @@
 //! The plan optimizer's props oracle: every `ColProps` the static shape
 //! inference ([`monet::mil::opt::infer_shapes`]) predicts for a MIL
 //! operation's result must actually hold on the computed column, for
-//! every atom type — otherwise a rewrite or a fusion admission could rest
-//! on a fact that fails at run time.
+//! every atom type — otherwise a rewrite could rest on a fact that fails
+//! at run time.
 //!
 //! Each case builds a small program over seeded BATs, asks the optimizer
 //! for its predictions, executes the raw program, and checks the claimed
 //! `sorted`/`key`/`dense` flags against `check_sorted`/`check_key`/
 //! `check_dense` scans of the materialized columns (reality, not the
-//! run-time descriptor — which may legitimately claim more). Predicted
-//! column types must match up to oid/void interchange (a gather of a
-//! virtual `void` column materializes as `oid`).
+//! run-time descriptor — which may legitimately claim more).
 
 use monet::atom::{AtomType, AtomValue, Date};
 use monet::bat::Bat;
@@ -113,21 +111,6 @@ fn check(db: &Db, prog: &MilProgram, what: &str) {
     for (v, shape) in shapes.iter().enumerate() {
         let Some(s) = shape else { continue };
         let bat = env.bat(v).unwrap_or_else(|_| panic!("{what}: var {v} should be a BAT"));
-        let ty_ok = |pred: Option<AtomType>, actual: AtomType| match pred {
-            None => true,
-            Some(p) => {
-                p == actual
-                    || (matches!(p, AtomType::Void | AtomType::Oid)
-                        && matches!(actual, AtomType::Void | AtomType::Oid))
-            }
-        };
-        assert!(
-            ty_ok(s.head, bat.signature().0) && ty_ok(s.tail, bat.signature().1),
-            "{what}: var {v} predicted types {:?}/{:?}, actual {:?}",
-            s.head,
-            s.tail,
-            bat.signature()
-        );
         for (side, col, p) in
             [("head", bat.head(), s.props.head), ("tail", bat.tail(), s.props.tail)]
         {
@@ -260,9 +243,9 @@ fn zip_and_multiplex_predictions_hold() {
 
 #[test]
 fn predictions_hold_on_optimized_programs_too() {
-    // The fuse pass reads the *optimized* program through the same
-    // inference; rerun the oracle on post-optimizer output for a chain
-    // mixing selects, joins and grouping.
+    // Every fixpoint round after the first reads the *rewritten* program
+    // through the same inference; rerun the oracle on post-optimizer
+    // output for a chain mixing selects, joins and grouping.
     let db = db();
     for ty in TYPES {
         let mut p = MilProgram::new();

@@ -337,9 +337,9 @@ fn canon_gids(tail: &Column) -> Vec<u64> {
 }
 
 /// The scan-shaped operators (select scan, synced multiplex, scalar
-/// aggregates) are one-stage pipelines on the morsel driver, so their
-/// suites run under every (morsel size, thread count) grid the driver can
-/// cut: tiny ragged morsels and the production 64Ki size, serial and
+/// aggregates) each drive their window kernel over the morsel driver, so
+/// their suites run under every (morsel size, thread count) grid the
+/// driver can cut: tiny ragged morsels and the production 64Ki size, serial and
 /// fanned out (row threshold 1, so even these small operands take the
 /// pool at 4 threads).
 fn sweep_grids(mut f: impl FnMut(ExecCtx, &str)) {
@@ -1235,15 +1235,12 @@ fn typed_hashindex_finds_all_positions() {
 }
 
 /// RLE-dbl aggregates must be bit-identical to the raw twin *without*
-/// materializing the full decoded column: both the staged scalar
-/// aggregates (scratch-buffered window decode) and a fused map->sum
-/// pipeline (per-morsel window decode) leave the shared decode cache
-/// cold. A regression here silently doubles the live set of every
-/// aggregate over run-length doubles.
+/// materializing the full decoded column: both the scalar aggregates and a
+/// synced map -> sum (each decoding one window per morsel) leave the
+/// shared decode cache cold. A regression here silently doubles the live
+/// set of every aggregate over run-length doubles.
 #[test]
 fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
-    use monet::ops::fused::{run_fused, FArg, FusedOut, Stage};
-
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x22);
     let ctx = ExecCtx::new();
     for case in 0..6 {
@@ -1254,34 +1251,22 @@ fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
         let eb = Bat::new(head.clone(), et.clone());
         let rb = Bat::new(head, rt);
 
-        // Staged scalar aggregates: encoded vs raw, value-for-value.
+        // Scalar aggregates: encoded vs raw, value-for-value.
         for f in [ops::AggFunc::Sum, ops::AggFunc::Avg] {
             let g = ops::aggr_scalar(&ctx, &eb, f).unwrap();
             let e = ops::aggr_scalar(&ctx, &rb, f).unwrap();
-            assert_eq!(g, e, "case {case}: staged {}", f.name());
+            assert_eq!(g, e, "case {case}: {}", f.name());
         }
 
-        // Fused pipeline over the *encoded* source vs the staged kernels
-        // over the raw twin: map -> sum decodes one window per morsel.
-        let stages = vec![
-            Stage::Map {
-                f: ops::ScalarFunc::Mul,
-                args: vec![FArg::Chain, FArg::Const(AtomValue::Dbl(0.5))],
-            },
-            Stage::Aggr(ops::AggFunc::Sum),
-        ];
-        let fused = match run_fused(&ctx, &eb, &stages).unwrap() {
-            FusedOut::Scalar(v) => v,
-            FusedOut::Bat(_) => panic!("aggregate-terminated chain must yield a scalar"),
+        // A synced multiplex over the *encoded* source, then sum, vs the
+        // same two operators over the raw twin.
+        let half = |b: &Bat| {
+            let args = [ops::MultArg::Bat(b.clone()), ops::MultArg::Const(AtomValue::Dbl(0.5))];
+            let mapped = ops::multiplex(&ctx, ops::ScalarFunc::Mul, &args).unwrap();
+            assert_eq!(ctx.take_algo(), "sync", "case {case}: map window took the row loop");
+            ops::aggr_scalar(&ctx, &mapped, ops::AggFunc::Sum).unwrap()
         };
-        let mapped = ops::multiplex(
-            &ctx,
-            ops::ScalarFunc::Mul,
-            &[ops::MultArg::Bat(rb.clone()), ops::MultArg::Const(AtomValue::Dbl(0.5))],
-        )
-        .unwrap();
-        let staged = ops::aggr_scalar(&ctx, &mapped, ops::AggFunc::Sum).unwrap();
-        assert_eq!(fused, staged, "case {case}: fused map->sum vs staged on raw twin");
+        assert_eq!(half(&eb), half(&rb), "case {case}: map -> sum vs raw twin");
 
         // The point of the window paths: nothing above may have populated
         // the full-column decode cache.
@@ -1296,7 +1281,7 @@ fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
         for f in [ops::AggFunc::Min, ops::AggFunc::Max] {
             let g = ops::aggr_scalar(&ctx, &eb, f).unwrap();
             let e = ops::aggr_scalar(&ctx, &rb, f).unwrap();
-            assert_eq!(g, e, "case {case}: staged {}", f.name());
+            assert_eq!(g, e, "case {case}: {}", f.name());
         }
     }
 }

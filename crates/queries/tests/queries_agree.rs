@@ -4,7 +4,7 @@
 //! The oracle runs twice: once per query at the benchmark scale (SF 0.01,
 //! the `bench` harness seed, one shared world), and once as a sweep over a
 //! second, smaller database so agreement is not an artifact of one dataset.
-//! Agreement *between engine configurations* (threads, optimizer, fusion,
+//! Agreement *between engine configurations* (threads, optimizer,
 //! encodings, spilling, plan cache, store) is `tests/config_matrix.rs`.
 
 use std::sync::OnceLock;
@@ -127,21 +127,20 @@ fn shared_reference_conjuncts_join_back_once_and_other_plans_stay_put() {
 
     let ctx = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
         opt: OptLevel::Full,
-        fuse: true,
         ..EngineConfig::clone(&EngineConfig::from_env())
     }));
     let unchanged: [(usize, u64); 11] = [
-        (1, 43),
-        (2, 49),
-        (4, 28),
+        (1, 45),
+        (2, 50),
+        (4, 29),
         (6, 17),
-        (7, 58),
-        (9, 63),
+        (7, 59),
+        (9, 66),
         (11, 41),
-        (12, 34),
-        (13, 26),
-        (14, 25),
-        (15, 24),
+        (12, 36),
+        (13, 27),
+        (14, 28),
+        (15, 25),
     ];
     for (id, stmts) in unchanged {
         let q = &all_queries()[id - 1];

@@ -157,27 +157,25 @@ fn plan_config_flips_never_reuse_wrong_plans() {
     let q = q13_moa(&w.params);
     // Every field that matters pinned explicitly, so the test holds
     // whatever the environment says.
-    let run = |opt: OptLevel, fuse: bool, threads: usize| {
+    let run = |opt: OptLevel, threads: usize| {
         let base = EngineConfig::clone(&EngineConfig::from_env());
-        let ctx = ExecCtx::with_config(Arc::new(EngineConfig { opt, fuse, threads, ..base }));
+        let ctx = ExecCtx::with_config(Arc::new(EngineConfig { opt, threads, ..base }));
         session.scoped(|| tpcd_queries::run_moa_rows(&w.cat, &ctx, &q)).unwrap()
     };
     let counts = || {
         let s = server.stats().cache.unwrap();
         (s.hits, s.misses)
     };
-    let full = run(OptLevel::Full, true, 1);
-    let off = run(OptLevel::Off, true, 1);
+    let full = run(OptLevel::Full, 1);
+    let off = run(OptLevel::Off, 1);
     assert_eq!(full, off, "optimizer must preserve results");
     assert_eq!(counts(), (0, 2), "OptLevel flip must key a distinct plan");
-    assert_eq!(run(OptLevel::Full, false, 1), full, "fusion must preserve results");
-    assert_eq!(counts(), (0, 3), "fusion flip must key a distinct plan");
-    assert_eq!(run(OptLevel::Full, true, 3), full);
-    assert_eq!(counts(), (1, 3), "no plan depends on the thread count");
+    assert_eq!(run(OptLevel::Full, 3), full);
+    assert_eq!(counts(), (1, 2), "no plan depends on the thread count");
     // Back at the original configs, the cached plans hit.
-    run(OptLevel::Full, true, 1);
-    run(OptLevel::Off, true, 1);
-    assert_eq!(counts(), (3, 3));
+    run(OptLevel::Full, 1);
+    run(OptLevel::Off, 1);
+    assert_eq!(counts(), (3, 2));
 }
 
 /// Satellite: re-encoding a catalog column through `Db::reencode_tail`

@@ -4,15 +4,15 @@
 //! agree with the n-ary `relstore` reference (eps 1e-6).
 //!
 //! The dimensions are the ones results must not depend on: the plan that
-//! runs (optimized + fused, optimized unfused, raw translator emission),
+//! runs (optimized, raw translator emission),
 //! the column layouts (encoded, raw, encoded and reopened from an mmap
 //! store), the thread count (1, 4, 7 over one small odd morsel grid — the
 //! grid is part of a float sum's definition, so it is the same everywhere),
 //! forced spilling, and the plan cache (none, a miss, a re-bound hit
-//! through a `Session`). The full product is 162 passes; [`MATRIX`] is a
-//! pairwise-covering subset of 11 ([`matrix_covers_every_pair`] proves it),
+//! through a `Session`). The full product is 108 passes; [`MATRIX`] is a
+//! pairwise-covering subset of 9 ([`matrix_covers_every_pair`] proves it),
 //! which already contains combinations no per-knob rerun of the suite
-//! could reach — raw layouts × unfused × forced spill × 7 threads is one.
+//! could reach — raw layouts × raw plan × forced spill × 7 threads is one.
 //!
 //! The named cases below the matrix are the configurations whose *point*
 //! is a different outcome: a budget that aborts, a budget that makes the
@@ -34,8 +34,7 @@ use tpcd_queries::{all_queries, QueryResult};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Plan {
-    Fused,
-    Unfused,
+    Optimized,
     /// `opt: Off` — the translator's emission as is.
     Raw,
 }
@@ -70,18 +69,16 @@ const fn case(plan: Plan, layout: Layout, threads: usize, cache: Cache, spill_fo
 
 /// Row 0 is the default configuration, the one every other row is diffed
 /// against.
-const MATRIX: [Case; 11] = [
-    case(Plan::Fused, Layout::Encoded, 1, Cache::Off, false),
-    case(Plan::Unfused, Layout::Raw, 7, Cache::Miss, true),
-    case(Plan::Unfused, Layout::Store, 4, Cache::Hit, false),
-    case(Plan::Raw, Layout::Encoded, 7, Cache::Hit, true),
-    case(Plan::Raw, Layout::Raw, 4, Cache::Off, false),
-    case(Plan::Raw, Layout::Store, 1, Cache::Miss, true),
-    case(Plan::Fused, Layout::Encoded, 4, Cache::Miss, true),
-    case(Plan::Fused, Layout::Store, 7, Cache::Off, true),
-    case(Plan::Fused, Layout::Raw, 1, Cache::Hit, false),
-    case(Plan::Unfused, Layout::Encoded, 7, Cache::Off, false),
-    case(Plan::Unfused, Layout::Encoded, 1, Cache::Miss, false),
+const MATRIX: [Case; 9] = [
+    case(Plan::Optimized, Layout::Encoded, 1, Cache::Off, false),
+    case(Plan::Optimized, Layout::Encoded, 4, Cache::Miss, true),
+    case(Plan::Raw, Layout::Encoded, 7, Cache::Hit, false),
+    case(Plan::Raw, Layout::Raw, 1, Cache::Miss, false),
+    case(Plan::Optimized, Layout::Raw, 4, Cache::Hit, false),
+    case(Plan::Raw, Layout::Raw, 7, Cache::Off, true),
+    case(Plan::Optimized, Layout::Store, 1, Cache::Hit, true),
+    case(Plan::Raw, Layout::Store, 4, Cache::Off, false),
+    case(Plan::Optimized, Layout::Store, 7, Cache::Miss, false),
 ];
 
 impl Case {
@@ -93,7 +90,6 @@ impl Case {
             par_min_rows: 1024,
             morsel_rows: 4099,
             opt: if self.plan == Plan::Raw { OptLevel::Off } else { OptLevel::Full },
-            fuse: self.plan == Plan::Fused,
             spill_force: self.spill_force,
             ..EngineConfig::default()
         }
@@ -192,7 +188,7 @@ fn matrix_covers_every_pair() {
     };
     let rows: Vec<[String; 5]> = MATRIX.iter().map(levels).collect();
     let distinct = |i: usize| rows.iter().map(|r| &r[i]).collect::<HashSet<_>>().len();
-    assert_eq!([0, 1, 2, 3, 4].map(distinct), [3, 3, 3, 3, 2], "every level of every dimension");
+    assert_eq!([0, 1, 2, 3, 4].map(distinct), [2, 3, 3, 3, 2], "every level of every dimension");
     for i in 0..5 {
         for j in i + 1..5 {
             let seen: HashSet<_> = rows.iter().map(|r| (&r[i], &r[j])).collect();
@@ -200,7 +196,7 @@ fn matrix_covers_every_pair() {
         }
     }
     // The combination the per-knob reruns of the suite never reached.
-    assert!(MATRIX.iter().any(|c| c.plan == Plan::Unfused
+    assert!(MATRIX.iter().any(|c| c.plan == Plan::Raw
         && c.layout == Layout::Raw
         && c.threads == 7
         && c.spill_force));

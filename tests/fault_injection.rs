@@ -337,25 +337,26 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
     });
 }
 
-/// Fused-pipeline governance: a fused chain probes per morsel at each of
-/// its stage sites (`fuse/select`, `fuse/multiplex`, `fuse/aggr`) — every
-/// one of those points must abort cleanly when a fault fires there, the
-/// same context must retry bit-identically, and the abort paths must
-/// return every scratch buffer (the RLE-dbl window path and the staged
-/// replay both borrow from the process-wide pool).
+/// Scan-kernel governance: the select scan, the synced multiplex and the
+/// scalar aggregate each drive their window kernel through the morsel
+/// driver, which probes `par/morsel` before every morsel. A fault armed at
+/// the first morsel of each kernel must surface as `Injected` at that site,
+/// the same context must retry bit-identically, every governed point of
+/// the chains below must abort cleanly, and no abort may keep scratch (the
+/// RLE-dbl window decode and the scans borrow from the process-wide pool).
 #[test]
-fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
+fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     use std::time::{Duration, Instant};
 
     use monet::atom::AtomValue;
+    use monet::bat::Bat;
     use monet::ctx::ExecCtx;
     use monet::gov::site;
-    use monet::ops::fused::{run_fused, FArg, FusedOut, Stage};
-    use monet::ops::{AggFunc, ScalarFunc};
+    use monet::ops::{self, AggFunc, MultArg, ScalarFunc};
     use monet::typed;
 
     let n = 4000usize;
-    // RLE-dbl source (a run-length ramp): the fused window path decodes
+    // RLE-dbl source (a run-length ramp): map and aggregate windows decode
     // per morsel and must not leak scratch on any abort.
     let dbl =
         monet::column::Column::from_dbls((0..n).map(|i| (i / 250) as f64).collect()).encode(true);
@@ -364,37 +365,26 @@ fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
         monet::props::Enc::Rle,
         "fixture must be RLE-encoded — otherwise this sweeps the raw window path",
     );
-    let rle = monet::bat::Bat::new(monet::column::Column::from_oids((0..n as u64).collect()), dbl);
-    let ints = monet::bat::Bat::new(
+    let rle = Bat::new(monet::column::Column::from_oids((0..n as u64).collect()), dbl);
+    let ints = Bat::new(
         monet::column::Column::from_oids((0..n as u64).collect()),
         monet::column::Column::from_ints((0..n).map(|i| (i as i32) % 97 - 48).collect()),
     );
-    // Float sum in an unfiltered chain; integer select -> map -> max.
-    let sum_chain: Vec<Stage> = vec![
-        Stage::Map {
-            f: ScalarFunc::Mul,
-            args: vec![FArg::Chain, FArg::Const(AtomValue::Dbl(2.0))],
-        },
-        Stage::Aggr(AggFunc::Sum),
-    ];
-    let filt_chain: Vec<Stage> = vec![
-        Stage::SelectRange {
-            lo: Some(AtomValue::Int(-10)),
-            hi: Some(AtomValue::Int(30)),
-            inc_lo: true,
-            inc_hi: false,
-        },
-        Stage::Map { f: ScalarFunc::Add, args: vec![FArg::Chain, FArg::Const(AtomValue::Int(7))] },
-        Stage::Aggr(AggFunc::Max),
-    ];
+    let select = |ctx: &ExecCtx| {
+        let (lo, hi) = (AtomValue::Int(-10), AtomValue::Int(30));
+        ops::select_range(ctx, &ints, Some(&lo), Some(&hi), true, false)
+    };
+    let map = |ctx: &ExecCtx, b: &Bat, f: ScalarFunc, k: AtomValue| {
+        ops::multiplex(ctx, f, &[MultArg::Bat(b.clone()), MultArg::Const(k)])
+    };
+    // Float sum of a map over the RLE source; integer select -> map -> max.
     let run = |ctx: &ExecCtx| -> monet::error::Result<(AtomValue, AtomValue)> {
-        let scalar = |o| match o {
-            FusedOut::Scalar(v) => v,
-            FusedOut::Bat(_) => panic!("aggregate-terminated chain must yield a scalar"),
-        };
-        let a = scalar(run_fused(ctx, &rle, &sum_chain)?);
-        let b = scalar(run_fused(ctx, &ints, &filt_chain)?);
-        Ok((a, b))
+        let doubled = map(ctx, &rle, ScalarFunc::Mul, AtomValue::Dbl(2.0))?;
+        let shifted = map(ctx, &select(ctx)?, ScalarFunc::Add, AtomValue::Int(7))?;
+        Ok((
+            ops::aggr_scalar(ctx, &doubled, AggFunc::Sum)?,
+            ops::aggr_scalar(ctx, &shifted, AggFunc::Max)?,
+        ))
     };
 
     let baseline = typed::scratch_checked_out();
@@ -403,22 +393,34 @@ fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
         let r = run(&ctx).unwrap();
         (r, ctx.gov.probes())
     };
-    assert!(n_probes > 0, "fused chains exposed no governed points");
+    assert!(n_probes > 0, "scan chains exposed no governed points");
 
-    // Each fused stage site must actually fire: arm per-site (not "*") so
-    // a silently-skipped probe fails loudly here instead of shrinking the
-    // wildcard sweep below.
-    for fused_site in [site::FUSE_SELECT, site::FUSE_MULTIPLEX, site::FUSE_AGGR] {
+    // The first `par/morsel` probe of a context that runs one kernel is
+    // inside that kernel's morsel driver.
+    let rows = |b: Bat| format!("{:?}", b.iter().collect::<Vec<_>>());
+    type Kernel<'a> = Box<dyn Fn(&ExecCtx) -> monet::error::Result<String> + 'a>;
+    let kernels: [(&str, Kernel); 3] = [
+        ("select scan", Box::new(|ctx| select(ctx).map(rows))),
+        (
+            "synced multiplex",
+            Box::new(|ctx| map(ctx, &rle, ScalarFunc::Mul, AtomValue::Dbl(2.0)).map(rows)),
+        ),
+        (
+            "aggr_scalar",
+            Box::new(|ctx| Ok(format!("{:?}", ops::aggr_scalar(ctx, &rle, AggFunc::Sum)?))),
+        ),
+    ];
+    for (name, kernel) in &kernels {
+        let want = kernel(&ExecCtx::with_config(governed())).unwrap();
         let ctx = ExecCtx::with_config(governed());
-        ctx.gov.arm_fault(fused_site, 1);
-        match run(&ctx) {
+        ctx.gov.arm_fault(site::PAR_MORSEL, 1);
+        match kernel(&ctx) {
             Err(MonetError::Injected { site: s, .. }) => {
-                assert_eq!(s, fused_site, "fault fired at the wrong site")
+                assert_eq!(s, site::PAR_MORSEL, "{name}: fault fired at the wrong site")
             }
-            other => panic!("{fused_site}: expected injected fault, got {other:?}"),
+            other => panic!("{name}: expected injected fault, got {other:?}"),
         }
-        let retry = run(&ctx).unwrap();
-        assert_eq!(retry, oracle, "{fused_site}: retry diverged from oracle");
+        assert_eq!(kernel(&ctx).unwrap(), want, "{name}: retry diverged");
     }
 
     // Wildcard sweep over every governed point of both chains.
@@ -445,7 +447,7 @@ fn injected_faults_on_fused_pipelines_abort_cleanly_and_return_scratch() {
         }
         assert!(
             Instant::now() < deadline,
-            "fused-pipeline aborts leaked scratch: baseline {baseline}, now {now}"
+            "scan-kernel aborts leaked scratch: baseline {baseline}, now {now}"
         );
         std::thread::sleep(Duration::from_millis(50));
     }

@@ -614,6 +614,7 @@ fn par_encoded_kernels_bit_identical() {
             // schedule must match both.
             let ref_eq = reference::select_eq(&rb, &v);
             let ref_rng = reference::select_range(&rb, Some(&lo), Some(&hi), true, false);
+            let ref_open = reference::select_range(&rb, Some(&v), None, false, true);
             let ref_uni = reference::unique(&rb);
             let ref_gid = reference::group1_gids(&rb);
             let ser_eq = serial(|ctx| ops::select_eq(ctx, &eb, &v).unwrap());
@@ -623,7 +624,9 @@ fn par_encoded_kernels_bit_identical() {
             let ser_uni = serial(|ctx| ops::unique(ctx, &eb).unwrap());
             let ser_g = serial(|ctx| ops::group1(ctx, &eb).unwrap());
             assert_eq!(rows_of(&ser_eq), rows_of(&ref_eq), "{tag}: serial eq vs raw ref");
+            let ser_open = serial(|ctx| ops::select_range(ctx, &eb, Some(&v), None, false, true));
             assert_eq!(rows_of(&ser_rng), rows_of(&ref_rng), "{tag}: serial range vs raw ref");
+            assert_eq!(rows_of(&ser_open.unwrap()), rows_of(&ref_open), "{tag}: serial open range");
             assert_eq!(rows_of(&ser_uni), rows_of(&ref_uni), "{tag}: serial unique vs raw ref");
             for t in THREADS {
                 let got = parallel(t, |ctx| ops::select_eq(ctx, &eb, &v).unwrap());
@@ -632,6 +635,10 @@ fn par_encoded_kernels_bit_identical() {
                     ops::select_range(ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap()
                 });
                 assert_eq!(rows_of(&got), rows_of(&ser_rng), "{tag} t={t}: range");
+                let got = parallel(t, |ctx| {
+                    ops::select_range(ctx, &eb, Some(&v), None, false, true).unwrap()
+                });
+                assert_eq!(rows_of(&got), rows_of(&ref_open), "{tag} t={t}: open range");
                 let got = parallel(t, |ctx| ops::unique(ctx, &eb).unwrap());
                 assert_eq!(rows_of(&got), rows_of(&ser_uni), "{tag} t={t}: unique");
                 let got = parallel(t, |ctx| ops::group1(ctx, &eb).unwrap());
@@ -692,66 +699,67 @@ fn par_kernels_bit_identical_on_default_morsel_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// fused pipelines: a select -> map -> (aggr) chain executed in one pass
-// over the source must be bit-identical to the same chain run through the
-// staged kernels, at every thread count. Chains below respect the
-// planner's admission rules (float sums only in unfiltered chains).
+// scan chains: select -> map -> (aggr) through the operators, one statement
+// at a time, the way the interpreter runs them; every intermediate crosses
+// the morsel driver of its own kernel, empty operands included.
 // ---------------------------------------------------------------------------
 
+#[derive(Clone)]
+enum Arg {
+    Chain,
+    Side(Bat),
+    Const(AtomValue),
+}
+
+#[derive(Clone)]
+enum Step {
+    Eq(AtomValue),
+    Range(AtomValue, AtomValue),
+    Map(ops::ScalarFunc, Vec<Arg>),
+    Aggr(ops::AggFunc),
+}
+
 #[derive(Debug, PartialEq)]
-enum FusedOutcome {
+enum Outcome {
     Rows(Vec<(AtomValue, AtomValue)>),
     Scalar(AtomValue),
     Fail(String),
 }
 
-fn fused_outcome(r: Result<ops::fused::FusedOut, monet::error::MonetError>) -> FusedOutcome {
-    match r {
-        Ok(ops::fused::FusedOut::Bat(b)) => FusedOutcome::Rows(rows_of(&b)),
-        Ok(ops::fused::FusedOut::Scalar(v)) => FusedOutcome::Scalar(v),
-        Err(e) => FusedOutcome::Fail(e.to_string()),
-    }
-}
-
-/// The chain through the ordinary staged kernels — the unfused oracle.
-fn staged_outcome(ctx: &ExecCtx, src: &Bat, stages: &[ops::fused::Stage]) -> FusedOutcome {
-    use ops::fused::{FArg, Stage};
+fn run_chain(ctx: &ExecCtx, src: &Bat, steps: &[Step]) -> Outcome {
     let mut cur = src.clone();
-    for stage in stages {
-        let next = match stage {
-            Stage::SelectEq(v) => ops::select_eq(ctx, &cur, v),
-            Stage::SelectRange { lo, hi, inc_lo, inc_hi } => {
-                ops::select_range(ctx, &cur, lo.as_ref(), hi.as_ref(), *inc_lo, *inc_hi)
-            }
-            Stage::Map { f, args } => {
+    for step in steps {
+        let next = match step {
+            Step::Eq(v) => ops::select_eq(ctx, &cur, v),
+            Step::Range(lo, hi) => ops::select_range(ctx, &cur, Some(lo), Some(hi), true, false),
+            Step::Map(f, args) => {
                 let margs: Vec<ops::MultArg> = args
                     .iter()
                     .map(|a| match a {
-                        FArg::Chain => ops::MultArg::Bat(cur.clone()),
-                        FArg::Side(b) => ops::MultArg::Bat(b.clone()),
-                        FArg::Const(v) => ops::MultArg::Const(v.clone()),
+                        Arg::Chain => ops::MultArg::Bat(cur.clone()),
+                        Arg::Side(b) => ops::MultArg::Bat(b.clone()),
+                        Arg::Const(v) => ops::MultArg::Const(v.clone()),
                     })
                     .collect();
                 ops::multiplex(ctx, *f, &margs)
             }
-            Stage::Aggr(f) => {
+            Step::Aggr(f) => {
                 return match ops::aggr_scalar(ctx, &cur, *f) {
-                    Ok(v) => FusedOutcome::Scalar(v),
-                    Err(e) => FusedOutcome::Fail(e.to_string()),
+                    Ok(v) => Outcome::Scalar(v),
+                    Err(e) => Outcome::Fail(e.to_string()),
                 };
             }
         };
         match next {
             Ok(b) => cur = b,
-            Err(e) => return FusedOutcome::Fail(e.to_string()),
+            Err(e) => return Outcome::Fail(e.to_string()),
         }
     }
-    FusedOutcome::Rows(rows_of(&cur))
+    Outcome::Rows(rows_of(&cur))
 }
 
 #[test]
-fn par_fused_pipeline_bit_identical() {
-    use ops::fused::{run_fused, FArg, Stage};
+fn par_scan_chains_bit_identical() {
     use ops::{AggFunc, ScalarFunc as F};
     let mut rng = StdRng::seed_from_u64(SEED ^ 10);
     for &ty in &[AtomType::Int, AtomType::Lng, AtomType::Dbl] {
@@ -762,66 +770,25 @@ fn par_fused_pipeline_bit_identical() {
             let v = random_value(&mut rng, ty);
             let (a2, c2) = (random_value(&mut rng, ty), random_value(&mut rng, ty));
             let (lo, hi) = if a2.cmp_same_type(&c2).is_le() { (a2, c2) } else { (c2, a2) };
-            let range =
-                Stage::SelectRange { lo: Some(lo), hi: Some(hi), inc_lo: true, inc_hi: false };
-            let mul3 = Stage::Map { f: F::Mul, args: vec![FArg::Chain, FArg::Const(v.clone())] };
-            let sub_side =
-                Stage::Map { f: F::Sub, args: vec![FArg::Chain, FArg::Side(src.clone())] };
-            let mut chains: Vec<Vec<Stage>> = vec![
-                // filtered map (BAT terminal)
-                vec![range.clone(), mul3.clone()],
-                // unfiltered map chain with a synced side, float-safe sum
-                vec![mul3.clone(), sub_side.clone(), Stage::Aggr(AggFunc::Sum)],
-                vec![mul3.clone(), Stage::Aggr(AggFunc::Avg)],
-                // filtered exact aggregates (regrouping-invariant)
-                vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Count)],
-                vec![range.clone(), Stage::Aggr(AggFunc::Min)],
-                vec![range.clone(), Stage::Aggr(AggFunc::Max)],
+            let range = Step::Range(lo, hi);
+            let mul = Step::Map(F::Mul, vec![Arg::Chain, Arg::Const(v.clone())]);
+            let sub_side = Step::Map(F::Sub, vec![Arg::Chain, Arg::Side(src.clone())]);
+            let chains: Vec<Vec<Step>> = vec![
+                vec![range.clone(), mul.clone()],
+                // a synced side operand, then a float-association-sensitive sum
+                vec![mul.clone(), sub_side.clone(), Step::Aggr(AggFunc::Sum)],
+                vec![mul.clone(), Step::Aggr(AggFunc::Avg)],
+                vec![Step::Eq(v.clone()), Step::Aggr(AggFunc::Count)],
+                vec![range.clone(), Step::Aggr(AggFunc::Min)],
+                vec![range.clone(), Step::Aggr(AggFunc::Max)],
+                vec![range.clone(), Step::Aggr(AggFunc::Sum)],
             ];
-            if ty != AtomType::Dbl {
-                // Integer sums may regroup across a filter.
-                chains.push(vec![range.clone(), Stage::Aggr(AggFunc::Sum)]);
-            }
-            for (ci, stages) in chains.iter().enumerate() {
-                let oracle = serial(|ctx| staged_outcome(ctx, &src, stages));
-                let ser = serial(|ctx| fused_outcome(run_fused(ctx, &src, stages)));
-                assert_eq!(ser, oracle, "{ty} case {case} chain {ci}: fused vs staged");
+            for (ci, steps) in chains.iter().enumerate() {
+                let ser = serial(|ctx| run_chain(ctx, &src, steps));
                 for t in THREADS {
-                    let got = parallel(t, |ctx| fused_outcome(run_fused(ctx, &src, stages)));
-                    assert_eq!(got, ser, "{ty} case {case} chain {ci} t={t}: fused vs serial");
+                    let got = parallel(t, |ctx| run_chain(ctx, &src, steps));
+                    assert_eq!(got, ser, "{ty} case {case} chain {ci} t={t}: vs serial");
                 }
-            }
-        }
-    }
-}
-
-#[test]
-fn par_fused_dict_select_bit_identical() {
-    // Dict-encoded source tails take the per-morsel code-range path; it
-    // must match the staged dict-code kernel at every thread count.
-    use ops::fused::{run_fused, FArg, Stage};
-    use ops::{AggFunc, ScalarFunc as F};
-    let mut rng = StdRng::seed_from_u64(SEED ^ 11);
-    for case in 0..3 {
-        let n = rng.gen_range(150..400usize);
-        let (enc, _raw) = encoded_pair(&mut rng, AtomType::Str, n, false);
-        let src = Bat::new(Column::from_oids((0..n as u64).collect()), enc);
-        let v = encodable_value(&mut rng, AtomType::Str);
-        let chains: Vec<Vec<Stage>> = vec![
-            vec![
-                Stage::SelectRange { lo: Some(v.clone()), hi: None, inc_lo: false, inc_hi: true },
-                Stage::Map { f: F::Eq, args: vec![FArg::Chain, FArg::Const(v.clone())] },
-            ],
-            vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Count)],
-            vec![Stage::SelectEq(v.clone()), Stage::Aggr(AggFunc::Min)],
-        ];
-        for (ci, stages) in chains.iter().enumerate() {
-            let oracle = serial(|ctx| staged_outcome(ctx, &src, stages));
-            let ser = serial(|ctx| fused_outcome(run_fused(ctx, &src, stages)));
-            assert_eq!(ser, oracle, "dict case {case} chain {ci}: fused vs staged");
-            for t in THREADS {
-                let got = parallel(t, |ctx| fused_outcome(run_fused(ctx, &src, stages)));
-                assert_eq!(got, ser, "dict case {case} chain {ci} t={t}: fused vs serial");
             }
         }
     }
