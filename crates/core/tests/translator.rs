@@ -55,13 +55,52 @@ fn select_conjunction_chains_semijoins() {
     assert!(text.contains("select(Order_clerk"), "got:\n{text}");
     assert!(text.contains("join(Item_order"), "got:\n{text}");
     assert!(text.contains("semijoin(Item_returnflag"), "got:\n{text}");
-    // The plan optimizer pushes the flag select below that semijoin (the
-    // attribute BAT carries no datavector in the mini fixture, so the
-    // rewrite is order-safe).
+    // The plan optimizer keeps that shape: it has no select-pushdown rule.
     let t = translate_with(&cat, &q, OptLevel::Full).unwrap();
     let text = t.prog.to_string();
-    assert!(text.contains("select(Item_returnflag"), "got:\n{text}");
-    assert!(!text.contains("semijoin(Item_returnflag"), "got:\n{text}");
+    assert!(text.contains("semijoin(Item_returnflag"), "got:\n{text}");
+}
+
+/// Figure 10, lines 3–4: the single-hop conjunct `returnflag = 'R'` after
+/// the clerk conjunct restricts the attribute BAT to the candidates and
+/// selects on the result. With a datavector on `Item_returnflag` (as the
+/// TPC-D loader attaches one) the optimized plan keeps
+/// `select(semijoin(attr, cand))`, and the semijoin takes the datavector
+/// arm — whose right-operand output order is why no rule may move the
+/// select below it.
+#[test]
+fn figure10_single_hop_conjunct_keeps_the_datavector_semijoin() {
+    use monet::accel::datavector::Datavector;
+    use monet::bat::Bat;
+    use monet::column::Column;
+    use monet::mil::MilOp;
+    // The flags reordered on tail, as the TPC-D loader stores attributes.
+    let mut flags = Bat::with_inferred_props(
+        Column::from_oids(vec![11, 10, 12, 13]),
+        Column::from_chrs(vec![b'N', b'R', b'R', b'R']),
+    );
+    flags.set_datavector(std::sync::Arc::new(Datavector::from_unordered(&flags)));
+    let mut cat = mini_catalog();
+    cat.db_mut().register("Item_returnflag", flags);
+    let q = SetExpr::extent("Item")
+        .select(and(eq(attr("order.clerk"), lit_s("c1")), eq(attr("returnflag"), lit_c('R'))));
+    assert_commutes(&cat, &q);
+    let t = translate_with(&cat, &q, OptLevel::Full).unwrap();
+    let prog = &t.prog;
+    let flags =
+        prog.stmts.iter().position(|s| matches!(&s.op, MilOp::Load(n) if n == "Item_returnflag"));
+    let sj = prog
+        .stmts
+        .iter()
+        .position(|s| matches!(s.op, MilOp::Semijoin(a, _) if Some(a) == flags))
+        .unwrap_or_else(|| panic!("no semijoin(Item_returnflag, cand):\n{}", prog));
+    assert!(
+        prog.stmts.iter().any(|s| matches!(s.op, MilOp::SelectEq(v, _) if v == sj)),
+        "the flag select must read the semijoin:\n{}",
+        prog
+    );
+    let (_, env) = t.run(&ExecCtx::new(), cat.db()).unwrap();
+    assert_eq!(env.trace()[sj].algo, "datavector", "got:\n{}", prog);
 }
 
 #[test]

@@ -34,7 +34,7 @@
 //! | `FLATALG_THREADS` | `threads` | integer, clamped to 1..=32; default: available parallelism |
 //! | `FLATALG_ENC` | `enc` | `0` raw layouts, `1` encoded (default) |
 //! | `FLATALG_OPT` | `opt` | `0` raw translator emission, `1` optimized (default) |
-//! | `FLATALG_EXPLAIN` | `explain` | `1` prints per-pass deltas, `0` (default) |
+//! | `FLATALG_EXPLAIN` | `explain` | `1` prints per-rule rewrite counts, `0` (default) |
 //! | `FLATALG_SPILL` | `spill_force` | `1`/`force`/`always`, or `auto` (default) |
 //! | `FLATALG_SPILL_DIR` | `spill_dir` | directory; default: the system temp dir |
 //! | `FLATALG_MEM_BUDGET` | `mem_budget` | bytes, optional `k`/`m`/`g` suffix; `0` = unlimited (default) |
@@ -63,7 +63,7 @@ pub const DEFAULT_PLAN_CACHE: usize = 64;
 pub struct PlanConfig {
     /// `Off` reproduces the translator's raw emission byte for byte.
     pub opt: OptLevel,
-    /// Print each optimized program's per-pass deltas to stderr.
+    /// Print each optimized program's per-rule rewrite counts to stderr.
     pub explain: bool,
 }
 

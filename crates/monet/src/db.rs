@@ -19,7 +19,7 @@ static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
 /// catalog (`register`, and `get_mut` — which hands out the hook used to
 /// attach accelerators). Plan caches key on `(id, epoch)`, so a catalog
 /// change silently invalidates every plan compiled against the old state:
-/// the optimizer's fold and pushdown passes read the catalog's
+/// the optimizer's fold rules read the catalog's
 /// properties, types and accelerators, and a plan's rewrites are only
 /// valid for the state they were read from.
 pub struct Db {

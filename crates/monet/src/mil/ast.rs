@@ -98,21 +98,22 @@ pub enum ParamLoc {
 }
 
 impl MilOp {
-    /// Variables this operation reads (for liveness analysis).
-    pub fn operands(&self) -> Vec<Var> {
+    /// Call `f` on every variable this operation reads, in operand order
+    /// (liveness analysis; no allocation).
+    pub fn for_each_operand(&self, mut f: impl FnMut(Var)) {
         match self {
-            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Fused => vec![],
+            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Fused => {}
             MilOp::Mirror(v)
             | MilOp::SelectEq(v, _)
             | MilOp::Unique(v)
             | MilOp::Group1(v)
             | MilOp::SortTail(v)
             | MilOp::SortHead(v)
-            | MilOp::Mark(v) => vec![*v],
+            | MilOp::Mark(v) => f(*v),
             MilOp::SelectRange { src, .. }
             | MilOp::SetAgg { src, .. }
             | MilOp::AggrScalar { src, .. }
-            | MilOp::TopN { src, .. } => vec![*src],
+            | MilOp::TopN { src, .. } => f(*src),
             MilOp::Join(a, b)
             | MilOp::Semijoin(a, b)
             | MilOp::Antijoin(a, b)
@@ -121,19 +122,22 @@ impl MilOp {
             | MilOp::Diff(a, b)
             | MilOp::Intersect(a, b)
             | MilOp::Concat(a, b)
-            | MilOp::Zip(a, b) => vec![*a, *b],
-            MilOp::Multiplex { args, .. } => args
-                .iter()
-                .filter_map(|a| match a {
-                    MilArg::Var(v) => Some(*v),
-                    MilArg::Const(_) => None,
-                })
-                .collect(),
+            | MilOp::Zip(a, b) => {
+                f(*a);
+                f(*b);
+            }
+            MilOp::Multiplex { args, .. } => {
+                for a in args {
+                    if let MilArg::Var(v) = a {
+                        f(*v);
+                    }
+                }
+            }
         }
     }
 
     /// Apply `f` to every operand variable in place (the optimizer's
-    /// rewrite primitive: CSE aliasing, DCE renumbering).
+    /// rewrite primitive: canonicalization, DCE renumbering).
     pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Var)) {
         match self {
             MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Fused => {}
@@ -322,20 +326,6 @@ impl MilProgram {
         self.stmts.is_empty()
     }
 
-    /// Number of operand references to each variable across the whole
-    /// program (a variable appearing twice in one statement counts twice).
-    /// Roots the caller keeps alive are *not* counted — pass them to the
-    /// optimizer separately.
-    pub fn use_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.stmts.len()];
-        for stmt in &self.stmts {
-            for v in stmt.op.operands() {
-                counts[v] += 1;
-            }
-        }
-        counts
-    }
-
     /// For each statement index, the set of variables whose *last* use is
     /// that statement — the interpreter frees them afterwards ("algebraic
     /// buffer management": materialized intermediates are released as soon
@@ -343,9 +333,7 @@ impl MilProgram {
     pub fn last_uses(&self) -> Vec<Vec<Var>> {
         let mut last_use: Vec<Option<usize>> = vec![None; self.stmts.len()];
         for (i, stmt) in self.stmts.iter().enumerate() {
-            for v in stmt.op.operands() {
-                last_use[v] = Some(i);
-            }
+            stmt.op.for_each_operand(|v| last_use[v] = Some(i));
         }
         let mut frees: Vec<Vec<Var>> = vec![Vec::new(); self.stmts.len()];
         for (v, lu) in last_use.iter().enumerate() {
@@ -377,7 +365,9 @@ mod tests {
             f: ScalarFunc::Mul,
             args: vec![MilArg::Var(3), MilArg::Const(AtomValue::Dbl(1.0)), MilArg::Var(7)],
         };
-        assert_eq!(op.operands(), vec![3, 7]);
+        let mut operands = Vec::new();
+        op.for_each_operand(|v| operands.push(v));
+        assert_eq!(operands, vec![3, 7]);
     }
 
     #[test]

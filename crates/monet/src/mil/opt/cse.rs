@@ -4,7 +4,7 @@
 //! every attribute hop and every mention of an attribute path — e.g. a
 //! query that filters on `order.customer.nation` and also projects it
 //! walks the same reference joins twice. Two statements with the same
-//! operation and (canonicalized) operands compute the same value, so all
+//! operation and (canonical) operands compute the same value, so all
 //! later uses are redirected to the first occurrence; the orphaned
 //! duplicates fall to DCE.
 //!
@@ -19,20 +19,59 @@
 //! forms, and a datavector can only reach a use site through operands
 //! that were structurally identical anyway.
 //!
-//! Keys are structural 64-bit hashes with a full structural-equality
-//! check on the bucket (no string rendering — the optimizer runs on every
+//! Keys are structural 64-bit hashes, confirmed by a full structural
+//! equality check (no string rendering — the optimizer runs on every
 //! translated query, so its constant cost matters). Atom constants
 //! compare *bit-exactly*: `0.0`/`-0.0` and NaN payloads must not merge.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use crate::atom::AtomValue;
 
-use super::super::ast::{MilArg, MilOp, MilProgram, Var};
-use super::{Pass, PassCtx, PassEffect};
+use super::super::ast::{MilArg, MilOp, MilProgram, MilStmt, Var};
 
-pub(crate) struct Cse;
+/// Multiplicative word hasher (the `FxHasher` recipe): keys are small
+/// structural tuples, where SipHash's flooding resistance buys little —
+/// constants crafted to collide cost at most probes quadratic in the
+/// length of the program that carries them, one table per program.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.add(x as u64);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Bit-exact atom identity (stricter than `==` on floats: distinguishes
 /// -0.0 from 0.0 and any two NaN payloads).
@@ -87,8 +126,10 @@ fn args_identical(a: &MilArg, b: &MilArg) -> bool {
     }
 }
 
-fn hash_op(op: &MilOp) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
+/// Structural hash of a statement: its operation and its parameter slots.
+fn hash_stmt(stmt: &MilStmt) -> u64 {
+    let mut h = WordHasher::default();
+    let op = &stmt.op;
     std::mem::discriminant(op).hash(&mut h);
     match op {
         MilOp::Load(n) => n.hash(&mut h),
@@ -135,14 +176,19 @@ fn hash_op(op: &MilOp) -> u64 {
         MilOp::TopN { src, n, desc } => (src, n, desc).hash(&mut h),
         MilOp::Fused => {}
     }
+    // Parameter slots are part of a statement's identity: merging a
+    // parameterized statement with a plain one holding the same *current*
+    // value would make a later re-binding corrupt the non-parameterized use
+    // (and vice versa). Only statements with identical slot lists merge.
+    stmt.params.hash(&mut h);
     h.finish()
 }
 
-/// Structural equality with bit-exact constants; operand variables are
-/// already canonical when this runs.
-fn ops_identical(a: &MilOp, b: &MilOp) -> bool {
+/// Structural equality with bit-exact constants and equal parameter slots;
+/// operand variables are already canonical when this runs.
+fn stmts_identical(a: &MilStmt, b: &MilStmt) -> bool {
     use MilOp as O;
-    match (a, b) {
+    let ops = match (&a.op, &b.op) {
         (O::Load(x), O::Load(y)) => x == y,
         (O::ConstScalar(x), O::ConstScalar(y)) => atoms_identical(x, y),
         (O::Mirror(x), O::Mirror(y))
@@ -181,55 +227,48 @@ fn ops_identical(a: &MilOp, b: &MilOp) -> bool {
             xs == ys && xn == yn && xd == yd
         }
         _ => false,
-    }
+    };
+    ops && a.params == b.params
 }
 
-impl Pass for Cse {
-    fn name(&self) -> &'static str {
-        "cse"
+/// Open-addressing table of the representatives seen so far: `(hash,
+/// var)` slots, linear probing, sized once for the whole program.
+pub(super) struct HashCons {
+    slots: Vec<(u64, Var)>,
+    /// `64 - log2(slots.len())`: the slot index is the hash's top bits.
+    shift: u32,
+}
+
+const EMPTY: Var = Var::MAX;
+
+impl HashCons {
+    /// A table for a program of `n` statements (load factor ≤ 1/2).
+    pub fn new(n: usize) -> HashCons {
+        let cap = (2 * n).next_power_of_two().max(8);
+        HashCons { slots: vec![(0, EMPTY); cap], shift: 64 - cap.trailing_zeros() }
     }
 
-    fn run(&self, prog: &mut MilProgram, _cx: &PassCtx) -> PassEffect {
-        let n = prog.len();
-        // canon[v] = representative variable computing the same value.
-        let mut canon: Vec<usize> = (0..n).collect();
-        let mut seen: HashMap<u64, Vec<Var>> = HashMap::with_capacity(n);
-        let mut applied = 0;
-        'stmt: for i in 0..n {
-            // Canonicalize operands first so structural keys match across
-            // chains of merged statements.
-            prog.stmts[i].op.for_each_operand_mut(|v| *v = canon[*v]);
-            let op = &prog.stmts[i].op;
-            if op.draws_fresh_oids() {
-                continue;
-            }
-            // Parameter slots are part of a statement's identity: merging a
-            // parameterized statement with a plain one holding the same
-            // *current* value would make a later re-binding corrupt the
-            // non-parameterized use (and vice versa). Only statements with
-            // identical slot lists may merge.
-            let mut key = hash_op(op);
-            if !prog.stmts[i].params.is_empty() {
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                key.hash(&mut h);
-                prog.stmts[i].params.hash(&mut h);
-                key = h.finish();
-            }
-            let bucket = seen.entry(key).or_default();
-            for &rep in bucket.iter() {
-                if ops_identical(&prog.stmts[rep].op, op)
-                    && prog.stmts[rep].params == prog.stmts[i].params
-                {
-                    canon[i] = rep;
-                    applied += 1;
-                    continue 'stmt;
-                }
-            }
-            bucket.push(i);
+    /// The earlier representative statement `i` (operands canonical)
+    /// duplicates, if any; otherwise `i` becomes the representative of its
+    /// structure. Fresh-oid statements neither merge nor represent.
+    pub fn merge(&mut self, prog: &MilProgram, i: Var) -> Option<Var> {
+        let stmt = &prog.stmts[i];
+        if stmt.op.draws_fresh_oids() {
+            return None;
         }
-        if applied == 0 {
-            return PassEffect::unchanged();
+        let key = hash_stmt(stmt);
+        let mask = self.slots.len() - 1;
+        let mut at = (key >> self.shift) as usize;
+        loop {
+            let (h, rep) = self.slots[at];
+            if rep == EMPTY {
+                self.slots[at] = (key, i);
+                return None;
+            }
+            if h == key && stmts_identical(&prog.stmts[rep], stmt) {
+                return Some(rep);
+            }
+            at = (at + 1) & mask;
         }
-        PassEffect { applied, remap: Some(canon.into_iter().map(Some).collect()) }
     }
 }

@@ -10,46 +10,37 @@
 //! interpreter is actually handed, never from the raw emission.
 
 use super::super::ast::{MilProgram, Var};
-use super::{Pass, PassCtx, PassEffect};
 
-pub(crate) struct Dce;
-
-impl Pass for Dce {
-    fn name(&self) -> &'static str {
-        "dce"
+/// Remove every statement no root depends on and renumber the rest.
+/// Returns the number removed and `remap[old] = Some(new)` (`None` marks
+/// a removed variable).
+pub(super) fn dce(
+    prog: &mut MilProgram,
+    roots: impl Iterator<Item = Var>,
+) -> (usize, Vec<Option<Var>>) {
+    let n = prog.len();
+    let mut live = vec![false; n];
+    for r in roots {
+        live[r] = true;
     }
-
-    fn run(&self, prog: &mut MilProgram, cx: &PassCtx) -> PassEffect {
-        let n = prog.len();
-        let mut live = vec![false; n];
-        for &r in &cx.roots {
-            live[r] = true;
+    for i in (0..n).rev() {
+        if live[i] {
+            prog.stmts[i].op.for_each_operand(|v| live[v] = true);
         }
-        for i in (0..n).rev() {
-            if live[i] {
-                for v in prog.stmts[i].op.operands() {
-                    live[v] = true;
-                }
-            }
-        }
-        let removed = live.iter().filter(|&&l| !l).count();
-        if removed == 0 {
-            return PassEffect::unchanged();
-        }
-        let mut remap: Vec<Option<Var>> = vec![None; n];
-        let mut kept = Vec::with_capacity(n - removed);
-        for (i, mut stmt) in prog.stmts.drain(..).enumerate() {
-            if !live[i] {
-                continue;
-            }
-            let new = kept.len();
-            remap[i] = Some(new);
-            stmt.var = new;
-            stmt.op
-                .for_each_operand_mut(|v| *v = remap[*v].expect("operand of a live stmt is live"));
-            kept.push(stmt);
-        }
-        prog.stmts = kept;
-        PassEffect { applied: removed, remap: Some(remap) }
     }
+    let mut remap: Vec<Option<Var>> = vec![None; n];
+    let (mut next, mut kept) = (0, 0);
+    prog.stmts.retain_mut(|stmt| {
+        let i = next;
+        next += 1;
+        if !live[i] {
+            return false;
+        }
+        remap[i] = Some(kept);
+        stmt.var = kept;
+        stmt.op.for_each_operand_mut(|v| *v = remap[*v].expect("operand of a live stmt is live"));
+        kept += 1;
+        true
+    });
+    (n - kept, remap)
 }

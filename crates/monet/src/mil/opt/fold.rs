@@ -1,4 +1,4 @@
-//! Constant folding and algebraic identities.
+//! Constant folding and algebraic identities, as per-statement rules.
 //!
 //! * **Constant inlining** — a multiplex argument referencing a
 //!   `const`-scalar statement becomes an immediate `MilArg::Const`; the
@@ -14,39 +14,40 @@
 //!   the right-order datavector path.
 //! * **Redundant semijoin** — `semijoin(x, c)` is `x` whenever every head
 //!   of `x` provably occurs in `c`: the membership filter keeps all of
-//!   `x`, in `x` order. Provenance comes from a forward head-subset
-//!   analysis ([`head_supersets`]): selections, semijoins, joins and
-//!   multiplexes emit head *subsets* of their operands, while `group`,
-//!   `{g}`, `mark`, `sort` and `unique` preserve the head value *set*
-//!   ([`head_source`] walks back through those). This catches both the
-//!   translator's re-applied candidate restrictions along conjunct chains
-//!   and the `semijoin(class.mirror, {count}(class.mirror))` shape every
-//!   nest plan emits. Fenced on `x` being datavector-free like the mirror
-//!   rule (the datavector semijoin emits in right order).
+//!   `x`, in `x` order. Provenance comes from the head-superset rows of
+//!   [`Facts`]: selections, semijoins, joins and multiplexes emit head
+//!   *subsets* of their operands, while `group`, `{g}`, `mark`, `sort` and
+//!   `unique` preserve the head value *set* ([`head_source`] walks back
+//!   through those). This catches both the translator's re-applied
+//!   candidate restrictions along conjunct chains and the
+//!   `semijoin(class.mirror, {count}(class.mirror))` shape every nest plan
+//!   emits. Fenced on `x` being datavector-free like the mirror rule (the
+//!   datavector semijoin emits in right order).
 //! * **Saturated semijoin** — dually, `semijoin(x, c)` is `c` whenever
-//!   `c` is an *order-preserving row-subset* of `x` ([`pair_subsets`]:
-//!   select/semijoin/antijoin/diff/intersect/unique chains, which emit
-//!   subsequences of their left operand) and `x` has a key head: each of
-//!   `c`'s heads finds exactly its own row, in `c`'s order. This is the
-//!   translator's fragment re-assembly against a selection of the same
-//!   attribute BAT (`semijoin(X, select(X, ..))`, Figure 10 line 3/4).
-//!   No datavector fence needed: the datavector path emits right-operand
-//!   (= `c`) order and fetches the same canonical tail values, so every
-//!   implementation returns exactly `c`'s BUNs in `c`'s order.
+//!   `c` is an *order-preserving row-subset* of `x` (the pair-subset rows
+//!   of [`Facts`]: select/semijoin/antijoin/diff/intersect/unique chains,
+//!   which emit subsequences of their left operand) and `x` has a key
+//!   head: each of `c`'s heads finds exactly its own row, in `c`'s order.
+//!   This is the translator's fragment re-assembly against a selection of
+//!   the same attribute BAT (`semijoin(X, select(X, ..))`, Figure 10 line
+//!   3/4). No datavector fence needed: the datavector path emits
+//!   right-operand (= `c`) order and fetches the same canonical tail
+//!   values, so every implementation returns exactly `c`'s BUNs in `c`'s
+//!   order.
 //!
-//! The aliasing rewrites redirect uses like CSE does and leave the orphan
+//! The aliasing rules redirect uses like CSE does and leave the orphan
 //! to DCE. All of them only ever *increase* column-identity sharing,
 //! which is safe (sync fast paths are bit-identical to the general forms).
 
+use crate::db::Db;
+
 use super::super::ast::{MilArg, MilOp, MilProgram, Var};
-use super::{infer, Pass, PassCtx, PassEffect};
+use super::infer::{shape_of, Shape};
+use super::Rule;
 
-pub(crate) struct Fold;
-
-/// A per-variable bitset over program variables (word-packed: the subset
-/// analyses union whole ancestor sets per statement, and the optimizer
-/// runs on every translated query, so this is `|=` over a few words
-/// instead of hash-set churn).
+/// A per-variable bitset over program variables (word-packed: a fact row
+/// unions whole operand rows, so this is `|=` over a few words instead of
+/// hash-set churn).
 struct VarSets {
     words: Vec<u64>,
     stride: usize,
@@ -76,97 +77,107 @@ impl VarSets {
     }
 }
 
-/// For each variable, the set of variables whose head-value set provably
-/// contains this variable's (always includes itself). Only BAT-valued
-/// variables carry facts.
-fn head_supersets(prog: &MilProgram, bat_valued: &[bool]) -> VarSets {
-    let mut sup = VarSets::new(prog.len());
-    for (i, stmt) in prog.stmts.iter().enumerate() {
-        sup.insert(i, i);
-        {
-            let mut inherit = |v: Var| {
-                if bat_valued[v] {
-                    sup.union_into(i, v);
-                }
-            };
-            match &stmt.op {
-                // Head subsets of an operand.
-                MilOp::SelectEq(v, _)
-                | MilOp::Unique(v)
-                | MilOp::SortTail(v)
-                | MilOp::SortHead(v)
-                | MilOp::Group1(v)
-                | MilOp::Mark(v) => inherit(*v),
-                MilOp::SelectRange { src, .. }
-                | MilOp::TopN { src, .. }
-                | MilOp::SetAgg { src, .. } => inherit(*src),
-                MilOp::Join(a, _)
-                | MilOp::Antijoin(a, _)
-                | MilOp::Diff(a, _)
-                | MilOp::Intersect(a, _)
-                | MilOp::Group2(a, _) => inherit(*a),
-                // A semijoin result's heads occur in *both* operands.
-                MilOp::Semijoin(a, c) => {
-                    inherit(*a);
-                    inherit(*c);
-                }
-                // Multiplex heads survive the natural join on heads, so
-                // they occur in every BAT argument.
-                MilOp::Multiplex { args, .. } => {
-                    for a in args {
-                        if let MilArg::Var(v) = a {
-                            inherit(*v);
-                        }
-                    }
-                }
-                // Mirror swaps the column roles; union/concat/zip build
-                // new head sets: no facts beyond self.
-                MilOp::Load(_)
-                | MilOp::ConstScalar(_)
-                | MilOp::AggrScalar { .. }
-                | MilOp::Fused
-                | MilOp::Mirror(_)
-                | MilOp::Union(..)
-                | MilOp::Concat(..)
-                | MilOp::Zip(..) => {}
-            }
-        }
-    }
-    sup
+/// What the rules know about each statement the sweep kept as its own
+/// representative, recorded in statement order from canonical operands:
+///
+/// * `shapes` — the static [`Shape`] (`None` for scalars);
+/// * `sup` — the variables whose head-value set provably contains this
+///   variable's (always itself; only BAT-valued operands contribute);
+/// * `psup` — the variables this one is an *order-preserving row-subset*
+///   of (always itself): selections and the subset-shaped binary ops emit
+///   subsequences of their left operand — same BUNs, ascending operand
+///   positions. `topn`/`sort` are excluded (they reorder), as is
+///   everything that rewrites values.
+///
+/// Rows of statements aliased away stay empty: no canonical operand ever
+/// names them.
+pub(super) struct Facts {
+    shapes: Vec<Option<Shape>>,
+    sup: VarSets,
+    psup: VarSets,
 }
 
-/// For each variable, the set of variables it is an *order-preserving
-/// row-subset* of (always includes itself): selections and the
-/// subset-shaped binary ops emit subsequences of their left operand —
-/// same BUNs, ascending operand positions. `topn`/`sort` are excluded
-/// (they reorder), as is everything that rewrites values.
-///
-/// A semijoin only inherits its left operand's facts when its own output
-/// order is provably the left order: either the left operand is
-/// datavector-free (every remaining implementation emits ascending left
-/// positions), or the *right* operand is itself an order-preserving
-/// row-subset of the left (then even the datavector path — which emits
-/// right-operand order — coincides with left order).
-fn pair_subsets(prog: &MilProgram, shapes: &[Option<infer::Shape>]) -> VarSets {
-    let mut psup = VarSets::new(prog.len());
-    for (i, stmt) in prog.stmts.iter().enumerate() {
-        psup.insert(i, i);
-        match &stmt.op {
-            MilOp::SelectEq(v, _) | MilOp::Unique(v) => psup.union_into(i, *v),
-            MilOp::SelectRange { src, .. } => psup.union_into(i, *src),
+impl Facts {
+    pub fn new(n: usize) -> Facts {
+        Facts { shapes: vec![None; n], sup: VarSets::new(n), psup: VarSets::new(n) }
+    }
+
+    /// Whether `v` may carry a datavector (unknown shapes may).
+    fn may_dv(&self, v: Var) -> bool {
+        self.shapes[v].is_none_or(|s| s.may_dv)
+    }
+
+    /// Record statement `i`, whose operands are canonical.
+    pub fn record(&mut self, i: Var, op: &MilOp, db: &Db) {
+        self.shapes[i] = shape_of(op, &self.shapes, db);
+        self.sup.insert(i, i);
+        let mut inherit = |v: Var| {
+            if self.shapes[v].is_some() {
+                self.sup.union_into(i, v);
+            }
+        };
+        match op {
+            // Head subsets of an operand.
+            MilOp::SelectEq(v, _)
+            | MilOp::Unique(v)
+            | MilOp::SortTail(v)
+            | MilOp::SortHead(v)
+            | MilOp::Group1(v)
+            | MilOp::Mark(v) => inherit(*v),
+            MilOp::SelectRange { src, .. }
+            | MilOp::TopN { src, .. }
+            | MilOp::SetAgg { src, .. } => inherit(*src),
+            MilOp::Join(a, _)
+            | MilOp::Antijoin(a, _)
+            | MilOp::Diff(a, _)
+            | MilOp::Intersect(a, _)
+            | MilOp::Group2(a, _) => inherit(*a),
+            // A semijoin result's heads occur in *both* operands.
             MilOp::Semijoin(a, c) => {
-                let a_may_dv = shapes[*a].map_or(true, |s| s.may_dv);
-                if !a_may_dv || psup.contains(*c, *a) {
-                    psup.union_into(i, *a);
+                inherit(*a);
+                inherit(*c);
+            }
+            // Multiplex heads survive the natural join on heads, so they
+            // occur in every BAT argument.
+            MilOp::Multiplex { args, .. } => {
+                for a in args {
+                    if let MilArg::Var(v) = a {
+                        inherit(*v);
+                    }
                 }
             }
+            // Mirror swaps the column roles; union/concat/zip build new
+            // head sets: no facts beyond self.
+            MilOp::Load(_)
+            | MilOp::ConstScalar(_)
+            | MilOp::AggrScalar { .. }
+            | MilOp::Fused
+            | MilOp::Mirror(_)
+            | MilOp::Union(..)
+            | MilOp::Concat(..)
+            | MilOp::Zip(..) => {}
+        }
+
+        self.psup.insert(i, i);
+        match op {
+            MilOp::SelectEq(v, _) | MilOp::Unique(v) => self.psup.union_into(i, *v),
+            MilOp::SelectRange { src, .. } => self.psup.union_into(i, *src),
+            // A semijoin only inherits its left operand's rows when its own
+            // output order is provably the left order: either the left
+            // operand is datavector-free (every remaining implementation
+            // emits ascending left positions), or the *right* operand is
+            // itself an order-preserving row-subset of the left (then even
+            // the datavector path — which emits right-operand order —
+            // coincides with left order).
+            MilOp::Semijoin(a, c) if !self.may_dv(*a) || self.psup.contains(*c, *a) => {
+                self.psup.union_into(i, *a)
+            }
             MilOp::Antijoin(a, _) | MilOp::Diff(a, _) | MilOp::Intersect(a, _) => {
-                psup.union_into(i, *a)
+                self.psup.union_into(i, *a)
             }
             _ => {}
         }
     }
-    psup
 }
 
 /// Walk `v` back through operations that preserve the head value *set*
@@ -186,84 +197,73 @@ fn head_source(prog: &MilProgram, mut v: Var) -> Var {
     }
 }
 
-impl Pass for Fold {
-    fn name(&self) -> &'static str {
-        "fold"
-    }
-
-    fn run(&self, prog: &mut MilProgram, cx: &PassCtx) -> PassEffect {
-        let n = prog.len();
-        let shapes = infer::infer_shapes(prog, cx.db);
-        let bat_valued: Vec<bool> = shapes.iter().map(Option::is_some).collect();
-        let sup = head_supersets(prog, &bat_valued);
-        let psup = pair_subsets(prog, &shapes);
-        let mut alias: Vec<Var> = (0..n).collect();
-        let mut applied = 0;
-        for i in 0..n {
-            prog.stmts[i].op.for_each_operand_mut(|v| *v = alias[*v]);
-            match prog.stmts[i].op.clone() {
-                MilOp::Mirror(m) => {
-                    if let MilOp::Mirror(x) = prog.stmts[m].op {
-                        let x_may_dv = shapes[x].map_or(true, |s| s.may_dv);
-                        if !x_may_dv {
-                            alias[i] = x;
-                            applied += 1;
-                        }
-                    }
-                }
-                MilOp::Semijoin(x, c) => {
-                    let x_may_dv = shapes[x].map_or(true, |s| s.may_dv);
-                    let x_key_head = shapes[x].map_or(false, |s| s.props.head.key);
-                    let src = head_source(prog, c);
-                    if !x_may_dv && (sup.contains(x, c) || sup.contains(x, src)) {
-                        // Redundant filter: heads(x) ⊆ heads(c).
-                        alias[i] = x;
-                        applied += 1;
-                    } else if x_key_head && psup.contains(c, x) {
-                        // Saturated filter: c is a row-subset of keyed x.
-                        alias[i] = c;
-                        applied += 1;
-                    }
-                }
-                MilOp::Multiplex { f, mut args } => {
-                    let mut inlined = 0;
-                    for a in args.iter_mut() {
-                        if let MilArg::Var(v) = a {
-                            if let MilOp::ConstScalar(c) = &prog.stmts[*v].op {
-                                *a = MilArg::Const(c.clone());
-                                inlined += 1;
-                            }
-                        }
-                    }
-                    // A statement holding prepared-statement parameter slots
-                    // must never be evaluated away: collapsing it to a
-                    // `const` would bake the *current* binding into the plan
-                    // and lose the slot. Inlining into its args is fine (arg
-                    // indices are stable), but the op itself stays.
-                    let consts: Option<Vec<_>> = if prog.stmts[i].params.is_empty() {
-                        args.iter()
-                            .map(|a| match a {
-                                MilArg::Const(c) => Some(c.clone()),
-                                MilArg::Var(_) => None,
-                            })
-                            .collect()
-                    } else {
-                        None
-                    };
-                    if let Some(v) = consts.and_then(|cs| crate::ops::apply_scalar(f, &cs).ok()) {
-                        prog.stmts[i].op = MilOp::ConstScalar(v);
-                        applied += inlined + 1;
-                    } else if inlined > 0 {
-                        prog.stmts[i].op = MilOp::Multiplex { f, args };
-                        applied += inlined;
-                    }
-                }
-                _ => {}
+/// The aliasing rules on statement `i` (operands canonical): the rule that
+/// fires and the earlier variable `i` equals, if any.
+pub(super) fn alias(prog: &MilProgram, i: Var, facts: &Facts) -> Option<(Rule, Var)> {
+    match prog.stmts[i].op {
+        MilOp::Mirror(m) => match prog.stmts[m].op {
+            MilOp::Mirror(x) if !facts.may_dv(x) => Some((Rule::FoldMirror, x)),
+            _ => None,
+        },
+        MilOp::Semijoin(x, c) => {
+            let x_key_head = facts.shapes[x].is_some_and(|s| s.props.head.key);
+            if !facts.may_dv(x)
+                && (facts.sup.contains(x, c) || facts.sup.contains(x, head_source(prog, c)))
+            {
+                // Redundant filter: heads(x) ⊆ heads(c).
+                Some((Rule::FoldRedundant, x))
+            } else if x_key_head && facts.psup.contains(c, x) {
+                // Saturated filter: c is a row-subset of keyed x.
+                Some((Rule::FoldSaturated, c))
+            } else {
+                None
             }
         }
-        if alias.iter().enumerate().all(|(i, &a)| i == a) {
-            return PassEffect { applied, remap: None };
+        _ => None,
+    }
+}
+
+/// The constant rules on statement `i` (operands canonical), applied in
+/// place; returns the number of rewrites (inlined arguments, plus one for
+/// an evaluation).
+pub(super) fn constants(prog: &mut MilProgram, i: Var) -> usize {
+    let MilOp::Multiplex { f, args } = &prog.stmts[i].op else { return 0 };
+    let is_const = |v: &Var| matches!(prog.stmts[*v].op, MilOp::ConstScalar(_));
+    let inlinable = |a: &MilArg| matches!(a, MilArg::Var(v) if is_const(v));
+    if !args.iter().any(inlinable) && args.iter().any(|a| matches!(a, MilArg::Var(_))) {
+        return 0; // a BAT argument stays: nothing to inline or evaluate
+    }
+    let (f, mut args) = (*f, args.clone());
+    let mut inlined = 0;
+    for a in args.iter_mut() {
+        if let MilArg::Var(v) = a {
+            if let MilOp::ConstScalar(c) = &prog.stmts[*v].op {
+                *a = MilArg::Const(c.clone());
+                inlined += 1;
+            }
         }
-        PassEffect { applied, remap: Some(alias.into_iter().map(Some).collect()) }
+    }
+    // A statement holding prepared-statement parameter slots must never be
+    // evaluated away: collapsing it to a `const` would bake the *current*
+    // binding into the plan and lose the slot. Inlining into its args is
+    // fine (arg indices are stable), but the op itself stays.
+    let consts: Option<Vec<_>> = if prog.stmts[i].params.is_empty() {
+        args.iter()
+            .map(|a| match a {
+                MilArg::Const(c) => Some(c.clone()),
+                MilArg::Var(_) => None,
+            })
+            .collect()
+    } else {
+        None
+    };
+    if let Some(v) = consts.and_then(|cs| crate::ops::apply_scalar(f, &cs).ok()) {
+        prog.stmts[i].op = MilOp::ConstScalar(v);
+        inlined + 1
+    } else {
+        if inlined > 0 {
+            prog.stmts[i].op = MilOp::Multiplex { f, args };
+        }
+        inlined
     }
 }

@@ -47,7 +47,10 @@ pub fn infer_shapes(prog: &MilProgram, db: &Db) -> Vec<Option<Shape>> {
     shapes
 }
 
-fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
+/// The shape of one statement's result from its operands' shapes — the
+/// per-statement rule [`infer_shapes`] folds over a program, and the one
+/// the optimizer's sweep applies as it goes.
+pub(super) fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<Shape> {
     let sh = |v: Var| -> Option<Shape> { shapes.get(v).copied().flatten() };
     Some(match op {
         MilOp::Load(name) => {

@@ -4,40 +4,51 @@
 //! MIL programs that exploit descriptor properties (Section 5.1) to take
 //! cheaper algebraic forms. The MOA translator emits naive straight-line
 //! programs — it re-emits the same `load`/`mirror`/`join` chains per
-//! attribute hop and evaluates selections wherever the rewrite rule put
-//! them. This module closes the gap with a small pass pipeline over
-//! [`MilProgram`]s, run to a fixpoint:
+//! attribute hop and re-applies candidate restrictions along conjunct
+//! chains. This module restores the plan shape in **one forward sweep
+//! followed by one DCE**. For each statement in order:
 //!
-//! * [`fold`] — constant folding: inline scalar constants into multiplex
-//!   arguments, evaluate all-constant multiplexes at plan time, dissolve
-//!   `mirror(mirror(x))` chains and idempotent re-semijoins;
-//! * [`cse`] — common-subexpression elimination: hash-cons structurally
-//!   identical statements (fresh-oid drawing ops are exempt — two
-//!   identical `group`s produce different oid ranges);
-//! * [`pushdown`] — move tail selections below `join`/`semijoin` where
-//!   head/tail provenance keeps the result bit-identical;
-//! * [`dce`] — dead-code elimination with variable renumbering, so the
-//!   interpreter's free-at-last-use accounting is recomputed against the
-//!   rewritten program.
+//! 1. its operands are rewritten through one `canon[]` map to the earlier
+//!    statement that computes their value;
+//! 2. the [`fold`] rules run on it — constant inlining/evaluation in
+//!    place, then the aliasing rules (`mirror(mirror(x))`, redundant and
+//!    saturated semijoins), which map it to an earlier variable;
+//! 3. otherwise [`cse`] hash-conses it against the statements kept so far
+//!    (fresh-oid drawing ops are exempt — two identical `group`s produce
+//!    different oid ranges);
+//! 4. a statement that stays its own representative gets its facts
+//!    recorded — static [`Shape`] by [`infer`]'s per-statement rule,
+//!    head-superset and pair-subset rows — from its canonical operands.
+//!
+//! [`dce`] then drops the orphans and renumbers, so the interpreter's
+//! free-at-last-use accounting is recomputed against the rewritten
+//! program. Every rule reads only earlier, already-canonical statements,
+//! so the sweep's output is a fixpoint: optimizing it again rewrites
+//! nothing. A new rule plugs in the same way — a per-statement rule over
+//! earlier statements and their facts.
+//!
+//! There is no select-pushdown rule: the translator already selects on
+//! the attribute BAT, and the one `select(semijoin(attr, cand))` it emits
+//! (Figure 10, lines 3–4) must stay, because `attr` carries a datavector
+//! whose semijoin emits right-operand order.
 //!
 //! The optimizer rewrites statements; it never chooses their algorithm.
 //! Which implementation runs a statement is its operator's run-time
-//! decision from the operands' descriptors (Section 5.1); the passes read
+//! decision from the operands' descriptors (Section 5.1); the rules read
 //! the same properties, propagated statically by the kernels' own rules
 //! ([`infer`]), only to decide which rewrites are safe.
 //!
-//! Every pass is **order-preserving and bit-identity-preserving**: an
+//! Every rule is **order-preserving and bit-identity-preserving**: an
 //! optimized program produces exactly the value stream of the raw program
 //! (floating-point aggregation orders included). What the optimizer may
 //! consult is the [`PlanConfig`] it is handed: `opt: Off` makes callers
 //! skip it entirely and run the translator's raw emission, and `explain`
-//! prints before/after plans with per-pass statement deltas to stderr.
+//! prints before/after plans with per-rule rewrite counts to stderr.
 
 mod cse;
 mod dce;
 mod fold;
 mod infer;
-mod pushdown;
 
 pub use infer::{infer_shapes, Shape};
 
@@ -48,7 +59,7 @@ use super::ast::{MilProgram, Var};
 use super::print::render_program;
 
 /// How hard the optimizer works. `Off` reproduces the raw translator
-/// emission byte for byte; `Full` runs the whole pipeline.
+/// emission byte for byte; `Full` runs the sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OptLevel {
     Off,
@@ -79,15 +90,43 @@ pub fn cumulative() -> (u64, u64) {
     CUMULATIVE.with(|c| c.get())
 }
 
-/// One pass execution record (a line of the EXPLAIN output).
-#[derive(Debug, Clone)]
-pub struct PassDelta {
-    pub pass: &'static str,
-    pub round: usize,
-    /// Rewrites the pass applied (0 = no change).
-    pub applied: usize,
-    /// Program length after the pass ran.
-    pub stmts_after: usize,
+/// A rewrite rule of the sweep (a line of the EXPLAIN output).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rule {
+    /// Constant inlining and plan-time evaluation of multiplexes.
+    FoldConst,
+    /// `mirror(mirror(x))` is `x`.
+    FoldMirror,
+    /// `semijoin(x, c)` is `x` when `heads(x) ⊆ heads(c)`.
+    FoldRedundant,
+    /// `semijoin(x, c)` is `c` when `c` is a row-subset of key-headed `x`.
+    FoldSaturated,
+    /// A statement merged into an identical earlier one.
+    Cse,
+    /// A statement no root depends on, removed.
+    Dce,
+}
+
+impl Rule {
+    pub const ALL: [Rule; 6] = [
+        Rule::FoldConst,
+        Rule::FoldMirror,
+        Rule::FoldRedundant,
+        Rule::FoldSaturated,
+        Rule::Cse,
+        Rule::Dce,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            Rule::FoldConst => "fold.const",
+            Rule::FoldMirror => "fold.mirror",
+            Rule::FoldRedundant => "fold.redundant",
+            Rule::FoldSaturated => "fold.saturated",
+            Rule::Cse => "cse",
+            Rule::Dce => "dce",
+        }
+    }
 }
 
 /// What the optimizer did to one program.
@@ -95,11 +134,21 @@ pub struct PassDelta {
 pub struct OptReport {
     pub stmts_before: usize,
     pub stmts_after: usize,
-    pub rounds: usize,
-    pub deltas: Vec<PassDelta>,
+    /// Rewrites applied per rule, indexed by `Rule as usize`.
+    applied: [usize; Rule::ALL.len()],
 }
 
 impl OptReport {
+    /// Rewrites `rule` applied (0 = it never fired).
+    pub fn applied(&self, rule: Rule) -> usize {
+        self.applied[rule as usize]
+    }
+
+    /// Rewrites applied by all rules together.
+    pub fn rewrites(&self) -> usize {
+        self.applied.iter().sum()
+    }
+
     /// Fraction of statements eliminated (0.0 when nothing changed).
     pub fn reduction(&self) -> f64 {
         if self.stmts_before == 0 {
@@ -109,24 +158,20 @@ impl OptReport {
     }
 
     /// Render the EXPLAIN text: header with statement-count delta, one
-    /// line per pass per round, then the before/after listings.
+    /// line per rule with its rewrite count, then the before/after
+    /// listings.
     pub fn render(&self, before: &str, after: &str) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "plan optimizer: {} -> {} statements ({:+.1}%), {} rounds",
+            "plan optimizer: {} -> {} statements ({:+.1}%)",
             self.stmts_before,
             self.stmts_after,
             -100.0 * self.reduction(),
-            self.rounds,
         );
-        for d in &self.deltas {
-            let _ = writeln!(
-                s,
-                "  round {} {:<10} applied {:>3}  -> {} stmts",
-                d.round, d.pass, d.applied, d.stmts_after
-            );
+        for rule in Rule::ALL {
+            let _ = writeln!(s, "  {:<14} applied {:>3}", rule.name(), self.applied(rule));
         }
         s.push_str("before:\n");
         for line in before.lines() {
@@ -138,38 +183,6 @@ impl OptReport {
         }
         s
     }
-}
-
-/// Context handed to every pass.
-pub(crate) struct PassCtx<'a> {
-    /// Catalog the program's `load`s resolve against — the source of
-    /// static properties and column types.
-    pub db: &'a Db,
-    /// Variables the caller reads after execution (result index, structure
-    /// BATs): never removed, never repurposed.
-    pub roots: Vec<Var>,
-}
-
-/// What one pass did: rewrite count, plus a variable remapping when the
-/// pass aliased or renumbered variables (`remap[old] = Some(new)`; `None`
-/// marks a removed variable).
-pub(crate) struct PassEffect {
-    pub applied: usize,
-    pub remap: Option<Vec<Option<Var>>>,
-}
-
-impl PassEffect {
-    pub fn unchanged() -> PassEffect {
-        PassEffect { applied: 0, remap: None }
-    }
-}
-
-/// A rewrite pass over a well-formed straight-line program (statement
-/// `i` defines variable `i`; operands reference earlier statements).
-/// Passes must preserve that invariant and the program's value stream.
-pub(crate) trait Pass {
-    fn name(&self) -> &'static str;
-    fn run(&self, prog: &mut MilProgram, cx: &PassCtx) -> PassEffect;
 }
 
 /// The optimized program plus the variable remapping the caller needs to
@@ -189,56 +202,42 @@ impl OptOutcome {
     }
 }
 
-/// Fixpoint guard: each round must shrink or stop; translated TPC-D
-/// programs settle in 2-3 rounds.
-const MAX_ROUNDS: usize = 8;
-
 /// Optimize `prog` (callers skip this call at `cfg.opt == Off`). `roots`
 /// are the variables the caller will read after execution (they survive
-/// every pass); `db` is the catalog `load`s resolve against. Also
+/// every rule); `db` is the catalog `load`s resolve against. Also
 /// accumulates the per-thread EXPLAIN counters and, when `cfg.explain` is
 /// on, prints the report to stderr.
 pub fn optimize(prog: MilProgram, roots: &[Var], db: &Db, cfg: &PlanConfig) -> OptOutcome {
-    let explain = cfg.explain;
-    let before_listing = if explain { render_program(&prog) } else { String::new() };
+    let before_listing = if cfg.explain { render_program(&prog) } else { String::new() };
     let mut prog = prog;
-    let mut report =
-        OptReport { stmts_before: prog.len(), stmts_after: prog.len(), ..OptReport::default() };
-    let mut remap: Vec<Option<Var>> = (0..prog.len()).map(Some).collect();
-    let mut roots: Vec<Var> = roots.to_vec();
-    let passes: [&dyn Pass; 4] = [&fold::Fold, &cse::Cse, &pushdown::Pushdown, &dce::Dce];
-    for round in 1..=MAX_ROUNDS {
-        report.rounds = round;
-        let mut round_applied = 0;
-        for pass in passes {
-            let cx = PassCtx { db, roots: roots.clone() };
-            let eff = pass.run(&mut prog, &cx);
-            if let Some(m) = &eff.remap {
-                for slot in remap.iter_mut() {
-                    *slot = slot.and_then(|v| m[v]);
-                }
-                for r in roots.iter_mut() {
-                    *r = m[*r].expect("optimizer pass eliminated a root variable");
-                }
+    let n = prog.len();
+    let mut report = OptReport { stmts_before: n, ..OptReport::default() };
+    // canon[v] = the earlier (or same) variable computing v's value.
+    let mut canon: Vec<Var> = (0..n).collect();
+    let mut facts = fold::Facts::new(n);
+    let mut table = cse::HashCons::new(n);
+    for i in 0..n {
+        prog.stmts[i].op.for_each_operand_mut(|v| *v = canon[*v]);
+        report.applied[Rule::FoldConst as usize] += fold::constants(&mut prog, i);
+        let merged = fold::alias(&prog, i, &facts)
+            .or_else(|| table.merge(&prog, i).map(|rep| (Rule::Cse, rep)));
+        match merged {
+            Some((rule, rep)) => {
+                canon[i] = rep;
+                report.applied[rule as usize] += 1;
             }
-            round_applied += eff.applied;
-            report.deltas.push(PassDelta {
-                pass: pass.name(),
-                round,
-                applied: eff.applied,
-                stmts_after: prog.len(),
-            });
-        }
-        if round_applied == 0 {
-            break;
+            None => facts.record(i, &prog.stmts[i].op, db),
         }
     }
+    let (removed, renumber) = dce::dce(&mut prog, roots.iter().map(|&r| canon[r]));
+    report.applied[Rule::Dce as usize] = removed;
     report.stmts_after = prog.len();
+    let remap = canon.iter().map(|&c| renumber[c]).collect();
     CUMULATIVE.with(|c| {
         let (b, a) = c.get();
         c.set((b + report.stmts_before as u64, a + report.stmts_after as u64));
     });
-    if explain {
+    if cfg.explain {
         eprintln!("{}", report.render(&before_listing, &render_program(&prog)));
     }
     OptOutcome { prog, remap, report }

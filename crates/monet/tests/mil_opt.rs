@@ -1,7 +1,7 @@
-//! Plan-optimizer pass semantics: each rewrite preserves the executed
-//! value stream bit for bit, the passes fire on the shapes the translator
-//! actually emits, and the interpreter's trace/liveness accounting refers
-//! to the *rewritten* program.
+//! Plan-optimizer rule semantics: each rewrite preserves the executed
+//! value stream bit for bit, the rules fire on the shapes the translator
+//! actually emits, one sweep is a fixpoint, and the interpreter's
+//! trace/liveness accounting refers to the *rewritten* program.
 
 use monet::atom::AtomValue;
 use monet::bat::Bat;
@@ -9,7 +9,7 @@ use monet::column::Column;
 use monet::config::PlanConfig;
 use monet::ctx::ExecCtx;
 use monet::db::Db;
-use monet::mil::opt::optimize;
+use monet::mil::opt::{optimize, Rule};
 use monet::mil::{execute, MilArg, MilOp, MilProgram, MilValue, Var};
 use monet::ops::ScalarFunc;
 
@@ -52,8 +52,28 @@ fn rows(b: &Bat) -> Vec<(AtomValue, AtomValue)> {
     b.iter().collect()
 }
 
+/// Variables no later statement reads: as roots they keep every statement
+/// of an optimized program alive.
+fn sinks(prog: &MilProgram) -> Vec<Var> {
+    let mut read = vec![false; prog.len()];
+    for stmt in &prog.stmts {
+        stmt.op.for_each_operand(|v| read[v] = true);
+    }
+    (0..prog.len()).filter(|&v| !read[v]).collect()
+}
+
+/// One sweep is a fixpoint: optimizing the optimized `prog` again applies
+/// no rewrite and returns the same listing.
+fn assert_fixpoint(db: &Db, prog: &MilProgram) {
+    let again = optimize(prog.clone(), &sinks(prog), db, &PlanConfig::default());
+    let text = again.report.render("", &again.prog.to_string());
+    assert_eq!(again.report.rewrites(), 0, "a second sweep still rewrites:\n{text}");
+    assert_eq!(again.prog.to_string(), prog.to_string());
+}
+
 /// Execute raw and optimized forms of `prog`, asserting the kept roots are
-/// bit-identical; returns the optimized program for shape assertions.
+/// bit-identical and the optimized program a fixpoint; returns the
+/// optimized program for shape assertions.
 fn assert_equivalent(db: &Db, prog: &MilProgram, roots: &[Var]) -> MilProgram {
     // Separate contexts: fresh-oid sequences restart per context, so
     // group/mark oids come out identical for structurally equal plans.
@@ -71,6 +91,7 @@ fn assert_equivalent(db: &Db, prog: &MilProgram, roots: &[Var]) -> MilProgram {
         let b = opt_env.bat(out.var(r)).expect("optimized root");
         assert_eq!(rows(a), rows(b), "root {r} differs after optimization");
     }
+    assert_fixpoint(db, &out.prog);
     out.prog
 }
 
@@ -116,72 +137,8 @@ fn dce_removes_dead_code_and_renumbers() {
     // Renumbered: statement i defines variable i.
     for (i, stmt) in opt.stmts.iter().enumerate() {
         assert_eq!(stmt.var, i);
-        for v in stmt.op.operands() {
-            assert!(v < i);
-        }
+        stmt.op.for_each_operand(|v| assert!(v < i));
     }
-}
-
-#[test]
-fn pushdown_moves_select_below_join() {
-    let db = db();
-    let mut p = MilProgram::new();
-    let hop = p.emit("hop", MilOp::Load("hop".into()));
-    let attr = p.emit("attr", MilOp::Load("attr".into()));
-    let j = p.emit("j", MilOp::Join(hop, attr));
-    let sel = p.emit("sel", MilOp::SelectEq(j, AtomValue::Int(2)));
-    let opt = assert_equivalent(&db, &p, &[sel]);
-    // The final statement is now the join; the select runs on `attr`.
-    let last = opt.stmts.last().unwrap();
-    assert!(matches!(last.op, MilOp::Join(..)), "got:\n{opt}");
-    let selects: Vec<_> =
-        opt.stmts.iter().filter(|s| matches!(s.op, MilOp::SelectEq(..))).collect();
-    assert_eq!(selects.len(), 1);
-    assert!(
-        matches!(opt.stmts[selects[0].var].op, MilOp::SelectEq(v, _) if v == attr),
-        "select should read the attribute BAT directly:\n{opt}"
-    );
-}
-
-#[test]
-fn pushdown_crosses_semijoin_but_respects_datavectors() {
-    let db = db();
-    // Plain left operand: select commutes below the semijoin.
-    let mut p = MilProgram::new();
-    let attr = p.emit("attr", MilOp::Load("attr".into()));
-    let hop = p.emit("hop", MilOp::Load("hop".into()));
-    let hm = p.emit("hm", MilOp::Mirror(hop));
-    let sj = p.emit("sj", MilOp::Semijoin(attr, hm));
-    let sel = p.emit("sel", MilOp::SelectEq(sj, AtomValue::Int(2)));
-    let opt = assert_equivalent(&db, &p, &[sel]);
-    assert!(
-        matches!(opt.stmts.last().unwrap().op, MilOp::Semijoin(..)),
-        "select should have moved below the semijoin:\n{opt}"
-    );
-
-    // Datavector-carrying left operand: the rewrite could flip the
-    // semijoin onto the right-order datavector path — must not fire.
-    let mut p = MilProgram::new();
-    let dv = p.emit("dv_attr", MilOp::Load("dv_attr".into()));
-    let hop = p.emit("hop", MilOp::Load("hop".into()));
-    let hm = p.emit("hm", MilOp::Mirror(hop));
-    let sj = p.emit("sj", MilOp::Semijoin(dv, hm));
-    let sel = p.emit(
-        "sel",
-        MilOp::SelectRange {
-            src: sj,
-            lo: Some(AtomValue::Dbl(0.15)),
-            hi: None,
-            inc_lo: true,
-            inc_hi: true,
-        },
-    );
-    let _ = sel;
-    let opt = assert_equivalent(&db, &p, &[sel]);
-    assert!(
-        matches!(opt.stmts.last().unwrap().op, MilOp::SelectRange { .. }),
-        "select must stay above a datavector semijoin:\n{opt}"
-    );
 }
 
 #[test]
@@ -266,6 +223,79 @@ fn double_mirror_dissolves() {
     assert!(!opt.stmts.iter().any(|s| matches!(s.op, MilOp::Mirror(_))), "got:\n{opt}");
 }
 
+/// The nest prelude as the translator emits it: `class.mirror` twice, the
+/// INDEX counted over the first mirror, the re-restriction against INDEX
+/// reading the second. `semijoin(cm2, INDEX)` is redundant only once CSE
+/// has merged `cm2` into `cm1`: the rules must read canonical operands.
+fn nest_prelude(p: &mut MilProgram) -> (Var, Var, Var) {
+    let attr = p.emit("attr", MilOp::Load("attr".into()));
+    let class = p.emit("class", MilOp::Group1(attr));
+    let cm1 = p.emit("cm1", MilOp::Mirror(class));
+    let index = p.emit("INDEX", MilOp::SetAgg { f: monet::ops::AggFunc::Count, src: cm1 });
+    let cm2 = p.emit("cm2", MilOp::Mirror(class));
+    let sj = p.emit("sj", MilOp::Semijoin(cm2, index));
+    (class, index, sj)
+}
+
+#[test]
+fn double_mirror_over_a_cse_duplicate_folds_in_one_sweep() {
+    // mirror(sj) is a double mirror only once sj is known to be cm1.
+    let db = db();
+    let mut p = MilProgram::new();
+    let (class, index, sj) = nest_prelude(&mut p);
+    let mm = p.emit("mm", MilOp::Mirror(sj));
+    let out = optimize(p.clone(), &[mm, index], &db, &PlanConfig::default());
+    let r = &out.report;
+    assert_eq!(
+        [Rule::Cse, Rule::FoldRedundant, Rule::FoldMirror].map(|rule| r.applied(rule)),
+        [1, 1, 1],
+        "{}",
+        r.render("", &out.prog.to_string())
+    );
+    assert_eq!(out.var(mm), out.var(class), "got:\n{}", out.prog);
+    assert_eq!(assert_equivalent(&db, &p, &[mm, index]).len(), 4);
+}
+
+#[test]
+fn redundant_semijoin_over_merged_operands_folds_in_one_sweep() {
+    // semijoin(x, x') with x' a duplicate of x keeps all of x.
+    let db = db();
+    let mut p = MilProgram::new();
+    let attr = p.emit("attr", MilOp::Load("attr".into()));
+    let x = p.emit("x", MilOp::SelectEq(attr, AtomValue::Int(2)));
+    let x2 = p.emit("x2", MilOp::SelectEq(attr, AtomValue::Int(2)));
+    let sj = p.emit("sj", MilOp::Semijoin(x, x2));
+    let out = optimize(p.clone(), &[sj], &db, &PlanConfig::default());
+    let r = &out.report;
+    assert_eq!(
+        [Rule::Cse, Rule::FoldRedundant, Rule::Dce].map(|rule| r.applied(rule)),
+        [1, 1, 2],
+        "{}",
+        r.render("", &out.prog.to_string())
+    );
+    assert_eq!(out.var(sj), out.var(x), "got:\n{}", out.prog);
+    assert_eq!(assert_equivalent(&db, &p, &[sj]).len(), 2);
+}
+
+#[test]
+fn cse_merge_behind_an_alias_happens_in_one_sweep() {
+    // {count}(sj) duplicates INDEX once sj is aliased to cm1.
+    let db = db();
+    let mut p = MilProgram::new();
+    let (_, index, sj) = nest_prelude(&mut p);
+    let cnt = p.emit("cnt", MilOp::SetAgg { f: monet::ops::AggFunc::Count, src: sj });
+    let out = optimize(p.clone(), &[cnt], &db, &PlanConfig::default());
+    let r = &out.report;
+    assert_eq!(
+        [Rule::Cse, Rule::FoldRedundant].map(|rule| r.applied(rule)),
+        [2, 1],
+        "{}",
+        r.render("", &out.prog.to_string())
+    );
+    assert_eq!(out.var(cnt), out.var(index), "got:\n{}", out.prog);
+    assert_eq!(assert_equivalent(&db, &p, &[cnt]).len(), 4);
+}
+
 /// The arm statement `name` of `prog` reported in `env`'s trace.
 fn algo_of(env: &monet::mil::Env, prog: &MilProgram, name: &str) -> Option<&'static str> {
     env.trace().iter().find(|t| t.name(prog) == name).map(|t| t.algo)
@@ -348,7 +378,7 @@ fn dict_tail_selects_take_the_code_path() {
 
 #[test]
 fn trace_and_live_set_follow_the_rewritten_program() {
-    // Satellite regression: after rewrites reorder/remove statements, the
+    // After rewrites remove and renumber statements, the
     // StmtTrace rows must describe post-optimization statements and the
     // live-set high-water mark must be recomputed from the *rewritten*
     // last-use table.
@@ -358,9 +388,10 @@ fn trace_and_live_set_follow_the_rewritten_program() {
     let attr = p.emit("attr", MilOp::Load("attr".into()));
     let j1 = p.emit("j1", MilOp::Join(hop, attr));
     let _dup = p.emit("dup", MilOp::Join(hop, attr)); // CSE + DCE fodder
-    let sel = p.emit("sel", MilOp::SelectEq(j1, AtomValue::Int(2))); // pushdown reorders
+    let sel = p.emit("sel", MilOp::SelectEq(j1, AtomValue::Int(2))); // renumbered 4 -> 3
     let out = optimize(p, &[sel], &db, &PlanConfig::default());
     let root = out.var(sel);
+    assert_eq!((out.prog.len(), root), (4, 3), "got:\n{}", out.prog);
     let ctx = ExecCtx::new();
     let env = execute(&ctx, &db, &out.prog, &[root]).unwrap();
 
@@ -412,7 +443,7 @@ fn trace_and_live_set_follow_the_rewritten_program() {
 }
 
 #[test]
-fn explain_report_renders_per_pass_deltas() {
+fn explain_report_renders_per_rule_counts() {
     let db = db();
     let mut p = MilProgram::new();
     let hop = p.emit("hop", MilOp::Load("hop".into()));
@@ -423,10 +454,20 @@ fn explain_report_renders_per_pass_deltas() {
     let before = p.to_string();
     let out = optimize(p, &[m], &db, &PlanConfig::default());
     assert!(out.report.reduction() > 0.0);
+    assert_eq!((out.report.applied(Rule::Cse), out.report.applied(Rule::Dce)), (1, 1));
     let text = out.report.render(&before, &out.prog.to_string());
-    assert!(text.contains("plan optimizer: 5 -> 4 statements"), "got:\n{text}");
-    assert!(text.contains("cse"), "got:\n{text}");
-    assert!(text.contains("dce"), "got:\n{text}");
+    assert!(text.starts_with("plan optimizer: 5 -> 4 statements (-20.0%)\n"), "got:\n{text}");
+    for (rule, applied) in [
+        ("fold.const", 0),
+        ("fold.mirror", 0),
+        ("fold.redundant", 0),
+        ("fold.saturated", 0),
+        ("cse", 1),
+        ("dce", 1),
+    ] {
+        assert!(text.contains(&format!("  {rule:<14} applied {applied:>3}\n")), "got:\n{text}");
+    }
+    assert!(!text.contains("round"), "got:\n{text}");
     assert!(text.contains("before:"), "got:\n{text}");
     assert!(text.contains("after:"), "got:\n{text}");
 }

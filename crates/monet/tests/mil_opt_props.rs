@@ -8,14 +8,16 @@
 //! for its predictions, executes the raw program, and checks the claimed
 //! `sorted`/`key`/`dense` flags against `check_sorted`/`check_key`/
 //! `check_dense` scans of the materialized columns (reality, not the
-//! run-time descriptor — which may legitimately claim more).
+//! run-time descriptor — which may legitimately claim more). Every such
+//! program also checks that one optimizer sweep is a fixpoint.
 
 use monet::atom::{AtomType, AtomValue, Date};
 use monet::bat::Bat;
 use monet::column::Column;
+use monet::config::PlanConfig;
 use monet::ctx::ExecCtx;
 use monet::db::Db;
-use monet::mil::opt::infer_shapes;
+use monet::mil::opt::{infer_shapes, optimize};
 use monet::mil::{execute, MilArg, MilOp, MilProgram, Var};
 use monet::ops::{AggFunc, ScalarFunc};
 
@@ -101,9 +103,29 @@ fn db() -> Db {
     db
 }
 
+/// Variables no later statement reads: as roots they keep every statement
+/// of an optimized program alive.
+fn sinks(prog: &MilProgram) -> Vec<Var> {
+    let mut read = vec![false; prog.len()];
+    for stmt in &prog.stmts {
+        stmt.op.for_each_operand(|v| read[v] = true);
+    }
+    (0..prog.len()).filter(|&v| !read[v]).collect()
+}
+
+/// One sweep is a fixpoint: optimizing `prog` twice applies no rewrite the
+/// second time and leaves the listing as the first sweep made it.
+fn assert_fixpoint(db: &Db, prog: &MilProgram, what: &str) {
+    let once = optimize(prog.clone(), &sinks(prog), db, &PlanConfig::default()).prog;
+    let twice = optimize(once.clone(), &sinks(&once), db, &PlanConfig::default());
+    assert_eq!(twice.report.rewrites(), 0, "{what}: a second sweep still rewrites:\n{once}");
+    assert_eq!(twice.prog.to_string(), once.to_string(), "{what}");
+}
+
 /// Execute `prog` and assert that every statically predicted shape holds
 /// on the actually computed BAT.
 fn check(db: &Db, prog: &MilProgram, what: &str) {
+    assert_fixpoint(db, prog, what);
     let shapes = infer_shapes(prog, db);
     let keep: Vec<Var> = (0..prog.len()).collect();
     let ctx = ExecCtx::new();
@@ -243,9 +265,9 @@ fn zip_and_multiplex_predictions_hold() {
 
 #[test]
 fn predictions_hold_on_optimized_programs_too() {
-    // Every fixpoint round after the first reads the *rewritten* program
-    // through the same inference; rerun the oracle on post-optimizer
-    // output for a chain mixing selects, joins and grouping.
+    // Later rules read facts of already rewritten statements through the
+    // same inference; rerun the oracle on post-optimizer output for a
+    // chain mixing selects, joins and grouping.
     let db = db();
     for ty in TYPES {
         let mut p = MilProgram::new();
@@ -266,8 +288,7 @@ fn predictions_hold_on_optimized_programs_too() {
         let g = p.emit("g", MilOp::Group1(j));
         let gm = p.emit("gm", MilOp::Mirror(g));
         let cnt = p.emit("cnt", MilOp::SetAgg { f: AggFunc::Count, src: gm });
-        let out =
-            monet::mil::opt::optimize(p, &[cnt, j], &db, &monet::config::PlanConfig::default());
+        let out = optimize(p, &[cnt, j], &db, &PlanConfig::default());
         check(&db, &out.prog, &format!("optimized chain over {ty}"));
     }
 }
@@ -304,12 +325,7 @@ fn sync_join_claims_exactly_what_the_arm_it_replaces_claims() {
             let twin = load(&mut p, "twin");
             let js = p.emit("js", MilOp::Join(refs, same));
             let jt = p.emit("jt", MilOp::Join(refs, twin));
-            let optimized = monet::mil::opt::optimize(
-                p.clone(),
-                &[js, jt],
-                &db,
-                &monet::config::PlanConfig::default(),
-            );
+            let optimized = optimize(p.clone(), &[js, jt], &db, &PlanConfig::default());
             for (prog, tag) in [(&p, "raw"), (&optimized.prog, "optimized")] {
                 let what = format!("{tag} {what} join over {ty}");
                 check(&db, prog, &what);

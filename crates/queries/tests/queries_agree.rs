@@ -150,6 +150,43 @@ fn shared_reference_conjuncts_join_back_once_and_other_plans_stay_put() {
     }
 }
 
+/// One optimizer sweep is a fixpoint on every program Q1–Q15 run: Q8's two
+/// programs and the Q6/Q11/Q14 scalar drivers included, eighteen in all,
+/// each re-optimizes with zero rewrites to the same listing.
+#[test]
+fn every_optimized_plan_is_a_fixpoint_of_one_sweep() {
+    use monet::config::{EngineConfig, PlanConfig};
+    use monet::mil::opt::{optimize, OptLevel};
+    use monet::mil::MilProgram;
+    let w = bench_world();
+    let ctx = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
+        opt: OptLevel::Full,
+        ..EngineConfig::clone(&EngineConfig::from_env())
+    }));
+    // The plan cache keeps every program the queries translate.
+    let cache = moa::plancache::PlanCache::with_capacity(64);
+    moa::plancache::with_plan_cache(cache.clone(), || {
+        for q in all_queries() {
+            (q.run_moa)(&w.cat, &ctx, &w.params)
+                .unwrap_or_else(|e| panic!("Q{} failed: {e}", q.id));
+        }
+    });
+    let programs = cache.resident_programs();
+    assert_eq!(programs.len(), 18, "{:?}", cache.stats());
+    for bound in programs {
+        let prog = MilProgram::clone(&bound);
+        // Roots: the statements nothing reads, which keep all of them live.
+        let mut read = vec![false; prog.len()];
+        for stmt in &prog.stmts {
+            stmt.op.for_each_operand(|v| read[v] = true);
+        }
+        let roots: Vec<usize> = (0..prog.len()).filter(|&v| !read[v]).collect();
+        let again = optimize(prog.clone(), &roots, w.cat.db(), &PlanConfig::default());
+        assert_eq!(again.report.rewrites(), 0, "a second sweep still rewrites:\n{prog}");
+        assert_eq!(again.prog.to_string(), prog.to_string());
+    }
+}
+
 #[test]
 fn all_fifteen_queries_agree_on_a_second_database() {
     let data = tpcd::generate(0.002, 20260610);
