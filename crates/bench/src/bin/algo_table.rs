@@ -10,7 +10,7 @@
 //! `(op, algo)` pair carries —
 //! the attribution table ROADMAP item 1 orders its work by.
 //!
-//! Usage: `FLATALG_SF=0.1 FLATALG_THREADS=1 cargo run --release -p bench --bin algo_table
+//! Usage: `FLATALG_SF=0.1 cargo run --release -p bench --bin algo_table
 //! [-- --query N | --all]` — `--query N` runs query N alone and prints
 //! every one of its statements, `--all` lifts the 1 ms cut for all twelve
 //! (the free `semijoin/sync` and `join/sync` lines are what explain why a

@@ -40,13 +40,6 @@ struct Rec {
 /// no JSON dependency in the container.
 struct Baseline {
     sf: f64,
-    /// Thread count of the recording (0 for pre-parallel baselines that
-    /// lack the field).
-    threads: usize,
-    /// Host CPU count of the recording (0 for baselines that predate the
-    /// field). A `threads` value above `cpus` means the `par/*-par` lines
-    /// were recorded oversubscribed — real workers, fake parallelism.
-    cpus: usize,
     ns_per_row: std::collections::HashMap<String, f64>,
 }
 
@@ -63,22 +56,10 @@ fn read_baseline(path: &str) -> Option<Baseline> {
         })
     };
     let mut sf = 0.0f64;
-    let mut threads = 0usize;
-    let mut cpus = 0usize;
     let mut ns_per_row = std::collections::HashMap::new();
     for line in text.lines() {
         if let Some(v) = field(line, "sf") {
             sf = v.parse().unwrap_or(0.0);
-        }
-        // Top-level fields only: kernel lines carry "name", the header does
-        // not.
-        if field(line, "name").is_none() {
-            if let Some(v) = field(line, "threads") {
-                threads = v.parse().unwrap_or(0);
-            }
-            if let Some(v) = field(line, "cpus") {
-                cpus = v.parse().unwrap_or(0);
-            }
         }
         if let (Some(name), Some(ns)) = (field(line, "name"), field(line, "ns_per_row")) {
             if let Ok(ns) = ns.parse::<f64>() {
@@ -89,7 +70,7 @@ fn read_baseline(path: &str) -> Option<Baseline> {
     if ns_per_row.is_empty() {
         return None;
     }
-    Some(Baseline { sf, threads, cpus, ns_per_row })
+    Some(Baseline { sf, ns_per_row })
 }
 
 /// Time `f` with one warm-up call, then as many individually-timed
@@ -129,24 +110,11 @@ fn measure(base: Option<&Baseline>, name: &'static str, rows: usize, mut f: impl
 
 fn main() {
     let sf = sf_from_env("FLATALG_SF", 0.01);
-    // Thread count of the threaded (`par/*-par`) kernel lines, recorded in
-    // the JSON header so runs at different counts are never compared.
-    // This is the environment configuration's count (`FLATALG_THREADS`,
-    // else available parallelism) — the one `ctx` below dispatches at, so
-    // any line that parallelizes runs at the count the header records.
     let env = EngineConfig::from_env();
-    let par_threads: usize = env.threads;
-    // Physical CPU budget of this host, recorded alongside `threads`: the
-    // thread count says what the kernels asked for, the cpu count says what
-    // the machine could actually deliver. An early baseline recorded
-    // `threads: 4` on a 1-cpu container, and its `par/*-par` "speedups"
-    // were scheduler noise — hence both fields, and the refusal below.
-    let cpus: usize = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     // Delta column against the committed trajectory baseline (read before
     // the default output path overwrites it). A baseline recorded at a
-    // different scale factor, thread count, or host cpu count is
-    // *refused* — a delta column against incomparable numbers is worse
-    // than none.
+    // different scale factor is *refused* — a delta column against
+    // incomparable numbers is worse than none.
     let base_path =
         std::env::var("FLATALG_BENCH_BASELINE").unwrap_or_else(|_| "BENCH_kernels.json".into());
     let base = match read_baseline(&base_path) {
@@ -158,42 +126,8 @@ fn main() {
             );
             None
         }
-        Some(b) if b.threads != par_threads => {
-            eprintln!(
-                "refusing to compare: baseline {base_path} was recorded at {} threads but \
-                 this run uses {par_threads}; delta column suppressed",
-                b.threads
-            );
-            None
-        }
-        Some(b) if b.cpus != cpus => {
-            if b.cpus == 0 {
-                eprintln!(
-                    "refusing to compare: baseline {base_path} does not record its host cpu \
-                     count (recorded before the \"cpus\" field; its par/*-par lines may be \
-                     oversubscribed) and this host has {cpus}; delta column suppressed"
-                );
-            } else {
-                eprintln!(
-                    "refusing to compare: baseline {base_path} was recorded on a {}-cpu host \
-                     but this host has {cpus}; delta column suppressed",
-                    b.cpus
-                );
-            }
-            None
-        }
         Some(b) => {
-            eprintln!(
-                "deltas vs baseline {base_path} (sf {}, {} threads, {} cpus)",
-                b.sf, b.threads, b.cpus
-            );
-            if b.threads > b.cpus {
-                eprintln!(
-                    "note: baseline par/*-par lines are oversubscribed ({} workers on {} \
-                     cpus) — they measure scheduling overhead, not parallel speedup",
-                    b.threads, b.cpus
-                );
-            }
+            eprintln!("deltas vs baseline {base_path} (sf {})", b.sf);
             Some(b)
         }
         None => {
@@ -211,7 +145,6 @@ fn main() {
         edit(&mut cfg);
         ExecCtx::with_config(Arc::new(cfg))
     };
-    let serial = ctx_with(&|c| c.threads = 1);
 
     // --- primitives group inputs -----------------------------------------
     let unsorted = Bat::new(
@@ -418,9 +351,7 @@ fn main() {
         ops::join(&ctx, &dv_refs, &with_dv).unwrap();
     }));
     recs.push(measure(base.as_ref(), "join/partitioned-probe", part_probe_n, || {
-        // Pinned serial: this is the single-thread trajectory line; the
-        // threaded comparison lives in par/join-partitioned-{serial,par}.
-        ops::join_partitioned(&serial, &part_left, &part_right).unwrap();
+        ops::join_partitioned(&ctx, &part_left, &part_right).unwrap();
     }));
     recs.push(measure(base.as_ref(), "join/monolithic-probe-big", part_probe_n, || {
         ops::join::join_hash(&ctx, &part_left, &part_right);
@@ -582,50 +513,6 @@ fn main() {
         .unwrap();
     }));
 
-    // Parallel kernels: serial-vs-threaded pairs on the same big operands
-    // (the partitioned-join input size: 16n-row scans, 4n-row build). The
-    // `-par` lines run at `par_threads` workers (`ctx`, the environment's
-    // configuration); `-serial` at one (`serial`). Both are in the committed
-    // baseline so the speedup at the recording's thread count is part of
-    // the perf trajectory.
-    let big_ints = Bat::new(
-        Column::from_oids((0..part_probe_n as u64).collect()),
-        Column::from_ints((0..part_probe_n).map(|_| r.gen_range(0..10_000)).collect()),
-    );
-    let big_dbls = Bat::new(
-        Column::from_oids((0..part_probe_n as u64).collect()),
-        Column::from_dbls((0..part_probe_n).map(|_| r.gen_range(0.0..1000.0)).collect()),
-    );
-    let big_keys = Bat::new(
-        Column::from_oids((0..part_probe_n as u64).collect()),
-        // 1000 keys 2^20 apart: serial and parallel both hash.
-        Column::from_oids((0..part_probe_n).map(|_| r.gen_range(0..1000u64) << 20).collect()),
-    );
-    recs.push(measure(base.as_ref(), "par/select-scan-serial", part_probe_n, || {
-        ops::select_eq(&serial, &big_ints, &AtomValue::Int(5000)).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/select-scan-par", part_probe_n, || {
-        ops::select_eq(&ctx, &big_ints, &AtomValue::Int(5000)).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/sum-dbl-serial", part_probe_n, || {
-        ops::aggr_scalar(&serial, &big_dbls, ops::AggFunc::Sum).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/sum-dbl-par", part_probe_n, || {
-        ops::aggr_scalar(&ctx, &big_dbls, ops::AggFunc::Sum).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/group1-serial", part_probe_n, || {
-        ops::group1(&serial, &big_keys).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/group1-par", part_probe_n, || {
-        ops::group1(&ctx, &big_keys).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/join-partitioned-serial", part_probe_n, || {
-        ops::join_partitioned(&serial, &part_left, &part_right).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "par/join-partitioned-par", part_probe_n, || {
-        ops::join_partitioned(&ctx, &part_left, &part_right).unwrap();
-    }));
-
     // q13 end to end over the memoized world
     let w = world();
     let q13_rows = w.data.items.len();
@@ -680,11 +567,7 @@ fn main() {
         let queries = tpcd_queries::all_queries();
         let server = Server::with_config(
             &w.cat,
-            ServerConfig {
-                max_concurrent: par_threads.max(1),
-                plan_cache: Some(64),
-                ..ServerConfig::default()
-            },
+            ServerConfig { plan_cache: Some(64), ..ServerConfig::default() },
         );
         {
             let session = server.session();
@@ -781,10 +664,7 @@ fn main() {
         // The partition pass alone: with an empty probe side the spilling
         // join hashes, filters in, stages and writes its build side and
         // reads nothing back — ns per build row of one partition write.
-        let forced = ctx_with(&|c| {
-            c.threads = 1;
-            c.spill_force = true;
-        });
+        let forced = ctx_with(&|c| c.spill_force = true);
         let none = Bat::new(Column::from_oids(vec![]), Column::from_ints(vec![]));
         recs.push(measure(base.as_ref(), "spill/partition-write", part_build_n, || {
             ops::join(&forced, &none, &part_right).unwrap();
@@ -838,13 +718,6 @@ fn main() {
     json.push_str("{\n");
     json.push_str(&format!("  \"sf\": {sf},\n"));
     json.push_str(&format!("  \"rows\": {n},\n"));
-    json.push_str(&format!("  \"threads\": {par_threads},\n"));
-    json.push_str(&format!("  \"cpus\": {cpus},\n"));
-    if par_threads > cpus {
-        // Honest label for par/*-par lines recorded with more workers
-        // than the host can run at once.
-        json.push_str("  \"oversubscribed\": true,\n");
-    }
     json.push_str("  \"kernels\": [\n");
     for (i, rec) in recs.iter().enumerate() {
         json.push_str(&format!(
@@ -888,8 +761,7 @@ fn main() {
     // from the opened store — single-shot, not median-of-reps: at SF 1 a
     // query is seconds of work and the numbers are honest wall-clock —
     // and BENCH_sf1.json records per-query ms, result rows and spill
-    // volume, with the same threads/cpus/oversubscribed header fields as
-    // the kernel trajectory.
+    // volume.
     let sf1_dir = std::env::var("FLATALG_SF1_STORE").unwrap_or_else(|_| "store-sf1".into());
     if std::path::Path::new(&sf1_dir).join("store.sb").exists() {
         let t0 = Instant::now();
@@ -919,11 +791,6 @@ fn main() {
         let mut qjson = String::new();
         qjson.push_str("{\n");
         qjson.push_str(&format!("  \"sf\": {},\n", sw.sf));
-        qjson.push_str(&format!("  \"threads\": {par_threads},\n"));
-        qjson.push_str(&format!("  \"cpus\": {cpus},\n"));
-        if par_threads > cpus {
-            qjson.push_str("  \"oversubscribed\": true,\n");
-        }
         qjson.push_str(&format!("  \"budget\": \"{budget}\",\n"));
         let spill_mode = if env.spill_force { "force" } else { "auto" };
         qjson.push_str(&format!("  \"spill\": \"{spill_mode}\",\n"));

@@ -56,8 +56,11 @@ impl<T> Buf<T> {
     /// that establishes these invariants.
     pub(crate) unsafe fn from_mapping(map: Arc<Mapping>, byte_off: usize, len: usize) -> Buf<T> {
         let bytes = map.bytes();
-        debug_assert!(byte_off.checked_add(len * std::mem::size_of::<T>()).unwrap() <= bytes.len());
-        let ptr = bytes.as_ptr().add(byte_off) as *const T;
+        let end = len.checked_mul(std::mem::size_of::<T>()).and_then(|n| n.checked_add(byte_off));
+        debug_assert!(end.is_some_and(|end| end <= bytes.len()), "mapped window out of bounds");
+        // SAFETY: the caller guarantees the window lies inside the mapping
+        // (checked above in debug builds), so the offset stays in bounds.
+        let ptr = unsafe { bytes.as_ptr().add(byte_off) } as *const T;
         debug_assert_eq!(ptr as usize % std::mem::align_of::<T>(), 0, "misaligned mapped buffer");
         Buf { repr: Repr::Mapped { _map: map, ptr, len } }
     }
@@ -87,8 +90,12 @@ impl<T> Deref for Buf<T> {
     fn deref(&self) -> &[T] {
         match &self.repr {
             Repr::Owned(v) => v,
-            // SAFETY: construction established validity of the window.
-            Repr::Mapped { ptr, len, .. } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
+            Repr::Mapped { ptr, len, .. } => {
+                // SAFETY: `from_mapping`'s caller established that the
+                // window is in bounds, aligned and holds `len` valid `T`s;
+                // `_map` keeps the mapping alive as long as `self`.
+                unsafe { std::slice::from_raw_parts(*ptr, *len) }
+            }
         }
     }
 }

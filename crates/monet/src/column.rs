@@ -940,9 +940,8 @@ impl Column {
 
     /// Concatenate many same-typed columns in order with a single output
     /// allocation (pairwise [`Column::concat`] would re-copy the prefix for
-    /// every part). This is how the morsel executor stitches per-morsel
-    /// output columns back together; part order is the determinism
-    /// contract, so callers pass parts in morsel order.
+    /// every part). This is how the scan-shaped operators stitch their
+    /// per-morsel output columns back together, in morsel order.
     pub fn concat_all(parts: &[Column]) -> Column {
         use ColumnVals::*;
         let total: usize = parts.iter().map(Column::len).sum();
@@ -951,8 +950,7 @@ impl Column {
             // Morsel outputs of a dict-coded scan all share the source
             // dictionary: splice their codes and keep the encoding. Any
             // other encoded mix routes through the raw decode — values are
-            // identical either way, so the serial/parallel determinism
-            // contract is unaffected by which path runs.
+            // identical either way.
             if let Some(c) = dict_splice(parts, total) {
                 return c;
             }

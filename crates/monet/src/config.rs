@@ -3,7 +3,7 @@
 //! The paper's engine is not tuned by switches — dynamic optimization
 //! (Section 5.1) picks every implementation from properties the kernel
 //! observes — so what is configurable here is the *environment* a query
-//! runs in (threads, memory, disk, faults to inject) and the oracle
+//! runs in (memory, disk, faults to inject, admission) and the oracle
 //! switches the test suite diffs against (optimizer, encodings, plan
 //! cache). All of it lives in one immutable [`EngineConfig`] value:
 //!
@@ -22,7 +22,7 @@
 //!   (`ExecCtx::new()` = `ExecCtx::with_config(EngineConfig::from_env())`)
 //!   and kernels, cost model, governor, optimizer and translator read that.
 //!   Tests and harnesses that sweep configurations build the values they
-//!   want (`EngineConfig { threads: 4, ..EngineConfig::default() }`) and
+//!   want (`EngineConfig { enc: false, ..EngineConfig::default() }`) and
 //!   never touch the environment, so sweeps run concurrently without races.
 //! * The planner — translation and the MIL optimizer — is handed only the
 //!   [`PlanConfig`] sub-struct ([`EngineConfig::plan`]), and the plan cache
@@ -31,7 +31,6 @@
 //!
 //! | variable | field | accepted values (unset = default) |
 //! |---|---|---|
-//! | `FLATALG_THREADS` | `threads` | integer, clamped to 1..=32; default: available parallelism |
 //! | `FLATALG_ENC` | `enc` | `0` raw layouts, `1` encoded (default) |
 //! | `FLATALG_OPT` | `opt` | `0` raw translator emission, `1` optimized (default) |
 //! | `FLATALG_EXPLAIN` | `explain` | `1` prints per-rule rewrite counts, `0` (default) |
@@ -40,12 +39,13 @@
 //! | `FLATALG_MEM_BUDGET` | `mem_budget` | bytes, optional `k`/`m`/`g` suffix; `0` = unlimited (default) |
 //! | `FLATALG_FAULT` | `fault` | `site:count` (`*` = any site, count ≥ 1) |
 //! | `FLATALG_PLAN_CACHE` | `plan_cache` | capacity in plans, `0` disables; default 64 |
-//! | `FLATALG_ADMIT` | `admit` | integer ≥ 1; default: `threads` |
+//! | `FLATALG_ADMIT` | `admit` | integer ≥ 1; default: available parallelism |
 //! | `FLATALG_DEADLINE_MS` | `deadline_ms` | milliseconds, `0` = none (default) |
 //! | `FLATALG_ADMIT_TIMEOUT_MS` | `admit_timeout_ms` | milliseconds, `0` = none (default) |
 //!
-//! `par_min_rows` and `morsel_rows` have no environment spelling: only
-//! in-process sweeps move them.
+//! A query runs on the thread that executes it; there is no thread-count
+//! knob. `FLATALG_THREADS`, which `benchmark/` still sets, is not one of
+//! ours and is ignored like any other unlisted name.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -76,14 +76,6 @@ impl Default for PlanConfig {
 /// One immutable engine configuration (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Threads a parallel kernel runs at, 1..=[`crate::par::MAX_THREADS`];
-    /// 1 forces the serial path everywhere.
-    pub threads: usize,
-    /// Operands below this many rows stay serial.
-    pub par_min_rows: usize,
-    /// Rows per morsel (at least 1). Part of a float reduction's
-    /// definition: two runs are bit-identical only under the same grid.
-    pub morsel_rows: usize,
     /// Whether loaders build encoded column layouts (dict/FOR/RLE).
     pub enc: bool,
     pub opt: OptLevel,
@@ -100,7 +92,7 @@ pub struct EngineConfig {
     pub fault: Option<(String, u64)>,
     /// Plan-cache capacity; `None` disables caching.
     pub plan_cache: Option<usize>,
-    /// Service admission limit; `None` = `threads`.
+    /// Service admission limit; `None` = the available parallelism.
     pub admit: Option<usize>,
     /// Service per-statement deadline.
     pub deadline_ms: Option<u64>,
@@ -130,11 +122,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         let PlanConfig { opt, explain } = PlanConfig::default();
         EngineConfig {
-            threads: std::thread::available_parallelism()
-                .map_or(1, |n| n.get())
-                .min(crate::par::MAX_THREADS),
-            par_min_rows: crate::costmodel::PAR_MIN_ROWS,
-            morsel_rows: crate::par::MORSEL_ROWS,
             enc: true,
             opt,
             explain,
@@ -174,8 +161,7 @@ fn parse_fault(s: &str) -> Option<(String, u64)> {
 
 impl EngineConfig {
     /// The variables [`EngineConfig::from_vars`] recognizes.
-    pub const VARS: [&'static str; 12] = [
-        "FLATALG_THREADS",
+    pub const VARS: [&'static str; 11] = [
         "FLATALG_ENC",
         "FLATALG_OPT",
         "FLATALG_EXPLAIN",
@@ -216,9 +202,6 @@ impl EngineConfig {
             // Milliseconds; 0 = none.
             let ms = s.parse::<u64>().ok().map(|ms| (ms > 0).then_some(ms));
             let parsed = match var {
-                "FLATALG_THREADS" => {
-                    set(&mut cfg.threads, count.map(|n| n.clamp(1, crate::par::MAX_THREADS)))
-                }
                 "FLATALG_ENC" => set(&mut cfg.enc, flag),
                 "FLATALG_OPT" => set(
                     &mut cfg.opt,
@@ -309,20 +292,17 @@ mod tests {
         // Harness inputs and unrelated variables are not ours to judge.
         assert_eq!(one("FLATALG_SF", "huge").unwrap(), d);
         assert_eq!(one("FLATALG_PAR_MIN_ROWS", "x").unwrap(), d);
-        assert!((1..=crate::par::MAX_THREADS).contains(&d.threads));
-        assert_eq!((d.par_min_rows, d.morsel_rows), (128 * 1024, 64 * 1024));
         assert_eq!(d.plan(), PlanConfig::default());
         assert_eq!((d.opt, d.explain), (OptLevel::Full, false));
     }
 
     #[test]
     fn threads() {
-        assert_eq!(one("FLATALG_THREADS", "4").unwrap().threads, 4);
-        assert_eq!(one("FLATALG_THREADS", " 1 ").unwrap().threads, 1);
-        assert_eq!(one("FLATALG_THREADS", "0").unwrap().threads, 1, "clamped up");
-        assert_eq!(one("FLATALG_THREADS", "999").unwrap().threads, crate::par::MAX_THREADS);
-        rejected("FLATALG_THREADS", "four");
-        rejected("FLATALG_THREADS", "-1");
+        // The acceptance benchmark's child process still sets it.
+        assert!(!EngineConfig::VARS.contains(&"FLATALG_THREADS"));
+        for v in ["1", "4"] {
+            assert_eq!(one("FLATALG_THREADS", v).unwrap(), EngineConfig::default(), "{v}");
+        }
     }
 
     #[test]
@@ -393,21 +373,21 @@ mod tests {
     #[test]
     fn the_first_bad_value_is_the_error_and_good_ones_combine() {
         let cfg = EngineConfig::from_vars([
-            ("FLATALG_THREADS", "4"),
+            ("FLATALG_SPILL", "force"),
             ("FLATALG_OPT", "0"),
             ("FLATALG_ENC", "0"),
             ("FLATALG_PLAN_CACHE", "0"),
         ])
         .unwrap();
         let want = EngineConfig {
-            threads: 4,
+            spill_force: true,
             opt: OptLevel::Off,
             enc: false,
             plan_cache: None,
             ..EngineConfig::default()
         };
         assert_eq!(cfg, want);
-        let err = EngineConfig::from_vars([("FLATALG_THREADS", "4"), ("FLATALG_OPT", "no")]);
+        let err = EngineConfig::from_vars([("FLATALG_SPILL", "force"), ("FLATALG_OPT", "no")]);
         assert_eq!(err.unwrap_err().to_string(), "FLATALG_OPT=\"no\" is not a valid setting");
     }
 }

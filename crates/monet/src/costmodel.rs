@@ -19,7 +19,6 @@
 //! one extent lookup. Figure 8 plots both for the 1 GB TPC-D Item table
 //! (`X = 6,000,000, n = 16, w = 4, B = 4096`).
 
-use crate::config::EngineConfig;
 use crate::ctx::ExecCtx;
 
 /// Parameters of the cost model.
@@ -215,33 +214,6 @@ pub fn group_prefers_spill(ctx: &ExecCtx, rows: usize) -> bool {
     ctx.config().spill_force || overflows_headroom(&ctx.mem, group_inmem_bytes(rows))
 }
 
-// ---------------------------------------------------------------------------
-// Intra-query parallelism: when to cut morsels.
-// ---------------------------------------------------------------------------
-
-/// Default row threshold below which scan-shaped kernels stay serial.
-/// Dispatching a parallel batch costs a few microseconds (channel sends,
-/// one atomic cursor, result collection); the typed scans run at ~0.5-10
-/// ns/row, so well under ~10^5 rows the dispatch overhead eats the speedup
-/// and the morsel executor only adds variance. Measured on the reference
-/// box: below ~10^5 rows threading was a wash or a regression for every
-/// ported kernel; above it the scan kernels scale with memory bandwidth.
-/// The determinism tests configure `par_min_rows: 1` to force the parallel
-/// path onto small inputs.
-pub const PAR_MIN_ROWS: usize = 128 * 1024;
-
-/// Threads a kernel over a `rows`-row operand should use: 1 (serial)
-/// below the row threshold or when one thread is configured, the
-/// configured thread count otherwise. Every parallelized operator routes
-/// its dispatch decision through here so the threshold lives in one place.
-pub fn par_threads(cfg: &EngineConfig, rows: usize) -> usize {
-    if rows < cfg.par_min_rows {
-        1
-    } else {
-        cfg.threads
-    }
-}
-
 fn ceil_div_f(x: f64, c: u64) -> f64 {
     (x / c as f64).ceil()
 }
@@ -297,6 +269,7 @@ pub fn crossover(p: &CostParams, proj: u32) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::EngineConfig;
 
     #[test]
     fn per_page_counts() {
@@ -466,25 +439,6 @@ mod tests {
         assert!(join_prefers_direct(&auto, 100, 50, 50) && group_prefers_direct(&auto, 100, 50));
         assert!(!join_prefers_direct(&forced, 100, 50, 50));
         assert!(!group_prefers_direct(&forced, 100, 50) && group_prefers_packed(&forced, 100, 50));
-    }
-
-    #[test]
-    fn par_threshold_exact_cut_points() {
-        // Pin the threshold itself and the behavior one row either side,
-        // at a fixed thread count so the test is machine-independent.
-        let four = EngineConfig { threads: 4, ..EngineConfig::default() };
-        assert_eq!(four.par_min_rows, PAR_MIN_ROWS);
-        assert_eq!(par_threads(&four, PAR_MIN_ROWS - 1), 1);
-        assert_eq!(par_threads(&four, PAR_MIN_ROWS), 4);
-        assert_eq!(par_threads(&four, PAR_MIN_ROWS + 1), 4);
-        assert_eq!(par_threads(&four, 0), 1);
-        // One thread forces serial even far above the row threshold.
-        let one = EngineConfig { threads: 1, ..EngineConfig::default() };
-        assert_eq!(par_threads(&one, PAR_MIN_ROWS * 64), 1);
-        // A configured row threshold moves the cut exactly.
-        let low = EngineConfig { threads: 4, par_min_rows: 100, ..EngineConfig::default() };
-        assert_eq!(par_threads(&low, 99), 1);
-        assert_eq!(par_threads(&low, 100), 4);
     }
 
     #[test]

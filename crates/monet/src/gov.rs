@@ -4,12 +4,12 @@
 //! Every [`crate::ctx::ExecCtx`] carries one [`Governor`] (shared by
 //! clones of the context, i.e. per query/session). The kernel calls
 //! [`Governor::probe`] at its governed points — operator entry, between
-//! MIL statements, and at every morsel/task boundary of the parallel
-//! executor — and each probe is simultaneously:
+//! MIL statements, and at every morsel boundary of a scan-shaped
+//! operator — and each probe is simultaneously:
 //!
 //! * a **cancellation point**: a [`CancelToken`] set from any thread makes
-//!   the next probe return [`MonetError::Cancelled`], so workers abandon
-//!   their remaining morsels and the query aborts between statements;
+//!   the next probe return [`MonetError::Cancelled`], so a scan abandons
+//!   its remaining morsels and the query aborts between statements;
 //! * a **deadline check**: a per-statement deadline set by the query
 //!   service turns into [`MonetError::DeadlineExceeded`] at the first
 //!   probe past it;
@@ -33,16 +33,14 @@ use std::time::{Duration, Instant};
 use crate::error::{MonetError, Result};
 
 /// Well-known probe site names. Free-form `&'static str`s are accepted
-/// everywhere; these constants exist so the interpreter, the parallel
-/// executor, and the fault-sweep harness agree on spelling.
+/// everywhere; these constants exist so the interpreter, the morsel
+/// driver, and the fault-sweep harness agree on spelling.
 pub mod site {
     /// Between MIL statements (the interpreter's per-statement probe).
     pub const MIL_STMT: &str = "mil/stmt";
-    /// Before each morsel of a morsel-decomposed kernel.
-    pub const PAR_MORSEL: &str = "par/morsel";
-    /// Before each task of a task-decomposed kernel (per-cluster join
-    /// ranges, per-morsel group partials).
-    pub const PAR_TASK: &str = "par/task";
+    /// Before each morsel of a scan-shaped operator
+    /// ([`crate::ops::MORSEL_ROWS`] rows).
+    pub const SCAN_MORSEL: &str = "scan/morsel";
     /// While opening a persistent store (superblock / per-column files).
     pub const STORE_OPEN: &str = "store/open";
     /// Before each partition flush an out-of-core operator writes.

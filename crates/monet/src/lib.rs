@@ -29,11 +29,8 @@
 //! * [`db`] — the persistent BAT catalog;
 //! * [`pager`] — the simulated virtual-memory pager counting page faults;
 //! * [`costmodel`] — the analytic IO cost model of Section 5.2.2 (Fig 8),
-//!   plus the main-memory dispatch thresholds (partitioned join, morsel
-//!   parallelism);
-//! * [`par`] — intra-query parallelism: the persistent worker pool and the
-//!   morsel executor the hot kernels fan out over, with results
-//!   bit-identical to the serial paths;
+//!   plus the main-memory dispatch thresholds (partitioned join, compact
+//!   domains, spilling);
 //! * [`gov`] — the resource governor: per-query memory budgets,
 //!   cooperative cancellation and deadlines, and the deterministic fault
 //!   injector whose probe points double as the cancellation points;
@@ -68,7 +65,6 @@ pub mod gov;
 pub mod mil;
 pub mod ops;
 pub mod pager;
-pub mod par;
 pub mod props;
 pub mod spill;
 pub mod store;

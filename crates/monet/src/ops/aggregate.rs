@@ -52,29 +52,26 @@ impl AggFunc {
 /// yields `dbl`; `count` yields `lng`; `avg` yields `dbl`; `min`/`max`
 /// keep the tail type. `min`/`max`/`avg` over an empty BAT are errors.
 ///
-/// One [`aggr_window`] partial per configured `morsel_rows` window
-/// ([`crate::par::try_for_each_morsel`]), combined in morsel order by
-/// [`merge_partials`]. The morsel grid is a property of the operand, never
-/// of the thread count, so the floating-point association — and with it
-/// the result bits — is identical whether the partials are computed
-/// serially or on the worker pool ([`crate::costmodel::par_threads`]
-/// decides).
+/// One [`aggr_window`] partial per [`super::MORSEL_ROWS`] window
+/// (`ops::for_each_morsel`), combined in morsel order by
+/// [`merge_partials`]. The morsel grid is a property of the operand, so it
+/// fixes the floating-point association — and with it the result bits.
 pub fn aggr_scalar(ctx: &ExecCtx, ab: &Bat, f: AggFunc) -> Result<AtomValue> {
     ctx.probe("op/aggr")?;
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let (n, tail) = (ab.len(), ab.tail().clone());
-    let parts = crate::par::try_for_each_morsel(ctx, n, super::par_threads(ctx, n), move |r| {
-        aggr_window(&super::window_of(&tail, r.start, r.len()), f)
+    let n = ab.len();
+    let parts = super::for_each_morsel(ctx, n, |r| {
+        aggr_window(&super::window_of(ab.tail(), r.start, r.len()), f)
     })?;
     merge_partials(f, n, parts.into_iter().collect::<Result<_>>()?)
 }
 
 /// Aggregate partial of one window. Exact integer accumulators regroup
 /// freely; float sums are only bit-stable on a fixed morsel grid, which is
-/// why the grid is the operand's, never the thread count's; min/max carry
-/// the window's first-winner value.
+/// why the grid is a constant; min/max carry the window's first-winner
+/// value.
 enum Partial {
     /// The count itself is the number of rows reaching the aggregate.
     Count,
@@ -180,79 +177,37 @@ fn merge_partials(f: AggFunc, n: usize, parts: Vec<Partial>) -> Result<AtomValue
     }
 }
 
-/// Combine-in-morsel-order runner for per-group partial accumulators: one
-/// `ngroups`-wide buffer per fixed morsel, filled by `fill` and folded
-/// into the result by `merge`, **in morsel order**.
-///
-/// `exact` marks aggregates whose combine is associative and
-/// order-insensitive bit-for-bit (count, integer sums, first-winner
-/// min/max): for those the serial path is one streaming `fill` over the
-/// whole operand — no per-morsel buffers — because any morsel regrouping
-/// provably yields the same bits. Only inexact (float) merges pay the
-/// morsel-streamed serial pass, which reproduces the parallel combine
-/// sequence exactly, so result bits match at every thread count.
-///
-/// The parallel fan-out is additionally footprint-bounded: past ~4M
-/// partial slots (`ngroups x morsels`, ≈ 32 MB of f64 at the default
-/// morsel size) the group cardinality approaches the row count and
-/// per-morsel buffers would dwarf the operand, so the kernel streams
-/// serially instead. The bound depends only on the operand and the
-/// morsel grid — never the thread count — so thread-count invariance
-/// holds on both sides of it (above it, *every* thread count streams).
-fn group_partials<A, F, M>(
-    ctx: &ExecCtx,
+/// Per-group float accumulators, combined **in morsel order**: one
+/// `ngroups`-wide partial per [`super::MORSEL_ROWS`] window, filled by
+/// `fill` and folded into the result by `merge`, so the grid fixes the
+/// association and with it the result bits. Past ~4M partial slots
+/// (`ngroups x morsels`, ≈ 32 MB of f64) the group cardinality approaches
+/// the row count and the partials would dwarf the operand, so the rows
+/// stream into the result in one pass instead. The bound depends only on
+/// the operand, so a given operand always sums the same way. (Exact
+/// accumulators — counts, integer sums, first-winner min/max — regroup
+/// freely and always take one pass.)
+fn float_partials<A: Clone>(
     n: usize,
-    threads: usize,
     ngroups: usize,
     init: A,
-    exact: bool,
-    fill: F,
-    mut merge: M,
-) -> Result<Vec<A>>
-where
-    A: Clone + Send + Sync + 'static,
-    F: Fn(std::ops::Range<usize>, &mut [A]) + Send + Sync + 'static,
-    M: FnMut(&mut [A], &[A]),
-{
-    let ms = crate::par::morsels(n, ctx.config().morsel_rows);
+    fill: impl Fn(std::ops::Range<usize>, &mut [A]),
+    merge: impl Fn(&mut [A], &[A]),
+) -> Vec<A> {
     let mut total = vec![init.clone(); ngroups];
-    let fits = ngroups.saturating_mul(ms.len()) <= (1 << 22);
-    if threads > 1 && fits {
-        let ms2 = ms.clone();
-        let parts = crate::par::try_run_tasks(
-            &ctx.gov,
-            crate::gov::site::PAR_MORSEL,
-            ms.len(),
-            threads,
-            move |k| {
-                let mut buf = vec![init.clone(); ngroups];
-                fill(ms2[k].clone(), &mut buf);
-                buf
-            },
-        )?;
-        for p in &parts {
-            merge(&mut total, p);
-        }
-    } else if exact || !fits {
-        // One streaming pass. Exact merges are association-free; inexact
-        // merges only reach here when the footprint bound disables the
-        // parallel path for this operand at *every* thread count.
+    if ngroups.saturating_mul(super::morsels(n).count()) > (1 << 22) {
         fill(0..n, &mut total);
-    } else {
-        // Inexact serial under the footprint bound: stream the same
-        // morsel partials the parallel path would compute, in order.
-        let mut buf = vec![init.clone(); ngroups];
-        for (k, m) in ms.into_iter().enumerate() {
-            if k > 0 {
-                for b in buf.iter_mut() {
-                    *b = init.clone();
-                }
-            }
-            fill(m, &mut buf);
-            merge(&mut total, &buf);
-        }
+        return total;
     }
-    Ok(total)
+    let mut buf = vec![init.clone(); ngroups];
+    for (k, m) in super::morsels(n).enumerate() {
+        if k > 0 {
+            buf.fill(init.clone());
+        }
+        fill(m, &mut buf);
+        merge(&mut total, &buf);
+    }
+    total
 }
 
 /// The set-aggregate constructor `{g}(AB)`: one result BUN per distinct
@@ -302,7 +257,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                     (gid_of, rep, "merge")
                 })
             } else {
-                super::group::hash_group_column(ctx, h, super::par_threads(ctx, n))?
+                super::group::hash_group_column(ctx, h)?
             };
             let g = Grouping { gid_of: Arc::new(gid_of), reps: Arc::new(rep) };
             ctx.memo_insert(key, Memoized::Grouping(g.clone()));
@@ -310,83 +265,46 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
         }
     };
 
-    // Aggregate each group's tail values through per-morsel partial
-    // accumulators combined in morsel order (see `group_partials` for the
-    // determinism argument); the gid vector is shared read-only with the
-    // workers.
+    // Aggregate each group's tail values: exact accumulators in one pass,
+    // float ones through `float_partials` (see there for the determinism
+    // argument).
     let ngroups = rep.len();
     let t = ab.tail();
-    let threads = super::par_threads(ctx, n);
     let tail: Column = match f {
         AggFunc::Count => {
-            let g = Arc::clone(&gid);
-            let counts = group_partials(
-                ctx,
-                n,
-                threads,
-                ngroups,
-                0i64,
-                true,
-                move |r, buf| {
-                    for i in r {
-                        buf[g[i] as usize] += 1;
-                    }
-                },
-                |total, part| {
-                    for (tg, &p) in total.iter_mut().zip(part) {
-                        *tg += p;
-                    }
-                },
-            )?;
+            let mut counts = vec![0i64; ngroups];
+            for &g in gid.iter() {
+                counts[g as usize] += 1;
+            }
             Column::from_lngs(counts)
         }
         AggFunc::Sum => match tail_ty {
             AtomType::Int | AtomType::Lng => {
-                let g = Arc::clone(&gid);
                 let col = t.decoded();
-                let wide = tail_ty == AtomType::Lng;
-                let sums = group_partials(
-                    ctx,
-                    n,
-                    threads,
-                    ngroups,
-                    0i64,
-                    true,
-                    move |r, buf| {
-                        if wide {
-                            let slice = col.as_lng_slice().expect("lng tail");
-                            for i in r {
-                                buf[g[i] as usize] += slice[i];
-                            }
-                        } else {
-                            let slice = col.as_int_slice().expect("int tail");
-                            for i in r {
-                                buf[g[i] as usize] += slice[i] as i64;
-                            }
-                        }
-                    },
-                    |total, part| {
-                        for (tg, &p) in total.iter_mut().zip(part) {
-                            *tg += p;
-                        }
-                    },
-                )?;
+                let mut sums = vec![0i64; ngroups];
+                if tail_ty == AtomType::Lng {
+                    let slice = col.as_lng_slice().expect("lng tail");
+                    for (&g, &x) in gid.iter().zip(slice) {
+                        sums[g as usize] += x;
+                    }
+                } else {
+                    let slice = col.as_int_slice().expect("int tail");
+                    for (&g, &x) in gid.iter().zip(slice) {
+                        sums[g as usize] += x as i64;
+                    }
+                }
                 Column::from_lngs(sums)
             }
             _ => {
-                let g = Arc::clone(&gid);
                 let col = t.decoded();
-                let sums = group_partials(
-                    ctx,
+                let slice = col.as_dbl_slice().expect("dbl tail");
+                Column::from_dbls(float_partials(
                     n,
-                    threads,
                     ngroups,
                     0f64,
-                    false,
-                    move |r, buf| {
-                        let slice = col.as_dbl_slice().expect("dbl tail");
+                    |r, buf| {
                         for i in r {
-                            buf[g[i] as usize] += slice[i];
+                            buf[gid[i] as usize] += slice[i];
                         }
                     },
                     |total, part| {
@@ -394,25 +312,20 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                             *tg += p;
                         }
                     },
-                )?;
-                Column::from_dbls(sums)
+                ))
             }
         },
         AggFunc::Avg => {
-            let g = Arc::clone(&gid);
             let col = t.decoded();
-            let acc = group_partials(
-                ctx,
+            let acc = float_partials(
                 n,
-                threads,
                 ngroups,
                 (0f64, 0u64),
-                false,
-                move |r, buf| match col.atom_type() {
+                |r, buf| match col.atom_type() {
                     AtomType::Int => {
                         let slice = col.as_int_slice().expect("int tail");
                         for i in r {
-                            let b = &mut buf[g[i] as usize];
+                            let b = &mut buf[gid[i] as usize];
                             b.0 += slice[i] as f64;
                             b.1 += 1;
                         }
@@ -420,7 +333,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                     AtomType::Lng => {
                         let slice = col.as_lng_slice().expect("lng tail");
                         for i in r {
-                            let b = &mut buf[g[i] as usize];
+                            let b = &mut buf[gid[i] as usize];
                             b.0 += slice[i] as f64;
                             b.1 += 1;
                         }
@@ -428,7 +341,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                     _ => {
                         let slice = col.as_dbl_slice().expect("dbl tail");
                         for i in r {
-                            let b = &mut buf[g[i] as usize];
+                            let b = &mut buf[gid[i] as usize];
                             b.0 += slice[i];
                             b.1 += 1;
                         }
@@ -440,57 +353,28 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                         tg.1 += p.1;
                     }
                 },
-            )?;
+            );
             Column::from_dbls(acc.iter().map(|(s, c)| s / *c as f64).collect())
         }
         AggFunc::Min | AggFunc::Max => {
-            // Per-morsel first-winner rows per group; merged in morsel
-            // order with the same strict-improvement rule, so each group's
-            // winner is its earliest extreme row — identical to the serial
-            // scan seeded with the group representatives.
-            let g = Arc::clone(&gid);
-            let col = t.clone();
+            // First-winner rows per group: only a strict improvement
+            // replaces the incumbent, so each group's winner is its
+            // earliest extreme row.
             let minimize = f == AggFunc::Min;
-            let best = group_partials(
-                ctx,
-                n,
-                threads,
-                ngroups,
-                u32::MAX,
-                true,
-                move |r, buf| {
-                    crate::for_each_typed!(&col, |tv| {
-                        for i in r.clone() {
-                            let b = &mut buf[g[i] as usize];
-                            if *b == u32::MAX {
-                                *b = i as u32;
-                                continue;
-                            }
-                            let c = tv.cmp_one(tv.value(i), tv.value(*b as usize));
-                            if if minimize { c.is_lt() } else { c.is_gt() } {
-                                *b = i as u32;
-                            }
-                        }
-                    })
-                },
-                |total, part| {
-                    crate::for_each_typed!(t, |tv| {
-                        for (tg, &p) in total.iter_mut().zip(part) {
-                            if p == u32::MAX {
-                                continue;
-                            }
-                            if *tg == u32::MAX {
-                                *tg = p;
-                                continue;
-                            }
-                            let c = tv.cmp_one(tv.value(p as usize), tv.value(*tg as usize));
-                            if if minimize { c.is_lt() } else { c.is_gt() } {
-                                *tg = p;
-                            }
-                        }
-                    })
-                },
-            )?;
+            let mut best = vec![u32::MAX; ngroups];
+            crate::for_each_typed!(t, |tv| {
+                for (i, &g) in gid.iter().enumerate() {
+                    let b = &mut best[g as usize];
+                    if *b == u32::MAX {
+                        *b = i as u32;
+                        continue;
+                    }
+                    let c = tv.cmp_one(tv.value(i), tv.value(*b as usize));
+                    if if minimize { c.is_lt() } else { c.is_gt() } {
+                        *b = i as u32;
+                    }
+                }
+            });
             t.gather(&best)
         }
     };

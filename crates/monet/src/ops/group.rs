@@ -13,7 +13,7 @@
 //! this order:
 //!
 //! * `merge` — the column is sorted: adjacent comparison;
-//! * `direct` — serial, an integer-coded column (oid, `chr`, int, date,
+//! * `direct` — an integer-coded column (oid, `chr`, int, date,
 //!   dictionary or frame-of-reference codes) whose key span is compact
 //!   ([`crate::costmodel::group_prefers_direct`]): a pooled
 //!   [`SlotTable`] addressed by `code - base`, one load per row — no hash,
@@ -22,8 +22,8 @@
 //!   `spill_force` is configured: the rows are hash-partitioned into a
 //!   spill file through the radix join's partition sink
 //!   ([`crate::spill::Partitions`]) and grouped one cluster at a time;
-//! * `hash` / `par-hash` — the presized bucket-chained [`GroupTable`]
-//!   inside a monomorphized typed loop, one table per morsel when parallel.
+//! * `hash` — the presized bucket-chained [`GroupTable`] inside a
+//!   monomorphized typed loop.
 //!
 //! Binary grouping ([`group2`]) first aligns the operands (`sync` when
 //! they share their head column, `hash-align` otherwise) and then numbers
@@ -55,90 +55,33 @@ pub(crate) struct Grouping {
 /// representative row per group)`, gids dense in order of first
 /// appearance. This is the shared core of `group1` and of
 /// `set_aggregate`'s head grouping; see the module docs for the variants.
-///
-/// With `threads > 1` the rows are grouped morsel-parallel with one
-/// per-worker [`GroupTable`] per morsel (buffers from the bounded
-/// thread-local scratch pool), then merged by a final serial pass: each
-/// morsel's representatives are folded into a global table **in morsel
-/// order**, which reproduces the serial first-occurrence numbering
-/// exactly — a value's global representative is its first row in the
-/// first morsel that contains it, i.e. its globally first row. The
-/// per-morsel gids are then relabeled through the local→global map and
-/// concatenated in morsel order, so the output is bit-identical to the
-/// serial single-table pass at every thread count.
 pub(crate) fn hash_group_column(
     ctx: &ExecCtx,
     col: &Column,
-    threads: usize,
 ) -> Result<(Vec<u32>, Vec<u32>, &'static str)> {
     let n = col.len();
-    if threads <= 1 {
-        // The parallel path keeps the generic per-morsel tables — its
-        // merge pass needs value-keyed tables anyway and morsel results
-        // must stay label-compatible.
-        let dom = OidDomain::covering(col, false)
-            .filter(|d| crate::costmodel::group_prefers_direct(ctx, d.span, n));
-        if let Some(dom) = dom {
-            let (gid_of, reps) = direct_group_column(col, dom);
-            return Ok((gid_of, reps, "direct"));
-        }
+    let dom = OidDomain::covering(col, false)
+        .filter(|d| crate::costmodel::group_prefers_direct(ctx, d.span, n));
+    if let Some(dom) = dom {
+        let (gid_of, reps) = direct_group_column(col, dom);
+        return Ok((gid_of, reps, "direct"));
     }
     if crate::costmodel::group_prefers_spill(ctx, n) {
         // Out-of-core partition-then-process shape (see the function
         // docs): resource decision only, the numbering is identical.
         return spill_group_column(ctx, col);
     }
-    if threads <= 1 {
-        return Ok(crate::for_each_typed!(col, |t| {
-            let mut table = GroupTable::with_capacity(n);
-            let mut gid_of: Vec<u32> = Vec::with_capacity(n);
-            for i in 0..n {
-                let v = t.value(i);
-                let h = t.hash_one(v);
-                let (g, _) =
-                    table.find_or_insert(h, i as u32, |rep| t.eq_one(t.value(rep as usize), v));
-                gid_of.push(g);
-            }
-            (gid_of, table.reps().to_vec(), "hash")
-        }));
-    }
-    let c = col.clone();
-    let parts: Vec<(Vec<u32>, Vec<u32>)> =
-        crate::par::try_for_each_morsel(ctx, n, threads, move |r| {
-            crate::for_each_typed!(&c, |t| {
-                let mut table = GroupTable::pooled(r.len());
-                let mut lgids: Vec<u32> = Vec::with_capacity(r.len());
-                for i in r {
-                    let v = t.value(i);
-                    let h = t.hash_one(v);
-                    let (g, _) =
-                        table.find_or_insert(h, i as u32, |rep| t.eq_one(t.value(rep as usize), v));
-                    lgids.push(g);
-                }
-                let reps = table.reps().to_vec();
-                table.recycle();
-                (lgids, reps)
-            })
-        })?;
     Ok(crate::for_each_typed!(col, |t| {
-        let est: usize = parts.iter().map(|p| p.1.len()).sum();
-        let mut table = GroupTable::with_capacity(est);
-        let mut maps: Vec<Vec<u32>> = Vec::with_capacity(parts.len());
-        for (_, reps) in &parts {
-            let mut map = Vec::with_capacity(reps.len());
-            for &rep in reps {
-                let v = t.value(rep as usize);
-                let h = t.hash_one(v);
-                let (g, _) = table.find_or_insert(h, rep, |rr| t.eq_one(t.value(rr as usize), v));
-                map.push(g);
-            }
-            maps.push(map);
-        }
+        let mut table = GroupTable::with_capacity(n);
         let mut gid_of: Vec<u32> = Vec::with_capacity(n);
-        for ((lgids, _), map) in parts.iter().zip(&maps) {
-            gid_of.extend(lgids.iter().map(|&lg| map[lg as usize]));
+        for i in 0..n {
+            let v = t.value(i);
+            let h = t.hash_one(v);
+            let (g, _) =
+                table.find_or_insert(h, i as u32, |rep| t.eq_one(t.value(rep as usize), v));
+            gid_of.push(g);
         }
-        (gid_of, table.reps().to_vec(), "par-hash")
+        (gid_of, table.reps().to_vec(), "hash")
     }))
 }
 
@@ -271,8 +214,7 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
             (gids, "merge")
         })
     } else {
-        let threads = super::par_threads(ctx, ab.len());
-        let (gid_of, reps, algo) = hash_group_column(ctx, ab.tail(), threads)?;
+        let (gid_of, reps, algo) = hash_group_column(ctx, ab.tail())?;
         let base = ctx.fresh_oids(reps.len());
         (gid_of.iter().map(|&g| base + g as Oid).collect(), algo)
     };
@@ -498,7 +440,7 @@ mod tests {
         let dict = strs.encode(false);
         assert_eq!(dict.encoding(), crate::props::Enc::Dict);
         for col in [&ints, &strs, &dict] {
-            let (gid_mem, reps_mem, _) = hash_group_column(&ctx, col, 1).unwrap();
+            let (gid_mem, reps_mem, _) = hash_group_column(&ctx, col).unwrap();
             let (gid_sp, reps_sp, algo) = spill_group_column(&ctx, col).unwrap();
             assert_eq!(algo, "spill");
             assert_eq!(gid_mem, gid_sp, "gids diverge on {}", col.atom_type());

@@ -340,9 +340,8 @@ pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 /// both sides' pairs in spill files (`spill`) so that only one cluster's
 /// pairs and build table are ever resident and the transient working set
 /// is bounded by the largest cluster, not the operand. Same partition
-/// pass, same per-cluster consumer, same finish; the two differ in where
-/// a cluster lives, and in that only resident clusters are probed in
-/// parallel.
+/// pass, same per-cluster consumer, same finish; the two differ only in
+/// where a cluster lives.
 ///
 /// The build side is partitioned first and its hashes fill a
 /// [`HashFilter`] when [`crate::costmodel::join_prefers_filter`] (spilling,
@@ -374,46 +373,10 @@ fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, spill: bool) -> Result<Bat> {
         Partitions::build(ctx, bt, bits, spill, |h| filter.as_ref().is_none_or(|f| f.contains(h)))
     })?;
     drop(filter);
-    let nclusters = lc.num_clusters();
     let mut matches = Matches::pooled(cd.props().head.key, ab.len());
-    let threads = if spill { 1 } else { super::par_threads(ctx, ab.len().max(cd.len())) };
-    if threads > 1 && nclusters > 1 {
-        // Clusters are independent: build+probe them in parallel, one
-        // task per contiguous cluster range (balanced by rows, so a heavy
-        // cluster does not serialize the batch). Each task emits its
-        // matches locally; taking the parts in range (= cluster) order
-        // reproduces the serial match sequence exactly. The job closures
-        // hold `Arc` clones that can outlive `try_run_tasks` (a queued job
-        // behind another driver's batch drops its clone only when the
-        // worker dequeues it); partitions, tables and match buffers all
-        // return their scratch on drop, so whichever thread lets go last
-        // returns it — also when the batch is aborted.
-        let ranges = cluster_task_ranges(&lc, &rc, threads * 4);
-        let ntasks = ranges.len();
-        let (lc, rc) = (std::sync::Arc::new(lc), std::sync::Arc::new(rc));
-        let (ltail, rhead) = (ab.tail().clone(), cd.head().clone());
-        let gov = std::sync::Arc::clone(&ctx.gov);
-        let parts = crate::par::try_run_tasks(
-            &ctx.gov,
-            crate::gov::site::PAR_TASK,
-            ntasks,
-            threads,
-            move |k| {
-                let mut local = Matches::pooled(false, 0);
-                crate::for_each_typed2!(&ltail, &rhead, |bt, ch| {
-                    probe_clusters(bt, ch, &gov, &lc, &rc, ranges[k].clone(), &mut local)
-                })
-                .map(|()| local)
-            },
-        )?;
-        for part in parts {
-            matches.extend(&part?);
-        }
-    } else {
-        crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-            probe_clusters(bt, ch, &ctx.gov, &lc, &rc, 0..nclusters, &mut matches)
-        })?;
-    }
+    crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
+        probe_clusters(bt, ch, &ctx.gov, &lc, &rc, &mut matches)
+    })?;
     Ok(finish_partitioned(ctx, ab, cd, matches))
 }
 
@@ -486,19 +449,6 @@ impl Matches {
             Matches::Pairs(crate::typed::take_u64(probe_rows))
         }
     }
-
-    /// Append a parallel task's matches.
-    fn extend(&mut self, part: &Matches) {
-        let Matches::Pairs(part) = part else { unreachable!("tasks emit packed pairs") };
-        match self {
-            Matches::Pairs(pairs) => pairs.extend_from_slice(part),
-            Matches::RightOf(right_of) => {
-                for &m in part {
-                    right_of[(m >> 32) as usize] = m as u32;
-                }
-            }
-        }
-    }
 }
 
 impl Drop for Matches {
@@ -521,8 +471,8 @@ const SLOT_MASK: u32 = (1 << SLOT_BITS) - 1;
 /// id in their top bits, so entries left by a previous cluster are
 /// self-invalidating, and `next` needs no reset because a chain only
 /// references slots the current cluster's build just wrote. Buffers come
-/// from the scratch pool of the thread that builds the table — a worker's
-/// pool keeps the table pages warm across tasks — and return on drop.
+/// from the scratch pool, which keeps the table pages warm across joins,
+/// and return on drop.
 struct ClusterTable {
     buckets: Vec<u32>,
     next: Vec<u32>,
@@ -638,28 +588,25 @@ impl Drop for ClusterTable {
     }
 }
 
-/// Build+probe the clusters in `crange` with one [`ClusterTable`],
-/// pushing matches in cluster order — the one per-cluster consumer of the
-/// radix join, wherever the clusters live. The serial join passes the
-/// full cluster range; the parallel join hands disjoint ranges to the
-/// worker pool.
+/// Build+probe every cluster with one [`ClusterTable`], pushing matches
+/// in cluster order — the one per-cluster consumer of the radix join,
+/// wherever the clusters live.
 fn probe_clusters<VL, VR>(
     bt: VL,
     ch: VR,
     gov: &crate::gov::Governor,
     lc: &Partitions,
     rc: &Partitions,
-    crange: std::ops::Range<usize>,
     matches: &mut Matches,
 ) -> Result<()>
 where
     VL: TypedVals,
     VR: TypedVals<Elem = VL::Elem>,
 {
-    let max_build = crange.clone().map(|c| rc.cluster_len(c)).max().unwrap_or(0);
+    let max_build = (0..rc.num_clusters()).map(|c| rc.cluster_len(c)).max().unwrap_or(0);
     let mut table = ClusterTable::pooled(max_build);
     let (mut lbuf, mut rbuf) = (Vec::new(), Vec::new());
-    for c in crange {
+    for c in 0..lc.num_clusters() {
         if lc.cluster_len(c) == 0 || rc.cluster_len(c) == 0 {
             continue;
         }
@@ -675,37 +622,6 @@ where
         }
     }
     Ok(())
-}
-
-/// Cut `[0, nclusters)` into at most `target_tasks` contiguous ranges of
-/// roughly equal combined (probe + build) row count, so one heavy cluster
-/// does not serialize the parallel batch.
-fn cluster_task_ranges(
-    lc: &Partitions,
-    rc: &Partitions,
-    target_tasks: usize,
-) -> Vec<std::ops::Range<usize>> {
-    let n = lc.num_clusters();
-    let rows = |c: usize| lc.cluster_len(c) + rc.cluster_len(c);
-    let total: usize = (0..n).map(rows).sum();
-    let per_task = (total / target_tasks.max(1)).max(1);
-    let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(target_tasks);
-    let (mut start, mut acc) = (0usize, 0usize);
-    for c in 0..n {
-        acc += rows(c);
-        if acc >= per_task {
-            ranges.push(start..c + 1);
-            start = c + 1;
-            acc = 0;
-        }
-    }
-    if start < n {
-        ranges.push(start..n);
-    }
-    if ranges.is_empty() {
-        ranges.push(0..n);
-    }
-    ranges
 }
 
 /// Shared tail of the partitioned join: restore global left-BUN order and

@@ -254,9 +254,9 @@ enum TailArg {
 }
 
 /// Positional fast path: all BAT args share the first BAT's head, so every
-/// morsel ([`crate::par::try_for_each_morsel`]) runs [`eval_tail_window`]
-/// over the same window of each argument, and the output windows are
-/// concatenated in morsel order.
+/// morsel ([`super::for_each_morsel`]) runs [`eval_tail_window`] over the
+/// same window of each argument, and the output windows are concatenated
+/// in morsel order.
 fn mux_synced(
     ctx: &ExecCtx,
     f: ScalarFunc,
@@ -264,25 +264,18 @@ fn mux_synced(
     args: &[MultArg],
 ) -> Result<(Bat, &'static str)> {
     let n = first.len();
-    let targs: Vec<TailArg> = args
-        .iter()
-        .map(|a| match a {
-            MultArg::Bat(b) => TailArg::Col(b.tail().clone()),
-            MultArg::Const(v) => TailArg::Const(v.clone()),
-        })
-        .collect();
-    let parts = crate::par::try_for_each_morsel(ctx, n, super::par_threads(ctx, n), move |r| {
-        let w: Vec<TailArg> = targs
+    let parts = super::for_each_morsel(ctx, n, |r| {
+        let w: Vec<TailArg> = args
             .iter()
             .map(|a| match a {
-                TailArg::Col(c) => TailArg::Col(super::window_of(c, r.start, r.len())),
-                TailArg::Const(v) => TailArg::Const(v.clone()),
+                MultArg::Bat(b) => TailArg::Col(super::window_of(b.tail(), r.start, r.len())),
+                MultArg::Const(v) => TailArg::Const(v.clone()),
             })
             .collect();
         eval_tail_window(f, &w, r.len())
     })?;
     // Surface the first error in morsel order (the earliest failing row's
-    // morsel, whatever the schedule).
+    // morsel).
     let parts: Vec<(Column, bool)> = parts.into_iter().collect::<Result<_>>()?;
     let rowwise = parts.iter().any(|(_, by_row)| *by_row);
     // Empty windows are dropped before concatenation: a zero-row window

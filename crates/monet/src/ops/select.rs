@@ -58,7 +58,7 @@ fn select(
     } else if ab.props().tail.sorted {
         (select_sorted(ctx, ab, lo, hi, inc_lo, inc_hi), "binary-search")
     } else {
-        (select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, point)?, scan_algo(ctx, ab))
+        (select_scan(ctx, ab, lo, hi, inc_lo, inc_hi, point)?, "scan")
     };
     ctx.record("select", algo, &[ab], &result)?;
     Ok(result)
@@ -98,9 +98,9 @@ fn select_sorted(
     result
 }
 
-/// Scan selection: each morsel ([`crate::par::try_for_each_morsel`]) runs
+/// Scan selection: each morsel ([`super::for_each_morsel`]) runs
 /// [`select_window`] and the matching global positions are concatenated in
-/// morsel (= row) order, so the serial path is the same grid at one thread.
+/// morsel (= row) order.
 fn select_scan(
     ctx: &ExecCtx,
     ab: &Bat,
@@ -113,20 +113,14 @@ fn select_scan(
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
-    let (tail, lo, hi) = (ab.tail().clone(), lo.cloned(), hi.cloned());
-    let parts = crate::par::try_for_each_morsel(
-        ctx,
-        ab.len(),
-        super::par_threads(ctx, ab.len()),
-        move |r| {
-            let w = super::window_of(&tail, r.start, r.len());
-            let mut idx = select_window(&w, lo.as_ref(), hi.as_ref(), inc_lo, inc_hi);
-            for i in &mut idx {
-                *i += r.start as u32;
-            }
-            idx
-        },
-    )?;
+    let parts = super::for_each_morsel(ctx, ab.len(), |r| {
+        let w = super::window_of(ab.tail(), r.start, r.len());
+        let mut idx = select_window(&w, lo, hi, inc_lo, inc_hi);
+        for i in &mut idx {
+            *i += r.start as u32;
+        }
+        idx
+    })?;
     let idx = parts.concat();
     if let Some(p) = ctx.pager.as_deref() {
         for &i in &idx {
@@ -134,16 +128,6 @@ fn select_scan(
         }
     }
     Ok(build_selected(ab, &idx, point))
-}
-
-/// Trace label of the scan branch: the morsel driver fans out exactly when
-/// [`super::par_threads`] says so.
-fn scan_algo(ctx: &ExecCtx, ab: &Bat) -> &'static str {
-    if super::par_threads(ctx, ab.len()) > 1 {
-        "par-scan"
-    } else {
-        "scan"
-    }
 }
 
 /// The select window kernel — the only range-predicate row loop: the

@@ -2,11 +2,11 @@
 //! first occurrence of every distinct BUN pair is kept, in operand order.
 //!
 //! Variants, in dispatch order: `noop` (a key column: all pairs distinct),
-//! `merge` (head sorted: duplicates only inside runs), `packed` (serial,
-//! both columns integer-coded with a compact product span —
-//! [`super::group::packed_domains`]: one slot-table load per row), `hash` /
-//! `par-hash`. All run under nested typed dispatch: the (head, tail) type
-//! pair is resolved once and the per-row work is fully monomorphic.
+//! `merge` (head sorted: duplicates only inside runs), `packed` (both
+//! columns integer-coded with a compact product span —
+//! [`super::group::packed_domains`]: one slot-table load per row), `hash`.
+//! All run under nested typed dispatch: the (head, tail) type pair is
+//! resolved once and the per-row work is fully monomorphic.
 
 use crate::bat::Bat;
 use crate::ctx::ExecCtx;
@@ -28,7 +28,7 @@ pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     } else if ab.props().head.sorted {
         (unique_grouped(ab), "merge")
     } else {
-        let (idx, algo) = unique_hash(ctx, ab, super::par_threads(ctx, ab.len()))?;
+        let (idx, algo) = unique_hash(ctx, ab);
         (build_unique(ab, &idx), algo)
     };
     ctx.record("unique", algo, &[ab], &result)?;
@@ -60,109 +60,50 @@ fn unique_grouped(ab: &Bat) -> Bat {
 }
 
 /// Positions of the first occurrence of every distinct pair, ascending.
-fn unique_hash(ctx: &ExecCtx, ab: &Bat, threads: usize) -> Result<(Vec<u32>, &'static str)> {
-    if threads <= 1 {
-        let tail_sorted = ab.props().tail.sorted;
-        let packed =
-            super::group::packed_domains(ctx, (ab.head(), false), (ab.tail(), tail_sorted));
-        if let Some((hdom, tdom)) = packed {
-            let idx = crate::for_each_coded!(ab.head(), |hc| {
-                crate::for_each_coded!(ab.tail(), |tc| {
-                    let mut table = SlotTable::pooled(hdom.span * tdom.span);
-                    let mut idx: Vec<u32> = Vec::new();
-                    for i in 0..ab.len() {
-                        let h = (hc.code(i) - hdom.base) as usize;
-                        let t = (tc.code(i) - tdom.base) as usize;
-                        if table.find_or_insert(h * tdom.span + t).1 {
-                            idx.push(i as u32);
-                        }
-                    }
-                    table.recycle();
-                    idx
-                })
-            })
-            .flatten()
-            .expect("covering domains imply integer codes");
-            return Ok((idx, "packed"));
-        }
-    }
-    let idx: Vec<u32> = if threads > 1 {
-        // Morsel-parallel dedup: every global first occurrence is also a
-        // first occurrence within its own morsel, so per-worker tables
-        // (scratch-pool backed) shrink each morsel to its local survivors;
-        // a serial merge pass re-checks only those against the global
-        // table **in morsel order**, which reproduces the serial keep-set
-        // and its ascending position order exactly.
-        let hc = ab.head().clone();
-        let tc = ab.tail().clone();
-        let parts: Vec<Vec<u32>> =
-            crate::par::try_for_each_morsel(ctx, ab.len(), threads, move |r| {
-                crate::for_each_typed!(&hc, |h| {
-                    crate::for_each_typed!(&tc, |t| {
-                        let mut table = GroupTable::pooled(r.len());
-                        let mut kept: Vec<u32> = Vec::new();
-                        for i in r.clone() {
-                            let hv = h.value(i);
-                            let tv = t.value(i);
-                            let key = h.hash_one(hv).rotate_left(17) ^ t.hash_one(tv);
-                            let (_, inserted) = table.find_or_insert(key, i as u32, |rep| {
-                                let k = rep as usize;
-                                h.eq_one(h.value(k), hv) && t.eq_one(t.value(k), tv)
-                            });
-                            if inserted {
-                                kept.push(i as u32);
-                            }
-                        }
-                        table.recycle();
-                        kept
-                    })
-                })
-            })?;
-        crate::for_each_typed!(ab.head(), |h| {
-            crate::for_each_typed!(ab.tail(), |t| {
-                let candidates: usize = parts.iter().map(Vec::len).sum();
-                let mut table = GroupTable::with_capacity(candidates);
-                let mut idx: Vec<u32> = Vec::with_capacity(candidates);
-                for kept in &parts {
-                    for &i in kept {
-                        let hv = h.value(i as usize);
-                        let tv = t.value(i as usize);
-                        let key = h.hash_one(hv).rotate_left(17) ^ t.hash_one(tv);
-                        let (_, inserted) = table.find_or_insert(key, i, |rep| {
-                            let k = rep as usize;
-                            h.eq_one(h.value(k), hv) && t.eq_one(t.value(k), tv)
-                        });
-                        if inserted {
-                            idx.push(i);
-                        }
-                    }
-                }
-                idx
-            })
-        })
-    } else {
-        crate::for_each_typed!(ab.head(), |h| {
-            crate::for_each_typed!(ab.tail(), |t| {
-                // Pair-hash chains; equality only on full-hash matches.
-                let mut table = GroupTable::with_capacity(ab.len());
-                let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
-                for i in 0..h.len() {
-                    let hv = h.value(i);
-                    let tv = t.value(i);
-                    let key = h.hash_one(hv).rotate_left(17) ^ t.hash_one(tv);
-                    let (_, inserted) = table.find_or_insert(key, i as u32, |rep| {
-                        let k = rep as usize;
-                        h.eq_one(h.value(k), hv) && t.eq_one(t.value(k), tv)
-                    });
-                    if inserted {
+fn unique_hash(ctx: &ExecCtx, ab: &Bat) -> (Vec<u32>, &'static str) {
+    let tail_sorted = ab.props().tail.sorted;
+    let packed = super::group::packed_domains(ctx, (ab.head(), false), (ab.tail(), tail_sorted));
+    if let Some((hdom, tdom)) = packed {
+        let idx = crate::for_each_coded!(ab.head(), |hc| {
+            crate::for_each_coded!(ab.tail(), |tc| {
+                let mut table = SlotTable::pooled(hdom.span * tdom.span);
+                let mut idx: Vec<u32> = Vec::new();
+                for i in 0..ab.len() {
+                    let h = (hc.code(i) - hdom.base) as usize;
+                    let t = (tc.code(i) - tdom.base) as usize;
+                    if table.find_or_insert(h * tdom.span + t).1 {
                         idx.push(i as u32);
                     }
                 }
+                table.recycle();
                 idx
             })
         })
-    };
-    Ok((idx, if threads > 1 { "par-hash" } else { "hash" }))
+        .flatten()
+        .expect("covering domains imply integer codes");
+        return (idx, "packed");
+    }
+    let idx = crate::for_each_typed!(ab.head(), |h| {
+        crate::for_each_typed!(ab.tail(), |t| {
+            // Pair-hash chains; equality only on full-hash matches.
+            let mut table = GroupTable::with_capacity(ab.len());
+            let mut idx: Vec<u32> = Vec::with_capacity(ab.len());
+            for i in 0..h.len() {
+                let hv = h.value(i);
+                let tv = t.value(i);
+                let key = h.hash_one(hv).rotate_left(17) ^ t.hash_one(tv);
+                let (_, inserted) = table.find_or_insert(key, i as u32, |rep| {
+                    let k = rep as usize;
+                    h.eq_one(h.value(k), hv) && t.eq_one(t.value(k), tv)
+                });
+                if inserted {
+                    idx.push(i as u32);
+                }
+            }
+            idx
+        })
+    });
+    (idx, "hash")
 }
 
 fn build_unique(ab: &Bat, idx: &[u32]) -> Bat {

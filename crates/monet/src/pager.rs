@@ -272,6 +272,10 @@ impl Mapping {
         {
             use std::os::fd::AsRawFd;
             if len > 0 {
+                // SAFETY: a null address hint, a non-zero length, a
+                // read-only private mapping of an open descriptor: the call
+                // either fails (checked below) or returns a fresh mapping of
+                // `len` bytes that nothing else aliases or writes.
                 let ptr = unsafe {
                     mmap_sys::mmap(
                         std::ptr::null_mut(),
@@ -294,6 +298,9 @@ impl Mapping {
         use std::io::Read;
         let words = len.div_ceil(8);
         let mut buf: Vec<u64> = vec![0; words];
+        // SAFETY: `buf` is `words` initialized u64s, i.e. `words * 8`
+        // initialized bytes; `u8` needs no alignment; `bytes` is the only
+        // access to `buf` while it lives.
         let bytes =
             unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, words * 8) };
         let mut f = file;
@@ -316,12 +323,18 @@ impl Mapping {
     pub fn bytes(&self) -> &[u8] {
         match &self.repr {
             #[cfg(unix)]
-            // SAFETY: ptr/len come from a successful mmap that lives
-            // until drop.
-            MapRepr::Mmap { ptr, len } => unsafe { std::slice::from_raw_parts(*ptr, *len) },
-            MapRepr::Heap(buf, len) => unsafe {
-                std::slice::from_raw_parts(buf.as_ptr() as *const u8, *len)
-            },
+            MapRepr::Mmap { ptr, len } => {
+                // SAFETY: ptr/len come from a successful read-only mmap
+                // that is unmapped only on drop, after this borrow ends.
+                unsafe { std::slice::from_raw_parts(*ptr, *len) }
+            }
+            MapRepr::Heap(buf, len) => {
+                debug_assert!(*len <= buf.len() * 8);
+                // SAFETY: `buf` holds `len.div_ceil(8)` initialized u64s,
+                // so its first `len` bytes are initialized; `u8` needs no
+                // alignment; the slice borrows `self`.
+                unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, *len) }
+            }
         }
     }
 
@@ -342,6 +355,9 @@ impl Drop for Mapping {
     fn drop(&mut self) {
         #[cfg(unix)]
         if let MapRepr::Mmap { ptr, len } = self.repr {
+            // SAFETY: ptr/len are exactly what mmap returned for this
+            // mapping, and every view of it borrows `self` or holds an
+            // `Arc<Mapping>`, so nothing reads the range after this.
             unsafe { mmap_sys::munmap(ptr as *mut core::ffi::c_void, len) };
         }
     }

@@ -236,10 +236,12 @@ impl<'a> TypedVals for StrVals<'a> {
     fn value(&self, i: usize) -> &'a str {
         let off = self.offsets[i] as usize;
         let bytes = &self.heap[off..off + self.lens[i] as usize];
-        debug_assert!(std::str::from_utf8(bytes).is_ok());
+        debug_assert!(std::str::from_utf8(bytes).is_ok(), "string window is not UTF-8");
         // SAFETY: the heap is only ever written by `StrHeapBuilder`, which
         // copies whole `&str` values and records their exact byte windows in
-        // (offsets, lens) — so every addressed window is valid UTF-8.
+        // (offsets, lens), and a store-opened heap is validated at open — so
+        // every addressed window is valid UTF-8 (checked above in debug
+        // builds).
         unsafe { std::str::from_utf8_unchecked(bytes) }
     }
 
@@ -1350,10 +1352,10 @@ impl GroupTable {
 
     /// [`GroupTable::with_capacity`], but drawing every backing buffer from
     /// the bounded thread-local scratch pool. This is the constructor the
-    /// morsel executor's per-worker tables use: a persistent worker builds
-    /// one table per task, and pooling keeps the bucket pages committed
-    /// across tasks instead of faulting a fresh allocation each time.
-    /// Return the buffers with [`GroupTable::recycle`] when done.
+    /// spilled grouping's per-cluster tables use: pooling keeps the bucket
+    /// pages committed across clusters and calls instead of faulting a
+    /// fresh allocation each time. Return the buffers with
+    /// [`GroupTable::recycle`] when done.
     pub fn pooled(n: usize) -> GroupTable {
         let nbuckets = (n.max(1) * 2).next_power_of_two();
         let mut buckets = take_u32(nbuckets);

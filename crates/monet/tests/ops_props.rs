@@ -337,20 +337,11 @@ fn canon_gids(tail: &Column) -> Vec<u64> {
 }
 
 /// The scan-shaped operators (select scan, synced multiplex, scalar
-/// aggregates) each drive their window kernel over the morsel driver, so
-/// their suites run under every (morsel size, thread count) grid the
-/// driver can cut: tiny ragged morsels and the production 64Ki size, serial and
-/// fanned out (row threshold 1, so even these small operands take the
-/// pool at 4 threads).
-fn sweep_grids(mut f: impl FnMut(ExecCtx, &str)) {
-    for morsel_rows in [7usize, 64 * 1024] {
-        for threads in [1usize, 4] {
-            let cfg =
-                EngineConfig { threads, par_min_rows: 1, morsel_rows, ..EngineConfig::default() };
-            let ctx = ExecCtx::with_config(std::sync::Arc::new(cfg));
-            f(ctx, &format!("morsel={morsel_rows} threads={threads}"))
-        }
-    }
+/// aggregates) each drive their window kernel over the morsel driver. The
+/// operands of these suites fit one morsel; the root `tests/morsel_grid.rs`
+/// runs the same operators over several, against the same reference.
+fn one_morsel(f: impl FnOnce(ExecCtx, &str)) {
+    f(ExecCtx::with_config(std::sync::Arc::new(EngineConfig::default())), "one morsel")
 }
 
 /// Every bound shape of a range selection: each side unbounded, inclusive
@@ -370,7 +361,7 @@ fn bound_shapes<'a>(
 
 #[test]
 fn typed_select_matches_generic_across_types() {
-    sweep_grids(|ctx, grid| {
+    one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x10);
         for &ty in ALL_TYPES {
             for case in 0..10 {
@@ -656,7 +647,7 @@ fn partitioned_join_matches_generic_across_types() {
 
 #[test]
 fn typed_aggregate_matches_generic_across_types() {
-    sweep_grids(|ctx, grid| {
+    one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x16);
         let aggs = [
             ops::AggFunc::Count,
@@ -721,10 +712,9 @@ fn typed_aggregate_matches_generic_across_types() {
                     }
                 }
             }
-            // Min/max ties across a morsel boundary: the extreme value sits
-            // on both sides of the first 7-row cut (rows 6 and 7) and again in
-            // the last morsel; whichever window wins the merge, the value is
-            // the reference's first-winner.
+            // Min/max ties: the extreme value sits at rows 6, 7 and 23; the
+            // value is the reference's first-winner. (Ties across morsel
+            // boundaries: `tests/morsel_grid.rs`.)
             let mut vals: Vec<AtomValue> = (0..24).map(|_| random_value(&mut rng, ty)).collect();
             for f in [ops::AggFunc::Min, ops::AggFunc::Max] {
                 let ext = vals
@@ -751,7 +741,7 @@ fn typed_aggregate_matches_generic_across_types() {
                 assert_eq!(
                     ops::aggr_scalar(&ctx, &b, f).unwrap(),
                     reference::aggr_scalar(&b, f).unwrap(),
-                    "{ty} {grid}: {} with ties across morsels",
+                    "{ty} {grid}: {} with ties",
                     f.name()
                 );
             }
@@ -798,7 +788,7 @@ fn typed_aggregate_matches_generic_across_types() {
 
 #[test]
 fn typed_multiplex_matches_generic() {
-    sweep_grids(|ctx, grid| {
+    one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x17);
         use ops::{MultArg, ScalarFunc as F};
         let value_types = [
@@ -1049,7 +1039,7 @@ fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Colu
 
 #[test]
 fn encoded_tail_matches_raw_across_kernels() {
-    sweep_grids(|ctx, grid| {
+    one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x20);
         // (type, sorted): dict strings, FOR ints/lngs/dates, RLE runs.
         let legs: &[(AtomType, bool)] = &[
@@ -1948,9 +1938,9 @@ fn packed_group2_and_unique_match_reference_over_every_coded_pair() {
 // through `take_algo` and the filter's work read off `spilled_bytes`.
 // ---------------------------------------------------------------------------
 
-/// One thread, every eligible join and group through the spill file.
+/// Every eligible join and group through the spill file.
 fn spill_ctx() -> ExecCtx {
-    let cfg = EngineConfig { threads: 1, spill_force: true, ..EngineConfig::default() };
+    let cfg = EngineConfig { spill_force: true, ..EngineConfig::default() };
     ExecCtx::with_config(std::sync::Arc::new(cfg))
 }
 
@@ -2092,10 +2082,7 @@ fn spill_grouping_numbers_like_hash_grouping_over_every_key_kind() {
             }
             let b = Bat::new(Column::void(0, n), tail);
             let tag = format!("kind {kind}, {n} rows");
-            let mem = ExecCtx::with_config(std::sync::Arc::new(EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            }));
+            let mem = ExecCtx::with_config(std::sync::Arc::new(EngineConfig::default()));
             let in_memory = ops::group1(&mem, &b).unwrap();
             assert!(matches!(last_algo(&mem), "hash" | "direct"), "{tag}");
             let ctx = spill_ctx();

@@ -4,7 +4,7 @@
 //! The oracle runs twice: once per query at the benchmark scale (SF 0.01,
 //! the `bench` harness seed, one shared world), and once as a sweep over a
 //! second, smaller database so agreement is not an artifact of one dataset.
-//! Agreement *between engine configurations* (threads, optimizer,
+//! Agreement *between engine configurations* (optimizer,
 //! encodings, spilling, plan cache, store) is `tests/config_matrix.rs`.
 
 use std::sync::OnceLock;

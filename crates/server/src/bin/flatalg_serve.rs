@@ -13,8 +13,8 @@
 //!
 //! Everything else is the engine configuration
 //! ([`monet::config::EngineConfig`]: `FLATALG_ADMIT`, `FLATALG_PLAN_CACHE`,
-//! `FLATALG_THREADS`, ...); a value that does not parse ends the run with
-//! exit status 2.
+//! `FLATALG_OPT`, ...); a value that does not parse ends the run with
+//! exit status 2. Each statement runs on its client's thread.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,8 +75,8 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     println!(
-        "config: clients={clients} reps={reps} admit={} plan_cache={:?} threads={}",
-        config.max_concurrent, config.plan_cache, engine.threads
+        "config: clients={clients} reps={reps} admit={} plan_cache={:?} opt={:?} enc={}",
+        config.max_concurrent, config.plan_cache, engine.opt, engine.enc
     );
 
     let admit = config.max_concurrent;

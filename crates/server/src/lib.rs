@@ -1,9 +1,9 @@
 //! # flatalg-server — an in-process query service over the flattened algebra
 //!
-//! One shared [`Catalog`] (schema + BATs) and the process-wide `monet::par`
-//! worker pool serve many concurrent client sessions. There is no wire
-//! protocol: a [`Server`] is embedded in the host process and clients are
-//! threads holding a [`Session`] each.
+//! One shared [`Catalog`] (schema + BATs) serves many concurrent client
+//! sessions, each statement running on its caller's thread. There is no
+//! wire protocol: a [`Server`] is embedded in the host process and clients
+//! are threads holding a [`Session`] each.
 //!
 //! The service adds two things over calling the translator directly:
 //!
@@ -16,9 +16,9 @@
 //!   and so is the planner's configuration.
 //! * **Admission control.** Statements are admitted through a FIFO ticket
 //!   gate bounding how many run at once, so a burst of sessions cannot
-//!   oversubscribe the shared worker pool; waiting statements are served
+//!   oversubscribe the machine's cores; waiting statements are served
 //!   strictly in arrival order (no starvation). The permit is released on
-//!   unwind, so a panicking query cannot wedge the gate or the pool.
+//!   unwind, so a panicking query cannot wedge the gate.
 //!
 //! ```
 //! use flatalg_server::{Server, ServerConfig};
@@ -170,14 +170,14 @@ impl Drop for Permit<'_> {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Service configuration. What a statement *executes* under (threads,
-/// budget, optimizer, ...) is the server's [`EngineConfig`]; this is only
-/// how statements are admitted.
+/// Service configuration. What a statement *executes* under (budget,
+/// optimizer, spilling, ...) is the server's [`EngineConfig`]; this is
+/// only how statements are admitted.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Maximum statements executing concurrently (minimum 1). Defaults to
-    /// the configured worker-thread count — admitting more would only
-    /// oversubscribe the shared pool.
+    /// the available parallelism — a statement runs on one thread, so
+    /// admitting more would only oversubscribe the cores.
     pub max_concurrent: usize,
     /// Plan-cache capacity; `None` disables caching (every execution
     /// translates and optimizes from scratch — the oracle configuration).
@@ -191,10 +191,15 @@ pub struct ServerConfig {
     pub admit_timeout: Option<Duration>,
 }
 
+/// The cores this process may use: the default admission limit.
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            max_concurrent: EngineConfig::from_env().threads,
+            max_concurrent: available_parallelism(),
             plan_cache: Some(DEFAULT_PLAN_CACHE),
             deadline: None,
             admit_timeout: None,
@@ -204,10 +209,11 @@ impl Default for ServerConfig {
 
 impl ServerConfig {
     /// The service values of an engine configuration: `admit` (default:
-    /// its thread count), `plan_cache`, `deadline_ms`, `admit_timeout_ms`.
+    /// the available parallelism), `plan_cache`, `deadline_ms`,
+    /// `admit_timeout_ms`.
     pub fn of(engine: &EngineConfig) -> ServerConfig {
         ServerConfig {
-            max_concurrent: engine.admit.unwrap_or(engine.threads),
+            max_concurrent: engine.admit.unwrap_or_else(available_parallelism),
             plan_cache: engine.plan_cache,
             deadline: engine.deadline_ms.map(Duration::from_millis),
             admit_timeout: engine.admit_timeout_ms.map(Duration::from_millis),

@@ -3,7 +3,7 @@
 //! uncached execution, the plan cache must count hits/misses/evictions
 //! faithfully, a statement must never be served a plan cached under a
 //! different planner configuration, and a panicking statement must not
-//! wedge the admission gate or the shared worker pool.
+//! wedge the admission gate.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,46 +23,35 @@ fn cfg(admit: usize, cache: usize) -> ServerConfig {
     ServerConfig { max_concurrent: admit, plan_cache: Some(cache), ..ServerConfig::default() }
 }
 
-/// The environment's engine configuration at `threads` worker threads.
-fn at_threads(threads: usize) -> Arc<EngineConfig> {
-    Arc::new(EngineConfig { threads, ..EngineConfig::clone(&EngineConfig::from_env()) })
-}
-
 /// N sessions running the mixed Q1–Q15 workload concurrently (rotated
 /// start points, shared plan cache) must reproduce the single-shot
-/// uncached oracles bit-for-bit — at one worker thread and at four.
+/// uncached oracles bit-for-bit.
 #[test]
 fn concurrent_sessions_match_single_shot_oracles() {
     let w = bench::world();
     let queries = all_queries();
-    // Single-shot oracles: no server, no cache, serial execution.
-    let ctx = ExecCtx::with_config(at_threads(1));
+    // Single-shot oracles: no server, no cache.
+    let ctx = ExecCtx::new();
     let oracles: Vec<QueryResult> =
         queries.iter().map(|q| (q.run_moa)(&w.cat, &ctx, &w.params).unwrap()).collect();
-    for threads in [1usize, 4] {
-        let server = Server::with_engine(&w.cat, cfg(3, 64), at_threads(threads));
-        let drivers = 3usize;
-        std::thread::scope(|s| {
-            for d in 0..drivers {
-                let (server, queries, oracles) = (&server, &queries, &oracles);
-                s.spawn(move || {
-                    let session = server.session();
-                    for i in 0..queries.len() {
-                        let i = (i + d * 5) % queries.len();
-                        let got = session.run_query(&queries[i], &w.params).unwrap();
-                        assert_eq!(
-                            got, oracles[i],
-                            "query {} diverged at {threads} threads",
-                            queries[i].id
-                        );
-                    }
-                });
-            }
-        });
-        let cache = server.stats().cache.unwrap();
-        assert_eq!(cache.bypasses, 0, "every workload plan must be cacheable");
-        assert!(cache.hits > 0, "concurrent drivers must share plans");
-    }
+    let server = Server::with_engine(&w.cat, cfg(3, 64), EngineConfig::from_env());
+    let drivers = 3usize;
+    std::thread::scope(|s| {
+        for d in 0..drivers {
+            let (server, queries, oracles) = (&server, &queries, &oracles);
+            s.spawn(move || {
+                let session = server.session();
+                for i in 0..queries.len() {
+                    let i = (i + d * 5) % queries.len();
+                    let got = session.run_query(&queries[i], &w.params).unwrap();
+                    assert_eq!(got, oracles[i], "query {} diverged", queries[i].id);
+                }
+            });
+        }
+    });
+    let cache = server.stats().cache.unwrap();
+    assert_eq!(cache.bypasses, 0, "every workload plan must be cacheable");
+    assert!(cache.hits > 0, "concurrent drivers must share plans");
 }
 
 /// Prepared statements: the first execution misses and pays translation,
@@ -146,8 +135,8 @@ fn small_cache_evicts_least_recently_used_plans() {
 
 /// One shared cache, statements under different configurations: a flip of
 /// anything the planner consults must never be served another
-/// configuration's plan, a flip of something no plan depends on (the
-/// thread count) reuses it, and returning to an earlier configuration
+/// configuration's plan, a flip of something no plan depends on (forced
+/// spilling) reuses it, and returning to an earlier configuration
 /// still hits its plan.
 #[test]
 fn plan_config_flips_never_reuse_wrong_plans() {
@@ -157,24 +146,24 @@ fn plan_config_flips_never_reuse_wrong_plans() {
     let q = q13_moa(&w.params);
     // Every field that matters pinned explicitly, so the test holds
     // whatever the environment says.
-    let run = |opt: OptLevel, threads: usize| {
+    let run = |opt: OptLevel, spill_force: bool| {
         let base = EngineConfig::clone(&EngineConfig::from_env());
-        let ctx = ExecCtx::with_config(Arc::new(EngineConfig { opt, threads, ..base }));
+        let ctx = ExecCtx::with_config(Arc::new(EngineConfig { opt, spill_force, ..base }));
         session.scoped(|| tpcd_queries::run_moa_rows(&w.cat, &ctx, &q)).unwrap()
     };
     let counts = || {
         let s = server.stats().cache.unwrap();
         (s.hits, s.misses)
     };
-    let full = run(OptLevel::Full, 1);
-    let off = run(OptLevel::Off, 1);
+    let full = run(OptLevel::Full, false);
+    let off = run(OptLevel::Off, false);
     assert_eq!(full, off, "optimizer must preserve results");
     assert_eq!(counts(), (0, 2), "OptLevel flip must key a distinct plan");
-    assert_eq!(run(OptLevel::Full, 3), full);
-    assert_eq!(counts(), (1, 2), "no plan depends on the thread count");
+    assert_eq!(run(OptLevel::Full, true), full);
+    assert_eq!(counts(), (1, 2), "no plan depends on forced spilling");
     // Back at the original configs, the cached plans hit.
-    run(OptLevel::Full, 1);
-    run(OptLevel::Off, 1);
+    run(OptLevel::Full, false);
+    run(OptLevel::Off, false);
     assert_eq!(counts(), (3, 2));
 }
 
@@ -225,20 +214,20 @@ fn reencoding_a_column_bumps_the_epoch_and_invalidates_plans() {
 }
 
 /// A panicking statement releases its admission permit (the gate has a
-/// single slot here — a leak would deadlock) and leaves the shared worker
-/// pool fully usable, including for parallel execution.
+/// single slot here — a leak would deadlock) and leaves the service fully
+/// usable.
 #[test]
 fn panicking_statement_does_not_wedge_the_service() {
     let w = bench::world();
-    let server = Server::with_engine(&w.cat, cfg(1, 8), at_threads(4));
+    let server = Server::with_engine(&w.cat, cfg(1, 8), EngineConfig::from_env());
     let session = server.session();
     let oracle = session.execute_expr(&q13_moa(&w.params)).unwrap();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         session.scoped::<()>(|| panic!("client bug"))
     }));
     assert!(r.is_err());
-    // The single admission slot is free again and parallel execution on
-    // the shared pool still produces the bit-identical result.
+    // The single admission slot is free again and execution still
+    // produces the bit-identical result.
     let got = server.session().execute_expr(&q13_moa(&w.params)).unwrap();
     assert_eq!(got, oracle);
 }

@@ -58,9 +58,8 @@ const MEASURED: [(usize, u64); 2] = [(1, 183), (9, 562)];
 #[test]
 fn a_warm_statement_allocates_for_kernels_and_rows_only() {
     let w = World::build_with(0.001, true);
-    // One thread (the worker pool and its thread-local scratch stay out of
-    // the count) and nothing from the environment: the plan is pinned.
-    let engine = EngineConfig { threads: 1, ..EngineConfig::default() };
+    // Nothing from the environment: the plan is pinned.
+    let engine = EngineConfig::default();
     let server = Server::with_engine(
         &w.cat,
         ServerConfig { max_concurrent: 1, plan_cache: Some(64), ..ServerConfig::default() },

@@ -6,13 +6,11 @@
 //! The dimensions are the ones results must not depend on: the plan that
 //! runs (optimized, raw translator emission),
 //! the column layouts (encoded, raw, encoded and reopened from an mmap
-//! store), the thread count (1, 4, 7 over one small odd morsel grid — the
-//! grid is part of a float sum's definition, so it is the same everywhere),
-//! forced spilling, and the plan cache (none, a miss, a re-bound hit
-//! through a `Session`). The full product is 108 passes; [`MATRIX`] is a
-//! pairwise-covering subset of 9 ([`matrix_covers_every_pair`] proves it),
-//! which already contains combinations no per-knob rerun of the suite
-//! could reach — raw layouts × raw plan × forced spill × 7 threads is one.
+//! store), forced spilling, and the plan cache (none, a miss, a re-bound
+//! hit through a `Session`). The full product is 36 passes; [`MATRIX`] is
+//! a pairwise-covering subset of 9 ([`matrix_covers_every_pair`] proves
+//! it), which already contains combinations no per-knob rerun of the suite
+//! could reach — raw layouts × raw plan × forced spill is one.
 //!
 //! The named cases below the matrix are the configurations whose *point*
 //! is a different outcome: a budget that aborts, a budget that makes the
@@ -58,27 +56,26 @@ enum Cache {
 struct Case {
     plan: Plan,
     layout: Layout,
-    threads: usize,
     cache: Cache,
     spill_force: bool,
 }
 
-const fn case(plan: Plan, layout: Layout, threads: usize, cache: Cache, spill_force: bool) -> Case {
-    Case { plan, layout, threads, cache, spill_force }
+const fn case(plan: Plan, layout: Layout, cache: Cache, spill_force: bool) -> Case {
+    Case { plan, layout, cache, spill_force }
 }
 
 /// Row 0 is the default configuration, the one every other row is diffed
 /// against.
 const MATRIX: [Case; 9] = [
-    case(Plan::Optimized, Layout::Encoded, 1, Cache::Off, false),
-    case(Plan::Optimized, Layout::Encoded, 4, Cache::Miss, true),
-    case(Plan::Raw, Layout::Encoded, 7, Cache::Hit, false),
-    case(Plan::Raw, Layout::Raw, 1, Cache::Miss, false),
-    case(Plan::Optimized, Layout::Raw, 4, Cache::Hit, false),
-    case(Plan::Raw, Layout::Raw, 7, Cache::Off, true),
-    case(Plan::Optimized, Layout::Store, 1, Cache::Hit, true),
-    case(Plan::Raw, Layout::Store, 4, Cache::Off, false),
-    case(Plan::Optimized, Layout::Store, 7, Cache::Miss, false),
+    case(Plan::Optimized, Layout::Encoded, Cache::Off, false),
+    case(Plan::Optimized, Layout::Encoded, Cache::Miss, true),
+    case(Plan::Raw, Layout::Encoded, Cache::Hit, false),
+    case(Plan::Raw, Layout::Raw, Cache::Miss, false),
+    case(Plan::Optimized, Layout::Raw, Cache::Hit, false),
+    case(Plan::Raw, Layout::Raw, Cache::Off, true),
+    case(Plan::Optimized, Layout::Store, Cache::Hit, true),
+    case(Plan::Raw, Layout::Store, Cache::Off, false),
+    case(Plan::Optimized, Layout::Store, Cache::Miss, false),
 ];
 
 impl Case {
@@ -86,9 +83,6 @@ impl Case {
     /// environment: the matrix means the same under any CI leg.
     fn engine(&self) -> EngineConfig {
         EngineConfig {
-            threads: self.threads,
-            par_min_rows: 1024,
-            morsel_rows: 4099,
             opt: if self.plan == Plan::Raw { OptLevel::Off } else { OptLevel::Full },
             spill_force: self.spill_force,
             ..EngineConfig::default()
@@ -177,29 +171,25 @@ fn run(case: &Case) -> Vec<QueryResult> {
 
 #[test]
 fn matrix_covers_every_pair() {
-    let levels = |c: &Case| -> [String; 5] {
+    let levels = |c: &Case| -> [String; 4] {
         [
             format!("{:?}", c.plan),
             format!("{:?}", c.layout),
-            c.threads.to_string(),
             format!("{:?}", c.cache),
             c.spill_force.to_string(),
         ]
     };
-    let rows: Vec<[String; 5]> = MATRIX.iter().map(levels).collect();
+    let rows: Vec<[String; 4]> = MATRIX.iter().map(levels).collect();
     let distinct = |i: usize| rows.iter().map(|r| &r[i]).collect::<HashSet<_>>().len();
-    assert_eq!([0, 1, 2, 3, 4].map(distinct), [2, 3, 3, 3, 2], "every level of every dimension");
-    for i in 0..5 {
-        for j in i + 1..5 {
+    assert_eq!([0, 1, 2, 3].map(distinct), [2, 3, 3, 2], "every level of every dimension");
+    for i in 0..4 {
+        for j in i + 1..4 {
             let seen: HashSet<_> = rows.iter().map(|r| (&r[i], &r[j])).collect();
             assert_eq!(seen.len(), distinct(i) * distinct(j), "dimensions {i} x {j}");
         }
     }
     // The combination the per-knob reruns of the suite never reached.
-    assert!(MATRIX.iter().any(|c| c.plan == Plan::Raw
-        && c.layout == Layout::Raw
-        && c.threads == 7
-        && c.spill_force));
+    assert!(MATRIX.iter().any(|c| c.plan == Plan::Raw && c.layout == Layout::Raw && c.spill_force));
 }
 
 #[test]
@@ -274,8 +264,8 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 /// reference join back once, Q5/Q8/Q10 no longer have such a join under
 /// any budget they complete at; Q13's `join(Item_order, ·)` back from the
 /// clerk's orders spills (148 KB) and Q13 completes, between 160k and
-/// 288k at any thread count; re-sweep that window when memory accounting
-/// or the translator's join-backs change.
+/// 288k; re-sweep that window when memory accounting or the translator's
+/// join-backs change.
 #[test]
 fn budget_224k_lets_a_query_complete_by_spilling_a_join() {
     let w = World::build_with(0.05, true);

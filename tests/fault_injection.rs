@@ -1,17 +1,17 @@
 //! Deterministic fault-injection sweep over the Q1–Q15 workload.
 //!
 //! Every governed point of a query — operator entries, the interpreter's
-//! per-statement probe, and the morsel/task boundaries of the parallel
-//! executor — must fail *cleanly* when a fault fires there: the query
+//! per-statement probe, and the morsel boundaries of the scan-shaped
+//! operators — must fail *cleanly* when a fault fires there: the query
 //! returns a typed error, concurrent sessions are unaffected, the
-//! admission gate and worker pool stay usable, the plan cache serves no
+//! admission gate and scratch pool stay usable, the plan cache serves no
 //! partially-built entry, and an immediate retry on the same session is
 //! bit-identical to the uninjected oracle.
 //!
-//! The sweep leans on two determinism guarantees proved by PR 4/5: a
-//! query's probe *count* is a pure function of data and parallel config
-//! (morsel boundaries are properties of the operand, not the schedule),
-//! and the injector fires at exactly the n-th probe arrival. So: run each
+//! The sweep leans on two determinism guarantees: a query's probe *count*
+//! is a pure function of data and configuration (morsel boundaries are
+//! properties of the operand), and the injector fires at exactly the n-th
+//! probe arrival. So: run each
 //! query once uninjected on a fresh governor to enumerate its N governed
 //! points, then inject at successive points and assert clean failure plus
 //! bit-identical recovery at each.
@@ -25,26 +25,17 @@ use monet::config::EngineConfig;
 use monet::error::MonetError;
 use tpcd_queries::{all_queries, Query, QueryResult};
 
-/// Small fixed-SF world: big enough that every query exercises parallel
-/// regions under the forced config below, small enough that a
-/// several-hundred-point sweep stays fast.
+/// Small fixed-SF world: big enough that every query runs its operators,
+/// small enough that a several-hundred-point sweep stays fast.
 fn world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
     W.get_or_init(|| World::build(0.002))
 }
 
-/// Forced parallel config for every run in this harness: 3 workers, no
-/// row threshold (tiny operands still morselize), odd morsel size. This
-/// makes the `par/morsel` and `par/task` sites fire on the tiny world and
-/// pins the probe count independent of the host's core count. Everything
-/// else follows the environment, like the world the harness loads.
+/// The configuration of every run in this harness: the environment's,
+/// like the world the harness loads.
 fn governed() -> Arc<EngineConfig> {
-    Arc::new(EngineConfig {
-        threads: 3,
-        par_min_rows: 1,
-        morsel_rows: 509,
-        ..EngineConfig::clone(&EngineConfig::from_env())
-    })
+    EngineConfig::from_env()
 }
 
 fn server(w: &World) -> Server<'_> {
@@ -152,7 +143,7 @@ fn oracle_run<'a>(server: &Server<'a>, q: &Query) -> (u64, QueryResult) {
 
 /// Faults are per-session: a victim session absorbing injected faults in
 /// a tight loop must not perturb bystander sessions sharing the admission
-/// gate, worker pool, and plan cache — and afterwards the victim's
+/// gate, scratch pool, and plan cache — and afterwards the victim's
 /// session, the gate, and the pool must all still work.
 #[test]
 fn injected_faults_leave_bystanders_gate_and_pool_unaffected() {
@@ -339,11 +330,12 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
 
 /// Scan-kernel governance: the select scan, the synced multiplex and the
 /// scalar aggregate each drive their window kernel through the morsel
-/// driver, which probes `par/morsel` before every morsel. A fault armed at
-/// the first morsel of each kernel must surface as `Injected` at that site,
-/// the same context must retry bit-identically, every governed point of
-/// the chains below must abort cleanly, and no abort may keep scratch (the
-/// RLE-dbl window decode and the scans borrow from the process-wide pool).
+/// driver, which probes `scan/morsel` before every morsel. The operands
+/// span two full morsels and an odd remainder. A fault armed at any
+/// morsel of each kernel must surface as `Injected` at that site, the same
+/// context must retry bit-identically, every governed point of the chains
+/// below must abort cleanly, and no abort may keep scratch (the RLE-dbl
+/// window decode and the scans borrow from the process-wide pool).
 #[test]
 fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     use std::time::{Duration, Instant};
@@ -355,11 +347,11 @@ fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     use monet::ops::{self, AggFunc, MultArg, ScalarFunc};
     use monet::typed;
 
-    let n = 4000usize;
+    let n = 2 * ops::MORSEL_ROWS + 509;
     // RLE-dbl source (a run-length ramp): map and aggregate windows decode
     // per morsel and must not leak scratch on any abort.
     let dbl =
-        monet::column::Column::from_dbls((0..n).map(|i| (i / 250) as f64).collect()).encode(true);
+        monet::column::Column::from_dbls((0..n).map(|i| (i / 8000) as f64).collect()).encode(true);
     assert_eq!(
         dbl.encoding(),
         monet::props::Enc::Rle,
@@ -395,8 +387,8 @@ fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     };
     assert!(n_probes > 0, "scan chains exposed no governed points");
 
-    // The first `par/morsel` probe of a context that runs one kernel is
-    // inside that kernel's morsel driver.
+    // Every `scan/morsel` probe of a context that runs one kernel is
+    // inside that kernel's morsel driver: three morsels, three probes.
     let rows = |b: Bat| format!("{:?}", b.iter().collect::<Vec<_>>());
     type Kernel<'a> = Box<dyn Fn(&ExecCtx) -> monet::error::Result<String> + 'a>;
     let kernels: [(&str, Kernel); 3] = [
@@ -412,15 +404,17 @@ fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     ];
     for (name, kernel) in &kernels {
         let want = kernel(&ExecCtx::with_config(governed())).unwrap();
-        let ctx = ExecCtx::with_config(governed());
-        ctx.gov.arm_fault(site::PAR_MORSEL, 1);
-        match kernel(&ctx) {
-            Err(MonetError::Injected { site: s, .. }) => {
-                assert_eq!(s, site::PAR_MORSEL, "{name}: fault fired at the wrong site")
+        for nth in 1..=3 {
+            let ctx = ExecCtx::with_config(governed());
+            ctx.gov.arm_fault(site::SCAN_MORSEL, nth);
+            match kernel(&ctx) {
+                Err(MonetError::Injected { site: s, .. }) => {
+                    assert_eq!(s, site::SCAN_MORSEL, "{name}: fault fired at the wrong site")
+                }
+                other => panic!("{name} morsel {nth}: expected injected fault, got {other:?}"),
             }
-            other => panic!("{name}: expected injected fault, got {other:?}"),
+            assert_eq!(kernel(&ctx).unwrap(), want, "{name} morsel {nth}: retry diverged");
         }
-        assert_eq!(kernel(&ctx).unwrap(), want, "{name}: retry diverged");
     }
 
     // Wildcard sweep over every governed point of both chains.
@@ -461,10 +455,9 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-/// One thread, every eligible join and group through spill files in `dir`.
+/// Every eligible join and group through spill files in `dir`.
 fn forced_spill(dir: &std::path::Path) -> monet::ctx::ExecCtx {
     monet::ctx::ExecCtx::with_config(Arc::new(EngineConfig {
-        threads: 1,
         spill_force: true,
         spill_dir: Some(dir.to_path_buf()),
         ..EngineConfig::default()

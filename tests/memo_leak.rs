@@ -15,7 +15,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
-use std::sync::Arc;
 
 use bench::World;
 use flatalg_server::{Server, ServerConfig};
@@ -55,13 +54,10 @@ static ALLOC: Counting = Counting;
 #[test]
 fn repeated_executions_do_not_grow_the_heap() {
     let w = World::build(0.001);
-    // One thread: the worker pool and its thread-local scratch stay out of
-    // the count.
-    let engine = EngineConfig { threads: 1, ..EngineConfig::clone(&EngineConfig::from_env()) };
     let server = Server::with_engine(
         &w.cat,
         ServerConfig { max_concurrent: 1, plan_cache: Some(64), ..ServerConfig::default() },
-        Arc::new(engine),
+        EngineConfig::from_env(),
     );
     let session = server.session();
     let queries = all_queries();

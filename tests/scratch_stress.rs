@@ -1,14 +1,16 @@
-//! Stress the shared-state corners of the parallel executor: the bounded
+//! Stress the shared-state corners of the kernels' scratch: the bounded
 //! thread-local scratch pool under concurrent checkout/return, pooled
-//! `GroupTable` reuse across tasks (stale-state leaks), and the join's
-//! epoch-tagged cluster tables when many kernels share the worker pool at
-//! once.
+//! slot and group tables reused across calls (stale-state leaks), the
+//! checkout balance after governor aborts, and cancellation of one session
+//! while others run the same query.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use monet::atom::AtomValue;
+use bench::World;
+use flatalg_server::{Server, ServerConfig};
+use moa::error::MoaError;
 use monet::bat::Bat;
 use monet::column::Column;
 use monet::config::EngineConfig;
@@ -18,23 +20,17 @@ use monet::ops::{self, reference};
 use monet::typed;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tpcd_queries::all_queries;
 
-/// A fresh context forced onto the parallel path: `threads` workers, every
-/// operand above the row threshold, `morsel_rows` rows per morsel.
-fn par_ctx(threads: usize, morsel_rows: usize) -> ExecCtx {
-    let cfg = EngineConfig { threads, par_min_rows: 1, morsel_rows, ..EngineConfig::default() };
-    ExecCtx::with_config(Arc::new(cfg))
+/// A fresh context, everything at its default.
+fn default_ctx() -> ExecCtx {
+    ExecCtx::with_config(Arc::new(EngineConfig::default()))
 }
 
-/// A fresh one-thread context, everything else at its default.
-fn serial_ctx() -> ExecCtx {
-    ExecCtx::with_config(Arc::new(EngineConfig { threads: 1, ..EngineConfig::default() }))
-}
-
-/// A fresh one-thread context that sends every eligible join and group
-/// through spill files (in the system temp directory).
+/// A fresh context that sends every eligible join and group through spill
+/// files (in the system temp directory).
 fn spill_ctx() -> ExecCtx {
-    let cfg = EngineConfig { threads: 1, spill_force: true, ..EngineConfig::default() };
+    let cfg = EngineConfig { spill_force: true, ..EngineConfig::default() };
     ExecCtx::with_config(Arc::new(cfg))
 }
 
@@ -136,13 +132,14 @@ fn scratch_pool_concurrent_checkout_return() {
     }
 }
 
-/// Pooled `GroupTable`s are recycled between tasks on the same worker; a
-/// stale bucket or chain entry surviving `pooled()` re-initialization
-/// would assign wrong group ids. Hammer group1/unique through the worker
-/// pool with changing data and verify against the reference every round.
+/// Pooled tables are recycled between calls on the same thread; a stale
+/// slot, bucket or chain entry surviving `pooled()` re-initialization
+/// would assign wrong group ids. Hammer group1/unique through the pooled
+/// arms — the slot tables of `direct` and `packed` on the narrow key span,
+/// the per-cluster `GroupTable`s of the spilled grouping on the wide one —
+/// with changing data and verify against the reference every round.
 #[test]
 fn pooled_group_tables_carry_no_stale_state_across_rounds() {
-    let ctx = par_ctx(4, 61);
     let mut rng = StdRng::seed_from_u64(0xC0FFEE);
     for round in 0..30 {
         let n = rng.gen_range(64..700usize);
@@ -153,87 +150,32 @@ fn pooled_group_tables_carry_no_stale_state_across_rounds() {
             Column::from_oids((0..n as u64).collect()),
             Column::from_oids((0..n as u64).map(|i| i * 37 % span).collect()),
         );
-        let g = ops::group1(&par_ctx(4, 61), &b).unwrap();
-        let canon: Vec<u64> = {
-            let mut map = std::collections::HashMap::new();
-            (0..g.len())
-                .map(|i| {
-                    let gid = g.tail().oid_at(i);
-                    let next = map.len() as u64;
-                    *map.entry(gid).or_insert(next)
-                })
-                .collect()
-        };
-        assert_eq!(canon, reference::group1_gids(&b), "round {round}: group1");
-        let u = ops::unique(&ctx, &b).unwrap();
-        let expect = reference::unique(&b);
-        assert_eq!(
-            u.iter().collect::<Vec<_>>(),
-            expect.iter().collect::<Vec<_>>(),
-            "round {round}: unique"
-        );
+        for ctx in [default_ctx(), spill_ctx()] {
+            let g = ops::group1(&ctx, &b).unwrap();
+            let canon: Vec<u64> = {
+                let mut map = std::collections::HashMap::new();
+                (0..g.len())
+                    .map(|i| {
+                        let gid = g.tail().oid_at(i);
+                        let next = map.len() as u64;
+                        *map.entry(gid).or_insert(next)
+                    })
+                    .collect()
+            };
+            assert_eq!(canon, reference::group1_gids(&b), "round {round}: group1");
+            let u = ops::unique(&ctx, &b).unwrap();
+            let expect = reference::unique(&b);
+            assert_eq!(
+                u.iter().collect::<Vec<_>>(),
+                expect.iter().collect::<Vec<_>>(),
+                "round {round}: unique"
+            );
+        }
     }
 }
 
-/// Many dispatchers sharing the worker pool at once: concurrent threads
-/// each run parallel joins (epoch-tagged per-cluster tables, scratch-pool
-/// buffers reused across interleaved tasks from *different* joins on the
-/// same workers) plus selects and sums, all verified against serial
-/// oracles. A buffer handed to two tasks, or an epoch tag honored across
-/// cluster/table reuse, fails the comparison.
-#[test]
-fn concurrent_kernels_share_the_worker_pool_safely() {
-    let rounds = 4usize;
-    let drivers = 4usize;
-    let failures = Arc::new(AtomicUsize::new(0));
-    let handles: Vec<_> = (0..drivers)
-        .map(|d| {
-            let failures = Arc::clone(&failures);
-            std::thread::spawn(move || {
-                // Default morsel grid on both: the float sum is only
-                // bit-identical across thread counts under one grid.
-                let ctx = par_ctx(3, monet::par::MORSEL_ROWS);
-                let serial = par_ctx(1, monet::par::MORSEL_ROWS);
-                let mut rng = StdRng::seed_from_u64(0xBEEF + d as u64);
-                for _ in 0..rounds {
-                    let n = 12_000usize;
-                    let m = 4_000usize;
-                    let left = Bat::new(
-                        Column::from_oids((0..n as u64).collect()),
-                        Column::from_ints((0..n).map(|_| rng.gen_range(0..3_000i32)).collect()),
-                    );
-                    let right = Bat::new(
-                        Column::from_ints((0..m).map(|_| rng.gen_range(0..3_000i32)).collect()),
-                        Column::from_oids((0..m as u64).collect()),
-                    );
-                    let oracle = ops::join::join_hash(&ctx, &left, &right);
-                    let sum_oracle = ops::aggr_scalar(&serial, &left, ops::AggFunc::Sum).unwrap();
-                    let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
-                    if j.iter().collect::<Vec<_>>() != oracle.iter().collect::<Vec<_>>() {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let s = ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum).unwrap();
-                    if s != sum_oracle {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let sel = ops::select_eq(&ctx, &left, &AtomValue::Int(1_500)).unwrap();
-                    let ser = reference::select_eq(&left, &AtomValue::Int(1_500));
-                    if sel.iter().collect::<Vec<_>>() != ser.iter().collect::<Vec<_>>() {
-                        failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(failures.load(Ordering::Relaxed), 0, "concurrent kernel results diverged");
-}
-
-/// Build the (left, right) operand pair the governor rounds use: enough
-/// rows that the partitioned join morselizes under the forced config, a
-/// value range dense enough to produce plenty of matches.
+/// Build the (left, right) operand pair the governor rounds use: a value
+/// range dense enough to produce plenty of matches.
 fn join_operands(seed: u64, n: usize, m: usize) -> (Bat, Bat) {
     let mut rng = StdRng::seed_from_u64(seed);
     let left = Bat::new(
@@ -247,28 +189,29 @@ fn join_operands(seed: u64, n: usize, m: usize) -> (Bat, Bat) {
     (left, right)
 }
 
-/// Cooperative cancellation under concurrency: one driver's query is
-/// cancelled mid-join while other drivers sharing the worker pool run to
-/// completion bit-identically. The victim's context is revived with
-/// `CancelToken::clear` and must then reproduce the oracle exactly.
+/// Cooperative cancellation under concurrent sessions: one session's query
+/// is cancelled — before it starts in even rounds, by a racing thread in
+/// odd ones, so it lands mid-query when it lands at all — while bystander
+/// sessions of the same server run the same query to completion
+/// bit-identically. The victim is revived with `CancelToken::clear` and
+/// must then reproduce the oracle exactly.
 #[test]
-fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
+fn cancellation_mid_query_leaves_other_sessions_bit_identical() {
     let rounds = 10usize;
-    let (left, right) = join_operands(0xCA7CE1, 24_000, 8_000);
-    let oracle = {
-        let ctx = ExecCtx::new();
-        ops::join::join_hash(&ctx, &left, &right).iter().collect::<Vec<_>>()
-    };
-    let cancelled = Arc::new(AtomicUsize::new(0));
+    let w = World::build(0.002);
+    let server = Server::with_engine(
+        &w.cat,
+        ServerConfig { max_concurrent: 3, plan_cache: Some(64), ..ServerConfig::default() },
+        Arc::new(EngineConfig::default()),
+    );
+    // Q5: six classes joined, dozens of statements to land between.
+    let q = &all_queries()[4];
+    let oracle = server.session().run_query(q, &w.params).unwrap();
+    let cancelled = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        // Victim: half the rounds pre-cancel (deterministic abort at the
-        // first probe), half race a canceller thread against the join so
-        // cancellation lands mid-flight when it lands at all.
-        let (left2, right2, oracle2) = (&left, &right, &oracle);
-        let cancelled2 = Arc::clone(&cancelled);
-        s.spawn(move || {
-            let ctx = par_ctx(3, 61);
-            let token = ctx.cancel_token();
+        s.spawn(|| {
+            let session = server.session();
+            let token = session.cancel_handle();
             for round in 0..rounds {
                 let racer = (round % 2 == 1).then(|| {
                     let token = token.clone();
@@ -277,42 +220,32 @@ fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
                 if round % 2 == 0 {
                     token.cancel();
                 }
-                match ops::join_partitioned(&ctx, left2, right2) {
-                    Err(MonetError::Cancelled) => {
-                        cancelled2.fetch_add(1, Ordering::Relaxed);
+                match session.run_query(q, &w.params) {
+                    Err(MoaError::Kernel(MonetError::Cancelled)) => {
+                        cancelled.fetch_add(1, Ordering::Relaxed);
                     }
                     Err(e) => panic!("victim round {round}: unexpected error {e}"),
-                    Ok(j) => assert_eq!(
-                        j.iter().collect::<Vec<_>>(),
-                        *oracle2,
-                        "victim round {round}: uncancelled run diverged"
-                    ),
+                    Ok(rows) => {
+                        assert_eq!(rows, oracle, "victim round {round}: uncancelled run diverged")
+                    }
                 }
                 if let Some(h) = racer {
                     h.join().unwrap();
                 }
-                // Revive the context; the retry must match the oracle.
+                // Revive the session; the retry must match the oracle.
                 token.clear();
-                let j = ops::join_partitioned(&ctx, left2, right2).unwrap();
-                assert_eq!(
-                    j.iter().collect::<Vec<_>>(),
-                    *oracle2,
-                    "victim round {round}: post-clear retry diverged"
-                );
+                let rows = session.run_query(q, &w.params).unwrap();
+                assert_eq!(rows, oracle, "victim round {round}: post-clear retry diverged");
             }
         });
-        // Bystanders: same operands, same worker pool, never cancelled.
+        // Bystanders: same server, same plan, never cancelled.
         for d in 0..2 {
-            let (left2, right2, oracle2) = (&left, &right, &oracle);
+            let (server, w, oracle) = (&server, &w, &oracle);
             s.spawn(move || {
-                let ctx = par_ctx(3, 61);
+                let session = server.session();
                 for round in 0..rounds {
-                    let j = ops::join_partitioned(&ctx, left2, right2).unwrap();
-                    assert_eq!(
-                        j.iter().collect::<Vec<_>>(),
-                        *oracle2,
-                        "bystander {d} round {round} diverged"
-                    );
+                    let rows = session.run_query(q, &w.params).unwrap();
+                    assert_eq!(&rows, oracle, "bystander {d} round {round} diverged");
                 }
             });
         }
@@ -322,8 +255,8 @@ fn cancellation_mid_join_leaves_other_drivers_bit_identical() {
 }
 
 /// Scratch-pool leak accounting across governor aborts: injected faults
-/// and cancellations at arbitrary points of the parallel join, group, and
-/// aggregate kernels must return every checked-out scratch buffer — the
+/// and cancellations at arbitrary points of the join, group, and aggregate
+/// kernels must return every checked-out scratch buffer — the
 /// process-wide checkout balance settles back to its pre-round baseline.
 /// A single abort path that drops a buffer instead of putting it back
 /// shows up as a monotonically climbing balance.
@@ -362,7 +295,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         let algos = oid_keyed(&ExecCtx::new()).unwrap();
         assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap"]);
     }
-    // The nest + aggregate tail, serial: slot-table grouping (`direct`),
+    // The nest + aggregate tail: slot-table grouping (`direct`),
     // pair grouping and pair dedup (`packed`), the zero-copy `sync` join,
     // and two `{g}` over one head (the second a `memo` hit).
     let objects = Column::from_oids((0..20_000u64).collect());
@@ -381,7 +314,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         Ok(algos)
     };
     {
-        let algos = nest_tail(&serial_ctx()).unwrap();
+        let algos = nest_tail(&default_ctx()).unwrap();
         assert_eq!(algos, ["direct", "packed", "sync", "packed", "direct", "memo"]);
     }
     let baseline = typed::scratch_checked_out();
@@ -391,7 +324,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
     };
     let mut aborts = 0usize;
     for &k in &[1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {
-        let ctx = par_ctx(4, 61);
+        let ctx = default_ctx();
         ctx.gov.arm_fault("*", k);
         let r = ops::join_partitioned(&ctx, &left, &right)
             .and_then(|_| ops::group1(&ctx, &groups))
@@ -405,8 +338,8 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         // Whatever happened, the context is reusable and correct.
         let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
         assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: retry diverged");
-        // The same fault through the serial nest + aggregate tail.
-        let ctx = serial_ctx();
+        // The same fault through the nest + aggregate tail.
+        let ctx = default_ctx();
         ctx.gov.arm_fault("*", k);
         match nest_tail(&ctx) {
             Err(MonetError::Injected { .. }) => aborts += 1,
@@ -428,9 +361,9 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         assert_eq!(ctx.take_algo(), "spill");
         assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: spill retry diverged");
         // A cancellation abort in the same round: fires at the first probe.
-        let ctx = par_ctx(4, 61);
+        let ctx = default_ctx();
         ctx.cancel_token().cancel();
-        match ops::join_partitioned(&ctx, &left, &right) {
+        match ops::join(&ctx, &left, &right) {
             Err(MonetError::Cancelled) => {}
             other => panic!("k={k}: pre-cancelled join must abort, got {other:?}"),
         }
@@ -465,7 +398,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         (&|ctx| ops::set_aggregate(ctx, ops::AggFunc::Count, &by_class), "direct"),
     ];
     for (run, algo) in runs {
-        let ctx = serial_ctx();
+        let ctx = default_ctx();
         ctx.mem.set_budget(Some(64 * 1024));
         match run(&ctx) {
             Err(MonetError::BudgetExceeded { .. }) => {}
