@@ -473,9 +473,9 @@ fn main() {
     // u16 codes); the FOR operand re-encodes `int_x` (values 0..997 →
     // u16 deltas). Raw twins run the exact same probes so each pair's
     // gap is the encoding, nothing else.
-    let dict_strs = Bat::new(head.clone(), strs.tail().encode(false));
+    let dict_strs = Bat::new(head.clone(), strs.tail().encode());
     assert_eq!(dict_strs.tail().encoding(), monet::props::Enc::Dict, "dict fixture must encode");
-    let for_ints = Bat::new(head.clone(), int_x.tail().encode(false));
+    let for_ints = Bat::new(head.clone(), int_x.tail().encode());
     assert_eq!(for_ints.tail().encoding(), monet::props::Enc::For, "FOR fixture must encode");
     let probe_str = AtomValue::str("Clerk#000000500");
     recs.push(measure(base.as_ref(), "enc/select-str-raw", n, || {

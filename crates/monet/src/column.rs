@@ -50,10 +50,6 @@ pub enum ColumnVals {
     DictStr(Arc<DictStrData>),
     /// Frame-of-reference int/date storage: `base + narrow delta`.
     ForInt(Arc<ForIntData>),
-    /// Frame-of-reference lng storage.
-    ForLng(Arc<ForLngData>),
-    /// Run-length encoding (sorted columns): run values + cumulative ends.
-    Rle(Arc<RleData>),
 }
 
 /// Per-row dictionary codes at the narrowest width the dictionary size
@@ -185,104 +181,6 @@ impl ForIntData {
 
     fn decoded(&self) -> &Arc<Buf<i32>> {
         self.decoded.get_or_init(|| Arc::new((0..self.len()).map(|i| self.value(i)).collect()))
-    }
-}
-
-#[derive(Debug)]
-pub(crate) enum ForLngDeltas {
-    W8(Buf<u8>),
-    W16(Buf<u16>),
-    W32(Buf<u32>),
-}
-
-/// Frame-of-reference storage for `lng` columns.
-#[derive(Debug)]
-pub struct ForLngData {
-    base: i64,
-    deltas: ForLngDeltas,
-    decoded: OnceLock<Arc<Buf<i64>>>,
-}
-
-impl ForLngData {
-    /// Assemble from pre-built parts (the store's open path).
-    pub(crate) fn from_parts(base: i64, deltas: ForLngDeltas) -> ForLngData {
-        ForLngData { base, deltas, decoded: OnceLock::new() }
-    }
-
-    fn len(&self) -> usize {
-        match &self.deltas {
-            ForLngDeltas::W8(v) => v.len(),
-            ForLngDeltas::W16(v) => v.len(),
-            ForLngDeltas::W32(v) => v.len(),
-        }
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> i64 {
-        match &self.deltas {
-            ForLngDeltas::W8(v) => self.base + v[i] as i64,
-            ForLngDeltas::W16(v) => self.base + v[i] as i64,
-            ForLngDeltas::W32(v) => self.base + v[i] as i64,
-        }
-    }
-
-    fn width(&self) -> usize {
-        match &self.deltas {
-            ForLngDeltas::W8(_) => 1,
-            ForLngDeltas::W16(_) => 2,
-            ForLngDeltas::W32(_) => 4,
-        }
-    }
-
-    fn decoded(&self) -> &Arc<Buf<i64>> {
-        self.decoded.get_or_init(|| Arc::new((0..self.len()).map(|i| self.value(i)).collect()))
-    }
-}
-
-/// Run-length storage: one value per run (a raw column of the logical
-/// type) plus cumulative exclusive run ends. There is no RLE kernel
-/// variant — [`Column::typed`] resolves RLE windows through the cached
-/// decode, so every kernel runs on it transparently; the physical layout
-/// only pays off in storage and load accounting.
-#[derive(Debug)]
-pub struct RleData {
-    /// Cumulative run ends (exclusive); `ends.last() == total rows`.
-    ends: Buf<u32>,
-    /// Run values, a raw column (`off == 0`) of the logical atom type.
-    vals: Column,
-    decoded: OnceLock<Column>,
-}
-
-impl RleData {
-    /// Assemble from pre-built parts (the store's open path). `ends` must
-    /// be non-decreasing and `vals.len()` must equal `ends.len()` — the
-    /// store validates before constructing.
-    pub(crate) fn from_parts(ends: Buf<u32>, vals: Column) -> RleData {
-        RleData { ends, vals, decoded: OnceLock::new() }
-    }
-
-    fn rows(&self) -> usize {
-        self.ends.last().copied().unwrap_or(0) as usize
-    }
-
-    /// Index of the run containing row `i`.
-    #[inline]
-    fn run_of(&self, i: usize) -> usize {
-        self.ends.partition_point(|&e| e as usize <= i)
-    }
-
-    fn decoded(&self) -> &Column {
-        self.decoded.get_or_init(|| {
-            let mut idx: Vec<u32> = Vec::with_capacity(self.rows());
-            let mut at = 0u32;
-            for (r, &e) in self.ends.iter().enumerate() {
-                for _ in at..e {
-                    idx.push(r as u32);
-                }
-                at = e;
-            }
-            self.vals.gather(&idx)
-        })
     }
 }
 
@@ -465,8 +363,6 @@ impl Column {
                     AtomType::Int
                 }
             }
-            ColumnVals::ForLng(_) => AtomType::Lng,
-            ColumnVals::Rle(r) => r.vals.atom_type(),
         }
     }
 
@@ -477,8 +373,7 @@ impl Column {
     pub fn encoding(&self) -> Enc {
         match &self.vals {
             ColumnVals::DictStr(_) => Enc::Dict,
-            ColumnVals::ForInt(_) | ColumnVals::ForLng(_) => Enc::For,
-            ColumnVals::Rle(_) => Enc::Rle,
+            ColumnVals::ForInt(_) => Enc::For,
             _ => Enc::None,
         }
     }
@@ -544,8 +439,6 @@ impl Column {
                     AtomValue::Int(f.value(j))
                 }
             }
-            ColumnVals::ForLng(f) => AtomValue::Lng(f.value(j)),
-            ColumnVals::Rle(r) => r.vals.get(r.run_of(j)),
         }
     }
 
@@ -556,7 +449,7 @@ impl Column {
         match &self.vals {
             ColumnVals::Void { seq } => seq + j as Oid,
             ColumnVals::Oid(v) => v[j],
-            other => panic!("oid_at on {:?} column", type_of(other)),
+            _ => panic!("oid_at on {:?} column", self.atom_type()),
         }
     }
 
@@ -564,42 +457,35 @@ impl Column {
         match &self.vals {
             ColumnVals::Int(v) => v[self.off + i],
             ColumnVals::ForInt(f) if !f.date => f.value(self.off + i),
-            ColumnVals::Rle(r) if r.vals.atom_type() == AtomType::Int => {
-                r.vals.int_at(r.run_of(self.off + i))
-            }
-            other => panic!("int_at on {:?} column", type_of(other)),
+            _ => panic!("int_at on {:?} column", self.atom_type()),
         }
     }
 
     pub fn lng_at(&self, i: usize) -> i64 {
         match &self.vals {
             ColumnVals::Lng(v) => v[self.off + i],
-            ColumnVals::ForLng(f) => f.value(self.off + i),
-            ColumnVals::Rle(r) if r.vals.atom_type() == AtomType::Lng => {
-                r.vals.lng_at(r.run_of(self.off + i))
-            }
-            other => panic!("lng_at on {:?} column", type_of(other)),
+            _ => panic!("lng_at on {:?} column", self.atom_type()),
         }
     }
 
     pub fn dbl_at(&self, i: usize) -> f64 {
         match &self.vals {
             ColumnVals::Dbl(v) => v[self.off + i],
-            other => panic!("dbl_at on {:?} column", type_of(other)),
+            _ => panic!("dbl_at on {:?} column", self.atom_type()),
         }
     }
 
     pub fn chr_at(&self, i: usize) -> u8 {
         match &self.vals {
             ColumnVals::Chr(v) => v[self.off + i],
-            other => panic!("chr_at on {:?} column", type_of(other)),
+            _ => panic!("chr_at on {:?} column", self.atom_type()),
         }
     }
 
     pub fn bool_at(&self, i: usize) -> bool {
         match &self.vals {
             ColumnVals::Bool(v) => v[self.off + i],
-            other => panic!("bool_at on {:?} column", type_of(other)),
+            _ => panic!("bool_at on {:?} column", self.atom_type()),
         }
     }
 
@@ -607,10 +493,7 @@ impl Column {
         match &self.vals {
             ColumnVals::Date(v) => Date(v[self.off + i]),
             ColumnVals::ForInt(f) if f.date => Date(f.value(self.off + i)),
-            ColumnVals::Rle(r) if r.vals.atom_type() == AtomType::Date => {
-                r.vals.date_at(r.run_of(self.off + i))
-            }
-            other => panic!("date_at on {:?} column", type_of(other)),
+            _ => panic!("date_at on {:?} column", self.atom_type()),
         }
     }
 
@@ -618,7 +501,7 @@ impl Column {
         match &self.vals {
             ColumnVals::Str(v) => v.get(self.off + i),
             ColumnVals::DictStr(d) => d.dict.get(d.code(self.off + i)),
-            other => panic!("str_at on {:?} column", type_of(other)),
+            _ => panic!("str_at on {:?} column", self.atom_type()),
         }
     }
 
@@ -763,8 +646,6 @@ impl Column {
             Str(v) => fnv1a(v.get(j).as_bytes()),
             DictStr(d) => fnv1a(d.dict.get(d.code(j)).as_bytes()),
             ForInt(f) => fxhash64(f.value(j) as u64),
-            ForLng(f) => fxhash64(f.value(j) as u64),
-            Rle(r) => r.vals.hash_at(r.run_of(j)),
         }
     }
 
@@ -834,28 +715,6 @@ impl Column {
                     idx.len(),
                 )
             }
-            ForLng(f) => {
-                let deltas = match &f.deltas {
-                    ForLngDeltas::W8(v) => {
-                        ForLngDeltas::W8(idx.iter().map(|&i| v[self.off + i as usize]).collect())
-                    }
-                    ForLngDeltas::W16(v) => {
-                        ForLngDeltas::W16(idx.iter().map(|&i| v[self.off + i as usize]).collect())
-                    }
-                    ForLngDeltas::W32(v) => {
-                        ForLngDeltas::W32(idx.iter().map(|&i| v[self.off + i as usize]).collect())
-                    }
-                };
-                Column::new(
-                    ColumnVals::ForLng(Arc::new(ForLngData {
-                        base: f.base,
-                        deltas,
-                        decoded: OnceLock::new(),
-                    })),
-                    idx.len(),
-                )
-            }
-            Rle(_) => self.decoded().gather(idx),
         }
     }
 
@@ -1008,7 +867,7 @@ impl Column {
                 }
                 Column::from_oids(out)
             }
-            DictStr(_) | ForInt(_) | ForLng(_) | Rle(_) => {
+            DictStr(_) | ForInt(_) => {
                 unreachable!("encoded parts routed through the decode prelude above")
             }
         }
@@ -1125,26 +984,6 @@ impl Column {
                 };
                 (col_of(&perm), perm)
             }
-            ColumnVals::ForLng(f) => {
-                let perm = match &f.deltas {
-                    ForLngDeltas::W8(v) => counting_sort_perm(
-                        v[self.off..self.off + n].iter().map(|&x| x as usize),
-                        n,
-                        1 << 8,
-                    ),
-                    ForLngDeltas::W16(v) => counting_sort_perm(
-                        v[self.off..self.off + n].iter().map(|&x| x as usize),
-                        n,
-                        1 << 16,
-                    ),
-                    ForLngDeltas::W32(v) => {
-                        let w = &v[self.off..self.off + n];
-                        radix_sort_keys(w.iter().map(|&x| x as u64).collect()).1
-                    }
-                };
-                (col_of(&perm), perm)
-            }
-            ColumnVals::Rle(_) => self.decoded().sort_typed(want_column),
         }
     }
 
@@ -1223,7 +1062,7 @@ impl Column {
     /// Bytes of heap storage attributable to this window: fixed part plus,
     /// for strings, the shared variable heap (counted in full — consistent
     /// with how Monet accounts a BAT's heaps). Encoded layouts report their
-    /// *physical* size — codes/deltas/runs, not the logical decode — which
+    /// *physical* size — codes/deltas, not the logical decode — which
     /// is what `ctx.record` and the MemTracker budget charge.
     pub fn bytes(&self) -> usize {
         match &self.vals {
@@ -1235,8 +1074,6 @@ impl Column {
                     + d.dict.heap_bytes()
             }
             ColumnVals::ForInt(f) => f.width() * self.len,
-            ColumnVals::ForLng(f) => f.width() * self.len,
-            ColumnVals::Rle(r) => 4 * r.ends.len() + r.vals.bytes(),
             _ => self.atom_type().width() * self.len,
         }
     }
@@ -1255,69 +1092,26 @@ impl Column {
                     ColumnVals::Int(Arc::clone(f.decoded()))
                 }
             }
-            ColumnVals::ForLng(f) => ColumnVals::Lng(Arc::clone(f.decoded())),
-            ColumnVals::Rle(r) => r.decoded().vals.clone(),
             _ => return self.clone(),
         };
         Column { vals, id: self.id, off: self.off, len: self.len }
     }
 
-    /// Decode the `[start, start+len)` window of an RLE-encoded `dbl` view
-    /// into `out` (appending), walking the runs directly: element order is
-    /// exactly the logical row order, so summing `out` sequentially is
-    /// bit-identical to summing the decoded column's window — but no
-    /// full-column decode is materialized or cached. Returns `false`
-    /// (leaving `out` untouched) when this column is not RLE with `dbl`
-    /// run values.
-    pub fn rle_dbl_window_into(&self, start: usize, len: usize, out: &mut Vec<f64>) -> bool {
-        assert!(start + len <= self.len, "window out of bounds");
-        let ColumnVals::Rle(r) = &self.vals else { return false };
-        let Some(vals) = r.vals.as_dbl_slice() else { return false };
-        let lo = self.off + start;
-        let hi = lo + len;
-        let mut run = r.run_of(lo);
-        let mut at = lo;
-        while at < hi {
-            let end = (r.ends[run] as usize).min(hi);
-            out.resize(out.len() + (end - at), vals[run]);
-            at = end;
-            run += 1;
-        }
-        true
-    }
-
-    /// Whether this RLE view's full-column decode cache is populated
-    /// (`None` for non-RLE columns) — the observability hook for tests
-    /// asserting that run-aware kernels avoided the full materialization.
-    pub fn rle_decode_cached(&self) -> Option<bool> {
-        match &self.vals {
-            ColumnVals::Rle(r) => Some(r.decoded.get().is_some()),
-            _ => None,
-        }
-    }
-
     /// Re-encode this window into a compressed layout when one pays off;
     /// returns a clone unchanged when no encoding applies (already encoded,
-    /// unsupported type, or no size win). `sorted` lets callers who *know*
-    /// the column is ascending unlock RLE. Encoded results carry the same
+    /// unsupported type, or no size win). Encoded results carry the same
     /// values — verified by the `ops_props` equivalence suite — but a fresh
     /// storage identity (re-encoding a base column must bump the Db epoch).
-    pub fn encode(&self, sorted: bool) -> Column {
+    pub fn encode(&self) -> Column {
         if self.encoding() != Enc::None || self.len == 0 {
             return self.clone();
         }
-        if sorted {
-            if let Some(c) = self.encode_rle() {
-                return c;
-            }
-        }
-        match self.atom_type() {
-            AtomType::Str => self.encode_dict().unwrap_or_else(|| self.clone()),
-            AtomType::Int | AtomType::Date | AtomType::Lng => {
-                self.encode_for().unwrap_or_else(|| self.clone())
-            }
-            _ => self.clone(),
-        }
+        let enc = match self.atom_type() {
+            AtomType::Str => self.encode_dict(),
+            AtomType::Int | AtomType::Date => self.encode_for(),
+            _ => None,
+        };
+        enc.unwrap_or_else(|| self.clone())
     }
 
     /// Order-preserving dictionary encoding for string columns: sorted
@@ -1356,91 +1150,32 @@ impl Column {
         ))
     }
 
-    /// Frame-of-reference encoding for int/date/lng columns whose value
-    /// range fits a narrower unsigned delta. `None` when it doesn't.
+    /// Frame-of-reference encoding for int/date columns whose value range
+    /// fits a u8/u16 delta. `None` when it doesn't.
     fn encode_for(&self) -> Option<Column> {
-        let n = self.len;
-        match &self.vals {
-            ColumnVals::Int(_) | ColumnVals::Date(_) => {
-                let date = matches!(self.vals, ColumnVals::Date(_));
-                let w = match &self.vals {
-                    ColumnVals::Int(v) | ColumnVals::Date(v) => &v[self.off..self.off + n],
-                    _ => unreachable!(),
-                };
-                let min = *w.iter().min()?;
-                let max = *w.iter().max()?;
-                let range = max as i64 - min as i64;
-                let deltas = if range <= u8::MAX as i64 {
-                    ForIntDeltas::W8(w.iter().map(|&x| x.wrapping_sub(min) as u8).collect())
-                } else if range <= u16::MAX as i64 {
-                    ForIntDeltas::W16(w.iter().map(|&x| x.wrapping_sub(min) as u16).collect())
-                } else {
-                    return None;
-                };
-                Some(Column::new(
-                    ColumnVals::ForInt(Arc::new(ForIntData {
-                        base: min,
-                        deltas,
-                        date,
-                        decoded: OnceLock::new(),
-                    })),
-                    n,
-                ))
-            }
-            ColumnVals::Lng(v) => {
-                let w = &v[self.off..self.off + n];
-                let min = *w.iter().min()?;
-                let max = *w.iter().max()?;
-                let range = max as i128 - min as i128;
-                let deltas = if range <= u8::MAX as i128 {
-                    ForLngDeltas::W8(w.iter().map(|&x| x.wrapping_sub(min) as u8).collect())
-                } else if range <= u16::MAX as i128 {
-                    ForLngDeltas::W16(w.iter().map(|&x| x.wrapping_sub(min) as u16).collect())
-                } else if range <= u32::MAX as i128 {
-                    ForLngDeltas::W32(w.iter().map(|&x| x.wrapping_sub(min) as u32).collect())
-                } else {
-                    return None;
-                };
-                Some(Column::new(
-                    ColumnVals::ForLng(Arc::new(ForLngData {
-                        base: min,
-                        deltas,
-                        decoded: OnceLock::new(),
-                    })),
-                    n,
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    /// Run-length encoding for an ascending window: one stored value per
-    /// run. Only taken when runs are scarce (≤ len/4) — RLE has no kernel
-    /// variant, so a weak compression ratio isn't worth the decode cache.
-    fn encode_rle(&self) -> Option<Column> {
-        let n = self.len;
-        if n == 0 || n > u32::MAX as usize || self.atom_type() == AtomType::Void {
+        let (w, date) = match &self.vals {
+            ColumnVals::Int(v) => (&v[self.off..self.off + self.len], false),
+            ColumnVals::Date(v) => (&v[self.off..self.off + self.len], true),
+            _ => return None,
+        };
+        let min = *w.iter().min()?;
+        let max = *w.iter().max()?;
+        let range = max as i64 - min as i64;
+        let deltas = if range <= u8::MAX as i64 {
+            ForIntDeltas::W8(w.iter().map(|&x| x.wrapping_sub(min) as u8).collect())
+        } else if range <= u16::MAX as i64 {
+            ForIntDeltas::W16(w.iter().map(|&x| x.wrapping_sub(min) as u16).collect())
+        } else {
             return None;
-        }
-        let mut starts: Vec<u32> = vec![0];
-        for i in 1..n {
-            if self.cmp_at(i - 1, self, i) != Ordering::Equal {
-                starts.push(i as u32);
-            }
-        }
-        if starts.len() * 4 > n {
-            return None;
-        }
-        let mut ends: Vec<u32> = starts[1..].to_vec();
-        ends.push(n as u32);
-        let vals = self.gather(&starts);
+        };
         Some(Column::new(
-            ColumnVals::Rle(Arc::new(RleData {
-                ends: ends.into(),
-                vals,
+            ColumnVals::ForInt(Arc::new(ForIntData {
+                base: min,
+                deltas,
+                date,
                 decoded: OnceLock::new(),
             })),
-            n,
+            w.len(),
         ))
     }
 
@@ -1468,8 +1203,6 @@ impl Column {
             ColumnVals::Str(v) => v.len(),
             ColumnVals::DictStr(d) => d.codes.len(),
             ColumnVals::ForInt(f) => f.len(),
-            ColumnVals::ForLng(f) => f.len(),
-            ColumnVals::Rle(r) => r.rows(),
         };
         self.len == storage_len
     }
@@ -1504,15 +1237,6 @@ impl Column {
                 };
                 StorageRepr::ForInt { base: f.base, date: f.date, deltas }
             }
-            ColumnVals::ForLng(f) => {
-                let deltas = match &f.deltas {
-                    ForLngDeltas::W8(v) => CodeSlice::W8(v),
-                    ForLngDeltas::W16(v) => CodeSlice::W16(v),
-                    ForLngDeltas::W32(v) => CodeSlice::W32(v),
-                };
-                StorageRepr::ForLng { base: f.base, deltas }
-            }
-            ColumnVals::Rle(r) => StorageRepr::Rle { ends: &r.ends, vals: &r.vals },
         }
     }
 }
@@ -1537,8 +1261,6 @@ pub(crate) enum StorageRepr<'a> {
     Str(&'a StrVec),
     DictStr { codes: CodeSlice<'a>, dict: &'a StrVec },
     ForInt { base: i32, date: bool, deltas: CodeSlice<'a> },
-    ForLng { base: i64, deltas: CodeSlice<'a> },
-    Rle { ends: &'a [u32], vals: &'a Column },
 }
 
 /// Borrowed view over the string storage of a column window.
@@ -1759,11 +1481,9 @@ fn dict_splice(parts: &[Column], total: usize) -> Option<Column> {
     ))
 }
 
-/// Resolve a storage window to a [`crate::typed::TypedSlice`]. RLE storage
-/// has no kernel variant: it dispatches through its cached decode, the
-/// transparent fallback every unspecialized kernel shape takes.
+/// Resolve a storage window to a [`crate::typed::TypedSlice`].
 fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> crate::typed::TypedSlice<'_> {
-    use crate::typed::{DictStrVals, ForIntVals, ForLngVals, StrVals, TypedSlice, VoidVals};
+    use crate::typed::{DictStrVals, ForIntVals, StrVals, TypedSlice, VoidVals};
     match vals {
         ColumnVals::Void { seq } => TypedSlice::Void(VoidVals { seq: seq + off as Oid, len }),
         ColumnVals::Oid(v) => TypedSlice::Oid(&v[off..off + len]),
@@ -1793,39 +1513,6 @@ fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> crate::typed::TypedS
             };
             TypedSlice::ForInt(ForIntVals::new(f.base, deltas, f.date))
         }
-        ColumnVals::ForLng(f) => {
-            let deltas = match &f.deltas {
-                ForLngDeltas::W8(v) => crate::typed::ForDeltaSlice::W8(&v[off..off + len]),
-                ForLngDeltas::W16(v) => crate::typed::ForDeltaSlice::W16(&v[off..off + len]),
-                ForLngDeltas::W32(v) => crate::typed::ForDeltaSlice::W32(&v[off..off + len]),
-            };
-            TypedSlice::ForLng(ForLngVals::new(f.base, deltas))
-        }
-        ColumnVals::Rle(r) => typed_vals(&r.decoded().vals, off, len),
-    }
-}
-
-fn type_of(v: &ColumnVals) -> AtomType {
-    match v {
-        ColumnVals::Void { .. } => AtomType::Void,
-        ColumnVals::Oid(_) => AtomType::Oid,
-        ColumnVals::Bool(_) => AtomType::Bool,
-        ColumnVals::Chr(_) => AtomType::Chr,
-        ColumnVals::Int(_) => AtomType::Int,
-        ColumnVals::Lng(_) => AtomType::Lng,
-        ColumnVals::Dbl(_) => AtomType::Dbl,
-        ColumnVals::Str(_) => AtomType::Str,
-        ColumnVals::Date(_) => AtomType::Date,
-        ColumnVals::DictStr(_) => AtomType::Str,
-        ColumnVals::ForInt(f) => {
-            if f.date {
-                AtomType::Date
-            } else {
-                AtomType::Int
-            }
-        }
-        ColumnVals::ForLng(_) => AtomType::Lng,
-        ColumnVals::Rle(r) => r.vals.atom_type(),
     }
 }
 
@@ -1933,8 +1620,8 @@ mod tests {
         // the decoding fallback with the values intact.
         let a_vals: Vec<String> = (0..64).map(|i| format!("Clerk#{:012}", i % 3)).collect();
         let b_vals: Vec<String> = (0..64).map(|i| format!("Broker#{:012}", i % 5)).collect();
-        let a = Column::from_strs(&a_vals).encode(false);
-        let b = Column::from_strs(&b_vals).encode(false);
+        let a = Column::from_strs(&a_vals).encode();
+        let b = Column::from_strs(&b_vals).encode();
         assert_eq!(a.encoding(), Enc::Dict);
         assert_eq!(b.encoding(), Enc::Dict);
         let c = Column::concat_all(&[a.clone(), b.clone()]);

@@ -76,7 +76,7 @@ impl Default for PlanConfig {
 /// One immutable engine configuration (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Whether loaders build encoded column layouts (dict/FOR/RLE).
+    /// Whether loaders build encoded column layouts (dict/FOR).
     pub enc: bool,
     pub opt: OptLevel,
     pub explain: bool,

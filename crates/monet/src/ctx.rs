@@ -409,7 +409,7 @@ mod tests {
         let ctx = ExecCtx::new();
         let s = "Clerk#000000000000000042";
         let raw = Column::from_strs(vec![s; 64]);
-        let dict = raw.encode(false);
+        let dict = raw.encode();
         assert_eq!(dict.encoding(), crate::props::Enc::Dict);
         // One u8 code per row (a single-entry dictionary fits 1-byte codes)
         // + one 4-byte dictionary offset + the single 24-byte entry. Pinned

@@ -6,7 +6,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+use crate::accel::datavector::Datavector;
 use crate::bat::Bat;
 use crate::error::{MonetError, Result};
 
@@ -72,19 +74,23 @@ impl Db {
     }
 
     /// Re-encode the tail of a registered BAT into a compressed layout
-    /// (see [`crate::column::Column::encode`]); `sorted` unlocks RLE when
-    /// the caller knows the tail ascends. No-op (and no epoch bump) when no
-    /// encoding pays off. A successful re-encode replaces the stored BAT
-    /// and goes through [`register`](Db::register), so the epoch bumps and
-    /// every plan compiled against the raw layout is silently invalidated.
-    pub fn reencode_tail(&mut self, name: &str, sorted: bool) -> Result<bool> {
+    /// (see [`crate::column::Column::encode`]). No-op (and no epoch bump)
+    /// when no encoding pays off. A successful re-encode replaces the
+    /// stored BAT and goes through [`register`](Db::register), so the epoch
+    /// bumps and every plan compiled against the raw layout is silently
+    /// invalidated. A datavector is carried over, rebuilt over its
+    /// re-encoded vector as the loader builds it over the encoded tail.
+    pub fn reencode_tail(&mut self, name: &str) -> Result<bool> {
         let bat = self.get(name)?;
-        let enc = bat.tail().encode(sorted);
+        let enc = bat.tail().encode();
         if enc.encoding() == crate::props::Enc::None {
             return Ok(false);
         }
-        let props = bat.props();
-        let replacement = Bat::with_props(bat.head().clone(), enc, props);
+        let mut replacement = Bat::with_props(bat.head().clone(), enc, bat.props());
+        if let Some(dv) = &bat.accel().datavector {
+            let vector = dv.vector().encode();
+            replacement.set_datavector(Arc::new(Datavector::new(Arc::clone(dv.extent()), vector)));
+        }
         self.register(name, replacement);
         Ok(true)
     }

@@ -62,9 +62,8 @@ pub fn aggr_scalar(ctx: &ExecCtx, ab: &Bat, f: AggFunc) -> Result<AtomValue> {
         pager::touch_scan(p, ab.tail());
     }
     let n = ab.len();
-    let parts = super::for_each_morsel(ctx, n, |r| {
-        aggr_window(&super::window_of(ab.tail(), r.start, r.len()), f)
-    })?;
+    let parts =
+        super::for_each_morsel(ctx, n, |r| aggr_window(&ab.tail().slice(r.start, r.len()), f))?;
     merge_partials(f, n, parts.into_iter().collect::<Result<_>>()?)
 }
 

@@ -437,7 +437,7 @@ mod tests {
         // through the direct arm (its codes are a compact domain).
         let ints = Column::from_ints((0..5000).map(|i| ((i * 31) % 613) as i32).collect());
         let strs = Column::from_strs((0..3000).map(|i| format!("g{}", i % 97)).collect::<Vec<_>>());
-        let dict = strs.encode(false);
+        let dict = strs.encode();
         assert_eq!(dict.encoding(), crate::props::Enc::Dict);
         for col in [&ints, &strs, &dict] {
             let (gid_mem, reps_mem, _) = hash_group_column(&ctx, col).unwrap();

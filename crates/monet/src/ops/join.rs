@@ -78,86 +78,6 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     Ok(result)
 }
 
-/// Theta-join: `{ad | ab ∈ AB ∧ cd ∈ CD ∧ b θ c}` for an order predicate
-/// θ ∈ {<, ≤, >, ≥, ≠}. Part of MIL ("the theta-join … omitted for
-/// brevity", Section 4.2). Sort-based when the right head is sorted
-/// (emitting prefix/suffix ranges), nested-loop otherwise.
-pub fn join_theta(ctx: &ExecCtx, ab: &Bat, cd: &Bat, theta: crate::ops::ScalarFunc) -> Result<Bat> {
-    use crate::ops::ScalarFunc as F;
-    ctx.probe("op/theta-join")?;
-    check_comparable("theta-join", ab.tail().atom_type(), cd.head().atom_type())?;
-    if !matches!(theta, F::Lt | F::Le | F::Gt | F::Ge | F::Ne) {
-        return Err(crate::error::MonetError::Malformed {
-            op: "theta-join",
-            detail: format!("unsupported theta operator {:?}", theta),
-        });
-    }
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.tail());
-        pager::touch_scan(p, cd.head());
-    }
-    let keep = |o: std::cmp::Ordering| match theta {
-        F::Lt => o.is_lt(),
-        F::Le => o.is_le(),
-        F::Gt => o.is_gt(),
-        F::Ge => o.is_ge(),
-        F::Ne => !o.is_eq(),
-        _ => unreachable!(),
-    };
-    let sorted_range = cd.props().head.sorted && !matches!(theta, F::Ne);
-    let algo = if sorted_range { "sorted-range" } else { "nested-loop" };
-    let (left_idx, right_idx) = crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-        let mut left_idx: Vec<u32> = Vec::with_capacity(ab.len());
-        let mut right_idx: Vec<u32> = Vec::with_capacity(ab.len());
-        if sorted_range {
-            // Binary-search the boundary per left BUN, emit the matching
-            // prefix or suffix of CD.
-            for i in 0..bt.len() {
-                let v = bt.value(i);
-                let (start, end) = match theta {
-                    F::Lt => (crate::typed::upper_bound_by(ch, v), ch.len()),
-                    F::Le => (crate::typed::lower_bound_by(ch, v), ch.len()),
-                    F::Gt => (0, crate::typed::lower_bound_by(ch, v)),
-                    F::Ge => (0, crate::typed::upper_bound_by(ch, v)),
-                    _ => unreachable!(),
-                };
-                for j in start..end {
-                    left_idx.push(i as u32);
-                    right_idx.push(j as u32);
-                }
-            }
-        } else {
-            for i in 0..bt.len() {
-                let v = bt.value(i);
-                for j in 0..ch.len() {
-                    if keep(bt.cmp_one(v, ch.value(j))) {
-                        left_idx.push(i as u32);
-                        right_idx.push(j as u32);
-                    }
-                }
-            }
-        }
-        (left_idx, right_idx)
-    });
-    if let Some(p) = ctx.pager.as_deref() {
-        for &r in &right_idx {
-            pager::touch_fetch(p, cd.tail(), r as usize);
-        }
-    }
-    // One left BUN can match many rights, so only order survives (left
-    // positions emitted ascending).
-    let result = Bat::with_props(
-        ab.head().gather(&left_idx),
-        cd.tail().gather(&right_idx),
-        Props::new(
-            ColProps { sorted: ab.props().head.sorted, key: false, dense: false, ..ColProps::NONE },
-            ColProps::NONE,
-        ),
-    );
-    ctx.record("theta-join", algo, &[ab, cd], &result)?;
-    Ok(result)
-}
-
 /// Sync join: when the join columns are one and the same duplicate-free
 /// column, every left BUN matches exactly the right BUN at its own
 /// position — the full match [`build_join`] would assemble from the
@@ -931,43 +851,6 @@ mod tests {
         let r = Bat::new(Column::from_oids(vec![1]), Column::from_dbls(vec![2.5]));
         let j = join(&ctx, &l, &r).unwrap();
         assert_eq!(j.bun(0), (AtomValue::str("x"), AtomValue::Dbl(2.5)));
-    }
-
-    #[test]
-    fn theta_join_lt_sorted_and_nested_agree() {
-        let ctx = ExecCtx::new();
-        let left = Bat::new(Column::from_oids(vec![1, 2]), Column::from_ints(vec![5, 20]));
-        let right_sorted = Bat::with_inferred_props(
-            Column::from_ints(vec![1, 10, 30]),
-            Column::from_chrs(vec![b'a', b'b', b'c']),
-        );
-        let right_plain =
-            Bat::new(Column::from_ints(vec![30, 1, 10]), Column::from_chrs(vec![b'c', b'a', b'b']));
-        for op in [
-            crate::ops::ScalarFunc::Lt,
-            crate::ops::ScalarFunc::Le,
-            crate::ops::ScalarFunc::Gt,
-            crate::ops::ScalarFunc::Ge,
-        ] {
-            let a = join_theta(&ctx, &left, &right_sorted, op).unwrap();
-            let b = join_theta(&ctx, &left, &right_plain, op).unwrap();
-            let norm = |x: &Bat| {
-                let mut v: Vec<(u64, u8)> =
-                    (0..x.len()).map(|i| (x.head().oid_at(i), x.tail().chr_at(i))).collect();
-                v.sort_unstable();
-                v
-            };
-            assert_eq!(norm(&a), norm(&b), "theta {op:?}");
-            assert!(a.validate().is_ok());
-        }
-        // b=5: rights > 5 are {10, 30} → Lt gives 2 pairs for left oid 1.
-        let lt = join_theta(&ctx, &left, &right_sorted, crate::ops::ScalarFunc::Lt).unwrap();
-        assert_eq!(lt.len(), 2 + 1); // oid1 matches 10,30; oid2 matches 30
-                                     // Ne is nested-loop only
-        let ne = join_theta(&ctx, &left, &right_plain, crate::ops::ScalarFunc::Ne).unwrap();
-        assert_eq!(ne.len(), 6);
-        // Eq is rejected (that's the equi-join's job)
-        assert!(join_theta(&ctx, &left, &right_plain, crate::ops::ScalarFunc::Eq).is_err());
     }
 
     #[test]

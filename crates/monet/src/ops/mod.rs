@@ -28,7 +28,7 @@ pub mod unique;
 
 pub use aggregate::{aggr_scalar, set_aggregate, AggFunc};
 pub use group::{group1, group2};
-pub use join::{join, join_partitioned, join_theta};
+pub use join::{join, join_partitioned};
 pub use multiplex::{apply_scalar, multiplex, MultArg, ScalarFunc};
 pub use select::{select_eq, select_range};
 pub use semijoin::{antijoin, semijoin};
@@ -37,10 +37,8 @@ pub use sort::{mark, sort_head, sort_tail, topn};
 pub use unique::unique;
 
 use crate::atom::AtomType;
-use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
-use crate::props::Enc;
 use std::ops::Range;
 
 /// Rows per morsel of the scan-shaped operators (select scan, synced
@@ -71,21 +69,6 @@ pub(crate) fn for_each_morsel<R>(
             Ok(f(r))
         })
         .collect()
-}
-
-/// One morsel of a column, as the scan-shaped operators' window kernels
-/// read it. RLE-encoded dbl tails decode run-aware into a fresh buffer —
-/// `decoded()` on a window would materialize (and cache) the *full*
-/// column. Other encodings window zero-copy; the window kernels handle
-/// them.
-pub(crate) fn window_of(tail: &Column, start: usize, len: usize) -> Column {
-    if tail.encoding() == Enc::Rle && tail.atom_type() == AtomType::Dbl {
-        let mut buf = Vec::with_capacity(len);
-        if tail.rle_dbl_window_into(start, len, &mut buf) {
-            return Column::from_dbls(buf);
-        }
-    }
-    tail.slice(start, len)
 }
 
 /// Check that two columns can be compared for a join (same type; oid and

@@ -268,7 +268,7 @@ fn mux_synced(
         let w: Vec<TailArg> = args
             .iter()
             .map(|a| match a {
-                MultArg::Bat(b) => TailArg::Col(super::window_of(b.tail(), r.start, r.len())),
+                MultArg::Bat(b) => TailArg::Col(b.tail().slice(r.start, r.len())),
                 MultArg::Const(v) => TailArg::Const(v.clone()),
             })
             .collect();
@@ -626,7 +626,7 @@ fn typed_compare(f: ScalarFunc, a: &TailArg, b: &TailArg, n: usize) -> Option<Co
 fn typed_fast_path(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Option<Column>> {
     use crate::typed::TypedSlice;
     use ScalarFunc as F;
-    // FOR/RLE-encoded numeric arguments decode once up front (an `Arc` bump
+    // FOR-encoded numeric arguments decode once up front (an `Arc` bump
     // after the first call — the decode is cached inside the column data)
     // so the slice fast paths below still qualify. Dictionary-encoded
     // strings keep their codes: the string predicates evaluate on the
@@ -948,17 +948,13 @@ mod tests {
         // with the row loop's `apply_scalar` value for value.
         use ScalarFunc as F;
         let strs = ["Clerk#000000000000000007", "Clerk#000000000000000003"];
-        let dict = Column::from_strs((0..64).map(|i| strs[i % 2])).encode(false);
-        let for_int = Column::from_ints((0..64).map(|i| 1000 + i % 7).collect()).encode(false);
-        let for_date =
-            Column::from_date_days((0..64).map(|i| 9000 + i % 5).collect()).encode(false);
-        let for_lng =
-            Column::from_lngs((0..64).map(|i| (1 << 40) | (i % 9)).collect()).encode(false);
-        let rle = Column::from_dbls((0..64).map(|i| (i / 16) as f64).collect()).encode(true);
+        let dict = Column::from_strs((0..64).map(|i| strs[i % 2])).encode();
+        let for_int = Column::from_ints((0..64).map(|i| 1000 + i % 7).collect()).encode();
+        let for_date = Column::from_date_days((0..64).map(|i| 9000 + i % 5).collect()).encode();
         use crate::props::Enc;
         assert_eq!(
-            [&dict, &for_int, &for_date, &for_lng, &rle].map(Column::encoding),
-            [Enc::Dict, Enc::For, Enc::For, Enc::For, Enc::Rle],
+            [&dict, &for_int, &for_date].map(Column::encoding),
+            [Enc::Dict, Enc::For, Enc::For],
             "the fixtures must actually encode"
         );
         let cols = [
@@ -974,8 +970,6 @@ mod tests {
             dict,
             for_int,
             for_date,
-            for_lng,
-            rle,
         ];
         for col in &cols {
             // The partner: the same values rotated, so both outcomes of

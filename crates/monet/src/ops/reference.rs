@@ -13,7 +13,6 @@
 //! compare results pair-for-pair instead of as multisets. Reference ops
 //! take no `ExecCtx` and claim no properties.
 
-use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use crate::atom::{AtomType, AtomValue, Oid};
@@ -71,30 +70,6 @@ pub fn join(ab: &Bat, cd: &Bat) -> Bat {
     for i in 0..ab.len() {
         for j in 0..cd.len() {
             if bt.eq_at(i, ch, j) {
-                li.push(i as u32);
-                ri.push(j as u32);
-            }
-        }
-    }
-    Bat::new(ab.head().gather(&li), cd.tail().gather(&ri))
-}
-
-/// Nested-loop theta-join for θ ∈ {<, ≤, >, ≥, ≠}.
-pub fn join_theta(ab: &Bat, cd: &Bat, theta: ScalarFunc) -> Bat {
-    let keep = |o: Ordering| match theta {
-        ScalarFunc::Lt => o.is_lt(),
-        ScalarFunc::Le => o.is_le(),
-        ScalarFunc::Gt => o.is_gt(),
-        ScalarFunc::Ge => o.is_ge(),
-        ScalarFunc::Ne => !o.is_eq(),
-        _ => panic!("not a theta operator: {theta:?}"),
-    };
-    let (bt, ch) = (ab.tail(), cd.head());
-    let mut li = Vec::new();
-    let mut ri = Vec::new();
-    for i in 0..ab.len() {
-        for j in 0..cd.len() {
-            if keep(bt.cmp_at(i, ch, j)) {
                 li.push(i as u32);
                 ri.push(j as u32);
             }

@@ -114,7 +114,7 @@ fn select_scan(
         pager::touch_scan(p, ab.tail());
     }
     let parts = super::for_each_morsel(ctx, ab.len(), |r| {
-        let w = super::window_of(ab.tail(), r.start, r.len());
+        let w = ab.tail().slice(r.start, r.len());
         let mut idx = select_window(&w, lo, hi, inc_lo, inc_hi);
         for i in &mut idx {
             *i += r.start as u32;
@@ -402,7 +402,7 @@ mod tests {
         } else {
             ["d", "b", "a", "b", "d", "c"].map(|s| w(s)).to_vec()
         };
-        let tail = Column::from_strs(strs).encode(false);
+        let tail = Column::from_strs(strs).encode();
         assert_eq!(tail.encoding(), crate::props::Enc::Dict);
         Bat::with_inferred_props(Column::from_oids((0..6).collect()), tail)
     }

@@ -19,10 +19,8 @@ pub enum Enc {
     /// Order-preserving dictionary codes over the string heap: code order
     /// equals string order, so range predicates map to code ranges.
     Dict,
-    /// Frame-of-reference: `base + narrow delta` for int/lng/date.
+    /// Frame-of-reference: `base + u8/u16 delta` for int/date.
     For,
-    /// Run-length encoding of a sorted column.
-    Rle,
 }
 
 /// Per-column properties.

@@ -3,7 +3,7 @@
 //!
 //! The paper's BATs live in anonymous RAM and are regenerated per process;
 //! this module gives the same physical layouts — raw arrays, string heaps,
-//! dict/FOR/RLE encodings — an on-disk form. A written store is a
+//! dict and int/date FOR encodings — an on-disk form. A written store is a
 //! directory:
 //!
 //! | file          | contents                                             |
@@ -25,8 +25,9 @@
 //! superblock checksums, segment bounds (truncation), descriptor
 //! consistency (the wrong-`Enc` class of corruption), and the invariants
 //! the kernel's `unsafe` relies on: string windows are in-bounds valid
-//! UTF-8, bool bytes are 0/1, dict codes address the dictionary, RLE run
-//! ends are monotone. Full data checksums are O(data) and opt-in
+//! UTF-8, bool bytes are 0/1, dict codes address the dictionary. A layout
+//! tag no writer produces — including the retired RLE tag 4 — is a
+//! descriptor mismatch. Full data checksums are O(data) and opt-in
 //! ([`OpenOptions::verify_data`], [`verify_dir`]) — that is what the
 //! corruption sweep and `flatalg-store verify` run.
 
@@ -42,7 +43,7 @@ use crate::bat::Bat;
 use crate::buf::Buf;
 use crate::column::{
     CodeSlice, Column, ColumnIdentity, ColumnVals, DictCodes, DictStrData, ForIntData,
-    ForIntDeltas, ForLngData, ForLngDeltas, RleData, StorageRepr,
+    ForIntDeltas, StorageRepr,
 };
 use crate::db::Db;
 use crate::error::{MonetError, Result};
@@ -66,17 +67,15 @@ const LAYOUT_RAW: u8 = 0;
 const LAYOUT_STR: u8 = 1;
 const LAYOUT_DICT: u8 = 2;
 const LAYOUT_FOR: u8 = 3;
-const LAYOUT_RLE: u8 = 4;
 
 // Segment kinds.
-const SEG_DATA: u32 = 0; // raw values / dict codes / FOR deltas / RLE payload
+const SEG_DATA: u32 = 0; // raw values / dict codes / FOR deltas
 const SEG_STR_OFFSETS: u32 = 1;
 const SEG_STR_LENS: u32 = 2;
 const SEG_STR_HEAP: u32 = 3;
 const SEG_DICT_OFFSETS: u32 = 4;
 const SEG_DICT_LENS: u32 = 5;
 const SEG_DICT_HEAP: u32 = 6;
-const SEG_RLE_ENDS: u32 = 7;
 
 /// xxHash64 (XXH64), the per-segment and superblock checksum. Public so
 /// tests can re-stamp a header after targeted corruption.
@@ -403,30 +402,6 @@ fn write_column_file(path: &Path, col: &Column) -> Result<(u64, u64)> {
                 let (delta_bytes, w) = code_slice_bytes(&deltas);
                 (LAYOUT_FOR, w, base as i64, 0, vec![(SEG_DATA, delta_bytes)])
             }
-            StorageRepr::ForLng { base, deltas } => {
-                let (delta_bytes, w) = code_slice_bytes(&deltas);
-                (LAYOUT_FOR, w, base, 0, vec![(SEG_DATA, delta_bytes)])
-            }
-            StorageRepr::Rle { ends, vals } => {
-                let mut segs = vec![(SEG_RLE_ENDS, as_bytes(ends))];
-                match vals.storage_repr() {
-                    StorageRepr::Oid(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Bool(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Chr(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Int(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Lng(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Dbl(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Date(v) => segs.push((SEG_DATA, as_bytes(v))),
-                    StorageRepr::Str(sv) => {
-                        let (offsets, lens, heap) = str_parts(sv);
-                        segs.push((SEG_STR_OFFSETS, as_bytes(offsets)));
-                        segs.push((SEG_STR_LENS, as_bytes(lens)));
-                        segs.push((SEG_STR_HEAP, heap));
-                    }
-                    _ => return Err(serr("store/write", path, "RLE payload must be a raw column")),
-                }
-                (LAYOUT_RLE, 0, 0, vals.len() as u64, segs)
-            }
         };
 
     // Lay out segments on page boundaries after the header page.
@@ -685,56 +660,6 @@ impl OpenCol {
                     w => return Err(e(format!("invalid FOR(int) delta width {w}"))),
                 };
                 ColumnVals::ForInt(Arc::new(ForIntData::from_parts(base, deltas, date)))
-            }
-            (LAYOUT_FOR, AtomType::Lng) => {
-                let deltas = match h.width {
-                    1 => ForLngDeltas::W8(self.buf(SEG_DATA, n)?),
-                    2 => ForLngDeltas::W16(self.buf(SEG_DATA, n)?),
-                    4 => ForLngDeltas::W32(self.buf(SEG_DATA, n)?),
-                    w => return Err(e(format!("invalid FOR(lng) delta width {w}"))),
-                };
-                ColumnVals::ForLng(Arc::new(ForLngData::from_parts(h.base, deltas)))
-            }
-            (LAYOUT_RLE, _) => {
-                let runs = h.aux;
-                let ends: Buf<u32> = self.buf(SEG_RLE_ENDS, runs)?;
-                if ends.windows(2).any(|w| w[1] < w[0]) {
-                    return Err(e("RLE run ends are not non-decreasing".into()));
-                }
-                if ends.last().copied().unwrap_or(0) as u64 != n {
-                    return Err(e("RLE run ends disagree with the row count".into()));
-                }
-                let vals = match h.atom {
-                    AtomType::Oid => Column::new(
-                        ColumnVals::Oid(Arc::new(self.buf(SEG_DATA, runs)?)),
-                        runs as usize,
-                    ),
-                    AtomType::Chr => Column::new(
-                        ColumnVals::Chr(Arc::new(self.buf(SEG_DATA, runs)?)),
-                        runs as usize,
-                    ),
-                    AtomType::Int => Column::new(
-                        ColumnVals::Int(Arc::new(self.buf(SEG_DATA, runs)?)),
-                        runs as usize,
-                    ),
-                    AtomType::Lng => Column::new(
-                        ColumnVals::Lng(Arc::new(self.buf(SEG_DATA, runs)?)),
-                        runs as usize,
-                    ),
-                    AtomType::Dbl => Column::new(
-                        ColumnVals::Dbl(Arc::new(self.buf(SEG_DATA, runs)?)),
-                        runs as usize,
-                    ),
-                    AtomType::Date => Column::new(
-                        ColumnVals::Date(Arc::new(self.buf(SEG_DATA, runs)?)),
-                        runs as usize,
-                    ),
-                    AtomType::Str => Column::from_strvec(
-                        self.strvec((SEG_STR_OFFSETS, SEG_STR_LENS, SEG_STR_HEAP), runs)?,
-                    ),
-                    other => return Err(e(format!("invalid RLE payload atom {other}"))),
-                };
-                ColumnVals::Rle(Arc::new(RleData::from_parts(ends, vals)))
             }
             (layout, atom) => {
                 return Err(e(format!(
@@ -1023,15 +948,12 @@ mod tests {
             ),
         );
         let dict: Vec<String> = (0..300).map(|i| format!("c{}", i % 7)).collect();
-        let dict_col = Column::from_strs(&dict).encode(false);
+        let dict_col = Column::from_strs(&dict).encode();
         assert_eq!(dict_col.encoding(), Enc::Dict);
         db.register("dict", Bat::with_inferred_props(Column::void(0, 300), dict_col));
-        let for_col = Column::from_ints((0..300).map(|i| 1000 + (i % 50)).collect()).encode(false);
+        let for_col = Column::from_ints((0..300).map(|i| 1000 + (i % 50)).collect()).encode();
         assert_eq!(for_col.encoding(), Enc::For);
         db.register("for", Bat::with_inferred_props(Column::void(0, 300), for_col));
-        let rle_col = Column::from_lngs((0..400).map(|i| (i / 100) as i64).collect()).encode(true);
-        assert_eq!(rle_col.encoding(), Enc::Rle);
-        db.register("rle", Bat::with_inferred_props(Column::void(0, 400), rle_col));
         db.register(
             "dbls",
             Bat::with_inferred_props(

@@ -264,10 +264,11 @@ impl<'a> TypedVals for StrVals<'a> {
     }
 }
 
-/// Window over the narrow unsigned deltas of a frame-of-reference column,
-/// shared by [`ForIntVals`] and [`ForLngVals`]. The width branch sits
-/// inside each access; it predicts perfectly (one width per column), so
-/// the per-row cost stays a load + add without tripling the macro arms.
+/// Window over narrow unsigned codes: the deltas of a frame-of-reference
+/// column ([`ForIntVals`], u8/u16) and the codes of a dictionary column
+/// ([`DictStrVals`], u8/u16/u32). The width branch sits inside each
+/// access; it predicts perfectly (one width per column), so the per-row
+/// cost stays a load + add without tripling the macro arms.
 #[derive(Debug, Clone, Copy)]
 pub enum ForDeltaSlice<'a> {
     W8(&'a [u8]),
@@ -449,65 +450,13 @@ impl<'a> TypedVals for ForIntVals<'a> {
     }
 }
 
-/// Window over a frame-of-reference `lng` column: `base + delta`.
-#[derive(Debug, Clone, Copy)]
-pub struct ForLngVals<'a> {
-    base: i64,
-    deltas: ForDeltaSlice<'a>,
-}
-
-impl<'a> ForLngVals<'a> {
-    pub(crate) fn new(base: i64, deltas: ForDeltaSlice<'a>) -> ForLngVals<'a> {
-        ForLngVals { base, deltas }
-    }
-
-    /// The stored narrow deltas (value = base + delta).
-    #[inline]
-    pub fn deltas(&self) -> ForDeltaSlice<'a> {
-        self.deltas
-    }
-}
-
-impl<'a> TypedVals for ForLngVals<'a> {
-    type Elem = i64;
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> i64 {
-        self.base.wrapping_add(self.deltas.get(i) as i64)
-    }
-
-    #[inline]
-    fn hash_one(&self, v: i64) -> u64 {
-        fxhash64(v as u64)
-    }
-
-    #[inline]
-    fn cmp_one(&self, a: i64, b: i64) -> Ordering {
-        a.cmp(&b)
-    }
-
-    #[inline]
-    fn cmp_atom(&self, x: i64, atom: &AtomValue) -> Ordering {
-        match atom {
-            AtomValue::Lng(b) => x.cmp(b),
-            other => panic!("cmp_atom: lng column vs {} constant", other.atom_type()),
-        }
-    }
-}
-
 /// A column window resolved to its concrete element type — the input of the
 /// dispatch macros. Obtained via [`Column::typed`] (or [`TypedSlice::of`]).
 ///
-/// The encoded variants (`DictStr`, `ForInt`, `ForLng`) expose the same
-/// `Elem` as their raw counterparts, so every kernel compiled through the
-/// dispatch macros runs on encoded data without decompression; RLE storage
-/// has no variant here — it resolves through its cached decode inside
-/// [`Column::typed`], the transparent fallback.
+/// Nine raw layouts plus the two encoded ones, `DictStr` and `ForInt`
+/// (int/date). The encoded variants expose the same `Elem` as their raw
+/// counterparts, so every kernel compiled through the dispatch macros runs
+/// on encoded data without decompression.
 #[derive(Debug, Clone, Copy)]
 pub enum TypedSlice<'a> {
     Void(VoidVals),
@@ -521,7 +470,6 @@ pub enum TypedSlice<'a> {
     Str(StrVals<'a>),
     DictStr(DictStrVals<'a>),
     ForInt(ForIntVals<'a>),
-    ForLng(ForLngVals<'a>),
 }
 
 impl<'a> TypedSlice<'a> {
@@ -551,7 +499,6 @@ impl<'a> TypedSlice<'a> {
                     T::Int
                 }
             }
-            TypedSlice::ForLng(_) => T::Lng,
         }
     }
 }
@@ -576,7 +523,6 @@ macro_rules! for_each_typed {
             $crate::typed::TypedSlice::Str($v) => $body,
             $crate::typed::TypedSlice::DictStr($v) => $body,
             $crate::typed::TypedSlice::ForInt($v) => $body,
-            $crate::typed::TypedSlice::ForLng($v) => $body,
         }
     }};
 }
@@ -612,9 +558,6 @@ macro_rules! for_each_typed2 {
             (TS::Date($a), TS::ForInt($b)) => $body,
             (TS::ForInt($a), TS::Date($b)) => $body,
             (TS::ForInt($a), TS::ForInt($b)) => $body,
-            (TS::Lng($a), TS::ForLng($b)) => $body,
-            (TS::ForLng($a), TS::Lng($b)) => $body,
-            (TS::ForLng($a), TS::ForLng($b)) => $body,
             (a, b) => {
                 panic!(
                     "typed dispatch on mixed column types {} vs {}",
@@ -803,10 +746,6 @@ macro_rules! for_each_coded {
             TS::Lng($v) => Some($body),
             TS::DictStr($v) => Some($body),
             TS::ForInt(f) => {
-                let $v = f.deltas();
-                Some($body)
-            }
-            TS::ForLng(f) => {
                 let $v = f.deltas();
                 Some($body)
             }

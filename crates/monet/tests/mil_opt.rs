@@ -343,7 +343,7 @@ fn dict_tail_selects_take_the_code_path() {
     let mut db = Db::new();
     let strs: Vec<String> =
         ["b", "d", "a", "b", "d", "c"].map(|s| format!("Clerk#00000000{s}")).to_vec();
-    let tail = Column::from_strs(strs).encode(false);
+    let tail = Column::from_strs(strs).encode();
     assert_eq!(tail.encoding(), monet::props::Enc::Dict);
     db.register("clerk", Bat::with_inferred_props(Column::from_oids((0..6).collect()), tail));
 

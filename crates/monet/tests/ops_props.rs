@@ -437,19 +437,6 @@ fn typed_join_matches_generic_across_types() {
                 rows_of(&reference::join(&ls, &rs)),
                 "{ty} case {case}: join merge"
             );
-            // Theta joins against both sorted and unsorted right heads.
-            if !matches!(ty, AtomType::Void) {
-                for theta in [ops::ScalarFunc::Lt, ops::ScalarFunc::Ge, ops::ScalarFunc::Ne] {
-                    let got = ops::join_theta(&ctx, &left, &right, theta).unwrap();
-                    let expect = reference::join_theta(&left, &right, theta);
-                    let mut g = rows_of(&got);
-                    let mut e = rows_of(&expect);
-                    let key = |p: &(AtomValue, AtomValue)| format!("{}|{}", p.0, p.1);
-                    g.sort_by_key(key);
-                    e.sort_by_key(key);
-                    assert_eq!(g, e, "{ty} case {case}: theta {theta:?}");
-                }
-            }
         }
     }
     // Fetch path: dense (void) right head.
@@ -972,7 +959,7 @@ fn typed_setops_match_generic() {
 }
 
 // ======================================================================
-// Encoded-vs-decoded suite: dict/FOR/RLE tails through every kernel.
+// Encoded-vs-decoded suite: dict/FOR tails through every kernel.
 // ======================================================================
 
 use monet::props::Enc;
@@ -991,49 +978,21 @@ fn encodable_value(rng: &mut StdRng, ty: AtomType) -> AtomValue {
 /// An encoded random column of `ty` plus its raw twin exposing the same
 /// values over the same window — possibly an offset slice into a larger
 /// allocation, so every typed kernel sees `off != 0` encoded views too.
-/// `sorted` sorts the values first and encodes with the RLE gate unlocked.
 /// Panics if the fixture fails to encode: the alphabets are sized so the
 /// encoders' size gates always pass, and a silently-raw twin would turn
 /// the whole suite into a vacuous raw-vs-raw comparison.
-fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Column, Column) {
+fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize) -> (Column, Column) {
     let (pre, post) = if rng.gen_bool(0.5) {
         (rng.gen_range(0..4usize), rng.gen_range(0..4usize))
     } else {
         (0, 0)
     };
     let total = n + pre + post;
-    // Sorted fixtures use a 4-value alphabet: at most 4 runs, so the RLE
-    // run-count gate (`runs * 4 <= rows`) passes for every n >= 16.
-    let mut vals: Vec<AtomValue> = if sorted {
-        (0..total)
-            .map(|_| {
-                let i = rng.gen_range(0..4i32);
-                match ty {
-                    AtomType::Str => AtomValue::str(format!("Clerk#00000000000000000{i}")),
-                    AtomType::Int => AtomValue::Int(i),
-                    AtomType::Lng => AtomValue::Lng(i as i64),
-                    AtomType::Dbl => AtomValue::Dbl(i as f64),
-                    AtomType::Date => AtomValue::Date(Date(8000 + i)),
-                    _ => unreachable!("no RLE fixture for {ty}"),
-                }
-            })
-            .collect()
-    } else {
-        (0..total).map(|_| encodable_value(rng, ty)).collect()
-    };
-    if sorted {
-        vals.sort_by(|a, b| a.cmp_same_type(b));
-    }
+    let vals: Vec<AtomValue> = (0..total).map(|_| encodable_value(rng, ty)).collect();
     let raw = Column::from_atoms(ty, vals.into_iter());
-    let enc = raw.encode(sorted);
-    let want = if sorted {
-        Enc::Rle
-    } else if ty == AtomType::Str {
-        Enc::Dict
-    } else {
-        Enc::For
-    };
-    assert_eq!(enc.encoding(), want, "{ty} sorted={sorted}: fixture must actually encode");
+    let enc = raw.encode();
+    let want = if ty == AtomType::Str { Enc::Dict } else { Enc::For };
+    assert_eq!(enc.encoding(), want, "{ty}: fixture must actually encode");
     (enc.slice(pre, n), raw.slice(pre, n))
 }
 
@@ -1041,24 +1000,15 @@ fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Colu
 fn encoded_tail_matches_raw_across_kernels() {
     one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x20);
-        // (type, sorted): dict strings, FOR ints/lngs/dates, RLE runs.
-        let legs: &[(AtomType, bool)] = &[
-            (AtomType::Str, false),
-            (AtomType::Int, false),
-            (AtomType::Lng, false),
-            (AtomType::Date, false),
-            (AtomType::Str, true),
-            (AtomType::Int, true),
-            (AtomType::Dbl, true),
-        ];
-        for &(ty, sorted) in legs {
+        // Dict strings, FOR ints/dates.
+        for ty in [AtomType::Str, AtomType::Int, AtomType::Date] {
             for case in 0..8 {
                 let n = rng.gen_range(24..64usize);
                 let head = random_column(&mut rng, AtomType::Oid, n);
-                let (et, rt) = encoded_pair(&mut rng, ty, n, sorted);
+                let (et, rt) = encoded_pair(&mut rng, ty, n);
                 let eb = Bat::new(head.clone(), et.clone());
                 let rb = Bat::new(head.clone(), rt.clone());
-                let tag = format!("{ty} sorted={sorted} case {case} {grid}");
+                let tag = format!("{ty} case {case} {grid}");
 
                 // Selections: point and range, member and non-member probes.
                 let v = encodable_value(&mut rng, ty);
@@ -1159,7 +1109,7 @@ fn encoded_multiplex_matches_raw() {
         let n = rng.gen_range(24..64usize);
         let head = random_column(&mut rng, AtomType::Oid, n);
         // FOR-encoded ints through the arithmetic fast paths.
-        let (et, rt) = encoded_pair(&mut rng, AtomType::Int, n, false);
+        let (et, rt) = encoded_pair(&mut rng, AtomType::Int, n);
         let k = MultArg::Const(AtomValue::Int(rng.gen_range(-8..8)));
         for f in [F::Add, F::Mul, F::Eq, F::Lt] {
             let g = ops::multiplex(
@@ -1179,7 +1129,7 @@ fn encoded_multiplex_matches_raw() {
             );
         }
         // Dict strings through the per-dictionary-entry predicate path.
-        let (et, rt) = encoded_pair(&mut rng, AtomType::Str, n, false);
+        let (et, rt) = encoded_pair(&mut rng, AtomType::Str, n);
         for (f, pat) in
             [(F::StrPrefix, "Clerk#"), (F::StrContains, "0000002"), (F::StrPrefix, "zz")]
         {
@@ -1220,58 +1170,6 @@ fn typed_hashindex_finds_all_positions() {
                 let expect: Vec<usize> = (0..n).filter(|&p| col.eq_at(p, &col, probe)).collect();
                 assert_eq!(hits, expect, "{ty}: hash index probe {probe}");
             }
-        }
-    }
-}
-
-/// RLE-dbl aggregates must be bit-identical to the raw twin *without*
-/// materializing the full decoded column: both the scalar aggregates and a
-/// synced map -> sum (each decoding one window per morsel) leave the
-/// shared decode cache cold. A regression here silently doubles the live
-/// set of every aggregate over run-length doubles.
-#[test]
-fn rle_dbl_aggregates_avoid_full_decode_and_match_raw() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x22);
-    let ctx = ExecCtx::new();
-    for case in 0..6 {
-        let n = rng.gen_range(32..96usize);
-        let (et, rt) = encoded_pair(&mut rng, AtomType::Dbl, n, true);
-        assert_eq!(et.encoding(), Enc::Rle, "case {case}: fixture must be RLE");
-        let head = random_column(&mut rng, AtomType::Oid, n);
-        let eb = Bat::new(head.clone(), et.clone());
-        let rb = Bat::new(head, rt);
-
-        // Scalar aggregates: encoded vs raw, value-for-value.
-        for f in [ops::AggFunc::Sum, ops::AggFunc::Avg] {
-            let g = ops::aggr_scalar(&ctx, &eb, f).unwrap();
-            let e = ops::aggr_scalar(&ctx, &rb, f).unwrap();
-            assert_eq!(g, e, "case {case}: {}", f.name());
-        }
-
-        // A synced multiplex over the *encoded* source, then sum, vs the
-        // same two operators over the raw twin.
-        let half = |b: &Bat| {
-            let args = [ops::MultArg::Bat(b.clone()), ops::MultArg::Const(AtomValue::Dbl(0.5))];
-            let mapped = ops::multiplex(&ctx, ops::ScalarFunc::Mul, &args).unwrap();
-            assert_eq!(ctx.take_algo(), "sync", "case {case}: map window took the row loop");
-            ops::aggr_scalar(&ctx, &mapped, ops::AggFunc::Sum).unwrap()
-        };
-        assert_eq!(half(&eb), half(&rb), "case {case}: map -> sum vs raw twin");
-
-        // The point of the window paths: nothing above may have populated
-        // the full-column decode cache.
-        assert_eq!(
-            et.rle_decode_cached(),
-            Some(false),
-            "case {case}: aggregation decoded the full RLE column",
-        );
-
-        // Min/max take the generic typed path (which *may* decode); they
-        // still must agree with the raw twin bit-for-bit.
-        for f in [ops::AggFunc::Min, ops::AggFunc::Max] {
-            let g = ops::aggr_scalar(&ctx, &eb, f).unwrap();
-            let e = ops::aggr_scalar(&ctx, &rb, f).unwrap();
-            assert_eq!(g, e, "case {case}: {}", f.name());
         }
     }
 }
@@ -1599,23 +1497,23 @@ fn positional_semijoin_addresses_a_dense_head_and_hands_the_selection_head_on() 
         check(&selection_of(vec![lo + 5_000_000, lo + 1]), "hash", "sparse");
     }
 
-    // Encoded tails (dictionary, frame-of-reference, run-length) gather by
-    // the same positions as their raw twins.
-    for (ty, sorted) in [(AtomType::Str, false), (AtomType::Int, false), (AtomType::Dbl, true)] {
+    // Encoded tails (dictionary, frame-of-reference) gather by the same
+    // positions as their raw twins.
+    for ty in [AtomType::Str, AtomType::Int] {
         for case in 0..6 {
             let n = rng.gen_range(24..64usize);
-            let (et, rt) = encoded_pair(&mut rng, ty, n, sorted);
+            let (et, rt) = encoded_pair(&mut rng, ty, n);
             let head = Column::void(100, n);
             let (eb, rb) = (Bat::new(head.clone(), et), Bat::new(head, rt));
             let mut oids = shuffled_oids(&mut rng, 98, n as u64 + 4, n / 2);
             oids.sort_unstable();
             let sel = selection_of(oids);
             let got = ops::semijoin(&ctx, &eb, &sel).unwrap();
-            assert_eq!(last_algo(&ctx), "positional", "{ty} sorted={sorted} case {case}");
+            assert_eq!(last_algo(&ctx), "positional", "{ty} case {case}");
             let want = ops::semijoin(&ctx, &rb, &sel).unwrap();
-            assert_eq!(rows_of(&got), rows_of(&want), "{ty} sorted={sorted} case {case}");
+            assert_eq!(rows_of(&got), rows_of(&want), "{ty} case {case}");
             assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&rb, &sel)));
-            assert!(got.validate().is_ok(), "{ty} sorted={sorted} case {case}: props unsound");
+            assert!(got.validate().is_ok(), "{ty} case {case}: props unsound");
         }
     }
 }
@@ -1761,8 +1659,9 @@ fn sync_join_matches_reference_and_fires_only_on_one_key_column() {
 
 /// Integer-coded fixtures for the direct/packed grouping arms: every
 /// fixed-width integer type with negative values where it has them, plus
-/// dictionary- and frame-of-reference-encoded tails. `wide` spreads two of
-/// the values far apart, so the span misses the compact-domain gate.
+/// dictionary- and frame-of-reference-encoded (int, date) tails. `wide`
+/// spreads two of the values far apart, so the span misses the
+/// compact-domain gate.
 fn coded_column(rng: &mut StdRng, kind: usize, n: usize, wide: bool) -> Column {
     let far = |i: usize| if wide && i % 7 == 3 { 1_000_000 } else { 0 };
     let pick = |rng: &mut StdRng| rng.gen_range(0..6usize);
@@ -1780,7 +1679,7 @@ fn coded_column(rng: &mut StdRng, kind: usize, n: usize, wide: bool) -> Column {
             let c = Column::from_strs(
                 (0..n).map(|_| format!("Clerk#00000000000000000{}", pick(rng))).collect::<Vec<_>>(),
             )
-            .encode(false);
+            .encode();
             assert_eq!(c.encoding(), Enc::Dict);
             c
         }
@@ -1791,9 +1690,9 @@ fn coded_column(rng: &mut StdRng, kind: usize, n: usize, wide: bool) -> Column {
             let raw = if kind == 7 {
                 Column::from_ints(vals.collect())
             } else {
-                Column::from_lngs(vals.map(i64::from).collect())
+                Column::from_date_days(vals.collect())
             };
-            let c = raw.encode(false);
+            let c = raw.encode();
             assert_eq!(c.encoding(), Enc::For);
             c
         }
@@ -1965,7 +1864,7 @@ fn check_spill_join(kind: usize, left: &[u64], right: &[u64], infer: bool, tag: 
     let ctx = spill_ctx();
     let mut tail = key_column_of(kind, left);
     if kind == 4 {
-        tail = tail.encode(false);
+        tail = tail.encode();
     }
     let ab = Bat::new(Column::from_oids((0..left.len() as u64).map(|i| 9 * i + 1).collect()), tail);
     let (head, vals) =
@@ -1993,7 +1892,7 @@ fn filtered_spill_join_matches_reference_over_every_key_kind_and_shape() {
         let build = shuffled_oids(&mut rng, 0, 1500, 1500);
         let probe = draws(&mut rng, 2500, 0, 3000);
         let hits = probe.iter().filter(|&&k| k < 1500).count();
-        let encoded = key_column_of(4, &probe).encode(false).encoding();
+        let encoded = key_column_of(4, &probe).encode().encoding();
         assert_eq!(encoded, monet::props::Enc::Dict, "kind 4 must probe with dictionary codes");
         for infer in [true, false] {
             let spilled = check_spill_join(kind, &probe, &build, infer, "half match");
@@ -2078,7 +1977,7 @@ fn spill_grouping_numbers_like_hash_grouping_over_every_key_kind() {
             keys.iter_mut().step_by(3).for_each(|k| *k %= 40);
             let mut tail = key_column_of(kind, &keys);
             if kind == 4 {
-                tail = tail.encode(false);
+                tail = tail.encode();
             }
             let b = Bat::new(Column::void(0, n), tail);
             let tag = format!("kind {kind}, {n} rows");

@@ -195,18 +195,29 @@ fn reencoding_a_column_bumps_the_epoch_and_invalidates_plans() {
     assert_eq!(clerk.tail().encoding(), Enc::None, "raw-layout world expected");
     let epoch = w.cat.db().epoch();
     assert!(
-        w.cat.db_mut().reencode_tail("Order_clerk", false).unwrap(),
+        w.cat.db_mut().reencode_tail("Order_clerk").unwrap(),
         "dict encoding must pay off on the clerk column"
     );
     assert!(w.cat.db().epoch() > epoch, "re-encode must bump the epoch");
     assert_eq!(w.cat.db().get("Order_clerk").unwrap().tail().encoding(), Enc::Dict);
+    assert!(
+        w.cat
+            .db()
+            .get("Order_clerk")
+            .unwrap()
+            .accel()
+            .datavector
+            .as_ref()
+            .is_some_and(|dv| dv.vector().encoding() == Enc::Dict),
+        "re-encode must keep the datavector, rebuilt over the re-encoded vector"
+    );
     // Same shape, new epoch: a fresh translate, never a stale hit.
     cache.translate(&w.cat, &q, &plan).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses), (1, 2), "post-re-encode lookup must miss");
     // A no-op re-encode (dbl tails never encode) must not bump the epoch.
     let epoch = w.cat.db().epoch();
-    assert!(!w.cat.db_mut().reencode_tail("Order_totalprice", false).unwrap());
+    assert!(!w.cat.db_mut().reencode_tail("Order_totalprice").unwrap());
     assert_eq!(w.cat.db().epoch(), epoch, "no-op re-encode must keep the epoch");
     // And the encoded catalog computes the bit-identical result.
     let ctx = ExecCtx::new();

@@ -174,7 +174,7 @@ pub fn try_load_bats(data: &TpcdData) -> crate::error::Result<(Catalog, LoadRepo
 }
 
 /// [`try_load_bats`] with the layout decision explicit: `enc` builds the
-/// encoded layouts (dict/FOR/RLE where they shrink a column), `!enc`
+/// encoded layouts (dict/FOR where they shrink a column), `!enc`
 /// keeps the raw bulk-loaded columns byte for byte.
 pub fn load_bats_with(data: &TpcdData, enc: bool) -> crate::error::Result<(Catalog, LoadReport)> {
     validate(data)?;
@@ -481,10 +481,10 @@ fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
         for (attr, tail, accel) in &cb.attrs {
             // Encoded layouts are a load-time decision (`!enc` keeps the
             // raw Phase-1 columns byte for byte — the encodings-off
-            // oracle). `encode(false)` picks dict/FOR only where it
+            // oracle). `encode()` picks dict/FOR only where it
             // shrinks the column; the Phase-3 reorder gathers
             // codes/deltas, so the sorted attribute BATs stay encoded.
-            let tail = if enc { tail.encode(false) } else { tail.clone() };
+            let tail = if enc { tail.encode() } else { tail.clone() };
             let dv = if *accel {
                 report.dv_bytes += tail.bytes();
                 Some(Arc::new(Datavector::new(Arc::clone(&extent_accel), tail.clone())))

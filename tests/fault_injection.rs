@@ -217,7 +217,7 @@ fn injected_faults_on_encoded_kernels_abort_cleanly_and_return_scratch() {
         monet::column::Column::from_strs(
             (0..n).map(|i| format!("Clerk#{:018}", i % 7)).collect::<Vec<_>>(),
         )
-        .encode(false),
+        .encode(),
     );
     assert_eq!(
         clerk.tail().encoding(),
@@ -334,8 +334,8 @@ fn memory_budget_aborts_that_query_only_and_lifting_recovers() {
 /// span two full morsels and an odd remainder. A fault armed at any
 /// morsel of each kernel must surface as `Injected` at that site, the same
 /// context must retry bit-identically, every governed point of the chains
-/// below must abort cleanly, and no abort may keep scratch (the RLE-dbl
-/// window decode and the scans borrow from the process-wide pool).
+/// below must abort cleanly, and no abort may keep scratch (the scans
+/// borrow from the process-wide pool).
 #[test]
 fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     use std::time::{Duration, Instant};
@@ -348,16 +348,10 @@ fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     use monet::typed;
 
     let n = 2 * ops::MORSEL_ROWS + 509;
-    // RLE-dbl source (a run-length ramp): map and aggregate windows decode
-    // per morsel and must not leak scratch on any abort.
-    let dbl =
-        monet::column::Column::from_dbls((0..n).map(|i| (i / 8000) as f64).collect()).encode(true);
-    assert_eq!(
-        dbl.encoding(),
-        monet::props::Enc::Rle,
-        "fixture must be RLE-encoded — otherwise this sweeps the raw window path",
-    );
-    let rle = Bat::new(monet::column::Column::from_oids((0..n as u64).collect()), dbl);
+    // A raw dbl ramp: map and aggregate windows run per morsel and must
+    // not leak scratch on any abort.
+    let dbl = monet::column::Column::from_dbls((0..n).map(|i| (i / 8000) as f64).collect());
+    let dbls = Bat::new(monet::column::Column::from_oids((0..n as u64).collect()), dbl);
     let ints = Bat::new(
         monet::column::Column::from_oids((0..n as u64).collect()),
         monet::column::Column::from_ints((0..n).map(|i| (i as i32) % 97 - 48).collect()),
@@ -369,9 +363,9 @@ fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
     let map = |ctx: &ExecCtx, b: &Bat, f: ScalarFunc, k: AtomValue| {
         ops::multiplex(ctx, f, &[MultArg::Bat(b.clone()), MultArg::Const(k)])
     };
-    // Float sum of a map over the RLE source; integer select -> map -> max.
+    // Float sum of a map over the dbl source; integer select -> map -> max.
     let run = |ctx: &ExecCtx| -> monet::error::Result<(AtomValue, AtomValue)> {
-        let doubled = map(ctx, &rle, ScalarFunc::Mul, AtomValue::Dbl(2.0))?;
+        let doubled = map(ctx, &dbls, ScalarFunc::Mul, AtomValue::Dbl(2.0))?;
         let shifted = map(ctx, &select(ctx)?, ScalarFunc::Add, AtomValue::Int(7))?;
         Ok((
             ops::aggr_scalar(ctx, &doubled, AggFunc::Sum)?,
@@ -395,11 +389,11 @@ fn injected_morsel_faults_in_scan_kernels_abort_cleanly_and_return_scratch() {
         ("select scan", Box::new(|ctx| select(ctx).map(rows))),
         (
             "synced multiplex",
-            Box::new(|ctx| map(ctx, &rle, ScalarFunc::Mul, AtomValue::Dbl(2.0)).map(rows)),
+            Box::new(|ctx| map(ctx, &dbls, ScalarFunc::Mul, AtomValue::Dbl(2.0)).map(rows)),
         ),
         (
             "aggr_scalar",
-            Box::new(|ctx| Ok(format!("{:?}", ops::aggr_scalar(ctx, &rle, AggFunc::Sum)?))),
+            Box::new(|ctx| Ok(format!("{:?}", ops::aggr_scalar(ctx, &dbls, AggFunc::Sum)?))),
         ),
     ];
     for (name, kernel) in &kernels {

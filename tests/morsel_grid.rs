@@ -319,9 +319,8 @@ fn nest_aggregate_tail_takes_its_arms_and_sums_on_the_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// encoded operands: dict / FOR / RLE tails equal their raw twins — the
-// morsel windows cut narrow dict codes, FOR deltas and run boundaries
-// exactly like raw ones.
+// encoded operands: dict / FOR tails equal their raw twins — the morsel
+// windows cut narrow dict codes and FOR deltas exactly like raw ones.
 // ---------------------------------------------------------------------------
 
 fn encodable_value(rng: &mut StdRng, ty: AtomType) -> AtomValue {
@@ -337,63 +336,32 @@ fn encodable_value(rng: &mut StdRng, ty: AtomType) -> AtomValue {
 /// values over the same window, often as an `off != 0` slice. Panics if
 /// the fixture fails to encode — a silently-raw twin would make the sweep
 /// a vacuous raw-vs-raw comparison.
-fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize, sorted: bool) -> (Column, Column) {
+fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize) -> (Column, Column) {
     let (pre, post) = if rng.gen_bool(0.5) {
         (rng.gen_range(0..7usize), rng.gen_range(0..7usize))
     } else {
         (0, 0)
     };
     let total = n + pre + post;
-    // Sorted fixtures use a 4-value alphabet: at most 4 runs, so the RLE
-    // run-count gate (`runs * 4 <= rows`) passes.
-    let mut vals: Vec<AtomValue> = if sorted {
-        (0..total)
-            .map(|_| {
-                let i = rng.gen_range(0..4i32);
-                match ty {
-                    AtomType::Str => AtomValue::str(format!("Clerk#00000000000000000{i}")),
-                    AtomType::Int => AtomValue::Int(i),
-                    _ => unreachable!("no RLE fixture for {ty}"),
-                }
-            })
-            .collect()
-    } else {
-        (0..total).map(|_| encodable_value(rng, ty)).collect()
-    };
-    if sorted {
-        vals.sort_by(|a, b| a.cmp_same_type(b));
-    }
+    let vals: Vec<AtomValue> = (0..total).map(|_| encodable_value(rng, ty)).collect();
     let raw = Column::from_atoms(ty, vals);
-    let enc = raw.encode(sorted);
-    let want = if sorted {
-        Enc::Rle
-    } else if ty == AtomType::Str {
-        Enc::Dict
-    } else {
-        Enc::For
-    };
-    assert_eq!(enc.encoding(), want, "{ty} sorted={sorted}: fixture must actually encode");
+    let enc = raw.encode();
+    let want = if ty == AtomType::Str { Enc::Dict } else { Enc::For };
+    assert_eq!(enc.encoding(), want, "{ty}: fixture must actually encode");
     (enc.slice(pre, n), raw.slice(pre, n))
 }
 
 #[test]
 fn encoded_kernels_match_raw_across_morsels() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 9);
-    // (type, sorted): dict strings, FOR ints/dates, RLE runs.
-    let legs: &[(AtomType, bool)] = &[
-        (AtomType::Str, false),
-        (AtomType::Int, false),
-        (AtomType::Date, false),
-        (AtomType::Str, true),
-        (AtomType::Int, true),
-    ];
-    for &(ty, sorted) in legs {
+    // Dict strings, FOR ints/dates.
+    for ty in [AtomType::Str, AtomType::Int, AtomType::Date] {
         let n = grid_rows(&mut rng);
-        let (enc, raw) = encoded_pair(&mut rng, ty, n, sorted);
+        let (enc, raw) = encoded_pair(&mut rng, ty, n);
         let head = Column::from_oids((0..n as u64).collect());
         let eb = Bat::new(head.clone(), enc);
         let rb = Bat::new(head, raw);
-        let tag = format!("{ty} sorted={sorted} n={n}");
+        let tag = format!("{ty} n={n}");
 
         // Probes drawn from the fixture alphabet (plus one miss value).
         let v = encodable_value(&mut rng, ty);
@@ -419,7 +387,7 @@ fn encoded_kernels_match_raw_across_morsels() {
 
         // Dict-specific broadcast: StrPrefix evaluates once per
         // dictionary entry, then fans out through the narrow codes.
-        if ty == AtomType::Str && !sorted {
+        if ty == AtomType::Str {
             let prefix = MultArg::Const(AtomValue::str("Clerk#000"));
             let args = vec![MultArg::Bat(eb.clone()), prefix.clone()];
             let raw_args = vec![MultArg::Bat(rb.clone()), prefix];

@@ -151,18 +151,21 @@ fn version_mismatch_is_rejected_before_anything_else() {
 fn mangled_layout_descriptor_is_rejected_even_with_a_valid_checksum() {
     // An attacker-grade corruption: change the layout byte *and* restamp
     // the header checksum, so only the descriptor-consistency validation
-    // can catch it.
-    let dir = corruptible_copy("layout");
-    let col = a_column_file(&dir);
-    let mut bytes = std::fs::read(&col).unwrap();
-    bytes[13] = 99; // no such layout
-    bytes[48..56].fill(0);
-    let sum = xxh64(&bytes[..4096], 0);
-    bytes[48..56].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(&col, &bytes).unwrap();
-    let e = open_err(&dir, false);
-    assert!(matches!(e, MonetError::Store { .. }), "got {e}");
-    std::fs::remove_dir_all(&dir).unwrap();
+    // can catch it. 99 was never a layout; 4 is the retired RLE tag, which
+    // no writer produces and no reader accepts.
+    for layout in [99u8, 4] {
+        let dir = corruptible_copy(&format!("layout-{layout}"));
+        let col = a_column_file(&dir);
+        let mut bytes = std::fs::read(&col).unwrap();
+        bytes[13] = layout;
+        bytes[48..56].fill(0);
+        let sum = xxh64(&bytes[..4096], 0);
+        bytes[48..56].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&col, &bytes).unwrap();
+        let e = open_err(&dir, false);
+        assert!(matches!(e, MonetError::Store { .. }), "layout {layout}: got {e}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 #[test]
