@@ -55,6 +55,22 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
+/// The number given as `--name <x>`, or `default` when the flag is absent.
+/// A value that does not parse or that `valid` rejects is a usage error
+/// (exit status 2), never a silent default.
+fn number_flag(args: &[String], name: &str, default: Option<f64>, valid: fn(f64) -> bool) -> f64 {
+    let Some(text) = flag(args, name) else {
+        return default.unwrap_or_else(|| usage());
+    };
+    match text.parse::<f64>() {
+        Ok(x) if valid(x) => x,
+        _ => {
+            eprintln!("flatalg-store: {name} {text:?} is not a valid value");
+            usage()
+        }
+    }
+}
+
 fn dir_arg(args: &[String]) -> PathBuf {
     // Positionals are what remains after skipping each `--flag value` pair.
     let mut positional = None;
@@ -74,7 +90,7 @@ fn dir_arg(args: &[String]) -> PathBuf {
 }
 
 fn build(args: &[String], engine: &EngineConfig) -> i32 {
-    let sf: f64 = flag(args, "--sf").and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
+    let sf = number_flag(args, "--sf", None, |sf| sf.is_finite() && sf > 0.0);
     let dir = dir_arg(args);
     println!("# flatalg-store build — SF {sf} -> {}", dir.display());
     let t0 = Instant::now();
@@ -162,7 +178,7 @@ fn open_bench(args: &[String], engine: &EngineConfig) -> i32 {
 }
 
 fn check(args: &[String], engine: &Arc<EngineConfig>) -> i32 {
-    let eps: f64 = flag(args, "--eps").and_then(|s| s.parse().ok()).unwrap_or(1e-6);
+    let eps = number_flag(args, "--eps", Some(1e-6), |eps| eps.is_finite() && eps >= 0.0);
     let dir = dir_arg(args);
     let (sw, open_s) = match open_store(&dir) {
         Ok(v) => v,

@@ -166,11 +166,10 @@ fn main() {
         Column::from_ints((0..10_000).collect()),
         Column::from_oids((0..10_000).collect()),
     );
-    // Partitioned-join regime: probe 16n rows into a build side of 4n rows
-    // whose chain table overflows L2 (960k x 240k at SF 0.01), with a ~6%
-    // match rate (an FK probe after a selective filter). Both the
-    // partitioned kernel and the monolithic kernel are measured on this
-    // same input so the trajectory records the comparison.
+    // Out-of-core join operands: probe 16n rows into a build side of 4n
+    // rows whose chain table overflows L2 (960k x 240k at SF 0.01), with a
+    // ~6% match rate (an FK probe after a selective filter). The `spill/*`
+    // lines measure them in memory and through the spill path.
     let part_build_n = 4 * n;
     let part_probe_n = 16 * n;
     // Probe domain 16x the build keys (~6% match); clamp in i64 so huge
@@ -350,12 +349,6 @@ fn main() {
     recs.push(measure(base.as_ref(), "join/datavector-fetch", n, || {
         ops::join(&ctx, &dv_refs, &with_dv).unwrap();
     }));
-    recs.push(measure(base.as_ref(), "join/partitioned-probe", part_probe_n, || {
-        ops::join_partitioned(&ctx, &part_left, &part_right).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "join/monolithic-probe-big", part_probe_n, || {
-        ops::join::join_hash(&ctx, &part_left, &part_right);
-    }));
     recs.push(measure(base.as_ref(), "semijoin/hash", n, || {
         ops::semijoin(&ctx, &unsorted, &sel_sparse).unwrap();
     }));
@@ -467,16 +460,13 @@ fn main() {
         ops::group2(&ctx, &g1, &second_synced).unwrap();
     }));
 
-    // Encoded layouts: the same operand measured raw and encoded, so the
-    // trajectory records what running directly on codes buys. The dict
-    // operand re-encodes `strs` (1000 distinct Clerk#-style strings →
-    // u16 codes); the FOR operand re-encodes `int_x` (values 0..997 →
-    // u16 deltas). Raw twins run the exact same probes so each pair's
-    // gap is the encoding, nothing else.
+    // Encoded layouts: the same operand measured raw and dict-encoded, so
+    // the trajectory records what running directly on codes buys. The
+    // dict operand re-encodes `strs` (1000 distinct Clerk#-style strings →
+    // u16 codes). Raw twins run the exact same probes so each pair's gap
+    // is the encoding, nothing else.
     let dict_strs = Bat::new(head.clone(), strs.tail().encode());
     assert_eq!(dict_strs.tail().encoding(), monet::props::Enc::Dict, "dict fixture must encode");
-    let for_ints = Bat::new(head.clone(), int_x.tail().encode());
-    assert_eq!(for_ints.tail().encoding(), monet::props::Enc::For, "FOR fixture must encode");
     let probe_str = AtomValue::str("Clerk#000000500");
     recs.push(measure(base.as_ref(), "enc/select-str-raw", n, || {
         ops::select_eq(&ctx, &strs, &probe_str).unwrap();
@@ -489,28 +479,6 @@ fn main() {
     }));
     recs.push(measure(base.as_ref(), "enc/group-dict-code", n, || {
         ops::group1(&ctx, &dict_strs).unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "enc/range-int-raw", n, || {
-        ops::select_range(
-            &ctx,
-            &int_x,
-            Some(&AtomValue::Int(100)),
-            Some(&AtomValue::Int(300)),
-            true,
-            false,
-        )
-        .unwrap();
-    }));
-    recs.push(measure(base.as_ref(), "enc/range-for-scan", n, || {
-        ops::select_range(
-            &ctx,
-            &for_ints,
-            Some(&AtomValue::Int(100)),
-            Some(&AtomValue::Int(300)),
-            true,
-            false,
-        )
-        .unwrap();
     }));
 
     // q13 end to end over the memoized world
@@ -639,7 +607,7 @@ fn main() {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
 
-    // Out-of-core join: the same partitioned-join operands through the
+    // Out-of-core join: the `part_*` operands through the
     // in-memory dispatch and through the spill path (a byte budget at half
     // the cost model's in-memory estimate forces the partition-to-disk
     // plan; the result BAT stays far below it, so the run completes). The

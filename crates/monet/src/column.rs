@@ -17,6 +17,7 @@ use crate::atom::{AtomType, AtomValue, Date, Oid};
 use crate::buf::Buf;
 use crate::props::Enc;
 use crate::strheap::{StrHeapBuilder, StrVec};
+use crate::typed::CodeSlice;
 
 /// Unique identity of a column allocation, used for `synced` detection and
 /// as the pager's heap identifier.
@@ -48,8 +49,6 @@ pub enum ColumnVals {
     /// Order-preserving dictionary codes over a sorted, duplicate-free
     /// string dictionary: code order equals string order.
     DictStr(Arc<DictStrData>),
-    /// Frame-of-reference int/date storage: `base + narrow delta`.
-    ForInt(Arc<ForIntData>),
 }
 
 /// Per-row dictionary codes at the narrowest width the dictionary size
@@ -78,6 +77,15 @@ impl DictCodes {
             DictCodes::W8(v) => v[i] as usize,
             DictCodes::W16(v) => v[i] as usize,
             DictCodes::W32(v) => v[i] as usize,
+        }
+    }
+
+    /// The codes of `[off, off + len)`, borrowed at their physical width.
+    fn window(&self, off: usize, len: usize) -> CodeSlice<'_> {
+        match self {
+            DictCodes::W8(v) => CodeSlice::W8(&v[off..off + len]),
+            DictCodes::W16(v) => CodeSlice::W16(&v[off..off + len]),
+            DictCodes::W32(v) => CodeSlice::W32(&v[off..off + len]),
         }
     }
 
@@ -130,57 +138,6 @@ impl DictStrData {
             let wide: Vec<u32> = (0..self.codes.len()).map(|i| self.code(i) as u32).collect();
             self.dict.gather(&wide)
         })
-    }
-}
-
-#[derive(Debug)]
-pub(crate) enum ForIntDeltas {
-    W8(Buf<u8>),
-    W16(Buf<u16>),
-}
-
-/// Frame-of-reference storage for `int`/`date` columns: the minimum as the
-/// frame base plus one narrow unsigned delta per row.
-#[derive(Debug)]
-pub struct ForIntData {
-    base: i32,
-    deltas: ForIntDeltas,
-    /// Day-count dates share the `i32` representation (see
-    /// [`crate::typed`]: `&[i32]` backs both `int` and `date`).
-    date: bool,
-    decoded: OnceLock<Arc<Buf<i32>>>,
-}
-
-impl ForIntData {
-    /// Assemble from pre-built parts (the store's open path).
-    pub(crate) fn from_parts(base: i32, deltas: ForIntDeltas, date: bool) -> ForIntData {
-        ForIntData { base, deltas, date, decoded: OnceLock::new() }
-    }
-
-    fn len(&self) -> usize {
-        match &self.deltas {
-            ForIntDeltas::W8(v) => v.len(),
-            ForIntDeltas::W16(v) => v.len(),
-        }
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> i32 {
-        match &self.deltas {
-            ForIntDeltas::W8(v) => self.base + v[i] as i32,
-            ForIntDeltas::W16(v) => self.base + v[i] as i32,
-        }
-    }
-
-    fn width(&self) -> usize {
-        match &self.deltas {
-            ForIntDeltas::W8(_) => 1,
-            ForIntDeltas::W16(_) => 2,
-        }
-    }
-
-    fn decoded(&self) -> &Arc<Buf<i32>> {
-        self.decoded.get_or_init(|| Arc::new((0..self.len()).map(|i| self.value(i)).collect()))
     }
 }
 
@@ -356,13 +313,6 @@ impl Column {
             ColumnVals::Str(_) => AtomType::Str,
             ColumnVals::Date(_) => AtomType::Date,
             ColumnVals::DictStr(_) => AtomType::Str,
-            ColumnVals::ForInt(f) => {
-                if f.date {
-                    AtomType::Date
-                } else {
-                    AtomType::Int
-                }
-            }
         }
     }
 
@@ -373,7 +323,6 @@ impl Column {
     pub fn encoding(&self) -> Enc {
         match &self.vals {
             ColumnVals::DictStr(_) => Enc::Dict,
-            ColumnVals::ForInt(_) => Enc::For,
             _ => Enc::None,
         }
     }
@@ -432,13 +381,6 @@ impl Column {
             ColumnVals::Str(v) => AtomValue::Str(v.get(j).into()),
             ColumnVals::Date(v) => AtomValue::Date(Date(v[j])),
             ColumnVals::DictStr(d) => AtomValue::Str(d.dict.get(d.code(j)).into()),
-            ColumnVals::ForInt(f) => {
-                if f.date {
-                    AtomValue::Date(Date(f.value(j)))
-                } else {
-                    AtomValue::Int(f.value(j))
-                }
-            }
         }
     }
 
@@ -456,7 +398,6 @@ impl Column {
     pub fn int_at(&self, i: usize) -> i32 {
         match &self.vals {
             ColumnVals::Int(v) => v[self.off + i],
-            ColumnVals::ForInt(f) if !f.date => f.value(self.off + i),
             _ => panic!("int_at on {:?} column", self.atom_type()),
         }
     }
@@ -492,7 +433,6 @@ impl Column {
     pub fn date_at(&self, i: usize) -> Date {
         match &self.vals {
             ColumnVals::Date(v) => Date(v[self.off + i]),
-            ColumnVals::ForInt(f) if f.date => Date(f.value(self.off + i)),
             _ => panic!("date_at on {:?} column", self.atom_type()),
         }
     }
@@ -645,7 +585,6 @@ impl Column {
             Date(v) => fxhash64(v[j] as u64),
             Str(v) => fnv1a(v.get(j).as_bytes()),
             DictStr(d) => fnv1a(d.dict.get(d.code(j)).as_bytes()),
-            ForInt(f) => fxhash64(f.value(j) as u64),
         }
     }
 
@@ -694,25 +633,6 @@ impl Column {
                         decoded: OnceLock::new(),
                     })),
                     len,
-                )
-            }
-            ForInt(f) => {
-                let deltas = match &f.deltas {
-                    ForIntDeltas::W8(v) => {
-                        ForIntDeltas::W8(idx.iter().map(|&i| v[self.off + i as usize]).collect())
-                    }
-                    ForIntDeltas::W16(v) => {
-                        ForIntDeltas::W16(idx.iter().map(|&i| v[self.off + i as usize]).collect())
-                    }
-                };
-                Column::new(
-                    ColumnVals::ForInt(Arc::new(ForIntData {
-                        base: f.base,
-                        deltas,
-                        date: f.date,
-                        decoded: OnceLock::new(),
-                    })),
-                    idx.len(),
                 )
             }
         }
@@ -867,7 +787,7 @@ impl Column {
                 }
                 Column::from_oids(out)
             }
-            DictStr(_) | ForInt(_) => {
+            DictStr(_) => {
                 unreachable!("encoded parts routed through the decode prelude above")
             }
         }
@@ -967,23 +887,6 @@ impl Column {
                 );
                 (col_of(&perm), perm)
             }
-            ColumnVals::ForInt(f) => {
-                // Deltas are unsigned offsets from one base: delta order is
-                // value order, and the domain is at most 2^16.
-                let perm = match &f.deltas {
-                    ForIntDeltas::W8(v) => counting_sort_perm(
-                        v[self.off..self.off + n].iter().map(|&x| x as usize),
-                        n,
-                        1 << 8,
-                    ),
-                    ForIntDeltas::W16(v) => counting_sort_perm(
-                        v[self.off..self.off + n].iter().map(|&x| x as usize),
-                        n,
-                        1 << 16,
-                    ),
-                };
-                (col_of(&perm), perm)
-            }
         }
     }
 
@@ -1062,7 +965,7 @@ impl Column {
     /// Bytes of heap storage attributable to this window: fixed part plus,
     /// for strings, the shared variable heap (counted in full — consistent
     /// with how Monet accounts a BAT's heaps). Encoded layouts report their
-    /// *physical* size — codes/deltas, not the logical decode — which
+    /// *physical* size — codes and dictionary, not the logical decode — which
     /// is what `ctx.record` and the MemTracker budget charge.
     pub fn bytes(&self) -> usize {
         match &self.vals {
@@ -1073,7 +976,6 @@ impl Column {
                     + AtomType::Str.width() * d.dict.len()
                     + d.dict.heap_bytes()
             }
-            ColumnVals::ForInt(f) => f.width() * self.len,
             _ => self.atom_type().width() * self.len,
         }
     }
@@ -1085,33 +987,22 @@ impl Column {
     pub fn decoded(&self) -> Column {
         let vals = match &self.vals {
             ColumnVals::DictStr(d) => ColumnVals::Str(d.decoded().clone()),
-            ColumnVals::ForInt(f) => {
-                if f.date {
-                    ColumnVals::Date(Arc::clone(f.decoded()))
-                } else {
-                    ColumnVals::Int(Arc::clone(f.decoded()))
-                }
-            }
             _ => return self.clone(),
         };
         Column { vals, id: self.id, off: self.off, len: self.len }
     }
 
-    /// Re-encode this window into a compressed layout when one pays off;
-    /// returns a clone unchanged when no encoding applies (already encoded,
-    /// unsupported type, or no size win). Encoded results carry the same
-    /// values — verified by the `ops_props` equivalence suite — but a fresh
-    /// storage identity (re-encoding a base column must bump the Db epoch).
+    /// Re-encode a string window into dictionary codes when that pays off;
+    /// returns a clone unchanged otherwise (already encoded, not a string
+    /// column, or no size win). Every other type stays raw. Encoded results
+    /// carry the same values — verified by the `ops_props` equivalence
+    /// suite — but a fresh storage identity (re-encoding a base column must
+    /// bump the Db epoch).
     pub fn encode(&self) -> Column {
         if self.encoding() != Enc::None || self.len == 0 {
             return self.clone();
         }
-        let enc = match self.atom_type() {
-            AtomType::Str => self.encode_dict(),
-            AtomType::Int | AtomType::Date => self.encode_for(),
-            _ => None,
-        };
-        enc.unwrap_or_else(|| self.clone())
+        self.encode_dict().unwrap_or_else(|| self.clone())
     }
 
     /// Order-preserving dictionary encoding for string columns: sorted
@@ -1150,35 +1041,6 @@ impl Column {
         ))
     }
 
-    /// Frame-of-reference encoding for int/date columns whose value range
-    /// fits a u8/u16 delta. `None` when it doesn't.
-    fn encode_for(&self) -> Option<Column> {
-        let (w, date) = match &self.vals {
-            ColumnVals::Int(v) => (&v[self.off..self.off + self.len], false),
-            ColumnVals::Date(v) => (&v[self.off..self.off + self.len], true),
-            _ => return None,
-        };
-        let min = *w.iter().min()?;
-        let max = *w.iter().max()?;
-        let range = max as i64 - min as i64;
-        let deltas = if range <= u8::MAX as i64 {
-            ForIntDeltas::W8(w.iter().map(|&x| x.wrapping_sub(min) as u8).collect())
-        } else if range <= u16::MAX as i64 {
-            ForIntDeltas::W16(w.iter().map(|&x| x.wrapping_sub(min) as u16).collect())
-        } else {
-            return None;
-        };
-        Some(Column::new(
-            ColumnVals::ForInt(Arc::new(ForIntData {
-                base: min,
-                deltas,
-                date,
-                decoded: OnceLock::new(),
-            })),
-            w.len(),
-        ))
-    }
-
     /// Iterate generically over the window.
     pub fn iter(&self) -> impl Iterator<Item = AtomValue> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -1202,7 +1064,6 @@ impl Column {
             ColumnVals::Date(v) => v.len(),
             ColumnVals::Str(v) => v.len(),
             ColumnVals::DictStr(d) => d.codes.len(),
-            ColumnVals::ForInt(f) => f.len(),
         };
         self.len == storage_len
     }
@@ -1223,29 +1084,10 @@ impl Column {
             ColumnVals::Date(v) => StorageRepr::Date(v),
             ColumnVals::Str(v) => StorageRepr::Str(v),
             ColumnVals::DictStr(d) => {
-                let codes = match &d.codes {
-                    DictCodes::W8(v) => CodeSlice::W8(v),
-                    DictCodes::W16(v) => CodeSlice::W16(v),
-                    DictCodes::W32(v) => CodeSlice::W32(v),
-                };
-                StorageRepr::DictStr { codes, dict: &d.dict }
-            }
-            ColumnVals::ForInt(f) => {
-                let deltas = match &f.deltas {
-                    ForIntDeltas::W8(v) => CodeSlice::W8(v),
-                    ForIntDeltas::W16(v) => CodeSlice::W16(v),
-                };
-                StorageRepr::ForInt { base: f.base, date: f.date, deltas }
+                StorageRepr::DictStr { codes: d.codes.window(0, self.len), dict: &d.dict }
             }
         }
     }
-}
-
-/// Narrow unsigned code/delta slice at its physical width (store writer).
-pub(crate) enum CodeSlice<'a> {
-    W8(&'a [u8]),
-    W16(&'a [u16]),
-    W32(&'a [u32]),
 }
 
 /// The full physical storage of a column, borrowed for serialization.
@@ -1260,7 +1102,6 @@ pub(crate) enum StorageRepr<'a> {
     Date(&'a [i32]),
     Str(&'a StrVec),
     DictStr { codes: CodeSlice<'a>, dict: &'a StrVec },
-    ForInt { base: i32, date: bool, deltas: CodeSlice<'a> },
 }
 
 /// Borrowed view over the string storage of a column window.
@@ -1416,8 +1257,8 @@ fn radix_sort_keys(mut keys: Vec<u64>) -> (Vec<u64>, Vec<u32>) {
     (keys, perm)
 }
 
-/// Stable counting sort for keys from a small domain (`chr`, `bool`, narrow
-/// `date` ranges): O(n + domain) with no comparisons at all.
+/// Stable counting sort for keys from a small domain (`chr`, `bool`,
+/// dictionary codes): O(n + domain) with no comparisons at all.
 fn counting_sort_perm(
     keys: impl Iterator<Item = usize> + Clone,
     n: usize,
@@ -1483,7 +1324,7 @@ fn dict_splice(parts: &[Column], total: usize) -> Option<Column> {
 
 /// Resolve a storage window to a [`crate::typed::TypedSlice`].
 fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> crate::typed::TypedSlice<'_> {
-    use crate::typed::{DictStrVals, ForIntVals, StrVals, TypedSlice, VoidVals};
+    use crate::typed::{DictStrVals, StrVals, TypedSlice, VoidVals};
     match vals {
         ColumnVals::Void { seq } => TypedSlice::Void(VoidVals { seq: seq + off as Oid, len }),
         ColumnVals::Oid(v) => TypedSlice::Oid(&v[off..off + len]),
@@ -1498,20 +1339,9 @@ fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> crate::typed::TypedS
             TypedSlice::Str(StrVals::new(offsets, lens, heap))
         }
         ColumnVals::DictStr(d) => {
-            let codes = match &d.codes {
-                DictCodes::W8(v) => crate::typed::ForDeltaSlice::W8(&v[off..off + len]),
-                DictCodes::W16(v) => crate::typed::ForDeltaSlice::W16(&v[off..off + len]),
-                DictCodes::W32(v) => crate::typed::ForDeltaSlice::W32(&v[off..off + len]),
-            };
             let (offsets, lens, heap) = d.dict.parts(0, d.dict.len());
-            TypedSlice::DictStr(DictStrVals::new(codes, StrVals::new(offsets, lens, heap)))
-        }
-        ColumnVals::ForInt(f) => {
-            let deltas = match &f.deltas {
-                ForIntDeltas::W8(v) => crate::typed::ForDeltaSlice::W8(&v[off..off + len]),
-                ForIntDeltas::W16(v) => crate::typed::ForDeltaSlice::W16(&v[off..off + len]),
-            };
-            TypedSlice::ForInt(ForIntVals::new(f.base, deltas, f.date))
+            let dict = StrVals::new(offsets, lens, heap);
+            TypedSlice::DictStr(DictStrVals::new(d.codes.window(off, len), dict))
         }
     }
 }

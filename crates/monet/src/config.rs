@@ -76,7 +76,8 @@ impl Default for PlanConfig {
 /// One immutable engine configuration (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Whether loaders build encoded column layouts (dict/FOR).
+    /// Whether loaders dictionary-code string columns (every other
+    /// column is raw either way).
     pub enc: bool,
     pub opt: OptLevel,
     pub explain: bool,

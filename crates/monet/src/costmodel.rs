@@ -62,32 +62,6 @@ impl CostParams {
 }
 
 // ---------------------------------------------------------------------------
-// Main-memory join strategy: when to radix-partition.
-// ---------------------------------------------------------------------------
-
-/// Cache budget one build-side hash table should stay within for the
-/// bucket-chain walk to stay cheap: the L2 size. Measured on the reference
-/// box (2 MiB L2): below this the monolithic probe is L2-resident and the
-/// partitioning passes are pure overhead (0.5-0.9x); above it the
-/// partitioned join wins 1.2-1.9x depending on match rate.
-pub const JOIN_CACHE_BYTES: usize = 2 * 1024 * 1024;
-
-/// Bytes of chain-table working set per build row: one `u32` `next` link
-/// plus two `u32` bucket slots (buckets are presized at 2x rows).
-pub const JOIN_BUILD_BYTES_PER_ROW: usize = 12;
-
-/// The cardinality threshold of the partitioned hash join: partition when
-/// the build-side chain table overflows the cache budget (each probe then
-/// misses on the bucket and chain walks) and the probe side is at least as
-/// large as the build side, so clustering the build amortizes. Measured:
-/// with a 60k-row probe into a 240k-1M-row build, clustering the build
-/// dominates and the monolithic path stays ahead (0.86-0.99x); with probe
-/// >= build the partitioned path wins everywhere past the cache budget.
-pub fn join_prefers_partitioned(probe_rows: usize, build_rows: usize) -> bool {
-    build_rows * JOIN_BUILD_BYTES_PER_ROW > JOIN_CACHE_BYTES && probe_rows >= build_rows
-}
-
-// ---------------------------------------------------------------------------
 // Compact key domains: when to address a table by `key - base`.
 // ---------------------------------------------------------------------------
 
@@ -162,10 +136,10 @@ pub fn group_prefers_packed(ctx: &ExecCtx, span: usize, rows: usize) -> bool {
 // Out-of-core strategy: when to spill the radix partitions to disk.
 // ---------------------------------------------------------------------------
 
-/// Transient working-set estimate of the in-memory partitioned join:
-/// both cluster pair buffers at 8 bytes/row plus the counting-free
-/// scatter's 1.5x slack (~12 bytes/row each side), and the match buffer
-/// presized to the probe side (8 bytes/row).
+/// Transient working-set estimate of an in-memory join, the headroom test
+/// of [`join_prefers_spill`]: 12 bytes/row on each side plus 8 bytes/row
+/// of matches presized to the probe side (sized on the radix join's
+/// clusters held in memory: 8-byte pairs with 1.5x padding).
 pub fn join_inmem_bytes(probe_rows: usize, build_rows: usize) -> u64 {
     12 * (probe_rows as u64 + build_rows as u64) + 8 * probe_rows as u64
 }
@@ -186,8 +160,8 @@ fn overflows_headroom(mem: &crate::ctx::MemTracker, estimate: u64) -> bool {
     budget != 0 && estimate > budget.saturating_sub(mem.charged_bytes())
 }
 
-/// Spill the radix join's partitions to disk when the in-memory
-/// partitioned working set won't fit what is left of the query's byte
+/// Spill the radix join's partitions to disk when its in-memory working
+/// set ([`join_inmem_bytes`]) won't fit what is left of the query's byte
 /// budget, or always under `spill_force`. The spilling join is
 /// bit-identical to the in-memory paths, so this is purely a resource
 /// decision.
@@ -196,16 +170,13 @@ pub fn join_prefers_spill(ctx: &ExecCtx, probe_rows: usize, build_rows: usize) -
         || overflows_headroom(&ctx.mem, join_inmem_bytes(probe_rows, build_rows))
 }
 
-/// Give the radix join its build-side hash filter (a byte per build row,
-/// rounded up to a power of two): when it spills and the filter fits the
-/// budget headroom. A probe row the filter drops saves a staged pair, a
-/// spill write and a read-back; in memory it would save one pair store and
-/// a cache-resident probe, about what the test costs (600k x 150k rows, one
-/// thread: a full-match join 12 % slower with the filter, a 30 % match one
-/// 25 % faster). The join is correct without it, so under memory pressure
-/// it is the first thing to go.
-pub fn join_prefers_filter(ctx: &ExecCtx, spilling: bool, build_rows: usize) -> bool {
-    spilling && !overflows_headroom(&ctx.mem, build_rows.next_power_of_two() as u64)
+/// Give the spilling join its build-side hash filter (a byte per build
+/// row, rounded up to a power of two) when the filter fits the budget
+/// headroom. A probe row the filter drops saves a staged pair, a spill
+/// write and a read-back. The join is correct without it, so under memory
+/// pressure it is the first thing to go.
+pub fn join_prefers_filter(ctx: &ExecCtx, build_rows: usize) -> bool {
+    !overflows_headroom(&ctx.mem, build_rows.next_power_of_two() as u64)
 }
 
 /// Spill hash grouping's partitions to disk (same contract as
@@ -318,58 +289,6 @@ mod tests {
         let p = CostParams::figure8();
         let s = crossover(&p, 3).expect("crossover exists");
         assert!((0.001..0.01).contains(&s), "crossover {s} should be near 0.004");
-    }
-
-    #[test]
-    fn partition_threshold_tracks_build_side_cache_overflow() {
-        // Small build tables stay cache-resident: never partition.
-        assert!(!join_prefers_partitioned(1 << 24, 1000));
-        assert!(!join_prefers_partitioned(1 << 24, 100_000));
-        // Large build tables overflow the budget: partition once the probe
-        // side is big enough to amortize clustering the build.
-        assert!(join_prefers_partitioned(250_000, 250_000));
-        assert!(!join_prefers_partitioned(249_999, 250_000));
-        // Exactly at the cache budget the chain walk still fits: stay
-        // monolithic.
-        let fits = JOIN_CACHE_BYTES / JOIN_BUILD_BYTES_PER_ROW;
-        assert!(!join_prefers_partitioned(1 << 24, fits));
-        assert!(join_prefers_partitioned(1 << 24, fits + 1));
-    }
-
-    #[test]
-    fn partition_threshold_exact_cut_points() {
-        // The build-side chain table crosses the 2 MiB budget at exactly
-        // `fits + 1` rows; probe amortization flips at probe == build.
-        // Pinning both edges (± one row) means a threshold edit cannot
-        // silently flip dispatch for inputs near the cut.
-        let fits = JOIN_CACHE_BYTES / JOIN_BUILD_BYTES_PER_ROW;
-        for (probe, build, expect) in [
-            // Cache edge, huge probe: only the build size decides.
-            (usize::MAX / 2, fits - 1, false),
-            (usize::MAX / 2, fits, false),
-            (usize::MAX / 2, fits + 1, true),
-            // Probe edge, build safely past the cache budget.
-            (fits + 1, fits + 1, true), // probe_rows == build_rows
-            (fits, fits + 1, false),    // probe one row short
-            (fits + 2, fits + 1, true), // probe one row past
-            // Both at the edge simultaneously.
-            (fits, fits, false),
-        ] {
-            assert_eq!(
-                join_prefers_partitioned(probe, build),
-                expect,
-                "probe={probe} build={build}"
-            );
-        }
-        // Property sweep around the cache edge: for every build size within
-        // ±16 rows of the cut, dispatch must agree with the analytic rule.
-        for d in 0..32usize {
-            let build = fits - 16 + d;
-            let expect = build * JOIN_BUILD_BYTES_PER_ROW > JOIN_CACHE_BYTES;
-            assert_eq!(join_prefers_partitioned(build, build), expect, "build={build}");
-            // And one probe row below the build side always stays monolithic.
-            assert!(!join_prefers_partitioned(build - 1, build), "build={build}");
-        }
     }
 
     #[test]

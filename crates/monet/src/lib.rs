@@ -29,8 +29,8 @@
 //! * [`db`] — the persistent BAT catalog;
 //! * [`pager`] — the simulated virtual-memory pager counting page faults;
 //! * [`costmodel`] — the analytic IO cost model of Section 5.2.2 (Fig 8),
-//!   plus the main-memory dispatch thresholds (partitioned join, compact
-//!   domains, spilling);
+//!   plus the main-memory dispatch thresholds (compact domains,
+//!   spilling);
 //! * [`gov`] — the resource governor: per-query memory budgets,
 //!   cooperative cancellation and deadlines, and the deterministic fault
 //!   injector whose probe points double as the cancellation points;

@@ -88,21 +88,20 @@ fn aggr_window(w: &Column, f: AggFunc) -> Result<Partial> {
             if !matches!(ty, AtomType::Int | AtomType::Lng | AtomType::Dbl) {
                 return Err(MonetError::Unsupported { op: f.name(), ty });
             }
-            let d = w.decoded();
             Ok(match (f, ty) {
                 (AggFunc::Sum, AtomType::Int) => Partial::SumI(
-                    d.as_int_slice().expect("int tail").iter().map(|&x| x as i64).sum(),
+                    w.as_int_slice().expect("int tail").iter().map(|&x| x as i64).sum(),
                 ),
                 (AggFunc::Sum, AtomType::Lng) => {
-                    Partial::SumI(d.as_lng_slice().expect("lng tail").iter().sum())
+                    Partial::SumI(w.as_lng_slice().expect("lng tail").iter().sum())
                 }
                 (_, AtomType::Int) => Partial::SumF(
-                    d.as_int_slice().expect("int tail").iter().map(|&x| x as f64).sum(),
+                    w.as_int_slice().expect("int tail").iter().map(|&x| x as f64).sum(),
                 ),
                 (_, AtomType::Lng) => Partial::SumF(
-                    d.as_lng_slice().expect("lng tail").iter().map(|&x| x as f64).sum(),
+                    w.as_lng_slice().expect("lng tail").iter().map(|&x| x as f64).sum(),
                 ),
-                _ => Partial::SumF(d.as_dbl_slice().expect("dbl tail").iter().sum()),
+                _ => Partial::SumF(w.as_dbl_slice().expect("dbl tail").iter().sum()),
             })
         }
         AggFunc::Min | AggFunc::Max => {
@@ -279,15 +278,14 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
         }
         AggFunc::Sum => match tail_ty {
             AtomType::Int | AtomType::Lng => {
-                let col = t.decoded();
                 let mut sums = vec![0i64; ngroups];
                 if tail_ty == AtomType::Lng {
-                    let slice = col.as_lng_slice().expect("lng tail");
+                    let slice = t.as_lng_slice().expect("lng tail");
                     for (&g, &x) in gid.iter().zip(slice) {
                         sums[g as usize] += x;
                     }
                 } else {
-                    let slice = col.as_int_slice().expect("int tail");
+                    let slice = t.as_int_slice().expect("int tail");
                     for (&g, &x) in gid.iter().zip(slice) {
                         sums[g as usize] += x as i64;
                     }
@@ -295,8 +293,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                 Column::from_lngs(sums)
             }
             _ => {
-                let col = t.decoded();
-                let slice = col.as_dbl_slice().expect("dbl tail");
+                let slice = t.as_dbl_slice().expect("dbl tail");
                 Column::from_dbls(float_partials(
                     n,
                     ngroups,
@@ -315,14 +312,13 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
             }
         },
         AggFunc::Avg => {
-            let col = t.decoded();
             let acc = float_partials(
                 n,
                 ngroups,
                 (0f64, 0u64),
-                |r, buf| match col.atom_type() {
+                |r, buf| match tail_ty {
                     AtomType::Int => {
-                        let slice = col.as_int_slice().expect("int tail");
+                        let slice = t.as_int_slice().expect("int tail");
                         for i in r {
                             let b = &mut buf[gid[i] as usize];
                             b.0 += slice[i] as f64;
@@ -330,7 +326,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                         }
                     }
                     AtomType::Lng => {
-                        let slice = col.as_lng_slice().expect("lng tail");
+                        let slice = t.as_lng_slice().expect("lng tail");
                         for i in r {
                             let b = &mut buf[gid[i] as usize];
                             b.0 += slice[i] as f64;
@@ -338,7 +334,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                         }
                     }
                     _ => {
-                        let slice = col.as_dbl_slice().expect("dbl tail");
+                        let slice = t.as_dbl_slice().expect("dbl tail");
                         for i in r {
                             let b = &mut buf[gid[i] as usize];
                             b.0 += slice[i];

@@ -14,13 +14,13 @@
 //!
 //! * `merge` — the column is sorted: adjacent comparison;
 //! * `direct` — an integer-coded column (oid, `chr`, int, date,
-//!   dictionary or frame-of-reference codes) whose key span is compact
+//!   dictionary codes) whose key span is compact
 //!   ([`crate::costmodel::group_prefers_direct`]): a pooled
 //!   [`SlotTable`] addressed by `code - base`, one load per row — no hash,
 //!   no chain, no value compare;
 //! * `spill` — the hash table would not fit the budget headroom, or
 //!   `spill_force` is configured: the rows are hash-partitioned into a
-//!   spill file through the radix join's partition sink
+//!   spill file through the spilling join's partition pass
 //!   ([`crate::spill::Partitions`]) and grouped one cluster at a time;
 //! * `hash` — the presized bucket-chained [`GroupTable`] inside a
 //!   monomorphized typed loop.
@@ -108,7 +108,7 @@ fn spill_group_column(ctx: &ExecCtx, col: &Column) -> Result<(Vec<u32>, Vec<u32>
     // group id, appended cluster by cluster.
     let mut prov_reps: Vec<u32> = Vec::new();
     let r: Result<()> = crate::for_each_typed!(col, |t| {
-        let parts = crate::spill::Partitions::build(ctx, t, bits, true, |_| true)?;
+        let parts = crate::spill::Partitions::build(ctx, t, bits, |_| true)?;
         let mut buf: Vec<u64> = Vec::new();
         for c in 0..parts.num_clusters() {
             if parts.cluster_len(c) == 0 {

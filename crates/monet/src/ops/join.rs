@@ -21,15 +21,14 @@
 //! * `direct` — oid join columns, a `key` right head whose min/max span
 //!   is compact ([`crate::costmodel::join_prefers_direct`]): fill a pooled
 //!   position array over the span, probe it with one load;
-//! * `spill` / `partition` / `hash` — the general fallbacks, building a
-//!   hash table on the right head. `partition` and `spill` are one radix
-//!   join ([`join_radix`]) over [`crate::spill::Partitions`] — one
-//!   partition pass per side, one per-cluster build+probe
-//!   ([`ClusterTable`]), one finish — that differ in where a cluster's
-//!   pairs live. The spilling form partitions the build side first and
-//!   filters the probe side by its hashes ([`HashFilter`]) before anything
-//!   is staged; a `key` right head finishes without a sort in both
-//!   ([`Matches::RightOf`]).
+//! * `spill` / `hash` — the general fallbacks, building a hash table on
+//!   the right head. `spill` is the radix join ([`join_radix`]) over
+//!   [`crate::spill::Partitions`] — one partition pass per side into a
+//!   spill file, one per-cluster build+probe ([`ClusterTable`]), one
+//!   finish — taken when the in-memory working set would not fit the
+//!   budget headroom. It partitions the build side first and filters the
+//!   probe side by its hashes ([`HashFilter`]) before anything is staged;
+//!   a `key` right head finishes without a sort ([`Matches::RightOf`]).
 //!
 //! Every implementation emits in left-BUN order, so all are bit-identical
 //! to [`super::reference::join`], and a full match against a `key` right
@@ -66,11 +65,7 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         // The in-memory working set won't fit the budget headroom (or
         // `spill_force` is configured): radix-partition both sides
         // into spill files and build+probe one cluster at a time.
-        (join_radix(ctx, ab, cd, true)?, "spill")
-    } else if crate::costmodel::join_prefers_partitioned(ab.len(), cd.len()) {
-        // The build side overflows the cache: radix-partition so each
-        // build+probe is cache-resident.
-        (join_partitioned(ctx, ab, cd)?, "partition")
+        (join_radix(ctx, ab, cd)?, "spill")
     } else {
         (join_hash(ctx, ab, cd), "hash")
     };
@@ -239,38 +234,28 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
-/// Radix-partitioned hash join: cluster both inputs on the same high hash
-/// bits so that every per-cluster build table stays cache-resident, then
-/// build+probe cluster by cluster. The probe walks packed `(hash, pos)`
-/// pairs sequentially and compares 32 retained hash bits first, touching
-/// actual column values only on a hash match — so the monolithic path's
-/// per-candidate random value reads are replaced by streaming access over
-/// cache-sized windows.
+/// The spilling radix join: both sides' `(hash, pos)` pairs are
+/// clustered on the same high hash bits into spill files
+/// ([`Partitions`]), so that only one cluster's pairs and build table are
+/// ever resident and the transient working set is bounded by the largest
+/// cluster, not the operand. The probe walks packed pairs sequentially and
+/// compares 32 retained hash bits first, touching column values only on a
+/// hash match.
+///
+/// The build side is partitioned first and its hashes fill a
+/// [`HashFilter`] when [`crate::costmodel::join_prefers_filter`] (the
+/// filter fits the budget headroom); the probe-side pass tests it, so a
+/// left BUN whose hash no right BUN shares is dropped before it costs a
+/// staged pair, a spill write, a read-back and a probe. Dropped BUNs match
+/// nothing, and the survivors keep their clusters and their order, so the
+/// result is the unfiltered one.
 ///
 /// The output is re-emitted in left-BUN order (left positions ascending,
 /// right positions ascending per left BUN), bit-identical to [`join_hash`]
 /// and [`super::reference::join`]: each left BUN lands in exactly one
 /// cluster with its matches contiguous and right-ascending, and
-/// [`finish_partitioned`] restores the global order.
-pub fn join_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
-    join_radix(ctx, ab, cd, false)
-}
-
-/// The radix join over [`Partitions`]: in memory (`partition`), or with
-/// both sides' pairs in spill files (`spill`) so that only one cluster's
-/// pairs and build table are ever resident and the transient working set
-/// is bounded by the largest cluster, not the operand. Same partition
-/// pass, same per-cluster consumer, same finish; the two differ only in
-/// where a cluster lives.
-///
-/// The build side is partitioned first and its hashes fill a
-/// [`HashFilter`] when [`crate::costmodel::join_prefers_filter`] (spilling,
-/// and the filter fits the budget headroom); the probe-side pass tests it, so a left BUN whose hash no right BUN
-/// shares is dropped before it costs a staged pair, a spill write, a
-/// read-back and a probe. Dropped BUNs match nothing, and the survivors
-/// keep their clusters and their order, so the result is the unfiltered
-/// one.
-fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, spill: bool) -> Result<Bat> {
+/// [`finish_radix`] restores the global order.
+fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
@@ -279,10 +264,10 @@ fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, spill: bool) -> Result<Bat> {
     // what must stay cache-resident. The probe side only streams through
     // its clusters, whatever their size.
     let bits = crate::typed::radix_bits(cd.len());
-    let mut filter = crate::costmodel::join_prefers_filter(ctx, spill, cd.len())
-        .then(|| HashFilter::pooled(cd.len()));
+    let mut filter =
+        crate::costmodel::join_prefers_filter(ctx, cd.len()).then(|| HashFilter::pooled(cd.len()));
     let rc = crate::for_each_typed!(cd.head(), |ch| {
-        Partitions::build(ctx, ch, bits, spill, |h| {
+        Partitions::build(ctx, ch, bits, |h| {
             if let Some(f) = &mut filter {
                 f.insert(h);
             }
@@ -290,14 +275,14 @@ fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, spill: bool) -> Result<Bat> {
         })
     })?;
     let lc = crate::for_each_typed!(ab.tail(), |bt| {
-        Partitions::build(ctx, bt, bits, spill, |h| filter.as_ref().is_none_or(|f| f.contains(h)))
+        Partitions::build(ctx, bt, bits, |h| filter.as_ref().is_none_or(|f| f.contains(h)))
     })?;
     drop(filter);
     let mut matches = Matches::pooled(cd.props().head.key, ab.len());
     crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
         probe_clusters(bt, ch, &ctx.gov, &lc, &rc, &mut matches)
     })?;
-    Ok(finish_partitioned(ctx, ab, cd, matches))
+    Ok(finish_radix(ctx, ab, cd, matches))
 }
 
 /// A blocked Bloom filter over the build side's hashes: two bits of one
@@ -348,7 +333,7 @@ impl Drop for HashFilter {
     }
 }
 
-/// Matches of a partitioned join, emitted in cluster order. Pooled; the
+/// Matches of the radix join, emitted in cluster order. Pooled; the
 /// buffer returns to the scratch pool on drop.
 enum Matches {
     /// Packed `left << 32 | right`, one per match.
@@ -544,13 +529,13 @@ where
     Ok(())
 }
 
-/// Shared tail of the partitioned join: restore global left-BUN order and
+/// Tail of the radix join: restore global left-BUN order and
 /// materialize the result. Packed pairs take a stable streaming sort on
 /// the left half ([`crate::typed::sort_pairs_by_hi`]; equal left positions
 /// keep their right-ascending probe order). A `right_of` array is in left
 /// order already: one linear, branch-free compaction of its occupied
 /// slots.
-fn finish_partitioned(ctx: &ExecCtx, ab: &Bat, cd: &Bat, mut matches: Matches) -> Bat {
+fn finish_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, mut matches: Matches) -> Bat {
     let (left_idx, right_idx) = match &mut matches {
         Matches::Pairs(pairs) => {
             let sorted = crate::typed::sort_pairs_by_hi(std::mem::take(pairs));
@@ -719,34 +704,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_join_agrees_with_hash_and_dispatches_above_threshold() {
-        let ctx = ExecCtx::new();
-        // Build side large enough that its chain table overflows the cache
-        // budget (costmodel::join_prefers_partitioned) and duplicates exist
-        // on both sides.
-        let m = crate::costmodel::JOIN_CACHE_BYTES / crate::costmodel::JOIN_BUILD_BYTES_PER_ROW + 1;
-        let n = m + 1000;
-        let left = Bat::new(
-            Column::from_oids((0..n as u64).collect()),
-            Column::from_ints((0..n).map(|i| ((i * 7) % (m + 500)) as i32).collect()),
-        );
-        let right = Bat::new(
-            Column::from_ints((0..m).map(|i| (i % (m - 100)) as i32).collect()),
-            Column::from_oids((0..m as u64).map(|i| 10_000 + i).collect()),
-        );
-        let p = join_partitioned(&ctx, &left, &right).unwrap();
-        let h = join_hash(&ctx, &left, &right);
-        assert_eq!(p.len(), h.len());
-        for i in 0..p.len() {
-            assert_eq!(p.head().oid_at(i), h.head().oid_at(i), "head order differs at {i}");
-            assert_eq!(p.tail().oid_at(i), h.tail().oid_at(i), "tail order differs at {i}");
-        }
-        // The dynamic dispatch picks the partitioned path at this size.
-        let _ = join(&ctx, &left, &right).unwrap();
-        assert_eq!(ctx.take_algo(), "partition");
-    }
-
-    #[test]
     fn spill_join_is_bit_identical_to_hash_and_partitioned() {
         let ctx = ExecCtx::new();
         // Enough rows for several clusters, duplicates on both sides, and
@@ -761,15 +718,12 @@ mod tests {
             Column::from_ints((0..m).map(|i| (i % (m - 300)) as i32).collect()),
             Column::from_oids((0..m as u64).map(|i| 50_000 + i).collect()),
         );
-        let s = join_radix(&ctx, &left, &right, true).unwrap();
+        let s = join_radix(&ctx, &left, &right).unwrap();
         let h = join_hash(&ctx, &left, &right);
-        let p = join_partitioned(&ctx, &left, &right).unwrap();
         assert_eq!(s.len(), h.len());
         for i in 0..s.len() {
             assert_eq!(s.head().oid_at(i), h.head().oid_at(i), "head vs hash at {i}");
             assert_eq!(s.tail().oid_at(i), h.tail().oid_at(i), "tail vs hash at {i}");
-            assert_eq!(s.head().oid_at(i), p.head().oid_at(i), "head vs partition at {i}");
-            assert_eq!(s.tail().oid_at(i), p.tail().oid_at(i), "tail vs partition at {i}");
         }
         // The build side goes through the file whole, and so does every
         // probe row that has a partner; most of the rest (tails past the
@@ -785,8 +739,8 @@ mod tests {
         let ctx = ExecCtx::new();
         let l = Bat::new(Column::from_oids(vec![]), Column::from_ints(vec![]));
         let r = Bat::new(Column::from_ints(vec![1, 2]), Column::from_oids(vec![5, 6]));
-        assert_eq!(join_radix(&ctx, &l, &r, true).unwrap().len(), 0);
-        assert_eq!(join_radix(&ctx, &r.mirror(), &l.mirror(), true).unwrap().len(), 0);
+        assert_eq!(join_radix(&ctx, &l, &r).unwrap().len(), 0);
+        assert_eq!(join_radix(&ctx, &r.mirror(), &l.mirror()).unwrap().len(), 0);
         let names: Vec<String> = (0..900).map(|i| format!("n{}", i % 320)).collect();
         let left = Bat::new(
             Column::from_oids((0..900).collect()),
@@ -796,7 +750,7 @@ mod tests {
             Column::from_strs((0..400).map(|i| format!("n{i}")).collect::<Vec<_>>()),
             Column::from_oids((1000..1400).collect()),
         );
-        let s = join_radix(&ctx, &left, &right, true).unwrap();
+        let s = join_radix(&ctx, &left, &right).unwrap();
         let h = join_hash(&ctx, &left, &right);
         assert_eq!(s.len(), h.len());
         for i in 0..s.len() {
@@ -820,7 +774,7 @@ mod tests {
         // Unlimited budget: the in-memory dispatch is unchanged.
         let a = join(&ctx, &left, &right).unwrap();
         assert_ne!(ctx.take_algo(), "spill");
-        // A budget below the partitioned working set (costmodel::
+        // A budget below the radix join's working set (costmodel::
         // join_inmem_bytes = 96 KiB here) but above the result charge
         // routes through the spilling join — same bits.
         ctx.mem.begin();
@@ -832,15 +786,6 @@ mod tests {
             assert_eq!(a.head().oid_at(i), b.head().oid_at(i));
             assert_eq!(a.tail().oid_at(i), b.tail().oid_at(i));
         }
-    }
-
-    #[test]
-    fn partitioned_join_empty_operands() {
-        let ctx = ExecCtx::new();
-        let l = Bat::new(Column::from_oids(vec![]), Column::from_ints(vec![]));
-        let r = Bat::new(Column::from_ints(vec![1, 2]), Column::from_oids(vec![5, 6]));
-        assert_eq!(join_partitioned(&ctx, &l, &r).unwrap().len(), 0);
-        assert_eq!(join_partitioned(&ctx, &r.mirror(), &l.mirror()).unwrap().len(), 0);
     }
 
     #[test]

@@ -626,30 +626,6 @@ fn typed_compare(f: ScalarFunc, a: &TailArg, b: &TailArg, n: usize) -> Option<Co
 fn typed_fast_path(f: ScalarFunc, args: &[TailArg], n: usize) -> Result<Option<Column>> {
     use crate::typed::TypedSlice;
     use ScalarFunc as F;
-    // FOR-encoded numeric arguments decode once up front (an `Arc` bump
-    // after the first call — the decode is cached inside the column data)
-    // so the slice fast paths below still qualify. Dictionary-encoded
-    // strings keep their codes: the string predicates evaluate on the
-    // dictionary directly. A window's encoding equals the full column's,
-    // so this normalization — like every other shape decision here — is
-    // identical for every morsel window of an operand.
-    let needs_decode = |a: &TailArg| {
-        matches!(a, TailArg::Col(c)
-            if c.encoding() != crate::props::Enc::None && c.atom_type() != AtomType::Str)
-    };
-    let decoded: Vec<TailArg>;
-    let args: &[TailArg] = if args.iter().any(needs_decode) {
-        decoded = args
-            .iter()
-            .map(|a| match a {
-                TailArg::Col(c) if needs_decode(a) => TailArg::Col(c.decoded()),
-                other => other.clone(),
-            })
-            .collect();
-        &decoded
-    } else {
-        args
-    };
     match f {
         F::Add | F::Sub | F::Mul | F::Div => {
             if args.len() != 2 {
@@ -949,14 +925,7 @@ mod tests {
         use ScalarFunc as F;
         let strs = ["Clerk#000000000000000007", "Clerk#000000000000000003"];
         let dict = Column::from_strs((0..64).map(|i| strs[i % 2])).encode();
-        let for_int = Column::from_ints((0..64).map(|i| 1000 + i % 7).collect()).encode();
-        let for_date = Column::from_date_days((0..64).map(|i| 9000 + i % 5).collect()).encode();
-        use crate::props::Enc;
-        assert_eq!(
-            [&dict, &for_int, &for_date].map(Column::encoding),
-            [Enc::Dict, Enc::For, Enc::For],
-            "the fixtures must actually encode"
-        );
+        assert_eq!(dict.encoding(), crate::props::Enc::Dict, "the fixture must actually encode");
         let cols = [
             Column::void(5, 64),
             Column::from_oids((0..64).map(|i| 70 - i).collect()),
@@ -968,8 +937,6 @@ mod tests {
             Column::from_date_days((0..64).map(|i| 9000 + i % 5).collect()),
             Column::from_strs((0..64).map(|i| strs[i % 2])),
             dict,
-            for_int,
-            for_date,
         ];
         for col in &cols {
             // The partner: the same values rotated, so both outcomes of

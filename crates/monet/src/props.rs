@@ -6,11 +6,13 @@
 //! properties of its parameters onto its result; the rules live with the
 //! operators in [`crate::ops`].
 
-/// Physical encoding fact of a column (see [`crate::enc`]). Unlike
-/// `sorted`/`key`/`dense`, this is not a semantic claim about the values —
-/// it describes the storage layout, which is why [`crate::bat::Bat`]
-/// constructors derive it from the actual column instead of trusting the
-/// caller. `None` means "no encoding known", the always-sound default.
+/// Physical encoding fact of a column: raw, or a dictionary-coded string
+/// column (see [`crate::column::Column::encode`]; `int`/`date` columns are
+/// always raw). Unlike `sorted`/`key`/`dense`, this is not a semantic
+/// claim about the values — it describes the storage layout, which is why
+/// [`crate::bat::Bat`] constructors derive it from the actual column
+/// instead of trusting the caller. `None` means "no encoding known", the
+/// always-sound default.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Enc {
     /// Raw layout, or encoding unknown.
@@ -19,8 +21,6 @@ pub enum Enc {
     /// Order-preserving dictionary codes over the string heap: code order
     /// equals string order, so range predicates map to code ranges.
     Dict,
-    /// Frame-of-reference: `base + u8/u16 delta` for int/date.
-    For,
 }
 
 /// Per-column properties.

@@ -1,16 +1,12 @@
 //! Out-of-core partitions for the radix operators.
 //!
-//! The radix join and hash grouping partition their input with one
-//! streaming pass ([`crate::typed::partition_pass`]) over a
-//! [`PartitionSink`], then process one cluster at a time. Where a cluster's
-//! packed `(hash, pos)` pairs live is the only thing that differs between
-//! the in-memory and the out-of-core operator, and [`Partitions`] is that
-//! difference: a window of one pooled buffer
-//! ([`crate::typed::RadixClusters`]) or chunks of a [`SpillFile`]. The pair
-//! format, the cluster assignment (top hash bits) and the ascending
-//! within-cluster row order are the same in both, which is what lets the
-//! spilling operators reproduce the in-memory result bit for bit while
-//! only one cluster's pairs and table are resident.
+//! The spilling join and the spilling hash grouping partition their input
+//! with one streaming pass ([`Partitions::build`]) into a spill file, then
+//! process one cluster at a time, so that only one cluster's pairs and
+//! table are resident. A cluster holds packed `(hash, pos)` pairs
+//! ([`crate::typed::pack_pair`]) of the rows whose hash has its top bits,
+//! in ascending row order — which is what lets the spilling operators
+//! reproduce the in-memory result bit for bit.
 //!
 //! **File layout.** A spill file is append-only. Every cluster stages its
 //! pairs in a window of one pooled buffer ([`STAGE_BYTES`] divided by the
@@ -52,7 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
 use crate::gov::{site, Governor};
-use crate::typed::{PartitionSink, RadixClusters, TypedVals};
+use crate::typed::TypedVals;
 
 fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> MonetError {
     MonetError::Store { op, path: path.display().to_string(), detail: e.to_string() }
@@ -94,10 +90,11 @@ fn pair_bytes(pairs: &mut [u64]) -> &mut [u8] {
 /// fan-out (2 KiB at the radix fan-out cap, 16 KiB at 128 clusters).
 const STAGE_BYTES: usize = 2 << 20;
 
-/// One column's packed `(hash, pos)` pairs in a spill file: appended in
-/// chunks as the partition pass fills the clusters' staging windows, read
-/// back one cluster at a time. The file is deleted on drop.
-pub(crate) struct SpillFile {
+/// One column's packed `(hash, pos)` pairs, hash-clustered on the top
+/// `bits` in a spill file: appended in chunks as the partition pass fills
+/// the clusters' staging windows, read back one cluster at a time through
+/// [`Partitions::cluster`]. The file is deleted on drop.
+pub(crate) struct Partitions {
     file: File,
     path: PathBuf,
     /// Pairs in a full chunk.
@@ -109,13 +106,13 @@ pub(crate) struct SpillFile {
     chunks: Vec<Vec<u64>>,
 }
 
-/// The write half of a [`SpillFile`]: the staging windows of one
+/// The write half of a [`Partitions`]: the staging windows of one
 /// partition pass. (Borrowed slices and a copied window size rather than
 /// owned buffers and a look through `out`: the pass then keeps their base
 /// pointers in registers across its stores.)
 struct Staging<'a> {
     ctx: &'a ExecCtx,
-    out: &'a mut SpillFile,
+    out: &'a mut Partitions,
     /// Slots per cluster window: `out.chunk_pairs`.
     window: usize,
     /// `window` slots per cluster.
@@ -173,11 +170,13 @@ impl Staging<'_> {
         }
         Ok(())
     }
-}
 
-impl PartitionSink for Staging<'_> {
-    type Stop = MonetError;
-
+    /// Append `pair` to cluster `c` if `kept`. Calls arrive in ascending row
+    /// order, so appending keeps every cluster stable. A refused pair
+    /// still comes by: it is stored where the next one goes, and the fill
+    /// advances by `kept as usize`. A filter's verdict is a coin flip per
+    /// row, and a branch on it mispredicts (measured on a 600k x 150k row
+    /// spilling join at a 70 % match rate: 16.0 ms branching, 12.6 ms not).
     #[inline]
     fn push(&mut self, c: usize, pair: u64, kept: bool) -> Result<()> {
         let staged = self.fill[c];
@@ -190,21 +189,42 @@ impl PartitionSink for Staging<'_> {
     }
 }
 
-impl SpillFile {
-    /// One [`crate::typed::partition_pass`] over `t` into a fresh file.
-    fn write<V: TypedVals>(
+/// The one streaming partition pass: hash every row of `t` on the fly (a
+/// few ALU ops beat materializing — and re-reading — a full-width hash
+/// array), ask `keep` about the hash, and stage the packed `(hash, pos)`
+/// pair with the verdict in the cluster of the hash's top `bits`.
+#[inline]
+fn partition_pass<V: TypedVals>(
+    t: V,
+    bits: u32,
+    mut keep: impl FnMut(u64) -> bool,
+    staging: &mut Staging<'_>,
+) -> Result<()> {
+    for i in 0..t.len() {
+        let h = t.hash_one(t.value(i));
+        staging.push(crate::typed::cluster_of(h, bits), crate::typed::pack_pair(h, i), keep(h))?;
+    }
+    Ok(())
+}
+
+impl Partitions {
+    /// Partition the rows of `t` whose hash `keep` accepts (see the module
+    /// docs for its contract) into a fresh spill file, in one
+    /// [`partition_pass`].
+    pub(crate) fn build<V: TypedVals>(
         ctx: &ExecCtx,
         t: V,
         bits: u32,
         keep: impl FnMut(u64) -> bool,
-    ) -> Result<SpillFile> {
+    ) -> Result<Partitions> {
+        assert!(bits <= 16, "radix partition: {bits} cluster bits (max 16)");
         let nclusters = 1usize << bits;
         // A hash-distributed cluster fits its window whole when the budget
         // allows the in-memory padding: one write, one read.
         let chunk_pairs = ((STAGE_BYTES / 8) >> bits)
             .min(crate::typed::padded_cluster_rows(t.len(), bits).max(1));
         let (file, path) = create_spill_file(ctx.config().spill_dir.as_deref())?;
-        let mut out = SpillFile {
+        let mut out = Partitions {
             file,
             path,
             chunk_pairs,
@@ -221,15 +241,29 @@ impl SpillFile {
             fill: &mut fill,
             end: 0,
         };
-        let written = crate::typed::partition_pass(t, bits, keep, &mut staging)
-            .and_then(|()| staging.finish());
+        let written = partition_pass(t, bits, keep, &mut staging).and_then(|()| staging.finish());
         // Finished or aborted, the staging buffer goes back to the pool.
         crate::typed::put_u64(stage);
         written.map(|()| out)
     }
 
-    /// Read cluster `c` back into `buf` (cleared first), chunk by chunk.
-    fn read_cluster(&self, c: usize, buf: &mut Vec<u64>) -> Result<()> {
+    pub(crate) fn num_clusters(&self) -> usize {
+        self.lens.len()
+    }
+
+    pub(crate) fn cluster_len(&self, c: usize) -> usize {
+        self.lens[c]
+    }
+
+    /// The pairs of cluster `c`, rows ascending: read back into `buf`
+    /// (cleared first) chunk by chunk, after a [`site::SPILL_READ`] probe.
+    pub(crate) fn cluster<'a>(
+        &self,
+        gov: &Governor,
+        c: usize,
+        buf: &'a mut Vec<u64>,
+    ) -> Result<&'a [u64]> {
+        gov.probe(site::SPILL_READ)?;
         let n = self.lens[c];
         buf.clear();
         buf.resize(n, 0);
@@ -241,72 +275,13 @@ impl SpillFile {
                 .map_err(|e| io_err("spill/read", &self.path, e))?;
             done += len;
         }
-        Ok(())
+        Ok(buf)
     }
 }
 
-impl Drop for SpillFile {
+impl Drop for Partitions {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// One column's `(hash, pos)` pairs, hash-clustered on the top `bits`:
-/// resident, or in a spill file. Consumers walk the clusters through
-/// [`Partitions::cluster`] and never learn which.
-pub(crate) enum Partitions {
-    Mem(RadixClusters),
-    File(SpillFile),
-}
-
-impl Partitions {
-    /// Partition the rows of `t` whose hash `keep` accepts (see the module
-    /// docs for its contract) — into a spill file when `spill`, into
-    /// memory otherwise.
-    pub(crate) fn build<V: TypedVals>(
-        ctx: &ExecCtx,
-        t: V,
-        bits: u32,
-        spill: bool,
-        keep: impl FnMut(u64) -> bool,
-    ) -> Result<Partitions> {
-        if spill {
-            SpillFile::write(ctx, t, bits, keep).map(Partitions::File)
-        } else {
-            Ok(Partitions::Mem(crate::typed::radix_cluster_filtered(t, bits, keep)))
-        }
-    }
-
-    pub(crate) fn num_clusters(&self) -> usize {
-        match self {
-            Partitions::Mem(rc) => rc.num_clusters(),
-            Partitions::File(f) => f.lens.len(),
-        }
-    }
-
-    pub(crate) fn cluster_len(&self, c: usize) -> usize {
-        match self {
-            Partitions::Mem(rc) => rc.cluster(c).len(),
-            Partitions::File(f) => f.lens[c],
-        }
-    }
-
-    /// The pairs of cluster `c`, rows ascending: the resident window, or
-    /// the cluster read back into `buf` after a [`site::SPILL_READ`] probe.
-    pub(crate) fn cluster<'a>(
-        &'a self,
-        gov: &Governor,
-        c: usize,
-        buf: &'a mut Vec<u64>,
-    ) -> Result<&'a [u64]> {
-        match self {
-            Partitions::Mem(rc) => Ok(&rc.pairs[rc.cluster(c)]),
-            Partitions::File(f) => {
-                gov.probe(site::SPILL_READ)?;
-                f.read_cluster(c, buf)?;
-                Ok(buf)
-            }
-        }
     }
 }
 
@@ -316,7 +291,7 @@ mod tests {
     use crate::column::Column;
 
     fn spill(ctx: &ExecCtx, col: &Column, bits: u32) -> Result<Partitions> {
-        crate::for_each_typed!(col, |t| Partitions::build(ctx, t, bits, true, |_| true))
+        crate::for_each_typed!(col, |t| Partitions::build(ctx, t, bits, |_| true))
     }
 
     #[test]
@@ -342,25 +317,26 @@ mod tests {
             for bits in [0u32, 3] {
                 let before = ctx.mem.spilled_bytes();
                 let sp = spill(&ctx, &col, bits).expect("spill build");
-                let mem = crate::for_each_typed!(&col, |t| {
-                    Partitions::build(&ctx, t, bits, false, |_| true)
-                })
-                .expect("memory build");
-                assert_eq!(sp.num_clusters(), mem.num_clusters());
-                let (mut sbuf, mut mbuf) = (Vec::new(), Vec::new());
-                for c in 0..sp.num_clusters() {
-                    let got = sp.cluster(&ctx.gov, c, &mut sbuf).expect("spill read").to_vec();
-                    let want = mem.cluster(&ctx.gov, c, &mut mbuf).expect("resident");
-                    assert_eq!(got, want, "cluster {c} (bits {bits})");
+                // The in-memory clustering: every row's pair in the cluster
+                // of its hash's top bits, rows ascending.
+                let mut mem = vec![Vec::new(); 1 << bits];
+                for i in 0..rows {
+                    let h = col.hash_at(i);
+                    mem[crate::typed::cluster_of(h, bits)].push(crate::typed::pack_pair(h, i));
+                }
+                assert_eq!(sp.num_clusters(), mem.len());
+                let mut buf = Vec::new();
+                for (c, want) in mem.iter().enumerate() {
+                    let got = sp.cluster(&ctx.gov, c, &mut buf).expect("spill read");
+                    assert_eq!(got, &want[..], "cluster {c} (bits {bits})");
                     assert_eq!(sp.cluster_len(c), want.len());
                 }
                 // Every pair went through the file, 8 bytes each.
                 assert_eq!(ctx.mem.spilled_bytes() - before, rows as u64 * 8);
-                let Partitions::File(f) = &sp else { unreachable!() };
                 if distinct == 3 && bits == 3 {
-                    assert!(f.chunks.iter().any(|c| c.len() > 2), "skew must span chunks");
+                    assert!(sp.chunks.iter().any(|c| c.len() > 2), "skew must span chunks");
                 }
-                let path = f.path.clone();
+                let path = sp.path.clone();
                 assert!(path.exists());
                 drop(sp);
                 assert!(!path.exists(), "spill file must be deleted on drop");
@@ -373,12 +349,20 @@ mod tests {
         let ctx = ExecCtx::new();
         let col = Column::from_ints((0..3000).collect());
         let keep = |h: u64| h & 3 != 0;
-        let sp = crate::for_each_typed!(&col, |t| Partitions::build(&ctx, t, 2, true, keep))
+        let sp = crate::for_each_typed!(&col, |t| Partitions::build(&ctx, t, 2, keep))
             .expect("spill build");
-        let kept = (0..col.len()).filter(|&i| keep(col.hash_at(i))).count();
-        let total: usize = (0..sp.num_clusters()).map(|c| sp.cluster_len(c)).sum();
-        assert_eq!(total, kept);
-        assert_eq!(ctx.mem.spilled_bytes(), kept as u64 * 8);
+        let kept: Vec<u32> =
+            (0..col.len() as u32).filter(|&i| keep(col.hash_at(i as usize))).collect();
+        let mut buf = Vec::new();
+        let mut got: Vec<u32> = (0..sp.num_clusters())
+            .flat_map(|c| {
+                let pairs = sp.cluster(&ctx.gov, c, &mut buf).expect("spill read");
+                pairs.iter().map(|&p| crate::typed::pair_pos(p)).collect::<Vec<_>>()
+            })
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, kept, "exactly the accepted rows reach the file");
+        assert_eq!(ctx.mem.spilled_bytes(), kept.len() as u64 * 8);
     }
 
     #[test]

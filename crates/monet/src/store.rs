@@ -2,8 +2,8 @@
 //! versioned superblock, opened in O(1) via [`crate::pager::Mapping`].
 //!
 //! The paper's BATs live in anonymous RAM and are regenerated per process;
-//! this module gives the same physical layouts — raw arrays, string heaps,
-//! dict and int/date FOR encodings — an on-disk form. A written store is a
+//! this module gives the same physical layouts — raw arrays, string heaps
+//! and dictionary-coded strings — an on-disk form. A written store is a
 //! directory:
 //!
 //! | file          | contents                                             |
@@ -26,10 +26,11 @@
 //! consistency (the wrong-`Enc` class of corruption), and the invariants
 //! the kernel's `unsafe` relies on: string windows are in-bounds valid
 //! UTF-8, bool bytes are 0/1, dict codes address the dictionary. A layout
-//! tag no writer produces — including the retired RLE tag 4 — is a
-//! descriptor mismatch. Full data checksums are O(data) and opt-in
-//! ([`OpenOptions::verify_data`], [`verify_dir`]) — that is what the
-//! corruption sweep and `flatalg-store verify` run.
+//! tag this reader does not know — the retired FOR tag 3, the RLE tag 4
+//! no writer ever produced — is a descriptor mismatch. Full data
+//! checksums are O(data) and opt-in ([`OpenOptions::verify_data`],
+//! [`verify_dir`]) — that is what the corruption sweep and
+//! `flatalg-store verify` run.
 
 use std::collections::HashMap;
 use std::fs;
@@ -41,19 +42,19 @@ use crate::accel::datavector::{Datavector, Extent};
 use crate::atom::AtomType;
 use crate::bat::Bat;
 use crate::buf::Buf;
-use crate::column::{
-    CodeSlice, Column, ColumnIdentity, ColumnVals, DictCodes, DictStrData, ForIntData,
-    ForIntDeltas, StorageRepr,
-};
+use crate::column::{Column, ColumnIdentity, ColumnVals, DictCodes, DictStrData, StorageRepr};
 use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::gov::{site, Governor};
 use crate::pager::Mapping;
 use crate::props::{ColProps, Enc, Props};
 use crate::strheap::StrVec;
+use crate::typed::CodeSlice;
 
-/// File-format version; bumped on any incompatible layout change.
-pub const VERSION: u32 = 1;
+/// File-format version; bumped on any incompatible layout change. Version
+/// 2 dropped the frame-of-reference layout (tag 3) that version 1 wrote
+/// for `int`/`date` columns.
+pub const VERSION: u32 = 2;
 /// Segment alignment: every segment starts on a page boundary, so mapped
 /// windows are aligned for any element type.
 pub const PAGE: usize = 4096;
@@ -66,10 +67,9 @@ const SB_NAME: &str = "store.sb";
 const LAYOUT_RAW: u8 = 0;
 const LAYOUT_STR: u8 = 1;
 const LAYOUT_DICT: u8 = 2;
-const LAYOUT_FOR: u8 = 3;
 
 // Segment kinds.
-const SEG_DATA: u32 = 0; // raw values / dict codes / FOR deltas
+const SEG_DATA: u32 = 0; // raw values / dict codes
 const SEG_STR_OFFSETS: u32 = 1;
 const SEG_STR_LENS: u32 = 2;
 const SEG_STR_HEAP: u32 = 3;
@@ -352,57 +352,47 @@ fn code_slice_bytes<'a>(c: &CodeSlice<'a>) -> (&'a [u8], u8) {
 fn write_column_file(path: &Path, col: &Column) -> Result<(u64, u64)> {
     let rows = col.len() as u64;
     let atom = atom_code(col.atom_type());
-    // (layout, width, base, aux, segments)
-    let (layout, width, base, aux, segs): (u8, u8, i64, u64, Vec<(u32, &[u8])>) =
-        match col.storage_repr() {
-            StorageRepr::Void { seq } => {
-                unreachable!("void column (seq {seq}) must be inlined in the superblock")
-            }
-            StorageRepr::Oid(v) => (LAYOUT_RAW, 8, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Bool(v) => (LAYOUT_RAW, 1, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Chr(v) => (LAYOUT_RAW, 1, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Int(v) => (LAYOUT_RAW, 4, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Lng(v) => (LAYOUT_RAW, 8, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Dbl(v) => (LAYOUT_RAW, 8, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Date(v) => (LAYOUT_RAW, 4, 0, 0, vec![(SEG_DATA, as_bytes(v))]),
-            StorageRepr::Str(sv) => {
-                let (offsets, lens, heap) = str_parts(sv);
-                (
-                    LAYOUT_STR,
-                    4,
-                    0,
-                    0,
-                    vec![
-                        (SEG_STR_OFFSETS, as_bytes(offsets)),
-                        (SEG_STR_LENS, as_bytes(lens)),
-                        (SEG_STR_HEAP, heap),
-                    ],
-                )
-            }
-            StorageRepr::DictStr { codes, dict } => {
-                let (code_bytes, w) = code_slice_bytes(&codes);
-                let (offsets, lens, heap) = str_parts(dict);
-                (
-                    LAYOUT_DICT,
-                    w,
-                    0,
-                    dict.len() as u64,
-                    vec![
-                        (SEG_DATA, code_bytes),
-                        (SEG_DICT_OFFSETS, as_bytes(offsets)),
-                        (SEG_DICT_LENS, as_bytes(lens)),
-                        (SEG_DICT_HEAP, heap),
-                    ],
-                )
-            }
-            StorageRepr::ForInt { base, date, deltas } => {
-                // `date` is redundant with the atom byte; the open path
-                // re-derives it from there.
-                debug_assert_eq!(date, col.atom_type() == AtomType::Date);
-                let (delta_bytes, w) = code_slice_bytes(&deltas);
-                (LAYOUT_FOR, w, base as i64, 0, vec![(SEG_DATA, delta_bytes)])
-            }
-        };
+    // (layout, width, aux, segments)
+    let (layout, width, aux, segs): (u8, u8, u64, Vec<(u32, &[u8])>) = match col.storage_repr() {
+        StorageRepr::Void { seq } => {
+            unreachable!("void column (seq {seq}) must be inlined in the superblock")
+        }
+        StorageRepr::Oid(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Bool(v) => (LAYOUT_RAW, 1, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Chr(v) => (LAYOUT_RAW, 1, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Int(v) => (LAYOUT_RAW, 4, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Lng(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Dbl(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Date(v) => (LAYOUT_RAW, 4, 0, vec![(SEG_DATA, as_bytes(v))]),
+        StorageRepr::Str(sv) => {
+            let (offsets, lens, heap) = str_parts(sv);
+            (
+                LAYOUT_STR,
+                4,
+                0,
+                vec![
+                    (SEG_STR_OFFSETS, as_bytes(offsets)),
+                    (SEG_STR_LENS, as_bytes(lens)),
+                    (SEG_STR_HEAP, heap),
+                ],
+            )
+        }
+        StorageRepr::DictStr { codes, dict } => {
+            let (code_bytes, w) = code_slice_bytes(&codes);
+            let (offsets, lens, heap) = str_parts(dict);
+            (
+                LAYOUT_DICT,
+                w,
+                dict.len() as u64,
+                vec![
+                    (SEG_DATA, code_bytes),
+                    (SEG_DICT_OFFSETS, as_bytes(offsets)),
+                    (SEG_DICT_LENS, as_bytes(lens)),
+                    (SEG_DICT_HEAP, heap),
+                ],
+            )
+        }
+    };
 
     // Lay out segments on page boundaries after the header page.
     let mut off = PAGE as u64;
@@ -419,7 +409,7 @@ fn write_column_file(path: &Path, col: &Column) -> Result<(u64, u64)> {
     header[13] = layout;
     header[14] = width;
     header[16..24].copy_from_slice(&rows.to_le_bytes());
-    header[24..32].copy_from_slice(&base.to_le_bytes());
+    // 24..32 is reserved (zero): version 1 kept the FOR base there.
     header[32..40].copy_from_slice(&aux.to_le_bytes());
     header[40..44].copy_from_slice(&(segs.len() as u32).to_le_bytes());
     for (i, (kind, off, nbytes, sum)) in table.iter().enumerate() {
@@ -467,7 +457,6 @@ struct ColHeader {
     layout: u8,
     width: u8,
     rows: u64,
-    base: i64,
     aux: u64,
     segs: Vec<Seg>,
 }
@@ -521,7 +510,6 @@ fn parse_col_header(path: &Path, bytes: &[u8]) -> Result<ColHeader> {
         layout: bytes[13],
         width: bytes[14],
         rows: u64_at(16),
-        base: u64_at(24) as i64,
         aux: u64_at(32),
         segs,
     })
@@ -649,17 +637,6 @@ impl OpenCol {
                     w => return Err(e(format!("invalid dict code width {w}"))),
                 };
                 ColumnVals::DictStr(Arc::new(DictStrData::from_parts(codes, dict)))
-            }
-            (LAYOUT_FOR, AtomType::Int | AtomType::Date) => {
-                let date = h.atom == AtomType::Date;
-                let base = i32::try_from(h.base)
-                    .map_err(|_| e(format!("FOR base {} out of int range", h.base)))?;
-                let deltas = match h.width {
-                    1 => ForIntDeltas::W8(self.buf(SEG_DATA, n)?),
-                    2 => ForIntDeltas::W16(self.buf(SEG_DATA, n)?),
-                    w => return Err(e(format!("invalid FOR(int) delta width {w}"))),
-                };
-                ColumnVals::ForInt(Arc::new(ForIntData::from_parts(base, deltas, date)))
             }
             (layout, atom) => {
                 return Err(e(format!(
@@ -951,9 +928,9 @@ mod tests {
         let dict_col = Column::from_strs(&dict).encode();
         assert_eq!(dict_col.encoding(), Enc::Dict);
         db.register("dict", Bat::with_inferred_props(Column::void(0, 300), dict_col));
-        let for_col = Column::from_ints((0..300).map(|i| 1000 + (i % 50)).collect()).encode();
-        assert_eq!(for_col.encoding(), Enc::For);
-        db.register("for", Bat::with_inferred_props(Column::void(0, 300), for_col));
+        let dates = Column::from_date_days((0..300).map(|i| 9000 + (i % 50)).collect()).encode();
+        assert_eq!(dates.encoding(), Enc::None, "int/date columns stay raw");
+        db.register("dates", Bat::with_inferred_props(Column::void(0, 300), dates));
         db.register(
             "dbls",
             Bat::with_inferred_props(

@@ -25,7 +25,7 @@
 //!     (0..ab.len()).filter(|&i| tail.cmp_val(i, v).is_eq()).map(|i| i as u32).collect();
 //! ```
 //!
-//! The typed form resolves the tail type a single time; the nine
+//! The typed form resolves the tail type a single time; the ten
 //! monomorphized loop bodies compile down to branch-free scans over `&[T]`:
 //!
 //! ```
@@ -264,25 +264,25 @@ impl<'a> TypedVals for StrVals<'a> {
     }
 }
 
-/// Window over narrow unsigned codes: the deltas of a frame-of-reference
-/// column ([`ForIntVals`], u8/u16) and the codes of a dictionary column
-/// ([`DictStrVals`], u8/u16/u32). The width branch sits inside each
-/// access; it predicts perfectly (one width per column), so the per-row
-/// cost stays a load + add without tripling the macro arms.
+/// The codes of a dictionary column ([`DictStrVals`]), borrowed at their
+/// physical width (u8/u16/u32) — what the kernels scan and what the store
+/// writer serializes. The width branch sits inside each access; it
+/// predicts perfectly (one width per column), so the per-row cost stays a
+/// load without tripling the macro arms.
 #[derive(Debug, Clone, Copy)]
-pub enum ForDeltaSlice<'a> {
+pub enum CodeSlice<'a> {
     W8(&'a [u8]),
     W16(&'a [u16]),
     W32(&'a [u32]),
 }
 
-impl ForDeltaSlice<'_> {
+impl CodeSlice<'_> {
     #[inline]
     pub fn len(&self) -> usize {
         match self {
-            ForDeltaSlice::W8(v) => v.len(),
-            ForDeltaSlice::W16(v) => v.len(),
-            ForDeltaSlice::W32(v) => v.len(),
+            CodeSlice::W8(v) => v.len(),
+            CodeSlice::W16(v) => v.len(),
+            CodeSlice::W32(v) => v.len(),
         }
     }
 
@@ -294,9 +294,9 @@ impl ForDeltaSlice<'_> {
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
         match self {
-            ForDeltaSlice::W8(v) => v[i] as u64,
-            ForDeltaSlice::W16(v) => v[i] as u64,
-            ForDeltaSlice::W32(v) => v[i] as u64,
+            CodeSlice::W8(v) => v[i] as u64,
+            CodeSlice::W16(v) => v[i] as u64,
+            CodeSlice::W32(v) => v[i] as u64,
         }
     }
 
@@ -305,9 +305,9 @@ impl ForDeltaSlice<'_> {
     #[inline]
     pub fn partition_point(&self, mut pred: impl FnMut(u64) -> bool) -> usize {
         match self {
-            ForDeltaSlice::W8(v) => v.partition_point(|&x| pred(x as u64)),
-            ForDeltaSlice::W16(v) => v.partition_point(|&x| pred(x as u64)),
-            ForDeltaSlice::W32(v) => v.partition_point(|&x| pred(x as u64)),
+            CodeSlice::W8(v) => v.partition_point(|&x| pred(x as u64)),
+            CodeSlice::W16(v) => v.partition_point(|&x| pred(x as u64)),
+            CodeSlice::W32(v) => v.partition_point(|&x| pred(x as u64)),
         }
     }
 }
@@ -321,19 +321,19 @@ impl ForDeltaSlice<'_> {
 /// codes through [`DictStrVals::codes`] and exploit order preservation.
 #[derive(Debug, Clone, Copy)]
 pub struct DictStrVals<'a> {
-    codes: ForDeltaSlice<'a>,
+    codes: CodeSlice<'a>,
     dict: StrVals<'a>,
 }
 
 impl<'a> DictStrVals<'a> {
-    pub(crate) fn new(codes: ForDeltaSlice<'a>, dict: StrVals<'a>) -> DictStrVals<'a> {
+    pub(crate) fn new(codes: CodeSlice<'a>, dict: StrVals<'a>) -> DictStrVals<'a> {
         DictStrVals { codes, dict }
     }
 
     /// The per-row dictionary codes (order-preserving: code order is
     /// string order), at their physical width.
     #[inline]
-    pub fn codes(&self) -> ForDeltaSlice<'a> {
+    pub fn codes(&self) -> CodeSlice<'a> {
         self.codes
     }
 
@@ -388,75 +388,12 @@ impl<'a> TypedVals for DictStrVals<'a> {
     }
 }
 
-/// Window over a frame-of-reference `int`/`date` column: `base + delta`.
-/// `Elem` is the decoded `i32`, so hashing and comparison agree with the
-/// raw window bit-for-bit.
-#[derive(Debug, Clone, Copy)]
-pub struct ForIntVals<'a> {
-    base: i32,
-    deltas: ForDeltaSlice<'a>,
-    date: bool,
-}
-
-impl<'a> ForIntVals<'a> {
-    pub(crate) fn new(base: i32, deltas: ForDeltaSlice<'a>, date: bool) -> ForIntVals<'a> {
-        ForIntVals { base, deltas, date }
-    }
-
-    /// True when the logical type is `date` (day counts share the `i32`
-    /// representation).
-    #[inline]
-    pub fn is_date(&self) -> bool {
-        self.date
-    }
-
-    /// The stored narrow deltas (value = base + delta).
-    #[inline]
-    pub fn deltas(&self) -> ForDeltaSlice<'a> {
-        self.deltas
-    }
-}
-
-impl<'a> TypedVals for ForIntVals<'a> {
-    type Elem = i32;
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> i32 {
-        self.base.wrapping_add(self.deltas.get(i) as i32)
-    }
-
-    #[inline]
-    fn hash_one(&self, v: i32) -> u64 {
-        fxhash64(v as u64)
-    }
-
-    #[inline]
-    fn cmp_one(&self, a: i32, b: i32) -> Ordering {
-        a.cmp(&b)
-    }
-
-    #[inline]
-    fn cmp_atom(&self, x: i32, atom: &AtomValue) -> Ordering {
-        match atom {
-            AtomValue::Int(b) => x.cmp(b),
-            AtomValue::Date(d) => x.cmp(&d.0),
-            other => panic!("cmp_atom: int/date column vs {} constant", other.atom_type()),
-        }
-    }
-}
-
 /// A column window resolved to its concrete element type — the input of the
 /// dispatch macros. Obtained via [`Column::typed`] (or [`TypedSlice::of`]).
 ///
-/// Nine raw layouts plus the two encoded ones, `DictStr` and `ForInt`
-/// (int/date). The encoded variants expose the same `Elem` as their raw
-/// counterparts, so every kernel compiled through the dispatch macros runs
-/// on encoded data without decompression.
+/// Nine raw layouts plus the one encoded layout, `DictStr`. It exposes the
+/// same `Elem` as the raw `Str` window, so every kernel compiled through
+/// the dispatch macros runs on dictionary codes without decompression.
 #[derive(Debug, Clone, Copy)]
 pub enum TypedSlice<'a> {
     Void(VoidVals),
@@ -469,7 +406,6 @@ pub enum TypedSlice<'a> {
     Date(&'a [i32]),
     Str(StrVals<'a>),
     DictStr(DictStrVals<'a>),
-    ForInt(ForIntVals<'a>),
 }
 
 impl<'a> TypedSlice<'a> {
@@ -492,13 +428,6 @@ impl<'a> TypedSlice<'a> {
             TypedSlice::Date(_) => T::Date,
             TypedSlice::Str(_) => T::Str,
             TypedSlice::DictStr(_) => T::Str,
-            TypedSlice::ForInt(v) => {
-                if v.is_date() {
-                    T::Date
-                } else {
-                    T::Int
-                }
-            }
         }
     }
 }
@@ -522,7 +451,6 @@ macro_rules! for_each_typed {
             $crate::typed::TypedSlice::Date($v) => $body,
             $crate::typed::TypedSlice::Str($v) => $body,
             $crate::typed::TypedSlice::DictStr($v) => $body,
-            $crate::typed::TypedSlice::ForInt($v) => $body,
         }
     }};
 }
@@ -553,11 +481,6 @@ macro_rules! for_each_typed2 {
             (TS::Str($a), TS::DictStr($b)) => $body,
             (TS::DictStr($a), TS::Str($b)) => $body,
             (TS::DictStr($a), TS::DictStr($b)) => $body,
-            (TS::Int($a), TS::ForInt($b)) => $body,
-            (TS::ForInt($a), TS::Int($b)) => $body,
-            (TS::Date($a), TS::ForInt($b)) => $body,
-            (TS::ForInt($a), TS::Date($b)) => $body,
-            (TS::ForInt($a), TS::ForInt($b)) => $body,
             (a, b) => {
                 panic!(
                     "typed dispatch on mixed column types {} vs {}",
@@ -629,10 +552,10 @@ const EMPTY: u32 = u32::MAX;
 /// a `u64` *code*, injective and order-preserving within the column, so
 /// code equality is value equality and a compact code range can index an
 /// array. Oids are their own code; `chr`/`bool` widen; signed integers and
-/// dates flip the sign bit; dictionary and frame-of-reference columns use
-/// their stored narrow codes (the dictionary is duplicate-free and sorted,
-/// the frame adds a constant). `dbl` and raw `str` columns have no code —
-/// [`for_each_coded!`] yields `None` for them.
+/// dates flip the sign bit; dictionary columns use their stored narrow
+/// codes (the dictionary is duplicate-free and sorted). `dbl` and raw
+/// `str` columns have no code — [`for_each_coded!`] yields `None` for
+/// them.
 pub trait CodedVals: Copy {
     /// Code of row `i`.
     fn code(&self, i: usize) -> u64;
@@ -706,18 +629,6 @@ impl CodedVals for &[i64] {
     }
 }
 
-impl CodedVals for ForDeltaSlice<'_> {
-    #[inline]
-    fn code(&self, i: usize) -> u64 {
-        self.get(i)
-    }
-
-    #[inline]
-    fn code_bounds(&self) -> Option<(u64, u64)> {
-        matches!(self, ForDeltaSlice::W8(_)).then_some((0, u8::MAX as u64))
-    }
-}
-
 impl CodedVals for DictStrVals<'_> {
     #[inline]
     fn code(&self, i: usize) -> u64 {
@@ -745,10 +656,6 @@ macro_rules! for_each_coded {
             TS::Int($v) | TS::Date($v) => Some($body),
             TS::Lng($v) => Some($body),
             TS::DictStr($v) => Some($body),
-            TS::ForInt(f) => {
-                let $v = f.deltas();
-                Some($body)
-            }
             TS::Dbl(_) | TS::Str(_) => None,
         }
     }};
@@ -939,7 +846,7 @@ scratch_pool!(take_u64, take_u64_zeroed, put_u64, SCRATCH_U64, u64);
 scratch_pool!(take_u32, take_u32_zeroed, put_u32, SCRATCH_U32, u32);
 
 // ---------------------------------------------------------------------------
-// Radix clustering: the partition kernel of the partitioned hash join.
+// Radix clustering: the pair layout of the spilling join and grouping.
 // ---------------------------------------------------------------------------
 
 /// Rows per cluster the partitioner aims for: small enough that a
@@ -949,43 +856,31 @@ scratch_pool!(take_u32, take_u32_zeroed, put_u32, SCRATCH_U32, u32);
 pub const RADIX_TARGET_CLUSTER_ROWS: usize = 1024;
 
 /// Number of cluster bits for a build side of `rows`, so that the expected
-/// cluster size is at most [`RADIX_TARGET_CLUSTER_ROWS`]. Capped at the
-/// counting-free fan-out limit: past ~1M rows clusters grow beyond the
-/// target (gently degrading the probe toward L2) rather than paying a
-/// second scatter pass, which measures worse up to the tens of millions.
+/// cluster size is at most [`RADIX_TARGET_CLUSTER_ROWS`]. Capped at
+/// [`MAX_RADIX_BITS`]: past ~1M rows clusters grow beyond the target
+/// (gently degrading the probe toward L2) rather than fanning out to more
+/// write streams than one scatter pass keeps within reach.
 pub fn radix_bits(rows: usize) -> u32 {
     let mut bits = 0u32;
-    while bits < COUNTING_FREE_MAX_BITS && (rows >> bits) > RADIX_TARGET_CLUSTER_ROWS {
+    while bits < MAX_RADIX_BITS && (rows >> bits) > RADIX_TARGET_CLUSTER_ROWS {
         bits += 1;
     }
     bits
 }
 
-/// `(hash, position)` pairs clustered on the **top** `bits` of the hash and
-/// packed into one `u64` per row (high hash half | pos): one scatter
-/// stream during clustering, one sequential stream during the probe.
-///
-/// The retained half is the hash's *high* 32 bits, so the cluster id (top
-/// `bits ≤ 16`) stays inside the packed word — multi-pass clustering and
-/// cluster-id checks never need the original hash again. In-cluster bucket
-/// masks use the *low* bits of the retained half; for typical cluster
-/// sizes these stay below the cluster-id bits (an extreme-skew cluster can
-/// push the mask into them, wasting bucket slots on constant bits — an
-/// occupancy cost, never a correctness one). A false bucket match on the
-/// retained half still fails value equality, so the 32-bit truncation is a
-/// perf trade only. Clustering is stable: within a cluster, positions
-/// ascend.
-pub struct RadixClusters {
-    /// Packed `(hash >> 32) << 32 | pos`, cluster-windowed. Windows may be
-    /// padded apart (the counting-free scatter leaves headroom per
-    /// cluster); always address through [`RadixClusters::cluster`].
-    pub pairs: Vec<u64>,
-    /// Start offset of each cluster's window in `pairs`.
-    starts: Vec<usize>,
-    /// End offset (exclusive) of each cluster's window in `pairs`.
-    ends: Vec<usize>,
-    bits: u32,
-}
+// `(hash, position)` pairs are clustered on the **top** `bits` of the hash
+// and packed into one `u64` per row (high hash half | pos): one scatter
+// stream during clustering, one sequential stream during the probe
+// ([`crate::spill::Partitions`]).
+//
+// The retained half is the hash's *high* 32 bits, so the cluster id (top
+// `bits ≤ 16`) stays inside the packed word. In-cluster bucket masks use
+// the *low* bits of the retained half; for typical cluster sizes these
+// stay below the cluster-id bits (an extreme-skew cluster can push the
+// mask into them, wasting bucket slots on constant bits — an occupancy
+// cost, never a correctness one). A false bucket match on the retained
+// half still fails value equality, so the 32-bit truncation is a perf
+// trade only.
 
 /// The retained (high) 32 hash bits of a packed cluster pair.
 #[inline]
@@ -1000,136 +895,22 @@ pub fn pair_pos(p: u64) -> u32 {
 }
 
 /// Pack a full hash and a row position into one cluster pair (keeps hash
-/// bits 32..64). Public for the out-of-core clustering in
-/// [`crate::spill`], which must write bit-identical pairs to disk.
+/// bits 32..64).
 #[inline]
 pub fn pack_pair(h: u64, pos: usize) -> u64 {
     (h & 0xFFFF_FFFF_0000_0000) | pos as u64
 }
 
-impl RadixClusters {
-    /// The window of cluster `c` into `pairs`.
-    #[inline]
-    pub fn cluster(&self, c: usize) -> std::ops::Range<usize> {
-        self.starts[c]..self.ends[c]
-    }
-
-    /// Number of clusters (`2^bits`).
-    pub fn num_clusters(&self) -> usize {
-        self.starts.len()
-    }
-
-    /// The cluster a full 64-bit hash belongs to.
-    #[inline]
-    pub fn cluster_of(&self, h: u64) -> usize {
-        cluster_of(h, self.bits)
-    }
-}
-
-/// The pair buffer goes back to the scratch pool with the clusters,
-/// whichever thread or exit path lets go of them last.
-impl Drop for RadixClusters {
-    fn drop(&mut self) {
-        put_u64(std::mem::take(&mut self.pairs));
-    }
-}
-
 /// Cluster id of a full hash: its top `bits ≤ 32` (0 when `bits == 0`;
 /// the constant shift first keeps it to one variable shift per row).
 #[inline]
-fn cluster_of(h: u64, bits: u32) -> usize {
+pub(crate) fn cluster_of(h: u64, bits: u32) -> usize {
     ((h >> 32) >> (32 - bits)) as usize
 }
 
 /// Cluster bits up to which [`radix_bits`] fans out (`2^10` write streams
 /// stay within TLB/cache reach of one scatter pass).
-const COUNTING_FREE_MAX_BITS: u32 = 10;
-
-/// Where the pairs of a [`partition_pass`] go. Where a cluster lives is
-/// layout — a padded window of one pooled buffer ([`RadixClusters`]) or
-/// append-only chunks of a spill file ([`crate::spill`]); the pass that
-/// hashes the rows and routes them exists once.
-pub trait PartitionSink {
-    /// Why a pass over this sink ends early (a failed or aborted spill
-    /// write; memory sinks never stop).
-    type Stop;
-
-    /// Append `pair` to `cluster` if `kept`. Calls arrive in ascending row
-    /// order, so appending keeps every cluster stable. A refused pair still
-    /// comes by so that a sink can store it where the next one goes and
-    /// advance by `kept as usize`: a filter's verdict is a coin flip per
-    /// row, and a branch on it mispredicts (measured on a 600k x 150k row
-    /// spilling join at a 70 % match rate: 16.0 ms branching, 12.6 ms not).
-    fn push(&mut self, cluster: usize, pair: u64, kept: bool) -> Result<(), Self::Stop>;
-}
-
-/// The one streaming radix-partition pass: hash every row of `t` on the
-/// fly (a few ALU ops beat materializing — and re-reading — a full-width
-/// hash array), ask `keep` about the hash, and hand the packed `(hash,
-/// pos)` pair with the verdict to the sink's cluster for the hash's top
-/// `bits`. `keep` sees every row's hash exactly once per pass, in row
-/// order; it must answer the same hash the same way every time, because
-/// [`radix_cluster_filtered`] runs a second pass on skewed input.
-#[inline]
-pub fn partition_pass<V: TypedVals, S: PartitionSink>(
-    t: V,
-    bits: u32,
-    mut keep: impl FnMut(u64) -> bool,
-    sink: &mut S,
-) -> Result<(), S::Stop> {
-    assert!(bits <= 16, "radix partition: {bits} cluster bits (max 16)");
-    for i in 0..t.len() {
-        let h = t.hash_one(t.value(i));
-        sink.push(cluster_of(h, bits), pack_pair(h, i), keep(h))?;
-    }
-    Ok(())
-}
-
-/// Memory sink of the first, counting-free pass: cluster `c` owns the
-/// window `c * cap ..` of one buffer. A window that fills up stops taking
-/// pairs but keeps counting, so a skewed pass ends with the exact lengths
-/// the second pass lays out. (Borrowed slices, not owned vectors: the
-/// pass then keeps the base pointers in registers across its stores —
-/// 3.2 vs 2.6 ns/row over 960k rows.)
-struct PaddedSink<'a> {
-    pairs: &'a mut [u64],
-    cap: usize,
-    lens: &'a mut [usize],
-}
-
-impl PartitionSink for PaddedSink<'_> {
-    type Stop = std::convert::Infallible;
-
-    #[inline]
-    fn push(&mut self, c: usize, pair: u64, kept: bool) -> Result<(), Self::Stop> {
-        let len = self.lens[c];
-        if len < self.cap {
-            self.pairs[c * self.cap + len] = pair;
-        }
-        self.lens[c] = len + kept as usize;
-        Ok(())
-    }
-}
-
-/// Memory sink of the second pass over skewed input: exact windows, one
-/// write cursor per cluster.
-struct ExactSink {
-    pairs: Vec<u64>,
-    cursor: Vec<usize>,
-}
-
-impl PartitionSink for ExactSink {
-    type Stop = std::convert::Infallible;
-
-    #[inline]
-    fn push(&mut self, c: usize, pair: u64, kept: bool) -> Result<(), Self::Stop> {
-        if kept {
-            self.pairs[self.cursor[c]] = pair;
-            self.cursor[c] += 1;
-        }
-        Ok(())
-    }
-}
+const MAX_RADIX_BITS: u32 = 10;
 
 /// Rows a cluster's window is padded to so that, `rows` rows hashed over
 /// `2^bits` clusters, essentially none overflows: 1.5x the mean plus slack
@@ -1143,86 +924,9 @@ pub(crate) fn padded_cluster_rows(rows: usize, bits: u32) -> usize {
     }
 }
 
-/// Cluster the rows of `t` whose hash `keep` accepts on the top `bits` of
-/// their hash ([`partition_pass`] into memory).
-///
-/// The first pass is **counting-free**: one scatter into padded
-/// per-cluster windows ([`padded_cluster_rows`]), no histogram.
-/// Hash-distributed inputs essentially never overflow the padding; skewed
-/// ones (a handful of distinct values) do, and pay a second pass into
-/// exact windows sized by the first one's counts — one wasted scatter,
-/// never correctness.
-pub fn radix_cluster_filtered<V: TypedVals>(
-    t: V,
-    bits: u32,
-    mut keep: impl FnMut(u64) -> bool,
-) -> RadixClusters {
-    let nclusters = 1usize << bits;
-    let cap = padded_cluster_rows(t.len(), bits);
-    let mut pairs = take_u64_zeroed(nclusters * cap);
-    let mut lens = vec![0usize; nclusters];
-    let mut padded = PaddedSink { pairs: &mut pairs, cap, lens: &mut lens };
-    let Ok(()) = partition_pass(t, bits, &mut keep, &mut padded);
-    if lens.iter().all(|&l| l <= cap) {
-        let starts: Vec<usize> = (0..nclusters).map(|c| c * cap).collect();
-        let ends = starts.iter().zip(&lens).map(|(s, l)| s + l).collect();
-        return RadixClusters { pairs, starts, ends, bits };
-    }
-    put_u64(pairs);
-    let mut ends = lens;
-    let mut total = 0usize;
-    for e in ends.iter_mut() {
-        total += *e;
-        *e = total;
-    }
-    let starts: Vec<usize> =
-        std::iter::once(0).chain(ends.iter().copied()).take(nclusters).collect();
-    let mut exact = ExactSink { pairs: take_u64_zeroed(total), cursor: starts.clone() };
-    let Ok(()) = partition_pass(t, bits, keep, &mut exact);
-    RadixClusters { pairs: exact.pairs, starts, ends, bits }
-}
-
-/// [`radix_cluster_filtered`] over a precomputed hash slice, keeping every
-/// row (kept as the kernel-level entry point for callers that already hold
-/// bulk hashes).
-pub fn radix_cluster(hashes: &[u64], bits: u32) -> RadixClusters {
-    radix_cluster_filtered(HashSliceVals(hashes), bits, |_| true)
-}
-
-/// Adapter treating a `&[u64]` of precomputed hashes as a [`TypedVals`]
-/// whose elements hash to themselves.
-#[derive(Clone, Copy)]
-struct HashSliceVals<'a>(&'a [u64]);
-
-impl TypedVals for HashSliceVals<'_> {
-    type Elem = u64;
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    #[inline]
-    fn value(&self, i: usize) -> u64 {
-        self.0[i]
-    }
-
-    #[inline]
-    fn hash_one(&self, v: u64) -> u64 {
-        v
-    }
-
-    fn cmp_one(&self, a: u64, b: u64) -> Ordering {
-        a.cmp(&b)
-    }
-
-    fn cmp_atom(&self, _v: u64, _atom: &AtomValue) -> Ordering {
-        unreachable!("hash-slice adapter has no atom comparisons")
-    }
-}
-
 /// Stable ascending sort of packed `u64` pairs by their **high 32 bits**:
 /// LSD byte-radix passes with constant bytes detected from a one-scan
-/// histogram and skipped. The partitioned join uses this to restore
+/// histogram and skipped. The spilling join uses this to restore
 /// left-BUN order over `(left << 32) | right` match pairs with streaming
 /// scatters (256 write runs) instead of one random scatter per match.
 pub fn sort_pairs_by_hi(mut pairs: Vec<u64>) -> Vec<u64> {
@@ -1458,62 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn radix_cluster_is_a_stable_partition() {
-        // Hashes chosen so several values share a cluster; five distinct
-        // values overflow the padded windows, so the last setting takes
-        // the exact second pass.
-        for (distinct, bits) in [(97u64, 0u32), (97, 3), (97, 10), (5, 6)] {
-            let hashes: Vec<u64> = (0..500u64).map(|i| fxhash64(i % distinct)).collect();
-            let rc = radix_cluster(&hashes, bits);
-            assert_eq!(rc.num_clusters(), 1 << bits);
-            // Windows cover every row exactly once (the padded layout may
-            // hold more backing slots than rows).
-            let total: usize = (0..rc.num_clusters()).map(|c| rc.cluster(c).len()).sum();
-            assert_eq!(total, hashes.len());
-            let mut seen = vec![false; hashes.len()];
-            for c in 0..rc.num_clusters() {
-                let range = rc.cluster(c);
-                let mut prev: Option<u32> = None;
-                for k in range {
-                    let p = pair_pos(rc.pairs[k]) as usize;
-                    assert!(!seen[p], "bits {bits}: position {p} clustered twice");
-                    seen[p] = true;
-                    assert_eq!(
-                        pair_hash(rc.pairs[k]),
-                        (hashes[p] >> 32) as u32,
-                        "bits {bits}: retained hash half not parallel"
-                    );
-                    assert_eq!(rc.cluster_of(hashes[p]), c, "bits {bits}: wrong cluster");
-                    // Stability: positions ascend within a cluster.
-                    if let Some(q) = prev {
-                        assert!(q < pair_pos(rc.pairs[k]), "bits {bits}: cluster {c} not stable");
-                    }
-                    prev = Some(pair_pos(rc.pairs[k]));
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "bits {bits}: rows lost");
-        }
-    }
-
-    #[test]
-    fn filtered_clustering_drops_exactly_the_refused_hashes() {
-        // Padded and exact (skewed) layouts alike; `keep` is consulted in
-        // both passes of the latter and must not double-count.
-        for (distinct, bits) in [(97u64, 3u32), (5, 6)] {
-            let hashes: Vec<u64> = (0..500u64).map(|i| fxhash64(i % distinct)).collect();
-            let keep = |h: u64| h & 1 == 0;
-            let rc = radix_cluster_filtered(HashSliceVals(&hashes), bits, keep);
-            let kept: Vec<u32> = (0..rc.num_clusters())
-                .flat_map(|c| rc.pairs[rc.cluster(c)].iter().map(|&p| pair_pos(p)))
-                .collect();
-            let mut sorted = kept.clone();
-            sorted.sort_unstable();
-            let want: Vec<u32> = (0..500u32).filter(|&i| keep(hashes[i as usize])).collect();
-            assert_eq!(sorted, want, "bits {bits}");
-        }
-    }
-
-    #[test]
     fn sort_pairs_by_hi_is_stable_on_low_bits() {
         // Same high key → low halves keep insertion order (they ride along
         // untouched); distinct high keys sort ascending.
@@ -1538,7 +1186,7 @@ mod tests {
         let bits = radix_bits(1 << 20);
         assert!((1 << 20 >> bits) <= RADIX_TARGET_CLUSTER_ROWS);
         // Capped at the counting-free fan-out even for absurd inputs.
-        assert_eq!(radix_bits(usize::MAX), COUNTING_FREE_MAX_BITS);
+        assert_eq!(radix_bits(usize::MAX), MAX_RADIX_BITS);
     }
 
     #[test]

@@ -608,31 +608,6 @@ fn typed_topn_matches_reference_across_types() {
 }
 
 #[test]
-fn partitioned_join_matches_generic_across_types() {
-    let mut rng = StdRng::seed_from_u64(SEED ^ 0x1B);
-    let ctx = ExecCtx::new();
-    for &ty in ALL_TYPES {
-        for case in 0..8 {
-            let n = rng.gen_range(0..40usize);
-            let m = rng.gen_range(0..40usize);
-            let left =
-                Bat::new(random_column(&mut rng, AtomType::Oid, n), random_column(&mut rng, ty, n));
-            let right =
-                Bat::new(random_column(&mut rng, ty, m), random_column(&mut rng, AtomType::Int, m));
-            // Forced partitioned path (the dispatcher only picks it above
-            // the cache threshold); output must be bit-identical to the
-            // generic reference, including pair order.
-            let got = ops::join_partitioned(&ctx, &left, &right).unwrap();
-            assert_eq!(
-                rows_of(&got),
-                rows_of(&reference::join(&left, &right)),
-                "{ty} case {case}: join partitioned"
-            );
-        }
-    }
-}
-
-#[test]
 fn typed_aggregate_matches_generic_across_types() {
     one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x16);
@@ -959,40 +934,35 @@ fn typed_setops_match_generic() {
 }
 
 // ======================================================================
-// Encoded-vs-decoded suite: dict/FOR tails through every kernel.
+// Encoded-vs-decoded suite: dict tails through every kernel.
 // ======================================================================
 
 use monet::props::Enc;
 
-/// Random scalar of `ty` from the alphabets used by [`encoded_pair`]: long
+/// Random string from the alphabet used by [`encoded_pair`]: long
 /// duplicated strings so dictionary encoding's size gate engages (the raw
-/// heap is not deduplicated), narrow numeric ranges so frame-of-reference
-/// always fits a `u8` delta.
-fn encodable_value(rng: &mut StdRng, ty: AtomType) -> AtomValue {
-    match ty {
-        AtomType::Str => AtomValue::str(format!("Clerk#00000000000000000{}", rng.gen_range(0..5))),
-        _ => random_value(rng, ty),
-    }
+/// heap is not deduplicated).
+fn encodable_value(rng: &mut StdRng) -> AtomValue {
+    AtomValue::str(format!("Clerk#00000000000000000{}", rng.gen_range(0..5)))
 }
 
-/// An encoded random column of `ty` plus its raw twin exposing the same
-/// values over the same window — possibly an offset slice into a larger
-/// allocation, so every typed kernel sees `off != 0` encoded views too.
-/// Panics if the fixture fails to encode: the alphabets are sized so the
-/// encoders' size gates always pass, and a silently-raw twin would turn
-/// the whole suite into a vacuous raw-vs-raw comparison.
-fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize) -> (Column, Column) {
+/// A dict-encoded random string column plus its raw twin exposing the
+/// same values over the same window — possibly an offset slice into a
+/// larger allocation, so every typed kernel sees `off != 0` encoded views
+/// too. Panics if the fixture fails to encode: the alphabet is sized so
+/// the encoder's size gate always passes, and a silently-raw twin would
+/// turn the whole suite into a vacuous raw-vs-raw comparison.
+fn encoded_pair(rng: &mut StdRng, n: usize) -> (Column, Column) {
     let (pre, post) = if rng.gen_bool(0.5) {
         (rng.gen_range(0..4usize), rng.gen_range(0..4usize))
     } else {
         (0, 0)
     };
     let total = n + pre + post;
-    let vals: Vec<AtomValue> = (0..total).map(|_| encodable_value(rng, ty)).collect();
-    let raw = Column::from_atoms(ty, vals.into_iter());
+    let vals: Vec<AtomValue> = (0..total).map(|_| encodable_value(rng)).collect();
+    let raw = Column::from_atoms(AtomType::Str, vals);
     let enc = raw.encode();
-    let want = if ty == AtomType::Str { Enc::Dict } else { Enc::For };
-    assert_eq!(enc.encoding(), want, "{ty}: fixture must actually encode");
+    assert_eq!(enc.encoding(), Enc::Dict, "fixture must actually encode");
     (enc.slice(pre, n), raw.slice(pre, n))
 }
 
@@ -1000,99 +970,95 @@ fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize) -> (Column, Column) {
 fn encoded_tail_matches_raw_across_kernels() {
     one_morsel(|ctx, grid| {
         let mut rng = StdRng::seed_from_u64(SEED ^ 0x20);
-        // Dict strings, FOR ints/dates.
-        for ty in [AtomType::Str, AtomType::Int, AtomType::Date] {
-            for case in 0..8 {
-                let n = rng.gen_range(24..64usize);
-                let head = random_column(&mut rng, AtomType::Oid, n);
-                let (et, rt) = encoded_pair(&mut rng, ty, n);
-                let eb = Bat::new(head.clone(), et.clone());
-                let rb = Bat::new(head.clone(), rt.clone());
-                let tag = format!("{ty} case {case} {grid}");
+        for case in 0..8 {
+            let n = rng.gen_range(24..64usize);
+            let head = random_column(&mut rng, AtomType::Oid, n);
+            let (et, rt) = encoded_pair(&mut rng, n);
+            let eb = Bat::new(head.clone(), et.clone());
+            let rb = Bat::new(head.clone(), rt.clone());
+            let tag = format!("case {case} {grid}");
 
-                // Selections: point and range, member and non-member probes.
-                let v = encodable_value(&mut rng, ty);
-                let g = ops::select_eq(&ctx, &eb, &v).unwrap();
-                let e = ops::select_eq(&ctx, &rb, &v).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_eq");
-                assert!(g.validate().is_ok(), "{tag}: select_eq props unsound");
-                let (a, c) = (encodable_value(&mut rng, ty), encodable_value(&mut rng, ty));
-                let (lo, hi) = if a.cmp_same_type(&c).is_le() { (a, c) } else { (c, a) };
-                let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
-                let g = ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), il, ih).unwrap();
-                let e = ops::select_range(&ctx, &rb, Some(&lo), Some(&hi), il, ih).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range");
-                let g = ops::select_range(&ctx, &eb, Some(&lo), None, il, true).unwrap();
-                let e = ops::select_range(&ctx, &rb, Some(&lo), None, il, true).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range one-sided");
-                for (l, h, il, ih) in bound_shapes(&lo, &hi) {
-                    let g = ops::select_range(&ctx, &eb, l, h, il, ih).unwrap();
-                    let e = reference::select_range(&rb, l, h, il, ih);
-                    assert_eq!(
-                        rows_of(&g),
-                        rows_of(&e),
-                        "{tag}: select_range({l:?}, {h:?}, {il}, {ih})"
-                    );
-                }
+            // Selections: point and range, member and non-member probes.
+            let v = encodable_value(&mut rng);
+            let g = ops::select_eq(&ctx, &eb, &v).unwrap();
+            let e = ops::select_eq(&ctx, &rb, &v).unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_eq");
+            assert!(g.validate().is_ok(), "{tag}: select_eq props unsound");
+            let (a, c) = (encodable_value(&mut rng), encodable_value(&mut rng));
+            let (lo, hi) = if a.cmp_same_type(&c).is_le() { (a, c) } else { (c, a) };
+            let (il, ih) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+            let g = ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), il, ih).unwrap();
+            let e = ops::select_range(&ctx, &rb, Some(&lo), Some(&hi), il, ih).unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range");
+            let g = ops::select_range(&ctx, &eb, Some(&lo), None, il, true).unwrap();
+            let e = ops::select_range(&ctx, &rb, Some(&lo), None, il, true).unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: select_range one-sided");
+            for (l, h, il, ih) in bound_shapes(&lo, &hi) {
+                let g = ops::select_range(&ctx, &eb, l, h, il, ih).unwrap();
+                let e = reference::select_range(&rb, l, h, il, ih);
+                assert_eq!(
+                    rows_of(&g),
+                    rows_of(&e),
+                    "{tag}: select_range({l:?}, {h:?}, {il}, {ih})"
+                );
+            }
 
-                // Grouping, uniqueness, ordering.
-                let g = ops::group1(&ctx, &eb).unwrap();
-                let e = ops::group1(&ctx, &rb).unwrap();
-                assert_eq!(canon_gids(g.tail()), canon_gids(e.tail()), "{tag}: group1");
-                let g = ops::unique(&ctx, &eb).unwrap();
-                let e = ops::unique(&ctx, &rb).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: unique");
-                let g = ops::sort_tail(&ctx, &eb).unwrap();
-                let e = ops::sort_tail(&ctx, &rb).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: sort_tail");
-                let k = rng.gen_range(0..n + 2);
-                for desc in [false, true] {
-                    let g = ops::topn(&ctx, &eb, k, desc).unwrap();
-                    let e = ops::topn(&ctx, &rb, k, desc).unwrap();
-                    assert_eq!(rows_of(&g), rows_of(&e), "{tag}: topn({k}, desc={desc})");
-                }
+            // Grouping, uniqueness, ordering.
+            let g = ops::group1(&ctx, &eb).unwrap();
+            let e = ops::group1(&ctx, &rb).unwrap();
+            assert_eq!(canon_gids(g.tail()), canon_gids(e.tail()), "{tag}: group1");
+            let g = ops::unique(&ctx, &eb).unwrap();
+            let e = ops::unique(&ctx, &rb).unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: unique");
+            let g = ops::sort_tail(&ctx, &eb).unwrap();
+            let e = ops::sort_tail(&ctx, &rb).unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: sort_tail");
+            let k = rng.gen_range(0..n + 2);
+            for desc in [false, true] {
+                let g = ops::topn(&ctx, &eb, k, desc).unwrap();
+                let e = ops::topn(&ctx, &rb, k, desc).unwrap();
+                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: topn({k}, desc={desc})");
+            }
 
-                // Joins: encoded left tail against an encoded right head, raw
-                // twin against the raw twin; pair order must match exactly.
-                let m = (n / 2).max(1);
-                let rtail = random_column(&mut rng, AtomType::Int, m);
-                let g = ops::join(&ctx, &eb, &Bat::new(et.slice(0, m), rtail.clone())).unwrap();
-                let e = ops::join(&ctx, &rb, &Bat::new(rt.slice(0, m), rtail.clone())).unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: join");
-                let g = ops::semijoin(
-                    &ctx,
-                    &Bat::new(et.clone(), head.clone()),
-                    &Bat::new(et.slice(0, m), rtail.clone()),
-                )
-                .unwrap();
-                let e = ops::semijoin(
-                    &ctx,
-                    &Bat::new(rt.clone(), head.clone()),
-                    &Bat::new(rt.slice(0, m), rtail.clone()),
-                )
-                .unwrap();
-                assert_eq!(rows_of(&g), rows_of(&e), "{tag}: semijoin encoded heads");
+            // Joins: encoded left tail against an encoded right head, raw
+            // twin against the raw twin; pair order must match exactly.
+            let m = (n / 2).max(1);
+            let rtail = random_column(&mut rng, AtomType::Int, m);
+            let g = ops::join(&ctx, &eb, &Bat::new(et.slice(0, m), rtail.clone())).unwrap();
+            let e = ops::join(&ctx, &rb, &Bat::new(rt.slice(0, m), rtail.clone())).unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: join");
+            let g = ops::semijoin(
+                &ctx,
+                &Bat::new(et.clone(), head.clone()),
+                &Bat::new(et.slice(0, m), rtail.clone()),
+            )
+            .unwrap();
+            let e = ops::semijoin(
+                &ctx,
+                &Bat::new(rt.clone(), head.clone()),
+                &Bat::new(rt.slice(0, m), rtail.clone()),
+            )
+            .unwrap();
+            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: semijoin encoded heads");
 
-                // Aggregates: both shapes must agree value-for-value, including
-                // on which inputs are type errors.
-                for f in
-                    [ops::AggFunc::Count, ops::AggFunc::Sum, ops::AggFunc::Min, ops::AggFunc::Avg]
-                {
-                    match (ops::set_aggregate(&ctx, f, &eb), ops::set_aggregate(&ctx, f, &rb)) {
-                        (Ok(g), Ok(e)) => {
-                            assert_eq!(rows_of(&g), rows_of(&e), "{tag}: {{{}}}", f.name())
-                        }
-                        (Err(_), Err(_)) => {}
-                        (g, e) => {
-                            panic!("{tag}: {{{}}} disagree on error: {g:?} vs {e:?}", f.name())
-                        }
+            // Aggregates: both shapes must agree value-for-value, including
+            // on which inputs are type errors.
+            for f in [ops::AggFunc::Count, ops::AggFunc::Sum, ops::AggFunc::Min, ops::AggFunc::Avg]
+            {
+                match (ops::set_aggregate(&ctx, f, &eb), ops::set_aggregate(&ctx, f, &rb)) {
+                    (Ok(g), Ok(e)) => {
+                        assert_eq!(rows_of(&g), rows_of(&e), "{tag}: {{{}}}", f.name())
                     }
-                    match (ops::aggr_scalar(&ctx, &eb, f), ops::aggr_scalar(&ctx, &rb, f)) {
-                        (Ok(g), Ok(e)) => assert_eq!(g, e, "{tag}: scalar {}", f.name()),
-                        (Err(_), Err(_)) => {}
-                        (g, e) => {
-                            panic!("{tag}: scalar {} disagree on error: {g:?} vs {e:?}", f.name())
-                        }
+                    (Err(_), Err(_)) => {}
+                    (g, e) => {
+                        panic!("{tag}: {{{}}} disagree on error: {g:?} vs {e:?}", f.name())
+                    }
+                }
+                match (ops::aggr_scalar(&ctx, &eb, f), ops::aggr_scalar(&ctx, &rb, f)) {
+                    (Ok(g), Ok(e)) => assert_eq!(g, e, "{tag}: scalar {}", f.name()),
+                    (Err(_), Err(_)) => {}
+                    (g, e) => {
+                        panic!("{tag}: scalar {} disagree on error: {g:?} vs {e:?}", f.name())
                     }
                 }
             }
@@ -1108,28 +1074,8 @@ fn encoded_multiplex_matches_raw() {
     for case in 0..12 {
         let n = rng.gen_range(24..64usize);
         let head = random_column(&mut rng, AtomType::Oid, n);
-        // FOR-encoded ints through the arithmetic fast paths.
-        let (et, rt) = encoded_pair(&mut rng, AtomType::Int, n);
-        let k = MultArg::Const(AtomValue::Int(rng.gen_range(-8..8)));
-        for f in [F::Add, F::Mul, F::Eq, F::Lt] {
-            let g = ops::multiplex(
-                &ctx,
-                f,
-                &[MultArg::Bat(Bat::new(head.clone(), et.clone())), k.clone()],
-            );
-            let e = ops::multiplex(
-                &ctx,
-                f,
-                &[MultArg::Bat(Bat::new(head.clone(), rt.clone())), k.clone()],
-            );
-            assert_eq!(
-                rows_of(&g.unwrap()),
-                rows_of(&e.unwrap()),
-                "case {case}: [{f:?}] over FOR int"
-            );
-        }
         // Dict strings through the per-dictionary-entry predicate path.
-        let (et, rt) = encoded_pair(&mut rng, AtomType::Str, n);
+        let (et, rt) = encoded_pair(&mut rng, n);
         for (f, pat) in
             [(F::StrPrefix, "Clerk#"), (F::StrContains, "0000002"), (F::StrPrefix, "zz")]
         {
@@ -1497,24 +1443,22 @@ fn positional_semijoin_addresses_a_dense_head_and_hands_the_selection_head_on() 
         check(&selection_of(vec![lo + 5_000_000, lo + 1]), "hash", "sparse");
     }
 
-    // Encoded tails (dictionary, frame-of-reference) gather by the same
-    // positions as their raw twins.
-    for ty in [AtomType::Str, AtomType::Int] {
-        for case in 0..6 {
-            let n = rng.gen_range(24..64usize);
-            let (et, rt) = encoded_pair(&mut rng, ty, n);
-            let head = Column::void(100, n);
-            let (eb, rb) = (Bat::new(head.clone(), et), Bat::new(head, rt));
-            let mut oids = shuffled_oids(&mut rng, 98, n as u64 + 4, n / 2);
-            oids.sort_unstable();
-            let sel = selection_of(oids);
-            let got = ops::semijoin(&ctx, &eb, &sel).unwrap();
-            assert_eq!(last_algo(&ctx), "positional", "{ty} case {case}");
-            let want = ops::semijoin(&ctx, &rb, &sel).unwrap();
-            assert_eq!(rows_of(&got), rows_of(&want), "{ty} case {case}");
-            assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&rb, &sel)));
-            assert!(got.validate().is_ok(), "{ty} case {case}: props unsound");
-        }
+    // Dictionary-encoded tails gather by the same positions as their raw
+    // twins.
+    for case in 0..6 {
+        let n = rng.gen_range(24..64usize);
+        let (et, rt) = encoded_pair(&mut rng, n);
+        let head = Column::void(100, n);
+        let (eb, rb) = (Bat::new(head.clone(), et), Bat::new(head, rt));
+        let mut oids = shuffled_oids(&mut rng, 98, n as u64 + 4, n / 2);
+        oids.sort_unstable();
+        let sel = selection_of(oids);
+        let got = ops::semijoin(&ctx, &eb, &sel).unwrap();
+        assert_eq!(last_algo(&ctx), "positional", "case {case}");
+        let want = ops::semijoin(&ctx, &rb, &sel).unwrap();
+        assert_eq!(rows_of(&got), rows_of(&want), "case {case}");
+        assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&rb, &sel)));
+        assert!(got.validate().is_ok(), "case {case}: props unsound");
     }
 }
 
@@ -1659,7 +1603,7 @@ fn sync_join_matches_reference_and_fires_only_on_one_key_column() {
 
 /// Integer-coded fixtures for the direct/packed grouping arms: every
 /// fixed-width integer type with negative values where it has them, plus
-/// dictionary- and frame-of-reference-encoded (int, date) tails. `wide`
+/// a dictionary-encoded tail. `wide`
 /// spreads two of the values far apart, so the span misses the
 /// compact-domain gate.
 fn coded_column(rng: &mut StdRng, kind: usize, n: usize, wide: bool) -> Column {
@@ -1683,24 +1627,11 @@ fn coded_column(rng: &mut StdRng, kind: usize, n: usize, wide: bool) -> Column {
             assert_eq!(c.encoding(), Enc::Dict);
             c
         }
-        7 | 8 => {
-            // Frame of reference, negative base; `wide` needs u16 deltas.
-            let step = if wide { 9_000 } else { 1 };
-            let vals = (0..n).map(|_| pick(rng) as i32 * step - 40_000);
-            let raw = if kind == 7 {
-                Column::from_ints(vals.collect())
-            } else {
-                Column::from_date_days(vals.collect())
-            };
-            let c = raw.encode();
-            assert_eq!(c.encoding(), Enc::For);
-            c
-        }
         _ => unreachable!(),
     }
 }
 
-const CODED_KINDS: usize = 9;
+const CODED_KINDS: usize = 7;
 
 /// Key span of an (unsorted) integer-coded column, as the kernels see it.
 fn span_of(col: &Column) -> usize {

@@ -173,9 +173,9 @@ pub fn try_load_bats(data: &TpcdData) -> crate::error::Result<(Catalog, LoadRepo
     load_bats_with(data, monet::config::EngineConfig::from_env().enc)
 }
 
-/// [`try_load_bats`] with the layout decision explicit: `enc` builds the
-/// encoded layouts (dict/FOR where they shrink a column), `!enc`
-/// keeps the raw bulk-loaded columns byte for byte.
+/// [`try_load_bats`] with the layout decision explicit: `enc`
+/// dictionary-codes the string columns it shrinks (every other column
+/// stays raw), `!enc` keeps the raw bulk-loaded columns byte for byte.
 pub fn load_bats_with(data: &TpcdData, enc: bool) -> crate::error::Result<(Catalog, LoadReport)> {
     validate(data)?;
     Ok(load_bats_unchecked(data, enc))
@@ -481,9 +481,10 @@ fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
         for (attr, tail, accel) in &cb.attrs {
             // Encoded layouts are a load-time decision (`!enc` keeps the
             // raw Phase-1 columns byte for byte — the encodings-off
-            // oracle). `encode()` picks dict/FOR only where it
-            // shrinks the column; the Phase-3 reorder gathers
-            // codes/deltas, so the sorted attribute BATs stay encoded.
+            // oracle). `encode()` dictionary-codes a string column only
+            // where that shrinks it, and leaves int/date columns raw; the
+            // Phase-3 reorder gathers codes, so the sorted attribute BATs
+            // stay encoded.
             let tail = if enc { tail.encode() } else { tail.clone() };
             let dv = if *accel {
                 report.dv_bytes += tail.bytes();

@@ -76,9 +76,8 @@ fn sweep_points(n: u64, full: bool) -> Vec<u64> {
 fn fault_sweep_over_query_mix() {
     let w = world();
     // The world loads with encoded layouts on (the default), so this sweep
-    // governs the encoded-path probe sites too: dict-code selects,
-    // code groupings, and FOR scans all sit behind the same `op/*` probes the
-    // injector counts. With `FLATALG_ENC=0` in the environment the same
+    // governs the encoded-path probe sites too: dict-code selects and code
+    // groupings sit behind the same `op/*` probes the injector counts. With `FLATALG_ENC=0` in the environment the same
     // sweep covers the raw paths instead.
     if EngineConfig::from_env().enc {
         assert_eq!(

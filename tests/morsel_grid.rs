@@ -319,83 +319,74 @@ fn nest_aggregate_tail_takes_its_arms_and_sums_on_the_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// encoded operands: dict / FOR tails equal their raw twins — the morsel
-// windows cut narrow dict codes and FOR deltas exactly like raw ones.
+// encoded operands: dict tails equal their raw twins — the morsel windows
+// cut narrow dict codes exactly like raw ones.
 // ---------------------------------------------------------------------------
 
-fn encodable_value(rng: &mut StdRng, ty: AtomType) -> AtomValue {
-    match ty {
-        // Long, heavily duplicated strings: the dict size gate must pass
-        // even though `from_atoms` does not deduplicate its heap.
-        AtomType::Str => AtomValue::str(format!("Clerk#00000000000000000{}", rng.gen_range(0..5))),
-        _ => random_value(rng, ty),
-    }
+/// Long, heavily duplicated strings: the dict size gate must pass even
+/// though `from_atoms` does not deduplicate its heap.
+fn encodable_value(rng: &mut StdRng) -> AtomValue {
+    AtomValue::str(format!("Clerk#00000000000000000{}", rng.gen_range(0..5)))
 }
 
-/// An encoded random column of `ty` plus its raw twin exposing the same
-/// values over the same window, often as an `off != 0` slice. Panics if
-/// the fixture fails to encode — a silently-raw twin would make the sweep
-/// a vacuous raw-vs-raw comparison.
-fn encoded_pair(rng: &mut StdRng, ty: AtomType, n: usize) -> (Column, Column) {
+/// A dict-encoded random string column plus its raw twin exposing the
+/// same values over the same window, often as an `off != 0` slice. Panics
+/// if the fixture fails to encode — a silently-raw twin would make the
+/// sweep a vacuous raw-vs-raw comparison.
+fn encoded_pair(rng: &mut StdRng, n: usize) -> (Column, Column) {
     let (pre, post) = if rng.gen_bool(0.5) {
         (rng.gen_range(0..7usize), rng.gen_range(0..7usize))
     } else {
         (0, 0)
     };
     let total = n + pre + post;
-    let vals: Vec<AtomValue> = (0..total).map(|_| encodable_value(rng, ty)).collect();
-    let raw = Column::from_atoms(ty, vals);
+    let vals: Vec<AtomValue> = (0..total).map(|_| encodable_value(rng)).collect();
+    let raw = Column::from_atoms(AtomType::Str, vals);
     let enc = raw.encode();
-    let want = if ty == AtomType::Str { Enc::Dict } else { Enc::For };
-    assert_eq!(enc.encoding(), want, "{ty}: fixture must actually encode");
+    assert_eq!(enc.encoding(), Enc::Dict, "fixture must actually encode");
     (enc.slice(pre, n), raw.slice(pre, n))
 }
 
 #[test]
 fn encoded_kernels_match_raw_across_morsels() {
     let mut rng = StdRng::seed_from_u64(SEED ^ 9);
-    // Dict strings, FOR ints/dates.
-    for ty in [AtomType::Str, AtomType::Int, AtomType::Date] {
-        let n = grid_rows(&mut rng);
-        let (enc, raw) = encoded_pair(&mut rng, ty, n);
-        let head = Column::from_oids((0..n as u64).collect());
-        let eb = Bat::new(head.clone(), enc);
-        let rb = Bat::new(head, raw);
-        let tag = format!("{ty} n={n}");
+    let n = grid_rows(&mut rng);
+    let (enc, raw) = encoded_pair(&mut rng, n);
+    let head = Column::from_oids((0..n as u64).collect());
+    let eb = Bat::new(head.clone(), enc);
+    let rb = Bat::new(head, raw);
+    let tag = format!("str n={n}");
 
-        // Probes drawn from the fixture alphabet (plus one miss value).
-        let v = encodable_value(&mut rng, ty);
-        let (a2, c2) = (encodable_value(&mut rng, ty), encodable_value(&mut rng, ty));
-        let (lo, hi) = if a2.cmp_same_type(&c2).is_le() { (a2, c2) } else { (c2, a2) };
+    // Probes drawn from the fixture alphabet (plus one miss value).
+    let v = encodable_value(&mut rng);
+    let (a2, c2) = (encodable_value(&mut rng), encodable_value(&mut rng));
+    let (lo, hi) = if a2.cmp_same_type(&c2).is_le() { (a2, c2) } else { (c2, a2) };
 
-        // The generic reference over the RAW twin is the ground truth.
-        let ctx = ctx();
-        let got = ops::select_eq(&ctx, &eb, &v).unwrap();
-        assert_eq!(rows_of(&got), rows_of(&reference::select_eq(&rb, &v)), "{tag}: eq");
-        let got = ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap();
-        let want = reference::select_range(&rb, Some(&lo), Some(&hi), true, false);
-        assert_eq!(rows_of(&got), rows_of(&want), "{tag}: range");
-        let got = ops::select_range(&ctx, &eb, Some(&v), None, false, true).unwrap();
-        let want = reference::select_range(&rb, Some(&v), None, false, true);
-        assert_eq!(rows_of(&got), rows_of(&want), "{tag}: open range");
-        // (The reference dedup is quadratic in distinct pairs; the raw
-        // kernel stands in for it at this size.)
-        let got = ops::unique(&ctx, &eb).unwrap();
-        assert_eq!(rows_of(&got), rows_of(&ops::unique(&ctx, &rb).unwrap()), "{tag}: unique");
-        let got = ops::group1(&ctx, &eb).unwrap();
-        assert_eq!(canon_gids(got.tail()), reference::group1_gids(&rb), "{tag}: group1");
+    // The generic reference over the RAW twin is the ground truth.
+    let ctx = ctx();
+    let got = ops::select_eq(&ctx, &eb, &v).unwrap();
+    assert_eq!(rows_of(&got), rows_of(&reference::select_eq(&rb, &v)), "{tag}: eq");
+    let got = ops::select_range(&ctx, &eb, Some(&lo), Some(&hi), true, false).unwrap();
+    let want = reference::select_range(&rb, Some(&lo), Some(&hi), true, false);
+    assert_eq!(rows_of(&got), rows_of(&want), "{tag}: range");
+    let got = ops::select_range(&ctx, &eb, Some(&v), None, false, true).unwrap();
+    let want = reference::select_range(&rb, Some(&v), None, false, true);
+    assert_eq!(rows_of(&got), rows_of(&want), "{tag}: open range");
+    // (The reference dedup is quadratic in distinct pairs; the raw
+    // kernel stands in for it at this size.)
+    let got = ops::unique(&ctx, &eb).unwrap();
+    assert_eq!(rows_of(&got), rows_of(&ops::unique(&ctx, &rb).unwrap()), "{tag}: unique");
+    let got = ops::group1(&ctx, &eb).unwrap();
+    assert_eq!(canon_gids(got.tail()), reference::group1_gids(&rb), "{tag}: group1");
 
-        // Dict-specific broadcast: StrPrefix evaluates once per
-        // dictionary entry, then fans out through the narrow codes.
-        if ty == AtomType::Str {
-            let prefix = MultArg::Const(AtomValue::str("Clerk#000"));
-            let args = vec![MultArg::Bat(eb.clone()), prefix.clone()];
-            let raw_args = vec![MultArg::Bat(rb.clone()), prefix];
-            let got = ops::multiplex(&ctx, F::StrPrefix, &args).unwrap();
-            let want = reference::multiplex_synced(F::StrPrefix, &raw_args).unwrap();
-            assert_eq!(rows_of(&got), rows_of(&want), "{tag}: prefix");
-        }
-    }
+    // Dict-specific broadcast: StrPrefix evaluates once per dictionary
+    // entry, then fans out through the narrow codes.
+    let prefix = MultArg::Const(AtomValue::str("Clerk#000"));
+    let args = vec![MultArg::Bat(eb.clone()), prefix.clone()];
+    let raw_args = vec![MultArg::Bat(rb.clone()), prefix];
+    let got = ops::multiplex(&ctx, F::StrPrefix, &args).unwrap();
+    let want = reference::multiplex_synced(F::StrPrefix, &raw_args).unwrap();
+    assert_eq!(rows_of(&got), rows_of(&want), "{tag}: prefix");
 }
 
 // ---------------------------------------------------------------------------

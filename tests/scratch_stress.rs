@@ -326,7 +326,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
     for &k in &[1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {
         let ctx = default_ctx();
         ctx.gov.arm_fault("*", k);
-        let r = ops::join_partitioned(&ctx, &left, &right)
+        let r = ops::join(&ctx, &left, &right)
             .and_then(|_| ops::group1(&ctx, &groups))
             .and_then(|_| ops::aggr_scalar(&ctx, &left, ops::AggFunc::Sum))
             .and_then(|_| oid_keyed(&ctx).map(|_| ()));
@@ -336,7 +336,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
             Ok(()) => {} // k past the chain's last probe: ran clean
         }
         // Whatever happened, the context is reusable and correct.
-        let j = ops::join_partitioned(&ctx, &left, &right).unwrap();
+        let j = ops::join(&ctx, &left, &right).unwrap();
         assert_eq!(j.iter().collect::<Vec<_>>(), oracle, "k={k}: retry diverged");
         // The same fault through the nest + aggregate tail.
         let ctx = default_ctx();

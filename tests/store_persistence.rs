@@ -64,14 +64,27 @@ fn corruptible_copy(tag: &str) -> std::path::PathBuf {
     dst
 }
 
-fn a_column_file(dir: &std::path::Path) -> std::path::PathBuf {
+fn column_files(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
     let mut cols: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.file_name().unwrap().to_str().unwrap().starts_with("col-"))
         .collect();
     cols.sort();
-    cols.into_iter().next().expect("store has column files")
+    cols
+}
+
+fn a_column_file(dir: &std::path::Path) -> std::path::PathBuf {
+    column_files(dir).into_iter().next().expect("store has column files")
+}
+
+/// The first column file of an `int` or `date` column (header atom byte 4
+/// or 8).
+fn an_int_or_date_column_file(dir: &std::path::Path) -> std::path::PathBuf {
+    column_files(dir)
+        .into_iter()
+        .find(|p| matches!(std::fs::read(p).unwrap()[12], 4 | 8))
+        .expect("store has an int or date column")
 }
 
 fn open_err(dir: &std::path::Path, verify_data: bool) -> MonetError {
@@ -151,11 +164,13 @@ fn version_mismatch_is_rejected_before_anything_else() {
 fn mangled_layout_descriptor_is_rejected_even_with_a_valid_checksum() {
     // An attacker-grade corruption: change the layout byte *and* restamp
     // the header checksum, so only the descriptor-consistency validation
-    // can catch it. 99 was never a layout; 4 is the retired RLE tag, which
-    // no writer produces and no reader accepts.
-    for layout in [99u8, 4] {
+    // can catch it. 99 was never a layout; 4 is the RLE tag, which no
+    // writer ever produced; 3 is the frame-of-reference tag that version 1
+    // wrote for int/date columns and version 2 retired — set on an int or
+    // date column, it is the descriptor a version-1 writer produced.
+    for layout in [99u8, 4, 3] {
         let dir = corruptible_copy(&format!("layout-{layout}"));
-        let col = a_column_file(&dir);
+        let col = if layout == 3 { an_int_or_date_column_file(&dir) } else { a_column_file(&dir) };
         let mut bytes = std::fs::read(&col).unwrap();
         bytes[13] = layout;
         bytes[48..56].fill(0);
