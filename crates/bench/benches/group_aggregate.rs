@@ -1,12 +1,12 @@
-//! Grouping and set-aggregation: the nest/groupby machinery (merge vs.
-//! hash variants, unary vs. refining binary group, `{sum}` vs `{avg}`).
+//! Grouping and set-aggregation: the nest/groupby machinery (direct vs.
+//! memoized head groupings, unary vs. refining binary group, `{sum}` vs
+//! `{avg}`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use monet::bat::Bat;
 use monet::column::Column;
 use monet::ctx::ExecCtx;
 use monet::ops;
-use monet::props::{ColProps, Props};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,15 +19,6 @@ fn bench_group(c: &mut Criterion) {
     let head = Column::from_oids((0..N as u64).collect());
     let unsorted_keys =
         Bat::new(head.clone(), Column::from_oids((0..N).map(|_| r.gen_range(0..GROUPS)).collect()));
-    let sorted_keys = {
-        let mut keys: Vec<u64> = (0..N).map(|_| r.gen_range(0..GROUPS)).collect();
-        keys.sort_unstable();
-        Bat::with_props(
-            head.clone(),
-            Column::from_oids(keys),
-            Props::new(ColProps::DENSE, ColProps::SORTED),
-        )
-    };
     let second = Bat::new(
         head.clone(),
         Column::from_chrs((0..N).map(|_| r.gen_range(b'A'..=b'E')).collect()),
@@ -44,9 +35,6 @@ fn bench_group(c: &mut Criterion) {
 
     // Compact oid keys: the slot-table arm.
     g.bench_function("group1/direct", |b| b.iter(|| ops::group1(&ctx, &unsorted_keys).unwrap()));
-    g.bench_function("group1/merge (sorted tail)", |b| {
-        b.iter(|| ops::group1(&ctx, &sorted_keys).unwrap())
-    });
     g.bench_function("group2/refine (synced)", |b| {
         let g1 = ops::group1(&ctx, &unsorted_keys).unwrap();
         let second_synced = Bat::new(g1.head().clone(), second.tail().clone());
@@ -62,15 +50,6 @@ fn bench_group(c: &mut Criterion) {
     });
     g.bench_function("{sum}/memo-heads", |b| {
         b.iter(|| ops::set_aggregate(&ctx, ops::AggFunc::Sum, &grouped_vals).unwrap())
-    });
-    g.bench_function("{sum}/merge-heads (sorted)", |b| {
-        let perm = grouped_vals.head().sort_perm();
-        let sorted = Bat::with_props(
-            grouped_vals.head().gather(&perm),
-            grouped_vals.tail().gather(&perm),
-            Props::new(ColProps::SORTED, ColProps::NONE),
-        );
-        b.iter(|| ops::set_aggregate(&ExecCtx::new(), ops::AggFunc::Sum, &sorted).unwrap())
     });
     g.finish();
 }

@@ -1,4 +1,4 @@
-//! The Section 5.2 ablation: datavector semijoin vs. hash vs. merge, and
+//! The Section 5.2 ablation: datavector semijoin vs. hash, and
 //! the memoized-LOOKUP effect — the first datavector semijoin "blazes the
 //! trail", subsequent ones fetch positionally ("it reduces the cost of
 //! multiple semijoins by more than half", Section 6.2.1).
@@ -61,12 +61,6 @@ fn bench_semijoin(c: &mut Criterion) {
         // been blazed" case of Figure 10 lines 10-11.
         let _ = ops::semijoin(&ctx, &with_dv, &sel).unwrap();
         b.iter(|| ops::semijoin(&ctx, &with_dv, &sel).unwrap())
-    });
-    g.bench_function("merge (both sorted)", |b| {
-        let perm = plain.head().sort_perm();
-        let head_sorted =
-            Bat::with_inferred_props(plain.head().gather(&perm), plain.tail().gather(&perm));
-        b.iter(|| ops::semijoin(&ctx, &head_sorted, &sel).unwrap())
     });
     g.finish();
 }

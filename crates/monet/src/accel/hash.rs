@@ -13,7 +13,8 @@ const EMPTY: u32 = u32::MAX;
 /// Bucket-chained hash index: `buckets[h & mask]` holds the first position
 /// of the chain, `next[pos]` the following one. Collisions are resolved by
 /// the caller re-checking value equality (hashes of equal values are equal;
-/// distinct values may share a bucket).
+/// distinct values may share a bucket). Chains run in ascending position,
+/// so the first match a probe finds is the value's first row.
 #[derive(Debug)]
 pub struct HashIndex {
     mask: u64,
@@ -23,7 +24,8 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Build over all values of the column window. One typed dispatch, then
-    /// a monomorphic hash-and-chain loop.
+    /// a monomorphic hash-and-chain loop, last row first: each insert goes
+    /// to the chain's front, so the chains come out ascending.
     pub fn build(col: &Column) -> HashIndex {
         let n = col.len();
         let nbuckets = (n.max(1) * 2).next_power_of_two();
@@ -31,7 +33,7 @@ impl HashIndex {
         let mut buckets = vec![EMPTY; nbuckets];
         let mut next = vec![EMPTY; n];
         crate::for_each_typed!(col, |t| {
-            for i in 0..n {
+            for i in (0..n).rev() {
                 let b = (t.hash_one(t.value(i)) & mask) as usize;
                 next[i] = buckets[b];
                 buckets[b] = i as u32;
@@ -41,7 +43,7 @@ impl HashIndex {
     }
 
     /// Iterate candidate positions whose values hash into the same bucket
-    /// as `hash` (most recently inserted first).
+    /// as `hash`, in ascending position.
     pub fn candidates(&self, hash: u64) -> Candidates<'_> {
         Candidates { next: &self.next, cur: self.buckets[(hash & self.mask) as usize] }
     }
@@ -80,8 +82,7 @@ mod tests {
         let col = Column::from_ints(vec![5, 7, 5, 9, 5]);
         let idx = HashIndex::build(&col);
         let h = col.hash_at(0);
-        let mut hits: Vec<usize> = idx.candidates(h).filter(|&p| col.int_at(p) == 5).collect();
-        hits.sort_unstable();
+        let hits: Vec<usize> = idx.candidates(h).filter(|&p| col.int_at(p) == 5).collect();
         assert_eq!(hits, vec![0, 2, 4]);
     }
 
@@ -100,9 +101,8 @@ mod tests {
         let col = Column::from_strs(["x", "y", "x", "z"]);
         let idx = HashIndex::build(&col);
         let probe = Column::from_strs(["x"]);
-        let mut hits: Vec<usize> =
+        let hits: Vec<usize> =
             idx.candidates(probe.hash_at(0)).filter(|&p| col.eq_at(p, &probe, 0)).collect();
-        hits.sort_unstable();
         assert_eq!(hits, vec![0, 2]);
     }
 

@@ -638,89 +638,12 @@ impl Column {
         }
     }
 
-    /// Typed concatenation of two columns holding the same atom type.
-    /// `void` and `oid` operands combine into a materialized oid column;
-    /// genuinely mixed types panic (operators type-check first).
-    pub fn concat(a: &Column, b: &Column) -> Column {
-        use ColumnVals::*;
-        if a.encoding() != Enc::None || b.encoding() != Enc::None {
-            if let Some(c) = dict_splice(&[a.clone(), b.clone()], a.len + b.len) {
-                return c;
-            }
-            return Column::concat(&a.decoded(), &b.decoded());
-        }
-        fn win<T: Clone>(v: &[T], off: usize, len: usize) -> &[T] {
-            &v[off..off + len]
-        }
-        match (&a.vals, &b.vals) {
-            (Bool(x), Bool(y)) => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                out.extend_from_slice(win(x, a.off, a.len));
-                out.extend_from_slice(win(y, b.off, b.len));
-                Column::from_bools(out)
-            }
-            (Chr(x), Chr(y)) => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                out.extend_from_slice(win(x, a.off, a.len));
-                out.extend_from_slice(win(y, b.off, b.len));
-                Column::from_chrs(out)
-            }
-            (Int(x), Int(y)) => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                out.extend_from_slice(win(x, a.off, a.len));
-                out.extend_from_slice(win(y, b.off, b.len));
-                Column::from_ints(out)
-            }
-            (Lng(x), Lng(y)) => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                out.extend_from_slice(win(x, a.off, a.len));
-                out.extend_from_slice(win(y, b.off, b.len));
-                Column::from_lngs(out)
-            }
-            (Dbl(x), Dbl(y)) => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                out.extend_from_slice(win(x, a.off, a.len));
-                out.extend_from_slice(win(y, b.off, b.len));
-                Column::from_dbls(out)
-            }
-            (Date(x), Date(y)) => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                out.extend_from_slice(win(x, a.off, a.len));
-                out.extend_from_slice(win(y, b.off, b.len));
-                Column::from_date_days(out)
-            }
-            (Str(_), Str(_)) => {
-                let (av, bv) = (a.as_strvec().unwrap(), b.as_strvec().unwrap());
-                let mut builder = StrHeapBuilder::with_capacity(
-                    a.len + b.len,
-                    (av.heap_bytes() + bv.heap_bytes()) / (a.len + b.len).max(1),
-                );
-                for i in 0..a.len {
-                    builder.push(av.get(i));
-                }
-                for i in 0..b.len {
-                    builder.push(bv.get(i));
-                }
-                Column::from_strvec(builder.finish())
-            }
-            _ if a.is_oidlike() && b.is_oidlike() => {
-                let mut out = Vec::with_capacity(a.len + b.len);
-                for i in 0..a.len {
-                    out.push(a.oid_at(i));
-                }
-                for i in 0..b.len {
-                    out.push(b.oid_at(i));
-                }
-                Column::from_oids(out)
-            }
-            _ => panic!("concat on mixed column types {} vs {}", a.atom_type(), b.atom_type()),
-        }
-    }
-
     /// Concatenate many same-typed columns in order with a single output
-    /// allocation (pairwise [`Column::concat`] would re-copy the prefix for
-    /// every part). This is how the scan-shaped operators stitch their
-    /// per-morsel output columns back together, in morsel order.
+    /// allocation. `void` and `oid` parts combine into a materialized oid
+    /// column; genuinely mixed types panic (operators type-check first).
+    /// This is how the scan-shaped operators stitch their per-morsel output
+    /// columns back together, in morsel order, and how `union` and
+    /// `concat` join their two operands.
     pub fn concat_all(parts: &[Column]) -> Column {
         use ColumnVals::*;
         let total: usize = parts.iter().map(Column::len).sum();
@@ -1460,11 +1383,11 @@ mod tests {
             assert_eq!(c.str_at(i), a_vals[i], "row {i}: first part corrupted");
             assert_eq!(c.str_at(64 + i), b_vals[i], "row {}: second part corrupted", 64 + i);
         }
-        // Pairwise concat takes the same guard.
-        let c2 = Column::concat(&a, &b);
+        // Two parts in the other order take the same guard.
+        let c2 = Column::concat_all(&[b.clone(), a.clone()]);
         assert_eq!(c2.len(), 128);
-        assert_eq!(c2.str_at(0), a_vals[0]);
-        assert_eq!(c2.str_at(127), b_vals[63]);
+        assert_eq!(c2.str_at(0), b_vals[0]);
+        assert_eq!(c2.str_at(127), a_vals[63]);
 
         // Windows of ONE encode call share storage: the splice fast path
         // applies and the result stays dict-encoded.

@@ -210,9 +210,8 @@ fn float_partials<A: Clone>(
 
 /// The set-aggregate constructor `{g}(AB)`: one result BUN per distinct
 /// head value, in first-occurrence order. The head grouping comes from the
-/// execution's memo when an earlier `{g}` already derived it (`memo`), from
-/// streaming runs when the head is sorted (`merge`), and from
-/// [`super::group::hash_group_column`] otherwise.
+/// execution's memo when an earlier `{g}` already derived it (`memo`), and
+/// from [`super::group::hash_group_column`] otherwise.
 pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/set-aggregate")?;
     if let Some(p) = ctx.pager.as_deref() {
@@ -238,25 +237,8 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
             if let Some(p) = ctx.pager.as_deref() {
                 pager::touch_scan(p, h);
             }
-            let (gid_of, rep, algo) = if ab.props().head.sorted {
-                crate::for_each_typed!(h, |hv| {
-                    let mut gid_of: Vec<u32> = Vec::with_capacity(n);
-                    let mut rep: Vec<u32> = Vec::new();
-                    let mut g: u32 = 0;
-                    for i in 0..n {
-                        if i > 0 && !hv.eq_one(hv.value(i), hv.value(i - 1)) {
-                            g += 1;
-                        }
-                        if rep.len() == g as usize {
-                            rep.push(i as u32);
-                        }
-                        gid_of.push(g);
-                    }
-                    (gid_of, rep, "merge")
-                })
-            } else {
-                super::group::hash_group_column(ctx, h)?
-            };
+            let (gid_of, rep, algo) =
+                super::group::hash_group_column(ctx, h, ab.props().head.sorted)?;
             let g = Grouping { gid_of: Arc::new(gid_of), reps: Arc::new(rep) };
             ctx.memo_insert(key, Memoized::Grouping(g.clone()));
             (g, algo)
@@ -424,7 +406,6 @@ mod tests {
             Props::new(ColProps::SORTED, ColProps::NONE),
         );
         let r = set_aggregate(&ctx, AggFunc::Sum, &b).unwrap();
-        assert_eq!(ctx.take_algo(), "merge");
         assert_eq!(r.head().as_oid_slice().unwrap(), &[1, 2, 3]);
         assert_eq!(r.tail().as_lng_slice().unwrap(), &[10, 10, 2]);
         assert!(r.props().head.sorted);

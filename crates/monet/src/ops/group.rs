@@ -12,7 +12,6 @@
 //! [`super::set_aggregate`], which shares [`hash_group_column`]) picks, in
 //! this order:
 //!
-//! * `merge` — the column is sorted: adjacent comparison;
 //! * `direct` — an integer-coded column (oid, `chr`, int, date,
 //!   dictionary codes) whose key span is compact
 //!   ([`crate::costmodel::group_prefers_direct`]): a pooled
@@ -27,10 +26,11 @@
 //!
 //! Binary grouping ([`group2`]) first aligns the operands (`sync` when
 //! they share their head column, `hash-align` otherwise) and then numbers
-//! the `(b, d)` pairs: `packed` / `packed-align` when both tails are
-//! integer-coded and the *product* of their spans is compact
-//! ([`packed_domains`]: one slot per `slot_b * span_d + slot_d`), the
-//! pair-hashed [`GroupTable`] otherwise.
+//! the `(b, d)` pairs with [`number_pairs`], which [`super::unique`]
+//! shares: `packed` / `packed-align` when both tails are integer-coded and
+//! the *product* of their spans is compact ([`packed_domains`]: one slot
+//! per `slot_b * span_d + slot_d`), the pair-hashed [`GroupTable`]
+//! otherwise.
 
 use crate::atom::Oid;
 use crate::bat::Bat;
@@ -51,16 +51,18 @@ pub(crate) struct Grouping {
     pub reps: Arc<Vec<u32>>,
 }
 
-/// First-occurrence grouping of one (unsorted) column: `(gid per row, one
+/// First-occurrence grouping of one column: `(gid per row, one
 /// representative row per group)`, gids dense in order of first
 /// appearance. This is the shared core of `group1` and of
 /// `set_aggregate`'s head grouping; see the module docs for the variants.
+/// `sorted` is the column's property: it bounds the key domain in O(1).
 pub(crate) fn hash_group_column(
     ctx: &ExecCtx,
     col: &Column,
+    sorted: bool,
 ) -> Result<(Vec<u32>, Vec<u32>, &'static str)> {
     let n = col.len();
-    let dom = OidDomain::covering(col, false)
+    let dom = OidDomain::covering(col, sorted)
         .filter(|d| crate::costmodel::group_prefers_direct(ctx, d.span, n));
     if let Some(dom) = dom {
         let (gid_of, reps) = direct_group_column(col, dom);
@@ -168,12 +170,12 @@ fn direct_group_column(col: &Column, dom: OidDomain) -> (Vec<u32>, Vec<u32>) {
     (gid_of, reps)
 }
 
-/// The compact domains of a key *pair*, when the `packed` arm of pair
-/// grouping and pair dedup applies: both columns integer-coded and the
-/// product of their spans accepted by
-/// [`crate::costmodel::group_prefers_packed`] for `a.len()` rows. The pair
-/// `(x, y)` then lives in slot `slot_a(x) * span_b + slot_b(y)`.
-pub(crate) fn packed_domains(
+/// The compact domains of a key *pair*, when the `packed` arm of
+/// [`number_pairs`] applies: both columns integer-coded and the product of
+/// their spans accepted by [`crate::costmodel::group_prefers_packed`] for
+/// `a.len()` rows. The pair `(x, y)` then lives in slot
+/// `slot_a(x) * span_b + slot_b(y)`.
+fn packed_domains(
     ctx: &ExecCtx,
     (a, a_sorted): (&Column, bool),
     (b, b_sorted): (&Column, bool),
@@ -185,8 +187,65 @@ pub(crate) fn packed_domains(
     fits(da.span.checked_mul(db.span)?).then_some((da, db))
 }
 
+/// First-occurrence numbering of the pairs `(a[i], b[at(i)])` over the
+/// rows `i` of `a`: `group_of` receives the group of every row, in row
+/// order, and the result is the first row of every group (ascending, since
+/// groups are numbered as they appear) and whether the `packed` arm ran —
+/// a pooled [`SlotTable`] over the product domain of [`packed_domains`];
+/// the pair-hashed [`GroupTable`] otherwise. The one pair numbering behind
+/// pair grouping ([`group2`]) and pair dedup ([`super::unique`]); the
+/// `sorted` flags bound the domains in O(1).
+pub(crate) fn number_pairs(
+    ctx: &ExecCtx,
+    (a, a_sorted): (&Column, bool),
+    (b, b_sorted): (&Column, bool),
+    at: impl Fn(usize) -> usize,
+    mut group_of: impl FnMut(u32),
+) -> (Vec<u32>, bool) {
+    let n = a.len();
+    let mut firsts: Vec<u32> = Vec::new();
+    if let Some((da, db)) = packed_domains(ctx, (a, a_sorted), (b, b_sorted)) {
+        crate::for_each_coded!(a, |ac| {
+            crate::for_each_coded!(b, |bc| {
+                let mut table = SlotTable::pooled(da.span * db.span);
+                for i in 0..n {
+                    let x = (ac.code(i) - da.base) as usize;
+                    let y = (bc.code(at(i)) - db.base) as usize;
+                    let (g, inserted) = table.find_or_insert(x * db.span + y);
+                    if inserted {
+                        firsts.push(i as u32);
+                    }
+                    group_of(g);
+                }
+                table.recycle();
+            })
+        })
+        .flatten()
+        .expect("covering domains imply integer codes");
+        return (firsts, true);
+    }
+    // Nested typed dispatch monomorphizes the loop for every type pair.
+    crate::for_each_typed!(a, |ta| {
+        crate::for_each_typed!(b, |tb| {
+            let mut table = GroupTable::with_capacity(n);
+            for i in 0..n {
+                let av = ta.value(i);
+                let bv = tb.value(at(i));
+                let h = ta.hash_one(av).rotate_left(23) ^ tb.hash_one(bv);
+                let (g, _) = table.find_or_insert(h, i as u32, |rep| {
+                    let k = rep as usize;
+                    ta.eq_one(ta.value(k), av) && tb.eq_one(tb.value(at(k)), bv)
+                });
+                group_of(g);
+            }
+            firsts.extend_from_slice(table.reps());
+        })
+    });
+    (firsts, false)
+}
+
 /// Unary group: one new oid per distinct tail value. Group oids are dense,
-/// assigned in order of first appearance (or value order when the tail is
+/// assigned in order of first appearance (value order, when the tail is
 /// sorted). The result head *shares* the operand's head column, so it is
 /// synced with the operand.
 pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
@@ -195,29 +254,9 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
         pager::touch_scan(p, ab.tail());
     }
     let sorted = ab.props().tail.sorted;
-    let (gids, algo): (Vec<Oid>, &'static str) = if sorted {
-        crate::for_each_typed!(ab.tail(), |t| {
-            let n = t.len();
-            let mut gids: Vec<Oid> = Vec::with_capacity(n);
-            // Merge grouping: adjacent comparison; ids ascend with values.
-            let mut g: Oid = 0;
-            for i in 0..n {
-                if i > 0 && !t.eq_one(t.value(i), t.value(i - 1)) {
-                    g += 1;
-                }
-                gids.push(g);
-            }
-            let base = ctx.fresh_oids(if n == 0 { 0 } else { g as usize + 1 });
-            for g in &mut gids {
-                *g += base;
-            }
-            (gids, "merge")
-        })
-    } else {
-        let (gid_of, reps, algo) = hash_group_column(ctx, ab.tail())?;
-        let base = ctx.fresh_oids(reps.len());
-        (gid_of.iter().map(|&g| base + g as Oid).collect(), algo)
-    };
+    let (gid_of, reps, algo) = hash_group_column(ctx, ab.tail(), sorted)?;
+    let base = ctx.fresh_oids(reps.len());
+    let gids: Vec<Oid> = gid_of.iter().map(|&g| base + g as Oid).collect();
     let result = Bat::with_props(
         ab.head().clone(),
         Column::from_oids(gids),
@@ -244,58 +283,19 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     // Align: position i of AB corresponds to position `at(i)` of CD — i
     // itself when the operands are synced.
     let align: Option<Vec<u32>> = if ab.synced(cd) { None } else { Some(hash_align(ab, cd)?) };
-    let at = |i: usize| align.as_ref().map_or(i, |a| a[i] as usize);
-    let n = ab.len();
-    let packed = packed_domains(
+    let mut gids: Vec<Oid> = Vec::with_capacity(ab.len());
+    let (firsts, packed) = number_pairs(
         ctx,
         (ab.tail(), ab.props().tail.sorted),
         (cd.tail(), cd.props().tail.sorted),
+        |i| align.as_ref().map_or(i, |a| a[i] as usize),
+        |g| gids.push(g as Oid),
     );
-    let (mut gids, ngroups): (Vec<Oid>, usize) = if let Some((bdom, ddom)) = packed {
-        crate::for_each_coded!(ab.tail(), |bc| {
-            crate::for_each_coded!(cd.tail(), |dc| {
-                let mut table = SlotTable::pooled(bdom.span * ddom.span);
-                let gids: Vec<Oid> = (0..n)
-                    .map(|i| {
-                        let b = (bc.code(i) - bdom.base) as usize;
-                        let d = (dc.code(at(i)) - ddom.base) as usize;
-                        table.find_or_insert(b * ddom.span + d).0 as Oid
-                    })
-                    .collect();
-                let ngroups = table.len();
-                table.recycle();
-                (gids, ngroups)
-            })
-        })
-        .flatten()
-        .expect("covering domains imply integer codes")
-    } else {
-        // Pair grouping over (b, d): nested typed dispatch monomorphizes
-        // the loop for every tail-type combination.
-        crate::for_each_typed!(ab.tail(), |bt| {
-            crate::for_each_typed!(cd.tail(), |dt| {
-                let mut table = GroupTable::with_capacity(n);
-                let mut gids: Vec<Oid> = Vec::with_capacity(n);
-                for i in 0..n {
-                    let bv = bt.value(i);
-                    let dv = dt.value(at(i));
-                    let h = bt.hash_one(bv).rotate_left(23) ^ dt.hash_one(dv);
-                    let (g, _) = table.find_or_insert(h, i as u32, |rep| {
-                        let k = rep as usize;
-                        bt.eq_one(bt.value(k), bv) && dt.eq_one(dt.value(at(k)), dv)
-                    });
-                    gids.push(g as Oid);
-                }
-                let ngroups = table.len();
-                (gids, ngroups)
-            })
-        })
-    };
-    let base = ctx.fresh_oids(ngroups);
+    let base = ctx.fresh_oids(firsts.len());
     for g in &mut gids {
         *g += base;
     }
-    let algo = match (packed.is_some(), align.is_some()) {
+    let algo = match (packed, align.is_some()) {
         (true, false) => "packed",
         (true, true) => "packed-align",
         (false, false) => "sync",
@@ -310,8 +310,8 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     Ok(result)
 }
 
-/// For every head of `ab`, its position in `cd` (whose head must hold each
-/// of them), by hash.
+/// For every head of `ab`, the position of its first counterpart in `cd`
+/// (whose head must hold each of them), by hash.
 fn hash_align(ab: &Bat, cd: &Bat) -> Result<Vec<u32>> {
     let idx = crate::accel::hash::HashIndex::build(cd.head());
     let align: std::result::Result<Vec<u32>, usize> =
@@ -374,7 +374,6 @@ mod tests {
             Props::new(ColProps::NONE, ColProps::SORTED),
         );
         let r = group1(&ctx, &b).unwrap();
-        assert_eq!(ctx.take_algo(), "merge");
         assert!(r.props().tail.sorted);
         assert_eq!(r.tail().oid_at(0), r.tail().oid_at(1));
         assert_eq!(r.tail().oid_at(2), r.tail().oid_at(0) + 1);
@@ -440,7 +439,7 @@ mod tests {
         let dict = strs.encode();
         assert_eq!(dict.encoding(), crate::props::Enc::Dict);
         for col in [&ints, &strs, &dict] {
-            let (gid_mem, reps_mem, _) = hash_group_column(&ctx, col).unwrap();
+            let (gid_mem, reps_mem, _) = hash_group_column(&ctx, col, false).unwrap();
             let (gid_sp, reps_sp, algo) = spill_group_column(&ctx, col).unwrap();
             assert_eq!(algo, "spill");
             assert_eq!(gid_mem, gid_sp, "gids diverge on {}", col.atom_type());

@@ -12,8 +12,6 @@
 //!   and, costing nothing, it is tried first;
 //! * `fetch` — the right head is a dense (void) sequence: pure positional
 //!   array lookup, `cd.tail[b - seq]`;
-//! * `merge` — left tail and right head sorted: linear merge with
-//!   duplicate-group cross products;
 //! * `datavector` — oid join columns and a right operand carrying a
 //!   datavector over a dense extent: the same positional loop as `fetch`,
 //!   reading `dv.vector[b - base]` (an attribute dereference never hashes
@@ -55,8 +53,6 @@ pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         (synced, "sync")
     } else if oid_keyed && cd.props().head.dense {
         (join_fetch(ctx, ab, cd), "fetch")
-    } else if ab.props().tail.sorted && cd.props().head.sorted {
-        (join_merge(ctx, ab, cd), "merge")
     } else if let Some((dv, dom)) = datavector_domain(cd).filter(|_| oid_keyed) {
         (join_positional(ctx, ab, cd.props(), dom, dv.vector()), "datavector")
     } else if let Some(dom) = direct_domain(ctx, ab, cd) {
@@ -172,39 +168,6 @@ fn join_direct(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain) -> Bat {
     build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
 }
 
-/// Merge join: left sorted on tail, right sorted on head.
-fn join_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.tail());
-        pager::touch_scan(p, cd.head());
-    }
-    let (left_idx, right_idx) = crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
-        let mut left_idx = take_u32(ab.len());
-        let mut right_idx = take_u32(ab.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < bt.len() && j < ch.len() {
-            let v = bt.value(i);
-            match bt.cmp_one(v, ch.value(j)) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Cross product of the equal groups.
-                    let mut j2 = j;
-                    while j2 < ch.len() && bt.cmp_one(v, ch.value(j2)).is_eq() {
-                        left_idx.push(i as u32);
-                        right_idx.push(j2 as u32);
-                        j2 += 1;
-                    }
-                    i += 1;
-                    // j stays at group start: the next equal b rescans it.
-                }
-            }
-        }
-        (left_idx, right_idx)
-    });
-    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
-}
-
 /// Hash join: build on right head, probe left tails in order.
 pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
@@ -217,17 +180,14 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         let mut right_idx = take_u32(ab.len());
         for i in 0..bt.len() {
             let v = bt.value(i);
-            let h = bt.hash_one(v);
-            // Chains iterate newest-first; collect then reverse for stable
+            // Chains run in ascending right position: matches come out in
             // order.
-            let start = right_idx.len();
-            for p in rindex.candidates(h) {
+            for p in rindex.candidates(bt.hash_one(v)) {
                 if ch.eq_one(ch.value(p), v) {
                     left_idx.push(i as u32);
                     right_idx.push(p as u32);
                 }
             }
-            right_idx[start..].reverse();
         }
         (left_idx, right_idx)
     });
@@ -663,6 +623,7 @@ mod tests {
     #[test]
     fn merge_join_with_duplicate_groups() {
         let ctx = ExecCtx::new();
+        // Sorted join columns with duplicates on both sides.
         let left = Bat::with_inferred_props(
             Column::from_oids(vec![1, 2, 3]),
             Column::from_ints(vec![10, 10, 20]),
@@ -672,35 +633,10 @@ mod tests {
             Column::from_chrs(vec![b'a', b'b', b'c', b'd']),
         );
         let r = join(&ctx, &left, &right).unwrap();
-        assert_eq!(ctx.take_algo(), "merge");
-        // 2 left tens x 2 right tens + 1 twenty = 5
+        // 2 left tens x 2 right tens + 1 twenty = 5, in left order.
         assert_eq!(r.len(), 5);
-        let pairs: Vec<(u64, u8)> =
-            (0..r.len()).map(|i| (r.head().oid_at(i), r.tail().chr_at(i))).collect();
-        assert_eq!(pairs, vec![(1, b'a'), (1, b'b'), (2, b'a'), (2, b'b'), (3, b'c')]);
-    }
-
-    #[test]
-    fn merge_and_hash_agree() {
-        let ctx = ExecCtx::new();
-        let left = Bat::with_inferred_props(
-            Column::from_oids(vec![1, 2, 3, 4]),
-            Column::from_ints(vec![5, 5, 7, 9]),
-        );
-        let right = Bat::with_inferred_props(
-            Column::from_ints(vec![5, 6, 7, 7]),
-            Column::from_oids(vec![50, 60, 70, 71]),
-        );
-        let m = join_merge(&ctx, &left, &right);
-        let h = join_hash(&ctx, &left, &right);
-        let norm = |b: &Bat| {
-            let mut v: Vec<(u64, u64)> =
-                (0..b.len()).map(|i| (b.head().oid_at(i), b.tail().oid_at(i))).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(norm(&m), norm(&h));
-        assert_eq!(m.len(), 4); // (1,50),(2,50),(3,70),(3,71)
+        let rows = |b: &Bat| (0..b.len()).map(|i| b.bun(i)).collect::<Vec<_>>();
+        assert_eq!(rows(&r), rows(&crate::ops::reference::join(&left, &right)));
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! Every operator performs the *dynamic optimization* step of Section 2:
 //! just before execution it inspects the descriptor properties and
 //! accelerators of its operands and picks the cheapest implementation —
-//! e.g. `semijoin` chooses between `sync`, `merge`, `datavector` and `hash`
-//! variants. The chosen algorithm is recorded in the trace so that the
+//! e.g. `semijoin` chooses between `sync`, `positional`, `datavector`,
+//! `bitmap` and `hash` variants. The chosen algorithm is recorded in the trace so that the
 //! detailed execution breakdowns of Figure 10 can show it.
 //!
 //! Hot loops are **monomorphized** through the typed-kernel layer

@@ -296,8 +296,9 @@ fn mux_synced(
     Ok((bat, if rowwise { "sync-rowwise" } else { "sync" }))
 }
 
-/// General path: natural join on heads. Every non-driver BAT must have a
-/// key head; driver BUNs with no counterpart in some argument are dropped
+/// General path: natural join on heads. Every BAT after the first must
+/// have a key head (a repeated head aligns to its first counterpart); BUNs
+/// of the first BAT with no counterpart in some argument are dropped
 /// (inner-join semantics).
 fn mux_aligned(_ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
     // Build a lookup per non-first BAT argument.
@@ -846,6 +847,16 @@ mod tests {
         let r = multiplex(&ctx, ScalarFunc::Add, &[MultArg::Bat(a), MultArg::Bat(b)]).unwrap();
         assert_eq!(ctx.take_algo(), "hash-align");
         assert_eq!(r.tail().as_int_slice().unwrap(), &[11, 22, 33]);
+    }
+
+    #[test]
+    fn alignment_takes_the_first_counterpart() {
+        let ctx = ExecCtx::new();
+        let a = Bat::new(Column::from_oids(vec![1, 2]), Column::from_ints(vec![10, 20]));
+        let b = Bat::new(Column::from_oids(vec![2, 1, 2, 1]), Column::from_ints(vec![2, 1, 4, 3]));
+        let r = multiplex(&ctx, ScalarFunc::Add, &[MultArg::Bat(a), MultArg::Bat(b)]).unwrap();
+        assert_eq!(ctx.take_algo(), "hash-align");
+        assert_eq!(r.tail().as_int_slice().unwrap(), &[11, 22]);
     }
 
     #[test]

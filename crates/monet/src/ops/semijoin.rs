@@ -13,8 +13,6 @@
 //!   right head that survives whole (duplicate-free, inside the left
 //!   domain) **is** the result head, so every sibling
 //!   `semijoin(attr, selected)` is synced by construction;
-//! * `merge` — both heads sorted, the left one not dense: linear
-//!   two-pointer pass;
 //! * `datavector` — the left operand carries a datavector and the right
 //!   head is a (duplicate-free) oid selection: positional fetch through the
 //!   memoized LOOKUP array (the one variant emitting in *right* order);
@@ -46,8 +44,6 @@ pub fn semijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         (semijoin_sync(ab), "sync")
     } else if ab.props().head.dense && cd.props().head.sorted {
         (semijoin_positional(ctx, ab, cd), "positional")
-    } else if ab.props().head.sorted && cd.props().head.sorted {
-        (semijoin_merge(ctx, ab, cd), "merge")
     } else if ab.accel().datavector.is_some() && cd.head().is_oidlike() && cd.props().head.key {
         let dv = ab.accel().datavector.clone().unwrap();
         (semijoin_datavector(ctx, &dv, cd), "datavector")
@@ -116,31 +112,6 @@ fn semijoin_positional(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         idx
     });
     build_subset(ctx, ab, idx, Some(cd.head()))
-}
-
-/// Merge semijoin over two head-sorted operands; emits left BUNs in order.
-fn semijoin_merge(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
-    if let Some(p) = ctx.pager.as_deref() {
-        pager::touch_scan(p, ab.head());
-        pager::touch_scan(p, cd.head());
-    }
-    let idx = crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-        let mut idx = crate::typed::take_u32(ab.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < ah.len() && j < ch.len() {
-            match ah.cmp_one(ah.value(i), ch.value(j)) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    idx.push(i as u32);
-                    i += 1;
-                    // j stays: further equal a's match the same c.
-                }
-            }
-        }
-        idx
-    });
-    build_subset(ctx, ab, idx, None)
 }
 
 /// Datavector semijoin (pseudo code of Section 5.2.1): fetch head/tail
@@ -320,24 +291,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_semijoin_when_both_sorted() {
-        let ctx = ExecCtx::new();
-        let ab = Bat::with_inferred_props(
-            Column::from_oids(vec![1, 2, 2, 5, 8]),
-            Column::from_ints(vec![10, 20, 21, 50, 80]),
-        );
-        let cd = sel(vec![2, 5, 9]);
-        let r = semijoin(&ctx, &ab, &cd).unwrap();
-        assert_eq!(r.head().as_oid_slice().unwrap(), &[2, 2, 5]);
-        assert_eq!(ctx.take_algo(), "merge");
-        assert!(r.validate().is_ok());
-    }
-
-    #[test]
     fn positional_semijoin_reads_only_the_selection_and_the_fetched_tail() {
-        // 64 Ki materialized dense oids on the left: merging would scan all
-        // 128 head pages; addressing reads the three selected oids and
-        // fetches three tail values.
+        // 64 Ki materialized dense oids on the left: a left-head scan would
+        // read all 128 head pages; addressing reads the three selected oids
+        // and fetches three tail values.
         let n = 1 << 16;
         let ab = Bat::with_inferred_props(
             Column::from_oids((100..100 + n).collect()),
@@ -434,13 +391,13 @@ mod tests {
         let cd = sel(vec![14, 10, 12]);
         let hash = subset_hash(&ctx, &ab, &cd, true);
 
-        // merge variant needs both sorted
+        // Both operands sorted.
         let perm = ab.head().sort_perm();
         let ab_sorted = Bat::with_inferred_props(ab.head().gather(&perm), ab.tail().gather(&perm));
         let cperm = cd.head().sort_perm();
         let cd_sorted =
             Bat::with_inferred_props(cd.head().gather(&cperm), cd.tail().gather(&cperm));
-        let merge = semijoin_merge(&ctx, &ab_sorted, &cd_sorted);
+        let sorted = semijoin(&ctx, &ab_sorted, &cd_sorted).unwrap();
 
         // datavector variant
         let mut ab_dv = ab.clone();
@@ -453,7 +410,7 @@ mod tests {
             v.sort_unstable();
             v
         };
-        assert_eq!(norm(&hash), norm(&merge));
+        assert_eq!(norm(&hash), norm(&sorted));
         assert_eq!(norm(&hash), norm(&dvres));
     }
 

@@ -102,8 +102,8 @@ pub fn union_pairs(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
             }
         }
     }
-    let head = Column::concat(&ab.head().gather(&keep_a), &cd.head().gather(&keep_c));
-    let tail = Column::concat(&ab.tail().gather(&keep_a), &cd.tail().gather(&keep_c));
+    let head = Column::concat_all(&[ab.head().gather(&keep_a), cd.head().gather(&keep_c)]);
+    let tail = Column::concat_all(&[ab.tail().gather(&keep_a), cd.tail().gather(&keep_c)]);
     let result = Bat::new(head, tail);
     ctx.record("union", "hash", &[ab, cd], &result)?;
     Ok(result)
@@ -130,8 +130,8 @@ pub fn concat_bats(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     ctx.probe("op/concat")?;
     check_both("concat", ab, cd)?;
     touch_both(ctx, ab, cd);
-    let head = Column::concat(ab.head(), cd.head());
-    let tail = Column::concat(ab.tail(), cd.tail());
+    let head = Column::concat_all(&[ab.head().clone(), cd.head().clone()]);
+    let tail = Column::concat_all(&[ab.tail().clone(), cd.tail().clone()]);
     let result = Bat::new(head, tail);
     ctx.record("concat", "copy", &[ab, cd], &result)?;
     Ok(result)

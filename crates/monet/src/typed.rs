@@ -748,16 +748,6 @@ impl SlotTable {
         (*s, true)
     }
 
-    /// Number of groups opened so far.
-    pub fn len(&self) -> usize {
-        self.groups as usize
-    }
-
-    /// True when no group has been opened.
-    pub fn is_empty(&self) -> bool {
-        self.groups == 0
-    }
-
     /// Return the slot buffer to the scratch pool.
     pub fn recycle(self) {
         put_u32(self.slots);
@@ -1052,16 +1042,6 @@ impl GroupTable {
         (gid, true)
     }
 
-    /// Number of groups discovered so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no group has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Representative row per group, in group-id order.
     pub fn reps(&self) -> &[u32] {
         &self.rows
@@ -1199,7 +1179,6 @@ mod tests {
             .map(|(i, &k)| t.find_or_insert(fxhash64(k), i as u32, |r| keys[r as usize] == k).0)
             .collect();
         assert_eq!(gids, vec![0, 1, 0, 0, 1, 2]);
-        assert_eq!(t.len(), 3);
         assert_eq!(t.reps(), &[0, 1, 5]);
     }
 }

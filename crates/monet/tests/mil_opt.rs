@@ -321,7 +321,7 @@ fn optimized_statements_run_the_arm_their_operator_picks() {
     let ctx = ExecCtx::new();
     let env = execute(&ctx, &db, &out.prog, &roots.map(|v| out.var(v))).unwrap();
     let raw_env = execute(&ctx, &db, &p, &roots).unwrap();
-    for (name, want) in [("sel", "binary-search"), ("j", "fetch"), ("jm", "merge")] {
+    for (name, want) in [("sel", "binary-search"), ("j", "fetch"), ("jm", "hash")] {
         assert_eq!(algo_of(&env, &out.prog, name), Some(want), "{name}; got:\n{}", out.prog);
         assert_eq!(algo_of(&raw_env, &p, name), Some(want), "{name} raw");
     }

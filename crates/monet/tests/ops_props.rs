@@ -426,7 +426,7 @@ fn typed_join_matches_generic_across_types() {
                 rows_of(&reference::join(&left, &right)),
                 "{ty} case {case}: join hash"
             );
-            // Merge path: sort left tail and right head.
+            // Sorted operands: left tail and right head.
             let lp = left.tail().sort_perm();
             let ls = Bat::with_inferred_props(left.head().gather(&lp), left.tail().gather(&lp));
             let rp = right.head().sort_perm();
@@ -435,7 +435,7 @@ fn typed_join_matches_generic_across_types() {
             assert_eq!(
                 rows_of(&got),
                 rows_of(&reference::join(&ls, &rs)),
-                "{ty} case {case}: join merge"
+                "{ty} case {case}: join sorted"
             );
         }
     }
@@ -481,7 +481,7 @@ fn typed_semijoin_matches_generic_across_types() {
                 rows_of(&reference::antijoin(&ab, &cd)),
                 "{ty} case {case}: antijoin"
             );
-            // Merge path over sorted heads.
+            // Sorted operands: both heads.
             let ap = ab.head().sort_perm();
             let abs = Bat::with_inferred_props(ab.head().gather(&ap), ab.tail().gather(&ap));
             let cp = cd.head().sort_perm();
@@ -490,7 +490,7 @@ fn typed_semijoin_matches_generic_across_types() {
             assert_eq!(
                 rows_of(&semi),
                 rows_of(&reference::semijoin(&abs, &cds)),
-                "{ty} case {case}: semijoin merge"
+                "{ty} case {case}: semijoin sorted"
             );
         }
     }
@@ -511,15 +511,14 @@ fn typed_group_matches_generic_across_types() {
                 reference::group1_gids(&b),
                 "{ty} case {case}: group1 hash"
             );
-            // Merge path over a sorted tail: ids are assigned in value order
-            // but partition the rows identically.
+            // Sorted operand: a sorted tail.
             let perm = b.tail().sort_perm();
             let bs = Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
             let gs = ops::group1(&ctx, &bs).unwrap();
             assert_eq!(
                 canon_gids(gs.tail()),
                 reference::group1_gids(&bs),
-                "{ty} case {case}: group1 merge"
+                "{ty} case {case}: group1 sorted"
             );
         }
     }
@@ -535,6 +534,14 @@ fn typed_group_matches_generic_across_types() {
             assert_eq!(canon_gids(g.tail()), canon_ids(&expect), "group2 ({t1}, {t2})");
         }
     }
+    // group2 over a cd whose head repeats: a row aligns to its head's
+    // *first* counterpart, as in the reference.
+    let ab = Bat::new(Column::from_oids(vec![0, 1]), Column::from_strs(["x", "x"]));
+    let cd = Bat::new(Column::from_oids(vec![0, 0, 1]), Column::from_ints(vec![5, 6, 5]));
+    let g = ops::group2(&ctx, &ab, &cd).unwrap();
+    let expect = reference::group2_gids(&ab, &cd).unwrap();
+    assert_eq!(expect, vec![0, 0]);
+    assert_eq!(canon_gids(g.tail()), expect, "group2 over a non-key cd head");
 }
 
 #[test]
@@ -547,11 +554,15 @@ fn typed_unique_matches_generic_across_type_pairs() {
             let b = Bat::new(random_column(&mut rng, t1, n), random_column(&mut rng, t2, n));
             let u = ops::unique(&ctx, &b).unwrap();
             assert_eq!(rows_of(&u), rows_of(&reference::unique(&b)), "unique ({t1}, {t2}) hash");
-            // Merge path over a sorted head.
+            // Sorted operand: a sorted head.
             let perm = b.head().sort_perm();
             let bs = Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
             let us = ops::unique(&ctx, &bs).unwrap();
-            assert_eq!(rows_of(&us), rows_of(&reference::unique(&bs)), "unique ({t1}, {t2}) merge");
+            assert_eq!(
+                rows_of(&us),
+                rows_of(&reference::unique(&bs)),
+                "unique ({t1}, {t2}) sorted"
+            );
         }
     }
 }
@@ -656,7 +667,7 @@ fn typed_aggregate_matches_generic_across_types() {
                         ),
                     }
                 }
-                // Merge path over sorted heads.
+                // Sorted operand: a sorted head.
                 let perm = b.head().sort_perm();
                 let bs = Bat::with_inferred_props(b.head().gather(&perm), b.tail().gather(&perm));
                 for f in aggs {
@@ -1108,11 +1119,12 @@ fn typed_hashindex_finds_all_positions() {
             let col = random_column(&mut rng, ty, n);
             let idx = monet::accel::hash::HashIndex::build(&col);
             for probe in 0..n {
-                let mut hits: Vec<usize> = idx
+                // Chains run in ascending position: the first hit is the
+                // value's first row.
+                let hits: Vec<usize> = idx
                     .candidates(col.hash_at(probe))
                     .filter(|&p| col.eq_at(p, &col, probe))
                     .collect();
-                hits.sort_unstable();
                 let expect: Vec<usize> = (0..n).filter(|&p| col.eq_at(p, &col, probe)).collect();
                 assert_eq!(hits, expect, "{ty}: hash index probe {probe}");
             }
@@ -1136,7 +1148,7 @@ fn last_algo(ctx: &ExecCtx) -> &'static str {
 }
 
 /// `k` distinct oids out of `[lo, lo + span)`, shuffled and never ascending
-/// (so neither a merge nor a sorted-domain shortcut can apply by accident).
+/// (so no sorted-operand or sorted-domain shortcut can apply by accident).
 fn shuffled_oids(rng: &mut StdRng, lo: u64, span: u64, k: usize) -> Vec<u64> {
     let mut all: Vec<u64> = (lo..lo + span).collect();
     for i in (1..all.len()).rev() {

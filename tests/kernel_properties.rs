@@ -60,10 +60,10 @@ proptest! {
         let ctx = ExecCtx::new();
         let hash = ops::semijoin(&ctx, &b, &sel).unwrap();
         prop_assert!(hash.validate().is_ok());
-        // merge variant via head sort
+        // a head-sorted left operand
         let hsorted = ops::sort_head(&ctx, &b).unwrap();
-        let merge = ops::semijoin(&ctx, &hsorted, &sel).unwrap();
-        prop_assert_eq!(sorted_pairs(&hash), sorted_pairs(&merge));
+        let sorted = ops::semijoin(&ctx, &hsorted, &sel).unwrap();
+        prop_assert_eq!(sorted_pairs(&hash), sorted_pairs(&sorted));
         // datavector variant — only defined for attribute BATs with
         // unique oids (the extent is duplicate-free by construction)
         if b.head().check_key() {
@@ -89,14 +89,14 @@ proptest! {
         prop_assert!(hash.validate().is_ok());
         let lsorted = ops::sort_tail(&ctx, &left).unwrap();
         let rsorted = ops::sort_head(&ctx, &r).unwrap();
-        let merge = ops::join(&ctx, &lsorted, &rsorted).unwrap();
+        let sorted = ops::join(&ctx, &lsorted, &rsorted).unwrap();
         let norm = |x: &Bat| {
             let mut v: Vec<(i32, i32)> =
                 (0..x.len()).map(|i| (x.head().int_at(i), x.tail().int_at(i))).collect();
             v.sort_unstable();
             v
         };
-        prop_assert_eq!(norm(&hash), norm(&merge));
+        prop_assert_eq!(norm(&hash), norm(&sorted));
     }
 
     #[test]
