@@ -91,6 +91,25 @@ fn bench_primitives(c: &mut Criterion) {
         );
         b.iter(|| ops::join(&ctx, &left, &right).unwrap())
     });
+    // The sparsest key set the cost model still gives to `direct`: a 10k-row
+    // key build side strided to `DOMAIN_SLOTS_PER_ROW` slots per operand
+    // row, every probe a hit. The same operands through `join_hash` are the
+    // other half of the pair the cut is calibrated on.
+    let stride = (monet::costmodel::DOMAIN_SLOTS_PER_ROW * (N + 10_000) / 10_000) as u64;
+    let cut_right = Bat::with_inferred_props(
+        Column::from_oids((0..10_000u64).map(|i| i * 7919 % 10_000 * stride).collect()),
+        Column::from_dbls(vec![1.0; 10_000]),
+    );
+    let cut_left = Bat::new(
+        Column::from_oids((0..N as u64).collect()),
+        Column::from_oids((0..N as u64).map(|i| i * 6007 % 10_000 * stride).collect()),
+    );
+    g.bench_function("join/direct-at-cut", |b| {
+        b.iter(|| ops::join(&ctx, &cut_left, &cut_right).unwrap())
+    });
+    g.bench_function("join/hash-at-cut", |b| {
+        b.iter(|| ops::join::join_hash(&ctx, &cut_left, &cut_right))
+    });
     g.bench_function("unique", |b| {
         let dup = Bat::new(
             Column::from_oids((0..N as u64).map(|i| i % 1000).collect()),

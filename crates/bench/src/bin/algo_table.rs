@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use bench::{sf_from_env, World};
+use bench::{positive_from_env, World};
 use moa::algebra::SetExpr;
 use monet::ctx::ExecCtx;
 use monet::mil::MilOp;
@@ -81,7 +81,7 @@ fn main() {
             },
             _ => usage(),
         };
-    let sf = sf_from_env("FLATALG_SF", 0.1);
+    let sf = positive_from_env("FLATALG_SF", 0.1);
     let w = World::build(sf);
     println!("# (op, algo) attribution of the twelve staged queries (SF={sf}, median of {RUNS})\n");
 

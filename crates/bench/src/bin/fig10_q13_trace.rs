@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use bench::{sf_from_env, World};
+use bench::{positive_from_env, World};
 use monet::ctx::ExecCtx;
 use monet::pager::Pager;
 use tpcd_queries::q11_15::q13_moa;
 
 fn main() {
-    let sf = sf_from_env("FLATALG_SF", 0.02);
+    let sf = positive_from_env("FLATALG_SF", 0.02);
     let w = World::build(sf);
     let q = q13_moa(&w.params);
     println!("# Figure 10 — Q13 detailed execution (SF={sf})\n");

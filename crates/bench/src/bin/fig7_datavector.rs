@@ -4,13 +4,13 @@
 
 use std::time::Instant;
 
-use bench::{sf_from_env, World};
+use bench::{positive_from_env, World};
 use monet::accel::datavector::Datavector;
 use monet::ctx::ExecCtx;
 use monet::ops;
 
 fn main() {
-    let sf = sf_from_env("FLATALG_SF", 0.01);
+    let sf = positive_from_env("FLATALG_SF", 0.01);
     let w = World::build(sf);
     println!("# Figure 7 — datavector creation (SF={sf})\n");
 

@@ -57,8 +57,7 @@ fn empirical() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let rows: usize =
-        std::env::var("FLATALG_FIG8_ROWS").ok().and_then(|v| v.parse().ok()).unwrap_or(600_000);
+    let rows: usize = bench::positive_from_env("FLATALG_FIG8_ROWS", 600_000);
     let n_attrs = 16usize;
     let mut rng = StdRng::seed_from_u64(bench::SEED);
 

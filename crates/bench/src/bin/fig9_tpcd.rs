@@ -12,13 +12,13 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use bench::{mb, sf_from_env, World};
+use bench::{mb, positive_from_env, World};
 use monet::ctx::ExecCtx;
 use monet::pager::Pager;
 use tpcd_queries::all_queries;
 
 fn main() {
-    let sf = sf_from_env("FLATALG_SF", 0.02);
+    let sf = positive_from_env("FLATALG_SF", 0.02);
     println!("# Figure 9 — TPC-D results, SF={sf} (paper: SF=1.0)\n");
     let t0 = Instant::now();
     let w = World::build(sf);

@@ -2,6 +2,7 @@
 //! process, scale factor taken from `FLATALG_SF` (default 0.01 for
 //! Criterion micro benches; the figure binaries pick their own defaults).
 
+use std::str::FromStr;
 use std::sync::OnceLock;
 
 use moa::catalog::Catalog;
@@ -12,13 +13,33 @@ use tpcd_queries::Params;
 /// The seed used by every harness, so numbers are reproducible.
 pub const SEED: u64 = 19980223; // ICDE 1998
 
-/// Read a scale factor from the environment.
-pub fn sf_from_env(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(default)
+/// Parse a positive harness input (`FLATALG_SF`, `FLATALG_FIG8_ROWS`):
+/// `None` when unset or empty, an error naming the variable when the
+/// value does not parse or is not above zero.
+pub fn parse_positive<T: FromStr + PartialOrd + Default>(
+    var: &str,
+    raw: Option<&str>,
+) -> Result<Option<T>, String> {
+    let Some(s) = raw.map(str::trim).filter(|s| !s.is_empty()) else {
+        return Ok(None);
+    };
+    match s.parse::<T>() {
+        Ok(v) if v > T::default() => Ok(Some(v)),
+        _ => Err(format!("{var}={s:?} is not a positive number")),
+    }
+}
+
+/// A positive harness input from the environment, `default` when unset.
+/// A value [`parse_positive`] refuses ends the process with exit status 2,
+/// so a run never prints numbers for a scale it was not asked for.
+pub fn positive_from_env<T: FromStr + PartialOrd + Default>(var: &str, default: T) -> T {
+    match parse_positive(var, std::env::var(var).ok().as_deref()) {
+        Ok(v) => v.unwrap_or(default),
+        Err(e) => {
+            eprintln!("flatalg: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// A fully loaded benchmark world.
@@ -91,10 +112,29 @@ static WORLD: OnceLock<World> = OnceLock::new();
 
 /// The process-wide world at `FLATALG_SF` (default 0.01).
 pub fn world() -> &'static World {
-    WORLD.get_or_init(|| World::build(sf_from_env("FLATALG_SF", 0.01)))
+    WORLD.get_or_init(|| World::build(positive_from_env("FLATALG_SF", 0.01)))
 }
 
 /// Format a byte count as MB with one decimal.
 pub fn mb(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_positive;
+
+    #[test]
+    fn harness_inputs_refuse_what_they_cannot_use() {
+        assert_eq!(parse_positive::<f64>("FLATALG_SF", None), Ok(None));
+        assert_eq!(parse_positive::<f64>("FLATALG_SF", Some(" ")), Ok(None));
+        assert_eq!(parse_positive::<f64>("FLATALG_SF", Some("0.001")), Ok(Some(0.001)));
+        assert_eq!(parse_positive::<usize>("FLATALG_FIG8_ROWS", Some("600")), Ok(Some(600)));
+        for bad in ["nope", "-1", "0", "NaN"] {
+            let e = parse_positive::<f64>("FLATALG_SF", Some(bad)).unwrap_err();
+            assert!(e.contains("FLATALG_SF") && e.contains(bad), "{e}");
+        }
+        assert!(parse_positive::<usize>("FLATALG_FIG8_ROWS", Some("-5")).is_err());
+        assert!(parse_positive::<usize>("FLATALG_FIG8_ROWS", Some("0")).is_err());
+    }
 }

@@ -74,8 +74,8 @@ impl CostParams {
 /// 5.3 / 6.2 at 16, 8.6 / 6.5 at 32; 600k x 600k rows 5.6 / 16.4, 10.3 /
 /// 16.5, 14.8 / 16.3, 25.1 / 17.1 — `direct` leads through 16 and trails
 /// from 32 on every shape tried, so the cut sits a factor of two inside
-/// the crossover. `perf_report` tracks the pair at the cut
-/// (`join/direct-at-cut`, `join/hash-at-cut`).
+/// the crossover. The Criterion `primitives` bench times the pair at the
+/// cut (`join/direct-at-cut`, `join/hash-at-cut`).
 pub const DOMAIN_SLOTS_PER_ROW: usize = 8;
 
 /// True when a key column's span ([`crate::typed::OidDomain`]) is compact

@@ -23,8 +23,9 @@
 //! probes, because that is where the bytes appear.
 //!
 //! Idle cost is two relaxed atomic loads per probe (no armed fault, no
-//! deadline) — see the `gov/*` lines of `BENCH_kernels.json` for the
-//! measured end-to-end overhead.
+//! deadline) — the acceptance benchmark's `ctx.probes` and
+//! `interp.overhead_us` lines count the probes and measure what the
+//! interpreter spends outside the kernels.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};

@@ -11,11 +11,15 @@
 //! * `FLATALG_CLIENTS`   — concurrent client threads (default 4)
 //! * `FLATALG_REPS`      — mixed-workload passes per client (default 5)
 //!
+//! A set, non-empty input that is not a positive number ends the run with
+//! exit status 2.
+//!
 //! Everything else is the engine configuration
 //! ([`monet::config::EngineConfig`]: `FLATALG_ADMIT`, `FLATALG_PLAN_CACHE`,
 //! `FLATALG_OPT`, ...); a value that does not parse ends the run with
 //! exit status 2. Each statement runs on its client's thread.
 
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -23,26 +27,35 @@ use flatalg_server::{Server, ServerConfig};
 use monet::config::EngineConfig;
 use tpcd_queries::{all_queries, Params};
 
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
+/// A positive harness input: `None` when unset or empty, an error naming
+/// the variable when the value does not parse or is not above zero.
+fn parse_positive<T: FromStr + PartialOrd + Default>(
+    var: &str,
+    raw: Option<&str>,
+) -> Result<Option<T>, String> {
+    let Some(s) = raw.map(str::trim).filter(|s| !s.is_empty()) else {
+        return Ok(None);
+    };
+    match s.parse::<T>() {
+        Ok(v) if v > T::default() => Ok(Some(v)),
+        _ => Err(format!("{var}={s:?} is not a positive number")),
+    }
 }
 
-fn env_f64(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&v| v > 0.0)
-        .unwrap_or(default)
+fn env_positive<T: FromStr + PartialOrd + Default>(var: &str, default: T) -> T {
+    match parse_positive(var, std::env::var(var).ok().as_deref()) {
+        Ok(v) => v.unwrap_or(default),
+        Err(e) => {
+            eprintln!("flatalg_serve: {e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn main() {
-    let sf = env_f64("FLATALG_SF", 0.01);
-    let clients = env_usize("FLATALG_CLIENTS", 4);
-    let reps = env_usize("FLATALG_REPS", 5);
+    let sf = env_positive("FLATALG_SF", 0.01);
+    let clients = env_positive("FLATALG_CLIENTS", 4usize);
+    let reps = env_positive("FLATALG_REPS", 5usize);
     let engine = match EngineConfig::from_vars(std::env::vars()) {
         Ok(engine) => Arc::new(engine),
         Err(e) => {
@@ -148,5 +161,23 @@ fn main() {
     if fails > 0 {
         eprintln!("{fails} queries failed");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_positive;
+
+    #[test]
+    fn harness_inputs_refuse_what_they_cannot_use() {
+        assert_eq!(parse_positive::<usize>("FLATALG_CLIENTS", None), Ok(None));
+        assert_eq!(parse_positive::<usize>("FLATALG_CLIENTS", Some("")), Ok(None));
+        assert_eq!(parse_positive::<usize>("FLATALG_CLIENTS", Some(" 4 ")), Ok(Some(4)));
+        assert_eq!(parse_positive::<f64>("FLATALG_SF", Some("0.001")), Ok(Some(0.001)));
+        for bad in ["nope", "-1", "0"] {
+            let e = parse_positive::<usize>("FLATALG_CLIENTS", Some(bad)).unwrap_err();
+            assert!(e.contains("FLATALG_CLIENTS") && e.contains(bad), "{e}");
+            assert!(parse_positive::<f64>("FLATALG_SF", Some(bad)).is_err());
+        }
     }
 }

@@ -211,3 +211,26 @@ fn load_report_phases_accounted() {
     assert!(report.bat_count > 40);
     assert!(report.total_ms() >= report.reorder_ms);
 }
+
+/// Dictionary encoding pays at load: the loaded world's string columns
+/// take at most 1/1.5 of their raw bytes. The raw side is a second load
+/// with encodings off, so no decode cache is filled to measure it.
+#[test]
+fn dict_encoding_shrinks_string_bytes() {
+    let data = tpcd::generate(0.001, 19980223);
+    let str_bytes = |enc: bool| -> usize {
+        let (cat, _) = tpcd::load_bats_with(&data, enc).unwrap();
+        cat.db()
+            .iter()
+            .map(|(_, bat)| bat.tail())
+            .filter(|t| t.atom_type() == monet::atom::AtomType::Str)
+            .map(|t| t.bytes())
+            .sum()
+    };
+    let (encoded, raw) = (str_bytes(true), str_bytes(false));
+    assert!(
+        raw as f64 >= 1.5 * encoded as f64,
+        "string bytes {encoded} encoded vs {raw} raw ({:.2}x), want >= 1.5x",
+        raw as f64 / encoded as f64
+    );
+}
