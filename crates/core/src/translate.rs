@@ -22,7 +22,12 @@
 //!   referenced class (prefix stripped, grouped again there) and joined
 //!   back once. The emission uses only `select`, `join` and `semijoin`,
 //!   pure functions of their operands, and each select keeps its
-//!   parameter slot;
+//!   parameter slot. A disjunction is the rule applied once more:
+//!   `semijoin(A, concat(semijoin(A, qa), semijoin(A, qb)))`, the index's
+//!   subset in index order. Over tuple elements (the pairs of a join, the
+//!   members of an unnest) the selected index re-scopes every field — a
+//!   restriction commutes with a projection — so later gathers run over
+//!   the survivors only;
 //! * **nested selection** (§4.3.2) — the same rule applied to the inner
 //!   index: all nested sets are reduced *in one flat selection*;
 //! * **nest** — `group` on the key BATs, with the group BAT itself
@@ -291,7 +296,13 @@ impl<'a> Translator<'a> {
                 let q = self.quals(&ts, pred, None)?;
                 // The rule: SET(semijoin(A, T(f(X))), X).
                 let index = self.emit("selected", MilOp::Semijoin(ts.index, q));
-                Ok(TransSet { index, elem: ts.elem })
+                // A restriction commutes with a projection: later gathers
+                // read the survivors' fields only.
+                let elem = match ts.elem {
+                    ElemInfo::Tup(fields) => ElemInfo::Tup(self.rescope(&fields, ts.index, index)),
+                    elem => elem,
+                };
+                Ok(TransSet { index, elem })
             }
             SetExpr::Project { input, items } => {
                 let ts = self.tset(input)?;
@@ -478,11 +489,14 @@ impl<'a> Translator<'a> {
                 Ok(cand.expect("a conjunction has two conjuncts"))
             }
             Pred::Or(a, b) => {
+                // The selection rule once more: the index restricted to the
+                // union of the two pullbacks, in index order.
                 let qa = self.quals(ts, a, cand)?;
                 let qb = self.quals(ts, b, cand)?;
                 let ua = self.emit("", MilOp::Semijoin(ts.index, qa));
                 let ub = self.emit("", MilOp::Semijoin(ts.index, qb));
-                Ok(self.emit("", MilOp::Union(ua, ub)))
+                let either = self.emit("", MilOp::Concat(ua, ub));
+                Ok(self.emit("", MilOp::Semijoin(ts.index, either)))
             }
             Pred::Not(p) => {
                 let q = self.quals(ts, p, None)?;
@@ -1149,6 +1163,43 @@ impl<'a> Translator<'a> {
                 FieldInfo::TupF(out)
             }
         })
+    }
+
+    /// Restrict tuple fields keyed by the heads of `index` to the heads of
+    /// its subset `selected`: a field that *is* the index becomes
+    /// `selected`, every other value BAT is semijoined with it. Nested sets
+    /// keep their index; `setvalued` restricts them on use.
+    fn rescope(
+        &mut self,
+        fields: &[(String, FieldInfo)],
+        index: Var,
+        selected: Var,
+    ) -> Vec<(String, FieldInfo)> {
+        let cut = |t: &mut Self, bat: Var| {
+            if bat == index {
+                selected
+            } else {
+                t.emit("", MilOp::Semijoin(bat, selected))
+            }
+        };
+        fields
+            .iter()
+            .map(|(n, fi)| {
+                let fi = match fi {
+                    FieldInfo::Scalar { bat, .. } => {
+                        FieldInfo::Scalar { bat: cut(self, *bat), scope: Some(selected) }
+                    }
+                    FieldInfo::RefTo { bat, class, .. } => FieldInfo::RefTo {
+                        bat: cut(self, *bat),
+                        class: class.clone(),
+                        scope: Some(selected),
+                    },
+                    FieldInfo::TupF(inner) => FieldInfo::TupF(self.rescope(inner, index, selected)),
+                    FieldInfo::Nested { .. } => fi.clone(),
+                };
+                (n.clone(), fi)
+            })
+            .collect()
     }
 
     /// Wrap a child ElemInfo (keyed by the heads of `idx`) as a tuple

@@ -525,3 +525,164 @@ fn or_and_not_around_and_inside_a_group() {
         2,
     );
 }
+
+/// The reference evaluator's rows, order-insensitively, for the optimized
+/// plan (`assert_commutes`), and the optimized plan's rows in the raw
+/// emission's order.
+fn assert_commutes_raw_too(cat: &Catalog, q: &SetExpr) {
+    assert_commutes(cat, q);
+    let rows = |level| {
+        let t = translate_with(cat, q, level).unwrap();
+        t.run(&ExecCtx::new(), cat.db()).unwrap().0.materialize().unwrap()
+    };
+    assert_eq!(rows(OptLevel::Off), rows(OptLevel::Full), "{}", q.render());
+}
+
+#[test]
+fn or_is_one_semijoin_of_the_index_over_both_pullbacks() {
+    let cat = mini_catalog();
+    let flagged = || eq(attr("returnflag"), lit_c('R'));
+    let pricey = || cmp(ScalarFunc::Ge, attr("extendedprice"), lit_d(300.0));
+    // Overlapping disjuncts (items 12 and 13 satisfy both), and two equal
+    // ones: each element is selected once, in index order.
+    for pred in [or(flagged(), pricey()), or(flagged(), flagged())] {
+        let q = SetExpr::extent("Item").select(pred);
+        assert_commutes_raw_too(&cat, &q);
+        let t = translate_with(&cat, &q, OptLevel::Off).unwrap();
+        let text = t.prog.to_string();
+        assert!(text.contains(":= concat("), "{text}");
+        assert!(text.contains(":= semijoin(Item, tmp"), "{text}");
+    }
+    // Under a chained candidate: the `or` is the second conjunct.
+    let q = SetExpr::extent("Item").select(and(
+        cmp(ScalarFunc::Le, attr("extendedprice"), lit_d(350.0)),
+        or(flagged(), pricey()),
+    ));
+    assert_commutes_raw_too(&cat, &q);
+    let q = SetExpr::extent("Item").select(and_all(vec![
+        eq(attr("order.clerk"), lit_s("c2")),
+        or(flagged(), flagged()),
+        cmp(ScalarFunc::Gt, attr("discount"), lit_d(0.0)),
+    ]));
+    assert_commutes_raw_too(&cat, &q);
+}
+
+#[test]
+fn or_between_grouped_conjuncts_keeps_the_group() {
+    let prio = |p| eq(attr("order.priority"), lit_i(p));
+    let flag = |f| eq(attr("flag"), lit_c(f));
+    // Overlapping and equal disjuncts between two conjuncts that join back
+    // through `order` once; a disjunct that navigates walks back itself.
+    for (disj, joins_back) in [(or(prio(1), flag('R')), 2), (or(flag('N'), flag('N')), 1)] {
+        assert_grouped_selection(
+            and_all(vec![
+                cmp(ScalarFunc::Ge, attr("order.orderdate"), lit_date(1994, 6, 1)),
+                disj,
+                cmp(ScalarFunc::Lt, attr("order.cust.acctbal"), lit_d(300.0)),
+            ]),
+            joins_back,
+        );
+    }
+}
+
+/// Items paired with the orders of their clerk: a value join whose left
+/// side carries a reference field.
+fn item_order_join() -> SetExpr {
+    SetExpr::extent("Item")
+        .project(vec![
+            ProjItem::new("clerk", attr("order.clerk")),
+            ProjItem::new("price", attr("extendedprice")),
+            ProjItem::new("ord", attr("order")),
+        ])
+        .join_eq(
+            SetExpr::extent("Order").project(vec![
+                ProjItem::new("clerk", attr("clerk")),
+                ProjItem::new("year", un(ScalarFunc::Year, attr("orderdate"))),
+            ]),
+            attr("clerk"),
+            attr("clerk"),
+            "i",
+            "o",
+        )
+}
+
+#[test]
+fn select_over_a_join_rescopes_every_field() {
+    let cat = mini_catalog();
+    let pricey = || cmp(ScalarFunc::Ge, attr("i.price"), lit_d(200.0));
+    let late = || eq(attr("o.year"), lit_i(1996));
+    for pred in [pricey(), or(pricey(), late()), or(late(), late())] {
+        let sel = item_order_join().select(pred);
+        assert_commutes_raw_too(&cat, &sel);
+        let q = sel.project(vec![
+            ProjItem::new("clerk", attr("i.clerk")),
+            ProjItem::new("date", attr("i.ord.orderdate")),
+            ProjItem::new("year", attr("o.year")),
+        ]);
+        assert_commutes_raw_too(&cat, &q);
+    }
+    // The projection reads the re-scoped fields: in the raw emission no
+    // statement after the selection reads the pair maps, and each field is
+    // restricted to the selection once (the five fields of `i` and `o`).
+    let q = item_order_join().select(pricey()).project(vec![
+        ProjItem::new("clerk", attr("i.clerk")),
+        ProjItem::new("date", attr("i.ord.orderdate")),
+    ]);
+    let t = translate_with(&cat, &q, OptLevel::Off).unwrap();
+    let text = t.prog.to_string();
+    let sel = text.rfind("selected := ").unwrap();
+    let after = &text[sel + text[sel..].find('\n').unwrap()..];
+    assert!(!after.contains("lmap") && !after.contains("rmap"), "{text}");
+    assert_eq!(after.matches(", selected)").count(), 5, "{text}");
+}
+
+#[test]
+fn select_over_an_unnest_rescopes_every_field() {
+    let cat = mini_catalog();
+    let unnested = || SetExpr::extent("Supplier").unnest(sattr("supplies"), "sup", "sp");
+    let cheap = || cmp(ScalarFunc::Lt, attr("sp.cost"), lit_d(2.0));
+    let stocked = || cmp(ScalarFunc::Gt, attr("sp.available"), lit_i(0));
+    for pred in [cheap(), or(cheap(), stocked()), or(stocked(), stocked())] {
+        let sel = unnested().select(pred);
+        assert_commutes_raw_too(&cat, &sel);
+        let q = sel.project(vec![
+            ProjItem::new("sname", attr("sup.name")),
+            ProjItem::new("pname", attr("sp.part.name")),
+            ProjItem::new("cost", attr("sp.cost")),
+        ]);
+        assert_commutes_raw_too(&cat, &q);
+    }
+}
+
+#[test]
+fn select_keeps_a_nested_field_and_restricts_it_on_use() {
+    let cat = mini_catalog();
+    // A projected set-valued field next to scalars.
+    let q = SetExpr::extent("Supplier")
+        .project(vec![
+            ProjItem::new("name", attr("name")),
+            ProjItem::new(
+                "parts",
+                SetValued::ProjectIn(Box::new(sattr("supplies")), Box::new(attr("part"))),
+            ),
+        ])
+        .select(eq(attr("name"), lit_s("S20")));
+    assert_commutes_raw_too(&cat, &q);
+    assert_commutes_raw_too(
+        &cat,
+        &q.project(vec![
+            ProjItem::new("name", attr("name")),
+            ProjItem::new("n", agg(AggFunc::Count, sattr("parts"))),
+        ]),
+    );
+    // A nest's `rest` field, selected on its key.
+    let q = SetExpr::extent("Item")
+        .nest(vec![ProjItem::new("flag", attr("returnflag"))])
+        .select(or(eq(attr("flag"), lit_c('R')), eq(attr("flag"), lit_c('R'))))
+        .project(vec![
+            ProjItem::new("flag", attr("flag")),
+            ProjItem::new("n", agg(AggFunc::Count, sattr(NEST_REST))),
+            ProjItem::new("total", agg_over(AggFunc::Sum, sattr(NEST_REST), attr("extendedprice"))),
+        ]);
+    assert_commutes_raw_too(&cat, &q);
+}

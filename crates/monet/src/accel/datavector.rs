@@ -35,6 +35,7 @@
 
 use std::sync::Arc;
 
+use crate::atom::AtomType;
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::{ExecCtx, MemoKey, Memoized};
@@ -159,7 +160,16 @@ impl Extent {
             }
             out
         });
-        let head = self.oids.gather(&out);
+        // A dense extent that finds every probe oid holds exactly the probe
+        // values at those positions: share the probe column, gather nothing.
+        let head = if self.dense.is_some()
+            && out.len() == right_head.len()
+            && right_head.atom_type() == AtomType::Oid
+        {
+            right_head.clone()
+        } else {
+            self.oids.gather(&out)
+        };
         let result = Lookup { positions: Arc::new(out), head };
         ctx.memo_insert(key, Memoized::Lookup(result.clone()));
         result

@@ -52,12 +52,6 @@ pub enum MilOp {
     SetAgg { f: AggFunc, src: Var },
     /// Whole-BAT scalar aggregate of the tail, producing a scalar variable.
     AggrScalar { f: AggFunc, src: Var },
-    /// Pair-set union.
-    Union(Var, Var),
-    /// Pair-set difference.
-    Diff(Var, Var),
-    /// Pair-set intersection.
-    Intersect(Var, Var),
     /// Bag concatenation.
     Concat(Var, Var),
     /// Positional tail combination of two synced BATs.
@@ -118,9 +112,6 @@ impl MilOp {
             | MilOp::Semijoin(a, b)
             | MilOp::Antijoin(a, b)
             | MilOp::Group2(a, b)
-            | MilOp::Union(a, b)
-            | MilOp::Diff(a, b)
-            | MilOp::Intersect(a, b)
             | MilOp::Concat(a, b)
             | MilOp::Zip(a, b) => {
                 f(*a);
@@ -156,9 +147,6 @@ impl MilOp {
             | MilOp::Semijoin(a, b)
             | MilOp::Antijoin(a, b)
             | MilOp::Group2(a, b)
-            | MilOp::Union(a, b)
-            | MilOp::Diff(a, b)
-            | MilOp::Intersect(a, b)
             | MilOp::Concat(a, b)
             | MilOp::Zip(a, b) => {
                 f(a);
@@ -197,9 +185,6 @@ impl MilOp {
             MilOp::Multiplex { f, .. } => format!("[{}]", f.mil_name()),
             MilOp::SetAgg { f, .. } => format!("{{{}}}", f.name()),
             MilOp::AggrScalar { f, .. } => f.name().into(),
-            MilOp::Union(..) => "union".into(),
-            MilOp::Diff(..) => "diff".into(),
-            MilOp::Intersect(..) => "intersect".into(),
             MilOp::Concat(..) => "concat".into(),
             MilOp::Zip(..) => "zip".into(),
             MilOp::SortTail(_) => "sort".into(),

@@ -255,9 +255,6 @@ fn eval_op(ctx: &ExecCtx, db: &Db, env: &[Option<MilValue>], op: &MilOp) -> Resu
         }
         MilOp::SetAgg { f, src } => MilValue::Bat(ops::set_aggregate(ctx, *f, bat(*src)?)?),
         MilOp::AggrScalar { f, src } => MilValue::Scalar(ops::aggr_scalar(ctx, bat(*src)?, *f)?),
-        MilOp::Union(a, b) => MilValue::Bat(ops::union_pairs(ctx, bat(*a)?, bat(*b)?)?),
-        MilOp::Diff(a, b) => MilValue::Bat(ops::diff_pairs(ctx, bat(*a)?, bat(*b)?)?),
-        MilOp::Intersect(a, b) => MilValue::Bat(ops::intersect_pairs(ctx, bat(*a)?, bat(*b)?)?),
         MilOp::Concat(a, b) => MilValue::Bat(ops::concat_bats(ctx, bat(*a)?, bat(*b)?)?),
         MilOp::Zip(a, b) => MilValue::Bat(ops::zip(ctx, bat(*a)?, bat(*b)?)?),
         MilOp::SortTail(v) => MilValue::Bat(ops::sort_tail(ctx, bat(*v)?)?),

@@ -158,9 +158,6 @@ fn hash_stmt(stmt: &MilStmt) -> u64 {
         | MilOp::Semijoin(a, b)
         | MilOp::Antijoin(a, b)
         | MilOp::Group2(a, b)
-        | MilOp::Union(a, b)
-        | MilOp::Diff(a, b)
-        | MilOp::Intersect(a, b)
         | MilOp::Concat(a, b)
         | MilOp::Zip(a, b) => (a, b).hash(&mut h),
         MilOp::Multiplex { f, args } => {
@@ -211,9 +208,6 @@ fn stmts_identical(a: &MilStmt, b: &MilStmt) -> bool {
         (O::Join(xa, xb), O::Join(ya, yb))
         | (O::Semijoin(xa, xb), O::Semijoin(ya, yb))
         | (O::Antijoin(xa, xb), O::Antijoin(ya, yb))
-        | (O::Union(xa, xb), O::Union(ya, yb))
-        | (O::Diff(xa, xb), O::Diff(ya, yb))
-        | (O::Intersect(xa, xb), O::Intersect(ya, yb))
         | (O::Concat(xa, xb), O::Concat(ya, yb))
         | (O::Zip(xa, xb), O::Zip(ya, yb)) => xa == ya && xb == yb,
         (O::Multiplex { f: xf, args: xa }, O::Multiplex { f: yf, args: ya }) => {

@@ -25,7 +25,7 @@
 //!   datavector semijoin emits in right order).
 //! * **Saturated semijoin** — dually, `semijoin(x, c)` is `c` whenever
 //!   `c` is an *order-preserving row-subset* of `x` (the pair-subset rows
-//!   of [`Facts`]: select/semijoin/antijoin/diff/intersect/unique chains,
+//!   of [`Facts`]: select/semijoin/antijoin/unique chains,
 //!   which emit subsequences of their left operand) and `x` has a key
 //!   head: each of `c`'s heads finds exactly its own row, in `c`'s order.
 //!   This is the translator's fragment re-assembly against a selection of
@@ -127,11 +127,7 @@ impl Facts {
             MilOp::SelectRange { src, .. }
             | MilOp::TopN { src, .. }
             | MilOp::SetAgg { src, .. } => inherit(*src),
-            MilOp::Join(a, _)
-            | MilOp::Antijoin(a, _)
-            | MilOp::Diff(a, _)
-            | MilOp::Intersect(a, _)
-            | MilOp::Group2(a, _) => inherit(*a),
+            MilOp::Join(a, _) | MilOp::Antijoin(a, _) | MilOp::Group2(a, _) => inherit(*a),
             // A semijoin result's heads occur in *both* operands.
             MilOp::Semijoin(a, c) => {
                 inherit(*a);
@@ -146,14 +142,13 @@ impl Facts {
                     }
                 }
             }
-            // Mirror swaps the column roles; union/concat/zip build new
-            // head sets: no facts beyond self.
+            // Mirror swaps the column roles; concat/zip build new head
+            // sets: no facts beyond self.
             MilOp::Load(_)
             | MilOp::ConstScalar(_)
             | MilOp::AggrScalar { .. }
             | MilOp::Fused
             | MilOp::Mirror(_)
-            | MilOp::Union(..)
             | MilOp::Concat(..)
             | MilOp::Zip(..) => {}
         }
@@ -172,9 +167,7 @@ impl Facts {
             MilOp::Semijoin(a, c) if !self.may_dv(*a) || self.psup.contains(*c, *a) => {
                 self.psup.union_into(i, *a)
             }
-            MilOp::Antijoin(a, _) | MilOp::Diff(a, _) | MilOp::Intersect(a, _) => {
-                self.psup.union_into(i, *a)
-            }
+            MilOp::Antijoin(a, _) => self.psup.union_into(i, *a),
             _ => {}
         }
     }

@@ -167,14 +167,10 @@ pub(super) fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<
                 may_dv: false,
             }
         }
-        MilOp::Union(a, b) | MilOp::Concat(a, b) => {
+        MilOp::Concat(a, b) => {
             // Both operands must be known BATs; the result claims nothing.
             sh(*a).and(sh(*b))?;
             Shape { props: Props::NONE, may_dv: false }
-        }
-        MilOp::Diff(a, _) | MilOp::Intersect(a, _) => {
-            let sa = sh(*a)?;
-            Shape { props: ops::semijoin::propagated_props(sa.props), may_dv: false }
         }
         MilOp::Zip(a, b) => {
             let (sa, sb) = (sh(*a)?, sh(*b)?);

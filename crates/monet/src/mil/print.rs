@@ -50,9 +50,6 @@ pub(super) fn render_op(prog: &MilProgram, stmt: &MilStmt, op: &MilOp) -> String
         }
         MilOp::SetAgg { f, src } => format!("{{{}}}({})", f.name(), n(*src)),
         MilOp::AggrScalar { f, src } => format!("{}({})", f.name(), n(*src)),
-        MilOp::Union(a, b) => format!("union({}, {})", n(*a), n(*b)),
-        MilOp::Diff(a, b) => format!("diff({}, {})", n(*a), n(*b)),
-        MilOp::Intersect(a, b) => format!("intersect({}, {})", n(*a), n(*b)),
         MilOp::Concat(a, b) => format!("concat({}, {})", n(*a), n(*b)),
         MilOp::Zip(a, b) => format!("zip({}, {})", n(*a), n(*b)),
         MilOp::SortTail(v) => format!("sort({})", n(*v)),

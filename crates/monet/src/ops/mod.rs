@@ -32,7 +32,7 @@ pub use join::join;
 pub use multiplex::{apply_scalar, multiplex, MultArg, ScalarFunc};
 pub use select::{select_eq, select_range};
 pub use semijoin::{antijoin, semijoin};
-pub use setops::{concat_bats, diff_pairs, intersect_pairs, union_pairs, zip};
+pub use setops::{concat_bats, zip};
 pub use sort::{mark, sort_head, sort_tail, topn};
 pub use unique::unique;
 

@@ -333,52 +333,6 @@ pub fn multiplex_synced(f: ScalarFunc, args: &[MultArg]) -> Result<Bat> {
     Ok(Bat::new(first.head().clone(), Column::from_atoms(ty, out)))
 }
 
-fn pair_eq(a: &Bat, i: usize, b: &Bat, j: usize) -> bool {
-    a.head().eq_at(i, b.head(), j) && a.tail().eq_at(i, b.tail(), j)
-}
-
-/// Set union of BUN pairs (left first, first-occurrence dedup).
-pub fn union_pairs(ab: &Bat, cd: &Bat) -> Bat {
-    let mut heads: Vec<AtomValue> = Vec::new();
-    let mut tails: Vec<AtomValue> = Vec::new();
-    let mut kept: Vec<(u8, u32)> = Vec::new();
-    for (tag, src) in [(0u8, ab), (1u8, cd)] {
-        for i in 0..src.len() {
-            let dup = kept.iter().any(|&(t, p)| {
-                let other = if t == 0 { ab } else { cd };
-                pair_eq(other, p as usize, src, i)
-            });
-            if !dup {
-                kept.push((tag, i as u32));
-                heads.push(src.head().get(i));
-                tails.push(src.tail().get(i));
-            }
-        }
-    }
-    Bat::new(
-        Column::from_atoms(ab.head().atom_type(), heads),
-        Column::from_atoms(ab.tail().atom_type(), tails),
-    )
-}
-
-/// Pairs of `AB` not occurring in `CD`.
-pub fn diff_pairs(ab: &Bat, cd: &Bat) -> Bat {
-    let idx: Vec<u32> = (0..ab.len())
-        .filter(|&i| !(0..cd.len()).any(|j| pair_eq(cd, j, ab, i)))
-        .map(|i| i as u32)
-        .collect();
-    gather_pair(ab, &idx)
-}
-
-/// Pairs of `AB` also occurring in `CD`.
-pub fn intersect_pairs(ab: &Bat, cd: &Bat) -> Bat {
-    let idx: Vec<u32> = (0..ab.len())
-        .filter(|&i| (0..cd.len()).any(|j| pair_eq(cd, j, ab, i)))
-        .map(|i| i as u32)
-        .collect();
-    gather_pair(ab, &idx)
-}
-
 /// Row-wise concatenation via generic atom values.
 pub fn concat_bats(ab: &Bat, cd: &Bat) -> Bat {
     let pick = |t: AtomType| if t == AtomType::Void { AtomType::Oid } else { t };

@@ -219,9 +219,9 @@ fn subset_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> Bat {
 
 /// The subset propagation rule (Section 5.1): "a semijoin will propagate
 /// the key properties on both head and tail of its left operand onto the
-/// result" — and order survives subsequences too. Shared by `semijoin`,
-/// `antijoin` and the pair-set `diff`/`intersect`, and reused by the plan
-/// optimizer's static property inference. Note the rule covers only the
+/// result" — and order survives subsequences too. Shared by `semijoin`
+/// and `antijoin`, and reused by the plan optimizer's static property
+/// inference. Note the rule covers only the
 /// left-order implementations; the datavector variant emits in *right*
 /// operand order, so the optimizer weakens its prediction when a
 /// datavector may be in play.

@@ -145,11 +145,26 @@ fn io_err(op: &'static str, path: &Path, e: std::io::Error) -> MonetError {
     serr(op, path, e.to_string())
 }
 
-/// View fixed-width elements as raw bytes for writing/hashing. Sound for
-/// the primitive element types the store holds (`bool` is a single byte of
-/// 0/1 by language guarantee).
-fn as_bytes<T: Copy>(v: &[T]) -> &[u8] {
-    // SAFETY: T is a plain primitive; any byte of it may be read.
+/// The element types the store writes: the raw layouts' primitives, the
+/// dictionary code widths and the string offsets/lengths. Each is a
+/// primitive without padding bytes, so every byte of it is initialized.
+/// Private, so no other type can be viewed as bytes.
+trait Plain: Copy {}
+
+impl Plain for bool {}
+impl Plain for u8 {}
+impl Plain for u16 {}
+impl Plain for u32 {}
+impl Plain for u64 {}
+impl Plain for i32 {}
+impl Plain for i64 {}
+impl Plain for f64 {}
+
+/// View fixed-width elements as raw bytes for writing/hashing (`bool` is a
+/// single byte of 0/1 by language guarantee).
+fn as_bytes<T: Plain>(v: &[T]) -> &[u8] {
+    // SAFETY: `Plain` types are padding-free primitives; any byte of them
+    // may be read.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
 }
 
@@ -891,6 +906,23 @@ mod tests {
         let d = std::env::temp_dir().join(format!("flatalg-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
+    }
+
+    #[test]
+    fn byte_image_is_the_native_encoding() {
+        fn check<T: Plain, const N: usize>(vals: &[T], ne: impl Fn(T) -> [u8; N]) {
+            let want: Vec<u8> = vals.iter().flat_map(|&v| ne(v)).collect();
+            assert_eq!(as_bytes(vals), want.as_slice());
+        }
+        check(&[false, true], |b| [b as u8]);
+        check(&[0u8, 7, 255], u8::to_ne_bytes);
+        check(&[0u16, 0x1234, u16::MAX], u16::to_ne_bytes);
+        check(&[0u32, 0x0102_0304, u32::MAX], u32::to_ne_bytes);
+        check(&[0u64, 0x0102_0304_0506_0708, u64::MAX], u64::to_ne_bytes);
+        check(&[0i32, -1, i32::MIN], i32::to_ne_bytes);
+        check(&[0i64, -2, i64::MAX], i64::to_ne_bytes);
+        check(&[0.0f64, -1.5, f64::MAX], f64::to_ne_bytes);
+        check::<u64, 8>(&[], u64::to_ne_bytes);
     }
 
     /// Reference vectors from the xxHash specification (XXH64).

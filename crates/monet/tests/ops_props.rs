@@ -916,24 +916,6 @@ fn typed_setops_match_generic() {
             let m = rng.gen_range(0..30usize);
             let a = Bat::new(random_column(&mut rng, t1, n), random_column(&mut rng, t2, n));
             let b = Bat::new(random_column(&mut rng, t1, m), random_column(&mut rng, t2, m));
-            let u = ops::union_pairs(&ctx, &a, &b).unwrap();
-            assert_eq!(
-                rows_of(&u),
-                rows_of(&reference::union_pairs(&a, &b)),
-                "({t1},{t2}) case {case}: union"
-            );
-            let d = ops::diff_pairs(&ctx, &a, &b).unwrap();
-            assert_eq!(
-                rows_of(&d),
-                rows_of(&reference::diff_pairs(&a, &b)),
-                "({t1},{t2}) case {case}: diff"
-            );
-            let i = ops::intersect_pairs(&ctx, &a, &b).unwrap();
-            assert_eq!(
-                rows_of(&i),
-                rows_of(&reference::intersect_pairs(&a, &b)),
-                "({t1},{t2}) case {case}: intersect"
-            );
             let c = ops::concat_bats(&ctx, &a, &b).unwrap();
             assert_eq!(
                 rows_of(&c),

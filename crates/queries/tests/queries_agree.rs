@@ -129,20 +129,13 @@ fn shared_reference_conjuncts_join_back_once_and_other_plans_stay_put() {
         opt: OptLevel::Full,
         ..EngineConfig::clone(&EngineConfig::from_env())
     }));
-    let unchanged: [(usize, u64); 11] = [
-        (1, 45),
-        (2, 50),
-        (4, 29),
-        (6, 17),
-        (7, 59),
-        (9, 66),
-        (11, 41),
-        (12, 36),
-        (13, 27),
-        (14, 28),
-        (15, 25),
-    ];
-    for (id, stmts) in unchanged {
+    let unchanged: [(usize, u64); 6] = [(1, 45), (4, 29), (6, 17), (13, 27), (14, 28), (15, 25)];
+    // Rewritten on purpose: Q2 and Q9 select over a join of an unnest and
+    // Q11 over a nest, tuples whose fields the selection re-scopes to the
+    // survivors; Q7 and Q12 select with an `or`, one semijoin of the index
+    // over both pullbacks.
+    let rewritten: [(usize, u64); 5] = [(2, 51), (7, 59), (9, 62), (11, 43), (12, 37)];
+    for (id, stmts) in unchanged.into_iter().chain(rewritten) {
         let q = &all_queries()[id - 1];
         opt::reset_cumulative();
         (q.run_moa)(&w.cat, &ctx, &w.params).unwrap_or_else(|e| panic!("Q{id} failed: {e}"));

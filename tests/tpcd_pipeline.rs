@@ -137,18 +137,27 @@ fn mil_programs_print_and_replay() {
 
 #[test]
 fn q9_addresses_dense_heads_and_needs_no_alignment() {
-    // Q9 re-assembles eight attributes over one selection of a dense-headed
-    // pair list. A dense head is addressed, no operator merges, and the
-    // semijoin results all carry the selection's head, so nothing
-    // downstream has to re-align them by hashing.
+    // Q9 selects over a dense-headed pair list and projects eight
+    // attributes of the survivors. The selection re-scopes the pairs'
+    // fields, so every Item attribute is gathered over the selected pairs
+    // only; the pair maps feed the residual predicate and nothing else
+    // but the supply fields join_eq joins eagerly. A dense head is
+    // addressed, no operator merges, every multiplex combines synced
+    // operands, and nothing re-aligns by hashing.
     let data = tpcd::generate(0.01, 4242);
     let (cat, _) = tpcd::load_bats(&data);
     let t = translate(&cat, &tpcd_queries::q06_10::q9_moa(&Params::for_data(&data))).unwrap();
     let ctx = ExecCtx::new();
     let every: Vec<_> = (0..t.prog.len()).collect();
     let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &every).unwrap();
-    let mut positional = 0;
-    for (stmt, s) in t.prog.stmts.iter().zip(env.trace()) {
+    let stmts = &t.prog.stmts;
+    let named = |n: &str| (0..stmts.len()).rfind(|&v| stmts[v].name == n).unwrap();
+    let (lmap, rmap, selected) = (named("lmap"), named("rmap"), named("selected"));
+    assert!(matches!(stmts[selected].op, MilOp::Semijoin(l, _) if l == lmap));
+    let survivors = env.bat(selected).unwrap().len();
+    assert!(survivors < env.bat(lmap).unwrap().len(), "the residual must drop pairs");
+    let mut gathers = 0;
+    for (stmt, s) in stmts.iter().zip(env.trace()) {
         assert!(
             !matches!(s.algo, "hash-align" | "packed-align" | "merge")
                 && !s.algo.ends_with("-rowwise"),
@@ -156,9 +165,63 @@ fn q9_addresses_dense_heads_and_needs_no_alignment() {
             s.render(&t.prog),
             s.algo
         );
-        positional += (matches!(stmt.op, MilOp::Semijoin(..)) && s.algo == "positional") as usize;
+        match stmt.op {
+            MilOp::Multiplex { .. } => assert_eq!(s.algo, "sync", "{}", s.render(&t.prog)),
+            MilOp::Join(_, r) if s.var > selected && stmts[r].name.starts_with("Item_") => {
+                gathers += 1;
+                assert_eq!(s.result_len, survivors, "{}", s.render(&t.prog));
+            }
+            _ => {}
+        }
     }
-    assert!(positional >= 8, "the eight re-assembly semijoins are positional ({positional})");
+    // The nation's supplier, order, extendedprice, discount and quantity.
+    assert_eq!(gathers, 5, "{}", t.prog);
+    // Joins from the pair maps: Item_supplier and the supplier of the
+    // supply feed the residual `[=]`; the others are the supply's value
+    // fields, which join_eq joins eagerly (the cost; the raw emission also
+    // the part, which DCE drops).
+    let residual = stmts
+        .iter()
+        .position(|s| matches!(&s.op, MilOp::Multiplex { f: monet::ops::ScalarFunc::Eq, .. }))
+        .unwrap();
+    let mut feeds = vec![false; stmts.len()];
+    feeds[residual] = true;
+    for v in (0..=residual).rev() {
+        if feeds[v] {
+            stmts[v].op.for_each_operand(|o| feeds[o] = true);
+        }
+    }
+    let mut fed = 0;
+    for stmt in stmts {
+        match stmt.op {
+            MilOp::Join(l, _) if (l == lmap || l == rmap) && feeds[stmt.var] => fed += 1,
+            MilOp::Join(l, r) if l == lmap || l == rmap => {
+                assert!(stmts[r].name.starts_with("Supplier_supplies_"), "{}", t.prog)
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(fed, 2, "{}", t.prog);
+}
+
+#[test]
+fn q12_or_is_one_semijoin_of_the_item_extent() {
+    // `shipmode = m1 or shipmode = m2` restricts the Item extent once to
+    // the concatenation of both pullbacks: no pair-set union, and the
+    // result is the extent's subset in extent order, so the next conjunct
+    // restricts its attribute by the datavector.
+    let (_, cat, _, params) = world();
+    let t = translate(&cat, &tpcd_queries::q11_15::q12_moa(&params)).unwrap();
+    let text = t.prog.to_string();
+    assert!(!text.contains("union("), "{text}");
+    let ctx = ExecCtx::new();
+    let every: Vec<_> = (0..t.prog.len()).collect();
+    let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &every).unwrap();
+    let concat = t.prog.stmts.iter().position(|s| matches!(s.op, MilOp::Concat(..))).unwrap();
+    let or = t.prog.stmts.iter().position(|s| matches!(s.op, MilOp::Semijoin(_, c) if c == concat));
+    let or = or.expect("the `or` semijoins the extent with the concatenation");
+    let next = t.prog.stmts.iter().position(|s| matches!(s.op, MilOp::Semijoin(_, c) if c == or));
+    assert_eq!(env.trace()[next.unwrap()].algo, "datavector", "{text}");
 }
 
 #[test]
