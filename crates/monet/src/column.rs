@@ -10,6 +10,7 @@
 //! the kernel can then use positional algorithms.
 
 use std::cmp::Ordering;
+use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
@@ -1301,6 +1302,50 @@ pub fn fxhash64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Multiplicative word hasher (the `FxHasher` recipe) for small structural
+/// keys — CSE's statement shapes, the memory ledger's column identities —
+/// where SipHash's flooding resistance buys little: keys crafted to
+/// collide cost at most probes quadratic in the size of the one table
+/// (per program, per execution) that holds them.
+#[derive(Default)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.add(x as u64);
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.add(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// FNV-1a over bytes, for string hashing.

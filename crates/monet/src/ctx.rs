@@ -1,14 +1,17 @@
-//! Execution context: pager, memory accounting, oid generation, and the
+//! Execution context: pager, memory ledger, oid generation, and the
 //! resource governor.
 //!
 //! Every BAT-algebra operator takes an [`ExecCtx`]. The default context is
 //! entirely passive (no pager, no budget) and adds no measurable overhead;
-//! the benchmark harnesses install a pager to produce the page-fault
-//! columns of Figures 8–10 (the per-statement rows are the interpreter's
+//! the figure binaries `fig8_cost_model`, `fig9_tpcd` and
+//! `fig10_q13_trace` install a pager to produce the page-fault columns of
+//! Figures 8–10 (the per-statement rows are the interpreter's
 //! `mil::StmtTrace`, filled on every context), and the query service arms
 //! per-statement deadlines and memory budgets on the same context.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -17,12 +20,13 @@ use crate::sync::Mutex;
 use crate::accel::datavector::Lookup;
 use crate::atom::Oid;
 use crate::bat::Bat;
-use crate::column::ColumnIdentity;
+use crate::column::{Column, ColumnIdentity, WordHasher};
 use crate::config::EngineConfig;
 use crate::error::{MonetError, Result};
 use crate::gov::{CancelToken, Governor};
 use crate::ops::group::Grouping;
 use crate::pager::Pager;
+use crate::props::Enc;
 
 /// Kernel labels (`record`'s `algo`) interned process-wide, so that one
 /// atomic word on the context carries the last one lock-free. A label's
@@ -47,27 +51,116 @@ mod label {
     }
 }
 
-/// Memory accounting and enforcement.
-///
-/// Two roles: (1) the observational "total / max (MB)" columns of Figure 9
-/// (`total_bytes`; `max_live_bytes`, the MIL interpreter's high-water mark
-/// of the live *intermediates* — catalog BATs a program loads and mirrors
-/// of live values count nothing), and (2) the **governor's byte budget** — every
-/// tracked allocation goes through [`MemTracker::charge`], which fails with
-/// [`MonetError::BudgetExceeded`] once the charged live set passes the
-/// budget. The interpreter releases a value's charge when liveness frees
-/// it, so the budget bounds the *live* intermediate set, not the total.
+/// A ledger key: a column view's identity and its layout (a
+/// [`Column::decoded`] twin keeps its source's identity, not its bytes).
+type ColumnKey = (ColumnIdentity, Enc);
+
+fn key(col: &Column) -> ColumnKey {
+    (col.identity(), col.encoding())
+}
+
+/// The one account of intermediate bytes (see [`MemTracker`]): each
+/// charged column's bytes and holders, the columns charged since the last
+/// sweep, the live bytes (`cols` plus the memo's arrays) with their peaks
+/// since `begin` and since `reset`, the total charged since `reset`, and a
+/// window number bumped whenever the ledger empties.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    cols: HashMap<ColumnKey, (u64, u32), BuildHasherDefault<WordHasher>>,
+    unheld: Vec<ColumnKey>,
+    live: u64,
+    peak: u64,
+    max_live: u64,
+    total: u64,
+    window: u64,
+}
+
+impl Ledger {
+    fn raise(&mut self, bytes: u64) -> u64 {
+        self.live += bytes;
+        self.peak = self.peak.max(self.live);
+        self.max_live = self.max_live.max(self.live);
+        self.live
+    }
+
+    /// Add a holder to `col`'s entry, which is charged first when the
+    /// ledger does not know the column and it is not `borrowed`. A column
+    /// of no bytes has no entry.
+    fn hold(&mut self, col: &Column, holders: u32, borrowed: impl Fn(ColumnKey) -> bool) {
+        let bytes = col.bytes() as u64;
+        if bytes == 0 {
+            return;
+        }
+        match self.cols.entry(key(col)) {
+            Entry::Occupied(mut e) => e.get_mut().1 += holders,
+            Entry::Vacant(e) if !borrowed(*e.key()) => {
+                self.unheld.push(*e.key());
+                e.insert((bytes, holders));
+                self.raise(bytes);
+                self.total += bytes;
+            }
+            Entry::Vacant(_) => {}
+        }
+    }
+
+    /// One holder of `col` dies; its bytes go with the last.
+    fn drop_holder(&mut self, col: &Column) {
+        if col.bytes() == 0 {
+            return;
+        }
+        if let Entry::Occupied(mut e) = self.cols.entry(key(col)) {
+            e.get_mut().1 = e.get().1.saturating_sub(1);
+            if e.get().1 == 0 {
+                self.live = self.live.saturating_sub(e.remove().0);
+            }
+        }
+    }
+
+    /// A value holding `bat`'s charged columns became live.
+    pub(crate) fn hold_value(&mut self, bat: &Bat) {
+        [bat.head(), bat.tail()].into_iter().for_each(|col| self.hold(col, 1, |_| true));
+    }
+
+    /// A value holding `bat` died (in `window`; an older one holds nothing).
+    pub(crate) fn unhold(&mut self, window: u64, bat: &Bat) {
+        if self.window == window {
+            self.drop_holder(bat.head());
+            self.drop_holder(bat.tail());
+        }
+    }
+
+    /// Release the columns charged since the last sweep that nothing holds:
+    /// nested kernels' results, scratch a statement let go.
+    pub(crate) fn sweep(&mut self) {
+        for k in self.unheld.drain(..) {
+            if let Entry::Occupied(e) = self.cols.entry(k) {
+                if e.get().1 == 0 {
+                    self.live = self.live.saturating_sub(e.remove().0);
+                }
+            }
+        }
+    }
+
+    /// Release everything and open a new window, which it returns.
+    pub(crate) fn clear(&mut self) -> u64 {
+        self.cols.clear();
+        self.unheld.clear();
+        self.live = 0;
+        self.window += 1;
+        self.window
+    }
+}
+
+/// Memory accounting and enforcement: one **ledger** of the intermediate
+/// columns, keyed by column identity. [`ExecCtx::record`] charges a result
+/// column once — unless the ledger knows it or an operand carries it — to
+/// the live set the **budget** bounds; `mil::execute` holds it for each
+/// live value (the memo for its LOOKUP heads) and releases it with the
+/// last. `charged_bytes`, `charged_peak` (since `begin`), `max_live_bytes`
+/// (since `reset`; Figure 9's "max (MB)") and `total_bytes` read it.
 #[derive(Debug, Default)]
 pub struct MemTracker {
-    /// Sum of all intermediate-result bytes materialized so far.
-    total_bytes: AtomicU64,
-    /// High-water mark of the live intermediates, maintained by the MIL
-    /// interpreter (counted as the budget charges them).
-    max_live_bytes: AtomicU64,
-    /// Charged-but-not-released bytes (the governor's live set).
-    charged: AtomicU64,
-    /// High-water mark of `charged` since the last [`MemTracker::begin`].
-    charged_peak: AtomicU64,
+    ledger: Mutex<Ledger>,
     /// Enforced budget in bytes; 0 = unlimited.
     budget_bytes: AtomicU64,
     /// Cumulative bytes written to out-of-core spill files
@@ -78,27 +171,19 @@ pub struct MemTracker {
 }
 
 impl MemTracker {
-    pub fn add_total(&self, bytes: u64) {
-        self.total_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub fn observe_live(&self, bytes: u64) {
-        self.max_live_bytes.fetch_max(bytes, Ordering::Relaxed);
-    }
-
+    /// Bytes of every intermediate column charged since the last reset.
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes.load(Ordering::Relaxed)
+        self.ledger.lock().total
     }
 
+    /// High-water mark of the charged live set since the last reset.
     pub fn max_live_bytes(&self) -> u64 {
-        self.max_live_bytes.load(Ordering::Relaxed)
+        self.ledger.lock().max_live
     }
 
     pub fn reset(&self) {
-        self.total_bytes.store(0, Ordering::Relaxed);
-        self.max_live_bytes.store(0, Ordering::Relaxed);
-        self.charged.store(0, Ordering::Relaxed);
-        self.charged_peak.store(0, Ordering::Relaxed);
+        let mut l = self.ledger.lock();
+        *l = Ledger { window: l.window + 1, ..Ledger::default() };
         self.spilled_bytes.store(0, Ordering::Relaxed);
     }
 
@@ -123,19 +208,29 @@ impl MemTracker {
         self.budget_bytes.load(Ordering::Relaxed)
     }
 
-    /// Start a fresh charge window (one MIL program): the live charge and
-    /// its peak restart at zero.
-    pub fn begin(&self) {
-        self.charged.store(0, Ordering::Relaxed);
-        self.charged_peak.store(0, Ordering::Relaxed);
+    /// Start a fresh window (one MIL program), which it returns: the
+    /// ledger empties and its peak restarts at zero.
+    pub fn begin(&self) -> u64 {
+        let mut l = self.ledger.lock();
+        l.peak = 0;
+        l.clear()
     }
 
-    /// Charge `bytes` against the budget on behalf of `op`. The charge
-    /// sticks even on failure (the allocation already happened); the
-    /// interpreter's liveness frees release it either way.
+    /// The ledger, locked: the interpreter settles a statement's holds
+    /// under one lock.
+    pub(crate) fn ledger(&self) -> std::sync::MutexGuard<'_, Ledger> {
+        self.ledger.lock()
+    }
+
+    /// Charge `bytes` of no column (the memo's arrays) on behalf of `op`.
+    /// The charge sticks even on failure (the allocation happened).
     pub fn charge(&self, op: &'static str, bytes: u64) -> Result<()> {
-        let live = self.charged.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.charged_peak.fetch_max(live, Ordering::Relaxed);
+        let live = self.ledger.lock().raise(bytes);
+        self.check(op, live)
+    }
+
+    /// Fail on behalf of `op` when `live` passes the budget.
+    fn check(&self, op: &'static str, live: u64) -> Result<()> {
         let budget = self.budget_bytes.load(Ordering::Relaxed);
         if budget != 0 && live > budget {
             return Err(MonetError::BudgetExceeded { op, live_bytes: live, budget_bytes: budget });
@@ -143,22 +238,21 @@ impl MemTracker {
         Ok(())
     }
 
-    /// Return a previous charge (the value was freed).
+    /// Return a previous [`MemTracker::charge`].
     pub fn release(&self, bytes: u64) {
         // Saturating: an unmatched release must not wrap the live counter.
-        let _ = self
-            .charged
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v.saturating_sub(bytes)));
+        let mut l = self.ledger.lock();
+        l.live = l.live.saturating_sub(bytes);
     }
 
     /// Currently charged (live) bytes.
     pub fn charged_bytes(&self) -> u64 {
-        self.charged.load(Ordering::Relaxed)
+        self.ledger.lock().live
     }
 
     /// High-water mark of the charged live set since [`MemTracker::begin`].
     pub fn charged_peak(&self) -> u64 {
-        self.charged_peak.load(Ordering::Relaxed)
+        self.ledger.lock().peak
     }
 }
 
@@ -180,8 +274,7 @@ pub(crate) enum Memoized {
 }
 
 impl Memoized {
-    /// Bytes the entry keeps alive beyond what results already hold (a
-    /// LOOKUP's gathered head is the head column of its semijoin results).
+    /// Bytes of the entry's arrays (a LOOKUP's head is a ledger column).
     fn bytes(&self) -> u64 {
         4 * match self {
             Memoized::Lookup(l) => l.positions.len(),
@@ -259,21 +352,32 @@ impl ExecCtx {
         self.memo.lock().get(&key).cloned()
     }
 
-    /// Keep `value` for the rest of the execution. Its bytes are charged to
-    /// the budget like any live intermediate; the charge sticks when it
-    /// passes the budget, so the inserting operator's own `record` is what
-    /// reports `BudgetExceeded`.
+    /// Keep `value` for the rest of the execution: its arrays are charged,
+    /// and a LOOKUP holds its head (charged here unless it is the probe
+    /// column). A charge past the budget sticks, and the inserting
+    /// operator's own `record` reports `BudgetExceeded`.
     pub(crate) fn memo_insert(&self, key: MemoKey, value: Memoized) {
-        let bytes = value.bytes();
-        if self.memo.lock().insert(key, value).is_none() {
-            let _ = self.mem.charge("memo", bytes);
+        let mut memo = self.memo.lock();
+        if memo.contains_key(&key) {
+            return;
         }
+        if let (MemoKey::Lookup(_, probe), Memoized::Lookup(l)) = (&key, &value) {
+            self.mem.ledger().hold(&l.head, 1, |k| k.0 == *probe);
+        }
+        let _ = self.mem.charge("memo", value.bytes());
+        memo.insert(key, value);
     }
 
-    /// Drop every memo entry and release its charge (`mil::execute` calls
-    /// this on entry and on every exit path).
+    /// Drop every memo entry and release its charge and its holds
+    /// (`mil::execute` calls this on entry and on every exit path).
     pub(crate) fn memo_clear(&self) {
-        let bytes = self.memo.lock().drain().map(|(_, v)| v.bytes()).sum();
+        let mut bytes = 0;
+        for (_, v) in self.memo.lock().drain() {
+            bytes += v.bytes();
+            if let Memoized::Lookup(l) = v {
+                self.mem.ledger().drop_holder(&l.head);
+            }
+        }
         self.mem.release(bytes);
     }
 
@@ -327,16 +431,12 @@ impl ExecCtx {
 
     /// Record a completed operation: publish its algorithm label (the
     /// running statement's `StmtTrace.algo`, [`ExecCtx::take_algo`] for a
-    /// kernel called directly), account its memory and charge the
-    /// governor's budget. Fails with [`MonetError::BudgetExceeded`] when
-    /// the charge passes the budget; the label is published first, so an
-    /// aborted kernel still says which arm it ran.
-    ///
-    /// The budget is charged the result's whole size (the interpreter
-    /// releases the same amount when the value dies); the observational
-    /// total counts what the kernel *allocated*: a result column that is
+    /// kernel called directly), then charge the result's new columns to
+    /// the ledger (see [`MemTracker`]): one the ledger already knows, or
     /// one of the `operands`' columns — a shared head, a zero-copy tail —
-    /// adds nothing to it.
+    /// charges nothing. Fails with [`MonetError::BudgetExceeded`] when the
+    /// live set passes the budget; the label is published first, so an
+    /// aborted kernel still says which arm it ran.
     pub fn record(
         &self,
         op: &'static str,
@@ -344,17 +444,13 @@ impl ExecCtx {
         operands: &[&Bat],
         result: &Bat,
     ) -> Result<()> {
-        let allocated: usize = [result.head(), result.tail()]
-            .into_iter()
-            .filter(|col| {
-                let id = col.identity();
-                !operands.iter().any(|o| o.head().identity() == id || o.tail().identity() == id)
-            })
-            .map(|col| col.bytes())
-            .sum();
-        self.mem.add_total(allocated as u64);
         self.algo.store(label::code(algo), Ordering::Relaxed);
-        self.mem.charge(op, result.bytes() as u64)
+        let borrowed = |k| operands.iter().any(|o| key(o.head()) == k || key(o.tail()) == k);
+        let mut l = self.mem.ledger();
+        [result.head(), result.tail()].into_iter().for_each(|col| l.hold(col, 0, borrowed));
+        let live = l.live;
+        drop(l);
+        self.mem.check(op, live)
     }
 }
 
@@ -385,15 +481,15 @@ mod tests {
     #[test]
     fn record_totals_only_the_columns_the_kernel_allocated() {
         // A semijoin-shaped result: the head is the operand's column, the
-        // tail is fresh. The total counts the tail alone; the budget charge
-        // still sees the whole result.
+        // tail is fresh. The total and the budget both count the tail
+        // alone: the head is borrowed.
         let ctx = ExecCtx::new();
         let sel = Bat::new(Column::from_oids(vec![3, 5, 8]), Column::void(0, 3));
         let result = Bat::new(sel.head().clone(), Column::from_lngs(vec![30, 50, 80]));
         ctx.mem.begin();
         ctx.record("semijoin", "positional", &[&sel], &result).unwrap();
         assert_eq!(ctx.mem.total_bytes(), result.tail().bytes() as u64);
-        assert_eq!(ctx.mem.charged_bytes(), result.bytes() as u64);
+        assert_eq!(ctx.mem.charged_bytes(), result.tail().bytes() as u64);
         // A mirrored share counts as shared too; equal *contents* do not.
         let copy = Bat::new(Column::from_oids(vec![3, 5, 8]), sel.head().clone());
         let before = ctx.mem.total_bytes();
@@ -443,10 +539,74 @@ mod tests {
     #[test]
     fn mem_tracker_high_water() {
         let m = MemTracker::default();
-        m.observe_live(100);
-        m.observe_live(50);
-        m.observe_live(200);
+        m.charge("a", 100).unwrap();
+        m.release(50);
+        m.charge("b", 150).unwrap();
+        m.release(200);
+        m.charge("c", 20).unwrap();
         assert_eq!(m.max_live_bytes(), 200);
+        // A new program's window restarts its own peak, not the reset's.
+        m.begin();
+        assert_eq!((m.charged_peak(), m.max_live_bytes()), (0, 200));
+        m.reset();
+        assert_eq!(m.max_live_bytes(), 0);
+    }
+
+    #[test]
+    fn a_column_held_by_k_bats_is_charged_once_and_released_on_its_last_holder() {
+        let ctx = ExecCtx::new();
+        let shared = Column::from_oids(vec![3, 5, 8]);
+        let col = shared.bytes() as u64;
+        // The kernel that allocated it reports it once; k BATs share it.
+        let window = ctx.mem.begin();
+        let first = Bat::new(shared.clone(), Column::void(0, 3));
+        ctx.record("select", "unit", &[], &first).unwrap();
+        let bats: Vec<Bat> = (0..3).map(|i| Bat::new(shared.clone(), Column::void(i, 3))).collect();
+        for b in &bats {
+            // A sibling sharing the head charges nothing, with or without
+            // the first as its operand.
+            ctx.record("semijoin", "unit", &[], b).unwrap();
+        }
+        assert_eq!(ctx.mem.charged_bytes(), col);
+        assert_eq!(ctx.mem.total_bytes(), col);
+        for b in &bats {
+            ctx.mem.ledger().hold_value(b);
+        }
+        ctx.mem.ledger().sweep();
+        assert_eq!(ctx.mem.charged_bytes(), col, "held: the sweep keeps it");
+        for (i, b) in bats.iter().enumerate() {
+            assert_eq!(ctx.mem.charged_bytes(), col, "holder {i} of 3 still live");
+            ctx.mem.ledger().unhold(window, b);
+        }
+        assert_eq!(ctx.mem.charged_bytes(), 0, "released with its last holder");
+        assert_eq!((ctx.mem.charged_peak(), ctx.mem.max_live_bytes()), (col, col));
+        // Nothing held: the sweep releases a fresh charge.
+        ctx.record(
+            "select",
+            "unit",
+            &[],
+            &Bat::new(Column::from_ints(vec![1; 4]), Column::void(0, 4)),
+        )
+        .unwrap();
+        ctx.mem.ledger().sweep();
+        assert_eq!(ctx.mem.charged_bytes(), 0);
+    }
+
+    #[test]
+    fn a_decoded_twin_is_charged_apart_from_its_source() {
+        // `Column::decoded` keeps its source's identity but holds the raw
+        // bytes: a result built that way is new, not borrowed.
+        let ctx = ExecCtx::new();
+        let dict = Column::from_strs(vec!["Clerk#000000042"; 64]).encode();
+        assert_eq!(dict.encoding(), crate::props::Enc::Dict);
+        let raw = dict.decoded();
+        assert_eq!(raw.identity(), dict.identity());
+        let src = Bat::new(Column::void(0, 64), dict.clone());
+        ctx.record("select", "dict-code", &[], &src).unwrap();
+        let out = Bat::new(Column::void(0, 64), raw.clone());
+        ctx.record("decode", "unit", &[&src], &out).unwrap();
+        let both = (dict.bytes() + raw.bytes()) as u64;
+        assert_eq!((ctx.mem.charged_bytes(), ctx.mem.total_bytes()), (both, both));
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! Executes a straight-line MIL program against a catalog of persistent
 //! BATs. Each statement's elapsed time, page faults and dynamically chosen
 //! algorithm are captured as a [`StmtTrace`] — the raw material of the
-//! paper's Figure 10. Intermediates are freed at their last use, and the
-//! live-set high-water mark feeds the "max (MB)" column of Figure 9.
+//! paper's Figure 10. Intermediates are freed at their last use: every
+//! live value holds its columns in the context's memory ledger
+//! ([`crate::ctx::MemTracker`]), which charges each column once however
+//! many values share it and releases it with its last holder — so the
+//! budget, the "max (MB)" column of Figure 9 and the allocation total
+//! read one account.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::atom::AtomValue;
 use crate::bat::Bat;
-use crate::ctx::ExecCtx;
+use crate::ctx::{ExecCtx, MemTracker};
 use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::ops;
@@ -86,10 +91,24 @@ impl StmtTrace {
     }
 }
 
-/// The interpreter environment after execution.
+/// The interpreter environment after execution. Its values hold their
+/// columns in the ledger until it is dropped.
 pub struct Env {
     values: Vec<Option<MilValue>>,
     trace: Vec<StmtTrace>,
+    /// The ledger the values are held in, and its window then.
+    held: (Arc<MemTracker>, u64),
+}
+
+impl Drop for Env {
+    fn drop(&mut self) {
+        let mut ledger = self.held.0.ledger();
+        self.values
+            .iter()
+            .flatten()
+            .filter_map(|v| v.as_bat().ok())
+            .for_each(|b| ledger.unhold(self.held.1, b));
+    }
 }
 
 impl Env {
@@ -131,27 +150,28 @@ pub fn execute<P: Executable + ?Sized>(
 ) -> Result<Env> {
     // Per-execution state starts empty and dies with the execution, abort
     // included: the memo (datavector LOOKUPs, `{g}` groupings) is keyed by
-    // intermediates of *this* program.
-    struct ClearMemo<'a>(&'a ExecCtx);
-    impl Drop for ClearMemo<'_> {
+    // intermediates of *this* program, and an aborted execution leaves
+    // nothing charged in the ledger.
+    struct Scope<'a> {
+        ctx: &'a ExecCtx,
+        done: bool,
+    }
+    impl Drop for Scope<'_> {
         fn drop(&mut self) {
-            self.0.memo_clear();
+            self.ctx.memo_clear();
+            if !self.done {
+                self.ctx.mem.ledger().clear();
+            }
         }
     }
     ctx.memo_clear();
-    let _memo = ClearMemo(ctx);
-    // Open a fresh governor charge window: the byte budget covers the
+    // Open a fresh ledger window: the byte budget covers the
     // intermediates of *this* program, not whatever ran before on the ctx.
-    ctx.mem.begin();
+    let window = ctx.mem.begin();
+    let mut scope = Scope { ctx, done: false };
     let (stmts, overlay, frees) = (&prog.program().stmts, prog.overlay(), prog.frees());
     let mut values: Vec<Option<MilValue>> = vec![None; stmts.len()];
     let mut trace: Vec<StmtTrace> = Vec::with_capacity(stmts.len());
-    // Bytes of the live intermediates, each counted as the governor
-    // charges it: Load/ConstScalar/Mirror share catalog or operand storage
-    // and were never charged by a kernel `record`, so they count 0. The
-    // live set (and its peak) is thereby the intermediates' alone.
-    let mut charged: Vec<u64> = vec![0; stmts.len()];
-    let (mut live_bytes, mut peak) = (0u64, 0u64);
     let last = stmts.len().saturating_sub(1);
     // A label left by a kernel called outside any program is not ours.
     ctx.take_algo();
@@ -167,13 +187,6 @@ pub fn execute<P: Executable + ?Sized>(
         // The label the statement's kernel published through
         // `ExecCtx::record` (none for load/mirror/const).
         let algo = ctx.take_algo();
-        let bytes = value.bytes();
-        charged[stmt.var] = match *op {
-            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Mirror(_) => 0,
-            _ => bytes as u64,
-        };
-        live_bytes += charged[stmt.var];
-        peak = peak.max(live_bytes);
         trace.push(StmtTrace {
             var: stmt.var,
             ms,
@@ -183,23 +196,28 @@ pub fn execute<P: Executable + ?Sized>(
                 MilValue::Bat(b) => b.len(),
                 MilValue::Scalar(_) => 1,
             },
-            result_bytes: bytes,
+            result_bytes: value.bytes(),
         });
+        // The value holds its columns in the ledger; a load's catalog
+        // columns and a mirror's borrowed ones were never charged.
+        let mut ledger = ctx.mem.ledger();
+        if let MilValue::Bat(b) = &value {
+            ledger.hold_value(b);
+        }
         values[stmt.var] = Some(value);
         // Free dead intermediates ("algebraic buffer management").
         for &v in &frees[i] {
             if keep.contains(&v) || v == last {
                 continue;
             }
-            if values[v].take().is_some() {
-                live_bytes -= charged[v];
-                ctx.mem.release(charged[v]);
-                charged[v] = 0;
+            if let Some(MilValue::Bat(b)) = values[v].take() {
+                ledger.unhold(window, &b);
             }
         }
+        ledger.sweep();
     }
-    ctx.mem.observe_live(peak);
-    Ok(Env { values, trace })
+    scope.done = true;
+    Ok(Env { values, trace, held: (Arc::clone(&ctx.mem), window) })
 }
 
 /// Execute one statement through its operator, whose own dispatch picks
@@ -341,6 +359,21 @@ mod tests {
         assert_eq!(env.scalar(s).unwrap(), &AtomValue::Lng(10));
     }
 
+    /// Bytes of the distinct columns of `bats` that are not `db`'s: what
+    /// the ledger charges for them (one column, one charge; the catalog's
+    /// columns are borrowed).
+    fn charged_once<'a>(db: &Db, bats: impl IntoIterator<Item = &'a Bat>) -> u64 {
+        let key = |c: &Column| (c.identity(), c.encoding());
+        let catalog: Vec<_> = db.iter().flat_map(|(_, b)| [key(b.head()), key(b.tail())]).collect();
+        let mut cols = std::collections::HashMap::new();
+        for c in bats.into_iter().flat_map(|b| [b.head(), b.tail()]) {
+            if !catalog.contains(&key(c)) {
+                cols.insert(key(c), c.bytes() as u64);
+            }
+        }
+        cols.values().sum()
+    }
+
     #[test]
     fn the_memo_is_shared_within_an_execution_and_dropped_after_it() {
         use crate::accel::datavector::{Datavector, Extent};
@@ -409,11 +442,11 @@ mod tests {
             // ... and the memo dies with the execution, so the next one
             // starts cold even though `sel` is the same catalog BAT — its
             // bytes returned to the budget: only the kept results stay
-            // charged.
+            // charged, each column once.
             assert!(memo_is_empty(&ctx), "run {run}: memo outlived its execution");
-            let kept: usize = keep.iter().map(|v| env.bat(*v).unwrap().bytes()).sum();
-            assert_eq!(ctx.mem.charged_bytes(), kept as u64, "run {run}: memo charge leaked");
-            assert!(ctx.mem.charged_peak() > kept as u64, "run {run}: memo was never charged");
+            let kept = charged_once(&db, keep.iter().map(|v| env.bat(*v).unwrap()));
+            assert_eq!(ctx.mem.charged_bytes(), kept, "run {run}: memo charge leaked");
+            assert!(ctx.mem.charged_peak() > kept, "run {run}: memo was never charged");
         }
 
         // An aborted execution drops its memo too: after the LOOKUP, and
@@ -423,6 +456,56 @@ mod tests {
             assert!(matches!(execute(&ctx, &db, &p, &[]), Err(MonetError::Injected { .. })));
             assert!(memo_is_empty(&ctx), "abort at {site} leaked the memo");
         }
+    }
+
+    #[test]
+    fn sibling_semijoins_and_the_memo_charge_their_shared_head_once() {
+        use crate::accel::datavector::{Datavector, Extent};
+        use std::sync::Arc;
+
+        // Two attributes over one extent, and a selection with an oid the
+        // extent lacks: the LOOKUP gathers a fresh head, which the memo
+        // and both kept semijoin results share.
+        let extent = Extent::new(Column::from_oids(vec![10, 11, 12, 13]));
+        let mut db = Db::new();
+        for (name, vals) in
+            [("price", vec![1.0, 2.0, 3.0, 4.0]), ("disc", vec![0.4, 0.3, 0.2, 0.1])]
+        {
+            let mut b =
+                Bat::new(Column::from_oids(vec![10, 11, 12, 13]), Column::from_dbls(vals.clone()));
+            b.set_datavector(Arc::new(Datavector::new(
+                Arc::clone(&extent),
+                Column::from_dbls(vals),
+            )));
+            db.register(name, b);
+        }
+        db.register(
+            "sel",
+            Bat::with_inferred_props(Column::from_oids(vec![13, 99, 11]), Column::void(0, 3)),
+        );
+        let mut p = MilProgram::new();
+        let s = p.emit("sel", MilOp::Load("sel".into()));
+        let price = p.emit("price", MilOp::Load("price".into()));
+        let disc = p.emit("disc", MilOp::Load("disc".into()));
+        let prices = p.emit("prices", MilOp::Semijoin(price, s));
+        let discs = p.emit("discs", MilOp::Semijoin(disc, s));
+
+        let ctx = ExecCtx::new();
+        let env = execute(&ctx, &db, &p, &[prices, discs]).unwrap();
+        let algos: Vec<_> = env.trace().iter().map(|t| t.algo).filter(|a| !a.is_empty()).collect();
+        assert_eq!(algos, ["datavector", "datavector"]);
+        let (a, b) = (env.bat(prices).unwrap(), env.bat(discs).unwrap());
+        assert!(a.synced(b), "sibling semijoins must share their head");
+        assert_eq!(a.tail().as_dbl_slice().unwrap(), &[4.0, 2.0]);
+        let head = a.head().bytes() as u64;
+        let tails = (a.tail().bytes() + b.tail().bytes()) as u64;
+        assert!(head > 0 && db.iter().all(|(_, c)| c.head().identity() != a.head().identity()));
+        // One head, charged once: while the memo and both results hold it,
+        // and after the memo let go of it.
+        assert_eq!(ctx.mem.charged_bytes(), head + tails);
+        assert_eq!(ctx.mem.total_bytes(), head + tails, "allocated once, counted once");
+        // The peak adds the LOOKUP's two positions, nothing for the head.
+        assert_eq!(ctx.mem.charged_peak(), head + tails + 4 * 2);
     }
 
     #[test]

@@ -27,51 +27,9 @@
 use std::hash::{Hash, Hasher};
 
 use crate::atom::AtomValue;
+use crate::column::WordHasher;
 
 use super::super::ast::{MilArg, MilOp, MilProgram, MilStmt, Var};
-
-/// Multiplicative word hasher (the `FxHasher` recipe): keys are small
-/// structural tuples, where SipHash's flooding resistance buys little —
-/// constants crafted to collide cost at most probes quadratic in the
-/// length of the program that carries them, one table per program.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl WordHasher {
-    fn add(&mut self, w: u64) {
-        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(w));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.add(x as u64);
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.add(x as u64);
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.add(x);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.add(x as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Bit-exact atom identity (stricter than `==` on floats: distinguishes
 /// -0.0 from 0.0 and any two NaN payloads).

@@ -13,7 +13,7 @@
 /// [`crate::bat::Bat`] constructors derive it from the actual column
 /// instead of trusting the caller. `None` means "no encoding known", the
 /// always-sound default.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Enc {
     /// Raw layout, or encoding unknown.
     #[default]

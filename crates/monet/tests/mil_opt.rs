@@ -404,38 +404,57 @@ fn trace_and_live_set_follow_the_rewritten_program() {
         assert_eq!(row.render(&out.prog), monet::mil::render_stmt(&out.prog, &out.prog.stmts[i]));
     }
 
-    // Replay the interpreter's liveness accounting against the rewritten
-    // last-use table; the recorded peak must match exactly. The live set
-    // is the intermediates': a load is the catalog's BAT and a mirror its
-    // operand's columns, so both count nothing (as the budget charges them).
+    // Replay the ledger against the rewritten last-use table, over the
+    // columns of a run that keeps every value; the recorded peak must match
+    // exactly. A column is charged once, when the first value holding it
+    // becomes live, and released with its last holder; a catalog column
+    // (what a load returns, what a mirror or a shared head borrows)
+    // counts nothing.
     let frees = out.prog.last_uses();
-    let sizes: Vec<u64> = env
-        .trace()
-        .iter()
-        .zip(&out.prog.stmts)
-        .map(|(t, s)| match s.op {
-            MilOp::Load(_) | MilOp::ConstScalar(_) | MilOp::Mirror(_) => 0,
-            _ => t.result_bytes as u64,
-        })
-        .collect();
+    let every: Vec<Var> = (0..out.prog.len()).collect();
+    let full = execute(&ExecCtx::new(), &db, &out.prog, &every).unwrap();
+    let key = |c: &Column| (c.identity(), c.encoding());
+    let catalog: Vec<_> = db.iter().flat_map(|(_, b)| [key(b.head()), key(b.tail())]).collect();
+    let charged = |v: Var| {
+        let b = full.bat(v).unwrap();
+        let mut cols = vec![b.head()];
+        if key(b.tail()) != key(b.head()) {
+            cols.push(b.tail());
+        }
+        cols.into_iter()
+            .filter(|c| c.bytes() > 0 && !catalog.contains(&key(c)))
+            .map(|c| (key(c), c.bytes() as u64))
+            .collect::<Vec<_>>()
+    };
     assert!(
-        env.trace().iter().any(|t| t.result_bytes > 0 && sizes[t.var] == 0),
+        env.trace().iter().any(|t| t.result_bytes > 0 && charged(t.var).is_empty()),
         "the plan loads catalog bytes the live set must not count"
     );
-    let mut live = 0;
-    let mut peak = 0;
-    let mut held: Vec<Option<u64>> = vec![None; out.prog.len()];
+    let mut held = std::collections::HashMap::new();
+    let (mut live, mut peak) = (0, 0);
+    let mut freed = vec![false; out.prog.len()];
     let last = out.prog.len() - 1;
-    for i in 0..out.prog.len() {
-        live += sizes[i];
-        held[i] = Some(sizes[i]);
+    for (i, dying) in frees.iter().enumerate() {
+        for (k, bytes) in charged(i) {
+            held.entry(k)
+                .or_insert_with(|| {
+                    live += bytes;
+                    (bytes, 0)
+                })
+                .1 += 1;
+        }
         peak = peak.max(live);
-        for &v in &frees[i] {
-            if v == root || v == last {
+        for &v in dying {
+            if v == root || v == last || std::mem::replace(&mut freed[v], true) {
                 continue;
             }
-            if let Some(b) = held[v].take() {
-                live -= b;
+            for (k, _) in charged(v) {
+                let h = held.get_mut(&k).unwrap();
+                h.1 -= 1;
+                if h.1 == 0 {
+                    live -= h.0;
+                    held.remove(&k);
+                }
             }
         }
     }

@@ -115,6 +115,13 @@ fn fault_sweep_over_query_mix() {
                 Err(e) => panic!("q{} k={k}/{n1}: expected injected fault, got: {e}", q.id),
                 Ok(_) => panic!("q{} k={k}/{n1}: injected fault did not surface", q.id),
             }
+            // The abort released everything the execution had charged.
+            assert_eq!(
+                session.ctx().mem.charged_bytes(),
+                0,
+                "q{} k={k}/{n1}: bytes left charged",
+                q.id
+            );
             // One-shot injector: the immediate retry on the same session
             // runs clean and must reproduce the oracle bit-for-bit.
             let retry = session
