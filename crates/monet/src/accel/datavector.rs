@@ -171,7 +171,7 @@ impl Extent {
             self.oids.gather(&out)
         };
         let result = Lookup { positions: Arc::new(out), head };
-        ctx.memo_insert(key, Memoized::Lookup(result.clone()));
+        ctx.memo_insert(key, right_head, Memoized::Lookup(result.clone()));
         result
     }
 }

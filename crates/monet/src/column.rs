@@ -12,7 +12,7 @@
 use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use crate::atom::{AtomType, AtomValue, Date, Oid};
 use crate::buf::Buf;
@@ -350,6 +350,24 @@ impl Column {
     /// Storage identity, ignoring the view window (pager heap id).
     pub fn storage_id(&self) -> ColumnId {
         self.id
+    }
+
+    /// A weak handle on the storage, dead once no view of it is left;
+    /// `None` for `void`, which allocates nothing. A string column's own
+    /// allocation is its offset array (a gather shares the byte heap).
+    pub(crate) fn storage(&self) -> Option<Weak<dyn Send + Sync>> {
+        let strong: Arc<dyn Send + Sync> = match &self.vals {
+            ColumnVals::Void { .. } => return None,
+            ColumnVals::Oid(a) => a.clone(),
+            ColumnVals::Bool(a) => a.clone(),
+            ColumnVals::Chr(a) => a.clone(),
+            ColumnVals::Int(a) | ColumnVals::Date(a) => a.clone(),
+            ColumnVals::Lng(a) => a.clone(),
+            ColumnVals::Dbl(a) => a.clone(),
+            ColumnVals::Str(s) => s.offsets().clone(),
+            ColumnVals::DictStr(d) => d.clone(),
+        };
+        Some(Arc::downgrade(&strong))
     }
 
     /// Window `(offset, length)` into the shared storage, used by the pager

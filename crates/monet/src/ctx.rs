@@ -8,19 +8,21 @@
 //! Figures 8–10 (the per-statement rows are the interpreter's
 //! `mil::StmtTrace`, filled on every context), and the query service arms
 //! per-statement deadlines and memory budgets on the same context.
+//! Its memory ledger ([`MemTracker`]) charges an intermediate allocation
+//! once and releases it when its `Arc` has no holder left.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use crate::sync::Mutex;
 
 use crate::accel::datavector::Lookup;
 use crate::atom::Oid;
 use crate::bat::Bat;
-use crate::column::{Column, ColumnIdentity, WordHasher};
+use crate::column::{Column, ColumnId, ColumnIdentity, WordHasher};
 use crate::config::EngineConfig;
 use crate::error::{MonetError, Result};
 use crate::gov::{CancelToken, Governor};
@@ -51,28 +53,31 @@ mod label {
     }
 }
 
-/// A ledger key: a column view's identity and its layout (a
-/// [`Column::decoded`] twin keeps its source's identity, not its bytes).
-type ColumnKey = (ColumnIdentity, Enc);
+/// A ledger key: a column allocation — its storage id and layout (a
+/// [`Column::decoded`] twin keeps its source's id, not its bytes). Every
+/// view of one allocation, a zero-copy slice included, has its key.
+type ColumnKey = (ColumnId, Enc);
 
 fn key(col: &Column) -> ColumnKey {
-    (col.identity(), col.encoding())
+    (col.storage_id(), col.encoding())
 }
 
+/// A weak handle on a column's storage (see [`Column::storage`]).
+type Storage = Weak<dyn Send + Sync>;
+
 /// The one account of intermediate bytes (see [`MemTracker`]): each
-/// charged column's bytes and holders, the columns charged since the last
-/// sweep, the live bytes (`cols` plus the memo's arrays) with their peaks
-/// since `begin` and since `reset`, the total charged since `reset`, and a
-/// window number bumped whenever the ledger empties.
+/// charged allocation's bytes and storage, whether one was charged since
+/// the last sweep, the live bytes (`cols` plus the memo's arrays) with
+/// their peaks since `begin` and since `reset`, and the total charged
+/// since `reset`.
 #[derive(Debug, Default)]
-pub(crate) struct Ledger {
-    cols: HashMap<ColumnKey, (u64, u32), BuildHasherDefault<WordHasher>>,
-    unheld: Vec<ColumnKey>,
+struct Ledger {
+    cols: HashMap<ColumnKey, (u64, Storage), BuildHasherDefault<WordHasher>>,
+    fresh: bool,
     live: u64,
     peak: u64,
     max_live: u64,
     total: u64,
-    window: u64,
 }
 
 impl Ledger {
@@ -82,82 +87,17 @@ impl Ledger {
         self.max_live = self.max_live.max(self.live);
         self.live
     }
-
-    /// Add a holder to `col`'s entry, which is charged first when the
-    /// ledger does not know the column and it is not `borrowed`. A column
-    /// of no bytes has no entry.
-    fn hold(&mut self, col: &Column, holders: u32, borrowed: impl Fn(ColumnKey) -> bool) {
-        let bytes = col.bytes() as u64;
-        if bytes == 0 {
-            return;
-        }
-        match self.cols.entry(key(col)) {
-            Entry::Occupied(mut e) => e.get_mut().1 += holders,
-            Entry::Vacant(e) if !borrowed(*e.key()) => {
-                self.unheld.push(*e.key());
-                e.insert((bytes, holders));
-                self.raise(bytes);
-                self.total += bytes;
-            }
-            Entry::Vacant(_) => {}
-        }
-    }
-
-    /// One holder of `col` dies; its bytes go with the last.
-    fn drop_holder(&mut self, col: &Column) {
-        if col.bytes() == 0 {
-            return;
-        }
-        if let Entry::Occupied(mut e) = self.cols.entry(key(col)) {
-            e.get_mut().1 = e.get().1.saturating_sub(1);
-            if e.get().1 == 0 {
-                self.live = self.live.saturating_sub(e.remove().0);
-            }
-        }
-    }
-
-    /// A value holding `bat`'s charged columns became live.
-    pub(crate) fn hold_value(&mut self, bat: &Bat) {
-        [bat.head(), bat.tail()].into_iter().for_each(|col| self.hold(col, 1, |_| true));
-    }
-
-    /// A value holding `bat` died (in `window`; an older one holds nothing).
-    pub(crate) fn unhold(&mut self, window: u64, bat: &Bat) {
-        if self.window == window {
-            self.drop_holder(bat.head());
-            self.drop_holder(bat.tail());
-        }
-    }
-
-    /// Release the columns charged since the last sweep that nothing holds:
-    /// nested kernels' results, scratch a statement let go.
-    pub(crate) fn sweep(&mut self) {
-        for k in self.unheld.drain(..) {
-            if let Entry::Occupied(e) = self.cols.entry(k) {
-                if e.get().1 == 0 {
-                    self.live = self.live.saturating_sub(e.remove().0);
-                }
-            }
-        }
-    }
-
-    /// Release everything and open a new window, which it returns.
-    pub(crate) fn clear(&mut self) -> u64 {
-        self.cols.clear();
-        self.unheld.clear();
-        self.live = 0;
-        self.window += 1;
-        self.window
-    }
 }
 
 /// Memory accounting and enforcement: one **ledger** of the intermediate
-/// columns, keyed by column identity. [`ExecCtx::record`] charges a result
-/// column once — unless the ledger knows it or an operand carries it — to
-/// the live set the **budget** bounds; `mil::execute` holds it for each
-/// live value (the memo for its LOOKUP heads) and releases it with the
-/// last. `charged_bytes`, `charged_peak` (since `begin`), `max_live_bytes`
-/// (since `reset`; Figure 9's "max (MB)") and `total_bytes` read it.
+/// columns, keyed by allocation. [`ExecCtx::record`] charges a result
+/// column's allocation once — unless the ledger knows it or an operand
+/// (or an operand's datavector) carries it, so a zero-copy view charges
+/// nothing — to the live set the **budget** bounds. The allocation's `Arc`
+/// is its holder count: [`MemTracker::sweep`] releases every entry whose
+/// storage nothing references any more. `charged_bytes`, `charged_peak`
+/// (since `begin`), `max_live_bytes` (since `reset`; Figure 9's "max
+/// (MB)") and `total_bytes` read it.
 #[derive(Debug, Default)]
 pub struct MemTracker {
     ledger: Mutex<Ledger>,
@@ -182,8 +122,7 @@ impl MemTracker {
     }
 
     pub fn reset(&self) {
-        let mut l = self.ledger.lock();
-        *l = Ledger { window: l.window + 1, ..Ledger::default() };
+        *self.ledger.lock() = Ledger::default();
         self.spilled_bytes.store(0, Ordering::Relaxed);
     }
 
@@ -208,18 +147,32 @@ impl MemTracker {
         self.budget_bytes.load(Ordering::Relaxed)
     }
 
-    /// Start a fresh window (one MIL program), which it returns: the
-    /// ledger empties and its peak restarts at zero.
-    pub fn begin(&self) -> u64 {
+    /// Start one MIL program's account: the ledger empties and its peak
+    /// restarts at zero.
+    pub fn begin(&self) {
         let mut l = self.ledger.lock();
-        l.peak = 0;
-        l.clear()
+        l.cols.clear();
+        (l.live, l.peak) = (0, 0);
     }
 
-    /// The ledger, locked: the interpreter settles a statement's holds
-    /// under one lock.
-    pub(crate) fn ledger(&self) -> std::sync::MutexGuard<'_, Ledger> {
-        self.ledger.lock()
+    /// Release every allocation nothing references any more. Skipped when
+    /// nothing was charged since the last sweep and the caller `dropped`
+    /// no reference. Not part of any read: the cost model reads
+    /// `charged_bytes` at every dispatch.
+    pub(crate) fn sweep(&self, dropped: bool) {
+        let mut guard = self.ledger.lock();
+        let l = &mut *guard;
+        if !(dropped || l.fresh) {
+            return;
+        }
+        let mut freed = 0;
+        l.cols.retain(|_, (bytes, storage)| {
+            let live = storage.strong_count() > 0;
+            freed += if live { 0 } else { *bytes };
+            live
+        });
+        l.live = l.live.saturating_sub(freed);
+        l.fresh = false;
     }
 
     /// Charge `bytes` of no column (the memo's arrays) on behalf of `op`.
@@ -266,7 +219,7 @@ pub(crate) enum MemoKey {
     Grouping(ColumnIdentity),
 }
 
-/// A derived structure worth keeping for the rest of the execution.
+/// A derived structure worth keeping while its key column lives.
 #[derive(Debug, Clone)]
 pub(crate) enum Memoized {
     Lookup(Lookup),
@@ -282,6 +235,9 @@ impl Memoized {
         } as u64
     }
 }
+
+/// The memo's entries, each with its key column's storage.
+type Memo = HashMap<MemoKey, (Memoized, Option<Storage>)>;
 
 /// Shared execution context.
 #[derive(Clone)]
@@ -305,8 +261,10 @@ pub struct ExecCtx {
     /// selection ([`crate::accel::datavector`]), the grouping of a `{g}`
     /// head ([`crate::ops::set_aggregate`]). The statements differ
     /// syntactically, so CSE cannot merge them; the column identity can.
-    /// `mil::execute` empties it on every exit path.
-    memo: Arc<Mutex<HashMap<MemoKey, Memoized>>>,
+    /// Each entry keeps its key column's storage; `mil::execute` drops the
+    /// entry when that dies ([`ExecCtx::memo_drop`]) and empties the memo on
+    /// every exit path.
+    memo: Arc<Mutex<Memo>>,
 }
 
 impl Default for ExecCtx {
@@ -349,35 +307,32 @@ impl ExecCtx {
 
     /// The memoized structure under `key`, if this execution derived it.
     pub(crate) fn memo_get(&self, key: MemoKey) -> Option<Memoized> {
-        self.memo.lock().get(&key).cloned()
+        self.memo.lock().get(&key).map(|(value, _)| value.clone())
     }
 
-    /// Keep `value` for the rest of the execution: its arrays are charged,
-    /// and a LOOKUP holds its head (charged here unless it is the probe
-    /// column). A charge past the budget sticks, and the inserting
-    /// operator's own `record` reports `BudgetExceeded`.
-    pub(crate) fn memo_insert(&self, key: MemoKey, value: Memoized) {
-        let mut memo = self.memo.lock();
-        if memo.contains_key(&key) {
-            return;
+    /// Keep `value` while its key column `of` lives: its arrays are
+    /// charged (a LOOKUP's head is a column, charged by the `record` of the
+    /// result that carries it). A charge past the budget sticks, and the
+    /// inserting operator's own `record` reports `BudgetExceeded`.
+    pub(crate) fn memo_insert(&self, key: MemoKey, of: &Column, value: Memoized) {
+        if let Entry::Vacant(e) = self.memo.lock().entry(key) {
+            let _ = self.mem.charge("memo", value.bytes());
+            e.insert((value, of.storage()));
         }
-        if let (MemoKey::Lookup(_, probe), Memoized::Lookup(l)) = (&key, &value) {
-            self.mem.ledger().hold(&l.head, 1, |k| k.0 == *probe);
-        }
-        let _ = self.mem.charge("memo", value.bytes());
-        memo.insert(key, value);
     }
 
-    /// Drop every memo entry and release its charge and its holds
-    /// (`mil::execute` calls this on entry and on every exit path).
-    pub(crate) fn memo_clear(&self) {
+    /// Drop the memo entries whose key column died (no later statement can
+    /// name it; a LOOKUP head that *is* the probe is no reference to its own
+    /// key) — or, with `every`, all of them — and return their arrays' charge.
+    pub(crate) fn memo_drop(&self, every: bool) {
         let mut bytes = 0;
-        for (_, v) in self.memo.lock().drain() {
-            bytes += v.bytes();
-            if let Memoized::Lookup(l) = v {
-                self.mem.ledger().drop_holder(&l.head);
-            }
-        }
+        self.memo.lock().retain(|key, (value, of)| {
+            let own = matches!((key, &*value), (MemoKey::Lookup(_, probe), Memoized::Lookup(l))
+                if l.head.storage_id() == probe.id);
+            let keep = !every && of.as_ref().is_none_or(|w| w.strong_count() > usize::from(own));
+            bytes += if keep { 0 } else { value.bytes() };
+            keep
+        });
         self.mem.release(bytes);
     }
 
@@ -431,12 +386,13 @@ impl ExecCtx {
 
     /// Record a completed operation: publish its algorithm label (the
     /// running statement's `StmtTrace.algo`, [`ExecCtx::take_algo`] for a
-    /// kernel called directly), then charge the result's new columns to
-    /// the ledger (see [`MemTracker`]): one the ledger already knows, or
-    /// one of the `operands`' columns — a shared head, a zero-copy tail —
-    /// charges nothing. Fails with [`MonetError::BudgetExceeded`] when the
-    /// live set passes the budget; the label is published first, so an
-    /// aborted kernel still says which arm it ran.
+    /// kernel called directly), then charge the allocations of the
+    /// result's columns to the ledger (see [`MemTracker`]): one the ledger
+    /// already knows, or one an operand carries — a shared head, a
+    /// zero-copy slice, an operand's datavector vector — charges nothing.
+    /// Fails with [`MonetError::BudgetExceeded`] when the live set passes
+    /// the budget; the label is published first, so an aborted kernel
+    /// still says which arm it ran.
     pub fn record(
         &self,
         op: &'static str,
@@ -445,9 +401,27 @@ impl ExecCtx {
         result: &Bat,
     ) -> Result<()> {
         self.algo.store(label::code(algo), Ordering::Relaxed);
-        let borrowed = |k| operands.iter().any(|o| key(o.head()) == k || key(o.tail()) == k);
-        let mut l = self.mem.ledger();
-        [result.head(), result.tail()].into_iter().for_each(|col| l.hold(col, 0, borrowed));
+        let borrowed = |k| {
+            operands.iter().any(|o| {
+                key(o.head()) == k
+                    || key(o.tail()) == k
+                    || o.accel().datavector.as_ref().is_some_and(|dv| key(dv.vector()) == k)
+            })
+        };
+        let mut l = self.mem.ledger.lock();
+        for col in [result.head(), result.tail()] {
+            let bytes = col.bytes() as u64;
+            if bytes == 0 || borrowed(key(col)) {
+                continue;
+            }
+            // A column of bytes is never `void`, so it has storage.
+            if let (Entry::Vacant(e), Some(storage)) = (l.cols.entry(key(col)), col.storage()) {
+                e.insert((bytes, storage));
+                l.raise(bytes);
+                l.total += bytes;
+                l.fresh = true;
+            }
+        }
         let live = l.live;
         drop(l);
         self.mem.check(op, live)
@@ -558,10 +532,11 @@ mod tests {
         let shared = Column::from_oids(vec![3, 5, 8]);
         let col = shared.bytes() as u64;
         // The kernel that allocated it reports it once; k BATs share it.
-        let window = ctx.mem.begin();
-        let first = Bat::new(shared.clone(), Column::void(0, 3));
+        ctx.mem.begin();
+        let first = Bat::new(shared, Column::void(0, 3));
         ctx.record("select", "unit", &[], &first).unwrap();
-        let bats: Vec<Bat> = (0..3).map(|i| Bat::new(shared.clone(), Column::void(i, 3))).collect();
+        let mut bats: Vec<Bat> =
+            (0..3).map(|i| Bat::new(first.head().clone(), Column::void(i, 3))).collect();
         for b in &bats {
             // A sibling sharing the head charges nothing, with or without
             // the first as its operand.
@@ -569,18 +544,18 @@ mod tests {
         }
         assert_eq!(ctx.mem.charged_bytes(), col);
         assert_eq!(ctx.mem.total_bytes(), col);
-        for b in &bats {
-            ctx.mem.ledger().hold_value(b);
-        }
-        ctx.mem.ledger().sweep();
+        drop(first);
+        ctx.mem.sweep(true);
         assert_eq!(ctx.mem.charged_bytes(), col, "held: the sweep keeps it");
-        for (i, b) in bats.iter().enumerate() {
+        for i in 0..3 {
             assert_eq!(ctx.mem.charged_bytes(), col, "holder {i} of 3 still live");
-            ctx.mem.ledger().unhold(window, b);
+            bats.pop();
+            ctx.mem.sweep(true);
         }
         assert_eq!(ctx.mem.charged_bytes(), 0, "released with its last holder");
         assert_eq!((ctx.mem.charged_peak(), ctx.mem.max_live_bytes()), (col, col));
-        // Nothing held: the sweep releases a fresh charge.
+        // Nothing holds it: the next sweep releases a fresh charge, even
+        // when the caller dropped nothing.
         ctx.record(
             "select",
             "unit",
@@ -588,8 +563,53 @@ mod tests {
             &Bat::new(Column::from_ints(vec![1; 4]), Column::void(0, 4)),
         )
         .unwrap();
-        ctx.mem.ledger().sweep();
+        ctx.mem.sweep(false);
         assert_eq!(ctx.mem.charged_bytes(), 0);
+    }
+
+    #[test]
+    fn a_zero_copy_view_charges_nothing() {
+        use crate::accel::datavector::{Datavector, Extent};
+        use crate::atom::AtomValue;
+        use crate::props::{ColProps, Props};
+
+        // A binary-search range select over a tail-sorted catalog BAT is a
+        // slice of its operand: it allocated nothing, so it charges nothing.
+        let ctx = ExecCtx::new();
+        ctx.mem.begin();
+        let sorted = Bat::with_inferred_props(
+            Column::from_oids(vec![7, 3, 9, 1, 4]),
+            Column::from_ints(vec![10, 20, 30, 40, 50]),
+        );
+        let lo = AtomValue::Int(20);
+        let hi = AtomValue::Int(40);
+        let range = crate::ops::select_range(&ctx, &sorted, Some(&lo), Some(&hi), true, true);
+        assert_eq!(ctx.take_algo(), "binary-search");
+        assert_eq!(range.unwrap().len(), 3);
+        assert_eq!((ctx.mem.charged_bytes(), ctx.mem.total_bytes()), (0, 0));
+
+        // A datavector semijoin with the class extent returns the
+        // operand's value vector whole — a catalog column that is neither
+        // of the operands' own columns.
+        let extent = Extent::new(Column::from_oids(vec![10, 11, 12, 13]));
+        let mut price = Bat::new(
+            Column::from_oids(vec![13, 11, 12, 10]),
+            Column::from_dbls(vec![4.0, 2.0, 3.0, 1.0]),
+        );
+        price.set_datavector(Arc::new(Datavector::new(
+            Arc::clone(&extent),
+            Column::from_dbls(vec![1.0, 2.0, 3.0, 4.0]),
+        )));
+        let key = ColProps { sorted: true, key: true, ..ColProps::NONE };
+        let all = Bat::with_props(
+            extent.oids().clone(),
+            Column::void(0, 4),
+            Props::new(key, ColProps::NONE),
+        );
+        let prices = crate::ops::semijoin(&ctx, &price, &all).unwrap();
+        assert_eq!(ctx.take_algo(), "datavector");
+        assert_eq!(prices.tail().as_dbl_slice().unwrap(), &[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!((ctx.mem.charged_bytes(), ctx.mem.total_bytes()), (0, 0));
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Executes a straight-line MIL program against a catalog of persistent
 //! BATs. Each statement's elapsed time, page faults and dynamically chosen
 //! algorithm are captured as a [`StmtTrace`] — the raw material of the
-//! paper's Figure 10. Intermediates are freed at their last use: every
-//! live value holds its columns in the context's memory ledger
-//! ([`crate::ctx::MemTracker`]), which charges each column once however
-//! many values share it and releases it with its last holder — so the
-//! budget, the "max (MB)" column of Figure 9 and the allocation total
-//! read one account.
+//! paper's Figure 10. Intermediates are freed at their last use: the
+//! interpreter drops a dead value, and the context's memory ledger
+//! ([`crate::ctx::MemTracker`]), which charged each allocation once
+//! however many values share it, releases it at the statement's sweep
+//! once nothing references it — so the budget, the "max (MB)" column of
+//! Figure 9 and the allocation total read one account.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,23 +91,19 @@ impl StmtTrace {
     }
 }
 
-/// The interpreter environment after execution. Its values hold their
-/// columns in the ledger until it is dropped.
+/// The interpreter environment after execution. Its values stay charged
+/// in the ledger until it is dropped.
 pub struct Env {
     values: Vec<Option<MilValue>>,
     trace: Vec<StmtTrace>,
-    /// The ledger the values are held in, and its window then.
-    held: (Arc<MemTracker>, u64),
+    /// The ledger the values were charged to, swept when they go.
+    mem: Arc<MemTracker>,
 }
 
 impl Drop for Env {
     fn drop(&mut self) {
-        let mut ledger = self.held.0.ledger();
-        self.values
-            .iter()
-            .flatten()
-            .filter_map(|v| v.as_bat().ok())
-            .for_each(|b| ledger.unhold(self.held.1, b));
+        self.values.clear();
+        self.mem.sweep(true);
     }
 }
 
@@ -150,25 +146,20 @@ pub fn execute<P: Executable + ?Sized>(
 ) -> Result<Env> {
     // Per-execution state starts empty and dies with the execution, abort
     // included: the memo (datavector LOOKUPs, `{g}` groupings) is keyed by
-    // intermediates of *this* program, and an aborted execution leaves
-    // nothing charged in the ledger.
-    struct Scope<'a> {
-        ctx: &'a ExecCtx,
-        done: bool,
-    }
+    // intermediates of *this* program, and on abort the values drop before
+    // the scope does, so its sweep leaves nothing of theirs charged.
+    struct Scope<'a>(&'a ExecCtx);
     impl Drop for Scope<'_> {
         fn drop(&mut self) {
-            self.ctx.memo_clear();
-            if !self.done {
-                self.ctx.mem.ledger().clear();
-            }
+            self.0.memo_drop(true);
+            self.0.mem.sweep(true);
         }
     }
-    ctx.memo_clear();
-    // Open a fresh ledger window: the byte budget covers the
-    // intermediates of *this* program, not whatever ran before on the ctx.
-    let window = ctx.mem.begin();
-    let mut scope = Scope { ctx, done: false };
+    ctx.memo_drop(true);
+    // The byte budget covers the intermediates of *this* program, not
+    // whatever ran before on the ctx.
+    ctx.mem.begin();
+    let _scope = Scope(ctx);
     let (stmts, overlay, frees) = (&prog.program().stmts, prog.overlay(), prog.frees());
     let mut values: Vec<Option<MilValue>> = vec![None; stmts.len()];
     let mut trace: Vec<StmtTrace> = Vec::with_capacity(stmts.len());
@@ -198,26 +189,22 @@ pub fn execute<P: Executable + ?Sized>(
             },
             result_bytes: value.bytes(),
         });
-        // The value holds its columns in the ledger; a load's catalog
-        // columns and a mirror's borrowed ones were never charged.
-        let mut ledger = ctx.mem.ledger();
-        if let MilValue::Bat(b) = &value {
-            ledger.hold_value(b);
-        }
         values[stmt.var] = Some(value);
-        // Free dead intermediates ("algebraic buffer management").
+        // Free dead intermediates ("algebraic buffer management"). Then the
+        // memo lets go of the entries whose key died, and the ledger of
+        // what no live value references any more.
+        let mut dropped = false;
         for &v in &frees[i] {
-            if keep.contains(&v) || v == last {
-                continue;
-            }
-            if let Some(MilValue::Bat(b)) = values[v].take() {
-                ledger.unhold(window, &b);
+            if !keep.contains(&v) && v != last {
+                dropped |= matches!(values[v].take(), Some(MilValue::Bat(_)));
             }
         }
-        ledger.sweep();
+        if dropped {
+            ctx.memo_drop(false);
+        }
+        ctx.mem.sweep(dropped);
     }
-    scope.done = true;
-    Ok(Env { values, trace, held: (Arc::clone(&ctx.mem), window) })
+    Ok(Env { values, trace, mem: Arc::clone(&ctx.mem) })
 }
 
 /// Execute one statement through its operator, whose own dispatch picks
@@ -300,6 +287,14 @@ mod tests {
         db.register(
             "Item_order",
             Bat::new(Column::from_oids(vec![100, 101, 102]), Column::from_oids(vec![2, 7, 1])),
+        );
+        // Unsorted: a selection scans and allocates its result.
+        db.register(
+            "Order_status",
+            Bat::with_inferred_props(
+                Column::from_oids(vec![4, 2, 7, 1]),
+                Column::from_strs(["c", "b", "b", "a"]),
+            ),
         );
         db
     }
@@ -509,6 +504,65 @@ mod tests {
     }
 
     #[test]
+    fn a_memo_entry_dies_with_its_key_column() {
+        use crate::accel::datavector::{Datavector, Extent};
+        use std::sync::Arc;
+
+        // Two attributes over one 40-object extent; two probes: the
+        // catalog selection `sel` (live all program) and `a`, an
+        // intermediate selection that dies halfway. Both hold an oid the
+        // extent lacks, so each LOOKUP gathers a fresh head.
+        let oids: Vec<u64> = (10..50).collect();
+        let extent = Extent::new(Column::from_oids(oids.clone()));
+        let mut db = Db::new();
+        for name in ["price", "disc"] {
+            let vals: Vec<f64> = (0..40).map(f64::from).collect();
+            let mut b = Bat::new(Column::from_oids(oids.clone()), Column::from_dbls(vals.clone()));
+            b.set_datavector(Arc::new(Datavector::new(
+                Arc::clone(&extent),
+                Column::from_dbls(vals),
+            )));
+            db.register(name, b);
+        }
+        let sel: Vec<u64> = (10..46).chain([999]).collect();
+        db.register("sel", Bat::with_inferred_props(Column::from_oids(sel), Column::void(0, 37)));
+        db.register(
+            "src",
+            Bat::with_inferred_props(
+                Column::from_oids(vec![13, 50, 99, 11]),
+                Column::from_ints(vec![1, 2, 1, 1]),
+            ),
+        );
+        let mut p = MilProgram::new();
+        let b = p.emit("sel", MilOp::Load("sel".into()));
+        let price = p.emit("price", MilOp::Load("price".into()));
+        let pb = p.emit("pb", MilOp::Semijoin(price, b));
+        let src = p.emit("src", MilOp::Load("src".into()));
+        let a = p.emit("a", MilOp::SelectEq(src, AtomValue::Int(1)));
+        let pa = p.emit("pa", MilOp::Semijoin(price, a));
+        let sa = p.emit("sa", MilOp::AggrScalar { f: ops::AggFunc::Sum, src: pa });
+        let disc = p.emit("disc", MilOp::Load("disc".into()));
+        let db_ = p.emit("db", MilOp::Semijoin(disc, b));
+
+        let ctx = ExecCtx::new();
+        let keep = [pb, sa, db_];
+        let env = execute(&ctx, &db, &p, &keep).unwrap();
+        let algos: Vec<_> = env.trace().iter().map(|t| t.algo).filter(|a| !a.is_empty()).collect();
+        assert_eq!(algos, ["datavector", "scan", "datavector", "datavector"]);
+        // The live key still hits: the last semijoin shares the first's head.
+        let (hb, hd) = (env.bat(pb).unwrap(), env.bat(db_).unwrap());
+        assert!(hb.synced(hd), "the memo entry of a live key must survive");
+        assert_eq!(hb.len(), 36);
+        // `a` dies with `pa`'s statement; its LOOKUP's positions go at that
+        // sweep, its gathered head with `pa`. So the peak, reached when the
+        // last semijoin is recorded, holds the kept results and `sel`'s
+        // positions only.
+        let kept = charged_once(&db, [pb, db_].iter().map(|v| env.bat(*v).unwrap()));
+        assert_eq!(ctx.mem.charged_peak(), kept + 4 * 36);
+        assert_eq!(ctx.mem.charged_bytes(), kept);
+    }
+
+    #[test]
     fn unknown_catalog_name_errors() {
         let ctx = ExecCtx::new();
         let db = Db::new();
@@ -569,8 +623,8 @@ mod tests {
         let ctx = ExecCtx::new();
         let db = db();
         let mut p = MilProgram::new();
-        let clerk = p.emit("clerk", MilOp::Load("Order_clerk".into()));
-        let orders = p.emit("orders", MilOp::SelectEq(clerk, AtomValue::str("b")));
+        let status = p.emit("status", MilOp::Load("Order_status".into()));
+        let orders = p.emit("orders", MilOp::SelectEq(status, AtomValue::str("b")));
         let io = p.emit("io", MilOp::Load("Item_order".into()));
         let items = p.emit("items", MilOp::Join(io, orders));
         let env = execute(&ctx, &db, &p, &[items]).unwrap();
@@ -604,11 +658,11 @@ mod tests {
         let ctx = ExecCtx::new();
         let db = db();
         let mut p = MilProgram::new();
-        let clerk = p.emit("clerk", MilOp::Load("Order_clerk".into()));
-        let orders = p.emit("orders", MilOp::SelectEq(clerk, AtomValue::str("b")));
+        let status = p.emit("status", MilOp::Load("Order_status".into()));
+        let orders = p.emit("orders", MilOp::SelectEq(status, AtomValue::str("b")));
         ctx.mem.set_budget(Some(1));
         let err = execute(&ctx, &db, &p, &[orders]).err().expect("over-budget program completed");
         assert!(matches!(err, MonetError::BudgetExceeded { op: "select", .. }), "got {err:?}");
-        assert_eq!(ctx.take_algo(), "binary-search");
+        assert_eq!(ctx.take_algo(), "scan");
     }
 }

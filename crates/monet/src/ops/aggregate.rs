@@ -240,7 +240,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
             let (gid_of, rep, algo) =
                 super::group::hash_group_column(ctx, h, ab.props().head.sorted)?;
             let g = Grouping { gid_of: Arc::new(gid_of), reps: Arc::new(rep) };
-            ctx.memo_insert(key, Memoized::Grouping(g.clone()));
+            ctx.memo_insert(key, h, Memoized::Grouping(g.clone()));
             (g, algo)
         }
     };

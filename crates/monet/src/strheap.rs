@@ -79,6 +79,11 @@ impl StrVec {
         }
     }
 
+    /// The offset array, which a gather rebuilds (it shares the byte heap).
+    pub(crate) fn offsets(&self) -> &Arc<Buf<u32>> {
+        &self.offsets
+    }
+
     /// Windowed raw parts `(offsets, lens, heap)` for the typed kernel
     /// layer ([`crate::typed::StrVals`]).
     pub(crate) fn parts(&self, off: usize, len: usize) -> (&[u32], &[u32], &[u8]) {
