@@ -32,8 +32,12 @@
 //!   index: all nested sets are reduced *in one flat selection*;
 //! * **nest** — `group` on the key BATs, with the group BAT itself
 //!   becoming the index of the nested `rest` sets (Figure 10 lines 7–9);
+//!   the kernels read the grouping `group` built for INDEX and the key
+//!   fields, so the tail does not derive it again;
 //! * **aggregation over nested sets** — `{g}(join(index.mirror, values))`,
 //!   one bulk set-aggregate instead of per-set iteration (lines 14–15);
+//!   `avg` over `dbl` members is `{sum}/{count}`, the statements CSE
+//!   shares with the plan's own `{sum}` and INDEX;
 //! * **projection** — value attributes are `semijoin`ed with the selected
 //!   index (the datavector fast path) and combined with multiplexed `[f]`
 //!   operations.
@@ -41,7 +45,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use monet::atom::AtomValue;
+use monet::atom::{AtomType, AtomValue};
 use monet::bat::Bat;
 use monet::config::{EngineConfig, PlanConfig};
 use monet::ctx::ExecCtx;
@@ -354,14 +358,18 @@ impl<'a> Translator<'a> {
                     }
                 }
                 // class := group(k1); class := group(class, ki)…  (Fig 10 l.7)
+                // Each `group` memoizes the grouping its tail is, and the
+                // keys it determines, for the statements below.
                 let mut class = self.emit("class", MilOp::Group1(kvars[0].0));
                 for (kv, _) in kvars.iter().skip(1) {
                     class = self.emit("class", MilOp::Group2(class, *kv));
                 }
-                // One element per group: INDEX (Fig 10 l.8).
+                // One element per group: INDEX (Fig 10 l.8), a `{count}`
+                // over the memoized grouping.
                 let cm = self.emit("", MilOp::Mirror(class));
                 let index = self.emit("INDEX", MilOp::SetAgg { f: AggFunc::Count, src: cm });
-                // Key fields: KEY := join(class.mirror, k).unique (l.9).
+                // Key fields: KEY := join(class.mirror, k).unique (l.9); the
+                // kernel gathers the key at the groups' first rows.
                 let mut fields: Vec<(String, FieldInfo)> = Vec::new();
                 for (k, (kv, ref_class)) in keys.iter().zip(&kvars) {
                     let j = self.emit("", MilOp::Join(cm, *kv));
@@ -863,11 +871,51 @@ impl<'a> Translator<'a> {
                         };
                         // losses := join(class.mirror, values); {f}(losses)
                         let owner_vals = self.emit("", MilOp::Join(im, vals));
-                        self.emit("", MilOp::SetAgg { f: *f, src: owner_vals })
+                        if *f == AggFunc::Avg && self.tail_is_dbl(vals) {
+                            // avg is the (sum, count) module's quotient: both
+                            // are statements CSE can share with the plan's
+                            // own {sum} and INDEX (every member has one value,
+                            // so the counts agree). On `dbl` the bits are
+                            // `{avg}`'s: the same partials, divided by the
+                            // count as `dbl`. Integer `{avg}`s sum in `dbl`
+                            // and stay.
+                            let sum =
+                                self.emit("", MilOp::SetAgg { f: AggFunc::Sum, src: owner_vals });
+                            let count = self.emit("", MilOp::SetAgg { f: AggFunc::Count, src: im });
+                            let args = vec![MilArg::Var(sum), MilArg::Var(count)];
+                            self.emit("", MilOp::Multiplex { f: ScalarFunc::Div, args })
+                        } else {
+                            self.emit("", MilOp::SetAgg { f: *f, src: owner_vals })
+                        }
                     }
                 };
                 Ok(SVal::Bat { var: v, ref_class: None })
             }
+        }
+    }
+
+    /// Whether `v`'s tail is `dbl` under every binding: followed through
+    /// the operators that pass a tail on to the catalog BAT it comes from,
+    /// or to an arithmetic multiplex with a `dbl` argument (which promotes).
+    /// `false` when it cannot tell.
+    fn tail_is_dbl(&self, v: Var) -> bool {
+        match &self.prog.stmts[v].op {
+            MilOp::Load(name) => {
+                self.cat.db().get(name).is_ok_and(|b| b.tail().atom_type() == AtomType::Dbl)
+            }
+            MilOp::Semijoin(a, _)
+            | MilOp::Antijoin(a, _)
+            | MilOp::Join(_, a)
+            | MilOp::SelectEq(a, _)
+            | MilOp::SelectRange { src: a, .. } => self.tail_is_dbl(*a),
+            MilOp::Multiplex {
+                f: ScalarFunc::Add | ScalarFunc::Sub | ScalarFunc::Mul | ScalarFunc::Div,
+                args,
+            } => args.iter().any(|a| match a {
+                MilArg::Var(x) => self.tail_is_dbl(*x),
+                MilArg::Const(c) => c.atom_type() == AtomType::Dbl,
+            }),
+            _ => false,
         }
     }
 

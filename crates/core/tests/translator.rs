@@ -686,3 +686,29 @@ fn select_keeps_a_nested_field_and_restricts_it_on_use() {
         ]);
     assert_commutes_raw_too(&cat, &q);
 }
+
+/// A nest's `avg` is the `(sum, count)` module's quotient: over a `dbl`
+/// member it is emitted as `[/]({sum}, {count})`, which CSE shares with
+/// the plan's own `{sum}` and INDEX; over an integer member (whose `{avg}`
+/// sums in `dbl`) it stays `{avg}`. Either way it commutes.
+#[test]
+fn nest_avg_over_dbl_is_sum_over_count() {
+    let cat = mini_catalog();
+    let q = SetExpr::extent("Supplier")
+        .unnest(sattr("supplies"), "sup", "sp")
+        .nest(vec![ProjItem::new("name", attr("sup.name"))])
+        .project(vec![
+            ProjItem::new("name", attr("name")),
+            ProjItem::new("cost", agg_over(AggFunc::Sum, sattr(NEST_REST), attr("sp.cost"))),
+            ProjItem::new("avg_cost", agg_over(AggFunc::Avg, sattr(NEST_REST), attr("sp.cost"))),
+            ProjItem::new(
+                "avg_avail",
+                agg_over(AggFunc::Avg, sattr(NEST_REST), attr("sp.available")),
+            ),
+        ]);
+    assert_commutes(&cat, &q);
+    let full = monet::mil::opt::OptLevel::Full;
+    let prog = moa::translate::translate_with(&cat, &q, full).unwrap().prog.to_string();
+    let count = |op: &str| prog.matches(op).count();
+    assert_eq!((count("{avg}"), count("{sum}"), count("[/]")), (1, 1, 1), "{prog}");
+}

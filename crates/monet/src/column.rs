@@ -370,6 +370,16 @@ impl Column {
         Some(Arc::downgrade(&strong))
     }
 
+    /// A raw string column's byte heap, which its gathers and slices share
+    /// (the allocation [`Column::storage`] names is its offset array);
+    /// `None` for every other column.
+    pub(crate) fn str_heap(&self) -> Option<&Arc<Buf<u8>>> {
+        match &self.vals {
+            ColumnVals::Str(s) => Some(s.heap()),
+            _ => None,
+        }
+    }
+
     /// Window `(offset, length)` into the shared storage, used by the pager
     /// to compute byte addresses.
     pub(crate) fn window(&self) -> (usize, usize) {

@@ -54,12 +54,22 @@ mod label {
 }
 
 /// A ledger key: a column allocation — its storage id and layout (a
-/// [`Column::decoded`] twin keeps its source's id, not its bytes). Every
-/// view of one allocation, a zero-copy slice included, has its key.
-type ColumnKey = (ColumnId, Enc);
+/// [`Column::decoded`] twin keeps its source's id, not its bytes; every
+/// view of one allocation, a zero-copy slice included, has its key) — or
+/// a raw string column's byte heap, which its gathers share, by address
+/// (which no other heap takes while the ledger's weak handle on it lives).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum LedgerKey {
+    Column(ColumnId, Enc),
+    Heap(usize),
+}
 
-fn key(col: &Column) -> ColumnKey {
-    (col.storage_id(), col.encoding())
+fn key(col: &Column) -> LedgerKey {
+    LedgerKey::Column(col.storage_id(), col.encoding())
+}
+
+fn heap_key(heap: &Arc<crate::buf::Buf<u8>>) -> LedgerKey {
+    LedgerKey::Heap(Arc::as_ptr(heap) as usize)
 }
 
 /// A weak handle on a column's storage (see [`Column::storage`]).
@@ -72,7 +82,7 @@ type Storage = Weak<dyn Send + Sync>;
 /// since `reset`.
 #[derive(Debug, Default)]
 struct Ledger {
-    cols: HashMap<ColumnKey, (u64, Storage), BuildHasherDefault<WordHasher>>,
+    cols: HashMap<LedgerKey, (u64, Storage), BuildHasherDefault<WordHasher>>,
     fresh: bool,
     live: u64,
     peak: u64,
@@ -229,10 +239,10 @@ pub(crate) enum Memoized {
 impl Memoized {
     /// Bytes of the entry's arrays (a LOOKUP's head is a ledger column).
     fn bytes(&self) -> u64 {
-        4 * match self {
-            Memoized::Lookup(l) => l.positions.len(),
-            Memoized::Grouping(g) => g.gid_of.len() + g.reps.len(),
-        } as u64
+        match self {
+            Memoized::Lookup(l) => 4 * l.positions.len() as u64,
+            Memoized::Grouping(g) => g.bytes(),
+        }
     }
 }
 
@@ -258,9 +268,11 @@ pub struct ExecCtx {
     oid_gen: Arc<AtomicU64>,
     /// The per-execution memo: structures several statements of one
     /// program derive from the *same* column — the LOOKUP array of a
-    /// selection ([`crate::accel::datavector`]), the grouping of a `{g}`
-    /// head ([`crate::ops::set_aggregate`]). The statements differ
-    /// syntactically, so CSE cannot merge them; the column identity can.
+    /// selection ([`crate::accel::datavector`]), the grouping of a `group`
+    /// result or of a `{g}` head ([`crate::ops::group`],
+    /// [`crate::ops::set_aggregate`], read by [`crate::ops::unique`] too).
+    /// The statements differ syntactically, so CSE cannot merge them; the
+    /// column identity can.
     /// Each entry keeps its key column's storage; `mil::execute` drops the
     /// entry when that dies ([`ExecCtx::memo_drop`]) and empties the memo on
     /// every exit path.
@@ -401,25 +413,37 @@ impl ExecCtx {
         result: &Bat,
     ) -> Result<()> {
         self.algo.store(label::code(algo), Ordering::Relaxed);
+        let carries = |c: &Column, k| match k {
+            LedgerKey::Column(..) => key(c) == k,
+            LedgerKey::Heap(_) => c.str_heap().is_some_and(|h| heap_key(h) == k),
+        };
         let borrowed = |k| {
             operands.iter().any(|o| {
-                key(o.head()) == k
-                    || key(o.tail()) == k
-                    || o.accel().datavector.as_ref().is_some_and(|dv| key(dv.vector()) == k)
+                carries(o.head(), k)
+                    || carries(o.tail(), k)
+                    || o.accel().datavector.as_ref().is_some_and(|dv| carries(dv.vector(), k))
             })
         };
         let mut l = self.mem.ledger.lock();
-        for col in [result.head(), result.tail()] {
-            let bytes = col.bytes() as u64;
-            if bytes == 0 || borrowed(key(col)) {
-                continue;
+        let mut charge = |k, bytes: u64, storage: Option<Storage>| {
+            if bytes == 0 || borrowed(k) {
+                return;
             }
-            // A column of bytes is never `void`, so it has storage.
-            if let (Entry::Vacant(e), Some(storage)) = (l.cols.entry(key(col)), col.storage()) {
+            // An allocation of bytes is never `void`, so it has storage.
+            if let (Entry::Vacant(e), Some(storage)) = (l.cols.entry(k), storage) {
                 e.insert((bytes, storage));
                 l.raise(bytes);
                 l.total += bytes;
                 l.fresh = true;
+            }
+        };
+        for col in [result.head(), result.tail()] {
+            let heap = col.str_heap();
+            let heap_bytes = heap.map_or(0, |h| h.len() as u64);
+            charge(key(col), col.bytes() as u64 - heap_bytes, col.storage());
+            if let Some(h) = heap {
+                let storage: Arc<dyn Send + Sync> = h.clone();
+                charge(heap_key(h), heap_bytes, Some(Arc::downgrade(&storage)));
             }
         }
         let live = l.live;
@@ -627,6 +651,41 @@ mod tests {
         ctx.record("decode", "unit", &[&src], &out).unwrap();
         let both = (dict.bytes() + raw.bytes()) as u64;
         assert_eq!((ctx.mem.charged_bytes(), ctx.mem.total_bytes()), (both, both));
+    }
+
+    #[test]
+    fn a_gathered_string_column_charges_its_arrays_not_the_shared_heap() {
+        // A gather of a string column rebuilds its offset and length
+        // arrays and shares the byte heap: the heap is charged once, by its
+        // own identity, and every gather after it charges its arrays alone.
+        let ctx = ExecCtx::new();
+        ctx.mem.begin();
+        let names = Column::from_strs((0..100).map(|i| format!("Customer#{i:09}")));
+        let heap = names.str_heap().unwrap().len() as u64;
+        let arrays = |c: &Column| (c.bytes() as u64) - heap;
+        let catalog = Bat::new(Column::void(0, 100), names);
+        let picked = Bat::new(Column::void(0, 3), catalog.tail().gather(&[7, 3, 9]));
+        // An operand carries the heap: the result allocated its arrays only.
+        ctx.record("join", "unit", &[&catalog], &picked).unwrap();
+        assert_eq!(ctx.mem.total_bytes(), arrays(picked.tail()));
+        // No operand carries it and the ledger does not know it: charged
+        // once, with the first result that carries it ...
+        let ctx = ExecCtx::new();
+        ctx.mem.begin();
+        ctx.record("join", "unit", &[], &picked).unwrap();
+        assert_eq!(ctx.mem.total_bytes(), arrays(picked.tail()) + heap);
+        // ... and never again, whichever gather carries it next.
+        let again = Bat::new(Column::void(0, 2), picked.tail().gather(&[0, 2]));
+        ctx.record("semijoin", "unit", &[], &again).unwrap();
+        let all = arrays(picked.tail()) + arrays(again.tail()) + heap;
+        assert_eq!((ctx.mem.total_bytes(), ctx.mem.charged_bytes()), (all, all));
+        // The heap is released with its last holder, the arrays with theirs.
+        drop((catalog, picked));
+        ctx.mem.sweep(true);
+        assert_eq!(ctx.mem.charged_bytes(), arrays(again.tail()) + heap);
+        drop(again);
+        ctx.mem.sweep(true);
+        assert_eq!(ctx.mem.charged_bytes(), 0);
     }
 
     #[test]

@@ -629,8 +629,10 @@ mod tests {
         let items = p.emit("items", MilOp::Join(io, orders));
         let env = execute(&ctx, &db, &p, &[items]).unwrap();
         // `orders` was charged by the select's record and released at its
-        // liveness free; only the kept join result stays charged.
-        let kept = env.bat(items).unwrap().bytes() as u64;
+        // liveness free; only the kept join result stays charged: its
+        // offset and length arrays, not the catalog's byte heap it shares.
+        let bat = env.bat(items).unwrap();
+        let kept = (bat.bytes() - bat.tail().str_heap().unwrap().len()) as u64;
         assert_eq!(ctx.mem.charged_bytes(), kept);
         assert!(ctx.mem.charged_peak() > kept);
     }

@@ -8,11 +8,19 @@
 //! makes the flattened execution of MOA's nested `sum`s fast.
 //!
 //! A flattened `nest` + aggregates applies one `{g}` per aggregate to BATs
-//! that all carry the *same* head column (the grouping's oids), so the
-//! head grouping is derived once per execution and memoized on the context
-//! by column identity — every later `{g}` over that head reports `memo`.
+//! that all carry the *same* head column (the grouping's oids). That
+//! column is a `group` result, which memoized its own grouping on the
+//! context by column identity ([`super::group`]), so every `{g}` over it
+//! reports `memo` and reads each row's group off the oids; over any other
+//! head the first `{g}` derives the grouping (`direct`, `hash`, `spill`)
+//! and memoizes it for the rest. One `{g}` gathers the head at the
+//! representatives and the others share that column, so their results
+//! are synced. `avg` over `dbl` reaches this kernel as `{sum}/{count}`
+//! (the translator's rewrite; `{avg}` fills the same float partials and
+//! divides by the count, so the bits agree); integer `{avg}`s sum in `dbl`
+//! here.
 
-use crate::atom::{AtomType, AtomValue};
+use crate::atom::{AtomType, AtomValue, Oid};
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::{ExecCtx, MemoKey, Memoized};
@@ -20,9 +28,10 @@ use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 use crate::typed::TypedVals;
+use std::ops::Range;
 use std::sync::Arc;
 
-use super::group::Grouping;
+use super::group::{Gids, Grouping};
 
 /// Aggregate functions, usable both as whole-BAT scalars and per-group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,10 +217,37 @@ fn float_partials<A: Clone>(
     total
 }
 
+/// The group of every row of a grouped column, read a row range at a
+/// time: the kernel loops of [`set_aggregate`] are monomorphized over the
+/// two places a [`Grouping`] keeps it ([`Gids`]).
+trait GroupOf: Copy {
+    fn groups(self, r: Range<usize>) -> impl Iterator<Item = usize>;
+}
+
+impl GroupOf for &[u32] {
+    fn groups(self, r: Range<usize>) -> impl Iterator<Item = usize> {
+        self[r].iter().map(|&g| g as usize)
+    }
+}
+
+/// A `group` result's oids and their `base`.
+#[derive(Clone, Copy)]
+struct OidGroups<'a>(&'a [Oid], Oid);
+
+impl GroupOf for OidGroups<'_> {
+    fn groups(self, r: Range<usize>) -> impl Iterator<Item = usize> {
+        let base = self.1;
+        self.0[r].iter().map(move |&o| (o - base) as usize)
+    }
+}
+
 /// The set-aggregate constructor `{g}(AB)`: one result BUN per distinct
 /// head value, in first-occurrence order. The head grouping comes from the
-/// execution's memo when an earlier `{g}` already derived it (`memo`), and
-/// from [`super::group::hash_group_column`] otherwise.
+/// execution's memo when a `group` built the head or an earlier `{g}`
+/// derived its grouping (`memo`), and from
+/// [`super::group::hash_group_column`] otherwise. The result head is the
+/// grouping's shared gather, so every `{g}` over one head returns synced
+/// results.
 pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     ctx.probe("op/set-aggregate")?;
     if let Some(p) = ctx.pager.as_deref() {
@@ -229,9 +265,8 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
     // derivation per head column per execution: the memo is keyed by the
     // head's identity.
     let h = ab.head();
-    let n = ab.len();
     let key = MemoKey::Grouping(h.identity());
-    let (Grouping { gid_of: gid, reps: rep }, algo) = match ctx.memo_get(key) {
+    let (g, algo) = match ctx.memo_get(key) {
         Some(Memoized::Grouping(g)) => (g, "memo"),
         _ => {
             if let Some(p) = ctx.pager.as_deref() {
@@ -239,22 +274,51 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
             }
             let (gid_of, rep, algo) =
                 super::group::hash_group_column(ctx, h, ab.props().head.sorted)?;
-            let g = Grouping { gid_of: Arc::new(gid_of), reps: Arc::new(rep) };
+            let g = Grouping {
+                gids: Gids::Rows(Arc::new(gid_of)),
+                reps: Arc::new(rep),
+                keys: Arc::new([]),
+                head: Arc::default(),
+            };
             ctx.memo_insert(key, h, Memoized::Grouping(g.clone()));
             (g, algo)
         }
     };
 
-    // Aggregate each group's tail values: exact accumulators in one pass,
-    // float ones through `float_partials` (see there for the determinism
-    // argument).
-    let ngroups = rep.len();
-    let t = ab.tail();
-    let tail: Column = match f {
+    let ngroups = g.reps.len();
+    let tail = match &g.gids {
+        Gids::Rows(gid) => aggregate_groups(f, ab.tail(), ngroups, &gid[..]),
+        Gids::Oids(base) => {
+            let oids = h.as_oid_slice().expect("a `group` tail is oids");
+            aggregate_groups(f, ab.tail(), ngroups, OidGroups(oids, *base))
+        }
+    };
+    let head = g.head.get_or_init(|| h.gather(&g.reps)).clone();
+    let props = Props::new(
+        ColProps {
+            sorted: ab.props().head.sorted,
+            key: true, // one BUN per distinct head by construction
+            dense: false,
+            ..ColProps::NONE
+        },
+        ColProps::NONE,
+    );
+    let result = Bat::with_props(head, tail, props);
+    ctx.record("set-aggregate", algo, &[ab], &result)?;
+    Ok(result)
+}
+
+/// Aggregate each group's tail values: exact accumulators in one pass,
+/// float ones through `float_partials` (see there for the determinism
+/// argument).
+fn aggregate_groups(f: AggFunc, t: &Column, ngroups: usize, gid: impl GroupOf) -> Column {
+    let n = t.len();
+    let tail_ty = t.atom_type();
+    match f {
         AggFunc::Count => {
             let mut counts = vec![0i64; ngroups];
-            for &g in gid.iter() {
-                counts[g as usize] += 1;
+            for g in gid.groups(0..n) {
+                counts[g] += 1;
             }
             Column::from_lngs(counts)
         }
@@ -263,13 +327,13 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                 let mut sums = vec![0i64; ngroups];
                 if tail_ty == AtomType::Lng {
                     let slice = t.as_lng_slice().expect("lng tail");
-                    for (&g, &x) in gid.iter().zip(slice) {
-                        sums[g as usize] += x;
+                    for (g, &x) in gid.groups(0..n).zip(slice) {
+                        sums[g] += x;
                     }
                 } else {
                     let slice = t.as_int_slice().expect("int tail");
-                    for (&g, &x) in gid.iter().zip(slice) {
-                        sums[g as usize] += x as i64;
+                    for (g, &x) in gid.groups(0..n).zip(slice) {
+                        sums[g] += x as i64;
                     }
                 }
                 Column::from_lngs(sums)
@@ -281,8 +345,8 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                     ngroups,
                     0f64,
                     |r, buf| {
-                        for i in r {
-                            buf[gid[i] as usize] += slice[i];
+                        for (g, &x) in gid.groups(r.clone()).zip(&slice[r]) {
+                            buf[g] += x;
                         }
                     },
                     |total, part| {
@@ -301,25 +365,25 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
                 |r, buf| match tail_ty {
                     AtomType::Int => {
                         let slice = t.as_int_slice().expect("int tail");
-                        for i in r {
-                            let b = &mut buf[gid[i] as usize];
-                            b.0 += slice[i] as f64;
+                        for (g, &x) in gid.groups(r.clone()).zip(&slice[r]) {
+                            let b = &mut buf[g];
+                            b.0 += x as f64;
                             b.1 += 1;
                         }
                     }
                     AtomType::Lng => {
                         let slice = t.as_lng_slice().expect("lng tail");
-                        for i in r {
-                            let b = &mut buf[gid[i] as usize];
-                            b.0 += slice[i] as f64;
+                        for (g, &x) in gid.groups(r.clone()).zip(&slice[r]) {
+                            let b = &mut buf[g];
+                            b.0 += x as f64;
                             b.1 += 1;
                         }
                     }
                     _ => {
                         let slice = t.as_dbl_slice().expect("dbl tail");
-                        for i in r {
-                            let b = &mut buf[gid[i] as usize];
-                            b.0 += slice[i];
+                        for (g, &x) in gid.groups(r.clone()).zip(&slice[r]) {
+                            let b = &mut buf[g];
+                            b.0 += x;
                             b.1 += 1;
                         }
                     }
@@ -340,8 +404,8 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
             let minimize = f == AggFunc::Min;
             let mut best = vec![u32::MAX; ngroups];
             crate::for_each_typed!(t, |tv| {
-                for (i, &g) in gid.iter().enumerate() {
-                    let b = &mut best[g as usize];
+                for (i, g) in gid.groups(0..n).enumerate() {
+                    let b = &mut best[g];
                     if *b == u32::MAX {
                         *b = i as u32;
                         continue;
@@ -354,21 +418,7 @@ pub fn set_aggregate(ctx: &ExecCtx, f: AggFunc, ab: &Bat) -> Result<Bat> {
             });
             t.gather(&best)
         }
-    };
-
-    let head = h.gather(&rep);
-    let props = Props::new(
-        ColProps {
-            sorted: ab.props().head.sorted,
-            key: true, // one BUN per distinct head by construction
-            dense: false,
-            ..ColProps::NONE
-        },
-        ColProps::NONE,
-    );
-    let result = Bat::with_props(head, tail, props);
-    ctx.record("set-aggregate", algo, &[ab], &result)?;
-    Ok(result)
+    }
 }
 
 #[cfg(test)]

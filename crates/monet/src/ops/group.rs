@@ -31,24 +31,80 @@
 //! the *product* of their spans is compact ([`packed_domains`]: one slot
 //! per `slot_b * span_d + slot_d`), the pair-hashed [`GroupTable`]
 //! otherwise.
+//!
+//! Every arm leaves the grouping it built in the execution's memo, keyed
+//! by its result tail: the oids are `base + gid`, numbered by first
+//! occurrence, so the tail *is* its own first-occurrence grouping and the
+//! entry holds only the representatives (no second row-length array) and
+//! the key columns the grouping determines. Every later `{g}` over the
+//! group ids ([`super::set_aggregate`]) and every nest key's dedup
+//! ([`super::unique`]) reads it as `memo` instead of grouping again
+//! (Figure 10 lines 8–9).
 
 use crate::atom::Oid;
 use crate::bat::Bat;
-use crate::column::Column;
-use crate::ctx::ExecCtx;
+use crate::column::{Column, ColumnIdentity};
+use crate::ctx::{ExecCtx, MemoKey, Memoized};
 use crate::error::{MonetError, Result};
 use crate::pager;
 use crate::props::{ColProps, Props};
 use crate::typed::{CodedVals, GroupTable, OidDomain, SlotTable, TypedVals};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A first-occurrence grouping of one column: the group of every row and
-/// one representative row per group. Shared, because the per-execution
-/// memo hands one grouping to every `{g}` over the same head column.
+/// A first-occurrence grouping of one column: the group of every row, one
+/// representative row per group, and the columns the grouping determines.
+/// Shared, because the per-execution memo hands one grouping to every
+/// `{g}` and `unique` over the same column.
 #[derive(Debug, Clone)]
 pub(crate) struct Grouping {
-    pub gid_of: Arc<Vec<u32>>,
+    pub gids: Gids,
     pub reps: Arc<Vec<u32>>,
+    /// Columns whose value at row `i` is a function of row `i`'s group
+    /// (row `i` of each is row `i` of the grouped column): a `group`
+    /// result's keys, none for a grouping `{g}` derived.
+    pub keys: Arc<[ColumnIdentity]>,
+    /// The grouped column at `reps`, gathered by the first `{g}` that
+    /// needs it and shared by every later one, so their results are
+    /// synced.
+    pub head: Arc<OnceLock<Column>>,
+}
+
+/// Where a [`Grouping`] reads the group of a row.
+#[derive(Debug, Clone)]
+pub(crate) enum Gids {
+    /// An array of its own (a grouping `{g}` derived).
+    Rows(Arc<Vec<u32>>),
+    /// The grouped column itself: a `group` result's tail, whose oid at
+    /// row `i` is `base` plus the group of row `i`.
+    Oids(Oid),
+}
+
+impl Grouping {
+    /// Bytes of its own arrays (the shared head is a column, charged by
+    /// the `record` of the result that carries it).
+    pub fn bytes(&self) -> u64 {
+        let rows = match &self.gids {
+            Gids::Rows(g) => g.len(),
+            Gids::Oids(_) => 0,
+        };
+        4 * (rows + self.reps.len()) as u64
+    }
+}
+
+/// Memoize the grouping a `group` result's tail already is: its oids are
+/// `base` plus the first-occurrence group of every row, and `reps` the
+/// first row of every group, so a `{g}` over it and a `unique` over it and
+/// one of `keys` need not derive it again ([`super::set_aggregate`],
+/// [`super::unique`]).
+fn seed(ctx: &ExecCtx, result: &Bat, base: Oid, reps: Vec<u32>, keys: Vec<ColumnIdentity>) {
+    let g = Grouping {
+        gids: Gids::Oids(base),
+        reps: Arc::new(reps),
+        keys: keys.into(),
+        head: Arc::default(),
+    };
+    let tail = result.tail();
+    ctx.memo_insert(MemoKey::Grouping(tail.identity()), tail, Memoized::Grouping(g));
 }
 
 /// First-occurrence grouping of one column: `(gid per row, one
@@ -265,6 +321,7 @@ pub fn group1(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
             ColProps { sorted, key: false, dense: false, ..ColProps::NONE },
         ),
     );
+    seed(ctx, &result, base, reps, vec![ab.tail().identity()]);
     ctx.record("group", algo, &[ab], &result)?;
     Ok(result)
 }
@@ -306,6 +363,22 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
         Column::from_oids(gids),
         Props::new(ab.props().head, ColProps::NONE),
     );
+    // A refined group determines both halves of its pair, and what the
+    // group it refines determines; a hash-aligned `cd` is not row for row
+    // with the result, and its grouping records none.
+    let keys = match align {
+        Some(_) => Vec::new(),
+        None => {
+            let mut keys = vec![ab.tail().identity(), cd.tail().identity()];
+            if let Some(Memoized::Grouping(g)) =
+                ctx.memo_get(MemoKey::Grouping(ab.tail().identity()))
+            {
+                keys.extend_from_slice(&g.keys);
+            }
+            keys
+        }
+    };
+    seed(ctx, &result, base, firsts, keys);
     ctx.record("group", algo, &[ab, cd], &result)?;
     Ok(result)
 }
@@ -473,6 +546,63 @@ mod tests {
         for i in 0..b.len() {
             assert_eq!(rel(&a, i), rel(&s, i), "partition diverges at {i}");
         }
+    }
+
+    #[test]
+    fn group_seeds_the_memo_with_the_grouping_of_its_tail() {
+        // The seeded entry reads each row's group off the result's oids and
+        // equals the first-occurrence grouping a `{g}` would derive from
+        // them; it records the keys it determines, and none for a
+        // hash-aligned refinement.
+        let seeded = |ctx: &ExecCtx, class: &Bat| -> Grouping {
+            match ctx.memo_get(MemoKey::Grouping(class.tail().identity())) {
+                Some(Memoized::Grouping(g)) => g,
+                _ => panic!("group did not seed the memo"),
+            }
+        };
+        let check = |ctx: &ExecCtx, class: &Bat, keys: &[&Column]| {
+            let g = seeded(ctx, class);
+            let Gids::Oids(base) = g.gids else { panic!("a seed reads the oids") };
+            let oids = class.tail().as_oid_slice().unwrap();
+            let (gid_of, reps, _) = hash_group_column(ctx, class.tail(), false).unwrap();
+            assert_eq!(oids.iter().map(|&o| (o - base) as u32).collect::<Vec<_>>(), gid_of);
+            assert_eq!(*g.reps, reps);
+            let want: Vec<ColumnIdentity> = keys.iter().map(|c| c.identity()).collect();
+            assert_eq!(&*g.keys, &want[..]);
+            assert_eq!(g.bytes(), 4 * reps.len() as u64, "no row-length array");
+        };
+        let ctx = ExecCtx::new();
+        let n = 3000;
+        let head = Column::from_oids((0..n as u64).map(|i| 40 + i).collect());
+        let narrow = Bat::new(head.clone(), Column::from_ints((0..n).map(|i| i % 7).collect()));
+        let wide =
+            Bat::new(head.clone(), Column::from_ints((0..n).map(|i| i % 97 * 10_000).collect()));
+        let names = Column::from_strs((0..n).map(|i| format!("n{}", i % 13)).collect::<Vec<_>>());
+        let dict = Bat::new(head.clone(), names.encode());
+        let budget = crate::costmodel::group_inmem_bytes(n as usize) - 1;
+        for (b, algo) in [(&narrow, "direct"), (&wide, "hash"), (&dict, "direct"), (&wide, "spill")]
+        {
+            let ctx = ExecCtx::new();
+            if algo == "spill" {
+                ctx.mem.set_budget(Some(budget));
+            }
+            let class = group1(&ctx, b).unwrap();
+            assert_eq!(ctx.take_algo(), algo);
+            check(&ctx, &class, &[b.tail()]);
+        }
+        let class = group1(&ctx, &narrow).unwrap();
+        for (cd, algo) in [(&narrow, "packed"), (&wide, "sync")] {
+            let refined = group2(&ctx, &class, cd).unwrap();
+            assert_eq!(ctx.take_algo(), algo);
+            check(&ctx, &refined, &[class.tail(), cd.tail(), narrow.tail()]);
+        }
+        let shuffled = Bat::new(
+            Column::from_oids((0..n as u64).rev().map(|i| 40 + i).collect()),
+            wide.tail().clone(),
+        );
+        let aligned = group2(&ctx, &class, &shuffled).unwrap();
+        assert_eq!(ctx.take_algo(), "hash-align");
+        check(&ctx, &aligned, &[]);
     }
 
     #[test]

@@ -1,14 +1,20 @@
 //! Duplicate elimination: `AB.unique = {ab | ab ∈ AB}` as a *set* — the
 //! first occurrence of every distinct BUN pair is kept, in operand order.
 //!
-//! Variants, in dispatch order: `noop` (a key column: all pairs distinct),
-//! then the pair numbering of [`super::group::number_pairs`] — `packed`
-//! (both columns integer-coded with a compact product span: one
-//! slot-table load per row) or `hash` — whose first row per group is the
-//! kept BUN.
+//! Variants, in dispatch order: `noop` (a key column: all pairs distinct);
+//! `memo` — the head is a `group` result whose memoized grouping
+//! determines the tail (a nest key: `join(class.mirror, k).unique`), so
+//! every group holds one pair and the kept BUNs are the gather at the
+//! grouping's representatives, the rows and order the pair numbering
+//! would keep; then the pair numbering of
+//! [`super::group::number_pairs`] — `packed` (both columns integer-coded
+//! with a compact product span: one slot-table load per row) or `hash` —
+//! whose first row per group is the kept BUN.
+
+use std::sync::Arc;
 
 use crate::bat::Bat;
-use crate::ctx::ExecCtx;
+use crate::ctx::{ExecCtx, MemoKey, Memoized};
 use crate::error::Result;
 use crate::pager;
 use crate::props::{ColProps, Props};
@@ -24,6 +30,8 @@ pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     let (result, algo) = if p.head.key || p.tail.key {
         // Either column being duplicate-free means all pairs are distinct.
         (ab.clone(), "noop")
+    } else if let Some(reps) = determined_reps(ctx, ab) {
+        (build_unique(ab, &reps), "memo")
     } else {
         let (firsts, packed) = super::group::number_pairs(
             ctx,
@@ -36,6 +44,15 @@ pub fn unique(ctx: &ExecCtx, ab: &Bat) -> Result<Bat> {
     };
     ctx.record("unique", algo, &[ab], &result)?;
     Ok(result)
+}
+
+/// The representatives of the memoized grouping of `ab`'s head, when that
+/// grouping determines `ab`'s tail.
+fn determined_reps(ctx: &ExecCtx, ab: &Bat) -> Option<Arc<Vec<u32>>> {
+    match ctx.memo_get(MemoKey::Grouping(ab.head().identity()))? {
+        Memoized::Grouping(g) if g.keys.contains(&ab.tail().identity()) => Some(g.reps),
+        _ => None,
+    }
 }
 
 fn build_unique(ab: &Bat, idx: &[u32]) -> Bat {

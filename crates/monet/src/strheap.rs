@@ -84,6 +84,11 @@ impl StrVec {
         &self.offsets
     }
 
+    /// The byte heap, which every gather and slice of this column shares.
+    pub(crate) fn heap(&self) -> &Arc<Buf<u8>> {
+        &self.heap
+    }
+
     /// Windowed raw parts `(offsets, lens, heap)` for the typed kernel
     /// layer ([`crate::typed::StrVals`]).
     pub(crate) fn parts(&self, off: usize, len: usize) -> (&[u32], &[u32], &[u8]) {

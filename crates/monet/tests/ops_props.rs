@@ -1924,3 +1924,116 @@ fn spill_grouping_numbers_like_hash_grouping_over_every_key_kind() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The grouping `group` seeds: every `{g}` over a `group` result's tail and
+// the nest keys' dedup read it (`memo`), equal to `ops::reference` at eps
+// 0.0, and a dedup the grouping does not determine takes the pair numbering.
+// ---------------------------------------------------------------------------
+
+/// A `group` result's seeded grouping, read through `{g}`: `{count}` over
+/// the group ids and `{min}` / `{sum}` over `[gid, row position]` are
+/// `memo` hits equal to the reference's own first-occurrence grouping, so
+/// every row lands in its group and every group's first row is its
+/// representative.
+fn check_seeded(ctx: &ExecCtx, class: &Bat, tag: &str) {
+    let by_class = class.mirror();
+    let n = class.len() as i32;
+    let positions =
+        Bat::with_inferred_props(class.head().clone(), Column::from_ints((0..n).collect()));
+    let rows = ops::join(ctx, &by_class, &positions).unwrap();
+    assert!(rows.head().identity() == class.tail().identity(), "{tag}: a sync join");
+    let cases =
+        [(ops::AggFunc::Count, &by_class), (ops::AggFunc::Min, &rows), (ops::AggFunc::Sum, &rows)];
+    for (f, b) in cases {
+        let got = ops::set_aggregate(ctx, f, b).unwrap();
+        assert_eq!(last_algo(ctx), "memo", "{tag}: {{{}}}", f.name());
+        let want = reference::set_aggregate(f, b).unwrap();
+        assert_eq!(rows_of(&got), rows_of(&want), "{tag}: {{{}}}", f.name());
+    }
+}
+
+#[test]
+fn group_seeds_the_grouping_of_its_tail_on_every_arm() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x61);
+    let mut seen: HashSet<&str> = HashSet::new();
+    for kind in 0..CODED_KINDS {
+        for (wide, sorted, spill) in
+            [(false, false, false), (true, false, false), (false, true, false), (true, true, true)]
+        {
+            let tag = format!("kind {kind} wide={wide} sorted={sorted} spill={spill}");
+            let ctx = if spill { spill_ctx() } else { ExecCtx::new() };
+            let n = rng.gen_range(300..400usize);
+            let mut b =
+                Bat::with_inferred_props(Column::void(5, n), coded_column(&mut rng, kind, n, wide));
+            if sorted {
+                b = ops::sort_tail(&ctx, &b).unwrap();
+                assert!(b.props().tail.sorted, "{tag}");
+            }
+            let class1 = ops::group1(&ctx, &b).unwrap();
+            seen.insert(last_algo(&ctx));
+            check_seeded(&ctx, &class1, &format!("{tag}: group1"));
+            // Refined by a second coded attribute, synced with the first.
+            let cd = Bat::new(b.head().clone(), coded_column(&mut rng, (kind + 3) % 6, n, wide));
+            let class2 = ops::group2(&ctx, &class1, &cd).unwrap();
+            seen.insert(last_algo(&ctx));
+            check_seeded(&ctx, &class2, &format!("{tag}: group2"));
+        }
+    }
+    let mut seen: Vec<_> = seen.into_iter().collect();
+    seen.sort_unstable();
+    assert_eq!(seen, ["direct", "hash", "packed", "spill", "sync"]);
+}
+
+#[test]
+fn a_nest_key_dedup_reads_the_grouping_or_numbers_the_pairs() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x62);
+    let mut seen: HashSet<&str> = HashSet::new();
+    for (k1, k2) in [(2, 5), (6, 3), (0, 6), (4, 1)] {
+        for wide in [false, true] {
+            let tag = format!("({k1}, {k2}) wide={wide}");
+            let ctx = ExecCtx::new();
+            let n = rng.gen_range(300..400usize);
+            let head = Column::void(7, n);
+            let ab = Bat::with_inferred_props(head.clone(), coded_column(&mut rng, k1, n, wide));
+            let cd = Bat::with_inferred_props(head, coded_column(&mut rng, k2, n, wide));
+            let class1 = ops::group1(&ctx, &ab).unwrap();
+            let class = ops::group2(&ctx, &class1, &cd).unwrap();
+            // KEY := join(class.mirror, k).unique, for both keys of the
+            // refined group and the one of the group it refines.
+            for (class, key) in [(&class, &ab), (&class, &cd), (&class1, &ab)] {
+                let keys = ops::join(&ctx, &class.mirror(), key).unwrap();
+                let got = ops::unique(&ctx, &keys).unwrap();
+                assert_eq!(last_algo(&ctx), "memo", "{tag}");
+                let fresh = ExecCtx::new();
+                let numbered = ops::unique(&fresh, &keys).unwrap();
+                seen.insert(last_algo(&fresh));
+                assert_eq!(rows_of(&got), rows_of(&numbered), "{tag}: memo vs pair numbering");
+                assert_eq!(rows_of(&got), rows_of(&reference::unique(&keys)), "{tag}");
+            }
+            // Not determined: the group ids next to the row positions, and
+            // next to the attribute of a hash-aligned refinement (which
+            // records no key: its rows are not the grouped column's).
+            let mut perm: Vec<u32> = (0..n as u32).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.gen_range(0..=i));
+            }
+            let shuffled =
+                Bat::with_inferred_props(cd.head().gather(&perm), cd.tail().gather(&perm));
+            let aligned = ops::group2(&ctx, &class1, &shuffled).unwrap();
+            assert!(last_algo(&ctx).ends_with("-align"), "{tag}");
+            let positions = Column::from_ints((0..n as i32).collect());
+            for pairs in [
+                Bat::new(class.tail().clone(), positions),
+                Bat::new(aligned.tail().clone(), shuffled.tail().clone()),
+                Bat::new(aligned.tail().clone(), ab.tail().clone()),
+            ] {
+                let got = ops::unique(&ctx, &pairs).unwrap();
+                let algo = last_algo(&ctx);
+                assert!(matches!(algo, "packed" | "hash"), "{tag}: {algo}");
+                assert_eq!(rows_of(&got), rows_of(&reference::unique(&pairs)), "{tag}: {algo}");
+            }
+        }
+    }
+    assert!(seen.contains("packed") && seen.contains("hash"), "{seen:?}");
+}

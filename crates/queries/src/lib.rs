@@ -27,7 +27,7 @@ use monet::pager::Pager;
 use relstore::RelDb;
 
 pub use params::Params;
-pub use runner::{run_moa_rows, run_moa_scalar, QueryResult};
+pub use runner::{run_moa_rows, run_moa_scalar, scalar_input, QueryResult};
 
 /// Output of a reference plan: the rows plus the number of `Item` rows the
 /// query's item-level predicates selected (the "Item select%" column of

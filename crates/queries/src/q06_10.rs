@@ -14,7 +14,7 @@ use relstore::{select_rows, ColPred, RelDb};
 use crate::params::{pid, Params};
 use crate::q01_05::revenue_expr;
 use crate::refutil::*;
-use crate::runner::{run_moa_rows, run_moa_scalar, QueryResult};
+use crate::runner::{run_moa_rows, run_moa_scalar, scalar_input, QueryResult};
 use crate::RefOutput;
 
 // ---------------------------------------------------------------------------
@@ -43,14 +43,14 @@ fn q6_selection(p: &Params) -> SetExpr {
     ]))
 }
 
+/// Q6's program: the selected items' `extendedprice * discount`, which
+/// [`q6_run`] sums.
+pub fn q6_moa(p: &Params) -> SetExpr {
+    scalar_input(q6_selection(p), bin(ScalarFunc::Mul, attr("extendedprice"), attr("discount")))
+}
+
 pub fn q6_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<QueryResult> {
-    let total = run_moa_scalar(
-        cat,
-        ctx,
-        q6_selection(p),
-        bin(ScalarFunc::Mul, attr("extendedprice"), attr("discount")),
-        AggFunc::Sum,
-    )?;
+    let total = run_moa_scalar(cat, ctx, &q6_moa(p), AggFunc::Sum)?;
     Ok(QueryResult(vec![vec![total]]))
 }
 

@@ -14,7 +14,7 @@ use relstore::{select_rows, ColPred, RelDb};
 use crate::params::{pid, Params};
 use crate::q01_05::revenue_expr;
 use crate::refutil::*;
-use crate::runner::{run_moa_rows, run_moa_scalar, QueryResult};
+use crate::runner::{run_moa_rows, run_moa_scalar, scalar_input, QueryResult};
 use crate::RefOutput;
 
 // ---------------------------------------------------------------------------
@@ -34,15 +34,24 @@ fn q11_value() -> Scalar {
     bin(ScalarFunc::Mul, attr("sp.cost"), attr("sp.available"))
 }
 
-pub fn q11_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<QueryResult> {
-    // Phase 1: the total stock value (scalar, in MIL).
-    let total = run_moa_scalar(cat, ctx, q11_base(p), q11_value(), AggFunc::Sum)?;
+/// Q11's first program: the stock value of every supply of the nation,
+/// which [`q11_threshold`] sums.
+pub fn q11_total_moa(p: &Params) -> SetExpr {
+    scalar_input(q11_base(p), q11_value())
+}
+
+/// Q11's threshold: a fraction of the nation's total stock value.
+pub fn q11_threshold(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<f64> {
+    let total = run_moa_scalar(cat, ctx, &q11_total_moa(p), AggFunc::Sum)?;
     let AtomValue::Dbl(total) = total else {
         return Err(moa::error::MoaError::Type("q11 total must be dbl".into()));
     };
-    let threshold = total * p.q11_fraction;
-    // Phase 2: per-part values above the threshold.
-    let q = q11_base(p)
+    Ok(total * p.q11_fraction)
+}
+
+/// Q11's second program: the per-part values above `threshold`.
+pub fn q11_parts_moa(p: &Params, threshold: f64) -> SetExpr {
+    q11_base(p)
         .nest(vec![ProjItem::new("part", attr("sp.part"))])
         .project(vec![
             ProjItem::new("part", attr("part")),
@@ -59,8 +68,12 @@ pub fn q11_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Q
             ScalarFunc::Gt,
             attr("value"),
             prm(pid::Q11_THRESHOLD, AtomValue::Dbl(threshold)),
-        ));
-    run_moa_rows(cat, ctx, &q)
+        ))
+}
+
+pub fn q11_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<QueryResult> {
+    let threshold = q11_threshold(cat, ctx, p)?;
+    run_moa_rows(cat, ctx, &q11_parts_moa(p, threshold))
 }
 
 pub fn q11_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
@@ -267,24 +280,25 @@ fn q14_month(p: &Params) -> Pred {
     )
 }
 
-pub fn q14_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<QueryResult> {
-    let total = run_moa_scalar(
-        cat,
-        ctx,
-        SetExpr::extent("Item").select(q14_month(p)),
-        revenue_expr(),
-        AggFunc::Sum,
-    )?;
-    let promo = run_moa_scalar(
-        cat,
-        ctx,
+/// Q14's first program: the revenue of the month's items.
+pub fn q14_total_moa(p: &Params) -> SetExpr {
+    scalar_input(SetExpr::extent("Item").select(q14_month(p)), revenue_expr())
+}
+
+/// Q14's second program: the revenue of the month's promotion items.
+pub fn q14_promo_moa(p: &Params) -> SetExpr {
+    scalar_input(
         SetExpr::extent("Item").select(and(
             q14_month(p),
             cmp(ScalarFunc::StrPrefix, attr("part.type"), lit_s("PROMO")),
         )),
         revenue_expr(),
-        AggFunc::Sum,
-    )?;
+    )
+}
+
+pub fn q14_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<QueryResult> {
+    let total = run_moa_scalar(cat, ctx, &q14_total_moa(p), AggFunc::Sum)?;
+    let promo = run_moa_scalar(cat, ctx, &q14_promo_moa(p), AggFunc::Sum)?;
     let (AtomValue::Dbl(t), AtomValue::Dbl(pr)) = (total, promo) else {
         return Err(moa::error::MoaError::Type("q14 sums must be dbl".into()));
     };

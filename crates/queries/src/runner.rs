@@ -173,19 +173,13 @@ pub fn run_moa_rows(cat: &Catalog, ctx: &ExecCtx, q: &SetExpr) -> Result<QueryRe
     Ok(QueryResult(rows?))
 }
 
-/// Translate and execute `project[<item : v>](input)`, then reduce the
+/// Translate and execute `q`, a projection of one atomic item
+/// (`project[<v : item>](input)`, see [`scalar_input`]), then reduce the
 /// projected value BAT with the whole-BAT scalar aggregate kernel — one
 /// bulk operator call, not a per-row loop in the driver. The plan is the
 /// shared cached one, so nothing is appended to it.
-pub fn run_moa_scalar(
-    cat: &Catalog,
-    ctx: &ExecCtx,
-    input: SetExpr,
-    item: Scalar,
-    f: AggFunc,
-) -> Result<AtomValue> {
-    let q = input.project(vec![ProjItem::new("v", item)]);
-    let t = translate_in(cat, &q, ctx.config())?;
+pub fn run_moa_scalar(cat: &Catalog, ctx: &ExecCtx, q: &SetExpr, f: AggFunc) -> Result<AtomValue> {
+    let t = translate_in(cat, q, ctx.config())?;
     let StructSpec::Tuple(fields) = &*t.spec else {
         return Err(MoaError::Type("scalar aggregate needs a projected input".into()));
     };
@@ -194,6 +188,11 @@ pub fn run_moa_scalar(
     };
     let env = monet::mil::execute(ctx, cat.db(), &t.prog, &t.keep)?;
     Ok(monet::ops::aggr_scalar(ctx, env.bat(*var)?, f)?)
+}
+
+/// `project[<v : item>](input)`: the program [`run_moa_scalar`] runs.
+pub fn scalar_input(input: SetExpr, item: Scalar) -> SetExpr {
+    input.project(vec![ProjItem::new("v", item)])
 }
 
 #[cfg(test)]
@@ -222,8 +221,7 @@ mod tests {
         let total = run_moa_scalar(
             &cat,
             &ctx,
-            SetExpr::extent("Item"),
-            attr("extendedprice"),
+            &scalar_input(SetExpr::extent("Item"), attr("extendedprice")),
             AggFunc::Sum,
         )
         .unwrap();
@@ -231,8 +229,10 @@ mod tests {
         let count = run_moa_scalar(
             &cat,
             &ctx,
-            SetExpr::extent("Item").select(eq(attr("returnflag"), lit_c('R'))),
-            attr("extendedprice"),
+            &scalar_input(
+                SetExpr::extent("Item").select(eq(attr("returnflag"), lit_c('R'))),
+                attr("extendedprice"),
+            ),
             AggFunc::Count,
         )
         .unwrap();

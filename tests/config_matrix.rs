@@ -225,9 +225,10 @@ fn every_engine_configuration_agrees_bit_for_bit() {
 /// exactly those, and a session that lifts its own budget re-runs the mix
 /// green — two lifted sessions bit for bit alike. Swept from 8k to 128k
 /// at 8k steps: 8k and 16k abort all fifteen queries and every budget up
-/// to 64k at least 12; at 64k only Q2, Q11 and Q14 (ledger peaks 23–34
-/// KB, since a zero-copy view charges nothing) complete, and at 128k
-/// nine do.
+/// to 64k at least 11; at 64k only Q2, Q10, Q11 and Q14 (ledger peaks
+/// 21–59 KB, since a zero-copy view charges nothing and a gathered string
+/// column charges its arrays, not its source's byte heap) complete, and at
+/// 128k nine do.
 #[test]
 fn budget_64k_aborts_typed_then_recovers_once_lifted() {
     let w = worlds();
@@ -269,9 +270,9 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 /// any budget they complete at. Swept at 2k steps: some query completes
 /// by spilling between 96k and 372k — Q13, whose `join(Item_order, ·)`
 /// back from the clerk's orders spills 148 KB, from 96k to 292k; Q2 (a
-/// 20 KB spill) from 110k to 134k; and Q7 (368 KB, 192 KB from 362k)
-/// from 222k to 372k; re-sweep that window when memory accounting or the
-/// translator's join-backs change.
+/// 20 KB spill) from 110k to 134k; Q7 (368 KB, 192 KB from 362k) from
+/// 222k to 372k; and Q10 (182 KB) from 268k to 292k; re-sweep that window
+/// when memory accounting or the translator's join-backs change.
 #[test]
 fn budget_224k_lets_a_query_complete_by_spilling_a_join() {
     let w = World::build_with(0.05, true);

@@ -262,8 +262,8 @@ fn dbl_sums_follow_the_grid() {
 }
 
 // ---------------------------------------------------------------------------
-// The nest + aggregate tail: slot-table grouping, pair grouping and dedup,
-// the sync join and the grouping memo, then float `{g}` on the grid.
+// The nest + aggregate tail: slot-table grouping, pair grouping, the sync
+// join and the grouping memo `group` seeds, then float `{g}` on the grid.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -299,7 +299,9 @@ fn nest_aggregate_tail_takes_its_arms_and_sums_on_the_grid() {
     let count = run(ops::set_aggregate(&ctx, AggFunc::Count, &by_class));
     let sum = run(ops::set_aggregate(&ctx, AggFunc::Sum, &prices));
     let avg = run(ops::set_aggregate(&ctx, AggFunc::Avg, &prices));
-    assert_eq!(algos, ["direct", "packed", "sync", "sync", "packed", "direct", "memo", "memo"]);
+    // `group` seeds the memo: the nest key's dedup and every `{g}` over
+    // the group ids read the grouping the second `group` built.
+    assert_eq!(algos, ["direct", "packed", "sync", "sync", "memo", "memo", "memo", "memo"]);
 
     assert_eq!(rows_of(&uniq), rows_of(&reference::unique(&flags)), "unique");
     let want = reference::set_aggregate(AggFunc::Count, &by_class).unwrap();
@@ -315,6 +317,49 @@ fn nest_aggregate_tail_takes_its_arms_and_sums_on_the_grid() {
         let reference = reference::set_aggregate(f, &prices).unwrap();
         assert_eq!(heads(got), heads(&reference), "{{{}}} heads", f.name());
         assert_eq!(dbls(got), want, "{{{}}} bits", f.name());
+    }
+}
+
+/// `{avg}` over `dbl` is `{sum}/{count}` bit for bit — the translator's
+/// rewrite of a nest's `avg` — on the morsel grid and past the one-pass
+/// bound of the float partials (more than 4M `ngroups x morsels` slots),
+/// over a head `group` built (the memo's oids) and over one `{g}` derives.
+#[test]
+fn dbl_avg_is_sum_over_count_on_the_grid_and_in_one_pass() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 23);
+    // (rows, groups): three morsels and a remainder with few groups, then
+    // 17 morsels x 2^18 groups = 4 456 448 partial slots.
+    for (n, ngroups) in [(grid_rows(&mut rng), 7usize), (17 * MORSEL_ROWS, 1 << 18)] {
+        let objects = Column::from_oids((0..n as u64).map(|i| 900 + i).collect());
+        let keys = Bat::with_inferred_props(
+            objects.clone(),
+            Column::from_ints((0..n).map(|_| rng.gen_range(0..ngroups as i32)).collect()),
+        );
+        let price = Bat::with_inferred_props(
+            objects,
+            Column::from_dbls((0..n).map(|_| rng.gen_range(-1.0..1.0) * 1e-3 + 0.1).collect()),
+        );
+        let ctx = ctx();
+        let class = ops::group1(&ctx, &keys).unwrap();
+        let by_class = class.mirror();
+        let prices = ops::join(&ctx, &by_class, &price).unwrap();
+        // `group`'s own grouping, then one a `{g}` derives over a copy of
+        // the group ids.
+        let gids = (0..n).map(|i| by_class.head().oid_at(i)).collect();
+        let copied = Bat::new(Column::from_oids(gids), by_class.tail().clone());
+        let derived = Bat::new(copied.head().clone(), prices.tail().clone());
+        for (owner_vals, members) in [(&prices, &by_class), (&derived, &copied)] {
+            let avg = ops::set_aggregate(&ctx, AggFunc::Avg, owner_vals).unwrap();
+            let sum = ops::set_aggregate(&ctx, AggFunc::Sum, owner_vals).unwrap();
+            let count = ops::set_aggregate(&ctx, AggFunc::Count, members).unwrap();
+            let quotient =
+                ops::multiplex(&ctx, F::Div, &[MultArg::Bat(sum), MultArg::Bat(count)]).unwrap();
+            assert_eq!(ctx.take_algo(), "sync", "{n} rows: the aggregates share their head");
+            let heads = |b: &Bat| (0..b.len()).map(|i| b.head().oid_at(i)).collect::<Vec<_>>();
+            let bits = |b: &Bat| dbls(b).into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(heads(&quotient), heads(&avg), "{n} rows, {ngroups} groups: heads");
+            assert_eq!(bits(&quotient), bits(&avg), "{n} rows, {ngroups} groups: bits");
+        }
     }
 }
 

@@ -295,9 +295,11 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         let algos = oid_keyed(&ExecCtx::new()).unwrap();
         assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap"]);
     }
-    // The nest + aggregate tail: slot-table grouping (`direct`),
-    // pair grouping and pair dedup (`packed`), the zero-copy `sync` join,
-    // and two `{g}` over one head (the second a `memo` hit).
+    // The nest + aggregate tail: slot-table grouping (`direct`), pair
+    // grouping (`packed`), the zero-copy `sync` join, the key's dedup and
+    // two `{g}` over the group ids (`memo` hits on the grouping `group`
+    // seeded); then pair dedup (`packed`) and a slot-table `{g}`
+    // (`direct`) over a head no `group` built.
     let objects = Column::from_oids((0..20_000u64).collect());
     let chrs =
         |m: u64| Column::from_chrs((0..20_000u64).map(|i| b'A' + (i * 7 % m) as u8).collect());
@@ -311,11 +313,13 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         noted(ctx, &mut algos, ops::unique(ctx, &flags))?;
         noted(ctx, &mut algos, ops::set_aggregate(ctx, ops::AggFunc::Count, &flags))?;
         noted(ctx, &mut algos, ops::set_aggregate(ctx, ops::AggFunc::Max, &flags))?;
+        noted(ctx, &mut algos, ops::unique(ctx, &flags.mirror()))?;
+        noted(ctx, &mut algos, ops::set_aggregate(ctx, ops::AggFunc::Count, &flag.mirror()))?;
         Ok(algos)
     };
     {
         let algos = nest_tail(&default_ctx()).unwrap();
-        assert_eq!(algos, ["direct", "packed", "sync", "packed", "direct", "memo"]);
+        assert_eq!(algos, ["direct", "packed", "sync", "memo", "memo", "memo", "packed", "direct"]);
     }
     let baseline = typed::scratch_checked_out();
     let oracle = {
