@@ -112,20 +112,29 @@ impl<'a> Evaluator<'a> {
             }
             SetExpr::Nest { input, keys } => {
                 let elems = self.eval(input)?;
-                // Group by the canonicalized key tuple.
-                let mut groups: Vec<(Vec<AtomValue>, Vec<(Oid, EV)>)> = Vec::new();
+                // Group by the canonicalized key tuple. A key keeps its
+                // object-ness: a reference key stays a reference.
+                let mut groups: Vec<(Vec<EV>, Vec<(Oid, EV)>)> = Vec::new();
                 let mut lookup: HashMap<String, usize> = HashMap::new();
                 for (id, ev) in elems {
                     let mut kv = Vec::with_capacity(keys.len());
                     for k in keys {
                         match &k.expr {
-                            Expr::Scalar(s) => kv.push(self.eval_scalar(&ev, s)?),
+                            Expr::Scalar(s) => match self.eval_scalar_ev(&ev, s)? {
+                                v @ (EV::Atom(_) | EV::Obj { .. }) => kv.push(v),
+                                other => {
+                                    return Err(MoaError::Type(format!(
+                                        "nest key {} is not scalar: {other:?}",
+                                        k.name
+                                    )))
+                                }
+                            },
                             Expr::SetV(_) => {
                                 return Err(MoaError::Type("nest keys must be scalar".into()))
                             }
                         }
                     }
-                    let kstr = format!("{kv:?}");
+                    let kstr = format!("{:?}", kv.iter().map(EV::to_value).collect::<Vec<_>>());
                     let gi = *lookup.entry(kstr).or_insert_with(|| {
                         groups.push((kv.clone(), Vec::new()));
                         groups.len() - 1
@@ -135,11 +144,8 @@ impl<'a> Evaluator<'a> {
                 Ok(groups
                     .into_iter()
                     .map(|(kv, members)| {
-                        let mut fields: Vec<(String, EV)> = keys
-                            .iter()
-                            .zip(kv)
-                            .map(|(k, v)| (k.name.clone(), EV::Atom(v)))
-                            .collect();
+                        let mut fields: Vec<(String, EV)> =
+                            keys.iter().zip(kv).map(|(k, v)| (k.name.clone(), v)).collect();
                         fields.push((NEST_REST.to_string(), EV::Set(members)));
                         (self.fresh_id(), EV::Tup(fields))
                     })

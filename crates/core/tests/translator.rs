@@ -358,6 +358,21 @@ fn unnest_supplies() {
     assert_commutes(&cat, &q2);
 }
 
+/// A nest keyed by an object reference keeps the key a reference (Q11
+/// nests supplies by `sp.part` this way).
+#[test]
+fn nest_keyed_by_an_object_reference() {
+    let cat = mini_catalog();
+    let q = SetExpr::extent("Supplier")
+        .unnest(sattr("supplies"), "sup", "sp")
+        .nest(vec![ProjItem::new("part", attr("sp.part"))])
+        .project(vec![
+            ProjItem::new("part", attr("part")),
+            ProjItem::new("cost", agg_over(AggFunc::Sum, sattr(NEST_REST), attr("sp.cost"))),
+        ]);
+    assert_commutes(&cat, &q);
+}
+
 #[test]
 fn empty_results_are_fine() {
     let cat = mini_catalog();

@@ -1,7 +1,9 @@
 //! Typed, immutable, `Arc`-shared column arrays.
 //!
 //! A BAT (Figure 2) stores its BUNs in dense array-like heaps. This module
-//! provides the per-type heap representation. Columns are immutable and
+//! provides the per-type heap representation and builds columns; it reads
+//! values through [`crate::typed`], which holds their order, equality and
+//! hash (a [`Column`] has none of its own). Columns are immutable and
 //! cheaply cloneable; `mirror` and zero-copy slicing are what make the MIL
 //! commands `mirror` and sorted-range selection "operations free of cost".
 //!
@@ -9,16 +11,15 @@
 //! *synced* (Section 5.1) when their head columns have the same identity —
 //! the kernel can then use positional algorithms.
 
-use std::cmp::Ordering;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 use crate::atom::{AtomType, AtomValue, Date, Oid};
 use crate::buf::Buf;
 use crate::props::Enc;
 use crate::strheap::{StrHeapBuilder, StrVec};
-use crate::typed::CodeSlice;
+use crate::typed::{CodeSlice, GroupTable, TypedSlice, TypedVals};
 
 /// Unique identity of a column allocation, used for `synced` detection and
 /// as the pager's heap identifier.
@@ -118,27 +119,17 @@ impl DictCodes {
 pub struct DictStrData {
     codes: DictCodes,
     dict: StrVec,
-    /// Lazy raw decode (`dict.gather(codes)`); shares the dictionary's
-    /// byte heap, so the cache costs only the rebuilt offset arrays.
-    decoded: OnceLock<StrVec>,
 }
 
 impl DictStrData {
     /// Assemble from pre-built parts (the store's open path).
     pub(crate) fn from_parts(codes: DictCodes, dict: StrVec) -> DictStrData {
-        DictStrData { codes, dict, decoded: OnceLock::new() }
+        DictStrData { codes, dict }
     }
 
     #[inline]
     fn code(&self, i: usize) -> usize {
         self.codes.get(i)
-    }
-
-    fn decoded(&self) -> &StrVec {
-        self.decoded.get_or_init(|| {
-            let wide: Vec<u32> = (0..self.codes.len()).map(|i| self.code(i) as u32).collect();
-            self.dict.gather(&wide)
-        })
     }
 }
 
@@ -474,11 +465,12 @@ impl Column {
         }
     }
 
-    /// Resolve this window to a [`crate::typed::TypedSlice`] **once** — the
-    /// entry point of the dispatch-once kernel layer (see [`crate::typed`]
-    /// and the `for_each_typed!` family of macros). Bulk code must prefer
-    /// this over the per-element `get`/`cmp_at`/`hash_at` accessors.
-    pub fn typed(&self) -> crate::typed::TypedSlice<'_> {
+    /// Resolve this window to a [`TypedSlice`] **once** — the entry point
+    /// of the dispatch-once kernel layer (see [`crate::typed`] and the
+    /// `for_each_typed!` family of macros), and the only place kernel code
+    /// finds a value's order, equality and hash. Bulk code must prefer this
+    /// over the per-element `get` accessor.
+    pub fn typed(&self) -> TypedSlice<'_> {
         typed_vals(&self.vals, self.off, self.len)
     }
 
@@ -532,88 +524,11 @@ impl Column {
         }
     }
 
-    /// String storage view, if this is a string column.
-    pub fn as_strvec(&self) -> Option<StrVecView<'_>> {
-        match &self.vals {
-            ColumnVals::Str(v) => Some(StrVecView { sv: v, off: self.off, len: self.len }),
-            _ => None,
-        }
-    }
-
     /// The dense start for void columns.
     pub fn void_seq(&self) -> Option<Oid> {
         match &self.vals {
             ColumnVals::Void { seq } => Some(seq + self.off as Oid),
             _ => None,
-        }
-    }
-
-    /// Compare values at positions `i` (self) and `j` (other). Columns must
-    /// hold the same atom type (oid/void interoperate).
-    pub fn cmp_at(&self, i: usize, other: &Column, j: usize) -> Ordering {
-        use ColumnVals::*;
-        if self.encoding() != Enc::None || other.encoding() != Enc::None {
-            // Generic comparisons route through the cached decode; bulk
-            // code reaches encoded layouts through the typed kernels.
-            return self.decoded().cmp_at(i, &other.decoded(), j);
-        }
-        match (&self.vals, &other.vals) {
-            (Int(a), Int(b)) => a[self.off + i].cmp(&b[other.off + j]),
-            (Lng(a), Lng(b)) => a[self.off + i].cmp(&b[other.off + j]),
-            (Dbl(a), Dbl(b)) => a[self.off + i].total_cmp(&b[other.off + j]),
-            (Chr(a), Chr(b)) => a[self.off + i].cmp(&b[other.off + j]),
-            (Bool(a), Bool(b)) => a[self.off + i].cmp(&b[other.off + j]),
-            (Date(a), Date(b)) => a[self.off + i].cmp(&b[other.off + j]),
-            (Str(a), Str(b)) => a.get(self.off + i).cmp(b.get(other.off + j)),
-            _ if self.is_oidlike() && other.is_oidlike() => self.oid_at(i).cmp(&other.oid_at(j)),
-            _ => {
-                panic!("cmp_at on mixed column types {} vs {}", self.atom_type(), other.atom_type())
-            }
-        }
-    }
-
-    /// Compare the value at position `i` against a scalar of the same type.
-    pub fn cmp_val(&self, i: usize, v: &AtomValue) -> Ordering {
-        use ColumnVals::*;
-        if self.encoding() != Enc::None {
-            return self.decoded().cmp_val(i, v);
-        }
-        match (&self.vals, v) {
-            (Int(a), AtomValue::Int(b)) => a[self.off + i].cmp(b),
-            (Lng(a), AtomValue::Lng(b)) => a[self.off + i].cmp(b),
-            (Dbl(a), AtomValue::Dbl(b)) => a[self.off + i].total_cmp(b),
-            (Chr(a), AtomValue::Chr(b)) => a[self.off + i].cmp(b),
-            (Bool(a), AtomValue::Bool(b)) => a[self.off + i].cmp(b),
-            (Date(a), AtomValue::Date(b)) => crate::atom::Date(a[self.off + i]).cmp(b),
-            (Str(a), AtomValue::Str(b)) => a.get(self.off + i).cmp(&**b),
-            _ if self.is_oidlike() && v.as_oid().is_some() => {
-                self.oid_at(i).cmp(&v.as_oid().unwrap())
-            }
-            _ => panic!("cmp_val on mixed types {} vs {}", self.atom_type(), v.atom_type()),
-        }
-    }
-
-    /// Equality of values at positions `i` (self) and `j` (other).
-    pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
-        self.cmp_at(i, other, j) == Ordering::Equal
-    }
-
-    /// 64-bit hash of the value at `i`, suitable for hash joins. Equal
-    /// values (per `cmp_at == Equal`) hash equally, including oid vs void.
-    pub fn hash_at(&self, i: usize) -> u64 {
-        use ColumnVals::*;
-        let j = self.off + i;
-        match &self.vals {
-            Void { seq } => fxhash64(seq + j as u64),
-            Oid(v) => fxhash64(v[j]),
-            Bool(v) => fxhash64(v[j] as u64),
-            Chr(v) => fxhash64(v[j] as u64),
-            Int(v) => fxhash64(v[j] as u64),
-            Lng(v) => fxhash64(v[j] as u64),
-            Dbl(v) => fxhash64(v[j].to_bits()),
-            Date(v) => fxhash64(v[j] as u64),
-            Str(v) => fnv1a(v.get(j).as_bytes()),
-            DictStr(d) => fnv1a(d.dict.get(d.code(j)).as_bytes()),
         }
     }
 
@@ -656,11 +571,7 @@ impl Column {
                 };
                 let len = codes.len();
                 Column::new(
-                    ColumnVals::DictStr(Arc::new(DictStrData {
-                        codes,
-                        dict: d.dict.clone(),
-                        decoded: OnceLock::new(),
-                    })),
+                    ColumnVals::DictStr(Arc::new(DictStrData::from_parts(codes, d.dict.clone()))),
                     len,
                 )
             }
@@ -712,19 +623,22 @@ impl Column {
             Dbl(_) => splice_fixed!(Dbl, f64, Column::from_dbls),
             Date(_) => splice_fixed!(Date, i32, Column::from_date_days),
             Str(_) => {
-                let bytes: usize =
-                    parts.iter().filter_map(|p| p.as_strvec()).map(|v| v.heap_bytes()).sum();
-                let mut builder = StrHeapBuilder::with_capacity(total, bytes / total.max(1));
-                for p in parts {
-                    let v = p.as_strvec().unwrap_or_else(|| {
-                        panic!(
+                let strs: Vec<_> = parts
+                    .iter()
+                    .map(|p| match p.typed() {
+                        TypedSlice::Str(v) => v,
+                        _ => panic!(
                             "concat_all on mixed column types {} vs {}",
                             first.atom_type(),
                             p.atom_type()
-                        )
-                    });
-                    for i in 0..p.len {
-                        builder.push(v.get(i));
+                        ),
+                    })
+                    .collect();
+                let bytes: usize = strs.iter().map(|v| v.heap().len()).sum();
+                let mut builder = StrHeapBuilder::with_capacity(total, bytes / total.max(1));
+                for v in strs {
+                    for i in 0..v.len() {
+                        builder.push(v.value(i));
                     }
                 }
                 Column::from_strvec(builder.finish())
@@ -795,7 +709,7 @@ impl Column {
             }
             ColumnVals::Dbl(v) => {
                 // Order-preserving bit transform: integer order of the keys
-                // is exactly IEEE total order, matching `cmp_at`. The
+                // is exactly IEEE total order, matching `TypedVals`. The
                 // un-map is bit-exact, so NaN payloads survive the round
                 // trip.
                 let w = &v[self.off..self.off + n];
@@ -842,30 +756,43 @@ impl Column {
         }
     }
 
-    /// O(n) check: ascending (non-strict) order.
-    pub fn check_sorted(&self) -> bool {
-        use crate::typed::TypedVals;
+    /// O(n) check of the window's order, in one typed pass: `(ascending,
+    /// strictly ascending)`.
+    pub fn check_order(&self) -> (bool, bool) {
         if matches!(self.vals, ColumnVals::Void { .. }) {
-            return true;
+            return (true, true);
         }
         crate::for_each_typed!(self, |t| {
-            (1..t.len()).all(|i| !t.cmp_one(t.value(i - 1), t.value(i)).is_gt())
+            let mut strict = true;
+            for i in 1..t.len() {
+                match t.cmp_one(t.value(i - 1), t.value(i)) {
+                    std::cmp::Ordering::Greater => return (false, false),
+                    std::cmp::Ordering::Equal => strict = false,
+                    std::cmp::Ordering::Less => {}
+                }
+            }
+            (true, strict)
         })
+    }
+
+    /// O(n) check: ascending (non-strict) order.
+    pub fn check_sorted(&self) -> bool {
+        self.check_order().0
     }
 
     /// Check that all values are distinct (key property).
     pub fn check_key(&self) -> bool {
-        use crate::typed::TypedVals;
-        if matches!(self.vals, ColumnVals::Void { .. }) {
-            return true;
+        if let (true, strict) = self.check_order() {
+            return strict;
         }
-        if self.check_sorted() {
-            return crate::for_each_typed!(self, |t| {
-                (1..t.len()).all(|i| t.cmp_one(t.value(i - 1), t.value(i)).is_lt())
-            });
-        }
-        let mut seen = std::collections::HashSet::with_capacity(self.len);
-        (0..self.len).all(|i| seen.insert(OwnedKey::of(self, i)))
+        crate::for_each_typed!(self, |t| {
+            let mut seen = GroupTable::with_capacity(t.len());
+            (0..t.len()).all(|i| {
+                let v = t.value(i);
+                let eq = |r: u32| t.eq_one(t.value(r as usize), v);
+                seen.find_or_insert(t.hash_one(v), i as u32, eq).1
+            })
+        })
     }
 
     /// Check that the column is the dense sequence `start..start+len`.
@@ -878,40 +805,6 @@ impl Column {
             }
             _ => false,
         }
-    }
-
-    /// First position whose value is `>= v` (requires ascending order).
-    pub fn lower_bound(&self, v: &AtomValue) -> usize {
-        use crate::typed::TypedVals;
-        crate::for_each_typed!(self, |t| {
-            let (mut lo, mut hi) = (0usize, t.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if t.cmp_atom(t.value(mid), v).is_lt() {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
-        })
-    }
-
-    /// First position whose value is `> v` (requires ascending order).
-    pub fn upper_bound(&self, v: &AtomValue) -> usize {
-        use crate::typed::TypedVals;
-        crate::for_each_typed!(self, |t| {
-            let (mut lo, mut hi) = (0usize, t.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if t.cmp_atom(t.value(mid), v).is_gt() {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            lo
-        })
     }
 
     /// Bytes of heap storage attributable to this window: fixed part plus,
@@ -932,13 +825,17 @@ impl Column {
         }
     }
 
-    /// A raw-layout column holding the same values at the same positions.
-    /// The result keeps this view's identity triple `(id, off, len)` —
-    /// decoding is positionally exact, so synced-ness survives it. Raw
-    /// columns return themselves (an `Arc` bump).
+    /// A raw-layout column holding the same values at the same positions,
+    /// decoded afresh on each call (nothing caches it). The result keeps
+    /// this view's identity triple `(id, off, len)` — decoding is
+    /// positionally exact, so synced-ness survives it. Raw columns return
+    /// themselves (an `Arc` bump).
     pub fn decoded(&self) -> Column {
         let vals = match &self.vals {
-            ColumnVals::DictStr(d) => ColumnVals::Str(d.decoded().clone()),
+            ColumnVals::DictStr(d) => {
+                let wide: Vec<u32> = (0..d.codes.len()).map(|i| d.code(i) as u32).collect();
+                ColumnVals::Str(d.dict.gather(&wide))
+            }
             _ => return self.clone(),
         };
         Column { vals, id: self.id, off: self.off, len: self.len }
@@ -963,9 +860,9 @@ impl Column {
     /// smaller than the raw layout (e.g. mostly-unique values, where even
     /// u8 codes cannot pay for the extra dictionary offsets).
     fn encode_dict(&self) -> Option<Column> {
-        let sv = self.as_strvec()?;
+        let TypedSlice::Str(sv) = self.typed() else { return None };
         let n = self.len;
-        let mut uniq: Vec<&str> = (0..n).map(|i| sv.get(i)).collect();
+        let mut uniq: Vec<&str> = (0..n).map(|i| sv.value(i)).collect();
         uniq.sort_unstable();
         uniq.dedup();
         let u = uniq.len();
@@ -981,16 +878,13 @@ impl Column {
             b.push(s);
         }
         let dict = b.finish();
-        let wide = (0..n).map(|i| code_of[sv.get(i)]);
+        let wide = (0..n).map(|i| code_of[sv.value(i)]);
         let codes = match DictCodes::width_for(u) {
             1 => DictCodes::W8(wide.map(|c| c as u8).collect()),
             2 => DictCodes::W16(wide.map(|c| c as u16).collect()),
             _ => DictCodes::W32(wide.collect()),
         };
-        Some(Column::new(
-            ColumnVals::DictStr(Arc::new(DictStrData { codes, dict, decoded: OnceLock::new() })),
-            n,
-        ))
+        Some(Column::new(ColumnVals::DictStr(Arc::new(DictStrData::from_parts(codes, dict))), n))
     }
 
     /// Iterate generically over the window.
@@ -998,9 +892,10 @@ impl Column {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Whether this view covers its entire backing storage — the
-    /// precondition of [`Column::storage_repr`]. The store writer compacts
-    /// partial windows (via an identity gather) before serializing.
+    /// Whether this view covers its entire backing storage, so that its
+    /// [`TypedSlice`] is the whole physical storage. The store writer
+    /// compacts partial windows (via an identity gather) before
+    /// serializing.
     pub(crate) fn is_full_window(&self) -> bool {
         if self.off != 0 {
             return false;
@@ -1018,72 +913,6 @@ impl Column {
             ColumnVals::DictStr(d) => d.codes.len(),
         };
         self.len == storage_len
-    }
-
-    /// Borrow the full physical storage for the store writer. Panics when
-    /// the view is a partial window (callers compact first, see
-    /// [`Column::is_full_window`]).
-    pub(crate) fn storage_repr(&self) -> StorageRepr<'_> {
-        assert!(self.is_full_window(), "storage_repr on a partial window");
-        match &self.vals {
-            ColumnVals::Void { seq } => StorageRepr::Void { seq: *seq },
-            ColumnVals::Oid(v) => StorageRepr::Oid(v),
-            ColumnVals::Bool(v) => StorageRepr::Bool(v),
-            ColumnVals::Chr(v) => StorageRepr::Chr(v),
-            ColumnVals::Int(v) => StorageRepr::Int(v),
-            ColumnVals::Lng(v) => StorageRepr::Lng(v),
-            ColumnVals::Dbl(v) => StorageRepr::Dbl(v),
-            ColumnVals::Date(v) => StorageRepr::Date(v),
-            ColumnVals::Str(v) => StorageRepr::Str(v),
-            ColumnVals::DictStr(d) => {
-                StorageRepr::DictStr { codes: d.codes.window(0, self.len), dict: &d.dict }
-            }
-        }
-    }
-}
-
-/// The full physical storage of a column, borrowed for serialization.
-pub(crate) enum StorageRepr<'a> {
-    Void { seq: Oid },
-    Oid(&'a [Oid]),
-    Bool(&'a [bool]),
-    Chr(&'a [u8]),
-    Int(&'a [i32]),
-    Lng(&'a [i64]),
-    Dbl(&'a [f64]),
-    Date(&'a [i32]),
-    Str(&'a StrVec),
-    DictStr { codes: CodeSlice<'a>, dict: &'a StrVec },
-}
-
-/// Borrowed view over the string storage of a column window.
-pub struct StrVecView<'a> {
-    sv: &'a StrVec,
-    off: usize,
-    len: usize,
-}
-
-impl<'a> StrVecView<'a> {
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn get(&self, i: usize) -> &'a str {
-        assert!(i < self.len);
-        self.sv.get(self.off + i)
-    }
-
-    /// (heap offset, byte length) of value `i`, for pager accounting.
-    pub fn heap_offset(&self, i: usize) -> (u64, u64) {
-        self.sv.heap_offset(self.off + i)
-    }
-
-    pub fn heap_bytes(&self) -> usize {
-        self.sv.heap_bytes()
     }
 }
 
@@ -1265,18 +1094,14 @@ fn dict_splice(parts: &[Column], total: usize) -> Option<Column> {
         DictCodes::W32(_) => DictCodes::W32(splice!(W32)),
     };
     Some(Column::new(
-        ColumnVals::DictStr(Arc::new(DictStrData {
-            codes,
-            dict: first.dict.clone(),
-            decoded: OnceLock::new(),
-        })),
+        ColumnVals::DictStr(Arc::new(DictStrData::from_parts(codes, first.dict.clone()))),
         total,
     ))
 }
 
-/// Resolve a storage window to a [`crate::typed::TypedSlice`].
-fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> crate::typed::TypedSlice<'_> {
-    use crate::typed::{DictStrVals, StrVals, TypedSlice, VoidVals};
+/// Resolve a storage window to a [`TypedSlice`].
+fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> TypedSlice<'_> {
+    use crate::typed::{DictStrVals, StrVals, VoidVals};
     match vals {
         ColumnVals::Void { seq } => TypedSlice::Void(VoidVals { seq: seq + off as Oid, len }),
         ColumnVals::Oid(v) => TypedSlice::Oid(&v[off..off + len]),
@@ -1296,40 +1121,6 @@ fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> crate::typed::TypedS
             TypedSlice::DictStr(DictStrVals::new(d.codes.window(off, len), dict))
         }
     }
-}
-
-/// Owned hashable key for deduplication across all atom types.
-#[derive(PartialEq, Eq, Hash)]
-enum OwnedKey {
-    U64(u64),
-    I64(i64),
-    Bits(u64),
-    Str(Box<str>),
-}
-
-impl OwnedKey {
-    fn of(c: &Column, i: usize) -> OwnedKey {
-        match c.get(i) {
-            AtomValue::Void(o) | AtomValue::Oid(o) => OwnedKey::U64(o),
-            AtomValue::Bool(b) => OwnedKey::U64(b as u64),
-            AtomValue::Chr(v) => OwnedKey::U64(v as u64),
-            AtomValue::Int(v) => OwnedKey::I64(v as i64),
-            AtomValue::Lng(v) => OwnedKey::I64(v),
-            AtomValue::Date(d) => OwnedKey::I64(d.0 as i64),
-            AtomValue::Dbl(v) => OwnedKey::Bits(v.to_bits()),
-            AtomValue::Str(s) => OwnedKey::Str(s),
-        }
-    }
-}
-
-/// Fast multiplicative hash for 64-bit keys (FxHash-style).
-#[inline]
-pub fn fxhash64(x: u64) -> u64 {
-    // Two rounds of the splitmix64 finalizer: cheap and well distributed.
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Multiplicative word hasher (the `FxHasher` recipe) for small structural
@@ -1374,17 +1165,6 @@ impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// FNV-1a over bytes, for string hashing.
-#[inline]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1481,30 +1261,6 @@ mod tests {
     }
 
     #[test]
-    fn bounds_on_sorted() {
-        let c = Column::from_ints(vec![1, 3, 3, 3, 7, 9]);
-        assert_eq!(c.lower_bound(&AtomValue::Int(3)), 1);
-        assert_eq!(c.upper_bound(&AtomValue::Int(3)), 4);
-        assert_eq!(c.lower_bound(&AtomValue::Int(0)), 0);
-        assert_eq!(c.upper_bound(&AtomValue::Int(99)), 6);
-        assert_eq!(c.lower_bound(&AtomValue::Int(8)), 5);
-    }
-
-    #[test]
-    fn cmp_and_hash_consistency() {
-        let a = Column::from_strs(["alpha", "beta"]);
-        let b = Column::from_strs(["beta", "alpha"]);
-        assert!(a.eq_at(0, &b, 1));
-        assert!(!a.eq_at(0, &b, 0));
-        assert_eq!(a.hash_at(1), b.hash_at(0));
-        // oid/void interop
-        let o = Column::from_oids(vec![5, 6]);
-        let v = Column::void(5, 2);
-        assert!(o.eq_at(0, &v, 0));
-        assert_eq!(o.hash_at(1), v.hash_at(1));
-    }
-
-    #[test]
     fn checks_detect_violations() {
         assert!(Column::from_ints(vec![1, 2, 2, 3]).check_sorted());
         assert!(!Column::from_ints(vec![1, 2, 2, 3]).check_key());
@@ -1512,6 +1268,15 @@ mod tests {
         assert!(Column::from_oids(vec![4, 5, 6]).check_dense());
         assert!(!Column::from_oids(vec![4, 6]).check_dense());
         assert!(Column::from_strs(["a", "b", "c"]).check_key());
+        // Unsorted columns take the hashing path.
+        assert!(Column::from_ints(vec![3, 1, 2]).check_key());
+        assert!(!Column::from_ints(vec![3, 1, 3]).check_key());
+        assert!(!Column::from_dbls(vec![0.5, -1.0, 0.5]).check_key());
+        assert!(Column::from_strs(["b", "a", "c"]).check_key());
+        assert!(!Column::from_strs(["b", "a", "b"]).check_key());
+        assert_eq!(Column::from_ints(vec![1, 2, 2]).check_order(), (true, false));
+        assert_eq!(Column::from_ints(vec![1, 2, 3]).check_order(), (true, true));
+        assert_eq!(Column::from_ints(vec![2, 1]).check_order(), (false, false));
     }
 
     #[test]

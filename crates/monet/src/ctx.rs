@@ -41,7 +41,7 @@ mod label {
     static TABLE: [OnceLock<&'static str>; SLOTS] = [const { OnceLock::new() }; SLOTS];
 
     pub(super) fn code(label: &'static str) -> usize {
-        let start = crate::column::fnv1a(label.as_bytes()) as usize % SLOTS;
+        let start = crate::typed::fnv1a(label.as_bytes()) as usize % SLOTS;
         (0..SLOTS)
             .map(|k| (start + k) % SLOTS)
             .find(|&i| *TABLE[i].get_or_init(|| label) == label)

@@ -339,7 +339,16 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     }
     // Align: position i of AB corresponds to position `at(i)` of CD — i
     // itself when the operands are synced.
-    let align: Option<Vec<u32>> = if ab.synced(cd) { None } else { Some(hash_align(ab, cd)?) };
+    let align = (!ab.synced(cd)).then(|| hash_align(ab.head(), cd.head()));
+    if let Some(i) = align.as_ref().and_then(|a| a.iter().position(|&p| p == UNALIGNED)) {
+        return Err(MonetError::Malformed {
+            op: "group",
+            detail: format!(
+                "binary group: head value at position {i} of the group \
+                 BAT has no counterpart in the attribute BAT"
+            ),
+        });
+    }
     let mut gids: Vec<Oid> = Vec::with_capacity(ab.len());
     let (firsts, packed) = number_pairs(
         ctx,
@@ -383,31 +392,23 @@ pub fn group2(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     Ok(result)
 }
 
-/// For every head of `ab`, the position of its first counterpart in `cd`
-/// (whose head must hold each of them), by hash.
-fn hash_align(ab: &Bat, cd: &Bat) -> Result<Vec<u32>> {
-    let idx = crate::accel::hash::HashIndex::build(cd.head());
-    let align: std::result::Result<Vec<u32>, usize> =
-        crate::for_each_typed2!(ab.head(), cd.head(), |ah, ch| {
-            'align: {
-                let mut align = Vec::with_capacity(ab.len());
-                for i in 0..ah.len() {
-                    let v = ah.value(i);
-                    let h = ah.hash_one(v);
-                    match idx.candidates(h).find(|&p| ch.eq_one(ch.value(p), v)) {
-                        Some(p) => align.push(p as u32),
-                        None => break 'align Err(i),
-                    }
-                }
-                Ok(align)
-            }
-        });
-    align.map_err(|i| MonetError::Malformed {
-        op: "group",
-        detail: format!(
-            "binary group: head value at position {i} of the group \
-             BAT has no counterpart in the attribute BAT"
-        ),
+/// Marks a value [`hash_align`] found no counterpart for.
+pub(crate) const UNALIGNED: u32 = u32::MAX;
+
+/// For every value of `keys`, the position of its first occurrence in
+/// `heads`, by hash; [`UNALIGNED`] where `heads` does not hold it. Binary
+/// grouping and aligned multiplex share it: the first fails on a missing
+/// counterpart, the second drops that row.
+pub(crate) fn hash_align(keys: &Column, heads: &Column) -> Vec<u32> {
+    let idx = crate::accel::hash::HashIndex::build(heads);
+    crate::for_each_typed2!(keys, heads, |k, h| {
+        (0..k.len())
+            .map(|i| {
+                let v = k.value(i);
+                let mut hits = idx.candidates(k.hash_one(v));
+                hits.find(|&p| h.eq_one(h.value(p), v)).map_or(UNALIGNED, |p| p as u32)
+            })
+            .collect()
     })
 }
 

@@ -24,6 +24,7 @@ use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
 use crate::error::{MonetError, Result};
+use crate::ops::group::{hash_align, UNALIGNED};
 use crate::pager;
 use crate::props::{ColProps, Props};
 
@@ -301,35 +302,26 @@ fn mux_synced(
 /// of the first BAT with no counterpart in some argument are dropped
 /// (inner-join semantics).
 fn mux_aligned(_ctx: &ExecCtx, f: ScalarFunc, first: &Bat, args: &[MultArg]) -> Result<Bat> {
-    // Build a lookup per non-first BAT argument.
-    struct Aligned {
-        index: crate::accel::hash::HashIndex,
-    }
-    let mut lookups: Vec<Option<Aligned>> = Vec::with_capacity(args.len());
-    for a in args {
-        match a {
-            MultArg::Bat(b) if !first.synced(b) => lookups
-                .push(Some(Aligned { index: crate::accel::hash::HashIndex::build(b.head()) })),
-            _ => lookups.push(None),
-        }
-    }
+    // Align every non-synced BAT argument to the first BAT's heads.
+    let fh = first.head();
+    let aligns: Vec<Option<Vec<u32>>> = args
+        .iter()
+        .map(|a| match a {
+            MultArg::Bat(b) if !first.synced(b) => Some(hash_align(fh, b.head())),
+            _ => None,
+        })
+        .collect();
     let mut keep: Vec<u32> = Vec::with_capacity(first.len());
     let mut out: Vec<AtomValue> = Vec::with_capacity(first.len());
     let mut scratch: Vec<AtomValue> = Vec::with_capacity(args.len());
-    let fh = first.head();
     'row: for i in 0..first.len() {
         scratch.clear();
-        for (a, l) in args.iter().zip(&lookups) {
-            match (a, l) {
+        for (a, align) in args.iter().zip(&aligns) {
+            match (a, align) {
                 (MultArg::Const(v), _) => scratch.push(v.clone()),
                 (MultArg::Bat(b), None) => scratch.push(b.tail().get(i)),
-                (MultArg::Bat(b), Some(al)) => {
-                    let h = fh.hash_at(i);
-                    match al.index.candidates(h).find(|&p| b.head().eq_at(p, fh, i)) {
-                        Some(p) => scratch.push(b.tail().get(p)),
-                        None => continue 'row,
-                    }
-                }
+                (MultArg::Bat(_), Some(align)) if align[i] == UNALIGNED => continue 'row,
+                (MultArg::Bat(b), Some(align)) => scratch.push(b.tail().get(align[i] as usize)),
             }
         }
         keep.push(i as u32);

@@ -1,9 +1,11 @@
 //! Generic row-wise **reference implementations** of the BAT operators.
 //!
-//! These are the pre-typed-kernel forms of each operator: every element
-//! access goes through the generic `Column` accessors (`get`, `cmp_val`,
-//! `cmp_at`, `hash_at`), paying one type dispatch per row. They are kept
-//! alive — deliberately slow and obviously correct — as the oracle that the
+//! These are the pre-typed-kernel forms of each operator: every element is
+//! read as an [`AtomValue`] through [`Column::get`], and ordered, compared
+//! and hashed by `AtomValue`'s own definitions (`cmp_same_type`, `Eq`,
+//! `Hash`) — not by the typed layer's [`crate::typed::TypedVals`], so the
+//! oracle does not share the code it checks. They are kept alive —
+//! deliberately slow and obviously correct — as the oracle that the
 //! `specialized-vs-generic` property suite (`tests/ops_props.rs`) compares
 //! the monomorphized kernels in the sibling modules against, on random
 //! inputs across every atom type.
@@ -13,7 +15,7 @@
 //! compare results pair-for-pair instead of as multisets. Reference ops
 //! take no `ExecCtx` and claim no properties.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use crate::atom::{AtomType, AtomValue, Oid};
 use crate::bat::Bat;
@@ -26,15 +28,15 @@ fn gather_pair(ab: &Bat, idx: &[u32]) -> Bat {
     Bat::new(ab.head().gather(idx), ab.tail().gather(idx))
 }
 
-/// Point selection by scanning with per-row `cmp_val`.
+/// Point selection by scanning with per-row `cmp_same_type`.
 pub fn select_eq(ab: &Bat, v: &AtomValue) -> Bat {
     let tail = ab.tail();
     let idx: Vec<u32> =
-        (0..ab.len()).filter(|&i| tail.cmp_val(i, v).is_eq()).map(|i| i as u32).collect();
+        (0..ab.len()).filter(|&i| tail.get(i).cmp_same_type(v).is_eq()).map(|i| i as u32).collect();
     gather_pair(ab, &idx)
 }
 
-/// Range selection by scanning with per-row `cmp_val`.
+/// Range selection by scanning with per-row `cmp_same_type`.
 pub fn select_range(
     ab: &Bat,
     lo: Option<&AtomValue>,
@@ -44,14 +46,15 @@ pub fn select_range(
 ) -> Bat {
     let tail = ab.tail();
     let keep = |i: usize| -> bool {
+        let x = tail.get(i);
         if let Some(v) = lo {
-            let c = tail.cmp_val(i, v);
+            let c = x.cmp_same_type(v);
             if c.is_lt() || (!inc_lo && c.is_eq()) {
                 return false;
             }
         }
         if let Some(v) = hi {
-            let c = tail.cmp_val(i, v);
+            let c = x.cmp_same_type(v);
             if c.is_gt() || (!inc_hi && c.is_eq()) {
                 return false;
             }
@@ -64,12 +67,12 @@ pub fn select_range(
 
 /// Nested-loop equi-join (left order, right positions ascending).
 pub fn join(ab: &Bat, cd: &Bat) -> Bat {
-    let (bt, ch) = (ab.tail(), cd.head());
+    let heads: Vec<AtomValue> = cd.head().iter().collect();
     let mut li = Vec::new();
     let mut ri = Vec::new();
-    for i in 0..ab.len() {
-        for j in 0..cd.len() {
-            if bt.eq_at(i, ch, j) {
+    for (i, b) in ab.tail().iter().enumerate() {
+        for (j, c) in heads.iter().enumerate() {
+            if b == *c {
                 li.push(i as u32);
                 ri.push(j as u32);
             }
@@ -80,52 +83,39 @@ pub fn join(ab: &Bat, cd: &Bat) -> Bat {
 
 /// Scan semijoin: keep left BUNs whose head occurs in the right heads.
 pub fn semijoin(ab: &Bat, cd: &Bat) -> Bat {
-    let (ah, ch) = (ab.head(), cd.head());
-    let idx: Vec<u32> = (0..ab.len())
-        .filter(|&i| (0..cd.len()).any(|j| ah.eq_at(i, ch, j)))
-        .map(|i| i as u32)
-        .collect();
+    let heads: Vec<AtomValue> = cd.head().iter().collect();
+    let idx: Vec<u32> =
+        (0..ab.len()).filter(|&i| heads.contains(&ab.head().get(i))).map(|i| i as u32).collect();
     gather_pair(ab, &idx)
 }
 
 /// Scan anti-semijoin.
 pub fn antijoin(ab: &Bat, cd: &Bat) -> Bat {
-    let (ah, ch) = (ab.head(), cd.head());
-    let idx: Vec<u32> = (0..ab.len())
-        .filter(|&i| !(0..cd.len()).any(|j| ah.eq_at(i, ch, j)))
-        .map(|i| i as u32)
-        .collect();
+    let heads: Vec<AtomValue> = cd.head().iter().collect();
+    let idx: Vec<u32> =
+        (0..ab.len()).filter(|&i| !heads.contains(&ab.head().get(i))).map(|i| i as u32).collect();
     gather_pair(ab, &idx)
 }
 
 /// Unary group ids in canonical (first-appearance, 0-based) numbering.
 pub fn group1_gids(ab: &Bat) -> Vec<Oid> {
-    let t = ab.tail();
-    let mut seen: HashMap<u64, Vec<(u32, Oid)>> = HashMap::new();
-    let mut gids = Vec::with_capacity(ab.len());
-    let mut next: Oid = 0;
-    for i in 0..ab.len() {
-        let h = t.hash_at(i);
-        let bucket = seen.entry(h).or_default();
-        let gid = bucket.iter().find(|(k, _)| t.eq_at(*k as usize, t, i)).map(|(_, g)| *g);
-        let g = gid.unwrap_or_else(|| {
-            let g = next;
-            next += 1;
-            bucket.push((i as u32, g));
-            g
-        });
-        gids.push(g);
-    }
-    gids
+    let mut seen: HashMap<AtomValue, Oid> = HashMap::new();
+    ab.tail()
+        .iter()
+        .map(|v| {
+            let next = seen.len() as Oid;
+            *seen.entry(v).or_insert(next)
+        })
+        .collect()
 }
 
 /// Binary (refining) group ids in canonical numbering; `Err` when a head of
 /// `ab` has no counterpart in `cd`.
 pub fn group2_gids(ab: &Bat, cd: &Bat) -> Result<Vec<Oid>> {
-    let (ah, ch) = (ab.head(), cd.head());
+    let heads: Vec<AtomValue> = cd.head().iter().collect();
     let mut align = Vec::with_capacity(ab.len());
-    for i in 0..ab.len() {
-        match (0..cd.len()).find(|&j| ch.eq_at(j, ah, i)) {
+    for (i, a) in ab.head().iter().enumerate() {
+        match heads.iter().position(|c| *c == a) {
             Some(j) => align.push(j),
             None => {
                 return Err(MonetError::Malformed {
@@ -154,32 +144,29 @@ pub fn group2_gids(ab: &Bat, cd: &Bat) -> Result<Vec<Oid>> {
 
 /// First occurrence of every distinct BUN pair, in operand order.
 pub fn unique(ab: &Bat) -> Bat {
-    let (h, t) = (ab.head(), ab.tail());
-    let mut idx: Vec<u32> = Vec::new();
-    for i in 0..ab.len() {
-        let dup = idx.iter().any(|&k| h.eq_at(k as usize, h, i) && t.eq_at(k as usize, t, i));
-        if !dup {
-            idx.push(i as u32);
-        }
-    }
+    let mut seen: HashSet<(AtomValue, AtomValue)> = HashSet::new();
+    let idx: Vec<u32> = (0..ab.len())
+        .filter(|&i| seen.insert((ab.head().get(i), ab.tail().get(i))))
+        .map(|i| i as u32)
+        .collect();
     gather_pair(ab, &idx)
 }
 
 /// Stable reorder ascending on tail values.
 pub fn sort_tail(ab: &Bat) -> Bat {
+    let vals: Vec<AtomValue> = ab.tail().iter().collect();
     let mut idx: Vec<u32> = (0..ab.len() as u32).collect();
-    let t = ab.tail();
-    idx.sort_by(|&a, &b| t.cmp_at(a as usize, t, b as usize));
+    idx.sort_by(|&a, &b| vals[a as usize].cmp_same_type(&vals[b as usize]));
     gather_pair(ab, &idx)
 }
 
 /// The `n` extreme-tail BUNs: full stable sort by (tail value in the
 /// requested direction, then operand position), truncate to `n`.
 pub fn topn(ab: &Bat, n: usize, descending: bool) -> Bat {
-    let t = ab.tail();
+    let vals: Vec<AtomValue> = ab.tail().iter().collect();
     let mut idx: Vec<u32> = (0..ab.len() as u32).collect();
     idx.sort_by(|&a, &b| {
-        let c = t.cmp_at(a as usize, t, b as usize);
+        let c = vals[a as usize].cmp_same_type(&vals[b as usize]);
         let c = if descending { c.reverse() } else { c };
         c.then(a.cmp(&b))
     });
@@ -216,14 +203,14 @@ pub fn aggr_scalar(ab: &Bat, f: AggFunc) -> Result<AtomValue> {
             if n == 0 {
                 return Err(MonetError::Malformed { op: f.name(), detail: "empty".into() });
             }
-            let mut best = 0usize;
-            for i in 1..n {
-                let c = t.cmp_at(i, t, best);
+            let mut best = t.get(0);
+            for v in t.iter().skip(1) {
+                let c = v.cmp_same_type(&best);
                 if if f == AggFunc::Min { c.is_lt() } else { c.is_gt() } {
-                    best = i;
+                    best = v;
                 }
             }
-            Ok(t.get(best))
+            Ok(best)
         }
     }
 }
@@ -239,16 +226,14 @@ pub fn set_aggregate(f: AggFunc, ab: &Bat) -> Result<Bat> {
     }
     let h = ab.head();
     let mut rep: Vec<u32> = Vec::new();
+    let mut seen: HashMap<AtomValue, u32> = HashMap::new();
     let mut gid_of: Vec<u32> = Vec::with_capacity(ab.len());
-    for i in 0..ab.len() {
-        let g = match rep.iter().position(|&r| h.eq_at(r as usize, h, i)) {
-            Some(g) => g,
-            None => {
-                rep.push(i as u32);
-                rep.len() - 1
-            }
-        };
-        gid_of.push(g as u32);
+    for (i, v) in h.iter().enumerate() {
+        let g = *seen.entry(v).or_insert_with(|| {
+            rep.push(i as u32);
+            rep.len() as u32 - 1
+        });
+        gid_of.push(g);
     }
     let ngroups = rep.len();
     let t = ab.tail();
@@ -290,7 +275,7 @@ pub fn set_aggregate(f: AggFunc, ab: &Bat) -> Result<Bat> {
             let mut best: Vec<u32> = rep.clone();
             for (i, &g) in gid_of.iter().enumerate() {
                 let b = &mut best[g as usize];
-                let c = t.cmp_at(i, t, *b as usize);
+                let c = t.get(i).cmp_same_type(&t.get(*b as usize));
                 if if f == AggFunc::Min { c.is_lt() } else { c.is_gt() } {
                     *b = i as u32;
                 }

@@ -13,7 +13,7 @@ use crate::ctx::ExecCtx;
 use crate::error::Result;
 use crate::pager;
 use crate::props::{ColProps, Enc, Props};
-use crate::typed::TypedVals;
+use crate::typed::{lower_bound_by, upper_bound_by, TypedVals};
 
 use super::check_comparable;
 
@@ -76,16 +76,8 @@ fn select_sorted(
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_binary_search(p, ab.tail());
     }
-    let start = match lo {
-        Some(v) if inc_lo => ab.tail().lower_bound(v),
-        Some(v) => ab.tail().upper_bound(v),
-        None => 0,
-    };
-    let end = match hi {
-        Some(v) if inc_hi => ab.tail().upper_bound(v),
-        Some(v) => ab.tail().lower_bound(v),
-        None => ab.len(),
-    };
+    let (start, end) =
+        crate::for_each_typed!(ab.tail(), |t| bound_range(t, lo, hi, inc_lo, inc_hi));
     let (start, end) = (start.min(ab.len()), end.min(ab.len()));
     let result = if start >= end { ab.slice(0, 0) } else { ab.slice(start, end - start) };
     if let Some(p) = ctx.pager.as_deref() {
@@ -210,25 +202,30 @@ fn dict_code_range(
     inc_lo: bool,
     inc_hi: bool,
 ) -> (u64, u64) {
-    fn bound_str(v: &AtomValue) -> &str {
-        match v {
-            AtomValue::Str(s) => s,
-            // `check_comparable` only lets a str constant through for a str
-            // tail, so this cannot be reached from the public entry points.
-            other => unreachable!("dict-code select with {} bound", other.atom_type()),
-        }
-    }
+    let (start, end) = bound_range(d.dict(), lo, hi, inc_lo, inc_hi);
+    (start as u64, end as u64)
+}
+
+/// The rows `[start, end)` of an ascending window that lie within the
+/// bounds: two binary searches.
+fn bound_range<V: TypedVals>(
+    t: V,
+    lo: Option<&AtomValue>,
+    hi: Option<&AtomValue>,
+    inc_lo: bool,
+    inc_hi: bool,
+) -> (usize, usize) {
     let start = match lo {
-        Some(v) if inc_lo => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
-        Some(v) => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
+        Some(v) if inc_lo => lower_bound_by(t, |x| t.cmp_atom(x, v)),
+        Some(v) => upper_bound_by(t, |x| t.cmp_atom(x, v)),
         None => 0,
     };
     let end = match hi {
-        Some(v) if inc_hi => crate::typed::upper_bound_by(d.dict(), bound_str(v)),
-        Some(v) => crate::typed::lower_bound_by(d.dict(), bound_str(v)),
-        None => d.dict_len(),
+        Some(v) if inc_hi => upper_bound_by(t, |x| t.cmp_atom(x, v)),
+        Some(v) => lower_bound_by(t, |x| t.cmp_atom(x, v)),
+        None => t.len(),
     };
-    (start as u64, end as u64)
+    (start, end)
 }
 
 /// Dict-code selection: the predicate becomes a code range

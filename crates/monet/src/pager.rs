@@ -13,6 +13,7 @@ use std::collections::{HashMap, VecDeque};
 use crate::sync::Mutex;
 
 use crate::column::{Column, ColumnId};
+use crate::typed::TypedSlice;
 
 /// Which heap of a column a page belongs to (Figure 2 shows a BAT owning a
 /// BUN heap plus optional variable-size tail heaps).
@@ -173,9 +174,9 @@ pub fn touch_scan(pager: &Pager, col: &Column) {
     if w > 0 && len > 0 {
         pager.touch_range(col.storage_id(), HeapKind::Fixed, off as u64 * w, len as u64 * w);
     }
-    if let Some(sv) = col.as_strvec() {
-        if sv.heap_bytes() > 0 {
-            pager.touch_range(col.storage_id(), HeapKind::Var, 0, sv.heap_bytes() as u64);
+    if let TypedSlice::Str(sv) = col.typed() {
+        if !sv.heap().is_empty() {
+            pager.touch_range(col.storage_id(), HeapKind::Var, 0, sv.heap().len() as u64);
         }
     }
 }
@@ -188,9 +189,8 @@ pub fn touch_fetch(pager: &Pager, col: &Column, i: usize) {
     if w > 0 {
         pager.touch_byte(col.storage_id(), HeapKind::Fixed, (off + i) as u64 * w);
     }
-    if let Some(sv) = col.as_strvec() {
-        let (hoff, _) = sv.heap_offset(i);
-        pager.touch_byte(col.storage_id(), HeapKind::Var, hoff);
+    if let TypedSlice::Str(sv) = col.typed() {
+        pager.touch_byte(col.storage_id(), HeapKind::Var, sv.offsets()[i] as u64);
     }
 }
 

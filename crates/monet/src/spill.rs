@@ -294,6 +294,11 @@ mod tests {
         crate::for_each_typed!(col, |t| Partitions::build(ctx, t, bits, |_| true))
     }
 
+    /// Hash of row `i`, through the typed view.
+    fn hash_of(col: &Column, i: usize) -> u64 {
+        crate::for_each_typed!(col, |t| t.hash_one(t.value(i)))
+    }
+
     #[test]
     fn pair_bytes_is_the_native_byte_image() {
         let mut pairs = [0x0102_0304_0506_0708u64, u64::MAX, 0];
@@ -321,7 +326,7 @@ mod tests {
                 // of its hash's top bits, rows ascending.
                 let mut mem = vec![Vec::new(); 1 << bits];
                 for i in 0..rows {
-                    let h = col.hash_at(i);
+                    let h = hash_of(&col, i);
                     mem[crate::typed::cluster_of(h, bits)].push(crate::typed::pack_pair(h, i));
                 }
                 assert_eq!(sp.num_clusters(), mem.len());
@@ -352,7 +357,7 @@ mod tests {
         let sp = crate::for_each_typed!(&col, |t| Partitions::build(&ctx, t, 2, keep))
             .expect("spill build");
         let kept: Vec<u32> =
-            (0..col.len() as u32).filter(|&i| keep(col.hash_at(i as usize))).collect();
+            (0..col.len() as u32).filter(|&i| keep(hash_of(&col, i as usize))).collect();
         let mut buf = Vec::new();
         let mut got: Vec<u32> = (0..sp.num_clusters())
             .flat_map(|c| {

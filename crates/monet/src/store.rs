@@ -42,14 +42,14 @@ use crate::accel::datavector::{Datavector, Extent};
 use crate::atom::AtomType;
 use crate::bat::Bat;
 use crate::buf::Buf;
-use crate::column::{Column, ColumnIdentity, ColumnVals, DictCodes, DictStrData, StorageRepr};
+use crate::column::{Column, ColumnIdentity, ColumnVals, DictCodes, DictStrData};
 use crate::db::Db;
 use crate::error::{MonetError, Result};
 use crate::gov::{site, Governor};
 use crate::pager::Mapping;
 use crate::props::{ColProps, Enc, Props};
 use crate::strheap::StrVec;
-use crate::typed::CodeSlice;
+use crate::typed::{CodeSlice, StrVals, TypedSlice};
 
 /// File-format version; bumped on any incompatible layout change. Version
 /// 2 dropped the frame-of-reference layout (tag 3) that version 1 wrote
@@ -361,48 +361,50 @@ fn code_slice_bytes<'a>(c: &CodeSlice<'a>) -> (&'a [u8], u8) {
     }
 }
 
+/// The offset, length and byte-heap segments of a string window.
+fn str_segs(v: StrVals<'_>) -> [&[u8]; 3] {
+    [as_bytes(v.offsets()), as_bytes(v.lens()), v.heap()]
+}
+
 /// Write one full-window column into `path`. Returns the header checksum
 /// (recorded in the superblock as a cross-check against file swaps) and
 /// the bytes written.
 fn write_column_file(path: &Path, col: &Column) -> Result<(u64, u64)> {
     let rows = col.len() as u64;
     let atom = atom_code(col.atom_type());
+    assert!(col.is_full_window(), "store writer given a partial window");
     // (layout, width, aux, segments)
-    let (layout, width, aux, segs): (u8, u8, u64, Vec<(u32, &[u8])>) = match col.storage_repr() {
-        StorageRepr::Void { seq } => {
-            unreachable!("void column (seq {seq}) must be inlined in the superblock")
+    let (layout, width, aux, segs): (u8, u8, u64, Vec<(u32, &[u8])>) = match col.typed() {
+        TypedSlice::Void(v) => {
+            unreachable!("void column (seq {}) must be inlined in the superblock", v.seq)
         }
-        StorageRepr::Oid(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Bool(v) => (LAYOUT_RAW, 1, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Chr(v) => (LAYOUT_RAW, 1, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Int(v) => (LAYOUT_RAW, 4, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Lng(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Dbl(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Date(v) => (LAYOUT_RAW, 4, 0, vec![(SEG_DATA, as_bytes(v))]),
-        StorageRepr::Str(sv) => {
-            let (offsets, lens, heap) = str_parts(sv);
+        TypedSlice::Oid(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Bool(v) => (LAYOUT_RAW, 1, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Chr(v) => (LAYOUT_RAW, 1, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Int(v) => (LAYOUT_RAW, 4, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Lng(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Dbl(v) => (LAYOUT_RAW, 8, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Date(v) => (LAYOUT_RAW, 4, 0, vec![(SEG_DATA, as_bytes(v))]),
+        TypedSlice::Str(v) => {
+            let [offsets, lens, heap] = str_segs(v);
             (
                 LAYOUT_STR,
                 4,
                 0,
-                vec![
-                    (SEG_STR_OFFSETS, as_bytes(offsets)),
-                    (SEG_STR_LENS, as_bytes(lens)),
-                    (SEG_STR_HEAP, heap),
-                ],
+                vec![(SEG_STR_OFFSETS, offsets), (SEG_STR_LENS, lens), (SEG_STR_HEAP, heap)],
             )
         }
-        StorageRepr::DictStr { codes, dict } => {
-            let (code_bytes, w) = code_slice_bytes(&codes);
-            let (offsets, lens, heap) = str_parts(dict);
+        TypedSlice::DictStr(d) => {
+            let (code_bytes, w) = code_slice_bytes(&d.codes());
+            let [offsets, lens, heap] = str_segs(d.dict());
             (
                 LAYOUT_DICT,
                 w,
-                dict.len() as u64,
+                d.dict_len() as u64,
                 vec![
                     (SEG_DATA, code_bytes),
-                    (SEG_DICT_OFFSETS, as_bytes(offsets)),
-                    (SEG_DICT_LENS, as_bytes(lens)),
+                    (SEG_DICT_OFFSETS, offsets),
+                    (SEG_DICT_LENS, lens),
                     (SEG_DICT_HEAP, heap),
                 ],
             )
@@ -452,10 +454,6 @@ fn write_column_file(path: &Path, col: &Column) -> Result<(u64, u64)> {
     }
     f.flush().map_err(|e| io_err("store/write", path, e))?;
     Ok((hdr_xxh, written))
-}
-
-fn str_parts(sv: &StrVec) -> (&[u32], &[u32], &[u8]) {
-    sv.parts(0, sv.len())
 }
 
 // ---------------------------------------------------------------- reading

@@ -56,12 +56,6 @@ impl StrVec {
         self.heap.len()
     }
 
-    /// Byte offset of value `i` inside the heap; used by the pager to place
-    /// random accesses on the right heap page.
-    pub fn heap_offset(&self, i: usize) -> (u64, u64) {
-        (self.offsets[i] as u64, self.lens[i] as u64)
-    }
-
     /// Build a new column containing `idx`-selected values. The byte heap is
     /// shared (values are not copied), only the offset arrays are rebuilt —
     /// this is what makes "projection" of a string BAT cheap.

@@ -2,27 +2,30 @@
 //!
 //! The paper's central performance claim is that bulk BAT primitives beat
 //! tuple-at-a-time interpretation because every MIL operator runs a
-//! type-expanded tight loop over dense arrays (Sections 4.2, 5.1). The
-//! generic accessors on [`Column`] (`get`, `cmp_at`, `hash_at`, ...) decide
-//! the column type again for *every element* — exactly the per-row
-//! interpretation overhead the flattened algebra exists to avoid.
+//! type-expanded tight loop over dense arrays (Sections 4.2, 5.1). A
+//! generic accessor such as [`Column::get`] decides the column type again
+//! for *every element* — exactly the per-row interpretation overhead the
+//! flattened algebra exists to avoid.
 //!
-//! This module is the kernel's answer: a [`TypedSlice`] is resolved from a
+//! This module is the kernel's answer, and the one place kernel code finds
+//! a value's order, equality and hash: a [`TypedSlice`] is resolved from a
 //! column *once*, and the [`for_each_typed!`]/[`for_each_typed2!`] macros
 //! monomorphize an operator body over the concrete element type, so the
 //! per-row work is a plain slice index plus an inlined compare/hash with no
-//! enum dispatch. Every new operator must go through these macros — the
-//! generic row-wise forms survive only in [`crate::ops::reference`], as the
-//! oracle that property tests compare the specialized kernels against.
+//! enum dispatch. [`Column`] holds storage and builds columns; it has no
+//! compare or hash of its own. The row-wise oracle,
+//! [`crate::ops::reference`], compares [`AtomValue`]s instead
+//! ([`AtomValue::cmp_same_type`], `Eq`, `Hash`), so the two definitions are
+//! independent and the property tests compare one against the other.
 //!
 //! # The dispatch-once contract, by example
 //!
-//! A selection scan written against the generic layer pays one
-//! `ColumnVals` match (and for strings a UTF-8 revalidation) per row:
+//! A selection scan written against the generic layer pays one type match
+//! and, for strings, an allocation per row:
 //!
 //! ```ignore
 //! let idx: Vec<u32> =
-//!     (0..ab.len()).filter(|&i| tail.cmp_val(i, v).is_eq()).map(|i| i as u32).collect();
+//!     (0..ab.len()).filter(|&i| tail.get(i) == *v).map(|i| i as u32).collect();
 //! ```
 //!
 //! The typed form resolves the tail type a single time; the ten
@@ -55,15 +58,37 @@
 use std::cmp::Ordering;
 
 use crate::atom::{AtomValue, Oid};
-use crate::column::{fnv1a, fxhash64, Column};
+use crate::column::Column;
+
+/// Fast multiplicative hash for 64-bit keys (FxHash-style).
+#[inline]
+pub fn fxhash64(x: u64) -> u64 {
+    // Two rounds of the splitmix64 finalizer: cheap and well distributed.
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// FNV-1a over bytes, for string hashing.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
 
 /// Uniform element-level interface of one typed column window. Implementors
 /// are `Copy` views (slices or tiny structs), so operator bodies can pass
 /// them around freely; all methods are trivially inlinable.
 ///
-/// Hashing and comparison agree exactly with the generic
-/// [`Column::hash_at`]/[`Column::cmp_at`], so typed and generic code can
-/// cooperate on the same hash tables.
+/// The kernels' one definition of a value's order, equality and hash.
+/// Order agrees with [`AtomValue::cmp_same_type`] over [`Column::get`];
+/// equal values hash equally across layouts (`oid`/`void`, raw/dictionary
+/// strings), so one hash table serves both sides of a join.
 pub trait TypedVals: Copy {
     /// Element type of the window (`i32`, `&str`, ...). `Copy` so values can
     /// be hoisted out of probe loops.
@@ -80,11 +105,11 @@ pub trait TypedVals: Copy {
     /// Element at position `i` (a slice index; no type dispatch).
     fn value(&self, i: usize) -> Self::Elem;
 
-    /// Hash of one element, consistent with [`Column::hash_at`].
+    /// Hash of one element; equal elements hash equally.
     fn hash_one(&self, v: Self::Elem) -> u64;
 
-    /// Total-order comparison of two elements, consistent with
-    /// [`Column::cmp_at`] (doubles use IEEE total ordering).
+    /// Total-order comparison of two elements (doubles use IEEE total
+    /// ordering).
     fn cmp_one(&self, a: Self::Elem, b: Self::Elem) -> Ordering;
 
     /// Equality of two elements.
@@ -93,9 +118,9 @@ pub trait TypedVals: Copy {
         self.cmp_one(a, b).is_eq()
     }
 
-    /// Compare one element against a scalar constant, consistent with
-    /// [`Column::cmp_val`]. Panics on incomparable types — operators have
-    /// already type-checked their arguments.
+    /// Compare one element against a scalar constant. Panics on
+    /// incomparable types — operators have already type-checked their
+    /// arguments.
     fn cmp_atom(&self, v: Self::Elem, atom: &AtomValue) -> Ordering;
 }
 
@@ -221,6 +246,25 @@ impl<'a> StrVals<'a> {
     pub(crate) fn new(offsets: &'a [u32], lens: &'a [u32], heap: &'a [u8]) -> StrVals<'a> {
         debug_assert_eq!(offsets.len(), lens.len());
         StrVals { offsets, lens, heap }
+    }
+
+    /// Heap offset of each value of the window.
+    #[inline]
+    pub(crate) fn offsets(&self) -> &'a [u32] {
+        self.offsets
+    }
+
+    /// Byte length of each value of the window.
+    #[inline]
+    pub(crate) fn lens(&self) -> &'a [u32] {
+        self.lens
+    }
+
+    /// The whole byte heap the window addresses (shared with every gather
+    /// and slice of its column).
+    #[inline]
+    pub(crate) fn heap(&self) -> &'a [u8] {
+        self.heap
     }
 }
 
@@ -505,13 +549,14 @@ macro_rules! for_each_oidlike {
     }};
 }
 
-/// First position in the (ascending) window whose value is `>= x`.
+/// First position in the (ascending) window whose value is not below the
+/// probe; `cmp(v)` orders element `v` against the probe.
 #[inline]
-pub fn lower_bound_by<V: TypedVals>(vals: V, x: V::Elem) -> usize {
+pub fn lower_bound_by<V: TypedVals>(vals: V, cmp: impl Fn(V::Elem) -> Ordering) -> usize {
     let (mut lo, mut hi) = (0usize, vals.len());
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if vals.cmp_one(vals.value(mid), x).is_lt() {
+        if cmp(vals.value(mid)).is_lt() {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -520,26 +565,20 @@ pub fn lower_bound_by<V: TypedVals>(vals: V, x: V::Elem) -> usize {
     lo
 }
 
-/// First position in the (ascending) window whose value is `> x`.
+/// First position in the (ascending) window whose value is above the
+/// probe; `cmp(v)` orders element `v` against the probe.
 #[inline]
-pub fn upper_bound_by<V: TypedVals>(vals: V, x: V::Elem) -> usize {
+pub fn upper_bound_by<V: TypedVals>(vals: V, cmp: impl Fn(V::Elem) -> Ordering) -> usize {
     let (mut lo, mut hi) = (0usize, vals.len());
     while lo < hi {
         let mid = (lo + hi) / 2;
-        if vals.cmp_one(vals.value(mid), x).is_gt() {
+        if cmp(vals.value(mid)).is_gt() {
             hi = mid;
         } else {
             lo = mid + 1;
         }
     }
     lo
-}
-
-/// Bulk-hash a whole column window in one typed pass (consistent with
-/// [`Column::hash_at`]). Used by pair-keyed operators (set ops) to get the
-/// per-row dispatch out of their probe loops.
-pub fn hash_column(col: &Column) -> Vec<u64> {
-    for_each_typed!(col, |v| (0..v.len()).map(|i| v.hash_one(v.value(i))).collect())
 }
 
 const EMPTY: u32 = u32::MAX;
@@ -1053,12 +1092,16 @@ mod tests {
     use super::*;
     use crate::atom::Date;
 
+    /// The kernels' definition (`TypedVals`) and the oracle's
+    /// (`AtomValue`) agree on order over every layout.
     #[test]
     fn typed_matches_generic_accessors() {
+        let strs = ["b", "a", "b", "", "ab"];
         let cols = [
             Column::from_ints(vec![3, -1, 7]),
-            Column::from_dbls(vec![1.5, -0.0, 2.0]),
-            Column::from_strs(["b", "a", "b"]),
+            Column::from_dbls(vec![1.5, -0.0, 0.0, 2.0]),
+            Column::from_strs(strs),
+            Column::from_strs(strs.iter().cycle().take(64)).encode(),
             Column::from_oids(vec![9, 2, 5]),
             Column::void(40, 3),
             Column::from_dates(vec![Date::from_ymd(1994, 1, 1), Date(0), Date(77)]),
@@ -1066,33 +1109,55 @@ mod tests {
             Column::from_chrs(vec![b'x', b'a', b'x']),
             Column::from_lngs(vec![5, -9, 5]),
         ];
+        assert_eq!(cols[3].encoding(), crate::props::Enc::Dict);
         for col in &cols {
             for i in 0..col.len() {
-                let h = for_each_typed!(col, |t| t.hash_one(t.value(i)));
-                assert_eq!(h, col.hash_at(i), "hash mismatch on {}", col.atom_type());
                 for j in 0..col.len() {
                     let c = for_each_typed!(col, |t| t.cmp_one(t.value(i), t.value(j)));
-                    assert_eq!(c, col.cmp_at(i, col, j), "cmp mismatch on {}", col.atom_type());
+                    let want = col.get(i).cmp_same_type(&col.get(j));
+                    assert_eq!(c, want, "cmp mismatch on {} ({i}, {j})", col.atom_type());
+                    let h =
+                        for_each_typed!(col, |t| (t.hash_one(t.value(i)), t.hash_one(t.value(j))));
+                    if c.is_eq() {
+                        assert_eq!(h.0, h.1, "equal values hash apart on {}", col.atom_type());
+                    }
+                    let atom = col.get(j);
+                    let c = for_each_typed!(col, |t| t.cmp_atom(t.value(i), &atom));
+                    assert_eq!(c, want, "cmp_atom mismatch on {} ({i}, {j})", col.atom_type());
                 }
-                let atom = col.get(i);
-                let c = for_each_typed!(col, |t| t.cmp_atom(t.value(i), &atom));
-                assert!(c.is_eq(), "cmp_atom self mismatch on {}", col.atom_type());
             }
         }
+        // Equal values hash equally across layouts: the `HashIndex`
+        // contract, which lets one index serve both operands of a join.
+        let hashes = |col: &Column| -> Vec<u64> {
+            for_each_typed!(col, |t| (0..t.len()).map(|i| t.hash_one(t.value(i))).collect())
+        };
+        assert_eq!(hashes(&Column::from_oids(vec![40, 41, 42])), hashes(&Column::void(40, 3)));
+        let raw = Column::from_strs(strs.iter().cycle().take(64));
+        let dict = raw.encode();
+        assert_eq!(dict.encoding(), crate::props::Enc::Dict);
+        assert_eq!(hashes(&raw), hashes(&dict));
+        let pairs_eq = for_each_typed2!(&raw, &dict, |a, b| {
+            (0..a.len()).all(|i| a.eq_one(a.value(i), b.value(i)))
+        });
+        assert!(pairs_eq, "raw and dictionary strings compare equal row for row");
     }
 
     #[test]
     fn typed_respects_windows() {
+        let hashes = |col: &Column| -> Vec<u64> {
+            for_each_typed!(col, |t| (0..t.len()).map(|i| t.hash_one(t.value(i))).collect())
+        };
         let col = Column::from_ints(vec![10, 20, 30, 40, 50]).slice(1, 3);
         let n = for_each_typed!(&col, |t| t.len());
         assert_eq!(n, 3);
-        let direct: Vec<u64> = (0..3).map(|i| col.hash_at(i)).collect();
-        assert_eq!(direct, hash_column(&col));
+        assert_eq!(hashes(&col), hashes(&Column::from_ints(vec![20, 30, 40])));
         let sc = Column::from_strs(["aa", "bb", "cc", "dd"]).slice(1, 2);
-        let first = for_each_typed!(&sc, |t| t.hash_one(t.value(0)));
-        assert_eq!(first, sc.hash_at(0));
+        let first = for_each_typed!(&sc, |t| t.value(0).to_string());
+        assert_eq!(first, "bb");
+        assert_eq!(hashes(&sc), hashes(&Column::from_strs(["bb", "cc"])));
         let void = Column::void(100, 6).slice(2, 2);
-        assert_eq!(hash_column(&void), vec![fxhash64(102), fxhash64(103)]);
+        assert_eq!(hashes(&void), vec![fxhash64(102), fxhash64(103)]);
     }
 
     #[test]
@@ -1116,26 +1181,25 @@ mod tests {
     }
 
     #[test]
-    fn bounds_match_column_bounds() {
+    fn bounds_match_a_linear_scan() {
         let col = Column::from_ints(vec![1, 3, 3, 3, 7, 9]);
-        for probe in [-1, 1, 3, 5, 9, 12] {
+        for probe in [-1, 0, 1, 3, 5, 8, 9, 12, 99] {
             let atom = AtomValue::Int(probe);
-            let (lo, hi) = for_each_typed!(&col, |t| {
-                // resolve the probe to an element via a binary-searchable pair
-                let lo =
-                    (0..t.len()).take_while(|&i| t.cmp_atom(t.value(i), &atom).is_lt()).count();
-                let hi =
-                    (0..t.len()).take_while(|&i| !t.cmp_atom(t.value(i), &atom).is_gt()).count();
-                (lo, hi)
+            let (lo, hi, lo_scan, hi_scan) = for_each_typed!(&col, |t| {
+                let cmp = |v| t.cmp_atom(v, &atom);
+                let lo_scan = (0..t.len()).take_while(|&i| cmp(t.value(i)).is_lt()).count();
+                let hi_scan = (0..t.len()).take_while(|&i| !cmp(t.value(i)).is_gt()).count();
+                (lower_bound_by(t, cmp), upper_bound_by(t, cmp), lo_scan, hi_scan)
             });
-            assert_eq!(lo, col.lower_bound(&atom), "lower_bound({probe})");
-            assert_eq!(hi, col.upper_bound(&atom), "upper_bound({probe})");
+            assert_eq!(lo, lo_scan, "lower_bound_by({probe})");
+            assert_eq!(hi, hi_scan, "upper_bound_by({probe})");
         }
         let s = Column::from_ints(vec![2, 4, 6, 8]);
-        let ts = TypedSlice::of(&s);
-        if let TypedSlice::Int(v) = ts {
-            assert_eq!(lower_bound_by(v, 5), 2);
-            assert_eq!(upper_bound_by(v, 6), 3);
+        if let TypedSlice::Int(v) = TypedSlice::of(&s) {
+            assert_eq!(lower_bound_by(v, |x| x.cmp(&5)), 2);
+            assert_eq!(upper_bound_by(v, |x| x.cmp(&6)), 3);
+            assert_eq!(lower_bound_by(v, |x| x.cmp(&3)), 1);
+            assert_eq!(upper_bound_by(v, |x| x.cmp(&99)), 4);
         } else {
             unreachable!()
         }

@@ -22,6 +22,7 @@ use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
 use monet::ops;
+use monet::typed::TypedVals;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -1101,13 +1102,14 @@ fn typed_hashindex_finds_all_positions() {
             let col = random_column(&mut rng, ty, n);
             let idx = monet::accel::hash::HashIndex::build(&col);
             for probe in 0..n {
-                // Chains run in ascending position: the first hit is the
-                // value's first row.
-                let hits: Vec<usize> = idx
-                    .candidates(col.hash_at(probe))
-                    .filter(|&p| col.eq_at(p, &col, probe))
-                    .collect();
-                let expect: Vec<usize> = (0..n).filter(|&p| col.eq_at(p, &col, probe)).collect();
+                // Probe through the typed view; chains run in ascending
+                // position, so the first hit is the value's first row. The
+                // expected positions come from the oracle's equality.
+                let hits: Vec<usize> = monet::for_each_typed!(&col, |t| {
+                    let v = t.value(probe);
+                    idx.candidates(t.hash_one(v)).filter(|&p| t.eq_one(t.value(p), v)).collect()
+                });
+                let expect: Vec<usize> = (0..n).filter(|&p| col.get(p) == col.get(probe)).collect();
                 assert_eq!(hits, expect, "{ty}: hash index probe {probe}");
             }
         }

@@ -8,10 +8,18 @@
 use std::collections::HashMap;
 
 use monet::atom::AtomValue;
+use monet::column::Column;
 use monet::pager::Pager;
+use monet::typed::TypedVals;
 
 use crate::db::RelDb;
 use crate::table::Table;
+
+/// Compare row `i` of `col` with a constant through the typed view — one
+/// type dispatch per row, as a conventional executor's tuple accessor.
+pub(crate) fn cmp_row(col: &Column, i: usize, v: &AtomValue) -> std::cmp::Ordering {
+    monet::for_each_typed!(col, |t| t.cmp_atom(t.value(i), v))
+}
 
 /// Selection predicate over one column.
 pub enum ColPred<'a> {
@@ -47,18 +55,18 @@ pub fn select_rows(
         .filter(|&r| {
             let i = r as usize;
             match pred {
-                ColPred::Eq(v) => c.cmp_val(i, v).is_eq(),
+                ColPred::Eq(v) => cmp_row(c, i, v).is_eq(),
                 ColPred::Range { lo, hi, inc_lo, inc_hi } => {
                     let lo_ok = match lo {
                         Some(v) => {
-                            let o = c.cmp_val(i, v);
+                            let o = cmp_row(c, i, v);
                             o.is_gt() || (*inc_lo && o.is_eq())
                         }
                         None => true,
                     };
                     let hi_ok = match hi {
                         Some(v) => {
-                            let o = c.cmp_val(i, v);
+                            let o = cmp_row(c, i, v);
                             o.is_lt() || (*inc_hi && o.is_eq())
                         }
                         None => true,

@@ -10,6 +10,7 @@ use monet::atom::AtomValue;
 use monet::column::{Column, ColumnId};
 use monet::pager::{HeapKind, Pager};
 
+use crate::exec::cmp_row;
 use crate::table::Table;
 
 /// Inverted list over one column of a table.
@@ -77,7 +78,7 @@ impl InvertedList {
         pager: Option<&Pager>,
     ) -> Vec<u32> {
         let c = table.col(col);
-        let cmp_pos = |i: usize, v: &AtomValue| c.cmp_val(self.perm[i] as usize, v);
+        let cmp_pos = |i: usize, v: &AtomValue| cmp_row(c, self.perm[i] as usize, v);
         let lower = |v: &AtomValue, strict_after: bool| -> usize {
             let (mut l, mut h) = (0usize, self.perm.len());
             while l < h {

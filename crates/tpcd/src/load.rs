@@ -72,11 +72,10 @@ fn str_col<'b>(items: impl Iterator<Item = &'b str>, dedup: bool) -> Column {
 }
 
 fn tail_props(tail: &Column) -> ColProps {
-    let sorted = tail.check_sorted();
-    // Key detection is only cheap on sorted columns; claim nothing
-    // otherwise (claims must be sound, not complete).
-    let key =
-        sorted && (1..tail.len()).all(|i| tail.cmp_at(i - 1, tail, i) == std::cmp::Ordering::Less);
+    // One typed pass finds both. Key detection is only cheap on sorted
+    // columns; claim nothing otherwise (claims must be sound, not
+    // complete).
+    let (sorted, key) = tail.check_order();
     ColProps { sorted, key, dense: false, ..ColProps::NONE }
 }
 
@@ -514,8 +513,7 @@ fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
             let perm = p.bat.tail().sort_perm();
             let head = p.bat.head().gather(&perm);
             let tail = p.bat.tail().gather(&perm);
-            let strict =
-                (1..tail.len()).all(|i| tail.cmp_at(i - 1, &tail, i) == std::cmp::Ordering::Less);
+            let (_, strict) = tail.check_order();
             Bat::with_props(
                 head,
                 tail,

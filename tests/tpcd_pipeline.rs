@@ -297,3 +297,37 @@ fn dict_encoding_shrinks_string_bytes() {
         raw as f64 / encoded as f64
     );
 }
+
+/// The loader's property claims do not depend on the layout it chose, and
+/// every claim holds: with encodings on and off, every catalog BAT carries
+/// the same `sorted`/`key`/`dense` bits, and a `sorted` or `key` claim is
+/// confirmed by a check of that column.
+#[test]
+fn loader_props_are_sound_and_layout_blind() {
+    use std::collections::BTreeMap;
+    let data = tpcd::generate(0.01, 20260101);
+    let bits = |c: monet::props::ColProps| (c.sorted, c.key, c.dense);
+    let props_of = |enc: bool| {
+        let (cat, _) = tpcd::load_bats_with(&data, enc).unwrap();
+        cat.db()
+            .iter()
+            .map(|(name, bat)| {
+                let p = bat.props();
+                for (side, col, claim) in
+                    [("head", bat.head(), p.head), ("tail", bat.tail(), p.tail)]
+                {
+                    if claim.sorted {
+                        assert!(col.check_sorted(), "{name} {side}: sorted claim is false");
+                    }
+                    if claim.key {
+                        assert!(col.check_key(), "{name} {side}: key claim is false");
+                    }
+                }
+                (name.to_string(), (bits(p.head), bits(p.tail)))
+            })
+            .collect::<BTreeMap<_, _>>()
+    };
+    let (encoded, raw) = (props_of(true), props_of(false));
+    assert!(encoded.len() > 40);
+    assert_eq!(encoded, raw, "encoded and raw loads disagree on a BAT's properties");
+}
