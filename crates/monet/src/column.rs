@@ -1260,6 +1260,47 @@ mod tests {
         assert_eq!(s.sort_perm(), vec![1, 0, 2]);
     }
 
+    /// A sorted column's bounds, read through the typed view.
+    #[test]
+    fn bounds_on_sorted() {
+        use crate::typed::{lower_bound_by, upper_bound_by, TypedVals};
+        let c = Column::from_ints(vec![1, 3, 3, 3, 7, 9]);
+        let bounds = |probe: i32| {
+            let atom = AtomValue::Int(probe);
+            crate::for_each_typed!(&c, |t| {
+                let cmp = |v| t.cmp_atom(v, &atom);
+                (lower_bound_by(t, cmp), upper_bound_by(t, cmp))
+            })
+        };
+        assert_eq!(bounds(3), (1, 4));
+        assert_eq!(bounds(0).0, 0);
+        assert_eq!(bounds(99).1, 6);
+        assert_eq!(bounds(8).0, 5);
+    }
+
+    /// Equal values compare and hash equally across columns, oid/void
+    /// included, read through the typed view.
+    #[test]
+    fn cmp_and_hash_consistency() {
+        use crate::typed::TypedVals;
+        let eq_hash = |x: &Column, i: usize, y: &Column, j: usize| {
+            let eq = crate::for_each_typed2!(x, y, |a, b| a.eq_one(a.value(i), b.value(j)));
+            let hx = crate::for_each_typed!(x, |t| t.hash_one(t.value(i)));
+            let hy = crate::for_each_typed!(y, |t| t.hash_one(t.value(j)));
+            (eq, hx == hy)
+        };
+        let a = Column::from_strs(["alpha", "beta"]);
+        let b = Column::from_strs(["beta", "alpha"]);
+        assert_eq!(eq_hash(&a, 0, &b, 1), (true, true));
+        assert!(!eq_hash(&a, 0, &b, 0).0);
+        assert_eq!(eq_hash(&a, 1, &b, 0), (true, true));
+        // oid/void interop
+        let o = Column::from_oids(vec![5, 6]);
+        let v = Column::void(5, 2);
+        assert_eq!(eq_hash(&o, 0, &v, 0), (true, true));
+        assert_eq!(eq_hash(&o, 1, &v, 1), (true, true));
+    }
+
     #[test]
     fn checks_detect_violations() {
         assert!(Column::from_ints(vec![1, 2, 2, 3]).check_sorted());

@@ -1180,8 +1180,10 @@ mod tests {
         });
     }
 
+    /// The binary-search pair agrees with the column's bounds taken by a
+    /// linear scan.
     #[test]
-    fn bounds_match_a_linear_scan() {
+    fn bounds_match_column_bounds() {
         let col = Column::from_ints(vec![1, 3, 3, 3, 7, 9]);
         for probe in [-1, 0, 1, 3, 5, 8, 9, 12, 99] {
             let atom = AtomValue::Int(probe);
