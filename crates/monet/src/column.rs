@@ -11,7 +11,7 @@
 //! *synced* (Section 5.1) when their head columns have the same identity —
 //! the kernel can then use positional algorithms.
 
-use std::hash::Hasher;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Weak};
 
@@ -1125,11 +1125,18 @@ fn typed_vals(vals: &ColumnVals, off: usize, len: usize) -> TypedSlice<'_> {
 
 /// Multiplicative word hasher (the `FxHasher` recipe) for small structural
 /// keys — CSE's statement shapes, the memory ledger's column identities —
-/// where SipHash's flooding resistance buys little: keys crafted to
-/// collide cost at most probes quadratic in the size of the one table
-/// (per program, per execution) that holds them.
+/// and the n-ary reference plans' hash tables, where SipHash's flooding
+/// resistance buys little: keys crafted to collide cost at most probes
+/// quadratic in the size of the one table that holds them. It has no
+/// per-process seed, so a [`WordHashMap`] iterates in the same order in
+/// every run.
 #[derive(Default)]
-pub(crate) struct WordHasher(u64);
+pub struct WordHasher(u64);
+
+/// A `HashMap` over [`WordHasher`].
+pub type WordHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<WordHasher>>;
+/// A `HashSet` over [`WordHasher`].
+pub type WordHashSet<K> = std::collections::HashSet<K, BuildHasherDefault<WordHasher>>;
 
 impl WordHasher {
     fn add(&mut self, w: u64) {

@@ -13,7 +13,6 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -22,7 +21,7 @@ use crate::sync::Mutex;
 use crate::accel::datavector::Lookup;
 use crate::atom::Oid;
 use crate::bat::Bat;
-use crate::column::{Column, ColumnId, ColumnIdentity, WordHasher};
+use crate::column::{Column, ColumnId, ColumnIdentity, WordHashMap};
 use crate::config::EngineConfig;
 use crate::error::{MonetError, Result};
 use crate::gov::{CancelToken, Governor};
@@ -82,7 +81,7 @@ type Storage = Weak<dyn Send + Sync>;
 /// since `reset`.
 #[derive(Debug, Default)]
 struct Ledger {
-    cols: HashMap<LedgerKey, (u64, Storage), BuildHasherDefault<WordHasher>>,
+    cols: WordHashMap<LedgerKey, (u64, Storage)>,
     fresh: bool,
     live: u64,
     peak: u64,

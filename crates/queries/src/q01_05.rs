@@ -1,11 +1,10 @@
 //! TPC-D queries 1–5: pricing summary, minimum-cost supplier, shipping
 //! priority, order-priority checking, local supplier volume.
 
-use std::collections::HashMap;
-
 use moa::catalog::Catalog;
 use moa::prelude::*;
 use monet::atom::{AtomValue, Oid};
+use monet::column::{WordHashMap, WordHashSet};
 use monet::ctx::ExecCtx;
 use monet::ops::{AggFunc, ScalarFunc};
 use monet::pager::Pager;
@@ -172,8 +171,8 @@ pub fn q2_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         sup.col_index("nation").unwrap(),
         sup.col_index("name").unwrap(),
     );
-    let sup_rows: HashMap<Oid, u32> = oid_map(db, "supplier");
-    let good_sup: HashMap<Oid, String> = (0..sup.rows())
+    let sup_rows: WordHashMap<Oid, u32> = oid_map(db, "supplier");
+    let good_sup: WordHashMap<Oid, String> = (0..sup.rows())
         .filter(|&r| nations.contains(&sup.oid_v(sn, r)))
         .map(|r| (sup.oid_v(so, r), sup.str_v(snm, r).to_string()))
         .collect();
@@ -187,7 +186,7 @@ pub fn q2_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         ps.col_index("cost").unwrap(),
     );
     // qualifying partsupp entries
-    let mut per_part: HashMap<Oid, Vec<(f64, Oid)>> = HashMap::new();
+    let mut per_part: WordHashMap<Oid, Vec<(f64, Oid)>> = WordHashMap::default();
     for r in 0..ps.rows() {
         if let Some(p2) = pager {
             ps.touch_row(p2, r);
@@ -258,7 +257,7 @@ pub fn q3_moa(p: &Params) -> SetExpr {
 pub fn q3_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     let cust = db.table("customer");
     let cseg = cust.col_index("mktsegment").unwrap();
-    let building: std::collections::HashSet<Oid> = select_rows(
+    let building: WordHashSet<Oid> = select_rows(
         db,
         "customer",
         "mktsegment",
@@ -276,7 +275,7 @@ pub fn q3_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         orders.col_index("orderdate").unwrap(),
         orders.col_index("shippriority").unwrap(),
     );
-    let mut qualifying: HashMap<Oid, (monet::atom::Date, String)> = HashMap::new();
+    let mut qualifying: WordHashMap<Oid, (monet::atom::Date, String)> = WordHashMap::default();
     let early = select_rows(
         db,
         "orders",
@@ -319,7 +318,7 @@ pub fn q3_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         pager,
     );
     let _ = ls;
-    let mut rev: HashMap<Oid, f64> = HashMap::new();
+    let mut rev: WordHashMap<Oid, f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in &late {
         touch(db, "lineitem", *r, pager);
@@ -399,7 +398,7 @@ pub fn q4_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("commitdate").unwrap(),
         li.col_index("receiptdate").unwrap(),
     );
-    let mut late_orders: std::collections::HashSet<Oid> = std::collections::HashSet::new();
+    let mut late_orders: WordHashSet<Oid> = WordHashSet::default();
     let mut item_rows = 0usize;
     for r in 0..li.rows() {
         if let Some(pg) = pager {
@@ -412,7 +411,7 @@ pub fn q4_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     }
     let orders = db.table("orders");
     let (oo, op) = (orders.col_index("oid").unwrap(), orders.col_index("orderpriority").unwrap());
-    let mut counts: HashMap<String, i64> = HashMap::new();
+    let mut counts: WordHashMap<String, i64> = WordHashMap::default();
     for r in orows {
         touch(db, "orders", r, pager);
         let r = r as usize;
@@ -462,12 +461,12 @@ pub fn q5_moa(p: &Params) -> SetExpr {
 pub fn q5_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     let nations = nations_of_region(db, &p.q5_region);
     let names = nation_names(db);
-    let sup_nation: HashMap<Oid, Oid> = {
+    let sup_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("supplier");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
     };
-    let cust_nation: HashMap<Oid, Oid> = {
+    let cust_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("customer");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
@@ -487,7 +486,7 @@ pub fn q5_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     );
     let orders = db.table("orders");
     let (oo, oc) = (orders.col_index("oid").unwrap(), orders.col_index("cust").unwrap());
-    let order_cust: HashMap<Oid, Oid> =
+    let order_cust: WordHashMap<Oid, Oid> =
         fetch(db, "orders", &orows, pager, |t, r| (t.oid_v(oo, r), t.oid_v(oc, r)))
             .into_iter()
             .collect();
@@ -498,7 +497,7 @@ pub fn q5_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("extendedprice").unwrap(),
         li.col_index("discount").unwrap(),
     );
-    let mut rev: HashMap<Oid, f64> = HashMap::new();
+    let mut rev: WordHashMap<Oid, f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in 0..li.rows() {
         if let Some(pg) = pager {

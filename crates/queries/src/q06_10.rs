@@ -1,11 +1,10 @@
 //! TPC-D queries 6–10: forecast revenue change, volume shipping, market
 //! share, product-type profit, returned-item reporting.
 
-use std::collections::HashMap;
-
 use moa::catalog::Catalog;
 use moa::prelude::*;
 use monet::atom::{AtomValue, Oid};
+use monet::column::{WordHashMap, WordHashSet};
 use monet::ctx::ExecCtx;
 use monet::ops::{AggFunc, ScalarFunc};
 use monet::pager::Pager;
@@ -143,17 +142,17 @@ pub fn q7_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     let n1 = nation_oid(db, &p.q7_nation1);
     let n2 = nation_oid(db, &p.q7_nation2);
     let names = nation_names(db);
-    let sup_nation: HashMap<Oid, Oid> = {
+    let sup_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("supplier");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
     };
-    let cust_nation: HashMap<Oid, Oid> = {
+    let cust_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("customer");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
     };
-    let order_cust: HashMap<Oid, Oid> = {
+    let order_cust: WordHashMap<Oid, Oid> = {
         let t = db.table("orders");
         let (co, cc) = (t.col_index("oid").unwrap(), t.col_index("cust").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cc, r))).collect()
@@ -178,7 +177,7 @@ pub fn q7_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("discount").unwrap(),
         li.col_index("shipdate").unwrap(),
     );
-    let mut rev: HashMap<(Oid, Oid, i32), f64> = HashMap::new();
+    let mut rev: WordHashMap<(Oid, Oid, i32), f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in rows {
         touch(db, "lineitem", r, pager);
@@ -265,7 +264,7 @@ pub fn q8_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Qu
     let total = run_moa_rows(cat, ctx, &q8_total_moa(p))?;
     let nat = run_moa_rows(cat, ctx, &q8_nation_moa(p))?;
     // share(year) = nation revenue / total revenue (0 when absent).
-    let nat_by_year: HashMap<i32, f64> = nat
+    let nat_by_year: WordHashMap<i32, f64> = nat
         .0
         .iter()
         .map(|row| match (&row[0], &row[1]) {
@@ -287,17 +286,17 @@ pub fn q8_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Qu
 pub fn q8_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     let region_nations = nations_of_region(db, &p.q8_region);
     let brazil = nation_oid(db, &p.q8_nation);
-    let sup_nation: HashMap<Oid, Oid> = {
+    let sup_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("supplier");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
     };
-    let cust_nation: HashMap<Oid, Oid> = {
+    let cust_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("customer");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
     };
-    let part_ok: std::collections::HashSet<Oid> = {
+    let part_ok: WordHashSet<Oid> = {
         let t = db.table("part");
         let (co, ct) = (t.col_index("oid").unwrap(), t.col_index("type").unwrap());
         (0..t.rows())
@@ -323,7 +322,7 @@ pub fn q8_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         },
         pager,
     );
-    let mut order_year: HashMap<Oid, i32> = HashMap::new();
+    let mut order_year: WordHashMap<Oid, i32> = WordHashMap::default();
     for r in orows {
         touch(db, "orders", r, pager);
         let r = r as usize;
@@ -339,8 +338,8 @@ pub fn q8_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("extendedprice").unwrap(),
         li.col_index("discount").unwrap(),
     );
-    let mut total: HashMap<i32, f64> = HashMap::new();
-    let mut nat: HashMap<i32, f64> = HashMap::new();
+    let mut total: WordHashMap<i32, f64> = WordHashMap::default();
+    let mut nat: WordHashMap<i32, f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in 0..li.rows() {
         if let Some(pg) = pager {
@@ -408,7 +407,7 @@ pub fn q9_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Qu
 
 pub fn q9_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     let names = nation_names(db);
-    let part_ok: std::collections::HashSet<Oid> = {
+    let part_ok: WordHashSet<Oid> = {
         let t = db.table("part");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("name").unwrap());
         (0..t.rows())
@@ -416,12 +415,12 @@ pub fn q9_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
             .map(|r| t.oid_v(co, r))
             .collect()
     };
-    let sup_nation: HashMap<Oid, Oid> = {
+    let sup_nation: WordHashMap<Oid, Oid> = {
         let t = db.table("supplier");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.oid_v(cn, r))).collect()
     };
-    let supply_cost: HashMap<(Oid, Oid), f64> = {
+    let supply_cost: WordHashMap<(Oid, Oid), f64> = {
         let t = db.table("partsupp");
         let (cs, cp, cc) = (
             t.col_index("supplier").unwrap(),
@@ -430,7 +429,7 @@ pub fn q9_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         );
         (0..t.rows()).map(|r| ((t.oid_v(cp, r), t.oid_v(cs, r)), t.dbl_v(cc, r))).collect()
     };
-    let order_year: HashMap<Oid, i32> = {
+    let order_year: WordHashMap<Oid, i32> = {
         let t = db.table("orders");
         let (co, cd) = (t.col_index("oid").unwrap(), t.col_index("orderdate").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.date_v(cd, r).year())).collect()
@@ -444,7 +443,7 @@ pub fn q9_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("discount").unwrap(),
         li.col_index("quantity").unwrap(),
     );
-    let mut profit: HashMap<(Oid, i32), f64> = HashMap::new();
+    let mut profit: WordHashMap<(Oid, i32), f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in 0..li.rows() {
         if let Some(pg) = pager {
@@ -524,7 +523,7 @@ pub fn q10_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     );
     let orders = db.table("orders");
     let (oo, oc) = (orders.col_index("oid").unwrap(), orders.col_index("cust").unwrap());
-    let order_cust: HashMap<Oid, Oid> = orows
+    let order_cust: WordHashMap<Oid, Oid> = orows
         .iter()
         .map(|&r| {
             touch(db, "orders", r, pager);
@@ -539,7 +538,7 @@ pub fn q10_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("extendedprice").unwrap(),
         li.col_index("discount").unwrap(),
     );
-    let mut rev: HashMap<Oid, f64> = HashMap::new();
+    let mut rev: WordHashMap<Oid, f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in rrows {
         touch(db, "lineitem", r, pager);

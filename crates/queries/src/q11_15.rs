@@ -1,11 +1,10 @@
 //! TPC-D queries 11–15: important stock, shipping modes, the paper's Q13,
 //! promotion effect, top supplier.
 
-use std::collections::HashMap;
-
 use moa::catalog::Catalog;
 use moa::prelude::*;
 use monet::atom::{AtomValue, Oid};
+use monet::column::{WordHashMap, WordHashSet};
 use monet::ctx::ExecCtx;
 use monet::ops::{AggFunc, ScalarFunc};
 use monet::pager::Pager;
@@ -78,7 +77,7 @@ pub fn q11_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Q
 
 pub fn q11_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     let nation = nation_oid(db, &p.q11_nation);
-    let german_sup: std::collections::HashSet<Oid> = {
+    let german_sup: WordHashSet<Oid> = {
         let t = db.table("supplier");
         let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("nation").unwrap());
         (0..t.rows()).filter(|&r| t.oid_v(cn, r) == nation).map(|r| t.oid_v(co, r)).collect()
@@ -90,7 +89,7 @@ pub fn q11_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         ps.col_index("cost").unwrap(),
         ps.col_index("available").unwrap(),
     );
-    let mut per_part: HashMap<Oid, f64> = HashMap::new();
+    let mut per_part: WordHashMap<Oid, f64> = WordHashMap::default();
     let mut total = 0.0;
     for r in 0..ps.rows() {
         if let Some(pg) = pager {
@@ -156,7 +155,7 @@ pub fn q12_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Q
 }
 
 pub fn q12_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
-    let order_prio: HashMap<Oid, String> = {
+    let order_prio: WordHashMap<Oid, String> = {
         let t = db.table("orders");
         let (co, cp) = (t.col_index("oid").unwrap(), t.col_index("orderpriority").unwrap());
         (0..t.rows()).map(|r| (t.oid_v(co, r), t.str_v(cp, r).to_string())).collect()
@@ -170,7 +169,7 @@ pub fn q12_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("shipdate").unwrap(),
     );
     let hi = p.q12_date.add_months(12);
-    let mut counts: HashMap<(String, String), i64> = HashMap::new();
+    let mut counts: WordHashMap<(String, String), i64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in 0..li.rows() {
         if let Some(pg) = pager {
@@ -234,7 +233,7 @@ pub fn q13_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
     );
     let orders = db.table("orders");
     let (oo, od) = (orders.col_index("oid").unwrap(), orders.col_index("orderdate").unwrap());
-    let order_year: HashMap<Oid, i32> = orows
+    let order_year: WordHashMap<Oid, i32> = orows
         .iter()
         .map(|&r| {
             touch(db, "orders", r, pager);
@@ -248,7 +247,7 @@ pub fn q13_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("extendedprice").unwrap(),
         li.col_index("discount").unwrap(),
     );
-    let mut loss: HashMap<i32, f64> = HashMap::new();
+    let mut loss: WordHashMap<i32, f64> = WordHashMap::default();
     let mut item_rows = 0usize;
     for r in 0..li.rows() {
         if let Some(pg) = pager {
@@ -306,7 +305,7 @@ pub fn q14_run(cat: &Catalog, ctx: &ExecCtx, p: &Params) -> moa::error::Result<Q
 }
 
 pub fn q14_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
-    let promo_parts: std::collections::HashSet<Oid> = {
+    let promo_parts: WordHashSet<Oid> = {
         let t = db.table("part");
         let (co, ct) = (t.col_index("oid").unwrap(), t.col_index("type").unwrap());
         (0..t.rows())
@@ -401,7 +400,7 @@ pub fn q15_ref(db: &RelDb, p: &Params, pager: Option<&Pager>) -> RefOutput {
         li.col_index("extendedprice").unwrap(),
         li.col_index("discount").unwrap(),
     );
-    let mut rev: HashMap<Oid, f64> = HashMap::new();
+    let mut rev: WordHashMap<Oid, f64> = WordHashMap::default();
     for r in &rows {
         touch(db, "lineitem", *r, pager);
         let r = *r as usize;

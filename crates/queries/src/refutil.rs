@@ -1,13 +1,12 @@
 //! Shared helpers for the n-ary reference plans.
 
-use std::collections::HashMap;
-
 use monet::atom::{AtomValue, Oid};
+use monet::column::{WordHashMap, WordHashSet};
 use monet::pager::Pager;
 use relstore::RelDb;
 
 /// `oid -> row` map of a dimension table.
-pub fn oid_map(db: &RelDb, table: &str) -> HashMap<Oid, u32> {
+pub fn oid_map(db: &RelDb, table: &str) -> WordHashMap<Oid, u32> {
     let t = db.table(table);
     let c = t.col_index("oid").expect("oid column");
     (0..t.rows() as u32).map(|r| (t.oid_v(c, r as usize), r)).collect()
@@ -34,7 +33,7 @@ pub fn region_oid(db: &RelDb, name: &str) -> Oid {
 }
 
 /// Set of nation oids belonging to a region.
-pub fn nations_of_region(db: &RelDb, region: &str) -> std::collections::HashSet<Oid> {
+pub fn nations_of_region(db: &RelDb, region: &str) -> WordHashSet<Oid> {
     let rid = region_oid(db, region);
     let t = db.table("nation");
     let (co, cr) = (t.col_index("oid").unwrap(), t.col_index("region").unwrap());
@@ -42,7 +41,7 @@ pub fn nations_of_region(db: &RelDb, region: &str) -> std::collections::HashSet<
 }
 
 /// `nation oid -> name` map.
-pub fn nation_names(db: &RelDb) -> HashMap<Oid, String> {
+pub fn nation_names(db: &RelDb) -> WordHashMap<Oid, String> {
     let t = db.table("nation");
     let (co, cn) = (t.col_index("oid").unwrap(), t.col_index("name").unwrap());
     (0..t.rows()).map(|r| (t.oid_v(co, r), t.str_v(cn, r).to_string())).collect()

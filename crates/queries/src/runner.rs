@@ -7,6 +7,7 @@ use moa::prelude::{ProjItem, Scalar, SetExpr};
 use moa::translate::{translate_in, StructSpec};
 use moa::value::Value;
 use monet::atom::AtomValue;
+use monet::column::WordHashMap;
 use monet::ctx::ExecCtx;
 use monet::ops::AggFunc;
 
@@ -50,8 +51,7 @@ impl QueryResult {
         if ia.iter().zip(&ib).all(|(&x, &y)| row_approx_eq(&self.0[x], &other.0[y], eps)) {
             return true;
         }
-        let mut groups: std::collections::HashMap<String, (Vec<usize>, Vec<usize>)> =
-            std::collections::HashMap::new();
+        let mut groups: WordHashMap<String, (Vec<usize>, Vec<usize>)> = WordHashMap::default();
         for (i, row) in self.0.iter().enumerate() {
             groups.entry(non_float_key(row)).or_default().0.push(i);
         }

@@ -241,6 +241,19 @@ fn queries_stable_across_runs() {
     assert!(a.approx_eq(&b, 0.0));
 }
 
+/// The n-ary reference plans emit their rows in one order: their hash
+/// tables carry no per-process seed, so two runs list the rows alike, as
+/// printed and before any sort.
+#[test]
+fn reference_rows_come_out_in_one_order() {
+    let w = bench_world();
+    for q in all_queries() {
+        let a = (q.run_ref)(&w.rel, &w.params, None).rows;
+        let b = (q.run_ref)(&w.rel, &w.params, None).rows;
+        assert_eq!(format!("{:?}", a.0), format!("{:?}", b.0), "Q{} rows reordered", q.id);
+    }
+}
+
 /// A nest reads its grouping once. Q1's optimized program sums each summed
 /// operand once and keeps `{avg}` only over its integer operand (the two
 /// `dbl` averages are `{sum}/{count}` over the plan's own sums and INDEX),

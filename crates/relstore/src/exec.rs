@@ -5,10 +5,8 @@
 //! hash aggregation over accessor closures. The TPC-D reference plans in
 //! `tpcd-queries` are built from these.
 
-use std::collections::HashMap;
-
 use monet::atom::AtomValue;
-use monet::column::Column;
+use monet::column::{Column, WordHashMap};
 use monet::pager::Pager;
 use monet::typed::TypedVals;
 
@@ -143,7 +141,8 @@ pub fn hash_join(
 ) -> Vec<(u32, u32)> {
     let bt = db.table(build_table);
     let pt = db.table(probe_table);
-    let mut ht: HashMap<AtomValue, Vec<u32>> = HashMap::with_capacity(build_rows.len());
+    let mut ht: WordHashMap<AtomValue, Vec<u32>> =
+        WordHashMap::with_capacity_and_hasher(build_rows.len(), Default::default());
     for &r in build_rows {
         if let Some(p) = pager {
             bt.touch_row(p, r as usize);
@@ -180,7 +179,7 @@ where
 {
     let t = db.table(table);
     let mut order: Vec<K> = Vec::new();
-    let mut groups: HashMap<K, A> = HashMap::new();
+    let mut groups: WordHashMap<K, A> = WordHashMap::default();
     for &r in rows {
         if let Some(p) = pager {
             t.touch_row(p, r as usize);
@@ -274,7 +273,7 @@ mod tests {
             || 0.0f64,
             |acc, t, r| *acc += t.dbl_v(1, r),
         );
-        let m: HashMap<u64, f64> = groups.into_iter().collect();
+        let m: WordHashMap<u64, f64> = groups.into_iter().collect();
         assert_eq!(m[&1], 30.0);
         assert_eq!(m[&2], 70.0);
         assert_eq!(m[&3], 50.0);

@@ -14,7 +14,7 @@ pub enum TpcdError {
     /// Scale factor is not a finite positive number.
     InvalidScaleFactor { sf: f64 },
     /// The world data violates an invariant the loader depends on.
-    Malformed { table: &'static str, detail: String },
+    Malformed { table: String, detail: String },
     /// A persistent store directory failed to write, or failed validation
     /// on open (bad magic/version, checksum mismatch, truncation,
     /// descriptor inconsistency). Carries the kernel's typed store error;

@@ -5,7 +5,8 @@
 //! load pipeline of Section 6:
 //!
 //! 1. **bulk load** — decompose the generated rows into oid-ordered
-//!    attribute BATs with the `key`/`ordered`/`synced` properties set;
+//!    attribute BATs with the `key`/`ordered`/`synced` properties set,
+//!    one per field that [`schema`] declares;
 //! 2. **extents + datavectors** — project out the per-class extents and
 //!    create the datavector for every attribute (cheap while oid-ordered);
 //! 3. **reorder** — re-sort every attribute BAT on tail values so that

@@ -6,29 +6,34 @@
 //! Initially all tables were sorted on oid, so it was cheap to create
 //! datavectors… we then reordered all tables on tail values."
 //!
-//! Phase 1 — decompose into oid-ordered BATs (head dense, shared head
-//! columns per class so attribute BATs are mutually *synced*);
+//! Phase 1 — build the columns of every stored class that
+//! [`crate::schema`] declares, oid-ordered, and check them ([`validate`]);
+//! a class's BATs share its one dense head column, so they are mutually
+//! *synced*, and are named by [`Catalog`]'s naming of Figure 3;
 //! Phase 2 — extents + one shared [`Extent`] accelerator per class, and a
 //! datavector per attribute (projection of the oid-ordered tail);
 //! Phase 3 — re-sort every attribute BAT on tail and attach the
-//! datavector.
+//! datavector; then each set-valued attribute's index BAT, on its own
+//! copies of the members' oids and owner references.
+//!
+//! The n-ary baseline is built from the same Phase 1 columns: one table
+//! per stored class, the oid column first.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use moa::catalog::Catalog;
+use moa::types::MoaType;
 use monet::accel::datavector::{Datavector, Extent};
-use monet::atom::{Date, Oid};
 use monet::bat::Bat;
 use monet::column::Column;
 use monet::db::Db;
 use monet::props::{ColProps, Props};
-use monet::strheap::StrHeapBuilder;
 use relstore::{RelDb, Table};
 
 use crate::error::TpcdError;
 use crate::gen::TpcdData;
-use crate::schema::tpcd_schema;
+use crate::schema::{stored_classes, tpcd_schema, Built, Stored};
 
 /// Timing and size report of the three load phases (the `load` row of
 /// Figure 9).
@@ -50,33 +55,21 @@ impl LoadReport {
     }
 }
 
-/// A class being decomposed: shared dense head column plus the attribute
-/// tails, accumulated before the phases run.
-struct ClassBats {
-    class: String,
-    head: Column,
-    /// (attr name, tail column, attach datavector + reorder?)
-    attrs: Vec<(String, Column, bool)>,
-}
-
-fn str_col<'b>(items: impl Iterator<Item = &'b str>, dedup: bool) -> Column {
-    let mut b = StrHeapBuilder::new();
-    for s in items {
-        if dedup {
-            b.push_dedup(s);
-        } else {
-            b.push(s);
-        }
-    }
-    Column::from_strvec(b.finish())
-}
-
 fn tail_props(tail: &Column) -> ColProps {
     // One typed pass finds both. Key detection is only cheap on sorted
     // columns; claim nothing otherwise (claims must be sound, not
     // complete).
     let (sorted, key) = tail.check_order();
     ColProps { sorted, key, dense: false, ..ColProps::NONE }
+}
+
+fn oids(col: &Column) -> &[monet::atom::Oid] {
+    col.as_oid_slice().expect("an oid column")
+}
+
+/// Phase 1 of both loaders: every stored class's columns.
+fn build(data: &TpcdData) -> Vec<Built> {
+    stored_classes().iter().map(|c| c.build(data)).collect()
 }
 
 /// The loaders bake structural claims into the catalog — dense head
@@ -86,71 +79,47 @@ fn tail_props(tail: &Column) -> ColProps {
 /// catalog whose property claims are lies, corrupting every query that
 /// trusts them.
 pub fn validate(data: &TpcdData) -> crate::error::Result<()> {
-    // Each class extent must be a non-empty dense ascending oid range
+    check(&build(data))
+}
+
+fn check(world: &[Built]) -> crate::error::Result<()> {
+    let malformed = |b: &Built, detail| Err(TpcdError::Malformed { table: b.class.bat(), detail });
+    // Each stored class's oids must be a non-empty dense ascending range
     // (`ColProps::DENSE` heads, `Extent::new`, and the oid arithmetic of
     // the set indexes all depend on it).
-    fn extent(
-        table: &'static str,
-        mut oids: impl Iterator<Item = Oid>,
-    ) -> crate::error::Result<(Oid, Oid)> {
-        let first =
-            oids.next().ok_or(TpcdError::Malformed { table, detail: "table is empty".into() })?;
-        let mut prev = first;
-        for o in oids {
-            if o != prev + 1 {
-                return Err(TpcdError::Malformed {
-                    table,
-                    detail: format!("extent not dense: oid {o} follows {prev}"),
-                });
-            }
-            prev = o;
+    let mut extents = Vec::with_capacity(world.len());
+    for b in world {
+        let o = oids(&b.oids);
+        let (Some(&first), Some(&last)) = (o.first(), o.last()) else {
+            return malformed(b, "table is empty".into());
+        };
+        if let Some(w) = o.windows(2).find(|w| w[1] != w[0] + 1) {
+            return malformed(b, format!("extent not dense: oid {} follows {}", w[1], w[0]));
         }
-        Ok((first, prev))
+        extents.push((first, last));
     }
-    let regions = extent("Region", data.regions.iter().map(|r| r.oid))?;
-    let nations = extent("Nation", data.nations.iter().map(|n| n.oid))?;
-    let parts = extent("Part", data.parts.iter().map(|p| p.oid))?;
-    let suppliers = extent("Supplier", data.suppliers.iter().map(|s| s.oid))?;
-    extent("Supplier_supplies", data.supplies.iter().map(|s| s.oid))?;
-    let customers = extent("Customer", data.customers.iter().map(|c| c.oid))?;
-    let orders = extent("Order", data.orders.iter().map(|o| o.oid))?;
-    extent("Item", data.items.iter().map(|i| i.oid))?;
 
     // Referential integrity: every object reference must land inside its
     // target extent (dangling references make join results silently drop
     // or fabricate rows).
-    fn refs(
-        table: &'static str,
-        attr: &str,
-        target: (Oid, Oid),
-        mut vals: impl Iterator<Item = Oid>,
-    ) -> crate::error::Result<()> {
-        match vals.find(|&o| o < target.0 || o > target.1) {
-            None => Ok(()),
-            Some(o) => Err(TpcdError::Malformed {
-                table,
-                detail: format!("{attr} references oid {o} outside {}..={}", target.0, target.1),
-            }),
+    for b in world {
+        for (f, col) in &b.cols {
+            let Stored::Column(MoaType::Object(target), _) = &f.stored else { continue };
+            let t = world.iter().position(|t| t.class.set.is_none() && t.class.class == target);
+            let (lo, hi) = extents[t.expect("a declared class")];
+            if let Some(o) = oids(col).iter().find(|&&o| o < lo || o > hi) {
+                return malformed(b, format!("{} references oid {o} outside {lo}..={hi}", f.name));
+            }
         }
     }
-    refs("Nation", "region", regions, data.nations.iter().map(|n| n.region))?;
-    refs("Supplier", "nation", nations, data.suppliers.iter().map(|s| s.nation))?;
-    refs("Supplier_supplies", "part", parts, data.supplies.iter().map(|s| s.part))?;
-    refs("Customer", "nation", nations, data.customers.iter().map(|c| c.nation))?;
-    refs("Order", "cust", customers, data.orders.iter().map(|o| o.cust))?;
-    refs("Item", "part", parts, data.items.iter().map(|i| i.part))?;
-    refs("Item", "supplier", suppliers, data.items.iter().map(|i| i.supplier))?;
-    refs("Item", "order", orders, data.items.iter().map(|i| i.order))?;
 
-    // The supply set index loads owner-sorted (grouped by supplier).
-    if let Some(w) = data.supplies.windows(2).find(|w| w[0].supplier > w[1].supplier) {
-        return Err(TpcdError::Malformed {
-            table: "Supplier_supplies",
-            detail: format!(
-                "set index not owner-sorted: supplier {} follows {}",
-                w[1].supplier, w[0].supplier
-            ),
-        });
+    // Set tuples load owner-sorted (grouped by owner).
+    for b in world.iter().filter(|b| b.class.set.is_some()) {
+        let (owner, col) = b.owner(b.class.class);
+        if let Some(w) = oids(col).windows(2).find(|w| w[0] > w[1]) {
+            let (name, a, z) = (owner.name, w[0], w[1]);
+            return malformed(b, format!("set index not owner-sorted: {name} {z} follows {a}"));
+        }
     }
     Ok(())
 }
@@ -176,308 +145,34 @@ pub fn try_load_bats(data: &TpcdData) -> crate::error::Result<(Catalog, LoadRepo
 /// dictionary-codes the string columns it shrinks (every other column
 /// stays raw), `!enc` keeps the raw bulk-loaded columns byte for byte.
 pub fn load_bats_with(data: &TpcdData, enc: bool) -> crate::error::Result<(Catalog, LoadReport)> {
-    validate(data)?;
-    Ok(load_bats_unchecked(data, enc))
-}
-
-fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
-    let mut report = LoadReport::default();
-
     // ---- Phase 1: bulk load (decomposition, oid-ordered) -----------------
     let t0 = Instant::now();
-    let mut classes: Vec<ClassBats> = Vec::new();
-
-    {
-        let head = Column::from_oids(data.regions.iter().map(|r| r.oid).collect());
-        classes.push(ClassBats {
-            class: "Region".into(),
-            head,
-            attrs: vec![
-                ("name".into(), str_col(data.regions.iter().map(|r| r.name.as_str()), false), true),
-                (
-                    "comment".into(),
-                    str_col(data.regions.iter().map(|r| r.comment.as_str()), false),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        let head = Column::from_oids(data.nations.iter().map(|n| n.oid).collect());
-        classes.push(ClassBats {
-            class: "Nation".into(),
-            head,
-            attrs: vec![
-                ("name".into(), str_col(data.nations.iter().map(|n| n.name.as_str()), false), true),
-                (
-                    "region".into(),
-                    Column::from_oids(data.nations.iter().map(|n| n.region).collect()),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        let head = Column::from_oids(data.parts.iter().map(|p| p.oid).collect());
-        classes.push(ClassBats {
-            class: "Part".into(),
-            head,
-            attrs: vec![
-                ("name".into(), str_col(data.parts.iter().map(|p| p.name.as_str()), true), true),
-                (
-                    "manufacturer".into(),
-                    str_col(data.parts.iter().map(|p| p.manufacturer.as_str()), true),
-                    true,
-                ),
-                ("brand".into(), str_col(data.parts.iter().map(|p| p.brand.as_str()), true), true),
-                ("type".into(), str_col(data.parts.iter().map(|p| p.typ.as_str()), true), true),
-                (
-                    "size".into(),
-                    Column::from_ints(data.parts.iter().map(|p| p.size).collect()),
-                    true,
-                ),
-                (
-                    "container".into(),
-                    str_col(data.parts.iter().map(|p| p.container.as_str()), true),
-                    true,
-                ),
-                (
-                    "retailprice".into(),
-                    Column::from_dbls(data.parts.iter().map(|p| p.retailprice).collect()),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        let head = Column::from_oids(data.suppliers.iter().map(|s| s.oid).collect());
-        classes.push(ClassBats {
-            class: "Supplier".into(),
-            head,
-            attrs: vec![
-                (
-                    "name".into(),
-                    str_col(data.suppliers.iter().map(|s| s.name.as_str()), false),
-                    true,
-                ),
-                (
-                    "address".into(),
-                    str_col(data.suppliers.iter().map(|s| s.address.as_str()), false),
-                    true,
-                ),
-                (
-                    "phone".into(),
-                    str_col(data.suppliers.iter().map(|s| s.phone.as_str()), false),
-                    true,
-                ),
-                (
-                    "acctbal".into(),
-                    Column::from_dbls(data.suppliers.iter().map(|s| s.acctbal).collect()),
-                    true,
-                ),
-                (
-                    "nation".into(),
-                    Column::from_oids(data.suppliers.iter().map(|s| s.nation).collect()),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        // The supply tuples are the elements of Supplier.supplies; their
-        // member BATs behave exactly like class attributes.
-        let head = Column::from_oids(data.supplies.iter().map(|s| s.oid).collect());
-        classes.push(ClassBats {
-            class: "Supplier_supplies".into(),
-            head,
-            attrs: vec![
-                (
-                    "part".into(),
-                    Column::from_oids(data.supplies.iter().map(|s| s.part).collect()),
-                    true,
-                ),
-                (
-                    "cost".into(),
-                    Column::from_dbls(data.supplies.iter().map(|s| s.cost).collect()),
-                    true,
-                ),
-                (
-                    "available".into(),
-                    Column::from_ints(data.supplies.iter().map(|s| s.available).collect()),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        let head = Column::from_oids(data.customers.iter().map(|c| c.oid).collect());
-        classes.push(ClassBats {
-            class: "Customer".into(),
-            head,
-            attrs: vec![
-                (
-                    "name".into(),
-                    str_col(data.customers.iter().map(|c| c.name.as_str()), false),
-                    true,
-                ),
-                (
-                    "address".into(),
-                    str_col(data.customers.iter().map(|c| c.address.as_str()), false),
-                    true,
-                ),
-                (
-                    "phone".into(),
-                    str_col(data.customers.iter().map(|c| c.phone.as_str()), false),
-                    true,
-                ),
-                (
-                    "acctbal".into(),
-                    Column::from_dbls(data.customers.iter().map(|c| c.acctbal).collect()),
-                    true,
-                ),
-                (
-                    "nation".into(),
-                    Column::from_oids(data.customers.iter().map(|c| c.nation).collect()),
-                    true,
-                ),
-                (
-                    "mktsegment".into(),
-                    str_col(data.customers.iter().map(|c| c.mktsegment.as_str()), true),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        let head = Column::from_oids(data.orders.iter().map(|o| o.oid).collect());
-        classes.push(ClassBats {
-            class: "Order".into(),
-            head,
-            attrs: vec![
-                (
-                    "cust".into(),
-                    Column::from_oids(data.orders.iter().map(|o| o.cust).collect()),
-                    true,
-                ),
-                (
-                    "status".into(),
-                    Column::from_chrs(data.orders.iter().map(|o| o.status).collect()),
-                    true,
-                ),
-                (
-                    "totalprice".into(),
-                    Column::from_dbls(data.orders.iter().map(|o| o.totalprice).collect()),
-                    true,
-                ),
-                (
-                    "orderdate".into(),
-                    Column::from_dates(data.orders.iter().map(|o| o.orderdate).collect()),
-                    true,
-                ),
-                (
-                    "orderpriority".into(),
-                    str_col(data.orders.iter().map(|o| o.orderpriority.as_str()), true),
-                    true,
-                ),
-                ("clerk".into(), str_col(data.orders.iter().map(|o| o.clerk.as_str()), true), true),
-                (
-                    "shippriority".into(),
-                    str_col(data.orders.iter().map(|o| o.shippriority.as_str()), true),
-                    true,
-                ),
-            ],
-        });
-    }
-    {
-        let head = Column::from_oids(data.items.iter().map(|i| i.oid).collect());
-        let dates = |f: fn(&crate::gen::ItemRow) -> Date| -> Column {
-            Column::from_dates(data.items.iter().map(f).collect())
-        };
-        classes.push(ClassBats {
-            class: "Item".into(),
-            head,
-            attrs: vec![
-                (
-                    "part".into(),
-                    Column::from_oids(data.items.iter().map(|i| i.part).collect()),
-                    true,
-                ),
-                (
-                    "supplier".into(),
-                    Column::from_oids(data.items.iter().map(|i| i.supplier).collect()),
-                    true,
-                ),
-                (
-                    "order".into(),
-                    Column::from_oids(data.items.iter().map(|i| i.order).collect()),
-                    true,
-                ),
-                (
-                    "quantity".into(),
-                    Column::from_ints(data.items.iter().map(|i| i.quantity).collect()),
-                    true,
-                ),
-                (
-                    "returnflag".into(),
-                    Column::from_chrs(data.items.iter().map(|i| i.returnflag).collect()),
-                    true,
-                ),
-                (
-                    "linestatus".into(),
-                    Column::from_chrs(data.items.iter().map(|i| i.linestatus).collect()),
-                    true,
-                ),
-                (
-                    "extendedprice".into(),
-                    Column::from_dbls(data.items.iter().map(|i| i.extendedprice).collect()),
-                    true,
-                ),
-                (
-                    "discount".into(),
-                    Column::from_dbls(data.items.iter().map(|i| i.discount).collect()),
-                    true,
-                ),
-                ("tax".into(), Column::from_dbls(data.items.iter().map(|i| i.tax).collect()), true),
-                ("shipdate".into(), dates(|i| i.shipdate), true),
-                ("commitdate".into(), dates(|i| i.commitdate), true),
-                ("receiptdate".into(), dates(|i| i.receiptdate), true),
-                (
-                    "shipmode".into(),
-                    str_col(data.items.iter().map(|i| i.shipmode.as_str()), true),
-                    true,
-                ),
-                (
-                    "shipinstruct".into(),
-                    str_col(data.items.iter().map(|i| i.shipinstruct.as_str()), true),
-                    true,
-                ),
-            ],
-        });
-    }
-    report.bulk_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let world = build(data);
+    let bulk_ms = t0.elapsed().as_secs_f64() * 1e3;
+    check(&world)?;
+    let mut report = LoadReport { bulk_ms, ..LoadReport::default() };
 
     // ---- Phase 2: extents and datavectors --------------------------------
     let t1 = Instant::now();
     let mut db = Db::new();
-    struct Prepared {
-        name: String,
-        bat: Bat,
-        dv: Option<Arc<Datavector>>,
-    }
-    let mut prepared: Vec<Prepared> = Vec::new();
-    for cb in &classes {
-        let extent_accel = Extent::new(cb.head.clone());
-        // extent[oid, void] — registered under the class name. The supply
-        // pseudo-class has no extent in the catalog naming scheme; skip it.
-        if cb.class != "Supplier_supplies" {
+    let mut prepared: Vec<(String, Bat, Arc<Datavector>)> = Vec::new();
+    for b in &world {
+        let head = &b.oids;
+        let extent_accel = Extent::new(head.clone());
+        // extent[oid, void] — registered under the class name. Set tuples
+        // have no extent: their set index reaches them.
+        if b.class.set.is_none() {
             let extent_bat = Bat::with_props(
-                cb.head.clone(),
-                Column::void(0, cb.head.len()),
+                head.clone(),
+                Column::void(0, head.len()),
                 Props::new(ColProps::DENSE, ColProps::DENSE),
             );
-            db.register(&cb.class, extent_bat);
+            db.register(&b.class.bat(), extent_bat);
         }
-        for (attr, tail, accel) in &cb.attrs {
+        for (f, tail) in &b.cols {
+            if b.class.set.is_some() && f.refers_to(b.class.class) {
+                continue; // the set index holds a tuple's owner
+            }
             // Encoded layouts are a load-time decision (`!enc` keeps the
             // raw Phase-1 columns byte for byte — the encodings-off
             // oracle). `encode()` dictionary-codes a string column only
@@ -485,34 +180,27 @@ fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
             // Phase-3 reorder gathers codes, so the sorted attribute BATs
             // stay encoded.
             let tail = if enc { tail.encode() } else { tail.clone() };
-            let dv = if *accel {
-                report.dv_bytes += tail.bytes();
-                Some(Arc::new(Datavector::new(Arc::clone(&extent_accel), tail.clone())))
-            } else {
-                None
-            };
-            prepared.push(Prepared {
-                name: format!("{}_{}", cb.class, attr),
-                bat: Bat::with_props(
-                    cb.head.clone(),
-                    tail.clone(),
-                    Props::new(ColProps::DENSE, tail_props(&tail)),
-                ),
+            report.dv_bytes += tail.bytes();
+            let dv = Arc::new(Datavector::new(Arc::clone(&extent_accel), tail.clone()));
+            let props = Props::new(ColProps::DENSE, tail_props(&tail));
+            prepared.push((
+                b.class.field_bat(f.name),
+                Bat::with_props(head.clone(), tail, props),
                 dv,
-            });
+            ));
         }
     }
     report.accel_ms = t1.elapsed().as_secs_f64() * 1e3;
 
     // ---- Phase 3: reorder on tail, attach accelerators -------------------
     let t2 = Instant::now();
-    for p in prepared {
-        let mut bat = if p.bat.props().tail.sorted {
-            p.bat
+    for (name, bat, dv) in prepared {
+        let mut bat = if bat.props().tail.sorted {
+            bat
         } else {
-            let perm = p.bat.tail().sort_perm();
-            let head = p.bat.head().gather(&perm);
-            let tail = p.bat.tail().gather(&perm);
+            let perm = bat.tail().sort_perm();
+            let head = bat.head().gather(&perm);
+            let tail = bat.tail().gather(&perm);
             let (_, strict) = tail.check_order();
             Bat::with_props(
                 head,
@@ -523,49 +211,47 @@ fn load_bats_unchecked(data: &TpcdData, enc: bool) -> (Catalog, LoadReport) {
                 ),
             )
         };
-        if let Some(dv) = p.dv {
-            bat.set_datavector(dv);
-        }
-        db.register(&p.name, bat);
+        bat.set_datavector(dv);
+        db.register(&name, bat);
     }
 
-    // Set-valued attribute plumbing:
-    // Supplier_supplies is both the member prefix (registered above) and
-    // the index BAT [supply_id, supplier_oid].
-    {
-        let head = Column::from_oids(data.supplies.iter().map(|s| s.oid).collect());
-        let tail = Column::from_oids(data.supplies.iter().map(|s| s.supplier).collect());
-        let props = Props::new(ColProps::DENSE, tail_props(&tail));
-        db.register("Supplier_supplies", Bat::with_props(head, tail, props));
-    }
-    // Customer.orders: index [order_oid, customer_oid] + self-reference.
-    {
-        let head = Column::from_oids(data.orders.iter().map(|o| o.oid).collect());
-        let tail = Column::from_oids(data.orders.iter().map(|o| o.cust).collect());
-        let props = Props::new(ColProps::DENSE, tail_props(&tail));
-        db.register("Customer_orders", Bat::with_props(head.clone(), tail, props));
-        db.register(
-            "Customer_orders_ref",
-            Bat::with_props(head.clone(), head, Props::new(ColProps::DENSE, ColProps::DENSE)),
-        );
-    }
-    // Order.items: index [item_oid, order_oid] + self-reference.
-    {
-        let head = Column::from_oids(data.items.iter().map(|i| i.oid).collect());
-        let tail = Column::from_oids(data.items.iter().map(|i| i.order).collect());
-        let props = Props::new(ColProps::DENSE, tail_props(&tail));
-        db.register("Order_items", Bat::with_props(head.clone(), tail, props));
-        db.register(
-            "Order_items_ref",
-            Bat::with_props(head.clone(), head, Props::new(ColProps::DENSE, ColProps::DENSE)),
-        );
+    // Set-valued attribute plumbing: the index BAT [member, owner] on its
+    // own columns (no attribute BAT is synced with it), and for a set of
+    // objects the self-reference `ref` [member, member].
+    for b in &world {
+        for f in &b.class.fields {
+            let Some(members) = f.members() else { continue };
+            let m = world.iter().find(|m| std::ptr::eq(m.class, members)).expect("built");
+            let head = Column::from_oids(oids(&m.oids).to_vec());
+            // A tuple's owner reference is in no other BAT, so the index
+            // takes its column; an object's is an attribute BAT's tail.
+            let owner = &m.owner(b.class.class).1;
+            let tail = match members.set {
+                Some(_) => owner.clone(),
+                None => Column::from_oids(oids(owner).to_vec()),
+            };
+            let props = Props::new(ColProps::DENSE, tail_props(&tail));
+            if members.set.is_none() {
+                let props = Props::new(ColProps::DENSE, ColProps::DENSE);
+                let name = Catalog::member_name(b.class.class, f.name, "ref");
+                db.register(&name, Bat::with_props(head.clone(), head.clone(), props));
+            }
+            db.register(
+                &Catalog::attr_name(b.class.class, f.name),
+                Bat::with_props(head, tail, props),
+            );
+        }
     }
     report.reorder_ms = t2.elapsed().as_secs_f64() * 1e3;
     report.base_bytes = db.bytes();
     report.bat_count = db.len();
 
-    (Catalog::new(tpcd_schema(), db), report)
+    Ok((Catalog::new(tpcd_schema(), db), report))
 }
+
+/// Stored fields the n-ary baseline leaves out: no reference plan reads
+/// them.
+const NOT_IN_ROWSTORE: [(&str, &str); 1] = [("Region", "comment")];
 
 /// Load the generated data into the n-ary baseline store, with inverted
 /// lists on the selection attributes the TPC-D queries use.
@@ -576,163 +262,22 @@ pub fn load_rowstore(data: &TpcdData) -> RelDb {
     try_load_rowstore(data).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Validate the world (see [`validate`]) and load the n-ary baseline.
+/// Validate the world (see [`validate`]) and load the n-ary baseline: one
+/// table per stored class, its oid column first.
 pub fn try_load_rowstore(data: &TpcdData) -> crate::error::Result<RelDb> {
-    validate(data)?;
-    Ok(load_rowstore_unchecked(data))
-}
-
-fn load_rowstore_unchecked(data: &TpcdData) -> RelDb {
+    let world = build(data);
+    check(&world)?;
     let mut db = RelDb::new();
-
-    db.add_table(Table::new(
-        "region",
-        vec![
-            ("oid".into(), Column::from_oids(data.regions.iter().map(|r| r.oid).collect())),
-            ("name".into(), str_col(data.regions.iter().map(|r| r.name.as_str()), false)),
-        ],
-    ));
-    db.add_table(Table::new(
-        "nation",
-        vec![
-            ("oid".into(), Column::from_oids(data.nations.iter().map(|n| n.oid).collect())),
-            ("name".into(), str_col(data.nations.iter().map(|n| n.name.as_str()), false)),
-            ("region".into(), Column::from_oids(data.nations.iter().map(|n| n.region).collect())),
-        ],
-    ));
-    db.add_table(Table::new(
-        "part",
-        vec![
-            ("oid".into(), Column::from_oids(data.parts.iter().map(|p| p.oid).collect())),
-            ("name".into(), str_col(data.parts.iter().map(|p| p.name.as_str()), true)),
-            (
-                "manufacturer".into(),
-                str_col(data.parts.iter().map(|p| p.manufacturer.as_str()), true),
-            ),
-            ("brand".into(), str_col(data.parts.iter().map(|p| p.brand.as_str()), true)),
-            ("type".into(), str_col(data.parts.iter().map(|p| p.typ.as_str()), true)),
-            ("size".into(), Column::from_ints(data.parts.iter().map(|p| p.size).collect())),
-            ("container".into(), str_col(data.parts.iter().map(|p| p.container.as_str()), true)),
-            (
-                "retailprice".into(),
-                Column::from_dbls(data.parts.iter().map(|p| p.retailprice).collect()),
-            ),
-        ],
-    ));
-    db.add_table(Table::new(
-        "supplier",
-        vec![
-            ("oid".into(), Column::from_oids(data.suppliers.iter().map(|s| s.oid).collect())),
-            ("name".into(), str_col(data.suppliers.iter().map(|s| s.name.as_str()), false)),
-            ("address".into(), str_col(data.suppliers.iter().map(|s| s.address.as_str()), false)),
-            ("phone".into(), str_col(data.suppliers.iter().map(|s| s.phone.as_str()), false)),
-            (
-                "acctbal".into(),
-                Column::from_dbls(data.suppliers.iter().map(|s| s.acctbal).collect()),
-            ),
-            ("nation".into(), Column::from_oids(data.suppliers.iter().map(|s| s.nation).collect())),
-        ],
-    ));
-    db.add_table(Table::new(
-        "partsupp",
-        vec![
-            ("oid".into(), Column::from_oids(data.supplies.iter().map(|s| s.oid).collect())),
-            (
-                "supplier".into(),
-                Column::from_oids(data.supplies.iter().map(|s| s.supplier).collect()),
-            ),
-            ("part".into(), Column::from_oids(data.supplies.iter().map(|s| s.part).collect())),
-            ("cost".into(), Column::from_dbls(data.supplies.iter().map(|s| s.cost).collect())),
-            (
-                "available".into(),
-                Column::from_ints(data.supplies.iter().map(|s| s.available).collect()),
-            ),
-        ],
-    ));
-    db.add_table(Table::new(
-        "customer",
-        vec![
-            ("oid".into(), Column::from_oids(data.customers.iter().map(|c| c.oid).collect())),
-            ("name".into(), str_col(data.customers.iter().map(|c| c.name.as_str()), false)),
-            ("address".into(), str_col(data.customers.iter().map(|c| c.address.as_str()), false)),
-            ("phone".into(), str_col(data.customers.iter().map(|c| c.phone.as_str()), false)),
-            (
-                "acctbal".into(),
-                Column::from_dbls(data.customers.iter().map(|c| c.acctbal).collect()),
-            ),
-            ("nation".into(), Column::from_oids(data.customers.iter().map(|c| c.nation).collect())),
-            (
-                "mktsegment".into(),
-                str_col(data.customers.iter().map(|c| c.mktsegment.as_str()), true),
-            ),
-        ],
-    ));
-    db.add_table(Table::new(
-        "orders",
-        vec![
-            ("oid".into(), Column::from_oids(data.orders.iter().map(|o| o.oid).collect())),
-            ("cust".into(), Column::from_oids(data.orders.iter().map(|o| o.cust).collect())),
-            ("status".into(), Column::from_chrs(data.orders.iter().map(|o| o.status).collect())),
-            (
-                "totalprice".into(),
-                Column::from_dbls(data.orders.iter().map(|o| o.totalprice).collect()),
-            ),
-            (
-                "orderdate".into(),
-                Column::from_dates(data.orders.iter().map(|o| o.orderdate).collect()),
-            ),
-            (
-                "orderpriority".into(),
-                str_col(data.orders.iter().map(|o| o.orderpriority.as_str()), true),
-            ),
-            ("clerk".into(), str_col(data.orders.iter().map(|o| o.clerk.as_str()), true)),
-            (
-                "shippriority".into(),
-                str_col(data.orders.iter().map(|o| o.shippriority.as_str()), true),
-            ),
-        ],
-    ));
-    db.add_table(Table::new(
-        "lineitem",
-        vec![
-            ("oid".into(), Column::from_oids(data.items.iter().map(|i| i.oid).collect())),
-            ("part".into(), Column::from_oids(data.items.iter().map(|i| i.part).collect())),
-            ("supplier".into(), Column::from_oids(data.items.iter().map(|i| i.supplier).collect())),
-            ("order".into(), Column::from_oids(data.items.iter().map(|i| i.order).collect())),
-            ("quantity".into(), Column::from_ints(data.items.iter().map(|i| i.quantity).collect())),
-            (
-                "returnflag".into(),
-                Column::from_chrs(data.items.iter().map(|i| i.returnflag).collect()),
-            ),
-            (
-                "linestatus".into(),
-                Column::from_chrs(data.items.iter().map(|i| i.linestatus).collect()),
-            ),
-            (
-                "extendedprice".into(),
-                Column::from_dbls(data.items.iter().map(|i| i.extendedprice).collect()),
-            ),
-            ("discount".into(), Column::from_dbls(data.items.iter().map(|i| i.discount).collect())),
-            ("tax".into(), Column::from_dbls(data.items.iter().map(|i| i.tax).collect())),
-            (
-                "shipdate".into(),
-                Column::from_dates(data.items.iter().map(|i| i.shipdate).collect()),
-            ),
-            (
-                "commitdate".into(),
-                Column::from_dates(data.items.iter().map(|i| i.commitdate).collect()),
-            ),
-            (
-                "receiptdate".into(),
-                Column::from_dates(data.items.iter().map(|i| i.receiptdate).collect()),
-            ),
-            ("shipmode".into(), str_col(data.items.iter().map(|i| i.shipmode.as_str()), true)),
-            (
-                "shipinstruct".into(),
-                str_col(data.items.iter().map(|i| i.shipinstruct.as_str()), true),
-            ),
-        ],
-    ));
+    for b in world {
+        let class = b.class.class;
+        let mut cols = vec![("oid".to_string(), b.oids)];
+        for (f, col) in b.cols {
+            if !NOT_IN_ROWSTORE.contains(&(class, f.name)) {
+                cols.push((f.name.to_string(), col));
+            }
+        }
+        db.add_table(Table::new(b.class.table, cols));
+    }
 
     // Inverted lists on the benchmark's selection attributes.
     for (t, c) in [
@@ -755,7 +300,7 @@ fn load_rowstore_unchecked(data: &TpcdData) -> RelDb {
     ] {
         db.build_index(t, c);
     }
-    db
+    Ok(db)
 }
 
 #[cfg(test)]
@@ -786,7 +331,7 @@ mod tests {
         data.customers.truncate(data.customers.len() / 2);
         let err = try_load_bats(&data).err().expect("load must fail");
         assert!(
-            matches!(err, TpcdError::Malformed { table: "Order", .. }),
+            matches!(err, TpcdError::Malformed { ref table, .. } if table == "Order"),
             "expected a dangling Order.cust, got {err}"
         );
         assert!(try_load_rowstore(&data).is_err());
@@ -798,7 +343,7 @@ mod tests {
         data.items.remove(3); // punch a hole in the Item extent
         let err = try_load_bats(&data).err().expect("load must fail");
         assert!(
-            matches!(err, TpcdError::Malformed { table: "Item", .. }),
+            matches!(err, TpcdError::Malformed { ref table, .. } if table == "Item"),
             "expected a dense-extent violation, got {err}"
         );
     }
@@ -815,7 +360,8 @@ mod tests {
         data.supplies[last].supplier = a;
         let err = try_load_bats(&data).err().expect("load must fail");
         assert!(
-            matches!(err, TpcdError::Malformed { table: "Supplier_supplies", .. }),
+            matches!(err, TpcdError::Malformed { ref table, .. }
+                if *table == Catalog::attr_name("Supplier", "supplies")),
             "expected an owner-sort violation, got {err}"
         );
     }
@@ -825,7 +371,10 @@ mod tests {
         let mut data = small();
         data.orders.clear();
         let err = try_load_bats(&data).err().expect("load must fail");
-        assert!(matches!(err, TpcdError::Malformed { table: "Order", .. }), "got {err}");
+        assert!(
+            matches!(err, TpcdError::Malformed { ref table, .. } if table == "Order"),
+            "got {err}"
+        );
     }
 
     #[test]
@@ -896,6 +445,93 @@ mod tests {
         let sel = monet::ops::select_eq(&ctx, bat, &AtomValue::str(clerk.as_str())).unwrap();
         assert_eq!(sel.len(), expected);
         assert!(expected > 0);
+    }
+
+    #[test]
+    fn dangling_reference_in_each_object_field_is_rejected() {
+        const NOWHERE: monet::atom::Oid = 1 << 40;
+        let supplies = Catalog::attr_name("Supplier", "supplies");
+        type Dangle = fn(&mut TpcdData);
+        let cases: [(String, &str, Dangle); 8] = [
+            ("Nation".into(), "region", |d| d.nations[1].region = NOWHERE),
+            ("Supplier".into(), "nation", |d| d.suppliers[1].nation = NOWHERE),
+            (supplies, "part", |d| d.supplies[1].part = NOWHERE),
+            ("Customer".into(), "nation", |d| d.customers[1].nation = NOWHERE),
+            ("Order".into(), "cust", |d| d.orders[1].cust = NOWHERE),
+            ("Item".into(), "part", |d| d.items[1].part = NOWHERE),
+            ("Item".into(), "supplier", |d| d.items[1].supplier = NOWHERE),
+            ("Item".into(), "order", |d| d.items[1].order = NOWHERE),
+        ];
+        for (table, field, dangle) in cases {
+            let mut data = small();
+            dangle(&mut data);
+            match try_load_bats(&data).err().expect("load must fail") {
+                TpcdError::Malformed { table: t, detail } => {
+                    assert_eq!(t, table);
+                    let named = format!("{field} references oid {NOWHERE} outside");
+                    assert!(detail.starts_with(&named), "{table}.{field}: {detail}");
+                }
+                other => panic!("{table}.{field}: got {other}"),
+            }
+            assert!(try_load_rowstore(&data).is_err(), "{table}.{field}");
+        }
+    }
+
+    #[test]
+    fn bat_names_are_the_catalog_naming_of_the_schema() {
+        let (cat, report) = load_bats(&small());
+        let mut want = Vec::new();
+        for class in tpcd_schema().classes() {
+            let c = class.name.as_str();
+            want.push(Catalog::extent_name(c));
+            for f in &class.fields {
+                want.push(Catalog::attr_name(c, &f.name));
+                match &f.ty {
+                    MoaType::Set(inner) => match &**inner {
+                        MoaType::Tuple(members) => want.extend(
+                            members.iter().map(|m| Catalog::member_name(c, &f.name, &m.name)),
+                        ),
+                        MoaType::Object(_) => want.push(Catalog::member_name(c, &f.name, "ref")),
+                        other => panic!("{c}.{}: set of {other}", f.name),
+                    },
+                    MoaType::Base(_) | MoaType::Object(_) => {}
+                    MoaType::Tuple(_) => panic!("{c}.{}: a tuple field", f.name),
+                }
+            }
+        }
+        want.sort();
+        let got: Vec<String> = cat.db().iter().map(|(name, _)| name.to_string()).collect();
+        assert_eq!(got, want);
+        assert_eq!(report.bat_count, want.len());
+    }
+
+    #[test]
+    fn rowstore_tables_keep_their_layout() {
+        let rel = load_rowstore(&small());
+        let mut tables: Vec<String> = rel
+            .tables()
+            .map(|t| {
+                let cols: Vec<&str> = t.columns().collect();
+                format!("{}({}) {}", t.name(), cols.join(", "), t.row_width())
+            })
+            .collect();
+        tables.sort();
+        assert_eq!(
+            tables,
+            [
+                "customer(oid, name, address, phone, acctbal, nation, mktsegment) 48",
+                "lineitem(oid, part, supplier, order, quantity, returnflag, linestatus, \
+                 extendedprice, discount, tax, shipdate, commitdate, receiptdate, shipmode, \
+                 shipinstruct) 90",
+                "nation(oid, name, region) 28",
+                "orders(oid, cust, status, totalprice, orderdate, orderpriority, clerk, \
+                 shippriority) 49",
+                "part(oid, name, manufacturer, brand, type, size, container, retailprice) 48",
+                "partsupp(oid, supplier, part, cost, available) 44",
+                "region(oid, name) 20",
+                "supplier(oid, name, address, phone, acctbal, nation) 44",
+            ]
+        );
     }
 
     #[test]
