@@ -108,7 +108,7 @@ fn bench_primitives(c: &mut Criterion) {
         b.iter(|| ops::join(&ctx, &cut_left, &cut_right).unwrap())
     });
     g.bench_function("join/hash-at-cut", |b| {
-        b.iter(|| ops::join::join_hash(&ctx, &cut_left, &cut_right))
+        b.iter(|| ops::join::join_hash(&ctx, &cut_left, &cut_right, None))
     });
     g.bench_function("unique", |b| {
         let dup = Bat::new(

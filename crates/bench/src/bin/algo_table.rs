@@ -62,7 +62,7 @@ const QUERIES: [(usize, &str, Builder); 18] = [
 fn op_name(op: &MilOp) -> &'static str {
     match op {
         MilOp::SelectEq(..) | MilOp::SelectRange { .. } => "select",
-        MilOp::Join(..) => "join",
+        MilOp::Join(..) | MilOp::Join2(..) => "join",
         MilOp::Semijoin(..) | MilOp::Antijoin(..) => "semijoin",
         MilOp::Group1(..) | MilOp::Group2(..) | MilOp::Unique(..) => "group",
         MilOp::SetAgg { .. } | MilOp::AggrScalar { .. } => "aggregate",

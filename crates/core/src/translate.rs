@@ -11,7 +11,12 @@
 //!
 //! * **selection** — `select[f](SET(A,X)) → SET(semijoin(A, T(f(X))), X)`;
 //!   comparisons against literals push down to (range-)selects on the
-//!   attribute BATs with joins back along the reference path. A
+//!   attribute BATs with joins back along the reference path. Any other
+//!   comparison of a reference path with a literal (`part.name contains
+//!   c`) is the pullback along the path of the same test at its far end:
+//!   a `[f]` multiplex and `select(·, true)` over the referenced class,
+//!   joined back — unless an earlier conjunct already restricted the
+//!   candidates, whose gather is then the smaller job. A
 //!   conjunction is flattened and its conjuncts chain left to right: each
 //!   is restricted to the previous qualifier — a single-hop conjunct by
 //!   `semijoin`ing its attribute BAT first (Figure 10), a multi-hop one by
@@ -28,6 +33,10 @@
 //!   members of an unnest) the selected index re-scopes every field — a
 //!   restriction commutes with a projection — so later gathers run over
 //!   the survivors only;
+//! * **select over a join** — `select(join_eq(L, R, lk, rk), l.f = r.g)`
+//!   is a join on both keys: one two-key `join(lk, rk, f, g)` finds the
+//!   pairs the select keeps, and only those are numbered and gathered;
+//!   the other conjuncts select over its result;
 //! * **nested selection** (§4.3.2) — the same rule applied to the inner
 //!   index: all nested sets are reduced *in one flat selection*;
 //! * **nest** — `group` on the key BATs, with the group BAT itself
@@ -296,17 +305,28 @@ impl<'a> Translator<'a> {
                 Ok(TransSet { index, elem: ElemInfo::Obj(class.clone()) })
             }
             SetExpr::Select { input, pred } => {
+                // A select over a join that equates a left field with a
+                // right field is a join on both keys; the other conjuncts
+                // select over its result.
+                if let SetExpr::JoinEq { left, right, lkey, rkey, lname, rname } = &**input {
+                    let mut conj = Vec::new();
+                    flatten_and(pred, &mut conj);
+                    let names = (lname.as_str(), rname.as_str());
+                    if let Some((k, key2)) =
+                        conj.iter().enumerate().find_map(|(k, c)| Some((k, second_key(c, names)?)))
+                    {
+                        let ts = self.join_eq(left, right, (lkey, rkey), names, Some(key2))?;
+                        let mut rest: Vec<Pred> = conj.into_iter().cloned().collect();
+                        rest.remove(k);
+                        return if rest.is_empty() {
+                            Ok(ts)
+                        } else {
+                            self.select_over(ts, &and_all(rest))
+                        };
+                    }
+                }
                 let ts = self.tset(input)?;
-                let q = self.quals(&ts, pred, None)?;
-                // The rule: SET(semijoin(A, T(f(X))), X).
-                let index = self.emit("selected", MilOp::Semijoin(ts.index, q));
-                // A restriction commutes with a projection: later gathers
-                // read the survivors' fields only.
-                let elem = match ts.elem {
-                    ElemInfo::Tup(fields) => ElemInfo::Tup(self.rescope(&fields, ts.index, index)),
-                    elem => elem,
-                };
-                Ok(TransSet { index, elem })
+                self.select_over(ts, pred)
             }
             SetExpr::Project { input, items } => {
                 let ts = self.tset(input)?;
@@ -429,21 +449,7 @@ impl<'a> Translator<'a> {
                 Ok(TransSet { index, elem: ts.elem })
             }
             SetExpr::JoinEq { left, right, lkey, rkey, lname, rname } => {
-                let tl = self.tset(left)?;
-                let tr = self.tset(right)?;
-                let lk = self.scalar_bat(&tl, lkey)?;
-                let rk = self.scalar_bat(&tr, rkey)?;
-                let rkm = self.emit("", MilOp::Mirror(rk));
-                let pairs = self.emit("pairs", MilOp::Join(lk, rkm));
-                let pm = self.emit("", MilOp::Mark(pairs));
-                let lmap = self.emit("lmap", MilOp::Mirror(pm));
-                let rmap = self.emit("rmap", MilOp::Zip(pm, pairs));
-                let lfield = self.rekey_elem(&tl.elem, lmap)?;
-                let rfield = self.rekey_elem(&tr.elem, rmap)?;
-                Ok(TransSet {
-                    index: lmap,
-                    elem: ElemInfo::Tup(vec![(lname.clone(), lfield), (rname.clone(), rfield)]),
-                })
+                self.join_eq(left, right, (lkey, rkey), (lname, rname), None)
             }
             SetExpr::SemijoinEq { left, right, lkey, rkey } => {
                 let tl = self.tset(left)?;
@@ -470,6 +476,57 @@ impl<'a> Translator<'a> {
                 })
             }
         }
+    }
+
+    /// The selection rule, `SET(semijoin(A, T(f(X))), X)`.
+    fn select_over(&mut self, ts: TransSet, pred: &Pred) -> Result<TransSet> {
+        let q = self.quals(&ts, pred, None)?;
+        let index = self.emit("selected", MilOp::Semijoin(ts.index, q));
+        // A restriction commutes with a projection: later gathers read the
+        // survivors' fields only.
+        let elem = match ts.elem {
+            ElemInfo::Tup(fields) => ElemInfo::Tup(self.rescope(&fields, ts.index, index)),
+            elem => elem,
+        };
+        Ok(TransSet { index, elem })
+    }
+
+    /// `join_eq(L, R, lk, rk)` as the pairs `[l, r]` of one `join` on the
+    /// keys, numbered by `mark`: `lmap`/`rmap` map a pair to its sides, and
+    /// every field of a side is re-keyed through its map. With `key2 =
+    /// (f, g)`, the pairs are those of the select `l.f = r.g` over the
+    /// join, found by one two-key `join` on `(lk, f) = (rk, g)`, so no
+    /// pair the select drops is numbered or gathered.
+    fn join_eq(
+        &mut self,
+        left: &SetExpr,
+        right: &SetExpr,
+        (lkey, rkey): (&Scalar, &Scalar),
+        (lname, rname): (&str, &str),
+        key2: Option<(&[String], &[String])>,
+    ) -> Result<TransSet> {
+        let tl = self.tset(left)?;
+        let tr = self.tset(right)?;
+        let lk = self.scalar_bat(&tl, lkey)?;
+        let rk = self.scalar_bat(&tr, rkey)?;
+        let rkm = self.emit("", MilOp::Mirror(rk));
+        let pairs = match key2 {
+            None => self.emit("pairs", MilOp::Join(lk, rkm)),
+            Some((f, g)) => {
+                let lf = self.scalar_bat(&tl, &Scalar::Attr(f.to_vec()))?;
+                let rg = self.scalar_bat(&tr, &Scalar::Attr(g.to_vec()))?;
+                self.emit("pairs", MilOp::Join2(lk, rkm, lf, rg))
+            }
+        };
+        let pm = self.emit("", MilOp::Mark(pairs));
+        let lmap = self.emit("lmap", MilOp::Mirror(pm));
+        let rmap = self.emit("rmap", MilOp::Zip(pm, pairs));
+        let lfield = self.rekey_elem(&tl.elem, lmap)?;
+        let rfield = self.rekey_elem(&tr.elem, rmap)?;
+        Ok(TransSet {
+            index: lmap,
+            elem: ElemInfo::Tup(vec![(lname.into(), lfield), (rname.into(), rfield)]),
+        })
     }
 
     // -- predicates ---------------------------------------------------------
@@ -568,19 +625,17 @@ impl<'a> Translator<'a> {
                 return self.cmp_quals(ts, flipped, r, l, cand);
             }
         }
-        // Push-down path: attribute compared against a literal with an
-        // order predicate — (range-)select on the attribute BAT, then join
-        // back along the reference chain (Fig 10 lines 1-5).
+        // Push-down path: attribute compared against a literal — tested at
+        // the path's far end, then joined back along the reference chain
+        // (Fig 10 lines 1-5).
         let r_const = match r {
             Scalar::Lit(v) => Some((v, None)),
             Scalar::Param { id, value } => Some((value, Some(*id))),
             _ => None,
         };
         if let (Scalar::Attr(path), Some((v, pid))) = (l, r_const) {
-            if is_select_op(op) {
-                if let Some(q) = self.pushdown_select(ts, path, op, v, pid, cand)? {
-                    return Ok(q);
-                }
+            if let Some(q) = self.pushdown_select(ts, path, op, v, pid, cand)? {
+                return Ok(q);
             }
         }
         // General fallback: multiplex the comparison to [elem, bool] and
@@ -600,6 +655,14 @@ impl<'a> Translator<'a> {
 
     /// Try the select-pushdown strategy for `path op literal`. Returns
     /// `None` when the path shape does not support it.
+    ///
+    /// An order predicate is a (range-)select on the attribute BAT, so it
+    /// always pushes down. Any other comparison is a `[op]` multiplex and a
+    /// `select(·, true)`: at the far end of a reference path this is the
+    /// predicate's pullback along the hops, tested once per referenced
+    /// object instead of once per element. Over the candidates of an
+    /// earlier conjunct, or on the element's own attribute, gathering is
+    /// the smaller job, and the general fallback does it.
     fn pushdown_select(
         &mut self,
         ts: &TransSet,
@@ -609,11 +672,18 @@ impl<'a> Translator<'a> {
         pid: Option<u32>,
         cand: Option<Var>,
     ) -> Result<Option<Var>> {
+        let order = is_select_op(op);
+        if !order && (cand.is_some() || path.len() < 2) {
+            return Ok(None);
+        }
         // Resolve the chain of hop BATs: hops[0..n-1] are reference BATs
         // [cur, next], the final BAT holds the compared values.
         let Some((hops, leaf)) = self.attr_hop_bats(&ts.elem, path)? else {
             return Ok(None);
         };
+        if !order && hops.is_empty() {
+            return Ok(None);
+        }
         let selected = if hops.is_empty() {
             // Single hop: restrict first (datavector semijoin), then select
             // — exactly Figure 10 lines 3-4.
@@ -623,8 +693,16 @@ impl<'a> Translator<'a> {
             };
             self.emit_select("", base, op, v, pid)
         } else {
-            // Select at the far end, then walk the reference chain back.
-            let mut cur = self.emit_select("", leaf, op, v, pid);
+            // Test at the far end, then walk the reference chain back.
+            let mut cur = if order {
+                self.emit_select("", leaf, op, v, pid)
+            } else {
+                let bools = self.emit_multiplex(
+                    op,
+                    vec![SVal::Bat { var: leaf, ref_class: None }, SVal::Const(v.clone(), pid)],
+                );
+                self.emit("", MilOp::SelectEq(bools, AtomValue::Bool(true)))
+            };
             for hop in hops.iter().rev() {
                 cur = self.emit("", MilOp::Join(*hop, cur));
             }
@@ -1367,6 +1445,23 @@ fn strip_prefix(p: &Pred) -> Pred {
     match p {
         Pred::Cmp(op, l, r) => Pred::Cmp(*op, strip(l), strip(r)),
         _ => unreachable!("only comparisons are grouped"),
+    }
+}
+
+/// `l.f = r.g` over the pairs of a join whose sides are named `names`: the
+/// paths `(f, g)` of a left and a right field, in that order.
+fn second_key<'p>(
+    p: &'p Pred,
+    (lname, rname): (&str, &str),
+) -> Option<(&'p [String], &'p [String])> {
+    let Pred::Cmp(ScalarFunc::Eq, Scalar::Attr(a), Scalar::Attr(b)) = p else { return None };
+    if lname == rname || a.len() < 2 || b.len() < 2 {
+        return None;
+    }
+    match (a[0].as_str(), b[0].as_str()) {
+        (x, y) if x == lname && y == rname => Some((&a[1..], &b[1..])),
+        (x, y) if x == rname && y == lname => Some((&b[1..], &a[1..])),
+        _ => None,
     }
 }
 

@@ -727,3 +727,96 @@ fn nest_avg_over_dbl_is_sum_over_count() {
     let count = |op: &str| prog.matches(op).count();
     assert_eq!((count("{avg}"), count("{sum}"), count("[/]")), (1, 1, 1), "{prog}");
 }
+
+/// A comparison of a reference path with a constant is the pullback along
+/// the reference of the same comparison at the referenced class: with no
+/// earlier conjunct, `order.clerk contains "2"` is tested once per order
+/// and joined back, not gathered per item. After an order conjunct the
+/// candidates are fewer than the items, and the gather stays.
+#[test]
+fn a_path_predicate_is_tested_at_the_referenced_class_unless_candidates_are_fewer() {
+    let cat = mini_catalog();
+    let contains = || cmp(ScalarFunc::StrContains, attr("order.clerk"), lit_s("2"));
+    let raw = |q: &SetExpr| translate_with(&cat, q, OptLevel::Off).unwrap().prog.to_string();
+
+    let q = SetExpr::extent("Item").select(contains());
+    assert_commutes_raw_too(&cat, &q);
+    let text = raw(&q);
+    assert!(text.contains(":= [str_contains](Order_clerk, \"2\")"), "{text}");
+    assert!(text.contains(":= join(Item_order, tmp"), "{text}");
+    assert!(!text.contains(", Order_clerk)"), "no per-item gather of the clerk:\n{text}");
+    // Under a negation, too: no candidates reach it.
+    assert_commutes_raw_too(&cat, &SetExpr::extent("Item").select(not(contains())));
+
+    let q = SetExpr::extent("Item")
+        .select(and(cmp(ScalarFunc::Ge, attr("extendedprice"), lit_d(200.0)), contains()));
+    assert_commutes_raw_too(&cat, &q);
+    let text = raw(&q);
+    assert!(text.contains(", Order_clerk)"), "the candidates gather the clerk:\n{text}");
+    assert!(!text.contains("[str_contains](Order_clerk"), "{text}");
+}
+
+/// `select(join_eq(L, R, lk, rk), l.f = r.g)` is one two-key join on
+/// `(lk, f) = (rk, g)`; the other conjuncts select over its result.
+#[test]
+fn a_select_equating_both_sides_of_a_join_is_one_two_key_join() {
+    let cat = mini_catalog();
+    let items = |disc: Scalar| {
+        SetExpr::extent("Item").project(vec![
+            ProjItem::new("clerk", attr("order.clerk")),
+            ProjItem::new("disc", disc),
+            ProjItem::new("price", attr("extendedprice")),
+        ])
+    };
+    // The clerk repeats on both sides (two items each); the `dbl` second
+    // key pairs items 10 with 11 and 11 with 10 (0.1 - d), and 12 with
+    // itself.
+    let joined = || {
+        items(attr("discount")).join_eq(
+            items(bin(ScalarFunc::Sub, lit_d(0.1), attr("discount"))),
+            attr("clerk"),
+            attr("clerk"),
+            "i",
+            "j",
+        )
+    };
+    let same_disc = || eq(attr("i.disc"), attr("j.disc"));
+    let cheap = || cmp(ScalarFunc::Lt, attr("j.price"), lit_d(300.0));
+    let project = |q: SetExpr| {
+        q.project(vec![
+            ProjItem::new("left", attr("i.price")),
+            ProjItem::new("right", attr("j.price")),
+        ])
+    };
+    for pred in [same_disc(), and(cheap(), same_disc()), eq(attr("j.disc"), attr("i.disc"))] {
+        let q = project(joined().select(pred));
+        assert_commutes_raw_too(&cat, &q);
+        let text = translate_with(&cat, &q, OptLevel::Off).unwrap().prog.to_string();
+        let join = text.lines().find(|l| l.contains("pairs := join(")).unwrap();
+        assert_eq!(join.matches(", ").count(), 3, "two keys a side:\n{text}");
+        assert!(!text.contains(":= [=]("), "no residual comparison:\n{text}");
+    }
+    let rows = Evaluator::new(&cat).eval_values(&project(joined().select(same_disc()))).unwrap();
+    assert_eq!(rows.len(), 3, "{rows:?}");
+
+    // Q2's shape: the right side is a nest whose second key is a `dbl`
+    // aggregate, not row for row with its key.
+    let cheapest = SetExpr::extent("Supplier")
+        .unnest(sattr("supplies"), "sup", "sp")
+        .nest(vec![ProjItem::new("name", attr("sup.name"))])
+        .project(vec![
+            ProjItem::new("name", attr("name")),
+            ProjItem::new("low", agg_over(AggFunc::Min, sattr(NEST_REST), attr("sp.cost"))),
+        ]);
+    let q = SetExpr::extent("Supplier")
+        .unnest(sattr("supplies"), "sup", "sp")
+        .join_eq(cheapest, attr("sup.name"), attr("name"), "x", "m")
+        .select(and(eq(attr("x.sp.cost"), attr("m.low")), eq(attr("m.name"), lit_s("S20"))))
+        .project(vec![
+            ProjItem::new("part", attr("x.sp.part")),
+            ProjItem::new("cost", attr("m.low")),
+        ]);
+    assert_commutes_raw_too(&cat, &q);
+    let text = translate_with(&cat, &q, OptLevel::Off).unwrap().prog.to_string();
+    assert!(!text.contains(":= [=]("), "{text}");
+}

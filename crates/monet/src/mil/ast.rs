@@ -36,6 +36,11 @@ pub enum MilOp {
     },
     /// `a.join(b)`.
     Join(Var, Var),
+    /// `join(a, b, a2, b2)` — the two-key join: the pairs of `a.join(b)`
+    /// whose second keys agree, `a2` keyed by `a`'s heads and `b2` by `b`'s
+    /// tails ([`crate::ops::join2`]). Safe for CSE and DCE as `join` is: a
+    /// pure function of its operands that draws no fresh oids.
+    Join2(Var, Var, Var, Var),
     /// `a.semijoin(b)`.
     Semijoin(Var, Var),
     /// `a.antijoin(b)` — BUNs of `a` whose head does *not* occur in `b`.
@@ -117,6 +122,12 @@ impl MilOp {
                 f(*a);
                 f(*b);
             }
+            MilOp::Join2(a, b, a2, b2) => {
+                f(*a);
+                f(*b);
+                f(*a2);
+                f(*b2);
+            }
             MilOp::Multiplex { args, .. } => {
                 for a in args {
                     if let MilArg::Var(v) = a {
@@ -152,6 +163,12 @@ impl MilOp {
                 f(a);
                 f(b);
             }
+            MilOp::Join2(a, b, a2, b2) => {
+                f(a);
+                f(b);
+                f(a2);
+                f(b2);
+            }
             MilOp::Multiplex { args, .. } => {
                 for a in args {
                     if let MilArg::Var(v) = a {
@@ -177,7 +194,7 @@ impl MilOp {
             MilOp::ConstScalar(_) => "const".into(),
             MilOp::Mirror(_) => "mirror".into(),
             MilOp::SelectEq(..) | MilOp::SelectRange { .. } => "select".into(),
-            MilOp::Join(..) => "join".into(),
+            MilOp::Join(..) | MilOp::Join2(..) => "join".into(),
             MilOp::Semijoin(..) => "semijoin".into(),
             MilOp::Antijoin(..) => "antijoin".into(),
             MilOp::Unique(_) => "unique".into(),

@@ -230,6 +230,9 @@ fn eval_op(ctx: &ExecCtx, db: &Db, env: &[Option<MilValue>], op: &MilOp) -> Resu
             *inc_hi,
         )?),
         MilOp::Join(a, b) => MilValue::Bat(ops::join(ctx, bat(*a)?, bat(*b)?)?),
+        MilOp::Join2(a, b, a2, b2) => {
+            MilValue::Bat(ops::join2(ctx, bat(*a)?, bat(*b)?, bat(*a2)?, bat(*b2)?)?)
+        }
         MilOp::Semijoin(a, b) => MilValue::Bat(ops::semijoin(ctx, bat(*a)?, bat(*b)?)?),
         MilOp::Antijoin(a, b) => MilValue::Bat(ops::antijoin(ctx, bat(*a)?, bat(*b)?)?),
         MilOp::Unique(v) => MilValue::Bat(ops::unique(ctx, bat(*v)?)?),

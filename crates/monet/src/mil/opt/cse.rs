@@ -118,6 +118,7 @@ fn hash_stmt(stmt: &MilStmt) -> u64 {
         | MilOp::Group2(a, b)
         | MilOp::Concat(a, b)
         | MilOp::Zip(a, b) => (a, b).hash(&mut h),
+        MilOp::Join2(a, b, a2, b2) => (a, b, a2, b2).hash(&mut h),
         MilOp::Multiplex { f, args } => {
             std::mem::discriminant(f).hash(&mut h);
             for a in args {
@@ -168,6 +169,9 @@ fn stmts_identical(a: &MilStmt, b: &MilStmt) -> bool {
         | (O::Antijoin(xa, xb), O::Antijoin(ya, yb))
         | (O::Concat(xa, xb), O::Concat(ya, yb))
         | (O::Zip(xa, xb), O::Zip(ya, yb)) => xa == ya && xb == yb,
+        (O::Join2(xa, xb, xa2, xb2), O::Join2(ya, yb, ya2, yb2)) => {
+            (xa, xb, xa2, xb2) == (ya, yb, ya2, yb2)
+        }
         (O::Multiplex { f: xf, args: xa }, O::Multiplex { f: yf, args: ya }) => {
             xf == yf && xa.len() == ya.len() && xa.iter().zip(ya).all(|(a, b)| args_identical(a, b))
         }

@@ -127,7 +127,10 @@ impl Facts {
             MilOp::SelectRange { src, .. }
             | MilOp::TopN { src, .. }
             | MilOp::SetAgg { src, .. } => inherit(*src),
-            MilOp::Join(a, _) | MilOp::Antijoin(a, _) | MilOp::Group2(a, _) => inherit(*a),
+            MilOp::Join(a, _)
+            | MilOp::Join2(a, ..)
+            | MilOp::Antijoin(a, _)
+            | MilOp::Group2(a, _) => inherit(*a),
             // A semijoin result's heads occur in *both* operands.
             MilOp::Semijoin(a, c) => {
                 inherit(*a);

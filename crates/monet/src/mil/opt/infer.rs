@@ -72,7 +72,7 @@ pub(super) fn shape_of(op: &MilOp, shapes: &[Option<Shape>], db: &Db) -> Option<
             let s = sh(*src)?;
             Shape { props: ops::select::propagated_props(s.props, false), may_dv: false }
         }
-        MilOp::Join(a, b) => {
+        MilOp::Join(a, b) | MilOp::Join2(a, b, ..) => {
             let (sa, sb) = (sh(*a)?, sh(*b)?);
             Shape { props: ops::join::propagated_props(sa.props, sb.props), may_dv: false }
         }

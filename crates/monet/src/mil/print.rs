@@ -27,6 +27,9 @@ pub(super) fn render_op(prog: &MilProgram, stmt: &MilStmt, op: &MilOp) -> String
             format!("select({}, {lb}{lo}, {hi}{rb})", n(*src))
         }
         MilOp::Join(a, b) => format!("join({}, {})", n(*a), n(*b)),
+        MilOp::Join2(a, b, a2, b2) => {
+            format!("join({}, {}, {}, {})", n(*a), n(*b), n(*a2), n(*b2))
+        }
         MilOp::Semijoin(a, b) => format!("semijoin({}, {})", n(*a), n(*b)),
         MilOp::Antijoin(a, b) => format!("antijoin({}, {})", n(*a), n(*b)),
         MilOp::Unique(v) => format!("{}.unique", n(*v)),

@@ -31,8 +31,16 @@
 //! Every implementation emits in left-BUN order, so all are bit-identical
 //! to [`super::reference::join`], and a full match against a `key` right
 //! head shares the left operand's head column ([`build_join`]).
+//!
+//! [`join2`] is the two-key join, `select(join(AB, CD), a2 = c2)` in one
+//! operator: the same arms find the pairs that agree on the first key, and
+//! [`build_join`], where every arm's `(left, right)` row pairs meet, keeps
+//! those whose second keys ([`SecondKey`]) agree before anything is
+//! gathered. The result is the subset of the one-key join's rows, in its
+//! (left) order; only `sync`, which gathers nothing, is not taken.
 
 use crate::accel::datavector::Datavector;
+use crate::atom::AtomType;
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
@@ -43,27 +51,45 @@ use crate::spill::Partitions;
 use crate::typed::{put_u32, take_u32, OidDomain, TypedVals};
 
 use super::check_comparable;
+use super::group::{hash_align, UNALIGNED};
 
 /// Dynamic-dispatch equi-join.
 pub fn join(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
+    join_on(ctx, ab, cd, None)
+}
+
+/// Two-key equi-join: `{ad | ab ∈ AB ∧ cd ∈ CD ∧ b = c ∧ a2(a) = c2(d)}`,
+/// where `a2` is `[a, second key]` over the left heads and `c2` is `[d,
+/// second key]` over the right tails. A row whose element has no second
+/// key matches nothing. The rows are those of `join(AB, CD)` followed by
+/// `[=]` and `select(·, true)` on the second keys, in the same order.
+///
+/// A pure function of its operands that draws no fresh oids, like `join`.
+pub fn join2(ctx: &ExecCtx, ab: &Bat, cd: &Bat, a2: &Bat, c2: &Bat) -> Result<Bat> {
+    let key2 = SecondKey::align(ab, cd, a2, c2)?;
+    join_on(ctx, ab, cd, Some(&key2))
+}
+
+/// The arm dispatch of [`join`] and [`join2`].
+fn join_on(ctx: &ExecCtx, ab: &Bat, cd: &Bat, key2: Option<&SecondKey>) -> Result<Bat> {
     ctx.probe("op/join")?;
     check_comparable("join", ab.tail().atom_type(), cd.head().atom_type())?;
     let oid_keyed = ab.tail().is_oidlike() && cd.head().is_oidlike();
-    let (result, algo) = if let Some(synced) = join_sync(ab, cd) {
+    let (result, algo) = if let Some(synced) = join_sync(ab, cd).filter(|_| key2.is_none()) {
         (synced, "sync")
     } else if oid_keyed && cd.props().head.dense {
-        (join_fetch(ctx, ab, cd), "fetch")
+        (join_fetch(ctx, ab, cd, key2), "fetch")
     } else if let Some((dv, dom)) = datavector_domain(cd).filter(|_| oid_keyed) {
-        (join_positional(ctx, ab, cd.props(), dom, dv.vector()), "datavector")
+        (join_positional(ctx, ab, cd.props(), dom, dv.vector(), key2), "datavector")
     } else if let Some(dom) = direct_domain(ctx, ab, cd) {
-        (join_direct(ctx, ab, cd, dom), "direct")
+        (join_direct(ctx, ab, cd, dom, key2), "direct")
     } else if crate::costmodel::join_prefers_spill(ctx, ab.len(), cd.len()) {
         // The in-memory working set won't fit the budget headroom (or
         // `spill_force` is configured): radix-partition both sides
         // into spill files and build+probe one cluster at a time.
-        (join_radix(ctx, ab, cd)?, "spill")
+        (join_radix(ctx, ab, cd, key2)?, "spill")
     } else {
-        (join_hash(ctx, ab, cd), "hash")
+        (join_hash(ctx, ab, cd, key2), "hash")
     };
     ctx.record("join", algo, &[ab, cd], &result)?;
     Ok(result)
@@ -116,17 +142,24 @@ fn probe_domain(tail: &Column, dom: OidDomain, at: impl Fn(usize) -> u32) -> (Ve
 
 /// Positional join: every oid of `dom` sits at `oid - base` in `values`
 /// (the tail under a dense right head, or a datavector's value vector).
-fn join_positional(ctx: &ExecCtx, ab: &Bat, cd: Props, dom: OidDomain, values: &Column) -> Bat {
+fn join_positional(
+    ctx: &ExecCtx,
+    ab: &Bat,
+    cd: Props,
+    dom: OidDomain,
+    values: &Column,
+    key2: Option<&SecondKey>,
+) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, ab.tail());
     }
     let (left_idx, right_idx) = probe_domain(ab.tail(), dom, |k| k as u32);
-    build_join(ctx, ab, cd, values, left_idx, right_idx)
+    build_join(ctx, ab, cd, values, left_idx, right_idx, key2)
 }
 
 /// Positional fetch join against a dense right head.
-fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
-    join_positional(ctx, ab, cd.props(), OidDomain::of_dense(cd.head()), cd.tail())
+fn join_fetch(ctx: &ExecCtx, ab: &Bat, cd: &Bat, key2: Option<&SecondKey>) -> Bat {
+    join_positional(ctx, ab, cd.props(), OidDomain::of_dense(cd.head()), cd.tail(), key2)
 }
 
 /// The right operand's datavector and the dense domain of its extent, when
@@ -151,7 +184,7 @@ fn direct_domain(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Option<OidDomain> {
 /// Direct-addressed join: scatter the right positions into a pooled array
 /// over the head's compact domain, then probe it with one load per left
 /// BUN — no hashing, no chains, no value compare.
-fn join_direct(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain) -> Bat {
+fn join_direct(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, key2: Option<&SecondKey>) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
@@ -165,11 +198,11 @@ fn join_direct(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain) -> Bat {
     });
     let (left_idx, right_idx) = probe_domain(ab.tail(), dom, |k| pos[k]);
     put_u32(pos);
-    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx, key2)
 }
 
 /// Hash join: build on right head, probe left tails in order.
-pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
+pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat, key2: Option<&SecondKey>) -> Bat {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
@@ -191,7 +224,7 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
         }
         (left_idx, right_idx)
     });
-    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx, key2)
 }
 
 /// The spilling radix join: both sides' `(hash, pos)` pairs are
@@ -215,7 +248,7 @@ pub fn join_hash(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Bat {
 /// and [`super::reference::join`]: each left BUN lands in exactly one
 /// cluster with its matches contiguous and right-ascending, and
 /// [`finish_radix`] restores the global order.
-fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
+fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, key2: Option<&SecondKey>) -> Result<Bat> {
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
         pager::touch_scan(p, ab.tail());
@@ -242,7 +275,7 @@ fn join_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
     crate::for_each_typed2!(ab.tail(), cd.head(), |bt, ch| {
         probe_clusters(bt, ch, &ctx.gov, &lc, &rc, &mut matches)
     })?;
-    Ok(finish_radix(ctx, ab, cd, matches))
+    Ok(finish_radix(ctx, ab, cd, matches, key2))
 }
 
 /// A blocked Bloom filter over the build side's hashes: two bits of one
@@ -495,7 +528,13 @@ where
 /// keep their right-ascending probe order). A `right_of` array is in left
 /// order already: one linear, branch-free compaction of its occupied
 /// slots.
-fn finish_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, mut matches: Matches) -> Bat {
+fn finish_radix(
+    ctx: &ExecCtx,
+    ab: &Bat,
+    cd: &Bat,
+    mut matches: Matches,
+    key2: Option<&SecondKey>,
+) -> Bat {
     let (left_idx, right_idx) = match &mut matches {
         Matches::Pairs(pairs) => {
             let sorted = crate::typed::sort_pairs_by_hi(std::mem::take(pairs));
@@ -521,7 +560,7 @@ fn finish_radix(ctx: &ExecCtx, ab: &Bat, cd: &Bat, mut matches: Matches) -> Bat 
         }
     };
     drop(matches);
-    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx)
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx, key2)
 }
 
 /// The equi-join propagation rule (Section 5.1), shared by every
@@ -546,6 +585,8 @@ pub fn propagated_props(ab: Props, cd: Props) -> Props {
 
 /// Materialize `[ab.head[li], values[ri]]` from pooled position vectors
 /// (returned to the pool here) — the shared tail of every implementation.
+/// A two-key join's pairs are cut to those whose second keys agree first,
+/// so nothing is gathered for a pair the second key rejects.
 /// A 100% match against a `key` right head uses each left BUN exactly
 /// once, in order: the head column is then *shared* with the left operand,
 /// keeping the result synced with AB and with every other full-match join
@@ -555,9 +596,13 @@ fn build_join(
     ab: &Bat,
     cd: Props,
     values: &Column,
-    li: Vec<u32>,
-    ri: Vec<u32>,
+    mut li: Vec<u32>,
+    mut ri: Vec<u32>,
+    key2: Option<&SecondKey>,
 ) -> Bat {
+    if let Some(key2) = key2 {
+        key2.retain(ctx, &mut li, &mut ri);
+    }
     if let Some(p) = ctx.pager.as_deref() {
         for &r in &ri {
             pager::touch_fetch(p, values, r as usize);
@@ -571,6 +616,86 @@ fn build_join(
     let props =
         if full { full_match_props(ab.props(), cd) } else { propagated_props(ab.props(), cd) };
     Bat::with_props(head, tail, props)
+}
+
+/// The second key of a two-key join, read per join row: left row `i`'s
+/// value is `left[i]` (or `left[lpos[i]]`), right row `j`'s is `right[j]`
+/// (or `right[rpos[j]]`). A position vector is there only when the key BAT
+/// is not row for row with its side; it aligns by head value, as `group2`
+/// and multiplex do, and [`UNALIGNED`] marks a row without a key.
+pub struct SecondKey {
+    left: Column,
+    lpos: Option<Vec<u32>>,
+    right: Column,
+    rpos: Option<Vec<u32>>,
+}
+
+impl SecondKey {
+    /// Align `a2` with the left rows of `ab` (by head) and `c2` with the
+    /// right rows of `cd` (by tail). The keys compare as `[=]` compares:
+    /// one type, or two numeric types widened to `dbl`.
+    fn align(ab: &Bat, cd: &Bat, a2: &Bat, c2: &Bat) -> Result<SecondKey> {
+        let numeric = |t| matches!(t, AtomType::Int | AtomType::Lng | AtomType::Dbl);
+        let (lt, rt) = (a2.tail().atom_type(), c2.tail().atom_type());
+        if !(numeric(lt) && numeric(rt)) {
+            check_comparable("join", lt, rt)?;
+        }
+        let lpos = (!a2.synced(ab)).then(|| hash_align(ab.head(), a2.head()));
+        let right_synced = c2.head().identity() == cd.tail().identity();
+        let rpos = (!right_synced).then(|| hash_align(cd.tail(), c2.head()));
+        Ok(SecondKey { left: a2.tail().clone(), lpos, right: c2.tail().clone(), rpos })
+    }
+
+    /// The positions of left row `i`'s and right row `j`'s keys, if both
+    /// have one.
+    #[inline]
+    fn rows(&self, i: u32, j: u32) -> Option<(usize, usize)> {
+        let at = |pos: &Option<Vec<u32>>, row: u32| pos.as_ref().map_or(row, |p| p[row as usize]);
+        let (a, b) = (at(&self.lpos, i), at(&self.rpos, j));
+        (a != UNALIGNED && b != UNALIGNED).then_some((a as usize, b as usize))
+    }
+
+    /// Keep the pairs `(li[k], ri[k])` whose second keys agree, in order.
+    fn retain(&self, ctx: &ExecCtx, li: &mut Vec<u32>, ri: &mut Vec<u32>) {
+        if let Some(p) = ctx.pager.as_deref() {
+            for (&i, &j) in li.iter().zip(ri.iter()) {
+                if let Some((a, b)) = self.rows(i, j) {
+                    pager::touch_fetch(p, &self.left, a);
+                    pager::touch_fetch(p, &self.right, b);
+                }
+            }
+        }
+        if self.left.atom_type() == self.right.atom_type()
+            || self.left.is_oidlike() && self.right.is_oidlike()
+        {
+            crate::for_each_typed2!(&self.left, &self.right, |l, r| {
+                retain_pairs(li, ri, |i, j| {
+                    self.rows(i, j).is_some_and(|(a, b)| r.eq_one(r.value(b), l.value(a)))
+                })
+            })
+        } else {
+            // Mixed numeric types: `[=]`'s widening, row at a time.
+            retain_pairs(li, ri, |i, j| {
+                self.rows(i, j).is_some_and(|(a, b)| {
+                    let (x, y) = (self.left.get(a).as_f64(), self.right.get(b).as_f64());
+                    x.zip(y).is_some_and(|(x, y)| x.total_cmp(&y).is_eq())
+                })
+            })
+        }
+    }
+}
+
+/// Compact the pairs `(li[k], ri[k])` to those `keep` accepts, in order.
+fn retain_pairs(li: &mut Vec<u32>, ri: &mut Vec<u32>, keep: impl Fn(u32, u32) -> bool) {
+    let mut kept = 0;
+    for k in 0..li.len() {
+        let (i, j) = (li[k], ri[k]);
+        li[kept] = i;
+        ri[kept] = j;
+        kept += keep(i, j) as usize;
+    }
+    li.truncate(kept);
+    ri.truncate(kept);
 }
 
 #[cfg(test)]
@@ -654,8 +779,8 @@ mod tests {
             Column::from_ints((0..m).map(|i| (i % (m - 300)) as i32).collect()),
             Column::from_oids((0..m as u64).map(|i| 50_000 + i).collect()),
         );
-        let s = join_radix(&ctx, &left, &right).unwrap();
-        let h = join_hash(&ctx, &left, &right);
+        let s = join_radix(&ctx, &left, &right, None).unwrap();
+        let h = join_hash(&ctx, &left, &right, None);
         assert_eq!(s.len(), h.len());
         for i in 0..s.len() {
             assert_eq!(s.head().oid_at(i), h.head().oid_at(i), "head vs hash at {i}");
@@ -675,8 +800,8 @@ mod tests {
         let ctx = ExecCtx::new();
         let l = Bat::new(Column::from_oids(vec![]), Column::from_ints(vec![]));
         let r = Bat::new(Column::from_ints(vec![1, 2]), Column::from_oids(vec![5, 6]));
-        assert_eq!(join_radix(&ctx, &l, &r).unwrap().len(), 0);
-        assert_eq!(join_radix(&ctx, &r.mirror(), &l.mirror()).unwrap().len(), 0);
+        assert_eq!(join_radix(&ctx, &l, &r, None).unwrap().len(), 0);
+        assert_eq!(join_radix(&ctx, &r.mirror(), &l.mirror(), None).unwrap().len(), 0);
         let names: Vec<String> = (0..900).map(|i| format!("n{}", i % 320)).collect();
         let left = Bat::new(
             Column::from_oids((0..900).collect()),
@@ -686,8 +811,8 @@ mod tests {
             Column::from_strs((0..400).map(|i| format!("n{i}")).collect::<Vec<_>>()),
             Column::from_oids((1000..1400).collect()),
         );
-        let s = join_radix(&ctx, &left, &right).unwrap();
-        let h = join_hash(&ctx, &left, &right);
+        let s = join_radix(&ctx, &left, &right, None).unwrap();
+        let h = join_hash(&ctx, &left, &right, None);
         assert_eq!(s.len(), h.len());
         for i in 0..s.len() {
             assert_eq!(s.head().oid_at(i), h.head().oid_at(i));

@@ -28,7 +28,7 @@ pub mod unique;
 
 pub use aggregate::{aggr_scalar, set_aggregate, AggFunc};
 pub use group::{group1, group2};
-pub use join::join;
+pub use join::{join, join2};
 pub use multiplex::{apply_scalar, multiplex, MultArg, ScalarFunc};
 pub use select::{select_eq, select_range};
 pub use semijoin::{antijoin, semijoin};

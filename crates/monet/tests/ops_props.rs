@@ -2039,3 +2039,135 @@ fn a_nest_key_dedup_reads_the_grouping_or_numbers_the_pairs() {
     }
     assert!(seen.contains("packed") && seen.contains("hash"), "{seen:?}");
 }
+
+// ---------------------------------------------------------------------------
+// The two-key join (`ops::join2`) against its definition: `reference::join`,
+// then `[=]` of the second keys, then `select(·, true)` — the same rows in
+// the same order, at eps 0.0, on the hash, direct and spill arms.
+// ---------------------------------------------------------------------------
+
+/// `ops::join2(ab, cd, a2, c2)` must take `algo` and keep exactly the rows
+/// of `reference::join(ab, cd)` whose left element's `a2` value equals its
+/// right element's `c2` value under `[=]`, in order. An element without a
+/// second key keeps no row.
+fn check_join2(
+    ctx: &ExecCtx,
+    (ab, cd): (&Bat, &Bat),
+    (a2, c2): (&Bat, &Bat),
+    algo: &str,
+    tag: &str,
+) {
+    let got = ops::join2(ctx, ab, cd, a2, c2).unwrap();
+    assert_eq!(last_algo(ctx), algo, "{tag}");
+    let by_head = |b: &Bat| {
+        let mut m: HashMap<AtomValue, AtomValue> = HashMap::new();
+        for (h, t) in b.iter() {
+            m.entry(h).or_insert(t);
+        }
+        m
+    };
+    let (l2, r2) = (by_head(a2), by_head(c2));
+    let agree = |x: &AtomValue, y: &AtomValue| {
+        ops::apply_scalar(ops::ScalarFunc::Eq, &[x.clone(), y.clone()]).unwrap()
+            == AtomValue::Bool(true)
+    };
+    let want: Vec<_> = rows_of(&reference::join(ab, cd))
+        .into_iter()
+        .filter(|(a, d)| l2.get(a).zip(r2.get(d)).is_some_and(|(x, y)| agree(x, y)))
+        .collect();
+    assert_eq!(rows_of(&got), want, "{tag}");
+    assert!(got.validate().is_ok(), "{tag}: claimed props unsound");
+}
+
+/// A `dbl` second key over `elems`, from a four-value alphabet so that
+/// keys agree often: row for row with them (`synced`, sharing the column),
+/// or re-ordered with one element dropped and one stranger added.
+fn second_key(rng: &mut StdRng, elems: &Column, synced: bool) -> Bat {
+    let mut values: Vec<f64> =
+        (0..elems.len()).map(|_| rng.gen_range(0..4) as f64 * 0.25).collect();
+    if synced {
+        return Bat::new(elems.clone(), Column::from_dbls(values));
+    }
+    let mut heads: Vec<u64> = (0..elems.len()).map(|i| elems.oid_at(i)).collect();
+    for i in (1..heads.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        heads.swap(i, j);
+        values.swap(i, j);
+    }
+    heads.pop();
+    values.pop();
+    heads.push(1 << 40);
+    values.push(0.0);
+    Bat::new(Column::from_oids(heads), Column::from_dbls(values))
+}
+
+#[test]
+fn two_key_join_is_join_then_compare_then_select_on_every_arm() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x61);
+    let ctx = ExecCtx::new();
+    for case in 0..30 {
+        let synced = case % 3 != 2;
+        let tag = |arm: &str| format!("{arm} case {case} synced {synced}");
+        // Hash: int first keys with duplicates on both sides.
+        let (n, m) = (rng.gen_range(0..60usize), rng.gen_range(1..50usize));
+        let lelems = Column::from_oids((0..n as u64).map(|i| 2 * i + 1).collect());
+        let relems = Column::from_oids((0..m as u64).map(|i| 1000 + 3 * i).collect());
+        let ab = Bat::new(
+            lelems.clone(),
+            Column::from_ints((0..n).map(|_| rng.gen_range(0..12)).collect()),
+        );
+        let cd = Bat::new(
+            Column::from_ints((0..m).map(|_| rng.gen_range(0..12)).collect()),
+            relems.clone(),
+        );
+        let a2 = second_key(&mut rng, &lelems, synced);
+        let c2 = second_key(&mut rng, &relems, !synced || case % 2 == 0);
+        check_join2(&ctx, (&ab, &cd), (&a2, &c2), "hash", &tag("hash"));
+        // Spill: the same operands through the radix join.
+        check_join2(&spill_ctx(), (&ab, &cd), (&a2, &c2), "spill", &tag("spill"));
+        // Direct: oid first keys into a compact, duplicate-free right head.
+        let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
+        let k = rng.gen_range((span as usize / 4 + 2).min(span as usize)..=span as usize);
+        let keys = Bat::with_inferred_props(
+            Column::from_oids(shuffled_oids(&mut rng, lo, span, k)),
+            Column::from_oids((0..k as u64).map(|i| 5000 + i).collect()),
+        );
+        let probe = Bat::new(lelems.clone(), probe_oids(&mut rng, lo, span, n, false));
+        let k2 = second_key(&mut rng, keys.tail(), synced);
+        check_join2(&ctx, (&probe, &keys), (&a2, &k2), "direct", &tag("direct"));
+    }
+}
+
+#[test]
+fn two_key_join_edges() {
+    let ctx = ExecCtx::new();
+    let oids = |v: Vec<u64>| Column::from_oids(v);
+    let ab = Bat::new(oids(vec![1, 2, 3]), Column::from_ints(vec![7, 7, 8]));
+    let cd = Bat::new(Column::from_ints(vec![7, 8, 7]), oids(vec![10, 11, 12]));
+    let a2 = Bat::new(oids(vec![3, 1]), Column::from_ints(vec![5, 4]));
+    let c2 = Bat::new(oids(vec![12, 11, 10]), Column::from_ints(vec![4, 5, 4]));
+    // Element 2 has no second key: it keeps no row, though its first key
+    // matches twice.
+    check_join2(&ctx, (&ab, &cd), (&a2, &c2), "hash", "a left row without a second key");
+    let got = ops::join2(&ctx, &ab, &cd, &a2, &c2).unwrap();
+    assert_eq!(rows_of(&got).len(), 3);
+    // Mixed numeric second keys compare as `[=]` does, widened to `dbl`.
+    let d2 = Bat::new(oids(vec![12, 11, 10]), Column::from_dbls(vec![4.0, 5.0, 4.5]));
+    check_join2(&ctx, (&ab, &cd), (&a2, &d2), "hash", "int against dbl");
+    // Incomparable second keys are an error, as `[=]`'s are.
+    let s2 = Bat::new(oids(vec![10]), Column::from_strs(["x"]));
+    assert!(ops::join2(&ctx, &ab, &cd, &a2, &s2).is_err());
+    // Empty operands and empty second keys.
+    let none_l = Bat::new(oids(vec![]), Column::from_ints(vec![]));
+    let none_r = Bat::new(Column::from_ints(vec![]), oids(vec![]));
+    let none2 = Bat::new(oids(vec![]), Column::from_ints(vec![]));
+    for (l, r, x, y) in [
+        (&none_l, &cd, &a2, &c2),
+        (&ab, &none_r, &a2, &c2),
+        (&ab, &cd, &none2, &c2),
+        (&ab, &cd, &a2, &none2),
+    ] {
+        assert_eq!(ops::join2(&ctx, l, r, x, y).unwrap().len(), 0);
+        assert_eq!(ops::join2(&spill_ctx(), l, r, x, y).unwrap().len(), 0);
+    }
+}

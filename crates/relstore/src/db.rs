@@ -1,15 +1,16 @@
 //! The baseline database: named tables plus their inverted-list indexes.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::index::InvertedList;
 use crate::table::Table;
 
-/// A collection of n-ary tables with optional per-column inverted lists.
+/// A collection of n-ary tables with optional per-column inverted lists,
+/// kept by name so that every listing is in one order.
 #[derive(Default)]
 pub struct RelDb {
-    tables: HashMap<String, Table>,
-    indexes: HashMap<(String, String), InvertedList>,
+    tables: BTreeMap<String, Table>,
+    indexes: BTreeMap<(String, String), InvertedList>,
 }
 
 impl RelDb {
@@ -52,6 +53,7 @@ impl RelDb {
         self.indexes.values().map(InvertedList::bytes).sum()
     }
 
+    /// The tables, by name.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
         self.tables.values()
     }

@@ -508,14 +508,13 @@ mod tests {
     #[test]
     fn rowstore_tables_keep_their_layout() {
         let rel = load_rowstore(&small());
-        let mut tables: Vec<String> = rel
+        let tables: Vec<String> = rel
             .tables()
             .map(|t| {
                 let cols: Vec<&str> = t.columns().collect();
                 format!("{}({}) {}", t.name(), cols.join(", "), t.row_width())
             })
             .collect();
-        tables.sort();
         assert_eq!(
             tables,
             [
@@ -532,6 +531,14 @@ mod tests {
                 "supplier(oid, name, address, phone, acctbal, nation) 44",
             ]
         );
+    }
+
+    #[test]
+    fn rowstore_lists_its_tables_in_one_order() {
+        let names = || load_rowstore(&small()).tables().map(|t| t.name().to_string()).collect();
+        let first: Vec<String> = names();
+        assert_eq!(first, names());
+        assert!(first.windows(2).all(|w| w[0] < w[1]), "by name: {first:?}");
     }
 
     #[test]

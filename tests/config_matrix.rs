@@ -28,6 +28,7 @@ use monet::config::EngineConfig;
 use monet::ctx::ExecCtx;
 use monet::error::MonetError;
 use monet::mil::opt::OptLevel;
+use monet::mil::MilOp;
 use tpcd_queries::{all_queries, QueryResult};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -271,8 +272,11 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 /// by spilling between 96k and 372k — Q13, whose `join(Item_order, ·)`
 /// back from the clerk's orders spills 148 KB, from 96k to 292k; Q2 (a
 /// 20 KB spill) from 110k to 134k; Q7 (368 KB, 192 KB from 362k) from
-/// 222k to 372k; and Q10 (182 KB) from 268k to 292k; re-sweep that window
-/// when memory accounting or the translator's join-backs change.
+/// 222k to 372k; and Q10 (182 KB) from 268k to 292k. Re-swept when Q2's
+/// and Q9's selects over a join became two-key joins: the same windows and
+/// spill bytes, Q2's being its `join(Supplier_supplies_part, ·)` back from
+/// the sized parts, not the two-key join. Re-sweep that window when memory
+/// accounting or the translator's joins change.
 #[test]
 fn budget_224k_lets_a_query_complete_by_spilling_a_join() {
     let w = World::build_with(0.05, true);
@@ -353,6 +357,32 @@ fn forced_spill_writes_to_spill_dir_and_leaves_nothing_behind() {
     assert!(spilled > 0, "nothing spilled");
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "spill files must be deleted");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `spill_force` takes Q9's two-key join out of core too: the statement
+/// that finds its (part, supplier) pairs reports `spill`, and the rows are
+/// the in-memory ones bit for bit.
+#[test]
+fn forced_spill_takes_q9s_two_key_join_and_keeps_its_rows() {
+    let w = worlds();
+    let (cat, params) = (&w.encoded.cat, &w.encoded.params);
+    let q9 = &all_queries()[8];
+    let forced = || {
+        ExecCtx::with_config(Arc::new(EngineConfig {
+            spill_force: true,
+            ..EngineConfig::default()
+        }))
+    };
+    let t = moa::translate::translate(cat, &tpcd_queries::q06_10::q9_moa(params)).unwrap();
+    let every: Vec<usize> = (0..t.prog.len()).collect();
+    let env = monet::mil::execute(&forced(), cat.db(), &t.prog, &every).unwrap();
+    let join = t.prog.stmts.iter().position(|s| matches!(s.op, MilOp::Join2(..))).unwrap();
+    assert_eq!(env.trace()[join].algo, "spill", "{}", env.trace()[join].render(&t.prog));
+    let ctx = forced();
+    let spilled = (q9.run_moa)(cat, &ctx, params).unwrap();
+    assert!(ctx.mem.spilled_bytes() > 0);
+    let in_memory = ExecCtx::with_config(Arc::new(EngineConfig::default()));
+    assert!(spilled.approx_eq(&(q9.run_moa)(cat, &in_memory, params).unwrap(), 0.0));
 }
 
 /// README's knob table is checked, not trusted: its rows are exactly the

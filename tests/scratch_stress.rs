@@ -324,7 +324,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
     let baseline = typed::scratch_checked_out();
     let oracle = {
         let ctx = ExecCtx::new();
-        ops::join::join_hash(&ctx, &left, &right).iter().collect::<Vec<_>>()
+        ops::join::join_hash(&ctx, &left, &right, None).iter().collect::<Vec<_>>()
     };
     let mut aborts = 0usize;
     for &k in &[1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {

@@ -137,13 +137,12 @@ fn mil_programs_print_and_replay() {
 
 #[test]
 fn q9_addresses_dense_heads_and_needs_no_alignment() {
-    // Q9 selects over a dense-headed pair list and projects eight
-    // attributes of the survivors. The selection re-scopes the pairs'
-    // fields, so every Item attribute is gathered over the selected pairs
-    // only; the pair maps feed the residual predicate and nothing else
-    // but the supply fields join_eq joins eagerly. A dense head is
-    // addressed, no operator merges, every multiplex combines synced
-    // operands, and nothing re-aligns by hashing.
+    // Q9's select over its join is one two-key join, on (part, supplier):
+    // every Item attribute is gathered over its pairs only, and the supply
+    // fields off the pair map are joined over them too. The second keys are
+    // row for row with their sides, a dense head is addressed, no operator
+    // merges, every multiplex combines synced operands, and nothing
+    // re-aligns by hashing.
     let data = tpcd::generate(0.01, 4242);
     let (cat, _) = tpcd::load_bats(&data);
     let t = translate(&cat, &tpcd_queries::q06_10::q9_moa(&Params::for_data(&data))).unwrap();
@@ -152,10 +151,16 @@ fn q9_addresses_dense_heads_and_needs_no_alignment() {
     let env = monet::mil::execute(&ctx, cat.db(), &t.prog, &every).unwrap();
     let stmts = &t.prog.stmts;
     let named = |n: &str| (0..stmts.len()).rfind(|&v| stmts[v].name == n).unwrap();
-    let (lmap, rmap, selected) = (named("lmap"), named("rmap"), named("selected"));
-    assert!(matches!(stmts[selected].op, MilOp::Semijoin(l, _) if l == lmap));
-    let survivors = env.bat(selected).unwrap().len();
-    assert!(survivors < env.bat(lmap).unwrap().len(), "the residual must drop pairs");
+    let (pairs, lmap, rmap) = (named("pairs"), named("lmap"), named("rmap"));
+    let MilOp::Join2(lk, rk, lf, rg) = stmts[pairs].op else {
+        panic!("Q9 joins once, on both keys:\n{}", t.prog)
+    };
+    let bat = |v| env.bat(v).unwrap();
+    assert!(bat(lf).synced(bat(lk)), "the item's supplier is row for row with its part");
+    assert_eq!(bat(rg).head().identity(), bat(rk).tail().identity(), "and the supply's too");
+    let survivors = bat(pairs).len();
+    let part_pairs = monet::ops::join(&ctx, bat(lk), bat(rk)).unwrap().len();
+    assert!(survivors < part_pairs, "the supplier must drop pairs");
     let mut gathers = 0;
     for (stmt, s) in stmts.iter().zip(env.trace()) {
         assert!(
@@ -166,9 +171,17 @@ fn q9_addresses_dense_heads_and_needs_no_alignment() {
             s.algo
         );
         match stmt.op {
-            MilOp::Multiplex { .. } => assert_eq!(s.algo, "sync", "{}", s.render(&t.prog)),
-            MilOp::Join(_, r) if s.var > selected && stmts[r].name.starts_with("Item_") => {
+            MilOp::Multiplex { f, .. } => {
+                assert_ne!(f, monet::ops::ScalarFunc::Eq, "no residual: {}", t.prog);
+                assert_eq!(s.algo, "sync", "{}", s.render(&t.prog));
+            }
+            MilOp::Join(l, r) if l == lmap && stmts[r].name.starts_with("Item_") => {
                 gathers += 1;
+                assert_eq!(s.result_len, survivors, "{}", s.render(&t.prog));
+            }
+            // The supply's fields, re-keyed to the pairs (the raw emission
+            // re-keys all of them; DCE keeps the cost).
+            MilOp::Join(l, _) if l == rmap => {
                 assert_eq!(s.result_len, survivors, "{}", s.render(&t.prog));
             }
             _ => {}
@@ -176,32 +189,6 @@ fn q9_addresses_dense_heads_and_needs_no_alignment() {
     }
     // The nation's supplier, order, extendedprice, discount and quantity.
     assert_eq!(gathers, 5, "{}", t.prog);
-    // Joins from the pair maps: Item_supplier and the supplier of the
-    // supply feed the residual `[=]`; the others are the supply's value
-    // fields, which join_eq joins eagerly (the cost; the raw emission also
-    // the part, which DCE drops).
-    let residual = stmts
-        .iter()
-        .position(|s| matches!(&s.op, MilOp::Multiplex { f: monet::ops::ScalarFunc::Eq, .. }))
-        .unwrap();
-    let mut feeds = vec![false; stmts.len()];
-    feeds[residual] = true;
-    for v in (0..=residual).rev() {
-        if feeds[v] {
-            stmts[v].op.for_each_operand(|o| feeds[o] = true);
-        }
-    }
-    let mut fed = 0;
-    for stmt in stmts {
-        match stmt.op {
-            MilOp::Join(l, _) if (l == lmap || l == rmap) && feeds[stmt.var] => fed += 1,
-            MilOp::Join(l, r) if l == lmap || l == rmap => {
-                assert!(stmts[r].name.starts_with("Supplier_supplies_"), "{}", t.prog)
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(fed, 2, "{}", t.prog);
 }
 
 #[test]
