@@ -37,6 +37,16 @@
 //!   is a join on both keys: one two-key `join(lk, rk, f, g)` finds the
 //!   pairs the select keeps, and only those are numbered and gathered;
 //!   the other conjuncts select over its result;
+//! * **semijoin** — `L ⋉ σp(R) = L ⋉ σp(R ⋉ L)` (the semijoin
+//!   reduction): for `semijoin_eq(left, select[p](R), this, f)` with `f` a
+//!   one-hop reference of `R` to the left's class and a left that is a
+//!   selection, not its bare extent, `R` is first restricted to the left's
+//!   partners, `mirror(semijoin(mirror(R_f), left))`, and `p` is evaluated
+//!   over them only (at SF 0.1 Q4 tests 23 011 items, not 599 825). The
+//!   restriction is `Mirror`/`Semijoin` only — pure, no fresh oids — so
+//!   CSE and DCE treat it like any selection. Any other shape is
+//!   semijoined as before: the right in full, then `semijoin` of the
+//!   left's keys with its keys;
 //! * **nested selection** (§4.3.2) — the same rule applied to the inner
 //!   index: all nested sets are reduced *in one flat selection*;
 //! * **nest** — `group` on the key BATs, with the group BAT itself
@@ -321,12 +331,12 @@ impl<'a> Translator<'a> {
                         return if rest.is_empty() {
                             Ok(ts)
                         } else {
-                            self.select_over(ts, &and_all(rest))
+                            self.select_over(ts, &and_all(rest), None)
                         };
                     }
                 }
                 let ts = self.tset(input)?;
-                self.select_over(ts, pred)
+                self.select_over(ts, pred, None)
             }
             SetExpr::Project { input, items } => {
                 let ts = self.tset(input)?;
@@ -453,7 +463,10 @@ impl<'a> Translator<'a> {
             }
             SetExpr::SemijoinEq { left, right, lkey, rkey } => {
                 let tl = self.tset(left)?;
-                let tr = self.tset(right)?;
+                let tr = match self.right_over_partners(&tl, left, right, (lkey, rkey))? {
+                    Some(tr) => tr,
+                    None => self.tset(right)?,
+                };
                 let lk = self.scalar_bat(&tl, lkey)?;
                 let rk = self.scalar_bat(&tr, rkey)?;
                 let lkm = self.emit("", MilOp::Mirror(lk));
@@ -478,9 +491,10 @@ impl<'a> Translator<'a> {
         }
     }
 
-    /// The selection rule, `SET(semijoin(A, T(f(X))), X)`.
-    fn select_over(&mut self, ts: TransSet, pred: &Pred) -> Result<TransSet> {
-        let q = self.quals(&ts, pred, None)?;
+    /// The selection rule, `SET(semijoin(A, T(f(X))), X)`; `cand`, when
+    /// given, is a subset of `A` the qualifier is evaluated over.
+    fn select_over(&mut self, ts: TransSet, pred: &Pred, cand: Option<Var>) -> Result<TransSet> {
+        let q = self.quals(&ts, pred, cand)?;
         let index = self.emit("selected", MilOp::Semijoin(ts.index, q));
         // A restriction commutes with a projection: later gathers read the
         // survivors' fields only.
@@ -489,6 +503,43 @@ impl<'a> Translator<'a> {
             elem => elem,
         };
         Ok(TransSet { index, elem })
+    }
+
+    /// The semijoin reduction `L ⋉ σp(R) = L ⋉ σp(R ⋉ L)`, for
+    /// `semijoin_eq(left, select[p](R), this, f)` with `f` a reference of
+    /// `R` to the left's class and a left that is a selection, not the
+    /// whole extent: `R` is restricted to the left's partners first — the
+    /// `R` whose `f` is a left element, the owner restriction of a nested
+    /// set — and `p` is evaluated over them only. `None` for any other
+    /// shape.
+    fn right_over_partners(
+        &mut self,
+        tl: &TransSet,
+        left: &SetExpr,
+        right: &SetExpr,
+        (lkey, rkey): (&Scalar, &Scalar),
+    ) -> Result<Option<TransSet>> {
+        let ElemInfo::Obj(lclass) = &tl.elem else { return Ok(None) };
+        let SetExpr::Select { input, pred } = right else { return Ok(None) };
+        let (SetExpr::Extent(rclass), Scalar::This, Scalar::Attr(path)) = (&**input, lkey, rkey)
+        else {
+            return Ok(None);
+        };
+        let [f] = path.as_slice() else { return Ok(None) };
+        let refs_left = matches!(
+            self.cat.schema().class(rclass)?.field(f).map(|fd| &fd.ty),
+            Some(MoaType::Object(c)) if c == lclass
+        );
+        if !refs_left || matches!(left, SetExpr::Extent(_)) {
+            return Ok(None);
+        }
+        let rf = self.load(&Catalog::attr_name(rclass, f))?;
+        let partners = self.tails_in("partners", rf, tl.index);
+        let extent = TransSet {
+            index: self.load(&Catalog::extent_name(rclass))?,
+            elem: ElemInfo::Obj(rclass.clone()),
+        };
+        self.select_over(extent, pred, Some(partners)).map(Some)
     }
 
     /// `join_eq(L, R, lk, rk)` as the pairs `[l, r]` of one `join` on the
@@ -1157,9 +1208,7 @@ impl<'a> Translator<'a> {
                         };
                         let full = self.load(&Catalog::attr_name(&class, seg))?;
                         // Restrict owners to the current elements.
-                        let m = self.emit("", MilOp::Mirror(full));
-                        let ms = self.emit("", MilOp::Semijoin(m, ts.index));
-                        let idx = self.emit("", MilOp::Mirror(ms));
+                        let idx = self.tails_in("", full, ts.index);
                         let celem = self.member_elem(&class, seg, &member_ty)?;
                         Ok((idx, celem))
                     }
@@ -1169,11 +1218,8 @@ impl<'a> Translator<'a> {
                         };
                         match fi {
                             FieldInfo::Nested { index, elem } => {
-                                let (index, elem) = (*index, (**elem).clone());
-                                let m = self.emit("", MilOp::Mirror(index));
-                                let ms = self.emit("", MilOp::Semijoin(m, ts.index));
-                                let idx = self.emit("", MilOp::Mirror(ms));
-                                Ok((idx, elem))
+                                let elem = (**elem).clone();
+                                Ok((self.tails_in("", *index, ts.index), elem))
                             }
                             _ => Err(MoaError::Type(format!("field {seg} is not a set"))),
                         }
@@ -1204,6 +1250,15 @@ impl<'a> Translator<'a> {
                 }
             }
         }
+    }
+
+    /// The rows of `bat` whose tail is a head of `index`, as
+    /// `mirror(semijoin(mirror(bat), index))`: the members of a nested set
+    /// whose owner is selected.
+    fn tails_in(&mut self, name: &str, bat: Var, index: Var) -> Var {
+        let m = self.emit("", MilOp::Mirror(bat));
+        let ms = self.emit("", MilOp::Semijoin(m, index));
+        self.emit(name, MilOp::Mirror(ms))
     }
 
     /// Child ElemInfo for a stored set-valued attribute.

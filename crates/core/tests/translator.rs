@@ -820,3 +820,217 @@ fn a_select_equating_both_sides_of_a_join_is_one_two_key_join() {
     let text = translate_with(&cat, &q, OptLevel::Off).unwrap().prog.to_string();
     assert!(!text.contains(":= [=]("), "{text}");
 }
+
+/// The items with flag `R` whose price exceeds a thousand times their
+/// discount: a literal pushdown and a comparison of two attributes.
+fn flagged_and_pricey() -> SetExpr {
+    SetExpr::extent("Item").select(and(
+        eq(attr("returnflag"), lit_c('R')),
+        cmp(
+            ScalarFunc::Gt,
+            attr("extendedprice"),
+            bin(ScalarFunc::Mul, attr("discount"), lit_d(1000.0)),
+        ),
+    ))
+}
+
+/// The semijoin reduction `L ⋉ σp(R) = L ⋉ σp(R ⋉ L)`: a selected left
+/// semijoined on `this` with a selection over the items' `order` restricts
+/// the items to the left's partners before any item attribute is read.
+/// A left that keeps nothing has no partners.
+#[test]
+fn a_semijoin_selects_its_right_operand_over_the_lefts_partners_only() {
+    let cat = mini_catalog();
+    for left in [
+        cmp(ScalarFunc::Ge, attr("orderdate"), lit_date(1995, 1, 1)),
+        eq(attr("clerk"), lit_s("c1")),
+        eq(attr("clerk"), lit_s("c2")),
+        eq(attr("clerk"), lit_s("c3")),
+    ] {
+        let q = SetExpr::extent("Order").select(left).semijoin_eq(
+            flagged_and_pricey(),
+            this(),
+            attr("order"),
+        );
+        assert_commutes_raw_too(&cat, &q);
+        let text = translate_with(&cat, &q, OptLevel::Off).unwrap().prog.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        let partners = lines.iter().position(|l| l.starts_with("partners := ")).expect(&text);
+        let gathers: Vec<usize> =
+            (0..lines.len()).filter(|&i| lines[i].contains("(Item_")).collect();
+        assert!(gathers.len() >= 3, "{text}");
+        assert!(gathers.iter().all(|&i| i > partners), "a gather before the restriction:\n{text}");
+        assert!(text.contains(":= semijoin(Item_returnflag, partners)"), "{text}");
+    }
+}
+
+/// Every other semijoin shape keeps the emission it had before the
+/// reduction: a bare-extent left (every item is a partner), value keys,
+/// a path key, and a right that is not a select over an extent.
+#[test]
+fn other_semijoin_shapes_keep_their_emission() {
+    let c2 = || SetExpr::extent("Order").select(eq(attr("clerk"), lit_s("c2")));
+    let cases = [
+        (
+            mini_catalog(),
+            SetExpr::extent("Order").semijoin_eq(flagged_and_pricey(), this(), attr("order")),
+            BARE_EXTENT_LEFT,
+        ),
+        (
+            mini_catalog(),
+            SetExpr::extent("Order").semijoin_eq(
+                SetExpr::extent("Item").select(eq(attr("returnflag"), lit_c('N'))),
+                attr("clerk"),
+                attr("order.clerk"),
+            ),
+            VALUE_KEYS,
+        ),
+        (
+            nav_catalog(),
+            SetExpr::extent("Customer").select(eq(attr("segment"), lit_s("B"))).semijoin_eq(
+                SetExpr::extent("Item").select(eq(attr("flag"), lit_c('R'))),
+                this(),
+                attr("order.cust"),
+            ),
+            PATH_KEY,
+        ),
+        (
+            mini_catalog(),
+            c2().semijoin_eq(
+                SetExpr::extent("Item").select(eq(attr("returnflag"), lit_c('R'))).select(cmp(
+                    ScalarFunc::Gt,
+                    attr("extendedprice"),
+                    lit_d(250.0),
+                )),
+                this(),
+                attr("order"),
+            ),
+            SELECT_OVER_A_SELECT,
+        ),
+        (
+            mini_catalog(),
+            c2().semijoin_eq(SetExpr::extent("Item"), this(), attr("order")),
+            BARE_EXTENT_RIGHT,
+        ),
+    ];
+    for (cat, q, want) in cases {
+        assert_commutes_raw_too(&cat, &q);
+        let text = translate_with(&cat, &q, OptLevel::Off).unwrap().prog.to_string();
+        assert_eq!(text.trim_end(), want.trim(), "{}", q.render());
+    }
+}
+
+const BARE_EXTENT_LEFT: &str = r#"
+Order := load("Order")
+Item := load("Item")
+Item_returnflag := load("Item_returnflag")
+tmp3 := select(Item_returnflag, 'R')
+Item_extendedprice := load("Item_extendedprice")
+tmp5 := semijoin(Item_extendedprice, tmp3)
+Item_discount := load("Item_discount")
+tmp7 := semijoin(Item_discount, tmp3)
+tmp8 := [*](tmp7, 1000)
+tmp9 := [>](tmp5, tmp8)
+tmp10 := select(tmp9, true)
+tmp11 := semijoin(tmp10, tmp3)
+selected := semijoin(Item, tmp11)
+tmp13 := Order.mirror
+tmp14 := zip(tmp13, tmp13)
+Item_order := load("Item_order")
+tmp16 := semijoin(Item_order, selected)
+tmp17 := tmp14.mirror
+tmp18 := tmp16.mirror
+tmp19 := semijoin(tmp17, tmp18)
+tmp20 := tmp19.mirror
+semijoined := semijoin(Order, tmp20)
+tmp22 := semijoined.mirror
+tmp23 := zip(tmp22, tmp22)
+"#;
+
+const VALUE_KEYS: &str = r#"
+Order := load("Order")
+Item := load("Item")
+Item_returnflag := load("Item_returnflag")
+tmp3 := select(Item_returnflag, 'N')
+selected := semijoin(Item, tmp3)
+Order_clerk := load("Order_clerk")
+tmp6 := semijoin(Order_clerk, Order)
+Item_order := load("Item_order")
+tmp8 := semijoin(Item_order, selected)
+tmp9 := join(tmp8, Order_clerk)
+tmp10 := tmp6.mirror
+tmp11 := tmp9.mirror
+tmp12 := semijoin(tmp10, tmp11)
+tmp13 := tmp12.mirror
+semijoined := semijoin(Order, tmp13)
+tmp15 := semijoined.mirror
+tmp16 := zip(tmp15, tmp15)
+"#;
+
+const PATH_KEY: &str = r#"
+Customer := load("Customer")
+Customer_segment := load("Customer_segment")
+tmp2 := select(Customer_segment, "B")
+selected := semijoin(Customer, tmp2)
+Item := load("Item")
+Item_flag := load("Item_flag")
+tmp6 := select(Item_flag, 'R')
+selected := semijoin(Item, tmp6)
+tmp8 := selected.mirror
+tmp9 := zip(tmp8, tmp8)
+Item_order := load("Item_order")
+tmp11 := semijoin(Item_order, selected)
+Order_cust := load("Order_cust")
+tmp13 := join(tmp11, Order_cust)
+tmp14 := tmp9.mirror
+tmp15 := tmp13.mirror
+tmp16 := semijoin(tmp14, tmp15)
+tmp17 := tmp16.mirror
+semijoined := semijoin(selected, tmp17)
+tmp19 := semijoined.mirror
+tmp20 := zip(tmp19, tmp19)
+"#;
+
+const SELECT_OVER_A_SELECT: &str = r#"
+Order := load("Order")
+Order_clerk := load("Order_clerk")
+tmp2 := select(Order_clerk, "c2")
+selected := semijoin(Order, tmp2)
+Item := load("Item")
+Item_returnflag := load("Item_returnflag")
+tmp6 := select(Item_returnflag, 'R')
+selected := semijoin(Item, tmp6)
+Item_extendedprice := load("Item_extendedprice")
+tmp9 := select(Item_extendedprice, (250, +inf])
+selected := semijoin(selected, tmp9)
+tmp11 := selected.mirror
+tmp12 := zip(tmp11, tmp11)
+Item_order := load("Item_order")
+tmp14 := semijoin(Item_order, selected)
+tmp15 := tmp12.mirror
+tmp16 := tmp14.mirror
+tmp17 := semijoin(tmp15, tmp16)
+tmp18 := tmp17.mirror
+semijoined := semijoin(selected, tmp18)
+tmp20 := semijoined.mirror
+tmp21 := zip(tmp20, tmp20)
+"#;
+
+const BARE_EXTENT_RIGHT: &str = r#"
+Order := load("Order")
+Order_clerk := load("Order_clerk")
+tmp2 := select(Order_clerk, "c2")
+selected := semijoin(Order, tmp2)
+Item := load("Item")
+tmp5 := selected.mirror
+tmp6 := zip(tmp5, tmp5)
+Item_order := load("Item_order")
+tmp8 := semijoin(Item_order, Item)
+tmp9 := tmp6.mirror
+tmp10 := tmp8.mirror
+tmp11 := semijoin(tmp9, tmp10)
+tmp12 := tmp11.mirror
+semijoined := semijoin(selected, tmp12)
+tmp14 := semijoined.mirror
+tmp15 := zip(tmp14, tmp14)
+"#;

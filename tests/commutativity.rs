@@ -178,13 +178,27 @@ proptest! {
     }
 
     #[test]
-    fn join_semijoin_commute(r in random_db()) {
+    fn join_semijoin_commute(r in random_db(), clerk in 0u8..4, t in -50i32..50) {
         let cat = build_catalog(&r);
         let q = SetExpr::extent("Order").semijoin_eq(
             SetExpr::extent("Item"),
             this(),
             attr("order"),
         );
+        assert_commutes(&cat, &q);
+        // A selected left and a selected right: the right's predicate runs
+        // over the left's partners only (the semijoin reduction), including
+        // orders without items and selections that keep nothing.
+        let q = SetExpr::extent("Order")
+            .select(eq(attr("clerk"), lit_s(&format!("clerk{clerk}"))))
+            .semijoin_eq(
+                SetExpr::extent("Item").select(and(
+                    eq(attr("flag"), lit(monet::atom::AtomValue::Bool(true))),
+                    cmp(ScalarFunc::Ge, attr("price"), lit_i(t)),
+                )),
+                this(),
+                attr("order"),
+            );
         assert_commutes(&cat, &q);
         let j = SetExpr::extent("Item")
             .project(vec![ProjItem::new("clerk", attr("order.clerk"))])
