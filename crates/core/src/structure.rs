@@ -20,6 +20,7 @@ use std::collections::HashMap;
 
 use monet::atom::Oid;
 use monet::bat::Bat;
+use monet::column::{Column, WordHashMap, WordHashSet};
 
 use crate::error::{MoaError, Result};
 use crate::value::{Ivs, Value};
@@ -72,112 +73,12 @@ impl Structure {
         }
     }
 
-    /// Materialize into a map `id → value` (the IVS as a lookup table).
-    ///
-    /// Checks the representation invariants of Section 3.3: IVS BATs must
-    /// be head-unique, and the operands of `TUPLE`/`OBJECT` must be
-    /// synchronous — with the documented exception that set-valued fields
-    /// default to the empty set for owners without members (vertical
-    /// fragmentation stores "0 or more BUNs per set", so absence encodes
-    /// the empty set).
+    /// Materialize into a map `id → value` (the IVS as a lookup table): the
+    /// values at every id the IVS defines ([`Structure::values_at`]).
     pub fn materialize_map(&self) -> Result<HashMap<Oid, Value>> {
-        match self {
-            Structure::AtomBat(bat) => {
-                let mut map = HashMap::with_capacity(bat.len());
-                for i in 0..bat.len() {
-                    let id = bat.head().oid_at(i);
-                    if map.insert(id, Value::Atom(bat.tail().get(i))).is_some() {
-                        return Err(MoaError::Structure(format!(
-                            "IVS BAT is not head-unique: duplicate id {id}"
-                        )));
-                    }
-                }
-                Ok(map)
-            }
-            Structure::RefBat { bat, .. } => {
-                let mut map = HashMap::with_capacity(bat.len());
-                for i in 0..bat.len() {
-                    let id = bat.head().oid_at(i);
-                    if map.insert(id, Value::Ref(bat.tail().oid_at(i))).is_some() {
-                        return Err(MoaError::Structure(format!(
-                            "IVS BAT is not head-unique: duplicate id {id}"
-                        )));
-                    }
-                }
-                Ok(map)
-            }
-            Structure::Tuple(fields) | Structure::Object { fields, .. } => {
-                let mut field_maps: Vec<(bool, HashMap<Oid, Value>)> =
-                    Vec::with_capacity(fields.len());
-                for (_, s) in fields {
-                    let is_set = matches!(s, Structure::Set { .. } | Structure::SetSimple { .. });
-                    field_maps.push((is_set, s.materialize_map()?));
-                }
-                // Ids come from the non-set fields, which must be
-                // synchronous; set fields default to {} when absent.
-                let Some((_, base)) = field_maps.iter().find(|(is_set, _)| !is_set) else {
-                    return Err(MoaError::Structure(
-                        "TUPLE of only set-valued fields is not identifiable".into(),
-                    ));
-                };
-                let ids: Vec<Oid> = base.keys().copied().collect();
-                for (is_set, m) in &field_maps {
-                    if !is_set && m.len() != ids.len() {
-                        return Err(MoaError::Structure(format!(
-                            "TUPLE operands are not synchronous: {} vs {} ids",
-                            m.len(),
-                            ids.len()
-                        )));
-                    }
-                }
-                let mut out = HashMap::with_capacity(ids.len());
-                for id in ids {
-                    let mut vals = Vec::with_capacity(fields.len());
-                    for (is_set, m) in &field_maps {
-                        match m.get(&id) {
-                            Some(v) => vals.push(v.clone()),
-                            None if *is_set => vals.push(Value::Set(Vec::new())),
-                            None => {
-                                return Err(MoaError::Structure(format!(
-                                    "TUPLE operands are not synchronous: id {id} missing"
-                                )))
-                            }
-                        }
-                    }
-                    out.insert(id, Value::Tuple(vals));
-                }
-                Ok(out)
-            }
-            Structure::Set { index, inner } => {
-                let members = inner.materialize_map()?;
-                let mut out: HashMap<Oid, Value> = HashMap::new();
-                for i in 0..index.len() {
-                    let elem = index.head().oid_at(i);
-                    let owner = index.tail().oid_at(i);
-                    let v = members.get(&elem).ok_or_else(|| {
-                        MoaError::Structure(format!(
-                            "set index references id {elem} missing from the inner IVS"
-                        ))
-                    })?;
-                    match out.entry(owner).or_insert_with(|| Value::Set(Vec::new())) {
-                        Value::Set(ms) => ms.push(v.clone()),
-                        _ => unreachable!(),
-                    }
-                }
-                Ok(out)
-            }
-            Structure::SetSimple { bat } => {
-                let mut out: HashMap<Oid, Value> = HashMap::new();
-                for i in 0..bat.len() {
-                    let owner = bat.head().oid_at(i);
-                    match out.entry(owner).or_insert_with(|| Value::Set(Vec::new())) {
-                        Value::Set(ms) => ms.push(Value::Atom(bat.tail().get(i))),
-                        _ => unreachable!(),
-                    }
-                }
-                Ok(out)
-            }
-        }
+        let ids = self.ids()?;
+        let vals = self.values_at(&ids)?;
+        Ok(ids.into_iter().zip(vals).filter_map(|(id, v)| Some((id, v?))).collect())
     }
 
     /// Materialize as an IVS in id order (test convenience).
@@ -187,6 +88,193 @@ impl Structure {
         out.sort_by_key(|(id, _)| *id);
         Ok(out)
     }
+
+    /// The ids this IVS defines, in storage order: an IVS BAT's heads, the
+    /// first non-set field's ids for a tuple, a set's owners.
+    fn ids(&self) -> Result<Vec<Oid>> {
+        Ok(match self {
+            Structure::AtomBat(bat) | Structure::RefBat { bat, .. } => oids(bat.head()),
+            Structure::Tuple(fields) | Structure::Object { fields, .. } => {
+                base_field(fields)?.ids()?
+            }
+            Structure::Set { index, .. } => distinct(oids(index.tail())),
+            Structure::SetSimple { bat } => distinct(oids(bat.head())),
+        })
+    }
+
+    /// The values of this IVS at `ids`, `None` where it has none. Each BAT
+    /// is read once, column by column, at the rows of `ids` only, and the
+    /// representation invariants of Section 3.3 are checked over the whole
+    /// IVS, not only at `ids`: IVS BATs are head-unique (unless their props
+    /// already say `key`), the non-set operands of `TUPLE`/`OBJECT` are
+    /// synchronous, and every element of a nested set is in its inner IVS.
+    /// A set-valued field defaults to the empty set for owners without
+    /// members (vertical fragmentation stores "0 or more BUNs per set", so
+    /// absence encodes the empty set).
+    fn values_at(&self, ids: &[Oid]) -> Result<Vec<Option<Value>>> {
+        match self {
+            Structure::AtomBat(bat) | Structure::RefBat { bat, .. } => {
+                let (tail, refs) = (bat.tail(), matches!(self, Structure::RefBat { .. }));
+                let value =
+                    |i| if refs { Value::Ref(tail.oid_at(i)) } else { Value::Atom(tail.get(i)) };
+                Ok(rows_at(bat, ids)?.into_iter().map(|r| r.map(value)).collect())
+            }
+            Structure::Tuple(fields) | Structure::Object { fields, .. } => {
+                check_synchronous(fields)?;
+                let mut cols = Vec::with_capacity(fields.len());
+                for (_, s) in fields {
+                    cols.push((is_set(s), s.values_at(ids)?.into_iter()));
+                }
+                // The non-set fields share their ids, so they agree on which
+                // of `ids` the tuple has.
+                let mut out = Vec::with_capacity(ids.len());
+                for _ in ids {
+                    let mut vals = Vec::with_capacity(cols.len());
+                    let mut absent = false;
+                    for (set, col) in &mut cols {
+                        match (col.next().flatten(), *set) {
+                            (Some(v), _) => vals.push(v),
+                            (None, true) => vals.push(Value::Set(Vec::new())),
+                            (None, false) => absent = true,
+                        }
+                    }
+                    out.push((!absent).then_some(Value::Tuple(vals)));
+                }
+                Ok(out)
+            }
+            Structure::Set { index, inner } => {
+                // Every element is looked up, whichever owner it has.
+                let elems = oids(index.head());
+                let members = inner.values_at(&elems)?;
+                let want = Slots::new(ids);
+                let mut sets: Vec<Option<Vec<Value>>> = vec![None; ids.len()];
+                for (i, (m, elem)) in members.into_iter().zip(elems).enumerate() {
+                    let m = m.ok_or_else(|| {
+                        MoaError::Structure(format!(
+                            "set index references id {elem} missing from the inner IVS"
+                        ))
+                    })?;
+                    if let Some(k) = want.slot(index.tail().oid_at(i)) {
+                        sets[k].get_or_insert_with(Vec::new).push(m);
+                    }
+                }
+                Ok(want.spread(sets).into_iter().map(|s| s.map(Value::Set)).collect())
+            }
+            Structure::SetSimple { bat } => {
+                let want = Slots::new(ids);
+                let mut sets: Vec<Option<Vec<Value>>> = vec![None; ids.len()];
+                for i in 0..bat.len() {
+                    if let Some(k) = want.slot(bat.head().oid_at(i)) {
+                        sets[k].get_or_insert_with(Vec::new).push(Value::Atom(bat.tail().get(i)));
+                    }
+                }
+                Ok(want.spread(sets).into_iter().map(|s| s.map(Value::Set)).collect())
+            }
+        }
+    }
+}
+
+fn is_set(s: &Structure) -> bool {
+    matches!(s, Structure::Set { .. } | Structure::SetSimple { .. })
+}
+
+/// The field whose ids identify a tuple: its first non-set field.
+fn base_field(fields: &[(String, Structure)]) -> Result<&Structure> {
+    fields.iter().map(|(_, s)| s).find(|s| !is_set(s)).ok_or_else(|| {
+        MoaError::Structure("TUPLE of only set-valued fields is not identifiable".into())
+    })
+}
+
+/// The non-set fields of a tuple define the same ids: as many as the
+/// first, and (unless they list them in the same order) every one of its.
+fn check_synchronous(fields: &[(String, Structure)]) -> Result<()> {
+    let base = base_field(fields)?.ids()?;
+    for (_, s) in fields.iter().filter(|(_, s)| !is_set(s)).skip(1) {
+        let ids = s.ids()?;
+        if ids.len() != base.len() {
+            return Err(MoaError::Structure(format!(
+                "TUPLE operands are not synchronous: {} vs {} ids",
+                ids.len(),
+                base.len()
+            )));
+        }
+        if ids != base {
+            let have: WordHashSet<Oid> = ids.iter().copied().collect();
+            if let Some(id) = base.iter().find(|id| !have.contains(id)) {
+                return Err(MoaError::Structure(format!(
+                    "TUPLE operands are not synchronous: id {id} missing"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The rows of an IVS BAT at `ids` (`None` where its heads lack the id),
+/// after checking that its heads are unique. Heads that list exactly
+/// `ids` are the rows themselves.
+fn rows_at(bat: &Bat, ids: &[Oid]) -> Result<Vec<Option<usize>>> {
+    let head = bat.head();
+    if !bat.props().head.key && !head.check_key() {
+        let mut seen = WordHashSet::default();
+        if let Some(id) = (0..head.len()).map(|i| head.oid_at(i)).find(|&id| !seen.insert(id)) {
+            return Err(MoaError::Structure(format!(
+                "IVS BAT is not head-unique: duplicate id {id}"
+            )));
+        }
+    }
+    if head.len() == ids.len() && ids.iter().enumerate().all(|(i, &id)| head.oid_at(i) == id) {
+        return Ok((0..ids.len()).map(Some).collect());
+    }
+    let want = Slots::new(ids);
+    let mut rows = vec![None; ids.len()];
+    for i in 0..head.len() {
+        if let Some(k) = want.slot(head.oid_at(i)) {
+            rows[k] = Some(i);
+        }
+    }
+    Ok(want.spread(rows))
+}
+
+/// Where each of a list of wanted ids goes: the first position of every
+/// distinct id, and for each position the first position of its id.
+struct Slots {
+    first: WordHashMap<Oid, usize>,
+    of: Vec<usize>,
+}
+
+impl Slots {
+    fn new(ids: &[Oid]) -> Slots {
+        let mut first = WordHashMap::with_capacity_and_hasher(ids.len(), Default::default());
+        let of = ids.iter().enumerate().map(|(k, &id)| *first.entry(id).or_insert(k)).collect();
+        Slots { first, of }
+    }
+
+    /// The first position of `id`, if it is wanted.
+    fn slot(&self, id: Oid) -> Option<usize> {
+        self.first.get(&id).copied()
+    }
+
+    /// Copy what was filled in at each id's first position to its others.
+    fn spread<T: Clone>(&self, mut v: Vec<T>) -> Vec<T> {
+        for (k, &f) in self.of.iter().enumerate() {
+            if f != k {
+                v[k] = v[f].clone();
+            }
+        }
+        v
+    }
+}
+
+/// A column of oids as a vector.
+fn oids(c: &Column) -> Vec<Oid> {
+    (0..c.len()).map(|i| c.oid_at(i)).collect()
+}
+
+/// The distinct values of `v`, in first-occurrence order.
+fn distinct(v: Vec<Oid>) -> Vec<Oid> {
+    let mut seen = WordHashSet::default();
+    v.into_iter().filter(|&id| seen.insert(id)).collect()
 }
 
 /// A top-level flattened set: the representation of a class extent or of a
@@ -217,32 +305,25 @@ impl StructuredSet {
 
     /// Materialize the set's members (in index order).
     pub fn materialize(&self) -> Result<Vec<Value>> {
-        let map = self.inner.materialize_map()?;
-        let mut out = Vec::with_capacity(self.index.len());
-        for i in 0..self.index.len() {
-            let id = self.index.head().oid_at(i);
-            let v = map.get(&id).ok_or_else(|| {
-                MoaError::Structure(format!(
-                    "set index references id {id} missing from the inner IVS"
-                ))
-            })?;
-            out.push(v.clone());
-        }
-        Ok(out)
+        Ok(self.materialize_ivs()?.into_iter().map(|(_, v)| v).collect())
     }
 
-    /// Materialize as `(element_id, value)` pairs.
+    /// Materialize as `(element_id, value)` pairs: the inner IVS's values
+    /// at the index's ids, in index order.
     pub fn materialize_ivs(&self) -> Result<Ivs> {
-        let map = self.inner.materialize_map()?;
-        let mut out = Vec::with_capacity(self.index.len());
-        for i in 0..self.index.len() {
-            let id = self.index.head().oid_at(i);
-            let v = map
-                .get(&id)
-                .ok_or_else(|| MoaError::Structure(format!("missing id {id} in inner IVS")))?;
-            out.push((id, v.clone()));
-        }
-        Ok(out)
+        let ids = oids(self.index.head());
+        let vals = self.inner.values_at(&ids)?;
+        ids.into_iter()
+            .zip(vals)
+            .map(|(id, v)| {
+                let v = v.ok_or_else(|| {
+                    MoaError::Structure(format!(
+                        "set index references id {id} missing from the inner IVS"
+                    ))
+                })?;
+                Ok((id, v))
+            })
+            .collect()
     }
 
     /// The whole set as a single [`Value::Set`].
@@ -368,6 +449,91 @@ mod tests {
             Value::Tuple(fs) => assert_eq!(fs[1], Value::Set(vec![])),
             other => panic!("expected tuple, got {other}"),
         }
+    }
+
+    /// `SET` over `ids` of a structure (a top-level index's heads).
+    fn index_of(ids: Vec<Oid>) -> Bat {
+        let n = ids.len();
+        Bat::new(Column::from_oids(ids), Column::void(0, n))
+    }
+
+    fn ints(heads: Vec<Oid>, vals: Vec<i32>) -> Structure {
+        Structure::AtomBat(Bat::new(Column::from_oids(heads), Column::from_ints(vals)))
+    }
+
+    #[test]
+    fn fields_longer_than_the_index_give_the_index_rows() {
+        // The top-k shape (Q3, Q10, Q15): every group's fields, two kept,
+        // in the index's order, and the fields in orders of their own.
+        let total = ints(vec![5, 6, 7, 8], vec![50, 60, 70, 80]);
+        let name = Structure::AtomBat(Bat::new(
+            Column::from_oids(vec![8, 7, 6, 5]),
+            Column::from_strs(["h", "g", "f", "e"]),
+        ));
+        let t = Structure::Tuple(vec![("total".into(), total), ("name".into(), name)]);
+        let set = StructuredSet::new(index_of(vec![7, 5]), t);
+        let row = |n, s| {
+            Value::Tuple(vec![Value::Atom(AtomValue::Int(n)), Value::Atom(AtomValue::str(s))])
+        };
+        assert_eq!(set.materialize().unwrap(), vec![row(70, "g"), row(50, "e")]);
+        assert_eq!(set.materialize_ivs().unwrap(), vec![(7, row(70, "g")), (5, row(50, "e"))]);
+        // An index id no field has is an error.
+        let t = set.inner.clone();
+        assert!(StructuredSet::new(index_of(vec![7, 9]), t).materialize().is_err());
+    }
+
+    #[test]
+    fn nested_sets_whose_owners_the_index_restricts() {
+        // Owners 1–3; the index keeps 3 and 1, and 2 has no members.
+        let name = ints(vec![1, 2, 3], vec![10, 20, 30]);
+        let members = ints(vec![100, 101, 102], vec![7, 8, 9]);
+        let index =
+            Bat::new(Column::from_oids(vec![100, 101, 102]), Column::from_oids(vec![3, 1, 3]));
+        let set = Structure::Set { index, inner: Box::new(members.clone()) };
+        let simple = Structure::SetSimple {
+            bat: Bat::new(Column::from_oids(vec![2, 3, 3]), Column::from_ints(vec![4, 5, 6])),
+        };
+        let t = Structure::Tuple(vec![
+            ("name".into(), name.clone()),
+            ("set".into(), set),
+            ("simple".into(), simple),
+        ]);
+        let atoms =
+            |v: &[i32]| Value::Set(v.iter().map(|&x| Value::Atom(AtomValue::Int(x))).collect());
+        let got = StructuredSet::new(index_of(vec![3, 1]), t).materialize().unwrap();
+        assert_eq!(
+            got,
+            vec![
+                Value::Tuple(vec![Value::Atom(AtomValue::Int(30)), atoms(&[7, 9]), atoms(&[5, 6])]),
+                Value::Tuple(vec![Value::Atom(AtomValue::Int(10)), atoms(&[8]), atoms(&[])]),
+            ]
+        );
+        // Every element of a nested set is in its inner IVS, also one whose
+        // owner the index does not keep (102 belongs to owner 2 here).
+        let index = Bat::new(Column::from_oids(vec![100, 103]), Column::from_oids(vec![1, 2]));
+        let set = Structure::Set { index, inner: Box::new(members) };
+        let t = Structure::Tuple(vec![("name".into(), name), ("set".into(), set)]);
+        assert!(StructuredSet::new(index_of(vec![1]), t).materialize().is_err());
+    }
+
+    #[test]
+    fn structure_errors_outside_the_index_still_fire() {
+        // A duplicate id the index does not ask for.
+        let dup = ints(vec![1, 2, 2], vec![5, 6, 7]);
+        assert!(dup.materialize_map().is_err());
+        let set = StructuredSet::new(index_of(vec![1]), dup.clone());
+        assert!(set.materialize().is_err());
+        let t = Structure::Tuple(vec![
+            ("n".into(), ints(vec![1, 2, 3], vec![0; 3])),
+            ("d".into(), dup),
+        ]);
+        assert!(StructuredSet::new(index_of(vec![1]), t).materialize().is_err());
+        // Fields of equal length whose ids differ off the index.
+        let t = Structure::Tuple(vec![
+            ("a".into(), ints(vec![1, 2], vec![0, 0])),
+            ("b".into(), ints(vec![1, 3], vec![0, 0])),
+        ]);
+        assert!(StructuredSet::new(index_of(vec![1]), t).materialize().is_err());
     }
 
     #[test]

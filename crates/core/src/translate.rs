@@ -25,14 +25,25 @@
 //!   (`order.orderdate >= d ∧ order.orderdate < e`) are one group,
 //!   evaluated at the group's first position as a conjunction over the
 //!   referenced class (prefix stripped, grouped again there) and joined
-//!   back once. The emission uses only `select`, `join` and `semijoin`,
-//!   pure functions of their operands, and each select keeps its
-//!   parameter slot. A disjunction is the rule applied once more:
-//!   `semijoin(A, concat(semijoin(A, qa), semijoin(A, qb)))`, the index's
-//!   subset in index order. Over tuple elements (the pairs of a join, the
-//!   members of an unnest) the selected index re-scopes every field — a
-//!   restriction commutes with a projection — so later gathers run over
-//!   the survivors only;
+//!   back once. A lower and an upper bound of one attribute, adjacent
+//!   in the conjunction (`shipdate >= d ∧ shipdate < e`), are one range
+//!   select, `σ[<h](A_f ⋉ σ[≥l](A_f ⋉ c)) ⇒ σ[l ≤ · < h](A_f ⋉ c)`: the
+//!   attribute is fetched and scanned once, and the statement keeps both
+//!   parameter slots (`RangeLo`, `RangeHi`). The emission uses only
+//!   `select`, `join` and `semijoin`, pure functions of their operands, and
+//!   each select keeps its parameter slots. A disjunction is the rule
+//!   applied once more: `semijoin(A, concat(semijoin(A, qa),
+//!   semijoin(A, qb)))`, the index's subset in index order. When both
+//!   branches compare the same one-segment attribute with constants
+//!   (`shipmode = a ∨ shipmode = b`) the inner semijoins go,
+//!   `A ⋉ ((A ⋉ x) ++ (A ⋉ y)) ⇒ A ⋉ (x ++ y)`; the guard is there because
+//!   branches over different paths can give qualifier tails of different
+//!   types, which `concat` rejects. Both rewrites emit `select`,
+//!   `semijoin` and `concat` only — pure, no fresh oids — so CSE and DCE
+//!   treat them like any selection. Over tuple elements (the pairs of a
+//!   join, the members of an unnest) the selected index re-scopes every
+//!   field — a restriction commutes with a projection — so later gathers
+//!   run over the survivors only;
 //! * **select over a join** — `select(join_eq(L, R, lk, rk), l.f = r.g)`
 //!   is a join on both keys: one two-key `join(lk, rk, f, g)` finds the
 //!   pairs the select keeps, and only those are numbered and gathered;
@@ -595,23 +606,41 @@ impl<'a> Translator<'a> {
                     _ => Vec::new(),
                 };
                 let mut cand = cand;
-                for (i, c) in conj.iter().enumerate() {
-                    cand = Some(match groups.iter().find(|g| g.members.contains(&i)) {
-                        Some(g) if g.members[0] != i => continue,
-                        Some(g) => self.group_quals(g, &conj, cand)?,
-                        None => self.quals(ts, c, cand)?,
-                    });
+                let mut i = 0;
+                while i < conj.len() {
+                    let (q, n) = match groups.iter().find(|g| g.members.contains(&i)) {
+                        Some(g) if g.members[0] != i => {
+                            i += 1;
+                            continue;
+                        }
+                        Some(g) => (self.group_quals(g, &conj, cand)?, 1),
+                        None => {
+                            let range = conj.get(i + 1).and_then(|&next| range_of(conj[i], next));
+                            match range.map(|r| self.range_quals(ts, &r, cand)).transpose()? {
+                                Some(Some(q)) => (q, 2),
+                                _ => (self.quals(ts, conj[i], cand)?, 1),
+                            }
+                        }
+                    };
+                    cand = Some(q);
+                    i += n;
                 }
                 Ok(cand.expect("a conjunction has two conjuncts"))
             }
             Pred::Or(a, b) => {
                 // The selection rule once more: the index restricted to the
-                // union of the two pullbacks, in index order.
+                // union of the two pullbacks, in index order. Two selects of
+                // one attribute have one tail type, so their union is one
+                // `concat`: `A ⋉ ((A ⋉ x) ++ (A ⋉ y)) = A ⋉ (x ++ y)`.
                 let qa = self.quals(ts, a, cand)?;
                 let qb = self.quals(ts, b, cand)?;
-                let ua = self.emit("", MilOp::Semijoin(ts.index, qa));
-                let ub = self.emit("", MilOp::Semijoin(ts.index, qb));
-                let either = self.emit("", MilOp::Concat(ua, ub));
+                let either = if same_attr_cmps(a, b) {
+                    self.emit("", MilOp::Concat(qa, qb))
+                } else {
+                    let ua = self.emit("", MilOp::Semijoin(ts.index, qa));
+                    let ub = self.emit("", MilOp::Semijoin(ts.index, qb));
+                    self.emit("", MilOp::Concat(ua, ub))
+                };
                 Ok(self.emit("", MilOp::Semijoin(ts.index, either)))
             }
             Pred::Not(p) => {
@@ -659,6 +688,37 @@ impl<'a> Translator<'a> {
             Some(c) => self.emit("", MilOp::Semijoin(back, c)),
             None => back,
         })
+    }
+
+    /// A lower and an upper bound of one attribute, adjacent in a
+    /// conjunction: one `select(A_f, [lo, hi))` instead of a select, a
+    /// re-fetch and a second select over the survivors. Both parameter
+    /// slots stay on the one statement. `None` where the attribute does not
+    /// push down (a computed tuple field): the bounds are then two
+    /// conjuncts as any others.
+    fn range_quals(&mut self, ts: &TransSet, r: &Range, cand: Option<Var>) -> Result<Option<Var>> {
+        let Some((_, leaf)) = self.attr_hop_bats(&ts.elem, r.lo.path)? else { return Ok(None) };
+        let src = match cand {
+            Some(c) => self.emit("", MilOp::Semijoin(leaf, c)),
+            None => leaf,
+        };
+        let (lo, hi) = (&r.lo, &r.hi);
+        let var = self.emit(
+            "",
+            MilOp::SelectRange {
+                src,
+                lo: Some(lo.value.clone()),
+                hi: Some(hi.value.clone()),
+                inc_lo: lo.op == ScalarFunc::Ge,
+                inc_hi: hi.op == ScalarFunc::Le,
+            },
+        );
+        for (bound, loc) in [(lo, ParamLoc::RangeLo), (hi, ParamLoc::RangeHi)] {
+            if let Some(id) = bound.pid {
+                self.prog.note_param(var, id, loc);
+            }
+        }
+        Ok(Some(var))
     }
 
     fn cmp_quals(
@@ -1477,18 +1537,8 @@ fn flatten_and<'p>(p: &'p Pred, out: &mut Vec<&'p Pred>) {
 /// an order predicate, in either operand order — the conjuncts
 /// `Translator::cmp_quals` hands to `pushdown_select`.
 fn pushdown_prefix(p: &Pred) -> Option<&str> {
-    let Pred::Cmp(op, l, r) = p else { return None };
-    if !is_select_op(*op) {
-        return None;
-    }
-    match (l, r) {
-        (Scalar::Attr(path), c) | (c, Scalar::Attr(path))
-            if path.len() > 1 && is_const_scalar(c) =>
-        {
-            Some(&path[0])
-        }
-        _ => None,
-    }
+    let c = attr_cmp(p)?;
+    (is_select_op(c.op) && c.path.len() > 1).then(|| c.path[0].as_str())
 }
 
 /// A [`pushdown_prefix`] conjunct with its path's first segment removed.
@@ -1518,6 +1568,56 @@ fn second_key<'p>(
         (x, y) if x == rname && y == lname => Some((&b[1..], &a[1..])),
         _ => None,
     }
+}
+
+/// `f op c`, `f` an attribute path and `c` a constant, in either operand
+/// order, read as `(f, op, c)` with the path on the left (`c < f` is
+/// `f > c`).
+struct AttrCmp<'p> {
+    path: &'p [String],
+    op: ScalarFunc,
+    value: &'p AtomValue,
+    pid: Option<u32>,
+}
+
+fn attr_cmp(p: &Pred) -> Option<AttrCmp<'_>> {
+    let Pred::Cmp(op, l, r) = p else { return None };
+    let (path, op, c) = match (l, r) {
+        (Scalar::Attr(path), c) => (path, *op, c),
+        (c, Scalar::Attr(path)) => (path, flip_cmp(*op)?, c),
+        _ => return None,
+    };
+    let (value, pid) = match c {
+        Scalar::Lit(v) => (v, None),
+        Scalar::Param { id, value } => (value, Some(*id)),
+        _ => return None,
+    };
+    Some(AttrCmp { path, op, value, pid })
+}
+
+/// A lower and an upper bound of one one-segment attribute, from two
+/// adjacent conjuncts in either order.
+struct Range<'p> {
+    lo: AttrCmp<'p>,
+    hi: AttrCmp<'p>,
+}
+
+fn range_of<'p>(a: &'p Pred, b: &'p Pred) -> Option<Range<'p>> {
+    let lower = |c: &AttrCmp| matches!(c.op, ScalarFunc::Gt | ScalarFunc::Ge);
+    let upper = |c: &AttrCmp| matches!(c.op, ScalarFunc::Lt | ScalarFunc::Le);
+    let (a, b) = (attr_cmp(a)?, attr_cmp(b)?);
+    let (lo, hi) = if lower(&a) && upper(&b) { (a, b) } else { (b, a) };
+    (lower(&lo) && upper(&hi) && lo.path == hi.path && lo.path.len() == 1)
+        .then_some(Range { lo, hi })
+}
+
+/// Two comparisons of the same one-segment attribute with constants, each
+/// one a select on that attribute: their qualifiers share a tail type, so
+/// one `concat` unites them. Other disjunctions can differ there (a
+/// `bit` and an `int` tail), which `concat` rejects.
+fn same_attr_cmps(a: &Pred, b: &Pred) -> bool {
+    let select = |p| attr_cmp(p).filter(|c| is_select_op(c.op) && c.path.len() == 1);
+    matches!((select(a), select(b)), (Some(x), Some(y)) if x.path == y.path)
 }
 
 /// Comparisons a (range-)select on the attribute BAT evaluates.

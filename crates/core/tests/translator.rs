@@ -1034,3 +1034,214 @@ semijoined := semijoin(selected, tmp12)
 tmp14 := semijoined.mirror
 tmp15 := zip(tmp14, tmp14)
 "#;
+
+/// The selects of a program that bound a range on both sides.
+fn two_sided_selects(prog: &monet::mil::MilProgram) -> usize {
+    use monet::mil::MilOp;
+    prog.stmts
+        .iter()
+        .filter(|s| matches!(s.op, MilOp::SelectRange { lo: Some(_), hi: Some(_), .. }))
+        .count()
+}
+
+#[test]
+fn a_range_conjunction_on_one_attribute_is_one_select() {
+    use monet::mil::MilOp;
+    let cat = mini_catalog();
+    // `extendedprice` is tail-sorted (binary search), `discount` is not
+    // (scan).
+    let (price, disc) = (|| attr("extendedprice"), || attr("discount"));
+    let cases = [
+        and(cmp(ScalarFunc::Ge, price(), lit_d(200.0)), cmp(ScalarFunc::Lt, price(), lit_d(400.0))),
+        and(cmp(ScalarFunc::Gt, disc(), lit_d(0.0)), cmp(ScalarFunc::Le, disc(), lit_d(0.1))),
+        // The upper bound first, and the constants on the left.
+        and(cmp(ScalarFunc::Le, price(), lit_d(300.0)), cmp(ScalarFunc::Gt, price(), lit_d(100.0))),
+        and(cmp(ScalarFunc::Lt, lit_d(0.0), disc()), cmp(ScalarFunc::Ge, lit_d(0.1), disc())),
+        // After a conjunct: the range selects over its candidates.
+        and_all(vec![
+            eq(attr("returnflag"), lit_c('R')),
+            cmp(ScalarFunc::Ge, disc(), lit_d(0.05)),
+            cmp(ScalarFunc::Lt, disc(), lit_d(0.2)),
+        ]),
+        // Under a reference, at the referenced class.
+        and(
+            cmp(ScalarFunc::Ge, attr("order.orderdate"), lit_date(1995, 1, 1)),
+            cmp(ScalarFunc::Lt, attr("order.orderdate"), lit_date(1996, 1, 1)),
+        ),
+    ];
+    for pred in cases {
+        let q = SetExpr::extent("Item").select(pred);
+        assert_commutes_raw_too(&cat, &q);
+        for level in [OptLevel::Off, OptLevel::Full] {
+            let t = translate_with(&cat, &q, level).unwrap();
+            let ranges =
+                t.prog.stmts.iter().filter(|s| matches!(s.op, MilOp::SelectRange { .. })).count();
+            assert_eq!((ranges, two_sided_selects(&t.prog)), (1, 1), "{level:?}:\n{}", t.prog);
+        }
+    }
+
+    // Both bounds keep their parameter slots on the one statement: a
+    // cached plan re-bound to new values selects what `moa::eval` does.
+    let q = |lo: f64, hi: f64| {
+        SetExpr::extent("Item").select(and(
+            cmp(ScalarFunc::Gt, disc(), prm(1, AtomValue::Dbl(lo))),
+            cmp(ScalarFunc::Le, disc(), prm(2, AtomValue::Dbl(hi))),
+        ))
+    };
+    let cache = moa::plancache::PlanCache::with_capacity(4);
+    moa::plancache::with_plan_cache(cache.clone(), || {
+        for (lo, hi) in [(0.0, 0.1), (0.04, 0.2), (-1.0, 0.0), (0.1, 0.05), (0.0, 1.0)] {
+            let q = q(lo, hi);
+            let t = moa::translate::translate(&cat, &q).unwrap();
+            assert_eq!(two_sided_selects(&t.prog), 1, "{}", t.prog);
+            let (set, _) = t.run(&ExecCtx::new(), cat.db()).unwrap();
+            let want = Evaluator::new(&cat).eval_values(&q).unwrap();
+            assert_eq!(set.materialize().unwrap(), want, "({lo}, {hi}]:\n{}", t.prog);
+        }
+    });
+    assert_eq!((cache.stats().misses, cache.stats().hits), (1, 4), "{:?}", cache.stats());
+}
+
+#[test]
+fn an_or_of_one_attributes_constants_is_one_semijoin() {
+    let cat = mini_catalog();
+    let disc = || attr("discount");
+    let cases = [
+        or(eq(attr("returnflag"), lit_c('N')), eq(attr("returnflag"), lit_c('R'))),
+        or(cmp(ScalarFunc::Lt, disc(), lit_d(0.05)), cmp(ScalarFunc::Ge, lit_d(0.1), disc())),
+        // Overlapping disjuncts, and an `or` over a conjunct's candidates.
+        or(cmp(ScalarFunc::Le, disc(), lit_d(0.1)), cmp(ScalarFunc::Ge, disc(), lit_d(0.05))),
+        and(
+            eq(attr("returnflag"), lit_c('R')),
+            or(eq(disc(), lit_d(0.2)), cmp(ScalarFunc::Lt, disc(), lit_d(0.1))),
+        ),
+    ];
+    for pred in cases {
+        let q = SetExpr::extent("Item").select(pred);
+        assert_commutes_raw_too(&cat, &q);
+        for level in [OptLevel::Off, OptLevel::Full] {
+            let text = translate_with(&cat, &q, level).unwrap().prog.to_string();
+            assert_eq!(text.matches(":= concat(").count(), 1, "{level:?}:\n{text}");
+            // No branch is a semijoin of the index of its own.
+            let before_concat = &text[..text.find(":= concat(").unwrap()];
+            assert!(!before_concat.contains(":= semijoin(Item, "), "{level:?}:\n{text}");
+        }
+    }
+}
+
+/// Disjunctions and bounds the two rules above leave alone are emitted as
+/// before, statement for statement.
+#[test]
+fn other_disjunctions_and_bounds_keep_their_emission() {
+    let cat = mini_catalog();
+    let price = || attr("extendedprice");
+    let cases = [
+        // An `or` over two attributes: its qualifiers' tails differ.
+        (
+            SetExpr::extent("Item").select(or(
+                eq(attr("returnflag"), lit_c('N')),
+                cmp(ScalarFunc::Gt, price(), lit_d(350.0)),
+            )),
+            "Item := load(\"Item\")
+Item_returnflag := load(\"Item_returnflag\")
+tmp2 := select(Item_returnflag, 'N')
+Item_extendedprice := load(\"Item_extendedprice\")
+tmp4 := select(Item_extendedprice, (350, +inf])
+tmp5 := semijoin(Item, tmp2)
+tmp6 := semijoin(Item, tmp4)
+tmp7 := concat(tmp5, tmp6)
+tmp8 := semijoin(Item, tmp7)
+selected := semijoin(Item, tmp8)
+tmp10 := selected.mirror
+tmp11 := zip(tmp10, tmp10)
+",
+        ),
+        // Bounds on one attribute with another conjunct between them.
+        (
+            SetExpr::extent("Item").select(and_all(vec![
+                cmp(ScalarFunc::Ge, price(), lit_d(150.0)),
+                eq(attr("returnflag"), lit_c('R')),
+                cmp(ScalarFunc::Lt, price(), lit_d(350.0)),
+            ])),
+            "Item := load(\"Item\")
+Item_extendedprice := load(\"Item_extendedprice\")
+tmp2 := select(Item_extendedprice, [150, +inf])
+Item_returnflag := load(\"Item_returnflag\")
+tmp4 := semijoin(Item_returnflag, tmp2)
+tmp5 := select(tmp4, 'R')
+tmp6 := semijoin(Item_extendedprice, tmp5)
+tmp7 := select(tmp6, [-inf, 350))
+selected := semijoin(Item, tmp7)
+tmp9 := selected.mirror
+tmp10 := zip(tmp9, tmp9)
+",
+        ),
+        // Two lower bounds.
+        (
+            SetExpr::extent("Item").select(and(
+                cmp(ScalarFunc::Ge, price(), lit_d(150.0)),
+                cmp(ScalarFunc::Gt, price(), lit_d(250.0)),
+            )),
+            "Item := load(\"Item\")
+Item_extendedprice := load(\"Item_extendedprice\")
+tmp2 := select(Item_extendedprice, [150, +inf])
+tmp3 := semijoin(Item_extendedprice, tmp2)
+tmp4 := select(tmp3, (250, +inf])
+selected := semijoin(Item, tmp4)
+tmp6 := selected.mirror
+tmp7 := zip(tmp6, tmp6)
+",
+        ),
+        // Multi-hop paths: an `or`, and a range over tuple elements, where
+        // no reference group strips the prefix.
+        (
+            SetExpr::extent("Item").select(or(
+                eq(attr("order.clerk"), lit_s("c1")),
+                eq(attr("order.clerk"), lit_s("c2")),
+            )),
+            "Item := load(\"Item\")
+Item_order := load(\"Item_order\")
+Order_clerk := load(\"Order_clerk\")
+tmp3 := select(Order_clerk, \"c1\")
+tmp4 := join(Item_order, tmp3)
+tmp5 := select(Order_clerk, \"c2\")
+tmp6 := join(Item_order, tmp5)
+tmp7 := semijoin(Item, tmp4)
+tmp8 := semijoin(Item, tmp6)
+tmp9 := concat(tmp7, tmp8)
+tmp10 := semijoin(Item, tmp9)
+selected := semijoin(Item, tmp10)
+tmp12 := selected.mirror
+tmp13 := zip(tmp12, tmp12)
+",
+        ),
+        (
+            SetExpr::extent("Item")
+                .project(vec![ProjItem::new("ord", attr("order")), ProjItem::new("price", price())])
+                .select(and(
+                    cmp(ScalarFunc::Ge, attr("ord.orderdate"), lit_date(1995, 1, 1)),
+                    cmp(ScalarFunc::Lt, attr("ord.orderdate"), lit_date(1996, 1, 1)),
+                )),
+            "Item := load(\"Item\")
+Item_order := load(\"Item_order\")
+tmp2 := semijoin(Item_order, Item)
+Item_extendedprice := load(\"Item_extendedprice\")
+tmp4 := semijoin(Item_extendedprice, Item)
+Order_orderdate := load(\"Order_orderdate\")
+tmp6 := select(Order_orderdate, [1995-01-01, +inf])
+tmp7 := join(tmp2, tmp6)
+tmp8 := select(Order_orderdate, [-inf, 1996-01-01))
+tmp9 := join(tmp2, tmp8)
+tmp10 := semijoin(tmp9, tmp7)
+selected := semijoin(Item, tmp10)
+tmp12 := semijoin(tmp2, selected)
+tmp13 := semijoin(tmp4, selected)
+",
+        ),
+    ];
+    for (q, want) in cases {
+        assert_commutes_raw_too(&cat, &q);
+        let t = translate_with(&cat, &q, OptLevel::Off).unwrap();
+        assert_eq!(t.prog.to_string(), want, "{}", q.render());
+    }
+}

@@ -178,6 +178,52 @@ proptest! {
     }
 
     #[test]
+    fn range_conjunctions_commute(
+        r in random_db(),
+        lo in -50i32..50,
+        hi in -50i32..50,
+        inclusive in 0u8..4,
+        clerk in 0u8..4,
+    ) {
+        let cat = build_catalog(&r);
+        let (lo_op, hi_op) = match inclusive {
+            0 => (ScalarFunc::Ge, ScalarFunc::Lt),
+            1 => (ScalarFunc::Gt, ScalarFunc::Le),
+            2 => (ScalarFunc::Ge, ScalarFunc::Le),
+            _ => (ScalarFunc::Gt, ScalarFunc::Lt),
+        };
+        let lower = || cmp(lo_op, attr("price"), lit_i(lo));
+        let upper = || cmp(hi_op, attr("price"), lit_i(hi));
+        // One select per range: lower bound first or second, alone or over
+        // an earlier conjunct's candidates, empty when `lo > hi`.
+        for pred in [
+            and(lower(), upper()),
+            and(upper(), lower()),
+            and(eq(attr("order.clerk"), lit_s(&format!("clerk{clerk}"))), and(lower(), upper())),
+        ] {
+            assert_commutes(&cat, &SetExpr::extent("Item").select(pred));
+        }
+    }
+
+    #[test]
+    fn same_attribute_ors_commute(r in random_db(), a in -50i32..50, b in -50i32..50) {
+        let cat = build_catalog(&r);
+        let price = || attr("price");
+        // One semijoin of the index over the `concat` of both selects,
+        // overlapping or not, alone or under a conjunct.
+        for pred in [
+            or(cmp(ScalarFunc::Lt, price(), lit_i(a)), cmp(ScalarFunc::Ge, price(), lit_i(b))),
+            or(eq(price(), lit_i(a)), cmp(ScalarFunc::Le, lit_i(b), price())),
+            and(
+                eq(attr("flag"), lit(monet::atom::AtomValue::Bool(true))),
+                or(eq(price(), lit_i(a)), eq(price(), lit_i(b))),
+            ),
+        ] {
+            assert_commutes(&cat, &SetExpr::extent("Item").select(pred));
+        }
+    }
+
+    #[test]
     fn join_semijoin_commute(r in random_db(), clerk in 0u8..4, t in -50i32..50) {
         let cat = build_catalog(&r);
         let q = SetExpr::extent("Order").semijoin_eq(
@@ -211,4 +257,40 @@ proptest! {
             );
         assert_commutes(&cat, &j);
     }
+}
+
+/// An `or` whose branches test different attributes has qualifiers of
+/// different tail types (`bit` and `int`), which one `concat` of the two
+/// selects would reject: it keeps a semijoin of the index per branch.
+#[test]
+fn an_or_over_two_attributes_keeps_its_emission() {
+    let r = RandomDb {
+        clerks: vec![0, 1, 2],
+        item_order: vec![0, 1, 2, 0, 1],
+        prices: vec![5, 20, -3, 11, 10],
+        flags: vec![true, false, true, false, false],
+    };
+    let cat = build_catalog(&r);
+    let q = SetExpr::extent("Item").select(or(
+        eq(attr("flag"), lit(monet::atom::AtomValue::Bool(true))),
+        cmp(ScalarFunc::Lt, attr("price"), lit_i(11)),
+    ));
+    assert_commutes(&cat, &q);
+    let raw = translate_with(&cat, &q, OptLevel::Off).unwrap().prog.to_string();
+    assert_eq!(
+        raw,
+        "Item := load(\"Item\")
+Item_flag := load(\"Item_flag\")
+tmp2 := select(Item_flag, true)
+Item_price := load(\"Item_price\")
+tmp4 := select(Item_price, [-inf, 11))
+tmp5 := semijoin(Item, tmp2)
+tmp6 := semijoin(Item, tmp4)
+tmp7 := concat(tmp5, tmp6)
+tmp8 := semijoin(Item, tmp7)
+selected := semijoin(Item, tmp8)
+tmp10 := selected.mirror
+tmp11 := zip(tmp10, tmp10)
+"
+    );
 }

@@ -278,8 +278,14 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 /// the sized parts, not the two-key join. Re-swept when Q4's semijoin came
 /// to restrict the items to the selected orders' partners first: the same
 /// windows and spill bytes, and Q4's peak fell from 4 490 KiB to 354 KiB,
-/// so from 356k on it completes too, without spilling. Re-sweep that
-/// window when memory accounting or the translator's joins change.
+/// so from 356k on it completes too, without spilling. Re-swept when a
+/// range on one attribute became one select and an `or` over one
+/// attribute one semijoin of the index: the same windows and spill bytes
+/// (Q13 96k–292k, Q2 110k–134k, Q7 222k–372k, Q10 268k–292k), and Q4
+/// from 356k, Q11 from 122k and Q14 from 170k complete without spilling;
+/// Q6's peak fell from 925 to 733 KiB and Q12's from 2 676 to 2 090 KiB.
+/// Re-sweep that window when memory accounting or the translator's joins
+/// change.
 #[test]
 fn budget_224k_lets_a_query_complete_by_spilling_a_join() {
     let w = World::build_with(0.05, true);

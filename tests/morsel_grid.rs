@@ -157,6 +157,40 @@ fn select_scan_matches_reference_across_morsels() {
     }
 }
 
+/// The range window kernel writes every row and keeps the ones both bound
+/// tests pass: on `dbl` values that sit on the bounds, signed zeros and
+/// NaNs (ordered by IEEE total order, as everywhere in the kernels), every
+/// inclusivity and every one-sided range equals the reference's row loop.
+#[test]
+fn dbl_range_select_matches_reference_across_morsels() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x5E1EC7);
+    let special = [-0.0, 0.0, f64::NAN, -f64::NAN, -1.5, 2.5, f64::INFINITY, -f64::INFINITY];
+    let n = grid_rows(&mut rng);
+    let vals: Vec<f64> = (0..n)
+        .map(|_| match rng.gen_range(0..3) {
+            0 => special[rng.gen_range(0..special.len())],
+            _ => rng.gen_range(-8..8i32) as f64 / 2.0,
+        })
+        .collect();
+    let b = Bat::new(random_column(&mut rng, AtomType::Oid, n), Column::from_dbls(vals));
+    let ctx = ctx();
+    let bounds = [-0.0, 0.0, 2.5, f64::NAN].map(AtomValue::Dbl);
+    let mut ranges = vec![(None, None, true, true)];
+    for (l, il) in bounds.iter().flat_map(|l| [(l, true), (l, false)]) {
+        ranges.push((Some(l), None, il, true));
+        ranges.push((None, Some(l), true, il));
+        for (h, ih) in bounds.iter().flat_map(|h| [(h, true), (h, false)]) {
+            ranges.push((Some(l), Some(h), il, ih));
+        }
+    }
+    for (l, h, il, ih) in ranges {
+        let got = ops::select_range(&ctx, &b, l, h, il, ih).unwrap();
+        assert_eq!(ctx.take_algo(), "scan");
+        let want = reference::select_range(&b, l, h, il, ih);
+        assert_eq!(rows_of(&got), rows_of(&want), "n={n} [{l:?}, {h:?}] {il} {ih}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // synced multiplex
 // ---------------------------------------------------------------------------
