@@ -16,11 +16,24 @@ use crate::props::{ColProps, Props};
 
 /// Search accelerators attached to a BAT (Figure 2 shows them as extra
 /// heaps). Intermediate results carry none; tail-sorted persistent
-/// attribute BATs carry a datavector.
+/// attribute BATs carry a datavector, and those whose tail is a sorted oid
+/// column a run index over it.
 #[derive(Debug, Clone, Default)]
 pub struct Accel {
     /// Datavector accelerator (Section 5.2); meaningful for `[oid,T]` BATs.
     pub datavector: Option<Arc<crate::accel::datavector::Datavector>>,
+    /// Run index over one of the BAT's columns — the tail it was built on,
+    /// or the head of the mirror ([`RunIndex::describes`] says which).
+    ///
+    /// [`RunIndex::describes`]: crate::accel::runs::RunIndex::describes
+    pub runs: Option<Arc<crate::accel::runs::RunIndex>>,
+}
+
+impl Accel {
+    /// The run index, if it describes `col`.
+    pub fn runs_of(&self, col: &Column) -> Option<&crate::accel::runs::RunIndex> {
+        self.runs.as_deref().filter(|r| r.describes(col))
+    }
 }
 
 /// A Binary Association Table.
@@ -133,6 +146,19 @@ impl Bat {
         self.accel.datavector = Some(dv);
     }
 
+    /// Attach a run index over the tail when the tail is a sorted oid
+    /// column that is not dense (a dense column addresses its runs of one
+    /// by `oid - base` already) and [`RunIndex::build`] accepts it; the
+    /// catalog's loaders call this once per persistent BAT.
+    ///
+    /// [`RunIndex::build`]: crate::accel::runs::RunIndex::build
+    pub fn index_runs(&mut self) {
+        let tail = self.props.tail;
+        if tail.sorted && !tail.dense {
+            self.accel.runs = crate::accel::runs::RunIndex::build(&self.tail).map(Arc::new);
+        }
+    }
+
     /// Number of BUNs.
     pub fn len(&self) -> usize {
         self.head.len()
@@ -149,8 +175,9 @@ impl Bat {
             tail: self.head.clone(),
             props: self.props.mirrored(),
             // A datavector accelerates oid->value fetches of the normal
-            // orientation; it does not transfer to the mirror.
-            accel: Accel::default(),
+            // orientation; it does not transfer to the mirror. A run index
+            // describes a column, which is now the head.
+            accel: Accel { datavector: None, runs: self.accel.runs.clone() },
         }
     }
 

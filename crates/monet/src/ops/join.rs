@@ -16,6 +16,11 @@
 //!   datavector over a dense extent: the same positional loop as `fetch`,
 //!   reading `dv.vector[b - base]` (an attribute dereference never hashes
 //!   the class extent);
+//! * `runs` — the `direct` gate, and a left tail that carries its run
+//!   index ([`RunIndex`], a sorted reference attribute of the catalog):
+//!   walk the right keys in ascending oid order and emit each key's left
+//!   run `first[k]..first[k + 1]` — the left tail is never read, and the
+//!   work is O(|right| + span/64 + |result|), not O(|left|);
 //! * `direct` — oid join columns, a `key` right head whose min/max span
 //!   is compact ([`crate::costmodel::join_prefers_direct`]): fill a pooled
 //!   position array over the span, probe it with one load;
@@ -40,6 +45,7 @@
 //! (left) order; only `sync`, which gathers nothing, is not taken.
 
 use crate::accel::datavector::Datavector;
+use crate::accel::runs::RunIndex;
 use crate::atom::AtomType;
 use crate::bat::Bat;
 use crate::column::Column;
@@ -82,7 +88,10 @@ fn join_on(ctx: &ExecCtx, ab: &Bat, cd: &Bat, key2: Option<&SecondKey>) -> Resul
     } else if let Some((dv, dom)) = datavector_domain(cd).filter(|_| oid_keyed) {
         (join_positional(ctx, ab, cd.props(), dom, dv.vector(), key2), "datavector")
     } else if let Some(dom) = direct_domain(ctx, ab, cd) {
-        (join_direct(ctx, ab, cd, dom, key2), "direct")
+        match ab.accel().runs_of(ab.tail()) {
+            Some(runs) => (join_runs(ctx, ab, cd, dom, runs, key2), "runs"),
+            None => (join_direct(ctx, ab, cd, dom, key2), "direct"),
+        }
     } else if crate::costmodel::join_prefers_spill(ctx, ab.len(), cd.len()) {
         // The in-memory working set won't fit the budget headroom (or
         // `spill_force` is configured): radix-partition both sides
@@ -198,6 +207,58 @@ fn join_direct(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, key2: Option<&
     });
     let (left_idx, right_idx) = probe_domain(ab.tail(), dom, |k| pos[k]);
     put_u32(pos);
+    build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx, key2)
+}
+
+/// Run-addressed join: the left tail is sorted and `runs` indexes it, so
+/// the left rows matching right key `k` are the run `first[k]..first[k+1]`
+/// and the right keys, visited in ascending oid order, emit their runs in
+/// left order. The right keys inside the run index's domain are scattered
+/// into a pooled bitmap, whose set bits enumerate them in order, and a
+/// pooled position array, which names each one's right row. The left tail
+/// is never read — under the pager the arm touches the right head and the
+/// left head's rows it gathers.
+fn join_runs(
+    ctx: &ExecCtx,
+    ab: &Bat,
+    cd: &Bat,
+    dom: OidDomain,
+    runs: &RunIndex,
+    key2: Option<&SecondKey>,
+) -> Bat {
+    if let Some(p) = ctx.pager.as_deref() {
+        pager::touch_scan(p, cd.head());
+    }
+    let left = runs.domain();
+    let mut left_idx = take_u32(ab.len());
+    let mut right_idx = take_u32(ab.len());
+    let mut emit = |k: usize, j: u32| {
+        let run = runs.run(k);
+        right_idx.resize(right_idx.len() + run.len(), j);
+        left_idx.extend(run.start as u32..run.end as u32);
+    };
+    if let Some(both) = left.intersect(dom) {
+        let mut pos = take_u32(both.span);
+        pos.resize(both.span, ABSENT);
+        let mut bits = crate::typed::take_u64_zeroed(both.span.div_ceil(64));
+        crate::for_each_oidlike!(cd.head(), |ch| {
+            for j in 0..ch.len() {
+                if let Some(k) = both.slot(ch.value(j)) {
+                    pos[k] = j as u32;
+                    bits[k / 64] |= 1 << (k % 64);
+                }
+            }
+        });
+        let skip = (both.base - left.base) as usize;
+        crate::typed::for_each_bit(&bits, |k| emit(skip + k, pos[k]));
+        crate::typed::put_u64(bits);
+        put_u32(pos);
+    }
+    if let Some(p) = ctx.pager.as_deref() {
+        for &i in &left_idx {
+            pager::touch_fetch(p, ab.head(), i as usize);
+        }
+    }
     build_join(ctx, ab, cd.props(), cd.tail(), left_idx, right_idx, key2)
 }
 
@@ -743,6 +804,38 @@ mod tests {
         assert_eq!(r.head().as_oid_slice().unwrap(), &[100, 102, 103]);
         assert_eq!(r.tail().as_int_slice().unwrap(), &[70, 70, 60]);
         assert!(!r.synced(&io));
+    }
+
+    #[test]
+    fn runs_join_reads_the_right_operand_and_the_emitted_runs() {
+        // 64 Ki items in runs of four per order: probing every left tail
+        // would read all 128 tail pages; the run index reads none of them.
+        // Three orders, enumerated through the bitmap, read one right-head
+        // page, the three left-head pages under their runs
+        // and one right-tail page.
+        let n = 1 << 16;
+        let mut items = Bat::with_inferred_props(
+            Column::from_oids((0..n as u64).collect()),
+            Column::from_oids((0..n as u64).map(|i| 100 + i / 4).collect()),
+        );
+        items.index_runs();
+        let last = 100 + n as u64 / 4 - 1;
+        let orders = Bat::with_inferred_props(
+            Column::from_oids(vec![10_100, last, 100]),
+            Column::from_ints(vec![2, 3, 1]),
+        );
+        let pager = std::sync::Arc::new(crate::pager::Pager::new(4096));
+        let ctx = ExecCtx::new().with_pager(pager);
+        let faults0 = ctx.faults();
+        let r = join(&ctx, &items, &orders).unwrap();
+        let faults = ctx.faults() - faults0;
+        assert_eq!((ctx.take_algo(), faults), ("runs", 5));
+        let n = n as u64;
+        let heads = [0, 1, 2, 3, 40_000, 40_001, 40_002, 40_003, n - 4, n - 3, n - 2, n - 1];
+        assert_eq!(r.head().as_oid_slice().unwrap(), &heads);
+        assert_eq!(r.tail().as_int_slice().unwrap(), &[1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]);
+        let rows = |b: &Bat| (0..b.len()).map(|i| b.bun(i)).collect::<Vec<_>>();
+        assert_eq!(rows(&r), rows(&crate::ops::reference::join(&items, &orders)));
     }
 
     #[test]

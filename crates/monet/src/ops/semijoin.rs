@@ -16,6 +16,10 @@
 //! * `datavector` — the left operand carries a datavector and the right
 //!   head is a (duplicate-free) oid selection: positional fetch through the
 //!   memoized LOOKUP array (the one variant emitting in *right* order);
+//! * `runs` — the `bitmap` gate, and a left head that carries its run
+//!   index ([`RunIndex`]: the mirror of a sorted reference attribute): the
+//!   right head's bitmap is enumerated, and each set bit's oid keeps its
+//!   left run `first[k]..first[k + 1]` — the left head is never read;
 //! * `bitmap` — oid heads and a right head whose min/max span is compact
 //!   ([`crate::costmodel::semijoin_prefers_bitmap`]): one bit per oid of
 //!   the span from the scratch pool, tested once per left BUN — or, over a
@@ -24,8 +28,9 @@
 //!
 //! The antijoin has the `sync`, `bitmap` and `hash` variants; `bitmap` and
 //! `hash` are one function each for both operators (`keep` flips the
-//! membership test).
+//! membership test), and `runs` is the semijoin's enumeration of `bitmap`.
 
+use crate::accel::runs::RunIndex;
 use crate::bat::Bat;
 use crate::column::Column;
 use crate::ctx::ExecCtx;
@@ -67,12 +72,15 @@ pub fn antijoin(ctx: &ExecCtx, ab: &Bat, cd: &Bat) -> Result<Bat> {
 
 /// The left-order membership filter behind both operators: AB's BUNs whose
 /// head is (`keep`) or is not (`!keep`) among CD's heads, by bitmap when
-/// the right head is a compact oid domain, by hash otherwise.
+/// the right head is a compact oid domain — enumerated into the left head's
+/// runs when it carries a run index and `keep` — by hash otherwise.
 fn subset(ctx: &ExecCtx, ab: &Bat, cd: &Bat, keep: bool) -> (Bat, &'static str) {
-    match bitmap_domain(ctx, ab, cd) {
-        Some(dom) => (subset_bitmap(ctx, ab, cd, dom, keep), "bitmap"),
-        None => (subset_hash(ctx, ab, cd, keep), "hash"),
-    }
+    let Some(dom) = bitmap_domain(ctx, ab, cd) else {
+        return (subset_hash(ctx, ab, cd, keep), "hash");
+    };
+    let runs = ab.accel().runs_of(ab.head()).filter(|_| keep);
+    let algo = if runs.is_some() { "runs" } else { "bitmap" };
+    (subset_bitmap(ctx, ab, cd, dom, keep, runs), algo)
 }
 
 /// The compact domain of the right head, when the `bitmap` arm applies:
@@ -148,13 +156,22 @@ fn semijoin_datavector(ctx: &ExecCtx, dv: &crate::accel::datavector::Datavector,
 
 /// Bitmap semijoin/antijoin: set one bit per right head oid over its
 /// compact domain, then test each left head in order — or, keeping the
-/// matches of a `dense` left head, enumerate the set bits: bit `k` is oid
-/// `dom.base + k`, which sits at that oid's slot of the left domain.
-fn subset_bitmap(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, keep: bool) -> Bat {
-    let enumerate = keep && ab.props().head.dense;
+/// matches, enumerate the set bits in ascending oid order, which is left
+/// order over a sorted head: bit `k` is oid `dom.base + k`, which keeps
+/// that oid's run of the left head when `runs` indexes it, and sits at
+/// that oid's slot of the left domain when the left head is `dense`.
+fn subset_bitmap(
+    ctx: &ExecCtx,
+    ab: &Bat,
+    cd: &Bat,
+    dom: OidDomain,
+    keep: bool,
+    runs: Option<&RunIndex>,
+) -> Bat {
+    let dense = keep && ab.props().head.dense;
     if let Some(p) = ctx.pager.as_deref() {
         pager::touch_scan(p, cd.head());
-        if !enumerate {
+        if !dense && runs.is_none() {
             pager::touch_scan(p, ab.head());
         }
     }
@@ -165,19 +182,24 @@ fn subset_bitmap(ctx: &ExecCtx, ab: &Bat, cd: &Bat, dom: OidDomain, keep: bool) 
             bits[k / 64] |= 1 << (k % 64);
         }
     });
-    let idx = if enumerate {
+    let idx = if let Some(runs) = runs {
+        let left = runs.domain();
+        let mut idx = crate::typed::take_u32(ab.len());
+        crate::typed::for_each_bit(&bits, |k| {
+            if let Some(s) = left.slot(dom.base + k as u64) {
+                let run = runs.run(s);
+                idx.extend(run.start as u32..run.end as u32);
+            }
+        });
+        idx
+    } else if dense {
         let left = OidDomain::of_dense(ab.head());
         let mut idx = crate::typed::take_u32(cd.len().min(ab.len()));
-        for (w, &word) in bits.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let k = w * 64 + word.trailing_zeros() as usize;
-                if let Some(pos) = left.slot(dom.base + k as u64) {
-                    idx.push(pos as u32);
-                }
-                word &= word - 1;
+        crate::typed::for_each_bit(&bits, |k| {
+            if let Some(pos) = left.slot(dom.base + k as u64) {
+                idx.push(pos as u32);
             }
-        }
+        });
         idx
     } else {
         crate::for_each_oidlike!(ab.head(), |ah| {
@@ -313,6 +335,34 @@ mod tests {
         );
         assert_eq!(r.tail().as_lng_slice().unwrap(), &[0, 39_900, n as i64 - 1]);
         assert_eq!(r.head().identity(), cd.head().identity());
+        assert!(r.validate().is_ok());
+    }
+
+    #[test]
+    fn runs_semijoin_reads_only_the_selection_and_the_emitted_runs() {
+        // 64 Ki items in runs of four per order, mirrored so the indexed
+        // order column is the head: a left-head scan would read all 128
+        // head pages; the run index reads none of them, and the three
+        // selected orders fetch their runs' tail values from three pages.
+        let n = 1 << 16;
+        let mut items = Bat::with_inferred_props(
+            Column::from_lngs((0..n as i64).collect()),
+            Column::from_oids((0..n as u64).map(|i| 100 + i / 4).collect()),
+        );
+        items.index_runs();
+        let ab = items.mirror();
+        let cd = sel(vec![100, 10_100, 100 + n as u64 / 4 - 1]);
+        let pager = std::sync::Arc::new(crate::pager::Pager::new(4096));
+        let ctx = ExecCtx::new().with_pager(pager);
+        let faults0 = ctx.faults();
+        let r = semijoin(&ctx, &ab, &cd).unwrap();
+        let faults = ctx.faults() - faults0;
+        assert_eq!((ctx.take_algo(), faults), ("runs", 4), "one head page + three tail pages");
+        let n = n as i64;
+        assert_eq!(
+            r.tail().as_lng_slice().unwrap(),
+            &[0, 1, 2, 3, 40_000, 40_001, 40_002, 40_003, n - 4, n - 3, n - 2, n - 1]
+        );
         assert!(r.validate().is_ok());
     }
 

@@ -19,7 +19,8 @@
 //! *one* column (same fresh [`crate::column::ColumnId`]), so the `synced`
 //! property survives the round trip. Mapped columns are **read-only** by
 //! construction; every mutation path in the kernel allocates fresh owned
-//! buffers.
+//! buffers. Run indexes ([`crate::accel::runs`]) are not part of the
+//! format: open rebuilds each one from its mapped sorted oid tail.
 //!
 //! Validation is layered. The default open checks magic/version, header and
 //! superblock checksums, segment bounds (truncation), descriptor
@@ -866,6 +867,9 @@ pub fn open_dir(dir: &Path, gov: Option<&Governor>, opts: &OpenOptions) -> Resul
             }
             bat.set_datavector(Arc::new(Datavector::new(extent, vector)));
         }
+        // Run indexes are not stored: rebuilt from the mapped tail, as the
+        // loader builds them.
+        bat.index_runs();
         db.register(&b.name, bat);
     }
     Ok(OpenedStore { db, sf: sb.sf, mapped_bytes, files, mmap })

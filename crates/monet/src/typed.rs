@@ -753,6 +753,28 @@ impl OidDomain {
         let k = oid.wrapping_sub(self.base);
         (k < self.span as u64).then_some(k as usize)
     }
+
+    /// The oids both domains hold, if any.
+    pub fn intersect(&self, other: OidDomain) -> Option<OidDomain> {
+        let base = self.base.max(other.base);
+        let end = self.base.saturating_add(self.span as u64);
+        let end = end.min(other.base.saturating_add(other.span as u64));
+        (base < end).then(|| OidDomain { base, span: (end - base) as usize })
+    }
+}
+
+/// Call `f(k)` for every set bit `k` of a bitmap (bit `k` is bit `k % 64`
+/// of word `k / 64`), in ascending order: one `trailing_zeros` per set bit
+/// and one load per word.
+#[inline]
+pub fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut word = word;
+        while word != 0 {
+            f(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
 }
 
 /// Direct-addressed grouping table over a compact key domain: one pooled

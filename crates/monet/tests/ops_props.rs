@@ -2171,3 +2171,173 @@ fn two_key_join_edges() {
         assert_eq!(ops::join2(&spill_ctx(), l, r, x, y).unwrap().len(), 0);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Run-addressed arms: a sorted oid column carrying its run index
+// (`monet::accel::runs`) is addressed by value — `join/runs` over an indexed
+// left tail, `semijoin/runs` over an indexed left head — against
+// `ops::reference`, with every fallback the index's column identity forces.
+// ---------------------------------------------------------------------------
+
+/// `n` sorted oids over `[lo, lo + span)` with repeated runs, empty runs
+/// (values the draw skips) and single-row runs, and at least one repeat so
+/// the column is never dense.
+fn sorted_refs(rng: &mut StdRng, lo: u64, span: u64, n: usize) -> Vec<u64> {
+    let mut refs: Vec<u64> = (0..n.max(2) - 1).map(|_| rng.gen_range(lo..lo + span)).collect();
+    refs.push(refs[0]);
+    refs.sort_unstable();
+    refs
+}
+
+/// `[head, refs]` with its run index attached, as the loader attaches it.
+fn indexed(head: Column, refs: Vec<u64>) -> Bat {
+    let mut bat = Bat::with_inferred_props(head, Column::from_oids(refs));
+    bat.index_runs();
+    assert!(bat.accel().runs_of(bat.tail()).is_some(), "a sorted oid tail is indexed");
+    bat
+}
+
+#[test]
+fn runs_join_matches_reference_and_falls_back_when_it_must() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x71);
+    let ctx = ExecCtx::new();
+    for case in 0..48 {
+        let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
+        let n = rng.gen_range(1..80usize);
+        let refs = sorted_refs(&mut rng, lo, span, n);
+        let left =
+            indexed(random_column(&mut rng, ALL_TYPES[case % ALL_TYPES.len()], refs.len()), refs);
+        // Right keys overlap the indexed span and stick out on either side;
+        // sorted or shuffled (both enumerated through the bitmap).
+        let (rlo, rspan) = (lo - rng.gen_range(0..3u64), span + rng.gen_range(0..6u64));
+        let m = rng.gen_range((rspan as usize / 4 + 2).min(rspan as usize)..=rspan as usize);
+        let mut keys = shuffled_oids(&mut rng, rlo, rspan, m);
+        let sorted = case % 2 == 0;
+        if sorted {
+            // One key past a gap: a sorted head, never a dense one (which
+            // `fetch` would address).
+            keys.sort_unstable();
+            keys.push(rlo + rspan + 1);
+        }
+        let m = keys.len();
+        let right = Bat::with_inferred_props(
+            Column::from_oids(keys),
+            random_column(&mut rng, ALL_TYPES[(case / 2) % ALL_TYPES.len()], m),
+        );
+        assert_eq!(right.props().head.sorted, sorted, "case {case}");
+        let got = ops::join(&ctx, &left, &right).unwrap();
+        assert_eq!(last_algo(&ctx), "runs", "case {case}");
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &right)), "case {case}");
+        assert!(got.validate().is_ok(), "case {case}: claimed props unsound");
+        // The two-key join runs the same arm and keeps the same subset.
+        let elems = Column::from_oids((0..left.len() as u64).map(|i| 7000 + i).collect());
+        let probe = indexed(elems.clone(), left.tail().as_oid_slice().unwrap().to_vec());
+        let relems = Column::from_oids((0..m as u64).map(|i| 5000 + i).collect());
+        let keys = Bat::with_inferred_props(right.head().clone(), relems.clone());
+        let a2 = second_key(&mut rng, &elems, case % 3 != 2);
+        let c2 = second_key(&mut rng, &relems, case % 3 == 0);
+        check_join2(&ctx, (&probe, &keys), (&a2, &c2), "runs", &format!("join2 case {case}"));
+        // A window of the left operand drops the index; the tail of the
+        // mirror's mirror is the indexed column again.
+        let window = left.slice(1, left.len() - 1);
+        let got = ops::join(&ctx, &window, &right).unwrap();
+        assert_eq!(last_algo(&ctx), "direct", "case {case}: a slice carries no index");
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&window, &right)), "case {case}");
+        ops::join(&ctx, &left.mirror().mirror(), &right).unwrap();
+        assert_eq!(last_algo(&ctx), "runs", "case {case}: mirror twice");
+        // Under `spill_force` the runs arm is `direct`'s: it spills.
+        let got = ops::join(&spill_ctx(), &left, &right).unwrap();
+        assert_eq!(rows_of(&got), rows_of(&reference::join(&left, &right)), "case {case}");
+    }
+    let spill = spill_ctx();
+    let left = indexed(Column::from_ints(vec![1, 2, 3]), vec![4, 4, 6]);
+    let right =
+        Bat::with_inferred_props(Column::from_oids(vec![6, 4]), Column::from_ints(vec![0, 1]));
+    ops::join(&spill, &left, &right).unwrap();
+    assert_eq!(last_algo(&spill), "spill");
+    // The mirror's tail is the head, which the index does not describe.
+    let items = indexed(Column::from_oids(vec![10, 11, 12, 13]), vec![4, 4, 5, 7]);
+    let keyed = Bat::with_inferred_props(
+        Column::from_oids(vec![13, 10, 12]),
+        Column::from_ints(vec![1, 2, 3]),
+    );
+    let got = ops::join(&ctx, &items.mirror(), &keyed).unwrap();
+    assert_eq!(last_algo(&ctx), "direct", "the mirror's tail is not the indexed column");
+    assert_eq!(rows_of(&got), rows_of(&reference::join(&items.mirror(), &keyed)));
+    // Right keys all outside the indexed span, and empty right operands.
+    let outside =
+        Bat::with_inferred_props(Column::from_oids(vec![9, 8]), Column::from_ints(vec![1, 2]));
+    assert_eq!(ops::join(&ctx, &items, &outside).unwrap().len(), 0);
+    assert_eq!(last_algo(&ctx), "runs");
+    // (An empty head is `dense` when inferred, which `fetch` takes first.)
+    let key = monet::props::Props::new(monet::props::ColProps::KEY, monet::props::ColProps::NONE);
+    let none = Bat::with_props(Column::from_oids(vec![]), Column::from_ints(vec![]), key);
+    assert_eq!(ops::join(&ctx, &items, &none).unwrap().len(), 0);
+    assert_eq!(last_algo(&ctx), "runs");
+    let mut none = Bat::with_inferred_props(Column::from_ints(vec![]), Column::from_oids(vec![]));
+    none.index_runs();
+    assert!(none.accel().runs.is_none(), "an empty column has no runs to index");
+    assert!(ops::join(&ctx, &none, &outside).unwrap().is_empty());
+    assert_eq!(last_algo(&ctx), "direct");
+    // A full match shares the left head, as every arm's does.
+    let all = Bat::with_inferred_props(
+        Column::from_oids(vec![7, 5, 4]),
+        Column::from_ints(vec![1, 2, 3]),
+    );
+    let got = ops::join(&ctx, &items, &all).unwrap();
+    assert_eq!(last_algo(&ctx), "runs");
+    assert!(got.synced(&items), "a full match shares the left head");
+}
+
+#[test]
+fn runs_semijoin_matches_reference_and_falls_back_when_it_must() {
+    let mut rng = StdRng::seed_from_u64(SEED ^ 0x72);
+    let ctx = ExecCtx::new();
+    for case in 0..48 {
+        let (lo, span) = (rng.gen_range(3..50u64), rng.gen_range(2..40u64));
+        let n = rng.gen_range(1..80usize);
+        let refs = sorted_refs(&mut rng, lo, span, n);
+        let tail_ty = ALL_TYPES[case % ALL_TYPES.len()];
+        let attr = indexed(random_column(&mut rng, tail_ty, refs.len()), refs);
+        // `mirror` carries the index to the head.
+        let ab = attr.mirror();
+        assert!(ab.accel().runs_of(ab.head()).is_some(), "case {case}");
+        // Right heads: inside and around the span, duplicates welcome;
+        // sorted or not.
+        let m = rng.gen_range(6..40usize);
+        let mut heads: Vec<u64> = (0..m).map(|_| rng.gen_range(lo - 3..lo + span + 3)).collect();
+        if case % 2 == 0 {
+            heads.sort_unstable();
+        }
+        let cd = Bat::with_inferred_props(Column::from_oids(heads), Column::void(0, m));
+        let semi = ops::semijoin(&ctx, &ab, &cd).unwrap();
+        assert_eq!(last_algo(&ctx), "runs", "case {case}");
+        assert_eq!(rows_of(&semi), rows_of(&reference::semijoin(&ab, &cd)), "case {case}: semi");
+        assert!(semi.validate().is_ok(), "case {case}: claimed props unsound");
+        // The antijoin tests every left head, as `bitmap` does.
+        let anti = ops::antijoin(&ctx, &ab, &cd).unwrap();
+        assert_eq!(last_algo(&ctx), "bitmap", "case {case}");
+        assert_eq!(rows_of(&anti), rows_of(&reference::antijoin(&ab, &cd)), "case {case}: anti");
+        assert_eq!(semi.len() + anti.len(), ab.len(), "case {case}: the two partition AB");
+        // A window drops the index: the bitmap scan, the same rows.
+        let window = ab.slice(0, ab.len() - 1);
+        let got = ops::semijoin(&ctx, &window, &cd).unwrap();
+        assert_eq!(last_algo(&ctx), "bitmap", "case {case}: a slice carries no index");
+        assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&window, &cd)), "case {case}");
+        // The unmirrored BAT's head is not the indexed column.
+        if tail_ty == AtomType::Oid {
+            ops::semijoin(&ctx, &attr, &cd).unwrap();
+            assert_ne!(last_algo(&ctx), "runs", "case {case}: the head is not indexed");
+        }
+    }
+    let ab = indexed(Column::from_ints(vec![1, 2, 3, 4]), vec![5, 5, 8, 9]).mirror();
+    // Right heads all outside the indexed span, a single-row run, and an
+    // empty right operand.
+    for (heads, want) in [(vec![2, 30], 0), (vec![8], 1), (vec![], 0), (vec![9, 5, 5], 3)] {
+        let m = heads.len();
+        let cd = Bat::with_inferred_props(Column::from_oids(heads), Column::void(0, m));
+        let got = ops::semijoin(&ctx, &ab, &cd).unwrap();
+        assert_eq!((last_algo(&ctx), got.len()), ("runs", want));
+        assert_eq!(rows_of(&got), rows_of(&reference::semijoin(&ab, &cd)));
+    }
+}

@@ -14,7 +14,9 @@
 //! datavector per attribute (projection of the oid-ordered tail);
 //! Phase 3 — re-sort every attribute BAT on tail and attach the
 //! datavector; then each set-valued attribute's index BAT, on its own
-//! copies of the members' oids and owner references.
+//! copies of the members' oids and owner references. Every BAT of the two
+//! whose tail is a sorted oid column — a reference attribute, an
+//! owner-sorted set index — gets a run index over it ([`Bat::index_runs`]).
 //!
 //! The n-ary baseline is built from the same Phase 1 columns: one table
 //! per stored class, the oid column first.
@@ -212,6 +214,7 @@ pub fn load_bats_with(data: &TpcdData, enc: bool) -> crate::error::Result<(Catal
             )
         };
         bat.set_datavector(dv);
+        bat.index_runs();
         db.register(&name, bat);
     }
 
@@ -236,10 +239,9 @@ pub fn load_bats_with(data: &TpcdData, enc: bool) -> crate::error::Result<(Catal
                 let name = Catalog::member_name(b.class.class, f.name, "ref");
                 db.register(&name, Bat::with_props(head.clone(), head.clone(), props));
             }
-            db.register(
-                &Catalog::attr_name(b.class.class, f.name),
-                Bat::with_props(head, tail, props),
-            );
+            let mut index = Bat::with_props(head, tail, props);
+            index.index_runs();
+            db.register(&Catalog::attr_name(b.class.class, f.name), index);
         }
     }
     report.reorder_ms = t2.elapsed().as_secs_f64() * 1e3;

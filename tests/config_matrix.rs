@@ -284,8 +284,11 @@ fn budget_64k_aborts_typed_then_recovers_once_lifted() {
 /// (Q13 96k–292k, Q2 110k–134k, Q7 222k–372k, Q10 268k–292k), and Q4
 /// from 356k, Q11 from 122k and Q14 from 170k complete without spilling;
 /// Q6's peak fell from 925 to 733 KiB and Q12's from 2 676 to 2 090 KiB.
-/// Re-sweep that window when memory accounting or the translator's joins
-/// change.
+/// Re-swept (80k–400k, 2k steps) when a sorted reference tail came to be
+/// addressed through its run index (`join/runs`, `semijoin/runs`, which
+/// keep the `direct` and `bitmap` gates): the same windows, spill bytes
+/// and peaks. Re-sweep that window when memory accounting or the
+/// translator's joins change.
 #[test]
 fn budget_224k_lets_a_query_complete_by_spilling_a_join() {
     let w = World::build_with(0.05, true);

@@ -283,17 +283,27 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         Column::from_oids((0..20_000u64).map(|i| 50 + i * 13 % 9_200).collect()),
     );
     let few = plain.slice(0, 100);
+    // The same references sorted and carrying their run index, as the
+    // loader leaves a reference attribute (run-addressed join and
+    // semijoin: the position array and bitmap, and the index vectors).
+    let mut sorted_refs = Bat::with_inferred_props(
+        Column::from_oids((0..20_000u64).collect()),
+        Column::from_oids((0..20_000u64).map(|i| 50 + i * 9_200 / 20_000).collect()),
+    );
+    sorted_refs.index_runs();
     let oid_keyed = |ctx: &ExecCtx| -> monet::error::Result<Vec<&'static str>> {
         let mut algos = Vec::new();
         noted(ctx, &mut algos, ops::join(ctx, &refs, &plain))?;
         noted(ctx, &mut algos, ops::join(ctx, &refs, &attr))?;
         noted(ctx, &mut algos, ops::semijoin(ctx, &refs.mirror(), &plain))?;
         noted(ctx, &mut algos, ops::antijoin(ctx, &refs.mirror(), &few))?;
+        noted(ctx, &mut algos, ops::join(ctx, &sorted_refs, &plain))?;
+        noted(ctx, &mut algos, ops::semijoin(ctx, &sorted_refs.mirror(), &plain))?;
         Ok(algos)
     };
     {
         let algos = oid_keyed(&ExecCtx::new()).unwrap();
-        assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap"]);
+        assert_eq!(algos, ["direct", "datavector", "bitmap", "bitmap", "runs", "runs"]);
     }
     // The nest + aggregate tail: slot-table grouping (`direct`), pair
     // grouping (`packed`), the zero-copy `sync` join, the key's dedup and
@@ -377,7 +387,7 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
     // and returning it; their one abort past the entry probe is the budget
     // check on the finished result, by which time the pool must be whole.
     // 64 KiB admits the 36 KiB position array and the bitmaps, but none of
-    // the 240+ KiB results (a fresh context each: a failed charge sticks).
+    // the 230+ KiB results (a fresh context each: a failed charge sticks).
     // The grouping arms likewise (a slot table of 3 KiB, or 40 KiB for the
     // 10 000 distinct pairs, then a 90+ KiB result); and the first `{g}`
     // over a head aborts on the 80 KiB grouping it memoizes — its own
@@ -389,8 +399,10 @@ fn governor_aborts_return_all_scratch_to_the_pool() {
         Column::from_bools((0..20_000u64).map(|i| i % 2 == 1).collect()),
     );
     type Run<'a> = &'a dyn Fn(&ExecCtx) -> monet::error::Result<Bat>;
-    let runs: [(Run, &str); 8] = [
+    let runs: [(Run, &str); 10] = [
         (&|ctx| ops::join(ctx, &refs, &plain), "direct"),
+        (&|ctx| ops::join(ctx, &sorted_refs, &plain), "runs"),
+        (&|ctx| ops::semijoin(ctx, &sorted_refs.mirror(), &plain), "runs"),
         (&|ctx| ops::join(ctx, &refs, &attr), "datavector"),
         (&|ctx| ops::semijoin(ctx, &refs.mirror(), &plain), "bitmap"),
         (&|ctx| ops::antijoin(ctx, &refs.mirror(), &few), "bitmap"),

@@ -52,6 +52,52 @@ fn opened_store_queries_are_bit_identical_to_the_generated_world() {
     }
 }
 
+#[test]
+fn opened_store_carries_the_generated_run_indexes_and_takes_the_same_arms() {
+    // Run indexes are not stored: open rebuilds them from the mapped tails,
+    // so every BAT must come back with the index the loader built — same
+    // domain, same runs — and every statement must take the same arm.
+    use tpcd_queries::{q01_05, q06_10, q11_15};
+    let (w, dir) = saved_world();
+    let sw = bench::StoreWorld::open(dir).expect("open");
+    let mut indexed = 0;
+    for (name, bat) in w.cat.db().iter() {
+        let opened = sw.cat.db().get(name).expect("every BAT opens");
+        let (built, rebuilt) = (bat.accel().runs.as_deref(), opened.accel().runs.as_deref());
+        assert_eq!(built.is_some(), rebuilt.is_some(), "{name}: run index presence");
+        let (Some(built), Some(rebuilt)) = (built, rebuilt) else { continue };
+        assert!(rebuilt.describes(opened.tail()), "{name}: the index describes the mapped tail");
+        assert_eq!(built.domain(), rebuilt.domain(), "{name}");
+        assert!((0..built.domain().span).all(|k| built.run(k) == rebuilt.run(k)), "{name}");
+        indexed += 1;
+    }
+    for name in ["Item_order", "Item_part", "Item_supplier", "Order_cust", "Order_items"] {
+        assert!(w.cat.db().get(name).unwrap().accel().runs.is_some(), "{name} is indexed");
+    }
+    assert!(indexed >= 5, "{indexed} indexed BATs");
+    let p = &w.params;
+    let programs = [
+        ("Q3", q01_05::q3_moa(p)),
+        ("Q4", q01_05::q4_moa(p)),
+        ("Q5", q01_05::q5_moa(p)),
+        ("Q7", q06_10::q7_moa(p)),
+        ("Q8", q06_10::q8_nation_moa(p)),
+        ("Q9", q06_10::q9_moa(p)),
+        ("Q10", q06_10::q10_moa(p)),
+        ("Q13", q11_15::q13_moa(p)),
+    ];
+    let algos = |cat: &moa::catalog::Catalog, q: &moa::algebra::SetExpr| {
+        let t = moa::translate::translate(cat, q).expect("translate");
+        let env = monet::mil::execute(&ExecCtx::new(), cat.db(), &t.prog, &t.keep).expect("run");
+        env.trace().iter().map(|s| s.algo).collect::<Vec<_>>()
+    };
+    for (label, q) in &programs {
+        let mem = algos(&w.cat, q);
+        assert_eq!(algos(&sw.cat, q), mem, "{label}: opened-store arms differ");
+        assert!(mem.contains(&"runs"), "{label}: no run-addressed statement in {mem:?}");
+    }
+}
+
 /// Copy the saved store into a fresh directory the test may corrupt.
 fn corruptible_copy(tag: &str) -> std::path::PathBuf {
     let (_, src) = saved_world();
